@@ -20,7 +20,7 @@ use crate::daemon::{AutodConfig, LifecycleCore, LifecycleDaemon, TickReport};
 use crate::epoch::{CatalogEpoch, EpochHandle};
 use crate::monitor::{TemplateStats, WorkloadMonitor};
 use autostats::{ManagerError, SessionReport, TuneError};
-use executor::{execute_plan_traced, run_statement_traced, StatementOutcome};
+use executor::{execute_plan_observed, run_statement_observed, StatementOutcome};
 use obsv::{HealthSnapshot, LatencyHistogram, SlowQuery, SlowQueryLog, SpanSampler, WindowDelta};
 use optimizer::{OptimizeOptions, Optimizer};
 use parking_lot::{Mutex, RwLock};
@@ -309,34 +309,22 @@ impl QueryHandle {
                 // (pinned by tests/telemetry_determinism.rs).
                 let sampled =
                     self.telemetry.slowlog.is_enabled() && self.telemetry.sampler.sample(fp);
-                let output = if sampled {
-                    let tracer = obsv::Tracer::enabled();
-                    let output = execute_plan_traced(
-                        &db,
-                        &query,
-                        &optimized.plan,
-                        &self.optimizer.params,
-                        &tracer,
-                    )?;
-                    let latency_ns = start.elapsed().as_nanos() as u64;
-                    self.telemetry.query_latency.observe(latency_ns);
+                let private = sampled.then(obsv::Tracer::enabled);
+                let output = execute_plan_observed(
+                    &db,
+                    &query,
+                    &optimized.plan,
+                    &self.optimizer.params,
+                    private.as_ref().unwrap_or(&self.obs.tracer),
+                    &obsv::FeedbackLog::disabled(),
+                )?;
+                let latency_ns = start.elapsed().as_nanos() as u64;
+                self.telemetry.query_latency.observe(latency_ns);
+                if let Some(tracer) = private {
                     self.telemetry
                         .slowlog
                         .record(fp, latency_ns, tracer.flush());
-                    output
-                } else {
-                    let output = execute_plan_traced(
-                        &db,
-                        &query,
-                        &optimized.plan,
-                        &self.optimizer.params,
-                        &self.obs.tracer,
-                    )?;
-                    self.telemetry
-                        .query_latency
-                        .observe(start.elapsed().as_nanos() as u64);
-                    output
-                };
+                }
                 self.obs.metrics.counter("autod.queries").inc();
                 Ok(StatementOutcome::Query {
                     output,
@@ -352,12 +340,13 @@ impl QueryHandle {
         let bound = bind_statement(&db, stmt)?;
         let epoch = self.epochs.load();
         let start = std::time::Instant::now();
-        let out = run_statement_traced(
+        let out = run_statement_observed(
             &mut db,
             epoch.catalog.full_view(),
             &self.optimizer,
             &bound,
             &self.obs.tracer,
+            &obsv::FeedbackLog::disabled(),
         )?;
         self.telemetry
             .dml_latency

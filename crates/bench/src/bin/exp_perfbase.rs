@@ -3,20 +3,17 @@
 //! `bench::experiments::perfbase`).
 //!
 //! Usage: `cargo run --release -p bench --bin exp_perfbase
-//!         [--full | --tiny] [--reps N] [--threads N] [--out PATH]
+//!         [--full | --tiny] [--reps N] [--out PATH]
 //!         [--trace-out PATH] [--check]`
 //!
 //! Writes `BENCH_exec.json` at the repository root by default (`--out`
 //! overrides, which the CI smoke run uses to avoid clobbering the recorded
-//! numbers). `--threads N` additionally times the morsel-parallel engine at
-//! every power of two up to `N` (and `N` itself), each sample taken only
-//! after asserting rows, work bits, span trees, and feedback streams are
-//! identical to the serial engine. `--check` first reloads the previous
-//! file at the output path, if any, and warns when a deterministic work
-//! counter — overall or per thread count — regressed by more than 25%,
-//! making perf drift visible in CI logs before the overwrite. `--trace-out
-//! PATH` exports the serial verification pass's span events as a Chrome
-//! trace, which CI feeds through `obsv_check`.
+//! numbers). Both pairs are timed only after asserting identical results
+//! and bit-identical work. `--check` first reloads the previous file at the
+//! output path, if any, and warns when a deterministic work counter
+//! regressed by more than 25%, making perf drift visible in CI logs before
+//! the overwrite. `--trace-out PATH` exports the verification pass's span
+//! events as a Chrome trace, which CI feeds through `obsv_check`.
 
 use bench::common::ExperimentScale;
 use bench::experiments::perfbase;
@@ -38,20 +35,6 @@ fn main() {
         .and_then(|n| n.parse().ok())
         .filter(|&n| n >= 1)
         .unwrap_or(5);
-    let max_threads: usize = args
-        .iter()
-        .position(|a| a == "--threads")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|n| n.parse().ok())
-        .filter(|&n| n >= 1)
-        .unwrap_or(4);
-    // Powers of two up to the maximum, plus the maximum itself: 6 ->
-    // [1, 2, 4, 6].
-    let mut thread_counts: Vec<usize> = (0..)
-        .map(|p| 1usize << p)
-        .take_while(|&t| t < max_threads)
-        .collect();
-    thread_counts.push(max_threads);
     let out: PathBuf = args
         .iter()
         .position(|a| a == "--out")
@@ -63,7 +46,7 @@ fn main() {
         });
 
     println!("== Perf baseline: columnar execution + shared-scan builds ==");
-    let result = perfbase::run(&scale, reps, &thread_counts);
+    let result = perfbase::run(&scale, reps);
     result.print();
 
     if args.iter().any(|a| a == "--check") {

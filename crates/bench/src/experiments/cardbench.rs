@@ -36,7 +36,7 @@
 use crate::common::{flag_value, ExperimentScale};
 use autostats::{single_column_candidates, MnsaConfig, MnsaEngine};
 use datagen::{adversarial_queries, build_adversarial, AdversarialConfig, Regime, FACTS};
-use executor::{execute_plan, execute_plan_observed, execute_plan_traced, predicate::row_matches};
+use executor::{execute_plan, execute_plan_observed, predicate::row_matches};
 use obsv::{ArgValue, EventKind};
 use optimizer::{OptimizeOptions, Optimizer};
 use query::{
@@ -346,8 +346,15 @@ fn measure_catalog(
             )
             .expect("optimization succeeds");
         let tracer = obsv::Tracer::enabled();
-        let out = execute_plan_traced(db, &case.query, &chosen.plan, &optimizer.params, &tracer)
-            .expect("plan executes");
+        let out = execute_plan_observed(
+            db,
+            &case.query,
+            &chosen.plan,
+            &optimizer.params,
+            &tracer,
+            &obsv::FeedbackLog::disabled(),
+        )
+        .expect("plan executes");
         let events = tracer.flush();
         q_errors.extend(operator_q_errors(&events));
         // Floor the denominator: a true plan with (near-)zero work would
@@ -572,8 +579,15 @@ fn measure_drift(
             .optimize(db, query, catalog.full_view(), &OptimizeOptions::default())
             .expect("drift optimization succeeds");
         let tracer = obsv::Tracer::enabled();
-        execute_plan_traced(db, query, &chosen.plan, &optimizer.params, &tracer)
-            .expect("drift plan executes");
+        execute_plan_observed(
+            db,
+            query,
+            &chosen.plan,
+            &optimizer.params,
+            &tracer,
+            &obsv::FeedbackLog::disabled(),
+        )
+        .expect("drift plan executes");
         q_errors.extend(operator_q_errors(&tracer.flush()));
     }
     q_errors.sort_by(f64::total_cmp);
@@ -709,8 +723,15 @@ fn group_by_fraction(db: &Database, query: &BoundSelect, optimizer: &Optimizer) 
         )
         .expect("probe optimization succeeds");
     let tracer = obsv::Tracer::enabled();
-    execute_plan_traced(db, query, &plan.plan, &optimizer.params, &tracer)
-        .expect("probe execution succeeds");
+    execute_plan_observed(
+        db,
+        query,
+        &plan.plan,
+        &optimizer.params,
+        &tracer,
+        &obsv::FeedbackLog::disabled(),
+    )
+    .expect("probe execution succeeds");
     let events = tracer.flush();
     // Spans: End events carry counts, Begin events carry parent linkage.
     let mut rows_out: FxHashMap<u64, f64> = FxHashMap::default();

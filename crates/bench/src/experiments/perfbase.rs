@@ -17,27 +17,12 @@
 use crate::common::{bind_all, queries_of, ExperimentScale};
 use autostats::candidate_statistics;
 use datagen::{build_tpcd, Complexity, RagsGenerator, TpcdConfig, WorkloadSpec, ZipfSpec};
-use executor::{execute_plan, execute_plan_opts, execute_plan_reference, ExecOptions};
-use obsv::trace::canonical_signature;
+use executor::{execute_plan, execute_plan_observed, execute_plan_reference};
 use optimizer::{OptimizeOptions, Optimizer, PlanNode};
 use query::BoundSelect;
 use stats::{StatDescriptor, StatsCatalog};
 use std::time::Instant;
 use storage::{Database, TableId};
-
-/// One morsel-parallel execution sample: the workload timed at a fixed
-/// thread count, after proving the results identical to the serial engine.
-#[derive(Debug, Clone)]
-pub struct ThreadSample {
-    pub threads: usize,
-    /// Median wall-clock milliseconds for the columnar engine at this
-    /// thread count.
-    pub columnar_ms: f64,
-    /// Total deterministic work at this thread count — asserted bit-equal
-    /// to the serial engine's before timing, so any drift between recorded
-    /// baselines is a real behavior change, never scheduling noise.
-    pub work: f64,
-}
 
 /// The measured baseline, one struct per run.
 #[derive(Debug, Clone)]
@@ -63,10 +48,7 @@ pub struct PerfbaseResult {
     /// Total deterministic creation work (identical for both paths,
     /// verified to the bit).
     pub build_creation_work: f64,
-    /// Morsel-parallel executor timings per thread count (empty when the
-    /// run sampled no thread counts).
-    pub thread_samples: Vec<ThreadSample>,
-    /// Span events from the serial observed verification pass — exportable
+    /// Span events from the columnar verification pass — exportable
     /// via `obsv::export::to_chrome` so the CI smoke run can schema-check
     /// the trace with `obsv_check`. Not part of the JSON baseline.
     pub trace_events: Vec<obsv::Event>,
@@ -84,20 +66,6 @@ impl PerfbaseResult {
     /// The whole result as one JSON object (hand-rolled; no serde_json
     /// offline).
     pub fn to_json(&self) -> String {
-        let threads_json = self
-            .thread_samples
-            .iter()
-            .map(|s| {
-                format!(
-                    "      {{ \"threads\": {}, \"columnar_ms\": {:.3}, \"speedup\": {:.2}, \"work\": {} }}",
-                    s.threads,
-                    s.columnar_ms,
-                    self.exec_reference_ms / s.columnar_ms.max(1e-9),
-                    s.work
-                )
-            })
-            .collect::<Vec<_>>()
-            .join(",\n");
         format!(
             concat!(
                 "{{\n",
@@ -109,8 +77,7 @@ impl PerfbaseResult {
                 "    \"reference_ms\": {:.3},\n",
                 "    \"columnar_ms\": {:.3},\n",
                 "    \"speedup\": {:.2},\n",
-                "    \"work\": {},\n",
-                "    \"threads\": [\n{}\n    ]\n",
+                "    \"work\": {}\n",
                 "  }},\n",
                 "  \"build\": {{\n",
                 "    \"tables\": {},\n",
@@ -129,7 +96,6 @@ impl PerfbaseResult {
             self.exec_columnar_ms,
             self.exec_speedup(),
             self.exec_work,
-            threads_json,
             self.build_tables,
             self.build_statistics,
             self.build_serial_ms,
@@ -148,14 +114,6 @@ impl PerfbaseResult {
             self.exec_speedup(),
             self.exec_work
         );
-        for s in &self.thread_samples {
-            println!(
-                "exec   threads={}: columnar {:>9.3} ms | {:>5.2}x over reference  (work verified bit-identical)",
-                s.threads,
-                s.columnar_ms,
-                self.exec_reference_ms / s.columnar_ms.max(1e-9),
-            );
-        }
         println!(
             "build  ({} stats on {} tables): serial {:>9.3} ms | batched {:>9.3} ms | {:>5.2}x  (work {:.0})",
             self.build_statistics,
@@ -216,46 +174,6 @@ pub fn check_against(previous_json: &str, current: &PerfbaseResult) -> Result<Ve
             ));
         }
     }
-    // Per-thread-count samples: work at every thread count is verified
-    // bit-identical to serial within a run, so across baselines it must
-    // move exactly with `exec.work` — any *divergence between thread counts*
-    // in the previous file, or between a previous sample and the current
-    // one at the same thread count (beyond the shared budget), is flagged.
-    if let Some(samples) = prev
-        .get("exec")
-        .and_then(|e| e.get("threads"))
-        .and_then(|t| t.as_array())
-    {
-        for s in samples {
-            let (Some(t), Some(prev_work)) = (
-                s.get("threads").and_then(|v| v.as_f64()),
-                s.get("work").and_then(|v| v.as_f64()),
-            ) else {
-                continue;
-            };
-            let Some(cur) = current
-                .thread_samples
-                .iter()
-                .find(|c| c.threads as f64 == t)
-            else {
-                continue;
-            };
-            if prev_work > 0.0 && cur.work > prev_work * 1.25 {
-                warnings.push(format!(
-                    "exec work at {t} threads regressed {prev_work:.0} -> {:.0} (+{:.1}%, budget 25%)",
-                    cur.work,
-                    (cur.work / prev_work - 1.0) * 100.0
-                ));
-            }
-            if cur.work.to_bits() != current.exec_work.to_bits() {
-                warnings.push(format!(
-                    "exec work at {t} threads ({:.0}) diverges from serial work ({:.0}) — \
-                     thread-count determinism broken",
-                    cur.work, current.exec_work
-                ));
-            }
-        }
-    }
     Ok(warnings)
 }
 
@@ -299,43 +217,9 @@ fn build_round(queries: &[(BoundSelect, PlanNode)]) -> Vec<(TableId, Vec<StatDes
     by_table
 }
 
-/// Observed run of the whole workload at fixed [`ExecOptions`]: all rows,
-/// summed work, the canonical span-tree signature, and the canonical
-/// feedback byte stream — everything the executor's determinism contract
-/// says may not depend on the thread count.
-#[allow(clippy::type_complexity)]
-fn observed_workload(
-    db: &Database,
-    planned: &[(BoundSelect, PlanNode)],
-    params: &optimizer::CostParams,
-    opts: ExecOptions,
-) -> (
-    Vec<Vec<Vec<storage::Value>>>,
-    f64,
-    Vec<obsv::Event>,
-    Vec<u8>,
-) {
-    let tracer = obsv::Tracer::enabled();
-    let feedback = obsv::FeedbackLog::enabled();
-    let mut rows = Vec::with_capacity(planned.len());
-    let mut work = 0.0;
-    for (q, plan) in planned {
-        let out = execute_plan_opts(db, q, plan, params, &tracer, &feedback, &opts)
-            .expect("columnar executes");
-        work += out.work;
-        rows.push(out.rows);
-    }
-    let events = tracer.flush();
-    let fb = feedback.canonical_bytes();
-    (rows, work, events, fb)
-}
-
 /// Run the baseline at `scale`, timing `reps` repetitions of each side and
-/// reporting medians. `thread_counts` additionally times the columnar
-/// engine at each given thread count — after asserting that its rows, work
-/// bits, span tree, and feedback stream are identical to the serial
-/// engine's.
-pub fn run(scale: &ExperimentScale, reps: usize, thread_counts: &[usize]) -> PerfbaseResult {
+/// reporting medians.
+pub fn run(scale: &ExperimentScale, reps: usize) -> PerfbaseResult {
     let db = build_tpcd(&TpcdConfig {
         scale: scale.scale,
         zipf: ZipfSpec::Mixed,
@@ -354,10 +238,21 @@ pub fn run(scale: &ExperimentScale, reps: usize, thread_counts: &[usize]) -> Per
     let planned = planned_workload(&db, &catalog, scale);
     let optimizer = Optimizer::default();
 
-    // Verify once: identical rows, bit-identical work.
+    // Verify once: identical rows, bit-identical work. The columnar side
+    // runs traced (observation-only) so the pass doubles as the source of
+    // the exported span events.
+    let tracer = obsv::Tracer::enabled();
     let mut exec_work = 0.0;
     for (q, plan) in &planned {
-        let b = execute_plan(&db, q, plan, &optimizer.params).expect("columnar executes");
+        let b = execute_plan_observed(
+            &db,
+            q,
+            plan,
+            &optimizer.params,
+            &tracer,
+            &obsv::FeedbackLog::disabled(),
+        )
+        .expect("columnar executes");
         let r =
             execute_plan_reference(&db, q, plan, &optimizer.params).expect("reference executes");
         assert_eq!(b.rows, r.rows, "row divergence in bench workload");
@@ -382,55 +277,6 @@ pub fn run(scale: &ExperimentScale, reps: usize, thread_counts: &[usize]) -> Per
             execute_plan(&db, q, plan, &optimizer.params).expect("columnar executes");
         }));
     }
-    let exec_reference_ms = median_ms(ref_ms);
-
-    // Morsel-parallel samples: prove the determinism contract at each
-    // thread count (rows, work bits, span tree, feedback bytes all equal to
-    // serial), then time it.
-    let mut thread_samples = Vec::with_capacity(thread_counts.len());
-    let mut trace_events = Vec::new();
-    if !thread_counts.is_empty() {
-        let serial = observed_workload(&db, &planned, &optimizer.params, ExecOptions::default());
-        let serial_sig = canonical_signature(&serial.2);
-        for &t in thread_counts {
-            let opts = ExecOptions::with_threads(t);
-            let at_t = observed_workload(&db, &planned, &optimizer.params, opts);
-            assert_eq!(serial.0, at_t.0, "row divergence at {t} threads");
-            assert_eq!(
-                serial.1.to_bits(),
-                at_t.1.to_bits(),
-                "work divergence at {t} threads"
-            );
-            assert_eq!(
-                serial_sig,
-                canonical_signature(&at_t.2),
-                "span-tree divergence at {t} threads"
-            );
-            assert_eq!(serial.3, at_t.3, "feedback divergence at {t} threads");
-            let mut ms = Vec::with_capacity(reps);
-            for _ in 0..reps {
-                ms.push(time_all(&|q, plan| {
-                    execute_plan_opts(
-                        &db,
-                        q,
-                        plan,
-                        &optimizer.params,
-                        &obsv::Tracer::disabled(),
-                        &obsv::FeedbackLog::disabled(),
-                        &opts,
-                    )
-                    .expect("columnar executes");
-                }));
-            }
-            thread_samples.push(ThreadSample {
-                threads: t,
-                columnar_ms: median_ms(ms),
-                work: at_t.1,
-            });
-        }
-        trace_events = serial.2;
-    }
-
     // Statistics build round: serial one-at-a-time vs shared-scan batches.
     let round = build_round(&planned);
     let n_stats: usize = round.iter().map(|(_, ds)| ds.len()).sum();
@@ -479,7 +325,7 @@ pub fn run(scale: &ExperimentScale, reps: usize, thread_counts: &[usize]) -> Per
         scale: scale.scale,
         queries: planned.len(),
         reps,
-        exec_reference_ms,
+        exec_reference_ms: median_ms(ref_ms),
         exec_columnar_ms: median_ms(col_ms),
         exec_work,
         build_tables: round.len(),
@@ -487,8 +333,7 @@ pub fn run(scale: &ExperimentScale, reps: usize, thread_counts: &[usize]) -> Per
         build_serial_ms: median_ms(serial_ms),
         build_batched_ms: median_ms(batched_ms),
         build_creation_work: serial_cat.creation_work(),
-        thread_samples,
-        trace_events,
+        trace_events: tracer.flush(),
     }
 }
 
@@ -509,18 +354,6 @@ mod tests {
             build_serial_ms: 8.0,
             build_batched_ms: 4.0,
             build_creation_work: 500.0,
-            thread_samples: vec![
-                ThreadSample {
-                    threads: 2,
-                    columnar_ms: 3.0,
-                    work: 1000.0,
-                },
-                ThreadSample {
-                    threads: 4,
-                    columnar_ms: 2.0,
-                    work: 1000.0,
-                },
-            ],
             trace_events: Vec::new(),
         }
     }
@@ -536,40 +369,13 @@ mod tests {
         let r = sample();
         let mut worse = r.clone();
         worse.exec_work = r.exec_work * 1.5; // +50%, over the 25% budget
-        for s in &mut worse.thread_samples {
-            s.work = worse.exec_work; // determinism contract intact
-        }
         let warnings = check_against(&r.to_json(), &worse).expect("comparable runs");
-        assert_eq!(warnings.len(), 3, "{warnings:?}"); // overall + each thread count
+        assert_eq!(warnings.len(), 1, "{warnings:?}");
         assert!(warnings[0].contains("exec work"), "{warnings:?}");
         // Within budget: no warning.
         let mut ok = r.clone();
         ok.build_creation_work = r.build_creation_work * 1.2;
         assert_eq!(check_against(&r.to_json(), &ok), Ok(Vec::new()));
-    }
-
-    #[test]
-    fn check_flags_per_thread_work_drift() {
-        let r = sample();
-        // Regression at one thread count only.
-        let mut worse = r.clone();
-        worse.thread_samples[1].work = 2000.0;
-        let warnings = check_against(&r.to_json(), &worse).expect("comparable runs");
-        assert!(
-            warnings.iter().any(|w| w.contains("at 4 threads")),
-            "{warnings:?}"
-        );
-        // A sample that disagrees with the run's own serial work is a broken
-        // determinism contract, flagged even without budget overrun.
-        let mut diverged = r.clone();
-        diverged.thread_samples[0].work = 999.0;
-        let warnings = check_against(&r.to_json(), &diverged).expect("comparable runs");
-        assert!(
-            warnings
-                .iter()
-                .any(|w| w.contains("thread-count determinism")),
-            "{warnings:?}"
-        );
     }
 
     #[test]

@@ -9,7 +9,7 @@ use crate::error::TuneError;
 use crate::journal::SessionReport;
 use crate::policy::{apply_policy_obs, CreationPolicy, TuningReport};
 use crate::Equivalence;
-use executor::{run_statement_traced, ExecError, StatementOutcome};
+use executor::{run_statement_observed, ExecError, StatementOutcome};
 use optimizer::PlanError;
 use optimizer::{CacheCounters, OptimizeCache, OptimizeOptions, Optimizer};
 use query::{bind_statement, parse_statement, BindError, BoundStatement, ParseError, Statement};
@@ -272,12 +272,13 @@ impl AutoStatsManager {
             }
             self.session.totals.absorb(&report);
         }
-        let outcome = run_statement_traced(
+        let outcome = run_statement_observed(
             &mut self.db,
             self.catalog.full_view(),
             &self.optimizer,
             bound,
             &self.obs.tracer,
+            &obsv::FeedbackLog::disabled(),
         )?;
         self.execution_work += outcome.work();
         self.obs

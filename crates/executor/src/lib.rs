@@ -19,19 +19,13 @@
 pub mod error;
 pub mod exec;
 mod kernels;
-pub mod pool;
 pub mod predicate;
 pub mod reference;
 pub mod runner;
 
 pub use error::ExecError;
-pub use exec::{
-    execute_plan, execute_plan_observed, execute_plan_opts, execute_plan_traced, ExecOptions,
-    ExecOutput,
-};
-pub use pool::ExecPool;
+pub use exec::{execute_plan, execute_plan_observed, ExecOutput};
 pub use reference::execute_plan_reference;
 pub use runner::{
-    run_statement, run_statement_observed, run_statement_traced, StatementOutcome, WorkloadReport,
-    WorkloadRunner,
+    run_statement, run_statement_observed, StatementOutcome, WorkloadReport, WorkloadRunner,
 };

@@ -93,32 +93,21 @@ pub fn run_statement(
     optimizer: &Optimizer,
     stmt: &BoundStatement,
 ) -> Result<StatementOutcome, ExecError> {
-    run_statement_traced(db, stats, optimizer, stmt, &obsv::Tracer::disabled())
-}
-
-/// [`run_statement`] under a tracer: SELECTs get an `exec.query` span tree
-/// with per-operator child spans; DML gets an `exec.dml` span with the rows
-/// affected. Outcomes are bit-identical to the untraced call.
-pub fn run_statement_traced(
-    db: &mut Database,
-    stats: StatsView<'_>,
-    optimizer: &Optimizer,
-    stmt: &BoundStatement,
-    tracer: &obsv::Tracer,
-) -> Result<StatementOutcome, ExecError> {
     run_statement_observed(
         db,
         stats,
         optimizer,
         stmt,
-        tracer,
+        &obsv::Tracer::disabled(),
         &obsv::FeedbackLog::disabled(),
     )
 }
 
-/// [`run_statement_traced`] with a cardinality-feedback channel: SELECT scans
-/// additionally record (estimate, observed) pairs into `feedback` when it is
-/// enabled. With a disabled log this is bit-identical to the traced call.
+/// [`run_statement`] under a tracer and a cardinality-feedback channel:
+/// SELECTs get an `exec.query` span tree with per-operator child spans and
+/// record (estimate, observed) pairs per scan into `feedback` when it is
+/// enabled; DML gets an `exec.dml` span with the rows affected. Outcomes are
+/// bit-identical to the unobserved call.
 pub fn run_statement_observed(
     db: &mut Database,
     stats: StatsView<'_>,
@@ -333,9 +322,15 @@ mod tests {
             let mut db_traced = base.clone();
             let plain = run_statement(&mut db_plain, cat.full_view(), &opt, &stmt).unwrap();
             let tracer = obsv::Tracer::enabled();
-            let traced =
-                run_statement_traced(&mut db_traced, cat.full_view(), &opt, &stmt, &tracer)
-                    .unwrap();
+            let traced = run_statement_observed(
+                &mut db_traced,
+                cat.full_view(),
+                &opt,
+                &stmt,
+                &tracer,
+                &obsv::FeedbackLog::disabled(),
+            )
+            .unwrap();
             let (
                 StatementOutcome::Dml {
                     rows_affected: n_plain,

@@ -1,25 +1,24 @@
-//! Differential morsel-equivalence suite: the executor's thread-count
-//! determinism contract, checked against the row-at-a-time reference
-//! interpreter over adversarial table shapes.
+//! Differential equivalence suite: the columnar engine against the
+//! row-at-a-time reference interpreter over adversarial table shapes.
 //!
-//! Every case asserts the full contract for threads 1/2/4/8 with a morsel
-//! size small enough to split the inputs:
+//! Every case asserts, with tracing and feedback capture switched on:
 //!
 //! * `ExecOutput.rows` equal the reference engine's,
 //! * `work` is bit-identical,
-//! * the `exec.query`/`exec.op.*` span tree (canonical signature, Float
-//!   args by bit pattern) is identical to the serial engine's,
-//! * the `FeedbackRecord` stream is byte-identical to the serial engine's.
+//! * the `exec.query` span reports the reference's output cardinality, and
+//!   the span tree (canonical signature, Float args by bit pattern) and the
+//!   `FeedbackRecord` byte stream repeat exactly on a second run.
 //!
-//! Tables cover the shapes morsel dispatch can get wrong: empty, single-row,
-//! sizes straddling the morsel boundary, NULL-heavy columns, and the
-//! adversarial generator's skewed/correlated/star regimes.
+//! Tables cover the shapes a batch engine can get wrong: empty, single-row,
+//! sizes straddling the two block boundaries left in the engine (the
+//! kernels' 512-row null-mask chunk and the 4096-row projection block),
+//! NULL-heavy columns, and the adversarial generator's skewed/correlated/star
+//! regimes.
 
 use datagen::{adversarial_queries, build_adversarial, AdversarialConfig, Regime};
 use executor::predicate::filter_table;
 use executor::{
-    execute_plan_observed, execute_plan_opts, execute_plan_reference, run_statement, ExecOptions,
-    StatementOutcome,
+    execute_plan, execute_plan_observed, execute_plan_reference, run_statement, StatementOutcome,
 };
 use obsv::trace::canonical_signature;
 use optimizer::{OptimizeOptions, Optimizer};
@@ -28,9 +27,6 @@ use query::{bind_statement, parse_statement, BoundSelect, BoundStatement};
 use stats::StatsCatalog;
 use storage::{ColumnDef, DataType, Database, Schema, Value};
 
-const THREADS: [usize; 4] = [1, 2, 4, 8];
-const MORSEL: usize = 16;
-
 fn bind(db: &Database, sql: &str) -> BoundSelect {
     match bind_statement(db, &parse_statement(sql).expect("parses")).expect("binds") {
         BoundStatement::Select(q) => q,
@@ -38,7 +34,7 @@ fn bind(db: &Database, sql: &str) -> BoundSelect {
     }
 }
 
-/// Run `sql` on every engine and assert the whole determinism contract.
+/// Run `sql` on both engines and assert the whole equivalence contract.
 fn assert_equivalent(db: &Database, sql: &str) {
     let q = bind(db, sql);
     let opt = Optimizer::default();
@@ -49,43 +45,41 @@ fn assert_equivalent(db: &Database, sql: &str) {
         .plan;
     let reference = execute_plan_reference(db, &q, &plan, &opt.params).expect("reference");
 
-    let observed = |opts: &ExecOptions| {
+    let observed = || {
         let tracer = obsv::Tracer::enabled();
         let feedback = obsv::FeedbackLog::enabled();
-        let out = execute_plan_opts(db, &q, &plan, &opt.params, &tracer, &feedback, opts)
+        let out = execute_plan_observed(db, &q, &plan, &opt.params, &tracer, &feedback)
             .expect("columnar");
-        (
-            out,
-            canonical_signature(&tracer.flush()),
-            feedback.canonical_bytes(),
-        )
+        (out, tracer.flush(), feedback.canonical_bytes())
     };
 
-    let serial = observed(&ExecOptions {
-        threads: 1,
-        morsel_rows: MORSEL,
-    });
-    assert_eq!(serial.0.rows, reference.rows, "serial vs reference: {sql}");
+    let (out, events, feedback) = observed();
+    assert_eq!(out.rows, reference.rows, "rows vs reference: {sql}");
     assert_eq!(
-        serial.0.work.to_bits(),
+        out.work.to_bits(),
         reference.work.to_bits(),
-        "serial work vs reference: {sql}"
+        "work vs reference: {sql}"
+    );
+    let root = events
+        .iter()
+        .find(|e| e.kind == obsv::EventKind::End && e.name == "exec.query")
+        .expect("exec.query span");
+    let truth = obsv::ArgValue::Int(reference.rows.len() as i64);
+    assert!(
+        root.args
+            .iter()
+            .any(|(k, v)| *k == "rows_out" && *v == truth),
+        "exec.query must report the reference's {} rows: {sql}",
+        reference.rows.len()
     );
 
-    for threads in THREADS {
-        let at_t = observed(&ExecOptions {
-            threads,
-            morsel_rows: MORSEL,
-        });
-        assert_eq!(at_t.0.rows, reference.rows, "rows at {threads}: {sql}");
-        assert_eq!(
-            at_t.0.work.to_bits(),
-            reference.work.to_bits(),
-            "work at {threads}: {sql}"
-        );
-        assert_eq!(at_t.1, serial.1, "span tree at {threads}: {sql}");
-        assert_eq!(at_t.2, serial.2, "feedback at {threads}: {sql}");
-    }
+    let again = observed();
+    assert_eq!(
+        canonical_signature(&events),
+        canonical_signature(&again.1),
+        "span tree on rerun: {sql}"
+    );
+    assert_eq!(feedback, again.2, "feedback on rerun: {sql}");
 }
 
 /// The fixed query set over the generated `emp`/`g` pair: single-predicate
@@ -183,9 +177,12 @@ fn seeded_rows(n: usize, seed: u64) -> Vec<RowSpec> {
 }
 
 #[test]
-fn empty_single_row_and_morsel_boundary_sizes() {
-    // Sizes straddling the 16-row morsel boundary, plus degenerate tables.
-    for n in [0usize, 1, 15, 16, 17, 33] {
+fn empty_single_row_and_block_boundary_sizes() {
+    // Degenerate and small tables, then sizes straddling the kernels'
+    // 512-row null-mask chunk and the 4096-row projection block.
+    for n in [
+        0usize, 1, 15, 16, 17, 33, 511, 512, 513, 1025, 4095, 4096, 4097,
+    ] {
         let db = fixture(&seeded_rows(n, n as u64 + 7));
         for sql in QUERIES {
             assert_equivalent(&db, sql);
@@ -194,9 +191,9 @@ fn empty_single_row_and_morsel_boundary_sizes() {
 }
 
 #[test]
-fn adversarial_regimes_match_reference_at_every_thread_count() {
+fn adversarial_regimes_match_reference() {
     // The estimation-quality generator's worst-case data shapes (skew,
-    // correlation with NULLs, star joins) through the same full contract.
+    // correlation with NULLs, star joins): rows and work bits.
     let cfg = AdversarialConfig {
         seed: 11,
         ..AdversarialConfig::tiny()
@@ -217,32 +214,17 @@ fn adversarial_regimes_match_reference_at_every_thread_count() {
             };
             let reference =
                 execute_plan_reference(&db, &q, &optimized.plan, &opt.params).expect("reference");
-            for threads in THREADS {
-                let out = execute_plan_opts(
-                    &db,
-                    &q,
-                    &optimized.plan,
-                    &opt.params,
-                    &obsv::Tracer::disabled(),
-                    &obsv::FeedbackLog::disabled(),
-                    &ExecOptions {
-                        threads,
-                        morsel_rows: 32,
-                    },
-                )
-                .expect("columnar");
-                assert_eq!(out.rows, reference.rows, "{regime} at {threads} threads");
-                assert_eq!(out.work.to_bits(), reference.work.to_bits());
-            }
+            let out = execute_plan(&db, &q, &optimized.plan, &opt.params).expect("columnar");
+            assert_eq!(out.rows, reference.rows, "{regime}");
+            assert_eq!(out.work.to_bits(), reference.work.to_bits(), "{regime}");
         }
     }
 }
 
 #[test]
-fn feedback_stream_is_byte_identical_across_thread_counts() {
-    // Satellite contract: the FeedbackRecord stream out of the observed
-    // entry point is byte-identical at threads 1/2/8 and to the serial
-    // engine (execute_plan_observed's environment default).
+fn feedback_stream_reports_the_reference_cardinality() {
+    // A single-predicate scan must emit feedback, and the record's observed
+    // cardinality must be the reference engine's row count.
     let db = fixture(&seeded_rows(40, 3));
     let q = bind(&db, "SELECT * FROM emp WHERE grp = 2");
     let opt = Optimizer::default();
@@ -251,44 +233,15 @@ fn feedback_stream_is_byte_identical_across_thread_counts() {
         .optimize(&db, &q, cat.full_view(), &OptimizeOptions::default())
         .expect("optimizes")
         .plan;
+    let reference = execute_plan_reference(&db, &q, &plan, &opt.params).expect("reference");
 
-    let serial_log = obsv::FeedbackLog::enabled();
-    execute_plan_observed(
-        &db,
-        &q,
-        &plan,
-        &opt.params,
-        &obsv::Tracer::disabled(),
-        &serial_log,
-    )
-    .expect("serial observed");
-    let serial_bytes = serial_log.canonical_bytes();
-    assert!(
-        !serial_bytes.is_empty(),
-        "single-predicate scan must emit feedback"
-    );
-
-    for threads in [1usize, 2, 8] {
-        let log = obsv::FeedbackLog::enabled();
-        execute_plan_opts(
-            &db,
-            &q,
-            &plan,
-            &opt.params,
-            &obsv::Tracer::disabled(),
-            &log,
-            &ExecOptions {
-                threads,
-                morsel_rows: 8,
-            },
-        )
-        .expect("parallel observed");
-        assert_eq!(
-            log.canonical_bytes(),
-            serial_bytes,
-            "feedback bytes at {threads} threads"
-        );
-    }
+    let log = obsv::FeedbackLog::enabled();
+    execute_plan_observed(&db, &q, &plan, &opt.params, &obsv::Tracer::disabled(), &log)
+        .expect("observed");
+    let records = log.drain();
+    assert_eq!(records.len(), 1, "single-predicate scan must emit feedback");
+    assert_eq!(records[0].rows_out, reference.rows.len() as f64);
+    assert_eq!(records[0].input_rows, 40.0);
 }
 
 #[test]
@@ -360,8 +313,8 @@ fn dml_filtering_matches_row_at_a_time_oracle() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Random NULL-heavy tables of random size: the full determinism
-    /// contract holds for every query shape at every thread count.
+    /// Random NULL-heavy tables of random size: the full equivalence
+    /// contract holds for every query shape.
     #[test]
     fn random_tables_match_reference(
         rows in prop::collection::vec(

@@ -10,7 +10,7 @@
 
 use bench::experiments::cardbench::{operator_q_errors, q_error};
 use datagen::{adversarial_queries, build_adversarial, AdversarialConfig, Regime};
-use executor::{execute_plan_reference, execute_plan_traced};
+use executor::{execute_plan_observed, execute_plan_reference};
 use obsv::{ArgValue, EventKind};
 use optimizer::{OptimizeOptions, Optimizer};
 use proptest::prelude::*;
@@ -78,7 +78,15 @@ fn span_truth_matches_reference_interpreter_on_adversarial_workloads() {
                 .unwrap()
                 .plan;
             let tracer = obsv::Tracer::enabled();
-            let out = execute_plan_traced(&db, &q, &plan, &optimizer.params, &tracer).unwrap();
+            let out = execute_plan_observed(
+                &db,
+                &q,
+                &plan,
+                &optimizer.params,
+                &tracer,
+                &obsv::FeedbackLog::disabled(),
+            )
+            .unwrap();
             let events = tracer.flush();
             assert!(
                 obsv::trace::validate(&events).is_empty(),

@@ -9,7 +9,7 @@
 use autostats::candidate_statistics;
 use bench::experiments::cardbench::operator_q_errors;
 use datagen::{build_tpcd, Complexity, RagsGenerator, TpcdConfig, WorkloadSpec, ZipfSpec};
-use executor::{execute_plan, execute_plan_traced};
+use executor::{execute_plan, execute_plan_observed};
 use optimizer::{OptimizeOptions, Optimizer};
 use query::{bind_statement, BoundSelect, BoundStatement};
 use stats::{BuildOptions, StatDescriptor, StatsCatalog};
@@ -131,7 +131,15 @@ fn per_operator_q_errors(
             .optimize(db, q, catalog.full_view(), &OptimizeOptions::default())
             .unwrap();
         let tracer = obsv::Tracer::enabled();
-        execute_plan_traced(db, q, &r.plan, &optimizer.params, &tracer).unwrap();
+        execute_plan_observed(
+            db,
+            q,
+            &r.plan,
+            &optimizer.params,
+            &tracer,
+            &obsv::FeedbackLog::disabled(),
+        )
+        .unwrap();
         all.extend(operator_q_errors(&tracer.flush()));
     }
     all

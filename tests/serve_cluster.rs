@@ -358,6 +358,10 @@ fn concurrent_clients_and_ticks_stress_the_cluster() {
         }
     });
 
+    // `merged_health` is the snapshot taken at the end of the last tick, and
+    // all six ticks above can finish before any client has run a SELECT:
+    // tick once more now that every client has joined.
+    cluster.tick_wait().expect("tick after the clients joined");
     let merged = cluster.merged_health();
     assert!(merged.queries > 0, "merged health saw query traffic");
     let sample = cluster.merged_query_latency();

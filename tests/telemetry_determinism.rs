@@ -5,8 +5,8 @@
 //! rollups, and health snapshots are observation-only. With them fully on
 //! vs fully off, the same driven workload must leave bit-identical
 //! catalogs, journals, query outputs, estimated costs, and optimizer
-//! plans — and the executor must return bit-identical rows and work at 1,
-//! 2, and 8 threads whether traced or not.
+//! plans — and the executor must return bit-identical rows and work
+//! whether traced or not.
 //!
 //! Wall-clock values (latency quantiles, slow-query latencies, span
 //! timestamps) are explicitly *outside* the bit-identity contract: the
@@ -15,7 +15,7 @@
 
 use autod::{AutodConfig, OnlineService, TelemetryConfig};
 use autostats::{AutoStatsManager, CreationPolicy, ManagerConfig};
-use executor::{execute_plan_opts, ExecOptions, StatementOutcome};
+use executor::{execute_plan_observed, StatementOutcome};
 use optimizer::{OptimizeOptions, Optimizer};
 use query::{bind_statement, parse_statement, BoundSelect, BoundStatement};
 use storage::{ColumnDef, DataType, Database, Schema, Value};
@@ -193,10 +193,9 @@ fn telemetry_on_vs_off_is_bit_identical() {
     assert_eq!(on.4, off.4, "optimizer plans diverged");
 }
 
-/// The executor returns bit-identical rows and work at 1, 2, and 8 worker
-/// threads, traced or untraced — six combinations, one reference.
+/// The executor returns bit-identical rows and work traced or untraced.
 #[test]
-fn executor_is_thread_and_trace_invariant() {
+fn executor_is_trace_invariant() {
     let db = test_db();
     let stmt = parse_statement(WORKLOAD[0]).unwrap();
     let BoundStatement::Select(query) = bind_statement(&db, &stmt).unwrap() else {
@@ -214,34 +213,16 @@ fn executor_is_thread_and_trace_invariant() {
         .unwrap()
         .plan;
     let feedback = obsv::FeedbackLog::disabled();
-    let mut reference: Option<(Vec<Vec<Value>>, u64)> = None;
-    for threads in [1usize, 2, 8] {
-        for traced in [false, true] {
-            let tracer = if traced {
-                obsv::Tracer::enabled()
-            } else {
-                obsv::Tracer::disabled()
-            };
-            let out = execute_plan_opts(
-                &db,
-                &query,
-                &plan,
-                &optimizer.params,
-                &tracer,
-                &feedback,
-                &ExecOptions::with_threads(threads),
-            )
+    let run = |tracer: &obsv::Tracer| {
+        let out = execute_plan_observed(&db, &query, &plan, &optimizer.params, tracer, &feedback)
             .unwrap();
-            let got = (out.rows, out.work.to_bits());
-            match &reference {
-                None => reference = Some(got),
-                Some(r) => assert_eq!(
-                    r, &got,
-                    "threads={threads} traced={traced} diverged from reference"
-                ),
-            }
-        }
-    }
+        (out.rows, out.work.to_bits())
+    };
+    assert_eq!(
+        run(&obsv::Tracer::disabled()),
+        run(&obsv::Tracer::enabled()),
+        "traced execution diverged from untraced"
+    );
 }
 
 /// The slow-query reservoir's export is one valid trace stream whose span
