@@ -94,6 +94,9 @@ pub struct ServeResult {
     pub latency_p50_ns: u64,
     pub latency_p99_ns: u64,
     pub latency_p999_ns: u64,
+    /// Throughput pass: how often a fallback found the gathered copy of the
+    /// partitioned table current, and how often it rebuilt it.
+    pub gather: serve::GatherStats,
     /// True when the 1-shard cluster matched the unsharded service
     /// bit-for-bit.
     pub one_shard_identical: bool,
@@ -145,6 +148,11 @@ impl ServeResult {
             "  \"latency_p999_ns\": {},\n",
             self.latency_p999_ns
         ));
+        out.push_str(&format!("  \"gather_hits\": {},\n", self.gather.hits));
+        out.push_str(&format!(
+            "  \"gather_rebuilds\": {},\n",
+            self.gather.rebuilds
+        ));
         out.push_str(&format!(
             "  \"one_shard_identical\": {},\n",
             self.one_shard_identical
@@ -190,6 +198,10 @@ impl ServeResult {
         println!(
             "latency (merged): p50 {} ns  p99 {} ns  p999 {} ns  (n={})",
             self.latency_p50_ns, self.latency_p99_ns, self.latency_p999_ns, self.latency_count
+        );
+        println!(
+            "fallback gather: {} hits, {} rebuilds",
+            self.gather.hits, self.gather.rebuilds
         );
         for s in &self.per_shard {
             println!(
@@ -513,7 +525,8 @@ fn shard_summaries(drive: &ClusterDrive) -> Vec<ShardSummary> {
 
 /// Wall-clock steady-state pass: `threads` client threads each loop their
 /// share of the stream `rounds` times while the driver ticks the cluster.
-/// Returns (wall ms, statements executed, merged latency sample).
+/// Returns (wall ms, statements executed, merged latency sample, gather
+/// counters).
 fn throughput_pass(
     scale: &ExperimentScale,
     shards: usize,
@@ -521,7 +534,7 @@ fn throughput_pass(
     threads: usize,
     rounds: usize,
     global_budget: f64,
-) -> (f64, u64, obsv::LatencySample) {
+) -> (f64, u64, obsv::LatencySample, serve::GatherStats) {
     let db = build_tpcd(&TpcdConfig {
         scale: scale.scale,
         zipf: ZipfSpec::Mixed,
@@ -553,13 +566,14 @@ fn throughput_pass(
     });
     let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
     let merged = cluster.merged_query_latency();
+    let gather = cluster.gather_stats();
     let pairs = cluster.shutdown().expect("daemon threads live");
     for (_, report) in &pairs {
         if let Some(e) = &report.error {
             panic!("shard daemon tick failed during throughput pass: {e}");
         }
     }
-    (wall_ms, executed.load(Ordering::Relaxed), merged)
+    (wall_ms, executed.load(Ordering::Relaxed), merged, gather)
 }
 
 /// Run the whole experiment at `shards` shards.
@@ -612,7 +626,7 @@ pub fn run(
 
     let per_shard = shard_summaries(&first);
 
-    let (wall_ms, throughput_statements, merged) =
+    let (wall_ms, throughput_statements, merged, gather) =
         throughput_pass(scale, shards, ticks, threads, rounds, global_budget);
     let qps = if wall_ms > 0.0 {
         throughput_statements as f64 / (wall_ms / 1e3)
@@ -635,6 +649,7 @@ pub fn run(
         latency_p50_ns: merged.quantile(0.50),
         latency_p99_ns: merged.quantile(0.99),
         latency_p999_ns: merged.quantile(0.999),
+        gather,
         one_shard_identical,
         replay_identical,
         per_shard,
@@ -669,6 +684,7 @@ mod tests {
         let json = result.to_json();
         assert!(json.contains("\"qps\""));
         assert!(json.contains("\"latency_p99_ns\""));
+        assert!(json.contains("\"gather_rebuilds\""));
         assert!(json.contains("\"one_shard_identical\": true"));
         assert!(json.contains("\"replay_identical\": true"));
     }

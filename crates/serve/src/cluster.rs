@@ -4,9 +4,10 @@
 //! Each shard is a complete, independent serving stack — its own database
 //! RwLock, workload monitor, lifecycle daemon, epoch handle, and private
 //! telemetry registry — so shards never contend on locks or counters.
-//! Cross-shard state exists in exactly three places: the immutable
+//! Cross-shard state exists in exactly four places: the immutable
 //! [`ShardPlan`], the arbiter's demand vector (updated once per tick from
-//! collected [`TickReport`]s), and the fallback path's ordered read locks.
+//! collected [`TickReport`]s), the fallback path's ordered read locks, and
+//! the gathered copies of the partitioned tables.
 //!
 //! ## Tick protocol
 //!
@@ -18,29 +19,51 @@
 //!
 //! ## Fallback execution
 //!
-//! Cross-shard SELECTs reassemble their referenced tables into a scratch
-//! database built from the schema skeleton: read locks are taken in
-//! ascending shard order (the cluster-wide lock order; writers only ever
-//! hold one shard lock, so no cycle is possible), owned tables are cloned
-//! from their owner, and partition slices are gathered in shard order. The
-//! statement then binds, optimizes against an *empty* statistics catalog
-//! (magic-number selectivities), and executes locally. Fallback queries are
-//! deliberately invisible to every shard's workload monitor: they are not
-//! single-shard statements, so no shard's tuner should chase them.
+//! A cross-shard SELECT runs on a snapshot that shares storage with the
+//! shards instead of copying it. `storage::Database` holds its tables by
+//! `Arc`, so the snapshot is the schema skeleton with, for each referenced
+//! table, either the owner's `Arc` (an owned table) or the cluster's
+//! *gathered* copy (a partitioned table: the slices appended in shard order,
+//! column by column). Read locks are taken in ascending shard order — the
+//! cluster-wide lock order; writers only ever hold one shard lock, so no
+//! cycle is possible — and are held only while the `Arc`s are taken and the
+//! gathered copies are checked. What the lock order protects is therefore
+//! that instant: every table of the snapshot is read under all the locks at
+//! once, so the snapshot is a state the cluster was in. The statement then
+//! binds, optimizes against an *empty* statistics catalog (magic-number
+//! selectivities), and executes with no shard lock held. A writer that
+//! arrives while a snapshot still holds one of its tables does not wait for
+//! the reader: its first `table_mut` copies that table (`Arc::make_mut`) and
+//! the reader keeps the rows it started with.
+//!
+//! The gathered copy of a partitioned table is kept on the cluster, one per
+//! table, shared by every client, and is keyed by the slices'
+//! [`storage::Table::version`]s: under the read locks a fallback compares
+//! them with the versions the copy was built from, and rebuilds the copy
+//! only when one differs. The key is the version and not the modification
+//! counter because that counter can be reset, so two different states of a
+//! slice can read the same count. A write to a slice never copies anything
+//! on account of the gathered table (which is a table of its own); it only
+//! makes the next fallback rebuild it.
+//!
+//! Fallback queries are deliberately invisible to every shard's workload
+//! monitor: they are not single-shard statements, so no shard's tuner
+//! should chase them.
 
 use crate::arbiter::BudgetArbiter;
 use crate::plan::{Placement, ShardPlan, ShardPlanConfig};
-use crate::router::{Route, Router};
+use crate::router::{Route, Router, SelectRoute};
 use autod::{AutodConfig, OnlineService, QueryHandle, ServiceReport, TickReport};
 use autostats::{AutoStatsManager, ManagerConfig, ManagerError, OnlineEvent, TuneError};
 use executor::{execute_plan, ExecOutput, StatementOutcome};
 use obsv::{HealthSnapshot, LatencyHistogram, LatencySample};
 use optimizer::{OptimizeOptions, Optimizer};
-use parking_lot::{Mutex, RwLock};
+use parking_lot::{Mutex, RwLock, RwLockReadGuard};
 use query::{bind_statement, parse_statement, BoundStatement, Statement};
 use stats::StatsCatalog;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use storage::{Database, Result as StorageResult};
+use storage::{Database, Result as StorageResult, Table, TableId};
 
 /// Cluster configuration: the placement knobs plus the per-shard service
 /// configuration and the *global* tuning budget the arbiter splits.
@@ -87,9 +110,11 @@ pub struct ServeCluster {
     services: Vec<OnlineService>,
     /// Cached database handles, indexed by shard (fallback readers).
     dbs: Vec<Arc<RwLock<Database>>>,
-    /// Empty structural clone of the original database: the scratch-space
-    /// template of the fallback path.
+    /// Empty structural clone of the original database: what a fallback
+    /// snapshot starts from.
     skeleton: Arc<Database>,
+    /// Gathered copies of the partitioned tables (fallback readers).
+    gather: Arc<Gather>,
     /// Stateless optimizer for fallback queries.
     optimizer: Arc<Optimizer>,
     arbiter: BudgetArbiter,
@@ -147,6 +172,7 @@ impl ServeCluster {
             plan,
             services,
             dbs,
+            gather: Arc::new(Gather::new(skeleton.table_count())),
             skeleton,
             optimizer: Arc::new(Optimizer::default()),
             arbiter: BudgetArbiter::new(config.global_budget_per_tick),
@@ -183,7 +209,17 @@ impl ServeCluster {
             handles: self.services.iter().map(|s| s.handle(tid)).collect(),
             dbs: self.dbs.clone(),
             skeleton: Arc::clone(&self.skeleton),
+            gather: Arc::clone(&self.gather),
             optimizer: Arc::clone(&self.optimizer),
+        }
+    }
+
+    /// How often a fallback found the gathered copy of a partitioned table
+    /// current, and how often it had to rebuild it.
+    pub fn gather_stats(&self) -> GatherStats {
+        GatherStats {
+            hits: self.gather.hits.load(Ordering::Relaxed),
+            rebuilds: self.gather.rebuilds.load(Ordering::Relaxed),
         }
     }
 
@@ -299,6 +335,7 @@ pub struct ClusterClient {
     handles: Vec<QueryHandle>,
     dbs: Vec<Arc<RwLock<Database>>>,
     skeleton: Arc<Database>,
+    gather: Arc<Gather>,
     optimizer: Arc<Optimizer>,
 }
 
@@ -323,11 +360,22 @@ impl ClusterClient {
     /// Same surface as [`QueryHandle::run`]; multi-shard routes fail on the
     /// first shard error in shard order.
     pub fn run(&self, stmt: &Statement) -> Result<StatementOutcome, ManagerError> {
-        match self.router.route(stmt) {
-            Route::Single(s) | Route::PartitionedInsert(s) => self.handles[s].run(stmt),
+        let route = match stmt {
+            Statement::Select(select) => {
+                let routed = self.router.route_select(select);
+                if routed.route == Route::Fallback {
+                    return self.run_fallback(stmt, &routed);
+                }
+                routed.route
+            }
+            _ => self.router.route(stmt),
+        };
+        match route {
             Route::Broadcast => self.run_broadcast(stmt),
             Route::Scatter => self.run_scatter(stmt),
-            Route::Fallback => self.run_fallback(stmt),
+            Route::Single(s) | Route::PartitionedInsert(s) => self.handles[s].run(stmt),
+            // Only SELECTs fall back, and they returned above.
+            Route::Fallback => self.handles[0].run(stmt),
         }
     }
 
@@ -382,73 +430,301 @@ impl ClusterClient {
         })
     }
 
-    /// Cross-shard SELECT: reassemble the referenced tables into a scratch
-    /// database and execute there (see the module docs for the locking and
+    /// Cross-shard SELECT: execute on a snapshot that shares the referenced
+    /// tables with the shards (see the module docs for the locking and
     /// statistics story).
-    fn run_fallback(&self, stmt: &Statement) -> Result<StatementOutcome, ManagerError> {
-        let Statement::Select(select) = stmt else {
-            // The router only falls back on SELECTs; route anything else to
-            // shard 0 defensively.
-            return self.handles[0].run(stmt);
-        };
-
-        // Ascending shard order — the cluster-wide lock order. Writers hold
-        // at most one shard lock at a time, so ordered readers cannot
-        // deadlock against them.
-        let shards = self.router.involved_shards(stmt);
-        let guards: Vec<_> = shards.iter().map(|&s| self.dbs[s].read()).collect();
-
-        let mut scratch = (*self.skeleton).clone();
-        let mut materialized: Vec<storage::TableId> = Vec::new();
-        for table_ref in &select.from {
-            let Some(p) = self.router.plan().placement_by_name(&table_ref.table) else {
-                continue; // unknown table: let the binder report it below
-            };
-            if materialized.contains(&p.table) {
-                continue;
-            }
-            materialized.push(p.table);
-            match p.placement {
-                Placement::Owned(owner) => {
-                    if let Some(gi) = shards.iter().position(|&s| s == owner) {
-                        *scratch.table_mut(p.table) = guards[gi].table(p.table).clone();
+    fn run_fallback(
+        &self,
+        stmt: &Statement,
+        routed: &SelectRoute<'_>,
+    ) -> Result<StatementOutcome, ManagerError> {
+        let mut snapshot = (*self.skeleton).clone();
+        {
+            // Ascending shard order — the cluster-wide lock order. Writers
+            // hold at most one shard lock at a time, so ordered readers
+            // cannot deadlock against them.
+            let guards: Vec<_> = routed.shards.iter().map(|&s| self.dbs[s].read()).collect();
+            for p in &routed.tables {
+                let table = match p.placement {
+                    Placement::Owned(owner) => {
+                        let Some(gi) = routed.shards.iter().position(|&s| s == owner) else {
+                            continue;
+                        };
+                        guards[gi].shared_table(p.table)
                     }
-                }
-                Placement::Partitioned => {
-                    // Gather slices in shard order for a deterministic row
-                    // order in the scratch table.
-                    for (gi, _) in shards.iter().enumerate() {
-                        let source = guards[gi].table(p.table);
-                        for row in 0..source.row_count() {
-                            scratch
-                                .table_mut(p.table)
-                                .insert(source.row_values(row))
-                                .map_err(|e| ManagerError::Exec(e.into()))?;
-                        }
-                    }
-                }
+                    // A partitioned table involves every shard, so `guards`
+                    // is one per shard, in shard order.
+                    Placement::Partitioned => self
+                        .gather
+                        .table(p.table, &self.skeleton, &guards)
+                        .map_err(|e| ManagerError::Exec(e.into()))?,
+                };
+                snapshot.set_shared_table(p.table, table);
             }
         }
-        drop(guards);
 
-        let BoundStatement::Select(query) = bind_statement(&scratch, stmt)? else {
+        let BoundStatement::Select(query) = bind_statement(&snapshot, stmt)? else {
             return self.handles[0].run(stmt);
         };
-        // No shard's statistics describe the reassembled tables, so the
+        // No shard's statistics describe the tables as a whole, so the
         // fallback optimizes against an empty catalog (magic numbers) — the
         // honest cost model for a path the tuner never sees.
         let catalog = StatsCatalog::new();
         let optimized = self.optimizer.optimize(
-            &scratch,
+            &snapshot,
             &query,
             catalog.full_view(),
             &OptimizeOptions::default(),
         )?;
-        let output = execute_plan(&scratch, &query, &optimized.plan, &self.optimizer.params)
+        let output = execute_plan(&snapshot, &query, &optimized.plan, &self.optimizer.params)
             .map_err(ManagerError::Exec)?;
         Ok(StatementOutcome::Query {
             output,
             estimated_cost: optimized.cost,
         })
+    }
+}
+
+/// [`ServeCluster::gather_stats`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct GatherStats {
+    pub hits: u64,
+    pub rebuilds: u64,
+}
+
+/// The gathered copies of the partitioned tables: per table, the slices of
+/// every shard appended in shard order, and the slice versions that copy was
+/// built from.
+struct Gather {
+    /// Indexed by `TableId` ordinal; only partitioned tables are ever filled.
+    slots: Vec<Mutex<Option<Gathered>>>,
+    hits: AtomicU64,
+    rebuilds: AtomicU64,
+}
+
+struct Gathered {
+    versions: Vec<u64>,
+    table: Arc<Table>,
+}
+
+impl Gather {
+    fn new(tables: usize) -> Gather {
+        Gather {
+            slots: (0..tables).map(|_| Mutex::new(None)).collect(),
+            hits: AtomicU64::new(0),
+            rebuilds: AtomicU64::new(0),
+        }
+    }
+
+    /// The gathered copy of `id`, rebuilt first if any slice changed since
+    /// it was built. `shards` holds every shard's database in shard order,
+    /// read-locked by the caller; the slot's lock is taken after them and
+    /// no lock is taken under it, and it makes concurrent fallbacks share
+    /// one rebuild.
+    fn table(
+        &self,
+        id: TableId,
+        skeleton: &Database,
+        shards: &[RwLockReadGuard<'_, Database>],
+    ) -> StorageResult<Arc<Table>> {
+        let versions = || shards.iter().map(|db| db.table(id).version());
+        let mut slot = self.slots[id.0 as usize].lock();
+        if let Some(current) = slot
+            .as_ref()
+            .filter(|g| versions().eq(g.versions.iter().copied()))
+        {
+            self.hits.fetch_add(1, Ordering::Relaxed);
+            return Ok(Arc::clone(&current.table));
+        }
+        let mut table = skeleton.table(id).empty_like();
+        for db in shards {
+            table.append_table(db.table(id))?;
+        }
+        let table = Arc::new(table);
+        *slot = Some(Gathered {
+            versions: versions().collect(),
+            table: Arc::clone(&table),
+        });
+        self.rebuilds.fetch_add(1, Ordering::Relaxed);
+        Ok(table)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use storage::{ColumnDef, DataType, Schema, Value};
+
+    /// `big` is hash-partitioned over three shards, `mid` and `small` are
+    /// owned.
+    fn cluster() -> ServeCluster {
+        let mut db = Database::new();
+        for (name, rows) in [("big", 600usize), ("mid", 80), ("small", 10)] {
+            let id = db
+                .create_table(
+                    name,
+                    Schema::new(vec![
+                        ColumnDef::new("k", DataType::Int),
+                        ColumnDef::new("v", DataType::Int),
+                    ]),
+                )
+                .unwrap();
+            for i in 0..rows {
+                db.table_mut(id)
+                    .insert(vec![Value::Int(i as i64), Value::Int((i % 7) as i64)])
+                    .unwrap();
+            }
+        }
+        ServeCluster::start(
+            db,
+            ServeConfig {
+                shards: 3,
+                partition_threshold: 100,
+                global_budget_per_tick: f64::INFINITY,
+                ..ServeConfig::default()
+            },
+        )
+        .unwrap()
+    }
+
+    fn table_id(cluster: &ServeCluster, name: &str) -> TableId {
+        cluster.plan().placement_by_name(name).unwrap().table
+    }
+
+    /// The gathered copy of `big` as the cluster holds it now.
+    fn gathered_big(cluster: &ServeCluster) -> Arc<Table> {
+        let slot = cluster.gather.slots[table_id(cluster, "big").0 as usize].lock();
+        Arc::clone(&slot.as_ref().expect("a fallback gathered `big`").table)
+    }
+
+    fn count(client: &ClusterClient, sql: &str) -> i64 {
+        match client.run_sql(sql).unwrap() {
+            StatementOutcome::Query { output, .. } => match output.rows[0][0] {
+                Value::Int(n) => n,
+                ref other => panic!("COUNT returned {other:?}"),
+            },
+            StatementOutcome::Dml { .. } => panic!("expected a query outcome"),
+        }
+    }
+
+    #[test]
+    fn fallbacks_with_no_write_between_them_share_one_gathered_table() {
+        let cluster = cluster();
+        assert_eq!(
+            cluster
+                .router()
+                .route(&parse_statement("SELECT COUNT(*) FROM big").unwrap()),
+            Route::Fallback
+        );
+        assert_eq!(count(&cluster.client(1), "SELECT COUNT(*) FROM big"), 600);
+        let first = gathered_big(&cluster);
+        assert_eq!(
+            cluster.gather_stats(),
+            GatherStats {
+                hits: 0,
+                rebuilds: 1
+            }
+        );
+        // Another client, another statement shape, the same rows.
+        let other = cluster.client(2);
+        assert_eq!(
+            count(&other, "SELECT COUNT(*) FROM big b, mid m WHERE b.k = m.k"),
+            80
+        );
+        assert!(Arc::ptr_eq(&first, &gathered_big(&cluster)));
+        assert_eq!(
+            cluster.gather_stats(),
+            GatherStats {
+                hits: 1,
+                rebuilds: 1
+            }
+        );
+        // Slices in shard order, as the row-at-a-time gather laid them out.
+        let big = table_id(&cluster, "big");
+        let mut at = 0;
+        for db in &cluster.dbs {
+            let db = db.read();
+            let slice = db.table(big);
+            for r in 0..slice.row_count() {
+                assert_eq!(first.row_values(at), slice.row_values(r));
+                at += 1;
+            }
+        }
+        assert_eq!(at, first.row_count());
+    }
+
+    #[test]
+    fn a_write_to_any_slice_makes_the_next_fallback_rebuild() {
+        let cluster = cluster();
+        let client = cluster.client(1);
+        let mut expected = 600;
+        assert_eq!(count(&client, "SELECT COUNT(*) FROM big"), expected);
+        for (write, delta) in [
+            ("INSERT INTO big VALUES (9999, 1)", 1),   // one shard
+            ("UPDATE big SET v = 8 WHERE k < 300", 0), // broadcast
+            ("DELETE FROM big WHERE k >= 590", -11),   // broadcast
+        ] {
+            let before = gathered_big(&cluster);
+            let rebuilds = cluster.gather_stats().rebuilds;
+            client.run_sql(write).unwrap();
+            expected += delta;
+            assert_eq!(
+                count(&client, "SELECT COUNT(*) FROM big"),
+                expected,
+                "{write}"
+            );
+            assert_eq!(cluster.gather_stats().rebuilds, rebuilds + 1, "{write}");
+            assert!(!Arc::ptr_eq(&before, &gathered_big(&cluster)), "{write}");
+        }
+        assert_eq!(count(&client, "SELECT COUNT(*) FROM big WHERE v = 8"), 300);
+
+        // A broadcast that changes no row leaves the copy current, and so
+        // does a write to a table that is not partitioned.
+        let before = gathered_big(&cluster);
+        let stats = cluster.gather_stats();
+        client.run_sql("UPDATE big SET v = 1 WHERE k < 0").unwrap();
+        client.run_sql("UPDATE mid SET v = 1").unwrap();
+        assert_eq!(count(&client, "SELECT COUNT(*) FROM big"), expected);
+        assert!(Arc::ptr_eq(&before, &gathered_big(&cluster)));
+        assert_eq!(
+            cluster.gather_stats(),
+            GatherStats {
+                hits: stats.hits + 1,
+                ..stats
+            }
+        );
+    }
+
+    #[test]
+    fn a_snapshot_taken_before_a_write_keeps_its_rows() {
+        let cluster = cluster();
+        let client = cluster.client(1);
+
+        // The gathered copy a running fallback would be reading.
+        assert_eq!(count(&client, "SELECT COUNT(*) FROM big"), 600);
+        let held = gathered_big(&cluster);
+        client.run_sql("DELETE FROM big WHERE k < 100").unwrap();
+        assert_eq!(count(&client, "SELECT COUNT(*) FROM big"), 500);
+        assert_eq!(held.row_count(), 600);
+        assert_eq!(gathered_big(&cluster).row_count(), 500);
+
+        // An owned table held the way a fallback snapshot holds it: the
+        // writer copies the table and never waits for the holder.
+        let mid = table_id(&cluster, "mid");
+        let Placement::Owned(owner) = cluster.plan().placement(mid).unwrap().placement else {
+            panic!("`mid` is owned");
+        };
+        let held = cluster.dbs[owner].read().shared_table(mid);
+        let rows: Vec<_> = (0..held.row_count()).map(|r| held.row_values(r)).collect();
+        client.run_sql("UPDATE mid SET v = 9").unwrap();
+        client.run_sql("INSERT INTO mid VALUES (500, 500)").unwrap();
+        assert_eq!(held.row_count(), rows.len());
+        for (r, row) in rows.iter().enumerate() {
+            assert_eq!(&held.row_values(r), row);
+        }
+        let db = cluster.dbs[owner].read();
+        assert!(!std::ptr::eq(db.table(mid), &*held), "the writer copied");
+        assert_eq!(db.table(mid).row_count(), rows.len() + 1);
+        assert_eq!(db.table(mid).value(0, 1), Value::Int(9));
     }
 }

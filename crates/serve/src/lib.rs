@@ -15,7 +15,8 @@
 //!   Single-shard SELECTs and all DML on owned tables go straight to their
 //!   shard's [`QueryHandle`]; INSERTs into partitioned tables row-hash to
 //!   one shard; UPDATE/DELETE on partitioned tables broadcast (slices are
-//!   disjoint); everything else takes the explicit reassembly fallback.
+//!   disjoint); everything else takes the explicit fallback, which runs on
+//!   a snapshot sharing the shards' tables (see [`cluster`]).
 //! * [`BudgetArbiter`] — one global tuning budget per tick, split across
 //!   shards proportionally to demand (pending work reported by each shard's
 //!   last [`TickReport`]). Unspent tokens and debt carry over inside each
@@ -53,6 +54,6 @@ pub mod plan;
 pub mod router;
 
 pub use arbiter::BudgetArbiter;
-pub use cluster::{ClusterClient, ServeCluster, ServeConfig};
+pub use cluster::{ClusterClient, GatherStats, ServeCluster, ServeConfig};
 pub use plan::{Placement, ShardPlan, ShardPlanConfig, TablePlacement};
 pub use router::{Route, Router};

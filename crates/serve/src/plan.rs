@@ -134,8 +134,9 @@ impl ShardPlan {
 
     /// Placement looked up by (case-insensitive) table name.
     pub fn placement_by_name(&self, name: &str) -> Option<&TablePlacement> {
-        let key = name.to_ascii_lowercase();
-        self.placements.iter().find(|p| p.name == key)
+        self.placements
+            .iter()
+            .find(|p| p.name.eq_ignore_ascii_case(name))
     }
 
     /// The shard a partitioned row belongs to: seeded FNV-1a over a stable
@@ -172,15 +173,16 @@ impl ShardPlan {
     }
 
     /// Build the per-shard databases: one schema skeleton each, owned
-    /// tables cloned verbatim (rows *and* modification counters, so a
-    /// 1-shard cluster starts from a bit-identical database), partitioned
+    /// tables shared with `db` (the same `Arc`: rows *and* modification
+    /// counters, so a 1-shard cluster starts from a bit-identical database,
+    /// and whichever side writes a table first copies it), partitioned
     /// tables split row by row via [`ShardPlan::row_shard`].
     pub fn shard_databases(&self, db: &Database) -> StorageResult<Vec<Database>> {
         let mut out: Vec<Database> = (0..self.shards).map(|_| db.schema_skeleton()).collect();
         for p in &self.placements {
             match p.placement {
                 Placement::Owned(s) => {
-                    *out[s].table_mut(p.table) = db.table(p.table).clone();
+                    out[s].set_shared_table(p.table, db.shared_table(p.table));
                 }
                 Placement::Partitioned => {
                     let source = db.table(p.table);

@@ -7,9 +7,8 @@
 //! the supported subset, so it is always single-shard unless its table is
 //! hash-partitioned; only SELECTs can be cross-shard.
 
-use crate::plan::{Placement, ShardPlan};
+use crate::plan::{Placement, ShardPlan, TablePlacement};
 use query::{SelectItem, SelectStmt, Statement};
-use std::collections::BTreeSet;
 use std::sync::Arc;
 
 /// Where a statement executes.
@@ -27,8 +26,8 @@ pub enum Route {
     /// every shard and concatenate rows in shard order.
     Scatter,
     /// Cross-shard SELECT (or a partitioned SELECT whose shape cannot
-    /// scatter): reassemble the referenced tables into a scratch database
-    /// and execute there.
+    /// scatter): execute on a snapshot that shares the referenced tables
+    /// with their shards.
     Fallback,
 }
 
@@ -62,7 +61,7 @@ impl Router {
             },
             Statement::Update(u) => self.route_write(&u.table),
             Statement::Delete(d) => self.route_write(&d.table),
-            Statement::Select(s) => self.route_select(s),
+            Statement::Select(s) => self.route_select(s).route,
         }
     }
 
@@ -74,21 +73,28 @@ impl Router {
         }
     }
 
-    fn route_select(&self, s: &SelectStmt) -> Route {
-        let mut owners: BTreeSet<usize> = BTreeSet::new();
+    /// Route a SELECT in one pass over its FROM list, keeping what the pass
+    /// looked up.
+    pub(crate) fn route_select(&self, s: &SelectStmt) -> SelectRoute<'_> {
+        let mut tables: Vec<&TablePlacement> = Vec::with_capacity(s.from.len());
+        let mut shards: Vec<usize> = Vec::new();
         let mut partitioned = false;
         for t in &s.from {
-            match self.table_placement(&t.table) {
-                Some(Placement::Owned(shard)) => {
-                    owners.insert(shard);
-                }
-                Some(Placement::Partitioned) => partitioned = true,
-                None => {
-                    owners.insert(0);
-                }
+            let Some(p) = self.plan.placement_by_name(&t.table) else {
+                shards.push(0);
+                continue;
+            };
+            if tables.iter().any(|seen| seen.table == p.table) {
+                continue;
+            }
+            tables.push(p);
+            match p.placement {
+                Placement::Owned(shard) => shards.push(shard),
+                Placement::Partitioned => partitioned = true,
             }
         }
-        if partitioned {
+        let route = if partitioned {
+            shards = (0..self.plan.shards()).collect();
             // Concatenating per-shard rows is only sound for a bare
             // projection of one table: no aggregates (a per-shard COUNT is
             // not the global COUNT), no GROUP BY, no ORDER BY, no joins.
@@ -101,13 +107,26 @@ impl Router {
                 && s.group_by.is_empty()
                 && s.order_by.is_empty()
             {
-                return Route::Scatter;
+                Route::Scatter
+            } else {
+                Route::Fallback
             }
-            return Route::Fallback;
-        }
-        match owners.len() {
-            0 | 1 => Route::Single(owners.into_iter().next().unwrap_or(0)),
-            _ => Route::Fallback,
+        } else {
+            shards.sort_unstable();
+            shards.dedup();
+            match shards[..] {
+                [] => {
+                    shards.push(0);
+                    Route::Single(0)
+                }
+                [only] => Route::Single(only),
+                _ => Route::Fallback,
+            }
+        };
+        SelectRoute {
+            route,
+            tables,
+            shards,
         }
     }
 
@@ -118,30 +137,25 @@ impl Router {
     /// The shards a statement touches, in ascending order — the lock-
     /// acquisition order of the fallback path.
     pub fn involved_shards(&self, stmt: &Statement) -> Vec<usize> {
-        match self.route(stmt) {
-            Route::Single(s) | Route::PartitionedInsert(s) => vec![s],
-            Route::Broadcast | Route::Scatter => (0..self.plan.shards()).collect(),
-            Route::Fallback => {
-                let mut shards: BTreeSet<usize> = BTreeSet::new();
-                if let Statement::Select(sel) = stmt {
-                    for t in &sel.from {
-                        match self.table_placement(&t.table) {
-                            Some(Placement::Owned(s)) => {
-                                shards.insert(s);
-                            }
-                            Some(Placement::Partitioned) => {
-                                shards.extend(0..self.plan.shards());
-                            }
-                            None => {
-                                shards.insert(0);
-                            }
-                        }
-                    }
-                }
-                shards.into_iter().collect()
-            }
+        match stmt {
+            Statement::Select(s) => self.route_select(s).shards,
+            _ => match self.route(stmt) {
+                Route::Single(s) | Route::PartitionedInsert(s) => vec![s],
+                _ => (0..self.plan.shards()).collect(),
+            },
         }
     }
+}
+
+/// A routed SELECT, with what routing it looked up: the fallback path takes
+/// its tables and its lock order from here instead of routing again.
+pub(crate) struct SelectRoute<'a> {
+    pub route: Route,
+    /// The distinct tables of the FROM list that the plan knows, in FROM
+    /// order.
+    pub tables: Vec<&'a TablePlacement>,
+    /// The shards those tables live on, ascending ([`Router::involved_shards`]).
+    pub shards: Vec<usize>,
 }
 
 #[cfg(test)]

@@ -8,6 +8,7 @@ use crate::Result;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::Arc;
 
 /// Stable identifier of a table within a [`Database`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
@@ -20,9 +21,15 @@ impl fmt::Display for TableId {
 }
 
 /// An in-memory database: a set of tables and their indexes.
+///
+/// Tables are held by `Arc` and copied on write: a clone of the database, or
+/// a table handed out by [`Database::shared_table`], shares the rows until
+/// one side next mutates that table, and the mutating side pays one
+/// `Table::clone` then. Every holder therefore sees the value semantics a
+/// deep copy would give.
 #[derive(Debug, Default, Clone)]
 pub struct Database {
-    tables: Vec<Table>,
+    tables: Vec<Arc<Table>>,
     by_name: HashMap<String, TableId>,
     indexes: Vec<Index>,
 }
@@ -40,7 +47,7 @@ impl Database {
             return Err(StorageError::DuplicateTable(name));
         }
         let id = TableId(self.tables.len() as u32);
-        self.tables.push(Table::new(name, schema));
+        self.tables.push(Arc::new(Table::new(name, schema)));
         self.by_name.insert(key, id);
         Ok(id)
     }
@@ -54,7 +61,18 @@ impl Database {
     }
 
     pub fn table_mut(&mut self, id: TableId) -> &mut Table {
-        &mut self.tables[id.0 as usize]
+        Arc::make_mut(&mut self.tables[id.0 as usize])
+    }
+
+    /// The table's `Arc`: a snapshot of its rows as they are now, at the
+    /// cost of a reference count.
+    pub fn shared_table(&self, id: TableId) -> Arc<Table> {
+        Arc::clone(&self.tables[id.0 as usize])
+    }
+
+    /// Put `table` in `id`'s place, sharing it with whoever else holds it.
+    pub fn set_shared_table(&mut self, id: TableId, table: Arc<Table>) {
+        self.tables[id.0 as usize] = table;
     }
 
     /// Like [`Database::table`], but returns a typed error instead of
@@ -62,6 +80,7 @@ impl Database {
     pub fn try_table(&self, id: TableId) -> Result<&Table> {
         self.tables
             .get(id.0 as usize)
+            .map(Arc::as_ref)
             .ok_or(StorageError::UnknownTableId(id.0))
     }
 
@@ -70,6 +89,7 @@ impl Database {
     pub fn try_table_mut(&mut self, id: TableId) -> Result<&mut Table> {
         self.tables
             .get_mut(id.0 as usize)
+            .map(Arc::make_mut)
             .ok_or(StorageError::UnknownTableId(id.0))
     }
 
@@ -98,7 +118,11 @@ impl Database {
     /// ids on every shard (and on the original database).
     pub fn schema_skeleton(&self) -> Database {
         Database {
-            tables: self.tables.iter().map(Table::empty_like).collect(),
+            tables: self
+                .tables
+                .iter()
+                .map(|t| Arc::new(t.empty_like()))
+                .collect(),
             by_name: self.by_name.clone(),
             indexes: self.indexes.clone(),
         }
@@ -213,6 +237,55 @@ mod tests {
         assert_eq!(snap.len(), 2);
         assert_eq!(snap[&id], 1);
         assert_eq!(snap[&id2], 0);
+    }
+
+    #[test]
+    fn a_write_never_reaches_another_holder_of_the_table() {
+        let (mut db, id) = db_with_table();
+        db.table_mut(id)
+            .insert(vec![Value::Int(1), Value::Int(2)])
+            .unwrap();
+        let copy = db.clone();
+        let snapshot = db.shared_table(id);
+        assert!(
+            std::ptr::eq(copy.table(id), db.table(id)),
+            "shared, not copied"
+        );
+
+        db.table_mut(id)
+            .insert(vec![Value::Int(3), Value::Int(4)])
+            .unwrap();
+        db.try_table_mut(id).unwrap().delete_rows(vec![0]);
+
+        assert_eq!(
+            db.table(id).row_values(0),
+            vec![Value::Int(3), Value::Int(4)]
+        );
+        for held in [copy.table(id), &*snapshot] {
+            assert_eq!(held.row_count(), 1);
+            assert_eq!(held.row_values(0), vec![Value::Int(1), Value::Int(2)]);
+        }
+        // And the other way round: a write through the copy stays there.
+        let mut copy = copy;
+        copy.table_mut(id).update_rows(&[0], 1, &Value::Int(9));
+        assert_eq!(snapshot.value(0, 1), Value::Int(2));
+        assert_eq!(db.table(id).row_count(), 1);
+    }
+
+    #[test]
+    fn set_shared_table_shares_the_rows_it_is_given() {
+        let (mut db, id) = db_with_table();
+        db.table_mut(id)
+            .insert(vec![Value::Int(1), Value::Int(2)])
+            .unwrap();
+        let mut other = db.schema_skeleton();
+        assert_eq!(other.table(id).row_count(), 0);
+        other.set_shared_table(id, db.shared_table(id));
+        assert!(std::ptr::eq(other.table(id), db.table(id)));
+        assert_eq!(
+            other.table(id).modification_counter(),
+            db.table(id).modification_counter()
+        );
     }
 
     #[test]

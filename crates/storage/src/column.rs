@@ -97,6 +97,21 @@ impl ColumnData {
         }
     }
 
+    /// Append every row of `other`, which must hold the same `DataType`
+    /// (the caller, `Table::append_table`, checks): one bulk copy of the
+    /// payload vector and the validity bitmap instead of a `Value` per cell.
+    pub fn extend_from(&mut self, other: &ColumnData) {
+        assert_eq!(
+            self.data_type, other.data_type,
+            "type mismatch extending a {:?} column from a {:?} column",
+            self.data_type, other.data_type
+        );
+        self.ints.extend_from_slice(&other.ints);
+        self.floats.extend_from_slice(&other.floats);
+        self.strs.extend_from_slice(&other.strs);
+        self.validity.extend_from_slice(&other.validity);
+    }
+
     /// Value at row `i`.
     pub fn get(&self, i: usize) -> Value {
         if !self.validity[i] {

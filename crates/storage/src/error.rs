@@ -27,6 +27,8 @@ pub enum StorageError {
     /// A [`crate::TableId`] that does not refer to any table in the database
     /// (stale id, or an id minted against a different `Database`).
     UnknownTableId(u32),
+    /// `Table::append_table` was handed a table whose schema differs.
+    SchemaMismatch { table: String, other: String },
 }
 
 impl fmt::Display for StorageError {
@@ -58,6 +60,9 @@ impl fmt::Display for StorageError {
             }
             StorageError::UnknownTableId(id) => {
                 write!(f, "table id T{id} does not exist in this database")
+            }
+            StorageError::SchemaMismatch { table, other } => {
+                write!(f, "cannot append '{other}' to '{table}': schemas differ")
             }
         }
     }

@@ -19,6 +19,9 @@ pub struct Table {
     /// Rows modified (inserted + deleted + updated) since the counter was
     /// last reset by a statistics update.
     modification_counter: u64,
+    /// Bumped by every mutation, the counter reset included, and never
+    /// rewound: along one table's history, equal versions mean equal rows.
+    version: u64,
 }
 
 impl Table {
@@ -33,6 +36,7 @@ impl Table {
             schema,
             columns,
             modification_counter: 0,
+            version: 0,
         }
     }
 
@@ -62,6 +66,14 @@ impl Table {
         self.modification_counter
     }
 
+    /// A number that changes whenever the rows do. Unlike the modification
+    /// counter it cannot be reset, so a copy of the rows taken at version `v`
+    /// is current exactly while the table still reads `v`. A clone starts at
+    /// its source's version.
+    pub fn version(&self) -> u64 {
+        self.version
+    }
+
     /// A same-shape empty table: identical name and schema, zero rows, and a
     /// fresh modification counter. Shard-scoped databases start from these so
     /// every shard shares the original's table ids and column ordinals.
@@ -89,6 +101,7 @@ impl Table {
     )]
     pub fn reset_modification_counter(&mut self) {
         self.modification_counter = 0;
+        self.version += 1;
     }
 
     fn check_row(&self, row: &[Value]) -> Result<()> {
@@ -139,6 +152,26 @@ impl Table {
             col.push(v);
         }
         self.modification_counter += 1;
+        self.version += 1;
+        Ok(())
+    }
+
+    /// Append every row of `other`, in order, column by column. The schemas
+    /// must be equal, which is also why no row needs checking. Counts as
+    /// `other.row_count()` modifications, as inserting the rows one by one
+    /// would.
+    pub fn append_table(&mut self, other: &Table) -> Result<()> {
+        if self.schema != other.schema {
+            return Err(StorageError::SchemaMismatch {
+                table: self.name.clone(),
+                other: other.name.clone(),
+            });
+        }
+        for (col, from) in self.columns.iter_mut().zip(&other.columns) {
+            col.extend_from(from);
+        }
+        self.modification_counter += other.row_count() as u64;
+        self.version += 1;
         Ok(())
     }
 
@@ -160,6 +193,7 @@ impl Table {
             col.delete_rows(&rows);
         }
         self.modification_counter += rows.len() as u64;
+        self.version += u64::from(!rows.is_empty());
         rows.len()
     }
 
@@ -173,6 +207,7 @@ impl Table {
             }
         }
         self.modification_counter += n as u64;
+        self.version += u64::from(n > 0);
         n
     }
 
@@ -226,6 +261,102 @@ mod tests {
         #[allow(deprecated)]
         t.reset_modification_counter();
         assert_eq!(t.modification_counter(), 0);
+    }
+
+    #[test]
+    fn version_moves_with_the_rows_and_is_never_rewound() {
+        let mut t = people();
+        assert_eq!(t.version(), 0);
+        t.insert(vec![Value::Int(1), "a".into(), Value::Null])
+            .unwrap();
+        let after_insert = t.version();
+        assert!(after_insert > 0);
+        // Nothing removed, nothing changed: the rows are what they were.
+        assert_eq!(t.delete_rows(vec![7]), 0);
+        assert_eq!(t.update_rows(&[7], 2, &Value::Int(1)), 0);
+        assert!(t.insert(vec![Value::Int(1)]).is_err());
+        assert_eq!(t.version(), after_insert);
+        t.update_rows(&[0], 2, &Value::Int(41));
+        let after_update = t.version();
+        assert!(after_update > after_insert);
+        #[allow(deprecated)]
+        t.reset_modification_counter();
+        let after_reset = t.version();
+        assert!(
+            after_reset > after_update,
+            "the reset rewinds the counter only"
+        );
+        assert_eq!(t.clone().version(), after_reset);
+        t.delete_rows(vec![0]);
+        assert!(t.version() > after_reset);
+    }
+
+    /// One column of every `DataType`, all nullable.
+    fn all_types(name: &str) -> Table {
+        Table::new(
+            name,
+            Schema::new(vec![
+                ColumnDef::new("i", DataType::Int).nullable(),
+                ColumnDef::new("f", DataType::Float).nullable(),
+                ColumnDef::new("s", DataType::Str).nullable(),
+                ColumnDef::new("d", DataType::Date).nullable(),
+            ]),
+        )
+    }
+
+    #[test]
+    fn append_table_appends_every_row_of_every_type() {
+        let mut source = all_types("slice");
+        source
+            .insert(vec![
+                Value::Int(-4),
+                Value::Float(2.5),
+                "text".into(),
+                Value::Date(9000),
+            ])
+            .unwrap();
+        source
+            .insert(vec![Value::Null, Value::Null, Value::Null, Value::Null])
+            .unwrap();
+        source
+            .insert(vec![Value::Int(7), Value::Null, "".into(), Value::Date(-1)])
+            .unwrap();
+
+        let mut target = all_types("gathered");
+        target
+            .insert(vec![
+                Value::Null,
+                Value::Float(0.0),
+                "first".into(),
+                Value::Null,
+            ])
+            .unwrap();
+        let first_row = target.row_values(0);
+        let (counter, version) = (target.modification_counter(), target.version());
+
+        target.append_table(&source).unwrap();
+        target.append_table(&all_types("empty")).unwrap();
+
+        assert_eq!(target.row_count(), 1 + source.row_count());
+        assert_eq!(target.row_values(0), first_row);
+        for r in 0..source.row_count() {
+            assert_eq!(target.row_values(1 + r), source.row_values(r), "row {r}");
+        }
+        assert_eq!(
+            target.modification_counter(),
+            counter + source.row_count() as u64,
+            "as many modifications as rows appended"
+        );
+        assert!(target.version() > version);
+        assert_eq!(source.row_count(), 3, "the source is only read");
+    }
+
+    #[test]
+    fn append_table_rejects_another_schema() {
+        let mut t = people();
+        let err = t.append_table(&all_types("other")).unwrap_err();
+        assert!(matches!(err, StorageError::SchemaMismatch { .. }));
+        assert_eq!((t.row_count(), t.version()), (0, 0));
     }
 
     #[test]

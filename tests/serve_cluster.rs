@@ -13,9 +13,13 @@
 //! * **scatter/broadcast/fallback vs oracle** — every routed execution path
 //!   returns the same rows (as a multiset; exact order under ORDER BY) and
 //!   the same DML counts as an unsharded service over the same database;
+//! * **fallback snapshots** — a fallback between every pair of writes to a
+//!   partitioned or an owned table sees exactly the writes made so far;
 //! * **admission stress** — several client threads hammer cloned
-//!   `ClusterClient`s while the driver ticks the cluster; nothing errors,
-//!   every shard's daemon survives, and the monitors observe traffic.
+//!   `ClusterClient`s with fallback SELECTs and writes to an owned and the
+//!   partitioned table while the driver ticks the cluster; nothing errors,
+//!   every shard's daemon survives, the monitors observe traffic, and the
+//!   tables end up as the same writes leave an unsharded service.
 
 use autod::{AutodConfig, OnlineService};
 use autostats::{AutoStatsManager, CreationPolicy, ManagerConfig, OnlineEvent};
@@ -311,6 +315,64 @@ fn sharded_execution_matches_the_single_database_oracle() {
     assert!(oracle_svc.shutdown().is_some());
 }
 
+#[test]
+fn fallbacks_see_every_write_made_between_them() {
+    let cluster = ServeCluster::start(test_db(), cluster_config(3, 100)).unwrap();
+    let client = cluster.client(1);
+    let oracle_svc = OnlineService::start(
+        AutoStatsManager::new(test_db(), manager_config()).serve(),
+        AutodConfig::default(),
+    );
+    let oracle = oracle_svc.handle(1);
+
+    // All three take the fallback route; the last is compared in order.
+    let fallbacks: &[(&str, bool)] = &[
+        ("SELECT COUNT(*) FROM big", false),
+        (
+            "SELECT b.k, b.v, m.v FROM big b, mid m WHERE b.k = m.k AND m.v >= 3",
+            false,
+        ),
+        ("SELECT k, v FROM big WHERE k >= 500 ORDER BY k", true),
+    ];
+    for (sql, _) in fallbacks {
+        assert_eq!(
+            cluster.router().route(&parse_statement(sql).unwrap()),
+            Route::Fallback,
+            "{sql}"
+        );
+    }
+    let compare = |after: &str| {
+        for (sql, ordered) in fallbacks {
+            let mut a = row_strings(&client.run_sql(sql).unwrap());
+            let mut b = row_strings(&oracle.run_sql(sql).unwrap());
+            if !ordered {
+                a.sort();
+                b.sort();
+            }
+            assert_eq!(a, b, "{sql} diverged after {after}");
+        }
+    };
+
+    compare("start");
+    for write in [
+        "INSERT INTO big VALUES (7000, 3)",    // one slice
+        "UPDATE big SET v = 6 WHERE k >= 450", // broadcast
+        "DELETE FROM big WHERE k < 40",        // broadcast
+        "UPDATE mid SET v = 5 WHERE k < 30",   // owned table of the join
+        "INSERT INTO big VALUES (7001, 4)",
+    ] {
+        assert_eq!(
+            rows_affected(&client.run_sql(write).unwrap()),
+            rows_affected(&oracle.run_sql(write).unwrap()),
+            "{write}"
+        );
+        compare(write);
+    }
+
+    assert!(cluster.shutdown().is_some());
+    assert!(oracle_svc.shutdown().is_some());
+}
+
 // ---------------------------------------------------------------------------
 // Multi-thread admission stress
 // ---------------------------------------------------------------------------
@@ -325,13 +387,19 @@ fn concurrent_clients_and_ticks_stress_the_cluster() {
         "SELECT b.k FROM big b, mid m WHERE b.k = m.k",
         "SELECT k FROM mid WHERE v = 2",
         "SELECT s.k FROM small s, mid m WHERE s.k = m.k",
+        // Writes to the partitioned and to an owned table. Each leaves the
+        // same rows wherever it falls among the others, so the tables' final
+        // contents do not depend on how the threads interleave.
         "UPDATE big SET v = 5 WHERE k < 10",
         "INSERT INTO big VALUES (7777, 3)",
         "UPDATE mid SET v = 2 WHERE k < 20",
+        "DELETE FROM big WHERE k >= 590 AND k < 600",
+        "INSERT INTO mid VALUES (8888, 4)",
     ]
     .iter()
     .map(|s| parse_statement(s).unwrap())
     .collect();
+    let rounds = 8;
 
     let threads = 4;
     std::thread::scope(|scope| {
@@ -339,7 +407,7 @@ fn concurrent_clients_and_ticks_stress_the_cluster() {
             let client = cluster.client(tid as u64 + 1);
             let mine: Vec<&Statement> = statements.iter().skip(tid).step_by(threads).collect();
             scope.spawn(move || {
-                for _ in 0..8 {
+                for _ in 0..rounds {
                     for stmt in &mine {
                         client.run(stmt).expect("statement runs under contention");
                     }
@@ -366,6 +434,38 @@ fn concurrent_clients_and_ticks_stress_the_cluster() {
     assert!(merged.queries > 0, "merged health saw query traffic");
     let sample = cluster.merged_query_latency();
     assert!(sample.count > 0, "merged latency histogram saw queries");
+
+    // The same statements, one after another, on an unsharded service: the
+    // copy-on-write tables and the gathered copy must have lost no write and
+    // kept no stale row.
+    let oracle_svc = OnlineService::start(
+        AutoStatsManager::new(test_db(), manager_config()).serve(),
+        AutodConfig::default(),
+    );
+    let oracle = oracle_svc.handle(1);
+    for _ in 0..rounds {
+        for stmt in &statements {
+            oracle.run(stmt).expect("oracle statement runs");
+        }
+    }
+    let client = cluster.client(99);
+    for sql in [
+        "SELECT * FROM big", // every slice, through the shards
+        "SELECT * FROM mid",
+        "SELECT COUNT(*) FROM big b, mid m WHERE b.k = m.k AND m.v = 2", // fallback
+        "SELECT v, COUNT(*) FROM big GROUP BY v",                        // fallback
+    ] {
+        let mut a = row_strings(&client.run_sql(sql).unwrap());
+        let mut b = row_strings(&oracle.run_sql(sql).unwrap());
+        a.sort();
+        b.sort();
+        assert_eq!(a, b, "final state diverged for {sql}");
+    }
+    // Two of the client statements and both aggregates gather `big`.
+    let gather = cluster.gather_stats();
+    assert!(gather.rebuilds > 0, "writes made fallbacks rebuild");
+    assert_eq!(gather.hits + gather.rebuilds, 2 * rounds as u64 + 2);
+    assert!(oracle_svc.shutdown().is_some());
 
     let pairs = cluster.shutdown().expect("every shard daemon survives");
     assert_eq!(pairs.len(), 3);
