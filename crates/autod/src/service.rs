@@ -41,6 +41,10 @@ pub(crate) struct ServiceTelemetry {
     pub(crate) slowlog: SlowQueryLog,
     pub(crate) query_latency: LatencyHistogram,
     pub(crate) dml_latency: LatencyHistogram,
+    /// `autod.queries` / `autod.dml`, held so a statement bumps an atomic
+    /// and does not go through the registry's mutex and name map.
+    queries: obsv::Counter,
+    dml: obsv::Counter,
     windows: obsv::WindowedRegistry,
 }
 
@@ -94,6 +98,8 @@ impl OnlineService {
             slowlog: SlowQueryLog::new(telemetry_config.slowlog_k),
             query_latency: obs.metrics.latency("autod.query.latency_ns"),
             dml_latency: obs.metrics.latency("autod.dml.latency_ns"),
+            queries: obs.metrics.counter("autod.queries"),
+            dml: obs.metrics.counter("autod.dml"),
             windows: obsv::WindowedRegistry::new(Arc::clone(&obs.metrics)),
         });
         let daemon = LifecycleDaemon::spawn(core, Arc::clone(&db), Arc::clone(&monitor));
@@ -325,7 +331,7 @@ impl QueryHandle {
                         .slowlog
                         .record(fp, latency_ns, tracer.flush());
                 }
-                self.obs.metrics.counter("autod.queries").inc();
+                self.telemetry.queries.inc();
                 Ok(StatementOutcome::Query {
                     output,
                     estimated_cost: optimized.cost,
@@ -351,7 +357,7 @@ impl QueryHandle {
         self.telemetry
             .dml_latency
             .observe(start.elapsed().as_nanos() as u64);
-        self.obs.metrics.counter("autod.dml").inc();
+        self.telemetry.dml.inc();
         Ok(out)
     }
 

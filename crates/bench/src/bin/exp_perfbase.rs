@@ -1,6 +1,6 @@
 //! Performance baseline: columnar executor and shared-scan statistics builds
-//! vs their retained pre-tentpole implementations (see
-//! `bench::experiments::perfbase`).
+//! vs their retained pre-tentpole implementations, and the cost of one
+//! optimizer call by relation count (see `bench::experiments::perfbase`).
 //!
 //! Usage: `cargo run --release -p bench --bin exp_perfbase
 //!         [--full | --tiny] [--reps N] [--out PATH]
@@ -11,8 +11,9 @@
 //! numbers). Both pairs are timed only after asserting identical results
 //! and bit-identical work. `--check` first reloads the previous file at the
 //! output path, if any, and warns when a deterministic work counter
-//! regressed by more than 25%, making perf drift visible in CI logs before
-//! the overwrite. `--trace-out PATH` exports the verification pass's span
+//! regressed by more than 25% or the `optimize` block's cost-bits digest
+//! differs at all, making perf and plan drift visible in CI logs before the
+//! overwrite. `--trace-out PATH` exports the verification pass's span
 //! events as a Chrome trace, which CI feeds through `obsv_check`.
 
 use bench::common::ExperimentScale;
@@ -45,7 +46,7 @@ fn main() {
             PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_exec.json")
         });
 
-    println!("== Perf baseline: columnar execution + shared-scan builds ==");
+    println!("== Perf baseline: columnar execution, shared-scan builds, optimizer calls ==");
     let result = perfbase::run(&scale, reps);
     result.print();
 
@@ -54,7 +55,7 @@ fn main() {
             Ok(previous) => match perfbase::check_against(&previous, &result) {
                 Ok(warnings) if warnings.is_empty() => {
                     println!(
-                        "perf check: work counters within budget of {}",
+                        "perf check: work counters within budget and plan digest identical to {}",
                         out.display()
                     );
                 }

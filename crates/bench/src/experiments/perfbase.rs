@@ -9,6 +9,13 @@
 //! `create_statistic` loop — so the pre-/post-tentpole numbers are measured
 //! live in one run and recorded side by side in `BENCH_exec.json`.
 //!
+//! A third block, `optimize`, is the optimizer's own line in the per-layer
+//! budget (ROADMAP item 1): median microseconds per `Optimizer::optimize`
+//! call at 2/4/6/8 relations, with and without statistics, and a digest of
+//! every plan's cost and cardinality bits. The digest is a pure function of
+//! `(scale, seed)`: `--check` compares it exactly, so a change that speeds
+//! the optimizer up by planning differently is caught at once.
+//!
 //! Every timed pair is also verified on the spot: identical `ExecOutput`
 //! rows and bit-identical `work` for the two executors, identical catalog
 //! snapshots and bit-identical creation work for the two build paths. The
@@ -48,10 +55,36 @@ pub struct PerfbaseResult {
     /// Total deterministic creation work (identical for both paths,
     /// verified to the bit).
     pub build_creation_work: f64,
+    /// One entry per relation count in [`OPTIMIZE_SIZES`].
+    pub optimize: Vec<OptimizeTiming>,
+    /// FNV-1a over the `est_cost` and `est_rows` bits of every node of every
+    /// plan the `optimize` block produced.
+    pub optimize_cost_digest: u64,
     /// Span events from the columnar verification pass — exportable
     /// via `obsv::export::to_chrome` so the CI smoke run can schema-check
     /// the trace with `obsv_check`. Not part of the JSON baseline.
     pub trace_events: Vec<obsv::Event>,
+}
+
+/// Relation counts the `optimize` block times.
+pub const OPTIMIZE_SIZES: [usize; 4] = [2, 4, 6, 8];
+/// Queries timed per relation count.
+const OPTIMIZE_QUERIES_PER_SIZE: usize = 8;
+/// Back-to-back calls per query inside one timed repetition: a single
+/// two-relation call takes a few microseconds, too little to time alone.
+const OPTIMIZE_CALLS_PER_QUERY: usize = 20;
+
+/// Median cost of one `Optimizer::optimize` call at one relation count.
+#[derive(Debug, Clone, PartialEq)]
+pub struct OptimizeTiming {
+    pub relations: usize,
+    /// Queries of that size the workload generator produced (at most
+    /// [`OPTIMIZE_QUERIES_PER_SIZE`]).
+    pub queries: usize,
+    /// Microseconds per call under an empty catalog (all magic numbers).
+    pub no_stats_us: f64,
+    /// Microseconds per call under every candidate statistic of the query.
+    pub with_stats_us: f64,
 }
 
 impl PerfbaseResult {
@@ -86,6 +119,11 @@ impl PerfbaseResult {
                 "    \"batched_ms\": {:.3},\n",
                 "    \"speedup\": {:.2},\n",
                 "    \"creation_work\": {}\n",
+                "  }},\n",
+                "  \"optimize\": {{\n",
+                "    \"calls_per_query\": {},\n",
+                "    \"cost_bits_digest\": \"{:#018x}\",\n",
+                "    \"per_call\": [\n{}\n    ]\n",
                 "  }}\n",
                 "}}\n"
             ),
@@ -102,6 +140,16 @@ impl PerfbaseResult {
             self.build_batched_ms,
             self.build_speedup(),
             self.build_creation_work,
+            OPTIMIZE_CALLS_PER_QUERY,
+            self.optimize_cost_digest,
+            self.optimize
+                .iter()
+                .map(|t| format!(
+                    "      {{\"relations\": {}, \"queries\": {}, \"no_stats_us\": {:.2}, \"with_stats_us\": {:.2}}}",
+                    t.relations, t.queries, t.no_stats_us, t.with_stats_us
+                ))
+                .collect::<Vec<_>>()
+                .join(",\n"),
         )
     }
 
@@ -123,10 +171,20 @@ impl PerfbaseResult {
             self.build_speedup(),
             self.build_creation_work
         );
+        for t in &self.optimize {
+            println!(
+                "optimize ({} relations, {} queries): no stats {:>8.2} us/call | with stats {:>8.2} us/call",
+                t.relations, t.queries, t.no_stats_us, t.with_stats_us
+            );
+        }
+        println!(
+            "optimize cost-bits digest {:#018x}",
+            self.optimize_cost_digest
+        );
     }
 }
 
-fn median_ms(mut samples: Vec<f64>) -> f64 {
+fn median(mut samples: Vec<f64>) -> f64 {
     samples.sort_by(f64::total_cmp);
     samples[samples.len() / 2]
 }
@@ -171,6 +229,20 @@ pub fn check_against(previous_json: &str, current: &PerfbaseResult) -> Result<Ve
             warnings.push(format!(
                 "{what} regressed {previous:.0} -> {measured:.0} (+{:.1}%, budget 25%)",
                 (measured / previous - 1.0) * 100.0
+            ));
+        }
+    }
+    // Plans are a pure function of the run's scale and seed: any other
+    // digest means the optimizer now plans differently.
+    let digest = format!("{:#018x}", current.optimize_cost_digest);
+    if let Some(previous) = prev
+        .get("optimize")
+        .and_then(|o| o.get("cost_bits_digest"))
+        .and_then(|d| d.as_str())
+    {
+        if previous != digest {
+            warnings.push(format!(
+                "optimize cost-bits digest changed {previous} -> {digest} (must be identical)"
             ));
         }
     }
@@ -321,20 +393,102 @@ pub fn run(scale: &ExperimentScale, reps: usize) -> PerfbaseResult {
         batched_ms.push(t0.elapsed().as_secs_f64() * 1e3);
     }
 
+    let (optimize, optimize_cost_digest) = optimize_block(&db, scale.seed, reps);
+
     PerfbaseResult {
         scale: scale.scale,
         queries: planned.len(),
         reps,
-        exec_reference_ms: median_ms(ref_ms),
-        exec_columnar_ms: median_ms(col_ms),
+        exec_reference_ms: median(ref_ms),
+        exec_columnar_ms: median(col_ms),
         exec_work,
         build_tables: round.len(),
         build_statistics: n_stats,
-        build_serial_ms: median_ms(serial_ms),
-        build_batched_ms: median_ms(batched_ms),
+        build_serial_ms: median(serial_ms),
+        build_batched_ms: median(batched_ms),
         build_creation_work: serial_cat.creation_work(),
+        optimize,
+        optimize_cost_digest,
         trace_events: tracer.flush(),
     }
+}
+
+/// Time `Optimizer::optimize` by relation count: up to
+/// [`OPTIMIZE_QUERIES_PER_SIZE`] Rags complex queries of each size in
+/// [`OPTIMIZE_SIZES`], under an empty catalog and under all of their
+/// candidate statistics. Returns the timings and the cost-bits digest of
+/// every plan produced (one untimed pass, sizes ascending, empty catalog
+/// first).
+fn optimize_block(db: &Database, seed: u64, reps: usize) -> (Vec<OptimizeTiming>, u64) {
+    let mut by_size: Vec<Vec<BoundSelect>> = vec![Vec::new(); OPTIMIZE_SIZES.len()];
+    let mut gen = RagsGenerator::new(db, seed);
+    for _ in 0..4000 {
+        let stmt = query::Statement::Select(gen.gen_query(Complexity::Complex));
+        for q in queries_of(&bind_all(db, &[stmt])) {
+            if let Some(slot) = OPTIMIZE_SIZES.iter().position(|&n| n == q.relations.len()) {
+                if by_size[slot].len() < OPTIMIZE_QUERIES_PER_SIZE {
+                    by_size[slot].push(q);
+                }
+            }
+        }
+        if by_size.iter().all(|b| b.len() == OPTIMIZE_QUERIES_PER_SIZE) {
+            break;
+        }
+    }
+
+    let empty = StatsCatalog::new();
+    let mut full = StatsCatalog::new();
+    for q in by_size.iter().flatten() {
+        for d in candidate_statistics(q) {
+            let _ = full.create_statistic(db, d);
+        }
+    }
+    let optimizer = Optimizer::default();
+    let options = OptimizeOptions::default();
+
+    let mut digest = optimizer::cache::Fnv::new();
+    // One untimed pass feeding the digest, then `reps` timed ones.
+    let mut us_per_call = |catalog: &StatsCatalog, queries: &[BoundSelect]| -> f64 {
+        for q in queries {
+            let planned = optimizer
+                .optimize(db, q, catalog.full_view(), &options)
+                .expect("bench query optimizes");
+            planned.plan.walk(&mut |node| {
+                digest
+                    .write(node.est_cost.to_bits())
+                    .write(node.est_rows.to_bits());
+            });
+        }
+        let calls = (queries.len() * OPTIMIZE_CALLS_PER_QUERY).max(1);
+        let samples = (0..reps)
+            .map(|_| {
+                let t0 = Instant::now();
+                for q in queries {
+                    for _ in 0..OPTIMIZE_CALLS_PER_QUERY {
+                        let _ = std::hint::black_box(optimizer.optimize(
+                            db,
+                            std::hint::black_box(q),
+                            catalog.full_view(),
+                            &options,
+                        ));
+                    }
+                }
+                t0.elapsed().as_secs_f64() * 1e6 / calls as f64
+            })
+            .collect();
+        median(samples)
+    };
+    let timings = OPTIMIZE_SIZES
+        .iter()
+        .zip(&by_size)
+        .map(|(&relations, queries)| OptimizeTiming {
+            relations,
+            queries: queries.len(),
+            no_stats_us: us_per_call(&empty, queries),
+            with_stats_us: us_per_call(&full, queries),
+        })
+        .collect();
+    (timings, digest.finish())
 }
 
 #[cfg(test)]
@@ -354,6 +508,13 @@ mod tests {
             build_serial_ms: 8.0,
             build_batched_ms: 4.0,
             build_creation_work: 500.0,
+            optimize: vec![OptimizeTiming {
+                relations: 8,
+                queries: 8,
+                no_stats_us: 200.0,
+                with_stats_us: 220.0,
+            }],
+            optimize_cost_digest: 0x1234,
             trace_events: Vec::new(),
         }
     }
@@ -376,6 +537,20 @@ mod tests {
         let mut ok = r.clone();
         ok.build_creation_work = r.build_creation_work * 1.2;
         assert_eq!(check_against(&r.to_json(), &ok), Ok(Vec::new()));
+    }
+
+    #[test]
+    fn check_flags_any_change_of_the_plan_digest() {
+        let r = sample();
+        let mut other = r.clone();
+        other.optimize_cost_digest ^= 1;
+        let warnings = check_against(&r.to_json(), &other).expect("comparable runs");
+        assert_eq!(warnings.len(), 1, "{warnings:?}");
+        assert!(warnings[0].contains("digest"), "{warnings:?}");
+        // Timings are not compared: they move with the machine.
+        let mut slower = r.clone();
+        slower.optimize[0].no_stats_us *= 10.0;
+        assert_eq!(check_against(&r.to_json(), &slower), Ok(Vec::new()));
     }
 
     #[test]

@@ -19,7 +19,7 @@ use optimizer::{OptimizeOptions, OptimizedQuery, Optimizer, PlanError};
 use query::BoundSelect;
 use stats::{StatId, StatsCatalog};
 use std::collections::HashSet;
-use storage::Database;
+use storage::{Database, TableId};
 
 /// The result of a Shrinking Set pass.
 #[derive(Debug, Clone)]
@@ -31,22 +31,22 @@ pub struct ShrinkingOutcome {
     pub optimizer_calls: usize,
 }
 
-/// Is statistic `stat` potentially relevant to query `q`? (Figure 2 only
-/// re-optimizes queries passing this test.) A statistic is potentially
-/// relevant when its table is referenced and at least one of its columns is
-/// among the query's relevant columns.
-fn potentially_relevant(catalog: &StatsCatalog, stat: StatId, q: &BoundSelect) -> bool {
-    let Some(s) = catalog.statistic(stat) else {
-        return false;
-    };
-    if !q.references_table(s.descriptor.table) {
-        return false;
-    }
-    let relevant = q.relevant_columns();
-    s.descriptor
-        .columns
-        .iter()
-        .any(|&c| relevant.contains(&(s.descriptor.table, c)))
+/// Is statistic `stat` potentially relevant to a query with the given
+/// relevant `(table, column)` set? (Figure 2 only re-optimizes queries
+/// passing this test.) A statistic is potentially relevant when at least one
+/// of its columns is among the query's relevant columns — which implies the
+/// query references its table.
+fn potentially_relevant(
+    catalog: &StatsCatalog,
+    stat: StatId,
+    relevant: &[(TableId, usize)],
+) -> bool {
+    catalog.statistic(stat).is_some_and(|s| {
+        s.descriptor
+            .columns
+            .iter()
+            .any(|&c| relevant.contains(&(s.descriptor.table, c)))
+    })
 }
 
 /// Run Shrinking-Set(W, S) per Figure 2.
@@ -115,8 +115,15 @@ pub fn shrinking_set_traced(
         .map(|q| optimize(catalog, q, &base_ignore))
         .collect::<Result<_, _>>()?;
 
+    let relevant: Vec<Vec<(TableId, usize)>> =
+        workload.iter().map(|q| q.relevant_columns()).collect();
+
     let mut r: Vec<StatId> = initial.to_vec();
     let mut removed: Vec<StatId> = Vec::new();
+    // What a trial optimization must not see: everything outside S, every
+    // removal so far (Figure 2 line 5 mutates R in place), and the
+    // statistic on trial, which joins the set for good only if removed.
+    let mut ignore = base_ignore.clone();
 
     // Figure 2 is a single pass; we iterate it to a fixed point. A statistic
     // kept early in the pass can become removable after later removals when
@@ -129,15 +136,12 @@ pub fn shrinking_set_traced(
         let removed_at_pass_start = removed.len();
         let mut removed_this_pass = false;
         for &s in &r.clone() {
-            // Trial set: R - {s} (accumulated removals stay removed —
-            // Figure 2 line 5 mutates R in place).
-            let mut ignore = base_ignore.clone();
-            ignore.extend(removed.iter().copied());
+            // Trial set: R - {s}.
             ignore.insert(s);
 
             let mut removable = true;
             for (qi, q) in workload.iter().enumerate() {
-                if !potentially_relevant(catalog, s, q) {
+                if !potentially_relevant(catalog, s, &relevant[qi]) {
                     continue;
                 }
                 let trial = optimize(catalog, q, &ignore)?;
@@ -150,6 +154,8 @@ pub fn shrinking_set_traced(
                 r.retain(|&x| x != s);
                 removed.push(s);
                 removed_this_pass = true;
+            } else {
+                ignore.remove(&s);
             }
         }
         pass_span.arg("removed", removed.len() - removed_at_pass_start);

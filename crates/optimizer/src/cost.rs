@@ -68,8 +68,28 @@ impl CostParams {
 
     /// Sort-merge join including both sorts.
     pub fn merge_join(&self, left_rows: f64, right_rows: f64, out_rows: f64) -> f64 {
-        self.sort(left_rows)
-            + self.sort(right_rows)
+        self.merge_join_sorted(
+            self.sort(left_rows),
+            self.sort(right_rows),
+            left_rows,
+            right_rows,
+            out_rows,
+        )
+    }
+
+    /// [`merge_join`](Self::merge_join) for a caller that already holds
+    /// `sort(left_rows)` and `sort(right_rows)` (the join enumerator keeps
+    /// one per relation subset).
+    pub fn merge_join_sorted(
+        &self,
+        left_sort: f64,
+        right_sort: f64,
+        left_rows: f64,
+        right_rows: f64,
+        out_rows: f64,
+    ) -> f64 {
+        left_sort
+            + right_sort
             + self.merge_row * (left_rows + right_rows)
             + self.join_output * out_rows
     }

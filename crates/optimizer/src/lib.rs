@@ -29,6 +29,7 @@
 
 pub mod cache;
 pub mod cost;
+mod enumerate;
 pub mod error;
 pub mod magic;
 pub mod optimize;
@@ -37,6 +38,7 @@ pub mod selectivity;
 
 pub use cache::{CacheCounters, OptimizeCache};
 pub use cost::CostParams;
+pub use enumerate::MAX_DP_RELATIONS;
 pub use error::PlanError;
 pub use magic::MagicNumbers;
 pub use optimize::{OptimizeOptions, OptimizedQuery, Optimizer};

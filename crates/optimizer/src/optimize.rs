@@ -1,8 +1,9 @@
-//! The optimizer proper: access-path selection and dynamic-programming join
-//! enumeration (Selinger-style, over relation subsets), followed by
-//! aggregation placement.
+//! The optimizer proper: access-path selection, then dynamic-programming
+//! join enumeration (Selinger-style, over relation subsets; the
+//! [`enumerate`](crate::enumerate) module), then aggregation placement.
 
 use crate::cost::CostParams;
+use crate::enumerate::{best_join_tree, BaseRelation, MAX_DP_RELATIONS};
 use crate::error::PlanError;
 use crate::magic::MagicNumbers;
 use crate::plan::{Operator, PlanNode};
@@ -50,7 +51,8 @@ pub struct OptimizedQuery {
 pub struct Optimizer {
     pub magic: MagicNumbers,
     pub params: CostParams,
-    /// Maximum relations optimizable with exhaustive DP.
+    /// Maximum relations optimizable with exhaustive DP. Values above
+    /// [`MAX_DP_RELATIONS`] are capped there.
     pub max_relations: usize,
 }
 
@@ -62,29 +64,6 @@ impl Default for Optimizer {
             max_relations: 12,
         }
     }
-}
-
-/// Join strategy chosen for one DP split.
-#[derive(Debug, Clone, PartialEq)]
-enum Decision {
-    Hash(Vec<usize>),
-    Merge(Vec<usize>),
-    NestedLoop(Vec<usize>),
-    /// Index nested-loop: probe an index of the (single-relation) right side.
-    IndexNl {
-        edges: Vec<usize>,
-        index: String,
-    },
-}
-
-/// One DP table entry: enough to reconstruct the best plan for a relation
-/// subset without cloning subtrees during enumeration.
-#[derive(Debug, Clone)]
-struct DpEntry {
-    cost: f64,
-    rows: f64,
-    /// `None` for single-relation entries (access paths).
-    split: Option<(u32, u32, Decision)>,
 }
 
 impl Optimizer {
@@ -118,149 +97,15 @@ impl Optimizer {
         if n == 0 {
             return Err(PlanError::NoRelations);
         }
-        if n > self.max_relations {
-            return Err(PlanError::TooManyRelations {
-                n,
-                max: self.max_relations,
-            });
+        let max = self.max_relations.min(MAX_DP_RELATIONS);
+        if n > max {
+            return Err(PlanError::TooManyRelations { n, max });
         }
 
-        // Base (filtered) cardinality per relation and best access path.
-        let paths: Vec<(f64, PlanNode)> = (0..n)
+        let relations: Vec<BaseRelation> = (0..n)
             .map(|rel| self.best_access_path(db, query, &profile, rel))
             .collect::<Result<_, _>>()?;
-        let (base_rows, access): (Vec<f64>, Vec<PlanNode>) = paths.into_iter().unzip();
-
-        // Join-edge selectivities.
-        let edge_sel: Vec<f64> = (0..query.join_edges.len())
-            .map(|i| profile.value(PredicateId::JoinEdge(i)))
-            .collect();
-
-        // Consistent cardinality per relation subset.
-        let full = (1u32 << n) - 1;
-        let mut card = vec![0.0f64; (full + 1) as usize];
-        for mask in 1..=full {
-            let mut c = 1.0;
-            for (rel, rows) in base_rows.iter().enumerate() {
-                if mask & (1 << rel) != 0 {
-                    c *= rows;
-                }
-            }
-            for (i, e) in query.join_edges.iter().enumerate() {
-                if mask & (1 << e.left_rel) != 0 && mask & (1 << e.right_rel) != 0 {
-                    c *= edge_sel[i];
-                }
-            }
-            card[mask as usize] = c;
-        }
-
-        // DP over subsets: store (cost, rows, split decision) per mask and
-        // reconstruct the tree once at the end — no subtree cloning inside
-        // the enumeration loop.
-        let mut best: Vec<Option<DpEntry>> = vec![None; (full + 1) as usize];
-        for rel in 0..n {
-            best[1 << rel] = Some(DpEntry {
-                cost: access[rel].est_cost,
-                rows: access[rel].est_rows,
-                split: None,
-            });
-        }
-        for mask in 1..=full {
-            if mask.count_ones() < 2 {
-                continue;
-            }
-            let out_rows = card[mask as usize];
-            let mut chosen: Option<DpEntry> = None;
-            // Two passes over all ordered splits (left = sub, right = mask \
-            // sub): cartesian splits are considered only when no connected
-            // split exists — a cartesian product must never tie-break a
-            // connected join away (cardinality estimates of zero would
-            // otherwise make everything cost-equivalent).
-            for allow_cartesian in [false, true] {
-                if chosen.is_some() {
-                    break;
-                }
-                let mut sub = (mask - 1) & mask;
-                while sub > 0 {
-                    let other = mask ^ sub;
-                    if let (Some(left), Some(right)) = (&best[sub as usize], &best[other as usize])
-                    {
-                        let crossing: Vec<usize> = query
-                            .join_edges
-                            .iter()
-                            .enumerate()
-                            .filter(|(_, e)| {
-                                (sub & (1 << e.left_rel) != 0 && other & (1 << e.right_rel) != 0)
-                                    || (sub & (1 << e.right_rel) != 0
-                                        && other & (1 << e.left_rel) != 0)
-                            })
-                            .map(|(i, _)| i)
-                            .collect();
-                        if crossing.is_empty() && !allow_cartesian {
-                            sub = (sub - 1) & mask;
-                            continue;
-                        }
-                        let lrows = card[sub as usize];
-                        let rrows = card[other as usize];
-                        let base = left.cost + right.cost;
-                        let mut consider = |decision: Decision, cost: f64| {
-                            if chosen.as_ref().is_none_or(|c| cost < c.cost) {
-                                chosen = Some(DpEntry {
-                                    cost,
-                                    rows: out_rows,
-                                    split: Some((sub, other, decision)),
-                                });
-                            }
-                        };
-                        if !crossing.is_empty() {
-                            consider(
-                                Decision::Hash(crossing.clone()),
-                                base + self.params.hash_join(lrows, rrows, out_rows),
-                            );
-                            consider(
-                                Decision::Merge(crossing.clone()),
-                                base + self.params.merge_join(lrows, rrows, out_rows),
-                            );
-                            // Index nested-loop: only when the right side is
-                            // one base relation with an index on a joined
-                            // column.
-                            if other.count_ones() == 1 {
-                                let rel = other.trailing_zeros() as usize;
-                                if let Some(index) = self.index_for_join(db, query, rel, &crossing)
-                                {
-                                    let raw = db.try_table(query.table_of(rel))?.row_count() as f64;
-                                    let edge_sel_product: f64 = crossing
-                                        .iter()
-                                        .map(|&e| profile.value(PredicateId::JoinEdge(e)))
-                                        .product();
-                                    let fetched = raw * edge_sel_product;
-                                    let cost = left.cost
-                                        + lrows.max(1.0)
-                                            * (self.params.index_lookup
-                                                + self.params.index_row * fetched)
-                                        + self.params.join_output * out_rows;
-                                    consider(
-                                        Decision::IndexNl {
-                                            edges: crossing.clone(),
-                                            index,
-                                        },
-                                        cost,
-                                    );
-                                }
-                            }
-                        }
-                        consider(
-                            Decision::NestedLoop(crossing.clone()),
-                            left.cost + self.params.nested_loop(lrows, right.cost, out_rows),
-                        );
-                    }
-                    sub = (sub - 1) & mask;
-                }
-            }
-            best[mask as usize] = chosen;
-        }
-
-        let mut plan = self.reconstruct(query, &best, &access, full)?;
+        let mut plan = best_join_tree(&self.params, db, query, &profile, &relations)?;
 
         // Aggregation on top.
         if !query.group_by.is_empty() || !query.aggregates.is_empty() {
@@ -323,7 +168,7 @@ impl Optimizer {
         query: &BoundSelect,
         profile: &SelectivityProfile,
         rel: usize,
-    ) -> Result<(f64, PlanNode), PlanError> {
+    ) -> Result<BaseRelation, PlanError> {
         let table_id = query.table_of(rel);
         let table = db.try_table(table_id)?;
         let n = table.row_count() as f64;
@@ -377,109 +222,10 @@ impl Optimizer {
                 );
             }
         }
-        Ok((out_rows, best))
-    }
-
-    /// An index on relation `rel` whose leading column participates in one
-    /// of the crossing join edges (that is, an index usable for an index
-    /// nested-loop probe).
-    fn index_for_join(
-        &self,
-        db: &Database,
-        query: &BoundSelect,
-        rel: usize,
-        crossing: &[usize],
-    ) -> Option<String> {
-        let table = query.table_of(rel);
-        let mut join_cols = Vec::new();
-        for &e in crossing {
-            let edge = &query.join_edges[e];
-            for &(lc, rc) in &edge.pairs {
-                if edge.left_rel == rel {
-                    join_cols.push(lc);
-                }
-                if edge.right_rel == rel {
-                    join_cols.push(rc);
-                }
-            }
-        }
-        db.indexes_on(table)
-            .find(|i| join_cols.contains(&i.leading_column()))
-            .map(|i| i.name.clone())
-    }
-
-    /// Rebuild the chosen plan tree from the DP table.
-    ///
-    /// With cartesian nested-loop joins admitted, the DP table always has an
-    /// entry for every subset of a well-formed query; a missing entry is
-    /// reported as [`PlanError::NoPlanFound`] instead of panicking.
-    fn reconstruct(
-        &self,
-        query: &BoundSelect,
-        best: &[Option<DpEntry>],
-        access: &[PlanNode],
-        mask: u32,
-    ) -> Result<PlanNode, PlanError> {
-        let entry =
-            best.get(mask as usize)
-                .and_then(|e| e.as_ref())
-                .ok_or(PlanError::NoPlanFound {
-                    relations: mask.count_ones() as usize,
-                })?;
-        match &entry.split {
-            None => {
-                let rel = mask.trailing_zeros() as usize;
-                access
-                    .get(rel)
-                    .cloned()
-                    .ok_or(PlanError::NoPlanFound { relations: 1 })
-            }
-            Some((lmask, rmask, decision)) => {
-                let left = self.reconstruct(query, best, access, *lmask)?;
-                match decision {
-                    Decision::IndexNl { edges, index } => {
-                        let inner_rel = rmask.trailing_zeros() as usize;
-                        let inner_table = query.table_of(inner_rel);
-                        let inner_preds: Vec<usize> =
-                            query.selections_on(inner_rel).map(|(i, _)| i).collect();
-                        Ok(PlanNode {
-                            op: Operator::IndexNLJoin {
-                                edges: edges.clone(),
-                                inner_rel,
-                                inner_table,
-                                index: index.clone(),
-                                inner_preds,
-                            },
-                            est_rows: entry.rows,
-                            est_cost: entry.cost,
-                            children: vec![left],
-                        })
-                    }
-                    _ => {
-                        let right = self.reconstruct(query, best, access, *rmask)?;
-                        let op = match decision {
-                            Decision::Hash(edges) => Operator::HashJoin {
-                                edges: edges.clone(),
-                            },
-                            Decision::Merge(edges) => Operator::MergeJoin {
-                                edges: edges.clone(),
-                            },
-                            Decision::NestedLoop(edges) | Decision::IndexNl { edges, .. } => {
-                                Operator::NestedLoopJoin {
-                                    edges: edges.clone(),
-                                }
-                            }
-                        };
-                        Ok(PlanNode {
-                            op,
-                            est_rows: entry.rows,
-                            est_cost: entry.cost,
-                            children: vec![left, right],
-                        })
-                    }
-                }
-            }
-        }
+        Ok(BaseRelation {
+            raw_rows: n,
+            access: best,
+        })
     }
 }
 

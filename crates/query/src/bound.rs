@@ -213,11 +213,6 @@ impl BoundSelect {
         }
         out
     }
-
-    /// True if the named table participates in this query.
-    pub fn references_table(&self, table: TableId) -> bool {
-        self.relations.iter().any(|(t, _)| *t == table)
-    }
 }
 
 /// Bound `INSERT`.
