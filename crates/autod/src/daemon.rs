@@ -143,6 +143,10 @@ pub struct TickReport {
     pub shrink_removed: Option<usize>,
     /// `Some(g)` when the catalog changed and generation `g` was published.
     pub published_generation: Option<u64>,
+    /// The error that cut this tick's MNSA increment short, if one did. The
+    /// rest of the tick still ran, and the template that failed may be
+    /// enqueued again.
+    pub tune_error: Option<TuneError>,
 }
 
 /// The deterministic daemon state machine. Owns the master catalog; query
@@ -160,8 +164,8 @@ pub struct LifecycleCore {
     /// Shared with query threads; enabled iff `config.feedback` is set.
     feedback_log: obsv::FeedbackLog,
     feedback_store: FeedbackStore,
-    /// Kept for health reporting; the tuner holds its own clone.
-    cache: Option<Arc<optimizer::OptimizeCache>>,
+    /// MNSA optimizer calls so far, for health reporting.
+    optimizer_calls: u64,
     /// Tick of the last epoch publication (0 = generation 0 at start).
     last_publish_tick: u64,
     /// Written at the end of every tick, read by [`OnlineService::health`]
@@ -180,13 +184,12 @@ impl LifecycleCore {
             config,
             obsv::Obs::disabled(),
             SessionReport::default(),
-            None,
         )
     }
 
     /// Build a core from an [`AutoStatsManager::serve`] hand-off, keeping
-    /// its observability context, journal, and optimizer cache. Returns the
-    /// database back to the caller (the daemon does not own storage).
+    /// its observability context and journal. Returns the database back to
+    /// the caller (the daemon does not own storage).
     ///
     /// [`AutoStatsManager::serve`]: autostats::AutoStatsManager::serve
     pub fn from_serve(parts: ServeParts, config: AutodConfig) -> (Self, Database) {
@@ -195,10 +198,9 @@ impl LifecycleCore {
             catalog,
             obs,
             session,
-            cache,
             ..
         } = parts;
-        (Self::with_parts(catalog, config, obs, session, cache), db)
+        (Self::with_parts(catalog, config, obs, session), db)
     }
 
     fn with_parts(
@@ -206,12 +208,8 @@ impl LifecycleCore {
         config: AutodConfig,
         obs: obsv::Obs,
         session: SessionReport,
-        cache: Option<Arc<optimizer::OptimizeCache>>,
     ) -> Self {
-        let mut tuner = autostats::OnlineTuner::new(config.mnsa).with_obs(obs.clone());
-        if let Some(cache) = &cache {
-            tuner = tuner.with_cache(Arc::clone(cache));
-        }
+        let tuner = autostats::OnlineTuner::new(config.mnsa).with_obs(obs.clone());
         let epochs = Arc::new(EpochHandle::new(StatsCatalog::restore(catalog.snapshot())));
         let feedback_log = if config.feedback.is_some() {
             obsv::FeedbackLog::enabled()
@@ -230,7 +228,7 @@ impl LifecycleCore {
             last_error: None,
             feedback_log,
             feedback_store: FeedbackStore::new(),
-            cache,
+            optimizer_calls: 0,
             last_publish_tick: 0,
             health: Arc::new(Mutex::new(obsv::HealthSnapshot::default())),
         }
@@ -271,7 +269,8 @@ impl LifecycleCore {
         self.tuner.balance()
     }
 
-    /// The first error from a fire-and-forget tick, if any.
+    /// The first error a fire-and-forget tick returned or reported in
+    /// [`TickReport::tune_error`], if any.
     pub fn last_error(&self) -> Option<&TuneError> {
         self.last_error.as_ref()
     }
@@ -431,13 +430,15 @@ impl LifecycleCore {
         }
 
         // 4. A budgeted MNSA increment over the pending templates.
-        let step = self.tuner.step(db, &mut self.catalog)?;
+        let step = self.tuner.step(db, &mut self.catalog);
         for (relations, outcome) in &step.tuned {
             self.session.record_query(*relations, outcome);
         }
         self.session.totals.absorb(&step.report);
+        self.optimizer_calls += step.report.optimizer_calls as u64;
         report.queries_tuned = step.tuned.len();
         report.tuning_work = step.work;
+        report.tune_error = step.error;
         metrics
             .counter("autod.tuned_queries")
             .add(step.tuned.len() as u64);
@@ -470,10 +471,13 @@ impl LifecycleCore {
             }
         }
 
-        // 6. Publish a frozen copy iff the catalog changed this tick.
+        // 6. Publish a frozen copy iff the catalog changed this tick. A
+        //    query MNSA rejected is in no count, but what it built is in
+        //    the creation work.
         let changed = report.refreshed > 0
             || report.feedback_refreshed > 0
             || step.report.statistics_created > 0
+            || step.report.creation_work > 0.0
             || step.report.statistics_drop_listed > 0
             || report.shrink_removed.is_some();
         if changed {
@@ -494,11 +498,6 @@ impl LifecycleCore {
         // observation: every input is a counter or gauge read; nothing here
         // feeds back into tuning, so the catalog trajectory is untouched.
         let latency = metrics.latency("autod.query.latency_ns").snapshot();
-        let (cache_hits, cache_misses, cache_invalidations) = self
-            .cache
-            .as_ref()
-            .map(|c| (c.hits(), c.misses(), c.invalidations()))
-            .unwrap_or((0, 0, 0));
         *self.health.lock() = obsv::HealthSnapshot {
             tick,
             shard: self.config.shard as u64,
@@ -513,9 +512,10 @@ impl LifecycleCore {
             monitor_ghost_hits: monitor.ghost_hits_total(),
             feedback_queue_depth: self.feedback_log.len() as u64,
             budget_balance: self.tuner.balance(),
-            cache_hits,
-            cache_misses,
-            cache_invalidations,
+            // Nothing memoizes the tuner's optimizer calls: each is a miss.
+            cache_hits: 0,
+            cache_misses: self.optimizer_calls,
+            cache_invalidations: 0,
             queries: metrics.counter("autod.queries").get(),
             dml: metrics.counter("autod.dml").get(),
             latency_count: latency.count,
@@ -586,10 +586,12 @@ impl LifecycleDaemon {
                                 let _ = ack.send(result);
                             }
                             None => {
-                                if let Err(e) = result {
-                                    if core.last_error.is_none() {
-                                        core.last_error = Some(e);
-                                    }
+                                let error = match result {
+                                    Ok(report) => report.tune_error,
+                                    Err(e) => Some(e),
+                                };
+                                if core.last_error.is_none() {
+                                    core.last_error = error;
                                 }
                             }
                         }
@@ -774,6 +776,53 @@ mod tests {
             core.epochs().load().catalog.snapshot(),
             offline_catalog.snapshot()
         );
+    }
+
+    #[test]
+    fn rejected_template_leaves_the_rest_of_the_tick_standing() {
+        let db = test_db();
+        let aliases: Vec<String> = (0..=optimizer::MAX_DP_RELATIONS)
+            .map(|i| format!("departments d{i}"))
+            .collect();
+        let too_wide = select(&db, &format!("SELECT * FROM {}", aliases.join(", ")));
+        let mut monitor = WorkloadMonitor::new(MonitorConfig::default());
+        monitor.observe(&select(&db, EXAMPLE2_SQL), 0);
+        monitor.observe(&too_wide, 0);
+        monitor.observe(&select(&db, "SELECT * FROM employees WHERE empid < 100"), 0);
+        let mut core = LifecycleCore::new(
+            StatsCatalog::new(),
+            AutodConfig {
+                budget_per_tick: f64::INFINITY,
+                shrink_every: 0,
+                ..AutodConfig::default()
+            },
+        );
+
+        let first = core.tick(&db, &mut monitor).unwrap();
+        assert!(matches!(
+            first.tune_error,
+            Some(TuneError::Plan(
+                optimizer::PlanError::TooManyRelations { .. }
+            ))
+        ));
+        assert_eq!(first.queries_tuned, 1);
+        assert_eq!(
+            core.journal().queries.len(),
+            1,
+            "journalled before the error"
+        );
+        assert_eq!(first.pending, 1);
+        assert!(!first.budget_exhausted);
+        assert!(core.catalog().total_count() > 0);
+        assert_eq!(first.published_generation, Some(1));
+
+        // The rejected template is still in the monitor's sample, so the next
+        // tick queues it again, behind the template that was waiting.
+        let second = core.tick(&db, &mut monitor).unwrap();
+        assert_eq!(second.queries_tuned, 1);
+        assert!(second.tune_error.is_some());
+        assert_eq!(second.pending, 0);
+        assert_eq!(core.journal().queries.len(), 2);
     }
 
     #[test]

@@ -186,7 +186,7 @@ impl OnlineService {
     }
 
     /// Close the current metrics window as `window`, returning its deltas
-    /// (QPS, refreshes, feedback ingest, budget spend, cache hits, latency
+    /// (QPS, refreshes, feedback ingest, budget spend, latency
     /// quantiles — everything registered in the service metrics registry).
     /// Drivers call this once per tick, with the tick as the window id, so
     /// the window schedule is as deterministic as the tick schedule.

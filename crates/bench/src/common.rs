@@ -1,7 +1,7 @@
 //! Shared experiment plumbing.
 
 use executor::{execute_plan, WorkloadRunner};
-use optimizer::{OptimizeCache, OptimizeOptions, Optimizer};
+use optimizer::{OptimizeOptions, Optimizer};
 use parking_lot::Mutex;
 use query::{bind_statement, BoundSelect, BoundStatement, Statement};
 use rustc_hash::FxHashMap;
@@ -317,15 +317,13 @@ impl ExecWorkMemo {
 ///
 /// Returns exactly what `execute_workload` returns (same optimizer, same
 /// options, statements executed in order against unmutated data), but serves
-/// repeated (statement, plan-tree) pairs from `memo` and repeated
-/// optimizations from `cache`. Workloads containing DML fall back to the
-/// plain path: a mutating statement changes the data later statements see,
-/// so their work is no longer a function of the plan alone.
+/// repeated (statement, plan-tree) pairs from `memo`. Workloads containing DML
+/// fall back to the plain path: a mutating statement changes the data later
+/// statements see, so their work is no longer a function of the plan alone.
 pub fn execute_workload_memo(
     db: &Database,
     catalog: &StatsCatalog,
     workload: &[BoundStatement],
-    cache: &OptimizeCache,
     memo: &ExecWorkMemo,
     obs: &obsv::Obs,
 ) -> f64 {
@@ -343,7 +341,7 @@ pub fn execute_workload_memo(
             unreachable!("checked above")
         };
         let optimized = optimizer
-            .optimize_cached(db, q, catalog.full_view(), &options, cache)
+            .optimize(db, q, catalog.full_view(), &options)
             .expect("bench workload optimizes");
         let key = (i, optimized.plan.structural_fingerprint());
         let cell = Arc::clone(memo.per_statement.lock().entry(key).or_default());

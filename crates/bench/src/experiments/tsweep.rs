@@ -7,40 +7,25 @@
 //! [ε, 1−ε] for MNSA's guarantee, with the paper using ε = 0.0005.
 //!
 //! The sweep points are independent measurements over the same database and
-//! workload. Serial (`threads <= 1`) runs the paper-faithful reference path:
-//! every point tunes and executes from scratch, no memoization. `--threads
-//! N` opts into the *tuning-service* path: points are fanned across worker
-//! threads and share two memo structures —
-//!
-//! * a detached [`OptimizeCache`]: the cache key fingerprints every
-//!   optimizer input, so entries are valid across the points' unrelated
-//!   catalogs, and points with the same ε share most of their analysis
-//!   calls;
-//! * an [`ExecWorkMemo`]: deterministic execution work is a pure function of
-//!   (data, statement, operator tree), so points whose catalogs lead to the
-//!   same plan for a statement share one execution.
-//!
-//! Each fanned point's tuning pass is additionally **re-run from a second
-//! empty catalog**: the rerun must reproduce the exact per-query outcomes (a
-//! built-in determinism differential check) and, because its trajectory
-//! repeats the first pass verbatim, it is served almost entirely from the
-//! cache. Both paths produce bit-identical results (asserted by
-//! `parallel_sweep_matches_serial` below); the memoized path reports
-//! wall-clock and cache counters.
+//! workload: each tunes once from an empty catalog and executes the workload
+//! under the result. `--threads N` only sets how many points are measured at
+//! once. At every thread count the executions share an [`ExecWorkMemo`]:
+//! deterministic execution work is a pure function of (data, statement,
+//! operator tree), so points whose catalogs lead to the same plan for a
+//! statement share one execution. Results are bit-identical for every thread
+//! count (`parallel_sweep_matches_serial` below).
 
 use crate::common::{
-    bind_all, create_all, execute_workload_memo, execute_workload_obs, pct_change, pct_reduction,
-    queries_of, ExecWorkMemo, ExperimentScale, Row,
+    bind_all, create_all, execute_workload_memo, pct_change, pct_reduction, queries_of,
+    ExecWorkMemo, ExperimentScale, Row,
 };
 use autostats::policy::optimizer_call_work;
 use autostats::{candidate_statistics, MnsaConfig, MnsaEngine, MnsaOutcome, SessionReport};
 use datagen::{build_tpcd, Complexity, RagsGenerator, TpcdConfig, WorkloadSpec, ZipfSpec};
-use optimizer::OptimizeCache;
 use parking_lot::Mutex;
 use query::{BoundSelect, BoundStatement};
 use stats::StatsCatalog;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
 use std::time::Instant;
 use storage::Database;
 
@@ -75,27 +60,10 @@ fn tune_point(
     (cat, work, outcomes)
 }
 
-fn point_result(
-    t: f64,
-    eps: f64,
-    cat: &StatsCatalog,
-    work: f64,
-    exec: f64,
-    work_all: f64,
-    exec_all: f64,
-) -> SweepResult {
-    SweepResult {
-        t_percent: t,
-        epsilon: eps,
-        stats_built: cat.active_count(),
-        creation_reduction_pct: pct_reduction(work_all, work),
-        exec_increase_pct: pct_change(exec_all, exec),
-    }
-}
-
-/// Reference path: tune + execute from scratch, nothing shared or memoized.
+/// Measure one sweep point: tune from an empty catalog, then execute the
+/// workload under the tuned catalog.
 #[allow(clippy::too_many_arguments)]
-fn measure_point_plain(
+fn measure_point(
     db: &Database,
     bound: &[BoundStatement],
     queries: &[BoundSelect],
@@ -103,32 +71,6 @@ fn measure_point_plain(
     exec_all: f64,
     t: f64,
     eps: f64,
-    obs: &obsv::Obs,
-) -> (SweepResult, Vec<MnsaOutcome>, f64) {
-    let engine = MnsaEngine::new(MnsaConfig {
-        t_percent: t,
-        epsilon: eps,
-        ..Default::default()
-    })
-    .with_obs(obs.clone());
-    let (cat, work, outcomes) = tune_point(db, queries, &engine);
-    let exec = execute_workload_obs(db, &cat, bound, obs);
-    let result = point_result(t, eps, &cat, work, exec, work_all, exec_all);
-    (result, outcomes, work)
-}
-
-/// Tuning-service path: memoized optimizer + execution-work sharing, with a
-/// verification rerun (see module docs).
-#[allow(clippy::too_many_arguments)]
-fn measure_point_memo(
-    db: &Database,
-    bound: &[BoundStatement],
-    queries: &[BoundSelect],
-    work_all: f64,
-    exec_all: f64,
-    t: f64,
-    eps: f64,
-    cache: &Arc<OptimizeCache>,
     memo: &ExecWorkMemo,
     obs: &obsv::Obs,
 ) -> (SweepResult, Vec<MnsaOutcome>, f64) {
@@ -137,29 +79,34 @@ fn measure_point_memo(
         epsilon: eps,
         ..Default::default()
     })
-    .with_cache(Arc::clone(cache))
     .with_obs(obs.clone());
-
     let (cat, work, outcomes) = tune_point(db, queries, &engine);
-    // Differential determinism check: tuning again from an empty catalog
-    // must replay the identical trajectory (same StatIds too — both runs
-    // allocate from zero). The rerun's optimizer calls all repeat the first
-    // pass, so the cache serves them.
-    let (_, work_rerun, outcomes_rerun) = tune_point(db, queries, &engine);
-    assert_eq!(
-        outcomes, outcomes_rerun,
-        "nondeterministic tuning trajectory at t={t} eps={eps}"
-    );
-    assert_eq!(work, work_rerun, "nondeterministic work at t={t} eps={eps}");
-
-    let exec = execute_workload_memo(db, &cat, bound, cache, memo, obs);
-    let result = point_result(t, eps, &cat, work, exec, work_all, exec_all);
+    let exec = execute_workload_memo(db, &cat, bound, memo, obs);
+    let result = SweepResult {
+        t_percent: t,
+        epsilon: eps,
+        stats_built: cat.active_count(),
+        creation_reduction_pct: pct_reduction(work_all, work),
+        exec_increase_pct: pct_change(exec_all, exec),
+    };
     (result, outcomes, work)
 }
 
+/// TPCD_MIX and the bound U0-C workload the sweep runs over.
+fn inputs(scale: &ExperimentScale) -> (Database, Vec<BoundStatement>) {
+    let db = build_tpcd(&TpcdConfig {
+        scale: scale.scale,
+        zipf: ZipfSpec::Mixed,
+        seed: scale.seed,
+    });
+    let spec = WorkloadSpec::new(0, Complexity::Complex, scale.workload_len).with_seed(scale.seed);
+    let bound = bind_all(&db, &RagsGenerator::generate(&db, &spec));
+    (db, bound)
+}
+
 /// Sweep t (at ε = 0.0005) then ε (at t = 20) on TPCD_MIX, U0-C workload.
-/// `threads > 1` fans the sweep points across worker threads with shared
-/// memoization; results are identical for every thread count.
+/// `threads > 1` fans the sweep points across worker threads; results are
+/// identical for every thread count.
 pub fn run(scale: &ExperimentScale, threads: usize) -> Vec<SweepResult> {
     run_obs(scale, threads, &obsv::Obs::disabled()).0
 }
@@ -174,22 +121,10 @@ pub fn run_obs(
     obs: &obsv::Obs,
 ) -> (Vec<SweepResult>, SessionReport) {
     let started = Instant::now();
-    let db = build_tpcd(&TpcdConfig {
-        scale: scale.scale,
-        zipf: ZipfSpec::Mixed,
-        seed: scale.seed,
-    });
-    let spec = WorkloadSpec::new(0, Complexity::Complex, scale.workload_len).with_seed(scale.seed);
-    let stmts = RagsGenerator::generate(&db, &spec);
-    let bound = bind_all(&db, &stmts);
+    let (db, bound) = inputs(scale);
     let queries = queries_of(&bound);
 
-    // Shared, detached optimizer cache + execution-work memo for the
-    // threaded path (see module docs). Created before the baseline so the
-    // baseline execution warms the memo. Registering the cache against the
-    // run's registry puts `optimizer.cache.{hit,miss,invalidation}` in the
-    // end-of-run summary.
-    let cache = Arc::new(OptimizeCache::with_metrics(&obs.metrics));
+    // Created before the baseline so the baseline execution warms the memo.
     let memo = ExecWorkMemo::new();
 
     // Baseline: all candidates.
@@ -199,11 +134,7 @@ pub fn run_obs(
     for q in &queries {
         work_all += create_all(&db, &mut cat_all, candidate_statistics(q));
     }
-    let exec_all = if threads <= 1 {
-        execute_workload_obs(&db, &cat_all, &bound, obs)
-    } else {
-        execute_workload_memo(&db, &cat_all, &bound, &cache, &memo, obs)
-    };
+    let exec_all = execute_workload_memo(&db, &cat_all, &bound, &memo, obs);
 
     let mut points: Vec<(f64, f64)> = [0.0, 5.0, 10.0, 20.0, 40.0, 80.0]
         .into_iter()
@@ -212,24 +143,19 @@ pub fn run_obs(
     points.extend([(20.0, 0.01), (20.0, 0.1)]);
 
     let measured: Vec<(SweepResult, Vec<MnsaOutcome>, f64)> = if threads <= 1 {
-        let out = points
+        points
             .iter()
             .map(|&(t, eps)| {
-                measure_point_plain(&db, &bound, &queries, work_all, exec_all, t, eps, obs)
+                measure_point(
+                    &db, &bound, &queries, work_all, exec_all, t, eps, &memo, obs,
+                )
             })
-            .collect();
-        println!(
-            "tsweep: threads=1 wall-clock={:.2}s cache: off (serial reference path; \
-             --threads N enables the memoized parallel path)",
-            started.elapsed().as_secs_f64()
-        );
-        out
+            .collect()
     } else {
         type PointSlot = Mutex<Option<(SweepResult, Vec<MnsaOutcome>, f64)>>;
         let slots: Vec<PointSlot> = (0..points.len()).map(|_| Mutex::new(None)).collect();
         let next = AtomicUsize::new(0);
-        let (points_ref, slots_ref, next_ref, cache_ref, memo_ref) =
-            (&points, &slots, &next, &cache, &memo);
+        let (points_ref, slots_ref, next_ref, memo_ref) = (&points, &slots, &next, &memo);
         let (db_ref, bound_ref, queries_ref) = (&db, &bound, &queries);
         crossbeam::thread::scope(|s| {
             for w in 0..threads.min(points.len()) {
@@ -240,7 +166,7 @@ pub fn run_obs(
                         break;
                     }
                     let (t, eps) = points_ref[i];
-                    *slots_ref[i].lock() = Some(measure_point_memo(
+                    *slots_ref[i].lock() = Some(measure_point(
                         db_ref,
                         bound_ref,
                         queries_ref,
@@ -248,7 +174,6 @@ pub fn run_obs(
                         exec_all,
                         t,
                         eps,
-                        cache_ref,
                         memo_ref,
                         &worker_obs,
                     ));
@@ -256,12 +181,6 @@ pub fn run_obs(
             }
         })
         .expect("sweep worker panicked");
-        println!(
-            "tsweep: threads={} wall-clock={:.2}s cache: {}",
-            threads,
-            started.elapsed().as_secs_f64(),
-            cache.counters()
-        );
         // Index-ordered merge: output order is point order, independent of
         // which worker measured which point.
         slots
@@ -269,6 +188,11 @@ pub fn run_obs(
             .map(|m| m.into_inner().expect("missing sweep point"))
             .collect()
     };
+    println!(
+        "tsweep: threads={} wall-clock={:.2}s",
+        threads.max(1),
+        started.elapsed().as_secs_f64()
+    );
 
     // Journal the paper-default point from its MNSA outcomes. The split of
     // total work into creation vs optimizer-call overhead is recomputed the
@@ -315,6 +239,7 @@ pub fn rows(results: &[SweepResult]) -> Vec<Row> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::common::execute_workload;
 
     #[test]
     fn larger_t_prunes_at_least_as_much() {
@@ -332,10 +257,44 @@ mod tests {
     }
 
     #[test]
+    fn tuning_again_from_an_empty_catalog_repeats_the_trajectory() {
+        // Both runs allocate statistic ids from zero, so the outcomes
+        // compare equal id for id.
+        let (db, bound) = inputs(&ExperimentScale::tiny());
+        let queries = queries_of(&bound);
+        let engine = MnsaEngine::new(MnsaConfig::default());
+        let (first, first_work, first_outcomes) = tune_point(&db, &queries, &engine);
+        let (again, again_work, again_outcomes) = tune_point(&db, &queries, &engine);
+        assert_eq!(first_outcomes, again_outcomes);
+        assert_eq!(first_work, again_work);
+        assert_eq!(first.snapshot(), again.snapshot());
+    }
+
+    #[test]
+    fn memoized_execution_work_equals_plain() {
+        let (db, bound) = inputs(&ExperimentScale::tiny());
+        let empty = StatsCatalog::new();
+        let (tuned, ..) = tune_point(
+            &db,
+            &queries_of(&bound),
+            &MnsaEngine::new(MnsaConfig::default()),
+        );
+        // One memo across both catalogs and a repeat: cold cells, cells
+        // shared between catalogs and warm cells all give the plain figure.
+        let memo = ExecWorkMemo::new();
+        let obs = obsv::Obs::disabled();
+        for catalog in [&empty, &tuned, &empty] {
+            assert_eq!(
+                execute_workload_memo(&db, catalog, &bound, &memo, &obs),
+                execute_workload(&db, catalog, &bound)
+            );
+        }
+    }
+
+    #[test]
     fn parallel_sweep_matches_serial() {
-        // The differential guarantee for the whole experiment: the memoized
-        // parallel path (shared optimizer cache, shared execution-work memo,
-        // verification reruns) is bit-identical to the plain serial path.
+        // Which worker measures which point, and which point's execution
+        // fills a memo cell first, never shows in the results.
         let mut scale = ExperimentScale::tiny();
         scale.workload_len = 10;
         let serial = run(&scale, 1);

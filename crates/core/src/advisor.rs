@@ -13,7 +13,6 @@
 use crate::equivalence::Equivalence;
 use crate::error::TuneError;
 use crate::mnsa::{MnsaConfig, MnsaEngine};
-use crate::parallel::ParallelTuner;
 use crate::shrinking::shrinking_set;
 use query::BoundSelect;
 use serde::{Deserialize, Serialize};
@@ -131,20 +130,6 @@ pub fn advise(
     config: MnsaConfig,
     equivalence: Equivalence,
 ) -> Result<AdvisorReport, TuneError> {
-    advise_parallel(db, catalog, workload, config, equivalence, 1)
-}
-
-/// [`advise`] with the per-query MNSA phase fanned over `threads` worker
-/// threads. The report is bit-identical for every thread count (see
-/// [`ParallelTuner`]).
-pub fn advise_parallel(
-    db: &Database,
-    catalog: &StatsCatalog,
-    workload: &[BoundSelect],
-    config: MnsaConfig,
-    equivalence: Equivalence,
-    threads: usize,
-) -> Result<AdvisorReport, TuneError> {
     // Work on a restored snapshot so the live catalog is untouched.
     let mut scratch = StatsCatalog::restore(catalog.snapshot());
     let original_active: Vec<StatDescriptor> =
@@ -155,8 +140,7 @@ pub fn advise_parallel(
         queries_analyzed: workload.len(),
         ..Default::default()
     };
-    let tuner = ParallelTuner::new(engine.clone(), threads);
-    for outcome in tuner.run_workload(db, &mut scratch, workload)? {
+    for outcome in engine.run_workload(db, &mut scratch, workload)? {
         report.optimizer_calls += outcome.optimizer_calls;
     }
     let after_mnsa = scratch.active_ids();

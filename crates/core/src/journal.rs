@@ -6,7 +6,7 @@
 //! trajectories (rounds, creations, drop-listings, termination reason,
 //! final plan cost), the shrinking pass, and workload totals. It is built
 //! from [`MnsaOutcome`]s, never from the metrics registry, so it is
-//! bit-identical with tracing on or off and across thread counts.
+//! bit-identical with tracing on or off.
 
 use crate::mnsa::{MnsaOutcome, Termination};
 use crate::policy::TuningReport;

@@ -59,11 +59,10 @@ pub mod journal;
 pub mod manager;
 pub mod mnsa;
 pub mod online;
-pub mod parallel;
 pub mod policy;
 pub mod shrinking;
 
-pub use advisor::{advise, advise_parallel, AdvisorReport, Recommendation};
+pub use advisor::{advise, AdvisorReport, Recommendation};
 pub use candidates::{candidate_statistics, exhaustive_candidates, single_column_candidates};
 pub use equivalence::Equivalence;
 pub use error::TuneError;
@@ -74,6 +73,5 @@ pub use mnsa::{
     CandidateMode, FeedbackSource, MnsaConfig, MnsaEngine, MnsaOutcome, NextStatOrder, Termination,
 };
 pub use online::{OnlineStep, OnlineTuner};
-pub use parallel::ParallelTuner;
 pub use policy::{CreationPolicy, OfflineTuner, TuningReport};
 pub use shrinking::{shrinking_set, shrinking_set_traced, ShrinkingOutcome};

@@ -11,11 +11,10 @@ use crate::policy::{apply_policy_obs, CreationPolicy, TuningReport};
 use crate::Equivalence;
 use executor::{run_statement_observed, ExecError, StatementOutcome};
 use optimizer::PlanError;
-use optimizer::{CacheCounters, OptimizeCache, OptimizeOptions, Optimizer};
+use optimizer::{OptimizeOptions, Optimizer};
 use query::{bind_statement, parse_statement, BindError, BoundStatement, ParseError, Statement};
 use stats::{MaintenancePolicy, MaintenanceReport, StatsCatalog};
 use std::fmt;
-use std::sync::Arc;
 use storage::Database;
 
 /// Errors surfaced by the manager: every stage of the
@@ -92,10 +91,6 @@ pub struct ManagerConfig {
     pub auto_maintain: bool,
     /// Equivalence notion reported by diagnostic helpers.
     pub equivalence: Equivalence,
-    /// Memoize the tuning-time optimizer calls in an [`OptimizeCache`]
-    /// attached to the catalog (mutations evict affected entries). Results
-    /// are identical either way; repeated tuning just gets cheaper.
-    pub optimizer_cache: bool,
 }
 
 impl Default for ManagerConfig {
@@ -105,7 +100,6 @@ impl Default for ManagerConfig {
             maintenance: MaintenancePolicy::default(),
             auto_maintain: true,
             equivalence: Equivalence::paper_default(),
-            optimizer_cache: true,
         }
     }
 }
@@ -116,8 +110,6 @@ pub struct ServeParts {
     pub db: Database,
     pub catalog: StatsCatalog,
     pub config: ManagerConfig,
-    /// Memoized-optimizer cache, if the manager had one attached.
-    pub cache: Option<Arc<OptimizeCache>>,
     pub obs: obsv::Obs,
     /// Journal accumulated before serving began; online events append here.
     pub session: SessionReport,
@@ -133,8 +125,6 @@ pub struct AutoStatsManager {
     tuning: TuningReport,
     /// Cumulative execution work.
     execution_work: f64,
-    /// Memoized-optimizer cache for tuning calls, attached to the catalog.
-    cache: Option<Arc<OptimizeCache>>,
     /// Observability context threaded into tuning, builds, and execution.
     obs: obsv::Obs,
     /// Journal of every MNSA trajectory this manager ran.
@@ -147,18 +137,12 @@ impl AutoStatsManager {
     }
 
     /// [`AutoStatsManager::new`] with a live observability context: the
-    /// optimizer cache registers its `optimizer.cache.*` counters, the
-    /// catalog its `stats.*` build metrics, and execution mirrors its work
-    /// into the `exec.work` counter. Tuning outcomes are bit-identical to an
-    /// unobserved manager.
+    /// catalog registers its `stats.*` build metrics, and execution mirrors
+    /// its work into the `exec.work` counter. Tuning outcomes are
+    /// bit-identical to an unobserved manager.
     pub fn new_with_obs(db: Database, config: ManagerConfig, obs: obsv::Obs) -> Self {
         let mut catalog = StatsCatalog::new();
         catalog.set_obs(&obs);
-        let cache = config.optimizer_cache.then(|| {
-            let cache = Arc::new(OptimizeCache::with_metrics(&obs.metrics));
-            cache.attach(&mut catalog);
-            cache
-        });
         AutoStatsManager {
             db,
             catalog,
@@ -166,7 +150,6 @@ impl AutoStatsManager {
             config,
             tuning: TuningReport::default(),
             execution_work: 0.0,
-            cache,
             obs,
             session: SessionReport::default(),
         }
@@ -213,12 +196,6 @@ impl AutoStatsManager {
         &self.session
     }
 
-    /// Hit/miss/invalidation counters of the tuning-time optimizer cache;
-    /// `None` when `ManagerConfig::optimizer_cache` is off.
-    pub fn cache_counters(&self) -> Option<CacheCounters> {
-        self.cache.as_ref().map(|c| c.counters())
-    }
-
     /// Decompose the manager into the parts an online lifecycle daemon
     /// needs — the front door to serving mode.
     ///
@@ -234,7 +211,6 @@ impl AutoStatsManager {
             db: self.db,
             catalog: self.catalog,
             config: self.config,
-            cache: self.cache,
             obs: self.obs,
             session: self.session,
         }
@@ -263,7 +239,6 @@ impl AutoStatsManager {
                 &mut self.catalog,
                 &self.config.creation,
                 q,
-                self.cache.as_ref(),
                 &self.obs,
             )?;
             self.tuning.absorb(&report);

@@ -23,9 +23,7 @@
 
 use crate::candidates::{candidate_statistics, exhaustive_candidates, single_column_candidates};
 use crate::error::TuneError;
-use optimizer::{
-    Operator, OptimizeCache, OptimizeOptions, OptimizedQuery, Optimizer, PlanError, PlanNode,
-};
+use optimizer::{Operator, OptimizeOptions, OptimizedQuery, Optimizer, PlanError, PlanNode};
 use parking_lot::Mutex;
 use query::{BoundSelect, PredicateId};
 use serde::{Deserialize, Serialize};
@@ -157,15 +155,6 @@ impl MnsaOutcome {
 pub struct MnsaEngine {
     pub optimizer: Optimizer,
     pub config: MnsaConfig,
-    /// Optional memoized-optimizer cache. MNSA's call pattern is extremely
-    /// repetitive (the same query is re-optimized after every creation, and
-    /// tuning tools replay whole call sequences), so a shared cache removes
-    /// most of the dynamic-programming work without changing any answer —
-    /// cache keys fingerprint every optimizer input, so a hit is bit-identical
-    /// to a fresh optimization. `optimizer_calls` still counts every logical
-    /// call: the paper's call-count economics are a property of the
-    /// algorithm, not of this memoization.
-    pub cache: Option<Arc<OptimizeCache>>,
     /// Observability context. Disabled by default; purely observational —
     /// enabling it may never change an outcome (`tests/trace_determinism.rs`
     /// enforces bit-identical results with tracing on vs off).
@@ -194,16 +183,9 @@ impl MnsaEngine {
         MnsaEngine {
             optimizer: Optimizer::default(),
             config,
-            cache: None,
             obs: obsv::Obs::disabled(),
             feedback: None,
         }
-    }
-
-    /// Route this engine's optimizer calls through `cache`.
-    pub fn with_cache(mut self, cache: Arc<OptimizeCache>) -> Self {
-        self.cache = Some(cache);
-        self
     }
 
     /// Weigh near-zero-cost feedback synthesis against scan builds.
@@ -229,9 +211,9 @@ impl MnsaEngine {
         }
     }
 
-    /// One logical optimizer call, counted in `outcome` and on the
+    /// One optimizer call, counted in `outcome` and on the
     /// `mnsa.optimizer_calls` counter, recorded as an `optimizer.call` child
-    /// span (phase label, resulting cost, cache-hit attribution).
+    /// span (phase label, resulting cost).
     #[allow(clippy::too_many_arguments)]
     fn optimize(
         &self,
@@ -247,26 +229,11 @@ impl MnsaEngine {
         outcome.optimizer_calls += 1;
         calls.inc();
         let mut span = parent.child("optimizer.call");
-        // Cache-hit attribution reads the shared hit counter around the call;
-        // only bother when the span is live.
-        let hits_before = match &self.cache {
-            Some(cache) if span.is_enabled() => Some(cache.hits()),
-            _ => None,
-        };
-        let result = match &self.cache {
-            Some(cache) => {
-                self.optimizer
-                    .optimize_cached(db, query, catalog.full_view(), options, cache)
-            }
-            None => self
-                .optimizer
-                .optimize(db, query, catalog.full_view(), options),
-        };
+        let result = self
+            .optimizer
+            .optimize(db, query, catalog.full_view(), options);
         if span.is_enabled() {
             span.arg("phase", phase);
-            if let (Some(before), Some(cache)) = (hits_before, &self.cache) {
-                span.arg("cache_hit", cache.hits() > before);
-            }
             if let Ok(optimized) = &result {
                 span.arg("cost", optimized.cost);
             }

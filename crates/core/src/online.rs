@@ -29,11 +29,9 @@ use crate::error::TuneError;
 use crate::mnsa::{MnsaConfig, MnsaEngine, MnsaOutcome};
 use crate::policy::{optimizer_call_work, TuningReport};
 use crate::shrinking::{shrinking_set_traced, ShrinkingOutcome};
-use optimizer::OptimizeCache;
 use query::BoundSelect;
 use stats::StatsCatalog;
 use std::collections::{BTreeSet, VecDeque};
-use std::sync::Arc;
 use storage::Database;
 
 /// What one [`OnlineTuner::step`] increment did.
@@ -47,6 +45,9 @@ pub struct OnlineStep {
     pub work: f64,
     /// True when the queue still holds queries but the balance ran out.
     pub exhausted: bool,
+    /// The error that ended this increment early, if one did. Everything
+    /// above still describes the queries tuned before it.
+    pub error: Option<TuneError>,
 }
 
 /// Resumable, budgeted MNSA over a live query sample. See the module docs.
@@ -54,7 +55,8 @@ pub struct OnlineTuner {
     engine: MnsaEngine,
     obs: obsv::Obs,
     pending: VecDeque<BoundSelect>,
-    /// Fingerprints ever enqueued — a template is tuned at most once.
+    /// Fingerprints enqueued and not failed — a template is tuned at most
+    /// once.
     enqueued: BTreeSet<u64>,
     /// Work-token balance: `fund` adds, tuning/`charge` subtract. May go
     /// negative (debt) when the last query of an increment overshoots.
@@ -80,12 +82,6 @@ impl OnlineTuner {
         self
     }
 
-    /// Memoize tuning-time optimizer calls in `cache`.
-    pub fn with_cache(mut self, cache: Arc<OptimizeCache>) -> Self {
-        self.engine = self.engine.clone().with_cache(cache);
-        self
-    }
-
     /// The optimizer used for analysis calls (shared with shrink passes).
     pub fn optimizer(&self) -> &optimizer::Optimizer {
         &self.engine.optimizer
@@ -93,7 +89,7 @@ impl OnlineTuner {
 
     /// Queue a query template for analysis. Returns `false` (and does
     /// nothing) when a query with the same fingerprint was already enqueued
-    /// at some point in this tuner's life.
+    /// at some point in this tuner's life and its analysis did not fail.
     pub fn enqueue(&mut self, query: BoundSelect) -> bool {
         if !self.enqueued.insert(query.fingerprint()) {
             return false;
@@ -128,14 +124,16 @@ impl OnlineTuner {
     /// creation work of statistics it built plus `optimizer_calls ×
     /// optimizer_call_work(relations)` — is charged afterwards, possibly
     /// driving the balance negative.
-    pub fn step(
-        &mut self,
-        db: &Database,
-        catalog: &mut StatsCatalog,
-    ) -> Result<OnlineStep, TuneError> {
+    ///
+    /// A query MNSA rejects ends the increment: the error is returned in
+    /// [`OnlineStep::error`] beside the queries tuned before it, the
+    /// statistics the failed run had already built are charged (they stay in
+    /// the catalog), and its fingerprint is forgotten so the template can be
+    /// enqueued again.
+    pub fn step(&mut self, db: &Database, catalog: &mut StatsCatalog) -> OnlineStep {
         let mut step = OnlineStep::default();
         if self.pending.is_empty() {
-            return Ok(step);
+            return step;
         }
         let mut span = self.obs.tracer.span("online.step");
         span.arg("pending", self.pending.len());
@@ -144,23 +142,36 @@ impl OnlineTuner {
                 break;
             };
             let before_work = catalog.creation_work();
-            let outcome = self.engine.run_query(db, catalog, &query)?;
-            let overhead =
-                outcome.optimizer_calls as f64 * optimizer_call_work(query.relations.len());
-            let work = (catalog.creation_work() - before_work) + overhead;
+            let result = self.engine.run_query(db, catalog, &query);
+            // What a failed run built stays in the catalog and is charged;
+            // its optimizer calls were not counted and are not.
+            let creation_work = catalog.creation_work() - before_work;
+            let overhead = result.as_ref().map_or(0.0, |outcome| {
+                outcome.optimizer_calls as f64 * optimizer_call_work(query.relations.len())
+            });
+            let work = creation_work + overhead;
             self.balance -= work;
             step.work += work;
-            step.report.optimizer_calls += outcome.optimizer_calls;
             step.report.overhead_work += overhead;
-            step.report.creation_work += catalog.creation_work() - before_work;
+            step.report.creation_work += creation_work;
+            let outcome = match result {
+                Ok(outcome) => outcome,
+                Err(error) => {
+                    self.enqueued.remove(&query.fingerprint());
+                    step.error = Some(error);
+                    break;
+                }
+            };
+            step.report.optimizer_calls += outcome.optimizer_calls;
             step.report.statistics_created += outcome.created.len();
             step.report.statistics_drop_listed += outcome.drop_listed.len();
             step.tuned.push((query.relations.len(), outcome));
         }
-        step.exhausted = !self.pending.is_empty();
+        step.exhausted = step.error.is_none() && !self.pending.is_empty();
         span.arg("tuned", step.tuned.len());
         span.arg("exhausted", step.exhausted);
-        Ok(step)
+        span.arg("failed", step.error.is_some());
+        step
     }
 
     /// One Shrinking Set pass over `sample` (typically the monitor's
@@ -257,7 +268,7 @@ mod tests {
         for q in workload(&db) {
             tuner.enqueue(q);
         }
-        let step = tuner.step(&db, &mut catalog).unwrap();
+        let step = tuner.step(&db, &mut catalog);
         assert!(step.tuned.is_empty());
         assert!(step.exhausted);
         assert_eq!(catalog.total_count(), 0);
@@ -274,7 +285,7 @@ mod tests {
         // A tiny positive balance admits exactly one query, whose real cost
         // overshoots into debt.
         tuner.fund(1.0);
-        let step = tuner.step(&db, &mut catalog).unwrap();
+        let step = tuner.step(&db, &mut catalog);
         assert_eq!(step.tuned.len(), 1);
         assert!(step.exhausted);
         assert!(tuner.balance() < 0.0, "balance: {}", tuner.balance());
@@ -282,14 +293,60 @@ mod tests {
 
         // Funding less than the debt still runs nothing.
         tuner.fund(-debt / 2.0);
-        let stalled = tuner.step(&db, &mut catalog).unwrap();
+        let stalled = tuner.step(&db, &mut catalog);
         assert!(stalled.tuned.is_empty());
         assert!(stalled.exhausted);
 
         // Paying off the debt (plus a little) resumes tuning.
         tuner.fund(-tuner.balance() + 1.0);
-        let resumed = tuner.step(&db, &mut catalog).unwrap();
+        let resumed = tuner.step(&db, &mut catalog);
         assert!(!resumed.tuned.is_empty());
+    }
+
+    #[test]
+    fn rejected_query_ends_the_step_without_losing_what_came_before() {
+        let db = test_db();
+        let mut catalog = StatsCatalog::new();
+        // Every table counts as small, so the rejected query has built its
+        // candidates before its first optimizer call fails.
+        let mut tuner = OnlineTuner::new(MnsaConfig {
+            small_table_rows: usize::MAX,
+            ..MnsaConfig::default()
+        });
+        let aliases: Vec<String> = (0..=optimizer::MAX_DP_RELATIONS)
+            .map(|i| format!("facts f{i}"))
+            .collect();
+        let too_wide = select(
+            &db,
+            &format!("SELECT * FROM {} WHERE f0.b = 2", aliases.join(", ")),
+        );
+        tuner.enqueue(select(&db, "SELECT * FROM facts WHERE a = 3"));
+        tuner.enqueue(too_wide.clone());
+        tuner.enqueue(select(&db, "SELECT * FROM facts WHERE k < 100"));
+        tuner.fund(f64::INFINITY);
+
+        let step = tuner.step(&db, &mut catalog);
+        assert!(matches!(
+            step.error,
+            Some(TuneError::Plan(
+                optimizer::PlanError::TooManyRelations { .. }
+            ))
+        ));
+        assert_eq!(step.tuned.len(), 1, "the query before the failure");
+        assert_eq!(tuner.pending(), 1, "the query after it");
+        assert!(!step.exhausted);
+        // The first query built `a`, the rejected one `b`: both are charged.
+        assert_eq!(catalog.total_count(), 2);
+        assert_eq!(step.report.creation_work, catalog.creation_work());
+        assert!(step.work > step.report.creation_work);
+        assert!(
+            tuner.enqueue(too_wide),
+            "a rejected template can be queued again"
+        );
+
+        let rest = tuner.step(&db, &mut catalog);
+        assert_eq!(rest.tuned.len(), 1);
+        assert!(rest.error.is_some(), "and is rejected again");
     }
 
     #[test]
@@ -309,7 +366,7 @@ mod tests {
             tuner.enqueue(q);
         }
         tuner.fund(f64::INFINITY);
-        let step = tuner.step(&db, &mut online_catalog).unwrap();
+        let step = tuner.step(&db, &mut online_catalog);
         assert!(!step.exhausted);
         assert_eq!(step.report.statistics_created, report.statistics_created);
         tuner

@@ -22,13 +22,10 @@ use crate::equivalence::Equivalence;
 use crate::error::TuneError;
 use crate::journal::SessionReport;
 use crate::mnsa::{MnsaConfig, MnsaEngine, MnsaOutcome};
-use crate::parallel::ParallelTuner;
 use crate::shrinking::shrinking_set_traced;
-use optimizer::OptimizeCache;
 use query::BoundSelect;
 use serde::{Deserialize, Serialize};
 use stats::{StatId, StatsCatalog};
-use std::sync::Arc;
 use storage::Database;
 
 /// How statistics are created for incoming queries.
@@ -110,24 +107,11 @@ pub fn apply_policy(
     policy: &CreationPolicy,
     query: &BoundSelect,
 ) -> Result<(TuningReport, Vec<StatId>), TuneError> {
-    apply_policy_cached(db, catalog, policy, query, None)
-}
-
-/// [`apply_policy`] with an optional memoized-optimizer cache routed into
-/// the MNSA analysis calls. Reports and created-statistics sets are
-/// identical with or without a cache.
-pub fn apply_policy_cached(
-    db: &Database,
-    catalog: &mut StatsCatalog,
-    policy: &CreationPolicy,
-    query: &BoundSelect,
-    cache: Option<&Arc<OptimizeCache>>,
-) -> Result<(TuningReport, Vec<StatId>), TuneError> {
-    apply_policy_obs(db, catalog, policy, query, cache, &obsv::Obs::disabled())
+    apply_policy_obs(db, catalog, policy, query, &obsv::Obs::disabled())
         .map(|(report, created, _)| (report, created))
 }
 
-/// [`apply_policy_cached`] under an observability context. The MNSA arm also
+/// [`apply_policy`] under an observability context. The MNSA arm also
 /// returns its raw [`MnsaOutcome`] so callers can journal the trajectory;
 /// `None` for the unconditional policies. Reports, created sets, and catalog
 /// state are identical with or without observation.
@@ -136,7 +120,6 @@ pub fn apply_policy_obs(
     catalog: &mut StatsCatalog,
     policy: &CreationPolicy,
     query: &BoundSelect,
-    cache: Option<&Arc<OptimizeCache>>,
     obs: &obsv::Obs,
 ) -> Result<(TuningReport, Vec<StatId>, Option<MnsaOutcome>), TuneError> {
     let mut report = TuningReport::default();
@@ -154,10 +137,7 @@ pub fn apply_policy_obs(
             created = crate::batch::create_statistics_grouped(catalog, db, &descs)?;
         }
         CreationPolicy::Mnsa(cfg) => {
-            let mut engine = MnsaEngine::new(*cfg).with_obs(obs.clone());
-            if let Some(cache) = cache {
-                engine = engine.with_cache(Arc::clone(cache));
-            }
+            let engine = MnsaEngine::new(*cfg).with_obs(obs.clone());
             let outcome = engine.run_query(db, catalog, query)?;
             report.optimizer_calls = outcome.optimizer_calls;
             report.overhead_work =
@@ -179,10 +159,6 @@ pub struct OfflineTuner {
     pub mnsa: MnsaConfig,
     /// Equivalence used by the Shrinking Set pass; `None` skips shrinking.
     pub shrink: Option<Equivalence>,
-    /// Worker threads for the per-query MNSA phase; `1` tunes serially. Any
-    /// value yields bit-identical reports and catalog state (see
-    /// [`ParallelTuner`]).
-    pub threads: usize,
 }
 
 impl Default for OfflineTuner {
@@ -190,7 +166,6 @@ impl Default for OfflineTuner {
         OfflineTuner {
             mnsa: MnsaConfig::default(),
             shrink: Some(Equivalence::paper_default()),
-            threads: 1,
         }
     }
 }
@@ -204,49 +179,31 @@ impl OfflineTuner {
         catalog: &mut StatsCatalog,
         workload: &[BoundSelect],
     ) -> Result<TuningReport, TuneError> {
-        self.tune_cached(db, catalog, workload, None)
-    }
-
-    /// [`OfflineTuner::tune`] with an optional memoized-optimizer cache for
-    /// the MNSA analysis calls.
-    pub fn tune_cached(
-        &self,
-        db: &Database,
-        catalog: &mut StatsCatalog,
-        workload: &[BoundSelect],
-        cache: Option<&Arc<OptimizeCache>>,
-    ) -> Result<TuningReport, TuneError> {
-        self.tune_session(db, catalog, workload, cache, &obsv::Obs::disabled())
+        self.tune_session(db, catalog, workload, &obsv::Obs::disabled())
             .map(|(report, _)| report)
     }
 
-    /// [`OfflineTuner::tune_cached`] under an observability context, also
-    /// returning the tuning-session journal. The journal is built from the
-    /// per-query [`crate::MnsaOutcome`]s, which are bit-identical across
-    /// thread counts and with tracing on or off — so the journal is too.
+    /// [`OfflineTuner::tune`] under an observability context, also returning
+    /// the tuning-session journal. The journal is built from the per-query
+    /// [`crate::MnsaOutcome`]s, which are bit-identical with tracing on or
+    /// off — so the journal is too.
     pub fn tune_session(
         &self,
         db: &Database,
         catalog: &mut StatsCatalog,
         workload: &[BoundSelect],
-        cache: Option<&Arc<OptimizeCache>>,
         obs: &obsv::Obs,
     ) -> Result<(TuningReport, SessionReport), TuneError> {
         let mut session_span = obs.tracer.span("tuner.session");
         session_span.arg("queries", workload.len());
-        session_span.arg("threads", self.threads);
         let mut report = TuningReport::default();
         let mut session = SessionReport::default();
-        let mut engine = MnsaEngine::new(self.mnsa).with_obs(obs.clone());
-        if let Some(cache) = cache {
-            engine = engine.with_cache(Arc::clone(cache));
-        }
+        let engine = MnsaEngine::new(self.mnsa).with_obs(obs.clone());
         let before_work = catalog.creation_work();
         let mut created_ids = Vec::new();
-        let tuner = ParallelTuner::new(engine.clone(), self.threads);
         for (q, outcome) in workload
             .iter()
-            .zip(tuner.run_workload(db, catalog, workload)?)
+            .zip(engine.run_workload(db, catalog, workload)?)
         {
             report.optimizer_calls += outcome.optimizer_calls;
             report.overhead_work +=

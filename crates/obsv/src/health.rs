@@ -2,7 +2,7 @@
 //!
 //! [`HealthSnapshot`] is the "is the self-tuning loop keeping up?" readout:
 //! epoch freshness, refresh backlog, monitor occupancy, feedback queue
-//! depth, budget position, optimizer-cache effectiveness, and query-latency
+//! depth, budget position, tuner optimizer calls, and query-latency
 //! quantiles — assembled by the `autod` lifecycle daemon at the end of each
 //! tick and exported as JSONL (one snapshot per line, validated by
 //! [`crate::check::check_health`]). The `obsv_top` binary renders the
@@ -46,7 +46,9 @@ pub struct HealthSnapshot {
     pub feedback_queue_depth: u64,
     /// Work-token balance (negative = debt to pay down).
     pub budget_balance: f64,
-    /// Optimizer-cache counters.
+    /// Kept for the wire format; hits and invalidations are 0 since PR 15.
+    /// Nothing memoizes the tuner's optimizer calls any more, so
+    /// `cache_misses` is the number of MNSA optimizer calls.
     pub cache_hits: u64,
     pub cache_misses: u64,
     pub cache_invalidations: u64,
@@ -81,7 +83,7 @@ impl HealthSnapshot {
         }
     }
 
-    /// Optimizer-cache hit rate in `[0, 1]`.
+    /// `cache_hits` over all tuner optimizer calls, in `[0, 1]`.
     pub fn cache_hit_rate(&self) -> f64 {
         let total = self.cache_hits + self.cache_misses;
         if total == 0 {
@@ -263,11 +265,8 @@ impl HealthSnapshot {
             self.feedback_queue_depth
         ));
         out.push_str(&format!(
-            "  opt cache  {} hits / {} misses ({:.0}% hit)   {} invalidations\n",
-            self.cache_hits,
-            self.cache_misses,
-            self.cache_hit_rate() * 100.0,
-            self.cache_invalidations,
+            "  tuner      {} optimizer calls\n",
+            self.cache_misses
         ));
         out
     }
@@ -351,7 +350,7 @@ mod tests {
             "ghost-hit 25%",
             "IN DEBT",
             "queue depth 17",
-            "90% hit",
+            "100 optimizer calls",
         ] {
             assert!(text.contains(needle), "missing {needle:?} in:\n{text}");
         }

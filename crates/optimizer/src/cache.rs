@@ -1,10 +1,11 @@
-//! A memoized optimizer: caches `optimize` results across repeated calls.
+//! A detached memo of `optimize` results, kept for measurement.
 //!
-//! MNSA asks the optimizer the same questions over and over — the Figure 1
-//! loop issues `3 + 3r` optimizer calls per query, and workload-level tools
-//! (parameter sweeps, the parallel tuner's validation reruns, differential
-//! determinism checks) repeat whole call sequences verbatim. This module
-//! makes those repeats cheap without ever changing a single answer.
+//! Nothing in the workspace's tuning or serving paths goes through this
+//! module: since PR 15 MNSA, the daemon and the experiments all call
+//! [`Optimizer::optimize`] directly (DESIGN.md §7 has the numbers that
+//! decided it). What is left is what `benchmark/` links to probe the floor of
+//! a memoized call (`optimizer.cache_hit.p50_us`), and the [`Fnv`] hasher the
+//! plan and profile fingerprints use.
 //!
 //! ## Keying
 //!
@@ -22,23 +23,8 @@
 //! [`SelectivityProfile::fingerprint`](crate::SelectivityProfile::fingerprint)),
 //! a cached entry can never be stale: any catalog mutation that would change
 //! the optimizer's answer necessarily changes the profile, and therefore the
-//! key. Computing the profile on every lookup costs a few histogram probes —
-//! orders of magnitude cheaper than the dynamic-programming join enumeration
-//! a hit skips.
-//!
-//! ## Invalidation
-//!
-//! Value-based keys make invalidation a *memory-bounding* concern rather
-//! than a correctness one. A cache can run in two modes:
-//!
-//! * **attached** — [`OptimizeCache::attach`] registers the cache as a
-//!   [`CatalogObserver`] on a `StatsCatalog`; every statistics mutation
-//!   (create / drop-list / reactivate / physical drop / refresh) evicts the
-//!   entries of queries referencing the mutated table, keeping the cache
-//!   from accumulating entries for dead catalog states;
-//! * **detached** — no observer; entries persist and can be shared across
-//!   *multiple* catalogs (e.g. the sweep points of `exp_tsweep`, which
-//!   re-optimize the same workload under many catalog trajectories).
+//! key. Entries are never evicted, and one cache can be shared across
+//! catalogs.
 
 use crate::error::PlanError;
 use crate::optimize::{OptimizeOptions, OptimizedQuery, Optimizer};
@@ -46,10 +32,9 @@ use crate::selectivity::build_profile;
 use parking_lot::RwLock;
 use query::BoundSelect;
 use rustc_hash::FxHashMap;
-use stats::{CatalogObserver, StatsCatalog, StatsView};
-use std::fmt;
-use std::sync::Arc;
-use storage::{Database, TableId};
+use stats::StatsView;
+use std::sync::atomic::{AtomicU64, Ordering};
+use storage::Database;
 
 /// Minimal FNV-1a 64-bit hasher over explicit words/bytes. Used instead of
 /// `std::hash::DefaultHasher` so fingerprints are stable across Rust
@@ -103,70 +88,12 @@ struct CacheKey {
     context: u64,
 }
 
-struct CacheEntry {
-    result: OptimizedQuery,
-    /// Tables the cached query references — the eviction granularity of
-    /// observer-driven invalidation.
-    tables: Vec<TableId>,
-}
-
-/// Counter snapshot of an [`OptimizeCache`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct CacheCounters {
-    pub hits: u64,
-    pub misses: u64,
-    pub invalidations: u64,
-    pub entries: usize,
-}
-
-impl CacheCounters {
-    /// Hit fraction in `[0, 1]`; 0 when no lookups happened.
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
-}
-
-impl fmt::Display for CacheCounters {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "hits={} misses={} hit-rate={:.1}% invalidations={} entries={}",
-            self.hits,
-            self.misses,
-            self.hit_rate() * 100.0,
-            self.invalidations,
-            self.entries
-        )
-    }
-}
-
 /// Thread-safe memoization of [`Optimizer::optimize_cached`] results.
-///
-/// Counters are [`obsv::Counter`] handles owned by this cache instance —
-/// per-cache accounting keeps working as before — and can additionally be
-/// registered in an [`obsv::Registry`] under the shared naming scheme
-/// (`optimizer.cache.{hit,miss,invalidation}`) via
-/// [`OptimizeCache::with_metrics`], so a registry snapshot and the
-/// [`CacheCounters`] accessors read the *same* storage.
 #[derive(Default)]
 pub struct OptimizeCache {
-    entries: RwLock<FxHashMap<CacheKey, CacheEntry>>,
-    hits: obsv::Counter,
-    misses: obsv::Counter,
-    invalidations: obsv::Counter,
-}
-
-impl fmt::Debug for OptimizeCache {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("OptimizeCache")
-            .field("counters", &self.counters())
-            .finish()
-    }
+    entries: RwLock<FxHashMap<CacheKey, OptimizedQuery>>,
+    hits: AtomicU64,
+    misses: AtomicU64,
 }
 
 impl OptimizeCache {
@@ -174,64 +101,22 @@ impl OptimizeCache {
         Self::default()
     }
 
-    /// A cache whose counters are registered in `registry` as
-    /// `optimizer.cache.hit`, `optimizer.cache.miss`, and
-    /// `optimizer.cache.invalidation`. The per-cache accessors
-    /// ([`OptimizeCache::hits`] etc.) read the same underlying atomics as
-    /// the registry snapshot.
-    pub fn with_metrics(registry: &obsv::Registry) -> Self {
-        OptimizeCache {
-            entries: RwLock::default(),
-            hits: registry.counter("optimizer.cache.hit"),
-            misses: registry.counter("optimizer.cache.miss"),
-            invalidations: registry.counter("optimizer.cache.invalidation"),
-        }
-    }
-
-    /// Register this cache as an invalidation observer of `catalog`: every
-    /// statistics mutation evicts the entries of queries touching the
-    /// mutated table. The catalog holds only a weak reference; dropping the
-    /// cache detaches it automatically.
-    pub fn attach(self: &Arc<Self>, catalog: &mut StatsCatalog) {
-        let weak: std::sync::Weak<Self> = Arc::downgrade(self);
-        catalog.register_observer(weak);
-    }
-
     fn lookup(&self, key: &CacheKey) -> Option<OptimizedQuery> {
         let guard = self.entries.read();
         match guard.get(key) {
-            Some(entry) => {
-                self.hits.inc();
-                Some(entry.result.clone())
+            Some(result) => {
+                self.hits.fetch_add(1, Ordering::Relaxed);
+                Some(result.clone())
             }
             None => {
-                self.misses.inc();
+                self.misses.fetch_add(1, Ordering::Relaxed);
                 None
             }
         }
     }
 
-    fn store(&self, key: CacheKey, tables: Vec<TableId>, result: OptimizedQuery) {
-        self.entries
-            .write()
-            .insert(key, CacheEntry { result, tables });
-    }
-
-    /// Evict every entry referencing `table`; returns the eviction count.
-    pub fn evict_table(&self, table: TableId) -> usize {
-        let mut guard = self.entries.write();
-        let before = guard.len();
-        guard.retain(|_, e| !e.tables.contains(&table));
-        let evicted = before - guard.len();
-        self.invalidations.add(evicted as u64);
-        evicted
-    }
-
-    /// Drop every entry (counted as invalidations).
-    pub fn clear(&self) {
-        let mut guard = self.entries.write();
-        self.invalidations.add(guard.len() as u64);
-        guard.clear();
+    fn store(&self, key: CacheKey, result: OptimizedQuery) {
+        self.entries.write().insert(key, result);
     }
 
     pub fn len(&self) -> usize {
@@ -243,34 +128,11 @@ impl OptimizeCache {
     }
 
     pub fn hits(&self) -> u64 {
-        self.hits.get()
+        self.hits.load(Ordering::Relaxed)
     }
 
     pub fn misses(&self) -> u64 {
-        self.misses.get()
-    }
-
-    pub fn invalidations(&self) -> u64 {
-        self.invalidations.get()
-    }
-
-    pub fn counters(&self) -> CacheCounters {
-        CacheCounters {
-            hits: self.hits(),
-            misses: self.misses(),
-            invalidations: self.invalidations(),
-            entries: self.len(),
-        }
-    }
-}
-
-impl CatalogObserver for OptimizeCache {
-    fn on_table_mutation(&self, table: TableId) {
-        self.evict_table(table);
-    }
-
-    fn on_reset(&self) {
-        self.clear();
+        self.misses.load(Ordering::Relaxed)
     }
 }
 
@@ -348,11 +210,8 @@ impl Optimizer {
         if let Some(hit) = cache.lookup(&key) {
             return Ok(hit);
         }
-        let mut tables: Vec<TableId> = query.relations.iter().map(|&(t, _)| t).collect();
-        tables.sort();
-        tables.dedup();
         let result = self.optimize_with_profile(db, query, profile)?;
-        cache.store(key, tables, result.clone());
+        cache.store(key, result.clone());
         Ok(result)
     }
 }
@@ -361,7 +220,7 @@ impl Optimizer {
 mod tests {
     use super::*;
     use query::{bind_statement, parse_statement, BoundStatement};
-    use stats::StatDescriptor;
+    use stats::{StatDescriptor, StatsCatalog};
     use storage::{ColumnDef, DataType, Schema, Value};
 
     fn setup() -> Database {
@@ -492,63 +351,6 @@ mod tests {
     }
 
     #[test]
-    fn attached_cache_evicts_on_mutation() {
-        let db = setup();
-        let t = db.table_id("t").unwrap();
-        let q = bind(&db, "SELECT * FROM t WHERE a = 3");
-        let opt = Optimizer::default();
-        let cache = Arc::new(OptimizeCache::new());
-        let mut catalog = StatsCatalog::new();
-        cache.attach(&mut catalog);
-        opt.optimize_cached(
-            &db,
-            &q,
-            catalog.full_view(),
-            &OptimizeOptions::default(),
-            &cache,
-        )
-        .unwrap();
-        assert_eq!(cache.len(), 1);
-        catalog
-            .create_statistic(&db, StatDescriptor::single(t, 0))
-            .unwrap();
-        assert_eq!(cache.len(), 0, "mutation must evict the table's entries");
-        assert_eq!(cache.invalidations(), 1);
-    }
-
-    #[test]
-    fn with_metrics_registers_counters() {
-        let db = setup();
-        let q = bind(&db, "SELECT * FROM t WHERE a = 3");
-        let opt = Optimizer::default();
-        let registry = obsv::Registry::new();
-        let cache = OptimizeCache::with_metrics(&registry);
-        let catalog = StatsCatalog::new();
-        for _ in 0..3 {
-            opt.optimize_cached(
-                &db,
-                &q,
-                catalog.full_view(),
-                &OptimizeOptions::default(),
-                &cache,
-            )
-            .unwrap();
-        }
-        // The registry snapshot and the per-cache accessors read the same
-        // atomics.
-        let snap = registry.snapshot();
-        assert_eq!(
-            snap.entries.get("optimizer.cache.hit"),
-            Some(&obsv::MetricValue::Counter(cache.hits()))
-        );
-        assert_eq!(
-            snap.entries.get("optimizer.cache.miss"),
-            Some(&obsv::MetricValue::Counter(1))
-        );
-        assert_eq!(cache.hits(), 2);
-    }
-
-    #[test]
     fn counters_sum_to_lookups() {
         let db = setup();
         let q = bind(&db, "SELECT * FROM t WHERE a = 3 AND b = 1");
@@ -565,10 +367,7 @@ mod tests {
             )
             .unwrap();
         }
-        let c = cache.counters();
-        assert_eq!(c.hits + c.misses, 5);
-        assert_eq!(c.entries, 1);
-        assert!(c.hit_rate() > 0.7);
-        assert!(format!("{c}").contains("hit-rate"));
+        assert_eq!(cache.hits() + cache.misses(), 5);
+        assert_eq!(cache.len(), 1);
     }
 }

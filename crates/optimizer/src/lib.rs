@@ -36,7 +36,7 @@ pub mod optimize;
 pub mod plan;
 pub mod selectivity;
 
-pub use cache::{CacheCounters, OptimizeCache};
+pub use cache::OptimizeCache;
 pub use cost::CostParams;
 pub use enumerate::MAX_DP_RELATIONS;
 pub use error::PlanError;

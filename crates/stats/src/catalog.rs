@@ -11,8 +11,6 @@ use crate::statistic::{
 use rustc_hash::FxHashMap;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet, HashSet};
-use std::fmt;
-use std::sync::Weak;
 use storage::{Database, TableId};
 
 /// Aging (§6): a statistic that was recently dropped as non-essential should
@@ -104,18 +102,6 @@ struct AgingEntry {
     build_cost: f64,
 }
 
-/// Callback interface for catalog mutations.
-///
-/// Observers are notified whenever the set of optimizer-visible statistics
-/// on a table changes (create, drop-list, reactivate, physical drop) or the
-/// content of a table's statistics changes (refresh). The optimizer's
-/// `OptimizeCache` registers itself here to evict affected entries.
-pub trait CatalogObserver: Send + Sync {
-    fn on_table_mutation(&self, table: TableId);
-    /// Catalog-wide reset (bulk state replacement).
-    fn on_reset(&self) {}
-}
-
 /// Cached observability handles. Disabled by default: the tracer no-ops
 /// and the counters are detached (never snapshotted). All of it is
 /// observation-only — nothing here feeds back into build results, id
@@ -130,27 +116,6 @@ struct CatalogObs {
     feedback_refreshes: obsv::Counter,
     feedback_builds: obsv::Counter,
     feedback_work: obsv::FloatCounter,
-}
-
-/// Weakly-held observer registry. Weak references keep the catalog from
-/// prolonging observer lifetimes; dead entries are pruned on registration.
-#[derive(Default)]
-struct ObserverList(Vec<Weak<dyn CatalogObserver>>);
-
-impl fmt::Debug for ObserverList {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "ObserverList({} registered)", self.0.len())
-    }
-}
-
-impl ObserverList {
-    fn notify_table(&self, table: TableId) {
-        for obs in &self.0 {
-            if let Some(obs) = obs.upgrade() {
-                obs.on_table_mutation(table);
-            }
-        }
-    }
 }
 
 /// The statistics catalog.
@@ -173,7 +138,6 @@ pub struct StatsCatalog {
     build_options: BuildOptions,
     /// Base seed for per-statistic sampling.
     seed: u64,
-    observers: ObserverList,
     obs: CatalogObs,
 }
 
@@ -197,7 +161,6 @@ impl StatsCatalog {
             cost_model: CostModel::default(),
             build_options: BuildOptions::default(),
             seed: 0x000A_0705_2000, // ICDE 2000
-            observers: ObserverList::default(),
             obs: CatalogObs::default(),
         }
     }
@@ -215,12 +178,6 @@ impl StatsCatalog {
             feedback_builds: obs.metrics.counter("stats.feedback.builds"),
             feedback_work: obs.metrics.float_counter("stats.feedback.work"),
         };
-    }
-
-    /// Register a mutation observer (weakly held; see [`CatalogObserver`]).
-    pub fn register_observer(&mut self, observer: Weak<dyn CatalogObserver>) {
-        self.observers.0.retain(|o| o.upgrade().is_some());
-        self.observers.0.push(observer);
     }
 
     pub fn with_build_options(mut self, options: BuildOptions) -> Self {
@@ -304,9 +261,7 @@ impl StatsCatalog {
             });
         }
         if let Some(&id) = self.by_descriptor.get(&descriptor) {
-            if self.drop_list.remove(&id) {
-                self.observers.notify_table(descriptor.table);
-            }
+            self.drop_list.remove(&id);
             return Ok(id);
         }
         let id = StatId(self.next_id);
@@ -329,7 +284,6 @@ impl StatsCatalog {
         self.obs.builds.inc();
         self.obs.build_work.add(stat.build_cost);
         self.creation_work += stat.build_cost;
-        self.observers.notify_table(descriptor.table);
         self.by_descriptor.insert(descriptor, id);
         self.stats.insert(id, stat);
         Ok(id)
@@ -339,9 +293,9 @@ impl StatsCatalog {
     ///
     /// Semantically this is exactly `descriptors.iter().map(|d|
     /// self.create_statistic(db, d))` run in order — same validation, same
-    /// dedup/reactivation, same id allocation order, same observer
-    /// notifications, same per-statistic `build_cost` charged to the
-    /// creation-work meter, and (under full-scan sampling) bit-identical
+    /// dedup/reactivation, same id allocation order, same per-statistic
+    /// `build_cost` charged to the creation-work meter, and (under full-scan
+    /// sampling) bit-identical
     /// statistic contents. The difference is wall clock: all statistics that
     /// actually need building on `table` are served from one
     /// [`SharedTableScan`], so each column is extracted once and each
@@ -381,9 +335,7 @@ impl StatsCatalog {
                 });
             }
             if let Some(&id) = self.by_descriptor.get(descriptor) {
-                if self.drop_list.remove(&id) {
-                    self.observers.notify_table(descriptor.table);
-                }
+                self.drop_list.remove(&id);
                 ids.push(id);
                 continue;
             }
@@ -401,7 +353,6 @@ impl StatsCatalog {
             self.obs.shared_builds.inc();
             self.obs.build_work.add(stat.build_cost);
             self.creation_work += stat.build_cost;
-            self.observers.notify_table(descriptor.table);
             self.by_descriptor.insert(descriptor.clone(), id);
             self.stats.insert(id, stat);
             ids.push(id);
@@ -454,22 +405,15 @@ impl StatsCatalog {
     /// Move a statistic to the drop-list (mark non-essential, §5). The
     /// statistic stays built but becomes invisible to the optimizer.
     pub fn move_to_drop_list(&mut self, id: StatId) {
-        if let Some(stat) = self.stats.get(&id) {
-            let table = stat.descriptor.table;
-            if self.drop_list.insert(id) {
-                self.observers.notify_table(table);
-            }
+        if self.stats.contains_key(&id) {
+            self.drop_list.insert(id);
         }
     }
 
     /// Remove a statistic from the drop-list, making it optimizer-visible
     /// again at zero cost.
     pub fn reactivate(&mut self, id: StatId) {
-        if self.drop_list.remove(&id) {
-            if let Some(stat) = self.stats.get(&id) {
-                self.observers.notify_table(stat.descriptor.table);
-            }
-        }
+        self.drop_list.remove(&id);
     }
 
     pub fn is_drop_listed(&self, id: StatId) -> bool {
@@ -487,7 +431,6 @@ impl StatsCatalog {
         };
         self.drop_list.remove(&id);
         self.by_descriptor.remove(&stat.descriptor);
-        self.observers.notify_table(stat.descriptor.table);
         self.aging.insert(
             stat.descriptor.clone(),
             AgingEntry {
@@ -584,7 +527,6 @@ impl StatsCatalog {
             refreshed.push((id, rebuilt.build_cost));
             self.stats.insert(id, rebuilt);
         }
-        self.observers.notify_table(table);
         refreshed
     }
 
@@ -670,9 +612,6 @@ impl StatsCatalog {
             self.obs.feedback_work.add(outcome.work);
             refreshed.push((id, outcome.work));
         }
-        if !refreshed.is_empty() {
-            self.observers.notify_table(table);
-        }
         refreshed
     }
 
@@ -709,9 +648,7 @@ impl StatsCatalog {
             });
         }
         if let Some(&id) = self.by_descriptor.get(&descriptor) {
-            if self.drop_list.remove(&id) {
-                self.observers.notify_table(descriptor.table);
-            }
+            self.drop_list.remove(&id);
             return Ok(Some(id));
         }
         if descriptor.is_multi_column() {
@@ -749,7 +686,6 @@ impl StatsCatalog {
         self.obs.feedback_builds.inc();
         self.obs.feedback_work.add(stat.build_cost);
         self.creation_work += stat.build_cost;
-        self.observers.notify_table(descriptor.table);
         self.by_descriptor.insert(descriptor, id);
         self.stats.insert(id, stat);
         Ok(Some(id))

@@ -32,8 +32,7 @@ pub mod sampler;
 pub mod statistic;
 
 pub use catalog::{
-    AgingPolicy, CatalogObserver, CatalogSnapshot, MaintenancePolicy, MaintenanceReport,
-    StatsCatalog, StatsView,
+    AgingPolicy, CatalogSnapshot, MaintenancePolicy, MaintenanceReport, StatsCatalog, StatsView,
 };
 pub use cost::CostModel;
 pub use error::StatsError;

@@ -35,7 +35,6 @@ fn main() {
     let tuner = OfflineTuner {
         mnsa: MnsaConfig::default(),
         shrink: Some(Equivalence::paper_default()),
-        threads: 1,
     };
     let report = tuner
         .tune(&db, &mut catalog, &queries)

@@ -156,8 +156,8 @@ proptest! {
         }
         assert_selectivities_sane(&catalog);
 
-        // Offline tuning (parallel MNSA + Shrinking Set) on the faulted state.
-        let tuner = OfflineTuner { mnsa: config, threads: 2, ..Default::default() };
+        // Offline tuning (MNSA + Shrinking Set) on the faulted state.
+        let tuner = OfflineTuner { mnsa: config, ..Default::default() };
         let _ = tuner.tune(&db, &mut catalog, &queries);
         assert_selectivities_sane(&catalog);
 

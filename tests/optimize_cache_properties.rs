@@ -4,9 +4,9 @@
 //! `optimize` would return, for every query, statistics state, and injection
 //! vector — hits included. Staleness is impossible *by construction* (the
 //! key fingerprints the selectivity profile, i.e. the content of every
-//! statistics read), and the attached mode's observer-driven eviction keeps
-//! the entry set in step with catalog mutations. Both halves are checked
-//! here against randomized queries, injections, and mutation sequences.
+//! statistics read), so a cache that is never told about catalog mutations
+//! still never serves a stale plan. Checked here against randomized queries,
+//! injections, and mutation sequences.
 
 use datagen::{build_tpcd, Complexity, RagsGenerator, TpcdConfig, ZipfSpec};
 use optimizer::{OptimizeCache, OptimizeOptions, Optimizer};
@@ -14,7 +14,6 @@ use proptest::prelude::*;
 use query::{bind_statement, BoundSelect, BoundStatement};
 use rustc_hash::FxHashMap;
 use stats::{StatDescriptor, StatsCatalog};
-use std::sync::Arc;
 use storage::Database;
 
 fn test_db() -> Database {
@@ -107,9 +106,8 @@ proptest! {
         let qs = queries(&db);
         let q = &qs[qidx];
         let optimizer = Optimizer::default();
-        let cache = Arc::new(OptimizeCache::new());
+        let cache = OptimizeCache::new();
         let mut catalog = StatsCatalog::new();
-        cache.attach(&mut catalog);
 
         // Mutation targets: single-column descriptors over the query's
         // relevant columns.
@@ -149,66 +147,6 @@ proptest! {
             assert_identical(&optimizer, &db, q, &catalog, &options, &cache);
         }
     }
-}
-
-#[test]
-fn attached_cache_never_outlives_mutated_entries() {
-    // Deterministic companion to the property test: every mutation kind
-    // evicts the affected table's entries.
-    let db = test_db();
-    let qs = queries(&db);
-    let optimizer = Optimizer::default();
-    let cache = Arc::new(OptimizeCache::new());
-    let mut catalog = StatsCatalog::new();
-    cache.attach(&mut catalog);
-
-    for q in &qs {
-        optimizer
-            .optimize_cached(
-                &db,
-                q,
-                catalog.full_view(),
-                &OptimizeOptions::default(),
-                &cache,
-            )
-            .unwrap();
-    }
-    let filled = cache.len();
-    assert!(filled > 0);
-
-    let q0 = &qs[0];
-    let (t, c) = q0
-        .relevant_columns()
-        .first()
-        .copied()
-        .expect("a relevant column");
-    let id = catalog
-        .create_statistic(&db, StatDescriptor::single(t, c))
-        .unwrap();
-    assert!(
-        cache.len() < filled,
-        "creating a statistic on a cached query's table must evict"
-    );
-    let after_create = cache.len();
-
-    // Re-fill for q0, then drop-list: evicts again.
-    optimizer
-        .optimize_cached(
-            &db,
-            q0,
-            catalog.full_view(),
-            &OptimizeOptions::default(),
-            &cache,
-        )
-        .unwrap();
-    catalog.move_to_drop_list(id);
-    assert_eq!(cache.len(), after_create, "drop-list move must evict");
-
-    // Detached after Arc drop: catalog mutations stop evicting.
-    let weak = Arc::downgrade(&cache);
-    drop(cache);
-    assert!(weak.upgrade().is_none());
-    catalog.reactivate(id); // must not panic on the dead observer
 }
 
 #[test]

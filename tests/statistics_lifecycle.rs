@@ -41,7 +41,6 @@ fn drop_listed_statistics_reactivate_for_free_on_repeat_workload() {
     let tuner = OfflineTuner {
         mnsa: MnsaConfig::default(),
         shrink: Some(Equivalence::paper_default()),
-        threads: 1,
     };
     tuner.tune(&db, &mut catalog, &workload).unwrap();
     let work_after_tune = catalog.creation_work();

@@ -3,8 +3,9 @@
 //!
 //! Catalogs (descriptors, `StatId`s, drop-lists, work meters), tuning
 //! reports, session journals, and the plans the optimizer picks afterwards
-//! must be bit-identical with tracing on vs off, and across `threads =
-//! 1/2/8` of the offline tuner. On top of that, every flushed trace must be
+//! must be bit-identical with tracing on vs off, and the untraced tuner must
+//! reproduce a session recorded before PR 15 removed the parallel and
+//! memoized tuning paths. On top of that, every flushed trace must be
 //! structurally well-formed — all spans closed, children enclosed by their
 //! parents, monotone sequence numbers — including under the fault-injection
 //! schedules of `tests/fault_injection.rs`, where tuning takes its error
@@ -14,15 +15,16 @@ use autostats::{Fault, FaultPlan, MnsaConfig, MnsaEngine, OfflineTuner};
 use datagen::{build_tpcd, Complexity, RagsGenerator, TpcdConfig, WorkloadSpec, ZipfSpec};
 use obsv::trace::validate;
 use obsv::Obs;
+use optimizer::cache::Fnv;
 use optimizer::{OptimizeOptions, Optimizer};
 use proptest::prelude::*;
 use query::{bind_statement, parse_statement, BoundSelect, BoundStatement};
 use stats::{StatDescriptor, StatsCatalog};
 use storage::{ColumnDef, DataType, Database, Schema, TableId, Value};
 
-fn test_db(seed: u64) -> Database {
+fn test_db(scale: f64, seed: u64) -> Database {
     build_tpcd(&TpcdConfig {
-        scale: 0.004,
+        scale,
         zipf: ZipfSpec::Mixed,
         seed,
     })
@@ -64,20 +66,11 @@ type SessionFingerprint = (
     Vec<(u64, u64)>,
 );
 
-fn tune_under(
-    db: &Database,
-    queries: &[BoundSelect],
-    threads: usize,
-    obs: &Obs,
-) -> SessionFingerprint {
-    let tuner = OfflineTuner {
-        threads,
-        ..OfflineTuner::default()
-    };
+fn tune_under(db: &Database, queries: &[BoundSelect], obs: &Obs) -> SessionFingerprint {
     let mut catalog = StatsCatalog::new();
     catalog.set_obs(obs);
-    let (report, session) = tuner
-        .tune_session(db, &mut catalog, queries, None, obs)
+    let (report, session) = OfflineTuner::default()
+        .tune_session(db, &mut catalog, queries, obs)
         .expect("tuning succeeds");
     let optimizer = Optimizer::default();
     let plans = queries
@@ -94,62 +87,67 @@ fn tune_under(
 
 #[test]
 fn tracing_on_off_and_thread_counts_bit_identical() {
-    let db = test_db(7);
+    let db = test_db(0.004, 7);
     let queries = workload(&db, 14, 11);
     assert!(
         queries.len() > 4,
         "workload generator produced too few queries"
     );
 
-    // Reference: serial, tracing fully disabled.
-    let reference = tune_under(&db, &queries, 1, &Obs::disabled());
+    let reference = tune_under(&db, &queries, &Obs::disabled());
 
-    for threads in [1usize, 2, 8] {
-        let obs = Obs::enabled();
-        let traced = tune_under(&db, &queries, threads, &obs);
-        assert_eq!(
-            reference.0, traced.0,
-            "catalog divergence with tracing on, threads={threads}"
-        );
-        assert_eq!(
-            reference.1, traced.1,
-            "report divergence with tracing on, threads={threads}"
-        );
-        assert_eq!(
-            reference.2, traced.2,
-            "journal divergence with tracing on, threads={threads}"
-        );
-        assert_eq!(
-            reference.3, traced.3,
-            "plan divergence with tracing on, threads={threads}"
-        );
+    let obs = Obs::enabled();
+    let traced = tune_under(&db, &queries, &obs);
+    assert_eq!(reference.0, traced.0, "catalog divergence with tracing on");
+    assert_eq!(reference.1, traced.1, "report divergence with tracing on");
+    assert_eq!(reference.2, traced.2, "journal divergence with tracing on");
+    assert_eq!(reference.3, traced.3, "plan divergence with tracing on");
 
-        // And the trace the run produced is non-trivial and well-formed.
-        let events = obs.tracer.flush();
-        assert!(
-            events.iter().any(|e| e.name == "tuner.session")
-                && events.iter().any(|e| e.name == "mnsa.query")
-                && events.iter().any(|e| e.name == "optimizer.call")
-                && events.iter().any(|e| e.name == "shrink.run"),
-            "expected span taxonomy missing at threads={threads}"
-        );
-        let defects = validate(&events);
-        assert!(
-            defects.is_empty(),
-            "malformed trace at threads={threads}: {defects:?}"
-        );
-    }
+    // And the trace the run produced is non-trivial and well-formed.
+    let events = obs.tracer.flush();
+    assert!(
+        events.iter().any(|e| e.name == "tuner.session")
+            && events.iter().any(|e| e.name == "mnsa.query")
+            && events.iter().any(|e| e.name == "optimizer.call")
+            && events.iter().any(|e| e.name == "shrink.run"),
+        "expected span taxonomy missing"
+    );
+    let defects = validate(&events);
+    assert!(defects.is_empty(), "malformed trace: {defects:?}");
+}
+
+/// The `offline-tune` benchmark inputs (TPC-D 0.02, `U0-C-1000`, seed 7),
+/// recorded at the commit before PR 15 with `OfflineTuner { threads: 1 }`:
+/// the one tuning path left must be that path.
+#[test]
+fn offline_tune_reproduces_the_session_recorded_before_pr15() {
+    let db = test_db(0.02, 7);
+    let queries = workload(&db, 1000, 7);
+    assert_eq!(queries.len(), 1000);
+    let digest = |text: String| Fnv::new().write_bytes(text.as_bytes()).finish();
+
+    let (catalog, report, session, _) = tune_under(&db, &queries, &Obs::disabled());
+    assert_eq!(report.optimizer_calls, 3794);
+    assert_eq!(report.statistics_created, 47);
+    assert_eq!(report.statistics_drop_listed, 3);
+    assert_eq!(catalog.0.len(), 44, "active statistics");
+    assert_eq!(digest(session.to_json()), 0xc49a_bb65_6844_c897);
+
+    let outcomes = MnsaEngine::new(MnsaConfig::default())
+        .run_workload(&db, &mut StatsCatalog::new(), &queries)
+        .expect("tuning succeeds");
+    assert_eq!(digest(format!("{outcomes:?}")), 0x11f6_f02c_d2c4_1ebe);
 }
 
 #[test]
 fn metrics_counters_agree_with_outcomes() {
     // The registry is shared observability state, not the source of truth —
-    // but in a serial run with no speculation its counters must agree
-    // exactly with the accumulated outcome totals.
-    let db = test_db(13);
+    // but its counters must agree exactly with the accumulated outcome
+    // totals.
+    let db = test_db(0.004, 13);
     let queries = workload(&db, 10, 17);
     let obs = Obs::enabled();
-    let (_, report, session, _) = tune_under(&db, &queries, 1, &obs);
+    let (_, report, session, _) = tune_under(&db, &queries, &obs);
 
     let snapshot = obs.metrics.snapshot();
     let counter = |name: &str| match snapshot.entries.get(name) {
@@ -264,11 +262,7 @@ fn faulted_sequence(
             mid_plan.inject(&mut db, &mut catalog);
         }
     }
-    let tuner = OfflineTuner {
-        threads: 2,
-        ..OfflineTuner::default()
-    };
-    let _ = tuner.tune_session(&db, &mut catalog, &queries, None, obs);
+    let _ = OfflineTuner::default().tune_session(&db, &mut catalog, &queries, obs);
     catalog_state(&catalog)
 }
 
