@@ -1,7 +1,10 @@
-//! Criterion micro-benchmarks: histogram construction and estimation.
+//! Criterion micro-benchmarks: histogram construction and estimation, and
+//! whole statistic builds from typed columns.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
-use stats::{Histogram, HistogramKind};
+use datagen::{build_tpcd, TpcdConfig, ZipfSpec};
+use stats::statistic::build_statistic;
+use stats::{BuildOptions, Histogram, HistogramKind, StatDescriptor, StatId};
 use storage::Value;
 
 fn values(n: usize, distinct: i64) -> Vec<Value> {
@@ -36,5 +39,39 @@ fn bench_estimate(c: &mut Criterion) {
     });
 }
 
-criterion_group!(benches, bench_build, bench_estimate);
+/// One full-scan statistic build per leading-column type and per prefix
+/// length on `lineitem` at TPC-D scale 0.02 (120 000 rows).
+fn bench_stat_build(c: &mut Criterion) {
+    let db = build_tpcd(&TpcdConfig {
+        scale: 0.02,
+        zipf: ZipfSpec::Mixed,
+        seed: 7,
+    });
+    let id = db.table_id("lineitem").expect("TPC-D has lineitem");
+    let table = db.table(id);
+    let column = |name: &str| table.schema().index_of(name).expect("lineitem column");
+    let cases = [
+        ("int", vec!["l_orderkey"]),
+        ("float", vec!["l_extendedprice"]),
+        ("str", vec!["l_shipmode"]),
+        ("date", vec!["l_shipdate"]),
+        ("prefix2", vec!["l_partkey", "l_suppkey"]),
+        ("prefix3", vec!["l_tax", "l_partkey", "l_orderkey"]),
+    ];
+    let options = BuildOptions::default();
+    let mut group = c.benchmark_group("stat_build");
+    for (name, columns) in cases {
+        let descriptor = StatDescriptor::multi(id, columns.into_iter().map(column).collect());
+        group.bench_with_input(
+            BenchmarkId::new(name, table.row_count()),
+            &descriptor,
+            |b, d| {
+                b.iter(|| build_statistic(StatId(0), table, black_box(d.clone()), &options, 0, 0))
+            },
+        );
+    }
+    group.finish();
+}
+
+criterion_group!(benches, bench_build, bench_estimate, bench_stat_build);
 criterion_main!(benches);

@@ -1,13 +1,16 @@
-//! Performance baseline: columnar batch execution and shared-scan builds
-//! against their retained pre-tentpole implementations.
+//! Performance baseline: columnar batch execution against the retained
+//! reference interpreter, and shared-scan statistic builds against one scan
+//! per statistic.
 //!
 //! Unlike the paper-figure experiments, this one measures the *harness
 //! itself*: how fast the deterministic interpreter executes a workload and
-//! how fast the catalog builds a round of statistics. Both the old and the
-//! new implementation are alive in the tree — the row-at-a-time reference
-//! interpreter ([`executor::execute_plan_reference`]) and the serial
-//! `create_statistic` loop — so the pre-/post-tentpole numbers are measured
-//! live in one run and recorded side by side in `BENCH_exec.json`.
+//! how fast the catalog builds a round of statistics. Both sides of each
+//! pair are alive in the tree — the row-at-a-time reference interpreter
+//! ([`executor::execute_plan_reference`]) beside the columnar one, and a
+//! serial `create_statistic` loop (the typed builder, a scan per statistic)
+//! beside `create_statistics_batch` (the same builder, a scan per table) —
+//! so both numbers are measured live in one run and recorded side by side
+//! in `BENCH_exec.json`.
 //!
 //! A third block, `optimize`, is the optimizer's own line in the per-layer
 //! budget (ROADMAP item 1): median microseconds per `Optimizer::optimize`
@@ -47,8 +50,7 @@ pub struct PerfbaseResult {
     pub exec_work: f64,
     pub build_tables: usize,
     pub build_statistics: usize,
-    /// Median wall-clock milliseconds for one-at-a-time statistic creation
-    /// (pre-tentpole path).
+    /// Median wall-clock milliseconds for one-at-a-time statistic creation.
     pub build_serial_ms: f64,
     /// Median wall-clock milliseconds for shared-scan batched creation.
     pub build_batched_ms: f64,
@@ -162,12 +164,15 @@ impl PerfbaseResult {
             self.exec_speedup(),
             self.exec_work
         );
+        let per_stat = |ms: f64| ms / self.build_statistics.max(1) as f64;
         println!(
-            "build  ({} stats on {} tables): serial {:>9.3} ms | batched {:>9.3} ms | {:>5.2}x  (work {:.0})",
+            "build  ({} stats on {} tables): serial {:>9.3} ms ({:.3} ms/stat) | batched {:>9.3} ms ({:.3} ms/stat) | {:>5.2}x  (work {:.0})",
             self.build_statistics,
             self.build_tables,
             self.build_serial_ms,
+            per_stat(self.build_serial_ms),
             self.build_batched_ms,
+            per_stat(self.build_batched_ms),
             self.build_speedup(),
             self.build_creation_work
         );

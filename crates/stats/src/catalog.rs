@@ -6,7 +6,7 @@ use crate::error::StatsError;
 use crate::feedback::{build_from_feedback, correct_histogram, FeedbackConfig, FeedbackStore};
 use crate::sampler::SampleSpec;
 use crate::statistic::{
-    build_statistic, BuildOptions, SharedTableScan, StatDescriptor, StatId, Statistic,
+    build_statistic, BuildOptions, StatDescriptor, StatId, Statistic, TableScan,
 };
 use rustc_hash::FxHashMap;
 use serde::{Deserialize, Serialize};
@@ -246,6 +246,56 @@ impl StatsCatalog {
         db: &Database,
         descriptor: StatDescriptor,
     ) -> Result<StatId, StatsError> {
+        self.create_with_scan(db, &descriptor, &mut None)
+    }
+
+    /// Create a batch of statistics on one table with a shared scan.
+    ///
+    /// This is `descriptors.iter().map(|d| self.create_statistic(db, d))`
+    /// run in order — the same validation, dedup/reactivation, id allocation
+    /// order, per-statistic `build_cost` and statistic contents, because it
+    /// is the same code. The difference is wall clock: under full-scan
+    /// sampling all statistics that actually need building on `table` are
+    /// served from one `TableScan`, so each histogram, column coding,
+    /// prefix partition and joint is computed once per table pass instead of
+    /// once per statistic.
+    ///
+    /// Descriptors on other tables get a scan each, as does every descriptor
+    /// when the catalog samples rows (per-statistic sample seeds make
+    /// sharing unsound) — so the batch call is always safe to use.
+    ///
+    /// On error the batch stops at the failing descriptor; statistics created
+    /// before it remain, exactly as a serial `?`-propagating loop would
+    /// leave them.
+    pub fn create_statistics_batch(
+        &mut self,
+        db: &Database,
+        table: TableId,
+        descriptors: &[StatDescriptor],
+    ) -> Result<Vec<StatId>, StatsError> {
+        let mut shared = None;
+        descriptors
+            .iter()
+            .map(|descriptor| {
+                if descriptor.table == table {
+                    self.create_with_scan(db, descriptor, &mut shared)
+                } else {
+                    self.create_with_scan(db, descriptor, &mut None)
+                }
+            })
+            .collect()
+    }
+
+    /// The body of every scan-built creation. A full-scan build reads
+    /// through `scan`, opening it on the descriptor's table when the caller
+    /// has none yet (the caller keeps one scan per table); a sampled build
+    /// draws its own rows and leaves `scan` alone.
+    fn create_with_scan<'a>(
+        &mut self,
+        db: &'a Database,
+        descriptor: &StatDescriptor,
+        scan: &mut Option<TableScan<'a>>,
+    ) -> Result<StatId, StatsError> {
         let table = db.try_table(descriptor.table)?;
         if descriptor.columns.is_empty() {
             return Err(StatsError::EmptyColumnSet);
@@ -260,104 +310,48 @@ impl StatsCatalog {
                 column: c,
             });
         }
-        if let Some(&id) = self.by_descriptor.get(&descriptor) {
+        if let Some(&id) = self.by_descriptor.get(descriptor) {
             self.drop_list.remove(&id);
             return Ok(id);
         }
         let id = StatId(self.next_id);
         self.next_id += 1;
-        let seed = self.seed ^ ((id.0 as u64) << 17) ^ descriptor.table.0 as u64;
         let mut span = self.obs.tracer.span("stats.build");
         span.arg("table", descriptor.table.0 as i64);
         span.arg("columns", descriptor.columns.len());
-        span.arg("shared", false);
-        let stat = build_statistic(
-            id,
-            table,
-            descriptor.clone(),
-            &self.build_options,
-            seed,
-            self.epoch,
+        let stat = if self.build_options.sample == SampleSpec::FullScan {
+            let scan = scan.get_or_insert_with(|| TableScan::new(table, &self.build_options, None));
+            // True when this build could reuse what an earlier one computed.
+            let shared = scan.served() > 0;
+            span.arg("shared", shared);
+            if shared {
+                self.obs.shared_builds.inc();
+            }
+            scan.build(id, descriptor.clone(), self.epoch)
+        } else {
+            span.arg("shared", false);
+            let seed = self.seed ^ ((id.0 as u64) << 17) ^ descriptor.table.0 as u64;
+            build_statistic(
+                id,
+                table,
+                descriptor.clone(),
+                &self.build_options,
+                seed,
+                self.epoch,
+            )
+        };
+        span.arg(
+            "rows",
+            self.build_options.sample.rows_read(table.row_count()),
         );
         span.arg("build_work", stat.build_cost);
         drop(span);
         self.obs.builds.inc();
         self.obs.build_work.add(stat.build_cost);
         self.creation_work += stat.build_cost;
-        self.by_descriptor.insert(descriptor, id);
+        self.by_descriptor.insert(descriptor.clone(), id);
         self.stats.insert(id, stat);
         Ok(id)
-    }
-
-    /// Create a batch of statistics on one table with a shared scan.
-    ///
-    /// Semantically this is exactly `descriptors.iter().map(|d|
-    /// self.create_statistic(db, d))` run in order — same validation, same
-    /// dedup/reactivation, same id allocation order, same per-statistic
-    /// `build_cost` charged to the creation-work meter, and (under full-scan
-    /// sampling) bit-identical
-    /// statistic contents. The difference is wall clock: all statistics that
-    /// actually need building on `table` are served from one
-    /// [`SharedTableScan`], so each column is extracted once and each
-    /// histogram / tuple-NDV / joint is computed once per table pass instead
-    /// of once per statistic.
-    ///
-    /// Descriptors on other tables, and every descriptor when the catalog
-    /// samples rows (per-statistic sample seeds make sharing unsound), fall
-    /// back to the serial path — so the batch call is always safe to use.
-    ///
-    /// On error the batch stops at the failing descriptor; statistics created
-    /// before it remain, exactly as a serial `?`-propagating loop would
-    /// leave them.
-    pub fn create_statistics_batch(
-        &mut self,
-        db: &Database,
-        table: TableId,
-        descriptors: &[StatDescriptor],
-    ) -> Result<Vec<StatId>, StatsError> {
-        let shareable = self.build_options.sample == SampleSpec::FullScan;
-        let mut shared: Option<SharedTableScan<'_>> = None;
-        let mut ids = Vec::with_capacity(descriptors.len());
-        for descriptor in descriptors {
-            if !shareable || descriptor.table != table {
-                ids.push(self.create_statistic(db, descriptor.clone())?);
-                continue;
-            }
-            // Mirror `create_statistic`'s checks and bookkeeping exactly.
-            let t = db.try_table(descriptor.table)?;
-            if descriptor.columns.is_empty() {
-                return Err(StatsError::EmptyColumnSet);
-            }
-            if let Some(&c) = descriptor.columns.iter().find(|&&c| c >= t.schema().len()) {
-                return Err(StatsError::UnknownColumn {
-                    table: t.name().to_string(),
-                    column: c,
-                });
-            }
-            if let Some(&id) = self.by_descriptor.get(descriptor) {
-                self.drop_list.remove(&id);
-                ids.push(id);
-                continue;
-            }
-            let id = StatId(self.next_id);
-            self.next_id += 1;
-            let mut span = self.obs.tracer.span("stats.build");
-            span.arg("table", descriptor.table.0 as i64);
-            span.arg("columns", descriptor.columns.len());
-            span.arg("shared", true);
-            let scan = shared.get_or_insert_with(|| SharedTableScan::new(t, &self.build_options));
-            let stat = scan.build(id, descriptor.clone(), self.epoch);
-            span.arg("build_work", stat.build_cost);
-            drop(span);
-            self.obs.builds.inc();
-            self.obs.shared_builds.inc();
-            self.obs.build_work.add(stat.build_cost);
-            self.creation_work += stat.build_cost;
-            self.by_descriptor.insert(descriptor.clone(), id);
-            self.stats.insert(id, stat);
-            ids.push(id);
-        }
-        Ok(ids)
     }
 
     /// Look up an **active** statistic by descriptor.
@@ -472,9 +466,8 @@ impl StatsCatalog {
     /// keep aging independently.
     ///
     /// Ids that are not built statistics on `table` are silently skipped.
-    /// Under full-scan build options a batch of two or more rebuilds shares
-    /// one table scan ([`SharedTableScan`], bit-identical to the serial
-    /// path); sampled builds fall back to per-statistic seeded builds.
+    /// Under full-scan build options the rebuilds share one `TableScan`;
+    /// sampled rebuilds each draw their own seeded rows.
     ///
     /// Returns `(id, work)` per refreshed statistic, in the order given.
     pub fn refresh_statistics(
@@ -501,8 +494,8 @@ impl StatsCatalog {
         let mut span = self.obs.tracer.span("stats.refresh");
         span.arg("table", table.0 as u64);
         span.arg("count", targets.len());
-        let mut scan = (self.build_options.sample == SampleSpec::FullScan && targets.len() > 1)
-            .then(|| SharedTableScan::new(t, &self.build_options));
+        let mut scan = (self.build_options.sample == SampleSpec::FullScan)
+            .then(|| TableScan::new(t, &self.build_options, None));
         let mut refreshed = Vec::with_capacity(targets.len());
         for id in targets {
             let Some((descriptor, update_count, created_epoch)) = self
@@ -527,6 +520,7 @@ impl StatsCatalog {
             refreshed.push((id, rebuilt.build_cost));
             self.stats.insert(id, rebuilt);
         }
+        span.arg("work", refreshed.iter().map(|&(_, work)| work).sum::<f64>());
         refreshed
     }
 
@@ -1079,7 +1073,8 @@ mod tests {
         assert_eq!(observed.snapshot(), plain.snapshot());
         // Metrics mirror the work meter bit-for-bit.
         assert_eq!(obs.metrics.counter("stats.builds").get(), 2,);
-        assert_eq!(obs.metrics.counter("stats.shared_scan_builds").get(), 2);
+        // The second build found the scan the first one opened.
+        assert_eq!(obs.metrics.counter("stats.shared_scan_builds").get(), 1);
         assert_eq!(
             obs.metrics
                 .float_counter("stats.build_work")
@@ -1087,7 +1082,8 @@ mod tests {
                 .to_bits(),
             observed.creation_work().to_bits()
         );
-        // Spans are well-formed and flagged as shared-scan builds.
+        // Spans are well-formed, say how many rows they read, and flag the
+        // build that shared a scan.
         let events = obs.tracer.flush();
         assert!(obsv::trace::validate(&events).is_empty());
         assert_eq!(
@@ -1097,10 +1093,27 @@ mod tests {
                 .count(),
             2
         );
-        assert!(events.iter().any(|e| e
-            .args
+        let with_arg = |key: &str, value: obsv::ArgValue| {
+            events
+                .iter()
+                .filter(|e| e.args.iter().any(|(k, v)| *k == key && *v == value))
+                .count()
+        };
+        assert_eq!(with_arg("shared", obsv::ArgValue::Bool(false)), 1);
+        assert_eq!(with_arg("shared", obsv::ArgValue::Bool(true)), 1);
+        assert_eq!(with_arg("rows", obsv::ArgValue::Int(2000)), 2);
+
+        // A refresh is one span carrying the work it charged.
+        observed.update_table_statistics(&db, t);
+        let events = obs.tracer.flush();
+        assert!(obsv::trace::validate(&events).is_empty());
+        let refresh = events
             .iter()
-            .any(|(k, v)| *k == "shared" && *v == obsv::ArgValue::Bool(true))));
+            .find(|e| e.kind == obsv::EventKind::End && e.name == "stats.refresh")
+            .expect("refresh span");
+        assert!(refresh
+            .args
+            .contains(&("work", obsv::ArgValue::Float(observed.update_work()))));
     }
 
     #[test]

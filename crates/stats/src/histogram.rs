@@ -11,8 +11,9 @@
 //! on"), so the choice of kind is a [`BuildOptions`](crate::BuildOptions)
 //! knob; every algorithm in `autostats` works with either.
 
+use crate::sampler::iter_rows;
 use serde::{Deserialize, Serialize};
-use storage::Value;
+use storage::{ColumnData, DataType, Value};
 
 /// Which construction strategy to use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
@@ -63,28 +64,28 @@ pub struct Histogram {
     str_prefix: Option<String>,
 }
 
-/// Longest common prefix of an all-string value set; `None` when any value
-/// is not a string (mixed or non-string columns key directly).
-fn common_string_prefix(values: &[Value]) -> Option<String> {
-    let mut iter = values.iter();
-    let first = match iter.next()? {
-        Value::Str(s) => s.as_str(),
-        _ => return None,
-    };
-    let mut prefix = first;
-    for v in iter {
-        let Value::Str(s) = v else { return None };
-        let common = prefix
-            .bytes()
-            .zip(s.bytes())
+/// Longest common prefix of `strs`, `None` when there are no strings or they
+/// share nothing. Bytes are compared, and the length is then cut back to a
+/// char boundary of the first string — which, the bytes before it being
+/// equal, is a char boundary of every other string too — so the prefix can
+/// be stored as a `String` whatever characters the values diverge in.
+fn common_prefix<'s>(mut strs: impl Iterator<Item = &'s str>) -> Option<&'s str> {
+    let first = strs.next()?;
+    let mut len = first.len();
+    for s in strs {
+        len = first.as_bytes()[..len]
+            .iter()
+            .zip(s.as_bytes())
             .take_while(|(a, b)| a == b)
             .count();
-        prefix = &prefix[..common];
-        if prefix.is_empty() {
+        if len == 0 {
             break;
         }
     }
-    Some(prefix.to_string())
+    while !first.is_char_boundary(len) {
+        len -= 1;
+    }
+    (len > 0).then(|| &first[..len])
 }
 
 /// Clamp a selectivity into [0, 1], mapping NaN to 0 so a degenerate
@@ -111,27 +112,86 @@ impl Histogram {
     /// Build a histogram from a bag of values with at most `max_buckets`
     /// buckets. NULLs must be filtered out by the caller ([`Statistic`]
     /// accounts for the null fraction separately).
+    ///
+    /// Statistic builds read typed column slices through
+    /// `Histogram::from_column`; this is the same construction for callers
+    /// that hold `Value`s.
     pub fn build(kind: HistogramKind, values: &[Value], max_buckets: usize) -> Histogram {
+        // Mixed or non-string value sets key directly.
+        let strs: Option<Vec<&str>> = values
+            .iter()
+            .map(|v| match v {
+                Value::Str(s) => Some(s.as_str()),
+                _ => None,
+            })
+            .collect();
+        let str_prefix = strs.and_then(|strs| common_prefix(strs.into_iter()));
+        let keys = values
+            .iter()
+            .map(|v| match (str_prefix, v) {
+                (Some(p), Value::Str(s)) => key8(&s.as_bytes()[p.len()..]),
+                _ => v.numeric_key(),
+            })
+            .collect();
+        Self::from_keys(kind, keys, str_prefix, max_buckets)
+    }
+
+    /// Build a histogram over the non-null entries of `col` at `rows`
+    /// (`None` = every row), keyed straight from the typed payload slice.
+    /// Also returns how many of the rows read were non-null — NaN floats
+    /// included, which the histogram itself leaves out.
+    pub(crate) fn from_column(
+        kind: HistogramKind,
+        col: &ColumnData,
+        rows: Option<&[usize]>,
+        max_buckets: usize,
+    ) -> (Histogram, usize) {
+        let valid = col.validity();
+        let live = || iter_rows(rows, valid.len()).filter(|&r| valid[r]);
+        let mut keys = Vec::with_capacity(rows.map_or(valid.len(), <[usize]>::len));
+        let mut str_prefix = None;
+        if let Some(ints) = col.int_slice() {
+            if col.data_type() == DataType::Date {
+                // Dates read back as `Value::Date(payload as i32)`.
+                keys.extend(live().map(|r| ints[r] as i32 as f64));
+            } else {
+                keys.extend(live().map(|r| ints[r] as f64));
+            }
+        } else if let Some(floats) = col.float_slice() {
+            keys.extend(live().map(|r| floats[r]));
+        } else if let Some(strs) = col.str_slice() {
+            str_prefix = common_prefix(live().map(|r| strs[r].as_str()));
+            let skip = str_prefix.map_or(0, str::len);
+            keys.extend(live().map(|r| key8(&strs[r].as_bytes()[skip..])));
+        }
+        let non_null = keys.len();
+        (
+            Self::from_keys(kind, keys, str_prefix, max_buckets),
+            non_null,
+        )
+    }
+
+    /// Sort, run-length encode and bucket `keys`, one per summarized row.
+    /// `str_prefix` is what was stripped from every string before keying.
+    fn from_keys(
+        kind: HistogramKind,
+        mut keys: Vec<f64>,
+        str_prefix: Option<&str>,
+        max_buckets: usize,
+    ) -> Histogram {
         // A zero-bucket request is degenerate input, not a caller bug worth
         // aborting the process over: build the coarsest useful histogram.
         let max_buckets = max_buckets.max(1);
-        let str_prefix = common_string_prefix(values).filter(|p| !p.is_empty());
-        let key_of = |v: &Value| -> f64 {
-            match (&str_prefix, v) {
-                (Some(p), Value::Str(s)) => key8(&s.as_bytes()[p.len()..]),
-                _ => v.numeric_key(),
-            }
-        };
         // NaN keys (e.g. `Value::Float(NAN)`) are excluded like NULLs —
         // NaN-keyed buckets would poison every later estimate — and infinite
         // keys are clamped to the finite domain edge, preserving order.
-        let mut keys: Vec<f64> = values
-            .iter()
-            .map(key_of)
-            .filter(|k| !k.is_nan())
-            .map(|k| k.clamp(f64::MIN, f64::MAX))
-            .collect();
-        keys.sort_by(f64::total_cmp);
+        keys.retain(|k| !k.is_nan());
+        for k in &mut keys {
+            *k = k.clamp(f64::MIN, f64::MAX);
+        }
+        // Keys that tie under `total_cmp` are the same bits, so an unstable
+        // sort gives the one possible order.
+        keys.sort_unstable_by(f64::total_cmp);
         let rows = keys.len() as f64;
         if keys.is_empty() {
             return Histogram {
@@ -162,7 +222,7 @@ impl Histogram {
             buckets,
             ndv,
             rows,
-            str_prefix,
+            str_prefix: str_prefix.map(str::to_string),
         }
     }
 
@@ -688,6 +748,42 @@ mod tests {
         assert_eq!(h.selectivity_eq(&Value::Str("Customer#1".into())), 0.01);
         assert_eq!(h.selectivity_lt(&Value::Str("A".into())), 0.01);
         assert!((h.selectivity_lt(&Value::Str("Z".into())) - 1.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn common_prefix_ending_inside_a_character_is_cut_back() {
+        // "é" = C3 A9 and "è" = C3 A8 share their first byte; the musical
+        // symbols U+1D11E / U+1D11F share their first three. Slicing a
+        // `&str` at either byte count used to panic.
+        for (a, b, prefix) in [
+            ("é", "è", None),
+            ("caf\u{e9}", "caf\u{e8}", Some("caf")),
+            ("x\u{1D11E}", "x\u{1D11F}", Some("x")),
+        ] {
+            let (lo, hi) = (Value::Str(a.min(b).into()), Value::Str(a.max(b).into()));
+            for kind in [HistogramKind::EquiDepth, HistogramKind::MaxDiff] {
+                let h = Histogram::build(kind, &[hi.clone(), lo.clone()], 4);
+                assert_eq!(h.str_prefix(), prefix);
+                assert_eq!(h.ndv(), 2.0, "{a} and {b} must key apart");
+                assert_eq!(h.selectivity_eq(&lo), 0.5);
+                assert_eq!(h.selectivity_lt(&lo), 0.0);
+                assert_eq!(h.selectivity_lt(&hi), 0.5);
+                // A probe that leaves the prefix inside a character.
+                let probe = Value::Str("caf\u{e0}".into());
+                assert!(h.selectivity_eq(&probe) <= 0.5);
+                assert!(h.selectivity_lt(&probe) <= 1.0);
+            }
+        }
+    }
+
+    #[test]
+    fn ascii_prefix_is_unchanged() {
+        let vals: Vec<Value> = ["Brand#11", "Brand#12", "Brand#2"]
+            .iter()
+            .map(|s| Value::Str((*s).into()))
+            .collect();
+        let h = Histogram::build(HistogramKind::EquiDepth, &vals, 4);
+        assert_eq!(h.str_prefix(), Some("Brand#"));
     }
 
     #[test]

@@ -133,6 +133,35 @@ impl SampleSpec {
     }
 }
 
+/// The row indices a statistic build reads, ascending: the sampled `rows`,
+/// or with `None` every row of a `total`-row table — a full scan needs no
+/// index list.
+pub(crate) fn iter_rows(rows: Option<&[usize]>, total: usize) -> RowIter<'_> {
+    match rows {
+        Some(rows) => RowIter::Sample(rows.iter()),
+        None => RowIter::All(0..total),
+    }
+}
+
+/// Iterator returned by [`iter_rows`].
+#[derive(Clone)]
+pub(crate) enum RowIter<'a> {
+    All(std::ops::Range<usize>),
+    Sample(std::slice::Iter<'a, usize>),
+}
+
+impl Iterator for RowIter<'_> {
+    type Item = usize;
+
+    #[inline]
+    fn next(&mut self) -> Option<usize> {
+        match self {
+            RowIter::All(range) => range.next(),
+            RowIter::Sample(rows) => rows.next().copied(),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

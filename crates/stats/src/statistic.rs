@@ -1,11 +1,21 @@
 //! The statistic object and its construction from table data.
+//!
+//! There is one builder, `TableScan`: a pass over a fixed set of rows of
+//! one table — all of them, or one statistic's seeded sample — that reads
+//! the typed column slices directly and never boxes a cell into a
+//! [`Value`]. The leading column's histogram is keyed, sorted and bucketed
+//! from its payload slice (`Histogram::from_column`); every prefix density
+//! is the group count of a dense per-row group id, each prefix refining the
+//! one before it (`ndv::Groups`). [`build_statistic`] is one statistic from a
+//! scan of its own; the catalog keeps a full scan open across the statistics
+//! of a batch or a refresh so that they share what they have in common.
 
 use crate::histogram::{Histogram, HistogramKind};
 use crate::mhist::Histogram2d;
-use crate::ndv::{estimate_ndv, estimate_tuple_ndv};
-use crate::sampler::SampleSpec;
+use crate::ndv::Groups;
+use crate::sampler::{iter_rows, SampleSpec};
+use rustc_hash::FxHashMap;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 use std::fmt;
 use storage::{Table, TableId, Value};
 
@@ -178,177 +188,144 @@ pub fn build_statistic(
     seed: u64,
     epoch: u64,
 ) -> Statistic {
-    let total_rows = table.row_count();
-    let rows = options.sample.pick_rows(total_rows, seed);
-    let rows_read = rows.len();
-
-    // Extract sampled column values.
-    let mut cols: Vec<Vec<Value>> = Vec::with_capacity(descriptor.columns.len());
-    for &c in &descriptor.columns {
-        let mut vals = Vec::with_capacity(rows_read);
-        for &r in &rows {
-            vals.push(table.value(r, c));
-        }
-        cols.push(vals);
-    }
-
-    // Leading column: histogram over non-null values + null fraction.
-    let leading: Vec<Value> = cols[0].iter().filter(|v| !v.is_null()).cloned().collect();
-    let null_fraction = if rows_read == 0 {
-        0.0
-    } else {
-        (rows_read - leading.len()) as f64 / rows_read as f64
-    };
-    let mut histogram = Histogram::build(options.histogram_kind, &leading, options.max_buckets);
-    // Scale the sample NDV up to the table with the jackknife estimator.
-    if rows_read < total_rows {
-        histogram.set_ndv(estimate_ndv(&leading, total_rows));
-    }
-
-    // Prefix densities.
-    let mut prefix_densities = Vec::with_capacity(descriptor.columns.len());
-    for k in 1..=descriptor.columns.len() {
-        let slices: Vec<&[Value]> = cols[..k].iter().map(|c| c.as_slice()).collect();
-        let ndv = estimate_tuple_ndv(&slices, total_rows);
-        prefix_densities.push(if ndv <= 0.0 { 0.0 } else { 1.0 / ndv });
-    }
-
-    // Optional joint (2-D) histogram over the first two columns.
-    let joint = if options.joint_histograms && descriptor.columns.len() >= 2 {
-        Some(Histogram2d::build(&cols[0], &cols[1], 16, 8))
-    } else {
-        None
-    };
-
-    let col_bytes: usize = descriptor
-        .columns
-        .iter()
-        .map(|&c| table.schema().column(c).data_type.byte_width())
-        .sum();
-    let mut build_cost = build_work(rows_read, col_bytes, descriptor.columns.len());
-    if joint.is_some() {
-        // The second phase of the Phased construction is one more sort.
-        build_cost += build_work(rows_read, 0, 1);
-    }
-
-    Statistic {
-        id,
-        descriptor,
-        histogram,
-        prefix_densities,
-        null_fraction,
-        row_count_at_build: total_rows,
-        build_cost,
-        update_count: 0,
-        mods_at_build: table.modification_counter(),
-        created_epoch: epoch,
-        joint,
-    }
+    let sample = (options.sample != SampleSpec::FullScan)
+        .then(|| options.sample.pick_rows(table.row_count(), seed));
+    TableScan::new(table, options, sample.as_deref()).build(id, descriptor, epoch)
 }
 
-/// Shared-scan build context for a batch of statistics on one table.
+/// One pass over a fixed set of rows of one table that any number of
+/// statistics can be built from — the only statistic builder.
 ///
-/// [`build_statistic`] extracts, filters, and sorts its columns from scratch
-/// on every call, so creating k statistics that share columns (the common
-/// case in an MNSA round: several single- and multi-column statistics on one
-/// table) re-scans the table k times. `SharedTableScan` memoizes the four
-/// expensive intermediates across calls —
+/// Everything is computed from the typed column slices
+/// ([`storage::ColumnData`]'s `int_slice` / `float_slice` / `str_slice` and
+/// `validity`): the leading column's histogram keys
+/// ([`Histogram::from_column`]), and for the prefix densities a dense group
+/// id per row ([`Groups`]). The intermediates are memoized —
 ///
-/// * the extracted value vector per column ordinal,
-/// * the histogram + null fraction per leading column,
-/// * the tuple-NDV per column prefix,
+/// * the histogram and null fraction per leading column,
+/// * the row partition per column prefix (a one-column prefix is the
+///   column's value codes; a longer one refines the prefix before it),
 /// * the Phased 2-D histogram per leading column pair,
 ///
-/// — so each is computed once per table scan no matter how many statistics
-/// need it. The result of [`SharedTableScan::build`] is **identical** to
-/// `build_statistic` under full-scan sampling (every field, including the
-/// `build_cost` charged per statistic); sharing is unsound under sampling
-/// because each statistic's sample is keyed by its own seed, which is why
-/// [`StatsCatalog::create_statistics_batch`](crate::StatsCatalog::create_statistics_batch)
-/// falls back to per-statistic builds in that case.
-pub struct SharedTableScan<'a> {
+/// — so statistics on one table that share leading columns or prefixes (the
+/// common case in an MNSA round) pay for each once. What a statistic comes
+/// out as does not depend on what the scan served before it, and
+/// `build_cost` is charged per statistic as if it had been built alone.
+///
+/// `rows` is the ascending sample to read, `None` for every row. A scan is
+/// shared only under [`SampleSpec::FullScan`]: each sampled statistic draws
+/// its own rows from its own seed, so it gets a scan of its own.
+pub(crate) struct TableScan<'a> {
     table: &'a Table,
     options: BuildOptions,
-    cols: HashMap<usize, Vec<Value>>,
+    rows: Option<&'a [usize]>,
     /// leading column → (histogram over non-null values, null fraction)
-    leading: HashMap<usize, (Histogram, f64)>,
-    prefix_ndvs: HashMap<Vec<usize>, f64>,
-    joints: HashMap<(usize, usize), Histogram2d>,
+    leading: FxHashMap<usize, (Histogram, f64)>,
+    prefixes: FxHashMap<Vec<usize>, Groups>,
+    joints: FxHashMap<(usize, usize), Histogram2d>,
+    served: usize,
 }
 
-impl<'a> SharedTableScan<'a> {
-    pub fn new(table: &'a Table, options: &BuildOptions) -> Self {
-        SharedTableScan {
+impl<'a> TableScan<'a> {
+    pub(crate) fn new(table: &'a Table, options: &BuildOptions, rows: Option<&'a [usize]>) -> Self {
+        TableScan {
             table,
             options: options.clone(),
-            cols: HashMap::new(),
-            leading: HashMap::new(),
-            prefix_ndvs: HashMap::new(),
-            joints: HashMap::new(),
+            rows,
+            leading: FxHashMap::default(),
+            prefixes: FxHashMap::default(),
+            joints: FxHashMap::default(),
+            served: 0,
         }
     }
 
-    fn ensure_col(&mut self, c: usize) {
-        if !self.cols.contains_key(&c) {
-            let col = self.table.column(c);
-            let vals: Vec<Value> = (0..col.len()).map(|r| col.get(r)).collect();
-            self.cols.insert(c, vals);
-        }
+    /// Statistics built from this scan so far.
+    pub(crate) fn served(&self) -> usize {
+        self.served
     }
 
-    /// Build one statistic from the shared pass. The caller must have
-    /// validated the descriptor (non-empty, in-range columns) exactly as
+    /// The row partition by the tuples of `prefix`, built on the partition
+    /// of the prefix one column shorter.
+    fn ensure_prefix(&mut self, prefix: &[usize]) {
+        if self.prefixes.contains_key(prefix) {
+            return;
+        }
+        let Some((&last, head)) = prefix.split_last() else {
+            return;
+        };
+        let groups = if head.is_empty() {
+            Groups::of_column(self.table.column(last), self.rows)
+        } else {
+            self.ensure_prefix(head);
+            self.ensure_prefix(&[last]);
+            self.prefixes[head].refine(&self.prefixes[&[last][..]])
+        };
+        self.prefixes.insert(prefix.to_vec(), groups);
+    }
+
+    /// Build one statistic. The caller must have validated the descriptor
+    /// (non-empty, in-range columns) as
     /// [`StatsCatalog::create_statistic`](crate::StatsCatalog::create_statistic)
     /// does.
-    pub fn build(&mut self, id: StatId, descriptor: StatDescriptor, epoch: u64) -> Statistic {
+    pub(crate) fn build(
+        &mut self,
+        id: StatId,
+        descriptor: StatDescriptor,
+        epoch: u64,
+    ) -> Statistic {
         let total_rows = self.table.row_count();
-        let rows_read = total_rows; // full scan
-        for &c in &descriptor.columns {
-            self.ensure_col(c);
+        let rows_read = self.rows.map_or(total_rows, <[usize]>::len);
+        let sampled = rows_read < total_rows;
+        for k in 1..=descriptor.columns.len() {
+            self.ensure_prefix(&descriptor.columns[..k]);
         }
 
-        // Leading column: histogram over non-null values + null fraction,
-        // computed once per leading column.
+        // Leading column: histogram over non-null values + null fraction.
         let lead = descriptor.leading_column();
         if !self.leading.contains_key(&lead) {
-            let vals = &self.cols[&lead];
-            let non_null: Vec<Value> = vals.iter().filter(|v| !v.is_null()).cloned().collect();
+            let (mut histogram, non_null) = Histogram::from_column(
+                self.options.histogram_kind,
+                self.table.column(lead),
+                self.rows,
+                self.options.max_buckets,
+            );
             let null_fraction = if rows_read == 0 {
                 0.0
             } else {
-                (rows_read - non_null.len()) as f64 / rows_read as f64
+                (rows_read - non_null) as f64 / rows_read as f64
             };
-            let histogram = Histogram::build(
-                self.options.histogram_kind,
-                &non_null,
-                self.options.max_buckets,
-            );
-            // No jackknife scaling: a full scan reads every row, so the
-            // histogram's own distinct count is exact (mirrors
-            // `build_statistic`'s `rows_read < total_rows` guard).
+            // Scale the sample NDV up to the table with the jackknife
+            // estimator; a full scan's own distinct count is exact.
+            if sampled {
+                histogram.set_ndv(self.prefixes[&[lead][..]].non_null_ndv(total_rows));
+            }
             self.leading.insert(lead, (histogram, null_fraction));
         }
         let (histogram, null_fraction) = self.leading[&lead].clone();
 
-        // Prefix densities, one tuple-NDV estimation per distinct prefix.
-        let mut prefix_densities = Vec::with_capacity(descriptor.columns.len());
-        for k in 1..=descriptor.columns.len() {
-            let prefix = &descriptor.columns[..k];
-            if !self.prefix_ndvs.contains_key(prefix) {
-                let slices: Vec<&[Value]> =
-                    prefix.iter().map(|c| self.cols[c].as_slice()).collect();
-                let ndv = estimate_tuple_ndv(&slices, total_rows);
-                self.prefix_ndvs.insert(prefix.to_vec(), ndv);
-            }
-            let ndv = self.prefix_ndvs[prefix];
-            prefix_densities.push(if ndv <= 0.0 { 0.0 } else { 1.0 / ndv });
-        }
+        let prefix_densities = (1..=descriptor.columns.len())
+            .map(|k| {
+                let ndv = self.prefixes[&descriptor.columns[..k]].ndv(total_rows);
+                if ndv <= 0.0 {
+                    0.0
+                } else {
+                    1.0 / ndv
+                }
+            })
+            .collect();
 
-        // Optional joint (2-D) histogram over the first two columns.
+        // Optional joint (2-D) histogram over the first two columns, the one
+        // structure still built from `Value`s.
         let joint = if self.options.joint_histograms && descriptor.columns.len() >= 2 {
             let pair = (descriptor.columns[0], descriptor.columns[1]);
             if !self.joints.contains_key(&pair) {
-                let h = Histogram2d::build(&self.cols[&pair.0], &self.cols[&pair.1], 16, 8);
+                let values = |c: usize| -> Vec<Value> {
+                    let col = self.table.column(c);
+                    iter_rows(self.rows, total_rows)
+                        .map(|r| col.get(r))
+                        .collect()
+                };
+                let h = Histogram2d::build(&values(pair.0), &values(pair.1), 16, 8);
                 self.joints.insert(pair, h);
             }
             Some(self.joints[&pair].clone())
@@ -366,9 +343,11 @@ impl<'a> SharedTableScan<'a> {
             .sum();
         let mut build_cost = build_work(rows_read, col_bytes, descriptor.columns.len());
         if joint.is_some() {
+            // The second phase of the Phased construction is one more sort.
             build_cost += build_work(rows_read, 0, 1);
         }
 
+        self.served += 1;
         Statistic {
             id,
             descriptor,

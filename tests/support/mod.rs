@@ -1,0 +1,120 @@
+//! The `Value`-boxed statistic builder the library shipped until the typed
+//! column scan (`stats::statistic::TableScan`) replaced it, kept verbatim as
+//! the oracle of `tests/stat_build_equivalence.rs`: every cell is read into
+//! a `Value`, the leading column goes through `Histogram::build` and
+//! `estimate_ndv`, and each prefix density counts `Vec<&Value>` tuples in a
+//! hash map. Slow and obviously right — do not optimise it.
+
+use rustc_hash::FxHashMap;
+use stats::statistic::build_work;
+use stats::{
+    estimate_ndv, BuildOptions, Histogram, Histogram2d, StatDescriptor, StatId, Statistic,
+};
+use storage::{Table, Value};
+
+/// Build a [`Statistic`] over `descriptor.columns` of `table`, reading the
+/// rows `options.sample` picks under `seed`.
+pub fn build_statistic_oracle(
+    id: StatId,
+    table: &Table,
+    descriptor: StatDescriptor,
+    options: &BuildOptions,
+    seed: u64,
+    epoch: u64,
+) -> Statistic {
+    let total_rows = table.row_count();
+    let rows = options.sample.pick_rows(total_rows, seed);
+    let rows_read = rows.len();
+
+    // Extract sampled column values.
+    let mut cols: Vec<Vec<Value>> = Vec::with_capacity(descriptor.columns.len());
+    for &c in &descriptor.columns {
+        let mut vals = Vec::with_capacity(rows_read);
+        for &r in &rows {
+            vals.push(table.value(r, c));
+        }
+        cols.push(vals);
+    }
+
+    // Leading column: histogram over non-null values + null fraction.
+    let leading: Vec<Value> = cols[0].iter().filter(|v| !v.is_null()).cloned().collect();
+    let null_fraction = if rows_read == 0 {
+        0.0
+    } else {
+        (rows_read - leading.len()) as f64 / rows_read as f64
+    };
+    let mut histogram = Histogram::build(options.histogram_kind, &leading, options.max_buckets);
+    // Scale the sample NDV up to the table with the jackknife estimator.
+    if rows_read < total_rows {
+        histogram.set_ndv(estimate_ndv(&leading, total_rows));
+    }
+
+    // Prefix densities.
+    let mut prefix_densities = Vec::with_capacity(descriptor.columns.len());
+    for k in 1..=descriptor.columns.len() {
+        let slices: Vec<&[Value]> = cols[..k].iter().map(|c| c.as_slice()).collect();
+        let ndv = estimate_tuple_ndv(&slices, total_rows);
+        prefix_densities.push(if ndv <= 0.0 { 0.0 } else { 1.0 / ndv });
+    }
+
+    // Optional joint (2-D) histogram over the first two columns.
+    let joint = if options.joint_histograms && descriptor.columns.len() >= 2 {
+        Some(Histogram2d::build(&cols[0], &cols[1], 16, 8))
+    } else {
+        None
+    };
+
+    let col_bytes: usize = descriptor
+        .columns
+        .iter()
+        .map(|&c| table.schema().column(c).data_type.byte_width())
+        .sum();
+    let mut build_cost = build_work(rows_read, col_bytes, descriptor.columns.len());
+    if joint.is_some() {
+        // The second phase of the Phased construction is one more sort.
+        build_cost += build_work(rows_read, 0, 1);
+    }
+
+    Statistic {
+        id,
+        descriptor,
+        histogram,
+        prefix_densities,
+        null_fraction,
+        row_count_at_build: total_rows,
+        build_cost,
+        update_count: 0,
+        mods_at_build: table.modification_counter(),
+        created_epoch: epoch,
+        joint,
+    }
+}
+
+/// Estimate the NDV of value *tuples* (multi-column combinations) from
+/// parallel sample columns: `columns[c][i]` is column `c` of sample row `i`.
+fn estimate_tuple_ndv(columns: &[&[Value]], total_rows: usize) -> f64 {
+    if columns.is_empty() || columns[0].is_empty() {
+        return 0.0;
+    }
+    let n = columns[0].len();
+    debug_assert!(columns.iter().all(|c| c.len() == n));
+    let mut freq: FxHashMap<Vec<&Value>, usize> =
+        FxHashMap::with_capacity_and_hasher(n, Default::default());
+    for i in 0..n {
+        let tuple: Vec<&Value> = columns.iter().map(|c| &c[i]).collect();
+        *freq.entry(tuple).or_insert(0) += 1;
+    }
+    let d = freq.len() as f64;
+    if n >= total_rows {
+        return d;
+    }
+    let f1 = freq.values().filter(|&&c| c == 1).count() as f64;
+    let q = n as f64 / total_rows as f64;
+    let denom = 1.0 - f1 * (1.0 - q) / n as f64;
+    let est = if denom <= 0.0 {
+        total_rows as f64
+    } else {
+        d / denom
+    };
+    est.clamp(d, total_rows as f64)
+}
