@@ -1,19 +1,23 @@
 //! Shared experiment plumbing.
 
+use crate::cli::Cli;
+use autostats::policy::optimizer_call_work;
+use autostats::{MnsaEngine, MnsaOutcome};
+use datagen::{build_tpcd, TpcdConfig, ZipfSpec};
 use executor::{execute_plan, WorkloadRunner};
+use obsv::export::json_escape;
+use obsv::metrics::render_f64;
 use optimizer::{OptimizeOptions, Optimizer};
-use parking_lot::Mutex;
 use query::{bind_statement, BoundSelect, BoundStatement, Statement};
 use rustc_hash::FxHashMap;
-use serde::{Deserialize, Serialize};
 use stats::{StatDescriptor, StatsCatalog};
-use std::sync::{Arc, OnceLock};
+use std::path::Path;
 use storage::Database;
 
 /// How big an experiment run is. Results are ratios, so the default small
 /// scale reproduces the paper's *shape*; `full()` runs larger databases for
 /// tighter numbers.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ExperimentScale {
     /// TPC-D scale factor for generated databases.
     pub scale: f64,
@@ -49,10 +53,19 @@ impl ExperimentScale {
             seed: 7,
         }
     }
+
+    /// TPCD_MIX at this scale: the skewed database most experiments run on.
+    pub fn tpcd_mix(&self) -> Database {
+        build_tpcd(&TpcdConfig {
+            scale: self.scale,
+            zipf: ZipfSpec::Mixed,
+            seed: self.seed,
+        })
+    }
 }
 
 /// One reported measurement, with the paper's band alongside.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Row {
     pub experiment: String,
     pub database: String,
@@ -60,23 +73,6 @@ pub struct Row {
     pub metric: String,
     pub measured: f64,
     pub paper_band: String,
-}
-
-/// Minimal JSON string escaping (quotes, backslashes, control chars).
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 impl Row {
@@ -89,11 +85,7 @@ impl Row {
             json_escape(&self.database),
             json_escape(&self.workload),
             json_escape(&self.metric),
-            if self.measured.is_finite() {
-                format!("{}", self.measured)
-            } else {
-                "null".to_string()
-            },
+            render_f64(self.measured),
             json_escape(&self.paper_band),
         )
     }
@@ -111,102 +103,65 @@ impl Row {
     }
 }
 
-/// Print a table of rows and optionally write them as JSON lines.
-pub fn report(rows: &[Row], json_path: Option<&str>) {
+/// Print a table of rows and write them as JSON lines to `json_path`.
+pub fn report(rows: &[Row], json_path: &str) {
+    let mut out = String::new();
     for r in rows {
         r.print();
+        out.push_str(&r.to_json());
+        out.push('\n');
     }
-    if let Some(path) = json_path {
-        let mut out = String::new();
-        for r in rows {
-            out.push_str(&r.to_json());
-            out.push('\n');
-        }
-        if let Some(parent) = std::path::Path::new(path).parent() {
-            if let Err(e) = std::fs::create_dir_all(parent) {
-                eprintln!(
-                    "error: cannot create results directory {}: {e}",
-                    parent.display()
-                );
-                return;
-            }
-        }
-        match std::fs::write(path, out) {
-            Ok(()) => println!("results written to {path}"),
-            Err(e) => eprintln!("error: cannot write results file {path}: {e}"),
+    write_artifact(json_path, "results", &out);
+}
+
+/// Write one artifact, creating its directory first. Every file the driver
+/// leaves behind goes through here, and a failed write ends the run
+/// non-zero: an experiment whose output is missing has not succeeded.
+pub fn write_artifact(path: impl AsRef<Path>, what: &str, contents: &str) {
+    let path = path.as_ref();
+    let written = match path.parent() {
+        Some(parent) if !parent.as_os_str().is_empty() => std::fs::create_dir_all(parent),
+        _ => Ok(()),
+    }
+    .and_then(|()| std::fs::write(path, contents));
+    match written {
+        Ok(()) => println!("{what} written to {}", path.display()),
+        Err(e) => {
+            eprintln!("error: cannot write {what} {}: {e}", path.display());
+            std::process::exit(1);
         }
     }
 }
 
-/// Parse a `--threads N` flag from CLI args; defaults to 1 (serial).
-pub fn parse_threads(args: &[String]) -> usize {
-    args.iter()
-        .position(|a| a == "--threads")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|n| n.parse().ok())
-        .filter(|&n| n >= 1)
-        .unwrap_or(1)
-}
-
-/// The value of a `--flag VALUE` pair, if present.
-pub fn flag_value(args: &[String], flag: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-}
-
-/// Observability plumbing shared by the experiment drivers.
+/// Observability plumbing shared by the experiments.
 ///
-/// Parses `--trace-out PATH`, `--metrics-out PATH`, and `--journal-out PATH`
-/// and hands out one [`obsv::Obs`] for the whole run. Metrics counters are
-/// always collected (cheap atomics into the run's registry); span tracing is
-/// enabled only when `--trace-out` is given, keeping the default path on the
-/// disabled-tracer fast path. [`BenchObs::finish`] exports everything and
-/// prints the uniform end-of-run metrics summary every driver shares.
-pub struct BenchObs {
+/// Reads the `--trace-out`, `--metrics-out` and `--journal-out` paths of a
+/// command line and hands out one [`obsv::Obs`] for the whole run. Metrics
+/// counters are always collected (cheap atomics into the run's registry);
+/// span tracing is enabled only when `--trace-out` is given, keeping the
+/// default path on the disabled-tracer fast path. [`BenchObs::finish`]
+/// exports everything and prints the uniform end-of-run metrics summary
+/// every experiment shares.
+pub struct BenchObs<'a> {
     pub obs: obsv::Obs,
-    trace_out: Option<String>,
-    metrics_out: Option<String>,
-    journal_out: Option<String>,
+    cli: &'a Cli,
 }
 
-fn write_artifact(path: &str, what: &str, contents: &str) {
-    if let Some(parent) = std::path::Path::new(path).parent() {
-        if !parent.as_os_str().is_empty() {
-            if let Err(e) = std::fs::create_dir_all(parent) {
-                eprintln!("error: cannot create {}: {e}", parent.display());
-                return;
-            }
-        }
-    }
-    match std::fs::write(path, contents) {
-        Ok(()) => println!("{what} written to {path}"),
-        Err(e) => eprintln!("error: cannot write {what} {path}: {e}"),
-    }
-}
-
-impl BenchObs {
-    pub fn from_args(args: &[String]) -> Self {
-        let trace_out = flag_value(args, "--trace-out");
-        let obs = if trace_out.is_some() {
+impl<'a> BenchObs<'a> {
+    pub fn new(cli: &'a Cli) -> Self {
+        let obs = if cli.path("--trace-out").is_some() {
             obsv::Obs::enabled()
         } else {
             obsv::Obs::disabled()
         };
-        BenchObs {
-            obs,
-            trace_out,
-            metrics_out: flag_value(args, "--metrics-out"),
-            journal_out: flag_value(args, "--journal-out"),
-        }
+        BenchObs { obs, cli }
     }
 
     /// Flush + export the trace (Chrome `trace_event` format unless the path
     /// ends in `.jsonl`), dump the metrics snapshot and the tuning-session
     /// journal if requested, and print the end-of-run metrics summary.
     pub fn finish(&self, journal: Option<&autostats::SessionReport>) {
-        if let Some(path) = &self.trace_out {
+        if let Some(path) = self.cli.path("--trace-out") {
             let events = self.obs.tracer.flush();
             for defect in obsv::trace::validate(&events) {
                 eprintln!("warning: trace defect: {defect:?}");
@@ -218,7 +173,7 @@ impl BenchObs {
             };
             write_artifact(path, &format!("trace ({} events)", events.len()), &text);
         }
-        if let Some(path) = &self.metrics_out {
+        if let Some(path) = self.cli.path("--metrics-out") {
             write_artifact(path, "metrics", &self.obs.metrics.snapshot().render_json());
         }
         if let Some(journal) = journal {
@@ -226,7 +181,7 @@ impl BenchObs {
                 println!("\n== tuning-session journal ==");
                 print!("{}", journal.render_text());
             }
-            if let Some(path) = &self.journal_out {
+            if let Some(path) = self.cli.path("--journal-out") {
                 write_artifact(path, "journal", &journal.to_json());
             }
         }
@@ -256,15 +211,10 @@ pub fn queries_of(bound: &[BoundStatement]) -> Vec<BoundSelect> {
 
 /// Execute a workload against a *clone* of the database (so repeated
 /// measurements start from identical state) under the given statistics
-/// catalog. Returns total deterministic execution work.
-pub fn execute_workload(db: &Database, catalog: &StatsCatalog, workload: &[BoundStatement]) -> f64 {
-    execute_workload_obs(db, catalog, workload, &obsv::Obs::disabled())
-}
-
-/// [`execute_workload`] under an observability context: statements run with
-/// `exec.query` / `exec.dml` span trees and the total work is mirrored into
-/// the `exec.work` meter. Returns exactly what `execute_workload` returns.
-pub fn execute_workload_obs(
+/// catalog. Returns total deterministic execution work. Statements run with
+/// `exec.query` / `exec.dml` span trees under `obs` and the total work is
+/// mirrored into its `exec.work` meter; neither changes the returned figure.
+pub fn execute_workload(
     db: &Database,
     catalog: &StatsCatalog,
     workload: &[BoundStatement],
@@ -294,24 +244,7 @@ pub fn execute_workload_obs(
 /// one execution, no matter how their estimates differ. One memo is scoped
 /// to exactly one (database, workload) pair: the statement index only
 /// identifies a statement within that workload.
-///
-/// Entries are [`OnceLock`] cells, giving *single-flight* semantics: when
-/// several worker threads reach the same cold key at once (the first wave of
-/// a fanned-out sweep), one executes and the rest block on the cell instead
-/// of redundantly executing the same statement.
-/// Single-flight cell: computed once, concurrent readers block until ready.
-type WorkCell = Arc<OnceLock<f64>>;
-
-#[derive(Default)]
-pub struct ExecWorkMemo {
-    per_statement: Mutex<FxHashMap<(usize, u64), WorkCell>>,
-}
-
-impl ExecWorkMemo {
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
+pub type ExecWorkMemo = FxHashMap<(usize, u64), f64>;
 
 /// [`execute_workload`] with plan-level memoization of execution work.
 ///
@@ -324,14 +257,14 @@ pub fn execute_workload_memo(
     db: &Database,
     catalog: &StatsCatalog,
     workload: &[BoundStatement],
-    memo: &ExecWorkMemo,
+    memo: &mut ExecWorkMemo,
     obs: &obsv::Obs,
 ) -> f64 {
     if workload
         .iter()
         .any(|s| !matches!(s, BoundStatement::Select(_)))
     {
-        return execute_workload_obs(db, catalog, workload, obs);
+        return execute_workload(db, catalog, workload, obs);
     }
     let optimizer = Optimizer::default();
     let options = OptimizeOptions::default();
@@ -344,10 +277,9 @@ pub fn execute_workload_memo(
             .optimize(db, q, catalog.full_view(), &options)
             .expect("bench workload optimizes");
         let key = (i, optimized.plan.structural_fingerprint());
-        let cell = Arc::clone(memo.per_statement.lock().entry(key).or_default());
-        total += *cell.get_or_init(|| {
-            // Only cold cells execute, so `exec.work` meters *physical*
-            // work: the whole point of the memo is that warm cells add none.
+        total += *memo.entry(key).or_insert_with(|| {
+            // Only cold entries execute, so `exec.work` meters *physical*
+            // work: the whole point of the memo is that warm entries add none.
             let work = execute_plan(db, q, &optimized.plan, &optimizer.params)
                 .expect("bench workload executes")
                 .work;
@@ -372,6 +304,28 @@ pub fn create_all(
             .expect("bench statistic builds");
     }
     catalog.creation_work() - before
+}
+
+/// MNSA per query, in order, on a fresh catalog. Returns the catalog, the
+/// work spent — statistic creation plus `engine`'s optimizer calls — and
+/// every query's outcome.
+pub fn tune_workload(
+    db: &Database,
+    queries: &[BoundSelect],
+    engine: &MnsaEngine,
+) -> (StatsCatalog, f64, Vec<MnsaOutcome>) {
+    let mut cat = StatsCatalog::new();
+    cat.set_obs(&engine.obs);
+    let mut work = 0.0;
+    let mut outcomes = Vec::with_capacity(queries.len());
+    for q in queries {
+        let before = cat.creation_work();
+        let outcome = engine.run_query(db, &mut cat, q).expect("mnsa tunes");
+        work += (cat.creation_work() - before)
+            + outcome.optimizer_calls as f64 * optimizer_call_work(q.relations.len());
+        outcomes.push(outcome);
+    }
+    (cat, work, outcomes)
 }
 
 /// Percentage change from `base` to `variant` (positive = variant larger).

@@ -9,7 +9,7 @@
 
 use crate::common::{bind_all, execute_workload, queries_of, ExperimentScale, Row};
 use autostats::{MnsaConfig, MnsaEngine};
-use datagen::{build_tpcd, Complexity, RagsGenerator, TpcdConfig, WorkloadSpec, ZipfSpec};
+use datagen::{Complexity, RagsGenerator, WorkloadSpec};
 use stats::{AgingPolicy, StatsCatalog};
 
 /// One policy's trajectory over repeating epochs.
@@ -28,11 +28,7 @@ pub struct AgingResult {
 /// statistic is physically dropped (simulating an aggressive update-driven
 /// drop cycle), so the next round must decide whether to re-create.
 pub fn run(scale: &ExperimentScale) -> Vec<AgingResult> {
-    let db = build_tpcd(&TpcdConfig {
-        scale: scale.scale,
-        zipf: ZipfSpec::Mixed,
-        seed: scale.seed,
-    });
+    let db = scale.tpcd_mix();
     let spec = WorkloadSpec::new(0, Complexity::Simple, scale.workload_len).with_seed(scale.seed);
     let stmts = RagsGenerator::generate(&db, &spec);
     let bound = bind_all(&db, &stmts);
@@ -79,7 +75,7 @@ pub fn run(scale: &ExperimentScale) -> Vec<AgingResult> {
                 catalog.advance_epoch();
             }
             // Final epoch executed with whatever the policy left visible.
-            let final_exec_work = execute_workload(&db, &catalog, &bound);
+            let final_exec_work = execute_workload(&db, &catalog, &bound, &obsv::Obs::disabled());
             AgingResult {
                 policy: name,
                 recreations_per_epoch: recreations,

@@ -33,10 +33,11 @@
 //! distinct fraction from the aggregate's observed input/output rows —
 //! making the true plan independent of any catalog under test.
 
-use crate::common::{flag_value, ExperimentScale};
+use crate::common::ExperimentScale;
 use autostats::{single_column_candidates, MnsaConfig, MnsaEngine};
 use datagen::{adversarial_queries, build_adversarial, AdversarialConfig, Regime, FACTS};
 use executor::{execute_plan, execute_plan_observed, predicate::row_matches};
+use obsv::metrics::render_f64 as num;
 use obsv::{ArgValue, EventKind};
 use optimizer::{OptimizeOptions, Optimizer};
 use query::{
@@ -166,16 +167,12 @@ pub fn config_for(scale: &ExperimentScale) -> AdversarialConfig {
     }
 }
 
-/// Run the full benchmark: four regimes × three catalogs.
-pub fn run(scale: &ExperimentScale) -> CardbenchResult {
-    run_with_obs(scale, &obsv::Obs::disabled())
-}
-
-/// [`run`] with harness-level observability: one `cardbench.regime` span per
-/// regime pass (cells recorded as args) and per-regime query counters, so
-/// the driver's `--trace-out` export has a validated span tree. Purely
-/// observational — results are bit-identical with tracing on or off.
-pub fn run_with_obs(scale: &ExperimentScale, obs: &obsv::Obs) -> CardbenchResult {
+/// Run the full benchmark: four regimes × three catalogs, then the drift
+/// regime. `obs` gets one `cardbench.regime` span per regime pass (cells
+/// recorded as args) and per-regime query counters, so the driver's
+/// `--trace-out` export has a validated span tree. Purely observational —
+/// results are bit-identical with tracing on or off.
+pub fn run(scale: &ExperimentScale, obs: &obsv::Obs) -> CardbenchResult {
     let cfg = config_for(scale);
     let mut root = obs.tracer.span("cardbench.run");
     root.arg("rows", cfg.rows as i64);
@@ -764,16 +761,8 @@ fn group_by_fraction(db: &Database, query: &BoundSelect, optimizer: &Optimizer) 
 }
 
 impl CardbenchResult {
-    /// Hand-rolled JSON (no serde_json offline); numbers render as `null`
-    /// when non-finite so the document always parses.
+    /// Hand-rolled JSON (no serde_json offline).
     pub fn to_json(&self) -> String {
-        fn num(x: f64) -> String {
-            if x.is_finite() {
-                format!("{x}")
-            } else {
-                "null".to_string()
-            }
-        }
         let mut s = String::new();
         s.push_str("{\n");
         s.push_str(&format!(
@@ -887,22 +876,6 @@ impl CardbenchResult {
     }
 }
 
-/// CLI entry shared by `exp_cardbench` and its tests.
-pub fn cli_scale(args: &[String]) -> ExperimentScale {
-    if args.iter().any(|a| a == "--tiny") {
-        ExperimentScale::tiny()
-    } else if args.iter().any(|a| a == "--full") {
-        ExperimentScale::full()
-    } else {
-        ExperimentScale::default_run()
-    }
-}
-
-/// The `--out` path (default `BENCH_cardbench.json`).
-pub fn cli_out(args: &[String]) -> String {
-    flag_value(args, "--out").unwrap_or_else(|| "BENCH_cardbench.json".to_string())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -929,7 +902,7 @@ mod tests {
 
     #[test]
     fn tiny_run_is_deterministic_and_mnsa_beats_bare_where_it_matters() {
-        let result = run(&ExperimentScale::tiny());
+        let result = run(&ExperimentScale::tiny(), &obsv::Obs::disabled());
         assert!(result.deterministic, "regime re-run changed the numbers");
         assert_eq!(result.regimes.len(), 4);
         for regime in &result.regimes {

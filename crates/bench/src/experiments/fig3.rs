@@ -6,8 +6,8 @@
 //! with workload execution cost increasing by no more than 3%.
 
 use crate::common::{
-    bind_all, create_all, execute_workload_obs, pct_change, pct_reduction, queries_of,
-    ExperimentScale, Row,
+    bind_all, create_all, execute_workload, pct_change, pct_reduction, queries_of, ExperimentScale,
+    Row,
 };
 use autostats::{candidate_statistics, exhaustive_candidates};
 use datagen::{
@@ -73,8 +73,8 @@ fn measure(
         work_h += create_all(db, &mut cat_h, candidate_statistics(q));
     }
 
-    let exec_ex = execute_workload_obs(db, &cat_ex, &bound, obs);
-    let exec_h = execute_workload_obs(db, &cat_h, &bound, obs);
+    let exec_ex = execute_workload(db, &cat_ex, &bound, obs);
+    let exec_h = execute_workload(db, &cat_h, &bound, obs);
 
     Fig3Result {
         database: name.to_string(),
@@ -86,55 +86,17 @@ fn measure(
     }
 }
 
-/// Run Figure 3 across the four standard databases. The (database,
-/// workload) measurements are independent, so `threads > 1` fans them
-/// across worker threads; the merge is index-ordered, so output is
-/// identical for every thread count.
-pub fn run(scale: &ExperimentScale, threads: usize) -> Vec<Fig3Result> {
-    run_obs(scale, threads, &obsv::Obs::disabled())
-}
-
-/// [`run`] under an observability context: catalogs meter their builds,
-/// workload execution is traced, and each worker thread traces into its own
-/// forked buffer. Results are identical to the plain path.
-pub fn run_obs(scale: &ExperimentScale, threads: usize, obs: &obsv::Obs) -> Vec<Fig3Result> {
-    let mut inputs = Vec::new();
+/// Run Figure 3 across the four standard databases. Under `obs` the
+/// catalogs meter their builds and workload execution is traced; the results
+/// do not depend on it.
+pub fn run(scale: &ExperimentScale, obs: &obsv::Obs) -> Vec<Fig3Result> {
+    let mut out = Vec::new();
     for (name, db) in standard_databases(scale.scale, scale.seed) {
-        let wls = workloads(&db, scale);
-        let db = std::sync::Arc::new(db);
-        for (wl_name, stmts) in wls {
-            inputs.push((std::sync::Arc::clone(&db), name.clone(), wl_name, stmts));
+        for (wl_name, stmts) in workloads(&db, scale) {
+            out.push(measure(&db, &name, &wl_name, &stmts, obs));
         }
     }
-    if threads <= 1 {
-        return inputs
-            .iter()
-            .map(|(db, name, wl_name, stmts)| measure(db, name, wl_name, stmts, obs))
-            .collect();
-    }
-    let slots: Vec<parking_lot::Mutex<Option<Fig3Result>>> = (0..inputs.len())
-        .map(|_| parking_lot::Mutex::new(None))
-        .collect();
-    let next = std::sync::atomic::AtomicUsize::new(0);
-    let (inputs_ref, slots_ref, next_ref) = (&inputs, &slots, &next);
-    crossbeam::thread::scope(|s| {
-        for w in 0..threads.min(inputs.len()) {
-            let worker_obs = obs.fork(w as u64 + 1);
-            s.spawn(move |_| loop {
-                let i = next_ref.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                if i >= inputs_ref.len() {
-                    break;
-                }
-                let (db, name, wl_name, stmts) = &inputs_ref[i];
-                *slots_ref[i].lock() = Some(measure(db, name, wl_name, stmts, &worker_obs));
-            });
-        }
-    })
-    .expect("fig3 worker panicked");
-    slots
-        .into_iter()
-        .map(|m| m.into_inner().expect("missing fig3 measurement"))
-        .collect()
+    out
 }
 
 /// Convert to report rows.
@@ -169,11 +131,7 @@ mod tests {
     #[test]
     fn heuristic_cheaper_with_tiny_exec_penalty() {
         let scale = ExperimentScale::tiny();
-        let db = build_tpcd(&TpcdConfig {
-            scale: scale.scale,
-            zipf: ZipfSpec::Mixed,
-            seed: scale.seed,
-        });
+        let db = scale.tpcd_mix();
         let (wl_name, stmts) = workloads(&db, &scale).remove(2); // complex Rags
         let r = measure(&db, "TPCD_MIX", &wl_name, &stmts, &obsv::Obs::disabled());
         assert!(

@@ -8,10 +8,9 @@
 //! more than 30%.
 
 use crate::common::{
-    bind_all, create_all, execute_workload, pct_change, pct_reduction, queries_of, ExperimentScale,
-    Row,
+    bind_all, create_all, execute_workload, pct_change, pct_reduction, queries_of, tune_workload,
+    ExperimentScale, Row,
 };
-use autostats::policy::optimizer_call_work;
 use autostats::{
     candidate_statistics, single_column_candidates, CandidateMode, MnsaConfig, MnsaEngine,
 };
@@ -73,19 +72,11 @@ pub fn measure(
         candidate_mode: mode,
         ..Default::default()
     });
-    let mut cat_mnsa = StatsCatalog::new();
-    let mut mnsa_work = 0.0;
-    let mut built = 0usize;
-    for q in &queries {
-        let before = cat_mnsa.creation_work();
-        let outcome = engine.run_query(db, &mut cat_mnsa, q).expect("mnsa tunes");
-        built += outcome.created.len();
-        mnsa_work += (cat_mnsa.creation_work() - before)
-            + outcome.optimizer_calls as f64 * optimizer_call_work(q.relations.len());
-    }
+    let (cat_mnsa, mnsa_work, outcomes) = tune_workload(db, &queries, &engine);
 
-    let exec_all = execute_workload(db, &cat_all, &bound);
-    let exec_mnsa = execute_workload(db, &cat_mnsa, &bound);
+    let obs = obsv::Obs::disabled();
+    let exec_all = execute_workload(db, &cat_all, &bound, &obs);
+    let exec_mnsa = execute_workload(db, &cat_mnsa, &bound, &obs);
 
     Fig4Result {
         database: name.to_string(),
@@ -96,7 +87,7 @@ pub fn measure(
         },
         create_all_work: work_all,
         mnsa_work,
-        mnsa_stats_built: built,
+        mnsa_stats_built: outcomes.iter().map(|o| o.created.len()).sum(),
         all_stats_built: cat_all.active_count(),
         creation_reduction_pct: pct_reduction(work_all, mnsa_work),
         exec_increase_pct: pct_change(exec_all, exec_mnsa),
@@ -146,15 +137,8 @@ pub struct AblationResult {
 /// cheapest-node orders on TPCD_MIX with a complex query-only workload.
 pub fn run_ablation(scale: &ExperimentScale) -> Vec<AblationResult> {
     use autostats::NextStatOrder;
-    use datagen::build_tpcd;
-    use datagen::TpcdConfig;
-    use datagen::ZipfSpec;
 
-    let db = build_tpcd(&TpcdConfig {
-        scale: scale.scale,
-        zipf: ZipfSpec::Mixed,
-        seed: scale.seed,
-    });
+    let db = scale.tpcd_mix();
     let spec = WorkloadSpec::new(0, Complexity::Complex, scale.workload_len).with_seed(scale.seed);
     let stmts = RagsGenerator::generate(&db, &spec);
     let bound = bind_all(&db, &stmts);
@@ -171,21 +155,12 @@ pub fn run_ablation(scale: &ExperimentScale) -> Vec<AblationResult> {
             next_stat_order: order,
             ..Default::default()
         });
-        let mut cat = StatsCatalog::new();
-        let mut work = 0.0;
-        let mut calls = 0usize;
-        for q in &queries {
-            let before = cat.creation_work();
-            let outcome = engine.run_query(&db, &mut cat, q).expect("mnsa tunes");
-            calls += outcome.optimizer_calls;
-            work += (cat.creation_work() - before)
-                + outcome.optimizer_calls as f64 * optimizer_call_work(q.relations.len());
-        }
+        let (cat, work, outcomes) = tune_workload(&db, &queries, &engine);
         AblationResult {
             order: name.to_string(),
             mnsa_work: work,
             stats_built: cat.active_count(),
-            optimizer_calls: calls,
+            optimizer_calls: outcomes.iter().map(|o| o.optimizer_calls).sum(),
         }
     })
     .collect()

@@ -10,7 +10,7 @@
 
 use crate::common::{ExperimentScale, Row};
 use autostats::candidate_statistics;
-use datagen::{build_tpcd, create_tuned_indexes, tpcd_benchmark_queries, TpcdConfig, ZipfSpec};
+use datagen::{create_tuned_indexes, tpcd_benchmark_queries};
 use optimizer::costs_within_t;
 use optimizer::{OptimizeOptions, Optimizer};
 use query::{bind_statement, BoundStatement, Statement};
@@ -37,11 +37,7 @@ pub struct IntroResult {
 pub fn run(scale: &ExperimentScale) -> Vec<IntroResult> {
     // The paper's tuned database is skewed in our reproduction (TPCD_MIX) so
     // that statistics actually carry information the magic numbers lack.
-    let mut db = build_tpcd(&TpcdConfig {
-        scale: scale.scale,
-        zipf: ZipfSpec::Mixed,
-        seed: scale.seed,
-    });
+    let mut db = scale.tpcd_mix();
     create_tuned_indexes(&mut db);
 
     // Baseline: statistics only on indexed (leading) columns.

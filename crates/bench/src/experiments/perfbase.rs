@@ -26,7 +26,7 @@
 
 use crate::common::{bind_all, queries_of, ExperimentScale};
 use autostats::candidate_statistics;
-use datagen::{build_tpcd, Complexity, RagsGenerator, TpcdConfig, WorkloadSpec, ZipfSpec};
+use datagen::{Complexity, RagsGenerator, WorkloadSpec};
 use executor::{execute_plan, execute_plan_observed, execute_plan_reference};
 use optimizer::{OptimizeOptions, Optimizer, PlanNode};
 use query::BoundSelect;
@@ -297,11 +297,7 @@ fn build_round(queries: &[(BoundSelect, PlanNode)]) -> Vec<(TableId, Vec<StatDes
 /// Run the baseline at `scale`, timing `reps` repetitions of each side and
 /// reporting medians.
 pub fn run(scale: &ExperimentScale, reps: usize) -> PerfbaseResult {
-    let db = build_tpcd(&TpcdConfig {
-        scale: scale.scale,
-        zipf: ZipfSpec::Mixed,
-        seed: scale.seed,
-    });
+    let db = scale.tpcd_mix();
 
     // Statistics-informed plans: build the workload's candidate set first so
     // the timed plans include index paths and informed join orders.

@@ -6,10 +6,12 @@
 //! compare the residual statistics count / update cost against MNSA and
 //! MNSA/D as the offline-policy pipeline of §6 suggests.
 
-use crate::common::{bind_all, execute_workload_obs, pct_change, queries_of, ExperimentScale, Row};
+use crate::common::{
+    bind_all, execute_workload, pct_change, queries_of, tune_workload, ExperimentScale, Row,
+};
 use autostats::policy::optimizer_call_work;
 use autostats::{shrinking_set_traced, Equivalence, MnsaConfig, MnsaEngine, SessionReport};
-use datagen::{build_tpcd, Complexity, RagsGenerator, TpcdConfig, WorkloadSpec, ZipfSpec};
+use datagen::{Complexity, RagsGenerator, WorkloadSpec};
 use optimizer::Optimizer;
 use stats::StatsCatalog;
 
@@ -25,20 +27,12 @@ pub struct ShrinkResult {
     pub shrink_optimizer_calls: usize,
 }
 
-/// Run the comparison on TPCD_MIX with a query-only complex workload.
-pub fn run(scale: &ExperimentScale) -> ShrinkResult {
-    run_obs(scale, &obsv::Obs::disabled()).0
-}
-
-/// [`run`] under an observability context. Also returns the tuning-session
-/// journal of the MNSA pass plus the shrinking pass, built from the
-/// per-query outcomes (bit-identical with tracing on or off).
-pub fn run_obs(scale: &ExperimentScale, obs: &obsv::Obs) -> (ShrinkResult, SessionReport) {
-    let db = build_tpcd(&TpcdConfig {
-        scale: scale.scale,
-        zipf: ZipfSpec::Mixed,
-        seed: scale.seed,
-    });
+/// Run the comparison on TPCD_MIX with a query-only complex workload. Also
+/// returns the tuning-session journal of the MNSA pass plus the shrinking
+/// pass, built from the per-query outcomes (bit-identical with tracing on
+/// or off).
+pub fn run(scale: &ExperimentScale, obs: &obsv::Obs) -> (ShrinkResult, SessionReport) {
+    let db = scale.tpcd_mix();
     let spec = WorkloadSpec::new(0, Complexity::Complex, scale.workload_len).with_seed(scale.seed);
     let stmts = RagsGenerator::generate(&db, &spec);
     let bound = bind_all(&db, &stmts);
@@ -62,15 +56,11 @@ pub fn run_obs(scale: &ExperimentScale, obs: &obsv::Obs) -> (ShrinkResult, Sessi
     journal.totals.creation_work = cat.creation_work();
     let mnsa_ids = cat.active_ids();
     let mnsa_update_cost = cat.update_cost_of(&db, mnsa_ids.iter().copied());
-    let exec_before = execute_workload_obs(&db, &cat, &bound, obs);
+    let exec_before = execute_workload(&db, &cat, &bound, obs);
 
     // MNSA/D for comparison (independent catalog).
     let mnsad = MnsaEngine::new(MnsaConfig::default().with_drop_detection()).with_obs(obs.clone());
-    let mut cat_d = StatsCatalog::new();
-    cat_d.set_obs(obs);
-    for q in &queries {
-        mnsad.run_query(&db, &mut cat_d, q).expect("mnsa tunes");
-    }
+    let (cat_d, ..) = tune_workload(&db, &queries, &mnsad);
 
     // Shrinking Set on top of the MNSA catalog.
     let out = shrinking_set_traced(
@@ -85,7 +75,7 @@ pub fn run_obs(scale: &ExperimentScale, obs: &obsv::Obs) -> (ShrinkResult, Sessi
     )
     .expect("shrinking set runs");
     let shrunk_update_cost = cat.update_cost_of(&db, out.essential.iter().copied());
-    let exec_after = execute_workload_obs(&db, &cat, &bound, obs);
+    let exec_after = execute_workload(&db, &cat, &bound, obs);
     journal.shrink_removed = mnsa_ids.len() - out.essential.len();
     journal.shrink_optimizer_calls = out.optimizer_calls;
 
@@ -142,7 +132,7 @@ mod tests {
     fn shrinking_never_keeps_more_than_mnsa() {
         let mut scale = ExperimentScale::tiny();
         scale.workload_len = 15;
-        let r = run(&scale);
+        let (r, _) = run(&scale, &obsv::Obs::disabled());
         assert!(r.shrunk_stats <= r.mnsa_stats);
         assert!(r.shrunk_update_cost <= r.mnsa_update_cost + 1e-9);
     }

@@ -7,12 +7,12 @@
 //! statistics increases execution cost by at most 6% (worst at TPCD_4).
 
 use crate::common::{
-    bind_all, execute_workload, pct_change, pct_reduction, queries_of, ExperimentScale, Row,
+    bind_all, execute_workload, pct_change, pct_reduction, queries_of, tune_workload,
+    ExperimentScale, Row,
 };
 use autostats::{MnsaConfig, MnsaEngine};
 use datagen::{standard_databases, Complexity, RagsGenerator, WorkloadSpec};
 use query::Statement;
-use stats::StatsCatalog;
 use storage::Database;
 
 /// One database's Table 1 entry.
@@ -35,25 +35,20 @@ pub fn measure(db: &Database, name: &str, wl_name: &str, stmts: &[Statement]) ->
 
     // MNSA.
     let mnsa = MnsaEngine::new(MnsaConfig::default());
-    let mut cat_mnsa = StatsCatalog::new();
-    for q in &queries {
-        mnsa.run_query(db, &mut cat_mnsa, q).expect("mnsa tunes");
-    }
+    let (cat_mnsa, ..) = tune_workload(db, &queries, &mnsa);
     let mnsa_ids = cat_mnsa.active_ids();
     let mnsa_update_cost = cat_mnsa.update_cost_of(db, mnsa_ids.iter().copied());
 
     // MNSA/D.
     let mnsad = MnsaEngine::new(MnsaConfig::default().with_drop_detection());
-    let mut cat_mnsad = StatsCatalog::new();
-    for q in &queries {
-        mnsad.run_query(db, &mut cat_mnsad, q).expect("mnsa tunes");
-    }
+    let (cat_mnsad, ..) = tune_workload(db, &queries, &mnsad);
     let mnsad_ids = cat_mnsad.active_ids();
     let mnsad_update_cost = cat_mnsad.update_cost_of(db, mnsad_ids.iter().copied());
 
     // Re-run the workload with the statistics left behind by each algorithm.
-    let exec_mnsa = execute_workload(db, &cat_mnsa, &bound);
-    let exec_mnsad = execute_workload(db, &cat_mnsad, &bound);
+    let obs = obsv::Obs::disabled();
+    let exec_mnsa = execute_workload(db, &cat_mnsa, &bound, &obs);
+    let exec_mnsad = execute_workload(db, &cat_mnsad, &bound, &obs);
 
     Table1Result {
         database: name.to_string(),

@@ -8,25 +8,20 @@
 //!
 //! The sweep points are independent measurements over the same database and
 //! workload: each tunes once from an empty catalog and executes the workload
-//! under the result. `--threads N` only sets how many points are measured at
-//! once. At every thread count the executions share an [`ExecWorkMemo`]:
-//! deterministic execution work is a pure function of (data, statement,
-//! operator tree), so points whose catalogs lead to the same plan for a
-//! statement share one execution. Results are bit-identical for every thread
-//! count (`parallel_sweep_matches_serial` below).
+//! under the result. The executions share an [`ExecWorkMemo`]: deterministic
+//! execution work is a pure function of (data, statement, operator tree), so
+//! points whose catalogs lead to the same plan for a statement share one
+//! execution.
 
 use crate::common::{
     bind_all, create_all, execute_workload_memo, pct_change, pct_reduction, queries_of,
-    ExecWorkMemo, ExperimentScale, Row,
+    tune_workload, ExecWorkMemo, ExperimentScale, Row,
 };
 use autostats::policy::optimizer_call_work;
 use autostats::{candidate_statistics, MnsaConfig, MnsaEngine, MnsaOutcome, SessionReport};
-use datagen::{build_tpcd, Complexity, RagsGenerator, TpcdConfig, WorkloadSpec, ZipfSpec};
-use parking_lot::Mutex;
+use datagen::{Complexity, RagsGenerator, WorkloadSpec};
 use query::{BoundSelect, BoundStatement};
 use stats::StatsCatalog;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::time::Instant;
 use storage::Database;
 
 /// One sweep point.
@@ -37,27 +32,6 @@ pub struct SweepResult {
     pub stats_built: usize,
     pub creation_reduction_pct: f64,
     pub exec_increase_pct: f64,
-}
-
-/// Tune one sweep point: MNSA per query on a fresh catalog, accumulating
-/// creation + analysis work.
-fn tune_point(
-    db: &Database,
-    queries: &[BoundSelect],
-    engine: &MnsaEngine,
-) -> (StatsCatalog, f64, Vec<MnsaOutcome>) {
-    let mut cat = StatsCatalog::new();
-    cat.set_obs(&engine.obs);
-    let mut work = 0.0;
-    let mut outcomes = Vec::with_capacity(queries.len());
-    for q in queries {
-        let before = cat.creation_work();
-        let outcome = engine.run_query(db, &mut cat, q).expect("mnsa tunes");
-        work += (cat.creation_work() - before)
-            + outcome.optimizer_calls as f64 * optimizer_call_work(q.relations.len());
-        outcomes.push(outcome);
-    }
-    (cat, work, outcomes)
 }
 
 /// Measure one sweep point: tune from an empty catalog, then execute the
@@ -71,7 +45,7 @@ fn measure_point(
     exec_all: f64,
     t: f64,
     eps: f64,
-    memo: &ExecWorkMemo,
+    memo: &mut ExecWorkMemo,
     obs: &obsv::Obs,
 ) -> (SweepResult, Vec<MnsaOutcome>, f64) {
     let engine = MnsaEngine::new(MnsaConfig {
@@ -80,7 +54,7 @@ fn measure_point(
         ..Default::default()
     })
     .with_obs(obs.clone());
-    let (cat, work, outcomes) = tune_point(db, queries, &engine);
+    let (cat, work, outcomes) = tune_workload(db, queries, &engine);
     let exec = execute_workload_memo(db, &cat, bound, memo, obs);
     let result = SweepResult {
         t_percent: t,
@@ -94,38 +68,22 @@ fn measure_point(
 
 /// TPCD_MIX and the bound U0-C workload the sweep runs over.
 fn inputs(scale: &ExperimentScale) -> (Database, Vec<BoundStatement>) {
-    let db = build_tpcd(&TpcdConfig {
-        scale: scale.scale,
-        zipf: ZipfSpec::Mixed,
-        seed: scale.seed,
-    });
+    let db = scale.tpcd_mix();
     let spec = WorkloadSpec::new(0, Complexity::Complex, scale.workload_len).with_seed(scale.seed);
     let bound = bind_all(&db, &RagsGenerator::generate(&db, &spec));
     (db, bound)
 }
 
 /// Sweep t (at ε = 0.0005) then ε (at t = 20) on TPCD_MIX, U0-C workload.
-/// `threads > 1` fans the sweep points across worker threads; results are
-/// identical for every thread count.
-pub fn run(scale: &ExperimentScale, threads: usize) -> Vec<SweepResult> {
-    run_obs(scale, threads, &obsv::Obs::disabled()).0
-}
-
-/// [`run`] under an observability context. Alongside the sweep results it
-/// returns the tuning-session journal of the paper-default point
-/// (t = 20, ε = 0.0005), built from that point's per-query MNSA outcomes —
-/// so it is bit-identical for every thread count.
-pub fn run_obs(
-    scale: &ExperimentScale,
-    threads: usize,
-    obs: &obsv::Obs,
-) -> (Vec<SweepResult>, SessionReport) {
-    let started = Instant::now();
+/// Alongside the sweep results it returns the tuning-session journal of the
+/// paper-default point (t = 20, ε = 0.0005), built from that point's
+/// per-query MNSA outcomes.
+pub fn run(scale: &ExperimentScale, obs: &obsv::Obs) -> (Vec<SweepResult>, SessionReport) {
     let (db, bound) = inputs(scale);
     let queries = queries_of(&bound);
 
     // Created before the baseline so the baseline execution warms the memo.
-    let memo = ExecWorkMemo::new();
+    let mut memo = ExecWorkMemo::default();
 
     // Baseline: all candidates.
     let mut cat_all = StatsCatalog::new();
@@ -134,7 +92,7 @@ pub fn run_obs(
     for q in &queries {
         work_all += create_all(&db, &mut cat_all, candidate_statistics(q));
     }
-    let exec_all = execute_workload_memo(&db, &cat_all, &bound, &memo, obs);
+    let exec_all = execute_workload_memo(&db, &cat_all, &bound, &mut memo, obs);
 
     let mut points: Vec<(f64, f64)> = [0.0, 5.0, 10.0, 20.0, 40.0, 80.0]
         .into_iter()
@@ -142,57 +100,14 @@ pub fn run_obs(
         .collect();
     points.extend([(20.0, 0.01), (20.0, 0.1)]);
 
-    let measured: Vec<(SweepResult, Vec<MnsaOutcome>, f64)> = if threads <= 1 {
-        points
-            .iter()
-            .map(|&(t, eps)| {
-                measure_point(
-                    &db, &bound, &queries, work_all, exec_all, t, eps, &memo, obs,
-                )
-            })
-            .collect()
-    } else {
-        type PointSlot = Mutex<Option<(SweepResult, Vec<MnsaOutcome>, f64)>>;
-        let slots: Vec<PointSlot> = (0..points.len()).map(|_| Mutex::new(None)).collect();
-        let next = AtomicUsize::new(0);
-        let (points_ref, slots_ref, next_ref, memo_ref) = (&points, &slots, &next, &memo);
-        let (db_ref, bound_ref, queries_ref) = (&db, &bound, &queries);
-        crossbeam::thread::scope(|s| {
-            for w in 0..threads.min(points.len()) {
-                let worker_obs = obs.fork(w as u64 + 1);
-                s.spawn(move |_| loop {
-                    let i = next_ref.fetch_add(1, Ordering::Relaxed);
-                    if i >= points_ref.len() {
-                        break;
-                    }
-                    let (t, eps) = points_ref[i];
-                    *slots_ref[i].lock() = Some(measure_point(
-                        db_ref,
-                        bound_ref,
-                        queries_ref,
-                        work_all,
-                        exec_all,
-                        t,
-                        eps,
-                        memo_ref,
-                        &worker_obs,
-                    ));
-                });
-            }
+    let measured: Vec<(SweepResult, Vec<MnsaOutcome>, f64)> = points
+        .iter()
+        .map(|&(t, eps)| {
+            measure_point(
+                &db, &bound, &queries, work_all, exec_all, t, eps, &mut memo, obs,
+            )
         })
-        .expect("sweep worker panicked");
-        // Index-ordered merge: output order is point order, independent of
-        // which worker measured which point.
-        slots
-            .into_iter()
-            .map(|m| m.into_inner().expect("missing sweep point"))
-            .collect()
-    };
-    println!(
-        "tsweep: threads={} wall-clock={:.2}s",
-        threads.max(1),
-        started.elapsed().as_secs_f64()
-    );
+        .collect();
 
     // Journal the paper-default point from its MNSA outcomes. The split of
     // total work into creation vs optimizer-call overhead is recomputed the
@@ -245,7 +160,7 @@ mod tests {
     fn larger_t_prunes_at_least_as_much() {
         let mut scale = ExperimentScale::tiny();
         scale.workload_len = 15;
-        let results = run(&scale, 1);
+        let (results, _) = run(&scale, &obsv::Obs::disabled());
         let at = |t: f64| {
             results
                 .iter()
@@ -263,8 +178,8 @@ mod tests {
         let (db, bound) = inputs(&ExperimentScale::tiny());
         let queries = queries_of(&bound);
         let engine = MnsaEngine::new(MnsaConfig::default());
-        let (first, first_work, first_outcomes) = tune_point(&db, &queries, &engine);
-        let (again, again_work, again_outcomes) = tune_point(&db, &queries, &engine);
+        let (first, first_work, first_outcomes) = tune_workload(&db, &queries, &engine);
+        let (again, again_work, again_outcomes) = tune_workload(&db, &queries, &engine);
         assert_eq!(first_outcomes, again_outcomes);
         assert_eq!(first_work, again_work);
         assert_eq!(first.snapshot(), again.snapshot());
@@ -274,38 +189,20 @@ mod tests {
     fn memoized_execution_work_equals_plain() {
         let (db, bound) = inputs(&ExperimentScale::tiny());
         let empty = StatsCatalog::new();
-        let (tuned, ..) = tune_point(
+        let (tuned, ..) = tune_workload(
             &db,
             &queries_of(&bound),
             &MnsaEngine::new(MnsaConfig::default()),
         );
         // One memo across both catalogs and a repeat: cold cells, cells
         // shared between catalogs and warm cells all give the plain figure.
-        let memo = ExecWorkMemo::new();
+        let mut memo = ExecWorkMemo::default();
         let obs = obsv::Obs::disabled();
         for catalog in [&empty, &tuned, &empty] {
             assert_eq!(
-                execute_workload_memo(&db, catalog, &bound, &memo, &obs),
-                execute_workload(&db, catalog, &bound)
+                execute_workload_memo(&db, catalog, &bound, &mut memo, &obs),
+                execute_workload(&db, catalog, &bound, &obs)
             );
-        }
-    }
-
-    #[test]
-    fn parallel_sweep_matches_serial() {
-        // Which worker measures which point, and which point's execution
-        // fills a memo cell first, never shows in the results.
-        let mut scale = ExperimentScale::tiny();
-        scale.workload_len = 10;
-        let serial = run(&scale, 1);
-        let parallel = run(&scale, 4);
-        assert_eq!(serial.len(), parallel.len());
-        for (a, b) in serial.iter().zip(&parallel) {
-            assert_eq!(a.t_percent, b.t_percent);
-            assert_eq!(a.epsilon, b.epsilon);
-            assert_eq!(a.stats_built, b.stats_built);
-            assert_eq!(a.creation_reduction_pct, b.creation_reduction_pct);
-            assert_eq!(a.exec_increase_pct, b.exec_increase_pct);
         }
     }
 }

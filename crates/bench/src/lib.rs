@@ -1,22 +1,29 @@
 //! Experiment harness for the reproduction.
 //!
-//! One module per table/figure of the paper's evaluation (§8), each exposing
-//! a `run(...) -> Vec<Row>` function that the corresponding `exp_*` binary
-//! wraps. Every experiment prints a human-readable table, states the paper's
-//! reported band next to the measured value, and can emit machine-readable
-//! JSON (consumed when updating `EXPERIMENTS.md`).
+//! One module per table/figure of the paper's evaluation (§8) under
+//! [`experiments`], each exposing a `run(...)` function, and one binary,
+//! `exp <experiment> [flags]` ([`cli`] is its command line), that runs
+//! them. The paper experiments print a human-readable table, state the
+//! paper's reported band next to the measured value, and write the rows as
+//! JSON lines under `results/` (consumed when updating `EXPERIMENTS.md`);
+//! the system experiments write one `BENCH_*.json` artifact each.
 //!
-//! | Binary       | Paper result                                            |
-//! |--------------|---------------------------------------------------------|
-//! | `exp_intro`  | §1 intro experiment — plans change for all but 2 of 17  |
-//! | `exp_fig3`   | Figure 3 — candidate algorithm vs Exhaustive            |
-//! | `exp_fig4`   | Figure 4 — MNSA vs create-all-candidates                |
-//! | `exp_table1` | Table 1 — MNSA/D vs MNSA update cost                    |
-//! | `exp_tsweep` | §3.2/§8.2 — sensitivity to the t and ε parameters       |
-//! | `exp_shrink` | §5.2 — Shrinking Set essential sets                     |
-//! | `exp_all`    | everything above, at the default scale                  |
-//! | `exp_online` | online lifecycle daemon — convergence vs offline tuning |
+//! | `exp …`     | Result                                                   |
+//! |-------------|----------------------------------------------------------|
+//! | `intro`     | §1 intro experiment — plans change for all but 2 of 17   |
+//! | `fig3`      | Figure 3 — candidate algorithm vs Exhaustive             |
+//! | `fig4`      | Figure 4 — MNSA vs create-all-candidates (`--ablation`)  |
+//! | `table1`    | Table 1 — MNSA/D vs MNSA update cost                     |
+//! | `tsweep`    | §3.2/§8.2 — sensitivity to the t and ε parameters        |
+//! | `shrink`    | §5.2 — Shrinking Set essential sets                      |
+//! | `aging`     | §6 — dampened re-creation of dropped statistics          |
+//! | `all`       | everything above, into `results/all.jsonl`               |
+//! | `perfbase`  | executor / statistic-build / optimizer-call baseline     |
+//! | `online`    | online lifecycle daemon — convergence vs offline tuning  |
+//! | `cardbench` | q-error and plan-cost regret on adversarial workloads    |
+//! | `serve`     | sharded serving — 1-shard identity, replay, convergence  |
 
+pub mod cli;
 pub mod common;
 pub mod experiments;
 

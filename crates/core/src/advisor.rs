@@ -15,12 +15,11 @@ use crate::error::TuneError;
 use crate::mnsa::{MnsaConfig, MnsaEngine};
 use crate::shrinking::shrinking_set;
 use query::BoundSelect;
-use serde::{Deserialize, Serialize};
 use stats::{StatDescriptor, StatsCatalog};
 use storage::Database;
 
 /// One recommended action.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Recommendation {
     /// Build this statistic; MNSA found the plan cost sensitive to it.
     Create {
@@ -38,7 +37,7 @@ pub enum Recommendation {
 }
 
 /// The advisor's output.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct AdvisorReport {
     pub recommendations: Vec<Recommendation>,
     pub queries_analyzed: usize,

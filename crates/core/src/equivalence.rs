@@ -10,10 +10,9 @@
 //!   each other (the pragmatic choice; the paper uses t = 20%).
 
 use optimizer::{costs_within_t, OptimizedQuery};
-use serde::{Deserialize, Serialize};
 
 /// Which equivalence notion to apply.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Equivalence {
     ExecutionTree,
     OptimizerCost,

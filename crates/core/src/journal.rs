@@ -10,7 +10,6 @@
 
 use crate::mnsa::{MnsaOutcome, Termination};
 use crate::policy::TuningReport;
-use serde::{Deserialize, Serialize};
 use stats::StatId;
 use std::fmt::Write as _;
 use storage::TableId;
@@ -20,7 +19,7 @@ use storage::TableId;
 /// Offline sessions never record these, and the renderers below emit the
 /// online section only when at least one event exists, so offline journals
 /// stay byte-identical with or without this feature compiled in.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum OnlineEvent {
     /// A stale statistic was rebuilt by the staleness tracker.
     Refresh {
@@ -65,7 +64,7 @@ pub enum OnlineEvent {
 }
 
 /// One workload query's tuning trajectory.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct QueryRecord {
     /// Position in the workload (0-based).
     pub index: usize,
@@ -85,7 +84,7 @@ pub struct QueryRecord {
 
 /// What one tuning session (one offline pass, or the life of a manager)
 /// did, per query and in total.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct SessionReport {
     pub queries: Vec<QueryRecord>,
     /// Accumulated work/creation totals (same shape as the policy layer's

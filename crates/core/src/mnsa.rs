@@ -26,13 +26,12 @@ use crate::error::TuneError;
 use optimizer::{Operator, OptimizeOptions, OptimizedQuery, Optimizer, PlanError, PlanNode};
 use parking_lot::Mutex;
 use query::{BoundSelect, PredicateId};
-use serde::{Deserialize, Serialize};
 use stats::{AgingPolicy, FeedbackConfig, FeedbackStore, StatDescriptor, StatId, StatsCatalog};
 use std::sync::Arc;
 use storage::Database;
 
 /// Which candidate-statistics strategy feeds MNSA.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum CandidateMode {
     /// The §7.1 heuristic (default).
     #[default]
@@ -45,7 +44,7 @@ pub enum CandidateMode {
 
 /// Order in which `FindNextStatToBuild` walks the plan — the §4.2 heuristic
 /// and two ablation baselines (the Figure 4 `--ablation` mode compares them).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum NextStatOrder {
     /// The paper's heuristic: most expensive operator first, by own cost
     /// (subtree − children).
@@ -58,7 +57,7 @@ pub enum NextStatOrder {
 }
 
 /// MNSA configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MnsaConfig {
     /// t-Optimizer-Cost threshold in percent (paper: 20%).
     pub t_percent: f64,
@@ -106,7 +105,7 @@ impl MnsaConfig {
 }
 
 /// Why MNSA stopped.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Termination {
     /// `P_low` and `P_high` became t-Optimizer-Cost equivalent — the
     /// existing statistics include an essential set.

@@ -24,12 +24,11 @@ use crate::journal::SessionReport;
 use crate::mnsa::{MnsaConfig, MnsaEngine, MnsaOutcome};
 use crate::shrinking::shrinking_set_traced;
 use query::BoundSelect;
-use serde::{Deserialize, Serialize};
 use stats::{StatId, StatsCatalog};
 use storage::Database;
 
 /// How statistics are created for incoming queries.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum CreationPolicy {
     /// Create nothing automatically.
     Manual,
@@ -58,7 +57,7 @@ pub fn optimizer_call_work(n_relations: usize) -> f64 {
 }
 
 /// Outcome of applying a creation policy or an offline tuning pass.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct TuningReport {
     pub statistics_created: usize,
     pub statistics_drop_listed: usize,

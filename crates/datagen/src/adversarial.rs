@@ -1,5 +1,5 @@
 //! Adversarial data + workload generation for the estimation-quality
-//! harness (`exp_cardbench`).
+//! harness (`exp cardbench`).
 //!
 //! The paper evaluates MNSA on TPC-D-style data, where estimation is
 //! comparatively easy. The cardinality-estimation benchmark literature

@@ -8,7 +8,7 @@
 //!    to this implementation — same `ExecOutput.rows`, same `work` — and
 //!    `tests/columnar_equivalence.rs` proves it by running both on random
 //!    plans and databases.
-//! 2. **Benchmarking.** `exp_perfbase` measures the columnar engine's speedup
+//! 2. **Benchmarking.** `exp perfbase` measures the columnar engine's speedup
 //!    against this baseline live, so `BENCH_exec.json` always reports pre-
 //!    vs post-tentpole numbers from the same machine and build.
 //!

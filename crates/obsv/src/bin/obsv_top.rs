@@ -5,8 +5,8 @@
 //!   obsv_top --watch HEALTH_JSONL...    # re-render every second (Ctrl-C to stop)
 //!
 //! The input is the health JSONL stream the `autod` lifecycle daemon
-//! exports (one [`obsv::HealthSnapshot`] per line; `exp_online
-//! --health-out` writes one). Sharded clusters (`exp_serve`) interleave
+//! exports (one [`obsv::HealthSnapshot`] per line; `exp online
+//! --health-out` writes one). Sharded clusters (`exp serve`) interleave
 //! per-shard snapshots in one stream — or write one file per shard; either
 //! way, pass every file and the dashboard groups lines by their `shard`
 //! field, showing one row per shard plus a merged cluster summary.

@@ -1,7 +1,7 @@
 //! A minimal hand-rolled JSON reader.
 //!
 //! The workspace has no serde; this parser exists so the `obsv_check`
-//! binary can validate exported traces/metrics and so `exp_perfbase
+//! binary can validate exported traces/metrics and so `exp perfbase
 //! --check` can reload a previous `BENCH_exec.json`. It accepts standard
 //! JSON (objects, arrays, strings with the common escapes, numbers, bools,
 //! null) and reports errors by byte offset. It is a reader, not a writer —

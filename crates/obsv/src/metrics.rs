@@ -431,7 +431,7 @@ impl Snapshot {
 }
 
 /// JSON-safe f64 rendering (`null` for non-finite values).
-pub(crate) fn render_f64(v: f64) -> String {
+pub fn render_f64(v: f64) -> String {
     if v.is_finite() {
         format!("{v}")
     } else {

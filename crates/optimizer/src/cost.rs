@@ -6,10 +6,8 @@
 //! which (together with cardinalities being monotone in selectivities) gives
 //! the cost-monotonicity property MNSA relies on (§4.1).
 
-use serde::{Deserialize, Serialize};
-
 /// Tunable constants of the plan cost model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CostParams {
     /// Per-row cost of a sequential scan.
     pub seq_row: f64,

@@ -6,11 +6,10 @@
 //! follow the classical System R / SQL Server conventions.
 
 use query::PredClass;
-use serde::{Deserialize, Serialize};
 
 /// The per-predicate-class default selectivities used when no statistics
 /// apply.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MagicNumbers {
     /// `col = literal`.
     pub equality: f64,

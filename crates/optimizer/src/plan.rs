@@ -8,12 +8,11 @@
 //! estimates differ.
 
 use query::BoundColumn;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use storage::TableId;
 
 /// Physical operators.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Operator {
     /// Full scan of relation ordinal `rel`, applying the given selection
     /// predicates (indices into `BoundSelect::selections`).
@@ -87,7 +86,7 @@ impl Operator {
 }
 
 /// A node of a physical plan tree.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct PlanNode {
     pub op: Operator,
     pub children: Vec<PlanNode>,

@@ -14,7 +14,6 @@
 use crate::magic::MagicNumbers;
 use query::{BoundSelect, CmpOp, JoinEdge, PredClass, PredOp, PredicateId, SelectionPredicate};
 use rustc_hash::FxHashMap;
-use serde::{Deserialize, Serialize};
 use stats::{StatId, StatsView};
 use storage::Database;
 
@@ -38,7 +37,7 @@ fn clamp01(x: f64) -> f64 {
 }
 
 /// How one selectivity value was obtained.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum SelectivitySource {
     Injected,
     /// Statistics used, with the ids involved.
@@ -47,7 +46,7 @@ pub enum SelectivitySource {
 }
 
 /// The estimated selectivity of every variable of one query.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SelectivityProfile {
     values: FxHashMap<PredicateId, f64>,
     sources: FxHashMap<PredicateId, SelectivitySource>,

@@ -4,12 +4,11 @@
 //! Select-Project-Join queries with simple comparison/BETWEEN predicates and
 //! an optional GROUP BY, plus single-table INSERT/UPDATE/DELETE.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use storage::Value;
 
 /// Comparison operators usable in selection predicates.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CmpOp {
     Eq,
     Ne,
@@ -51,7 +50,7 @@ impl fmt::Display for CmpOp {
 }
 
 /// A (possibly qualified) column reference, e.g. `l.quantity` or `name`.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct ColumnRef {
     pub qualifier: Option<String>,
     pub column: String,
@@ -83,7 +82,7 @@ impl fmt::Display for ColumnRef {
 }
 
 /// A table in the FROM clause, with an optional alias.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TableRef {
     pub table: String,
     pub alias: Option<String>,
@@ -111,7 +110,7 @@ impl TableRef {
 }
 
 /// One conjunct of the WHERE clause.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Condition {
     /// `column op literal` (literal-first inputs are normalized by the
     /// parser using [`CmpOp::flipped`]).
@@ -131,7 +130,7 @@ pub enum Condition {
 }
 
 /// Aggregate functions in the SELECT list.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AggFunc {
     Count,
     Sum,
@@ -153,7 +152,7 @@ impl AggFunc {
 }
 
 /// One item of the SELECT list.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum SelectItem {
     /// `*`
     Star,
@@ -163,14 +162,14 @@ pub enum SelectItem {
 }
 
 /// One ORDER BY key.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct OrderKey {
     pub column: ColumnRef,
     pub descending: bool,
 }
 
 /// A SELECT statement in the supported subset.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SelectStmt {
     pub items: Vec<SelectItem>,
     pub from: Vec<TableRef>,
@@ -207,7 +206,7 @@ impl SelectStmt {
 }
 
 /// `INSERT INTO table VALUES (...)`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct InsertStmt {
     pub table: String,
     pub values: Vec<Value>,
@@ -215,7 +214,7 @@ pub struct InsertStmt {
 
 /// `UPDATE table SET column = value [WHERE ...]` (single assignment,
 /// conjunctive filter — all the Rags-style workloads need).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct UpdateStmt {
     pub table: String,
     pub set_column: String,
@@ -224,14 +223,14 @@ pub struct UpdateStmt {
 }
 
 /// `DELETE FROM table [WHERE ...]`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DeleteStmt {
     pub table: String,
     pub conditions: Vec<Condition>,
 }
 
 /// Any supported statement.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Statement {
     Select(SelectStmt),
     Insert(InsertStmt),

@@ -8,13 +8,12 @@
 //! GROUP BY clause (the fraction of rows with distinct grouping values).
 
 use crate::ast::{AggFunc, CmpOp};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use storage::{TableId, Value};
 
 /// A column of one of the query's relations: `(relation ordinal within the
 /// query, column ordinal within the table)`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct BoundColumn {
     pub relation: usize,
     pub column: usize,
@@ -27,7 +26,7 @@ impl BoundColumn {
 }
 
 /// The comparison part of a selection predicate.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum PredOp {
     Cmp(CmpOp, Value),
     Between(Value, Value),
@@ -47,7 +46,7 @@ impl PredOp {
 
 /// Classes of predicates that carry distinct default "magic numbers"
 /// (system-wide selectivity constants, §4.1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PredClass {
     Equality,
     Inequality,
@@ -58,7 +57,7 @@ pub enum PredClass {
 }
 
 /// A selection predicate on a single column.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SelectionPredicate {
     pub column: BoundColumn,
     pub op: PredOp,
@@ -68,7 +67,7 @@ pub struct SelectionPredicate {
 /// into a single join edge. A k-column join edge is exactly the situation in
 /// §3.1 where multi-column statistics on `(a1..ak)` and `(b1..bk)` are useful,
 /// and §4.2's note that join statistics must be created in **pairs**.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct JoinEdge {
     pub left_rel: usize,
     pub right_rel: usize,
@@ -100,7 +99,7 @@ impl JoinEdge {
 }
 
 /// Identifier of one selectivity variable of a bound query.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum PredicateId {
     /// Index into [`BoundSelect::selections`].
     Selection(usize),
@@ -121,7 +120,7 @@ impl fmt::Display for PredicateId {
 }
 
 /// An aggregate expression in the SELECT list.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BoundAggregate {
     pub func: AggFunc,
     /// `None` means `COUNT(*)`.
@@ -129,14 +128,14 @@ pub struct BoundAggregate {
 }
 
 /// What the query projects.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Projection {
     Star,
     Columns(Vec<BoundColumn>),
 }
 
 /// A bound SELECT query.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BoundSelect {
     /// `(table id, binding name)` per relation, in FROM order.
     pub relations: Vec<(TableId, String)>,
@@ -216,14 +215,14 @@ impl BoundSelect {
 }
 
 /// Bound `INSERT`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BoundInsert {
     pub table: TableId,
     pub values: Vec<Value>,
 }
 
 /// Bound `UPDATE`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BoundUpdate {
     pub table: TableId,
     pub set_column: usize,
@@ -232,14 +231,14 @@ pub struct BoundUpdate {
 }
 
 /// Bound `DELETE`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BoundDelete {
     pub table: TableId,
     pub selections: Vec<SelectionPredicate>,
 }
 
 /// Any bound statement.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum BoundStatement {
     Select(BoundSelect),
     Insert(BoundInsert),

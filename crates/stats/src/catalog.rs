@@ -9,14 +9,13 @@ use crate::statistic::{
     build_statistic, BuildOptions, StatDescriptor, StatId, Statistic, TableScan,
 };
 use rustc_hash::FxHashMap;
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet, HashSet};
 use storage::{Database, TableId};
 
 /// Aging (§6): a statistic that was recently dropped as non-essential should
 /// not be immediately re-created when a similar workload repeats — unless
 /// the query at hand is expensive enough that a bad plan would hurt.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AgingPolicy {
     /// A dropped statistic is dampened for this many catalog epochs.
     pub window_epochs: u64,
@@ -40,7 +39,7 @@ impl Default for AgingPolicy {
 /// dropped. Our modification restricts the physical drop to statistics on
 /// the drop-list (`drop_only_droplisted = true`), which is exactly the
 /// improvement the paper proposes.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MaintenancePolicy {
     /// Update statistics when `modification_counter > update_fraction * rows`.
     pub update_fraction: f64,
@@ -76,7 +75,7 @@ impl MaintenancePolicy {
 }
 
 /// What one `maintain` pass did.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct MaintenanceReport {
     pub tables_updated: Vec<TableId>,
     pub statistics_updated: usize,
@@ -85,7 +84,7 @@ pub struct MaintenanceReport {
 }
 
 /// Serializable catalog state (see [`StatsCatalog::snapshot`]).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CatalogSnapshot {
     pub stats: Vec<Statistic>,
     pub drop_list: Vec<StatId>,

@@ -7,10 +7,8 @@
 //! statistic. The knobs below let benches ablate the weighting; the defaults
 //! are what every experiment uses.
 
-use serde::{Deserialize, Serialize};
-
 /// Tunable weights of the statistics build/update cost model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CostModel {
     /// Work units per 8 bytes of column data scanned.
     pub scan_weight: f64,

@@ -24,11 +24,10 @@
 
 use crate::histogram::{Bucket, Histogram, HistogramKind};
 use obsv::FeedbackRecord;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Tuning knobs for the feedback corrector.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FeedbackConfig {
     /// Fraction of each observed error applied per observation (STGrid's
     /// learning rate). 1.0 snaps to the latest observation; small values

@@ -12,11 +12,10 @@
 //! knob; every algorithm in `autostats` works with either.
 
 use crate::sampler::iter_rows;
-use serde::{Deserialize, Serialize};
 use storage::{ColumnData, DataType, Value};
 
 /// Which construction strategy to use.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum HistogramKind {
     /// Buckets hold (approximately) equal row counts.
     #[default]
@@ -27,7 +26,7 @@ pub enum HistogramKind {
 }
 
 /// One histogram bucket over the numeric-key domain `[lo, hi]` (inclusive).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Bucket {
     pub lo: f64,
     pub hi: f64,
@@ -49,7 +48,7 @@ pub struct Bucket {
 /// let sel = h.selectivity_lt(&Value::Int(50));
 /// assert!((sel - 0.5).abs() < 0.05);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Histogram {
     kind: HistogramKind,
     buckets: Vec<Bucket>,

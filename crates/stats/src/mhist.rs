@@ -15,12 +15,11 @@
 //! via [`BuildOptions::with_joint_histograms`](crate::BuildOptions) and the
 //! optimizer will prefer it for two-column conjunctions when present.
 
-use serde::{Deserialize, Serialize};
 use storage::Value;
 
 /// One cell: a slab of the leading dimension crossed with a bucket of the
 /// second dimension inside that slab.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Cell {
     pub x_lo: f64,
     pub x_hi: f64,
@@ -31,7 +30,7 @@ pub struct Cell {
 }
 
 /// A Phased 2-D histogram.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Histogram2d {
     cells: Vec<Cell>,
     rows: f64,

@@ -10,7 +10,7 @@ use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
 /// How to read the base data when building a statistic.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum SampleSpec {
     /// Scan every row.
     #[default]
@@ -30,7 +30,6 @@ pub enum SampleSpec {
 }
 
 use crate::error::StatsError;
-use serde::{Deserialize, Serialize};
 
 /// Sampling fraction restricted to its valid domain (0, 1]; NaN and other
 /// out-of-range values fall back to a full scan (fraction 1.0).

@@ -15,12 +15,11 @@ use crate::mhist::Histogram2d;
 use crate::ndv::Groups;
 use crate::sampler::{iter_rows, SampleSpec};
 use rustc_hash::FxHashMap;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use storage::{Table, TableId, Value};
 
 /// Identifier of a statistic within a [`StatsCatalog`](crate::StatsCatalog).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct StatId(pub u32);
 
 impl fmt::Display for StatId {
@@ -32,7 +31,7 @@ impl fmt::Display for StatId {
 /// What a statistic is *on*: a table and an ordered column list. Two
 /// statistics with the same descriptor are the same statistic for the
 /// purposes of candidate matching and the aging registry.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct StatDescriptor {
     pub table: TableId,
     /// Column ordinals, leading column first. Single-column statistics have
@@ -74,7 +73,7 @@ impl StatDescriptor {
 }
 
 /// How a statistic should be built.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BuildOptions {
     pub histogram_kind: HistogramKind,
     pub max_buckets: usize,
@@ -107,7 +106,7 @@ impl BuildOptions {
 /// A built statistic: histogram on the leading column plus density
 /// information on every leading prefix — the SQL Server 7.0 asymmetric
 /// multi-column structure described in §7.1 of the paper.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Statistic {
     pub id: StatId,
     pub descriptor: StatDescriptor,

@@ -5,13 +5,12 @@ use crate::index::Index;
 use crate::schema::Schema;
 use crate::table::Table;
 use crate::Result;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 
 /// Stable identifier of a table within a [`Database`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct TableId(pub u32);
 
 impl fmt::Display for TableId {

@@ -13,10 +13,9 @@
 //! columnar data, and the cost model only needs to know the index exists.
 
 use crate::catalog::TableId;
-use serde::{Deserialize, Serialize};
 
 /// A secondary index over one or more columns of a table.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Index {
     pub name: String,
     pub table: TableId,

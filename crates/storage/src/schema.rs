@@ -1,10 +1,9 @@
 //! Table schemas.
 
 use crate::value::DataType;
-use serde::{Deserialize, Serialize};
 
 /// Definition of a single column.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ColumnDef {
     pub name: String,
     pub data_type: DataType,
@@ -27,7 +26,7 @@ impl ColumnDef {
 }
 
 /// An ordered list of column definitions.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Schema {
     columns: Vec<ColumnDef>,
 }

@@ -1,6 +1,5 @@
 //! Typed scalar values and their data types.
 
-use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
 use std::fmt;
 use std::hash::{Hash, Hasher};
@@ -9,7 +8,7 @@ use std::hash::{Hash, Hasher};
 ///
 /// `Date` is stored as days since 1970-01-01, which is enough for TPC-D style
 /// date arithmetic and range predicates.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DataType {
     Int,
     Float,
@@ -44,7 +43,7 @@ impl DataType {
 
 /// A scalar value. `Null` compares less than every non-null value so that
 /// sorting and histogram construction have a total order.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub enum Value {
     Null,
     Int(i64),
