@@ -1,11 +1,11 @@
-//! The lifecycle daemon: budgeted background tuning on virtual-time ticks.
+//! The lifecycle daemon: budgeted tuning on virtual-time ticks.
 //!
-//! [`LifecycleCore`] is the daemon's deterministic heart — a pure state
-//! machine advanced by [`LifecycleCore::tick`]. Each tick, in order:
+//! [`LifecycleCore`] is a deterministic state machine advanced by
+//! [`LifecycleCore::tick`], on the thread that calls it. Each tick, in order:
 //!
-//! 1. **fund** — deposit `budget_per_tick` work tokens into the shared
-//!    token bucket (unspent tokens carry over; overshoot becomes debt that
-//!    later ticks pay down first);
+//! 1. **fund** — deposit the tick's budget of work tokens into the token
+//!    bucket (unspent tokens carry over; overshoot becomes debt that later
+//!    ticks pay down first);
 //! 2. **monitor** — drain the workload monitor's eviction log into the
 //!    journal and enqueue its retained sample into the incremental tuner
 //!    (fingerprint-deduplicated, so a template is analyzed once);
@@ -13,29 +13,26 @@
 //!    table by table through the catalog's shared-scan batch path, charging
 //!    each rebuild to the bucket; remaining tables wait for the next tick
 //!    once the balance runs out;
-//! 4. **tune** — run a budgeted [`OnlineTuner::step`] of MNSA over pending
-//!    templates;
+//! 4. **tune** — run a budgeted [`autostats::OnlineTuner::step`] of MNSA
+//!    over pending templates;
 //! 5. **shrink** — every `shrink_every` ticks, an MNSA/D-complementing
 //!    Shrinking Set pass over the monitor sample (the offline `tune`
 //!    tail), also charged to the bucket;
 //! 6. **publish** — if the catalog changed, push a frozen copy through the
 //!    [`EpochHandle`] so query threads pick it up without blocking.
 //!
-//! [`LifecycleDaemon`] wraps a `LifecycleCore` in a background thread
-//! driven by explicit tick commands over a channel — virtual time, not wall
-//! clocks, so schedules are reproducible. With a fixed seed, tick schedule,
-//! and a single query thread, the whole catalog trajectory (epochs, work
-//! meters, journal) is bit-identical run to run.
+//! Time is virtual — a tick happens when a caller asks for one, never on a
+//! wall clock — so schedules are reproducible. With a fixed seed, tick
+//! schedule, and a single query thread, the whole catalog trajectory (epochs,
+//! work meters, journal) is bit-identical run to run.
 
 use crate::epoch::EpochHandle;
 use crate::monitor::{MonitorConfig, WorkloadMonitor};
-use crate::staleness::StalenessTracker;
-use autostats::{Equivalence, MnsaConfig, OnlineEvent, ServeParts, SessionReport, TuneError};
-use parking_lot::{Mutex, RwLock};
+use autostats::{Equivalence, MnsaConfig, OnlineEvent, SessionReport, TuneError};
+use parking_lot::Mutex;
 use stats::{FeedbackConfig, FeedbackStore, MaintenancePolicy, StatId, StatsCatalog};
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::Arc;
 use storage::{Database, TableId};
 
 /// Always-on telemetry knobs for the online service: span sampling and the
@@ -69,8 +66,12 @@ impl Default for TelemetryConfig {
 /// exists and SQL Server conventions elsewhere.
 #[derive(Debug, Clone)]
 pub struct AutodConfig {
-    /// Work tokens deposited per tick. The same deterministic work units as
-    /// the offline layers (`build_work`, `optimizer_call_work`).
+    /// Work tokens [`OnlineService::tick_wait`] deposits per tick; a `serve`
+    /// cluster splits this one allowance across its shards by demand. The
+    /// same deterministic work units as the offline layers (`build_work`,
+    /// `optimizer_call_work`).
+    ///
+    /// [`OnlineService::tick_wait`]: crate::service::OnlineService::tick_wait
     pub budget_per_tick: f64,
     /// MNSA configuration for the incremental tuner.
     pub mnsa: MnsaConfig,
@@ -84,8 +85,8 @@ pub struct AutodConfig {
     pub staleness: MaintenancePolicy,
     /// Workload-monitor sizing and eviction seed.
     pub monitor: MonitorConfig,
-    /// Feedback-driven refresh: when `Some`, the daemon exposes an enabled
-    /// [`obsv::FeedbackLog`] for query threads, digests its records each
+    /// Feedback-driven refresh: when `Some`, query handles execute under an
+    /// enabled [`obsv::FeedbackLog`], the daemon digests its records each
     /// tick, and corrects stale statistics from observed cardinalities
     /// before falling back to scan rebuilds. `None` (the default) keeps the
     /// whole channel disabled and the catalog trajectory bit-identical to a
@@ -155,12 +156,10 @@ pub struct LifecycleCore {
     config: AutodConfig,
     catalog: StatsCatalog,
     tuner: autostats::OnlineTuner,
-    staleness: StalenessTracker,
     epochs: Arc<EpochHandle>,
     session: SessionReport,
     obs: obsv::Obs,
     tick: u64,
-    last_error: Option<TuneError>,
     /// Shared with query threads; enabled iff `config.feedback` is set.
     feedback_log: obsv::FeedbackLog,
     feedback_store: FeedbackStore,
@@ -169,7 +168,7 @@ pub struct LifecycleCore {
     /// Tick of the last epoch publication (0 = generation 0 at start).
     last_publish_tick: u64,
     /// Written at the end of every tick, read by [`OnlineService::health`]
-    /// without touching the daemon. Observation only.
+    /// without waiting for a tick in progress. Observation only.
     ///
     /// [`OnlineService::health`]: crate::service::OnlineService::health
     health: Arc<Mutex<obsv::HealthSnapshot>>,
@@ -187,23 +186,9 @@ impl LifecycleCore {
         )
     }
 
-    /// Build a core from an [`AutoStatsManager::serve`] hand-off, keeping
-    /// its observability context and journal. Returns the database back to
-    /// the caller (the daemon does not own storage).
-    ///
-    /// [`AutoStatsManager::serve`]: autostats::AutoStatsManager::serve
-    pub fn from_serve(parts: ServeParts, config: AutodConfig) -> (Self, Database) {
-        let ServeParts {
-            db,
-            catalog,
-            obs,
-            session,
-            ..
-        } = parts;
-        (Self::with_parts(catalog, config, obs, session), db)
-    }
-
-    fn with_parts(
+    /// [`LifecycleCore::new`] recording into `obs` and continuing `session`
+    /// (whatever was journaled before serving began).
+    pub(crate) fn with_parts(
         catalog: StatsCatalog,
         config: AutodConfig,
         obs: obsv::Obs,
@@ -217,7 +202,6 @@ impl LifecycleCore {
             obsv::FeedbackLog::disabled()
         };
         LifecycleCore {
-            staleness: StalenessTracker::new(config.staleness),
             config,
             catalog,
             tuner,
@@ -225,7 +209,6 @@ impl LifecycleCore {
             session,
             obs,
             tick: 0,
-            last_error: None,
             feedback_log,
             feedback_store: FeedbackStore::new(),
             optimizer_calls: 0,
@@ -269,12 +252,6 @@ impl LifecycleCore {
         self.tuner.balance()
     }
 
-    /// The first error a fire-and-forget tick returned or reported in
-    /// [`TickReport::tune_error`], if any.
-    pub fn last_error(&self) -> Option<&TuneError> {
-        self.last_error.as_ref()
-    }
-
     /// The cardinality-feedback channel query threads should execute under
     /// (clones share one buffer). Disabled — and free to pass around — when
     /// `config.feedback` is `None`.
@@ -294,21 +271,11 @@ impl LifecycleCore {
         self.health.lock().clone()
     }
 
-    /// Advance virtual time by one tick. See the module docs for the exact
-    /// sequence. Deterministic: same inputs, same catalog trajectory.
+    /// Advance virtual time by one tick funded with `budget` work tokens.
+    /// See the module docs for the exact sequence. Deterministic: same
+    /// inputs, same catalog trajectory. Unspent tokens and debt carry over
+    /// in this core's own bucket.
     pub fn tick(
-        &mut self,
-        db: &Database,
-        monitor: &mut WorkloadMonitor,
-    ) -> Result<TickReport, TuneError> {
-        self.tick_budgeted(db, monitor, self.config.budget_per_tick)
-    }
-
-    /// [`LifecycleCore::tick`] with this tick's funding chosen by the
-    /// caller instead of `config.budget_per_tick` — the hook a cluster-level
-    /// budget arbiter uses to split one global allowance across shards.
-    /// Unspent tokens and debt still carry over in the shard's own bucket.
-    pub fn tick_budgeted(
         &mut self,
         db: &Database,
         monitor: &mut WorkloadMonitor,
@@ -357,10 +324,11 @@ impl LifecycleCore {
                 self.feedback_store.ingest(&drained);
             }
         }
-        let stale = self.staleness.scan(db, &self.catalog);
         let mut by_table: BTreeMap<TableId, Vec<StatId>> = BTreeMap::new();
-        for s in &stale {
-            by_table.entry(s.table).or_default().push(s.stat);
+        for id in self.catalog.stale_statistics(db, &self.config.staleness) {
+            if let Some(s) = self.catalog.statistic(id) {
+                by_table.entry(s.descriptor.table).or_default().push(id);
+            }
         }
         let mut deferred_refreshes = 0usize;
         for (table, ids) in &by_table {
@@ -534,140 +502,8 @@ impl LifecycleCore {
     }
 }
 
-enum Command {
-    /// Tick with an optional budget override (None = `config.budget_per_tick`)
-    /// and an optional ack channel.
-    Tick(
-        Option<f64>,
-        Option<mpsc::Sender<Result<TickReport, TuneError>>>,
-    ),
-    Shutdown,
-}
-
-/// A [`LifecycleCore`] on a background thread, advanced by explicit tick
-/// commands — the query path never waits on it, and it never runs except
-/// when ticked.
-pub struct LifecycleDaemon {
-    commands: mpsc::Sender<Command>,
-    handle: std::thread::JoinHandle<LifecycleCore>,
-    tick_cell: Arc<AtomicU64>,
-    health_cell: Arc<Mutex<obsv::HealthSnapshot>>,
-}
-
-impl LifecycleDaemon {
-    /// Spawn the daemon thread. It locks `db` for read and then `monitor`
-    /// for each tick — the same order the query path must use.
-    pub fn spawn(
-        mut core: LifecycleCore,
-        db: Arc<RwLock<Database>>,
-        monitor: Arc<Mutex<WorkloadMonitor>>,
-    ) -> LifecycleDaemon {
-        let (commands, inbox) = mpsc::channel::<Command>();
-        let tick_cell = Arc::new(AtomicU64::new(0));
-        let cell = Arc::clone(&tick_cell);
-        let health_cell = core.health_cell();
-        let handle = std::thread::spawn(move || {
-            while let Ok(command) = inbox.recv() {
-                match command {
-                    Command::Shutdown => break,
-                    Command::Tick(budget, ack) => {
-                        let result = {
-                            // Lock order: database first, then the monitor.
-                            let db = db.read();
-                            let mut monitor = monitor.lock();
-                            match budget {
-                                Some(b) => core.tick_budgeted(&db, &mut monitor, b),
-                                None => core.tick(&db, &mut monitor),
-                            }
-                        };
-                        cell.store(core.ticks(), Ordering::SeqCst);
-                        match ack {
-                            Some(ack) => {
-                                let _ = ack.send(result);
-                            }
-                            None => {
-                                let error = match result {
-                                    Ok(report) => report.tune_error,
-                                    Err(e) => Some(e),
-                                };
-                                if core.last_error.is_none() {
-                                    core.last_error = error;
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-            core
-        });
-        LifecycleDaemon {
-            commands,
-            handle,
-            tick_cell,
-            health_cell,
-        }
-    }
-
-    /// Fire-and-forget tick. Errors are retained in the core's
-    /// `last_error` and surface at shutdown.
-    pub fn tick(&self) {
-        let _ = self.commands.send(Command::Tick(None, None));
-    }
-
-    /// Tick and wait for the report (used by deterministic drivers).
-    pub fn tick_wait(&self) -> Result<TickReport, TuneError> {
-        let (tx, rx) = mpsc::channel();
-        if self.commands.send(Command::Tick(None, Some(tx))).is_err() {
-            return Ok(TickReport::default()); // daemon already gone
-        }
-        rx.recv().unwrap_or_else(|_| Ok(TickReport::default()))
-    }
-
-    /// Begin a tick funded with `budget` work tokens instead of the
-    /// configured per-tick allowance, returning immediately with the ack
-    /// channel. A cluster driver fires all shards' ticks, then collects acks
-    /// in shard order — shards tick in parallel while the collection order
-    /// stays deterministic.
-    pub fn tick_begin_budgeted(
-        &self,
-        budget: f64,
-    ) -> mpsc::Receiver<Result<TickReport, TuneError>> {
-        let (tx, rx) = mpsc::channel();
-        let _ = self.commands.send(Command::Tick(Some(budget), Some(tx)));
-        rx
-    }
-
-    /// [`LifecycleDaemon::tick_wait`] with a caller-chosen budget for this
-    /// tick (see [`LifecycleCore::tick_budgeted`]).
-    pub fn tick_wait_budgeted(&self, budget: f64) -> Result<TickReport, TuneError> {
-        self.tick_begin_budgeted(budget)
-            .recv()
-            .unwrap_or_else(|_| Ok(TickReport::default()))
-    }
-
-    /// The shared cell holding the last completed tick number (virtual
-    /// "now" for monitor observations on query threads).
-    pub fn tick_cell(&self) -> Arc<AtomicU64> {
-        Arc::clone(&self.tick_cell)
-    }
-
-    /// The shared cell holding the core's latest end-of-tick
-    /// [`obsv::HealthSnapshot`].
-    pub fn health_cell(&self) -> Arc<Mutex<obsv::HealthSnapshot>> {
-        Arc::clone(&self.health_cell)
-    }
-
-    /// Stop the thread and recover the core (catalog, journal, meters).
-    /// `None` only if the daemon thread panicked, which the panic-free
-    /// lint gate makes unreachable in practice.
-    pub fn shutdown(self) -> Option<LifecycleCore> {
-        let _ = self.commands.send(Command::Shutdown);
-        self.handle.join().ok()
-    }
-}
-
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use autostats::OfflineTuner;
     use query::{bind_statement, parse_statement, BoundStatement};
@@ -675,7 +511,7 @@ mod tests {
 
     /// The paper's Example-2 shape: employees (skewed `salary`, rare > 200)
     /// joined with departments, where MNSA reliably builds statistics.
-    fn test_db() -> Database {
+    pub(crate) fn test_db() -> Database {
         let mut db = Database::new();
         let emp = db
             .create_table(
@@ -762,12 +598,11 @@ mod tests {
         let mut core = LifecycleCore::new(
             StatsCatalog::new(),
             AutodConfig {
-                budget_per_tick: f64::INFINITY,
                 shrink_every: 1,
                 ..AutodConfig::default()
             },
         );
-        let report = core.tick(&db, &mut monitor).unwrap();
+        let report = core.tick(&db, &mut monitor, f64::INFINITY).unwrap();
         assert!(!report.budget_exhausted);
         assert!(report.shrink_removed.is_some());
         assert_eq!(core.catalog().snapshot(), offline_catalog.snapshot());
@@ -792,13 +627,12 @@ mod tests {
         let mut core = LifecycleCore::new(
             StatsCatalog::new(),
             AutodConfig {
-                budget_per_tick: f64::INFINITY,
                 shrink_every: 0,
                 ..AutodConfig::default()
             },
         );
 
-        let first = core.tick(&db, &mut monitor).unwrap();
+        let first = core.tick(&db, &mut monitor, f64::INFINITY).unwrap();
         assert!(matches!(
             first.tune_error,
             Some(TuneError::Plan(
@@ -818,7 +652,7 @@ mod tests {
 
         // The rejected template is still in the monitor's sample, so the next
         // tick queues it again, behind the template that was waiting.
-        let second = core.tick(&db, &mut monitor).unwrap();
+        let second = core.tick(&db, &mut monitor, f64::INFINITY).unwrap();
         assert_eq!(second.queries_tuned, 1);
         assert!(second.tune_error.is_some());
         assert_eq!(second.pending, 0);
@@ -836,12 +670,11 @@ mod tests {
         let mut core = LifecycleCore::new(
             StatsCatalog::new(),
             AutodConfig {
-                budget_per_tick: 1.0,
                 shrink_every: 0,
                 ..AutodConfig::default()
             },
         );
-        let first = core.tick(&db, &mut monitor).unwrap();
+        let first = core.tick(&db, &mut monitor, 1.0).unwrap();
         assert!(first.budget_exhausted);
         assert!(first.queries_tuned <= 1);
         assert!(core.balance() < 0.0);
@@ -853,7 +686,7 @@ mod tests {
         // Enough later ticks pay down the debt and finish the queue.
         let mut tuned = first.queries_tuned;
         for _ in 0..100_000 {
-            let r = core.tick(&db, &mut monitor).unwrap();
+            let r = core.tick(&db, &mut monitor, 1.0).unwrap();
             tuned += r.queries_tuned;
             if !r.budget_exhausted {
                 break;
@@ -874,12 +707,11 @@ mod tests {
         let mut core = LifecycleCore::new(
             StatsCatalog::new(),
             AutodConfig {
-                budget_per_tick: f64::INFINITY,
                 shrink_every: 0,
                 ..AutodConfig::default()
             },
         );
-        let first = core.tick(&db, &mut monitor).unwrap();
+        let first = core.tick(&db, &mut monitor, f64::INFINITY).unwrap();
         assert!(first.queries_tuned > 0);
         let built = core.catalog().built_on_table(t).count();
         assert!(built > 0);
@@ -887,7 +719,7 @@ mod tests {
         assert!(first.published_generation.is_some());
 
         // Nothing stale yet: the next tick publishes nothing.
-        let quiet = core.tick(&db, &mut monitor).unwrap();
+        let quiet = core.tick(&db, &mut monitor, f64::INFINITY).unwrap();
         assert_eq!(quiet.refreshed, 0);
         assert_eq!(quiet.published_generation, None);
 
@@ -903,7 +735,7 @@ mod tests {
                 ])
                 .unwrap();
         }
-        let refreshed = core.tick(&db, &mut monitor).unwrap();
+        let refreshed = core.tick(&db, &mut monitor, f64::INFINITY).unwrap();
         assert_eq!(refreshed.refreshed, built);
         assert!(refreshed.refresh_work > 0.0);
         assert_eq!(core.epochs().generation(), gen_after_build + 1);
@@ -928,13 +760,12 @@ mod tests {
         let mut core = LifecycleCore::new(
             StatsCatalog::new(),
             AutodConfig {
-                budget_per_tick: f64::INFINITY,
                 shrink_every: 0,
                 feedback: Some(FeedbackConfig::default()),
                 ..AutodConfig::default()
             },
         );
-        core.tick(&db, &mut monitor).unwrap();
+        core.tick(&db, &mut monitor, f64::INFINITY).unwrap();
         let built = core.catalog().built_on_table(t).count();
         assert!(built > 0);
 
@@ -968,7 +799,7 @@ mod tests {
                 ])
                 .unwrap();
         }
-        let report = core.tick(&db, &mut monitor).unwrap();
+        let report = core.tick(&db, &mut monitor, f64::INFINITY).unwrap();
         assert!(
             report.feedback_refreshed >= 1,
             "salary statistic should take the feedback path: {report:?}"
@@ -988,7 +819,7 @@ mod tests {
             .any(|e| matches!(e, OnlineEvent::FeedbackRefresh { .. })));
         // The corrected statistics reset their staleness baseline: a quiet
         // tick refreshes nothing (no starvation, no thrash).
-        let quiet = core.tick(&db, &mut monitor).unwrap();
+        let quiet = core.tick(&db, &mut monitor, f64::INFINITY).unwrap();
         assert_eq!(quiet.refreshed + quiet.feedback_refreshed, 0);
     }
 
@@ -1007,13 +838,12 @@ mod tests {
             let mut core = LifecycleCore::new(
                 StatsCatalog::new(),
                 AutodConfig {
-                    budget_per_tick: f64::INFINITY,
                     shrink_every: 0,
                     feedback,
                     ..AutodConfig::default()
                 },
             );
-            let mut reports = vec![core.tick(&db, &mut monitor).unwrap()];
+            let mut reports = vec![core.tick(&db, &mut monitor, f64::INFINITY).unwrap()];
             for i in 0..900i64 {
                 db.table_mut(t)
                     .insert(vec![
@@ -1024,36 +854,12 @@ mod tests {
                     ])
                     .unwrap();
             }
-            reports.push(core.tick(&db, &mut monitor).unwrap());
+            reports.push(core.tick(&db, &mut monitor, f64::INFINITY).unwrap());
             (core.catalog().snapshot(), reports)
         };
         let (off_catalog, off_reports) = run(None);
         let (on_catalog, on_reports) = run(Some(FeedbackConfig::default()));
         assert_eq!(off_catalog, on_catalog);
         assert_eq!(off_reports, on_reports);
-    }
-
-    #[test]
-    fn daemon_thread_ticks_and_returns_core() {
-        let db = Arc::new(RwLock::new(test_db()));
-        let queries = workload(&db.read());
-        let monitor = Arc::new(Mutex::new(WorkloadMonitor::new(MonitorConfig::default())));
-        {
-            let mut m = monitor.lock();
-            for q in &queries {
-                m.observe(q, 0);
-            }
-        }
-        let core = LifecycleCore::new(StatsCatalog::new(), AutodConfig::default());
-        let epochs = core.epochs();
-        let daemon = LifecycleDaemon::spawn(core, Arc::clone(&db), Arc::clone(&monitor));
-        let report = daemon.tick_wait().unwrap();
-        assert_eq!(report.tick, 1);
-        assert!(report.queries_tuned > 0);
-        assert_eq!(daemon.tick_cell().load(Ordering::SeqCst), 1);
-        assert!(epochs.generation() >= 1);
-        let core = daemon.shutdown().expect("daemon thread lives");
-        assert_eq!(core.ticks(), 1);
-        assert!(core.last_error().is_none());
     }
 }

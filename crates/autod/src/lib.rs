@@ -10,22 +10,23 @@
 //!   executed query templates (frequency + recency per template,
 //!   deterministic seeded eviction). The tuning workload is this compressed
 //!   live sample, not an offline workload file.
-//! * [`StalenessTracker`] — consumes [`Database::modification_snapshot`]
-//!   counters and flags each built statistic stale under the SQL
-//!   Server-style `max(500, 20% of rows)` rule (configurable), driving
-//!   targeted refreshes through the catalog's shared-scan batch rebuilds.
-//! * [`LifecycleDaemon`] — a background thread driven by deterministic
+//! * [`LifecycleCore`] — a state machine advanced by deterministic
 //!   virtual-time ticks. Each tick funds a work-token budget (carry-over,
-//!   debt allowed), refreshes stale statistics, runs a budgeted increment of
-//!   MNSA over the monitored sample ([`autostats::OnlineTuner`]), and
-//!   periodically an MNSA/D + Shrinking Set pass; catalog changes publish
-//!   through an epoch-swap handle ([`EpochHandle`], an `ArcSwap`-style
-//!   generation pointer under a `parking_lot` lock) so query threads always
-//!   read a consistent catalog and never block on tuning.
+//!   debt allowed), refreshes the statistics
+//!   [`StatsCatalog::stale_statistics`] flags under the SQL Server-style
+//!   `max(500, 20% of rows)` rule (configurable) through the catalog's
+//!   shared-scan batch rebuilds, runs a budgeted increment of MNSA over the
+//!   monitored sample ([`autostats::OnlineTuner`]), and periodically an
+//!   MNSA/D + Shrinking Set pass.
+//! * [`EpochHandle`] — catalog changes publish through an epoch swap (an
+//!   `ArcSwap`-style generation pointer under a `parking_lot` lock), so
+//!   query threads always read a consistent catalog and never block on
+//!   tuning.
 //!
-//! [`OnlineService`] assembles the pieces over an
-//! [`AutoStatsManager::serve()`](autostats::AutoStatsManager::serve)
-//! hand-off and exposes cloneable per-thread [`QueryHandle`]s.
+//! [`OnlineService`] assembles the pieces over a database and a catalog and
+//! exposes cloneable per-thread [`QueryHandle`]s. It is passive: it starts no
+//! thread, and a tick runs on the thread that calls
+//! [`OnlineService::tick_wait`], with the core behind a mutex.
 //!
 //! ## Determinism contract
 //!
@@ -35,7 +36,7 @@
 //! drained, one shrink pass) leaves the master catalog bit-identical to
 //! [`OfflineTuner::tune`](autostats::OfflineTuner) over the same sample.
 //!
-//! [`Database::modification_snapshot`]: storage::Database::modification_snapshot
+//! [`StatsCatalog::stale_statistics`]: stats::StatsCatalog::stale_statistics
 
 // Library code must stay panic-free on arbitrary input; tests may unwrap.
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
@@ -44,10 +45,8 @@ pub mod daemon;
 pub mod epoch;
 pub mod monitor;
 pub mod service;
-pub mod staleness;
 
-pub use daemon::{AutodConfig, LifecycleCore, LifecycleDaemon, TelemetryConfig, TickReport};
+pub use daemon::{AutodConfig, LifecycleCore, TelemetryConfig, TickReport};
 pub use epoch::{CatalogEpoch, EpochHandle};
 pub use monitor::{MonitorConfig, TemplateStats, WorkloadMonitor};
-pub use service::{OnlineService, PendingTick, QueryHandle, ServiceReport};
-pub use staleness::{StaleStatistic, StalenessTracker};
+pub use service::{OnlineService, QueryHandle, ServiceReport};

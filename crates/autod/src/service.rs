@@ -1,22 +1,23 @@
-//! The online service: queries in front, the lifecycle daemon behind.
+//! The online service: queries in front, the lifecycle core behind.
 //!
-//! [`OnlineService::start`] takes over from an
-//! [`AutoStatsManager::serve`](autostats::AutoStatsManager::serve) hand-off:
-//! the database moves behind a `parking_lot::RwLock`, the catalog becomes
-//! the daemon's private master (queries read frozen [`CatalogEpoch`]s), and
-//! a [`LifecycleDaemon`] thread starts, waiting for ticks.
+//! [`OnlineService::start`] takes a database, the catalog tuned so far and
+//! the journal that goes with it: the database moves behind a
+//! `parking_lot::RwLock`, the catalog becomes the [`LifecycleCore`]'s private
+//! master (queries read frozen [`CatalogEpoch`]s), and the core waits behind
+//! a mutex for ticks. The service is passive: it starts no thread, and a tick
+//! runs on the thread that calls [`OnlineService::tick_wait`].
 //!
 //! Query threads hold cloneable [`QueryHandle`]s. A SELECT takes the
-//! database read lock (concurrent with other readers *and* with the
-//! daemon's tick), records itself in the workload monitor, optimizes
-//! against the current epoch's catalog, and executes; it never waits for
-//! tuning. DML takes the write lock, so modification counters advance
-//! atomically with the data. The lock order everywhere — daemon included —
-//! is database first, then monitor.
+//! database read lock (concurrent with other readers *and* with a tick),
+//! records itself in the workload monitor, optimizes against the current
+//! epoch's catalog, and executes; it never waits for tuning. DML takes the
+//! write lock, so modification counters advance atomically with the data.
+//! The lock order everywhere is core (ticks only), then database, then
+//! monitor.
 //!
 //! [`CatalogEpoch`]: crate::epoch::CatalogEpoch
 
-use crate::daemon::{AutodConfig, LifecycleCore, LifecycleDaemon, TickReport};
+use crate::daemon::{AutodConfig, LifecycleCore, TickReport};
 use crate::epoch::{CatalogEpoch, EpochHandle};
 use crate::monitor::{TemplateStats, WorkloadMonitor};
 use autostats::{ManagerError, SessionReport, TuneError};
@@ -53,7 +54,8 @@ pub(crate) struct ServiceTelemetry {
 pub struct ServiceReport {
     /// The master catalog at shutdown (authoritative, includes drop-list).
     pub catalog: StatsCatalog,
-    /// Journal: offline history from before `serve()` plus online events.
+    /// Journal: what was recorded before [`OnlineService::start`] plus the
+    /// online events.
     pub session: SessionReport,
     /// Last published epoch generation.
     pub generation: u64,
@@ -65,7 +67,7 @@ pub struct ServiceReport {
     pub observed: u64,
     /// Templates the monitor evicted over its life.
     pub evictions: u64,
-    /// First error from a fire-and-forget tick, if any occurred.
+    /// The first `Err` a tick returned, if one did.
     pub error: Option<TuneError>,
 }
 
@@ -76,23 +78,36 @@ pub struct OnlineService {
     epochs: Arc<EpochHandle>,
     optimizer: Arc<Optimizer>,
     obs: obsv::Obs,
-    daemon: LifecycleDaemon,
+    /// Held for the whole of a tick, and by nothing else: concurrent
+    /// callers of [`OnlineService::tick_wait`] tick one after another.
+    core: Mutex<LifecycleCore>,
+    first_error: Mutex<Option<TuneError>>,
+    /// The last completed tick: virtual "now" for monitor observations on
+    /// query threads.
     current_tick: Arc<AtomicU64>,
     telemetry: Arc<ServiceTelemetry>,
     health: Arc<Mutex<HealthSnapshot>>,
+    /// The core's feedback channel; every handle executes under a clone.
+    feedback: obsv::FeedbackLog,
+    budget_per_tick: f64,
 }
 
 impl OnlineService {
-    /// Start serving: wrap the manager hand-off and spawn the daemon.
-    pub fn start(parts: autostats::ServeParts, config: AutodConfig) -> OnlineService {
-        let obs = parts.obs.clone();
-        let monitor_config = config.monitor;
+    /// Start serving `db`. `catalog` is the master catalog to continue from
+    /// (empty, or tuned offline), `session` the journal recorded so far, and
+    /// `obs` the context the catalog, the tuner and every handle record into.
+    pub fn start(
+        db: Database,
+        mut catalog: StatsCatalog,
+        session: SessionReport,
+        obs: obsv::Obs,
+        config: AutodConfig,
+    ) -> OnlineService {
+        catalog.set_obs(&obs);
+        let monitor = WorkloadMonitor::new(config.monitor);
         let telemetry_config = config.telemetry;
-        let (core, db) = LifecycleCore::from_serve(parts, config);
-        let optimizer = Arc::new(core.optimizer().clone());
-        let epochs = core.epochs();
-        let db = Arc::new(RwLock::new(db));
-        let monitor = Arc::new(Mutex::new(WorkloadMonitor::new(monitor_config)));
+        let budget_per_tick = config.budget_per_tick;
+        let core = LifecycleCore::with_parts(catalog, config, obs.clone(), session);
         let telemetry = Arc::new(ServiceTelemetry {
             sampler: SpanSampler::new(telemetry_config.sample_seed, telemetry_config.sample_one_in),
             slowlog: SlowQueryLog::new(telemetry_config.slowlog_k),
@@ -102,19 +117,19 @@ impl OnlineService {
             dml: obs.metrics.counter("autod.dml"),
             windows: obsv::WindowedRegistry::new(Arc::clone(&obs.metrics)),
         });
-        let daemon = LifecycleDaemon::spawn(core, Arc::clone(&db), Arc::clone(&monitor));
-        let current_tick = daemon.tick_cell();
-        let health = daemon.health_cell();
         OnlineService {
-            db,
-            monitor,
-            epochs,
-            optimizer,
+            db: Arc::new(RwLock::new(db)),
+            monitor: Arc::new(Mutex::new(monitor)),
+            epochs: core.epochs(),
+            optimizer: Arc::new(core.optimizer().clone()),
             obs,
-            daemon,
-            current_tick,
+            first_error: Mutex::new(None),
+            current_tick: Arc::new(AtomicU64::new(0)),
             telemetry,
-            health,
+            health: core.health_cell(),
+            feedback: core.feedback_log(),
+            budget_per_tick,
+            core: Mutex::new(core),
         }
     }
 
@@ -129,52 +144,35 @@ impl OnlineService {
             obs: self.obs.fork(tid),
             current_tick: Arc::clone(&self.current_tick),
             telemetry: Arc::clone(&self.telemetry),
+            feedback: self.feedback.clone(),
         }
     }
 
-    /// Fire-and-forget virtual-time tick. Telemetry windows do not advance
-    /// on this path (use [`OnlineService::tick_wait`] for windowed rollups).
-    pub fn tick(&self) {
-        self.daemon.tick();
-    }
-
-    /// Tick and wait for the report — the deterministic driver's clock.
-    /// Also rolls the slow-query reservoir's window over at this tick;
-    /// pair with [`OnlineService::roll_window`] to emit the tick's metric
-    /// deltas.
+    /// [`OnlineService::tick_wait_budgeted`] funded with the configured
+    /// [`AutodConfig::budget_per_tick`].
     pub fn tick_wait(&self) -> Result<TickReport, TuneError> {
-        let report = self.daemon.tick_wait()?;
-        if report.tick > 0 {
-            self.telemetry.slowlog.roll(report.tick);
-        }
-        Ok(report)
+        self.tick_wait_budgeted(self.budget_per_tick)
     }
 
-    /// [`OnlineService::tick_wait`] with a caller-chosen work-token budget
-    /// for this tick — the hook a cluster-level budget arbiter uses to split
-    /// one global allowance across shards.
+    /// Run one tick funded with `budget` work tokens, on this thread, and
+    /// return its report — the deterministic driver's clock. Also rolls the
+    /// slow-query reservoir's window over at this tick; pair with
+    /// [`OnlineService::roll_window`] to emit the tick's metric deltas.
     pub fn tick_wait_budgeted(&self, budget: f64) -> Result<TickReport, TuneError> {
-        self.tick_collect(self.tick_begin_budgeted(budget))
-    }
-
-    /// Fire a budgeted tick without waiting. A cluster driver begins all
-    /// shards' ticks, then collects each with [`OnlineService::tick_collect`]
-    /// in shard order — the shards tune in parallel while the observable
-    /// collection order stays deterministic.
-    pub fn tick_begin_budgeted(&self, budget: f64) -> PendingTick {
-        PendingTick(self.daemon.tick_begin_budgeted(budget))
-    }
-
-    /// Wait for a tick begun with [`OnlineService::tick_begin_budgeted`].
-    pub fn tick_collect(&self, pending: PendingTick) -> Result<TickReport, TuneError> {
-        let report = pending
-            .0
-            .recv()
-            .unwrap_or_else(|_| Ok(TickReport::default()))?;
-        if report.tick > 0 {
-            self.telemetry.slowlog.roll(report.tick);
+        let mut core = self.core.lock();
+        let result = {
+            let db = self.db.read();
+            let mut monitor = self.monitor.lock();
+            core.tick(&db, &mut monitor, budget)
+        };
+        self.current_tick.store(core.ticks(), Ordering::SeqCst);
+        match &result {
+            Ok(report) => self.telemetry.slowlog.roll(report.tick),
+            Err(e) => {
+                self.first_error.lock().get_or_insert_with(|| e.clone());
+            }
         }
-        Ok(report)
+        result
     }
 
     /// The shared database behind this service. For cross-shard readers in
@@ -194,8 +192,8 @@ impl OnlineService {
         self.telemetry.windows.roll(window)
     }
 
-    /// The daemon's latest end-of-tick health snapshot (default before the
-    /// first tick completes).
+    /// The latest end-of-tick health snapshot (default before the first
+    /// tick completes).
     pub fn health(&self) -> HealthSnapshot {
         self.health.lock().clone()
     }
@@ -210,7 +208,7 @@ impl OnlineService {
         self.telemetry.slowlog.drain()
     }
 
-    /// The service metrics registry (shared with the daemon and handles).
+    /// The service metrics registry (shared with the core and handles).
     pub fn metrics(&self) -> Arc<obsv::Registry> {
         Arc::clone(&self.obs.metrics)
     }
@@ -225,49 +223,35 @@ impl OnlineService {
         self.epochs.generation()
     }
 
-    /// Stop the daemon and dismantle the service, recovering the database
-    /// and a report. `None` only if the daemon thread panicked.
-    pub fn shutdown(self) -> Option<(Database, ServiceReport)> {
-        let OnlineService {
-            db,
-            monitor,
-            epochs,
-            daemon,
-            ..
-        } = self;
-        let core = daemon.shutdown()?;
-        let generation = epochs.generation();
+    /// Dismantle the service, recovering the database and a report.
+    pub fn shutdown(self) -> (Database, ServiceReport) {
+        let core = self.core.into_inner();
         let ticks = core.ticks();
-        let error = core.last_error().cloned();
         let (catalog, session) = core.into_parts();
         let (templates, observed, evictions) = {
-            let m = monitor.lock();
+            let m = self.monitor.lock();
             (m.templates(), m.observed_total(), m.evictions_total())
         };
         // Recover the database: sole owner in the common case, else clone.
-        let db = match Arc::try_unwrap(db) {
+        let db = match Arc::try_unwrap(self.db) {
             Ok(lock) => lock.into_inner(),
             Err(shared) => shared.read().clone(),
         };
-        Some((
+        (
             db,
             ServiceReport {
                 catalog,
                 session,
-                generation,
+                generation: self.epochs.generation(),
                 ticks,
                 templates,
                 observed,
                 evictions,
-                error,
+                error: self.first_error.into_inner(),
             },
-        ))
+        )
     }
 }
-
-/// A tick in flight, begun with [`OnlineService::tick_begin_budgeted`] and
-/// finished with [`OnlineService::tick_collect`].
-pub struct PendingTick(std::sync::mpsc::Receiver<Result<TickReport, TuneError>>);
 
 /// A cloneable query entry point over the running service.
 #[derive(Clone)]
@@ -279,6 +263,7 @@ pub struct QueryHandle {
     obs: obsv::Obs,
     current_tick: Arc<AtomicU64>,
     telemetry: Arc<ServiceTelemetry>,
+    feedback: obsv::FeedbackLog,
 }
 
 impl QueryHandle {
@@ -322,7 +307,7 @@ impl QueryHandle {
                     &optimized.plan,
                     &self.optimizer.params,
                     private.as_ref().unwrap_or(&self.obs.tracer),
-                    &obsv::FeedbackLog::disabled(),
+                    &self.feedback,
                 )?;
                 let latency_ns = start.elapsed().as_nanos() as u64;
                 self.telemetry.query_latency.observe(latency_ns);
@@ -352,7 +337,7 @@ impl QueryHandle {
             &self.optimizer,
             &bound,
             &self.obs.tracer,
-            &obsv::FeedbackLog::disabled(),
+            &self.feedback,
         )?;
         self.telemetry
             .dml_latency
@@ -370,73 +355,24 @@ impl QueryHandle {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use autostats::{AutoStatsManager, CreationPolicy, ManagerConfig};
-    use storage::{ColumnDef, DataType, Schema, Value};
+    use crate::daemon::tests::test_db;
 
-    /// Example-2 shape (skewed `salary`, join with departments) so MNSA
-    /// actually builds statistics.
-    fn test_db() -> Database {
-        let mut db = Database::new();
-        let emp = db
-            .create_table(
-                "employees",
-                Schema::new(vec![
-                    ColumnDef::new("empid", DataType::Int),
-                    ColumnDef::new("deptid", DataType::Int),
-                    ColumnDef::new("age", DataType::Int),
-                    ColumnDef::new("salary", DataType::Int),
-                ]),
-            )
-            .unwrap();
-        let dept = db
-            .create_table(
-                "departments",
-                Schema::new(vec![
-                    ColumnDef::new("deptid", DataType::Int),
-                    ColumnDef::new("dname", DataType::Str),
-                ]),
-            )
-            .unwrap();
-        for i in 0..3000i64 {
-            let salary = if i % 100 == 0 { 250 } else { i % 200 };
-            db.table_mut(emp)
-                .insert(vec![
-                    Value::Int(i),
-                    Value::Int(i % 20),
-                    Value::Int(20 + (i % 50)),
-                    Value::Int(salary),
-                ])
-                .unwrap();
-        }
-        for d in 0..20i64 {
-            db.table_mut(dept)
-                .insert(vec![Value::Int(d), Value::Str(format!("d{d}"))])
-                .unwrap();
-        }
-        #[allow(deprecated)]
-        db.table_mut(emp).reset_modification_counter();
-        #[allow(deprecated)]
-        db.table_mut(dept).reset_modification_counter();
-        db
+    fn start(config: AutodConfig) -> OnlineService {
+        OnlineService::start(
+            test_db(),
+            StatsCatalog::new(),
+            SessionReport::default(),
+            obsv::Obs::disabled(),
+            config,
+        )
     }
 
     fn service(budget: f64) -> OnlineService {
-        let mgr = AutoStatsManager::new(
-            test_db(),
-            ManagerConfig {
-                creation: CreationPolicy::Manual,
-                auto_maintain: false,
-                ..ManagerConfig::default()
-            },
-        );
-        OnlineService::start(
-            mgr.serve(),
-            AutodConfig {
-                budget_per_tick: budget,
-                shrink_every: 2,
-                ..AutodConfig::default()
-            },
-        )
+        start(AutodConfig {
+            budget_per_tick: budget,
+            shrink_every: 2,
+            ..AutodConfig::default()
+        })
     }
 
     #[test]
@@ -459,7 +395,7 @@ mod tests {
         let again = svc.tick_wait().unwrap();
         assert_eq!(again.queries_tuned, 0);
 
-        let (db, report) = svc.shutdown().unwrap();
+        let (db, report) = svc.shutdown();
         assert!(db.table_id("employees").is_some());
         assert!(report.catalog.total_count() > 0);
         assert_eq!(report.observed, 2);
@@ -475,25 +411,14 @@ mod tests {
 
     /// Service with every query sampled into the slow-query reservoir.
     fn traced_service() -> OnlineService {
-        let mgr = AutoStatsManager::new(
-            test_db(),
-            ManagerConfig {
-                creation: CreationPolicy::Manual,
-                auto_maintain: false,
-                ..ManagerConfig::default()
+        start(AutodConfig {
+            budget_per_tick: f64::INFINITY,
+            telemetry: crate::daemon::TelemetryConfig {
+                sample_one_in: 1,
+                ..crate::daemon::TelemetryConfig::default()
             },
-        );
-        OnlineService::start(
-            mgr.serve(),
-            AutodConfig {
-                budget_per_tick: f64::INFINITY,
-                telemetry: crate::daemon::TelemetryConfig {
-                    sample_one_in: 1,
-                    ..crate::daemon::TelemetryConfig::default()
-                },
-                ..AutodConfig::default()
-            },
-        )
+            ..AutodConfig::default()
+        })
     }
 
     #[test]
@@ -517,7 +442,6 @@ mod tests {
         assert_eq!(health.epoch_generation, svc.generation());
         let line = health.to_json_line();
         assert_eq!(obsv::HealthSnapshot::from_json_line(&line), Ok(health));
-        svc.shutdown().unwrap();
     }
 
     #[test]
@@ -539,7 +463,6 @@ mod tests {
         let w2 = svc.roll_window(2);
         assert_eq!(w2.count("autod.queries"), 0);
         assert_eq!(w2.latency("autod.query.latency_ns").unwrap().count, 0);
-        svc.shutdown().unwrap();
     }
 
     #[test]
@@ -562,7 +485,6 @@ mod tests {
         obsv::check::check_jsonl(&jsonl).expect("slowlog export is a valid trace");
         // Drained means drained.
         assert!(svc.drain_slow_queries().is_empty());
-        svc.shutdown().unwrap();
     }
 
     #[test]
@@ -573,8 +495,44 @@ mod tests {
             .run_sql("DELETE FROM employees WHERE empid < 100")
             .unwrap();
         assert!(matches!(out, StatementOutcome::Dml { .. }));
-        let (db, _) = svc.shutdown().unwrap();
+        let (db, _) = svc.shutdown();
         let employees = db.table_id("employees").unwrap();
         assert!(db.table(employees).modification_counter() > 0);
+    }
+
+    /// What a handle's scans observe reaches the core: with feedback on, a
+    /// statistic the served queries scanned is corrected from their
+    /// cardinalities when a bulk insert makes it stale.
+    #[test]
+    fn served_scans_feed_the_feedback_refresh() {
+        let svc = start(AutodConfig {
+            budget_per_tick: f64::INFINITY,
+            shrink_every: 0,
+            feedback: Some(stats::FeedbackConfig::default()),
+            ..AutodConfig::default()
+        });
+        let h = svc.handle(1);
+        h.run_sql(
+            "SELECT e.empid FROM employees e, departments d \
+             WHERE e.deptid = d.deptid AND e.salary > 200",
+        )
+        .unwrap();
+        let built = svc.tick_wait().unwrap();
+        assert!(built.published_generation.is_some(), "{built:?}");
+
+        for _ in 0..6 {
+            h.run_sql("SELECT * FROM employees WHERE salary > 200")
+                .unwrap();
+        }
+        for i in 0..900 {
+            h.run_sql(&format!(
+                "INSERT INTO employees VALUES ({}, 0, 21, 300)",
+                10_000 + i
+            ))
+            .unwrap();
+        }
+        let report = svc.tick_wait().unwrap();
+        assert!(report.feedback_refreshed >= 1, "{report:?}");
+        assert!(svc.metrics().counter("stats.feedback.records").get() > 0);
     }
 }

@@ -1,6 +1,6 @@
 //! The `exp` command line: one table-driven parser for every experiment.
 //!
-//! `exp <experiment> [--tiny | --full] [flags]`. [`EXPERIMENTS`] lists, per
+//! `exp <experiment> [--tiny | --full] [flags]`. `EXPERIMENTS` lists, per
 //! experiment, exactly the flags it implements. Anything else — an unknown
 //! experiment or flag, a flag given twice, a missing, unparsable or
 //! out-of-range value — is an error, which the binary answers with
@@ -112,7 +112,7 @@ fn operand(flag: &str) -> &'static str {
     }
 }
 
-/// The usage text, rendered from [`EXPERIMENTS`].
+/// The usage text, rendered from `EXPERIMENTS`.
 pub fn usage() -> String {
     let mut out = String::from("usage: exp <experiment> [--tiny | --full] [flags]\n");
     for (_, name, flags) in &EXPERIMENTS {

@@ -1,8 +1,8 @@
 //! Aging (§6) — "statistics with high creation/update cost that have been
 //! dropped after being found non-essential for a workload should not be
 //! recreated immediately if the same (or similar) workload repeats", while
-//! "optimization of significantly expensive queries [is] not adversely
-//! affected". The paper defers the evaluation to its journal version [5];
+//! "optimization of significantly expensive queries \[is\] not adversely
+//! affected". The paper defers the evaluation to its journal version \[5\];
 //! this experiment reproduces the intended behavior curve: re-creation work
 //! across repeating epochs with aging off vs. on, and the execution-cost
 //! price paid for the dampening.

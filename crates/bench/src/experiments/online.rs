@@ -27,7 +27,7 @@
 
 use crate::common::ExperimentScale;
 use autod::{AutodConfig, CatalogEpoch, OnlineService, ServiceReport, TelemetryConfig, TickReport};
-use autostats::{AutoStatsManager, CreationPolicy, ManagerConfig, OfflineTuner, ServeParts};
+use autostats::{OfflineTuner, SessionReport};
 use datagen::{tpcd_benchmark_queries, Complexity, RagsGenerator, WorkloadSpec};
 use obsv::metrics::render_f64 as num;
 use optimizer::{OptimizeOptions, Optimizer};
@@ -97,7 +97,7 @@ pub(crate) fn gap_pct(online_probe_cost: f64, offline_probe_cost: f64) -> f64 {
 }
 
 impl OnlineResult {
-    /// Convergence gap of the final online catalog, see [`gap_pct`].
+    /// Convergence gap of the final online catalog, see `gap_pct`.
     pub fn convergence_gap_pct(&self) -> f64 {
         gap_pct(self.online_probe_cost, self.offline_probe_cost)
     }
@@ -226,16 +226,6 @@ pub(crate) fn autod_config() -> AutodConfig {
     }
 }
 
-pub(crate) fn manager_config() -> ManagerConfig {
-    // The daemon owns creation and maintenance; the manager hands over a
-    // database with zero statistics and no per-statement tuning.
-    ManagerConfig {
-        creation: CreationPolicy::Manual,
-        auto_maintain: false,
-        ..ManagerConfig::default()
-    }
-}
-
 /// TPCD_MIX at `scale` and the seeded U20-S statement stream over it.
 pub(crate) fn stream(scale: &ExperimentScale) -> (Database, Vec<Statement>) {
     let db = scale.tpcd_mix();
@@ -291,15 +281,18 @@ pub(crate) fn interleave(
     }
 }
 
-/// One deterministic single-client drive of the closed loop over `parts`,
-/// every tick funded with `budget` work units.
+/// One deterministic single-client drive of the closed loop over `db`,
+/// from zero statistics and a journal that starts as `session`, every tick
+/// funded with `budget` work units.
 pub(crate) fn drive_service(
-    parts: ServeParts,
+    db: Database,
+    session: SessionReport,
+    obs: obsv::Obs,
     statements: &[Statement],
     ticks: u64,
     budget: f64,
 ) -> ServiceDrive {
-    let svc = OnlineService::start(parts, autod_config());
+    let svc = OnlineService::start(db, StatsCatalog::new(), session, obs, autod_config());
     let handle = svc.handle(1);
     let mut tick_reports = Vec::new();
     let mut epochs = Vec::new();
@@ -321,10 +314,7 @@ pub(crate) fn drive_service(
         },
     );
     telemetry.slowlog_jsonl = obsv::slowlog::to_jsonl(&svc.drain_slow_queries());
-    let (db, report) = svc.shutdown().expect("daemon thread lives");
-    if let Some(e) = &report.error {
-        panic!("daemon tick failed during drive: {e}");
-    }
+    let (db, report) = svc.shutdown();
     ServiceDrive {
         db,
         report,
@@ -388,11 +378,18 @@ pub fn run(
     ticks: u64,
     budget_per_tick: f64,
     obs: obsv::Obs,
-) -> (OnlineResult, autostats::SessionReport, TelemetryExport) {
+) -> (OnlineResult, SessionReport, TelemetryExport) {
     let (db, statements) = stream(scale);
     let drive = |obs: obsv::Obs| {
-        let mgr = AutoStatsManager::new_with_obs(db.clone(), manager_config(), obs);
-        drive_service(mgr.serve(), &statements, ticks, budget_per_tick)
+        let session = SessionReport::default();
+        drive_service(
+            db.clone(),
+            session,
+            obs,
+            &statements,
+            ticks,
+            budget_per_tick,
+        )
     };
     let first = drive(obs);
     let second = drive(obsv::Obs::disabled());

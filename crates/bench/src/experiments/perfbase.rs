@@ -81,7 +81,7 @@ const OPTIMIZE_CALLS_PER_QUERY: usize = 20;
 pub struct OptimizeTiming {
     pub relations: usize,
     /// Queries of that size the workload generator produced (at most
-    /// [`OPTIMIZE_QUERIES_PER_SIZE`]).
+    /// `OPTIMIZE_QUERIES_PER_SIZE`).
     pub queries: usize,
     /// Microseconds per call under an empty catalog (all magic numbers).
     pub no_stats_us: f64,

@@ -21,11 +21,11 @@
 
 use super::online::{
     autod_config, digest, distinct_sample, drive_service, gap_pct, interleave, is_quiet,
-    manager_config, offline_probe_cost, probe_cost, stream, Digest, ServiceDrive, TelemetryExport,
+    offline_probe_cost, probe_cost, stream, Digest, ServiceDrive, TelemetryExport,
 };
 use crate::common::ExperimentScale;
-use autod::{ServiceReport, TickReport};
-use autostats::{AutoStatsManager, OnlineEvent};
+use autod::{AutodConfig, ServiceReport, TickReport};
+use autostats::{OnlineEvent, SessionReport};
 use obsv::metrics::render_f64 as num;
 use query::{bind_statement, BoundSelect, Statement};
 use serve::{GatherStats, Route, Router, ServeCluster, ServeConfig, ShardPlan, ShardPlanConfig};
@@ -174,9 +174,10 @@ fn serve_config(db: &Database, shards: usize, global_budget: f64) -> ServeConfig
     ServeConfig {
         shards,
         partition_threshold: partition_threshold(db, shards),
-        global_budget_per_tick: global_budget,
-        autod: autod_config(),
-        manager: manager_config(),
+        autod: AutodConfig {
+            budget_per_tick: global_budget,
+            ..autod_config()
+        },
         ..ServeConfig::default()
     }
 }
@@ -241,13 +242,8 @@ fn drive_cluster(
         },
     );
     let gather = cluster.gather_stats();
-    let pairs = cluster.shutdown().expect("daemon threads live");
+    let pairs = cluster.shutdown().expect("shutdown is always Some");
     let (dbs, reports): (Vec<_>, Vec<_>) = pairs.into_iter().unzip();
-    for report in &reports {
-        if let Some(e) = &report.error {
-            panic!("shard daemon tick failed during drive: {e}");
-        }
-    }
     ClusterDrive {
         dbs,
         reports,
@@ -267,11 +263,9 @@ fn drive_unsharded(scale: &ExperimentScale, ticks: u64, budget: f64) -> ServiceD
     let plan = ShardPlan::build(&db, &ShardPlanConfig::default());
     let mut shard_dbs = plan.shard_databases(&db).expect("1-shard split succeeds");
     let shard_db = shard_dbs.remove(0);
-    let manifest = plan.shard_manifest(0, &shard_db);
-    let mgr = AutoStatsManager::new_with_obs(shard_db, manager_config(), obsv::Obs::disabled());
-    let mut parts = mgr.serve();
-    for (table, rows, partitioned) in manifest {
-        parts.session.record_online(OnlineEvent::ShardAssigned {
+    let mut session = SessionReport::default();
+    for (table, rows, partitioned) in plan.shard_manifest(0, &shard_db) {
+        session.record_online(OnlineEvent::ShardAssigned {
             tick: 0,
             shard: 0,
             table,
@@ -279,7 +273,8 @@ fn drive_unsharded(scale: &ExperimentScale, ticks: u64, budget: f64) -> ServiceD
             partitioned,
         });
     }
-    drive_service(parts, &statements, ticks, budget)
+    let obs = obsv::Obs::disabled();
+    drive_service(shard_db, session, obs, &statements, ticks, budget)
 }
 
 /// Per-shard convergence: score each shard's final catalog on the distinct

@@ -1,7 +1,7 @@
 //! Shrinking Set (§5.2) — the guaranteed-essential-set path.
 //!
 //! The paper defers the detailed Shrinking Set evaluation to its journal
-//! version [5]; what it *does* state, we verify: MNSA followed by Shrinking
+//! version \[5\]; what it *does* state, we verify: MNSA followed by Shrinking
 //! Set leaves an essential set (minimal, equivalent to the full set), and we
 //! compare the residual statistics count / update cost against MNSA and
 //! MNSA/D as the offline-policy pipeline of §6 suggests.

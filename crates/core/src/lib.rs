@@ -68,7 +68,7 @@ pub use equivalence::Equivalence;
 pub use error::TuneError;
 pub use faults::{Fault, FaultPlan};
 pub use journal::{OnlineEvent, QueryRecord, SessionReport};
-pub use manager::{AutoStatsManager, ManagerConfig, ManagerError, ServeParts};
+pub use manager::{AutoStatsManager, ManagerConfig, ManagerError};
 pub use mnsa::{
     CandidateMode, FeedbackSource, MnsaConfig, MnsaEngine, MnsaOutcome, NextStatOrder, Termination,
 };

@@ -7,9 +7,8 @@
 
 use crate::error::TuneError;
 use crate::journal::SessionReport;
-use crate::policy::{apply_policy_obs, CreationPolicy, TuningReport};
-use crate::Equivalence;
-use executor::{run_statement_observed, ExecError, StatementOutcome};
+use crate::policy::{apply_policy, CreationPolicy, TuningReport};
+use executor::{run_statement, ExecError, StatementOutcome};
 use optimizer::PlanError;
 use optimizer::{OptimizeOptions, Optimizer};
 use query::{bind_statement, parse_statement, BindError, BoundStatement, ParseError, Statement};
@@ -89,8 +88,6 @@ pub struct ManagerConfig {
     pub maintenance: MaintenancePolicy,
     /// Run the maintenance loop automatically after every DML statement.
     pub auto_maintain: bool,
-    /// Equivalence notion reported by diagnostic helpers.
-    pub equivalence: Equivalence,
 }
 
 impl Default for ManagerConfig {
@@ -99,20 +96,8 @@ impl Default for ManagerConfig {
             creation: CreationPolicy::default(),
             maintenance: MaintenancePolicy::default(),
             auto_maintain: true,
-            equivalence: Equivalence::paper_default(),
         }
     }
-}
-
-/// Ownership bundle produced by [`AutoStatsManager::serve`]: everything an
-/// online lifecycle daemon needs to take over a tuned (or fresh) manager.
-pub struct ServeParts {
-    pub db: Database,
-    pub catalog: StatsCatalog,
-    pub config: ManagerConfig,
-    pub obs: obsv::Obs,
-    /// Journal accumulated before serving began; online events append here.
-    pub session: SessionReport,
 }
 
 /// A self-tuning database: storage + statistics + optimizer + policy.
@@ -125,32 +110,19 @@ pub struct AutoStatsManager {
     tuning: TuningReport,
     /// Cumulative execution work.
     execution_work: f64,
-    /// Observability context threaded into tuning, builds, and execution.
-    obs: obsv::Obs,
     /// Journal of every MNSA trajectory this manager ran.
     session: SessionReport,
 }
 
 impl AutoStatsManager {
     pub fn new(db: Database, config: ManagerConfig) -> Self {
-        Self::new_with_obs(db, config, obsv::Obs::disabled())
-    }
-
-    /// [`AutoStatsManager::new`] with a live observability context: the
-    /// catalog registers its `stats.*` build metrics, and execution mirrors
-    /// its work into the `exec.work` counter. Tuning outcomes are
-    /// bit-identical to an unobserved manager.
-    pub fn new_with_obs(db: Database, config: ManagerConfig, obs: obsv::Obs) -> Self {
-        let mut catalog = StatsCatalog::new();
-        catalog.set_obs(&obs);
         AutoStatsManager {
             db,
-            catalog,
+            catalog: StatsCatalog::new(),
             optimizer: Optimizer::default(),
             config,
             tuning: TuningReport::default(),
             execution_work: 0.0,
-            obs,
             session: SessionReport::default(),
         }
     }
@@ -185,35 +157,10 @@ impl AutoStatsManager {
         self.execution_work
     }
 
-    /// The observability context this manager records into.
-    pub fn obs(&self) -> &obsv::Obs {
-        &self.obs
-    }
-
     /// The tuning-session journal: one record per MNSA trajectory this
     /// manager ran for an incoming query.
     pub fn session_report(&self) -> &SessionReport {
         &self.session
-    }
-
-    /// Decompose the manager into the parts an online lifecycle daemon
-    /// needs — the front door to serving mode.
-    ///
-    /// The manager's one-thread facade cannot host a background tuner, so
-    /// instead of threading `&mut self` through a daemon, `serve()` hands
-    /// over ownership of the database, catalog, policy configuration,
-    /// observability context, and the journal accumulated so far. The
-    /// `autod` crate assembles these into a running
-    /// `OnlineService`/`LifecycleDaemon`; everything tuned while serving
-    /// lands in the returned journal's continuation.
-    pub fn serve(self) -> ServeParts {
-        ServeParts {
-            db: self.db,
-            catalog: self.catalog,
-            config: self.config,
-            obs: self.obs,
-            session: self.session,
-        }
     }
 
     /// Parse, bind, tune (per policy), and execute one SQL statement.
@@ -234,32 +181,21 @@ impl AutoStatsManager {
         bound: &BoundStatement,
     ) -> Result<StatementOutcome, ManagerError> {
         if let BoundStatement::Select(q) = bound {
-            let (report, _, mnsa) = apply_policy_obs(
-                &self.db,
-                &mut self.catalog,
-                &self.config.creation,
-                q,
-                &self.obs,
-            )?;
+            let (report, _, mnsa) =
+                apply_policy(&self.db, &mut self.catalog, &self.config.creation, q)?;
             self.tuning.absorb(&report);
             if let Some(outcome) = mnsa {
                 self.session.record_query(q.relations.len(), &outcome);
             }
             self.session.totals.absorb(&report);
         }
-        let outcome = run_statement_observed(
+        let outcome = run_statement(
             &mut self.db,
             self.catalog.full_view(),
             &self.optimizer,
             bound,
-            &self.obs.tracer,
-            &obsv::FeedbackLog::disabled(),
         )?;
         self.execution_work += outcome.work();
-        self.obs
-            .metrics
-            .float_counter("exec.work")
-            .add(outcome.work());
         if self.config.auto_maintain && !matches!(bound, BoundStatement::Select(_)) {
             self.maintain();
         }

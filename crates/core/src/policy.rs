@@ -12,7 +12,7 @@
 //! * **Offline tuning** ([`OfflineTuner`]) — the most conservative policy: a
 //!   periodic process runs MNSA over the workload and then the Shrinking Set
 //!   algorithm to eliminate non-essential statistics.
-//! * **Aging** — configured on [`MnsaConfig`](crate::MnsaConfig); dampens
+//! * **Aging** — configured on [`MnsaConfig`]; dampens
 //!   re-creation of recently dropped statistics.
 //! * The **auto-update/auto-drop** loop itself lives in
 //!   [`stats::StatsCatalog::maintain`], restricted to drop-listed statistics
@@ -98,28 +98,15 @@ fn unbuilt(
         .collect()
 }
 
-/// Apply a creation policy for one incoming query. Returns the report and
-/// the ids of statistics created.
+/// Apply a creation policy for one incoming query. Returns the report, the
+/// ids of statistics created and, from the MNSA arm, its raw [`MnsaOutcome`]
+/// so callers can journal the trajectory (`None` for the unconditional
+/// policies).
 pub fn apply_policy(
     db: &Database,
     catalog: &mut StatsCatalog,
     policy: &CreationPolicy,
     query: &BoundSelect,
-) -> Result<(TuningReport, Vec<StatId>), TuneError> {
-    apply_policy_obs(db, catalog, policy, query, &obsv::Obs::disabled())
-        .map(|(report, created, _)| (report, created))
-}
-
-/// [`apply_policy`] under an observability context. The MNSA arm also
-/// returns its raw [`MnsaOutcome`] so callers can journal the trajectory;
-/// `None` for the unconditional policies. Reports, created sets, and catalog
-/// state are identical with or without observation.
-pub fn apply_policy_obs(
-    db: &Database,
-    catalog: &mut StatsCatalog,
-    policy: &CreationPolicy,
-    query: &BoundSelect,
-    obs: &obsv::Obs,
 ) -> Result<(TuningReport, Vec<StatId>, Option<MnsaOutcome>), TuneError> {
     let mut report = TuningReport::default();
     let before_work = catalog.creation_work();
@@ -136,8 +123,7 @@ pub fn apply_policy_obs(
             created = crate::batch::create_statistics_grouped(catalog, db, &descs)?;
         }
         CreationPolicy::Mnsa(cfg) => {
-            let engine = MnsaEngine::new(*cfg).with_obs(obs.clone());
-            let outcome = engine.run_query(db, catalog, query)?;
+            let outcome = MnsaEngine::new(*cfg).run_query(db, catalog, query)?;
             report.optimizer_calls = outcome.optimizer_calls;
             report.overhead_work =
                 outcome.optimizer_calls as f64 * optimizer_call_work(query.relations.len());
@@ -287,7 +273,7 @@ mod tests {
         let db = setup();
         let q = bind(&db, "SELECT * FROM sales WHERE region = 3 AND amount > 800");
         let mut catalog = StatsCatalog::new();
-        let (report, created) =
+        let (report, created, _) =
             apply_policy(&db, &mut catalog, &CreationPolicy::CreateAllSyntactic, &q).unwrap();
         assert_eq!(created.len(), 2);
         assert_eq!(report.statistics_created, 2);
@@ -300,7 +286,7 @@ mod tests {
         let db = setup();
         let q = bind(&db, "SELECT * FROM sales WHERE region = 3 AND amount > 800");
         let mut catalog = StatsCatalog::new();
-        let (_, created) =
+        let (_, created, _) =
             apply_policy(&db, &mut catalog, &CreationPolicy::CreateAllCandidates, &q).unwrap();
         assert_eq!(created.len(), 3); // region, amount, (region, amount)
     }
@@ -310,7 +296,7 @@ mod tests {
         let db = setup();
         let q = bind(&db, "SELECT * FROM sales WHERE region = 3 AND amount > 800");
         let mut catalog = StatsCatalog::new();
-        let (report, _) = apply_policy(
+        let (report, _, _) = apply_policy(
             &db,
             &mut catalog,
             &CreationPolicy::Mnsa(MnsaConfig::default()),
@@ -327,7 +313,7 @@ mod tests {
         let db = setup();
         let q = bind(&db, "SELECT * FROM sales WHERE region = 3");
         let mut catalog = StatsCatalog::new();
-        let (report, created) =
+        let (report, created, _) =
             apply_policy(&db, &mut catalog, &CreationPolicy::Manual, &q).unwrap();
         assert!(created.is_empty());
         assert_eq!(report, TuningReport::default());

@@ -68,7 +68,7 @@ impl fmt::Display for Regime {
     }
 }
 
-/// Generator knobs. All fields are sanitized before use ([`Self::sane`]),
+/// Generator knobs. All fields are sanitized before use (`Self::sane`),
 /// so arbitrary (proptest-supplied) values build valid databases.
 #[derive(Debug, Clone)]
 pub struct AdversarialConfig {

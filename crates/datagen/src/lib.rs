@@ -7,7 +7,7 @@
 //!   support a *mixed* mode assigning each column a random `z`. [`tpcd`]
 //!   rebuilds that generator: `TPCD_0` (uniform), `TPCD_2`, `TPCD_4`, and
 //!   `TPCD_MIX` databases at a configurable scale factor.
-//! * **Rags-like workloads** — Slutz's Rags tool [15] generated stochastic
+//! * **Rags-like workloads** — Slutz's Rags tool \[15\] generated stochastic
 //!   SQL; [`rags`] is a seedable generator with the paper's three knobs:
 //!   update percentage (0/25/50), complexity (Simple ≤ 2 tables /
 //!   Complex ≤ 8 tables), and statement count, with names like `U25-S-1000`.
@@ -24,7 +24,6 @@ pub mod rags;
 #[allow(clippy::unwrap_used, clippy::expect_used)]
 pub mod tpcd;
 pub mod tpcd_queries;
-pub mod workload_io;
 pub mod zipf;
 
 pub use adversarial::{
@@ -34,5 +33,4 @@ pub use adversarial::{
 pub use rags::{Complexity, RagsGenerator, WorkloadSpec};
 pub use tpcd::{build_tpcd, create_tuned_indexes, standard_databases, TpcdConfig, ZipfSpec};
 pub use tpcd_queries::tpcd_benchmark_queries;
-pub use workload_io::{read_workload, workload_from_sql, workload_to_sql, write_workload};
 pub use zipf::Zipf;

@@ -1,6 +1,6 @@
 //! The 17 TPC-D benchmark queries, rendered in the supported subset.
 //!
-//! TPC-D (Working Draft 6.0, 1993 — reference [16] of the paper) defines 17
+//! TPC-D (Working Draft 6.0, 1993 — reference \[16\] of the paper) defines 17
 //! decision-support queries. The paper's intro experiment runs all 17 on a
 //! tuned 1 GB database and observes that creating relevant column statistics
 //! changed the plan of all but two. Our versions keep each query's join

@@ -9,7 +9,7 @@
 //! what the batch executor uses. Both return exactly the same row sets.
 //!
 //! Numeric comparisons additionally compile down to the branch-free range
-//! kernels in [`crate::kernels`]: each `Cmp`/`Between` over an `Int`/`Date`/
+//! kernels in `crate::kernels`: each `Cmp`/`Between` over an `Int`/`Date`/
 //! `Float` column canonicalizes to an inclusive range test over totally
 //! ordered `i64` keys (with a negate flag for `Ne`), which the kernels
 //! evaluate without data-dependent branches so rustc autovectorizes the

@@ -99,8 +99,7 @@ pub fn check_chrome(text: &str) -> Result<CheckSummary, String> {
     })
 }
 
-/// Check a metrics dump: one JSON object whose values are numbers,
-/// fixed-bucket histogram objects (`bounds`/`counts`/`sum`/`count`), or
+/// Check a metrics dump: one JSON object whose values are numbers or
 /// latency histogram objects (`count`/`p50`/`p90`/`p99`/`p999`/`max`).
 pub fn check_metrics(text: &str) -> Result<CheckSummary, String> {
     let v = json::parse(text).map_err(|e| e.to_string())?;
@@ -111,17 +110,9 @@ pub fn check_metrics(text: &str) -> Result<CheckSummary, String> {
         match value {
             Json::Num(_) | Json::Null => {}
             Json::Object(h) => {
-                if h.contains_key("bounds") {
-                    for key in ["bounds", "counts", "sum", "count"] {
-                        if !h.contains_key(key) {
-                            return Err(format!("metric '{name}': histogram missing {key}"));
-                        }
-                    }
-                } else {
-                    for key in ["count", "p50", "p90", "p99", "p999", "max"] {
-                        if !h.contains_key(key) {
-                            return Err(format!("metric '{name}': latency object missing {key}"));
-                        }
+                for key in ["count", "p50", "p90", "p99", "p999", "max"] {
+                    if !h.contains_key(key) {
+                        return Err(format!("metric '{name}': latency object missing {key}"));
                     }
                 }
             }
@@ -288,7 +279,7 @@ mod tests {
     fn metrics_dump_passes() {
         let r = crate::metrics::Registry::new();
         r.counter("a").inc();
-        r.histogram("h", &[1.0]).observe(0.5);
+        r.latency("h").observe(5);
         let s = check_metrics(&r.snapshot().render_json()).expect("valid metrics");
         assert_eq!(s.events, 2);
     }

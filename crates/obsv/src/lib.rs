@@ -2,9 +2,9 @@
 //!
 //! Two halves:
 //!
-//! - [`metrics`] — a process-wide registry of named counters, gauges, and
-//!   fixed-bucket histograms behind atomics, with a [`Registry::snapshot`]
-//!   API and text/JSON renderers.
+//! - [`metrics`] — a registry of named counters, gauges, and latency
+//!   histograms behind atomics, with a [`Registry::snapshot`] API and
+//!   text/JSON renderers.
 //! - [`trace`] — a span tracer with explicit [`SpanGuard`]s, per-fork event
 //!   buffers merged deterministically at flush, and exporters ([`export`])
 //!   to JSONL and Chrome `trace_event` format (Perfetto-viewable).
@@ -34,7 +34,7 @@ use std::sync::Arc;
 pub use feedback::{template_fingerprint, FeedbackLog, FeedbackRecord};
 pub use health::HealthSnapshot;
 pub use latency::{LatencyHistogram, LatencySample, RELATIVE_ERROR_BOUND};
-pub use metrics::{Counter, FloatCounter, Gauge, Histogram, MetricValue, Registry, Snapshot};
+pub use metrics::{Counter, FloatCounter, Gauge, MetricValue, Registry, Snapshot};
 pub use slowlog::{SlowQuery, SlowQueryLog, SpanSampler};
 pub use trace::{ArgValue, Event, EventKind, SpanGuard, TraceDefect, Tracer};
 pub use window::{WindowDelta, WindowValue, WindowedRegistry};

@@ -1,8 +1,8 @@
-//! Process-wide metrics registry: named counters, gauges, and fixed-bucket
-//! histograms behind atomics.
+//! Metrics registry: named counters, gauges, and latency histograms behind
+//! atomics.
 //!
 //! A [`Registry`] is a name → metric map. Handles ([`Counter`],
-//! [`FloatCounter`], [`Gauge`], [`Histogram`]) are `Arc`-backed: cloning is
+//! [`FloatCounter`], [`Gauge`], [`LatencyHistogram`]) are `Arc`-backed: cloning is
 //! cheap, updates are single atomic operations, and a handle keeps working
 //! (detached) even if it was never registered — which is what the disabled
 //! mode uses, so instrumented code never branches on "is observability on".
@@ -13,7 +13,7 @@
 use crate::latency::{LatencyHistogram, LatencySample};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// Lock a mutex, recovering from poisoning (we never leave data in an
 /// invalid state mid-lock, so the value is always usable).
@@ -110,75 +110,11 @@ impl Gauge {
     }
 }
 
-#[derive(Debug)]
-struct HistogramCore {
-    /// Upper bounds of the finite buckets, ascending; one implicit +inf
-    /// bucket follows. Fixed at registration.
-    bounds: Vec<f64>,
-    /// One count per finite bucket plus the overflow bucket.
-    counts: Vec<AtomicU64>,
-    sum: FloatCounter,
-    total: AtomicU64,
-}
-
-/// Fixed-bucket histogram: `observe` is a binary search plus two atomic
-/// adds; no allocation after registration.
-#[derive(Debug, Clone)]
-pub struct Histogram(Arc<HistogramCore>);
-
-impl Histogram {
-    pub fn with_bounds(bounds: &[f64]) -> Self {
-        let mut b: Vec<f64> = bounds.iter().copied().filter(|v| v.is_finite()).collect();
-        b.sort_by(f64::total_cmp);
-        b.dedup();
-        let counts = (0..=b.len()).map(|_| AtomicU64::new(0)).collect();
-        Histogram(Arc::new(HistogramCore {
-            bounds: b,
-            counts,
-            sum: FloatCounter::default(),
-            total: AtomicU64::new(0),
-        }))
-    }
-
-    pub fn observe(&self, v: f64) {
-        let core = &self.0;
-        let idx = core.bounds.partition_point(|&b| b < v);
-        if let Some(slot) = core.counts.get(idx) {
-            slot.fetch_add(1, Ordering::Relaxed);
-        }
-        core.sum.add(v);
-        core.total.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub fn count(&self) -> u64 {
-        self.0.total.load(Ordering::Relaxed)
-    }
-
-    pub fn sum(&self) -> f64 {
-        self.0.sum.get()
-    }
-
-    fn value(&self) -> MetricValue {
-        MetricValue::Histogram {
-            bounds: self.0.bounds.clone(),
-            counts: self
-                .0
-                .counts
-                .iter()
-                .map(|c| c.load(Ordering::Relaxed))
-                .collect(),
-            sum: self.sum(),
-            count: self.count(),
-        }
-    }
-}
-
 #[derive(Debug, Clone)]
 enum Metric {
     Counter(Counter),
     Float(FloatCounter),
     Gauge(Gauge),
-    Histogram(Histogram),
     Latency(LatencyHistogram),
 }
 
@@ -188,12 +124,6 @@ pub enum MetricValue {
     Counter(u64),
     Float(f64),
     Gauge(i64),
-    Histogram {
-        bounds: Vec<f64>,
-        counts: Vec<u64>,
-        sum: f64,
-        count: u64,
-    },
     Latency(LatencySample),
 }
 
@@ -273,22 +203,6 @@ impl Registry {
         }
     }
 
-    /// Get-or-register a fixed-bucket histogram. The bounds of the first
-    /// registration win; later callers share its buckets.
-    pub fn histogram(&self, name: &str, bounds: &[f64]) -> Histogram {
-        let mut m = lock(&self.metrics);
-        match m
-            .entry(name.to_string())
-            .or_insert_with(|| Metric::Histogram(Histogram::with_bounds(bounds)))
-        {
-            Metric::Histogram(h) => h.clone(),
-            _ => {
-                self.record_collision();
-                Histogram::with_bounds(bounds)
-            }
-        }
-    }
-
     /// Get-or-register a log-linear latency histogram (see
     /// [`crate::latency`]).
     pub fn latency(&self, name: &str) -> LatencyHistogram {
@@ -317,7 +231,6 @@ impl Registry {
                     Metric::Counter(c) => MetricValue::Counter(c.get()),
                     Metric::Float(c) => MetricValue::Float(c.get()),
                     Metric::Gauge(g) => MetricValue::Gauge(g.get()),
-                    Metric::Histogram(h) => h.value(),
                     Metric::Latency(h) => MetricValue::Latency(h.snapshot()),
                 };
                 (name.clone(), value)
@@ -333,12 +246,6 @@ impl Registry {
         }
         Snapshot { entries }
     }
-}
-
-/// The process-wide default registry.
-pub fn global() -> &'static Registry {
-    static GLOBAL: OnceLock<Registry> = OnceLock::new();
-    GLOBAL.get_or_init(Registry::new)
 }
 
 /// A sorted point-in-time reading of a whole registry.
@@ -358,9 +265,6 @@ impl Snapshot {
                 MetricValue::Counter(v) => format!("{v}"),
                 MetricValue::Float(v) => format!("{v:.1}"),
                 MetricValue::Gauge(v) => format!("{v}"),
-                MetricValue::Histogram { sum, count, .. } => {
-                    format!("count={count} sum={sum:.1}")
-                }
                 MetricValue::Latency(s) => format!(
                     "count={} p50={} p90={} p99={} p999={} max={}",
                     s.count,
@@ -388,28 +292,6 @@ impl Snapshot {
                 MetricValue::Counter(v) => out.push_str(&format!("{v}")),
                 MetricValue::Float(v) => out.push_str(&render_f64(*v)),
                 MetricValue::Gauge(v) => out.push_str(&format!("{v}")),
-                MetricValue::Histogram {
-                    bounds,
-                    counts,
-                    sum,
-                    count,
-                } => {
-                    out.push_str(&format!(
-                        "{{\"bounds\": [{}], \"counts\": [{}], \"sum\": {}, \"count\": {}}}",
-                        bounds
-                            .iter()
-                            .map(|b| render_f64(*b))
-                            .collect::<Vec<_>>()
-                            .join(", "),
-                        counts
-                            .iter()
-                            .map(|c| c.to_string())
-                            .collect::<Vec<_>>()
-                            .join(", "),
-                        render_f64(*sum),
-                        count
-                    ));
-                }
                 MetricValue::Latency(s) => {
                     out.push_str(&format!(
                         "{{\"count\": {}, \"sum\": {}, \"min\": {}, \"max\": {}, \"p50\": {}, \"p90\": {}, \"p99\": {}, \"p999\": {}}}",
@@ -486,16 +368,15 @@ mod tests {
         let _ = r.counter("m");
         let _ = r.float_counter("m"); // collision 1
         let _ = r.gauge("m"); // collision 2
-        let _ = r.histogram("m", &[1.0]); // collision 3
-        let _ = r.latency("m"); // collision 4
-        assert_eq!(r.collisions(), 4);
+        let _ = r.latency("m"); // collision 3
+        assert_eq!(r.collisions(), 3);
         assert_eq!(
             r.snapshot().entries.get("obsv.collisions"),
-            Some(&MetricValue::Counter(4))
+            Some(&MetricValue::Counter(3))
         );
         // Matching-kind re-registration is not a collision.
         let _ = r.counter("m");
-        assert_eq!(r.collisions(), 4);
+        assert_eq!(r.collisions(), 3);
     }
 
     #[test]
@@ -527,26 +408,11 @@ mod tests {
     }
 
     #[test]
-    fn histogram_buckets() {
-        let h = Histogram::with_bounds(&[1.0, 10.0, 100.0]);
-        for v in [0.5, 5.0, 50.0, 500.0, 5.0] {
-            h.observe(v);
-        }
-        assert_eq!(h.count(), 5);
-        assert_eq!(h.sum(), 560.5);
-        let MetricValue::Histogram { counts, .. } = h.value() else {
-            panic!("wrong kind");
-        };
-        assert_eq!(counts, vec![1, 2, 1, 1]);
-    }
-
-    #[test]
     fn snapshot_renders() {
         let r = Registry::new();
         r.counter("a.count").add(3);
         r.float_counter("b.work").add(1.5);
         r.gauge("c.depth").set(-2);
-        r.histogram("d.lat", &[1.0]).observe(0.5);
         let snap = r.snapshot();
         let text = snap.render_text();
         assert!(text.contains("a.count"));
@@ -558,11 +424,5 @@ mod tests {
             parsed.get("a.count").and_then(crate::json::Json::as_f64),
             Some(3.0)
         );
-    }
-
-    #[test]
-    fn global_registry_is_shared() {
-        global().counter("obsv.selftest").inc();
-        assert!(global().snapshot().entries.contains_key("obsv.selftest"));
     }
 }

@@ -13,7 +13,6 @@
 //! * counters / float counters → the increase over the window (a rate per
 //!   window: QPS, refreshes/s, feedback ingest, …);
 //! * gauges → the value at the window boundary (already instantaneous);
-//! * fixed-bucket histograms → the count increase;
 //! * latency histograms → count increase plus `p50/p90/p99/p999/max`
 //!   computed from the window's own bucket deltas (not the cumulative
 //!   distribution).
@@ -30,7 +29,7 @@ use std::sync::{Arc, Mutex};
 /// One metric's reading within a window.
 #[derive(Debug, Clone, PartialEq)]
 pub enum WindowValue {
-    /// Counter / histogram-count increase over the window.
+    /// Counter increase over the window.
     Delta(u64),
     /// Float-counter increase over the window.
     FloatDelta(f64),
@@ -134,13 +133,6 @@ impl WindowedRegistry {
                 }
                 (MetricValue::Float(v), _) => WindowValue::FloatDelta(*v),
                 (MetricValue::Gauge(v), _) => WindowValue::Level(*v),
-                (MetricValue::Histogram { count, .. }, before) => {
-                    let prior = match before {
-                        Some(MetricValue::Histogram { count: p, .. }) => *p,
-                        _ => 0,
-                    };
-                    WindowValue::Delta(count.saturating_sub(prior))
-                }
                 (MetricValue::Latency(sample), before) => {
                     let prior = match before {
                         Some(MetricValue::Latency(p)) => p.clone(),

@@ -1,6 +1,6 @@
 //! The optimizer proper: access-path selection, then dynamic-programming
 //! join enumeration (Selinger-style, over relation subsets; the
-//! [`enumerate`](crate::enumerate) module), then aggregation placement.
+//! `enumerate` module), then aggregation placement.
 
 use crate::cost::CostParams;
 use crate::enumerate::{best_join_tree, BaseRelation, MAX_DP_RELATIONS};

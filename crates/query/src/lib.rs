@@ -8,7 +8,7 @@
 //!   [`parser`] for that subset,
 //! * a [`binder`] that resolves names against a `storage::Database` and
 //!   produces the bound form consumed by the optimizer, and
-//! * a [`render`] module that prints statements back to SQL (the parser and
+//! * a [`mod@render`] module that prints statements back to SQL (the parser and
 //!   renderer round-trip, which the property tests exercise).
 
 // Library code must stay panic-free on arbitrary input; tests may unwrap.

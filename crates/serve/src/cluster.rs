@@ -2,7 +2,7 @@
 //! deterministic router, with a shared budget arbiter funding every tick.
 //!
 //! Each shard is a complete, independent serving stack — its own database
-//! RwLock, workload monitor, lifecycle daemon, epoch handle, and private
+//! RwLock, workload monitor, lifecycle core, epoch handle, and private
 //! telemetry registry — so shards never contend on locks or counters.
 //! Cross-shard state exists in exactly four places: the immutable
 //! [`ShardPlan`], the arbiter's demand vector (updated once per tick from
@@ -11,11 +11,10 @@
 //!
 //! ## Tick protocol
 //!
-//! [`ServeCluster::tick_wait`] splits the global budget over the demand
-//! each shard reported at the end of its previous tick (`1 + pending`),
-//! fires `tick_begin_budgeted` on *every* daemon so shards tune in
-//! parallel, then collects acknowledgements in shard order — the observable
-//! order is deterministic even though the tuning work overlaps in time.
+//! [`ServeCluster::tick_wait`] splits `autod.budget_per_tick` over the
+//! demand each shard reported at the end of its previous tick
+//! (`1 + pending`), then ticks the shards one after another in shard order,
+//! on the calling thread.
 //!
 //! ## Fallback execution
 //!
@@ -54,7 +53,7 @@ use crate::arbiter::BudgetArbiter;
 use crate::plan::{Placement, ShardPlan, ShardPlanConfig};
 use crate::router::{Route, Router, SelectRoute};
 use autod::{AutodConfig, OnlineService, QueryHandle, ServiceReport, TickReport};
-use autostats::{AutoStatsManager, ManagerConfig, ManagerError, OnlineEvent, TuneError};
+use autostats::{ManagerError, OnlineEvent, SessionReport, TuneError};
 use executor::{execute_plan, ExecOutput, StatementOutcome};
 use obsv::{HealthSnapshot, LatencyHistogram, LatencySample};
 use optimizer::{OptimizeOptions, Optimizer};
@@ -66,7 +65,7 @@ use std::sync::Arc;
 use storage::{Database, Result as StorageResult, Table, TableId};
 
 /// Cluster configuration: the placement knobs plus the per-shard service
-/// configuration and the *global* tuning budget the arbiter splits.
+/// configuration.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
     pub shards: usize,
@@ -75,30 +74,19 @@ pub struct ServeConfig {
     pub partition_threshold: usize,
     /// Seed of the partition row hash.
     pub partition_seed: u64,
-    /// Global tuning budget per tick, split across shards by demand. The
-    /// per-shard `autod.budget_per_tick` is ignored in favour of this.
-    pub global_budget_per_tick: f64,
-    /// Template for each shard's daemon configuration (`shard` is stamped
-    /// per shard by the cluster).
+    /// Template for each shard's service configuration (`shard` is stamped
+    /// per shard by the cluster). `budget_per_tick` is the budget of the
+    /// whole cluster: the arbiter splits it across the shards by demand.
     pub autod: AutodConfig,
-    /// Manager configuration each shard's `AutoStatsManager` starts from.
-    pub manager: ManagerConfig,
 }
 
 impl Default for ServeConfig {
     fn default() -> Self {
-        let autod = AutodConfig::default();
         ServeConfig {
             shards: 1,
             partition_threshold: usize::MAX,
             partition_seed: ShardPlanConfig::default().partition_seed,
-            global_budget_per_tick: autod.budget_per_tick,
-            autod,
-            manager: ManagerConfig {
-                creation: autostats::CreationPolicy::Manual,
-                auto_maintain: false,
-                ..ManagerConfig::default()
-            },
+            autod: AutodConfig::default(),
         }
     }
 }
@@ -127,7 +115,7 @@ impl ServeCluster {
     /// Plan placement, split the database, and start one online service per
     /// shard. Shard assignments are journaled as tick-0
     /// [`OnlineEvent::ShardAssigned`] events in each shard's session before
-    /// the daemon starts, so every journal begins with an auditable
+    /// the service starts, so every journal begins with an auditable
     /// manifest of what the shard owns.
     pub fn start(db: Database, config: ServeConfig) -> StorageResult<ServeCluster> {
         let plan = Arc::new(ShardPlan::build(
@@ -143,14 +131,9 @@ impl ServeCluster {
 
         let mut services = Vec::with_capacity(plan.shards());
         for (s, shard_db) in shard_dbs.into_iter().enumerate() {
-            let manifest = plan.shard_manifest(s, &shard_db);
-            // A fresh (private) registry per shard: telemetry merges happen
-            // at the cluster level, never through a shared registry.
-            let obs = obsv::Obs::disabled();
-            let manager = AutoStatsManager::new_with_obs(shard_db, config.manager.clone(), obs);
-            let mut parts = manager.serve();
-            for (table, rows, partitioned) in manifest {
-                parts.session.record_online(OnlineEvent::ShardAssigned {
+            let mut session = SessionReport::default();
+            for (table, rows, partitioned) in plan.shard_manifest(s, &shard_db) {
+                session.record_online(OnlineEvent::ShardAssigned {
                     tick: 0,
                     shard: s as u32,
                     table,
@@ -162,7 +145,15 @@ impl ServeCluster {
                 shard: s as u32,
                 ..config.autod.clone()
             };
-            services.push(OnlineService::start(parts, shard_config));
+            services.push(OnlineService::start(
+                shard_db,
+                StatsCatalog::new(),
+                session,
+                // A fresh (private) registry per shard: telemetry merges
+                // happen at the cluster level, never through a shared one.
+                obsv::Obs::disabled(),
+                shard_config,
+            ));
         }
 
         let dbs = services.iter().map(OnlineService::database).collect();
@@ -175,7 +166,7 @@ impl ServeCluster {
             gather: Arc::new(Gather::new(skeleton.table_count())),
             skeleton,
             optimizer: Arc::new(Optimizer::default()),
-            arbiter: BudgetArbiter::new(config.global_budget_per_tick),
+            arbiter: BudgetArbiter::new(config.autod.budget_per_tick),
             demands,
         })
     }
@@ -223,43 +214,29 @@ impl ServeCluster {
         }
     }
 
-    /// Run one synchronized cluster tick: split the global budget over the
-    /// current demand vector, fire every shard's tick concurrently, then
-    /// collect reports in shard order. Returns the per-shard reports.
+    /// Run one cluster tick: split the global budget over the current
+    /// demand vector, then tick every shard in shard order on this thread.
+    /// Returns the per-shard reports.
     ///
     /// # Errors
     /// Returns the first shard error in shard order; later shards still
     /// complete their tick (their reports are dropped for this round but
     /// their demand floor resets).
     pub fn tick_wait(&self) -> Result<Vec<TickReport>, TuneError> {
-        let shares = {
-            let demands = self.demands.lock();
-            self.arbiter.split(&demands)
-        };
-        let pending: Vec<_> = self
-            .services
-            .iter()
-            .zip(&shares)
-            .map(|(svc, &share)| svc.tick_begin_budgeted(share))
-            .collect();
-        let mut reports = Vec::with_capacity(pending.len());
+        let shares = self.arbiter.split(&self.demands.lock());
+        let mut reports = Vec::with_capacity(shares.len());
         let mut first_err = None;
-        for (s, p) in pending.into_iter().enumerate() {
-            match self.services[s].tick_collect(p) {
+        for (svc, &share) in self.services.iter().zip(&shares) {
+            match svc.tick_wait_budgeted(share) {
                 Ok(report) => reports.push(report),
                 Err(e) => {
-                    if first_err.is_none() {
-                        first_err = Some(e);
-                    }
+                    first_err.get_or_insert(e);
                     reports.push(TickReport::default());
                 }
             }
         }
-        {
-            let mut demands = self.demands.lock();
-            for (d, r) in demands.iter_mut().zip(&reports) {
-                *d = BudgetArbiter::demand(r.pending);
-            }
+        for (d, r) in self.demands.lock().iter_mut().zip(&reports) {
+            *d = BudgetArbiter::demand(r.pending);
         }
         match first_err {
             Some(e) => Err(e),
@@ -318,12 +295,15 @@ impl ServeCluster {
     }
 
     /// Shut every shard down in shard order. Returns the per-shard final
-    /// `(database, report)` pairs, or `None` if any daemon already died.
+    /// `(database, report)` pairs; always `Some` (the `Option` is what
+    /// `benchmark/` links).
     pub fn shutdown(self) -> Option<Vec<(Database, ServiceReport)>> {
-        self.services
-            .into_iter()
-            .map(OnlineService::shutdown)
-            .collect()
+        Some(
+            self.services
+                .into_iter()
+                .map(OnlineService::shutdown)
+                .collect(),
+        )
     }
 }
 
@@ -580,7 +560,10 @@ mod tests {
             ServeConfig {
                 shards: 3,
                 partition_threshold: 100,
-                global_budget_per_tick: f64::INFINITY,
+                autod: AutodConfig {
+                    budget_per_tick: f64::INFINITY,
+                    ..AutodConfig::default()
+                },
                 ..ServeConfig::default()
             },
         )

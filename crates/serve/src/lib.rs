@@ -1,7 +1,7 @@
 //! # serve — the sharded multi-tenant serving layer
 //!
 //! `autod`'s epoch-snapshot catalogs let readers run lock-free, but one
-//! `Database` RwLock and one [`LifecycleDaemon`] remain a whole-system
+//! `Database` RwLock and one workload monitor remain a whole-system
 //! bottleneck under heavy traffic. This crate removes it by sharding:
 //!
 //! * [`ShardPlan`] — a deterministic table → shard placement. Tables are
@@ -20,11 +20,13 @@
 //! * [`BudgetArbiter`] — one global tuning budget per tick, split across
 //!   shards proportionally to demand (pending work reported by each shard's
 //!   last [`TickReport`]). Unspent tokens and debt carry over inside each
-//!   shard's own token bucket, exactly as in the unsharded daemon.
+//!   shard's own token bucket, exactly as in the unsharded service.
 //! * [`ServeCluster`] — one [`autod::OnlineService`] (database, monitor,
-//!   lifecycle daemon, epoch handle, telemetry registry) per shard, plus
+//!   lifecycle core, epoch handle, telemetry registry) per shard, plus
 //!   cloneable [`ClusterClient`]s for query threads and merge-based
 //!   cluster telemetry (exact latency-histogram merges, summed health).
+//!   [`ServeCluster::tick_wait`] ticks the shards in shard order on the
+//!   calling thread; the cluster starts no thread of its own.
 //!
 //! ## Determinism contract
 //!
@@ -39,7 +41,6 @@
 //! [`autostats::OnlineEvent::ShardAssigned`] events at tick 0 so replays
 //! stay auditable.
 //!
-//! [`LifecycleDaemon`]: autod::LifecycleDaemon
 //! [`QueryHandle`]: autod::QueryHandle
 //! [`TickReport`]: autod::TickReport
 //! [`Database::schema_skeleton`]: storage::Database::schema_skeleton

@@ -913,6 +913,10 @@ mod tests {
     use storage::{ColumnDef, DataType, Schema, Value};
 
     fn test_db() -> (Database, TableId) {
+        db_with(2000)
+    }
+
+    fn db_with(rows: i64) -> (Database, TableId) {
         let mut db = Database::new();
         let id = db
             .create_table(
@@ -923,12 +927,16 @@ mod tests {
                 ]),
             )
             .unwrap();
-        for i in 0..2000i64 {
-            db.table_mut(id)
+        insert_rows(&mut db, id, rows);
+        (db, id)
+    }
+
+    fn insert_rows(db: &mut Database, t: TableId, n: i64) {
+        for i in 0..n {
+            db.table_mut(t)
                 .insert(vec![Value::Int(i % 50), Value::Int(i % 8)])
                 .unwrap();
         }
-        (db, id)
     }
 
     #[test]
@@ -1280,6 +1288,83 @@ mod tests {
         assert_eq!(cat.statistic(s2).unwrap().update_count, 0);
     }
 
+    /// Modifications of `t` since `id` was built.
+    fn mods_since_build(db: &Database, cat: &StatsCatalog, t: TableId, id: StatId) -> u64 {
+        db.table(t).modification_counter() - cat.statistic(id).unwrap().mods_at_build
+    }
+
+    #[test]
+    fn exactly_at_min_modified_rows_is_fresh_one_more_is_stale() {
+        let policy = MaintenancePolicy::default();
+        // Empty, single-row and small tables: the fraction term (never NaN,
+        // never a division by the row count) stays below the 500-row floor.
+        for rows in [0, 1, 100] {
+            let (mut db, t) = db_with(rows);
+            let mut cat = StatsCatalog::new();
+            let id = cat
+                .create_statistic(&db, StatDescriptor::single(t, 0))
+                .unwrap();
+            assert!(cat.stale_statistics(&db, &policy).is_empty());
+            insert_rows(&mut db, t, 500);
+            assert_eq!(policy.threshold(db.table(t).row_count()), 500);
+            assert!(
+                cat.stale_statistics(&db, &policy).is_empty(),
+                "{rows} rows: exactly the threshold is still fresh"
+            );
+            insert_rows(&mut db, t, 1);
+            assert_eq!(cat.stale_statistics(&db, &policy), vec![id], "{rows} rows");
+            assert_eq!(mods_since_build(&db, &cat, t, id), 501);
+        }
+    }
+
+    #[test]
+    fn twenty_percent_edge_moves_with_a_large_table() {
+        let policy = MaintenancePolicy::default();
+        let (mut db, t) = db_with(10_000);
+        let mut cat = StatsCatalog::new();
+        let id = cat
+            .create_statistic(&db, StatDescriptor::single(t, 0))
+            .unwrap();
+        // Rows grow as we insert, so the threshold is the one at scan time:
+        // after 2000 inserts rows = 12_000 → threshold 2400.
+        insert_rows(&mut db, t, 2000);
+        assert!(cat.stale_statistics(&db, &policy).is_empty());
+        // 2481 in all: rows = 12_481 → threshold 2496, still not exceeded.
+        insert_rows(&mut db, t, 481);
+        assert_eq!(policy.threshold(db.table(t).row_count()), 2496);
+        assert!(cat.stale_statistics(&db, &policy).is_empty());
+        // 120 more outrun the moving threshold.
+        insert_rows(&mut db, t, 120);
+        assert_eq!(cat.stale_statistics(&db, &policy), vec![id]);
+        assert!(mods_since_build(&db, &cat, t, id) > policy.threshold(db.table(t).row_count()));
+    }
+
+    #[test]
+    fn table_emptied_after_the_build_is_stale_and_refreshes_cleanly() {
+        let policy = MaintenancePolicy::default();
+        let (mut db, t) = db_with(1000);
+        let mut cat = StatsCatalog::new();
+        let id = cat
+            .create_statistic(&db, StatDescriptor::single(t, 0))
+            .unwrap();
+        // Deleting every row counts 1000 modifications against a now-empty
+        // table: threshold(0) = 500, so the statistic is stale — and the
+        // math must not divide by the zero row count anywhere.
+        db.table_mut(t).delete_rows((0..1000).collect());
+        assert_eq!(db.table(t).row_count(), 0);
+        assert_eq!(cat.stale_statistics(&db, &policy), vec![id]);
+        assert_eq!(mods_since_build(&db, &cat, t, id), 1000);
+        assert_eq!(policy.threshold(0), 500);
+        // A refresh over the empty table succeeds and restores freshness —
+        // no starvation loop where the statistic stays stale forever.
+        assert_eq!(cat.refresh_statistics(&db, t, &[id]).len(), 1);
+        assert!(cat.stale_statistics(&db, &policy).is_empty());
+        let s = cat.statistic(id).unwrap();
+        assert_eq!(s.row_count_at_build, 0);
+        // Estimates on the empty statistic stay finite.
+        assert!(s.histogram.selectivity_lt(&Value::Int(10)).is_finite());
+    }
+
     #[test]
     fn vanilla_policy_drops_useful_statistics() {
         let (mut db, t) = test_db();
@@ -1387,6 +1472,10 @@ mod tests {
         assert_eq!(s.mods_at_build, db.table(t).modification_counter());
         assert!(cat.stale_statistics(&db, &policy).is_empty());
         assert_eq!(cat.update_work(), work);
+        // The baseline moved forward, not to infinity: once drift resumes
+        // the statistic is eligible for a refresh again (no starvation).
+        insert_rows(&mut db, t, 700);
+        assert_eq!(cat.stale_statistics(&db, &policy), vec![id]);
     }
 
     #[test]

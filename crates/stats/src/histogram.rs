@@ -109,7 +109,7 @@ fn key8(bytes: &[u8]) -> f64 {
 
 impl Histogram {
     /// Build a histogram from a bag of values with at most `max_buckets`
-    /// buckets. NULLs must be filtered out by the caller ([`Statistic`]
+    /// buckets. NULLs must be filtered out by the caller ([`crate::Statistic`]
     /// accounts for the null fraction separately).
     ///
     /// Statistic builds read typed column slices through
@@ -445,7 +445,7 @@ impl Histogram {
     ///
     /// In-domain gaps (a key between two buckets) estimate `0.0`: the build
     /// scan witnessed their absence. Out-of-domain probes are floored by
-    /// [`Self::out_of_domain_floor`].
+    /// `Self::out_of_domain_floor`.
     pub fn selectivity_eq(&self, value: &Value) -> f64 {
         let key = self.key_of(value);
         if key.is_nan() {
@@ -465,7 +465,7 @@ impl Histogram {
 
     /// Estimated selectivity of `column < value` (strict) among non-null
     /// rows, with continuous interpolation inside the containing bucket.
-    /// Probes below the domain are floored by [`Self::out_of_domain_floor`].
+    /// Probes below the domain are floored by `Self::out_of_domain_floor`.
     pub fn selectivity_lt(&self, value: &Value) -> f64 {
         let key = self.key_of(value);
         if key.is_nan() {

@@ -1,7 +1,7 @@
 //! Two-dimensional histograms over the joint distribution of a column pair.
 //!
 //! §3 of the paper: "Multi-dimensional histogram structures can be
-//! constructed using Phased or MHIST-p [14] strategy over the joint
+//! constructed using Phased or MHIST-p \[14\] strategy over the joint
 //! distribution of multiple columns of a relation." This module implements
 //! the **Phased** strategy for two dimensions: partition the leading
 //! dimension into equi-depth slabs, then partition each slab independently

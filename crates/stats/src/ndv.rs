@@ -3,7 +3,7 @@
 //! When statistics are built from a row sample rather than a full scan, the
 //! distinct count observed in the sample underestimates the table's true NDV.
 //! We use the first-order jackknife estimator of Haas, Naughton, Seshadri and
-//! Stokes (VLDB 1995) — reference [9] of the paper — which corrects the
+//! Stokes (VLDB 1995) — reference \[9\] of the paper — which corrects the
 //! sample distinct count by the fraction of values observed exactly once:
 //!
 //! ```text

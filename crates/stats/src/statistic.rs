@@ -178,7 +178,7 @@ pub fn build_work(rows_read: usize, col_bytes: usize, n_cols: usize) -> f64 {
 /// Build a [`Statistic`] over `descriptor.columns` of `table`.
 ///
 /// `seed` keys the row sample so rebuilds are reproducible but different
-/// statistics draw different samples (see module docs of [`sampler`]).
+/// statistics draw different samples (see module docs of [`crate::sampler`]).
 pub fn build_statistic(
     id: StatId,
     table: &Table,

@@ -42,7 +42,6 @@ fn main() {
             drop_only_droplisted: true,
         },
         auto_maintain: true,
-        ..Default::default()
     };
     let mut server = AutoStatsManager::new(db, config);
 

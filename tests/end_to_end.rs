@@ -151,7 +151,6 @@ fn heavy_update_traffic_triggers_maintenance_cycle() {
             // this test is about the maintenance cycle, not creation.
             creation: CreationPolicy::CreateAllSyntactic,
             auto_maintain: true,
-            ..Default::default()
         },
     );
     // Query first so statistics exist.

@@ -18,7 +18,7 @@
 //!   the daemon records no error.
 
 use autod::{AutodConfig, LifecycleCore, MonitorConfig, OnlineService, WorkloadMonitor};
-use autostats::{AutoStatsManager, CreationPolicy, ManagerConfig, OfflineTuner};
+use autostats::{OfflineTuner, SessionReport};
 use executor::StatementOutcome;
 use proptest::prelude::*;
 use query::{bind_statement, parse_statement, BoundSelect, BoundStatement};
@@ -104,12 +104,11 @@ fn paused_daemon_one_tick_equals_offline_tune() {
     let mut core = LifecycleCore::new(
         StatsCatalog::new(),
         AutodConfig {
-            budget_per_tick: f64::INFINITY,
             shrink_every: 1,
             ..AutodConfig::default()
         },
     );
-    let report = core.tick(&db, &mut monitor).unwrap();
+    let report = core.tick(&db, &mut monitor, f64::INFINITY).unwrap();
     assert_eq!(report.queries_tuned, queries.len());
     assert!(!report.budget_exhausted);
 
@@ -143,6 +142,11 @@ fn insert_rows(db: &mut Database, t: TableId, n: u64) {
     }
 }
 
+/// What a default service funds a tick with.
+fn budget() -> f64 {
+    AutodConfig::default().budget_per_tick
+}
+
 /// A core with one statistic built on `employees`, plus the table id.
 fn core_with_employee_stat(rows: i64) -> (Database, TableId, LifecycleCore) {
     let db = example2_db(rows);
@@ -161,12 +165,12 @@ fn tick_at_exactly_min_modified_rows_refreshes_nothing() {
     let (mut db, t, mut core) = core_with_employee_stat(1000);
     let mut monitor = WorkloadMonitor::new(MonitorConfig::default());
     insert_rows(&mut db, t, 500);
-    let report = core.tick(&db, &mut monitor).unwrap();
+    let report = core.tick(&db, &mut monitor, budget()).unwrap();
     assert_eq!(report.refreshed, 0, "exactly the threshold is still fresh");
     assert!(report.published_generation.is_none());
 
     insert_rows(&mut db, t, 1);
-    let report = core.tick(&db, &mut monitor).unwrap();
+    let report = core.tick(&db, &mut monitor, budget()).unwrap();
     assert_eq!(report.refreshed, 1, "one past the threshold is stale");
     assert!(report.refresh_work > 0.0);
     assert_eq!(report.published_generation, Some(1));
@@ -183,11 +187,11 @@ fn twenty_percent_threshold_moves_with_the_table() {
         MaintenancePolicy::default().threshold(db.table(t).row_count()),
         2496
     );
-    let report = core.tick(&db, &mut monitor).unwrap();
+    let report = core.tick(&db, &mut monitor, budget()).unwrap();
     assert_eq!(report.refreshed, 0);
     // 120 more outruns the moving threshold.
     insert_rows(&mut db, t, 120);
-    let report = core.tick(&db, &mut monitor).unwrap();
+    let report = core.tick(&db, &mut monitor, budget()).unwrap();
     assert_eq!(report.refreshed, 1);
 }
 
@@ -196,10 +200,10 @@ fn empty_table_falls_back_to_min_modified_rows() {
     let (mut db, t, mut core) = core_with_employee_stat(0);
     let mut monitor = WorkloadMonitor::new(MonitorConfig::default());
     insert_rows(&mut db, t, 500);
-    let report = core.tick(&db, &mut monitor).unwrap();
+    let report = core.tick(&db, &mut monitor, budget()).unwrap();
     assert_eq!(report.refreshed, 0);
     insert_rows(&mut db, t, 1);
-    let report = core.tick(&db, &mut monitor).unwrap();
+    let report = core.tick(&db, &mut monitor, budget()).unwrap();
     assert_eq!(report.refreshed, 1);
 }
 
@@ -208,16 +212,11 @@ fn empty_table_falls_back_to_min_modified_rows() {
 // ---------------------------------------------------------------------------
 
 fn service(rows: i64, budget: f64) -> OnlineService {
-    let mgr = AutoStatsManager::new(
-        example2_db(rows),
-        ManagerConfig {
-            creation: CreationPolicy::Manual,
-            auto_maintain: false,
-            ..ManagerConfig::default()
-        },
-    );
     OnlineService::start(
-        mgr.serve(),
+        example2_db(rows),
+        StatsCatalog::new(),
+        SessionReport::default(),
+        obsv::Obs::disabled(),
         AutodConfig {
             budget_per_tick: budget,
             shrink_every: 3,
@@ -257,7 +256,7 @@ proptest! {
                 }
             }
         }
-        let (_, report) = svc.shutdown().unwrap();
+        let (_, report) = svc.shutdown();
         prop_assert!(report.error.is_none());
         prop_assert!(report.generation >= last_generation);
     }
@@ -300,7 +299,7 @@ fn four_query_threads_race_the_daemon() {
     // Drain whatever arrived after the last in-flight tick.
     svc.tick_wait().unwrap();
 
-    let (db, report) = svc.shutdown().unwrap();
+    let (db, report) = svc.shutdown();
     assert!(db.table_id("employees").is_some());
     assert!(report.error.is_none(), "daemon error: {:?}", report.error);
     assert_eq!(report.observed, (THREADS * REPS) as u64);

@@ -18,16 +18,20 @@
 //! * **admission stress** — several client threads hammer cloned
 //!   `ClusterClient`s with fallback SELECTs and writes to an owned and the
 //!   partitioned table while the driver ticks the cluster; nothing errors,
-//!   every shard's daemon survives, the monitors observe traffic, and the
-//!   tables end up as the same writes leave an unsharded service.
+//!   the monitors observe traffic, and the tables end up as the same writes
+//!   leave an unsharded service;
+//! * **concurrent ticks** — two threads tick one cluster at once beside two
+//!   clients: every shard's ticks are numbered 1..n with no gap or repeat
+//!   and its published generations strictly increase.
 
 use autod::{AutodConfig, OnlineService};
-use autostats::{AutoStatsManager, CreationPolicy, ManagerConfig, OnlineEvent};
+use autostats::{OnlineEvent, SessionReport};
 use executor::StatementOutcome;
 use proptest::prelude::*;
 use query::{parse_statement, Statement};
 use serve::{Route, Router, ServeCluster, ServeConfig, ShardPlan, ShardPlanConfig};
-use std::sync::Arc;
+use stats::StatsCatalog;
+use std::sync::{Arc, Barrier};
 use storage::{ColumnDef, DataType, Database, Schema, Value};
 
 /// Three tables sized so a partition threshold of 100 splits `big` while
@@ -53,23 +57,29 @@ fn test_db() -> Database {
     db
 }
 
-fn manager_config() -> ManagerConfig {
-    ManagerConfig {
-        creation: CreationPolicy::Manual,
-        auto_maintain: false,
-        ..ManagerConfig::default()
-    }
-}
-
-fn cluster_config(shards: usize, partition_threshold: usize) -> ServeConfig {
+/// `budget` is the whole cluster's per tick.
+fn cluster_config(shards: usize, partition_threshold: usize, budget: f64) -> ServeConfig {
     ServeConfig {
         shards,
         partition_threshold,
-        global_budget_per_tick: f64::INFINITY,
-        autod: AutodConfig::default(),
-        manager: manager_config(),
+        autod: AutodConfig {
+            budget_per_tick: budget,
+            ..AutodConfig::default()
+        },
         ..ServeConfig::default()
     }
+}
+
+/// An unsharded service over `db` from zero statistics, its journal starting
+/// as `session`.
+fn plain_service(db: Database, session: SessionReport) -> OnlineService {
+    OnlineService::start(
+        db,
+        StatsCatalog::new(),
+        session,
+        obsv::Obs::disabled(),
+        AutodConfig::default(),
+    )
 }
 
 /// Rows of a query outcome as sortable strings (Value has no Ord).
@@ -173,14 +183,7 @@ fn one_shard_cluster_is_bit_identical_to_the_unsharded_service() {
         .collect();
 
     // The cluster side.
-    let cluster = ServeCluster::start(
-        test_db(),
-        ServeConfig {
-            global_budget_per_tick: budget,
-            ..cluster_config(1, usize::MAX)
-        },
-    )
-    .unwrap();
+    let cluster = ServeCluster::start(test_db(), cluster_config(1, usize::MAX, budget)).unwrap();
     let client = cluster.client(1);
     let mut cluster_reports = Vec::new();
     for (i, stmt) in statements.iter().enumerate() {
@@ -202,11 +205,9 @@ fn one_shard_cluster_is_bit_identical_to_the_unsharded_service() {
     let plan = ShardPlan::build(&db, &ShardPlanConfig::default());
     let mut shard_dbs = plan.shard_databases(&db).unwrap();
     let shard_db = shard_dbs.remove(0);
-    let manifest = plan.shard_manifest(0, &shard_db);
-    let mgr = AutoStatsManager::new_with_obs(shard_db, manager_config(), obsv::Obs::disabled());
-    let mut parts = mgr.serve();
-    for (table, rows, partitioned) in manifest {
-        parts.session.record_online(OnlineEvent::ShardAssigned {
+    let mut session = SessionReport::default();
+    for (table, rows, partitioned) in plan.shard_manifest(0, &shard_db) {
+        session.record_online(OnlineEvent::ShardAssigned {
             tick: 0,
             shard: 0,
             table,
@@ -214,7 +215,7 @@ fn one_shard_cluster_is_bit_identical_to_the_unsharded_service() {
             partitioned,
         });
     }
-    let svc = OnlineService::start(parts, AutodConfig::default());
+    let svc = plain_service(shard_db, session);
     let handle = svc.handle(1);
     let mut plain_reports = Vec::new();
     for (i, stmt) in statements.iter().enumerate() {
@@ -227,7 +228,7 @@ fn one_shard_cluster_is_bit_identical_to_the_unsharded_service() {
         plain_reports.push(svc.tick_wait_budgeted(budget).unwrap());
     }
     let plain_generation = svc.generation();
-    let (_, plain_report) = svc.shutdown().unwrap();
+    let (_, plain_report) = svc.shutdown();
     assert!(plain_report.error.is_none());
 
     assert_eq!(cluster_reports, plain_reports, "tick reports diverged");
@@ -246,12 +247,9 @@ fn one_shard_cluster_is_bit_identical_to_the_unsharded_service() {
 
 #[test]
 fn sharded_execution_matches_the_single_database_oracle() {
-    let cluster = ServeCluster::start(test_db(), cluster_config(3, 100)).unwrap();
+    let cluster = ServeCluster::start(test_db(), cluster_config(3, 100, f64::INFINITY)).unwrap();
     let client = cluster.client(1);
-    let oracle_svc = OnlineService::start(
-        AutoStatsManager::new(test_db(), manager_config()).serve(),
-        AutodConfig::default(),
-    );
+    let oracle_svc = plain_service(test_db(), SessionReport::default());
     let oracle = oracle_svc.handle(1);
 
     // `big` partitions across all three shards; `mid`/`small` are owned.
@@ -310,19 +308,13 @@ fn sharded_execution_matches_the_single_database_oracle() {
         b.sort();
         assert_eq!(a, b, "post-DML state diverged for {sql}");
     }
-
-    assert!(cluster.shutdown().is_some());
-    assert!(oracle_svc.shutdown().is_some());
 }
 
 #[test]
 fn fallbacks_see_every_write_made_between_them() {
-    let cluster = ServeCluster::start(test_db(), cluster_config(3, 100)).unwrap();
+    let cluster = ServeCluster::start(test_db(), cluster_config(3, 100, f64::INFINITY)).unwrap();
     let client = cluster.client(1);
-    let oracle_svc = OnlineService::start(
-        AutoStatsManager::new(test_db(), manager_config()).serve(),
-        AutodConfig::default(),
-    );
+    let oracle_svc = plain_service(test_db(), SessionReport::default());
     let oracle = oracle_svc.handle(1);
 
     // All three take the fallback route; the last is compared in order.
@@ -368,28 +360,24 @@ fn fallbacks_see_every_write_made_between_them() {
         );
         compare(write);
     }
-
-    assert!(cluster.shutdown().is_some());
-    assert!(oracle_svc.shutdown().is_some());
 }
 
 // ---------------------------------------------------------------------------
 // Multi-thread admission stress
 // ---------------------------------------------------------------------------
 
-#[test]
-fn concurrent_clients_and_ticks_stress_the_cluster() {
-    let cluster = ServeCluster::start(test_db(), cluster_config(3, 100)).unwrap();
-    let statements: Vec<Statement> = [
+/// Reads on every route class beside writes to the partitioned and to an
+/// owned table. Each write leaves the same rows wherever it falls among the
+/// others, so the tables' final contents do not depend on how client threads
+/// interleave.
+fn mixed_stream() -> Vec<Statement> {
+    [
         "SELECT k FROM big WHERE k < 200",
         "SELECT * FROM big WHERE v = 3",
         "SELECT COUNT(*) FROM big",
         "SELECT b.k FROM big b, mid m WHERE b.k = m.k",
         "SELECT k FROM mid WHERE v = 2",
         "SELECT s.k FROM small s, mid m WHERE s.k = m.k",
-        // Writes to the partitioned and to an owned table. Each leaves the
-        // same rows wherever it falls among the others, so the tables' final
-        // contents do not depend on how the threads interleave.
         "UPDATE big SET v = 5 WHERE k < 10",
         "INSERT INTO big VALUES (7777, 3)",
         "UPDATE mid SET v = 2 WHERE k < 20",
@@ -398,7 +386,13 @@ fn concurrent_clients_and_ticks_stress_the_cluster() {
     ]
     .iter()
     .map(|s| parse_statement(s).unwrap())
-    .collect();
+    .collect()
+}
+
+#[test]
+fn concurrent_clients_and_ticks_stress_the_cluster() {
+    let cluster = ServeCluster::start(test_db(), cluster_config(3, 100, f64::INFINITY)).unwrap();
+    let statements = mixed_stream();
     let rounds = 8;
 
     let threads = 4;
@@ -438,10 +432,7 @@ fn concurrent_clients_and_ticks_stress_the_cluster() {
     // The same statements, one after another, on an unsharded service: the
     // copy-on-write tables and the gathered copy must have lost no write and
     // kept no stale row.
-    let oracle_svc = OnlineService::start(
-        AutoStatsManager::new(test_db(), manager_config()).serve(),
-        AutodConfig::default(),
-    );
+    let oracle_svc = plain_service(test_db(), SessionReport::default());
     let oracle = oracle_svc.handle(1);
     for _ in 0..rounds {
         for stmt in &statements {
@@ -465,9 +456,8 @@ fn concurrent_clients_and_ticks_stress_the_cluster() {
     let gather = cluster.gather_stats();
     assert!(gather.rebuilds > 0, "writes made fallbacks rebuild");
     assert_eq!(gather.hits + gather.rebuilds, 2 * rounds as u64 + 2);
-    assert!(oracle_svc.shutdown().is_some());
 
-    let pairs = cluster.shutdown().expect("every shard daemon survives");
+    let pairs = cluster.shutdown().expect("shutdown is always Some");
     assert_eq!(pairs.len(), 3);
     let mut observed = 0;
     for (_, report) in &pairs {
@@ -475,4 +465,85 @@ fn concurrent_clients_and_ticks_stress_the_cluster() {
         observed += report.observed;
     }
     assert!(observed > 0, "monitors observed the workload");
+}
+
+/// Ticks run on whichever thread asks, one at a time per shard: two threads
+/// ticking one cluster beside two clients never skip, repeat or reorder a
+/// shard's ticks, and never deadlock against the statement path.
+#[test]
+fn concurrent_tickers_number_each_shards_ticks_without_gap_or_repeat() {
+    const TICKERS: usize = 2;
+    const CLIENTS: usize = 2;
+    const TICKS_EACH: usize = 25;
+    let mut config = cluster_config(3, 100, f64::INFINITY);
+    // A Shrinking Set pass publishes a generation: one on every tick.
+    config.autod.shrink_every = 1;
+    let cluster = ServeCluster::start(test_db(), config).unwrap();
+    let statements = mixed_stream();
+    let start = Barrier::new(TICKERS + CLIENTS);
+
+    let mut ticks = vec![Vec::new(); cluster.shards()];
+    std::thread::scope(|scope| {
+        for tid in 0..CLIENTS {
+            let client = cluster.client(tid as u64 + 1);
+            let (start, statements) = (&start, &statements);
+            scope.spawn(move || {
+                start.wait();
+                for _ in 0..20 {
+                    for stmt in statements.iter().skip(tid).step_by(CLIENTS) {
+                        client.run(stmt).expect("statement runs beside two tickers");
+                    }
+                }
+            });
+        }
+        let tickers: Vec<_> = (0..TICKERS)
+            .map(|_| {
+                scope.spawn(|| {
+                    start.wait();
+                    (0..TICKS_EACH)
+                        .map(|_| cluster.tick_wait().expect("tick beside another ticker"))
+                        .collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        for ticker in tickers {
+            for reports in ticker.join().expect("ticker thread") {
+                for (of_shard, report) in ticks.iter_mut().zip(reports) {
+                    of_shard.push(report.tick);
+                }
+            }
+        }
+    });
+    // Every client has joined: this tick sees a non-empty sample on every
+    // shard (the scatter SELECTs reach them all) and publishes.
+    for (of_shard, report) in ticks.iter_mut().zip(cluster.tick_wait().unwrap()) {
+        of_shard.push(report.tick);
+    }
+
+    let n = (TICKERS * TICKS_EACH + 1) as u64;
+    for (shard, of_shard) in ticks.iter_mut().enumerate() {
+        of_shard.sort_unstable();
+        let expected: Vec<u64> = (1..=n).collect();
+        assert_eq!(*of_shard, expected, "shard {shard} tick numbers");
+    }
+    let pairs = cluster.shutdown().expect("shutdown is always Some");
+    for (shard, (_, report)) in pairs.iter().enumerate() {
+        assert_eq!(report.ticks, n);
+        assert!(report.error.is_none());
+        let swaps: Vec<(u64, u64)> = report
+            .session
+            .online
+            .iter()
+            .filter_map(|e| match e {
+                OnlineEvent::EpochSwap { tick, generation } => Some((*tick, *generation)),
+                _ => None,
+            })
+            .collect();
+        assert!(!swaps.is_empty(), "shard {shard} published nothing");
+        assert!(
+            swaps.windows(2).all(|w| w[0].0 < w[1].0 && w[0].1 < w[1].1),
+            "shard {shard} journaled its epoch swaps out of order: {swaps:?}"
+        );
+        assert_eq!(swaps.last().map(|s| s.1), Some(report.generation));
+    }
 }

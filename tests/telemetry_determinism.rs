@@ -14,10 +14,11 @@
 //! contract covers (catalog snapshots, the journal).
 
 use autod::{AutodConfig, OnlineService, TelemetryConfig};
-use autostats::{AutoStatsManager, CreationPolicy, ManagerConfig};
+use autostats::SessionReport;
 use executor::{execute_plan_observed, StatementOutcome};
 use optimizer::{OptimizeOptions, Optimizer};
 use query::{bind_statement, parse_statement, BoundSelect, BoundStatement};
+use stats::StatsCatalog;
 use storage::{ColumnDef, DataType, Database, Schema, Value};
 
 const WORKLOAD: &[&str] = &[
@@ -95,17 +96,11 @@ fn start_service(telemetry_on: bool) -> OnlineService {
             ..TelemetryConfig::default()
         }
     };
-    let mgr = AutoStatsManager::new_with_obs(
-        test_db(),
-        ManagerConfig {
-            creation: CreationPolicy::Manual,
-            auto_maintain: false,
-            ..ManagerConfig::default()
-        },
-        obs,
-    );
     OnlineService::start(
-        mgr.serve(),
+        test_db(),
+        StatsCatalog::new(),
+        SessionReport::default(),
+        obs,
         AutodConfig {
             budget_per_tick: f64::INFINITY,
             shrink_every: 2,
@@ -148,7 +143,7 @@ fn drive(telemetry_on: bool) -> (Vec<String>, String, String, u64, Vec<String>) 
         svc.tick_wait().unwrap();
     }
     let _ = svc.drain_slow_queries();
-    let (db, report) = svc.shutdown().unwrap();
+    let (db, report) = svc.shutdown();
     assert!(report.error.is_none());
     let optimizer = Optimizer::default();
     let plans: Vec<String> = WORKLOAD
@@ -243,7 +238,7 @@ fn slowlog_export_passes_trace_checks() {
     assert!(summary.spans > 0);
     assert!(jsonl.contains("\"slowlog.query\""), "wrapper spans present");
     assert!(jsonl.contains("exec."), "executor operator spans present");
-    svc.shutdown().unwrap();
+    svc.shutdown();
 }
 
 /// Wall-clock telemetry is excluded from the bit-identity surfaces by
@@ -265,7 +260,7 @@ fn wall_clock_values_stay_out_of_bit_identity_surfaces() {
     );
     let health = svc.health();
     assert!(health.latency_count > 0, "health reports latency");
-    let (_, report) = svc.shutdown().unwrap();
+    let (_, report) = svc.shutdown();
     let catalog_text = format!("{:?}", report.catalog.snapshot());
     let journal_text = report.session.to_json();
     for surface in [&catalog_text, &journal_text] {
