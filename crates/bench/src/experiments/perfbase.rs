@@ -45,6 +45,12 @@ pub struct PerfbaseResult {
     pub exec_reference_ms: f64,
     /// Median wall-clock milliseconds for the columnar batch engine.
     pub exec_columnar_ms: f64,
+    /// Milliseconds the columnar engine spent copying answers out: the
+    /// `exec.project` spans of the traced verification pass (one pass, not a
+    /// median, and with tracing on).
+    pub exec_materialize_ms: f64,
+    /// Rows the workload returns, summed over its queries.
+    pub exec_rows_out: usize,
     /// Total deterministic execution work (identical for both engines,
     /// verified to the bit).
     pub exec_work: f64,
@@ -112,6 +118,8 @@ impl PerfbaseResult {
                 "    \"reference_ms\": {:.3},\n",
                 "    \"columnar_ms\": {:.3},\n",
                 "    \"speedup\": {:.2},\n",
+                "    \"materialize_ms\": {:.3},\n",
+                "    \"rows_out\": {},\n",
                 "    \"work\": {}\n",
                 "  }},\n",
                 "  \"build\": {{\n",
@@ -135,6 +143,8 @@ impl PerfbaseResult {
             self.exec_reference_ms,
             self.exec_columnar_ms,
             self.exec_speedup(),
+            self.exec_materialize_ms,
+            self.exec_rows_out,
             self.exec_work,
             self.build_tables,
             self.build_statistics,
@@ -164,6 +174,10 @@ impl PerfbaseResult {
             self.exec_speedup(),
             self.exec_work
         );
+        println!(
+            "       materializing {} rows: {:>9.3} ms in exec.project (the traced verification pass)",
+            self.exec_rows_out, self.exec_materialize_ms
+        );
         let per_stat = |ms: f64| ms / self.build_statistics.max(1) as f64;
         println!(
             "build  ({} stats on {} tables): serial {:>9.3} ms ({:.3} ms/stat) | batched {:>9.3} ms ({:.3} ms/stat) | {:>5.2}x  (work {:.0})",
@@ -187,6 +201,19 @@ impl PerfbaseResult {
             self.optimize_cost_digest
         );
     }
+}
+
+/// Milliseconds spent inside spans called `name`: a span is one Begin and
+/// one End, so the total is the Ends' timestamps less the Begins'.
+fn span_total_ms(events: &[obsv::Event], name: &str) -> f64 {
+    let stamps = |kind: obsv::EventKind| -> u64 {
+        events
+            .iter()
+            .filter(|e| e.name == name && e.kind == kind)
+            .map(|e| e.ts_ns)
+            .sum()
+    };
+    stamps(obsv::EventKind::End).saturating_sub(stamps(obsv::EventKind::Begin)) as f64 / 1e6
 }
 
 fn median(mut samples: Vec<f64>) -> f64 {
@@ -316,6 +343,7 @@ pub fn run(scale: &ExperimentScale, reps: usize) -> PerfbaseResult {
     // the exported span events.
     let tracer = obsv::Tracer::enabled();
     let mut exec_work = 0.0;
+    let mut exec_rows_out = 0;
     for (q, plan) in &planned {
         let b = execute_plan_observed(
             &db,
@@ -331,7 +359,9 @@ pub fn run(scale: &ExperimentScale, reps: usize) -> PerfbaseResult {
         assert_eq!(b.rows, r.rows, "row divergence in bench workload");
         assert_eq!(b.work.to_bits(), r.work.to_bits(), "work divergence");
         exec_work += b.work;
+        exec_rows_out += b.rows.len();
     }
+    let trace_events = tracer.flush();
 
     let time_all = |f: &dyn Fn(&BoundSelect, &PlanNode)| -> f64 {
         let t0 = Instant::now();
@@ -402,6 +432,8 @@ pub fn run(scale: &ExperimentScale, reps: usize) -> PerfbaseResult {
         reps,
         exec_reference_ms: median(ref_ms),
         exec_columnar_ms: median(col_ms),
+        exec_materialize_ms: span_total_ms(&trace_events, "exec.project"),
+        exec_rows_out,
         exec_work,
         build_tables: round.len(),
         build_statistics: n_stats,
@@ -410,7 +442,7 @@ pub fn run(scale: &ExperimentScale, reps: usize) -> PerfbaseResult {
         build_creation_work: serial_cat.creation_work(),
         optimize,
         optimize_cost_digest,
-        trace_events: tracer.flush(),
+        trace_events,
     }
 }
 
@@ -503,6 +535,8 @@ mod tests {
             reps: 5,
             exec_reference_ms: 10.0,
             exec_columnar_ms: 5.0,
+            exec_materialize_ms: 2.0,
+            exec_rows_out: 300,
             exec_work: 1000.0,
             build_tables: 4,
             build_statistics: 20,

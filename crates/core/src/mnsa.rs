@@ -715,7 +715,7 @@ mod tests {
         }
         for d in 0..20i64 {
             db.table_mut(dept)
-                .insert(vec![Value::Int(d), Value::Str(format!("d{d}"))])
+                .insert(vec![Value::Int(d), Value::Str(format!("d{d}").into())])
                 .unwrap();
         }
         db

@@ -225,7 +225,7 @@ mod tests {
         }
         for i in 0..40i64 {
             db.table_mut(d)
-                .insert(vec![Value::Int(i), Value::Str(format!("x{i}"))])
+                .insert(vec![Value::Int(i), Value::Str(format!("x{i}").into())])
                 .unwrap();
         }
         db

@@ -14,6 +14,7 @@
 use crate::zipf::Zipf;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::fmt::{self, Write};
 use storage::{ColumnDef, DataType, Database, Schema, TableId, Value};
 
 /// How skew is assigned to columns.
@@ -132,13 +133,26 @@ enum ColGen {
     Label(&'static str),
 }
 
+/// A formatted string cell at one allocation: the text is written into
+/// `buf`, which the caller reuses from cell to cell, and copied once into
+/// its shared cell (`format!(..).into()` would allocate the `String` and
+/// then the cell).
+fn label(buf: &mut String, text: fmt::Arguments<'_>) -> Value {
+    buf.clear();
+    buf.write_fmt(text)
+        .expect("writing to a String cannot fail");
+    Value::Str(buf.as_str().into())
+}
+
 impl ColGen {
-    fn value(&self, row: usize, rng: &mut StdRng) -> Value {
+    fn value(&self, row: usize, rng: &mut StdRng, buf: &mut String) -> Value {
         match self {
             ColGen::Serial => Value::Int(row as i64),
             ColGen::ZipfInt { zipf, map } => Value::Int(map(zipf.sample(rng))),
+            // A cell of its own per row, not one shared by every row that
+            // drew the same choice: see `storage::ColumnData` on interning.
             ColGen::ZipfChoice { zipf, choices } => {
-                Value::Str(choices[zipf.sample(rng) % choices.len()].clone())
+                Value::Str(choices[zipf.sample(rng) % choices.len()].as_str().into())
             }
             ColGen::ZipfFloat { zipf, lo, step } => {
                 Value::Float(lo + step * zipf.sample(rng) as f64)
@@ -146,16 +160,21 @@ impl ColGen {
             ColGen::ZipfDate { zipf } => Value::Date(DATE_LO + zipf.sample(rng) as i32),
             ColGen::ZipfFk { zipf } => Value::Int(zipf.sample(rng) as i64),
             ColGen::SerialMod(n) => Value::Int((row % n) as i64),
-            ColGen::Label(prefix) => Value::Str(format!("{prefix}#{row}")),
+            ColGen::Label(prefix) => label(buf, format_args!("{prefix}#{row}")),
         }
     }
 }
 
 fn fill_table(db: &mut Database, id: TableId, rows: usize, cols: Vec<ColGen>, rng: &mut StdRng) {
+    // One text buffer and one row buffer for the whole table, and the
+    // table's copy-on-write check once, not per row.
+    let mut buf = String::new();
+    let mut values = Vec::with_capacity(cols.len());
+    let table = db.table_mut(id);
     for row in 0..rows {
-        let values: Vec<Value> = cols.iter().map(|c| c.value(row, rng)).collect();
-        db.table_mut(id)
-            .insert(values)
+        values.extend(cols.iter().map(|c| c.value(row, rng, &mut buf)));
+        table
+            .insert_from(&mut values)
             .expect("generated row is valid");
     }
     // Bulk load: zero the counter so the generated data is the staleness
@@ -200,7 +219,7 @@ pub fn build_tpcd(config: &TpcdConfig) -> Database {
         let names = ["AFRICA", "AMERICA", "ASIA", "EUROPE", "MIDDLE EAST"];
         for (i, n) in names.iter().enumerate() {
             db.table_mut(region)
-                .insert(vec![Value::Int(i as i64), Value::Str(n.to_string())])
+                .insert(vec![Value::Int(i as i64), Value::Str((*n).into())])
                 .unwrap();
         }
         #[allow(deprecated)]
@@ -221,10 +240,11 @@ pub fn build_tpcd(config: &TpcdConfig) -> Database {
     {
         let fk = g.zipf_fk(n_region);
         let mut cols = Vec::new();
+        let mut buf = String::new();
         for i in 0..n_nation {
             cols.push(vec![
                 Value::Int(i as i64),
-                Value::Str(format!("NATION{i:02}")),
+                label(&mut buf, format_args!("NATION{i:02}")),
                 Value::Int(fk.sample(&mut g.rng) as i64),
             ]);
         }

@@ -19,6 +19,7 @@ use crate::kernels::{self, f64_total_key, KeyRange};
 use query::{CmpOp, PredOp, SelectionPredicate};
 use std::cmp::Ordering;
 use std::ops::Range;
+use std::sync::Arc;
 use storage::{ColumnData, DataType, Table, Value};
 
 /// SQL three-valued comparison collapsed to a boolean (NULL comparisons are
@@ -74,7 +75,7 @@ enum ColCmp<'a> {
     /// Float payload vs numeric constant: `f64::total_cmp`.
     FloatFloat(&'a [f64], f64),
     /// Str payload vs Str constant: lexicographic.
-    StrStr(&'a [String], &'a str),
+    StrStr(&'a [Arc<str>], &'a str),
     /// Cross-type oddities (e.g. Str column vs numeric constant) fall back
     /// to the generic `ValueRef` comparison.
     Generic(&'a ColumnData, &'a Value),
@@ -109,7 +110,7 @@ impl ColCmp<'_> {
             ColCmp::IntInt(xs, k) => xs[row].cmp(k),
             ColCmp::IntFloat(xs, k) => (xs[row] as f64).total_cmp(k),
             ColCmp::FloatFloat(xs, k) => xs[row].total_cmp(k),
-            ColCmp::StrStr(xs, k) => xs[row].as_str().cmp(k),
+            ColCmp::StrStr(xs, k) => (*xs[row]).cmp(k),
             ColCmp::Generic(col, rhs) => col.get_ref(row).total_cmp(&rhs.as_ref()),
         }
     }
@@ -127,7 +128,7 @@ fn float_payload(col: &ColumnData) -> &[f64] {
     col.float_slice().unwrap_or(&[])
 }
 
-fn str_payload(col: &ColumnData) -> &[String] {
+fn str_payload(col: &ColumnData) -> &[Arc<str>] {
     col.str_slice().unwrap_or(&[])
 }
 

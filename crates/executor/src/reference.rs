@@ -14,8 +14,8 @@
 //!
 //! Its per-row costs are exactly the ones the columnar engine removes: every
 //! value access re-resolves relation → table, and every join/group key is a
-//! freshly materialized `Vec<Value>` (with a `String` clone per `Str`
-//! column) used as a `HashMap` key.
+//! freshly materialized `Vec<Value>` (a reference-count bump per `Str`
+//! column, since string cells are shared) used as a `HashMap` key.
 
 use crate::error::ExecError;
 use crate::exec::ExecOutput;

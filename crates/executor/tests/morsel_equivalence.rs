@@ -122,7 +122,7 @@ fn fixture(rows: &[RowSpec]) -> Database {
                 Value::Int(i as i64),
                 to(grp.map(Value::Int)),
                 to(val.map(Value::Float)),
-                to(name.map(|n| Value::Str(NAMES[n as usize % NAMES.len()].to_string()))),
+                to(name.map(|n| Value::Str(NAMES[n as usize % NAMES.len()].into()))),
                 to(date.map(|d| Value::Date(d as i32))),
             ])
             .expect("insert");
@@ -138,12 +138,12 @@ fn fixture(rows: &[RowSpec]) -> Database {
         .expect("g");
     for gid in -1i64..4 {
         db.table_mut(g)
-            .insert(vec![Value::Int(gid), Value::Str(format!("g{gid}"))])
+            .insert(vec![Value::Int(gid), Value::Str(format!("g{gid}").into())])
             .expect("insert");
     }
     // One NULL join key on the build side: NULL keys must never join.
     db.table_mut(g)
-        .insert(vec![Value::Null, Value::Str("null-gid".to_string())])
+        .insert(vec![Value::Null, Value::Str("null-gid".into())])
         .expect("insert");
     db
 }

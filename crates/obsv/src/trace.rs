@@ -16,8 +16,9 @@
 //!    causal order regardless of which thread recorded what.
 //!
 //! Span names are `&'static str` by contract: the taxonomy is fixed at
-//! compile time (e.g. `mnsa.round`, `stats.build`, `exec.op.HashJoin`),
-//! which keeps recording allocation-light and makes traces greppable.
+//! compile time (e.g. `mnsa.round`, `stats.build`, `exec.op.HashJoin`,
+//! `exec.project`), which keeps recording allocation-light and makes traces
+//! greppable.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};

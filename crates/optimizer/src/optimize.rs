@@ -274,7 +274,7 @@ mod tests {
         }
         for d in 0..10i64 {
             db.table_mut(dept)
-                .insert(vec![Value::Int(d), Value::Str(format!("d{d}"))])
+                .insert(vec![Value::Int(d), Value::Str(format!("d{d}").into())])
                 .unwrap();
         }
         db.create_index("idx_emp_empid", emp, vec![0]).unwrap();

@@ -269,7 +269,7 @@ impl Parser {
         match self.next() {
             Some(Token::Int(i)) => Ok(Value::Int(i)),
             Some(Token::Float(f)) => Ok(Value::Float(f)),
-            Some(Token::Str(s)) => Ok(Value::Str(s)),
+            Some(Token::Str(s)) => Ok(Value::Str(s.into())),
             Some(Token::Ident(s)) if s.eq_ignore_ascii_case("null") => Ok(Value::Null),
             Some(Token::Ident(s)) if s.eq_ignore_ascii_case("date") => match self.next() {
                 Some(Token::Int(d)) => Ok(Value::Date(d as i32)),

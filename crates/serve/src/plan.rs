@@ -232,7 +232,10 @@ mod tests {
                 .unwrap();
             for i in 0..*rows {
                 db.table_mut(id)
-                    .insert(vec![Value::Int(i as i64), Value::Str(format!("r{i}"))])
+                    .insert(vec![
+                        Value::Int(i as i64),
+                        Value::Str(format!("r{i}").into()),
+                    ])
                     .unwrap();
             }
         }

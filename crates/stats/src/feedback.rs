@@ -559,7 +559,7 @@ mod tests {
     #[test]
     fn string_prefix_histograms_are_not_correctable() {
         let vals: Vec<Value> = (0..50)
-            .map(|i| Value::Str(format!("Supplier#{i:06}")))
+            .map(|i| Value::Str(format!("Supplier#{i:06}").into()))
             .collect();
         let mut h = Histogram::build(HistogramKind::EquiDepth, &vals, 8);
         assert!(!correctable(&h));

@@ -120,7 +120,7 @@ impl Histogram {
         let strs: Option<Vec<&str>> = values
             .iter()
             .map(|v| match v {
-                Value::Str(s) => Some(s.as_str()),
+                Value::Str(s) => Some(&**s),
                 _ => None,
             })
             .collect();
@@ -159,7 +159,7 @@ impl Histogram {
         } else if let Some(floats) = col.float_slice() {
             keys.extend(live().map(|r| floats[r]));
         } else if let Some(strs) = col.str_slice() {
-            str_prefix = common_prefix(live().map(|r| strs[r].as_str()));
+            str_prefix = common_prefix(live().map(|r| &*strs[r]));
             let skip = str_prefix.map_or(0, str::len);
             keys.extend(live().map(|r| key8(&strs[r].as_bytes()[skip..])));
         }
@@ -233,7 +233,7 @@ impl Histogram {
             (Some(p), Value::Str(s)) => match s.as_bytes().strip_prefix(p.as_bytes()) {
                 Some(rest) => key8(rest),
                 None => {
-                    if s.as_str() < p.as_str() {
+                    if &**s < p.as_str() {
                         f64::NEG_INFINITY
                     } else {
                         f64::INFINITY
@@ -734,7 +734,7 @@ mod tests {
         // Label columns like "Supplier#000000042" share a long prefix; the
         // histogram must still distinguish them.
         let vals: Vec<Value> = (0..100)
-            .map(|i| Value::Str(format!("Supplier#{i:09}")))
+            .map(|i| Value::Str(format!("Supplier#{i:09}").into()))
             .collect();
         let h = Histogram::build(HistogramKind::MaxDiff, &vals, 64);
         assert_eq!(h.ndv(), 100.0);
@@ -787,8 +787,12 @@ mod tests {
 
     #[test]
     fn mixed_prefix_join_falls_back_to_ndv() {
-        let a: Vec<Value> = (0..50).map(|i| Value::Str(format!("aa{i:03}"))).collect();
-        let b: Vec<Value> = (0..50).map(|i| Value::Str(format!("bb{i:03}"))).collect();
+        let a: Vec<Value> = (0..50)
+            .map(|i| Value::Str(format!("aa{i:03}").into()))
+            .collect();
+        let b: Vec<Value> = (0..50)
+            .map(|i| Value::Str(format!("bb{i:03}").into()))
+            .collect();
         let ha = Histogram::build(HistogramKind::EquiDepth, &a, 16);
         let hb = Histogram::build(HistogramKind::EquiDepth, &b, 16);
         let sel = join_selectivity(&ha, &hb);

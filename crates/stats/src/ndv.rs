@@ -105,7 +105,7 @@ impl Groups {
             Self::by_key(col, rows, |r| mix(floats[r].to_bits()))
         } else {
             let strs = col.str_slice().unwrap_or(&[]);
-            Self::by_key(col, rows, |r| strs[r].as_str())
+            Self::by_key(col, rows, |r| &*strs[r])
         }
     }
 

@@ -3,8 +3,20 @@
 //! Each column is a typed `Vec` plus a validity bitmap. Deleted rows are
 //! compacted eagerly (tables here are small enough that shifting is cheaper
 //! than tombstone bookkeeping, and statistics builders want dense columns).
+//!
+//! A string column holds one shared, immutable cell (`Arc<str>`) per row.
+//! Reading a cell out ([`ColumnData::get`]), appending a column to another
+//! ([`ColumnData::extend_from`]) and cloning a table for copy-on-write all
+//! bump a reference count instead of copying bytes. Cells are not interned:
+//! one `Arc` per distinct value would have every client thread bump the same
+//! few counters, which measured slower than a count per row.
 
 use crate::value::{DataType, Value, ValueRef};
+use std::sync::{Arc, LazyLock};
+
+/// The padding a NULL leaves in a string column's payload: one empty cell for
+/// the whole process, so a NULL allocates nothing.
+static NULL_STR: LazyLock<Arc<str>> = LazyLock::new(|| Arc::from(""));
 
 /// Storage for one column of a table.
 #[derive(Debug, Clone)]
@@ -12,7 +24,7 @@ pub struct ColumnData {
     data_type: DataType,
     ints: Vec<i64>,
     floats: Vec<f64>,
-    strs: Vec<String>,
+    strs: Vec<Arc<str>>,
     /// validity[i] == false means row i is NULL.
     validity: Vec<bool>,
 }
@@ -60,7 +72,7 @@ impl ColumnData {
                 match self.data_type {
                     DataType::Int | DataType::Date => self.ints.push(0),
                     DataType::Float => self.floats.push(0.0),
-                    DataType::Str => self.strs.push(String::new()),
+                    DataType::Str => self.strs.push(Arc::clone(&NULL_STR)),
                 }
             }
             (Value::Int(i), DataType::Int) => {
@@ -100,6 +112,7 @@ impl ColumnData {
     /// Append every row of `other`, which must hold the same `DataType`
     /// (the caller, `Table::append_table`, checks): one bulk copy of the
     /// payload vector and the validity bitmap instead of a `Value` per cell.
+    /// String cells are shared with `other`, not copied.
     pub fn extend_from(&mut self, other: &ColumnData) {
         assert_eq!(
             self.data_type, other.data_type,
@@ -112,7 +125,8 @@ impl ColumnData {
         self.validity.extend_from_slice(&other.validity);
     }
 
-    /// Value at row `i`.
+    /// Value at row `i`. A string comes back as the stored cell itself
+    /// (`Arc::ptr_eq` to it), not as a copy.
     pub fn get(&self, i: usize) -> Value {
         if !self.validity[i] {
             return Value::Null;
@@ -121,12 +135,12 @@ impl ColumnData {
             DataType::Int => Value::Int(self.ints[i]),
             DataType::Date => Value::Date(self.ints[i] as i32),
             DataType::Float => Value::Float(self.floats[i]),
-            DataType::Str => Value::Str(self.strs[i].clone()),
+            DataType::Str => Value::Str(Arc::clone(&self.strs[i])),
         }
     }
 
-    /// Borrowed view of row `i` — no `String` clone for `Str` columns. The
-    /// workhorse of the columnar executor's inner loops.
+    /// Borrowed view of row `i` — no reference count touched for `Str`
+    /// columns. The workhorse of the columnar executor's inner loops.
     pub fn get_ref(&self, i: usize) -> ValueRef<'_> {
         if !self.validity[i] {
             return ValueRef::Null;
@@ -173,8 +187,9 @@ impl ColumnData {
         }
     }
 
-    /// The raw string payload slice for `Str` columns.
-    pub fn str_slice(&self) -> Option<&[String]> {
+    /// The raw string payload slice for `Str` columns: one shared cell per
+    /// row, each dereferencing to `&str`.
+    pub fn str_slice(&self) -> Option<&[Arc<str>]> {
         match self.data_type {
             DataType::Str => Some(&self.strs),
             _ => None,
@@ -238,7 +253,7 @@ impl ColumnData {
                 match self.data_type {
                     DataType::Int | DataType::Date => self.ints[write] = self.ints[read],
                     DataType::Float => self.floats[write] = self.floats[read],
-                    DataType::Str => self.strs[write] = std::mem::take(&mut self.strs[read]),
+                    DataType::Str => self.strs.swap(write, read),
                 }
             }
             write += 1;
@@ -325,6 +340,37 @@ mod tests {
         assert_eq!(c.len(), 2);
         assert_eq!(c.get(0), Value::Str("b".into()));
         assert_eq!(c.get(1), Value::Str("c".into()));
+    }
+
+    #[test]
+    fn string_cells_are_shared_not_copied() {
+        let mut c = ColumnData::new(DataType::Str);
+        for v in ["a".into(), Value::Null, "".into(), Value::Null, "d".into()] {
+            c.push(v);
+        }
+        let cells = c.str_slice().unwrap().to_vec();
+        // Reading a cell out hands back the stored allocation.
+        let Value::Str(read) = c.get(0) else {
+            panic!("row 0 is a string")
+        };
+        assert!(Arc::ptr_eq(&read, &cells[0]));
+        // Every NULL pads with the one process-wide empty cell; a stored
+        // empty string is a cell of its own.
+        assert!(Arc::ptr_eq(&cells[1], &cells[3]));
+        assert!(!Arc::ptr_eq(&cells[1], &cells[2]));
+        // Appending a column and compacting after a delete move cells.
+        let mut other = ColumnData::new(DataType::Str);
+        other.extend_from(&c);
+        assert!(Arc::ptr_eq(&other.str_slice().unwrap()[4], &cells[4]));
+        c.delete_rows(&[0, 1]);
+        let left = c.str_slice().unwrap();
+        assert_eq!(c.get(0), Value::Str("".into()));
+        assert!(Arc::ptr_eq(&left[0], &cells[2]) && Arc::ptr_eq(&left[2], &cells[4]));
+        // A replaced cell leaves the value read earlier as it was.
+        c.set(2, "changed".into());
+        assert_eq!(&*read, "a");
+        assert_eq!(&*cells[4], "d");
+        assert_eq!(c.get(2), Value::Str("changed".into()));
     }
 
     #[test]

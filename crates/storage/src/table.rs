@@ -146,9 +146,17 @@ impl Table {
     }
 
     /// Insert one row.
-    pub fn insert(&mut self, row: Vec<Value>) -> Result<()> {
-        self.check_row(&row)?;
-        for (col, v) in self.columns.iter_mut().zip(row) {
+    pub fn insert(&mut self, mut row: Vec<Value>) -> Result<()> {
+        self.insert_from(&mut row)
+    }
+
+    /// Insert one row, moving its values out of `row`: on success `row` is
+    /// left empty with its capacity, so a bulk loader fills the same buffer
+    /// again instead of allocating a `Vec` per row. A rejected row is left
+    /// as it was.
+    pub fn insert_from(&mut self, row: &mut Vec<Value>) -> Result<()> {
+        self.check_row(row)?;
+        for (col, v) in self.columns.iter_mut().zip(row.drain(..)) {
             col.push(v);
         }
         self.modification_counter += 1;
@@ -244,6 +252,22 @@ mod tests {
         assert_eq!(t.row_count(), 2);
         assert_eq!(t.value(0, 1), Value::Str("ann".into()));
         assert_eq!(t.value(1, 2), Value::Null);
+    }
+
+    #[test]
+    fn insert_from_empties_an_accepted_row_and_keeps_a_rejected_one() {
+        let mut t = people();
+        let mut row = vec![Value::Int(1), "ann".into(), Value::Null];
+        t.insert_from(&mut row).unwrap();
+        assert!(row.is_empty() && row.capacity() >= 3);
+        row.extend([Value::Null, "bob".into(), Value::Int(3)]);
+        assert!(t.insert_from(&mut row).is_err());
+        assert_eq!(row.len(), 3);
+        assert_eq!(t.row_count(), 1);
+        assert_eq!(
+            t.row_values(0),
+            vec![Value::Int(1), "ann".into(), Value::Null]
+        );
     }
 
     #[test]

@@ -3,6 +3,7 @@
 use std::cmp::Ordering;
 use std::fmt;
 use std::hash::{Hash, Hasher};
+use std::sync::Arc;
 
 /// The data types supported by the storage engine.
 ///
@@ -43,12 +44,18 @@ impl DataType {
 
 /// A scalar value. `Null` compares less than every non-null value so that
 /// sorting and histogram construction have a total order.
+///
+/// A string is a shared, immutable cell: cloning a `Value::Str` — which is
+/// what reading a stored cell into a result row does — bumps a reference
+/// count and copies no bytes, and an UPDATE replaces the column's `Arc`, so
+/// a value a client still holds never changes under a later write.
+/// `Arc<str>` hashes, compares and orders as `str`.
 #[derive(Debug, Clone)]
 pub enum Value {
     Null,
     Int(i64),
     Float(f64),
-    Str(String),
+    Str(Arc<str>),
     /// Days since the Unix epoch.
     Date(i32),
 }
@@ -171,8 +178,8 @@ impl Hash for Value {
 ///
 /// `ValueRef` lets hot loops compare, hash, and fingerprint column entries
 /// without materializing a [`Value`] — which for `Str` columns means no
-/// per-row `String` clone. Its comparison and hash semantics mirror `Value`
-/// exactly: `a.as_ref().total_cmp(&b.as_ref()) == a.total_cmp(&b)` and
+/// per-row reference-count traffic. Its comparison and hash semantics mirror
+/// `Value` exactly: `a.as_ref().total_cmp(&b.as_ref()) == a.total_cmp(&b)` and
 /// `hash(a.as_ref()) == hash(a)` for every value, so a fingerprint computed
 /// from refs agrees with one computed from owned values.
 #[derive(Debug, Clone, Copy)]
@@ -203,13 +210,14 @@ impl<'a> ValueRef<'a> {
         matches!(self, ValueRef::Null)
     }
 
-    /// Materialize an owned [`Value`] (clones the string payload).
+    /// Materialize an owned [`Value`] (copies the string payload into a new
+    /// cell; [`crate::ColumnData::get`] shares the stored one instead).
     pub fn to_value(&self) -> Value {
         match self {
             ValueRef::Null => Value::Null,
             ValueRef::Int(i) => Value::Int(*i),
             ValueRef::Float(f) => Value::Float(*f),
-            ValueRef::Str(s) => Value::Str((*s).to_string()),
+            ValueRef::Str(s) => Value::Str(Arc::from(*s)),
             ValueRef::Date(d) => Value::Date(*d),
         }
     }
@@ -317,14 +325,18 @@ impl From<f64> for Value {
 }
 impl From<&str> for Value {
     fn from(v: &str) -> Self {
-        Value::Str(v.to_string())
+        Value::Str(v.into())
     }
 }
 impl From<String> for Value {
     fn from(v: String) -> Self {
-        Value::Str(v)
+        Value::Str(v.into())
     }
 }
+
+// 24 bytes with the `String` payload too: a fat `Arc<str>` pointer plus the
+// tag. Result rows are `Vec<Value>`, so a wider cell is a slower projection.
+const _: () = assert!(std::mem::size_of::<Value>() == 24);
 
 #[cfg(test)]
 mod tests {

@@ -48,7 +48,7 @@ fn build_db(rows: usize) -> Database {
     }
     for i in 0..(rows as i64 / 10).max(1) {
         db.table_mut(d)
-            .insert(vec![Value::Int(i), Value::Str(format!("x{i}"))])
+            .insert(vec![Value::Int(i), Value::Str(format!("x{i}").into())])
             .unwrap();
     }
     db

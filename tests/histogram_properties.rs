@@ -132,8 +132,8 @@ fn arb_value() -> impl Strategy<Value = Value> {
         (-1e6f64..1e6).prop_map(Value::Float),
         Just(Value::Float(f64::INFINITY)),
         Just(Value::Float(f64::NEG_INFINITY)),
-        "[a-d]{0,6}".prop_map(Value::Str),
-        "pre[a-d]{0,4}".prop_map(Value::Str),
+        "[a-d]{0,6}".prop_map(Value::from),
+        "pre[a-d]{0,4}".prop_map(Value::from),
         (-20000i32..20000).prop_map(Value::Date),
     ]
 }

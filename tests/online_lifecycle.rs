@@ -68,7 +68,7 @@ fn example2_db(employee_rows: i64) -> Database {
     }
     for d in 0..20i64 {
         db.table_mut(dept)
-            .insert(vec![Value::Int(d), Value::Str(format!("d{d}"))])
+            .insert(vec![Value::Int(d), Value::Str(format!("d{d}").into())])
             .unwrap();
     }
     #[allow(deprecated)]

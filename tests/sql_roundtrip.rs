@@ -23,7 +23,7 @@ fn literal() -> impl Strategy<Value = Value> {
     prop_oneof![
         any::<i32>().prop_map(|i| Value::Int(i as i64)),
         (-1000i64..1000, 1u32..100).prop_map(|(m, d)| Value::Float(m as f64 / d as f64)),
-        "[a-zA-Z' ]{0,12}".prop_map(Value::Str),
+        "[a-zA-Z' ]{0,12}".prop_map(Value::from),
         (-10000i32..10000).prop_map(Value::Date),
         Just(Value::Null),
     ]

@@ -70,7 +70,7 @@ fn str_pool(kind: usize) -> Vec<Value> {
         // Common bytes that stop inside a two- and a four-byte character.
         _ => &["naïve-é", "naïve-è", "naïve-𝄞", "naïve-𝄟", "naïve-éé"],
     };
-    pool.iter().map(|s| Value::Str((*s).to_string())).collect()
+    pool.iter().map(|s| Value::Str((*s).into())).collect()
 }
 
 /// Column 3: a `Date` column; `Int` payloads past `i32` read back narrowed.

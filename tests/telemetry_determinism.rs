@@ -67,7 +67,7 @@ fn test_db() -> Database {
     }
     for d in 0..20i64 {
         db.table_mut(dept)
-            .insert(vec![Value::Int(d), Value::Str(format!("d{d}"))])
+            .insert(vec![Value::Int(d), Value::Str(format!("d{d}").into())])
             .unwrap();
     }
     #[allow(deprecated)]
