@@ -48,8 +48,6 @@ pub struct TelemetryConfig {
     /// the fingerprint, see [`obsv::SpanSampler`]). 0 disables sampling,
     /// 1 traces everything.
     pub sample_one_in: u64,
-    /// Seed of the fingerprint sampler.
-    pub sample_seed: u64,
 }
 
 impl Default for TelemetryConfig {
@@ -57,7 +55,6 @@ impl Default for TelemetryConfig {
         TelemetryConfig {
             slowlog_k: 8,
             sample_one_in: 16,
-            sample_seed: 0x0B5E,
         }
     }
 }

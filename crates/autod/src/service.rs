@@ -31,6 +31,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use storage::Database;
 
+/// Seed of the fingerprint sampler.
+const SAMPLE_SEED: u64 = 0x0B5E;
+
 /// Shared always-on telemetry for the query path: latency histograms in
 /// the service registry, the deterministic span sampler, the slow-query
 /// reservoir, and per-tick windowed rollups. Everything here is
@@ -109,7 +112,7 @@ impl OnlineService {
         let budget_per_tick = config.budget_per_tick;
         let core = LifecycleCore::with_parts(catalog, config, obs.clone(), session);
         let telemetry = Arc::new(ServiceTelemetry {
-            sampler: SpanSampler::new(telemetry_config.sample_seed, telemetry_config.sample_one_in),
+            sampler: SpanSampler::new(SAMPLE_SEED, telemetry_config.sample_one_in),
             slowlog: SlowQueryLog::new(telemetry_config.slowlog_k),
             query_latency: obs.metrics.latency("autod.query.latency_ns"),
             dml_latency: obs.metrics.latency("autod.dml.latency_ns"),
@@ -491,6 +494,21 @@ mod tests {
     fn dml_advances_counters_through_the_service() {
         let svc = service(f64::INFINITY);
         let h = svc.handle(1);
+        // A mistyped SET value is refused when it binds, under the write
+        // lock, and the handle goes on serving.
+        for sql in [
+            "UPDATE employees SET empid = 'x' WHERE empid < 3",
+            "UPDATE employees SET age = 1.5",
+        ] {
+            let refused = h.run_sql(sql);
+            assert!(
+                matches!(
+                    refused,
+                    Err(ManagerError::Bind(query::BindError::TypeMismatch { .. }))
+                ),
+                "{sql}: {refused:?}"
+            );
+        }
         let out = h
             .run_sql("DELETE FROM employees WHERE empid < 100")
             .unwrap();

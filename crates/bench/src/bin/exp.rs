@@ -5,23 +5,21 @@
 //! go) print measured-vs-paper-band rows and write them to
 //! `results/<experiment>.jsonl`. The system experiments write one JSON
 //! artifact each, by default at the repository root (`--out` overrides,
-//! which CI's smoke runs use to leave the recorded numbers alone):
+//! which CI's smoke runs use to leave the recorded numbers alone): `online`
+//! → `BENCH_online.json`, `serve` → `BENCH_serve.json`, `cardbench` →
+//! `BENCH_cardbench.json`. Each audits itself — seed-fixed rerun, sharded
+//! replay and 1-shard == unsharded, regime re-run — and exits non-zero when
+//! the audit fails.
 //!
-//! * `perfbase` → `BENCH_exec.json`, wall-clock by purpose. `--check` first
-//!   reloads the previous file at the output path, if any, and warns when a
-//!   deterministic work counter regressed by more than 25% or the `optimize`
-//!   block's cost-bits digest differs at all; `--trace-out` exports the
-//!   verification pass's span events as a Chrome trace.
-//! * `online` → `BENCH_online.json`, `serve` → `BENCH_serve.json`,
-//!   `cardbench` → `BENCH_cardbench.json`: deterministic work only, so a
-//!   fresh run is byte-identical to the committed file (CI `cmp`s them).
-//!   Each audits itself — seed-fixed rerun, sharded replay and 1-shard ==
-//!   unsharded, regime re-run — and exits non-zero when the audit fails.
+//! Everything written here is a pure function of `(experiment, scale,
+//! seed)`: deterministic work only, so a fresh run is byte-identical to the
+//! committed file (CI `cmp`s the three artifacts). Nothing in this crate
+//! reads a clock; wall time is measured by `benchmark/` and nowhere else.
 
 use bench::cli::{self, Cli, Experiment};
 use bench::common::{report, write_artifact, BenchObs, ExperimentScale, Row};
 use bench::experiments::{
-    aging, cardbench, fig3, fig4, intro, online, perfbase, serve, shrink, table1, tsweep,
+    aging, cardbench, fig3, fig4, intro, online, serve, shrink, table1, tsweep,
 };
 
 fn main() {
@@ -58,7 +56,6 @@ fn main() {
             println!();
             rows
         }
-        Experiment::Perfbase => return run_perfbase(&cli),
         Experiment::Online => return run_online(&cli, &bench_obs),
         Experiment::Cardbench => return run_cardbench(&cli, &bench_obs),
         Experiment::Serve => return run_serve(&cli),
@@ -150,41 +147,6 @@ fn aging_rows(scale: &ExperimentScale) -> Vec<Row> {
         );
     }
     aging::rows(&results)
-}
-
-fn run_perfbase(cli: &Cli) {
-    let out = cli.out("BENCH_exec.json");
-    println!("== Perf baseline: columnar execution, shared-scan builds, optimizer calls ==");
-    let result = perfbase::run(&cli.scale, cli.reps);
-    result.print();
-
-    if cli.check {
-        match std::fs::read_to_string(&out) {
-            Ok(previous) => match perfbase::check_against(&previous, &result) {
-                Ok(warnings) if warnings.is_empty() => {
-                    println!(
-                        "perf check: work counters within budget and plan digest identical to {}",
-                        out.display()
-                    );
-                }
-                Ok(warnings) => {
-                    for w in &warnings {
-                        eprintln!("warning: perf check: {w}");
-                    }
-                }
-                Err(why) => println!("perf check skipped: {why}"),
-            },
-            Err(_) => println!(
-                "perf check skipped: no previous baseline at {}",
-                out.display()
-            ),
-        }
-    }
-    if let Some(path) = cli.path("--trace-out") {
-        let chrome = obsv::export::to_chrome(&result.trace_events);
-        write_artifact(path, "trace", &chrome);
-    }
-    write_artifact(out, "results", &result.to_json());
 }
 
 /// Write each telemetry stream whose flag was given (`serve` takes no

@@ -20,7 +20,6 @@ pub enum Experiment {
     Shrink,
     Aging,
     All,
-    Perfbase,
     Online,
     Cardbench,
     Serve,
@@ -30,7 +29,7 @@ const OBS: &str = "--trace-out --metrics-out --journal-out";
 
 /// Every experiment with its name and the flags it takes beyond
 /// `--tiny | --full`, separated by spaces.
-const EXPERIMENTS: [(Experiment, &str, &str); 12] = [
+const EXPERIMENTS: [(Experiment, &str, &str); 11] = [
     (Experiment::Intro, "intro", ""),
     (Experiment::Fig3, "fig3", "--trace-out --metrics-out"),
     (Experiment::Fig4, "fig4", "--ablation"),
@@ -39,11 +38,6 @@ const EXPERIMENTS: [(Experiment, &str, &str); 12] = [
     (Experiment::Shrink, "shrink", OBS),
     (Experiment::Aging, "aging", ""),
     (Experiment::All, "all", OBS),
-    (
-        Experiment::Perfbase,
-        "perfbase",
-        "--reps --out --trace-out --check",
-    ),
     (
         Experiment::Online,
         "online",
@@ -71,9 +65,6 @@ pub struct Cli {
     pub name: &'static str,
     pub scale: ExperimentScale,
     pub ablation: bool,
-    pub check: bool,
-    /// `--reps N`, N >= 1 (default 5).
-    pub reps: usize,
     /// `--shards N`, N >= 1 (default 2).
     pub shards: usize,
     /// `--ticks N`, N >= 1 (default 6).
@@ -105,8 +96,8 @@ impl Cli {
 /// What follows `flag` on the command line, for the usage text.
 fn operand(flag: &str) -> &'static str {
     match flag {
-        "--ablation" | "--check" => "",
-        "--reps" | "--shards" | "--ticks" => " N",
+        "--ablation" => "",
+        "--shards" | "--ticks" => " N",
         "--budget" => " W",
         _ => " PATH",
     }
@@ -139,8 +130,6 @@ pub fn parse(args: &[String]) -> Result<Cli, String> {
         name,
         scale: ExperimentScale::default_run(),
         ablation: false,
-        check: false,
-        reps: 5,
         shards: 2,
         ticks: 6,
         budget: 500_000.0,
@@ -180,8 +169,6 @@ pub fn parse(args: &[String]) -> Result<Cli, String> {
             "--tiny" => cli.scale = ExperimentScale::tiny(),
             "--full" => cli.scale = ExperimentScale::full(),
             "--ablation" => cli.ablation = true,
-            "--check" => cli.check = true,
-            "--reps" => cli.reps = count(value()?)?,
             "--shards" => cli.shards = count(value()?)?,
             "--ticks" => cli.ticks = count(value()?)? as u64,
             "--budget" => {
@@ -212,6 +199,7 @@ mod tests {
         for line in [
             "",
             "fig9",
+            "perfbase",
             "serve --shard 4",
             "serve --ticks abc",
             "serve --shards 0",
@@ -227,13 +215,16 @@ mod tests {
             assert!(parse_line(line).is_err(), "`exp {line}` was accepted");
         }
         // The fan-out and QPS-pass flags are gone from every experiment
-        // (spelled without the dashes: the tree is grepped for them).
-        for gone in ["threads", "rounds"] {
+        // (spelled without the dashes: the tree is grepped for them), and so
+        // are the two flags of the timing experiment, which is itself an
+        // unknown name above: only `benchmark/` reads a clock.
+        for gone in ["threads 4", "rounds 4", "reps 2", "check"] {
             for (_, name, _) in &EXPERIMENTS {
-                let line = format!("{name} --{gone} 4");
+                let line = format!("{name} --{gone}");
                 assert!(parse_line(&line).is_err(), "`exp {line}` was accepted");
             }
         }
+        assert_eq!(usage().lines().count(), 1 + 11, "{}", usage());
     }
 
     #[test]
@@ -260,9 +251,9 @@ mod tests {
         assert_eq!(cli.path("--health-out"), Some("h.jsonl"));
         assert_eq!(cli.path("--windows-out"), None);
 
-        let cli = parse_line("perfbase --reps 2 --check").expect("a valid perfbase line");
-        assert!(cli.check && cli.reps == 2 && !cli.ablation);
-        assert!(cli.out("BENCH_exec.json").ends_with("BENCH_exec.json"));
+        assert!(!cli.ablation);
+        let cli = parse_line("online").expect("flags are optional");
+        assert!(cli.out("BENCH_online.json").ends_with("BENCH_online.json"));
         assert!(parse_line("fig4 --ablation").expect("fig4 flag").ablation);
     }
 }

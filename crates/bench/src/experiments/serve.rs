@@ -178,7 +178,6 @@ fn serve_config(db: &Database, shards: usize, global_budget: f64) -> ServeConfig
             budget_per_tick: global_budget,
             ..autod_config()
         },
-        ..ServeConfig::default()
     }
 }
 

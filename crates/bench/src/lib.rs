@@ -6,7 +6,10 @@
 //! them. The paper experiments print a human-readable table, state the
 //! paper's reported band next to the measured value, and write the rows as
 //! JSON lines under `results/` (consumed when updating `EXPERIMENTS.md`);
-//! the system experiments write one `BENCH_*.json` artifact each.
+//! the system experiments write one `BENCH_*.json` artifact each. All of it
+//! is deterministic work: no module here reads a clock, so every file `exp`
+//! writes is a pure function of `(experiment, scale, seed)`. Throughput and
+//! latency are measured by the system benchmark under `benchmark/` alone.
 //!
 //! | `exp …`     | Result                                                   |
 //! |-------------|----------------------------------------------------------|
@@ -18,7 +21,6 @@
 //! | `shrink`    | §5.2 — Shrinking Set essential sets                      |
 //! | `aging`     | §6 — dampened re-creation of dropped statistics          |
 //! | `all`       | everything above, into `results/all.jsonl`               |
-//! | `perfbase`  | executor / statistic-build / optimizer-call baseline     |
 //! | `online`    | online lifecycle daemon — convergence vs offline tuning  |
 //! | `cardbench` | q-error and plan-cost regret on adversarial workloads    |
 //! | `serve`     | sharded serving — 1-shard identity, replay, convergence  |

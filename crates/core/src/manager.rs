@@ -6,7 +6,6 @@
 //! application would drive a server.
 
 use crate::error::TuneError;
-use crate::journal::SessionReport;
 use crate::policy::{apply_policy, CreationPolicy, TuningReport};
 use executor::{run_statement, ExecError, StatementOutcome};
 use optimizer::PlanError;
@@ -110,8 +109,6 @@ pub struct AutoStatsManager {
     tuning: TuningReport,
     /// Cumulative execution work.
     execution_work: f64,
-    /// Journal of every MNSA trajectory this manager ran.
-    session: SessionReport,
 }
 
 impl AutoStatsManager {
@@ -123,7 +120,6 @@ impl AutoStatsManager {
             config,
             tuning: TuningReport::default(),
             execution_work: 0.0,
-            session: SessionReport::default(),
         }
     }
 
@@ -157,12 +153,6 @@ impl AutoStatsManager {
         self.execution_work
     }
 
-    /// The tuning-session journal: one record per MNSA trajectory this
-    /// manager ran for an incoming query.
-    pub fn session_report(&self) -> &SessionReport {
-        &self.session
-    }
-
     /// Parse, bind, tune (per policy), and execute one SQL statement.
     pub fn execute_sql(&mut self, sql: &str) -> Result<StatementOutcome, ManagerError> {
         let stmt = parse_statement(sql)?;
@@ -181,13 +171,9 @@ impl AutoStatsManager {
         bound: &BoundStatement,
     ) -> Result<StatementOutcome, ManagerError> {
         if let BoundStatement::Select(q) = bound {
-            let (report, _, mnsa) =
+            let (report, _, _) =
                 apply_policy(&self.db, &mut self.catalog, &self.config.creation, q)?;
             self.tuning.absorb(&report);
-            if let Some(outcome) = mnsa {
-                self.session.record_query(q.relations.len(), &outcome);
-            }
-            self.session.totals.absorb(&report);
         }
         let outcome = run_statement(
             &mut self.db,

@@ -388,7 +388,6 @@ impl MnsaEngine {
 
             // Step 8: FindNextStatToBuild on the magic-number plan P.
             let Some(group) = self.find_next_stats(
-                db,
                 catalog,
                 query,
                 &current.plan,
@@ -506,10 +505,8 @@ impl MnsaEngine {
     /// §4.2: rank plan operators by own cost (subtree − children) and return
     /// the unbuilt candidate statistics relevant to the most expensive
     /// operator that has any — as a group, so join statistics come in pairs.
-    #[allow(clippy::too_many_arguments)]
     fn find_next_stats(
         &self,
-        db: &Database,
         catalog: &StatsCatalog,
         query: &BoundSelect,
         plan: &PlanNode,
@@ -541,7 +538,6 @@ impl MnsaEngine {
                     .aging
                     .map(|policy| catalog.is_aged_out(&d, &policy, plan.est_cost))
                     .unwrap_or(false);
-                let _ = db;
                 if aged {
                     remaining.retain(|r| r != &d);
                     outcome.aged_out.push(d);

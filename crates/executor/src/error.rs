@@ -21,8 +21,12 @@ pub enum ExecError {
     MalformedPlan { detail: String },
     /// Plan search failed before execution could start.
     Plan(PlanError),
-    /// A table referenced by the plan or statement no longer exists.
+    /// A table referenced by the plan or statement no longer exists, or a
+    /// write the store refused.
     Storage(StorageError),
+    /// A cross product of `tuples` tuples (saturating) is more than the
+    /// executor materializes; refused before anything is allocated.
+    ResultTooLarge { tuples: usize },
 }
 
 impl fmt::Display for ExecError {
@@ -38,6 +42,11 @@ impl fmt::Display for ExecError {
             }
             ExecError::Plan(e) => write!(f, "optimization failed: {e}"),
             ExecError::Storage(e) => write!(f, "storage error during execution: {e}"),
+            ExecError::ResultTooLarge { tuples } => write!(
+                f,
+                "cross product of {tuples} tuples is too large to materialize; \
+                 add a join predicate"
+            ),
         }
     }
 }

@@ -183,6 +183,12 @@ impl ExecOutput {
     }
 }
 
+/// The most row ordinals one cross product may hold: 2 GiB of them, over ten
+/// times the largest resident set any `benchmark/` workload reaches. A
+/// comma-join past it is refused; an unchecked one asks the allocator for
+/// whatever the product comes to, and a failed allocation aborts the process.
+const MAX_CARTESIAN_ORDINALS: usize = 1 << 28;
+
 /// An intermediate result: which relation ordinals are present, plus one
 /// base-table row index per present relation for every tuple. Tuples live
 /// back-to-back in one flat buffer (`rels.len()` indices per tuple) so
@@ -744,7 +750,7 @@ impl<'a> Interp<'a> {
                 let left = self.run(&node.children[0], span)?;
                 let right = self.run(&node.children[1], span)?;
                 let out = if edges.is_empty() {
-                    self.cartesian(&left, &right)
+                    self.cartesian(&left, &right)?
                 } else {
                     self.equi_join(&left, &right, edges)?
                 };
@@ -918,18 +924,31 @@ impl<'a> Interp<'a> {
         Ok(Intermediate { rels, data })
     }
 
-    fn cartesian(&self, left: &Intermediate, right: &Intermediate) -> Intermediate {
+    fn cartesian(
+        &self,
+        left: &Intermediate,
+        right: &Intermediate,
+    ) -> Result<Intermediate, ExecError> {
         let mut rels = left.rels.clone();
         rels.extend(&right.rels);
-        let out = left.count() * right.count();
-        let mut data = Vec::with_capacity(out * rels.len());
+        let too_large = || ExecError::ResultTooLarge {
+            tuples: left.count().saturating_mul(right.count()),
+        };
+        let ordinals = left
+            .count()
+            .checked_mul(right.count())
+            .and_then(|tuples| tuples.checked_mul(rels.len()))
+            .filter(|&n| n <= MAX_CARTESIAN_ORDINALS)
+            .ok_or_else(too_large)?;
+        let mut data = Vec::new();
+        data.try_reserve_exact(ordinals).map_err(|_| too_large())?;
         for l in left.tuples() {
             for r in right.tuples() {
                 data.extend_from_slice(l);
                 data.extend_from_slice(r);
             }
         }
-        Intermediate { rels, data }
+        Ok(Intermediate { rels, data })
     }
 }
 
@@ -1734,6 +1753,36 @@ mod tests {
         let db = setup();
         let out = run(&db, "SELECT * FROM emp, dept");
         assert_eq!(out.row_count(), 500);
+    }
+
+    #[test]
+    fn oversized_cartesian_product_is_refused_before_allocating() {
+        // 20 000 × 20 000 tuples of two ordinals each: 6.4 GB of intermediate
+        // result, which is an abort in the allocator if it is ever asked for.
+        let mut db = Database::new();
+        for name in ["a", "b"] {
+            let schema = Schema::new(vec![ColumnDef::new("k", DataType::Int)]);
+            let t = db.create_table(name, schema).unwrap();
+            for k in 0..20_000 {
+                db.table_mut(t).insert(vec![Value::Int(k)]).unwrap();
+            }
+        }
+        let q = bind(&db, "SELECT * FROM a, b");
+        let opt = Optimizer::default();
+        let r = opt
+            .optimize(
+                &db,
+                &q,
+                StatsCatalog::new().full_view(),
+                &OptimizeOptions::default(),
+            )
+            .unwrap();
+        assert_eq!(
+            execute_plan(&db, &q, &r.plan, &opt.params).unwrap_err(),
+            ExecError::ResultTooLarge {
+                tuples: 400_000_000
+            }
+        );
     }
 
     #[test]

@@ -1,16 +1,11 @@
 //! The retained row-at-a-time reference interpreter.
 //!
 //! This is the original plan interpreter, kept verbatim after the columnar
-//! batch engine in [`crate::exec`] replaced it on the hot path. It exists for
-//! two reasons:
-//!
-//! 1. **Differential testing.** The columnar engine must be *bit-identical*
-//!    to this implementation — same `ExecOutput.rows`, same `work` — and
-//!    `tests/columnar_equivalence.rs` proves it by running both on random
-//!    plans and databases.
-//! 2. **Benchmarking.** `exp perfbase` measures the columnar engine's speedup
-//!    against this baseline live, so `BENCH_exec.json` always reports pre-
-//!    vs post-tentpole numbers from the same machine and build.
+//! batch engine in [`crate::exec`] replaced it on the hot path. It exists as
+//! the differential oracle: the columnar engine must be *bit-identical* to
+//! this implementation — same `ExecOutput.rows`, same `work` — and
+//! `tests/columnar_equivalence.rs` proves it by running both on random plans
+//! and databases.
 //!
 //! Its per-row costs are exactly the ones the columnar engine removes: every
 //! value access re-resolves relation → table, and every join/group key is a

@@ -62,7 +62,7 @@ fn run_update(
     let scan_work = opt.params.seq_scan(table.row_count() as f64);
     let preds: Vec<_> = upd.selections.iter().collect();
     let rows = filter_table_columnar(table, &preds);
-    let n = table.update_rows(&rows, upd.set_column, &upd.set_value);
+    let n = table.update_rows(&rows, upd.set_column, &upd.set_value)?;
     Ok(StatementOutcome::Dml {
         rows_affected: n,
         work: scan_work + n as f64,

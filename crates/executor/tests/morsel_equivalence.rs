@@ -277,7 +277,9 @@ fn dml_filtering_matches_row_at_a_time_oracle() {
                 let table = oracle_db.table_mut(u.table);
                 let preds: Vec<_> = u.selections.iter().collect();
                 let matched = filter_table(table, &preds);
-                table.update_rows(&matched, u.set_column, &u.set_value)
+                table
+                    .update_rows(&matched, u.set_column, &u.set_value)
+                    .unwrap()
             }
             BoundStatement::Delete(d) => {
                 let table = oracle_db.table_mut(d.table);

@@ -1,11 +1,11 @@
 //! A minimal hand-rolled JSON reader.
 //!
 //! The workspace has no serde; this parser exists so the `obsv_check`
-//! binary can validate exported traces/metrics and so `exp perfbase
-//! --check` can reload a previous `BENCH_exec.json`. It accepts standard
-//! JSON (objects, arrays, strings with the common escapes, numbers, bools,
-//! null) and reports errors by byte offset. It is a reader, not a writer —
-//! all JSON in this workspace is emitted by hand-rolled formatters.
+//! binary can validate exported traces/metrics and so `benchmark/` can read
+//! `BENCHMARK.json` and its own result lines. It accepts standard JSON
+//! (objects, arrays, strings with the common escapes, numbers, bools, null)
+//! and reports errors by byte offset. It is a reader, not a writer — all
+//! JSON in this workspace is emitted by hand-rolled formatters.
 
 use std::collections::BTreeMap;
 use std::fmt;

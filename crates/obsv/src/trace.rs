@@ -278,11 +278,6 @@ impl SpanGuard {
         self.tracer.start_span(name, self.id, Vec::new())
     }
 
-    /// Open a child span with initial attributes.
-    pub fn child_with(&self, name: &'static str, args: Vec<(&'static str, ArgValue)>) -> SpanGuard {
-        self.tracer.start_span(name, self.id, args)
-    }
-
     /// Attach an attribute, reported on the span's `End` event.
     pub fn arg(&mut self, key: &'static str, value: impl Into<ArgValue>) {
         if self.tracer.is_enabled() {

@@ -76,22 +76,6 @@ impl SelectivityProfile {
         v
     }
 
-    /// Statistics consulted anywhere in the profile.
-    pub fn statistics_used(&self) -> Vec<StatId> {
-        let mut out = Vec::new();
-        for s in self.sources.values() {
-            if let SelectivitySource::Statistics(ids) = s {
-                for id in ids {
-                    if !out.contains(id) {
-                        out.push(*id);
-                    }
-                }
-            }
-        }
-        out.sort();
-        out
-    }
-
     /// Canonical content hash of the profile: every `(variable, value,
     /// source)` triple in sorted variable order, with f64 values hashed via
     /// their bit patterns. Two profiles with equal fingerprints drive the

@@ -130,24 +130,31 @@ impl<'a> Scope<'a> {
         name: &ColumnRef,
         v: &Value,
     ) -> Result<(), BindError> {
-        let Some(vt) = v.data_type() else {
-            return Ok(());
-        };
-        let expected = self.column_type(col);
-        let ok = vt == expected
-            || matches!(
-                (vt, expected),
-                (DataType::Int, DataType::Float | DataType::Date)
-            );
-        if ok {
-            Ok(())
-        } else {
-            Err(BindError::TypeMismatch {
-                column: name.to_string(),
-                expected: expected.to_string(),
-                found: vt.to_string(),
-            })
-        }
+        check_literal(self.column_type(col), name, v)
+    }
+}
+
+/// A literal fits a column of type `expected` when it is NULL, of that
+/// type, or an INT meeting a FLOAT or DATE column — what
+/// `storage::ColumnData` accepts. `name` is the column as the statement
+/// spelled it.
+fn check_literal(expected: DataType, name: &dyn fmt::Display, v: &Value) -> Result<(), BindError> {
+    let Some(vt) = v.data_type() else {
+        return Ok(());
+    };
+    let ok = vt == expected
+        || matches!(
+            (vt, expected),
+            (DataType::Int, DataType::Float | DataType::Date)
+        );
+    if ok {
+        Ok(())
+    } else {
+        Err(BindError::TypeMismatch {
+            column: name.to_string(),
+            expected: expected.to_string(),
+            found: vt.to_string(),
+        })
     }
 }
 
@@ -317,11 +324,15 @@ pub fn bind_statement(db: &Database, stmt: &Statement) -> Result<BoundStatement,
             let table = db
                 .table_id(&u.table)
                 .ok_or_else(|| BindError::UnknownTable(u.table.clone()))?;
-            let set_column = db
-                .table(table)
-                .schema()
+            let schema = db.table(table).schema();
+            let set_column = schema
                 .index_of(&u.set_column)
                 .ok_or_else(|| BindError::UnknownColumn(u.set_column.clone()))?;
+            check_literal(
+                schema.column(set_column).data_type,
+                &u.set_column,
+                &u.set_value,
+            )?;
             let selections = bind_filter_for_table(db, table, &u.table, &u.conditions)?;
             Ok(BoundStatement::Update(BoundUpdate {
                 table,
@@ -441,6 +452,33 @@ mod tests {
         let db = test_db();
         let err = bind(&db, "SELECT * FROM emp WHERE age = 'old'").unwrap_err();
         assert!(matches!(err, BindError::TypeMismatch { .. }));
+    }
+
+    #[test]
+    fn update_set_value_is_checked_like_a_where_literal() {
+        let db = test_db();
+        for sql in [
+            "UPDATE emp SET age = 'old' WHERE empid < 3",
+            "UPDATE emp SET age = 1.5",
+            "UPDATE dept SET dname = 7",
+        ] {
+            let err = bind(&db, sql).unwrap_err();
+            assert!(
+                matches!(err, BindError::TypeMismatch { .. }),
+                "{sql}: {err}"
+            );
+        }
+        // What the column store accepts still binds: the column's own type,
+        // an INT into a FLOAT column, NULL into any column.
+        for sql in [
+            "UPDATE emp SET age = 31 WHERE empid < 3",
+            "UPDATE emp SET salary = 100",
+            "UPDATE emp SET salary = 99.5",
+            "UPDATE emp SET age = NULL",
+            "UPDATE dept SET dname = 'ops'",
+        ] {
+            assert!(bind(&db, sql).is_ok(), "{sql}");
+        }
     }
 
     #[test]

@@ -76,22 +76,6 @@ pub struct JoinEdge {
 }
 
 impl JoinEdge {
-    /// Left-side columns as bound columns.
-    pub fn left_columns(&self) -> Vec<BoundColumn> {
-        self.pairs
-            .iter()
-            .map(|&(l, _)| BoundColumn::new(self.left_rel, l))
-            .collect()
-    }
-
-    /// Right-side columns as bound columns.
-    pub fn right_columns(&self) -> Vec<BoundColumn> {
-        self.pairs
-            .iter()
-            .map(|&(_, r)| BoundColumn::new(self.right_rel, r))
-            .collect()
-    }
-
     /// True if this edge connects the two given relation ordinals.
     pub fn connects(&self, a: usize, b: usize) -> bool {
         (self.left_rel == a && self.right_rel == b) || (self.left_rel == b && self.right_rel == a)

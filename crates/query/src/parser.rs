@@ -184,6 +184,8 @@ impl<'a> Lexer<'a> {
 struct Parser {
     tokens: Vec<(Token, usize)>,
     pos: usize,
+    /// Length of the input in bytes: where an error at end of input points.
+    end: usize,
 }
 
 impl Parser {
@@ -195,7 +197,7 @@ impl Parser {
         self.tokens
             .get(self.pos)
             .map(|&(_, o)| o)
-            .unwrap_or(usize::MAX)
+            .unwrap_or(self.end)
     }
 
     fn error(&self, msg: impl Into<String>) -> ParseError {
@@ -536,7 +538,11 @@ impl Parser {
 /// ```
 pub fn parse_statement(sql: &str) -> Result<Statement, ParseError> {
     let tokens = Lexer::new(sql).tokenize()?;
-    let mut parser = Parser { tokens, pos: 0 };
+    let mut parser = Parser {
+        tokens,
+        pos: 0,
+        end: sql.len(),
+    };
     let stmt = parser.statement()?;
     if parser.peek().is_some() {
         return Err(parser.error("trailing tokens after statement"));
@@ -642,6 +648,17 @@ mod tests {
         assert!(parse_statement("SELECT * FROM t WHERE a ! 3").is_err());
         assert!(parse_statement("SELECT * FROM t extra junk, here").is_err());
         assert!(parse_statement("SELECT * FROM t WHERE a < b").is_err()); // non-eq join
+
+        // Input that stops short is an error at its end.
+        for sql in [
+            "SELECT",
+            "SELECT * FROM",
+            "SELECT * FROM t WHERE",
+            "SELECT * FROM t ORDER BY",
+        ] {
+            let err = parse_statement(sql).unwrap_err();
+            assert_eq!(err.offset, sql.len(), "{sql}: {err}");
+        }
     }
 
     #[test]

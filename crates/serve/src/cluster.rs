@@ -72,8 +72,6 @@ pub struct ServeConfig {
     /// Tables with at least this many rows are hash-partitioned across all
     /// shards (no effect on a 1-shard cluster).
     pub partition_threshold: usize,
-    /// Seed of the partition row hash.
-    pub partition_seed: u64,
     /// Template for each shard's service configuration (`shard` is stamped
     /// per shard by the cluster). `budget_per_tick` is the budget of the
     /// whole cluster: the arbiter splits it across the shards by demand.
@@ -85,7 +83,6 @@ impl Default for ServeConfig {
         ServeConfig {
             shards: 1,
             partition_threshold: usize::MAX,
-            partition_seed: ShardPlanConfig::default().partition_seed,
             autod: AutodConfig::default(),
         }
     }
@@ -123,7 +120,6 @@ impl ServeCluster {
             &ShardPlanConfig {
                 shards: config.shards,
                 partition_threshold: config.partition_threshold,
-                partition_seed: config.partition_seed,
             },
         ));
         let skeleton = Arc::new(db.schema_skeleton());
@@ -273,15 +269,6 @@ impl ServeCluster {
         let merged = LatencyHistogram::detached();
         for svc in &self.services {
             merged.merge_from(&svc.metrics().latency("autod.query.latency_ns"));
-        }
-        merged.snapshot()
-    }
-
-    /// Same merge for DML latency.
-    pub fn merged_dml_latency(&self) -> LatencySample {
-        let merged = LatencyHistogram::detached();
-        for svc in &self.services {
-            merged.merge_from(&svc.metrics().latency("autod.dml.latency_ns"));
         }
         merged.snapshot()
     }
@@ -564,7 +551,6 @@ mod tests {
                     budget_per_tick: f64::INFINITY,
                     ..AutodConfig::default()
                 },
-                ..ServeConfig::default()
             },
         )
         .unwrap()

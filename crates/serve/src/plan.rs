@@ -40,17 +40,17 @@ pub struct ShardPlanConfig {
     pub shards: usize,
     /// Tables with at least this many rows are hash-partitioned.
     pub partition_threshold: usize,
-    /// Seed of the row hash that assigns partitioned rows (and routed
-    /// INSERTs) to shards.
-    pub partition_seed: u64,
 }
+
+/// Seed of the row hash that assigns partitioned rows (and routed INSERTs)
+/// to shards.
+const PARTITION_SEED: u64 = 0x5EED_5A2D;
 
 impl Default for ShardPlanConfig {
     fn default() -> Self {
         ShardPlanConfig {
             shards: 1,
             partition_threshold: usize::MAX,
-            partition_seed: 0x5EED_5A2D,
         }
     }
 }
@@ -59,7 +59,6 @@ impl Default for ShardPlanConfig {
 #[derive(Debug, Clone)]
 pub struct ShardPlan {
     shards: usize,
-    partition_seed: u64,
     /// Indexed by `TableId` ordinal.
     placements: Vec<TablePlacement>,
 }
@@ -111,11 +110,7 @@ impl ShardPlan {
             load[target] += rows;
         }
 
-        ShardPlan {
-            shards,
-            partition_seed: config.partition_seed,
-            placements,
-        }
+        ShardPlan { shards, placements }
     }
 
     pub fn shards(&self) -> usize {
@@ -143,7 +138,7 @@ impl ShardPlan {
     /// encoding of every value in the row. Pure — the same row always lands
     /// on the same shard, so INSERT routing agrees with the initial split.
     pub fn row_shard(&self, values: &[Value]) -> usize {
-        let mut hash = 0xcbf2_9ce4_8422_2325u64 ^ self.partition_seed;
+        let mut hash = 0xcbf2_9ce4_8422_2325u64 ^ PARTITION_SEED;
         let mut eat = |b: u8| {
             hash ^= b as u64;
             hash = hash.wrapping_mul(0x1_0000_01b3);
@@ -283,7 +278,6 @@ mod tests {
             &ShardPlanConfig {
                 shards: 3,
                 partition_threshold: 100,
-                ..ShardPlanConfig::default()
             },
         );
         let big = db.table_id("big").unwrap();
@@ -339,7 +333,6 @@ mod tests {
             &ShardPlanConfig {
                 shards: 2,
                 partition_threshold: 100,
-                ..ShardPlanConfig::default()
             },
         );
         let shards = plan.shard_databases(&db).unwrap();

@@ -188,7 +188,6 @@ mod tests {
             &ShardPlanConfig {
                 shards: 2,
                 partition_threshold: 100,
-                ..ShardPlanConfig::default()
             },
         ))
     }

@@ -872,16 +872,6 @@ impl<'a> StatsView<'a> {
         best.and_then(|s| s.prefix_densities.get(set.len() - 1).map(|&d| (s, d)))
     }
 
-    /// NDV of a single column, from the best visible statistic.
-    pub fn ndv_for(&self, table: TableId, column: usize) -> Option<f64> {
-        self.histogram_for(table, column)
-            .map(|s| s.leading_ndv())
-            .or_else(|| {
-                self.density_for_set(table, &[column])
-                    .map(|(_, d)| if d > 0.0 { 1.0 / d } else { 0.0 })
-            })
-    }
-
     pub fn statistic(&self, id: StatId) -> Option<&'a Statistic> {
         self.catalog.statistic(id).filter(|s| self.visible(s))
     }

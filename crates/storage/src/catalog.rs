@@ -98,13 +98,6 @@ impl Database {
             .ok_or_else(|| StorageError::UnknownTable(name.to_string()))
     }
 
-    pub fn table_by_name_mut(&mut self, name: &str) -> Result<&mut Table> {
-        let id = self
-            .table_id(name)
-            .ok_or_else(|| StorageError::UnknownTable(name.to_string()))?;
-        Ok(self.table_mut(id))
-    }
-
     /// All table ids, in creation order.
     pub fn table_ids(&self) -> impl Iterator<Item = TableId> + '_ {
         (0..self.tables.len() as u32).map(TableId)
@@ -266,7 +259,9 @@ mod tests {
         }
         // And the other way round: a write through the copy stays there.
         let mut copy = copy;
-        copy.table_mut(id).update_rows(&[0], 1, &Value::Int(9));
+        copy.table_mut(id)
+            .update_rows(&[0], 1, &Value::Int(9))
+            .unwrap();
         assert_eq!(snapshot.value(0, 1), Value::Int(2));
         assert_eq!(db.table(id).row_count(), 1);
     }

@@ -196,42 +196,23 @@ impl ColumnData {
         }
     }
 
-    /// Overwrite row `i`.
-    pub fn set(&mut self, i: usize, v: Value) {
-        match (&v, self.data_type) {
-            (Value::Null, _) => self.validity[i] = false,
-            (Value::Int(x), DataType::Int) => {
-                self.ints[i] = *x;
-                self.validity[i] = true;
-            }
-            (Value::Date(d), DataType::Date) => {
-                self.ints[i] = *d as i64;
-                self.validity[i] = true;
-            }
-            (Value::Int(x), DataType::Date) => {
-                self.ints[i] = *x;
-                self.validity[i] = true;
-            }
-            (Value::Float(x), DataType::Float) => {
-                self.floats[i] = *x;
-                self.validity[i] = true;
-            }
-            (Value::Int(x), DataType::Float) => {
-                self.floats[i] = *x as f64;
-                self.validity[i] = true;
-            }
-            (Value::Str(_), DataType::Str) => {
-                if let Value::Str(s) = v {
-                    self.strs[i] = s;
-                    self.validity[i] = true;
-                }
-            }
-            _ => panic!(
-                "type mismatch setting {:?} into {:?} column",
-                v.data_type(),
-                self.data_type
-            ),
+    /// Overwrite row `i`. A value this column's type cannot hold comes back
+    /// as its type, and the row is left as it was.
+    pub fn set(&mut self, i: usize, v: Value) -> Result<(), DataType> {
+        let Some(found) = v.data_type() else {
+            self.validity[i] = false;
+            return Ok(());
+        };
+        match (v, self.data_type) {
+            (Value::Int(x), DataType::Int | DataType::Date) => self.ints[i] = x,
+            (Value::Date(d), DataType::Date) => self.ints[i] = d as i64,
+            (Value::Float(x), DataType::Float) => self.floats[i] = x,
+            (Value::Int(x), DataType::Float) => self.floats[i] = x as f64,
+            (Value::Str(s), DataType::Str) => self.strs[i] = s,
+            _ => return Err(found),
         }
+        self.validity[i] = true;
+        Ok(())
     }
 
     /// Remove the rows whose indices are in `sorted_rows` (ascending, unique)
@@ -367,7 +348,7 @@ mod tests {
         assert_eq!(c.get(0), Value::Str("".into()));
         assert!(Arc::ptr_eq(&left[0], &cells[2]) && Arc::ptr_eq(&left[2], &cells[4]));
         // A replaced cell leaves the value read earlier as it was.
-        c.set(2, "changed".into());
+        c.set(2, "changed".into()).unwrap();
         assert_eq!(&*read, "a");
         assert_eq!(&*cells[4], "d");
         assert_eq!(c.get(2), Value::Str("changed".into()));
@@ -377,9 +358,13 @@ mod tests {
     fn set_overwrites_and_nulls() {
         let mut c = ColumnData::new(DataType::Int);
         c.push(Value::Int(1));
-        c.set(0, Value::Int(9));
+        c.set(0, Value::Int(9)).unwrap();
         assert_eq!(c.get(0), Value::Int(9));
-        c.set(0, Value::Null);
+        // A value of the wrong type is refused and changes nothing.
+        assert_eq!(c.set(0, "x".into()), Err(DataType::Str));
+        assert_eq!(c.set(0, Value::Float(1.5)), Err(DataType::Float));
+        assert_eq!(c.get(0), Value::Int(9));
+        c.set(0, Value::Null).unwrap();
         assert_eq!(c.get(0), Value::Null);
     }
 

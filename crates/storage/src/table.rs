@@ -134,15 +134,20 @@ impl Table {
                     )
                 );
             if !compatible {
-                return Err(StorageError::TypeMismatch {
-                    table: self.name.clone(),
-                    column: def.name.clone(),
-                    expected: def.data_type.to_string(),
-                    found: vt.to_string(),
-                });
+                return Err(self.type_mismatch(i, vt));
             }
         }
         Ok(())
+    }
+
+    fn type_mismatch(&self, col: usize, found: crate::value::DataType) -> StorageError {
+        let def = self.schema.column(col);
+        StorageError::TypeMismatch {
+            table: self.name.clone(),
+            column: def.name.clone(),
+            expected: def.data_type.to_string(),
+            found: found.to_string(),
+        }
     }
 
     /// Insert one row.
@@ -205,18 +210,22 @@ impl Table {
         rows.len()
     }
 
-    /// Update column `col` of each row in `rows` to `value`.
-    pub fn update_rows(&mut self, rows: &[usize], col: usize, value: &Value) -> usize {
+    /// Update column `col` of each row in `rows` to `value`. A value the
+    /// column's type cannot hold is an error and changes nothing: whether it
+    /// fits depends on the column alone, so the first row already refuses.
+    pub fn update_rows(&mut self, rows: &[usize], col: usize, value: &Value) -> Result<usize> {
         let mut n = 0;
         for &r in rows {
             if r < self.row_count() {
-                self.columns[col].set(r, value.clone());
+                self.columns[col]
+                    .set(r, value.clone())
+                    .map_err(|found| self.type_mismatch(col, found))?;
                 n += 1;
             }
         }
         self.modification_counter += n as u64;
         self.version += u64::from(n > 0);
-        n
+        Ok(n)
     }
 
     /// Byte width of a full row under the cost model.
@@ -280,7 +289,7 @@ mod tests {
         assert_eq!(t.modification_counter(), 5);
         t.delete_rows(vec![0, 2]);
         assert_eq!(t.modification_counter(), 7);
-        t.update_rows(&[0], 2, &Value::Int(99));
+        t.update_rows(&[0], 2, &Value::Int(99)).unwrap();
         assert_eq!(t.modification_counter(), 8);
         #[allow(deprecated)]
         t.reset_modification_counter();
@@ -297,10 +306,18 @@ mod tests {
         assert!(after_insert > 0);
         // Nothing removed, nothing changed: the rows are what they were.
         assert_eq!(t.delete_rows(vec![7]), 0);
-        assert_eq!(t.update_rows(&[7], 2, &Value::Int(1)), 0);
+        assert_eq!(t.update_rows(&[7], 2, &Value::Int(1)), Ok(0));
         assert!(t.insert(vec![Value::Int(1)]).is_err());
-        assert_eq!(t.version(), after_insert);
-        t.update_rows(&[0], 2, &Value::Int(41));
+        // A value the column cannot hold: an error, not a panic, and no row,
+        // counter or version moves.
+        let mistyped = t.update_rows(&[0], 2, &"x".into());
+        assert!(
+            matches!(mistyped, Err(StorageError::TypeMismatch { .. })),
+            "{mistyped:?}"
+        );
+        assert_eq!(t.value(0, 2), Value::Null);
+        assert_eq!((t.version(), t.modification_counter()), (after_insert, 1));
+        t.update_rows(&[0], 2, &Value::Int(41)).unwrap();
         let after_update = t.version();
         assert!(after_update > after_insert);
         #[allow(deprecated)]

@@ -66,7 +66,6 @@ fn cluster_config(shards: usize, partition_threshold: usize, budget: f64) -> Ser
             budget_per_tick: budget,
             ..AutodConfig::default()
         },
-        ..ServeConfig::default()
     }
 }
 
@@ -130,7 +129,6 @@ proptest! {
         let config = ShardPlanConfig {
             shards,
             partition_threshold: threshold,
-            ..ShardPlanConfig::default()
         };
         // Two independently built plans must agree on everything.
         let router_a = Router::new(Arc::new(ShardPlan::build(db, &config)));

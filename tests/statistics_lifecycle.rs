@@ -73,7 +73,8 @@ fn update_counters_flow_into_update_work() {
     let victims: Vec<usize> = (0..rows).filter(|r| r % 3 == 0).collect();
     database
         .table_mut(lineitem)
-        .update_rows(&victims, 4, &Value::Float(1.0));
+        .update_rows(&victims, 4, &Value::Float(1.0))
+        .unwrap();
 
     let policy = MaintenancePolicy {
         update_fraction: 0.2,
@@ -178,7 +179,10 @@ fn vanilla_drop_policy_causes_recreate_churn_improved_policy_does_not() {
                 let victims: Vec<usize> = (0..rows).filter(|r| r % 4 == round % 4).collect();
                 if let Some(col) = (0..database.table(t).schema().len()).next() {
                     let v = database.table(t).value(0, col);
-                    database.table_mut(t).update_rows(&victims, col, &v);
+                    database
+                        .table_mut(t)
+                        .update_rows(&victims, col, &v)
+                        .unwrap();
                 }
             }
             catalog.maintain(&database, &policy);

@@ -87,13 +87,11 @@ fn start_service(telemetry_on: bool) -> OnlineService {
         TelemetryConfig {
             slowlog_k: 8,
             sample_one_in: 1, // every query gets a full span tree
-            ..TelemetryConfig::default()
         }
     } else {
         TelemetryConfig {
             slowlog_k: 0,
             sample_one_in: 0,
-            ..TelemetryConfig::default()
         }
     };
     OnlineService::start(
