@@ -13,13 +13,21 @@
 //!    table by table through the catalog's shared-scan batch path, charging
 //!    each rebuild to the bucket; remaining tables wait for the next tick
 //!    once the balance runs out;
-//! 4. **tune** — run a budgeted [`autostats::OnlineTuner::step`] of MNSA
+//! 4. **drop** — physically drop what has now been refreshed more than
+//!    `max_updates` times ([`StatsCatalog::drop_over_updated`]: only
+//!    drop-listed statistics unless `drop_only_droplisted` is off). Free,
+//!    and each drop enters the aging registry;
+//! 5. **tune** — run a budgeted [`autostats::OnlineTuner::step`] of MNSA
 //!    over pending templates;
-//! 5. **shrink** — every `shrink_every` ticks, an MNSA/D-complementing
+//! 6. **shrink** — every `shrink_every` ticks, an MNSA/D-complementing
 //!    Shrinking Set pass over the monitor sample (the offline `tune`
 //!    tail), also charged to the bucket;
-//! 6. **publish** — if the catalog changed, push a frozen copy through the
+//! 7. **publish** — if the catalog changed, push a frozen copy through the
 //!    [`EpochHandle`] so query threads pick it up without blocking.
+//!
+//! Steps 3 and 4 are the whole of §6's auto-update/auto-drop policy; a
+//! template or a Shrinking Set pass that fails is reported in the
+//! [`TickReport`] and the rest of the tick stands.
 //!
 //! Time is virtual — a tick happens when a caller asks for one, never on a
 //! wall clock — so schedules are reproducible. With a fixed seed, tick
@@ -31,9 +39,8 @@ use crate::monitor::{MonitorConfig, WorkloadMonitor};
 use autostats::{Equivalence, MnsaConfig, OnlineEvent, SessionReport, TuneError};
 use parking_lot::Mutex;
 use stats::{FeedbackConfig, FeedbackStore, MaintenancePolicy, StatId, StatsCatalog};
-use std::collections::BTreeMap;
 use std::sync::Arc;
-use storage::{Database, TableId};
+use storage::Database;
 
 /// Always-on telemetry knobs for the online service: span sampling and the
 /// slow-query reservoir (see [`obsv::slowlog`]). Latency histograms and the
@@ -77,8 +84,10 @@ pub struct AutodConfig {
     pub shrink: Option<Equivalence>,
     /// Run the Shrinking Set pass every this many ticks (0 = never).
     pub shrink_every: u64,
-    /// Staleness rule: stale iff mods since build strictly exceed
-    /// `max(min_modified_rows, update_fraction × rows)`.
+    /// The §6 maintenance policy. Stale iff mods since build strictly
+    /// exceed `max(min_modified_rows, update_fraction × rows)`; a statistic
+    /// refreshed more than `max_updates` times is physically dropped — only
+    /// if drop-listed, under `drop_only_droplisted`.
     pub staleness: MaintenancePolicy,
     /// Workload-monitor sizing and eviction seed.
     pub monitor: MonitorConfig,
@@ -127,6 +136,8 @@ pub struct TickReport {
     pub feedback_refreshed: usize,
     /// Work charged for those corrections (tiny next to `refresh_work`).
     pub feedback_work: f64,
+    /// Over-updated statistics physically dropped this tick.
+    pub dropped: usize,
     /// Query templates MNSA analyzed this tick.
     pub queries_tuned: usize,
     /// Work charged for tuning (creation + analysis overhead).
@@ -145,6 +156,9 @@ pub struct TickReport {
     /// rest of the tick still ran, and the template that failed may be
     /// enqueued again.
     pub tune_error: Option<TuneError>,
+    /// The error that failed this tick's Shrinking Set pass, if it was due
+    /// and failed. The catalog is as the pass found it.
+    pub shrink_error: Option<TuneError>,
 }
 
 /// The deterministic daemon state machine. Owns the master catalog; query
@@ -272,6 +286,12 @@ impl LifecycleCore {
     /// See the module docs for the exact sequence. Deterministic: same
     /// inputs, same catalog trajectory. Unspent tokens and debt carry over
     /// in this core's own bucket.
+    ///
+    /// # Errors
+    /// None today: a template MNSA rejects and a Shrinking Set pass that
+    /// fails are in the report's `tune_error` and `shrink_error`, and the
+    /// rest of the tick stands. The `Result` is the signature every driver
+    /// (and `benchmark/`) links.
     pub fn tick(
         &mut self,
         db: &Database,
@@ -321,12 +341,7 @@ impl LifecycleCore {
                 self.feedback_store.ingest(&drained);
             }
         }
-        let mut by_table: BTreeMap<TableId, Vec<StatId>> = BTreeMap::new();
-        for id in self.catalog.stale_statistics(db, &self.config.staleness) {
-            if let Some(s) = self.catalog.statistic(id) {
-                by_table.entry(s.descriptor.table).or_default().push(id);
-            }
-        }
+        let by_table = self.catalog.stale_by_table(db, &self.config.staleness);
         let mut deferred_refreshes = 0usize;
         for (table, ids) in &by_table {
             if self.tuner.balance() <= 0.0 {
@@ -394,7 +409,20 @@ impl LifecycleCore {
             }
         }
 
-        // 4. A budgeted MNSA increment over the pending templates.
+        // 4. §6 auto-drop: what the refreshes above (or earlier ones) took
+        //    past `max_updates` goes, free of charge.
+        for (stat, table, updates) in self.catalog.drop_over_updated(&self.config.staleness) {
+            report.dropped += 1;
+            metrics.counter("autod.auto_drops").inc();
+            self.session.record_online(OnlineEvent::AutoDrop {
+                tick,
+                stat,
+                table,
+                updates,
+            });
+        }
+
+        // 5. A budgeted MNSA increment over the pending templates.
         let step = self.tuner.step(db, &mut self.catalog);
         for (relations, outcome) in &step.tuned {
             self.session.record_query(*relations, outcome);
@@ -423,24 +451,31 @@ impl LifecycleCore {
             });
         }
 
-        // 5. Periodic MNSA/D-complementing Shrinking Set pass.
+        // 6. Periodic MNSA/D-complementing Shrinking Set pass. One that
+        //    fails has touched nothing.
         if let Some(equivalence) = self.config.shrink {
             let due = self.config.shrink_every > 0 && tick.is_multiple_of(self.config.shrink_every);
             if due && !sample.is_empty() {
-                let out = self
+                match self
                     .tuner
-                    .shrink_pass(db, &mut self.catalog, &sample, equivalence)?;
-                self.session.shrink_removed += out.removed.len();
-                self.session.totals.optimizer_calls += out.optimizer_calls;
-                report.shrink_removed = Some(out.removed.len());
+                    .shrink_pass(db, &mut self.catalog, &sample, equivalence)
+                {
+                    Ok(out) => {
+                        self.session.shrink_removed += out.removed.len();
+                        self.session.totals.optimizer_calls += out.optimizer_calls;
+                        report.shrink_removed = Some(out.removed.len());
+                    }
+                    Err(error) => report.shrink_error = Some(error),
+                }
             }
         }
 
-        // 6. Publish a frozen copy iff the catalog changed this tick. A
+        // 7. Publish a frozen copy iff the catalog changed this tick. A
         //    query MNSA rejected is in no count, but what it built is in
         //    the creation work.
         let changed = report.refreshed > 0
             || report.feedback_refreshed > 0
+            || report.dropped > 0
             || step.report.statistics_created > 0
             || step.report.creation_work > 0.0
             || step.report.statistics_drop_listed > 0
@@ -493,6 +528,7 @@ impl LifecycleCore {
 
         span.arg("refreshed", report.refreshed);
         span.arg("feedback_refreshed", report.feedback_refreshed);
+        span.arg("dropped", report.dropped);
         span.arg("tuned", report.queries_tuned);
         span.arg("exhausted", report.budget_exhausted);
         Ok(report)
@@ -621,21 +657,18 @@ pub(crate) mod tests {
         monitor.observe(&select(&db, EXAMPLE2_SQL), 0);
         monitor.observe(&too_wide, 0);
         monitor.observe(&select(&db, "SELECT * FROM employees WHERE empid < 100"), 0);
-        let mut core = LifecycleCore::new(
-            StatsCatalog::new(),
-            AutodConfig {
-                shrink_every: 0,
-                ..AutodConfig::default()
-            },
-        );
+        let mut core = LifecycleCore::new(StatsCatalog::new(), AutodConfig::default());
+        let too_many = |error: &Option<TuneError>| {
+            matches!(
+                error,
+                Some(TuneError::Plan(
+                    optimizer::PlanError::TooManyRelations { .. }
+                ))
+            )
+        };
 
         let first = core.tick(&db, &mut monitor, f64::INFINITY).unwrap();
-        assert!(matches!(
-            first.tune_error,
-            Some(TuneError::Plan(
-                optimizer::PlanError::TooManyRelations { .. }
-            ))
-        ));
+        assert!(too_many(&first.tune_error));
         assert_eq!(first.queries_tuned, 1);
         assert_eq!(
             core.journal().queries.len(),
@@ -654,6 +687,198 @@ pub(crate) mod tests {
         assert!(second.tune_error.is_some());
         assert_eq!(second.pending, 0);
         assert_eq!(core.journal().queries.len(), 2);
+
+        // Nor can the Shrinking Set optimize it: the pass that comes due
+        // fails, touching nothing, and the tick still refreshes, publishes
+        // and reports its health.
+        let shrink_every = AutodConfig::default().shrink_every;
+        for _ in 3..shrink_every {
+            let between = core.tick(&db, &mut monitor, f64::INFINITY).unwrap();
+            assert_eq!(between.shrink_error, None);
+        }
+        let mut db = db;
+        insert_employees(&mut db, 900);
+        let due = core.tick(&db, &mut monitor, f64::INFINITY).unwrap();
+        assert_eq!(due.tick, shrink_every);
+        assert!(too_many(&due.shrink_error));
+        assert_eq!(due.shrink_removed, None);
+        assert!(due.refreshed > 0);
+        assert_eq!(due.published_generation, Some(2));
+        assert_eq!(core.health().tick, shrink_every);
+    }
+
+    /// `n` more employees: a bulk insert that takes every statistic on the
+    /// table past the default staleness threshold.
+    fn insert_employees(db: &mut Database, n: i64) {
+        let t = db.table_id("employees").unwrap();
+        let base = db.table(t).row_count() as i64 + 10_000;
+        for i in 0..n {
+            db.table_mut(t)
+                .insert(vec![
+                    Value::Int(base + i),
+                    Value::Int(0),
+                    Value::Int(21),
+                    Value::Int(0),
+                ])
+                .unwrap();
+        }
+    }
+
+    /// A catalog with one active statistic (`employees.salary`) and one
+    /// drop-listed (`employees.age`), and a core over it that never tunes.
+    fn core_with_a_drop_listed_statistic(
+        db: &Database,
+        staleness: MaintenancePolicy,
+    ) -> (LifecycleCore, StatId, StatId) {
+        let t = db.table_id("employees").unwrap();
+        let mut catalog = StatsCatalog::new();
+        let active = catalog
+            .create_statistic(db, stats::StatDescriptor::single(t, 3))
+            .unwrap();
+        let listed = catalog
+            .create_statistic(db, stats::StatDescriptor::single(t, 2))
+            .unwrap();
+        catalog.move_to_drop_list(listed);
+        let core = LifecycleCore::new(
+            catalog,
+            AutodConfig {
+                staleness,
+                ..AutodConfig::default()
+            },
+        );
+        (core, active, listed)
+    }
+
+    #[test]
+    fn tick_drops_a_drop_listed_statistic_refreshed_past_max_updates() {
+        let mut db = test_db();
+        let t = db.table_id("employees").unwrap();
+        let policy = MaintenancePolicy {
+            update_fraction: 0.1,
+            max_updates: 2,
+            ..MaintenancePolicy::default()
+        };
+        let (mut core, active, listed) = core_with_a_drop_listed_statistic(&db, policy);
+        let mut monitor = WorkloadMonitor::new(MonitorConfig::default());
+
+        // Exactly `max_updates` refreshes: both statistics stay.
+        for round in 1..=policy.max_updates {
+            insert_employees(&mut db, 900);
+            let report = core.tick(&db, &mut monitor, f64::INFINITY).unwrap();
+            assert_eq!((report.refreshed, report.dropped), (2, 0), "round {round}");
+            assert_eq!(
+                core.catalog().statistic(listed).unwrap().update_count,
+                round
+            );
+        }
+
+        // One more: the drop-listed one goes, the active one does not.
+        insert_employees(&mut db, 900);
+        let report = core.tick(&db, &mut monitor, f64::INFINITY).unwrap();
+        assert_eq!((report.refreshed, report.dropped), (2, 1));
+        assert!(core.catalog().statistic(listed).is_none());
+        assert_eq!(core.catalog().statistic(active).unwrap().update_count, 3);
+        assert_eq!(
+            core.journal().online.iter().rev().nth(1),
+            Some(&OnlineEvent::AutoDrop {
+                tick: 3,
+                stat: listed,
+                table: t,
+                updates: 3,
+            }),
+            "journaled before the epoch swap"
+        );
+        let epoch = core.epochs().load();
+        assert_eq!(Some(epoch.generation), report.published_generation);
+        assert!(epoch.catalog.statistic(listed).is_none());
+        assert!(epoch.catalog.statistic(active).is_some());
+
+        // A quiet tick drops nothing and publishes nothing.
+        let quiet = core.tick(&db, &mut monitor, f64::INFINITY).unwrap();
+        assert_eq!((quiet.refreshed, quiet.dropped), (0, 0));
+        assert_eq!(quiet.published_generation, None);
+    }
+
+    #[test]
+    fn vanilla_policy_drops_active_statistics_too() {
+        let mut db = test_db();
+        let policy = MaintenancePolicy {
+            max_updates: 0,
+            drop_only_droplisted: false,
+            ..MaintenancePolicy::default()
+        };
+        let (mut core, ..) = core_with_a_drop_listed_statistic(&db, policy);
+        let mut monitor = WorkloadMonitor::new(MonitorConfig::default());
+        insert_employees(&mut db, 900);
+        let report = core.tick(&db, &mut monitor, f64::INFINITY).unwrap();
+        assert_eq!((report.refreshed, report.dropped), (2, 2));
+        assert_eq!(core.catalog().total_count(), 0);
+        assert!(report.published_generation.is_some());
+    }
+
+    /// What the tick drops enters the aging registry, so online aging has
+    /// something to act on: inside the window a template that wants the
+    /// dropped statistics does not get them back.
+    #[test]
+    fn dropped_statistic_is_aged_out_for_the_next_template() {
+        let run = |aging: Option<stats::AgingPolicy>| {
+            let mut db = test_db();
+            let t = db.table_id("employees").unwrap();
+            let mut monitor = WorkloadMonitor::new(MonitorConfig::default());
+            let mut core = LifecycleCore::new(
+                StatsCatalog::new(),
+                AutodConfig {
+                    mnsa: MnsaConfig {
+                        aging,
+                        ..MnsaConfig::default()
+                    },
+                    staleness: MaintenancePolicy {
+                        max_updates: 0,
+                        drop_only_droplisted: false,
+                        ..MaintenancePolicy::default()
+                    },
+                    shrink_every: 0,
+                    ..AutodConfig::default()
+                },
+            );
+            let queries = workload(&db);
+            monitor.observe(&queries[0], 0);
+            core.tick(&db, &mut monitor, f64::INFINITY).unwrap();
+            let built: Vec<stats::StatDescriptor> = core
+                .catalog()
+                .built_on_table(t)
+                .map(|s| s.descriptor.clone())
+                .collect();
+            assert!(!built.is_empty());
+
+            insert_employees(&mut db, 900);
+            let dropped = core.tick(&db, &mut monitor, f64::INFINITY).unwrap();
+            assert_eq!(dropped.dropped, built.len());
+
+            // A second template over the same columns.
+            monitor.observe(&queries[1], 2);
+            let tuned = core.tick(&db, &mut monitor, f64::INFINITY).unwrap();
+            assert_eq!(tuned.queries_tuned, 1);
+            (core, built)
+        };
+
+        let window = stats::AgingPolicy {
+            window_epochs: 3,
+            expensive_query_cost: f64::INFINITY,
+        };
+        let rebuilt = |core: &LifecycleCore, built: &[stats::StatDescriptor]| {
+            built
+                .iter()
+                .filter(|d| core.catalog().find_active(d).is_some())
+                .count()
+        };
+        let (aged, built) = run(Some(window));
+        assert_eq!(rebuilt(&aged, &built), 0);
+        assert!(built
+            .iter()
+            .all(|d| aged.catalog().is_aged_out(d, &window, 0.0)));
+        let (unaged, built) = run(None);
+        assert!(rebuilt(&unaged, &built) > 0);
     }
 
     #[test]
@@ -722,16 +947,7 @@ pub(crate) mod tests {
 
         // A bulk modification beyond max(500, 20% of rows) makes everything
         // on the table stale; the next tick refreshes and republishes.
-        for i in 0..900i64 {
-            db.table_mut(t)
-                .insert(vec![
-                    Value::Int(10_000 + i),
-                    Value::Int(0),
-                    Value::Int(21),
-                    Value::Int(0),
-                ])
-                .unwrap();
-        }
+        insert_employees(&mut db, 900);
         let refreshed = core.tick(&db, &mut monitor, f64::INFINITY).unwrap();
         assert_eq!(refreshed.refreshed, built);
         assert!(refreshed.refresh_work > 0.0);
@@ -826,7 +1042,6 @@ pub(crate) mod tests {
     fn empty_feedback_channel_changes_nothing() {
         let run = |feedback: Option<FeedbackConfig>| {
             let mut db = test_db();
-            let t = db.table_id("employees").unwrap();
             let queries = workload(&db);
             let mut monitor = WorkloadMonitor::new(MonitorConfig::default());
             for q in &queries {
@@ -841,16 +1056,7 @@ pub(crate) mod tests {
                 },
             );
             let mut reports = vec![core.tick(&db, &mut monitor, f64::INFINITY).unwrap()];
-            for i in 0..900i64 {
-                db.table_mut(t)
-                    .insert(vec![
-                        Value::Int(10_000 + i),
-                        Value::Int(0),
-                        Value::Int(21),
-                        Value::Int(0),
-                    ])
-                    .unwrap();
-            }
+            insert_employees(&mut db, 900);
             reports.push(core.tick(&db, &mut monitor, f64::INFINITY).unwrap());
             (core.catalog().snapshot(), reports)
         };

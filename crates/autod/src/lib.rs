@@ -15,7 +15,9 @@
 //!   debt allowed), refreshes the statistics
 //!   [`StatsCatalog::stale_statistics`] flags under the SQL Server-style
 //!   `max(500, 20% of rows)` rule (configurable) through the catalog's
-//!   shared-scan batch rebuilds, runs a budgeted increment of MNSA over the
+//!   shared-scan batch rebuilds, physically drops what has been refreshed
+//!   more than `max_updates` times (drop-listed statistics only, by
+//!   default — §6's auto-drop), runs a budgeted increment of MNSA over the
 //!   monitored sample ([`autostats::OnlineTuner`]), and periodically an
 //!   MNSA/D + Shrinking Set pass.
 //! * [`EpochHandle`] — catalog changes publish through an epoch swap (an
@@ -24,7 +26,11 @@
 //!   tuning.
 //!
 //! [`OnlineService`] assembles the pieces over a database and a catalog and
-//! exposes cloneable per-thread [`QueryHandle`]s. It is passive: it starts no
+//! exposes cloneable per-thread [`QueryHandle`]s — the one front door for
+//! statements, and with it the one implementation of §6: ticked after every
+//! statement on an unlimited budget it is the paper's on-the-fly policy,
+//! ticked on a schedule and a finite budget a background service. It is
+//! passive: it starts no
 //! thread, and a tick runs on the thread that calls
 //! [`OnlineService::tick_wait`], with the core behind a mutex.
 //!

@@ -9,8 +9,9 @@
 //!
 //! Query threads hold cloneable [`QueryHandle`]s. A SELECT takes the
 //! database read lock (concurrent with other readers *and* with a tick),
-//! records itself in the workload monitor, optimizes against the current
-//! epoch's catalog, and executes; it never waits for tuning. DML takes the
+//! optimizes against the current epoch's catalog, records itself in the
+//! workload monitor — only what the optimizer accepted is worth tuning for —
+//! and executes; it never waits for tuning. DML takes the
 //! write lock, so modification counters advance atomically with the data.
 //! The lock order everywhere is core (ticks only), then database, then
 //! monitor.
@@ -20,7 +21,7 @@
 use crate::daemon::{AutodConfig, LifecycleCore, TickReport};
 use crate::epoch::{CatalogEpoch, EpochHandle};
 use crate::monitor::{TemplateStats, WorkloadMonitor};
-use autostats::{ManagerError, SessionReport, TuneError};
+use autostats::{SessionReport, StatementError, TuneError};
 use executor::{execute_plan_observed, run_statement_observed, StatementOutcome};
 use obsv::{HealthSnapshot, LatencyHistogram, SlowQuery, SlowQueryLog, SpanSampler, WindowDelta};
 use optimizer::{OptimizeOptions, Optimizer};
@@ -70,7 +71,8 @@ pub struct ServiceReport {
     pub observed: u64,
     /// Templates the monitor evicted over its life.
     pub evictions: u64,
-    /// The first `Err` a tick returned, if one did.
+    /// The first error that failed a tick's Shrinking Set pass, if one did
+    /// ([`TickReport::shrink_error`]).
     pub error: Option<TuneError>,
 }
 
@@ -163,19 +165,17 @@ impl OnlineService {
     /// [`OnlineService::roll_window`] to emit the tick's metric deltas.
     pub fn tick_wait_budgeted(&self, budget: f64) -> Result<TickReport, TuneError> {
         let mut core = self.core.lock();
-        let result = {
+        let report = {
             let db = self.db.read();
             let mut monitor = self.monitor.lock();
-            core.tick(&db, &mut monitor, budget)
+            core.tick(&db, &mut monitor, budget)?
         };
-        self.current_tick.store(core.ticks(), Ordering::SeqCst);
-        match &result {
-            Ok(report) => self.telemetry.slowlog.roll(report.tick),
-            Err(e) => {
-                self.first_error.lock().get_or_insert_with(|| e.clone());
-            }
+        self.current_tick.store(report.tick, Ordering::SeqCst);
+        self.telemetry.slowlog.roll(report.tick);
+        if let Some(e) = &report.shrink_error {
+            self.first_error.lock().get_or_insert_with(|| e.clone());
         }
-        result
+        Ok(report)
     }
 
     /// The shared database behind this service. For cross-shard readers in
@@ -272,13 +272,13 @@ pub struct QueryHandle {
 impl QueryHandle {
     /// Parse and run one SQL statement. SELECTs go through the concurrent
     /// read path (monitor + epoch catalog), DML through the write path.
-    pub fn run_sql(&self, sql: &str) -> Result<StatementOutcome, ManagerError> {
+    pub fn run_sql(&self, sql: &str) -> Result<StatementOutcome, StatementError> {
         let stmt = parse_statement(sql)?;
         self.run(&stmt)
     }
 
     /// Run one parsed statement.
-    pub fn run(&self, stmt: &Statement) -> Result<StatementOutcome, ManagerError> {
+    pub fn run(&self, stmt: &Statement) -> Result<StatementOutcome, StatementError> {
         match stmt {
             Statement::Select(_) => {
                 let db = self.db.read();
@@ -287,8 +287,6 @@ impl QueryHandle {
                     drop(db);
                     return self.run_write(stmt);
                 };
-                let tick = self.current_tick.load(Ordering::SeqCst);
-                let fp = self.monitor.lock().observe(&query, tick);
                 let epoch = self.epochs.load();
                 let start = std::time::Instant::now();
                 let optimized = self.optimizer.optimize(
@@ -297,6 +295,11 @@ impl QueryHandle {
                     epoch.catalog.full_view(),
                     &OptimizeOptions::default(),
                 )?;
+                // Observed once it has a plan: a statement the optimizer
+                // rejects would fail every MNSA and Shrinking Set run over
+                // the monitor's sample.
+                let tick = self.current_tick.load(Ordering::SeqCst);
+                let fp = self.monitor.lock().observe(&query, tick);
                 // Sampled fingerprints execute under a private tracer so the
                 // slow-query reservoir can keep their full span tree. Tracing
                 // is observation-only, so the output is identical either way
@@ -329,7 +332,7 @@ impl QueryHandle {
         }
     }
 
-    fn run_write(&self, stmt: &Statement) -> Result<StatementOutcome, ManagerError> {
+    fn run_write(&self, stmt: &Statement) -> Result<StatementOutcome, StatementError> {
         let mut db = self.db.write();
         let bound = bind_statement(&db, stmt)?;
         let epoch = self.epochs.load();
@@ -347,6 +350,25 @@ impl QueryHandle {
             .observe(start.elapsed().as_nanos() as u64);
         self.telemetry.dml.inc();
         Ok(out)
+    }
+
+    /// EXPLAIN: the plan the optimizer picks for `sql` against the current
+    /// epoch, without executing it or showing it to the monitor.
+    pub fn explain_sql(&self, sql: &str) -> Result<String, StatementError> {
+        let db = self.db.read();
+        let BoundStatement::Select(query) = bind_statement(&db, &parse_statement(sql)?)? else {
+            return Ok("DML statement (no plan)\n".to_string());
+        };
+        let optimized = self.optimizer.optimize(
+            &db,
+            &query,
+            self.epochs.load().catalog.full_view(),
+            &OptimizeOptions::default(),
+        )?;
+        Ok(format!(
+            "{}magic variables: {:?}\n",
+            optimized.plan, optimized.magic_variables
+        ))
     }
 
     /// The epoch generation this handle currently sees.
@@ -410,6 +432,71 @@ mod tests {
             .online
             .iter()
             .any(|e| matches!(e, autostats::OnlineEvent::EpochSwap { .. })));
+    }
+
+    /// A statement the optimizer rejects fails at its client and nowhere
+    /// else: it never reaches the monitor, so no tick's MNSA increment or
+    /// Shrinking Set pass (default `shrink_every`) trips over it.
+    #[test]
+    fn statement_over_the_dp_cap_never_reaches_the_monitor() {
+        let svc = start(AutodConfig {
+            budget_per_tick: f64::INFINITY,
+            ..AutodConfig::default()
+        });
+        let h = svc.handle(1);
+        let aliases: Vec<String> = (0..=optimizer::MAX_DP_RELATIONS)
+            .map(|i| format!("departments d{i}"))
+            .collect();
+        let too_wide = format!("SELECT * FROM {}", aliases.join(", "));
+        let shrink_every = AutodConfig::default().shrink_every;
+        for tick in 1..=2 * shrink_every + 1 {
+            h.run_sql("SELECT * FROM employees WHERE salary > 200")
+                .unwrap();
+            let refused = h.run_sql(&too_wide);
+            assert!(
+                matches!(
+                    refused,
+                    Err(StatementError::Exec(executor::ExecError::Plan(
+                        optimizer::PlanError::TooManyRelations { .. }
+                    )))
+                ),
+                "{refused:?}"
+            );
+            let report = svc.tick_wait().unwrap();
+            assert_eq!(report.tune_error, None, "tick {tick}");
+            assert_eq!(report.shrink_error, None, "tick {tick}");
+            assert_eq!(
+                report.shrink_removed.is_some(),
+                tick % shrink_every == 0,
+                "tick {tick}: the Shrinking Set pass runs when due"
+            );
+        }
+        assert_eq!(svc.health().tick, 2 * shrink_every + 1);
+        let (_, report) = svc.shutdown();
+        assert_eq!(report.templates.len(), 1);
+        assert!(report.error.is_none());
+    }
+
+    #[test]
+    fn explain_renders_the_current_epochs_plan() {
+        let svc = service(f64::INFINITY);
+        let h = svc.handle(1);
+        let text = h
+            .explain_sql(
+                "SELECT deptid, COUNT(*) FROM employees WHERE salary > 100 GROUP BY deptid",
+            )
+            .unwrap();
+        assert!(text.contains("HashAggregate"));
+        assert!(text.contains("SeqScan"));
+        assert!(text.contains("magic variables"));
+        assert_eq!(
+            h.explain_sql("DELETE FROM employees WHERE empid = 0")
+                .unwrap(),
+            "DML statement (no plan)\n"
+        );
+        svc.tick_wait().unwrap();
+        let (_, report) = svc.shutdown();
+        assert_eq!(report.observed, 0, "EXPLAIN shows the monitor nothing");
     }
 
     /// Service with every query sampled into the slow-query reservoir.
@@ -504,7 +591,7 @@ mod tests {
             assert!(
                 matches!(
                     refused,
-                    Err(ManagerError::Bind(query::BindError::TypeMismatch { .. }))
+                    Err(StatementError::Bind(query::BindError::TypeMismatch { .. }))
                 ),
                 "{sql}: {refused:?}"
             );

@@ -1,8 +1,7 @@
 //! Shared experiment plumbing.
 
 use crate::cli::Cli;
-use autostats::policy::optimizer_call_work;
-use autostats::{MnsaEngine, MnsaOutcome};
+use autostats::{MnsaEngine, MnsaOutcome, TuningReport};
 use datagen::{build_tpcd, TpcdConfig, ZipfSpec};
 use executor::{execute_plan, WorkloadRunner};
 use obsv::export::json_escape;
@@ -317,12 +316,12 @@ pub fn tune_workload(
     let mut cat = StatsCatalog::new();
     cat.set_obs(&engine.obs);
     let mut work = 0.0;
+    let mut charged = TuningReport::default();
     let mut outcomes = Vec::with_capacity(queries.len());
     for q in queries {
         let before = cat.creation_work();
         let outcome = engine.run_query(db, &mut cat, q).expect("mnsa tunes");
-        work += (cat.creation_work() - before)
-            + outcome.optimizer_calls as f64 * optimizer_call_work(q.relations.len());
+        work += (cat.creation_work() - before) + charged.charge_query(q.relations.len(), &outcome);
         outcomes.push(outcome);
     }
     (cat, work, outcomes)

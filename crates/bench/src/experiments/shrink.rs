@@ -9,8 +9,8 @@
 use crate::common::{
     bind_all, execute_workload, pct_change, queries_of, tune_workload, ExperimentScale, Row,
 };
-use autostats::policy::optimizer_call_work;
-use autostats::{shrinking_set_traced, Equivalence, MnsaConfig, MnsaEngine, SessionReport};
+use autostats::policy::shrinking_pass;
+use autostats::{Equivalence, MnsaConfig, MnsaEngine, SessionReport};
 use datagen::{Complexity, RagsGenerator, WorkloadSpec};
 use optimizer::Optimizer;
 use stats::StatsCatalog;
@@ -47,11 +47,7 @@ pub fn run(scale: &ExperimentScale, obs: &obsv::Obs) -> (ShrinkResult, SessionRe
     for q in &queries {
         let outcome = engine.run_query(&db, &mut cat, q).expect("mnsa tunes");
         journal.record_query(q.relations.len(), &outcome);
-        journal.totals.optimizer_calls += outcome.optimizer_calls;
-        journal.totals.statistics_created += outcome.created.len();
-        journal.totals.statistics_drop_listed += outcome.drop_listed.len();
-        journal.totals.overhead_work +=
-            outcome.optimizer_calls as f64 * optimizer_call_work(q.relations.len());
+        journal.totals.charge_query(q.relations.len(), &outcome);
     }
     journal.totals.creation_work = cat.creation_work();
     let mnsa_ids = cat.active_ids();
@@ -63,14 +59,12 @@ pub fn run(scale: &ExperimentScale, obs: &obsv::Obs) -> (ShrinkResult, SessionRe
     let (cat_d, ..) = tune_workload(&db, &queries, &mnsad);
 
     // Shrinking Set on top of the MNSA catalog.
-    let out = shrinking_set_traced(
+    let (out, _) = shrinking_pass(
         &db,
         &mut cat,
         &optimizer,
         &queries,
-        &mnsa_ids,
         Equivalence::paper_default(),
-        true,
         obs,
     )
     .expect("shrinking set runs");

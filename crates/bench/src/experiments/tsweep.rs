@@ -17,7 +17,6 @@ use crate::common::{
     bind_all, create_all, execute_workload_memo, pct_change, pct_reduction, queries_of,
     tune_workload, ExecWorkMemo, ExperimentScale, Row,
 };
-use autostats::policy::optimizer_call_work;
 use autostats::{candidate_statistics, MnsaConfig, MnsaEngine, MnsaOutcome, SessionReport};
 use datagen::{Complexity, RagsGenerator, WorkloadSpec};
 use query::{BoundSelect, BoundStatement};
@@ -116,17 +115,11 @@ pub fn run(scale: &ExperimentScale, obs: &obsv::Obs) -> (Vec<SweepResult>, Sessi
     let mut results = Vec::with_capacity(measured.len());
     for (result, outcomes, work) in measured {
         if result.t_percent == 20.0 && result.epsilon == 0.0005 {
-            let mut overhead = 0.0;
             for (q, o) in queries.iter().zip(&outcomes) {
                 journal.record_query(q.relations.len(), o);
-                overhead += o.optimizer_calls as f64 * optimizer_call_work(q.relations.len());
+                journal.totals.charge_query(q.relations.len(), o);
             }
-            journal.totals.optimizer_calls = outcomes.iter().map(|o| o.optimizer_calls).sum();
-            journal.totals.statistics_created = outcomes.iter().map(|o| o.created.len()).sum();
-            journal.totals.statistics_drop_listed =
-                outcomes.iter().map(|o| o.drop_listed.len()).sum();
-            journal.totals.creation_work = work - overhead;
-            journal.totals.overhead_work = overhead;
+            journal.totals.creation_work = work - journal.totals.overhead_work;
         }
         results.push(result);
     }

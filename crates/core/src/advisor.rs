@@ -13,7 +13,7 @@
 use crate::equivalence::Equivalence;
 use crate::error::TuneError;
 use crate::mnsa::{MnsaConfig, MnsaEngine};
-use crate::shrinking::shrinking_set;
+use crate::policy::shrinking_pass;
 use query::BoundSelect;
 use stats::{StatDescriptor, StatsCatalog};
 use storage::Database;
@@ -142,15 +142,13 @@ pub fn advise(
     for outcome in engine.run_workload(db, &mut scratch, workload)? {
         report.optimizer_calls += outcome.optimizer_calls;
     }
-    let after_mnsa = scratch.active_ids();
-    let shrink = shrinking_set(
+    let (shrink, _) = shrinking_pass(
         db,
         &mut scratch,
         &engine.optimizer,
         workload,
-        &after_mnsa,
         equivalence,
-        true,
+        &obsv::Obs::disabled(),
     )?;
     report.optimizer_calls += shrink.optimizer_calls;
 

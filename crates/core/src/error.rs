@@ -1,12 +1,14 @@
-//! Tuning-level errors.
+//! Tuning-level and statement-level errors.
 //!
 //! Every §4–§6 algorithm (MNSA, MNSA/D, Shrinking Set, the policy layer)
 //! returns [`TuneError`] instead of panicking, so a degenerate input — an
 //! empty table, a statistic dropped mid-tune, a malformed query — surfaces
-//! as a typed, recoverable failure at the tuning loop's caller.
+//! as a typed, recoverable failure at the tuning loop's caller. A client
+//! statement fails with a [`StatementError`].
 
 use executor::ExecError;
 use optimizer::PlanError;
+use query::{BindError, ParseError};
 use stats::StatsError;
 use std::fmt;
 use storage::StorageError;
@@ -63,5 +65,59 @@ impl From<ExecError> for TuneError {
 impl From<StorageError> for TuneError {
     fn from(e: StorageError) -> Self {
         TuneError::Stats(StatsError::Storage(e))
+    }
+}
+
+/// Why one client statement failed — what `autod::QueryHandle::run` and
+/// `serve::ClusterClient::run` return: a typed variant per stage of the
+/// parse → bind → optimize → execute funnel.
+#[derive(Debug, Clone, PartialEq)]
+pub enum StatementError {
+    Parse(ParseError),
+    Bind(BindError),
+    /// Optimizing or executing the statement failed.
+    Exec(ExecError),
+}
+
+impl fmt::Display for StatementError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            StatementError::Parse(e) => write!(f, "{e}"),
+            StatementError::Bind(e) => write!(f, "{e}"),
+            StatementError::Exec(e) => write!(f, "{e}"),
+        }
+    }
+}
+
+impl std::error::Error for StatementError {
+    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
+        match self {
+            StatementError::Parse(_) | StatementError::Bind(_) => None,
+            StatementError::Exec(e) => Some(e),
+        }
+    }
+}
+
+impl From<ParseError> for StatementError {
+    fn from(e: ParseError) -> Self {
+        StatementError::Parse(e)
+    }
+}
+
+impl From<BindError> for StatementError {
+    fn from(e: BindError) -> Self {
+        StatementError::Bind(e)
+    }
+}
+
+impl From<ExecError> for StatementError {
+    fn from(e: ExecError) -> Self {
+        StatementError::Exec(e)
+    }
+}
+
+impl From<PlanError> for StatementError {
+    fn from(e: PlanError) -> Self {
+        StatementError::Exec(ExecError::Plan(e))
     }
 }

@@ -37,6 +37,14 @@ pub enum OnlineEvent {
         work: f64,
         observations: usize,
     },
+    /// A statistic refreshed more than `max_updates` times was physically
+    /// dropped (§6 auto-drop); `updates` is the count it went at.
+    AutoDrop {
+        tick: u64,
+        stat: StatId,
+        table: TableId,
+        updates: u32,
+    },
     /// The workload monitor evicted a query template from its reservoir.
     MonitorEvict { tick: u64, fingerprint: u64 },
     /// A tick ran out of work-token budget with tuning still pending.
@@ -82,7 +90,7 @@ pub struct QueryRecord {
     pub terminated_by: Termination,
 }
 
-/// What one tuning session (one offline pass, or the life of a manager)
+/// What one tuning session (one offline pass, or the life of a service)
 /// did, per query and in total.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct SessionReport {
@@ -198,6 +206,15 @@ impl SessionReport {
                         "  tick {tick:>4} feedback-refresh {stat} on {table} \
                          ({observations} observations, work {work:.2})"
                     ),
+                    OnlineEvent::AutoDrop {
+                        tick,
+                        stat,
+                        table,
+                        updates,
+                    } => writeln!(
+                        out,
+                        "  tick {tick:>4} auto-drop {stat} on {table} (after {updates} updates)"
+                    ),
                     OnlineEvent::MonitorEvict { tick, fingerprint } => {
                         writeln!(out, "  tick {tick:>4} evict template {fingerprint:016x}")
                     }
@@ -310,6 +327,16 @@ impl SessionReport {
                         table.0,
                         num(*work),
                         observations
+                    ),
+                    OnlineEvent::AutoDrop {
+                        tick,
+                        stat,
+                        table,
+                        updates,
+                    } => format!(
+                        "    {{\"event\": \"auto_drop\", \"tick\": {}, \"stat\": {}, \
+                         \"table\": {}, \"updates\": {}}}",
+                        tick, stat.0, table.0, updates
                     ),
                     OnlineEvent::MonitorEvict { tick, fingerprint } => format!(
                         "    {{\"event\": \"monitor_evict\", \"tick\": {tick}, \
@@ -450,14 +477,26 @@ mod tests {
             rows: 1200,
             partitioned: true,
         });
+        online.record_online(OnlineEvent::AutoDrop {
+            tick: 6,
+            stat: stats::StatId(7),
+            table: TableId(1),
+            updates: 5,
+        });
         let text = online.render_text();
-        assert!(text.contains("online events: 5"));
+        assert!(text.contains("online events: 6"));
         assert!(text.contains("epoch swap -> generation 2"));
         assert!(text.contains("shard 1 owns T3 (1200 rows, partitioned)"));
+        assert!(text.contains("auto-drop S7 on T1 (after 5 updates)"));
 
         let parsed = obsv::json::parse(&online.to_json()).expect("parses");
         let events = parsed.get("online").and_then(|o| o.as_array()).unwrap();
-        assert_eq!(events.len(), 5);
+        assert_eq!(events.len(), 6);
+        assert_eq!(
+            events[5].get("event").and_then(|v| v.as_str()),
+            Some("auto_drop")
+        );
+        assert_eq!(events[5].get("updates").and_then(|v| v.as_f64()), Some(5.0));
         assert_eq!(
             events[4].get("event").and_then(|v| v.as_str()),
             Some("shard_assigned")

@@ -20,31 +20,41 @@
 //! * [`shrinking`] — the **Shrinking Set** algorithm (§5.2, Figure 2) that
 //!   guarantees an essential set;
 //! * [`policy`] — the §6 policy layer: on-the-fly tuning per incoming query,
-//!   periodic offline tuning, aging, and the auto-update/auto-drop loop;
-//! * [`manager`] — an `AutoStatsManager` facade tying a database, a
-//!   statistics catalog, the optimizer and a policy together behind a
-//!   `execute_sql`-style API.
+//!   periodic offline tuning and aging;
+//! * [`online`] — the same MNSA + Shrinking Set loop in budgeted
+//!   increments, which the `autod` tick drives beside the
+//!   auto-update/auto-drop loop. `autod::OnlineService` is the front door
+//!   that serves statements over all of it.
 //!
 //! ## Quickstart
 //!
 //! ```
-//! use autostats::manager::{AutoStatsManager, ManagerConfig};
+//! use autostats::policy::{apply_policy, CreationPolicy};
 //! use datagen::{build_tpcd, TpcdConfig, ZipfSpec};
+//! use query::{bind_statement, parse_statement, BoundStatement};
 //!
-//! // A small, skewed TPC-D instance and a self-tuning manager whose default
-//! // policy runs MNSA before optimizing each incoming query.
-//! let db = build_tpcd(&TpcdConfig { scale: 0.002, zipf: ZipfSpec::Mixed, seed: 42 });
-//! let mut mgr = AutoStatsManager::new(db, ManagerConfig::default());
-//!
-//! let out = mgr.execute_sql(
+//! let mut db = build_tpcd(&TpcdConfig { scale: 0.002, zipf: ZipfSpec::Mixed, seed: 42 });
+//! let stmt = bind_statement(&db, &parse_statement(
 //!     "SELECT o_orderpriority, COUNT(*) FROM orders \
 //!      WHERE o_orderdate < 9000 GROUP BY o_orderpriority",
-//! )?;
+//! )?)?;
+//! let BoundStatement::Select(query) = &stmt else { unreachable!() };
+//!
+//! // §6's on-the-fly policy: before the query is optimized, MNSA decides
+//! // which of its candidate statistics are worth building.
+//! let mut catalog = stats::StatsCatalog::new();
+//! let (report, _, _) = apply_policy(&db, &mut catalog, &CreationPolicy::default(), query)?;
+//! assert!(report.optimizer_calls >= 3);
+//!
+//! let optimizer = optimizer::Optimizer::default();
+//! let out = executor::run_statement(&mut db, catalog.full_view(), &optimizer, &stmt)?;
 //! assert!(out.work() > 0.0);
-//! // MNSA decided which of the candidate statistics were worth building:
-//! assert!(mgr.tuning_report().optimizer_calls >= 3);
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
+//!
+//! A running system does not call these by hand: `autod::OnlineService`
+//! serves statements and runs the whole lifecycle — create, refresh, drop,
+//! age — on its tick (see `examples/quickstart.rs`).
 
 // Library code must stay panic-free on arbitrary input; tests may unwrap.
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
@@ -56,7 +66,6 @@ pub mod equivalence;
 pub mod error;
 pub mod faults;
 pub mod journal;
-pub mod manager;
 pub mod mnsa;
 pub mod online;
 pub mod policy;
@@ -65,10 +74,9 @@ pub mod shrinking;
 pub use advisor::{advise, AdvisorReport, Recommendation};
 pub use candidates::{candidate_statistics, exhaustive_candidates, single_column_candidates};
 pub use equivalence::Equivalence;
-pub use error::TuneError;
+pub use error::{StatementError, TuneError};
 pub use faults::{Fault, FaultPlan};
 pub use journal::{OnlineEvent, QueryRecord, SessionReport};
-pub use manager::{AutoStatsManager, ManagerConfig, ManagerError};
 pub use mnsa::{
     CandidateMode, FeedbackSource, MnsaConfig, MnsaEngine, MnsaOutcome, NextStatOrder, Termination,
 };

@@ -19,16 +19,16 @@
 //! * [`OnlineTuner::step`] drains the pending queue in FIFO order while the
 //!   balance is positive — exactly the per-query loop of
 //!   [`OfflineTuner::tune_session`](crate::OfflineTuner::tune_session) — and
-//!   [`OnlineTuner::shrink_pass`] is exactly its Shrinking Set phase
-//!   (including the epoch advance). Consequently a paused daemon that has
+//!   [`OnlineTuner::shrink_pass`] is its Shrinking Set phase, the same
+//!   [`shrinking_pass`] followed by the epoch advance. Consequently a paused daemon that has
 //!   drained its queue and run one shrink pass leaves the catalog
 //!   bit-identical to an offline `tune` over the same sample.
 
 use crate::equivalence::Equivalence;
 use crate::error::TuneError;
 use crate::mnsa::{MnsaConfig, MnsaEngine, MnsaOutcome};
-use crate::policy::{optimizer_call_work, TuningReport};
-use crate::shrinking::{shrinking_set_traced, ShrinkingOutcome};
+use crate::policy::{shrinking_pass, TuningReport};
+use crate::shrinking::ShrinkingOutcome;
 use query::BoundSelect;
 use stats::StatsCatalog;
 use std::collections::{BTreeSet, VecDeque};
@@ -147,25 +147,20 @@ impl OnlineTuner {
             // its optimizer calls were not counted and are not.
             let creation_work = catalog.creation_work() - before_work;
             let overhead = result.as_ref().map_or(0.0, |outcome| {
-                outcome.optimizer_calls as f64 * optimizer_call_work(query.relations.len())
+                step.report.charge_query(query.relations.len(), outcome)
             });
             let work = creation_work + overhead;
             self.balance -= work;
             step.work += work;
-            step.report.overhead_work += overhead;
             step.report.creation_work += creation_work;
-            let outcome = match result {
-                Ok(outcome) => outcome,
+            match result {
+                Ok(outcome) => step.tuned.push((query.relations.len(), outcome)),
                 Err(error) => {
                     self.enqueued.remove(&query.fingerprint());
                     step.error = Some(error);
                     break;
                 }
-            };
-            step.report.optimizer_calls += outcome.optimizer_calls;
-            step.report.statistics_created += outcome.created.len();
-            step.report.statistics_drop_listed += outcome.drop_listed.len();
-            step.tuned.push((query.relations.len(), outcome));
+            }
         }
         step.exhausted = step.error.is_none() && !self.pending.is_empty();
         span.arg("tuned", step.tuned.len());
@@ -185,20 +180,15 @@ impl OnlineTuner {
         sample: &[BoundSelect],
         equivalence: Equivalence,
     ) -> Result<ShrinkingOutcome, TuneError> {
-        let initial = catalog.active_ids();
-        let out = shrinking_set_traced(
+        let (out, overhead) = shrinking_pass(
             db,
             catalog,
             &self.engine.optimizer,
             sample,
-            &initial,
             equivalence,
-            true,
             &self.obs,
         )?;
         catalog.advance_epoch();
-        let overhead = out.optimizer_calls as f64
-            * optimizer_call_work(sample.iter().map(|q| q.relations.len()).max().unwrap_or(1));
         self.balance -= overhead;
         Ok(out)
     }

@@ -14,15 +14,22 @@
 //!   algorithm to eliminate non-essential statistics.
 //! * **Aging** — configured on [`MnsaConfig`]; dampens
 //!   re-creation of recently dropped statistics.
-//! * The **auto-update/auto-drop** loop itself lives in
-//!   [`stats::StatsCatalog::maintain`], restricted to drop-listed statistics
-//!   per the paper's improved policy.
+//! * The **auto-update/auto-drop** loop is the `autod` tick: it refreshes
+//!   what [`stats::StatsCatalog::stale_statistics`] flags and then calls
+//!   [`stats::StatsCatalog::drop_over_updated`], restricted to drop-listed
+//!   statistics per the paper's improved policy.
+//!
+//! The two pieces of accounting every deployment of MNSA + Shrinking Set
+//! shares are defined here once: what one query's MNSA run is charged
+//! ([`TuningReport::charge_query`]) and the Shrinking Set pass over a tuned
+//! catalog ([`shrinking_pass`]).
 
 use crate::equivalence::Equivalence;
 use crate::error::TuneError;
 use crate::journal::SessionReport;
 use crate::mnsa::{MnsaConfig, MnsaEngine, MnsaOutcome};
-use crate::shrinking::shrinking_set_traced;
+use crate::shrinking::{shrinking_set_traced, ShrinkingOutcome};
+use optimizer::Optimizer;
 use query::BoundSelect;
 use stats::{StatId, StatsCatalog};
 use storage::Database;
@@ -82,6 +89,52 @@ impl TuningReport {
         self.creation_work += other.creation_work;
         self.overhead_work += other.overhead_work;
     }
+
+    /// Add one query's MNSA run: its optimizer calls, charged
+    /// [`optimizer_call_work`] each at the query's relation count, and what
+    /// it created and drop-listed. Creation work is metered by the catalog,
+    /// not here. Returns the overhead charged.
+    pub fn charge_query(&mut self, relations: usize, outcome: &MnsaOutcome) -> f64 {
+        let overhead = outcome.optimizer_calls as f64 * optimizer_call_work(relations);
+        self.optimizer_calls += outcome.optimizer_calls;
+        self.overhead_work += overhead;
+        self.statistics_created += outcome.created.len();
+        self.statistics_drop_listed += outcome.drop_listed.len();
+        overhead
+    }
+}
+
+/// The Shrinking Set phase that follows MNSA in a tuning pass: run
+/// Figure 2 over the catalog's active statistics, move what it removes to
+/// the drop-list, and price its optimizer calls at the workload's widest
+/// query. Returns the outcome and that overhead; advancing the epoch is the
+/// caller's.
+pub fn shrinking_pass(
+    db: &Database,
+    catalog: &mut StatsCatalog,
+    optimizer: &Optimizer,
+    workload: &[BoundSelect],
+    equivalence: Equivalence,
+    obs: &obsv::Obs,
+) -> Result<(ShrinkingOutcome, f64), TuneError> {
+    let initial = catalog.active_ids();
+    let out = shrinking_set_traced(
+        db,
+        catalog,
+        optimizer,
+        workload,
+        &initial,
+        equivalence,
+        true,
+        obs,
+    )?;
+    let widest = workload
+        .iter()
+        .map(|q| q.relations.len())
+        .max()
+        .unwrap_or(1);
+    let overhead = out.optimizer_calls as f64 * optimizer_call_work(widest);
+    Ok((out, overhead))
 }
 
 /// Candidates not yet built (nor drop-listed), deduplicated in order — the
@@ -124,14 +177,12 @@ pub fn apply_policy(
         }
         CreationPolicy::Mnsa(cfg) => {
             let outcome = MnsaEngine::new(*cfg).run_query(db, catalog, query)?;
-            report.optimizer_calls = outcome.optimizer_calls;
-            report.overhead_work =
-                outcome.optimizer_calls as f64 * optimizer_call_work(query.relations.len());
-            report.statistics_drop_listed = outcome.drop_listed.len();
+            report.charge_query(query.relations.len(), &outcome);
             created = outcome.created.clone();
             mnsa_outcome = Some(outcome);
         }
     }
+    // Assigned, not added: the MNSA arm's charge has counted its own.
     report.statistics_created = created.len();
     report.creation_work = catalog.creation_work() - before_work;
     Ok((report, created, mnsa_outcome))
@@ -185,42 +236,20 @@ impl OfflineTuner {
         let mut session = SessionReport::default();
         let engine = MnsaEngine::new(self.mnsa).with_obs(obs.clone());
         let before_work = catalog.creation_work();
-        let mut created_ids = Vec::new();
         for (q, outcome) in workload
             .iter()
             .zip(engine.run_workload(db, catalog, workload)?)
         {
-            report.optimizer_calls += outcome.optimizer_calls;
-            report.overhead_work +=
-                outcome.optimizer_calls as f64 * optimizer_call_work(q.relations.len());
-            report.statistics_created += outcome.created.len();
-            report.statistics_drop_listed += outcome.drop_listed.len();
+            report.charge_query(q.relations.len(), &outcome);
             session.record_query(q.relations.len(), &outcome);
-            created_ids.extend(outcome.created);
         }
         report.creation_work = catalog.creation_work() - before_work;
 
         if let Some(equiv) = self.shrink {
-            let initial = catalog.active_ids();
-            let out = shrinking_set_traced(
-                db,
-                catalog,
-                &engine.optimizer,
-                workload,
-                &initial,
-                equiv,
-                true,
-                obs,
-            )?;
+            let (out, overhead) =
+                shrinking_pass(db, catalog, &engine.optimizer, workload, equiv, obs)?;
             report.optimizer_calls += out.optimizer_calls;
-            report.overhead_work += out.optimizer_calls as f64
-                * optimizer_call_work(
-                    workload
-                        .iter()
-                        .map(|q| q.relations.len())
-                        .max()
-                        .unwrap_or(1),
-                );
+            report.overhead_work += overhead;
             report.statistics_drop_listed += out.removed.len();
             session.shrink_removed = out.removed.len();
             session.shrink_optimizer_calls = out.optimizer_calls;

@@ -53,7 +53,7 @@ use crate::arbiter::BudgetArbiter;
 use crate::plan::{Placement, ShardPlan, ShardPlanConfig};
 use crate::router::{Route, Router, SelectRoute};
 use autod::{AutodConfig, OnlineService, QueryHandle, ServiceReport, TickReport};
-use autostats::{ManagerError, OnlineEvent, SessionReport, TuneError};
+use autostats::{OnlineEvent, SessionReport, StatementError, TuneError};
 use executor::{execute_plan, ExecOutput, StatementOutcome};
 use obsv::{HealthSnapshot, LatencyHistogram, LatencySample};
 use optimizer::{OptimizeOptions, Optimizer};
@@ -316,7 +316,7 @@ impl ClusterClient {
     /// # Errors
     /// Parse, bind, optimize, and execution errors, exactly as the
     /// unsharded [`QueryHandle::run_sql`].
-    pub fn run_sql(&self, sql: &str) -> Result<StatementOutcome, ManagerError> {
+    pub fn run_sql(&self, sql: &str) -> Result<StatementOutcome, StatementError> {
         let stmt = parse_statement(sql)?;
         self.run(&stmt)
     }
@@ -326,7 +326,7 @@ impl ClusterClient {
     /// # Errors
     /// Same surface as [`QueryHandle::run`]; multi-shard routes fail on the
     /// first shard error in shard order.
-    pub fn run(&self, stmt: &Statement) -> Result<StatementOutcome, ManagerError> {
+    pub fn run(&self, stmt: &Statement) -> Result<StatementOutcome, StatementError> {
         let route = match stmt {
             Statement::Select(select) => {
                 let routed = self.router.route_select(select);
@@ -349,7 +349,7 @@ impl ClusterClient {
     /// UPDATE/DELETE on a partitioned table: the slices are disjoint, so
     /// applying the statement on every shard touches each row exactly once
     /// and per-shard counts sum to the single-database answer.
-    fn run_broadcast(&self, stmt: &Statement) -> Result<StatementOutcome, ManagerError> {
+    fn run_broadcast(&self, stmt: &Statement) -> Result<StatementOutcome, StatementError> {
         let mut rows_affected = 0usize;
         let mut work = 0.0f64;
         for handle in &self.handles {
@@ -374,7 +374,7 @@ impl ClusterClient {
     /// Projection-only single-table SELECT over a partitioned table: run on
     /// every shard through its own handle (so each shard's monitor observes
     /// its slice of the workload) and concatenate rows in shard order.
-    fn run_scatter(&self, stmt: &Statement) -> Result<StatementOutcome, ManagerError> {
+    fn run_scatter(&self, stmt: &Statement) -> Result<StatementOutcome, StatementError> {
         let mut rows = Vec::new();
         let mut work = 0.0f64;
         let mut estimated_cost = 0.0f64;
@@ -404,7 +404,7 @@ impl ClusterClient {
         &self,
         stmt: &Statement,
         routed: &SelectRoute<'_>,
-    ) -> Result<StatementOutcome, ManagerError> {
+    ) -> Result<StatementOutcome, StatementError> {
         let mut snapshot = (*self.skeleton).clone();
         {
             // Ascending shard order — the cluster-wide lock order. Writers
@@ -424,7 +424,7 @@ impl ClusterClient {
                     Placement::Partitioned => self
                         .gather
                         .table(p.table, &self.skeleton, &guards)
-                        .map_err(|e| ManagerError::Exec(e.into()))?,
+                        .map_err(|e| StatementError::Exec(e.into()))?,
                 };
                 snapshot.set_shared_table(p.table, table);
             }
@@ -444,7 +444,7 @@ impl ClusterClient {
             &OptimizeOptions::default(),
         )?;
         let output = execute_plan(&snapshot, &query, &optimized.plan, &self.optimizer.params)
-            .map_err(ManagerError::Exec)?;
+            .map_err(StatementError::Exec)?;
         Ok(StatementOutcome::Query {
             output,
             estimated_cost: optimized.cost,

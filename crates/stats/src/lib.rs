@@ -26,14 +26,13 @@ pub mod cost;
 pub mod error;
 pub mod feedback;
 pub mod histogram;
+pub mod maintenance;
 pub mod mhist;
 pub mod ndv;
 pub mod sampler;
 pub mod statistic;
 
-pub use catalog::{
-    AgingPolicy, CatalogSnapshot, MaintenancePolicy, MaintenanceReport, StatsCatalog, StatsView,
-};
+pub use catalog::{AgingPolicy, CatalogSnapshot, StatsCatalog, StatsView};
 pub use cost::CostModel;
 pub use error::StatsError;
 pub use feedback::{
@@ -41,6 +40,7 @@ pub use feedback::{
     Observation,
 };
 pub use histogram::{join_selectivity, Histogram, HistogramKind};
+pub use maintenance::{MaintenancePolicy, MaintenanceReport};
 pub use mhist::{Histogram2d, RangeQuery};
 pub use ndv::estimate_ndv;
 pub use sampler::SampleSpec;

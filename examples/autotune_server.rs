@@ -1,19 +1,19 @@
 //! A self-tuning "server" under a live mixed workload.
 //!
-//! Simulates the most aggressive §6 policy: for each incoming query the
-//! server runs MNSA/D on the fly (creating only statistics that survive the
-//! sensitivity test, drop-listing ones that turn out not to change the
-//! plan), while INSERT/DELETE/UPDATE traffic drives the SQL Server-style
-//! modification counters and the auto-update/auto-drop maintenance loop.
+//! Simulates the most aggressive §6 policy: an [`OnlineService`] ticked
+//! after every statement on an unlimited budget, so each incoming query gets
+//! MNSA/D on the fly (creating only statistics that survive the sensitivity
+//! test, drop-listing ones that turn out not to change the plan), while
+//! INSERT/DELETE/UPDATE traffic drives the SQL Server-style modification
+//! counters and the same tick's auto-update/auto-drop steps.
 //!
 //! Run with: `cargo run --example autotune_server`
 
-use autostats::manager::{AutoStatsManager, ManagerConfig};
-use autostats::policy::CreationPolicy;
-use autostats::MnsaConfig;
+use autod::{AutodConfig, OnlineService};
+use autostats::{MnsaConfig, SessionReport};
 use datagen::{build_tpcd, Complexity, RagsGenerator, TpcdConfig, WorkloadSpec, ZipfSpec};
 use executor::StatementOutcome;
-use stats::{AgingPolicy, MaintenancePolicy};
+use stats::{AgingPolicy, MaintenancePolicy, StatsCatalog};
 
 fn main() {
     let db = build_tpcd(&TpcdConfig {
@@ -24,36 +24,44 @@ fn main() {
 
     // MNSA/D with aging: recently dropped statistics are not immediately
     // re-created when a similar workload repeats.
-    let config = ManagerConfig {
-        creation: CreationPolicy::Mnsa(
-            MnsaConfig {
-                aging: Some(AgingPolicy {
-                    window_epochs: 3,
-                    expensive_query_cost: 1e9,
-                }),
-                ..MnsaConfig::default()
-            }
-            .with_drop_detection(),
-        ),
-        maintenance: MaintenancePolicy {
+    let config = AutodConfig {
+        budget_per_tick: f64::INFINITY,
+        mnsa: MnsaConfig {
+            aging: Some(AgingPolicy {
+                window_epochs: 3,
+                expensive_query_cost: 1e9,
+            }),
+            ..MnsaConfig::default()
+        }
+        .with_drop_detection(),
+        staleness: MaintenancePolicy {
             update_fraction: 0.15,
             min_modified_rows: 50,
-            max_updates: 2,
+            max_updates: 1,
             drop_only_droplisted: true,
         },
-        auto_maintain: true,
+        ..AutodConfig::default()
     };
-    let mut server = AutoStatsManager::new(db, config);
+    let server = OnlineService::start(
+        db,
+        StatsCatalog::new(),
+        SessionReport::default(),
+        obsv::Obs::disabled(),
+        config,
+    );
+    let client = server.handle(0);
 
     // Three "days" of traffic: 25% updates, simple queries.
+    let mut execution_work = 0.0;
     for day in 1..=3 {
         let spec = WorkloadSpec::new(25, Complexity::Simple, 60).with_seed(100 + day);
-        let stmts = RagsGenerator::generate(server.database(), &spec);
+        let stmts = RagsGenerator::generate(&server.database().read(), &spec);
         let mut queries = 0usize;
         let mut dml = 0usize;
         let mut work = 0.0;
+        let (mut refreshed, mut dropped, mut shrunk) = (0usize, 0usize, 0usize);
         for stmt in &stmts {
-            match server.execute(stmt) {
+            match client.run(stmt) {
                 Ok(StatementOutcome::Query { output, .. }) => {
                     queries += 1;
                     work += output.work;
@@ -64,33 +72,39 @@ fn main() {
                 }
                 Err(e) => println!("  statement rejected: {e}"),
             }
+            let tick = server.tick_wait().unwrap();
+            refreshed += tick.refreshed;
+            dropped += tick.dropped;
+            shrunk += tick.shrink_removed.unwrap_or(0);
         }
-        let maintenance = server.maintain();
-        server.catalog_mut().advance_epoch();
+        execution_work += work;
         println!(
             "day {day}: {queries} queries + {dml} DML, execution work {:.0}",
             work
         );
+        let epoch = server.epoch();
         println!(
-            "        statistics: {} active, {} drop-listed; maintenance updated {} stats \
-             on {} tables, physically dropped {}",
-            server.catalog().active_count(),
-            server.catalog().drop_list().count(),
-            maintenance.statistics_updated,
-            maintenance.tables_updated.len(),
-            maintenance.statistics_dropped,
+            "        statistics: {} active, {} drop-listed; ticks refreshed {} statistics, \
+             Shrinking Set removed {}, physically dropped {}",
+            epoch.catalog.active_count(),
+            epoch.catalog.drop_list().count(),
+            refreshed,
+            shrunk,
+            dropped,
         );
     }
 
-    let report = server.tuning_report();
+    let (_, report) = server.shutdown();
+    let totals = &report.session.totals;
     println!("\ncumulative tuning:");
-    println!("  statistics created ... {}", report.statistics_created);
-    println!("  drop-listed .......... {}", report.statistics_drop_listed);
-    println!("  optimizer calls ...... {}", report.optimizer_calls);
+    println!("  statistics created ... {}", totals.statistics_created);
+    println!("  drop-listed .......... {}", totals.statistics_drop_listed);
+    println!("  optimizer calls ...... {}", totals.optimizer_calls);
     println!(
-        "  creation work {:.0} + overhead {:.0} vs execution work {:.0}",
-        report.creation_work,
-        report.overhead_work,
-        server.execution_work()
+        "  creation work {:.0} + overhead {:.0} + refresh {:.0} vs execution work {:.0}",
+        totals.creation_work,
+        totals.overhead_work,
+        report.catalog.update_work(),
+        execution_work
     );
 }

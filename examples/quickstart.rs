@@ -1,16 +1,20 @@
 //! Quickstart: a self-tuning database in a few lines.
 //!
-//! Builds a skewed TPC-D instance, wraps it in an [`AutoStatsManager`] whose
-//! default policy runs Magic Number Sensitivity Analysis for every incoming
-//! query, and shows how the optimizer's plan changes once MNSA has decided
-//! which statistics are worth building.
+//! Builds a skewed TPC-D instance, puts it behind an [`OnlineService`] that
+//! is ticked after every statement on an unlimited budget — §6's on-the-fly
+//! policy: Magic Number Sensitivity Analysis for every incoming query — and
+//! shows how the optimizer's plan changes once MNSA has decided which
+//! statistics are worth building.
 //!
 //! Run with: `cargo run --example quickstart`
 
-use autostats::manager::{AutoStatsManager, ManagerConfig};
-use autostats::policy::CreationPolicy;
+use autod::{AutodConfig, OnlineService};
+use autostats::policy::{apply_policy, CreationPolicy};
+use autostats::SessionReport;
 use datagen::{build_tpcd, TpcdConfig, ZipfSpec};
 use executor::StatementOutcome;
+use query::{bind_statement, parse_statement, BoundStatement};
+use stats::StatsCatalog;
 
 fn main() {
     // A small, heavily skewed TPC-D database (z varies per column).
@@ -25,7 +29,17 @@ fn main() {
         db.total_rows()
     );
 
-    let mut mgr = AutoStatsManager::new(db, ManagerConfig::default());
+    let service = OnlineService::start(
+        db,
+        StatsCatalog::new(),
+        SessionReport::default(),
+        obsv::Obs::disabled(),
+        AutodConfig {
+            budget_per_tick: f64::INFINITY,
+            ..AutodConfig::default()
+        },
+    );
+    let client = service.handle(0);
 
     let query = "SELECT o_orderpriority, COUNT(*) FROM orders, lineitem \
                  WHERE l_orderkey = o_orderkey AND o_orderdate < 9000 AND l_quantity < 5.0 \
@@ -34,10 +48,11 @@ fn main() {
 
     // Before tuning: every predicate runs on magic numbers.
     println!("--- plan before any statistics exist ---");
-    print!("{}", mgr.explain_sql(query).unwrap());
+    print!("{}", client.explain_sql(query).unwrap());
 
-    // Executing the query triggers the on-the-fly MNSA policy first.
-    let outcome = mgr.execute_sql(query).unwrap();
+    // The statement runs on the statistics there are and never waits for
+    // tuning; the monitor has seen it, and the next tick runs MNSA for it.
+    let outcome = client.run_sql(query).unwrap();
     if let StatementOutcome::Query {
         output,
         estimated_cost,
@@ -50,18 +65,24 @@ fn main() {
             output.work
         );
     }
+    let tick = service.tick_wait().unwrap();
+    println!(
+        "tick {}: {} template tuned, tuning work {:.0}, published generation {:?}",
+        tick.tick, tick.queries_tuned, tick.tuning_work, tick.published_generation
+    );
 
     println!("\n--- plan after MNSA built what mattered ---");
-    print!("{}", mgr.explain_sql(query).unwrap());
+    print!("{}", client.explain_sql(query).unwrap());
 
-    let report = mgr.tuning_report();
+    let (db, report) = service.shutdown();
+    let totals = &report.session.totals;
     println!(
         "\nMNSA: {} statistics created, {} optimizer calls, creation work {:.0}",
-        report.statistics_created, report.optimizer_calls, report.creation_work
+        totals.statistics_created, totals.optimizer_calls, totals.creation_work
     );
     println!("statistics now in the catalog:");
-    for stat in mgr.catalog().active() {
-        let table = mgr.database().table(stat.descriptor.table);
+    for stat in report.catalog.active() {
+        let table = db.table(stat.descriptor.table);
         let cols: Vec<&str> = stat
             .descriptor
             .columns
@@ -80,25 +101,25 @@ fn main() {
 
     // Contrast with creating every candidate statistic unconditionally (the
     // Figure 4 baseline).
-    let db2 = build_tpcd(&TpcdConfig {
-        scale: 0.005,
-        zipf: ZipfSpec::Mixed,
-        seed: 42,
-    });
-    let mut baseline = AutoStatsManager::new(
-        db2,
-        ManagerConfig {
-            creation: CreationPolicy::CreateAllCandidates,
-            ..Default::default()
-        },
-    );
-    baseline.execute_sql(query).unwrap();
+    let BoundStatement::Select(bound) =
+        bind_statement(&db, &parse_statement(query).unwrap()).unwrap()
+    else {
+        unreachable!("a SELECT binds to a select");
+    };
+    let mut baseline = StatsCatalog::new();
+    let (create_all, _, _) = apply_policy(
+        &db,
+        &mut baseline,
+        &CreationPolicy::CreateAllCandidates,
+        &bound,
+    )
+    .unwrap();
     println!(
         "\nfor comparison — create-all-candidates built {} statistics (creation work {:.0}); \
          MNSA built {} (creation work {:.0})",
-        baseline.catalog().active_count(),
-        baseline.tuning_report().creation_work,
-        mgr.catalog().active_count(),
-        mgr.tuning_report().creation_work,
+        baseline.active_count(),
+        create_all.creation_work,
+        report.catalog.active_count(),
+        totals.creation_work,
     );
 }

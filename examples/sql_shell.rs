@@ -1,13 +1,14 @@
 //! An interactive SQL shell over the self-tuning database.
 //!
-//! Loads a skewed TPC-D instance behind an [`AutoStatsManager`] (on-the-fly
-//! MNSA/D policy) and reads commands from stdin:
+//! Loads a skewed TPC-D instance behind an [`OnlineService`] ticked after
+//! every statement on an unlimited budget (the on-the-fly MNSA/D policy) and
+//! reads commands from stdin:
 //!
 //! ```text
 //! autostats> SELECT o_orderpriority, COUNT(*) FROM orders GROUP BY o_orderpriority
 //! autostats> EXPLAIN SELECT * FROM lineitem WHERE l_quantity < 5.0
 //! autostats> .stats        -- list the statistics the policy has built
-//! autostats> .maintain     -- run one auto-update/auto-drop pass
+//! autostats> .tick         -- run one more lifecycle tick
 //! autostats> .quit
 //! ```
 //!
@@ -15,11 +16,11 @@
 //! non-interactive use, e.g. `echo 'SELECT COUNT(*) FROM orders' | cargo run
 //! --example sql_shell`).
 
-use autostats::manager::{AutoStatsManager, ManagerConfig};
-use autostats::policy::CreationPolicy;
-use autostats::MnsaConfig;
+use autod::{AutodConfig, OnlineService, TickReport};
+use autostats::{MnsaConfig, SessionReport};
 use datagen::{build_tpcd, TpcdConfig, ZipfSpec};
 use executor::StatementOutcome;
+use stats::StatsCatalog;
 use std::io::{self, BufRead, Write};
 
 fn main() {
@@ -31,17 +32,23 @@ fn main() {
     });
     println!(
         "{} tables, {} rows. Policy: on-the-fly MNSA/D (t = 20%).\n\
-         Type SQL, EXPLAIN <sql>, .stats, .maintain, .help or .quit\n",
+         Type SQL, EXPLAIN <sql>, .stats, .tick, .help or .quit\n",
         db.table_count(),
         db.total_rows()
     );
-    let mut mgr = AutoStatsManager::new(
+    let service = OnlineService::start(
         db,
-        ManagerConfig {
-            creation: CreationPolicy::Mnsa(MnsaConfig::default().with_drop_detection()),
-            ..Default::default()
+        StatsCatalog::new(),
+        SessionReport::default(),
+        obsv::Obs::disabled(),
+        AutodConfig {
+            budget_per_tick: f64::INFINITY,
+            mnsa: MnsaConfig::default().with_drop_detection(),
+            ..AutodConfig::default()
         },
     );
+    let client = service.handle(0);
+    let mut execution_work = 0.0;
 
     let stdin = io::stdin();
     loop {
@@ -60,57 +67,44 @@ fn main() {
             ".quit" | ".exit" => break,
             ".help" => {
                 println!(
-                    "  <sql>            execute a statement (tuning statistics first)\n  \
+                    "  <sql>            execute a statement, then tick (tune, refresh, drop)\n  \
                      explain <sql>    show the current plan without executing\n  \
                      .stats           list built statistics (drop-listed ones marked)\n  \
-                     .maintain        run one auto-update/auto-drop pass\n  \
+                     .tick            run one more lifecycle tick\n  \
                      .report          cumulative tuning and execution totals\n  \
                      .quit            leave"
                 );
                 continue;
             }
             ".stats" => {
-                let db = mgr.database();
-                let mut any = false;
-                let drop_listed: Vec<_> = mgr.catalog().drop_list().collect();
-                // Iterate ids via active() plus drop-list lookups.
-                for stat in mgr.catalog().active() {
-                    any = true;
-                    print_stat(db, stat, false);
+                let db = service.database();
+                let db = db.read();
+                let catalog = &service.epoch().catalog;
+                for stat in catalog.active() {
+                    print_stat(&db, stat, false);
                 }
-                for id in drop_listed {
-                    if let Some(stat) = mgr.catalog().statistic(id) {
-                        any = true;
-                        print_stat(db, stat, true);
-                    }
+                for stat in catalog.drop_list().filter_map(|id| catalog.statistic(id)) {
+                    print_stat(&db, stat, true);
                 }
-                if !any {
+                if catalog.total_count() == 0 {
                     println!("  (no statistics built yet)");
                 }
                 continue;
             }
-            ".maintain" => {
-                let r = mgr.maintain();
-                println!(
-                    "  updated {} statistics on {} tables, dropped {}, update work {:.0}",
-                    r.statistics_updated,
-                    r.tables_updated.len(),
-                    r.statistics_dropped,
-                    r.update_work
-                );
+            ".tick" => {
+                print_tick(&service.tick_wait().expect("tick"));
                 continue;
             }
             ".report" => {
-                let t = mgr.tuning_report();
+                let catalog = &service.epoch().catalog;
                 println!(
-                    "  statistics created {}, drop-listed {}, optimizer calls {}\n  \
-                     creation work {:.0} + analysis overhead {:.0}; execution work {:.0}",
-                    t.statistics_created,
-                    t.statistics_drop_listed,
-                    t.optimizer_calls,
-                    t.creation_work,
-                    t.overhead_work,
-                    mgr.execution_work()
+                    "  statistics: {} active, {} drop-listed\n  \
+                     creation work {:.0} + refresh work {:.0}; execution work {:.0}",
+                    catalog.active_count(),
+                    catalog.drop_list().count(),
+                    catalog.creation_work(),
+                    catalog.update_work(),
+                    execution_work
                 );
                 continue;
             }
@@ -121,13 +115,17 @@ fn main() {
             .or_else(|| line.strip_prefix("EXPLAIN "))
             .or_else(|| line.strip_prefix("Explain "))
         {
-            match mgr.explain_sql(rest) {
+            match client.explain_sql(rest) {
                 Ok(text) => print!("{text}"),
                 Err(e) => println!("error: {e}"),
             }
             continue;
         }
-        match mgr.execute_sql(line) {
+        let outcome = client.run_sql(line);
+        if let Ok(outcome) = &outcome {
+            execution_work += outcome.work();
+        }
+        match outcome {
             Ok(StatementOutcome::Query {
                 output,
                 estimated_cost,
@@ -151,8 +149,29 @@ fn main() {
             }
             Err(e) => println!("error: {e}"),
         }
+        // On-the-fly policy: the lifecycle runs after every statement.
+        let tick = service.tick_wait().expect("tick");
+        if tick.published_generation.is_some() {
+            print_tick(&tick);
+        }
     }
     println!("bye");
+}
+
+fn print_tick(tick: &TickReport) {
+    println!(
+        "  -- tick {}: tuned {} templates (work {:.0}), refreshed {} (work {:.0}), dropped {}{}",
+        tick.tick,
+        tick.queries_tuned,
+        tick.tuning_work,
+        tick.refreshed,
+        tick.refresh_work,
+        tick.dropped,
+        match tick.shrink_removed {
+            Some(n) => format!(", Shrinking Set removed {n}"),
+            None => String::new(),
+        }
+    );
 }
 
 fn print_stat(db: &storage::Database, stat: &stats::Statistic, dropped: bool) {

@@ -1,17 +1,21 @@
 //! End-to-end integration: the full pipeline over generated TPC-D data —
-//! parse → bind → tune (MNSA) → optimize → execute, plus maintenance.
+//! parse → bind → optimize → execute in front, and behind it the §6
+//! lifecycle (MNSA, refresh, auto-drop) on the service's tick.
 
-use autostats::manager::{AutoStatsManager, ManagerConfig};
-use autostats::policy::CreationPolicy;
-use autostats::MnsaConfig;
+use autod::{AutodConfig, OnlineService};
+use autostats::policy::{apply_policy, CreationPolicy};
+use autostats::{MnsaConfig, SessionReport};
 use datagen::{
     build_tpcd, create_tuned_indexes, tpcd_benchmark_queries, Complexity, RagsGenerator,
     TpcdConfig, WorkloadSpec, ZipfSpec,
 };
-use executor::StatementOutcome;
-use query::{render, Statement};
+use executor::{run_statement, StatementOutcome};
+use optimizer::Optimizer;
+use query::{bind_statement, render, BoundStatement, Statement};
+use stats::StatsCatalog;
+use storage::Database;
 
-fn small_db(z: ZipfSpec) -> storage::Database {
+fn small_db(z: ZipfSpec) -> Database {
     build_tpcd(&TpcdConfig {
         scale: 0.002,
         zipf: z,
@@ -19,12 +23,55 @@ fn small_db(z: ZipfSpec) -> storage::Database {
     })
 }
 
+/// §6's on-the-fly policy: a service the caller ticks after every
+/// statement, on an unlimited budget.
+fn on_the_fly(db: Database, catalog: StatsCatalog, config: AutodConfig) -> OnlineService {
+    OnlineService::start(
+        db,
+        catalog,
+        SessionReport::default(),
+        obsv::Obs::disabled(),
+        AutodConfig {
+            budget_per_tick: f64::INFINITY,
+            ..config
+        },
+    )
+}
+
+/// Run `stmts` one by one, each under `policy`'s statistics for it, the way
+/// `benchmark/src/reference.rs` does. Returns the outcomes and the catalog.
+fn run_under(
+    policy: &CreationPolicy,
+    mut db: Database,
+    stmts: &[Statement],
+) -> (Vec<StatementOutcome>, StatsCatalog) {
+    let optimizer = Optimizer::default();
+    let mut catalog = StatsCatalog::new();
+    let outcomes = stmts
+        .iter()
+        .map(|s| {
+            let bound = bind_statement(&db, s).unwrap();
+            if let BoundStatement::Select(q) = &bound {
+                apply_policy(&db, &mut catalog, policy, q).unwrap();
+            }
+            run_statement(&mut db, catalog.full_view(), &optimizer, &bound)
+                .unwrap_or_else(|e| panic!("{policy:?}: {e}\n{}", render(s)))
+        })
+        .collect();
+    (outcomes, catalog)
+}
+
 #[test]
 fn tpcd_queries_run_end_to_end_with_auto_tuning() {
-    let mut mgr = AutoStatsManager::new(small_db(ZipfSpec::Mixed), ManagerConfig::default());
+    let svc = on_the_fly(
+        small_db(ZipfSpec::Mixed),
+        StatsCatalog::new(),
+        AutodConfig::default(),
+    );
+    let client = svc.handle(0);
     for (i, q) in tpcd_benchmark_queries().into_iter().enumerate() {
-        let out = mgr
-            .execute(&Statement::Select(q))
+        let out = client
+            .run(&Statement::Select(q))
             .unwrap_or_else(|e| panic!("Q{} failed: {e}", i + 1));
         match out {
             StatementOutcome::Query { estimated_cost, .. } => {
@@ -32,10 +79,21 @@ fn tpcd_queries_run_end_to_end_with_auto_tuning() {
             }
             _ => panic!("Q{} not a query", i + 1),
         }
+        let tick = svc.tick_wait().unwrap();
+        assert_eq!(
+            tick.queries_tuned,
+            1,
+            "Q{} tuned on the tick after it",
+            i + 1
+        );
+        assert_eq!((tick.tune_error, tick.shrink_error), (None, None));
     }
     // Tuning happened and left a bounded number of statistics.
-    assert!(mgr.catalog().active_count() > 0);
-    assert!(mgr.tuning_report().optimizer_calls > 17);
+    let (_, report) = svc.shutdown();
+    assert!(report.catalog.active_count() > 0);
+    assert!(report.session.totals.optimizer_calls > 17);
+    assert_eq!(report.session.queries.len(), 17);
+    assert!(report.error.is_none());
 }
 
 #[test]
@@ -50,20 +108,10 @@ fn rags_mixed_workload_runs_under_all_policies() {
         let db = small_db(ZipfSpec::Fixed(1.0));
         let spec = WorkloadSpec::new(25, Complexity::Simple, 30).with_seed(3);
         let stmts = RagsGenerator::generate(&db, &spec);
-        let mut mgr = AutoStatsManager::new(
-            db,
-            ManagerConfig {
-                creation: policy,
-                ..Default::default()
-            },
-        );
-        for s in &stmts {
-            mgr.execute(s)
-                .unwrap_or_else(|e| panic!("{policy:?}: {e}\n{}", render(s)));
-        }
-        assert!(mgr.execution_work() > 0.0);
+        let (outcomes, catalog) = run_under(&policy, db, &stmts);
+        assert!(outcomes.iter().map(StatementOutcome::work).sum::<f64>() > 0.0);
         if matches!(policy, CreationPolicy::Manual) {
-            assert_eq!(mgr.catalog().total_count(), 0);
+            assert_eq!(catalog.total_count(), 0);
         }
     }
 }
@@ -79,24 +127,12 @@ fn query_results_are_stats_independent() {
         .map(Statement::Select)
         .collect();
 
-    let mut bare = AutoStatsManager::new(
-        db.clone(),
-        ManagerConfig {
-            creation: CreationPolicy::Manual,
-            ..Default::default()
-        },
-    );
-    let mut tuned = AutoStatsManager::new(
-        db,
-        ManagerConfig {
-            creation: CreationPolicy::CreateAllCandidates,
-            ..Default::default()
-        },
-    );
-    for (i, q) in queries.iter().enumerate() {
-        let a = bare.execute(q).unwrap();
-        let b = tuned.execute(q).unwrap();
-        match (a, b) {
+    let (bare, none) = run_under(&CreationPolicy::Manual, db.clone(), &queries);
+    let (tuned, all) = run_under(&CreationPolicy::CreateAllCandidates, db, &queries);
+    assert_eq!(none.total_count(), 0);
+    assert!(all.total_count() > 0);
+    for (i, pair) in bare.into_iter().zip(tuned).enumerate() {
+        match pair {
             (
                 StatementOutcome::Query { output: oa, .. },
                 StatementOutcome::Query { output: ob, .. },
@@ -118,16 +154,14 @@ fn query_results_are_stats_independent() {
 fn tuned_database_with_indexes_prefers_index_plans() {
     let mut db = small_db(ZipfSpec::Fixed(0.0));
     create_tuned_indexes(&mut db);
-    let mut mgr = AutoStatsManager::new(db, ManagerConfig::default());
+    let svc = on_the_fly(db, StatsCatalog::new(), AutodConfig::default());
+    let client = svc.handle(0);
     // Highly selective key lookup: should use the o_orderkey index.
-    let plan = mgr
-        .explain_sql("SELECT * FROM orders WHERE o_orderkey = 5")
-        .unwrap();
-    mgr.execute_sql("SELECT * FROM orders WHERE o_orderkey = 5")
-        .unwrap();
-    let plan_after = mgr
-        .explain_sql("SELECT * FROM orders WHERE o_orderkey = 5")
-        .unwrap();
+    let sql = "SELECT * FROM orders WHERE o_orderkey = 5";
+    let plan = client.explain_sql(sql).unwrap();
+    client.run_sql(sql).unwrap();
+    svc.tick_wait().unwrap();
+    let plan_after = client.explain_sql(sql).unwrap();
     assert!(
         plan.contains("IndexScan") || plan_after.contains("IndexScan"),
         "index never used:\nbefore: {plan}\nafter: {plan_after}"
@@ -137,55 +171,76 @@ fn tuned_database_with_indexes_prefers_index_plans() {
 #[test]
 fn heavy_update_traffic_triggers_maintenance_cycle() {
     let db = small_db(ZipfSpec::Fixed(0.0));
-    let mut mgr = AutoStatsManager::new(
-        db,
-        ManagerConfig {
-            maintenance: stats::MaintenancePolicy {
-                update_fraction: 0.05,
-                min_modified_rows: 5,
-                max_updates: 1,
-                drop_only_droplisted: true,
-            },
-            // Unconditional creation: the 20-row supplier table is too
-            // small for MNSA's sensitivity probe to build anything, and
-            // this test is about the maintenance cycle, not creation.
-            creation: CreationPolicy::CreateAllSyntactic,
-            auto_maintain: true,
-        },
-    );
-    // Query first so statistics exist.
-    mgr.execute_sql("SELECT * FROM supplier WHERE s_acctbal > 0.0 AND s_nationkey = 3")
-        .unwrap();
-    // Hammer the supplier table with inserts.
-    for i in 0..200 {
-        mgr.execute_sql(&format!(
-            "INSERT INTO supplier VALUES ({}, 'Supplier#x', 1, 10.0)",
-            100_000 + i
-        ))
-        .unwrap();
-    }
-    // The maintenance cycle ran: the query created supplier statistics and
-    // the insert traffic forced repeated staleness refreshes. The shared
-    // counter itself keeps growing and is never reset; each refreshed
-    // statistic instead carries the counter value at its rebuild as its
-    // staleness baseline, and nothing remains stale at the end.
-    let t = mgr.database().table_id("supplier").unwrap();
     let policy = stats::MaintenancePolicy {
         update_fraction: 0.05,
         min_modified_rows: 5,
         max_updates: 1,
         drop_only_droplisted: true,
     };
-    assert!(mgr
-        .catalog()
-        .stale_statistics(mgr.database(), &policy)
-        .is_empty());
-    let counter = mgr.database().table(t).modification_counter();
+    // The service continues from a catalog built unconditionally: the
+    // 20-row supplier table is too small for MNSA's sensitivity probe to
+    // build anything, and this test is about the maintenance cycle, not
+    // creation. One of the two statistics is already on the drop-list.
+    let sql = "SELECT * FROM supplier WHERE s_acctbal > 0.0 AND s_nationkey = 3";
+    let BoundStatement::Select(query) =
+        bind_statement(&db, &query::parse_statement(sql).unwrap()).unwrap()
+    else {
+        unreachable!()
+    };
+    let mut catalog = StatsCatalog::new();
+    let (_, created, _) = apply_policy(
+        &db,
+        &mut catalog,
+        &CreationPolicy::CreateAllSyntactic,
+        &query,
+    )
+    .unwrap();
+    assert_eq!(created.len(), 2);
+    catalog.move_to_drop_list(created[1]);
+
+    let svc = on_the_fly(
+        db,
+        catalog,
+        AutodConfig {
+            staleness: policy,
+            // The Shrinking Set would find the other statistic non-essential
+            // too (the plan over 20 rows does not depend on it) and send it
+            // the same way.
+            shrink: None,
+            ..AutodConfig::default()
+        },
+    );
+    let client = svc.handle(0);
+    client.run_sql(sql).unwrap();
+    // Hammer the supplier table with inserts.
+    let (mut refreshed, mut dropped) = (0, 0);
+    for i in 0..200 {
+        client
+            .run_sql(&format!(
+                "INSERT INTO supplier VALUES ({}, 'Supplier#x', 1, 10.0)",
+                100_000 + i
+            ))
+            .unwrap();
+        let tick = svc.tick_wait().unwrap();
+        refreshed += tick.refreshed;
+        dropped += tick.dropped;
+    }
+    // The maintenance cycle ran: the insert traffic forced repeated
+    // staleness refreshes. The shared counter itself keeps growing and is
+    // never reset; each refreshed statistic instead carries the counter
+    // value at its rebuild as its staleness baseline, and nothing remains
+    // stale at the end. The drop-listed statistic went after its second
+    // refresh; the active one is refreshed for as long as it is wanted.
+    let (db, report) = svc.shutdown();
+    let t = db.table_id("supplier").unwrap();
+    assert!(report.catalog.stale_statistics(&db, &policy).is_empty());
+    let counter = db.table(t).modification_counter();
     assert!(counter >= 200, "shared counter only grows, got {counter}");
-    assert!(mgr
-        .catalog()
-        .built_on_table(t)
-        .any(|s| s.update_count >= 1 && s.mods_at_build > 0));
+    assert!(refreshed > 2);
+    assert_eq!(dropped, 1);
+    assert!(report.catalog.statistic(created[1]).is_none());
+    let kept = report.catalog.statistic(created[0]).unwrap();
+    assert!(kept.update_count > policy.max_updates && kept.mods_at_build > 0);
 }
 
 #[test]
@@ -193,12 +248,15 @@ fn workload_execution_work_is_reproducible() {
     let db = small_db(ZipfSpec::Mixed);
     let spec = WorkloadSpec::new(0, Complexity::Complex, 20).with_seed(9);
     let stmts = RagsGenerator::generate(&db, &spec);
-    let run = |db: storage::Database| {
-        let mut mgr = AutoStatsManager::new(db, ManagerConfig::default());
+    let run = |db: Database| {
+        let svc = on_the_fly(db, StatsCatalog::new(), AutodConfig::default());
+        let client = svc.handle(0);
+        let mut work = 0.0;
         for s in &stmts {
-            mgr.execute(s).unwrap();
+            work += client.run(s).unwrap().work();
+            svc.tick_wait().unwrap();
         }
-        mgr.execution_work()
+        (work, svc.shutdown().1.catalog.snapshot())
     };
     let a = run(db.clone());
     let b = run(db);

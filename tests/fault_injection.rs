@@ -8,8 +8,10 @@
 //! numbers (selectivities in [0, 1], finite plan costs) or returns a typed
 //! error. Nothing panics.
 
-use autostats::manager::{AutoStatsManager, ManagerConfig};
-use autostats::{advise, Equivalence, Fault, FaultPlan, MnsaConfig, MnsaEngine, OfflineTuner};
+use autod::{AutodConfig, OnlineService};
+use autostats::{
+    advise, Equivalence, Fault, FaultPlan, MnsaConfig, MnsaEngine, OfflineTuner, SessionReport,
+};
 use optimizer::{OptimizeOptions, Optimizer, PlanNode};
 use proptest::prelude::*;
 use query::{bind_statement, parse_statement, BoundSelect, BoundStatement};
@@ -176,11 +178,14 @@ proptest! {
         }
     }
 
-    /// The `AutoStatsManager` facade keeps its report/error contract under
-    /// faults: every statement returns a valid outcome (finite work) or a
-    /// typed `ManagerError`, and cumulative tuning numbers stay finite.
+    /// The service keeps its report/error contract under faults: every
+    /// statement returns a valid outcome (finite work) or a typed
+    /// `StatementError`, every tick reports, and cumulative tuning numbers
+    /// stay finite. The mid-workload fault hits the `(Database,
+    /// StatsCatalog)` a `shutdown()` hands back, and a second service
+    /// restarts over the corrupted pair and the journal so far.
     #[test]
-    fn manager_reports_or_typed_errors_under_faults(
+    fn service_reports_or_typed_errors_under_faults(
         pre in arb_plan(),
         mid in arb_plan(),
         rows in 0usize..400,
@@ -190,7 +195,15 @@ proptest! {
         let pre_plan = pre.iter().fold(FaultPlan::new(), |p, f| p.with(f.clone()));
         pre_plan.inject(&mut db, &mut catalog);
 
-        let mut mgr = AutoStatsManager::new(db, ManagerConfig::default());
+        // On-the-fly policy: a tick after every statement, unlimited budget.
+        let start = |db, catalog, session| OnlineService::start(
+            db,
+            catalog,
+            session,
+            obsv::Obs::disabled(),
+            AutodConfig { budget_per_tick: f64::INFINITY, shrink_every: 2, ..AutodConfig::default() },
+        );
+        let mut svc = start(db, catalog, SessionReport::default());
         let statements = [
             "SELECT * FROM facts WHERE a = 1",
             "INSERT INTO facts VALUES (1, 1, 1)",
@@ -199,29 +212,35 @@ proptest! {
             "SELECT * FROM facts, dim WHERE facts.k = dim.k",
         ];
         let mid_plan = mid.iter().fold(FaultPlan::new(), |p, f| p.with(f.clone()));
+        let mut execution_work = 0.0;
         for (i, sql) in statements.iter().enumerate() {
-            match mgr.execute_sql(sql) {
-                Ok(outcome) => assert!(
-                    outcome.work().is_finite() && outcome.work() >= 0.0,
-                    "invalid work {}",
-                    outcome.work()
-                ),
+            match svc.handle(0).run_sql(sql) {
+                Ok(outcome) => {
+                    assert!(
+                        outcome.work().is_finite() && outcome.work() >= 0.0,
+                        "invalid work {}",
+                        outcome.work()
+                    );
+                    execution_work += outcome.work();
+                }
                 Err(e) => {
                     // Typed, displayable, and never empty.
                     assert!(!e.to_string().is_empty());
                 }
             }
+            let tick = svc.tick_wait().expect("a tick reports its failures");
+            assert!(tick.tuning_work.is_finite() && tick.refresh_work.is_finite());
             if i == 2 {
-                // Corrupt the live manager state mid-workload.
-                let mut db = std::mem::take(mgr.database_mut());
-                mid_plan.inject(&mut db, mgr.catalog_mut());
-                *mgr.database_mut() = db;
+                // Corrupt the live state mid-workload and restart over it.
+                let (mut db, mut report) = svc.shutdown();
+                mid_plan.inject(&mut db, &mut report.catalog);
+                svc = start(db, report.catalog, report.session);
             }
         }
-        let report = mgr.tuning_report();
-        assert!(report.creation_work.is_finite());
-        assert!(report.overhead_work.is_finite());
-        assert!(mgr.execution_work().is_finite());
-        assert_selectivities_sane(mgr.catalog());
+        let (_, report) = svc.shutdown();
+        assert!(report.session.totals.creation_work.is_finite());
+        assert!(report.session.totals.overhead_work.is_finite());
+        assert!(execution_work.is_finite());
+        assert_selectivities_sane(&report.catalog);
     }
 }

@@ -9,6 +9,9 @@
 //!   × rows)` rule is *strictly greater*: a tick at exactly the threshold
 //!   refreshes nothing, one more modification refreshes everything on the
 //!   table; an empty table falls back to `min_modified_rows`;
+//! * **auto-drop** — a drop-listed statistic refreshed more than
+//!   `max_updates` times is physically dropped by the tick that refreshed
+//!   it, and the next epoch no longer carries it;
 //! * **random interleavings** (proptest) — any mix of queries, DML, and
 //!   ticks through a live [`autod::OnlineService`] panics nowhere, keeps
 //!   estimated costs finite and non-negative, and publishes epoch
@@ -205,6 +208,75 @@ fn empty_table_falls_back_to_min_modified_rows() {
     insert_rows(&mut db, t, 1);
     let report = core.tick(&db, &mut monitor, budget()).unwrap();
     assert_eq!(report.refreshed, 1);
+}
+
+// ---------------------------------------------------------------------------
+// Auto-drop (§6), through a live service
+// ---------------------------------------------------------------------------
+
+/// A drop-listed statistic the DML keeps stale is refreshed `max_updates`
+/// times and then goes: counted, journaled (text and JSON), gone from the
+/// epoch the tick publishes — and from the master catalog at shutdown,
+/// where its descriptor sits in the aging registry.
+#[test]
+fn served_dml_ages_a_drop_listed_statistic_out_of_the_catalog() {
+    let db = example2_db(1000);
+    let t = db.table_id("employees").unwrap();
+    let mut catalog = StatsCatalog::new();
+    let descriptor = StatDescriptor::single(t, 2);
+    let listed = catalog.create_statistic(&db, descriptor.clone()).unwrap();
+    catalog.move_to_drop_list(listed);
+    let policy = MaintenancePolicy {
+        max_updates: 1,
+        ..MaintenancePolicy::default()
+    };
+    let svc = OnlineService::start(
+        db,
+        catalog,
+        SessionReport::default(),
+        obsv::Obs::enabled(),
+        AutodConfig {
+            staleness: policy,
+            ..AutodConfig::default()
+        },
+    );
+    let handle = svc.handle(1);
+    let mut dropped = Vec::new();
+    for round in 0..=policy.max_updates {
+        for i in 0..501 {
+            handle
+                .run_sql(&format!(
+                    "INSERT INTO employees VALUES ({}, 0, 30, 0)",
+                    5000 + i
+                ))
+                .unwrap();
+        }
+        let report = svc.tick_wait().unwrap();
+        assert_eq!(report.refreshed, 1, "round {round}");
+        assert_eq!(
+            svc.epoch().catalog.statistic(listed).is_some(),
+            report.dropped == 0
+        );
+        dropped.push(report.dropped);
+    }
+    assert_eq!(dropped, [0, 1], "exactly max_updates refreshes are kept");
+    assert_eq!(svc.metrics().counter("autod.auto_drops").get(), 1);
+    assert_eq!(handle.generation(), 2);
+
+    // Nothing left to refresh or drop: a quiet tick publishes nothing.
+    let quiet = svc.tick_wait().unwrap();
+    assert_eq!((quiet.refreshed, quiet.dropped), (0, 0));
+    assert_eq!(quiet.published_generation, None);
+
+    let (_, report) = svc.shutdown();
+    assert_eq!(report.catalog.total_count(), 0);
+    assert!(report.catalog.aged_build_cost(&descriptor).is_some());
+    assert!(report.session.render_text().contains(&format!(
+        "tick    2 auto-drop {listed} on {t} (after 2 updates)"
+    )));
+    assert!(report.session.to_json().contains(
+        "{\"event\": \"auto_drop\", \"tick\": 2, \"stat\": 0, \"table\": 0, \"updates\": 2}"
+    ));
 }
 
 // ---------------------------------------------------------------------------
