@@ -317,9 +317,8 @@ impl LifecycleCore {
         metrics
             .gauge("autod.monitor.templates")
             .set(monitor.len() as i64);
-        let sample = monitor.sample();
-        for query in &sample {
-            self.tuner.enqueue(query.clone());
+        for (fingerprint, query) in monitor.queries() {
+            self.tuner.enqueue(fingerprint, query);
         }
 
         let mut report = TickReport {
@@ -455,10 +454,12 @@ impl LifecycleCore {
         //    fails has touched nothing.
         if let Some(equivalence) = self.config.shrink {
             let due = self.config.shrink_every > 0 && tick.is_multiple_of(self.config.shrink_every);
-            if due && !sample.is_empty() {
+            if due && !monitor.is_empty() {
+                // The monitor is this tick's alone: the sample is what was
+                // enqueued above.
                 match self
                     .tuner
-                    .shrink_pass(db, &mut self.catalog, &sample, equivalence)
+                    .shrink_pass(db, &mut self.catalog, &monitor.sample(), equivalence)
                 {
                     Ok(out) => {
                         self.session.shrink_removed += out.removed.len();
@@ -582,9 +583,7 @@ pub(crate) mod tests {
                 .insert(vec![Value::Int(d), Value::Str(format!("d{d}").into())])
                 .unwrap();
         }
-        #[allow(deprecated)]
         db.table_mut(emp).reset_modification_counter();
-        #[allow(deprecated)]
         db.table_mut(dept).reset_modification_counter();
         db
     }

@@ -172,23 +172,35 @@ impl WorkloadMonitor {
         }
     }
 
-    /// The retained sample, in first-arrival order — the workload handed to
-    /// the tuner. Arrival order makes "paused daemon ≡ offline tune on the
-    /// sample" well defined.
+    /// The retained templates in first-arrival order, each under the
+    /// fingerprint it was observed by.
+    fn by_arrival(&self) -> Vec<(u64, &Template)> {
+        let mut entries: Vec<(u64, &Template)> =
+            self.templates.iter().map(|(fp, t)| (*fp, t)).collect();
+        entries.sort_by_key(|(_, t)| t.arrival);
+        entries
+    }
+
+    /// The retained queries with their fingerprints, in first-arrival order
+    /// — what a tick offers the tuner, which clones the ones it has not seen.
+    /// Arrival order makes "paused daemon ≡ offline tune on the sample" well
+    /// defined.
+    pub fn queries(&self) -> impl Iterator<Item = (u64, &BoundSelect)> {
+        self.by_arrival().into_iter().map(|(fp, t)| (fp, &t.query))
+    }
+
+    /// An owned copy of [`WorkloadMonitor::queries`]: the workload of a
+    /// Shrinking Set pass.
     pub fn sample(&self) -> Vec<BoundSelect> {
-        let mut entries: Vec<&Template> = self.templates.values().collect();
-        entries.sort_by_key(|t| t.arrival);
-        entries.iter().map(|t| t.query.clone()).collect()
+        self.queries().map(|(_, q)| q.clone()).collect()
     }
 
     /// Per-template statistics, in first-arrival order.
     pub fn templates(&self) -> Vec<TemplateStats> {
-        let mut entries: Vec<(&u64, &Template)> = self.templates.iter().collect();
-        entries.sort_by_key(|(_, t)| t.arrival);
-        entries
+        self.by_arrival()
             .into_iter()
-            .map(|(fp, t)| TemplateStats {
-                fingerprint: *fp,
+            .map(|(fingerprint, t)| TemplateStats {
+                fingerprint,
                 frequency: t.frequency,
                 first_seen_tick: t.first_seen_tick,
                 last_seen_tick: t.last_seen_tick,
@@ -365,5 +377,9 @@ mod tests {
         let fps: Vec<u64> = m.sample().iter().map(|q| q.fingerprint()).collect();
         let expect: Vec<u64> = qs.iter().map(|q| q.fingerprint()).collect();
         assert_eq!(fps, expect);
+        // The borrowed form pairs each query with the key it is held under,
+        // which is its fingerprint: the tuner need not compute it again.
+        let keyed: Vec<(u64, u64)> = m.queries().map(|(fp, q)| (fp, q.fingerprint())).collect();
+        assert_eq!(keyed, expect.iter().map(|&fp| (fp, fp)).collect::<Vec<_>>());
     }
 }

@@ -54,7 +54,9 @@ pub struct OnlineStep {
 pub struct OnlineTuner {
     engine: MnsaEngine,
     obs: obsv::Obs,
-    pending: VecDeque<BoundSelect>,
+    /// Templates waiting for analysis, each under the fingerprint it was
+    /// enqueued by.
+    pending: VecDeque<(u64, BoundSelect)>,
     /// Fingerprints enqueued and not failed — a template is tuned at most
     /// once.
     enqueued: BTreeSet<u64>,
@@ -87,14 +89,18 @@ impl OnlineTuner {
         &self.engine.optimizer
     }
 
-    /// Queue a query template for analysis. Returns `false` (and does
-    /// nothing) when a query with the same fingerprint was already enqueued
-    /// at some point in this tuner's life and its analysis did not fail.
-    pub fn enqueue(&mut self, query: BoundSelect) -> bool {
-        if !self.enqueued.insert(query.fingerprint()) {
+    /// Queue a query template for analysis under `fingerprint`, its
+    /// [`BoundSelect::fingerprint`] — a caller that keys its templates by it,
+    /// as the workload monitor does, has it at hand. Returns `false` (and
+    /// does nothing: the query is cloned only when it is queued) when a query
+    /// with the same fingerprint was already enqueued at some point in this
+    /// tuner's life and its analysis did not fail.
+    pub fn enqueue(&mut self, fingerprint: u64, query: &BoundSelect) -> bool {
+        debug_assert_eq!(fingerprint, query.fingerprint());
+        if !self.enqueued.insert(fingerprint) {
             return false;
         }
-        self.pending.push_back(query);
+        self.pending.push_back((fingerprint, query.clone()));
         true
     }
 
@@ -138,7 +144,7 @@ impl OnlineTuner {
         let mut span = self.obs.tracer.span("online.step");
         span.arg("pending", self.pending.len());
         while self.balance > 0.0 {
-            let Some(query) = self.pending.pop_front() else {
+            let Some((fingerprint, query)) = self.pending.pop_front() else {
                 break;
             };
             let before_work = catalog.creation_work();
@@ -156,7 +162,7 @@ impl OnlineTuner {
             match result {
                 Ok(outcome) => step.tuned.push((query.relations.len(), outcome)),
                 Err(error) => {
-                    self.enqueued.remove(&query.fingerprint());
+                    self.enqueued.remove(&fingerprint);
                     step.error = Some(error);
                     break;
                 }
@@ -245,8 +251,8 @@ mod tests {
         let db = test_db();
         let q = select(&db, "SELECT * FROM facts WHERE a = 3");
         let mut tuner = OnlineTuner::new(MnsaConfig::default());
-        assert!(tuner.enqueue(q.clone()));
-        assert!(!tuner.enqueue(q));
+        assert!(tuner.enqueue(q.fingerprint(), &q));
+        assert!(!tuner.enqueue(q.fingerprint(), &q));
         assert_eq!(tuner.pending(), 1);
     }
 
@@ -256,7 +262,7 @@ mod tests {
         let mut catalog = StatsCatalog::new();
         let mut tuner = OnlineTuner::new(MnsaConfig::default());
         for q in workload(&db) {
-            tuner.enqueue(q);
+            tuner.enqueue(q.fingerprint(), &q);
         }
         let step = tuner.step(&db, &mut catalog);
         assert!(step.tuned.is_empty());
@@ -270,7 +276,7 @@ mod tests {
         let mut catalog = StatsCatalog::new();
         let mut tuner = OnlineTuner::new(MnsaConfig::default());
         for q in workload(&db) {
-            tuner.enqueue(q);
+            tuner.enqueue(q.fingerprint(), &q);
         }
         // A tiny positive balance admits exactly one query, whose real cost
         // overshoots into debt.
@@ -310,9 +316,13 @@ mod tests {
             &db,
             &format!("SELECT * FROM {} WHERE f0.b = 2", aliases.join(", ")),
         );
-        tuner.enqueue(select(&db, "SELECT * FROM facts WHERE a = 3"));
-        tuner.enqueue(too_wide.clone());
-        tuner.enqueue(select(&db, "SELECT * FROM facts WHERE k < 100"));
+        for q in [
+            &select(&db, "SELECT * FROM facts WHERE a = 3"),
+            &too_wide,
+            &select(&db, "SELECT * FROM facts WHERE k < 100"),
+        ] {
+            tuner.enqueue(q.fingerprint(), q);
+        }
         tuner.fund(f64::INFINITY);
 
         let step = tuner.step(&db, &mut catalog);
@@ -330,7 +340,7 @@ mod tests {
         assert_eq!(step.report.creation_work, catalog.creation_work());
         assert!(step.work > step.report.creation_work);
         assert!(
-            tuner.enqueue(too_wide),
+            tuner.enqueue(too_wide.fingerprint(), &too_wide),
             "a rejected template can be queued again"
         );
 
@@ -352,8 +362,8 @@ mod tests {
 
         let mut online_catalog = StatsCatalog::new();
         let mut tuner = OnlineTuner::new(MnsaConfig::default());
-        for q in queries.clone() {
-            tuner.enqueue(q);
+        for q in &queries {
+            tuner.enqueue(q.fingerprint(), q);
         }
         tuner.fund(f64::INFINITY);
         let step = tuner.step(&db, &mut online_catalog);

@@ -172,7 +172,6 @@ fn bulk_load(db: &mut Database, id: TableId, rows: Vec<Vec<Value>>) {
         unreachable!("adversarial generator produced an invalid row: {e}");
     }
     // Bulk load: the generated data is the staleness baseline.
-    #[allow(deprecated)]
     db.table_mut(id).reset_modification_counter();
 }
 

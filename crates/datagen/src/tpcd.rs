@@ -179,7 +179,6 @@ fn fill_table(db: &mut Database, id: TableId, rows: usize, cols: Vec<ColGen>, rn
     }
     // Bulk load: zero the counter so the generated data is the staleness
     // baseline, not "everything was just modified".
-    #[allow(deprecated)]
     db.table_mut(id).reset_modification_counter();
 }
 
@@ -222,7 +221,6 @@ pub fn build_tpcd(config: &TpcdConfig) -> Database {
                 .insert(vec![Value::Int(i as i64), Value::Str((*n).into())])
                 .unwrap();
         }
-        #[allow(deprecated)]
         db.table_mut(region).reset_modification_counter();
     }
 
@@ -249,7 +247,6 @@ pub fn build_tpcd(config: &TpcdConfig) -> Database {
             ]);
         }
         db.table_mut(nation).insert_many(cols).unwrap();
-        #[allow(deprecated)]
         db.table_mut(nation).reset_modification_counter();
     }
 

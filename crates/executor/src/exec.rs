@@ -14,11 +14,11 @@
 //!   against its column, so the per-row check is a primitive compare instead
 //!   of a `Value` materialization.
 //! * **Hash joins and group-bys** key on fixed-seed 64-bit fingerprints of
-//!   the key columns (an `FxHasher` over the same type-tag + payload layout
-//!   as `Value`'s `Hash` impl) instead of `HashMap<Vec<Value>, _>`. A
+//!   the key columns (an `FxHasher` fed each component as [`ValueRef`], and
+//!   so [`Value`], hashes) instead of `HashMap<Vec<Value>, _>`. A
 //!   fingerprint bucket may mix distinct keys, so every probe hit is
-//!   verified with a typed column-to-column equality check — results stay
-//!   exact even under 64-bit collisions.
+//!   verified with a column-to-column equality check — results stay exact
+//!   even under 64-bit collisions.
 //! * **Column resolution is hoisted**: relation → slot → table → column is
 //!   resolved once per operator, not once per value.
 //! * **Projections materialize column-wise**: one pass per output column
@@ -47,105 +47,71 @@ use query::{AggFunc, BoundColumn, BoundSelect, CmpOp, PredOp, Projection, Select
 use rustc_hash::{FxHashMap, FxHasher};
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
-use storage::{ColumnData, DataType, Database, TableId, Value, ValueRef};
+use storage::{ColumnData, DataType, Database, PayloadRef, TableId, Value, ValueRef};
 
-/// Hash-join build side, partitioned by fingerprint.
+/// Hash-join build side: build ordinals chained by fingerprint.
 ///
-/// Replaces a `FxHashMap<u64, chain>` with flat arrays sized at build time:
-/// fingerprints live in one vector indexed by build ordinal, and each of the
-/// [`FP_PARTITIONS`] fixed partitions (top fingerprint bits) owns a
-/// power-of-two bucket array with intrusive chains over its rows. Chains are
-/// built by prepending in *reverse* input order, so every probe walks matches
-/// in input order — exactly the bucket order of the reference interpreter's
-/// `HashMap<Vec<Value>, Vec<usize>>`. A bucket (and even one fingerprint)
-/// may mix distinct keys; callers verify every hit with
+/// Flat arrays sized at build time stand in for a `FxHashMap<u64, chain>`:
+/// fingerprints live in one vector indexed by build ordinal, and a
+/// power-of-two bucket array heads intrusive chains over the ordinals. Chains
+/// are built by prepending in *reverse* input order, so every probe walks
+/// matches in input order — exactly the bucket order of the reference
+/// interpreter's `HashMap<Vec<Value>, Vec<usize>>`. A bucket (and even one
+/// fingerprint) may mix distinct keys; callers verify every hit with
 /// [`KeySet::keys_equal`].
 struct FpTable {
     /// Fingerprint per build ordinal; unspecified where the key was NULL.
     fps: Vec<u64>,
-    parts: Vec<FpPartition>,
-}
-
-const FP_PARTITIONS: usize = 16;
-
-struct FpPartition {
     /// Bucket count - 1 (bucket count is a power of two).
     mask: usize,
-    /// Bucket → first local index, `usize::MAX` when empty.
+    /// Bucket → first build ordinal, `usize::MAX` when empty.
     head: Vec<usize>,
-    /// Local index → next local index in the chain.
+    /// Build ordinal → next ordinal in its bucket's chain.
     next: Vec<usize>,
-    /// Local index → build ordinal, in input order.
-    rows: Vec<usize>,
-}
-
-#[inline]
-fn fp_partition(fp: u64) -> usize {
-    (fp >> 60) as usize & (FP_PARTITIONS - 1)
-}
-
-#[inline]
-fn fp_bucket(fp: u64, mask: usize) -> usize {
-    // The partition uses the top bits; spread the rest before masking so
-    // low-entropy fingerprints don't chain up.
-    ((fp.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) as usize) & mask
 }
 
 impl FpTable {
     /// Build over ordinals `0..n`; `fingerprint(i)` returns `None` for keys
     /// that can never match (NULL components).
     fn build(n: usize, fingerprint: impl Fn(usize) -> Option<u64>) -> FpTable {
-        let mut fps = vec![0u64; n];
-        let mut part_rows: Vec<Vec<usize>> = (0..FP_PARTITIONS).map(|_| Vec::new()).collect();
-        for (i, slot) in fps.iter_mut().enumerate() {
+        let mask = n.next_power_of_two().max(1) - 1;
+        let mut table = FpTable {
+            fps: vec![0; n],
+            mask,
+            head: vec![usize::MAX; mask + 1],
+            next: vec![usize::MAX; n],
+        };
+        for i in (0..n).rev() {
             if let Some(fp) = fingerprint(i) {
-                *slot = fp;
-                part_rows[fp_partition(fp)].push(i);
+                let b = table.bucket(fp);
+                table.fps[i] = fp;
+                table.next[i] = table.head[b];
+                table.head[b] = i;
             }
         }
-        let parts = part_rows
-            .into_iter()
-            .map(|rows| FpPartition::build(&fps, rows))
-            .collect();
-        FpTable { fps, parts }
+        table
+    }
+
+    #[inline]
+    fn bucket(&self, fp: u64) -> usize {
+        // An Fx fingerprint ends in a multiply: its low bits depend on the
+        // key's low bits alone. Spread before masking so they don't chain up.
+        ((fp.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) as usize) & self.mask
     }
 
     /// Ordinals whose fingerprint equals `fp`, in input order.
     #[inline]
     fn probe(&self, fp: u64) -> FpIter<'_> {
-        let part = &self.parts[fp_partition(fp)];
         FpIter {
-            fps: &self.fps,
-            part,
-            at: part.head[fp_bucket(fp, part.mask)],
+            table: self,
+            at: self.head[self.bucket(fp)],
             fp,
         }
     }
 }
 
-impl FpPartition {
-    fn build(fps: &[u64], rows: Vec<usize>) -> FpPartition {
-        let buckets = rows.len().next_power_of_two().max(1);
-        let mask = buckets - 1;
-        let mut head = vec![usize::MAX; buckets];
-        let mut next = vec![usize::MAX; rows.len()];
-        for li in (0..rows.len()).rev() {
-            let b = fp_bucket(fps[rows[li]], mask);
-            next[li] = head[b];
-            head[b] = li;
-        }
-        FpPartition {
-            mask,
-            head,
-            next,
-            rows,
-        }
-    }
-}
-
 struct FpIter<'a> {
-    fps: &'a [u64],
-    part: &'a FpPartition,
+    table: &'a FpTable,
     at: usize,
     fp: u64,
 }
@@ -156,11 +122,10 @@ impl Iterator for FpIter<'_> {
     #[inline]
     fn next(&mut self) -> Option<usize> {
         while self.at != usize::MAX {
-            let li = self.at;
-            self.at = self.part.next[li];
-            let row = self.part.rows[li];
-            if self.fps[row] == self.fp {
-                return Some(row);
+            let i = self.at;
+            self.at = self.table.next[i];
+            if self.table.fps[i] == self.fp {
+                return Some(i);
             }
         }
         None
@@ -247,99 +212,32 @@ impl<'a> ResolvedCol<'a> {
     }
 }
 
-/// One join/group key column with the `data_type` dispatch hoisted out of
-/// the per-tuple loops: fingerprinting and equality over a `KeyCol` touch a
-/// tuple slot, a validity flag, and a typed payload — no `ValueRef`
-/// construction, no per-value type match. `Other` keeps the generic path
-/// for columns whose payload slice is unavailable (never the case for the
-/// four stored types, but it keeps construction total without panicking).
-enum KeyCol<'a> {
-    Int {
-        slot: usize,
-        xs: &'a [i64],
-        valid: &'a [bool],
-    },
-    Date {
-        slot: usize,
-        xs: &'a [i64],
-        valid: &'a [bool],
-    },
-    Float {
-        slot: usize,
-        xs: &'a [f64],
-        valid: &'a [bool],
-    },
-    Str {
-        slot: usize,
-        xs: &'a [Arc<str>],
-        valid: &'a [bool],
-    },
-    Other(ResolvedCol<'a>),
+/// One join/group key column, borrowed once per operator: the tuple slot,
+/// the validity bitmap and the typed payload, so fingerprinting and equality
+/// in the per-tuple loops index slices and never walk back through the table.
+struct KeyCol<'a> {
+    slot: usize,
+    valid: &'a [bool],
+    xs: PayloadRef<'a>,
 }
 
 impl<'a> KeyCol<'a> {
     fn new(rc: ResolvedCol<'a>) -> KeyCol<'a> {
-        let slot = rc.slot;
-        let valid = rc.col.validity();
-        match rc.col.data_type() {
-            DataType::Int => match rc.col.int_slice() {
-                Some(xs) => KeyCol::Int { slot, xs, valid },
-                None => KeyCol::Other(rc),
-            },
-            DataType::Date => match rc.col.int_slice() {
-                Some(xs) => KeyCol::Date { slot, xs, valid },
-                None => KeyCol::Other(rc),
-            },
-            DataType::Float => match rc.col.float_slice() {
-                Some(xs) => KeyCol::Float { slot, xs, valid },
-                None => KeyCol::Other(rc),
-            },
-            DataType::Str => match rc.col.str_slice() {
-                Some(xs) => KeyCol::Str { slot, xs, valid },
-                None => KeyCol::Other(rc),
-            },
+        KeyCol {
+            slot: rc.slot,
+            valid: rc.col.validity(),
+            xs: rc.col.payload(),
         }
     }
 
-    /// Borrowed view of this key component — the generic fallback used when
-    /// comparing across differently-typed columns. Dates truncate to `i32`
-    /// exactly as [`ColumnData::get_ref`] does.
+    /// This key component of `tuple`, as [`ColumnData::get_ref`] reads it.
     #[inline]
     fn value_ref(&self, tuple: &[usize]) -> ValueRef<'a> {
-        match self {
-            KeyCol::Int { slot, xs, valid } => {
-                let r = tuple[*slot];
-                if valid[r] {
-                    ValueRef::Int(xs[r])
-                } else {
-                    ValueRef::Null
-                }
-            }
-            KeyCol::Date { slot, xs, valid } => {
-                let r = tuple[*slot];
-                if valid[r] {
-                    ValueRef::Date(xs[r] as i32)
-                } else {
-                    ValueRef::Null
-                }
-            }
-            KeyCol::Float { slot, xs, valid } => {
-                let r = tuple[*slot];
-                if valid[r] {
-                    ValueRef::Float(xs[r])
-                } else {
-                    ValueRef::Null
-                }
-            }
-            KeyCol::Str { slot, xs, valid } => {
-                let r = tuple[*slot];
-                if valid[r] {
-                    ValueRef::Str(&xs[r])
-                } else {
-                    ValueRef::Null
-                }
-            }
-            KeyCol::Other(rc) => rc.col.get_ref(rc.row(tuple)),
+        let r = tuple[self.slot];
+        if self.valid[r] {
+            self.xs.value(r)
+        } else {
+            ValueRef::Null
         }
     }
 }
@@ -358,156 +256,45 @@ impl<'a> KeySet<'a> {
     }
 
     /// 64-bit fingerprint of a join key: `None` when any component is NULL
-    /// (NULL keys never join). Hashes the same type-tag + canonical-payload
-    /// sequence as `ValueRef::hash` over the fixed-seed `FxHasher` — the
-    /// typed arms write exactly the bytes the generic path would — so equal
-    /// same-typed keys always collide and the map behaves like the
+    /// (NULL keys never join). Each component is hashed as [`ValueRef`]
+    /// hashes — and so as [`Value`] does — into the fixed-seed `FxHasher`,
+    /// so equal same-typed keys always collide and the map behaves like the
     /// reference `HashMap<Vec<Value>, _>`.
     #[inline]
     fn join_fp(&self, tuple: &[usize]) -> Option<u64> {
         let mut h = FxHasher::default();
         for kc in &self.cols {
-            match kc {
-                KeyCol::Int { slot, xs, valid } => {
-                    let r = tuple[*slot];
-                    if !valid[r] {
-                        return None;
-                    }
-                    1u8.hash(&mut h);
-                    xs[r].hash(&mut h);
-                }
-                KeyCol::Date { slot, xs, valid } => {
-                    let r = tuple[*slot];
-                    if !valid[r] {
-                        return None;
-                    }
-                    4u8.hash(&mut h);
-                    (xs[r] as i32).hash(&mut h);
-                }
-                KeyCol::Float { slot, xs, valid } => {
-                    let r = tuple[*slot];
-                    if !valid[r] {
-                        return None;
-                    }
-                    2u8.hash(&mut h);
-                    xs[r].to_bits().hash(&mut h);
-                }
-                KeyCol::Str { slot, xs, valid } => {
-                    let r = tuple[*slot];
-                    if !valid[r] {
-                        return None;
-                    }
-                    3u8.hash(&mut h);
-                    xs[r].hash(&mut h);
-                }
-                KeyCol::Other(rc) => {
-                    let v = rc.col.get_ref(rc.row(tuple));
-                    if v.is_null() {
-                        return None;
-                    }
-                    v.hash(&mut h);
-                }
+            let r = tuple[kc.slot];
+            if !kc.valid[r] {
+                return None;
             }
+            kc.xs.value(r).hash(&mut h);
         }
         Some(h.finish())
     }
 
     /// Fingerprint of a grouping key; unlike join keys, NULLs participate
-    /// (they form their own group, tagged `0` as `Value::hash` tags them).
+    /// (they form their own group, under the tag `ValueRef::Null` hashes).
     #[inline]
     fn group_fp(&self, tuple: &[usize]) -> u64 {
         let mut h = FxHasher::default();
         for kc in &self.cols {
-            match kc {
-                KeyCol::Int { slot, xs, valid } => {
-                    let r = tuple[*slot];
-                    if valid[r] {
-                        1u8.hash(&mut h);
-                        xs[r].hash(&mut h);
-                    } else {
-                        0u8.hash(&mut h);
-                    }
-                }
-                KeyCol::Date { slot, xs, valid } => {
-                    let r = tuple[*slot];
-                    if valid[r] {
-                        4u8.hash(&mut h);
-                        (xs[r] as i32).hash(&mut h);
-                    } else {
-                        0u8.hash(&mut h);
-                    }
-                }
-                KeyCol::Float { slot, xs, valid } => {
-                    let r = tuple[*slot];
-                    if valid[r] {
-                        2u8.hash(&mut h);
-                        xs[r].to_bits().hash(&mut h);
-                    } else {
-                        0u8.hash(&mut h);
-                    }
-                }
-                KeyCol::Str { slot, xs, valid } => {
-                    let r = tuple[*slot];
-                    if valid[r] {
-                        3u8.hash(&mut h);
-                        xs[r].hash(&mut h);
-                    } else {
-                        0u8.hash(&mut h);
-                    }
-                }
-                KeyCol::Other(rc) => rc.col.get_ref(rc.row(tuple)).hash(&mut h),
-            }
+            kc.value_ref(tuple).hash(&mut h);
         }
         h.finish()
     }
 
     /// Exact equality of this side's key tuple against `other`'s — the
-    /// collision fallback behind the fingerprints. Same-typed pairs compare
-    /// payloads directly: for same-typed values `total_cmp == Equal`
-    /// reduces to payload equality (floats by bit pattern, dates truncated
-    /// to `i32`). Mixed-type pairs fall back to the `ValueRef` comparison.
-    /// Callers only invoke this after both fingerprints matched, so every
-    /// component is known non-NULL.
+    /// collision fallback behind the fingerprints. [`ValueRef`]'s equality:
+    /// for a same-typed pair that is payload equality (floats by bit
+    /// pattern, dates narrowed to `i32`). Callers only invoke this after
+    /// both fingerprints matched, so every component is known non-NULL.
     #[inline]
     fn keys_equal(&self, tuple: &[usize], other: &KeySet<'a>, otuple: &[usize]) -> bool {
         self.cols
             .iter()
             .zip(&other.cols)
-            .all(|(a, b)| match (a, b) {
-                (
-                    KeyCol::Int {
-                        slot: sa, xs: xa, ..
-                    },
-                    KeyCol::Int {
-                        slot: sb, xs: xb, ..
-                    },
-                ) => xa[tuple[*sa]] == xb[otuple[*sb]],
-                (
-                    KeyCol::Date {
-                        slot: sa, xs: xa, ..
-                    },
-                    KeyCol::Date {
-                        slot: sb, xs: xb, ..
-                    },
-                ) => xa[tuple[*sa]] as i32 == xb[otuple[*sb]] as i32,
-                (
-                    KeyCol::Float {
-                        slot: sa, xs: xa, ..
-                    },
-                    KeyCol::Float {
-                        slot: sb, xs: xb, ..
-                    },
-                ) => xa[tuple[*sa]].to_bits() == xb[otuple[*sb]].to_bits(),
-                (
-                    KeyCol::Str {
-                        slot: sa, xs: xa, ..
-                    },
-                    KeyCol::Str {
-                        slot: sb, xs: xb, ..
-                    },
-                ) => xa[tuple[*sa]] == xb[otuple[*sb]],
-                (a, b) => a.value_ref(tuple) == b.value_ref(otuple),
-            })
+            .all(|(a, b)| a.xs.value(tuple[a.slot]) == b.xs.value(otuple[b.slot]))
     }
 }
 
@@ -1312,65 +1099,24 @@ fn project_column(
     tuples: std::slice::ChunksExact<'_, usize>,
     rows: &mut [Vec<Value>],
 ) {
-    let valid = rc.col.validity();
-    let slot = rc.slot;
-    match rc.col.data_type() {
-        DataType::Int => {
-            if let Some(xs) = rc.col.int_slice() {
-                for (row, t) in rows.iter_mut().zip(tuples) {
-                    let r = t[slot];
-                    row.push(if valid[r] {
-                        Value::Int(xs[r])
-                    } else {
-                        Value::Null
-                    });
-                }
-                return;
-            }
-        }
-        DataType::Date => {
-            if let Some(xs) = rc.col.int_slice() {
-                for (row, t) in rows.iter_mut().zip(tuples) {
-                    let r = t[slot];
-                    row.push(if valid[r] {
-                        Value::Date(xs[r] as i32)
-                    } else {
-                        Value::Null
-                    });
-                }
-                return;
-            }
-        }
-        DataType::Float => {
-            if let Some(xs) = rc.col.float_slice() {
-                for (row, t) in rows.iter_mut().zip(tuples) {
-                    let r = t[slot];
-                    row.push(if valid[r] {
-                        Value::Float(xs[r])
-                    } else {
-                        Value::Null
-                    });
-                }
-                return;
-            }
-        }
-        DataType::Str => {
-            if let Some(xs) = rc.col.str_slice() {
-                for (row, t) in rows.iter_mut().zip(tuples) {
-                    let r = t[slot];
-                    row.push(if valid[r] {
-                        Value::Str(Arc::clone(&xs[r]))
-                    } else {
-                        Value::Null
-                    });
-                }
-                return;
-            }
+    /// The row loop, compiled once per payload type with `cell` inlined.
+    fn fill(
+        rc: &ResolvedCol<'_>,
+        tuples: std::slice::ChunksExact<'_, usize>,
+        rows: &mut [Vec<Value>],
+        cell: impl Fn(usize) -> Value,
+    ) {
+        let valid = rc.col.validity();
+        for (row, t) in rows.iter_mut().zip(tuples) {
+            let r = t[rc.slot];
+            row.push(if valid[r] { cell(r) } else { Value::Null });
         }
     }
-    // Unreachable for the four stored types; kept so the function is total.
-    for (row, t) in rows.iter_mut().zip(tuples) {
-        row.push(rc.col.get(t[slot]));
+    match rc.col.payload() {
+        PayloadRef::Int(xs) => fill(rc, tuples, rows, |r| Value::Int(xs[r])),
+        PayloadRef::Date(xs) => fill(rc, tuples, rows, |r| Value::Date(xs[r] as i32)),
+        PayloadRef::Float(xs) => fill(rc, tuples, rows, |r| Value::Float(xs[r])),
+        PayloadRef::Str(xs) => fill(rc, tuples, rows, |r| Value::Str(Arc::clone(&xs[r]))),
     }
 }
 
@@ -1446,6 +1192,103 @@ mod tests {
             "columnar work diverges on {sql}"
         );
         out
+    }
+
+    #[test]
+    fn key_fingerprints_hash_what_the_materialized_values_hash() {
+        // One column per type; row 0 holds the awkward payloads (an integer
+        // past `i32::MAX` in the date column, `-0.0`), row 1 plain ones (and
+        // NaN), rows 2..6 a NULL in one column each, row 6 in all four.
+        let types = [
+            DataType::Int,
+            DataType::Date,
+            DataType::Float,
+            DataType::Str,
+        ];
+        let rows: [[Value; 4]; 2] = [
+            [
+                Value::Int(i64::MIN),
+                Value::Int((1 << 40) + 5),
+                Value::Float(-0.0),
+                "".into(),
+            ],
+            [
+                Value::Int(7),
+                Value::Date(9000),
+                Value::Float(f64::NAN),
+                "Supplier#000000042".into(),
+            ],
+        ];
+        let mut cols = types.map(ColumnData::new);
+        for row in &rows {
+            for (col, v) in cols.iter_mut().zip(row) {
+                col.push(v.clone());
+            }
+        }
+        for null_at in 0..5 {
+            for (c, col) in cols.iter_mut().enumerate() {
+                let null = c == null_at || null_at == 4;
+                col.push(if null {
+                    Value::Null
+                } else {
+                    rows[1][c].clone()
+                });
+            }
+        }
+        let key_over = |of: &[usize]| {
+            KeySet::new(
+                of.iter()
+                    .map(|&c| ResolvedCol {
+                        slot: 0,
+                        col: &cols[c],
+                    })
+                    .collect(),
+            )
+        };
+        // Every single column, and all four as one composite key.
+        let mut group_fps = Vec::new();
+        for of in [&[0][..], &[1], &[2], &[3], &[0, 1, 2, 3]] {
+            let keys = key_over(of);
+            for r in 0..cols[0].len() {
+                let values: Vec<Value> = of.iter().map(|&c| cols[c].get(r)).collect();
+                let mut h = FxHasher::default();
+                for v in &values {
+                    v.hash(&mut h);
+                }
+                let want = h.finish();
+                assert_eq!(keys.group_fp(&[r]), want, "group {of:?} row {r}");
+                let no_null = values.iter().all(|v| !v.is_null());
+                assert_eq!(
+                    keys.join_fp(&[r]),
+                    no_null.then_some(want),
+                    "join {of:?} row {r}"
+                );
+                if of.len() == 4 {
+                    group_fps.push(want);
+                }
+            }
+        }
+        // A NULL component is a group of its own: the seven composite keys
+        // are seven fingerprints.
+        group_fps.sort_unstable();
+        group_fps.dedup();
+        assert_eq!(group_fps.len(), 7);
+
+        // The date stored past `i32::MAX` is the date it narrows to: same
+        // fingerprint, and equal when the fingerprints are verified.
+        assert_eq!(cols[1].get_ref(0), ValueRef::Date(5));
+        let mut narrow = ColumnData::new(DataType::Date);
+        narrow.push(Value::Date(5));
+        let (wide, narrow) = (
+            key_over(&[1]),
+            KeySet::new(vec![ResolvedCol {
+                slot: 0,
+                col: &narrow,
+            }]),
+        );
+        assert_eq!(wide.join_fp(&[0]), narrow.join_fp(&[0]));
+        assert!(wide.keys_equal(&[0], &narrow, &[0]));
+        assert!(!wide.keys_equal(&[1], &narrow, &[0]));
     }
 
     #[test]

@@ -20,7 +20,7 @@ use query::{CmpOp, PredOp, SelectionPredicate};
 use std::cmp::Ordering;
 use std::ops::Range;
 use std::sync::Arc;
-use storage::{ColumnData, DataType, Table, Value};
+use storage::{ColumnData, PayloadRef, Table, Value};
 
 /// SQL three-valued comparison collapsed to a boolean (NULL comparisons are
 /// false, as in a WHERE clause).
@@ -85,20 +85,16 @@ impl ColCmp<'_> {
     fn compile<'a>(col: &'a ColumnData, rhs: &'a Value) -> Option<ColCmp<'a>> {
         // NULL constants never match under SQL comparison; `None` encodes
         // "always false".
-        let dt = col.data_type();
-        Some(match (dt, rhs) {
+        use PayloadRef::{Date, Float, Int, Str};
+        Some(match (col.payload(), rhs) {
             (_, Value::Null) => return None,
-            (DataType::Int | DataType::Date, Value::Int(k)) => ColCmp::IntInt(int_payload(col), *k),
-            (DataType::Int | DataType::Date, Value::Date(k)) => {
-                ColCmp::IntInt(int_payload(col), *k as i64)
-            }
-            (DataType::Int | DataType::Date, Value::Float(k)) => {
-                ColCmp::IntFloat(int_payload(col), *k)
-            }
-            (DataType::Float, Value::Int(k)) => ColCmp::FloatFloat(float_payload(col), *k as f64),
-            (DataType::Float, Value::Float(k)) => ColCmp::FloatFloat(float_payload(col), *k),
-            (DataType::Float, Value::Date(k)) => ColCmp::FloatFloat(float_payload(col), *k as f64),
-            (DataType::Str, Value::Str(k)) => ColCmp::StrStr(str_payload(col), k),
+            (Int(xs) | Date(xs), Value::Int(k)) => ColCmp::IntInt(xs, *k),
+            (Int(xs) | Date(xs), Value::Date(k)) => ColCmp::IntInt(xs, *k as i64),
+            (Int(xs) | Date(xs), Value::Float(k)) => ColCmp::IntFloat(xs, *k),
+            (Float(xs), Value::Int(k)) => ColCmp::FloatFloat(xs, *k as f64),
+            (Float(xs), Value::Float(k)) => ColCmp::FloatFloat(xs, *k),
+            (Float(xs), Value::Date(k)) => ColCmp::FloatFloat(xs, *k as f64),
+            (Str(xs), Value::Str(k)) => ColCmp::StrStr(xs, k),
             _ => ColCmp::Generic(col, rhs),
         })
     }
@@ -114,22 +110,6 @@ impl ColCmp<'_> {
             ColCmp::Generic(col, rhs) => col.get_ref(row).total_cmp(&rhs.as_ref()),
         }
     }
-}
-
-/// Payload accessors: the data type was already matched, so a missing slice
-/// means `ColumnData` broke its own type invariant — fail closed with an
-/// empty slice (every row access would then panic just as an internal
-/// indexing bug would, rather than silently matching).
-fn int_payload(col: &ColumnData) -> &[i64] {
-    col.int_slice().unwrap_or(&[])
-}
-
-fn float_payload(col: &ColumnData) -> &[f64] {
-    col.float_slice().unwrap_or(&[])
-}
-
-fn str_payload(col: &ColumnData) -> &[Arc<str>] {
-    col.str_slice().unwrap_or(&[])
 }
 
 #[inline]

@@ -229,7 +229,6 @@ mod tests {
                 .insert(vec![Value::Int(i), Value::Int(i % 5)])
                 .unwrap();
         }
-        #[allow(deprecated)]
         db.table_mut(t).reset_modification_counter();
         db
     }

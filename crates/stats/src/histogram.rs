@@ -12,7 +12,7 @@
 //! knob; every algorithm in `autostats` works with either.
 
 use crate::sampler::iter_rows;
-use storage::{ColumnData, DataType, Value};
+use storage::{ColumnData, PayloadRef, Value, ValueRef};
 
 /// Which construction strategy to use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -97,16 +97,6 @@ fn clamp01(x: f64) -> f64 {
     }
 }
 
-/// 8-byte big-endian key of a byte string (order-preserving over the first
-/// eight bytes).
-fn key8(bytes: &[u8]) -> f64 {
-    let mut key: u64 = 0;
-    for (i, b) in bytes.iter().take(8).enumerate() {
-        key |= (*b as u64) << (56 - 8 * i);
-    }
-    key as f64
-}
-
 impl Histogram {
     /// Build a histogram from a bag of values with at most `max_buckets`
     /// buckets. NULLs must be filtered out by the caller ([`crate::Statistic`]
@@ -128,7 +118,7 @@ impl Histogram {
         let keys = values
             .iter()
             .map(|v| match (str_prefix, v) {
-                (Some(p), Value::Str(s)) => key8(&s.as_bytes()[p.len()..]),
+                (Some(p), Value::Str(s)) => ValueRef::Str(&s[p.len()..]).numeric_key(),
                 _ => v.numeric_key(),
             })
             .collect();
@@ -149,19 +139,13 @@ impl Histogram {
         let live = || iter_rows(rows, valid.len()).filter(|&r| valid[r]);
         let mut keys = Vec::with_capacity(rows.map_or(valid.len(), <[usize]>::len));
         let mut str_prefix = None;
-        if let Some(ints) = col.int_slice() {
-            if col.data_type() == DataType::Date {
-                // Dates read back as `Value::Date(payload as i32)`.
-                keys.extend(live().map(|r| ints[r] as i32 as f64));
-            } else {
-                keys.extend(live().map(|r| ints[r] as f64));
+        match col.payload() {
+            PayloadRef::Str(xs) => {
+                str_prefix = common_prefix(live().map(|r| &*xs[r]));
+                let skip = str_prefix.map_or(0, str::len);
+                keys.extend(live().map(|r| ValueRef::Str(&xs[r][skip..]).numeric_key()));
             }
-        } else if let Some(floats) = col.float_slice() {
-            keys.extend(live().map(|r| floats[r]));
-        } else if let Some(strs) = col.str_slice() {
-            str_prefix = common_prefix(live().map(|r| &*strs[r]));
-            let skip = str_prefix.map_or(0, str::len);
-            keys.extend(live().map(|r| key8(&strs[r].as_bytes()[skip..])));
+            xs => keys.extend(live().map(|r| xs.value(r).numeric_key())),
         }
         let non_null = keys.len();
         (
@@ -230,8 +214,8 @@ impl Histogram {
     /// fall entirely before or after the domain.
     fn key_of(&self, v: &Value) -> f64 {
         match (&self.str_prefix, v) {
-            (Some(p), Value::Str(s)) => match s.as_bytes().strip_prefix(p.as_bytes()) {
-                Some(rest) => key8(rest),
+            (Some(p), Value::Str(s)) => match s.strip_prefix(p.as_str()) {
+                Some(rest) => ValueRef::Str(rest).numeric_key(),
                 None => {
                     if &**s < p.as_str() {
                         f64::NEG_INFINITY

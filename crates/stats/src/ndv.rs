@@ -23,7 +23,7 @@
 use crate::sampler::iter_rows;
 use rustc_hash::FxHashMap;
 use std::hash::Hash;
-use storage::{ColumnData, DataType, Value};
+use storage::{ColumnData, PayloadRef, Value};
 
 /// First-order jackknife estimate of a table's distinct count from a sample
 /// of `n >= 1` rows holding `d` distinct values, `f1` of them exactly once.
@@ -95,17 +95,11 @@ impl Groups {
     /// floats by bit pattern, dates narrowed to `i32`, and NULL a value of
     /// its own.
     pub(crate) fn of_column(col: &ColumnData, rows: Option<&[usize]>) -> Groups {
-        if let Some(ints) = col.int_slice() {
-            if col.data_type() == DataType::Date {
-                Self::by_key(col, rows, |r| mix(ints[r] as i32 as u64))
-            } else {
-                Self::by_key(col, rows, |r| mix(ints[r] as u64))
-            }
-        } else if let Some(floats) = col.float_slice() {
-            Self::by_key(col, rows, |r| mix(floats[r].to_bits()))
-        } else {
-            let strs = col.str_slice().unwrap_or(&[]);
-            Self::by_key(col, rows, |r| &*strs[r])
+        match col.payload() {
+            PayloadRef::Int(xs) => Self::by_key(col, rows, |r| mix(xs[r] as u64)),
+            PayloadRef::Date(xs) => Self::by_key(col, rows, |r| mix(xs[r] as i32 as u64)),
+            PayloadRef::Float(xs) => Self::by_key(col, rows, |r| mix(xs[r].to_bits())),
+            PayloadRef::Str(xs) => Self::by_key(col, rows, |r| &*xs[r]),
         }
     }
 
@@ -190,6 +184,7 @@ impl Groups {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use storage::DataType;
 
     #[test]
     fn full_scan_is_exact() {

@@ -196,10 +196,9 @@ pub fn build_statistic(
 /// statistics can be built from — the only statistic builder.
 ///
 /// Everything is computed from the typed column slices
-/// ([`storage::ColumnData`]'s `int_slice` / `float_slice` / `str_slice` and
-/// `validity`): the leading column's histogram keys
-/// ([`Histogram::from_column`]), and for the prefix densities a dense group
-/// id per row ([`Groups`]). The intermediates are memoized —
+/// ([`storage::ColumnData::payload`] and `validity`): the leading column's
+/// histogram keys ([`Histogram::from_column`]), and for the prefix densities
+/// a dense group id per row ([`Groups`]). The intermediates are memoized —
 ///
 /// * the histogram and null fraction per leading column,
 /// * the row partition per column prefix (a one-column prefix is the

@@ -1,6 +1,10 @@
 //! Columnar value storage.
 //!
-//! Each column is a typed `Vec` plus a validity bitmap. Deleted rows are
+//! A column is a validity bitmap plus **one** typed payload vector, and which
+//! vector is the column's type: a column whose tag and payload disagree
+//! cannot be built. Readers borrow the payload as a [`PayloadRef`] and match
+//! it once per operator, so "Int and Date live in `i64`s, Float in `f64`s,
+//! Str in `Arc<str>` cells" is decided in this module alone. Deleted rows are
 //! compacted eagerly (tables here are small enough that shifting is cheaper
 //! than tombstone bookkeeping, and statistics builders want dense columns).
 //!
@@ -18,41 +22,88 @@ use std::sync::{Arc, LazyLock};
 /// the whole process, so a NULL allocates nothing.
 static NULL_STR: LazyLock<Arc<str>> = LazyLock::new(|| Arc::from(""));
 
+/// A column's payload: one entry per row, padding where the row is NULL.
+#[derive(Debug, Clone)]
+enum Payload {
+    Int(Vec<i64>),
+    /// Days since the Unix epoch, widened to `i64`.
+    Date(Vec<i64>),
+    Float(Vec<f64>),
+    Str(Vec<Arc<str>>),
+}
+
+/// A column's payload, borrowed: one entry per row, the entries at NULL rows
+/// unspecified padding ([`ColumnData::validity`] tells which rows those are).
+#[derive(Debug, Clone, Copy)]
+pub enum PayloadRef<'a> {
+    Int(&'a [i64]),
+    /// Days since the Unix epoch, widened to `i64`. A date reads back
+    /// narrowed to `i32`, as [`PayloadRef::value`] does it.
+    Date(&'a [i64]),
+    Float(&'a [f64]),
+    /// One shared cell per row, each dereferencing to `&str`.
+    Str(&'a [Arc<str>]),
+}
+
+impl<'a> PayloadRef<'a> {
+    /// The entry at row `i` as a value, whatever the validity bitmap says
+    /// about the row.
+    #[inline]
+    pub fn value(self, i: usize) -> ValueRef<'a> {
+        match self {
+            PayloadRef::Int(xs) => ValueRef::Int(xs[i]),
+            PayloadRef::Date(xs) => ValueRef::Date(xs[i] as i32),
+            PayloadRef::Float(xs) => ValueRef::Float(xs[i]),
+            PayloadRef::Str(xs) => ValueRef::Str(&xs[i]),
+        }
+    }
+}
+
 /// Storage for one column of a table.
 #[derive(Debug, Clone)]
 pub struct ColumnData {
-    data_type: DataType,
-    ints: Vec<i64>,
-    floats: Vec<f64>,
-    strs: Vec<Arc<str>>,
+    payload: Payload,
     /// validity[i] == false means row i is NULL.
     validity: Vec<bool>,
+}
+
+// The payload (a tag and one `Vec`) and the bitmap: a second payload vector
+// would show here, as a wider cell shows in `Value`'s assertion.
+const _: () = assert!(std::mem::size_of::<ColumnData>() == 56);
+
+/// Remove the entries at `sorted_rows` (ascending, unique), keeping the rest
+/// in order.
+fn compact<T>(xs: &mut Vec<T>, sorted_rows: &[usize]) {
+    let mut doomed = sorted_rows.iter().peekable();
+    let mut row = 0usize;
+    // `retain` visits every entry once, in order.
+    xs.retain(|_| {
+        let keep = doomed.next_if_eq(&&row).is_none();
+        row += 1;
+        keep
+    });
 }
 
 impl ColumnData {
     pub fn new(data_type: DataType) -> Self {
         ColumnData {
-            data_type,
-            ints: Vec::new(),
-            floats: Vec::new(),
-            strs: Vec::new(),
+            payload: match data_type {
+                DataType::Int => Payload::Int(Vec::new()),
+                DataType::Date => Payload::Date(Vec::new()),
+                DataType::Float => Payload::Float(Vec::new()),
+                DataType::Str => Payload::Str(Vec::new()),
+            },
             validity: Vec::new(),
         }
     }
 
-    pub fn with_capacity(data_type: DataType, cap: usize) -> Self {
-        let mut c = ColumnData::new(data_type);
-        match data_type {
-            DataType::Int | DataType::Date => c.ints.reserve(cap),
-            DataType::Float => c.floats.reserve(cap),
-            DataType::Str => c.strs.reserve(cap),
-        }
-        c.validity.reserve(cap);
-        c
-    }
-
     pub fn data_type(&self) -> DataType {
-        self.data_type
+        match self.payload {
+            Payload::Int(_) => DataType::Int,
+            Payload::Date(_) => DataType::Date,
+            Payload::Float(_) => DataType::Float,
+            Payload::Str(_) => DataType::Str,
+        }
     }
 
     pub fn len(&self) -> usize {
@@ -66,47 +117,23 @@ impl ColumnData {
     /// Append a value. The caller (Table) is responsible for type checking;
     /// this method panics on a type mismatch since it indicates a bug above.
     pub fn push(&mut self, v: Value) {
-        match (&v, self.data_type) {
-            (Value::Null, _) => {
-                self.validity.push(false);
-                match self.data_type {
-                    DataType::Int | DataType::Date => self.ints.push(0),
-                    DataType::Float => self.floats.push(0.0),
-                    DataType::Str => self.strs.push(Arc::clone(&NULL_STR)),
-                }
-            }
-            (Value::Int(i), DataType::Int) => {
-                self.ints.push(*i);
-                self.validity.push(true);
-            }
-            (Value::Date(d), DataType::Date) => {
-                self.ints.push(*d as i64);
-                self.validity.push(true);
-            }
-            (Value::Int(i), DataType::Date) => {
-                self.ints.push(*i);
-                self.validity.push(true);
-            }
-            (Value::Float(f), DataType::Float) => {
-                self.floats.push(*f);
-                self.validity.push(true);
-            }
-            (Value::Int(i), DataType::Float) => {
-                self.floats.push(*i as f64);
-                self.validity.push(true);
-            }
-            (Value::Str(_), DataType::Str) => {
-                if let Value::Str(s) = v {
-                    self.strs.push(s);
-                    self.validity.push(true);
-                }
-            }
-            _ => panic!(
+        let valid = !v.is_null();
+        match (&mut self.payload, v) {
+            (Payload::Int(xs) | Payload::Date(xs), Value::Null) => xs.push(0),
+            (Payload::Float(xs), Value::Null) => xs.push(0.0),
+            (Payload::Str(xs), Value::Null) => xs.push(Arc::clone(&NULL_STR)),
+            (Payload::Int(xs) | Payload::Date(xs), Value::Int(i)) => xs.push(i),
+            (Payload::Date(xs), Value::Date(d)) => xs.push(d as i64),
+            (Payload::Float(xs), Value::Float(f)) => xs.push(f),
+            (Payload::Float(xs), Value::Int(i)) => xs.push(i as f64),
+            (Payload::Str(xs), Value::Str(s)) => xs.push(s),
+            (_, v) => panic!(
                 "type mismatch pushing {:?} into {:?} column",
                 v.data_type(),
-                self.data_type
+                self.data_type()
             ),
         }
+        self.validity.push(valid);
     }
 
     /// Append every row of `other`, which must hold the same `DataType`
@@ -114,14 +141,18 @@ impl ColumnData {
     /// payload vector and the validity bitmap instead of a `Value` per cell.
     /// String cells are shared with `other`, not copied.
     pub fn extend_from(&mut self, other: &ColumnData) {
-        assert_eq!(
-            self.data_type, other.data_type,
-            "type mismatch extending a {:?} column from a {:?} column",
-            self.data_type, other.data_type
-        );
-        self.ints.extend_from_slice(&other.ints);
-        self.floats.extend_from_slice(&other.floats);
-        self.strs.extend_from_slice(&other.strs);
+        match (&mut self.payload, &other.payload) {
+            (Payload::Int(xs), Payload::Int(from)) | (Payload::Date(xs), Payload::Date(from)) => {
+                xs.extend_from_slice(from)
+            }
+            (Payload::Float(xs), Payload::Float(from)) => xs.extend_from_slice(from),
+            (Payload::Str(xs), Payload::Str(from)) => xs.extend_from_slice(from),
+            _ => panic!(
+                "type mismatch extending a {:?} column from a {:?} column",
+                self.data_type(),
+                other.data_type()
+            ),
+        }
         self.validity.extend_from_slice(&other.validity);
     }
 
@@ -131,25 +162,21 @@ impl ColumnData {
         if !self.validity[i] {
             return Value::Null;
         }
-        match self.data_type {
-            DataType::Int => Value::Int(self.ints[i]),
-            DataType::Date => Value::Date(self.ints[i] as i32),
-            DataType::Float => Value::Float(self.floats[i]),
-            DataType::Str => Value::Str(Arc::clone(&self.strs[i])),
+        match &self.payload {
+            Payload::Int(xs) => Value::Int(xs[i]),
+            Payload::Date(xs) => Value::Date(xs[i] as i32),
+            Payload::Float(xs) => Value::Float(xs[i]),
+            Payload::Str(xs) => Value::Str(Arc::clone(&xs[i])),
         }
     }
 
     /// Borrowed view of row `i` — no reference count touched for `Str`
     /// columns. The workhorse of the columnar executor's inner loops.
     pub fn get_ref(&self, i: usize) -> ValueRef<'_> {
-        if !self.validity[i] {
-            return ValueRef::Null;
-        }
-        match self.data_type {
-            DataType::Int => ValueRef::Int(self.ints[i]),
-            DataType::Date => ValueRef::Date(self.ints[i] as i32),
-            DataType::Float => ValueRef::Float(self.floats[i]),
-            DataType::Str => ValueRef::Str(&self.strs[i]),
+        if self.validity[i] {
+            self.payload().value(i)
+        } else {
+            ValueRef::Null
         }
     }
 
@@ -169,30 +196,14 @@ impl ColumnData {
         self.validity.iter().all(|&v| v)
     }
 
-    /// The raw `i64` payload slice for `Int` and `Date` columns (dates are
-    /// stored as days-since-epoch widened to `i64`), or `None` for other
-    /// types. Entries at invalid rows are unspecified padding.
-    pub fn int_slice(&self) -> Option<&[i64]> {
-        match self.data_type {
-            DataType::Int | DataType::Date => Some(&self.ints),
-            _ => None,
-        }
-    }
-
-    /// The raw `f64` payload slice for `Float` columns.
-    pub fn float_slice(&self) -> Option<&[f64]> {
-        match self.data_type {
-            DataType::Float => Some(&self.floats),
-            _ => None,
-        }
-    }
-
-    /// The raw string payload slice for `Str` columns: one shared cell per
-    /// row, each dereferencing to `&str`.
-    pub fn str_slice(&self) -> Option<&[Arc<str>]> {
-        match self.data_type {
-            DataType::Str => Some(&self.strs),
-            _ => None,
+    /// The typed payload, for a reader that hoists the type dispatch out of
+    /// its row loop.
+    pub fn payload(&self) -> PayloadRef<'_> {
+        match &self.payload {
+            Payload::Int(xs) => PayloadRef::Int(xs),
+            Payload::Date(xs) => PayloadRef::Date(xs),
+            Payload::Float(xs) => PayloadRef::Float(xs),
+            Payload::Str(xs) => PayloadRef::Str(xs),
         }
     }
 
@@ -203,12 +214,12 @@ impl ColumnData {
             self.validity[i] = false;
             return Ok(());
         };
-        match (v, self.data_type) {
-            (Value::Int(x), DataType::Int | DataType::Date) => self.ints[i] = x,
-            (Value::Date(d), DataType::Date) => self.ints[i] = d as i64,
-            (Value::Float(x), DataType::Float) => self.floats[i] = x,
-            (Value::Int(x), DataType::Float) => self.floats[i] = x as f64,
-            (Value::Str(s), DataType::Str) => self.strs[i] = s,
+        match (&mut self.payload, v) {
+            (Payload::Int(xs) | Payload::Date(xs), Value::Int(x)) => xs[i] = x,
+            (Payload::Date(xs), Value::Date(d)) => xs[i] = d as i64,
+            (Payload::Float(xs), Value::Float(x)) => xs[i] = x,
+            (Payload::Float(xs), Value::Int(x)) => xs[i] = x as f64,
+            (Payload::Str(xs), Value::Str(s)) => xs[i] = s,
             _ => return Err(found),
         }
         self.validity[i] = true;
@@ -221,46 +232,17 @@ impl ColumnData {
         if sorted_rows.is_empty() {
             return;
         }
-        let mut drop_iter = sorted_rows.iter().peekable();
-        let mut write = 0usize;
-        let n = self.len();
-        for read in 0..n {
-            if drop_iter.peek() == Some(&&read) {
-                drop_iter.next();
-                continue;
-            }
-            if write != read {
-                self.validity[write] = self.validity[read];
-                match self.data_type {
-                    DataType::Int | DataType::Date => self.ints[write] = self.ints[read],
-                    DataType::Float => self.floats[write] = self.floats[read],
-                    DataType::Str => self.strs.swap(write, read),
-                }
-            }
-            write += 1;
-        }
-        self.validity.truncate(write);
-        match self.data_type {
-            DataType::Int | DataType::Date => self.ints.truncate(write),
-            DataType::Float => self.floats.truncate(write),
-            DataType::Str => self.strs.truncate(write),
+        compact(&mut self.validity, sorted_rows);
+        match &mut self.payload {
+            Payload::Int(xs) | Payload::Date(xs) => compact(xs, sorted_rows),
+            Payload::Float(xs) => compact(xs, sorted_rows),
+            Payload::Str(xs) => compact(xs, sorted_rows),
         }
     }
 
     /// Iterator over all values including NULLs.
     pub fn iter(&self) -> impl Iterator<Item = Value> + '_ {
         (0..self.len()).map(move |i| self.get(i))
-    }
-
-    /// Dense vector of all non-null values (statistics builders use this).
-    pub fn non_null_values(&self) -> Vec<Value> {
-        let mut out = Vec::with_capacity(self.len());
-        for i in 0..self.len() {
-            if self.validity[i] {
-                out.push(self.get(i));
-            }
-        }
-        out
     }
 
     /// Count of NULL entries.
@@ -323,34 +305,42 @@ mod tests {
         assert_eq!(c.get(1), Value::Str("c".into()));
     }
 
+    /// The cells of a string column.
+    fn cells(c: &ColumnData) -> &[Arc<str>] {
+        match c.payload() {
+            PayloadRef::Str(xs) => xs,
+            other => panic!("a string column, not {other:?}"),
+        }
+    }
+
     #[test]
     fn string_cells_are_shared_not_copied() {
         let mut c = ColumnData::new(DataType::Str);
         for v in ["a".into(), Value::Null, "".into(), Value::Null, "d".into()] {
             c.push(v);
         }
-        let cells = c.str_slice().unwrap().to_vec();
+        let before = cells(&c).to_vec();
         // Reading a cell out hands back the stored allocation.
         let Value::Str(read) = c.get(0) else {
             panic!("row 0 is a string")
         };
-        assert!(Arc::ptr_eq(&read, &cells[0]));
+        assert!(Arc::ptr_eq(&read, &before[0]));
         // Every NULL pads with the one process-wide empty cell; a stored
         // empty string is a cell of its own.
-        assert!(Arc::ptr_eq(&cells[1], &cells[3]));
-        assert!(!Arc::ptr_eq(&cells[1], &cells[2]));
+        assert!(Arc::ptr_eq(&before[1], &before[3]));
+        assert!(!Arc::ptr_eq(&before[1], &before[2]));
         // Appending a column and compacting after a delete move cells.
         let mut other = ColumnData::new(DataType::Str);
         other.extend_from(&c);
-        assert!(Arc::ptr_eq(&other.str_slice().unwrap()[4], &cells[4]));
+        assert!(Arc::ptr_eq(&cells(&other)[4], &before[4]));
         c.delete_rows(&[0, 1]);
-        let left = c.str_slice().unwrap();
+        let left = cells(&c);
         assert_eq!(c.get(0), Value::Str("".into()));
-        assert!(Arc::ptr_eq(&left[0], &cells[2]) && Arc::ptr_eq(&left[2], &cells[4]));
+        assert!(Arc::ptr_eq(&left[0], &before[2]) && Arc::ptr_eq(&left[2], &before[4]));
         // A replaced cell leaves the value read earlier as it was.
         c.set(2, "changed".into()).unwrap();
         assert_eq!(&*read, "a");
-        assert_eq!(&*cells[4], "d");
+        assert_eq!(&*before[4], "d");
         assert_eq!(c.get(2), Value::Str("changed".into()));
     }
 
@@ -408,22 +398,76 @@ mod tests {
         }
     }
 
-    #[test]
-    fn typed_slices_expose_payloads() {
-        let mut c = ColumnData::new(DataType::Int);
-        c.push(Value::Int(7));
-        c.push(Value::Null);
-        assert_eq!(c.int_slice().unwrap()[0], 7);
-        assert!(c.float_slice().is_none());
-        assert_eq!(c.validity(), &[true, false]);
+    /// `get`, `get_ref` and the typed view, row by row, against `want`.
+    fn assert_reads(c: &ColumnData, want: &[Value]) {
+        assert_eq!(c.len(), want.len());
+        assert_eq!(c.iter().collect::<Vec<_>>(), want);
+        for (i, w) in want.iter().enumerate() {
+            assert_eq!(c.get_ref(i).to_value(), *w, "get_ref({i})");
+            assert_eq!(c.validity()[i], !w.is_null(), "validity[{i}]");
+            if !w.is_null() {
+                assert_eq!(c.payload().value(i).to_value(), *w, "payload[{i}]");
+            }
+        }
+        assert_eq!(c.all_valid(), want.iter().all(|w| !w.is_null()));
     }
 
     #[test]
-    fn non_null_values_skips_nulls() {
-        let mut c = ColumnData::new(DataType::Int);
-        c.push(Value::Int(1));
-        c.push(Value::Null);
-        c.push(Value::Int(2));
-        assert_eq!(c.non_null_values(), vec![Value::Int(1), Value::Int(2)]);
+    fn every_type_reads_the_same_three_ways_after_every_mutation() {
+        // Three distinct non-NULL values per type.
+        let cases: [(DataType, [Value; 3]); 4] = [
+            (
+                DataType::Int,
+                [Value::Int(-3), Value::Int(1 << 40), 7.into()],
+            ),
+            (
+                DataType::Date,
+                [Value::Date(-1), Value::Date(i32::MAX), Value::Date(9000)],
+            ),
+            (
+                DataType::Float,
+                [Value::Float(-0.0), Value::Float(f64::NAN), 2.5.into()],
+            ),
+            (DataType::Str, ["".into(), "caf\u{e9}".into(), "x".into()]),
+        ];
+        for (data_type, [a, b, c]) in cases {
+            let mut col = ColumnData::new(data_type);
+            assert_eq!(col.data_type(), data_type);
+            let mut want = vec![a.clone(), Value::Null, b.clone(), Value::Null, c.clone()];
+            for v in &want {
+                col.push(v.clone());
+            }
+            assert_reads(&col, &want);
+
+            // A NULL becomes a value and a value a NULL.
+            col.set(1, c.clone()).unwrap();
+            col.set(2, Value::Null).unwrap();
+            want[1] = c.clone();
+            want[2] = Value::Null;
+            assert_reads(&col, &want);
+
+            // Appended to itself, NULLs included.
+            let copy = col.clone();
+            col.extend_from(&copy);
+            want.extend(want.clone());
+            assert_reads(&col, &want);
+
+            // First, a middle run and the last row go; the rest keep order.
+            col.delete_rows(&[0, 3, 4, 9]);
+            let want: Vec<Value> = [1, 2, 5, 6, 7, 8].map(|i| want[i].clone()).into();
+            assert_reads(&col, &want);
+            assert_eq!(col.null_count(), 3);
+        }
+        // An integer past `i32::MAX` that a date column took in reads back
+        // narrowed, and the same all three ways.
+        let mut date = ColumnData::new(DataType::Date);
+        date.push(Value::Int((1 << 40) + 5));
+        assert_reads(&date, &[Value::Date(5)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "type mismatch extending")]
+    fn extend_from_another_type_panics() {
+        ColumnData::new(DataType::Int).extend_from(&ColumnData::new(DataType::Date));
     }
 }

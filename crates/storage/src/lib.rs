@@ -27,7 +27,7 @@ pub mod table;
 pub mod value;
 
 pub use catalog::{Database, TableId};
-pub use column::ColumnData;
+pub use column::{ColumnData, PayloadRef};
 pub use error::StorageError;
 pub use index::Index;
 pub use schema::{ColumnDef, Schema};

@@ -86,19 +86,8 @@ impl Table {
         (0..self.schema.len()).map(|c| self.value(row, c)).collect()
     }
 
-    /// Reset the modification counter.
-    ///
-    /// Historically the statistics layer reset this shared counter whenever
-    /// *any* statistic on the table was rebuilt, which made two statistics on
-    /// one table age together. Staleness is now tracked per statistic (each
-    /// records the counter value at build time), so the counter only ever
-    /// grows and nothing needs to reset it; bulk loaders may still call this
-    /// to mark freshly loaded data as the baseline.
-    #[deprecated(
-        since = "0.5.0",
-        note = "staleness is tracked per statistic via the counter value at build \
-                time; the shared table counter no longer needs resetting"
-    )]
+    /// Reset the modification counter: a bulk loader marks freshly loaded
+    /// data as the baseline.
     pub fn reset_modification_counter(&mut self) {
         self.modification_counter = 0;
         self.version += 1;
@@ -113,7 +102,7 @@ impl Table {
         }
         for (i, v) in row.iter().enumerate() {
             let def = self.schema.column(i);
-            if v.is_null() {
+            let Some(vt) = v.data_type() else {
                 if !def.nullable {
                     return Err(StorageError::NullViolation {
                         table: self.name.clone(),
@@ -121,10 +110,7 @@ impl Table {
                     });
                 }
                 continue;
-            }
-            // Non-null values always carry a type; the fallback keeps this
-            // total rather than trusting that invariant with a panic.
-            let Some(vt) = v.data_type() else { continue };
+            };
             let compatible = vt == def.data_type
                 || matches!(
                     (vt, def.data_type),
@@ -291,7 +277,6 @@ mod tests {
         assert_eq!(t.modification_counter(), 7);
         t.update_rows(&[0], 2, &Value::Int(99)).unwrap();
         assert_eq!(t.modification_counter(), 8);
-        #[allow(deprecated)]
         t.reset_modification_counter();
         assert_eq!(t.modification_counter(), 0);
     }
@@ -320,7 +305,6 @@ mod tests {
         t.update_rows(&[0], 2, &Value::Int(41)).unwrap();
         let after_update = t.version();
         assert!(after_update > after_insert);
-        #[allow(deprecated)]
         t.reset_modification_counter();
         let after_reset = t.version();
         assert!(

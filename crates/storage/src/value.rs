@@ -76,60 +76,41 @@ impl Value {
         matches!(self, Value::Null)
     }
 
-    /// Numeric view of the value used for histogram bucket boundaries.
-    /// Strings hash onto a stable numeric key preserving lexicographic order
-    /// over the first eight bytes, which is the usual trick for string
-    /// histograms.
+    /// [`ValueRef::numeric_key`] of this value.
+    #[inline]
     pub fn numeric_key(&self) -> f64 {
-        match self {
-            Value::Null => f64::NEG_INFINITY,
-            Value::Int(i) => *i as f64,
-            Value::Float(f) => *f,
-            Value::Date(d) => *d as f64,
-            Value::Str(s) => {
-                let mut key: u64 = 0;
-                for (i, b) in s.bytes().take(8).enumerate() {
-                    key |= (b as u64) << (56 - 8 * i);
-                }
-                key as f64
-            }
-        }
+        self.as_ref().numeric_key()
     }
 
-    /// True when `self op other` holds under SQL comparison semantics
-    /// (`Null` compared with anything is false).
+    /// [`ValueRef::sql_cmp`] of the two values.
+    #[inline]
     pub fn sql_cmp(&self, other: &Value) -> Option<Ordering> {
-        if self.is_null() || other.is_null() {
-            return None;
-        }
-        Some(self.total_cmp(other))
+        self.as_ref().sql_cmp(&other.as_ref())
     }
 
-    /// Total order used for sorting; `Null` sorts first.
+    /// [`ValueRef::total_cmp`] of the two values.
+    #[inline]
     pub fn total_cmp(&self, other: &Value) -> Ordering {
-        use Value::*;
-        match (self, other) {
-            (Null, Null) => Ordering::Equal,
-            (Null, _) => Ordering::Less,
-            (_, Null) => Ordering::Greater,
-            (Int(a), Int(b)) => a.cmp(b),
-            (Float(a), Float(b)) => a.total_cmp(b),
-            (Int(a), Float(b)) => (*a as f64).total_cmp(b),
-            (Float(a), Int(b)) => a.total_cmp(&(*b as f64)),
-            (Date(a), Date(b)) => a.cmp(b),
-            (Int(a), Date(b)) => a.cmp(&(*b as i64)),
-            (Date(a), Int(b)) => (*a as i64).cmp(b),
-            (Str(a), Str(b)) => a.cmp(b),
-            // Cross-type comparisons between incompatible types fall back to
-            // the numeric key so the order is still total.
-            (a, b) => a.numeric_key().total_cmp(&b.numeric_key()),
+        self.as_ref().total_cmp(&other.as_ref())
+    }
+
+    /// Borrowed view of this value.
+    #[inline]
+    pub fn as_ref(&self) -> ValueRef<'_> {
+        match self {
+            Value::Null => ValueRef::Null,
+            Value::Int(i) => ValueRef::Int(*i),
+            Value::Float(f) => ValueRef::Float(*f),
+            Value::Str(s) => ValueRef::Str(s),
+            Value::Date(d) => ValueRef::Date(*d),
         }
     }
 }
 
 impl PartialEq for Value {
+    #[inline]
     fn eq(&self, other: &Self) -> bool {
-        self.total_cmp(other) == Ordering::Equal
+        self.as_ref() == other.as_ref()
     }
 }
 
@@ -148,29 +129,9 @@ impl Ord for Value {
 }
 
 impl Hash for Value {
+    #[inline]
     fn hash<H: Hasher>(&self, state: &mut H) {
-        match self {
-            Value::Null => 0u8.hash(state),
-            Value::Int(i) => {
-                1u8.hash(state);
-                i.hash(state);
-            }
-            Value::Float(f) => {
-                // Hash floats by bit pattern of the canonicalized value so
-                // that `Int(2)` and `Float(2.0)` do NOT collide silently:
-                // join keys are always same-typed in our plans.
-                2u8.hash(state);
-                f.to_bits().hash(state);
-            }
-            Value::Str(s) => {
-                3u8.hash(state);
-                s.hash(state);
-            }
-            Value::Date(d) => {
-                4u8.hash(state);
-                d.hash(state);
-            }
-        }
+        self.as_ref().hash(state)
     }
 }
 
@@ -178,10 +139,10 @@ impl Hash for Value {
 ///
 /// `ValueRef` lets hot loops compare, hash, and fingerprint column entries
 /// without materializing a [`Value`] — which for `Str` columns means no
-/// per-row reference-count traffic. Its comparison and hash semantics mirror
-/// `Value` exactly: `a.as_ref().total_cmp(&b.as_ref()) == a.total_cmp(&b)` and
-/// `hash(a.as_ref()) == hash(a)` for every value, so a fingerprint computed
-/// from refs agrees with one computed from owned values.
+/// per-row reference-count traffic. The order, the hash and the histogram
+/// key of a value are defined here, once; [`Value`] answers each through
+/// [`Value::as_ref`], so a fingerprint computed from refs is the one computed
+/// from owned values.
 #[derive(Debug, Clone, Copy)]
 pub enum ValueRef<'a> {
     Null,
@@ -190,19 +151,6 @@ pub enum ValueRef<'a> {
     Str(&'a str),
     /// Days since the Unix epoch.
     Date(i32),
-}
-
-impl Value {
-    /// Borrowed view of this value.
-    pub fn as_ref(&self) -> ValueRef<'_> {
-        match self {
-            Value::Null => ValueRef::Null,
-            Value::Int(i) => ValueRef::Int(*i),
-            Value::Float(f) => ValueRef::Float(*f),
-            Value::Str(s) => ValueRef::Str(s),
-            Value::Date(d) => ValueRef::Date(*d),
-        }
-    }
 }
 
 impl<'a> ValueRef<'a> {
@@ -222,7 +170,11 @@ impl<'a> ValueRef<'a> {
         }
     }
 
-    /// Mirror of [`Value::numeric_key`].
+    /// Numeric view of the value used for histogram bucket boundaries.
+    /// A string maps to its first eight bytes as a big-endian integer, which
+    /// preserves lexicographic order over those bytes — the usual trick for
+    /// string histograms.
+    #[inline]
     pub fn numeric_key(&self) -> f64 {
         match self {
             ValueRef::Null => f64::NEG_INFINITY,
@@ -239,8 +191,8 @@ impl<'a> ValueRef<'a> {
         }
     }
 
-    /// Mirror of [`Value::total_cmp`]: the same total order, computed on
-    /// borrowed payloads.
+    /// Total order used for sorting; `Null` sorts first.
+    #[inline]
     pub fn total_cmp(&self, other: &ValueRef<'_>) -> Ordering {
         use ValueRef::*;
         match (self, other) {
@@ -255,11 +207,14 @@ impl<'a> ValueRef<'a> {
             (Int(a), Date(b)) => a.cmp(&(*b as i64)),
             (Date(a), Int(b)) => (*a as i64).cmp(b),
             (Str(a), Str(b)) => a.cmp(b),
+            // Cross-type comparisons between incompatible types fall back to
+            // the numeric key so the order is still total.
             (a, b) => a.numeric_key().total_cmp(&b.numeric_key()),
         }
     }
 
-    /// Mirror of [`Value::sql_cmp`]: `None` when either side is NULL.
+    /// The order of two values under SQL comparison semantics: `None`
+    /// when either side is NULL (`Null` compared with anything is false).
     pub fn sql_cmp(&self, other: &ValueRef<'_>) -> Option<Ordering> {
         if self.is_null() || other.is_null() {
             return None;
@@ -269,14 +224,20 @@ impl<'a> ValueRef<'a> {
 }
 
 impl PartialEq for ValueRef<'_> {
+    /// `total_cmp(other) == Equal`. Same-typed integers and strings, which is
+    /// what join and group keys are, are compared here so that a caller's
+    /// loop inlines them; the full order is a call.
+    #[inline]
     fn eq(&self, other: &Self) -> bool {
-        self.total_cmp(other) == Ordering::Equal
+        match (self, other) {
+            (ValueRef::Int(a), ValueRef::Int(b)) => a == b,
+            (ValueRef::Str(a), ValueRef::Str(b)) => a == b,
+            _ => self.total_cmp(other) == Ordering::Equal,
+        }
     }
 }
 
-// Mirror of `Value`'s Hash impl (type tag + canonical payload bits), kept
-// adjacent in spirit: the two MUST stay in sync so fingerprints computed
-// from column refs agree with ones computed from owned values.
+// A type tag, then the canonical payload bits.
 impl Hash for ValueRef<'_> {
     fn hash<H: Hasher>(&self, state: &mut H) {
         match self {
@@ -286,6 +247,9 @@ impl Hash for ValueRef<'_> {
                 i.hash(state);
             }
             ValueRef::Float(f) => {
+                // By bit pattern, and under a tag of its own: `Int(2)` and
+                // `Float(2.0)` do not collide silently, as join keys are
+                // always same-typed in our plans.
                 2u8.hash(state);
                 f.to_bits().hash(state);
             }
@@ -341,6 +305,7 @@ const _: () = assert!(std::mem::size_of::<Value>() == 24);
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use std::collections::hash_map::DefaultHasher;
 
     fn hash_of(v: &Value) -> u64 {
@@ -383,6 +348,72 @@ mod tests {
         let a = Value::Str("x".into());
         let b = Value::Str("x".into());
         assert_eq!(hash_of(&a), hash_of(&b));
+    }
+
+    fn hash_of_ref(v: &ValueRef<'_>) -> u64 {
+        let mut h = DefaultHasher::new();
+        v.hash(&mut h);
+        h.finish()
+    }
+
+    /// Values of every type, NULL included. Integers, dates and floats share
+    /// a small range so that cross-type pairs tie; strings are short over two
+    /// letters, or those behind one of two eight-byte prefixes, so that pairs
+    /// agree in their first eight bytes, differ inside them, or are equal.
+    fn any_value() -> impl Strategy<Value = Value> {
+        prop_oneof![
+            Just(Value::Null),
+            (-4i64..4).prop_map(Value::Int),
+            Just(Value::Int(i64::MAX)),
+            (-4i32..4).prop_map(Value::Date),
+            (-8i64..8).prop_map(|h| Value::Float(h as f64 / 2.0)),
+            Just(Value::Float(-0.0)),
+            Just(Value::Float(f64::NAN)),
+            Just(Value::Float(f64::NEG_INFINITY)),
+            "[ab]{0,3}".prop_map(Value::from),
+            ("[ab]{0,2}", any::<bool>()).prop_map(|(tail, p)| {
+                Value::from(format!("{}{tail}", if p { "Supplier" } else { "Supplies" }))
+            }),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2000))]
+
+        /// The order, the hash and the histogram key of a `Value` are its
+        /// `ValueRef`'s.
+        #[test]
+        fn value_answers_as_its_ref_does(a in any_value(), b in any_value()) {
+            let (ra, rb) = (a.as_ref(), b.as_ref());
+            prop_assert_eq!(a.total_cmp(&b), ra.total_cmp(&rb));
+            prop_assert_eq!(a.sql_cmp(&b), ra.sql_cmp(&rb));
+            prop_assert_eq!(a == b, ra == rb);
+            prop_assert_eq!(ra == rb, ra.total_cmp(&rb) == Ordering::Equal);
+            prop_assert_eq!(a.numeric_key().to_bits(), ra.numeric_key().to_bits());
+            prop_assert_eq!(hash_of(&a), hash_of_ref(&ra));
+            prop_assert_eq!(ra.to_value().total_cmp(&a), Ordering::Equal);
+            // What the delegation has to preserve about the order itself.
+            prop_assert_eq!(a.total_cmp(&b), b.total_cmp(&a).reverse());
+            prop_assert_eq!(a.sql_cmp(&b).is_none(), a.is_null() || b.is_null());
+            if a == b && a.data_type() == b.data_type() {
+                prop_assert_eq!(hash_of(&a), hash_of(&b));
+            }
+            if let (Value::Str(x), Value::Str(y)) = (&a, &b) {
+                // The key orders strings as their first eight bytes do, as
+                // far as an `f64` holds them: six bytes exactly, the last
+                // two rounded, never out of order.
+                let head = |s: &str, n: usize| s.as_bytes()[..s.len().min(n)].to_vec();
+                let by_key = a.numeric_key().total_cmp(&b.numeric_key());
+                if head(x, 6) != head(y, 6) {
+                    prop_assert_eq!(by_key, head(x, 6).cmp(&head(y, 6)));
+                } else {
+                    prop_assert!(by_key == Ordering::Equal || by_key == head(x, 8).cmp(&head(y, 8)));
+                }
+                if x.len() >= 8 && head(x, 8) == head(y, 8) {
+                    prop_assert_eq!(by_key, Ordering::Equal);
+                }
+            }
+        }
     }
 
     #[test]

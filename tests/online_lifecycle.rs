@@ -74,9 +74,7 @@ fn example2_db(employee_rows: i64) -> Database {
             .insert(vec![Value::Int(d), Value::Str(format!("d{d}").into())])
             .unwrap();
     }
-    #[allow(deprecated)]
     db.table_mut(emp).reset_modification_counter();
-    #[allow(deprecated)]
     db.table_mut(dept).reset_modification_counter();
     db
 }

@@ -18,7 +18,7 @@ use serve::{Placement, ServeCluster, ServeConfig};
 use stats::StatsCatalog;
 use std::collections::HashMap;
 use std::sync::Arc;
-use storage::{ColumnDef, DataType, Database, Schema, Value};
+use storage::{ColumnDef, DataType, Database, PayloadRef, Schema, Value};
 
 /// `big` (600 rows) and `small` (10 rows), each `(k INT, name VARCHAR)` with
 /// `k` unique, so a result row names the stored row it was read from.
@@ -62,8 +62,11 @@ fn select(db: &mut Database, sql: &str) -> ExecOutput {
 /// The stored `name` cell of every row of `table`, by its key.
 fn stored_names(db: &Database, table: &str, into: &mut HashMap<i64, Arc<str>>) {
     let t = db.table_by_name(table).unwrap();
-    let keys = t.column(0).int_slice().unwrap();
-    let names = t.column(1).str_slice().unwrap();
+    let (PayloadRef::Int(keys), PayloadRef::Str(names)) =
+        (t.column(0).payload(), t.column(1).payload())
+    else {
+        panic!("{table} is (k INT, name VARCHAR)")
+    };
     into.extend(keys.iter().copied().zip(names.iter().cloned()));
 }
 

@@ -70,9 +70,7 @@ fn test_db() -> Database {
             .insert(vec![Value::Int(d), Value::Str(format!("d{d}").into())])
             .unwrap();
     }
-    #[allow(deprecated)]
     db.table_mut(emp).reset_modification_counter();
-    #[allow(deprecated)]
     db.table_mut(dept).reset_modification_counter();
     db
 }
