@@ -238,18 +238,17 @@ fn join_from_stats(
 ) -> Option<(f64, Vec<StatId>)> {
     let lt = query.table_of(edge.left_rel);
     let rt = query.table_of(edge.right_rel);
-    let lcols: Vec<usize> = edge.pairs.iter().map(|&(l, _)| l).collect();
-    let rcols: Vec<usize> = edge.pairs.iter().map(|&(_, r)| r).collect();
-
-    if edge.pairs.len() == 1 {
-        let ls = view.histogram_for(lt, lcols[0])?;
-        let rs = view.histogram_for(rt, rcols[0])?;
+    if let [(lcol, rcol)] = edge.pairs[..] {
+        let ls = view.histogram_for(lt, lcol)?;
+        let rs = view.histogram_for(rt, rcol)?;
         let sel = stats::join_selectivity(&ls.histogram, &rs.histogram)
             * (1.0 - ls.null_fraction)
             * (1.0 - rs.null_fraction);
         return Some((clamp01(sel), vec![ls.id, rs.id]));
     }
 
+    let lcols: Vec<usize> = edge.pairs.iter().map(|&(l, _)| l).collect();
+    let rcols: Vec<usize> = edge.pairs.iter().map(|&(_, r)| r).collect();
     let side = |table, cols: &[usize]| -> Option<(f64, StatId)> {
         let (s, density) = view.density_for_set(table, cols)?;
         Some((if density > 0.0 { 1.0 / density } else { 0.0 }, s.id))

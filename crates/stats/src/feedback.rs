@@ -436,6 +436,7 @@ pub fn build_from_feedback(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::histogram::ordered;
     use storage::Value;
 
     fn obs(lo: f64, hi: f64, fraction: f64) -> Observation {
@@ -692,6 +693,53 @@ mod tests {
             }
             let sel = h.selectivity_lt(&Value::Int(0));
             prop_assert!(sel.is_finite() && (0.0..=1.0).contains(&sel));
+        }
+    }
+
+    /// Finite ranges over and past both ends of `uniform_histogram`'s
+    /// domain, so a stream extends it either way as well as correcting it.
+    fn arb_range_observation() -> impl Strategy<Value = Observation> {
+        (-300.0f64..300.0, 0.0f64..150.0, 0.0f64..1.0)
+            .prop_map(|(lo, width, fraction)| obs(lo, lo + width, fraction))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// What `join_selectivity`'s sweep and the estimators that stop at
+        /// the first bucket past a key stand on: however a stream extends
+        /// the domain, splits and merges, every bucket has `lo <= hi` and
+        /// both bounds never fall from one bucket to the next. A corrector
+        /// that breaks this fails here (and in `join_selectivity`'s and
+        /// `from_parts`' debug assertions), not as a wrong estimate.
+        #[test]
+        fn corrected_buckets_stay_ordered(
+            observations in prop::collection::vec(arb_range_observation(), 1..60),
+            restructure_every in 1usize..4,
+            max_buckets in 1usize..16,
+        ) {
+            let config = FeedbackConfig {
+                restructure_every,
+                max_buckets,
+                ..Default::default()
+            };
+            // One observation at a time: the order must hold after every
+            // step, not only once the stream has settled.
+            let mut corrected = uniform_histogram();
+            for (i, o) in observations.iter().enumerate() {
+                correct_histogram(&mut corrected, std::slice::from_ref(o), &config);
+                prop_assert!(ordered(corrected.buckets()), "after {}: {:?}", i, corrected);
+            }
+            let mut whole = uniform_histogram();
+            correct_histogram(&mut whole, &observations, &config);
+            prop_assert!(ordered(whole.buckets()), "{:?}", whole);
+            if let Some((built, _)) = build_from_feedback(&observations, &config) {
+                prop_assert!(ordered(built.buckets()), "{:?}", built);
+                let sel = crate::join_selectivity(&built, &whole);
+                prop_assert!((0.0..=1.0).contains(&sel));
+            }
+            let sel = crate::join_selectivity(&corrected, &whole);
+            prop_assert!((0.0..=1.0).contains(&sel));
         }
     }
 

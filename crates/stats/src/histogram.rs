@@ -11,7 +11,7 @@
 //! on"), so the choice of kind is a [`BuildOptions`](crate::BuildOptions)
 //! knob; every algorithm in `autostats` works with either.
 
-use crate::sampler::iter_rows;
+use crate::ndv::Groups;
 use storage::{ColumnData, PayloadRef, Value, ValueRef};
 
 /// Which construction strategy to use.
@@ -51,6 +51,8 @@ pub struct Bucket {
 #[derive(Debug, Clone, PartialEq)]
 pub struct Histogram {
     kind: HistogramKind,
+    /// Sorted and disjoint but for shared end points: `lo <= hi` in every
+    /// bucket, and `lo` and `hi` both non-decreasing from one to the next.
     buckets: Vec<Bucket>,
     /// Total distinct values observed (or estimated from a sample).
     ndv: f64,
@@ -97,14 +99,31 @@ fn clamp01(x: f64) -> f64 {
     }
 }
 
+/// A value's key as buckets hold it. NaN keys (e.g. `Value::Float(NAN)`) are
+/// excluded like NULLs — NaN-keyed buckets would poison every later estimate
+/// — and infinite keys are clamped to the finite domain edge, preserving
+/// order.
+fn bucket_key(key: f64) -> Option<f64> {
+    (!key.is_nan()).then(|| key.clamp(f64::MIN, f64::MAX))
+}
+
+/// The order [`Histogram`] keeps its buckets in, which the estimators that
+/// stop at the first bucket past a key rely on.
+pub(crate) fn ordered(buckets: &[Bucket]) -> bool {
+    buckets.iter().all(|b| b.lo <= b.hi)
+        && buckets
+            .windows(2)
+            .all(|w| w[0].lo <= w[1].lo && w[0].hi <= w[1].hi)
+}
+
 impl Histogram {
     /// Build a histogram from a bag of values with at most `max_buckets`
     /// buckets. NULLs must be filtered out by the caller ([`crate::Statistic`]
     /// accounts for the null fraction separately).
     ///
-    /// Statistic builds read typed column slices through
-    /// `Histogram::from_column`; this is the same construction for callers
-    /// that hold `Value`s.
+    /// Statistic builds key each distinct value of a typed column once
+    /// (`Histogram::from_groups`); this is the same construction for callers
+    /// that hold `Value`s, which keys every row and counts the runs.
     pub fn build(kind: HistogramKind, values: &[Value], max_buckets: usize) -> Histogram {
         // Mixed or non-string value sets key directly.
         let strs: Option<Vec<&str>> = values
@@ -115,77 +134,17 @@ impl Histogram {
             })
             .collect();
         let str_prefix = strs.and_then(|strs| common_prefix(strs.into_iter()));
-        let keys = values
+        let mut keys: Vec<f64> = values
             .iter()
             .map(|v| match (str_prefix, v) {
                 (Some(p), Value::Str(s)) => ValueRef::Str(&s[p.len()..]).numeric_key(),
                 _ => v.numeric_key(),
             })
+            .filter_map(bucket_key)
             .collect();
-        Self::from_keys(kind, keys, str_prefix, max_buckets)
-    }
-
-    /// Build a histogram over the non-null entries of `col` at `rows`
-    /// (`None` = every row), keyed straight from the typed payload slice.
-    /// Also returns how many of the rows read were non-null — NaN floats
-    /// included, which the histogram itself leaves out.
-    pub(crate) fn from_column(
-        kind: HistogramKind,
-        col: &ColumnData,
-        rows: Option<&[usize]>,
-        max_buckets: usize,
-    ) -> (Histogram, usize) {
-        let valid = col.validity();
-        let live = || iter_rows(rows, valid.len()).filter(|&r| valid[r]);
-        let mut keys = Vec::with_capacity(rows.map_or(valid.len(), <[usize]>::len));
-        let mut str_prefix = None;
-        match col.payload() {
-            PayloadRef::Str(xs) => {
-                str_prefix = common_prefix(live().map(|r| &*xs[r]));
-                let skip = str_prefix.map_or(0, str::len);
-                keys.extend(live().map(|r| ValueRef::Str(&xs[r][skip..]).numeric_key()));
-            }
-            xs => keys.extend(live().map(|r| xs.value(r).numeric_key())),
-        }
-        let non_null = keys.len();
-        (
-            Self::from_keys(kind, keys, str_prefix, max_buckets),
-            non_null,
-        )
-    }
-
-    /// Sort, run-length encode and bucket `keys`, one per summarized row.
-    /// `str_prefix` is what was stripped from every string before keying.
-    fn from_keys(
-        kind: HistogramKind,
-        mut keys: Vec<f64>,
-        str_prefix: Option<&str>,
-        max_buckets: usize,
-    ) -> Histogram {
-        // A zero-bucket request is degenerate input, not a caller bug worth
-        // aborting the process over: build the coarsest useful histogram.
-        let max_buckets = max_buckets.max(1);
-        // NaN keys (e.g. `Value::Float(NAN)`) are excluded like NULLs —
-        // NaN-keyed buckets would poison every later estimate — and infinite
-        // keys are clamped to the finite domain edge, preserving order.
-        keys.retain(|k| !k.is_nan());
-        for k in &mut keys {
-            *k = k.clamp(f64::MIN, f64::MAX);
-        }
         // Keys that tie under `total_cmp` are the same bits, so an unstable
         // sort gives the one possible order.
         keys.sort_unstable_by(f64::total_cmp);
-        let rows = keys.len() as f64;
-        if keys.is_empty() {
-            return Histogram {
-                kind,
-                buckets: Vec::new(),
-                ndv: 0.0,
-                rows: 0.0,
-                str_prefix: None,
-            };
-        }
-
         // Run-length encode into (value, frequency) pairs.
         let mut runs: Vec<(f64, usize)> = Vec::new();
         for &k in &keys {
@@ -194,16 +153,99 @@ impl Histogram {
                 _ => runs.push((k, 1)),
             }
         }
-        let ndv = runs.len() as f64;
+        Self::from_runs(kind, &runs, str_prefix, max_buckets)
+    }
 
+    /// Build a histogram over the non-null entries of `col` at `rows`
+    /// (`None` = every row) from `groups`, the partition of those rows by
+    /// value ([`Groups::of_column`] of the same column and rows): each
+    /// distinct value is keyed once, from the first row holding it, and
+    /// weighs its group's row count. Also returns how many of the rows read
+    /// were non-null — NaN floats included, which the histogram itself
+    /// leaves out.
+    pub(crate) fn from_groups(
+        kind: HistogramKind,
+        col: &ColumnData,
+        rows: Option<&[usize]>,
+        groups: &Groups,
+        max_buckets: usize,
+    ) -> (Histogram, usize) {
+        let null = groups.null_id().map(|id| id as usize);
+        // (first row, row count) of every non-null value, in first-row order.
+        let distinct: Vec<(usize, usize)> = groups
+            .first_rows(rows)
+            .into_iter()
+            .zip(groups.sizes())
+            .enumerate()
+            .filter(|&(id, _)| Some(id) != null)
+            .map(|(_, (row, size))| (row, size as usize))
+            .collect();
+        let non_null = distinct.iter().map(|&(_, size)| size).sum();
+        let run = |key: f64, size: usize| bucket_key(key).map(|k| (k, size));
+        let mut str_prefix = None;
+        let mut runs: Vec<(f64, usize)> = match col.payload() {
+            PayloadRef::Str(xs) => {
+                str_prefix = common_prefix(distinct.iter().map(|&(r, _)| &*xs[r]));
+                let skip = str_prefix.map_or(0, str::len);
+                let key = |r: usize| ValueRef::Str(&xs[r][skip..]).numeric_key();
+                distinct
+                    .iter()
+                    .filter_map(|&(r, size)| run(key(r), size))
+                    .collect()
+            }
+            xs => distinct
+                .iter()
+                .filter_map(|&(r, size)| run(xs.value(r).numeric_key(), size))
+                .collect(),
+        };
+        // Equal keys are merged next, whichever order the sort leaves them in.
+        runs.sort_unstable_by(|a, b| a.0.total_cmp(&b.0));
+        // Values apart as values but equal as keys under `==` are one run
+        // under its first key, as run-length encoding the rows makes them:
+        // `-0.0` and `0.0`, two integers past 2^53, two strings alike in
+        // their key bytes.
+        runs.dedup_by(|next, run| {
+            let same = run.0 == next.0;
+            if same {
+                run.1 += next.1;
+            }
+            same
+        });
+        (
+            Self::from_runs(kind, &runs, str_prefix, max_buckets),
+            non_null,
+        )
+    }
+
+    /// Bucket `runs`, the ascending distinct keys with the rows at each.
+    /// `str_prefix` is what was stripped from every string before keying.
+    fn from_runs(
+        kind: HistogramKind,
+        runs: &[(f64, usize)],
+        str_prefix: Option<&str>,
+        max_buckets: usize,
+    ) -> Histogram {
+        if runs.is_empty() {
+            return Histogram {
+                kind,
+                buckets: Vec::new(),
+                ndv: 0.0,
+                rows: 0.0,
+                str_prefix: None,
+            };
+        }
+        // A zero-bucket request is degenerate input, not a caller bug worth
+        // aborting the process over: build the coarsest useful histogram.
+        let max_buckets = max_buckets.max(1);
+        let rows = runs.iter().map(|&(_, n)| n).sum::<usize>() as f64;
         let buckets = match kind {
-            HistogramKind::EquiDepth => Self::equi_depth(&runs, rows, max_buckets),
-            HistogramKind::MaxDiff => Self::max_diff(&runs, rows, max_buckets),
+            HistogramKind::EquiDepth => Self::equi_depth(runs, rows, max_buckets),
+            HistogramKind::MaxDiff => Self::max_diff(runs, rows, max_buckets),
         };
         Histogram {
             kind,
             buckets,
-            ndv,
+            ndv: runs.len() as f64,
             rows,
             str_prefix: str_prefix.map(str::to_string),
         }
@@ -385,6 +427,7 @@ impl Histogram {
         ndv: f64,
         rows: f64,
     ) -> Histogram {
+        debug_assert!(ordered(&buckets), "unordered buckets: {buckets:?}");
         Histogram {
             kind,
             buckets,
@@ -531,6 +574,9 @@ impl Histogram {
 /// but — unlike it — correctly predicts the large fan-out of joins on
 /// *skewed* keys (hot values match hot values), which is what makes plans
 /// like index nested-loop joins safe to cost.
+///
+/// Only overlapping bucket pairs are visited, by one sweep over the two
+/// sorted bucket lists: `O(B_a + B_b + overlapping pairs)`.
 pub fn join_selectivity(a: &Histogram, b: &Histogram) -> f64 {
     if a.rows() == 0.0 || b.rows() == 0.0 {
         return 0.0;
@@ -540,14 +586,24 @@ pub fn join_selectivity(a: &Histogram, b: &Histogram) -> f64 {
     if a.str_prefix != b.str_prefix {
         return (1.0 / a.ndv().max(b.ndv()).max(1.0)).clamp(0.0, 1.0);
     }
+    debug_assert!(ordered(a.buckets()), "unordered buckets: {a:?}");
+    debug_assert!(ordered(b.buckets()), "unordered buckets: {b:?}");
     let mut sel = 0.0;
+    // `b`'s buckets before `start` end below `ba.lo` and so, `a`'s `lo`
+    // never falling, below every later bucket of `a`: it only moves forward.
+    let mut start = 0;
     for ba in a.buckets() {
-        for bb in b.buckets() {
+        start += b.buckets()[start..]
+            .iter()
+            .take_while(|bb| bb.hi < ba.lo)
+            .count();
+        // `b`'s `hi` never falls either, so every bucket from `start` on
+        // reaches `ba.lo`, and the ones overlapping `ba` are those before
+        // the first that begins above `ba.hi`: the pairs a loop over all
+        // `B_a × B_b` would add, in its order, hence its sum to the bit.
+        for bb in b.buckets()[start..].iter().take_while(|bb| bb.lo <= ba.hi) {
             let lo = ba.lo.max(bb.lo);
             let hi = ba.hi.min(bb.hi);
-            if hi < lo {
-                continue;
-            }
             // Expected number of a bucket's distinct values falling in the
             // overlap, modelling values as evenly spaced with inter-value
             // spacing s = w / (d - 1). The `+ s` padding makes a single-point

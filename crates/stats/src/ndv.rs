@@ -151,12 +151,30 @@ impl Groups {
     }
 
     /// Rows per group, indexed by group id.
-    fn sizes(&self) -> Vec<u32> {
+    pub(crate) fn sizes(&self) -> Vec<u32> {
         let mut sizes = vec![0u32; self.count];
         for &id in &self.ids {
             sizes[id as usize] += 1;
         }
         sizes
+    }
+
+    /// The first row of each group, indexed by group id. `rows` must be the
+    /// rows the partition was made over.
+    pub(crate) fn first_rows(&self, rows: Option<&[usize]>) -> Vec<usize> {
+        let mut firsts = Vec::with_capacity(self.count);
+        for (r, &id) in iter_rows(rows, self.ids.len()).zip(&self.ids) {
+            // Ids count up in order of first appearance.
+            if id as usize == firsts.len() {
+                firsts.push(r);
+            }
+        }
+        firsts
+    }
+
+    /// The group holding the NULL rows of a single-column partition.
+    pub(crate) fn null_id(&self) -> Option<u32> {
+        self.null_id
     }
 
     /// Distinct tuples in a table of `total_rows` rows, from the rows read:

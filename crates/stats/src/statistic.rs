@@ -3,12 +3,13 @@
 //! There is one builder, `TableScan`: a pass over a fixed set of rows of
 //! one table — all of them, or one statistic's seeded sample — that reads
 //! the typed column slices directly and never boxes a cell into a
-//! [`Value`]. The leading column's histogram is keyed, sorted and bucketed
-//! from its payload slice (`Histogram::from_column`); every prefix density
-//! is the group count of a dense per-row group id, each prefix refining the
-//! one before it (`ndv::Groups`). [`build_statistic`] is one statistic from a
-//! scan of its own; the catalog keeps a full scan open across the statistics
-//! of a batch or a refresh so that they share what they have in common.
+//! [`Value`]. Each column is partitioned by value once (`ndv::Groups`): the
+//! leading column's histogram keys, sorts and buckets the distinct values
+//! with their group sizes, and every prefix density is the group count of a
+//! partition refining the one before it. [`build_statistic`] is one
+//! statistic from a scan of its own; the catalog keeps a full scan open
+//! across the statistics of a batch or a refresh so that they share what
+//! they have in common.
 
 use crate::histogram::{Histogram, HistogramKind};
 use crate::mhist::Histogram2d;
@@ -196,9 +197,10 @@ pub fn build_statistic(
 /// statistics can be built from — the only statistic builder.
 ///
 /// Everything is computed from the typed column slices
-/// ([`storage::ColumnData::payload`] and `validity`): the leading column's
-/// histogram keys ([`Histogram::from_column`]), and for the prefix densities
-/// a dense group id per row ([`Groups`]). The intermediates are memoized —
+/// ([`storage::ColumnData::payload`] and `validity`) through a dense group
+/// id per row ([`Groups`]): a column's partition by value gives the leading
+/// column's histogram its distinct values and their row counts, a prefix's
+/// partition its density. The intermediates are memoized —
 ///
 /// * the histogram and null fraction per leading column,
 /// * the row partition per column prefix (a one-column prefix is the
@@ -281,10 +283,12 @@ impl<'a> TableScan<'a> {
         // Leading column: histogram over non-null values + null fraction.
         let lead = descriptor.leading_column();
         if !self.leading.contains_key(&lead) {
-            let (mut histogram, non_null) = Histogram::from_column(
+            let groups = &self.prefixes[&[lead][..]];
+            let (mut histogram, non_null) = Histogram::from_groups(
                 self.options.histogram_kind,
                 self.table.column(lead),
                 self.rows,
+                groups,
                 self.options.max_buckets,
             );
             let null_fraction = if rows_read == 0 {
@@ -295,7 +299,7 @@ impl<'a> TableScan<'a> {
             // Scale the sample NDV up to the table with the jackknife
             // estimator; a full scan's own distinct count is exact.
             if sampled {
-                histogram.set_ndv(self.prefixes[&[lead][..]].non_null_ndv(total_rows));
+                histogram.set_ndv(groups.non_null_ndv(total_rows));
             }
             self.leading.insert(lead, (histogram, null_fraction));
         }

@@ -1,8 +1,13 @@
 //! Property-based tests of histogram invariants (proptest).
 
+mod support;
+
 use proptest::prelude::*;
-use stats::{Histogram, HistogramKind};
+use stats::{
+    correct_histogram, join_selectivity, FeedbackConfig, Histogram, HistogramKind, Observation,
+};
 use storage::Value;
+use support::join_selectivity_oracle;
 
 fn value_vec() -> impl Strategy<Value = Vec<i64>> {
     prop::collection::vec(-1000i64..1000, 1..400)
@@ -189,5 +194,146 @@ proptest! {
                 prop_assert!((0.0..=1.0).contains(&est), "buckets={buckets}: {est}");
             }
         }
+    }
+}
+
+fn arb_kind() -> impl Strategy<Value = HistogramKind> {
+    prop_oneof![Just(HistogramKind::EquiDepth), Just(HistogramKind::MaxDiff)]
+}
+
+/// An integer histogram under either kind and any budget in 1..=64. The
+/// modulus decides how many distinct values there are (five or twenty fit a
+/// MaxDiff budget as one point bucket each, 120 need wide buckets; no rows
+/// at all is the empty operand) and `(offset, stride)` where they lie: over
+/// `0..120`, shifted to overlap it, far above it, stretched around it, or
+/// all on one point inside it.
+fn int_histogram() -> impl Strategy<Value = Histogram> {
+    (
+        prop::collection::vec(0i64..120, 0..300),
+        prop_oneof![Just(5i64), Just(20), Just(120)],
+        prop_oneof![
+            Just((0i64, 1i64)),
+            Just((40, 1)),
+            Just((500, 1)),
+            Just((-100, 7)),
+            Just((60, 0)),
+        ],
+        arb_kind(),
+        1usize..=64,
+    )
+        .prop_map(|(vals, modulus, (offset, stride), kind, budget)| {
+            let values: Vec<Value> = vals
+                .iter()
+                .map(|v| Value::Int(v % modulus * stride + offset))
+                .collect();
+            Histogram::build(kind, &values, budget)
+        })
+}
+
+/// Range feedback reaching past both ends of every `int_histogram` domain.
+fn arb_observations() -> impl Strategy<Value = Vec<Observation>> {
+    prop::collection::vec((-150.0f64..800.0, 0.0f64..200.0, 0.0f64..1.0), 1..40).prop_map(|obs| {
+        obs.into_iter()
+            .map(|(lo, width, fraction)| Observation {
+                lo,
+                hi: lo + width,
+                fraction,
+                input_rows: 300.0,
+            })
+            .collect()
+    })
+}
+
+/// `join_selectivity` and the nested loop agree to the bit, either way round.
+fn assert_sweep_is_the_oracle(a: &Histogram, b: &Histogram) -> Result<(), TestCaseError> {
+    for (x, y) in [(a, b), (b, a), (a, a)] {
+        prop_assert_eq!(
+            join_selectivity(x, y).to_bits(),
+            join_selectivity_oracle(x, y).to_bits(),
+            "{:?} x {:?}",
+            x,
+            y
+        );
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The sorted sweep visits the overlapping bucket pairs in the nested
+    /// loop's order, so the two sums are the same `f64`. The first operand
+    /// may have been through the feedback corrector restructuring after
+    /// every observation: its splits leave neighbours sharing an end point,
+    /// its merges and domain extensions wide buckets beside point buckets.
+    #[test]
+    fn join_sweep_equals_the_nested_loop(
+        a in int_histogram(),
+        b in int_histogram(),
+        feedback in prop::option::of((arb_observations(), 1usize..=64)),
+    ) {
+        let mut a = a;
+        if let Some((observations, max_buckets)) = feedback {
+            let config = FeedbackConfig {
+                restructure_every: 1,
+                max_buckets,
+                ..Default::default()
+            };
+            correct_histogram(&mut a, &observations, &config);
+        }
+        assert_sweep_is_the_oracle(&a, &b)?;
+    }
+
+    /// String histograms: operands that stripped the same prefix are swept,
+    /// operands that stripped different ones (or one of them none) take the
+    /// `1 / max(NDV)` fallback.
+    #[test]
+    fn join_sweep_equals_the_nested_loop_on_strings(
+        a in prop::collection::vec("[a-d]{1,4}", 1..120),
+        b in prop::collection::vec("[a-d]{1,4}", 1..120),
+        prefix_a in prop_oneof![Just(""), Just("pre"), Just("Supplier#0000")],
+        prefix_b in prop_oneof![Just(""), Just("pre"), Just("Supplier#0000")],
+        kind in arb_kind(),
+        budget in 1usize..=64,
+    ) {
+        let build = |prefix: &str, suffixes: &[String]| {
+            let values: Vec<Value> = suffixes
+                .iter()
+                .map(|s| Value::from(format!("{prefix}{s}")))
+                .collect();
+            Histogram::build(kind, &values, budget)
+        };
+        assert_sweep_is_the_oracle(&build(prefix_a, &a), &build(prefix_b, &b))?;
+    }
+}
+
+/// A fixed stream that is known to split and to merge, so the property above
+/// does not rest on the generator happening to reach either.
+#[test]
+fn join_sweep_equals_the_nested_loop_after_splits_and_merges() {
+    let values: Vec<Value> = (0..1000).map(|i| Value::Int(i % 100)).collect();
+    let observations: Vec<Observation> = (0..40)
+        .map(|i| Observation {
+            lo: (i % 9) as f64 * 11.0 - 20.0,
+            hi: (i % 9) as f64 * 11.0 + 25.0,
+            fraction: 0.3,
+            input_rows: 1000.0,
+        })
+        .collect();
+    let config = FeedbackConfig {
+        restructure_every: 1,
+        max_buckets: 12,
+        ..Default::default()
+    };
+    for kind in [HistogramKind::EquiDepth, HistogramKind::MaxDiff] {
+        let plain = Histogram::build(kind, &values, 12);
+        let mut corrected = plain.clone();
+        let outcome = correct_histogram(&mut corrected, &observations, &config);
+        assert!(outcome.splits > 0 && outcome.merges > 0 && outcome.domain_extended);
+        assert!(
+            corrected.buckets().windows(2).any(|w| w[0].hi == w[1].lo),
+            "no split left a shared end point"
+        );
+        assert_sweep_is_the_oracle(&corrected, &plain).unwrap();
     }
 }

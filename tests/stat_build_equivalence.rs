@@ -9,7 +9,8 @@
 //! on: NULLs, an all-NULL column, no rows at all, NaNs with different
 //! payloads, `-0.0` beside `0.0`, infinities, integers past 2^53, a `Date`
 //! column holding payloads wider than `i32`, strings with an ASCII common
-//! prefix, with none, and with one that ends inside a multi-byte character.
+//! prefix, with none, with one that ends inside a multi-byte character, and
+//! distinct strings alike in all eight key bytes.
 
 mod support;
 
@@ -54,7 +55,7 @@ fn float_pool() -> Vec<Value> {
     .to_vec()
 }
 
-/// Column 2: strings, from one of three pools chosen per case.
+/// Column 2: strings, from one of four pools chosen per case.
 fn str_pool(kind: usize) -> Vec<Value> {
     let pool: &[&str] = match kind {
         // An ASCII label prefix longer than the eight key bytes.
@@ -68,7 +69,10 @@ fn str_pool(kind: usize) -> Vec<Value> {
         // Nothing in common, the empty string included.
         1 => &["", "apple", "banana", "cherry", "ápple", "zebra"],
         // Common bytes that stop inside a two- and a four-byte character.
-        _ => &["naïve-é", "naïve-è", "naïve-𝄞", "naïve-𝄟", "naïve-éé"],
+        2 => &["naïve-é", "naïve-è", "naïve-𝄞", "naïve-𝄟", "naïve-éé"],
+        // Nothing in common, and values that differ past their eight key
+        // bytes only: several groups of equal strings, one run of equal keys.
+        _ => &["x-abcdefgh1", "x-abcdefgh2", "x-abcdefgh", "y"],
     };
     pool.iter().map(|s| Value::Str((*s).into())).collect()
 }
@@ -300,7 +304,7 @@ proptest! {
             ),
             0..90,
         ),
-        str_kind in 0usize..3,
+        str_kind in 0usize..4,
         columns in prop::collection::vec(prop::collection::vec(0usize..6, 1..4), 1..6),
         seed in 0u64..1000,
     ) {
@@ -326,10 +330,44 @@ fn degenerate_tables_equal_the_value_oracle() {
     };
     let every_entry: Vec<[Option<usize>; 4]> = (0..11).map(|i| [Some(i); 4]).collect();
     for picks in [&[][..], &[[None; 4]], &[[Some(2); 4]], &every_entry] {
-        for str_kind in 0..3 {
+        for str_kind in 0..4 {
             check_case(picks, str_kind, columns(), 1).unwrap();
         }
     }
+}
+
+/// What only a builder that keys one row per distinct value can get wrong.
+/// Every non-null float is a NaN, of two payloads: two groups of values, no
+/// histogram bucket, and rows that still count as non-null. NULL is the
+/// first value seen in every column, so group 0 is the NULL group. And
+/// among the strings there are more distinct values than distinct keys.
+#[test]
+fn nan_only_null_first_and_colliding_keys_equal_the_value_oracle() {
+    let columns = || vec![vec![1], vec![2], vec![0], vec![1, 2], vec![2, 1, 0]];
+    // Float picks 2 and 3 are the two NaNs; string picks 0..3 of pool 3.
+    let mut picks = vec![[None; 4]];
+    picks.extend((0..40).map(|r| {
+        let float = (r % 5 != 0).then_some(2 + r % 2);
+        let string = (r % 7 != 0).then_some(r % 4);
+        [Some(r % 11), float, string, Some(r % 6)]
+    }));
+    check_case(&picks, 3, columns(), 1).unwrap();
+
+    // The premise, not only the agreement: NaN rows are non-null rows the
+    // histogram leaves out, and the three colliding strings are one run.
+    let (db, t) = table_db(&picks, 3);
+    let build = |column| {
+        let d = StatDescriptor::single(t, column);
+        build_statistic(StatId(0), db.table(t), d, &BuildOptions::default(), 0, 0)
+    };
+    let floats = build(1);
+    assert!(floats.histogram.buckets().is_empty());
+    assert_eq!(floats.histogram.rows(), 0.0);
+    assert_eq!(floats.null_fraction, 9.0 / 41.0);
+    assert_eq!(floats.prefix_ndv(1), 3.0); // two NaNs and NULL
+    let strings = build(2);
+    assert_eq!(strings.histogram.ndv(), 2.0);
+    assert_eq!(strings.prefix_ndv(1), 5.0); // four strings and NULL
 }
 
 /// Every candidate statistic of the `offline-tune` benchmark's inputs.

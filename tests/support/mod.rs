@@ -1,11 +1,22 @@
-//! The `Value`-boxed statistic builder the library shipped until the typed
-//! column scan (`stats::statistic::TableScan`) replaced it, kept verbatim as
-//! the oracle of `tests/stat_build_equivalence.rs`: every cell is read into
-//! a `Value`, the leading column goes through `Histogram::build` and
-//! `estimate_ndv`, and each prefix density counts `Vec<&Value>` tuples in a
-//! hash map. Slow and obviously right — do not optimise it.
+//! Oracles: the slow, obviously right code the library shipped before a
+//! faster kernel replaced it, kept verbatim to hold the kernel to. Do not
+//! optimise them.
+//!
+//! * [`build_statistic_oracle`] (`tests/stat_build_equivalence.rs`) is the
+//!   `Value`-boxed statistic builder the typed column scan
+//!   (`stats::statistic::TableScan`) replaced: every cell is read into a
+//!   `Value`, the leading column goes through `Histogram::build` and
+//!   `estimate_ndv`, and each prefix density counts `Vec<&Value>` tuples in
+//!   a hash map.
+//! * [`join_selectivity_oracle`] (`tests/histogram_properties.rs`) is the
+//!   loop over all `B_a × B_b` bucket pairs that `stats::join_selectivity`'s
+//!   sorted sweep replaced.
+
+// Each test file that mounts this module uses one of the two.
+#![allow(dead_code)]
 
 use rustc_hash::FxHashMap;
+use stats::histogram::Bucket;
 use stats::statistic::build_work;
 use stats::{
     estimate_ndv, BuildOptions, Histogram, Histogram2d, StatDescriptor, StatId, Statistic,
@@ -117,4 +128,54 @@ fn estimate_tuple_ndv(columns: &[&[Value]], total_rows: usize) -> f64 {
         d / denom
     };
     est.clamp(d, total_rows as f64)
+}
+
+/// The string prefix a histogram stripped before keying, as its `Debug`
+/// rendering shows it (the field is private, and last).
+fn str_prefix(h: &Histogram) -> String {
+    let rendered = format!("{h:?}");
+    let (_, prefix) = rendered.rsplit_once("str_prefix: ").unwrap();
+    prefix.to_string()
+}
+
+/// Equi-join selectivity of two histograms, every bucket of `a` against
+/// every bucket of `b`.
+pub fn join_selectivity_oracle(a: &Histogram, b: &Histogram) -> f64 {
+    if a.rows() == 0.0 || b.rows() == 0.0 {
+        return 0.0;
+    }
+    if str_prefix(a) != str_prefix(b) {
+        return (1.0 / a.ndv().max(b.ndv()).max(1.0)).clamp(0.0, 1.0);
+    }
+    let mut sel = 0.0;
+    for ba in a.buckets() {
+        for bb in b.buckets() {
+            let lo = ba.lo.max(bb.lo);
+            let hi = ba.hi.min(bb.hi);
+            if hi < lo {
+                continue;
+            }
+            let count_in = |b: &Bucket| -> f64 {
+                let w = b.hi - b.lo;
+                let d = b.distinct.max(1.0);
+                if w <= 0.0 {
+                    return d;
+                }
+                let s = w / (d - 1.0).max(1.0);
+                (d * ((hi - lo) + s) / (w + s)).min(d)
+            };
+            let common = count_in(ba).min(count_in(bb));
+            if common <= 0.0 {
+                continue;
+            }
+            let mass_a = ba.fraction / ba.distinct.max(1.0);
+            let mass_b = bb.fraction / bb.distinct.max(1.0);
+            sel += common * mass_a * mass_b;
+        }
+    }
+    if sel.is_nan() {
+        0.0
+    } else {
+        sel.clamp(0.0, 1.0)
+    }
 }
