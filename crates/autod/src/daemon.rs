@@ -9,9 +9,10 @@
 //! 2. **monitor** — drain the workload monitor's eviction log into the
 //!    journal and enqueue its retained sample into the incremental tuner
 //!    (fingerprint-deduplicated, so a template is analyzed once);
-//! 3. **refresh** — scan modification counters, rebuild stale statistics
-//!    table by table through the catalog's shared-scan batch path, charging
-//!    each rebuild to the bucket; remaining tables wait for the next tick
+//! 3. **refresh** — scan modification counters and refresh each table's
+//!    stale statistics in one [`StatsCatalog::refresh`] (feedback
+//!    corrections first when feedback is on, then shared-scan rebuilds),
+//!    charging each to the bucket; remaining tables wait for the next tick
 //!    once the balance runs out;
 //! 4. **drop** — physically drop what has now been refreshed more than
 //!    `max_updates` times ([`StatsCatalog::drop_over_updated`]: only
@@ -38,7 +39,7 @@ use crate::epoch::EpochHandle;
 use crate::monitor::{MonitorConfig, WorkloadMonitor};
 use autostats::{Equivalence, MnsaConfig, OnlineEvent, SessionReport, TuneError};
 use parking_lot::Mutex;
-use stats::{FeedbackConfig, FeedbackStore, MaintenancePolicy, StatId, StatsCatalog};
+use stats::{FeedbackConfig, FeedbackStore, MaintenancePolicy, Refreshed, StatsCatalog};
 use std::sync::Arc;
 use storage::Database;
 
@@ -326,11 +327,10 @@ impl LifecycleCore {
             ..TickReport::default()
         };
 
-        // 3. Staleness-driven refresh, table by table (shared scans), while
-        //    the token balance lasts. With feedback enabled, stale
-        //    statistics whose (table, column) has enough digested
-        //    observations are corrected in place first — near-zero work —
-        //    and only the remainder pays for a scan rebuild.
+        // 3. Staleness-driven refresh, one catalog call per table, while
+        //    the token balance lasts. With feedback enabled the catalog
+        //    corrects what it can from the digested observations — near-zero
+        //    work — and rebuilds the rest from one shared scan.
         if self.config.feedback.is_some() {
             let drained = self.feedback_log.drain();
             if !drained.is_empty() {
@@ -342,69 +342,48 @@ impl LifecycleCore {
         }
         let by_table = self.catalog.stale_by_table(db, &self.config.staleness);
         let mut deferred_refreshes = 0usize;
-        for (table, ids) in &by_table {
+        for (&table, ids) in &by_table {
             if self.tuner.balance() <= 0.0 {
                 deferred_refreshes += ids.len();
                 continue;
             }
-            let mut remaining: Vec<StatId> = Vec::with_capacity(ids.len());
-            if let Some(feedback_config) = &self.config.feedback {
-                for &id in ids {
-                    if !self
-                        .catalog
-                        .feedback_refreshable(id, &self.feedback_store, feedback_config)
-                    {
-                        remaining.push(id);
-                        continue;
-                    }
-                    let observations = self.feedback_store.count(
-                        table.0 as u64,
-                        self.catalog
-                            .statistic(id)
-                            .map(|s| s.descriptor.leading_column() as u32)
-                            .unwrap_or(0),
-                    );
-                    let corrected = self.catalog.feedback_refresh(
-                        db,
-                        *table,
-                        &[id],
-                        &mut self.feedback_store,
-                        feedback_config,
-                    );
-                    if corrected.is_empty() {
-                        remaining.push(id);
-                        continue;
-                    }
-                    for (stat, work) in corrected {
-                        self.tuner.charge(work);
-                        report.feedback_refreshed += 1;
-                        report.feedback_work += work;
-                        metrics.counter("stats.feedback.refreshes").inc();
-                        metrics.float_counter("stats.feedback.work").add(work);
-                        self.session.record_online(OnlineEvent::FeedbackRefresh {
-                            tick,
-                            stat,
-                            table: *table,
-                            work,
-                            observations,
-                        });
-                    }
-                }
-            } else {
-                remaining.extend_from_slice(ids);
-            }
-            for (stat, work) in self.catalog.refresh_statistics(db, *table, &remaining) {
+            let feedback = self
+                .config
+                .feedback
+                .as_ref()
+                .map(|config| (&mut self.feedback_store, config));
+            for Refreshed {
+                id: stat,
+                work,
+                observations,
+            } in self.catalog.refresh(db, table, ids, feedback)
+            {
                 self.tuner.charge(work);
-                report.refreshed += 1;
-                report.refresh_work += work;
-                metrics.counter("autod.refreshes").inc();
-                metrics.float_counter("autod.refresh_work").add(work);
-                self.session.record_online(OnlineEvent::Refresh {
-                    tick,
-                    stat,
-                    table: *table,
-                    work,
-                });
+                let event = if let Some(observations) = observations {
+                    report.feedback_refreshed += 1;
+                    report.feedback_work += work;
+                    metrics.counter("stats.feedback.refreshes").inc();
+                    metrics.float_counter("stats.feedback.work").add(work);
+                    OnlineEvent::FeedbackRefresh {
+                        tick,
+                        stat,
+                        table,
+                        work,
+                        observations,
+                    }
+                } else {
+                    report.refreshed += 1;
+                    report.refresh_work += work;
+                    metrics.counter("autod.refreshes").inc();
+                    metrics.float_counter("autod.refresh_work").add(work);
+                    OnlineEvent::Refresh {
+                        tick,
+                        stat,
+                        table,
+                        work,
+                    }
+                };
+                self.session.record_online(event);
             }
         }
 
@@ -541,6 +520,7 @@ pub(crate) mod tests {
     use super::*;
     use autostats::OfflineTuner;
     use query::{bind_statement, parse_statement, BoundStatement};
+    use stats::StatId;
     use storage::{ColumnDef, DataType, Schema, Value};
 
     /// The paper's Example-2 shape: employees (skewed `salary`, rare > 200)
@@ -1033,6 +1013,146 @@ pub(crate) mod tests {
         // tick refreshes nothing (no starvation, no thrash).
         let quiet = core.tick(&db, &mut monitor, f64::INFINITY).unwrap();
         assert_eq!(quiet.refreshed + quiet.feedback_refreshed, 0);
+    }
+
+    /// One tick with feedback on over one table whose five stale statistics
+    /// cover every branch of the refresh: corrected, observations taken but
+    /// none applied, multi-column, string-keyed, too few observations.
+    #[test]
+    fn one_tick_refreshes_each_stale_statistic_once_corrections_first() {
+        let mut db = Database::new();
+        let t = db
+            .create_table(
+                "mixed",
+                Schema::new(vec![
+                    ColumnDef::new("a", DataType::Int),
+                    ColumnDef::new("b", DataType::Int),
+                    ColumnDef::new("c", DataType::Int),
+                    ColumnDef::new("d", DataType::Int),
+                    ColumnDef::new("s", DataType::Str),
+                ]),
+            )
+            .unwrap();
+        let insert = |db: &mut Database, from: i64, n: i64| {
+            for i in from..from + n {
+                db.table_mut(t)
+                    .insert(vec![
+                        Value::Int(i % 100),
+                        Value::Int(i % 40),
+                        Value::Int(i % 7),
+                        Value::Int(i % 13),
+                        Value::Str(format!("name-{}", i % 30).into()),
+                    ])
+                    .unwrap();
+            }
+        };
+        insert(&mut db, 0, 1000);
+        db.table_mut(t).reset_modification_counter();
+        let mut catalog = StatsCatalog::new();
+        let mut create = |columns: Vec<usize>| {
+            catalog
+                .create_statistic(&db, stats::StatDescriptor::multi(t, columns))
+                .unwrap()
+        };
+        let corrected = create(vec![0]);
+        let all_miss = create(vec![1]);
+        let multi = create(vec![2, 3]);
+        let string = create(vec![4]);
+        let too_few = create(vec![3]);
+        let mut core = LifecycleCore::new(
+            catalog,
+            AutodConfig {
+                shrink_every: 0,
+                feedback: Some(FeedbackConfig::default()),
+                ..AutodConfig::default()
+            },
+        );
+        insert(&mut db, 1000, 600);
+        let record = |column: u32, lo: f64, hi: f64, rows_out: f64| obsv::FeedbackRecord {
+            fingerprint: obsv::template_fingerprint(t.0 as u64, column, 2),
+            table: t.0 as u64,
+            column,
+            lo,
+            hi,
+            est_rows: 100.0,
+            rows_out,
+            input_rows: 1600.0,
+        };
+        let log = core.feedback_log();
+        for i in 0..6 {
+            log.push(record(0, 0.0, 10.0 + i as f64, 300.0));
+            log.push(record(1, 1e6, 2e6, 0.0));
+            log.push(record(2, 0.0, 3.0, 900.0));
+            log.push(record(4, 0.0, 1.0, 50.0));
+        }
+        for _ in 0..2 {
+            log.push(record(3, 0.0, 5.0, 700.0));
+        }
+
+        let mut monitor = WorkloadMonitor::new(MonitorConfig::default());
+        let report = core.tick(&db, &mut monitor, f64::INFINITY).unwrap();
+
+        let refreshes: Vec<&OnlineEvent> = core
+            .journal()
+            .online
+            .iter()
+            .filter(|e| {
+                matches!(
+                    e,
+                    OnlineEvent::FeedbackRefresh { .. } | OnlineEvent::Refresh { .. }
+                )
+            })
+            .collect();
+        let work = |e: &OnlineEvent| match *e {
+            OnlineEvent::FeedbackRefresh { work, .. } | OnlineEvent::Refresh { work, .. } => work,
+            _ => unreachable!(),
+        };
+        let OnlineEvent::FeedbackRefresh {
+            tick: 1,
+            stat,
+            table,
+            work: feedback_work,
+            observations: 6,
+        } = *refreshes[0]
+        else {
+            panic!("the correction comes first: {refreshes:?}");
+        };
+        assert_eq!((stat, table), (corrected, t));
+        let rebuilt: Vec<StatId> = refreshes[1..]
+            .iter()
+            .map(|e| match **e {
+                OnlineEvent::Refresh {
+                    tick: 1,
+                    stat,
+                    table,
+                    ..
+                } if table == t => stat,
+                _ => panic!("scan rebuilds follow the corrections: {refreshes:?}"),
+            })
+            .collect();
+        assert_eq!(rebuilt, vec![all_miss, multi, string, too_few]);
+        for id in [corrected, all_miss, multi, string, too_few] {
+            assert_eq!(core.catalog().statistic(id).unwrap().update_count, 1);
+        }
+
+        let store = &core.feedback_store;
+        assert_eq!(store.count(t.0 as u64, 0), 0);
+        assert_eq!(
+            store.count(t.0 as u64, 1),
+            0,
+            "taken even though none applied"
+        );
+        assert_eq!(store.count(t.0 as u64, 2), 6);
+        assert_eq!(store.count(t.0 as u64, 3), 2);
+        assert_eq!(store.count(t.0 as u64, 4), 6);
+
+        let total = refreshes.iter().fold(0.0, |sum, e| sum + work(e));
+        assert_eq!(core.catalog().update_work().to_bits(), total.to_bits());
+        assert_eq!((report.feedback_refreshed, report.refreshed), (1, 4));
+        assert_eq!(report.feedback_work, feedback_work);
+        let scan_work = refreshes[1..].iter().fold(0.0, |sum, e| sum + work(e));
+        assert_eq!(report.refresh_work, scan_work);
+        assert!(report.feedback_work > 0.0 && report.feedback_work < scan_work);
     }
 
     /// Feedback enabled but never fed ≡ feedback disabled: identical

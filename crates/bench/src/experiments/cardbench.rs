@@ -485,8 +485,8 @@ fn bind_select(db: &Database, stmt: SelectStmt) -> BoundSelect {
 ///   full `build_cost` again.
 /// * `feedback-refresh` — re-runs a probe workload under an enabled
 ///   [`obsv::FeedbackLog`] (plans still come from its own stale catalog)
-///   and corrects the histograms from the observed cardinalities at
-///   correction-work prices.
+///   and refreshes with the observations: histograms they correct cost
+///   correction work, any they cannot are rebuilt by a scan.
 fn run_drift(cfg: &AdversarialConfig, n_queries: usize) -> DriftResult {
     let optimizer = Optimizer::default();
     let mut db = build_adversarial(cfg, Regime::Zipf);
@@ -498,8 +498,8 @@ fn run_drift(cfg: &AdversarialConfig, n_queries: usize) -> DriftResult {
 
     let drift_rows = apply_drift(&mut db, table, cfg);
 
-    let scan_refreshed = scan_cat.refresh_statistics(&db, table, &scan_ids);
-    let scan_work: f64 = scan_refreshed.iter().map(|(_, w)| w).sum();
+    let scan_refreshed = scan_cat.refresh(&db, table, &scan_ids, None);
+    let scan_work: f64 = scan_refreshed.iter().map(|r| r.work).sum();
 
     let probes: Vec<BoundSelect> = drift_probes(cfg)
         .into_iter()
@@ -516,9 +516,9 @@ fn run_drift(cfg: &AdversarialConfig, n_queries: usize) -> DriftResult {
     }
     let mut store = FeedbackStore::new();
     store.ingest(&log.drain());
-    let corrected =
-        fb_cat.feedback_refresh(&db, table, &fb_ids, &mut store, &FeedbackConfig::default());
-    let fb_work: f64 = corrected.iter().map(|(_, w)| w).sum();
+    let config = FeedbackConfig::default();
+    let corrected = fb_cat.refresh(&db, table, &fb_ids, Some((&mut store, &config)));
+    let fb_work: f64 = corrected.iter().map(|r| r.work).sum();
 
     // The evaluation workload samples its constants from the *drifted*
     // data, so roughly half the predicates land in the new key range.

@@ -34,15 +34,6 @@ impl Equivalence {
             Equivalence::TCost(t) => costs_within_t(a.cost, b.cost, *t),
         }
     }
-
-    /// Are two raw costs equivalent (tree equivalence cannot be decided from
-    /// costs alone and returns exact-cost comparison instead).
-    pub fn costs_equivalent(&self, a: f64, b: f64) -> bool {
-        match self {
-            Equivalence::ExecutionTree | Equivalence::OptimizerCost => costs_within_t(a, b, 1e-9),
-            Equivalence::TCost(t) => costs_within_t(a, b, *t),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -122,7 +113,5 @@ mod tests {
     #[test]
     fn paper_default_is_t20() {
         assert_eq!(Equivalence::paper_default(), Equivalence::TCost(20.0));
-        assert!(Equivalence::paper_default().costs_equivalent(100.0, 118.0));
-        assert!(!Equivalence::paper_default().costs_equivalent(100.0, 125.0));
     }
 }

@@ -123,12 +123,6 @@ impl SessionReport {
         });
     }
 
-    /// The per-query final plan costs, in workload order — the session's
-    /// cost trajectory.
-    pub fn cost_trajectory(&self) -> Vec<f64> {
-        self.queries.iter().map(|q| q.final_cost).collect()
-    }
-
     /// Append one online lifecycle event.
     pub fn record_online(&mut self, event: OnlineEvent) {
         self.online.push(event);
@@ -416,7 +410,7 @@ mod tests {
 
         assert_eq!(report.queries.len(), 2);
         assert_eq!(report.queries[1].index, 1);
-        assert_eq!(report.cost_trajectory(), vec![100.0, 40.5]);
+        assert_eq!(report.queries[1].final_cost, 40.5);
 
         let text = report.render_text();
         assert!(text.contains("converged"));

@@ -21,9 +21,11 @@
 //! before it; if they are execution-tree-equivalent the new statistic is
 //! heuristically marked non-essential and moved to the drop-list (§5.1).
 
-use crate::candidates::{candidate_statistics, exhaustive_candidates, single_column_candidates};
+use crate::candidates::{candidate_statistics, single_column_candidates};
 use crate::error::TuneError;
-use optimizer::{Operator, OptimizeOptions, OptimizedQuery, Optimizer, PlanError, PlanNode};
+use optimizer::{
+    costs_within_t, Operator, OptimizeOptions, OptimizedQuery, Optimizer, PlanError, PlanNode,
+};
 use parking_lot::Mutex;
 use query::{BoundSelect, PredicateId};
 use stats::{AgingPolicy, FeedbackConfig, FeedbackStore, StatDescriptor, StatId, StatsCatalog};
@@ -38,8 +40,6 @@ pub enum CandidateMode {
     Heuristic,
     /// Single-column statistics only (the §8.2 variant).
     SingleColumnOnly,
-    /// Every subset of each relevant column group (Figure 3's comparison).
-    Exhaustive,
 }
 
 /// Order in which `FindNextStatToBuild` walks the plan — the §4.2 heuristic
@@ -72,8 +72,6 @@ pub struct MnsaConfig {
     pub small_table_rows: usize,
     /// Enable MNSA/D drop detection (§5.1).
     pub drop_detection: bool,
-    /// Cap on subset size for exhaustive candidate enumeration.
-    pub exhaustive_max_group: usize,
     /// Skip candidates dampened by the aging registry (§6); `None` disables
     /// aging checks.
     pub aging: Option<AgingPolicy>,
@@ -89,7 +87,6 @@ impl Default for MnsaConfig {
             candidate_mode: CandidateMode::Heuristic,
             small_table_rows: 0,
             drop_detection: false,
-            exhaustive_max_group: 8,
             aging: None,
             next_stat_order: NextStatOrder::MostExpensiveNode,
         }
@@ -204,9 +201,6 @@ impl MnsaEngine {
         match self.config.candidate_mode {
             CandidateMode::Heuristic => candidate_statistics(query),
             CandidateMode::SingleColumnOnly => single_column_candidates(query),
-            CandidateMode::Exhaustive => {
-                exhaustive_candidates(query, self.config.exhaustive_max_group)
-            }
         }
     }
 
@@ -380,7 +374,7 @@ impl MnsaEngine {
             let hi = p_low.cost.max(p_high.cost);
             round_span.arg("p_low_cost", lo);
             round_span.arg("p_high_cost", hi);
-            if lo <= 0.0 || (hi - lo) / lo <= self.config.t_percent / 100.0 {
+            if lo <= 0.0 || costs_within_t(lo, hi, self.config.t_percent) {
                 round_span.arg("converged", true);
                 outcome.terminated_by = Termination::CostConverged;
                 break;
@@ -825,18 +819,37 @@ mod tests {
     fn engine_without_feedback_is_unchanged_by_empty_source() {
         let db = setup();
         let q = bind(&db, EXAMPLE2_SQL);
-        let mut plain_catalog = StatsCatalog::new();
-        let plain = MnsaEngine::new(MnsaConfig::default())
-            .run_query(&db, &mut plain_catalog, &q)
-            .unwrap();
-        // An attached but empty source must also change nothing.
-        let mut empty_catalog = StatsCatalog::new();
-        let empty = MnsaEngine::new(MnsaConfig::default())
-            .with_feedback(FeedbackSource::default())
-            .run_query(&db, &mut empty_catalog, &q)
-            .unwrap();
-        assert_eq!(plain, empty);
-        assert_eq!(plain_catalog.snapshot(), empty_catalog.snapshot());
+        // From an empty catalog, and from one holding each candidate built
+        // and drop-listed: an empty source synthesizes, and so reactivates,
+        // nothing.
+        let candidates = MnsaEngine::new(MnsaConfig::default()).candidates(&q);
+        let starts = std::iter::once(None).chain(candidates.iter().map(Some));
+        for listed in starts {
+            let start = || {
+                let mut catalog = StatsCatalog::new();
+                if let Some(d) = listed {
+                    let id = catalog.create_statistic(&db, d.clone()).unwrap();
+                    catalog.move_to_drop_list(id);
+                }
+                catalog
+            };
+            let mut plain_catalog = start();
+            let plain = MnsaEngine::new(MnsaConfig::default())
+                .run_query(&db, &mut plain_catalog, &q)
+                .unwrap();
+            // An attached but empty source must also change nothing.
+            let mut empty_catalog = start();
+            let empty = MnsaEngine::new(MnsaConfig::default())
+                .with_feedback(FeedbackSource::default())
+                .run_query(&db, &mut empty_catalog, &q)
+                .unwrap();
+            assert_eq!(plain, empty, "drop-listed first: {listed:?}");
+            assert_eq!(
+                plain_catalog.snapshot(),
+                empty_catalog.snapshot(),
+                "drop-listed first: {listed:?}"
+            );
+        }
     }
 
     #[test]
@@ -985,17 +998,5 @@ mod tests {
         // The second identical query must not rebuild anything.
         assert!(outcomes[1].created.is_empty());
         assert!(outcomes[1].optimizer_calls <= 3);
-    }
-
-    #[test]
-    fn exhaustive_mode_builds_more() {
-        let db = setup();
-        let q = bind(&db, EXAMPLE2_SQL);
-        let h = MnsaEngine::new(MnsaConfig::default());
-        let e = MnsaEngine::new(MnsaConfig {
-            candidate_mode: CandidateMode::Exhaustive,
-            ..Default::default()
-        });
-        assert!(e.candidates(&q).len() >= h.candidates(&q).len());
     }
 }

@@ -2,15 +2,15 @@
 //! aging and snapshots. What happens to a statistic after it is built —
 //! refresh, auto-drop — is [`crate::maintenance`].
 
-use crate::cost::CostModel;
 use crate::error::StatsError;
+use crate::feedback::{build_from_feedback, FeedbackConfig, FeedbackStore};
 use crate::sampler::SampleSpec;
 use crate::statistic::{
-    build_statistic, BuildOptions, StatDescriptor, StatId, Statistic, TableScan,
+    build_statistic, build_work, BuildOptions, StatDescriptor, StatId, Statistic, TableScan,
 };
 use rustc_hash::FxHashMap;
 use std::collections::{BTreeMap, BTreeSet, HashSet};
-use storage::{Database, TableId};
+use storage::{Database, Table, TableId};
 
 /// Aging (§6): a statistic that was recently dropped as non-essential should
 /// not be immediately re-created when a similar workload repeats — unless
@@ -63,7 +63,7 @@ pub(crate) struct CatalogObs {
     shared_builds: obsv::Counter,
     build_work: obsv::FloatCounter,
     pub(crate) feedback_refreshes: obsv::Counter,
-    pub(crate) feedback_builds: obsv::Counter,
+    feedback_builds: obsv::Counter,
     pub(crate) feedback_work: obsv::FloatCounter,
 }
 
@@ -76,17 +76,16 @@ pub(crate) struct CatalogObs {
 #[derive(Debug)]
 pub struct StatsCatalog {
     pub(crate) stats: BTreeMap<StatId, Statistic>,
-    pub(crate) by_descriptor: FxHashMap<StatDescriptor, StatId>,
+    by_descriptor: FxHashMap<StatDescriptor, StatId>,
     pub(crate) drop_list: BTreeSet<StatId>,
     aging: FxHashMap<StatDescriptor, AgingEntry>,
-    pub(crate) next_id: u32,
-    pub(crate) epoch: u64,
-    pub(crate) creation_work: f64,
+    next_id: u32,
+    epoch: u64,
+    creation_work: f64,
     pub(crate) update_work: f64,
-    cost_model: CostModel,
-    pub(crate) build_options: BuildOptions,
+    build_options: BuildOptions,
     /// Base seed for per-statistic sampling.
-    pub(crate) seed: u64,
+    seed: u64,
     pub(crate) obs: CatalogObs,
 }
 
@@ -107,7 +106,6 @@ impl StatsCatalog {
             epoch: 0,
             creation_work: 0.0,
             update_work: 0.0,
-            cost_model: CostModel::default(),
             build_options: BuildOptions::default(),
             seed: 0x000A_0705_2000, // ICDE 2000
             obs: CatalogObs::default(),
@@ -235,16 +233,108 @@ impl StatsCatalog {
             .collect()
     }
 
-    /// The body of every scan-built creation. A full-scan build reads
-    /// through `scan`, opening it on the descriptor's table when the caller
-    /// has none yet (the caller keeps one scan per table); a sampled build
-    /// draws its own rows and leaves `scan` alone.
+    /// The body of every scan-built creation, reading through the caller's
+    /// per-table `scan` as [`StatsCatalog::build`] does.
     fn create_with_scan<'a>(
         &mut self,
         db: &'a Database,
         descriptor: &StatDescriptor,
         scan: &mut Option<TableScan<'a>>,
     ) -> Result<StatId, StatsError> {
+        let (table, built) = self.resolve(db, descriptor)?;
+        if let Some(id) = built {
+            self.drop_list.remove(&id);
+            return Ok(id);
+        }
+        let id = self.next_stat_id();
+        let mut span = self.obs.tracer.span("stats.build");
+        span.arg("table", descriptor.table.0 as i64);
+        span.arg("columns", descriptor.columns.len());
+        // True when this build could reuse what an earlier one computed.
+        let shared = scan.as_ref().is_some_and(|scan| scan.served() > 0);
+        span.arg("shared", shared);
+        if shared {
+            self.obs.shared_builds.inc();
+        }
+        let stat = self.build(table, scan, id, descriptor.clone(), self.epoch, 0);
+        span.arg(
+            "rows",
+            self.build_options.sample.rows_read(table.row_count()),
+        );
+        span.arg("build_work", stat.build_cost);
+        drop(span);
+        self.obs.builds.inc();
+        self.obs.build_work.add(stat.build_cost);
+        Ok(self.insert_created(stat))
+    }
+
+    /// Create a single-column statistic synthesized purely from feedback
+    /// observations — no table scan at all. Used when `FindNextStatToBuild`
+    /// selects a candidate whose (table, column) already has enough observed
+    /// cardinalities: the build cost is the correction work, which is orders
+    /// of magnitude below a scan build.
+    ///
+    /// Returns `Ok(None)` when the store lacks `config.min_observations`
+    /// observations for the column, no usable histogram can be seeded from
+    /// them, or the statistic is drop-listed: the caller falls back to
+    /// [`StatsCatalog::create_statistic`], which reactivates a drop-listed
+    /// one for free. An active statistic with this descriptor is returned as
+    /// it is. Errors like [`StatsCatalog::create_statistic`].
+    pub fn create_statistic_from_feedback(
+        &mut self,
+        db: &Database,
+        descriptor: StatDescriptor,
+        store: &mut FeedbackStore,
+        config: &FeedbackConfig,
+    ) -> Result<Option<StatId>, StatsError> {
+        let (table, built) = self.resolve(db, &descriptor)?;
+        if let Some(id) = built {
+            return Ok((!self.drop_list.contains(&id)).then_some(id));
+        }
+        let (t, column) = (
+            descriptor.table.0 as u64,
+            descriptor.leading_column() as u32,
+        );
+        // Multi-column density prefixes need a real scan.
+        if descriptor.is_multi_column() || store.count(t, column) < config.min_observations {
+            return Ok(None);
+        }
+        let observations = store.take(t, column);
+        let Some((histogram, outcome)) = build_from_feedback(&observations, config) else {
+            return Ok(None);
+        };
+        let ndv = histogram.ndv();
+        let stat = Statistic {
+            id: self.next_stat_id(),
+            descriptor,
+            histogram,
+            prefix_densities: vec![if ndv > 0.0 { 1.0 / ndv } else { 0.0 }],
+            null_fraction: 0.0,
+            row_count_at_build: table.row_count(),
+            build_cost: outcome.work,
+            update_count: 0,
+            mods_at_build: table.modification_counter(),
+            created_epoch: self.epoch,
+            joint: None,
+        };
+        let mut span = self.obs.tracer.span("stats.feedback_build");
+        span.arg("table", t as i64);
+        span.arg("observations", observations.len());
+        span.arg("build_work", stat.build_cost);
+        drop(span);
+        self.obs.feedback_builds.inc();
+        self.obs.feedback_work.add(stat.build_cost);
+        Ok(Some(self.insert_created(stat)))
+    }
+
+    /// Validate `descriptor` — a live table, a non-empty column list, only
+    /// columns the table has — and look it up: its table, and the statistic
+    /// already built on it (active or drop-listed), if any.
+    fn resolve<'a>(
+        &self,
+        db: &'a Database,
+        descriptor: &StatDescriptor,
+    ) -> Result<(&'a Table, Option<StatId>), StatsError> {
         let table = db.try_table(descriptor.table)?;
         if descriptor.columns.is_empty() {
             return Err(StatsError::EmptyColumnSet);
@@ -259,48 +349,44 @@ impl StatsCatalog {
                 column: c,
             });
         }
-        if let Some(&id) = self.by_descriptor.get(descriptor) {
-            self.drop_list.remove(&id);
-            return Ok(id);
-        }
-        let id = StatId(self.next_id);
+        Ok((table, self.by_descriptor.get(descriptor).copied()))
+    }
+
+    fn next_stat_id(&mut self) -> StatId {
         self.next_id += 1;
-        let mut span = self.obs.tracer.span("stats.build");
-        span.arg("table", descriptor.table.0 as i64);
-        span.arg("columns", descriptor.columns.len());
-        let stat = if self.build_options.sample == SampleSpec::FullScan {
-            let scan = scan.get_or_insert_with(|| TableScan::new(table, &self.build_options, None));
-            // True when this build could reuse what an earlier one computed.
-            let shared = scan.served() > 0;
-            span.arg("shared", shared);
-            if shared {
-                self.obs.shared_builds.inc();
-            }
-            scan.build(id, descriptor.clone(), self.epoch)
+        StatId(self.next_id - 1)
+    }
+
+    /// Build `descriptor` from `table` as statistic `id`. Under full-scan
+    /// options it reads through `scan`, opening it when the caller has none
+    /// yet (the caller keeps one scan per table); otherwise it draws its own
+    /// rows, seeded by id, table and `builds` — how many times it was built
+    /// before (a create is build 0, a refresh `update_count + 1`).
+    pub(crate) fn build<'a>(
+        &self,
+        table: &'a Table,
+        scan: &mut Option<TableScan<'a>>,
+        id: StatId,
+        descriptor: StatDescriptor,
+        epoch: u64,
+        builds: u64,
+    ) -> Statistic {
+        if self.build_options.sample == SampleSpec::FullScan {
+            scan.get_or_insert_with(|| TableScan::new(table, &self.build_options, None))
+                .build(id, descriptor, epoch)
         } else {
-            span.arg("shared", false);
-            let seed = self.seed ^ ((id.0 as u64) << 17) ^ descriptor.table.0 as u64;
-            build_statistic(
-                id,
-                table,
-                descriptor.clone(),
-                &self.build_options,
-                seed,
-                self.epoch,
-            )
-        };
-        span.arg(
-            "rows",
-            self.build_options.sample.rows_read(table.row_count()),
-        );
-        span.arg("build_work", stat.build_cost);
-        drop(span);
-        self.obs.builds.inc();
-        self.obs.build_work.add(stat.build_cost);
+            let seed = self.seed ^ ((id.0 as u64) << 17) ^ descriptor.table.0 as u64 ^ builds;
+            build_statistic(id, table, descriptor, &self.build_options, seed, epoch)
+        }
+    }
+
+    /// Charge a new statistic's build to the creation meter and file it.
+    fn insert_created(&mut self, stat: Statistic) -> StatId {
+        let id = stat.id;
         self.creation_work += stat.build_cost;
-        self.by_descriptor.insert(descriptor.clone(), id);
+        self.by_descriptor.insert(stat.descriptor.clone(), id);
         self.stats.insert(id, stat);
-        Ok(id)
+        id
     }
 
     /// Look up an **active** statistic by descriptor.
@@ -424,9 +510,7 @@ impl StatsCatalog {
                     .iter()
                     .map(|&c| table.schema().column(c).data_type.byte_width())
                     .sum();
-                total +=
-                    self.cost_model
-                        .build_cost(rows_read, col_bytes, s.descriptor.columns.len());
+                total += build_work(rows_read, col_bytes, s.descriptor.columns.len());
             }
         }
         total
@@ -760,7 +844,7 @@ pub(crate) mod tests {
         assert_eq!(with_arg("rows", obsv::ArgValue::Int(2000)), 2);
 
         // A refresh is one span carrying the work it charged.
-        observed.refresh_statistics(&db, t, &observed.active_ids());
+        observed.refresh(&db, t, &observed.active_ids(), None);
         let events = obs.tracer.flush();
         assert!(obsv::trace::validate(&events).is_empty());
         let refresh = events

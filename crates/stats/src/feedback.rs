@@ -19,7 +19,7 @@
 //!   a bit-identical histogram.
 //! - **Near-zero cost.** Correction work is metered per observation × bucket
 //!   touched, orders of magnitude below a scan rebuild's
-//!   [`cost`](crate::cost) charge, which is what makes it attractive to the
+//!   [`build_work`](crate::statistic::build_work) charge, which is what makes it attractive to the
 //!   staleness tracker and to MNSA's build-cost weighing.
 
 use crate::histogram::{Bucket, Histogram, HistogramKind};
@@ -96,7 +96,7 @@ pub struct CorrectionOutcome {
     /// Observations actually applied (after digestion filters).
     pub applied: usize,
     /// Deterministic work units charged, comparable to
-    /// [`cost::build_work`](crate::cost) units.
+    /// [`build_work`](crate::statistic::build_work) units.
     pub work: f64,
     /// Buckets split by restructuring.
     pub splits: usize,
@@ -154,16 +154,6 @@ impl FeedbackStore {
     /// Total buffered observations across all keys.
     pub fn total(&self) -> usize {
         self.observations.values().map(Vec::len).sum()
-    }
-
-    /// The (table, column) keys with at least `min` observations, in key
-    /// order.
-    pub fn ready_keys(&self, min: usize) -> Vec<(u64, u32)> {
-        self.observations
-            .iter()
-            .filter(|(_, v)| v.len() >= min)
-            .map(|(&k, _)| k)
-            .collect()
     }
 }
 
@@ -549,7 +539,6 @@ mod tests {
         assert_eq!(store.count(2, 1), 1);
         assert_eq!(store.count(3, 0), 0);
         assert_eq!(store.total(), 3);
-        assert_eq!(store.ready_keys(2), vec![(1, 0)]);
         let taken = store.take(1, 0);
         assert_eq!(taken.len(), 2);
         assert!((taken[0].fraction - 0.1).abs() < 1e-12);

@@ -15,14 +15,14 @@
 //! SQL Server policy (§6).
 //!
 //! All creation and update work is metered through a deterministic cost model
-//! ([`cost`]) so that the paper's "statistics creation time" and "update
-//! cost" results can be reproduced as ratios without hardware timing noise.
+//! ([`statistic::build_work`]) so that the paper's "statistics creation time"
+//! and "update cost" results can be reproduced as ratios without hardware
+//! timing noise.
 
 // Library code must stay panic-free on arbitrary input; tests may unwrap.
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod catalog;
-pub mod cost;
 pub mod error;
 pub mod feedback;
 pub mod histogram;
@@ -33,14 +33,13 @@ pub mod sampler;
 pub mod statistic;
 
 pub use catalog::{AgingPolicy, CatalogSnapshot, StatsCatalog, StatsView};
-pub use cost::CostModel;
 pub use error::StatsError;
 pub use feedback::{
     build_from_feedback, correct_histogram, CorrectionOutcome, FeedbackConfig, FeedbackStore,
     Observation,
 };
 pub use histogram::{join_selectivity, Histogram, HistogramKind};
-pub use maintenance::{MaintenancePolicy, MaintenanceReport};
+pub use maintenance::{MaintenancePolicy, Refreshed};
 pub use mhist::{Histogram2d, RangeQuery};
 pub use ndv::estimate_ndv;
 pub use sampler::SampleSpec;

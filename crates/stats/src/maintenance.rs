@@ -1,14 +1,13 @@
-//! The maintenance half of the catalog (§6): the staleness rule, scan and
-//! feedback refreshes of built statistics, the auto-drop of over-updated
-//! ones, and the `maintain` pass that strings them together.
+//! The maintenance half of the catalog (§6): the staleness rule, the one
+//! refresh of built statistics — a feedback correction where one applies, a
+//! rebuild otherwise — and the auto-drop of over-updated ones. The daemon's
+//! tick strings them together.
 
 use crate::catalog::StatsCatalog;
-use crate::feedback::{build_from_feedback, correct_histogram, FeedbackConfig, FeedbackStore};
-use crate::sampler::SampleSpec;
-use crate::statistic::{build_statistic, StatDescriptor, StatId, Statistic, TableScan};
-use crate::StatsError;
+use crate::feedback::{correct_histogram, correctable, FeedbackConfig, FeedbackStore};
+use crate::statistic::StatId;
 use std::collections::BTreeMap;
-use storage::{Database, TableId};
+use storage::{Database, Table, TableId};
 
 /// The SQL Server 7.0 maintenance policy (§6): statistics on a table are
 /// updated when the table's modification counter exceeds a fraction of its
@@ -51,241 +50,138 @@ impl MaintenancePolicy {
     }
 }
 
-/// What one `maintain` pass did.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct MaintenanceReport {
-    pub tables_updated: Vec<TableId>,
-    pub statistics_updated: usize,
-    pub statistics_dropped: usize,
-    pub update_work: f64,
+/// One statistic [`StatsCatalog::refresh`] brought up to date.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Refreshed {
+    pub id: StatId,
+    /// Work charged to the update meter.
+    pub work: f64,
+    /// `Some(n)` when corrected in place from the `n` feedback observations
+    /// it took; `None` when rebuilt from the table.
+    pub observations: Option<usize>,
 }
 
 impl StatsCatalog {
-    /// Rebuild the given built statistics on `table`, charging the
-    /// update-work meter and bumping per-statistic update counts. Each
-    /// rebuilt statistic records the table's *current* modification counter
-    /// as its new staleness baseline (`mods_at_build`); the shared table
-    /// counter itself is left untouched, so other statistics on the table
-    /// keep aging independently.
+    /// Refresh the given built statistics on `table`, charging the
+    /// update-work meter and bumping each one's update count. A refreshed
+    /// statistic records the table's *current* modification counter as its
+    /// new staleness baseline (`mods_at_build`); the shared table counter
+    /// itself is left untouched, so other statistics on the table keep aging
+    /// independently. Ids that are not built statistics on `table` are
+    /// skipped.
     ///
-    /// Ids that are not built statistics on `table` are silently skipped.
-    /// Under full-scan build options the rebuilds share one `TableScan`;
-    /// sampled rebuilds each draw their own seeded rows.
+    /// With `feedback`, a single-column statistic with a correctable
+    /// histogram and at least `min_observations` observations on its column
+    /// is corrected in place from them (the STGrid-style cheap refresh:
+    /// bucket touches, no scan). It takes its observations even when none
+    /// applies, and is then rebuilt like the rest. The rebuilds share one
+    /// full scan of the table, or each draws its own seeded sample under
+    /// sampled build options.
     ///
-    /// Returns `(id, work)` per refreshed statistic, in the order given.
-    pub fn refresh_statistics(
+    /// Returns the corrections, then the rebuilds, each in the order given.
+    pub fn refresh(
         &mut self,
         db: &Database,
         table: TableId,
         ids: &[StatId],
-    ) -> Vec<(StatId, f64)> {
+        mut feedback: Option<(&mut FeedbackStore, &FeedbackConfig)>,
+    ) -> Vec<Refreshed> {
         let Ok(t) = db.try_table(table) else {
             return Vec::new(); // stale table id (e.g. restored snapshot)
         };
-        let targets: Vec<StatId> = ids
-            .iter()
-            .copied()
-            .filter(|id| {
-                self.stats
-                    .get(id)
-                    .is_some_and(|s| s.descriptor.table == table)
-            })
-            .collect();
-        if targets.is_empty() {
-            return Vec::new();
-        }
-        let mut span = self.obs.tracer.span("stats.refresh");
-        span.arg("table", table.0 as u64);
-        span.arg("count", targets.len());
-        let mut scan = (self.build_options.sample == SampleSpec::FullScan)
-            .then(|| TableScan::new(t, &self.build_options, None));
-        let mut refreshed = Vec::with_capacity(targets.len());
-        for id in targets {
-            let Some((descriptor, update_count, created_epoch)) = self
+        let mut refreshed = Vec::with_capacity(ids.len());
+        let mut rebuild = Vec::with_capacity(ids.len());
+        for &id in ids {
+            if self
                 .stats
                 .get(&id)
-                .map(|s| (s.descriptor.clone(), s.update_count, s.created_epoch))
-            else {
+                .is_none_or(|s| s.descriptor.table != table)
+            {
+                continue;
+            }
+            let corrected = feedback
+                .as_mut()
+                .and_then(|(store, config)| self.correct(t, id, store, config));
+            match corrected {
+                Some(corrected) => refreshed.push(corrected),
+                None => rebuild.push(id),
+            }
+        }
+        if rebuild.is_empty() {
+            return refreshed;
+        }
+        let corrections = refreshed.len();
+        let mut span = self.obs.tracer.span("stats.refresh");
+        span.arg("table", table.0 as u64);
+        span.arg("count", rebuild.len());
+        let mut scan = None;
+        for id in rebuild {
+            let Some(stale) = self.stats.get(&id) else {
                 continue;
             };
-            let mut rebuilt = match &mut scan {
-                Some(scan) => scan.build(id, descriptor, created_epoch),
-                None => {
-                    let seed = self.seed
-                        ^ ((id.0 as u64) << 17)
-                        ^ table.0 as u64
-                        ^ (update_count as u64 + 1);
-                    build_statistic(id, t, descriptor, &self.build_options, seed, created_epoch)
-                }
-            };
-            rebuilt.update_count = update_count + 1;
+            let update_count = stale.update_count + 1;
+            let (descriptor, epoch) = (stale.descriptor.clone(), stale.created_epoch);
+            let mut rebuilt = self.build(t, &mut scan, id, descriptor, epoch, update_count.into());
+            rebuilt.update_count = update_count;
             self.update_work += rebuilt.build_cost;
-            refreshed.push((id, rebuilt.build_cost));
+            refreshed.push(Refreshed {
+                id,
+                work: rebuilt.build_cost,
+                observations: None,
+            });
             self.stats.insert(id, rebuilt);
         }
-        span.arg("work", refreshed.iter().map(|&(_, work)| work).sum::<f64>());
+        span.arg(
+            "work",
+            refreshed[corrections..].iter().map(|r| r.work).sum::<f64>(),
+        );
         refreshed
     }
 
-    /// True when `id` is a built statistic that could be refreshed from
-    /// feedback instead of a scan: single-column, numeric histogram with at
-    /// least one bucket, and `store` holds at least
-    /// `config.min_observations` observations for its (table, column).
-    pub fn feedback_refreshable(
-        &self,
+    /// Correct `id` in place from the observations on its column if it
+    /// qualifies for a feedback refresh, taking them. `None` when it does
+    /// not qualify or none of them applied.
+    fn correct(
+        &mut self,
+        t: &Table,
         id: StatId,
-        store: &FeedbackStore,
-        config: &FeedbackConfig,
-    ) -> bool {
-        let Some(s) = self.stats.get(&id) else {
-            return false;
-        };
-        !s.descriptor.is_multi_column()
-            && crate::feedback::correctable(&s.histogram)
-            && store.count(
-                s.descriptor.table.0 as u64,
-                s.descriptor.leading_column() as u32,
-            ) >= config.min_observations
-    }
-
-    /// Feedback-correct the given built statistics on `table` in place —
-    /// the STGrid-style cheap refresh path. Instead of re-scanning the
-    /// table, each statistic's histogram is corrected from the observed
-    /// cardinalities accumulated in `store` (which are consumed). The
-    /// corrected statistic records the table's current modification counter
-    /// as its new staleness baseline, exactly like a scan refresh, but the
-    /// work charged to the update meter is the tiny correction work (bucket
-    /// touches), not a table scan.
-    ///
-    /// Ids that are not feedback-refreshable (see
-    /// [`StatsCatalog::feedback_refreshable`]) or whose observations fail to
-    /// apply are silently skipped — callers fall back to
-    /// [`StatsCatalog::refresh_statistics`] for those.
-    ///
-    /// Returns `(id, work)` per corrected statistic, in the order given.
-    pub fn feedback_refresh(
-        &mut self,
-        db: &Database,
-        table: TableId,
-        ids: &[StatId],
         store: &mut FeedbackStore,
         config: &FeedbackConfig,
-    ) -> Vec<(StatId, f64)> {
-        let Ok(t) = db.try_table(table) else {
-            return Vec::new();
-        };
-        let mut refreshed = Vec::new();
-        for &id in ids {
-            if !self.feedback_refreshable(id, store, config) {
-                continue;
-            }
-            let Some(s) = self.stats.get(&id) else {
-                continue;
-            };
-            if s.descriptor.table != table {
-                continue;
-            }
-            let column = s.descriptor.leading_column() as u32;
-            let observations = store.take(table.0 as u64, column);
-            let Some(s) = self.stats.get_mut(&id) else {
-                continue;
-            };
-            let mut span = self.obs.tracer.span("stats.feedback_refresh");
-            span.arg("table", table.0 as u64);
-            span.arg("stat", id.0 as u64);
-            span.arg("observations", observations.len());
-            let outcome = correct_histogram(&mut s.histogram, &observations, config);
-            span.arg("applied", outcome.applied);
-            span.arg("work", outcome.work);
-            drop(span);
-            if outcome.applied == 0 {
-                continue;
-            }
-            s.update_count += 1;
-            s.mods_at_build = t.modification_counter();
-            s.row_count_at_build = t.row_count();
-            self.update_work += outcome.work;
-            self.obs.feedback_refreshes.inc();
-            self.obs.feedback_work.add(outcome.work);
-            refreshed.push((id, outcome.work));
-        }
-        refreshed
-    }
-
-    /// Create a single-column statistic synthesized purely from feedback
-    /// observations — no table scan at all. Used when `FindNextStatToBuild`
-    /// selects a candidate whose (table, column) already has enough observed
-    /// cardinalities: the build cost is the correction work, which is orders
-    /// of magnitude below a scan build.
-    ///
-    /// Returns `Ok(None)` when the store lacks `config.min_observations`
-    /// observations for the column or no usable histogram can be seeded from
-    /// them (the caller should fall back to a scan build). Like
-    /// [`StatsCatalog::create_statistic`], an existing statistic with this
-    /// descriptor is reused/reactivated for free.
-    pub fn create_statistic_from_feedback(
-        &mut self,
-        db: &Database,
-        descriptor: StatDescriptor,
-        store: &mut FeedbackStore,
-        config: &FeedbackConfig,
-    ) -> Result<Option<StatId>, StatsError> {
-        let table = db.try_table(descriptor.table)?;
-        if descriptor.columns.is_empty() {
-            return Err(StatsError::EmptyColumnSet);
-        }
-        if let Some(&c) = descriptor
-            .columns
-            .iter()
-            .find(|&&c| c >= table.schema().len())
+    ) -> Option<Refreshed> {
+        let s = self.stats.get_mut(&id)?;
+        let (table, column) = (
+            s.descriptor.table.0 as u64,
+            s.descriptor.leading_column() as u32,
+        );
+        if s.descriptor.is_multi_column()
+            || !correctable(&s.histogram)
+            || store.count(table, column) < config.min_observations
         {
-            return Err(StatsError::UnknownColumn {
-                table: table.name().to_string(),
-                column: c,
-            });
+            return None;
         }
-        if let Some(&id) = self.by_descriptor.get(&descriptor) {
-            self.drop_list.remove(&id);
-            return Ok(Some(id));
-        }
-        if descriptor.is_multi_column() {
-            return Ok(None); // density prefixes need a real scan
-        }
-        let column = descriptor.leading_column() as u32;
-        if store.count(descriptor.table.0 as u64, column) < config.min_observations {
-            return Ok(None);
-        }
-        let observations = store.take(descriptor.table.0 as u64, column);
-        let Some((histogram, outcome)) = build_from_feedback(&observations, config) else {
-            return Ok(None);
-        };
-        let id = StatId(self.next_id);
-        self.next_id += 1;
-        let ndv = histogram.ndv();
-        let stat = Statistic {
-            id,
-            descriptor: descriptor.clone(),
-            histogram,
-            prefix_densities: vec![if ndv > 0.0 { 1.0 / ndv } else { 0.0 }],
-            null_fraction: 0.0,
-            row_count_at_build: table.row_count(),
-            build_cost: outcome.work,
-            update_count: 0,
-            mods_at_build: table.modification_counter(),
-            created_epoch: self.epoch,
-            joint: None,
-        };
-        let mut span = self.obs.tracer.span("stats.feedback_build");
-        span.arg("table", descriptor.table.0 as i64);
+        let observations = store.take(table, column);
+        let mut span = self.obs.tracer.span("stats.feedback_refresh");
+        span.arg("table", table);
+        span.arg("stat", id.0 as u64);
         span.arg("observations", observations.len());
-        span.arg("build_work", stat.build_cost);
+        let outcome = correct_histogram(&mut s.histogram, &observations, config);
+        span.arg("applied", outcome.applied);
+        span.arg("work", outcome.work);
         drop(span);
-        self.obs.feedback_builds.inc();
-        self.obs.feedback_work.add(stat.build_cost);
-        self.creation_work += stat.build_cost;
-        self.by_descriptor.insert(descriptor, id);
-        self.stats.insert(id, stat);
-        Ok(Some(id))
+        if outcome.applied == 0 {
+            return None;
+        }
+        s.update_count += 1;
+        s.mods_at_build = t.modification_counter();
+        s.row_count_at_build = t.row_count();
+        self.update_work += outcome.work;
+        self.obs.feedback_refreshes.inc();
+        self.obs.feedback_work.add(outcome.work);
+        Some(Refreshed {
+            id,
+            work: outcome.work,
+            observations: Some(observations.len()),
+        })
     }
 
     /// Built statistics (active and drop-listed) that are stale under
@@ -341,27 +237,31 @@ impl StatsCatalog {
         }
         dropped
     }
-
-    /// One pass of the auto-maintenance policy (§6) over every table:
-    /// refresh what is stale, then drop what has been refreshed too often.
-    pub fn maintain(&mut self, db: &Database, policy: &MaintenancePolicy) -> MaintenanceReport {
-        let mut report = MaintenanceReport::default();
-        let before_update_work = self.update_work;
-        for (table, ids) in self.stale_by_table(db, policy) {
-            report.statistics_updated += self.refresh_statistics(db, table, &ids).len();
-            report.tables_updated.push(table);
-        }
-        report.statistics_dropped = self.drop_over_updated(policy).len();
-        report.update_work = self.update_work - before_update_work;
-        report
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::catalog::tests::{db_with, insert_rows, test_db};
+    use crate::statistic::StatDescriptor;
     use storage::Value;
+
+    /// One §6 pass as the daemon's tick composes it: refresh what is stale,
+    /// table by table, then drop what was refreshed too often. Returns the
+    /// statistics refreshed and dropped and the update work charged.
+    fn one_pass(
+        cat: &mut StatsCatalog,
+        db: &Database,
+        policy: &MaintenancePolicy,
+    ) -> (usize, usize, f64) {
+        let before = cat.update_work();
+        let mut refreshed = 0;
+        for (table, ids) in cat.stale_by_table(db, policy) {
+            refreshed += cat.refresh(db, table, &ids, None).len();
+        }
+        let dropped = cat.drop_over_updated(policy).len();
+        (refreshed, dropped, cat.update_work() - before)
+    }
 
     #[test]
     fn maintenance_updates_and_drops() {
@@ -382,10 +282,10 @@ mod tests {
                 .insert(vec![Value::Int(i), Value::Int(i)])
                 .unwrap();
         }
-        let r1 = cat.maintain(&db, &policy);
-        assert_eq!(r1.statistics_updated, 1);
-        assert!(r1.update_work > 0.0);
-        assert_eq!(r1.statistics_dropped, 0);
+        let (updated, dropped, work) = one_pass(&mut cat, &db, &policy);
+        assert_eq!(updated, 1);
+        assert!(work > 0.0);
+        assert_eq!(dropped, 0);
         // The shared table counter is no longer reset; the refreshed
         // statistic instead records it as its new staleness baseline.
         let counter = db.table(t).modification_counter();
@@ -400,13 +300,11 @@ mod tests {
                 .insert(vec![Value::Int(i), Value::Int(i)])
                 .unwrap();
         }
-        let r2 = cat.maintain(&db, &policy);
-        assert_eq!(r2.statistics_dropped, 0);
+        assert_eq!(one_pass(&mut cat, &db, &policy).1, 0);
 
         // Drop-list it; the next maintenance pass may drop it physically.
         cat.move_to_drop_list(id);
-        let r3 = cat.maintain(&db, &policy);
-        assert_eq!(r3.statistics_dropped, 1);
+        assert_eq!(one_pass(&mut cat, &db, &policy).1, 1);
         assert_eq!(cat.total_count(), 0);
     }
 
@@ -433,8 +331,7 @@ mod tests {
             .create_statistic(&db, StatDescriptor::single(t, 1))
             .unwrap();
         assert_eq!(cat.stale_statistics(&db, &policy), vec![s1]);
-        let r = cat.maintain(&db, &policy);
-        assert_eq!(r.statistics_updated, 1);
+        assert_eq!(one_pass(&mut cat, &db, &policy).0, 1);
         assert_eq!(cat.statistic(s1).unwrap().update_count, 1);
         assert_eq!(cat.statistic(s2).unwrap().update_count, 0);
     }
@@ -508,7 +405,7 @@ mod tests {
         assert_eq!(policy.threshold(0), 500);
         // A refresh over the empty table succeeds and restores freshness —
         // no starvation loop where the statistic stays stale forever.
-        assert_eq!(cat.refresh_statistics(&db, t, &[id]).len(), 1);
+        assert_eq!(cat.refresh(&db, t, &[id], None).len(), 1);
         assert!(cat.stale_statistics(&db, &policy).is_empty());
         let s = cat.statistic(id).unwrap();
         assert_eq!(s.row_count_at_build, 0);
@@ -533,9 +430,9 @@ mod tests {
                 .insert(vec![Value::Int(i), Value::Int(i)])
                 .unwrap();
         }
-        let r = cat.maintain(&db, &policy);
         assert_eq!(
-            r.statistics_dropped, 1,
+            one_pass(&mut cat, &db, &policy).1,
+            1,
             "vanilla policy drops regardless of usefulness"
         );
     }
@@ -574,12 +471,15 @@ mod tests {
         let mut store = FeedbackStore::new();
         store.ingest(&feedback_records(t, 0, 6));
         let config = FeedbackConfig::default();
-        assert!(cat.feedback_refreshable(id, &store, &config));
         let scan_cost = cat.update_cost_of(&db, [id]);
-        let refreshed = cat.feedback_refresh(&db, t, &[id], &mut store, &config);
+        let refreshed = cat.refresh(&db, t, &[id], Some((&mut store, &config)));
         assert_eq!(refreshed.len(), 1);
-        let (rid, work) = refreshed[0];
-        assert_eq!(rid, id);
+        let Refreshed {
+            id: rid,
+            work,
+            observations,
+        } = refreshed[0];
+        assert_eq!((rid, observations), (id, Some(6)));
         assert!(
             work > 0.0 && work < scan_cost / 100.0,
             "feedback work {work} must be far below scan cost {scan_cost}"
@@ -598,28 +498,27 @@ mod tests {
     }
 
     #[test]
-    fn feedback_refresh_skips_ineligible_statistics() {
+    fn refresh_rebuilds_what_feedback_cannot_correct() {
         let (db, t) = test_db();
         let mut cat = StatsCatalog::new();
+        // Multi-column statistics need scans (prefix densities).
         let multi = cat
             .create_statistic(&db, StatDescriptor::multi(t, vec![0, 1]))
             .unwrap();
-        let mut store = FeedbackStore::new();
-        store.ingest(&feedback_records(t, 0, 6));
-        let config = FeedbackConfig::default();
-        // Multi-column statistics need scans (prefix densities).
-        assert!(!cat.feedback_refreshable(multi, &store, &config));
-        assert!(cat
-            .feedback_refresh(&db, t, &[multi], &mut store, &config)
-            .is_empty());
         // Too few observations.
         let single = cat
             .create_statistic(&db, StatDescriptor::single(t, 1))
             .unwrap();
-        let mut sparse = FeedbackStore::new();
-        sparse.ingest(&feedback_records(t, 1, 2));
-        assert!(!cat.feedback_refreshable(single, &sparse, &config));
-        assert_eq!(cat.update_work(), 0.0);
+        let mut store = FeedbackStore::new();
+        store.ingest(&feedback_records(t, 0, 6));
+        store.ingest(&feedback_records(t, 1, 2));
+        let config = FeedbackConfig::default();
+        let refreshed = cat.refresh(&db, t, &[multi, single], Some((&mut store, &config)));
+        let rebuilt: Vec<(StatId, Option<usize>)> =
+            refreshed.iter().map(|r| (r.id, r.observations)).collect();
+        assert_eq!(rebuilt, vec![(multi, None), (single, None)]);
+        // Neither took its column's observations.
+        assert_eq!(store.total(), 8);
     }
 
     #[test]

@@ -152,13 +152,6 @@ impl Statistic {
     pub fn leading_ndv(&self) -> f64 {
         self.histogram.ndv()
     }
-
-    /// Density (1/NDV) over all columns of the statistic.
-    pub fn full_density(&self) -> f64 {
-        // Descriptors are validated non-empty at creation; an empty density
-        // list (hand-built statistic) degrades to "no density information".
-        self.prefix_densities.last().copied().unwrap_or(0.0)
-    }
 }
 
 /// Deterministic work-unit cost of building a statistic on `columns` of a
@@ -402,7 +395,7 @@ mod tests {
         let s = build(StatDescriptor::single(TableId(0), 0));
         assert_eq!(s.leading_ndv(), 100.0);
         assert_eq!(s.prefix_densities.len(), 1);
-        assert!((s.full_density() - 0.01).abs() < 1e-9);
+        assert!((s.prefix_densities[0] - 0.01).abs() < 1e-9);
         assert_eq!(s.row_count_at_build, t.row_count());
         assert_eq!(s.null_fraction, 0.0);
     }

@@ -272,10 +272,10 @@ fn check_case(
         unique.sort();
         unique.dedup();
         for &id in &unique {
-            prop_assert_eq!(serial.refresh_statistics(&grown, t, &[id]).len(), 1);
+            prop_assert_eq!(serial.refresh(&grown, t, &[id], None).len(), 1);
         }
         prop_assert_eq!(
-            batched.refresh_statistics(&grown, t, &unique).len(),
+            batched.refresh(&grown, t, &unique, None).len(),
             unique.len()
         );
         prop_assert_eq!(fields(&serial.snapshot()), fields(&batched.snapshot()));
