@@ -4,8 +4,7 @@ use crate::cli::Cli;
 use autostats::{MnsaEngine, MnsaOutcome, TuningReport};
 use datagen::{build_tpcd, TpcdConfig, ZipfSpec};
 use executor::{execute_plan, WorkloadRunner};
-use obsv::export::json_escape;
-use obsv::metrics::render_f64;
+use obsv::json::Object;
 use optimizer::{OptimizeOptions, Optimizer};
 use query::{bind_statement, BoundSelect, BoundStatement, Statement};
 use rustc_hash::FxHashMap;
@@ -75,18 +74,16 @@ pub struct Row {
 }
 
 impl Row {
-    /// Hand-rolled JSON (no serde_json offline). Fields are flat strings
-    /// plus one number, so this stays trivially correct.
+    /// One JSON line.
     pub fn to_json(&self) -> String {
-        format!(
-            "{{\"experiment\":\"{}\",\"database\":\"{}\",\"workload\":\"{}\",\"metric\":\"{}\",\"measured\":{},\"paper_band\":\"{}\"}}",
-            json_escape(&self.experiment),
-            json_escape(&self.database),
-            json_escape(&self.workload),
-            json_escape(&self.metric),
-            render_f64(self.measured),
-            json_escape(&self.paper_band),
-        )
+        Object::new()
+            .field("experiment", self.experiment.as_str())
+            .field("database", self.database.as_str())
+            .field("workload", self.workload.as_str())
+            .field("metric", self.metric.as_str())
+            .field("measured", self.measured)
+            .field("paper_band", self.paper_band.as_str())
+            .line()
     }
 
     pub fn print(&self) {
@@ -349,6 +346,32 @@ mod tests {
         assert_eq!(pct_change(100.0, 120.0), 20.0);
         assert_eq!(pct_reduction(100.0, 60.0), 40.0);
         assert_eq!(pct_change(0.0, 50.0), 0.0);
+    }
+
+    #[test]
+    fn row_document_is_pinned() {
+        let row = Row {
+            experiment: "fig3".into(),
+            database: "TPCD_\"MIX\"".into(),
+            workload: "U0-C\n".into(),
+            metric: "creation work saved (%)".into(),
+            measured: 12.5,
+            paper_band: "> 30 % \\ é".into(),
+        };
+        // The row written for this input in the earlier space-free layout:
+        // the separators may change, the parsed document may not.
+        let pinned = "{\"experiment\":\"fig3\",\"database\":\"TPCD_\\\"MIX\\\"\",\"workload\":\"U0-C\\n\",\"metric\":\"creation work saved (%)\",\"measured\":12.5,\"paper_band\":\"> 30 % \\\\ é\"}";
+        let parse = obsv::json::parse;
+        assert_eq!(parse(&row.to_json()), parse(pinned));
+        let nan = Row {
+            measured: f64::NAN,
+            ..row
+        };
+        assert_eq!(
+            parse(&nan.to_json()),
+            parse(&pinned.replace("12.5", "null"))
+        );
+        assert!(!nan.to_json().contains('\n'));
     }
 
     #[test]

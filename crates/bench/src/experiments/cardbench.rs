@@ -37,7 +37,7 @@ use crate::common::ExperimentScale;
 use autostats::{single_column_candidates, MnsaConfig, MnsaEngine};
 use datagen::{adversarial_queries, build_adversarial, AdversarialConfig, Regime, FACTS};
 use executor::{execute_plan, execute_plan_observed, predicate::row_matches};
-use obsv::metrics::render_f64 as num;
+use obsv::json::Object;
 use obsv::{ArgValue, EventKind};
 use optimizer::{OptimizeOptions, Optimizer};
 use query::{
@@ -761,60 +761,69 @@ fn group_by_fraction(db: &Database, query: &BoundSelect, optimizer: &Optimizer) 
 }
 
 impl CardbenchResult {
-    /// Hand-rolled JSON (no serde_json offline).
+    /// The `BENCH_cardbench.json` document.
     pub fn to_json(&self) -> String {
-        let mut s = String::new();
-        s.push_str("{\n");
-        s.push_str(&format!(
-            "  \"experiment\": \"cardbench\",\n  \"rows\": {},\n  \"queries_per_regime\": {},\n  \"seed\": {},\n  \"deterministic\": {},\n  \"regimes\": [\n",
-            self.rows, self.queries_per_regime, self.seed, self.deterministic
-        ));
-        for (i, regime) in self.regimes.iter().enumerate() {
-            s.push_str(&format!(
-                "    {{\"regime\": \"{}\", \"catalogs\": [\n",
-                regime.regime
-            ));
-            for (j, c) in regime.cells.iter().enumerate() {
-                s.push_str(&format!(
-                    "      {{\"catalog\": \"{}\", \"stats_built\": {}, \"operators\": {}, \"q_error\": {{\"p50\": {}, \"p90\": {}, \"p99\": {}, \"max\": {}}}, \"regret\": {{\"geomean\": {}, \"max\": {}}}}}{}\n",
-                    c.catalog,
-                    c.stats_built,
-                    c.operators,
-                    num(c.q_p50),
-                    num(c.q_p90),
-                    num(c.q_p99),
-                    num(c.q_max),
-                    num(c.regret_mean),
-                    num(c.regret_max),
-                    if j + 1 < regime.cells.len() { "," } else { "" }
-                ));
-            }
-            s.push_str(&format!(
-                "    ]}}{}\n",
-                if i + 1 < self.regimes.len() { "," } else { "" }
-            ));
-        }
-        s.push_str("  ],\n");
-        s.push_str(&format!(
-            "  \"drift\": {{\"drift_rows\": {}, \"stats_built\": {}, \"strategies\": [\n",
-            self.drift.drift_rows, self.drift.stats_built
-        ));
-        for (j, c) in self.drift.cells.iter().enumerate() {
-            s.push_str(&format!(
-                "    {{\"strategy\": \"{}\", \"refreshed\": {}, \"refresh_work\": {}, \"operators\": {}, \"q_error\": {{\"p50\": {}, \"p90\": {}, \"p99\": {}, \"max\": {}}}}}{}\n",
-                c.strategy,
-                c.refreshed,
-                num(c.refresh_work),
-                c.operators,
-                num(c.q_p50),
-                num(c.q_p90),
-                num(c.q_p99),
-                num(c.q_max),
-                if j + 1 < self.drift.cells.len() { "," } else { "" }
-            ));
-        }
-        s.push_str("  ]}\n}\n");
-        s
+        let q_error = |p50: f64, p90: f64, p99: f64, max: f64| {
+            Object::new()
+                .field("p50", p50)
+                .field("p90", p90)
+                .field("p99", p99)
+                .field("max", max)
+        };
+        let regimes: Vec<Object> = self
+            .regimes
+            .iter()
+            .map(|regime| {
+                let catalogs: Vec<Object> = regime
+                    .cells
+                    .iter()
+                    .map(|c| {
+                        Object::new()
+                            .field("catalog", c.catalog)
+                            .field("stats_built", c.stats_built)
+                            .field("operators", c.operators)
+                            .field("q_error", q_error(c.q_p50, c.q_p90, c.q_p99, c.q_max))
+                            .field(
+                                "regret",
+                                Object::new()
+                                    .field("geomean", c.regret_mean)
+                                    .field("max", c.regret_max),
+                            )
+                    })
+                    .collect();
+                Object::new()
+                    .field("regime", regime.regime)
+                    .field("catalogs", catalogs)
+            })
+            .collect();
+        let strategies: Vec<Object> = self
+            .drift
+            .cells
+            .iter()
+            .map(|c| {
+                Object::new()
+                    .field("strategy", c.strategy)
+                    .field("refreshed", c.refreshed)
+                    .field("refresh_work", c.refresh_work)
+                    .field("operators", c.operators)
+                    .field("q_error", q_error(c.q_p50, c.q_p90, c.q_p99, c.q_max))
+            })
+            .collect();
+        Object::new()
+            .field("experiment", "cardbench")
+            .field("rows", self.rows)
+            .field("queries_per_regime", self.queries_per_regime)
+            .field("seed", self.seed)
+            .field("deterministic", self.deterministic)
+            .field("regimes", regimes)
+            .field(
+                "drift",
+                Object::new()
+                    .field("drift_rows", self.drift.drift_rows)
+                    .field("stats_built", self.drift.stats_built)
+                    .field("strategies", strategies),
+            )
+            .block()
     }
 
     pub fn print(&self) {

@@ -29,7 +29,7 @@ use crate::common::ExperimentScale;
 use autod::{AutodConfig, CatalogEpoch, OnlineService, ServiceReport, TelemetryConfig, TickReport};
 use autostats::{OfflineTuner, SessionReport};
 use datagen::{tpcd_benchmark_queries, Complexity, RagsGenerator, WorkloadSpec};
-use obsv::metrics::render_f64 as num;
+use obsv::json::Object;
 use optimizer::{OptimizeOptions, Optimizer};
 use query::{bind_statement, parse_statement, BoundSelect, BoundStatement, Statement};
 use stats::StatsCatalog;
@@ -102,54 +102,39 @@ impl OnlineResult {
         gap_pct(self.online_probe_cost, self.offline_probe_cost)
     }
 
-    /// Hand-rolled JSON (no serde_json offline).
+    /// The `BENCH_online.json` document.
     pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        out.push_str("{\n  \"experiment\": \"online\",\n");
-        for (key, value) in [
-            ("scale", self.scale.to_string()),
-            ("statements", self.statements.to_string()),
-            ("ticks", self.ticks.to_string()),
-            ("budget_per_tick", num(self.budget_per_tick)),
-            ("distinct_templates", self.distinct_templates.to_string()),
-            ("queries_tuned", self.queries_tuned.to_string()),
-            ("tuning_work", num(self.tuning_work)),
-            ("refreshes", self.refreshes.to_string()),
-            ("refresh_work", num(self.refresh_work)),
-            (
-                "budget_exhausted_ticks",
-                self.budget_exhausted_ticks.to_string(),
-            ),
-            ("epoch_generation", self.epoch_generation.to_string()),
-            ("statistics_built", self.statistics_built.to_string()),
-            ("baseline_probe_cost", num(self.baseline_probe_cost)),
-            ("online_probe_cost", num(self.online_probe_cost)),
-            ("offline_probe_cost", num(self.offline_probe_cost)),
-            ("convergence_gap_pct", num(self.convergence_gap_pct())),
-        ] {
-            out.push_str(&format!("  \"{key}\": {value},\n"));
-        }
-        out.push_str("  \"trajectory\": [\n");
-        for (i, p) in self.trajectory.iter().enumerate() {
-            out.push_str(&format!(
-                "    {{\"tick\": {}, \"generation\": {}, \"probe_cost\": {}}}{}\n",
-                p.tick,
-                p.generation,
-                num(p.probe_cost),
-                if i + 1 < self.trajectory.len() {
-                    ","
-                } else {
-                    ""
-                }
-            ));
-        }
-        out.push_str("  ],\n");
-        out.push_str(&format!(
-            "  \"rerun_identical\": {}\n",
-            self.rerun_identical
-        ));
-        out.push_str("}\n");
-        out
+        let trajectory: Vec<Object> = self
+            .trajectory
+            .iter()
+            .map(|p| {
+                Object::new()
+                    .field("tick", p.tick)
+                    .field("generation", p.generation)
+                    .field("probe_cost", p.probe_cost)
+            })
+            .collect();
+        Object::new()
+            .field("experiment", "online")
+            .field("scale", self.scale)
+            .field("statements", self.statements)
+            .field("ticks", self.ticks)
+            .field("budget_per_tick", self.budget_per_tick)
+            .field("distinct_templates", self.distinct_templates)
+            .field("queries_tuned", self.queries_tuned)
+            .field("tuning_work", self.tuning_work)
+            .field("refreshes", self.refreshes)
+            .field("refresh_work", self.refresh_work)
+            .field("budget_exhausted_ticks", self.budget_exhausted_ticks)
+            .field("epoch_generation", self.epoch_generation)
+            .field("statistics_built", self.statistics_built)
+            .field("baseline_probe_cost", self.baseline_probe_cost)
+            .field("online_probe_cost", self.online_probe_cost)
+            .field("offline_probe_cost", self.offline_probe_cost)
+            .field("convergence_gap_pct", self.convergence_gap_pct())
+            .field("trajectory", trajectory)
+            .field("rerun_identical", self.rerun_identical)
+            .block()
     }
 
     pub fn print(&self) {

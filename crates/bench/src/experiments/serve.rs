@@ -26,7 +26,7 @@ use super::online::{
 use crate::common::ExperimentScale;
 use autod::{AutodConfig, ServiceReport, TickReport};
 use autostats::{OnlineEvent, SessionReport};
-use obsv::metrics::render_f64 as num;
+use obsv::json::Object;
 use query::{bind_statement, BoundSelect, Statement};
 use serve::{GatherStats, Route, Router, ServeCluster, ServeConfig, ShardPlan, ShardPlanConfig};
 use std::sync::Arc;
@@ -84,46 +84,39 @@ impl ServeResult {
             .fold(0.0, f64::max)
     }
 
-    /// Hand-rolled JSON (no serde_json offline).
+    /// The `BENCH_serve.json` document.
     pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        out.push_str("{\n  \"experiment\": \"serve\",\n");
-        for (key, value) in [
-            ("scale", self.scale.to_string()),
-            ("shards", self.shards.to_string()),
-            ("statements", self.statements.to_string()),
-            ("ticks", self.ticks.to_string()),
-            ("global_budget_per_tick", num(self.global_budget_per_tick)),
-            ("gather_hits", self.gather.hits.to_string()),
-            ("gather_rebuilds", self.gather.rebuilds.to_string()),
-            ("one_shard_identical", self.one_shard_identical.to_string()),
-            ("replay_identical", self.replay_identical.to_string()),
-            (
-                "max_convergence_gap_pct",
-                num(self.max_convergence_gap_pct()),
-            ),
-        ] {
-            out.push_str(&format!("  \"{key}\": {value},\n"));
-        }
-        out.push_str("  \"per_shard\": [\n");
-        for (i, s) in self.per_shard.iter().enumerate() {
-            out.push_str(&format!(
-                "    {{\"shard\": {}, \"statements_routed\": {}, \"distinct_templates\": {}, \"queries_tuned\": {}, \"refreshes\": {}, \"epoch_generation\": {}, \"statistics_built\": {}, \"online_probe_cost\": {}, \"offline_probe_cost\": {}, \"convergence_gap_pct\": {}}}{}\n",
-                s.shard,
-                s.statements_routed,
-                s.distinct_templates,
-                s.queries_tuned,
-                s.refreshes,
-                s.epoch_generation,
-                s.statistics_built,
-                num(s.online_probe_cost),
-                num(s.offline_probe_cost),
-                num(s.convergence_gap_pct()),
-                if i + 1 < self.per_shard.len() { "," } else { "" }
-            ));
-        }
-        out.push_str("  ]\n}\n");
-        out
+        let per_shard: Vec<Object> = self
+            .per_shard
+            .iter()
+            .map(|s| {
+                Object::new()
+                    .field("shard", s.shard)
+                    .field("statements_routed", s.statements_routed)
+                    .field("distinct_templates", s.distinct_templates)
+                    .field("queries_tuned", s.queries_tuned)
+                    .field("refreshes", s.refreshes)
+                    .field("epoch_generation", s.epoch_generation)
+                    .field("statistics_built", s.statistics_built)
+                    .field("online_probe_cost", s.online_probe_cost)
+                    .field("offline_probe_cost", s.offline_probe_cost)
+                    .field("convergence_gap_pct", s.convergence_gap_pct())
+            })
+            .collect();
+        Object::new()
+            .field("experiment", "serve")
+            .field("scale", self.scale)
+            .field("shards", self.shards)
+            .field("statements", self.statements)
+            .field("ticks", self.ticks)
+            .field("global_budget_per_tick", self.global_budget_per_tick)
+            .field("gather_hits", self.gather.hits)
+            .field("gather_rebuilds", self.gather.rebuilds)
+            .field("one_shard_identical", self.one_shard_identical)
+            .field("replay_identical", self.replay_identical)
+            .field("max_convergence_gap_pct", self.max_convergence_gap_pct())
+            .field("per_shard", per_shard)
+            .block()
     }
 
     pub fn print(&self) {

@@ -10,6 +10,7 @@
 
 use crate::mnsa::{MnsaOutcome, Termination};
 use crate::policy::TuningReport;
+use obsv::json::Object;
 use stats::StatId;
 use std::fmt::Write as _;
 use storage::TableId;
@@ -240,140 +241,101 @@ impl SessionReport {
         out
     }
 
-    /// Render the journal as a JSON object (hand-rolled; the workspace has
-    /// no JSON serializer dependency).
+    /// Render the journal as a JSON document.
     pub fn to_json(&self) -> String {
-        fn num(v: f64) -> String {
-            if v.is_finite() {
-                format!("{v}")
-            } else {
-                "null".to_string()
-            }
-        }
-        let mut out = String::from("{\n  \"queries\": [\n");
-        for (i, q) in self.queries.iter().enumerate() {
-            let _ = write!(
-                out,
-                "    {{\"index\": {}, \"relations\": {}, \"optimizer_calls\": {}, \
-                 \"rounds\": {}, \"created\": {}, \"drop_listed\": {}, \"skipped\": {}, \
-                 \"final_cost\": {}, \"terminated_by\": \"{}\"}}",
-                q.index,
-                q.relations,
-                q.optimizer_calls,
-                q.rounds,
-                q.created,
-                q.drop_listed,
-                q.skipped,
-                num(q.final_cost),
-                Self::termination_str(q.terminated_by),
-            );
-            out.push_str(if i + 1 < self.queries.len() {
-                ",\n"
-            } else {
-                "\n"
-            });
-        }
-        let _ = write!(
-            out,
-            "  ],\n  \"totals\": {{\"optimizer_calls\": {}, \"statistics_created\": {}, \
-             \"statistics_drop_listed\": {}, \"creation_work\": {}, \"overhead_work\": {}}},\n",
-            self.totals.optimizer_calls,
-            self.totals.statistics_created,
-            self.totals.statistics_drop_listed,
-            num(self.totals.creation_work),
-            num(self.totals.overhead_work),
-        );
-        let _ = write!(
-            out,
-            "  \"shrink_removed\": {},\n  \"shrink_optimizer_calls\": {}",
-            self.shrink_removed, self.shrink_optimizer_calls,
-        );
+        let queries: Vec<Object> = self
+            .queries
+            .iter()
+            .map(|q| {
+                Object::new()
+                    .field("index", q.index)
+                    .field("relations", q.relations)
+                    .field("optimizer_calls", q.optimizer_calls)
+                    .field("rounds", q.rounds)
+                    .field("created", q.created)
+                    .field("drop_listed", q.drop_listed)
+                    .field("skipped", q.skipped)
+                    .field("final_cost", q.final_cost)
+                    .field("terminated_by", Self::termination_str(q.terminated_by))
+            })
+            .collect();
+        let totals = Object::new()
+            .field("optimizer_calls", self.totals.optimizer_calls)
+            .field("statistics_created", self.totals.statistics_created)
+            .field("statistics_drop_listed", self.totals.statistics_drop_listed)
+            .field("creation_work", self.totals.creation_work)
+            .field("overhead_work", self.totals.overhead_work);
+        let mut doc = Object::new()
+            .field("queries", queries)
+            .field("totals", totals)
+            .field("shrink_removed", self.shrink_removed)
+            .field("shrink_optimizer_calls", self.shrink_optimizer_calls);
         // Conditional section: offline journals (no online events) render
         // exactly as they did before the online lifecycle existed.
         if !self.online.is_empty() {
-            out.push_str(",\n  \"online\": [\n");
-            for (i, e) in self.online.iter().enumerate() {
-                let entry = match e {
-                    OnlineEvent::Refresh {
-                        tick,
-                        stat,
-                        table,
-                        work,
-                    } => format!(
-                        "    {{\"event\": \"refresh\", \"tick\": {}, \"stat\": {}, \
-                         \"table\": {}, \"work\": {}}}",
-                        tick,
-                        stat.0,
-                        table.0,
-                        num(*work)
-                    ),
-                    OnlineEvent::FeedbackRefresh {
-                        tick,
-                        stat,
-                        table,
-                        work,
-                        observations,
-                    } => format!(
-                        "    {{\"event\": \"feedback_refresh\", \"tick\": {}, \"stat\": {}, \
-                         \"table\": {}, \"work\": {}, \"observations\": {}}}",
-                        tick,
-                        stat.0,
-                        table.0,
-                        num(*work),
-                        observations
-                    ),
-                    OnlineEvent::AutoDrop {
-                        tick,
-                        stat,
-                        table,
-                        updates,
-                    } => format!(
-                        "    {{\"event\": \"auto_drop\", \"tick\": {}, \"stat\": {}, \
-                         \"table\": {}, \"updates\": {}}}",
-                        tick, stat.0, table.0, updates
-                    ),
-                    OnlineEvent::MonitorEvict { tick, fingerprint } => format!(
-                        "    {{\"event\": \"monitor_evict\", \"tick\": {tick}, \
-                         \"fingerprint\": {fingerprint}}}"
-                    ),
-                    OnlineEvent::BudgetExhausted {
-                        tick,
-                        pending,
-                        balance,
-                    } => format!(
-                        "    {{\"event\": \"budget_exhausted\", \"tick\": {}, \
-                         \"pending\": {}, \"balance\": {}}}",
-                        tick,
-                        pending,
-                        num(*balance)
-                    ),
-                    OnlineEvent::EpochSwap { tick, generation } => format!(
-                        "    {{\"event\": \"epoch_swap\", \"tick\": {tick}, \
-                         \"generation\": {generation}}}"
-                    ),
-                    OnlineEvent::ShardAssigned {
-                        tick,
-                        shard,
-                        table,
-                        rows,
-                        partitioned,
-                    } => format!(
-                        "    {{\"event\": \"shard_assigned\", \"tick\": {}, \"shard\": {}, \
-                         \"table\": {}, \"rows\": {}, \"partitioned\": {}}}",
-                        tick, shard, table.0, rows, partitioned
-                    ),
-                };
-                out.push_str(&entry);
-                out.push_str(if i + 1 < self.online.len() {
-                    ",\n"
-                } else {
-                    "\n"
-                });
-            }
-            out.push_str("  ]");
+            let online: Vec<Object> = self.online.iter().map(online_event_json).collect();
+            doc.push("online", online);
         }
-        out.push_str("\n}\n");
-        out
+        doc.block()
+    }
+}
+
+fn online_event_json(e: &OnlineEvent) -> Object {
+    let event = |name: &str, tick: u64| Object::new().field("event", name).field("tick", tick);
+    match *e {
+        OnlineEvent::Refresh {
+            tick,
+            stat,
+            table,
+            work,
+        } => event("refresh", tick)
+            .field("stat", stat.0)
+            .field("table", table.0)
+            .field("work", work),
+        OnlineEvent::FeedbackRefresh {
+            tick,
+            stat,
+            table,
+            work,
+            observations,
+        } => event("feedback_refresh", tick)
+            .field("stat", stat.0)
+            .field("table", table.0)
+            .field("work", work)
+            .field("observations", observations),
+        OnlineEvent::AutoDrop {
+            tick,
+            stat,
+            table,
+            updates,
+        } => event("auto_drop", tick)
+            .field("stat", stat.0)
+            .field("table", table.0)
+            .field("updates", updates),
+        OnlineEvent::MonitorEvict { tick, fingerprint } => {
+            event("monitor_evict", tick).field("fingerprint", fingerprint)
+        }
+        OnlineEvent::BudgetExhausted {
+            tick,
+            pending,
+            balance,
+        } => event("budget_exhausted", tick)
+            .field("pending", pending)
+            .field("balance", balance),
+        OnlineEvent::EpochSwap { tick, generation } => {
+            event("epoch_swap", tick).field("generation", generation)
+        }
+        OnlineEvent::ShardAssigned {
+            tick,
+            shard,
+            table,
+            rows,
+            partitioned,
+        } => event("shard_assigned", tick)
+            .field("shard", shard)
+            .field("table", table.0)
+            .field("rows", rows)
+            .field("partitioned", partitioned),
     }
 }
 
@@ -501,6 +463,78 @@ mod tests {
             Some("refresh")
         );
         assert_eq!(events[0].get("work").and_then(|v| v.as_f64()), Some(42.5));
+    }
+
+    #[test]
+    fn json_bytes_are_pinned() {
+        let mut r = SessionReport::default();
+        // The exact bytes written for this input: recorded artifacts and
+        // their readers depend on them.
+        assert_eq!(
+            r.to_json(),
+            "{\n  \"queries\": [\n  ],\n  \"totals\": {\"optimizer_calls\": 0, \"statistics_created\": 0, \"statistics_drop_listed\": 0, \"creation_work\": 0, \"overhead_work\": 0},\n  \"shrink_removed\": 0,\n  \"shrink_optimizer_calls\": 0\n}\n"
+        );
+        r.record_query(2, &outcome(5, 2, 100.25));
+        r.record_query(3, &outcome(3, 0, f64::NAN));
+        r.queries[0].drop_listed = 1;
+        r.queries[0].skipped = 3;
+        r.queries[1].terminated_by = Termination::NoMoreCandidates;
+        r.totals = TuningReport {
+            statistics_created: 2,
+            statistics_drop_listed: 1,
+            optimizer_calls: 8,
+            creation_work: 1234.5,
+            overhead_work: f64::INFINITY,
+        };
+        r.shrink_removed = 1;
+        r.shrink_optimizer_calls = 4;
+        let offline = "{\n  \"queries\": [\n    {\"index\": 0, \"relations\": 2, \"optimizer_calls\": 5, \"rounds\": 2, \"created\": 2, \"drop_listed\": 1, \"skipped\": 3, \"final_cost\": 100.25, \"terminated_by\": \"converged\"},\n    {\"index\": 1, \"relations\": 3, \"optimizer_calls\": 3, \"rounds\": 0, \"created\": 0, \"drop_listed\": 0, \"skipped\": 0, \"final_cost\": null, \"terminated_by\": \"no_more_candidates\"}\n  ],\n  \"totals\": {\"optimizer_calls\": 8, \"statistics_created\": 2, \"statistics_drop_listed\": 1, \"creation_work\": 1234.5, \"overhead_work\": null},\n  \"shrink_removed\": 1,\n  \"shrink_optimizer_calls\": 4\n}\n";
+        assert_eq!(r.to_json(), offline);
+        for e in [
+            OnlineEvent::ShardAssigned {
+                tick: 0,
+                shard: 1,
+                table: TableId(3),
+                rows: 1200,
+                partitioned: true,
+            },
+            OnlineEvent::Refresh {
+                tick: 3,
+                stat: StatId(7),
+                table: TableId(1),
+                work: 42.5,
+            },
+            OnlineEvent::FeedbackRefresh {
+                tick: 3,
+                stat: StatId(8),
+                table: TableId(1),
+                work: 0.125,
+                observations: 9,
+            },
+            OnlineEvent::MonitorEvict {
+                tick: 4,
+                fingerprint: u64::MAX,
+            },
+            OnlineEvent::BudgetExhausted {
+                tick: 5,
+                pending: 2,
+                balance: -10.0,
+            },
+            OnlineEvent::EpochSwap {
+                tick: 5,
+                generation: 2,
+            },
+            OnlineEvent::AutoDrop {
+                tick: 6,
+                stat: StatId(7),
+                table: TableId(1),
+                updates: 5,
+            },
+        ] {
+            r.record_online(e);
+        }
+        let online = "{\n  \"queries\": [\n    {\"index\": 0, \"relations\": 2, \"optimizer_calls\": 5, \"rounds\": 2, \"created\": 2, \"drop_listed\": 1, \"skipped\": 3, \"final_cost\": 100.25, \"terminated_by\": \"converged\"},\n    {\"index\": 1, \"relations\": 3, \"optimizer_calls\": 3, \"rounds\": 0, \"created\": 0, \"drop_listed\": 0, \"skipped\": 0, \"final_cost\": null, \"terminated_by\": \"no_more_candidates\"}\n  ],\n  \"totals\": {\"optimizer_calls\": 8, \"statistics_created\": 2, \"statistics_drop_listed\": 1, \"creation_work\": 1234.5, \"overhead_work\": null},\n  \"shrink_removed\": 1,\n  \"shrink_optimizer_calls\": 4,\n  \"online\": [\n    {\"event\": \"shard_assigned\", \"tick\": 0, \"shard\": 1, \"table\": 3, \"rows\": 1200, \"partitioned\": true},\n    {\"event\": \"refresh\", \"tick\": 3, \"stat\": 7, \"table\": 1, \"work\": 42.5},\n    {\"event\": \"feedback_refresh\", \"tick\": 3, \"stat\": 8, \"table\": 1, \"work\": 0.125, \"observations\": 9},\n    {\"event\": \"monitor_evict\", \"tick\": 4, \"fingerprint\": 18446744073709551615},\n    {\"event\": \"budget_exhausted\", \"tick\": 5, \"pending\": 2, \"balance\": -10},\n    {\"event\": \"epoch_swap\", \"tick\": 5, \"generation\": 2},\n    {\"event\": \"auto_drop\", \"tick\": 6, \"stat\": 7, \"table\": 1, \"updates\": 5}\n  ]\n}\n";
+        assert_eq!(r.to_json(), online);
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //! wall-clock flavoured and outside the bit-identity determinism contract;
 //! everything else is a deterministic function of the tick schedule.
 
-use crate::json::{self, Json};
+use crate::json::{self, Json, Object};
 
 /// Point-in-time health of the online service. All counters are cumulative
 /// since service start except where named otherwise.
@@ -100,41 +100,32 @@ impl HealthSnapshot {
 
     /// One flat JSON object — one line of the health JSONL stream.
     pub fn to_json_line(&self) -> String {
-        format!(
-            "{{\"tick\": {}, \"shard\": {}, \"epoch_generation\": {}, \"epoch_age_ticks\": {}, \
-             \"staleness_backlog\": {}, \"pending_templates\": {}, \
-             \"monitor_templates\": {}, \"monitor_capacity\": {}, \
-             \"monitor_observed\": {}, \"monitor_evictions\": {}, \
-             \"monitor_ghost_hits\": {}, \"feedback_queue_depth\": {}, \
-             \"budget_balance\": {}, \"cache_hits\": {}, \"cache_misses\": {}, \
-             \"cache_invalidations\": {}, \"queries\": {}, \"dml\": {}, \
-             \"latency_count\": {}, \"latency_p50_ns\": {}, \"latency_p90_ns\": {}, \
-             \"latency_p99_ns\": {}, \"latency_p999_ns\": {}, \"latency_max_ns\": {}}}",
-            self.tick,
-            self.shard,
-            self.epoch_generation,
-            self.epoch_age_ticks,
-            self.staleness_backlog,
-            self.pending_templates,
-            self.monitor_templates,
-            self.monitor_capacity,
-            self.monitor_observed,
-            self.monitor_evictions,
-            self.monitor_ghost_hits,
-            self.feedback_queue_depth,
-            crate::metrics::render_f64(self.budget_balance),
-            self.cache_hits,
-            self.cache_misses,
-            self.cache_invalidations,
-            self.queries,
-            self.dml,
-            self.latency_count,
-            self.latency_p50_ns,
-            self.latency_p90_ns,
-            self.latency_p99_ns,
-            self.latency_p999_ns,
-            self.latency_max_ns,
-        )
+        Object::new()
+            .field("tick", self.tick)
+            .field("shard", self.shard)
+            .field("epoch_generation", self.epoch_generation)
+            .field("epoch_age_ticks", self.epoch_age_ticks)
+            .field("staleness_backlog", self.staleness_backlog)
+            .field("pending_templates", self.pending_templates)
+            .field("monitor_templates", self.monitor_templates)
+            .field("monitor_capacity", self.monitor_capacity)
+            .field("monitor_observed", self.monitor_observed)
+            .field("monitor_evictions", self.monitor_evictions)
+            .field("monitor_ghost_hits", self.monitor_ghost_hits)
+            .field("feedback_queue_depth", self.feedback_queue_depth)
+            .field("budget_balance", self.budget_balance)
+            .field("cache_hits", self.cache_hits)
+            .field("cache_misses", self.cache_misses)
+            .field("cache_invalidations", self.cache_invalidations)
+            .field("queries", self.queries)
+            .field("dml", self.dml)
+            .field("latency_count", self.latency_count)
+            .field("latency_p50_ns", self.latency_p50_ns)
+            .field("latency_p90_ns", self.latency_p90_ns)
+            .field("latency_p99_ns", self.latency_p99_ns)
+            .field("latency_p999_ns", self.latency_p999_ns)
+            .field("latency_max_ns", self.latency_max_ns)
+            .line()
     }
 
     /// Parse one JSONL line back into a snapshot (missing fields read 0).
@@ -326,6 +317,19 @@ mod tests {
         assert_eq!(parsed, s);
         assert!(HealthSnapshot::from_json_line("[1]").is_err());
         assert!(HealthSnapshot::from_json_line("{nope").is_err());
+    }
+
+    #[test]
+    fn json_line_bytes_are_pinned() {
+        // The exact bytes written for this input: recorded artifacts and
+        // their readers depend on them.
+        let pinned = "{\"tick\": 12, \"shard\": 2, \"epoch_generation\": 3, \"epoch_age_ticks\": 2, \"staleness_backlog\": 1, \"pending_templates\": 4, \"monitor_templates\": 96, \"monitor_capacity\": 256, \"monitor_observed\": 5000, \"monitor_evictions\": 40, \"monitor_ghost_hits\": 10, \"feedback_queue_depth\": 17, \"budget_balance\": -1500.5, \"cache_hits\": 900, \"cache_misses\": 100, \"cache_invalidations\": 3, \"queries\": 4800, \"dml\": 200, \"latency_count\": 4800, \"latency_p50_ns\": 45000, \"latency_p90_ns\": 120000, \"latency_p99_ns\": 900000, \"latency_p999_ns\": 2500000, \"latency_max_ns\": 9000000}";
+        assert_eq!(sample().to_json_line(), pinned);
+        let unlimited = HealthSnapshot {
+            budget_balance: f64::INFINITY,
+            ..sample()
+        };
+        assert_eq!(unlimited.to_json_line(), pinned.replace("-1500.5", "null"));
     }
 
     #[test]

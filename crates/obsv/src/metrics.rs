@@ -10,6 +10,7 @@
 //! Reads ([`Registry::snapshot`]) are wait-free with respect to writers:
 //! the snapshot locks only the name map, then loads each atomic.
 
+use crate::json::{Object, Value};
 use crate::latency::{LatencyHistogram, LatencySample};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
@@ -280,49 +281,33 @@ impl Snapshot {
         out
     }
 
-    /// The snapshot as one JSON object keyed by metric name.
+    /// The snapshot as one JSON document keyed by metric name.
     pub fn render_json(&self) -> String {
-        let mut out = String::from("{");
-        for (i, (name, value)) in self.entries.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("\n  \"{}\": ", crate::export::json_escape(name)));
-            match value {
-                MetricValue::Counter(v) => out.push_str(&format!("{v}")),
-                MetricValue::Float(v) => out.push_str(&render_f64(*v)),
-                MetricValue::Gauge(v) => out.push_str(&format!("{v}")),
-                MetricValue::Latency(s) => {
-                    out.push_str(&format!(
-                        "{{\"count\": {}, \"sum\": {}, \"min\": {}, \"max\": {}, \"p50\": {}, \"p90\": {}, \"p99\": {}, \"p999\": {}}}",
-                        s.count,
-                        s.sum,
-                        s.min,
-                        s.max,
-                        s.quantile(0.50),
-                        s.quantile(0.90),
-                        s.quantile(0.99),
-                        s.quantile(0.999),
-                    ));
-                }
-            }
+        let mut doc = Object::new();
+        for (name, value) in &self.entries {
+            let value: Value = match value {
+                MetricValue::Counter(v) => (*v).into(),
+                MetricValue::Float(v) => (*v).into(),
+                MetricValue::Gauge(v) => (*v).into(),
+                MetricValue::Latency(s) => Object::new()
+                    .field("count", s.count)
+                    .field("sum", s.sum)
+                    .field("min", s.min)
+                    .field("max", s.max)
+                    .field("p50", s.quantile(0.50))
+                    .field("p90", s.quantile(0.90))
+                    .field("p99", s.quantile(0.99))
+                    .field("p999", s.quantile(0.999))
+                    .into(),
+            };
+            doc.push(name.as_str(), value);
         }
-        out.push_str("\n}\n");
-        out
-    }
-}
-
-/// JSON-safe f64 rendering (`null` for non-finite values).
-pub fn render_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_string()
+        doc.block()
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     #[test]
@@ -405,6 +390,34 @@ mod tests {
             .get("p99")
             .and_then(crate::json::Json::as_f64)
             .is_some());
+    }
+
+    /// A fixed three-observation latency sample.
+    pub(crate) fn fixed_latency() -> LatencySample {
+        let h = LatencyHistogram::new();
+        for v in [1000, 2000, 1_000_000] {
+            h.observe(v);
+        }
+        h.snapshot()
+    }
+
+    #[test]
+    fn json_bytes_are_pinned() {
+        let mut entries = BTreeMap::new();
+        entries.insert("a.count".to_string(), MetricValue::Counter(3));
+        entries.insert("b.work".to_string(), MetricValue::Float(1.5));
+        entries.insert("b.nan".to_string(), MetricValue::Float(f64::NAN));
+        entries.insert("c.depth".to_string(), MetricValue::Gauge(-2));
+        entries.insert("q\"x".to_string(), MetricValue::Counter(u64::MAX));
+        entries.insert(
+            "q.latency_ns".to_string(),
+            MetricValue::Latency(fixed_latency()),
+        );
+        // The exact bytes written for this input: recorded artifacts and
+        // their readers depend on them.
+        let pinned = "{\n  \"a.count\": 3,\n  \"b.nan\": null,\n  \"b.work\": 1.5,\n  \"c.depth\": -2,\n  \"q\\\"x\": 18446744073709551615,\n  \"q.latency_ns\": {\"count\": 3, \"sum\": 1003000, \"min\": 1000, \"max\": 1000000, \"p50\": 2015, \"p90\": 1015807, \"p99\": 1015807, \"p999\": 1015807}\n}\n";
+        assert_eq!(Snapshot { entries }.render_json(), pinned);
+        assert_eq!(Snapshot::default().render_json(), "{\n}\n");
     }
 
     #[test]

@@ -187,66 +187,51 @@ impl SlowQueryLog {
 /// seqs and collision-free ids — i.e. it passes
 /// [`crate::check::check_jsonl`] as one valid trace.
 pub fn to_jsonl(queries: &[SlowQuery]) -> String {
-    let mut out = String::new();
-    let mut seq = 0u64;
+    let mut events = Vec::new();
     let mut next_id = 1u64;
     for q in queries {
-        let wrapper = next_id;
         // Per-query tracers allocate ids from 1; offsetting by the current
         // allocator keeps every remapped id unique across queries.
-        let id_base = next_id;
-        let max_inner = q.events.iter().map(|e| e.id).max().unwrap_or(0);
-        next_id += 1 + max_inner;
-        let first_ts = q.events.first().map(|e| e.ts_ns).unwrap_or(0);
-        let last_ts = q.events.last().map(|e| e.ts_ns).unwrap_or(0);
-        let wrap_args = crate::export::render_args(&[
-            (
-                "fingerprint",
-                ArgValue::Str(format!("{:016x}", q.fingerprint)),
-            ),
-            ("latency_ns", ArgValue::Int(q.latency_ns as i64)),
-            ("window", ArgValue::Int(q.window as i64)),
-        ]);
-        out.push_str(&format!(
-            "{{\"seq\": {seq}, \"kind\": \"B\", \"id\": {wrapper}, \"parent\": 0, \"name\": \"slowlog.query\", \"tid\": 0, \"ts_ns\": {first_ts}, \"args\": {wrap_args}}}\n",
+        let wrapper = next_id;
+        next_id += 1 + q.events.iter().map(|e| e.id).max().unwrap_or(0);
+        let bound = |kind, ts_ns, args| Event {
+            seq: 0,
+            kind,
+            id: wrapper,
+            parent: 0,
+            name: "slowlog.query",
+            tid: 0,
+            ts_ns,
+            args,
+        };
+        let first_ts = q.events.first().map_or(0, |e| e.ts_ns);
+        let last_ts = q.events.last().map_or(0, |e| e.ts_ns);
+        events.push(bound(
+            EventKind::Begin,
+            first_ts,
+            vec![
+                ("fingerprint", format!("{:016x}", q.fingerprint).into()),
+                ("latency_ns", ArgValue::Int(q.latency_ns as i64)),
+                ("window", ArgValue::Int(q.window as i64)),
+            ],
         ));
-        seq += 1;
-        for e in &q.events {
-            let kind = match e.kind {
-                EventKind::Begin => "B",
-                EventKind::End => "E",
-                EventKind::Instant => "I",
-            };
-            let id = id_base + e.id;
+        events.extend(q.events.iter().map(|e| Event {
+            id: wrapper + e.id,
             // Root spans of the per-query trace re-parent under the wrapper;
             // End events carry parent 0 by convention and stay that way.
-            let parent = if e.parent == 0 {
-                match e.kind {
-                    EventKind::Begin => wrapper,
-                    _ => 0,
-                }
-            } else {
-                id_base + e.parent
-            };
-            out.push_str(&format!(
-                "{{\"seq\": {}, \"kind\": \"{}\", \"id\": {}, \"parent\": {}, \"name\": \"{}\", \"tid\": {}, \"ts_ns\": {}, \"args\": {}}}\n",
-                seq,
-                kind,
-                id,
-                parent,
-                crate::export::json_escape(e.name),
-                e.tid,
-                e.ts_ns,
-                crate::export::render_args(&e.args),
-            ));
-            seq += 1;
-        }
-        out.push_str(&format!(
-            "{{\"seq\": {seq}, \"kind\": \"E\", \"id\": {wrapper}, \"parent\": 0, \"name\": \"slowlog.query\", \"tid\": 0, \"ts_ns\": {last_ts}, \"args\": {{}}}}\n",
-        ));
-        seq += 1;
+            parent: match (e.parent, &e.kind) {
+                (0, EventKind::Begin) => wrapper,
+                (0, _) => 0,
+                (parent, _) => wrapper + parent,
+            },
+            ..e.clone()
+        }));
+        events.push(bound(EventKind::End, last_ts, Vec::new()));
     }
-    out
+    for (seq, e) in events.iter_mut().enumerate() {
+        e.seq = seq as u64;
+    }
+    crate::export::to_jsonl(&events)
 }
 
 #[cfg(test)]
@@ -312,6 +297,35 @@ mod tests {
         log.record(1, 1_000_000, query_events("q"));
         log.roll(1);
         assert!(log.drain().is_empty());
+    }
+
+    #[test]
+    fn jsonl_bytes_are_pinned() {
+        let events = crate::export::tests::fixed_events();
+        let slow = [
+            SlowQuery {
+                fingerprint: 0xabc,
+                latency_ns: 9000,
+                window: 2,
+                events: events.clone(),
+            },
+            SlowQuery {
+                fingerprint: u64::MAX,
+                latency_ns: 40,
+                window: 3,
+                events: events[2..4].to_vec(),
+            },
+            SlowQuery {
+                fingerprint: 1,
+                latency_ns: 1,
+                window: 4,
+                events: Vec::new(),
+            },
+        ];
+        // The exact bytes written for this input: recorded artifacts and
+        // their readers depend on them.
+        let pinned = "{\"seq\": 0, \"kind\": \"B\", \"id\": 1, \"parent\": 0, \"name\": \"slowlog.query\", \"tid\": 0, \"ts_ns\": 1000, \"args\": {\"fingerprint\": \"0000000000000abc\", \"latency_ns\": 9000, \"window\": 2}}\n{\"seq\": 1, \"kind\": \"B\", \"id\": 2, \"parent\": 1, \"name\": \"root\", \"tid\": 0, \"ts_ns\": 1000, \"args\": {\"sql\": \"a\\\"b\\n\"}}\n{\"seq\": 2, \"kind\": \"I\", \"id\": 2, \"parent\": 0, \"name\": \"tick\", \"tid\": 0, \"ts_ns\": 1500, \"args\": {\"note\": \"é✓\\u0001\", \"ok\": true}}\n{\"seq\": 3, \"kind\": \"B\", \"id\": 3, \"parent\": 2, \"name\": \"child\", \"tid\": 3, \"ts_ns\": 2000, \"args\": {\"rows\": -3}}\n{\"seq\": 4, \"kind\": \"E\", \"id\": 3, \"parent\": 0, \"name\": \"child\", \"tid\": 3, \"ts_ns\": 5000, \"args\": {\"rows_out\": 9, \"ratio\": 0.25, \"bad\": null}}\n{\"seq\": 5, \"kind\": \"E\", \"id\": 2, \"parent\": 0, \"name\": \"root\", \"tid\": 0, \"ts_ns\": 9000, \"args\": {}}\n{\"seq\": 6, \"kind\": \"E\", \"id\": 1, \"parent\": 0, \"name\": \"slowlog.query\", \"tid\": 0, \"ts_ns\": 9000, \"args\": {}}\n{\"seq\": 7, \"kind\": \"B\", \"id\": 4, \"parent\": 0, \"name\": \"slowlog.query\", \"tid\": 0, \"ts_ns\": 2000, \"args\": {\"fingerprint\": \"ffffffffffffffff\", \"latency_ns\": 40, \"window\": 3}}\n{\"seq\": 8, \"kind\": \"B\", \"id\": 6, \"parent\": 5, \"name\": \"child\", \"tid\": 3, \"ts_ns\": 2000, \"args\": {\"rows\": -3}}\n{\"seq\": 9, \"kind\": \"E\", \"id\": 6, \"parent\": 0, \"name\": \"child\", \"tid\": 3, \"ts_ns\": 5000, \"args\": {\"rows_out\": 9, \"ratio\": 0.25, \"bad\": null}}\n{\"seq\": 10, \"kind\": \"E\", \"id\": 4, \"parent\": 0, \"name\": \"slowlog.query\", \"tid\": 0, \"ts_ns\": 5000, \"args\": {}}\n{\"seq\": 11, \"kind\": \"B\", \"id\": 7, \"parent\": 0, \"name\": \"slowlog.query\", \"tid\": 0, \"ts_ns\": 0, \"args\": {\"fingerprint\": \"0000000000000001\", \"latency_ns\": 1, \"window\": 4}}\n{\"seq\": 12, \"kind\": \"E\", \"id\": 7, \"parent\": 0, \"name\": \"slowlog.query\", \"tid\": 0, \"ts_ns\": 0, \"args\": {}}\n";
+        assert_eq!(to_jsonl(&slow), pinned);
     }
 
     #[test]

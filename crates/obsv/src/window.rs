@@ -21,6 +21,7 @@
 //! a JSONL time series validated by [`crate::check::check_windows`] and by
 //! the `obsv_check --windows` flag.
 
+use crate::json::Object;
 use crate::latency::LatencySample;
 use crate::metrics::{MetricValue, Registry, Snapshot};
 use std::collections::BTreeMap;
@@ -67,31 +68,27 @@ impl WindowDelta {
     /// One flat JSON object: `{"window": N, "<metric>": <delta>, ...}`.
     /// Latency metrics expand to `.count/.p50/.p90/.p99/.p999/.max` keys.
     pub fn to_json_line(&self) -> String {
-        let mut out = String::from("{");
-        out.push_str(&format!("\"window\": {}", self.window));
+        let mut line = Object::new().field("window", self.window);
         for (name, value) in &self.entries {
-            let name = crate::export::json_escape(name);
             match value {
-                WindowValue::Delta(n) => out.push_str(&format!(", \"{name}\": {n}")),
-                WindowValue::FloatDelta(v) => {
-                    out.push_str(&format!(", \"{name}\": {}", crate::metrics::render_f64(*v)));
-                }
-                WindowValue::Level(v) => out.push_str(&format!(", \"{name}\": {v}")),
+                WindowValue::Delta(n) => line.push(name.as_str(), *n),
+                WindowValue::FloatDelta(v) => line.push(name.as_str(), *v),
+                WindowValue::Level(v) => line.push(name.as_str(), *v),
                 WindowValue::Latency(s) => {
-                    out.push_str(&format!(
-                        ", \"{name}.count\": {}, \"{name}.p50\": {}, \"{name}.p90\": {}, \"{name}.p99\": {}, \"{name}.p999\": {}, \"{name}.max\": {}",
-                        s.count,
-                        s.quantile(0.50),
-                        s.quantile(0.90),
-                        s.quantile(0.99),
-                        s.quantile(0.999),
-                        s.max,
-                    ));
+                    for (suffix, v) in [
+                        ("count", s.count),
+                        ("p50", s.quantile(0.50)),
+                        ("p90", s.quantile(0.90)),
+                        ("p99", s.quantile(0.99)),
+                        ("p999", s.quantile(0.999)),
+                        ("max", s.max),
+                    ] {
+                        line.push(format!("{name}.{suffix}"), v);
+                    }
                 }
             }
         }
-        out.push('}');
-        out
+        line.line()
     }
 }
 
@@ -205,6 +202,28 @@ mod tests {
             parsed.get("window").and_then(crate::json::Json::as_f64),
             Some(2.0)
         );
+    }
+
+    #[test]
+    fn json_line_bytes_are_pinned() {
+        let mut entries = BTreeMap::new();
+        entries.insert("q.count".to_string(), WindowValue::Delta(5));
+        entries.insert("r.work".to_string(), WindowValue::FloatDelta(2.25));
+        entries.insert("r.inf".to_string(), WindowValue::FloatDelta(f64::INFINITY));
+        entries.insert("s.depth".to_string(), WindowValue::Level(-3));
+        entries.insert(
+            "t.latency_ns".to_string(),
+            WindowValue::Latency(crate::metrics::tests::fixed_latency()),
+        );
+        // The exact bytes written for this input: recorded artifacts and
+        // their readers depend on them.
+        let pinned = "{\"window\": 7, \"q.count\": 5, \"r.inf\": null, \"r.work\": 2.25, \"s.depth\": -3, \"t.latency_ns.count\": 3, \"t.latency_ns.p50\": 2015, \"t.latency_ns.p90\": 1015807, \"t.latency_ns.p99\": 1015807, \"t.latency_ns.p999\": 1015807, \"t.latency_ns.max\": 1000000}";
+        assert_eq!(WindowDelta { window: 7, entries }.to_json_line(), pinned);
+        let empty = WindowDelta {
+            window: 0,
+            entries: BTreeMap::new(),
+        };
+        assert_eq!(empty.to_json_line(), "{\"window\": 0}");
     }
 
     #[test]
