@@ -64,6 +64,7 @@ pub fn run(scale: &ExperimentScale, obs: &obsv::Obs) -> (ShrinkResult, SessionRe
         &mut cat,
         &optimizer,
         &queries,
+        &[],
         Equivalence::paper_default(),
         obs,
     )

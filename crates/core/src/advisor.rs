@@ -139,14 +139,14 @@ pub fn advise(
         queries_analyzed: workload.len(),
         ..Default::default()
     };
-    for outcome in engine.run_workload(db, &mut scratch, workload)? {
-        report.optimizer_calls += outcome.optimizer_calls;
-    }
+    let (outcomes, plans) = engine.run_workload_planned(db, &mut scratch, workload)?;
+    report.optimizer_calls += outcomes.iter().map(|o| o.optimizer_calls).sum::<usize>();
     let (shrink, _) = shrinking_pass(
         db,
         &mut scratch,
         &engine.optimizer,
         workload,
+        &plans,
         equivalence,
         &obsv::Obs::disabled(),
     )?;

@@ -270,6 +270,19 @@ impl MnsaEngine {
         catalog: &mut StatsCatalog,
         query: &BoundSelect,
     ) -> Result<MnsaOutcome, TuneError> {
+        self.run_query_planned(db, catalog, query)
+            .map(|(outcome, _)| outcome)
+    }
+
+    /// [`run_query`](Self::run_query), also returning the final plan: the
+    /// query optimized under the catalog's active statistics as MNSA left
+    /// them.
+    fn run_query_planned(
+        &self,
+        db: &Database,
+        catalog: &mut StatsCatalog,
+        query: &BoundSelect,
+    ) -> Result<(MnsaOutcome, OptimizedQuery), TuneError> {
         let mut outcome = MnsaOutcome::new();
         let mut query_span = self.obs.tracer.span("mnsa.query");
         query_span.arg("relations", query.relations.len());
@@ -493,7 +506,7 @@ impl MnsaEngine {
             .metrics
             .counter("mnsa.stats_drop_listed")
             .add(outcome.drop_listed.len() as u64);
-        Ok(outcome)
+        Ok((outcome, current))
     }
 
     /// §4.2: rank plan operators by own cost (subtree − children) and return
@@ -654,9 +667,22 @@ impl MnsaEngine {
         catalog: &mut StatsCatalog,
         queries: &[BoundSelect],
     ) -> Result<Vec<MnsaOutcome>, TuneError> {
+        self.run_workload_planned(db, catalog, queries)
+            .map(|(outcomes, _)| outcomes)
+    }
+
+    /// [`run_workload`](Self::run_workload), also returning each query's
+    /// final plan — the plans Shrinking Set can start from
+    /// ([`crate::shrinking_set_traced`]'s `known`).
+    pub(crate) fn run_workload_planned(
+        &self,
+        db: &Database,
+        catalog: &mut StatsCatalog,
+        queries: &[BoundSelect],
+    ) -> Result<(Vec<MnsaOutcome>, Vec<OptimizedQuery>), TuneError> {
         queries
             .iter()
-            .map(|q| self.run_query(db, catalog, q))
+            .map(|q| self.run_query_planned(db, catalog, q))
             .collect()
     }
 }

@@ -191,6 +191,7 @@ impl OnlineTuner {
             catalog,
             &self.engine.optimizer,
             sample,
+            &[],
             equivalence,
             &self.obs,
         )?;

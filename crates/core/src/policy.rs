@@ -29,7 +29,7 @@ use crate::error::TuneError;
 use crate::journal::SessionReport;
 use crate::mnsa::{MnsaConfig, MnsaEngine, MnsaOutcome};
 use crate::shrinking::{shrinking_set_traced, ShrinkingOutcome};
-use optimizer::Optimizer;
+use optimizer::{OptimizedQuery, Optimizer};
 use query::BoundSelect;
 use stats::{StatId, StatsCatalog};
 use storage::Database;
@@ -109,11 +109,16 @@ impl TuningReport {
 /// the drop-list, and price its optimizer calls at the workload's widest
 /// query. Returns the outcome and that overhead; advancing the epoch is the
 /// caller's.
+///
+/// `known` holds the plans the caller already has for `workload`, as
+/// [`shrinking_set_traced`] takes them: `known[i]` was produced by this
+/// `optimizer` over this `db` for `workload[i]` (`&[]` when there are none).
 pub fn shrinking_pass(
     db: &Database,
     catalog: &mut StatsCatalog,
     optimizer: &Optimizer,
     workload: &[BoundSelect],
+    known: &[OptimizedQuery],
     equivalence: Equivalence,
     obs: &obsv::Obs,
 ) -> Result<(ShrinkingOutcome, f64), TuneError> {
@@ -123,6 +128,7 @@ pub fn shrinking_pass(
         catalog,
         optimizer,
         workload,
+        known,
         &initial,
         equivalence,
         true,
@@ -236,18 +242,16 @@ impl OfflineTuner {
         let mut session = SessionReport::default();
         let engine = MnsaEngine::new(self.mnsa).with_obs(obs.clone());
         let before_work = catalog.creation_work();
-        for (q, outcome) in workload
-            .iter()
-            .zip(engine.run_workload(db, catalog, workload)?)
-        {
-            report.charge_query(q.relations.len(), &outcome);
-            session.record_query(q.relations.len(), &outcome);
+        let (outcomes, plans) = engine.run_workload_planned(db, catalog, workload)?;
+        for (q, outcome) in workload.iter().zip(&outcomes) {
+            report.charge_query(q.relations.len(), outcome);
+            session.record_query(q.relations.len(), outcome);
         }
         report.creation_work = catalog.creation_work() - before_work;
 
         if let Some(equiv) = self.shrink {
             let (out, overhead) =
-                shrinking_pass(db, catalog, &engine.optimizer, workload, equiv, obs)?;
+                shrinking_pass(db, catalog, &engine.optimizer, workload, &plans, equiv, obs)?;
             report.optimizer_calls += out.optimizer_calls;
             report.overhead_work += overhead;
             report.statistics_drop_listed += out.removed.len();

@@ -9,15 +9,27 @@
 //!
 //! Worst-case optimizer calls per pass: `|S| * |W|` (plus `|W|` to record
 //! the reference plans); the pass repeats until it removes nothing, which
-//! rarely takes more than two rounds. An efficiency refinement from §5.2 is
-//! implemented:
-//! queries whose plan is already insensitive to a statistic's table are
-//! filtered by the relevance test before any optimizer call is spent.
+//! rarely takes more than two rounds. The §5.2 efficiency refinement is
+//! implemented, and made exact:
+//!
+//! * queries whose plan is already insensitive to a statistic's table are
+//!   filtered by the relevance test before any optimizer call is spent;
+//! * a statistic matters to Q only if hiding it changes a value Q's
+//!   selectivity profile holds, since a plan is a function of those values
+//!   ([`Optimizer::plan`]). So every call builds the profile first, and a
+//!   trial whose profile equals its reference's takes the reference's plan
+//!   and cost without running the DP; a reference whose profile equals that
+//!   of a plan the caller already holds (MNSA's final plan for the query)
+//!   does the same.
+//!
+//! Either way the call counts as one of Figure 2's optimizer calls, and the
+//! outcome is the one planning every call would give.
 
 use crate::equivalence::Equivalence;
-use optimizer::{OptimizeOptions, OptimizedQuery, Optimizer, PlanError};
+use optimizer::{OptimizeOptions, OptimizedQuery, Optimizer, PlanError, SelectivityProfile};
 use query::BoundSelect;
 use stats::{StatId, StatsCatalog};
+use std::borrow::Cow;
 use std::collections::HashSet;
 use storage::{Database, TableId};
 
@@ -69,6 +81,7 @@ pub fn shrinking_set(
         catalog,
         optimizer,
         workload,
+        &[],
         initial,
         equivalence,
         apply,
@@ -76,15 +89,25 @@ pub fn shrinking_set(
     )
 }
 
-/// [`shrinking_set`] under an observability context: a `shrink.run` span with
-/// one `shrink.pass` child per fixed-point pass, and `shrink.*` counters.
-/// Purely observational — the outcome is bit-identical to the untraced call.
+/// [`shrinking_set`] under an observability context, starting from the plans
+/// the caller already holds.
+///
+/// `known` is indexed like `workload` and may be shorter (`&[]` when the
+/// caller holds none). Precondition: `known[i]` was produced by this
+/// `optimizer` over this `db` for `workload[i]`, under any statistics. A
+/// reference plan whose profile has `known[i]`'s values is `known[i]`;
+/// otherwise it is planned. The outcome does not depend on `known`.
+///
+/// Traced as a `shrink.run` span with one `shrink.pass` child per
+/// fixed-point pass, and `shrink.*` counters. Purely observational — the
+/// outcome is bit-identical to the untraced call.
 #[allow(clippy::too_many_arguments)]
 pub fn shrinking_set_traced(
     db: &Database,
     catalog: &mut StatsCatalog,
     optimizer: &Optimizer,
     workload: &[BoundSelect],
+    known: &[OptimizedQuery],
     initial: &[StatId],
     equivalence: Equivalence,
     apply: bool,
@@ -98,21 +121,33 @@ pub fn shrinking_set_traced(
     // Statistics outside S stay hidden for every optimization in this pass.
     let base_ignore: HashSet<StatId> = all_active.difference(&initial_set).copied().collect();
 
-    // A Cell so the per-pass spans can read the running count while the
-    // closure below still holds its borrow.
+    // Every optimizer call of Figure 2 builds the profile and is counted;
+    // only those whose profile is new run `plan`. Cells so the per-pass
+    // spans can read the running counts while the closures hold borrows.
     let calls = std::cell::Cell::new(0usize);
-    let optimize = |catalog: &StatsCatalog,
-                    q: &BoundSelect,
-                    ignore: &HashSet<StatId>|
-     -> Result<OptimizedQuery, PlanError> {
-        calls.set(calls.get() + 1);
-        optimizer.optimize(db, q, catalog.view(ignore), &OptimizeOptions::default())
+    let planned = std::cell::Cell::new(0usize);
+    let profile =
+        |catalog: &StatsCatalog, q: &BoundSelect, ignore: &HashSet<StatId>| -> SelectivityProfile {
+            calls.set(calls.get() + 1);
+            optimizer.profile(db, catalog.view(ignore), q, &OptimizeOptions::default())
+        };
+    let plan = |q: &BoundSelect, p: SelectivityProfile| {
+        planned.set(planned.get() + 1);
+        optimizer.plan(db, q, p)
     };
 
-    // Reference plans: Plan(Q, S).
-    let reference: Vec<OptimizedQuery> = workload
+    // Reference plans: Plan(Q, S) — the plan held for Q when it was made
+    // from the values Q's profile has under S.
+    let references: Vec<Cow<'_, OptimizedQuery>> = workload
         .iter()
-        .map(|q| optimize(catalog, q, &base_ignore))
+        .enumerate()
+        .map(|(qi, q)| {
+            let p = profile(catalog, q, &base_ignore);
+            match known.get(qi) {
+                Some(k) if k.profile.same_values(&p) => Ok(Cow::Borrowed(k)),
+                _ => plan(q, p).map(Cow::Owned),
+            }
+        })
         .collect::<Result<_, _>>()?;
 
     let relevant: Vec<Vec<(TableId, usize)>> =
@@ -133,6 +168,7 @@ pub fn shrinking_set_traced(
     loop {
         let mut pass_span = run_span.child("shrink.pass");
         let calls_at_pass_start = calls.get();
+        let planned_at_pass_start = planned.get();
         let removed_at_pass_start = removed.len();
         let mut removed_this_pass = false;
         for &s in &r.clone() {
@@ -144,8 +180,15 @@ pub fn shrinking_set_traced(
                 if !potentially_relevant(catalog, s, &relevant[qi]) {
                     continue;
                 }
-                let trial = optimize(catalog, q, &ignore)?;
-                if !equivalence.equivalent(&trial, &reference[qi]) {
+                let trial = profile(catalog, q, &ignore);
+                let reference = &*references[qi];
+                // An unchanged profile plans to the reference's plan and cost.
+                let equivalent = if trial.same_values(&reference.profile) {
+                    equivalence.equivalent(reference, reference)
+                } else {
+                    equivalence.equivalent(&plan(q, trial)?, reference)
+                };
+                if !equivalent {
                     removable = false;
                     break;
                 }
@@ -160,6 +203,7 @@ pub fn shrinking_set_traced(
         }
         pass_span.arg("removed", removed.len() - removed_at_pass_start);
         pass_span.arg("optimizer_calls", calls.get() - calls_at_pass_start);
+        pass_span.arg("planned", planned.get() - planned_at_pass_start);
         if !removed_this_pass {
             break;
         }
@@ -174,9 +218,13 @@ pub fn shrinking_set_traced(
     run_span.arg("essential", r.len());
     run_span.arg("removed", removed.len());
     run_span.arg("optimizer_calls", calls.get());
+    run_span.arg("planned", planned.get());
     obs.metrics
         .counter("shrink.optimizer_calls")
         .add(calls.get() as u64);
+    obs.metrics
+        .counter("shrink.plans_known")
+        .add((calls.get() - planned.get()) as u64);
     obs.metrics
         .counter("shrink.removed")
         .add(removed.len() as u64);

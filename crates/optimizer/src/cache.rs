@@ -28,7 +28,6 @@
 
 use crate::error::PlanError;
 use crate::optimize::{OptimizeOptions, OptimizedQuery, Optimizer};
-use crate::selectivity::build_profile;
 use parking_lot::RwLock;
 use query::BoundSelect;
 use rustc_hash::FxHashMap;
@@ -201,7 +200,7 @@ impl Optimizer {
         options: &OptimizeOptions,
         cache: &OptimizeCache,
     ) -> Result<OptimizedQuery, PlanError> {
-        let profile = build_profile(db, &stats, query, &self.magic, &options.injected);
+        let profile = self.profile(db, stats, query, options);
         let key = CacheKey {
             query: query.fingerprint(),
             signature: profile.fingerprint(),
@@ -210,7 +209,7 @@ impl Optimizer {
         if let Some(hit) = cache.lookup(&key) {
             return Ok(hit);
         }
-        let result = self.optimize_with_profile(db, query, profile)?;
+        let result = self.plan(db, query, profile)?;
         cache.store(key, result.clone());
         Ok(result)
     }

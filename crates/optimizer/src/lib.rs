@@ -20,6 +20,12 @@
 //!    a subset of the existing statistics, which the Shrinking Set algorithm
 //!    needs — this arrives as the [`stats::StatsView`] argument.
 //!
+//! A call is two halves, both public: [`Optimizer::profile`] reads the
+//! statistics into one selectivity per variable, and [`Optimizer::plan`]
+//! chooses a plan from those values alone — so a caller holding a plan for
+//! the same profile values (Shrinking Set, holding MNSA's) need not plan
+//! again.
+//!
 //! The physical cost model is monotone non-decreasing in every input
 //! selectivity (the paper's *cost-monotonicity* assumption, §4.1), which a
 //! property test in this crate verifies.
@@ -46,13 +52,17 @@ pub use plan::{Operator, PlanNode};
 pub use selectivity::{SelectivityProfile, SelectivitySource};
 
 /// Relative cost comparison used by *t-Optimizer-Cost equivalence* (§3.2):
-/// true when `|a - b| / min(a, b) <= t/100`.
+/// true when `|a - b| / min(a, b) <= t/100`. Equal costs are always within
+/// t, `+∞` included; a NaN is within t of nothing.
 ///
 /// ```
 /// assert!(optimizer::costs_within_t(100.0, 115.0, 20.0));
 /// assert!(!optimizer::costs_within_t(100.0, 130.0, 20.0));
 /// ```
 pub fn costs_within_t(a: f64, b: f64, t_percent: f64) -> bool {
+    if a == b {
+        return true;
+    }
     let (lo, hi) = if a <= b { (a, b) } else { (b, a) };
     if lo <= 0.0 {
         return hi <= 0.0;
@@ -72,5 +82,19 @@ mod tests {
         assert!(costs_within_t(0.0, 0.0, 20.0));
         assert!(!costs_within_t(0.0, 1.0, 20.0));
         assert!(costs_within_t(5.0, 5.0, 0.0));
+    }
+
+    /// A plan is t-cost-equivalent to itself whatever its cost: (∞ − ∞) / ∞
+    /// used to make `+∞` the one exception.
+    #[test]
+    fn costs_within_t_is_reflexive() {
+        for a in [0.0, -0.0, 1.0, 1e300, f64::MAX, f64::INFINITY] {
+            for t in [0.0, 20.0] {
+                assert!(costs_within_t(a, a, t), "{a} at t = {t}");
+            }
+        }
+        assert!(!costs_within_t(f64::INFINITY, f64::MAX, 20.0));
+        assert!(!costs_within_t(f64::NAN, f64::NAN, 20.0));
+        assert!(!costs_within_t(f64::NAN, 1.0, 20.0));
     }
 }

@@ -67,7 +67,11 @@ impl Default for Optimizer {
 }
 
 impl Optimizer {
-    /// Optimize a bound query against the visible statistics.
+    /// Optimize a bound query against the visible statistics: [`plan`] of
+    /// the [`profile`].
+    ///
+    /// [`plan`]: Optimizer::plan
+    /// [`profile`]: Optimizer::profile
     ///
     /// # Errors
     /// Returns [`PlanError`] for degenerate input: a query with no relations
@@ -79,15 +83,32 @@ impl Optimizer {
         stats: StatsView<'_>,
         options: &OptimizeOptions,
     ) -> Result<OptimizedQuery, PlanError> {
-        let profile = build_profile(db, &stats, query, &self.magic, &options.injected);
-        self.optimize_with_profile(db, query, profile)
+        self.plan(db, query, self.profile(db, stats, query, options))
     }
 
-    /// Optimize with a pre-computed selectivity profile. The profile is the
-    /// only channel through which statistics reach plan selection, so
-    /// `optimize` is a pure function of `(query, profile, table metadata,
-    /// optimizer config)` — the fact the optimize cache relies on.
-    pub(crate) fn optimize_with_profile(
+    /// The first half of [`optimize`](Optimizer::optimize): the selectivity
+    /// of every variable of `query` under the visible statistics, the
+    /// injected values and this optimizer's magic numbers.
+    pub fn profile(
+        &self,
+        db: &Database,
+        view: StatsView<'_>,
+        query: &BoundSelect,
+        options: &OptimizeOptions,
+    ) -> SelectivityProfile {
+        build_profile(db, &view, query, &self.magic, &options.injected)
+    }
+
+    /// The second half of [`optimize`](Optimizer::optimize): plan `query`
+    /// under a selectivity profile. The profile is the only channel through
+    /// which statistics reach plan selection, and only its values are read,
+    /// so the plan and its cost are a pure function of `(query, profile
+    /// values, table metadata, optimizer config)`: two profiles for which
+    /// [`SelectivityProfile::same_values`] holds yield the same plan.
+    ///
+    /// # Errors
+    /// As [`optimize`](Optimizer::optimize).
+    pub fn plan(
         &self,
         db: &Database,
         query: &BoundSelect,

@@ -76,6 +76,22 @@ impl SelectivityProfile {
         v
     }
 
+    /// Do both profiles hold the same variables with bit-identical values
+    /// (`to_bits`, so `0.0` and `-0.0` differ)? `sources` are ignored:
+    /// [`Optimizer::plan`](crate::Optimizer::plan) reads only the values to
+    /// choose a plan and its cost, so profiles that agree here yield the same
+    /// plan and cost for the same query, table metadata and optimizer —
+    /// though not the same `magic_variables`, which come from the sources.
+    pub fn same_values(&self, other: &SelectivityProfile) -> bool {
+        self.values.len() == other.values.len()
+            && self.values.iter().all(|(id, v)| {
+                other
+                    .values
+                    .get(id)
+                    .is_some_and(|w| w.to_bits() == v.to_bits())
+            })
+    }
+
     /// Canonical content hash of the profile: every `(variable, value,
     /// source)` triple in sorted variable order, with f64 values hashed via
     /// their bit patterns. Two profiles with equal fingerprints drive the

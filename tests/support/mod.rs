@@ -11,17 +11,26 @@
 //! * [`join_selectivity_oracle`] (`tests/histogram_properties.rs`) is the
 //!   loop over all `B_a × B_b` bucket pairs that `stats::join_selectivity`'s
 //!   sorted sweep replaced.
+//! * [`shrinking_set_oracle`] (`tests/shrinking_known_plans.rs`) is Figure
+//!   2's loop as it was before `autostats::shrinking_set_traced` learned to
+//!   skip `plan` for a profile it has already planned: every reference and
+//!   every trial is a full `Optimizer::optimize`.
 
-// Each test file that mounts this module uses one of the two.
+// Each test file that mounts this module uses one of them.
 #![allow(dead_code)]
 
+use autostats::{Equivalence, ShrinkingOutcome};
+use optimizer::{OptimizeOptions, OptimizedQuery, Optimizer, PlanError};
+use query::BoundSelect;
 use rustc_hash::FxHashMap;
 use stats::histogram::Bucket;
 use stats::statistic::build_work;
 use stats::{
     estimate_ndv, BuildOptions, Histogram, Histogram2d, StatDescriptor, StatId, Statistic,
+    StatsCatalog,
 };
-use storage::{Table, Value};
+use std::collections::HashSet;
+use storage::{Database, Table, TableId, Value};
 
 /// Build a [`Statistic`] over `descriptor.columns` of `table`, reading the
 /// rows `options.sample` picks under `seed`.
@@ -178,4 +187,94 @@ pub fn join_selectivity_oracle(a: &Histogram, b: &Histogram) -> f64 {
     } else {
         sel.clamp(0.0, 1.0)
     }
+}
+
+/// Is statistic `stat` potentially relevant to a query with the given
+/// relevant `(table, column)` set?
+fn potentially_relevant(
+    catalog: &StatsCatalog,
+    stat: StatId,
+    relevant: &[(TableId, usize)],
+) -> bool {
+    catalog.statistic(stat).is_some_and(|s| {
+        s.descriptor
+            .columns
+            .iter()
+            .any(|&c| relevant.contains(&(s.descriptor.table, c)))
+    })
+}
+
+/// Shrinking-Set(W, S) per Figure 2, iterated to a fixed point, optimizing
+/// every reference and every trial in full.
+pub fn shrinking_set_oracle(
+    db: &Database,
+    catalog: &mut StatsCatalog,
+    optimizer: &Optimizer,
+    workload: &[BoundSelect],
+    initial: &[StatId],
+    equivalence: Equivalence,
+    apply: bool,
+) -> Result<ShrinkingOutcome, PlanError> {
+    let all_active: HashSet<StatId> = catalog.active_ids().into_iter().collect();
+    let initial_set: HashSet<StatId> = initial.iter().copied().collect();
+    let base_ignore: HashSet<StatId> = all_active.difference(&initial_set).copied().collect();
+
+    let mut calls = 0usize;
+    let mut optimize = |catalog: &StatsCatalog,
+                        q: &BoundSelect,
+                        ignore: &HashSet<StatId>|
+     -> Result<OptimizedQuery, PlanError> {
+        calls += 1;
+        optimizer.optimize(db, q, catalog.view(ignore), &OptimizeOptions::default())
+    };
+
+    let reference: Vec<OptimizedQuery> = workload
+        .iter()
+        .map(|q| optimize(catalog, q, &base_ignore))
+        .collect::<Result<_, _>>()?;
+
+    let relevant: Vec<Vec<(TableId, usize)>> =
+        workload.iter().map(|q| q.relevant_columns()).collect();
+
+    let mut r: Vec<StatId> = initial.to_vec();
+    let mut removed: Vec<StatId> = Vec::new();
+    let mut ignore = base_ignore.clone();
+    loop {
+        let mut removed_this_pass = false;
+        for &s in &r.clone() {
+            ignore.insert(s);
+            let mut removable = true;
+            for (qi, q) in workload.iter().enumerate() {
+                if !potentially_relevant(catalog, s, &relevant[qi]) {
+                    continue;
+                }
+                let trial = optimize(catalog, q, &ignore)?;
+                if !equivalence.equivalent(&trial, &reference[qi]) {
+                    removable = false;
+                    break;
+                }
+            }
+            if removable {
+                r.retain(|&x| x != s);
+                removed.push(s);
+                removed_this_pass = true;
+            } else {
+                ignore.remove(&s);
+            }
+        }
+        if !removed_this_pass {
+            break;
+        }
+    }
+
+    if apply {
+        for &s in &removed {
+            catalog.move_to_drop_list(s);
+        }
+    }
+    Ok(ShrinkingOutcome {
+        essential: r,
+        removed,
+        optimizer_calls: calls,
+    })
 }
