@@ -4,11 +4,13 @@
 //! [`LifecycleCore::tick`], on the thread that calls it. Each tick, in order:
 //!
 //! 1. **fund** — deposit the tick's budget of work tokens into the token
-//!    bucket (unspent tokens carry over; overshoot becomes debt that later
-//!    ticks pay down first);
+//!    bucket. Work is charged in the deterministic units of the offline
+//!    layers (`build_work`, `optimizer_call_work`); unspent tokens carry
+//!    over, and overshoot becomes debt that later ticks pay down first;
 //! 2. **monitor** — drain the workload monitor's eviction log into the
-//!    journal and enqueue its retained sample into the incremental tuner
-//!    (fingerprint-deduplicated, so a template is analyzed once);
+//!    journal and queue each template of its retained sample not queued
+//!    before, by [`query::BoundSelect::fingerprint`], so a template is
+//!    analyzed once however often it runs;
 //! 3. **refresh** — scan modification counters and refresh each table's
 //!    stale statistics in one [`StatsCatalog::refresh`] (feedback
 //!    corrections first when feedback is on, then shared-scan rebuilds),
@@ -18,17 +20,25 @@
 //!    `max_updates` times ([`StatsCatalog::drop_over_updated`]: only
 //!    drop-listed statistics unless `drop_only_droplisted` is off). Free,
 //!    and each drop enters the aging registry;
-//! 5. **tune** — run a budgeted [`autostats::OnlineTuner::step`] of MNSA
-//!    over pending templates;
+//! 5. **tune** — while the balance is positive, run MNSA
+//!    ([`autostats::MnsaEngine::run_query`]) for the oldest queued
+//!    template — the per-query loop of
+//!    [`autostats::OfflineTuner::tune_session`] — and charge its creation
+//!    work plus its optimizer calls afterwards. The balance is tested only
+//!    between whole queries, so a partial analysis never reaches the
+//!    catalog;
 //! 6. **shrink** — every `shrink_every` ticks, an MNSA/D-complementing
-//!    Shrinking Set pass over the monitor sample (the offline `tune`
-//!    tail), also charged to the bucket;
+//!    Shrinking Set pass over the monitor sample followed by an epoch
+//!    advance (the offline `tune` tail), also charged to the bucket;
 //! 7. **publish** — if the catalog changed, push a frozen copy through the
 //!    [`EpochHandle`] so query threads pick it up without blocking.
 //!
 //! Steps 3 and 4 are the whole of §6's auto-update/auto-drop policy; a
 //! template or a Shrinking Set pass that fails is reported in the
-//! [`TickReport`] and the rest of the tick stands.
+//! [`TickReport`] and the rest of the tick stands. Steps 5 and 6 journal
+//! into the same ledger as the offline tuner, so a paused daemon that drains
+//! its queue and runs one shrink pass leaves the catalog, and the journal's
+//! counts, as an offline `tune` over the same sample does.
 //!
 //! Time is virtual — a tick happens when a caller asks for one, never on a
 //! wall clock — so schedules are reproducible. With a fixed seed, tick
@@ -37,9 +47,12 @@
 
 use crate::epoch::EpochHandle;
 use crate::monitor::{MonitorConfig, WorkloadMonitor};
-use autostats::{Equivalence, MnsaConfig, OnlineEvent, SessionReport, TuneError};
+use autostats::policy::shrinking_pass;
+use autostats::{Equivalence, MnsaConfig, MnsaEngine, OnlineEvent, SessionReport, TuneError};
 use parking_lot::Mutex;
+use query::BoundSelect;
 use stats::{FeedbackConfig, FeedbackStore, MaintenancePolicy, Refreshed, StatsCatalog};
+use std::collections::{BTreeSet, VecDeque};
 use std::sync::Arc;
 use storage::Database;
 
@@ -78,12 +91,10 @@ pub struct AutodConfig {
     ///
     /// [`OnlineService::tick_wait`]: crate::service::OnlineService::tick_wait
     pub budget_per_tick: f64,
-    /// MNSA configuration for the incremental tuner.
+    /// MNSA configuration for the tick's tuning step.
     pub mnsa: MnsaConfig,
-    /// Equivalence notion for the periodic Shrinking Set pass; `None`
-    /// disables shrinking entirely.
-    pub shrink: Option<Equivalence>,
-    /// Run the Shrinking Set pass every this many ticks (0 = never).
+    /// Run the Shrinking Set pass, under [`Equivalence::paper_default`],
+    /// every this many ticks. 0 never runs it: the one off-switch.
     pub shrink_every: u64,
     /// The §6 maintenance policy. Stale iff mods since build strictly
     /// exceed `max(min_modified_rows, update_fraction × rows)`; a statistic
@@ -114,7 +125,6 @@ impl Default for AutodConfig {
         AutodConfig {
             budget_per_tick: 500_000.0,
             mnsa: MnsaConfig::default(),
-            shrink: Some(Equivalence::paper_default()),
             shrink_every: 8,
             staleness: MaintenancePolicy::default(),
             monitor: MonitorConfig::default(),
@@ -167,7 +177,16 @@ pub struct TickReport {
 pub struct LifecycleCore {
     config: AutodConfig,
     catalog: StatsCatalog,
-    tuner: autostats::OnlineTuner,
+    /// MNSA, and the optimizer Shrinking Set passes analyze with.
+    engine: MnsaEngine,
+    /// Templates waiting for MNSA, oldest first, each under the fingerprint
+    /// it was queued by.
+    pending: VecDeque<(u64, BoundSelect)>,
+    /// Fingerprints queued and not rejected: a template is tuned once.
+    enqueued: BTreeSet<u64>,
+    /// Work-token balance: each tick's budget in, tuning, refreshes and
+    /// Shrinking Set passes out. Negative is debt.
+    balance: f64,
     epochs: Arc<EpochHandle>,
     session: SessionReport,
     obs: obsv::Obs,
@@ -206,7 +225,7 @@ impl LifecycleCore {
         obs: obsv::Obs,
         session: SessionReport,
     ) -> Self {
-        let tuner = autostats::OnlineTuner::new(config.mnsa).with_obs(obs.clone());
+        let engine = MnsaEngine::new(config.mnsa).with_obs(obs.clone());
         let epochs = Arc::new(EpochHandle::new(StatsCatalog::restore(catalog.snapshot())));
         let feedback_log = if config.feedback.is_some() {
             obsv::FeedbackLog::enabled()
@@ -216,7 +235,10 @@ impl LifecycleCore {
         LifecycleCore {
             config,
             catalog,
-            tuner,
+            engine,
+            pending: VecDeque::new(),
+            enqueued: BTreeSet::new(),
+            balance: 0.0,
             epochs,
             session,
             obs,
@@ -249,9 +271,10 @@ impl LifecycleCore {
         &self.session
     }
 
-    /// The optimizer the tuner analyzes with (shared cost model).
+    /// The optimizer MNSA and Shrinking Set analyze with (shared cost
+    /// model).
     pub fn optimizer(&self) -> &optimizer::Optimizer {
-        self.tuner.optimizer()
+        &self.engine.optimizer
     }
 
     /// Ticks executed so far.
@@ -261,7 +284,7 @@ impl LifecycleCore {
 
     /// Current work-token balance (negative = debt).
     pub fn balance(&self) -> f64 {
-        self.tuner.balance()
+        self.balance
     }
 
     /// The cardinality-feedback channel query threads should execute under
@@ -307,9 +330,10 @@ impl LifecycleCore {
         metrics.counter("autod.ticks").inc();
 
         // 1. Fund this tick's allowance.
-        self.tuner.fund(budget);
+        self.balance += budget;
 
-        // 2. Drain monitor evictions into the journal, enqueue the sample.
+        // 2. Drain monitor evictions into the journal, queue the templates
+        //    not queued before (a query is cloned only when it is queued).
         for fingerprint in monitor.drain_evictions() {
             metrics.counter("autod.monitor.evictions").inc();
             self.session
@@ -319,7 +343,10 @@ impl LifecycleCore {
             .gauge("autod.monitor.templates")
             .set(monitor.len() as i64);
         for (fingerprint, query) in monitor.queries() {
-            self.tuner.enqueue(fingerprint, query);
+            debug_assert_eq!(fingerprint, query.fingerprint());
+            if self.enqueued.insert(fingerprint) {
+                self.pending.push_back((fingerprint, query.clone()));
+            }
         }
 
         let mut report = TickReport {
@@ -343,7 +370,7 @@ impl LifecycleCore {
         let by_table = self.catalog.stale_by_table(db, &self.config.staleness);
         let mut deferred_refreshes = 0usize;
         for (&table, ids) in &by_table {
-            if self.tuner.balance() <= 0.0 {
+            if self.balance <= 0.0 {
                 deferred_refreshes += ids.len();
                 continue;
             }
@@ -358,7 +385,7 @@ impl LifecycleCore {
                 observations,
             } in self.catalog.refresh(db, table, ids, feedback)
             {
-                self.tuner.charge(work);
+                self.balance -= work;
                 let event = if let Some(observations) = observations {
                     report.feedback_refreshed += 1;
                     report.feedback_work += work;
@@ -400,53 +427,95 @@ impl LifecycleCore {
             });
         }
 
-        // 5. A budgeted MNSA increment over the pending templates.
-        let step = self.tuner.step(db, &mut self.catalog);
-        for (relations, outcome) in &step.tuned {
-            self.session.record_query(*relations, outcome);
+        // 5. MNSA over the queued templates, oldest first, while the balance
+        //    is positive. A query's full cost is charged after it ran,
+        //    possibly into debt. A template MNSA rejects ends the step: what
+        //    its run built stays in the catalog and is charged (its calls
+        //    were not counted and are not), and its fingerprint is
+        //    forgotten, so the monitor's sample queues it again.
+        let mut tuning_changed = false;
+        if !self.pending.is_empty() {
+            let mut step_span = self.obs.tracer.span("online.step");
+            step_span.arg("pending", self.pending.len());
+            while self.balance > 0.0 && report.tune_error.is_none() {
+                let Some((fingerprint, query)) = self.pending.pop_front() else {
+                    break;
+                };
+                let before_work = self.catalog.creation_work();
+                let result = self.engine.run_query(db, &mut self.catalog, &query);
+                let creation_work = self.catalog.creation_work() - before_work;
+                self.session.totals.creation_work += creation_work;
+                tuning_changed |= creation_work > 0.0;
+                let mut work = creation_work;
+                match result {
+                    Ok(outcome) => {
+                        work += self.session.record_query(query.relations.len(), &outcome);
+                        self.optimizer_calls += outcome.optimizer_calls as u64;
+                        report.queries_tuned += 1;
+                        tuning_changed |=
+                            !outcome.created.is_empty() || !outcome.drop_listed.is_empty();
+                    }
+                    Err(error) => {
+                        self.enqueued.remove(&fingerprint);
+                        report.tune_error = Some(error);
+                    }
+                }
+                self.balance -= work;
+                report.tuning_work += work;
+            }
+            step_span.arg("tuned", report.queries_tuned);
+            step_span.arg(
+                "exhausted",
+                report.tune_error.is_none() && !self.pending.is_empty(),
+            );
+            step_span.arg("failed", report.tune_error.is_some());
         }
-        self.session.totals.absorb(&step.report);
-        self.optimizer_calls += step.report.optimizer_calls as u64;
-        report.queries_tuned = step.tuned.len();
-        report.tuning_work = step.work;
-        report.tune_error = step.error;
         metrics
             .counter("autod.tuned_queries")
-            .add(step.tuned.len() as u64);
-        metrics.float_counter("autod.tuning_work").add(step.work);
+            .add(report.queries_tuned as u64);
+        metrics
+            .float_counter("autod.tuning_work")
+            .add(report.tuning_work);
         metrics
             .gauge("autod.pending")
-            .set(self.tuner.pending() as i64);
+            .set(self.pending.len() as i64);
 
-        report.budget_exhausted = step.exhausted || deferred_refreshes > 0;
-        report.pending = self.tuner.pending() + deferred_refreshes;
+        let tuning_exhausted = report.tune_error.is_none() && !self.pending.is_empty();
+        report.budget_exhausted = tuning_exhausted || deferred_refreshes > 0;
+        report.pending = self.pending.len() + deferred_refreshes;
         if report.budget_exhausted {
             metrics.counter("autod.budget_exhausted").inc();
             self.session.record_online(OnlineEvent::BudgetExhausted {
                 tick,
-                pending: self.tuner.pending() + deferred_refreshes,
-                balance: self.tuner.balance(),
+                pending: report.pending,
+                balance: self.balance,
             });
         }
 
-        // 6. Periodic MNSA/D-complementing Shrinking Set pass. One that
-        //    fails has touched nothing.
-        if let Some(equivalence) = self.config.shrink {
-            let due = self.config.shrink_every > 0 && tick.is_multiple_of(self.config.shrink_every);
-            if due && !monitor.is_empty() {
-                // The monitor is this tick's alone: the sample is what was
-                // enqueued above.
-                match self
-                    .tuner
-                    .shrink_pass(db, &mut self.catalog, &monitor.sample(), equivalence)
-                {
-                    Ok(out) => {
-                        self.session.shrink_removed += out.removed.len();
-                        self.session.totals.optimizer_calls += out.optimizer_calls;
-                        report.shrink_removed = Some(out.removed.len());
-                    }
-                    Err(error) => report.shrink_error = Some(error),
+        // 6. Periodic MNSA/D-complementing Shrinking Set pass, then the
+        //    epoch advance, as an offline tune ends. One that fails has
+        //    touched nothing. Its overhead is charged to the bucket and the
+        //    journal, not to `tuning_work`.
+        let due = self.config.shrink_every > 0 && tick.is_multiple_of(self.config.shrink_every);
+        if due && !monitor.is_empty() {
+            // The monitor is this tick's alone: the sample is what was
+            // queued above.
+            match shrinking_pass(
+                db,
+                &mut self.catalog,
+                &self.engine.optimizer,
+                &monitor.sample(),
+                &[],
+                Equivalence::paper_default(),
+                &self.obs,
+            ) {
+                Ok((out, overhead)) => {
+                    self.catalog.advance_epoch();
+                    self.balance -= overhead;
+                    self.session.record_shrink(&out, overhead);
+                    report.shrink_removed = Some(out.removed.len());
                 }
+                Err(error) => report.shrink_error = Some(error),
             }
         }
 
@@ -456,9 +525,7 @@ impl LifecycleCore {
         let changed = report.refreshed > 0
             || report.feedback_refreshed > 0
             || report.dropped > 0
-            || step.report.statistics_created > 0
-            || step.report.creation_work > 0.0
-            || step.report.statistics_drop_listed > 0
+            || tuning_changed
             || report.shrink_removed.is_some();
         if changed {
             let generation = self
@@ -484,15 +551,15 @@ impl LifecycleCore {
             epoch_generation: self.epochs.generation(),
             epoch_age_ticks: tick.saturating_sub(self.last_publish_tick),
             staleness_backlog: deferred_refreshes as u64,
-            pending_templates: self.tuner.pending() as u64,
+            pending_templates: self.pending.len() as u64,
             monitor_templates: monitor.len() as u64,
             monitor_capacity: monitor.capacity() as u64,
             monitor_observed: monitor.observed_total(),
             monitor_evictions: monitor.evictions_total(),
             monitor_ghost_hits: monitor.ghost_hits_total(),
             feedback_queue_depth: self.feedback_log.len() as u64,
-            budget_balance: self.tuner.balance(),
-            // Nothing memoizes the tuner's optimizer calls: each is a miss.
+            budget_balance: self.balance,
+            // Nothing memoizes MNSA's optimizer calls: each is a miss.
             cache_hits: 0,
             cache_misses: self.optimizer_calls,
             cache_invalidations: 0,
@@ -592,15 +659,16 @@ pub(crate) mod tests {
 
     /// Paused daemon ≡ offline tune: a core with an unconstrained budget
     /// that drains its queue and runs one shrink pass leaves the master
-    /// catalog bit-identical to `OfflineTuner::tune` on the same sample.
+    /// catalog bit-identical to `OfflineTuner::tune` on the same sample, and
+    /// journals the same session: one ledger for MNSA and Shrinking Set.
     #[test]
     fn paused_daemon_matches_offline_tune() {
         let db = test_db();
         let queries = workload(&db);
 
         let mut offline_catalog = StatsCatalog::new();
-        OfflineTuner::default()
-            .tune(&db, &mut offline_catalog, &queries)
+        let (_, offline) = OfflineTuner::default()
+            .tune_session(&db, &mut offline_catalog, &queries, &obsv::Obs::disabled())
             .unwrap();
 
         let mut monitor = WorkloadMonitor::new(MonitorConfig::default());
@@ -622,6 +690,29 @@ pub(crate) mod tests {
         assert_eq!(
             core.epochs().load().catalog.snapshot(),
             offline_catalog.snapshot()
+        );
+
+        let online = core.journal();
+        assert_eq!(online.queries, offline.queries);
+        let counts = |s: &SessionReport| {
+            let t = &s.totals;
+            (
+                t.optimizer_calls,
+                t.statistics_created,
+                t.statistics_drop_listed,
+                t.overhead_work.to_bits(),
+                s.shrink_removed,
+                s.shrink_optimizer_calls,
+            )
+        };
+        assert_eq!(counts(online), counts(&offline));
+        assert!(offline.shrink_optimizer_calls > 0);
+        // The offline tuner meters creation once over the whole pass, the
+        // tick once per query: the two sums round differently.
+        let (on, off) = (online.totals.creation_work, offline.totals.creation_work);
+        assert!(
+            off > 0.0 && ((on - off) / off).abs() < 1e-9,
+            "{on} vs {off}"
         );
     }
 
@@ -875,6 +966,14 @@ pub(crate) mod tests {
                 ..AutodConfig::default()
             },
         );
+        // A tick funded with nothing tunes nothing and builds nothing.
+        let unfunded = core.tick(&db, &mut monitor, 0.0).unwrap();
+        assert!(unfunded.budget_exhausted);
+        assert_eq!(unfunded.queries_tuned, 0);
+        assert_eq!(unfunded.pending, queries.len());
+        assert_eq!(core.catalog().total_count(), 0);
+        assert_eq!(core.balance(), 0.0);
+
         let first = core.tick(&db, &mut monitor, 1.0).unwrap();
         assert!(first.budget_exhausted);
         assert!(first.queries_tuned <= 1);

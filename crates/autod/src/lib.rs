@@ -17,9 +17,11 @@
 //!   `max(500, 20% of rows)` rule (configurable) through the catalog's
 //!   shared-scan batch rebuilds, physically drops what has been refreshed
 //!   more than `max_updates` times (drop-listed statistics only, by
-//!   default — §6's auto-drop), runs a budgeted increment of MNSA over the
-//!   monitored sample ([`autostats::OnlineTuner`]), and periodically an
-//!   MNSA/D + Shrinking Set pass.
+//!   default — §6's auto-drop), runs MNSA ([`autostats::MnsaEngine`]) over
+//!   the monitored sample's new templates while the budget lasts, and
+//!   periodically a Shrinking Set pass
+//!   ([`autostats::policy::shrinking_pass`]), journaling both into the same
+//!   [`autostats::SessionReport`] ledger the offline tuner keeps.
 //! * [`EpochHandle`] — catalog changes publish through an epoch swap (an
 //!   `ArcSwap`-style generation pointer under a `parking_lot` lock), so
 //!   query threads always read a consistent catalog and never block on

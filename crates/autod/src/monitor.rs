@@ -182,7 +182,7 @@ impl WorkloadMonitor {
     }
 
     /// The retained queries with their fingerprints, in first-arrival order
-    /// — what a tick offers the tuner, which clones the ones it has not seen.
+    /// — what a tick offers MNSA, cloning the ones it has not seen.
     /// Arrival order makes "paused daemon ≡ offline tune on the sample" well
     /// defined.
     pub fn queries(&self) -> impl Iterator<Item = (u64, &BoundSelect)> {
@@ -378,7 +378,7 @@ mod tests {
         let expect: Vec<u64> = qs.iter().map(|q| q.fingerprint()).collect();
         assert_eq!(fps, expect);
         // The borrowed form pairs each query with the key it is held under,
-        // which is its fingerprint: the tuner need not compute it again.
+        // which is its fingerprint: the tick need not compute it again.
         let keyed: Vec<(u64, u64)> = m.queries().map(|(fp, q)| (fp, q.fingerprint())).collect();
         assert_eq!(keyed, expect.iter().map(|&fp| (fp, fp)).collect::<Vec<_>>());
     }

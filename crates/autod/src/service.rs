@@ -100,7 +100,7 @@ pub struct OnlineService {
 impl OnlineService {
     /// Start serving `db`. `catalog` is the master catalog to continue from
     /// (empty, or tuned offline), `session` the journal recorded so far, and
-    /// `obs` the context the catalog, the tuner and every handle record into.
+    /// `obs` the context the catalog, MNSA and every handle record into.
     pub fn start(
         db: Database,
         mut catalog: StatsCatalog,

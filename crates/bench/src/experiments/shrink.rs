@@ -47,7 +47,6 @@ pub fn run(scale: &ExperimentScale, obs: &obsv::Obs) -> (ShrinkResult, SessionRe
     for q in &queries {
         let outcome = engine.run_query(&db, &mut cat, q).expect("mnsa tunes");
         journal.record_query(q.relations.len(), &outcome);
-        journal.totals.charge_query(q.relations.len(), &outcome);
     }
     journal.totals.creation_work = cat.creation_work();
     let mnsa_ids = cat.active_ids();
@@ -59,7 +58,7 @@ pub fn run(scale: &ExperimentScale, obs: &obsv::Obs) -> (ShrinkResult, SessionRe
     let (cat_d, ..) = tune_workload(&db, &queries, &mnsad);
 
     // Shrinking Set on top of the MNSA catalog.
-    let (out, _) = shrinking_pass(
+    let (out, overhead) = shrinking_pass(
         &db,
         &mut cat,
         &optimizer,
@@ -71,8 +70,7 @@ pub fn run(scale: &ExperimentScale, obs: &obsv::Obs) -> (ShrinkResult, SessionRe
     .expect("shrinking set runs");
     let shrunk_update_cost = cat.update_cost_of(&db, out.essential.iter().copied());
     let exec_after = execute_workload(&db, &cat, &bound, obs);
-    journal.shrink_removed = mnsa_ids.len() - out.essential.len();
-    journal.shrink_optimizer_calls = out.optimizer_calls;
+    journal.record_shrink(&out, overhead);
 
     let result = ShrinkResult {
         mnsa_stats: mnsa_ids.len(),

@@ -117,7 +117,6 @@ pub fn run(scale: &ExperimentScale, obs: &obsv::Obs) -> (Vec<SweepResult>, Sessi
         if result.t_percent == 20.0 && result.epsilon == 0.0005 {
             for (q, o) in queries.iter().zip(&outcomes) {
                 journal.record_query(q.relations.len(), o);
-                journal.totals.charge_query(q.relations.len(), o);
             }
             journal.totals.creation_work = work - journal.totals.overhead_work;
         }

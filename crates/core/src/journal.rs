@@ -10,6 +10,7 @@
 
 use crate::mnsa::{MnsaOutcome, Termination};
 use crate::policy::TuningReport;
+use crate::shrinking::ShrinkingOutcome;
 use obsv::json::Object;
 use stats::StatId;
 use std::fmt::Write as _;
@@ -109,8 +110,10 @@ pub struct SessionReport {
 }
 
 impl SessionReport {
-    /// Append one query's MNSA outcome.
-    pub fn record_query(&mut self, relations: usize, outcome: &MnsaOutcome) {
+    /// Append one query's MNSA outcome and charge it to `totals`
+    /// ([`TuningReport::charge_query`]; creation work is the caller's, who
+    /// meters the catalog). Returns the overhead charged.
+    pub fn record_query(&mut self, relations: usize, outcome: &MnsaOutcome) -> f64 {
         self.queries.push(QueryRecord {
             index: self.queries.len(),
             relations,
@@ -122,6 +125,18 @@ impl SessionReport {
             final_cost: outcome.final_cost,
             terminated_by: outcome.terminated_by,
         });
+        self.totals.charge_query(relations, outcome)
+    }
+
+    /// Add one Shrinking Set pass that was charged `overhead`: its optimizer
+    /// calls, that overhead and its removals (moved to the drop-list) go
+    /// into `totals`, and the calls and removals into the `shrink_*` fields.
+    pub fn record_shrink(&mut self, out: &ShrinkingOutcome, overhead: f64) {
+        self.totals.optimizer_calls += out.optimizer_calls;
+        self.totals.overhead_work += overhead;
+        self.totals.statistics_drop_listed += out.removed.len();
+        self.shrink_removed += out.removed.len();
+        self.shrink_optimizer_calls += out.optimizer_calls;
     }
 
     /// Append one online lifecycle event.
@@ -365,10 +380,10 @@ mod tests {
     #[test]
     fn journal_accumulates_and_renders() {
         let mut report = SessionReport::default();
-        report.record_query(2, &outcome(5, 2, 100.0));
+        let overhead = report.record_query(2, &outcome(5, 2, 100.0));
+        assert_eq!(overhead, 5.0 * crate::policy::optimizer_call_work(2));
         report.record_query(3, &outcome(3, 0, 40.5));
-        report.totals.optimizer_calls = 8;
-        report.totals.statistics_created = 2;
+        assert_eq!(report.totals.statistics_created, 2);
 
         assert_eq!(report.queries.len(), 2);
         assert_eq!(report.queries[1].index, 1);
@@ -393,6 +408,24 @@ mod tests {
                 .and_then(|v| v.as_f64()),
             Some(8.0)
         );
+
+        let shrink = ShrinkingOutcome {
+            essential: vec![StatId(0)],
+            removed: vec![StatId(1)],
+            optimizer_calls: 4,
+        };
+        report.record_shrink(&shrink, 100.0);
+        assert_eq!(
+            (report.shrink_removed, report.shrink_optimizer_calls),
+            (1, 4)
+        );
+        assert_eq!(report.totals.optimizer_calls, 12);
+        assert_eq!(report.totals.statistics_drop_listed, 1);
+        let second = 3.0 * crate::policy::optimizer_call_work(3);
+        assert_eq!(report.totals.overhead_work, overhead + second + 100.0);
+        assert!(report
+            .render_text()
+            .contains("shrinking set: removed 1 in 4 optimizer calls"));
     }
 
     #[test]

@@ -20,11 +20,10 @@
 //! * [`shrinking`] — the **Shrinking Set** algorithm (§5.2, Figure 2) that
 //!   guarantees an essential set;
 //! * [`policy`] — the §6 policy layer: on-the-fly tuning per incoming query,
-//!   periodic offline tuning and aging;
-//! * [`online`] — the same MNSA + Shrinking Set loop in budgeted
-//!   increments, which the `autod` tick drives beside the
-//!   auto-update/auto-drop loop. `autod::OnlineService` is the front door
-//!   that serves statements over all of it.
+//!   periodic offline tuning and aging. The `autod` tick runs the same
+//!   [`MnsaEngine`] and [`policy::shrinking_pass`] in budgeted increments
+//!   beside the auto-update/auto-drop loop, and `autod::OnlineService` is
+//!   the front door that serves statements over all of it.
 //!
 //! ## Quickstart
 //!
@@ -67,7 +66,6 @@ pub mod error;
 pub mod faults;
 pub mod journal;
 pub mod mnsa;
-pub mod online;
 pub mod policy;
 pub mod shrinking;
 
@@ -77,9 +75,6 @@ pub use equivalence::Equivalence;
 pub use error::{StatementError, TuneError};
 pub use faults::{Fault, FaultPlan};
 pub use journal::{OnlineEvent, QueryRecord, SessionReport};
-pub use mnsa::{
-    CandidateMode, FeedbackSource, MnsaConfig, MnsaEngine, MnsaOutcome, NextStatOrder, Termination,
-};
-pub use online::{OnlineStep, OnlineTuner};
+pub use mnsa::{CandidateMode, MnsaConfig, MnsaEngine, MnsaOutcome, NextStatOrder, Termination};
 pub use policy::{CreationPolicy, OfflineTuner, TuningReport};
 pub use shrinking::{shrinking_set, shrinking_set_traced, ShrinkingOutcome};

@@ -26,10 +26,8 @@ use crate::error::TuneError;
 use optimizer::{
     costs_within_t, Operator, OptimizeOptions, OptimizedQuery, Optimizer, PlanError, PlanNode,
 };
-use parking_lot::Mutex;
 use query::{BoundSelect, PredicateId};
-use stats::{AgingPolicy, FeedbackConfig, FeedbackStore, StatDescriptor, StatId, StatsCatalog};
-use std::sync::Arc;
+use stats::{AgingPolicy, StatDescriptor, StatId, StatsCatalog};
 use storage::Database;
 
 /// Which candidate-statistics strategy feeds MNSA.
@@ -155,23 +153,6 @@ pub struct MnsaEngine {
     /// enabling it may never change an outcome (`tests/trace_determinism.rs`
     /// enforces bit-identical results with tracing on vs off).
     pub obs: obsv::Obs,
-    /// Optional execution-feedback source. When attached, single-column
-    /// candidates whose (table, column) already has enough digested
-    /// observations are synthesized from feedback at near-zero build cost —
-    /// both up front (like §4.3's small-table pre-creation: a statistic
-    /// that costs almost nothing needs no sensitivity test to justify) and
-    /// inside each build round, where the cheap path is weighed first and a
-    /// scan build is the fallback. `None` (default) leaves every trajectory
-    /// bit-identical to an engine without this field.
-    pub feedback: Option<FeedbackSource>,
-}
-
-/// A shared store of digested executor feedback plus the corrector knobs —
-/// the handle [`MnsaEngine`] and the lifecycle daemon pass around.
-#[derive(Debug, Clone, Default)]
-pub struct FeedbackSource {
-    pub store: Arc<Mutex<FeedbackStore>>,
-    pub config: FeedbackConfig,
 }
 
 impl MnsaEngine {
@@ -180,14 +161,7 @@ impl MnsaEngine {
             optimizer: Optimizer::default(),
             config,
             obs: obsv::Obs::disabled(),
-            feedback: None,
         }
-    }
-
-    /// Weigh near-zero-cost feedback synthesis against scan builds.
-    pub fn with_feedback(mut self, feedback: FeedbackSource) -> Self {
-        self.feedback = Some(feedback);
-        self
     }
 
     /// Record spans and counters into `obs` while tuning.
@@ -232,35 +206,6 @@ impl MnsaEngine {
             }
         }
         result
-    }
-
-    /// Build one round group, weighing the near-zero-cost feedback
-    /// synthesis against a scan build per descriptor. Without a feedback
-    /// source this is exactly the grouped shared-scan path.
-    fn build_group(
-        &self,
-        catalog: &mut StatsCatalog,
-        db: &Database,
-        group: &[StatDescriptor],
-    ) -> Result<Vec<StatId>, TuneError> {
-        let Some(feedback) = &self.feedback else {
-            return Ok(crate::batch::create_statistics_grouped(catalog, db, group)?);
-        };
-        let mut store = feedback.store.lock();
-        let mut ids = Vec::with_capacity(group.len());
-        for d in group {
-            let id = match catalog.create_statistic_from_feedback(
-                db,
-                d.clone(),
-                &mut store,
-                &feedback.config,
-            )? {
-                Some(id) => id,
-                None => catalog.create_statistic(db, d.clone())?,
-            };
-            ids.push(id);
-        }
-        Ok(ids)
     }
 
     /// Run MNSA (Figure 1) for one query, creating statistics in `catalog`.
@@ -317,26 +262,6 @@ impl MnsaEngine {
                 .extend(crate::batch::create_statistics_grouped(
                     catalog, db, &small,
                 )?);
-            remaining = rest;
-        }
-
-        // Feedback pre-creation: a candidate whose (table, column) already
-        // has enough digested observations costs almost nothing to build —
-        // like a small table, it needs no sensitivity round to justify.
-        if let Some(feedback) = &self.feedback {
-            let mut store = feedback.store.lock();
-            let mut rest = Vec::with_capacity(remaining.len());
-            for d in remaining {
-                match catalog.create_statistic_from_feedback(
-                    db,
-                    d.clone(),
-                    &mut store,
-                    &feedback.config,
-                )? {
-                    Some(id) => outcome.created.push(id),
-                    None => rest.push(d),
-                }
-            }
             remaining = rest;
         }
 
@@ -411,7 +336,7 @@ impl MnsaEngine {
             // statistics across two joined tables; same-table runs inside it
             // share one scan.
             let before_plan = current.plan.clone();
-            let round_ids: Vec<StatId> = self.build_group(catalog, db, &group)?;
+            let round_ids = crate::batch::create_statistics_grouped(catalog, db, &group)?;
             outcome.created.extend(&round_ids);
             outcome.rounds += 1;
             round_span.arg("built", round_ids.len());
@@ -775,107 +700,6 @@ mod tests {
         // per creation round.
         assert!(outcome.optimizer_calls >= 3);
         assert_eq!(outcome.terminated_by, Termination::CostConverged);
-    }
-
-    #[test]
-    fn feedback_source_synthesizes_candidates_at_near_zero_cost() {
-        let db = setup();
-        let emp = db.table_id("employees").unwrap();
-        let q = bind(&db, EXAMPLE2_SQL);
-
-        // Prime the store with observations on employees.salary (column 3):
-        // the rare salary > 200 scans the executor would have reported.
-        let source = FeedbackSource::default();
-        {
-            let mut store = source.store.lock();
-            let records: Vec<obsv::FeedbackRecord> = (0..8)
-                .map(|i| obsv::FeedbackRecord {
-                    fingerprint: obsv::template_fingerprint(emp.0 as u64, 3, 2),
-                    table: emp.0 as u64,
-                    column: 3,
-                    lo: 200.0 + i as f64,
-                    hi: 260.0,
-                    est_rows: 999.0,
-                    rows_out: 30.0,
-                    input_rows: 3000.0,
-                })
-                .collect();
-            store.ingest(&records);
-        }
-
-        let engine = MnsaEngine::new(MnsaConfig::default()).with_feedback(source.clone());
-        let mut catalog = StatsCatalog::new();
-        let outcome = engine.run_query(&db, &mut catalog, &q).unwrap();
-
-        // The salary statistic came from feedback: built, near-free, and
-        // its observations were consumed.
-        let salary = catalog
-            .find_built(&StatDescriptor::single(emp, 3))
-            .expect("salary statistic exists");
-        let s = catalog.statistic(salary).unwrap();
-        assert!(
-            s.build_cost < 100.0,
-            "feedback synthesis must be near-free, cost {}",
-            s.build_cost
-        );
-        assert_eq!(source.store.lock().count(emp.0 as u64, 3), 0);
-        assert!(outcome.created.contains(&salary));
-        // Scan-built statistics on the same run cost orders of magnitude
-        // more, which is exactly the weighing FindNextStatToBuild exploits.
-        let scan_cost_floor = catalog
-            .statistic(salary)
-            .map(|_| {
-                catalog
-                    .snapshot()
-                    .stats
-                    .iter()
-                    .filter(|st| st.id != salary)
-                    .map(|st| st.build_cost)
-                    .fold(f64::INFINITY, f64::min)
-            })
-            .unwrap();
-        if scan_cost_floor.is_finite() {
-            assert!(s.build_cost < scan_cost_floor / 10.0);
-        }
-    }
-
-    /// `feedback: None` (the default) leaves the tuning trajectory
-    /// bit-identical to an engine predating the field.
-    #[test]
-    fn engine_without_feedback_is_unchanged_by_empty_source() {
-        let db = setup();
-        let q = bind(&db, EXAMPLE2_SQL);
-        // From an empty catalog, and from one holding each candidate built
-        // and drop-listed: an empty source synthesizes, and so reactivates,
-        // nothing.
-        let candidates = MnsaEngine::new(MnsaConfig::default()).candidates(&q);
-        let starts = std::iter::once(None).chain(candidates.iter().map(Some));
-        for listed in starts {
-            let start = || {
-                let mut catalog = StatsCatalog::new();
-                if let Some(d) = listed {
-                    let id = catalog.create_statistic(&db, d.clone()).unwrap();
-                    catalog.move_to_drop_list(id);
-                }
-                catalog
-            };
-            let mut plain_catalog = start();
-            let plain = MnsaEngine::new(MnsaConfig::default())
-                .run_query(&db, &mut plain_catalog, &q)
-                .unwrap();
-            // An attached but empty source must also change nothing.
-            let mut empty_catalog = start();
-            let empty = MnsaEngine::new(MnsaConfig::default())
-                .with_feedback(FeedbackSource::default())
-                .run_query(&db, &mut empty_catalog, &q)
-                .unwrap();
-            assert_eq!(plain, empty, "drop-listed first: {listed:?}");
-            assert_eq!(
-                plain_catalog.snapshot(),
-                empty_catalog.snapshot(),
-                "drop-listed first: {listed:?}"
-            );
-        }
     }
 
     #[test]

@@ -22,7 +22,9 @@
 //! The two pieces of accounting every deployment of MNSA + Shrinking Set
 //! shares are defined here once: what one query's MNSA run is charged
 //! ([`TuningReport::charge_query`]) and the Shrinking Set pass over a tuned
-//! catalog ([`shrinking_pass`]).
+//! catalog ([`shrinking_pass`]). A session journals both into one ledger,
+//! [`SessionReport::record_query`] and [`SessionReport::record_shrink`]:
+//! the offline tuner, the `autod` tick and the experiments alike.
 
 use crate::equivalence::Equivalence;
 use crate::error::TuneError;
@@ -80,14 +82,6 @@ impl TuningReport {
     /// quantity Figures 3 and 4 compare.
     pub fn total_work(&self) -> f64 {
         self.creation_work + self.overhead_work
-    }
-
-    pub fn absorb(&mut self, other: &TuningReport) {
-        self.statistics_created += other.statistics_created;
-        self.statistics_drop_listed += other.statistics_drop_listed;
-        self.optimizer_calls += other.optimizer_calls;
-        self.creation_work += other.creation_work;
-        self.overhead_work += other.overhead_work;
     }
 
     /// Add one query's MNSA run: its optimizer calls, charged
@@ -238,28 +232,23 @@ impl OfflineTuner {
     ) -> Result<(TuningReport, SessionReport), TuneError> {
         let mut session_span = obs.tracer.span("tuner.session");
         session_span.arg("queries", workload.len());
-        let mut report = TuningReport::default();
         let mut session = SessionReport::default();
         let engine = MnsaEngine::new(self.mnsa).with_obs(obs.clone());
         let before_work = catalog.creation_work();
         let (outcomes, plans) = engine.run_workload_planned(db, catalog, workload)?;
         for (q, outcome) in workload.iter().zip(&outcomes) {
-            report.charge_query(q.relations.len(), outcome);
             session.record_query(q.relations.len(), outcome);
         }
-        report.creation_work = catalog.creation_work() - before_work;
+        // One catalog delta: a sum of per-query deltas rounds differently.
+        session.totals.creation_work = catalog.creation_work() - before_work;
 
         if let Some(equiv) = self.shrink {
             let (out, overhead) =
                 shrinking_pass(db, catalog, &engine.optimizer, workload, &plans, equiv, obs)?;
-            report.optimizer_calls += out.optimizer_calls;
-            report.overhead_work += overhead;
-            report.statistics_drop_listed += out.removed.len();
-            session.shrink_removed = out.removed.len();
-            session.shrink_optimizer_calls = out.optimizer_calls;
+            session.record_shrink(&out, overhead);
         }
         catalog.advance_epoch();
-        session.totals = report.clone();
+        let report = session.totals.clone();
         session_span.arg("optimizer_calls", report.optimizer_calls);
         session_span.arg("statistics_created", report.statistics_created);
         session_span.arg("statistics_drop_listed", report.statistics_drop_listed);

@@ -6,8 +6,8 @@
 //! constant floor so an idle shard still receives tokens to pay down debt.
 //! The split is pure f64 arithmetic in shard order, so it is bit-stable
 //! run to run. Carry-over happens downstream: each shard's own
-//! [`autostats::OnlineTuner`] bucket keeps unspent tokens and debt, exactly
-//! as in the unsharded daemon.
+//! [`autod::LifecycleCore`] token balance keeps unspent tokens and debt,
+//! exactly as in the unsharded daemon.
 
 /// Splits a global per-tick budget across shards by demand.
 #[derive(Debug, Clone)]

@@ -3,7 +3,6 @@
 //! refresh, auto-drop — is [`crate::maintenance`].
 
 use crate::error::StatsError;
-use crate::feedback::{build_from_feedback, FeedbackConfig, FeedbackStore};
 use crate::sampler::SampleSpec;
 use crate::statistic::{
     build_statistic, build_work, BuildOptions, StatDescriptor, StatId, Statistic, TableScan,
@@ -63,7 +62,6 @@ pub(crate) struct CatalogObs {
     shared_builds: obsv::Counter,
     build_work: obsv::FloatCounter,
     pub(crate) feedback_refreshes: obsv::Counter,
-    feedback_builds: obsv::Counter,
     pub(crate) feedback_work: obsv::FloatCounter,
 }
 
@@ -122,7 +120,6 @@ impl StatsCatalog {
             shared_builds: obs.metrics.counter("stats.shared_scan_builds"),
             build_work: obs.metrics.float_counter("stats.build_work"),
             feedback_refreshes: obs.metrics.counter("stats.feedback.refreshes"),
-            feedback_builds: obs.metrics.counter("stats.feedback.builds"),
             feedback_work: obs.metrics.float_counter("stats.feedback.work"),
         };
     }
@@ -266,65 +263,6 @@ impl StatsCatalog {
         self.obs.builds.inc();
         self.obs.build_work.add(stat.build_cost);
         Ok(self.insert_created(stat))
-    }
-
-    /// Create a single-column statistic synthesized purely from feedback
-    /// observations — no table scan at all. Used when `FindNextStatToBuild`
-    /// selects a candidate whose (table, column) already has enough observed
-    /// cardinalities: the build cost is the correction work, which is orders
-    /// of magnitude below a scan build.
-    ///
-    /// Returns `Ok(None)` when the store lacks `config.min_observations`
-    /// observations for the column, no usable histogram can be seeded from
-    /// them, or the statistic is drop-listed: the caller falls back to
-    /// [`StatsCatalog::create_statistic`], which reactivates a drop-listed
-    /// one for free. An active statistic with this descriptor is returned as
-    /// it is. Errors like [`StatsCatalog::create_statistic`].
-    pub fn create_statistic_from_feedback(
-        &mut self,
-        db: &Database,
-        descriptor: StatDescriptor,
-        store: &mut FeedbackStore,
-        config: &FeedbackConfig,
-    ) -> Result<Option<StatId>, StatsError> {
-        let (table, built) = self.resolve(db, &descriptor)?;
-        if let Some(id) = built {
-            return Ok((!self.drop_list.contains(&id)).then_some(id));
-        }
-        let (t, column) = (
-            descriptor.table.0 as u64,
-            descriptor.leading_column() as u32,
-        );
-        // Multi-column density prefixes need a real scan.
-        if descriptor.is_multi_column() || store.count(t, column) < config.min_observations {
-            return Ok(None);
-        }
-        let observations = store.take(t, column);
-        let Some((histogram, outcome)) = build_from_feedback(&observations, config) else {
-            return Ok(None);
-        };
-        let ndv = histogram.ndv();
-        let stat = Statistic {
-            id: self.next_stat_id(),
-            descriptor,
-            histogram,
-            prefix_densities: vec![if ndv > 0.0 { 1.0 / ndv } else { 0.0 }],
-            null_fraction: 0.0,
-            row_count_at_build: table.row_count(),
-            build_cost: outcome.work,
-            update_count: 0,
-            mods_at_build: table.modification_counter(),
-            created_epoch: self.epoch,
-            joint: None,
-        };
-        let mut span = self.obs.tracer.span("stats.feedback_build");
-        span.arg("table", t as i64);
-        span.arg("observations", observations.len());
-        span.arg("build_work", stat.build_cost);
-        drop(span);
-        self.obs.feedback_builds.inc();
-        self.obs.feedback_work.add(stat.build_cost);
-        Ok(Some(self.insert_created(stat)))
     }
 
     /// Validate `descriptor` — a live table, a non-empty column list, only

@@ -19,10 +19,10 @@
 //!   a bit-identical histogram.
 //! - **Near-zero cost.** Correction work is metered per observation × bucket
 //!   touched, orders of magnitude below a scan rebuild's
-//!   [`build_work`](crate::statistic::build_work) charge, which is what makes it attractive to the
-//!   staleness tracker and to MNSA's build-cost weighing.
+//!   [`build_work`](crate::statistic::build_work) charge, which is what makes
+//!   it attractive to the staleness tracker ([`crate::StatsCatalog::refresh`]).
 
-use crate::histogram::{Bucket, Histogram, HistogramKind};
+use crate::histogram::{Bucket, Histogram};
 use obsv::FeedbackRecord;
 use std::collections::BTreeMap;
 
@@ -381,52 +381,10 @@ fn restructure(
     (splits, merges)
 }
 
-/// Synthesize a histogram purely from feedback, with no table scan: seed a
-/// single bucket over the observed key span, then run the corrector over
-/// every observation. Returns `None` when the observations cannot span a
-/// finite domain. The result is coarse but costs only correction work —
-/// the "near-zero build cost" candidate MNSA weighs against scan builds.
-pub fn build_from_feedback(
-    observations: &[Observation],
-    config: &FeedbackConfig,
-) -> Option<(Histogram, CorrectionOutcome)> {
-    let mut lo = f64::INFINITY;
-    let mut hi = f64::NEG_INFINITY;
-    let mut rows = 0.0f64;
-    let mut seed_fraction = 0.0f64;
-    for o in observations {
-        if o.lo.is_finite() {
-            lo = lo.min(o.lo);
-        }
-        if o.hi.is_finite() {
-            hi = hi.max(o.hi);
-        }
-        rows = rows.max(o.input_rows);
-        seed_fraction = seed_fraction.max(o.fraction);
-    }
-    if !lo.is_finite() || !hi.is_finite() || hi < lo || rows <= 0.0 {
-        return None;
-    }
-    let seed = Bucket {
-        lo,
-        hi,
-        fraction: seed_fraction.clamp(0.0, 1.0).max(1.0 / rows),
-        distinct: (observations.len() as f64).max(1.0),
-    };
-    let mut histogram = Histogram::from_parts(
-        HistogramKind::default(),
-        vec![seed],
-        (observations.len() as f64).max(1.0),
-        rows,
-    );
-    let outcome = correct_histogram(&mut histogram, observations, config);
-    Some((histogram, outcome))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::histogram::ordered;
+    use crate::histogram::{ordered, HistogramKind};
     use storage::Value;
 
     fn obs(lo: f64, hi: f64, fraction: f64) -> Observation {
@@ -656,33 +614,6 @@ mod tests {
             prop_assert_eq!(noop, CorrectionOutcome::default());
             prop_assert_eq!(untouched, uniform_histogram());
         }
-
-        /// Feedback-synthesized histograms obey the same invariants, and
-        /// refuse (return `None`) rather than build from unseedable streams.
-        #[test]
-        fn build_from_feedback_is_sound_under_arbitrary_streams(
-            records in prop::collection::vec(arb_record(), 0..40),
-        ) {
-            let mut store = FeedbackStore::new();
-            store.ingest(&records);
-            let observations = store.take(1, 0);
-            let Some((h, out)) = build_from_feedback(&observations, &FeedbackConfig::default())
-            else {
-                return Ok(());
-            };
-            prop_assert!(h.rows() > 0.0);
-            prop_assert!(out.work.is_finite());
-            let total: f64 = h.buckets().iter().map(|b| b.fraction).sum();
-            prop_assert!(total <= 1.0 + 1e-9);
-            for w in h.buckets().windows(2) {
-                prop_assert!(w[0].hi <= w[1].lo);
-            }
-            for b in h.buckets() {
-                prop_assert!(b.lo <= b.hi && b.fraction >= 0.0 && b.fraction.is_finite());
-            }
-            let sel = h.selectivity_lt(&Value::Int(0));
-            prop_assert!(sel.is_finite() && (0.0..=1.0).contains(&sel));
-        }
     }
 
     /// Finite ranges over and past both ends of `uniform_histogram`'s
@@ -699,8 +630,8 @@ mod tests {
         /// the first bucket past a key stand on: however a stream extends
         /// the domain, splits and merges, every bucket has `lo <= hi` and
         /// both bounds never fall from one bucket to the next. A corrector
-        /// that breaks this fails here (and in `join_selectivity`'s and
-        /// `from_parts`' debug assertions), not as a wrong estimate.
+        /// that breaks this fails here (and in `join_selectivity`'s debug
+        /// assertions), not as a wrong estimate.
         #[test]
         fn corrected_buckets_stay_ordered(
             observations in prop::collection::vec(arb_range_observation(), 1..60),
@@ -722,32 +653,8 @@ mod tests {
             let mut whole = uniform_histogram();
             correct_histogram(&mut whole, &observations, &config);
             prop_assert!(ordered(whole.buckets()), "{:?}", whole);
-            if let Some((built, _)) = build_from_feedback(&observations, &config) {
-                prop_assert!(ordered(built.buckets()), "{:?}", built);
-                let sel = crate::join_selectivity(&built, &whole);
-                prop_assert!((0.0..=1.0).contains(&sel));
-            }
             let sel = crate::join_selectivity(&corrected, &whole);
             prop_assert!((0.0..=1.0).contains(&sel));
         }
-    }
-
-    #[test]
-    fn build_from_feedback_synthesizes_usable_histogram() {
-        let stream: Vec<Observation> = (0..12)
-            .map(|i| obs((i % 4) as f64 * 25.0, (i % 4) as f64 * 25.0 + 20.0, 0.25))
-            .collect();
-        let (h, out) = build_from_feedback(&stream, &FeedbackConfig::default()).unwrap();
-        assert!(out.applied > 0);
-        assert!(h.rows() == 1000.0);
-        assert_invariants(&h);
-        let sel = h.selectivity_between(&Value::Int(0), &Value::Int(20));
-        assert!(sel > 0.0 && sel <= 1.0);
-        // Open-range-only feedback has no finite span to seed from.
-        assert!(build_from_feedback(
-            &[obs(f64::NEG_INFINITY, f64::INFINITY, 0.5)],
-            &FeedbackConfig::default()
-        )
-        .is_none());
     }
 }

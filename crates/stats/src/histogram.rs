@@ -418,25 +418,6 @@ impl Histogram {
         self.str_prefix.as_deref()
     }
 
-    /// Assemble a histogram directly from parts (crate-internal: used to
-    /// synthesize feedback-built histograms without a table scan). Buckets
-    /// must already be sorted and disjoint.
-    pub(crate) fn from_parts(
-        kind: HistogramKind,
-        buckets: Vec<Bucket>,
-        ndv: f64,
-        rows: f64,
-    ) -> Histogram {
-        debug_assert!(ordered(&buckets), "unordered buckets: {buckets:?}");
-        Histogram {
-            kind,
-            buckets,
-            ndv: ndv.max(0.0),
-            rows: rows.max(0.0),
-            str_prefix: None,
-        }
-    }
-
     /// Minimum and maximum keys covered.
     pub fn bounds(&self) -> Option<(f64, f64)> {
         let first = self.buckets.first()?;

@@ -35,8 +35,7 @@ pub mod statistic;
 pub use catalog::{AgingPolicy, CatalogSnapshot, StatsCatalog, StatsView};
 pub use error::StatsError;
 pub use feedback::{
-    build_from_feedback, correct_histogram, CorrectionOutcome, FeedbackConfig, FeedbackStore,
-    Observation,
+    correct_histogram, CorrectionOutcome, FeedbackConfig, FeedbackStore, Observation,
 };
 pub use histogram::{join_selectivity, Histogram, HistogramKind};
 pub use maintenance::{MaintenancePolicy, Refreshed};

@@ -520,34 +520,4 @@ mod tests {
         // Neither took its column's observations.
         assert_eq!(store.total(), 8);
     }
-
-    #[test]
-    fn create_statistic_from_feedback_is_near_free_and_idempotent() {
-        let (db, t) = test_db();
-        let mut cat = StatsCatalog::new();
-        let mut store = FeedbackStore::new();
-        store.ingest(&feedback_records(t, 1, 8));
-        let config = FeedbackConfig::default();
-        let desc = StatDescriptor::single(t, 1);
-
-        let id = cat
-            .create_statistic_from_feedback(&db, desc.clone(), &mut store, &config)
-            .unwrap()
-            .expect("enough observations to synthesize");
-        let s = cat.statistic(id).unwrap();
-        assert!(s.build_cost > 0.0);
-        assert!(s.build_cost < cat.update_cost_of(&db, [id]) / 100.0);
-        assert!(s.histogram.selectivity_lt(&Value::Int(11)) > 0.0);
-        assert_eq!(cat.find_active(&desc), Some(id));
-        // Observations were consumed; a second call reuses the built stat.
-        let again = cat
-            .create_statistic_from_feedback(&db, desc, &mut store, &config)
-            .unwrap();
-        assert_eq!(again, Some(id));
-        // Insufficient observations: decline rather than build garbage.
-        let none = cat
-            .create_statistic_from_feedback(&db, StatDescriptor::single(t, 0), &mut store, &config)
-            .unwrap();
-        assert_eq!(none, None);
-    }
 }

@@ -206,7 +206,7 @@ fn heavy_update_traffic_triggers_maintenance_cycle() {
             // The Shrinking Set would find the other statistic non-essential
             // too (the plan over 20 rows does not depend on it) and send it
             // the same way.
-            shrink: None,
+            shrink_every: 0,
             ..AutodConfig::default()
         },
     );
