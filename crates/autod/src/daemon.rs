@@ -11,9 +11,8 @@
 //!    journal and queue each template of its retained sample not queued
 //!    before, by [`query::BoundSelect::fingerprint`], so a template is
 //!    analyzed once however often it runs;
-//! 3. **refresh** — scan modification counters and refresh each table's
-//!    stale statistics in one [`StatsCatalog::refresh`] (feedback
-//!    corrections first when feedback is on, then shared-scan rebuilds),
+//! 3. **refresh** — scan modification counters and rebuild each table's
+//!    stale statistics from one shared scan ([`StatsCatalog::refresh`]),
 //!    charging each to the bucket; remaining tables wait for the next tick
 //!    once the balance runs out;
 //! 4. **drop** — physically drop what has now been refreshed more than
@@ -51,7 +50,7 @@ use autostats::policy::shrinking_pass;
 use autostats::{Equivalence, MnsaConfig, MnsaEngine, OnlineEvent, SessionReport, TuneError};
 use parking_lot::Mutex;
 use query::BoundSelect;
-use stats::{FeedbackConfig, FeedbackStore, MaintenancePolicy, Refreshed, StatsCatalog};
+use stats::{MaintenancePolicy, Refreshed, StatsCatalog};
 use std::collections::{BTreeSet, VecDeque};
 use std::sync::Arc;
 use storage::Database;
@@ -103,13 +102,6 @@ pub struct AutodConfig {
     pub staleness: MaintenancePolicy,
     /// Workload-monitor sizing and eviction seed.
     pub monitor: MonitorConfig,
-    /// Feedback-driven refresh: when `Some`, query handles execute under an
-    /// enabled [`obsv::FeedbackLog`], the daemon digests its records each
-    /// tick, and corrects stale statistics from observed cardinalities
-    /// before falling back to scan rebuilds. `None` (the default) keeps the
-    /// whole channel disabled and the catalog trajectory bit-identical to a
-    /// daemon without this feature.
-    pub feedback: Option<FeedbackConfig>,
     /// Span sampling and slow-query capture. Observation-only: telemetry on
     /// vs off never changes catalogs, plans, or journals (pinned by
     /// `tests/telemetry_determinism.rs`).
@@ -128,7 +120,6 @@ impl Default for AutodConfig {
             shrink_every: 8,
             staleness: MaintenancePolicy::default(),
             monitor: MonitorConfig::default(),
-            feedback: None,
             telemetry: TelemetryConfig::default(),
             shard: 0,
         }
@@ -143,10 +134,10 @@ pub struct TickReport {
     pub refreshed: usize,
     /// Work charged for those rebuilds.
     pub refresh_work: f64,
-    /// Stale statistics corrected from feedback (no scan) this tick.
+    /// Always 0: the tick refreshes by rebuild only. Feedback correction
+    /// is measured offline (`exp cardbench`'s drift block); the field stays
+    /// for the readers of this report.
     pub feedback_refreshed: usize,
-    /// Work charged for those corrections (tiny next to `refresh_work`).
-    pub feedback_work: f64,
     /// Over-updated statistics physically dropped this tick.
     pub dropped: usize,
     /// Query templates MNSA analyzed this tick.
@@ -191,9 +182,6 @@ pub struct LifecycleCore {
     session: SessionReport,
     obs: obsv::Obs,
     tick: u64,
-    /// Shared with query threads; enabled iff `config.feedback` is set.
-    feedback_log: obsv::FeedbackLog,
-    feedback_store: FeedbackStore,
     /// MNSA optimizer calls so far, for health reporting.
     optimizer_calls: u64,
     /// Tick of the last epoch publication (0 = generation 0 at start).
@@ -227,11 +215,6 @@ impl LifecycleCore {
     ) -> Self {
         let engine = MnsaEngine::new(config.mnsa).with_obs(obs.clone());
         let epochs = Arc::new(EpochHandle::new(StatsCatalog::restore(catalog.snapshot())));
-        let feedback_log = if config.feedback.is_some() {
-            obsv::FeedbackLog::enabled()
-        } else {
-            obsv::FeedbackLog::disabled()
-        };
         LifecycleCore {
             config,
             catalog,
@@ -243,8 +226,6 @@ impl LifecycleCore {
             session,
             obs,
             tick: 0,
-            feedback_log,
-            feedback_store: FeedbackStore::new(),
             optimizer_calls: 0,
             last_publish_tick: 0,
             health: Arc::new(Mutex::new(obsv::HealthSnapshot::default())),
@@ -285,13 +266,6 @@ impl LifecycleCore {
     /// Current work-token balance (negative = debt).
     pub fn balance(&self) -> f64 {
         self.balance
-    }
-
-    /// The cardinality-feedback channel query threads should execute under
-    /// (clones share one buffer). Disabled — and free to pass around — when
-    /// `config.feedback` is `None`.
-    pub fn feedback_log(&self) -> obsv::FeedbackLog {
-        self.feedback_log.clone()
     }
 
     /// The shared cell the core writes an [`obsv::HealthSnapshot`] into at
@@ -354,19 +328,8 @@ impl LifecycleCore {
             ..TickReport::default()
         };
 
-        // 3. Staleness-driven refresh, one catalog call per table, while
-        //    the token balance lasts. With feedback enabled the catalog
-        //    corrects what it can from the digested observations — near-zero
-        //    work — and rebuilds the rest from one shared scan.
-        if self.config.feedback.is_some() {
-            let drained = self.feedback_log.drain();
-            if !drained.is_empty() {
-                metrics
-                    .counter("stats.feedback.records")
-                    .add(drained.len() as u64);
-                self.feedback_store.ingest(&drained);
-            }
-        }
+        // 3. Staleness-driven refresh, one catalog call (one shared scan)
+        //    per table, while the token balance lasts.
         let by_table = self.catalog.stale_by_table(db, &self.config.staleness);
         let mut deferred_refreshes = 0usize;
         for (&table, ids) in &by_table {
@@ -374,43 +337,18 @@ impl LifecycleCore {
                 deferred_refreshes += ids.len();
                 continue;
             }
-            let feedback = self
-                .config
-                .feedback
-                .as_ref()
-                .map(|config| (&mut self.feedback_store, config));
-            for Refreshed {
-                id: stat,
-                work,
-                observations,
-            } in self.catalog.refresh(db, table, ids, feedback)
-            {
+            for Refreshed { id: stat, work, .. } in self.catalog.refresh(db, table, ids, None) {
                 self.balance -= work;
-                let event = if let Some(observations) = observations {
-                    report.feedback_refreshed += 1;
-                    report.feedback_work += work;
-                    metrics.counter("stats.feedback.refreshes").inc();
-                    metrics.float_counter("stats.feedback.work").add(work);
-                    OnlineEvent::FeedbackRefresh {
-                        tick,
-                        stat,
-                        table,
-                        work,
-                        observations,
-                    }
-                } else {
-                    report.refreshed += 1;
-                    report.refresh_work += work;
-                    metrics.counter("autod.refreshes").inc();
-                    metrics.float_counter("autod.refresh_work").add(work);
-                    OnlineEvent::Refresh {
-                        tick,
-                        stat,
-                        table,
-                        work,
-                    }
-                };
-                self.session.record_online(event);
+                report.refreshed += 1;
+                report.refresh_work += work;
+                metrics.counter("autod.refreshes").inc();
+                metrics.float_counter("autod.refresh_work").add(work);
+                self.session.record_online(OnlineEvent::Refresh {
+                    tick,
+                    stat,
+                    table,
+                    work,
+                });
             }
         }
 
@@ -523,7 +461,6 @@ impl LifecycleCore {
         //    query MNSA rejected is in no count, but what it built is in
         //    the creation work.
         let changed = report.refreshed > 0
-            || report.feedback_refreshed > 0
             || report.dropped > 0
             || tuning_changed
             || report.shrink_removed.is_some();
@@ -557,7 +494,6 @@ impl LifecycleCore {
             monitor_observed: monitor.observed_total(),
             monitor_evictions: monitor.evictions_total(),
             monitor_ghost_hits: monitor.ghost_hits_total(),
-            feedback_queue_depth: self.feedback_log.len() as u64,
             budget_balance: self.balance,
             // Nothing memoizes MNSA's optimizer calls: each is a miss.
             cache_hits: 0,
@@ -574,7 +510,6 @@ impl LifecycleCore {
         };
 
         span.arg("refreshed", report.refreshed);
-        span.arg("feedback_refreshed", report.feedback_refreshed);
         span.arg("dropped", report.dropped);
         span.arg("tuned", report.queries_tuned);
         span.arg("exhausted", report.budget_exhausted);
@@ -1035,252 +970,5 @@ pub(crate) mod tests {
             .online
             .iter()
             .any(|e| matches!(e, OnlineEvent::Refresh { .. })));
-    }
-
-    const SALARY_SCAN_SQL: &str = "SELECT * FROM employees WHERE salary > 200";
-
-    #[test]
-    fn feedback_refresh_replaces_scan_rebuild_cheaply() {
-        let mut db = test_db();
-        let t = db.table_id("employees").unwrap();
-        let queries = workload(&db);
-        let mut monitor = WorkloadMonitor::new(MonitorConfig::default());
-        for q in &queries {
-            monitor.observe(q, 0);
-        }
-        let mut core = LifecycleCore::new(
-            StatsCatalog::new(),
-            AutodConfig {
-                shrink_every: 0,
-                feedback: Some(FeedbackConfig::default()),
-                ..AutodConfig::default()
-            },
-        );
-        core.tick(&db, &mut monitor, f64::INFINITY).unwrap();
-        let built = core.catalog().built_on_table(t).count();
-        assert!(built > 0);
-
-        // Query threads execute under the shared feedback log; single-
-        // predicate scans on salary feed observations for its statistic.
-        let log = core.feedback_log();
-        assert!(log.is_enabled());
-        let stmt = bind_statement(&db, &parse_statement(SALARY_SCAN_SQL).unwrap()).unwrap();
-        let opt = optimizer::Optimizer::default();
-        for _ in 0..6 {
-            executor::run_statement_observed(
-                &mut db,
-                core.catalog().full_view(),
-                &opt,
-                &stmt,
-                &obsv::Tracer::disabled(),
-                &log,
-            )
-            .unwrap();
-        }
-        assert!(!log.is_empty());
-
-        // Drift: bulk inserts age every statistic on the table.
-        for i in 0..900i64 {
-            db.table_mut(t)
-                .insert(vec![
-                    Value::Int(10_000 + i),
-                    Value::Int(0),
-                    Value::Int(21),
-                    Value::Int(300),
-                ])
-                .unwrap();
-        }
-        let report = core.tick(&db, &mut monitor, f64::INFINITY).unwrap();
-        assert!(
-            report.feedback_refreshed >= 1,
-            "salary statistic should take the feedback path: {report:?}"
-        );
-        assert_eq!(report.feedback_refreshed + report.refreshed, built);
-        assert!(report.feedback_work > 0.0);
-        if report.refreshed > 0 {
-            assert!(
-                report.feedback_work < report.refresh_work / 10.0,
-                "feedback corrections must be far cheaper than scan rebuilds"
-            );
-        }
-        assert!(core
-            .journal()
-            .online
-            .iter()
-            .any(|e| matches!(e, OnlineEvent::FeedbackRefresh { .. })));
-        // The corrected statistics reset their staleness baseline: a quiet
-        // tick refreshes nothing (no starvation, no thrash).
-        let quiet = core.tick(&db, &mut monitor, f64::INFINITY).unwrap();
-        assert_eq!(quiet.refreshed + quiet.feedback_refreshed, 0);
-    }
-
-    /// One tick with feedback on over one table whose five stale statistics
-    /// cover every branch of the refresh: corrected, observations taken but
-    /// none applied, multi-column, string-keyed, too few observations.
-    #[test]
-    fn one_tick_refreshes_each_stale_statistic_once_corrections_first() {
-        let mut db = Database::new();
-        let t = db
-            .create_table(
-                "mixed",
-                Schema::new(vec![
-                    ColumnDef::new("a", DataType::Int),
-                    ColumnDef::new("b", DataType::Int),
-                    ColumnDef::new("c", DataType::Int),
-                    ColumnDef::new("d", DataType::Int),
-                    ColumnDef::new("s", DataType::Str),
-                ]),
-            )
-            .unwrap();
-        let insert = |db: &mut Database, from: i64, n: i64| {
-            for i in from..from + n {
-                db.table_mut(t)
-                    .insert(vec![
-                        Value::Int(i % 100),
-                        Value::Int(i % 40),
-                        Value::Int(i % 7),
-                        Value::Int(i % 13),
-                        Value::Str(format!("name-{}", i % 30).into()),
-                    ])
-                    .unwrap();
-            }
-        };
-        insert(&mut db, 0, 1000);
-        db.table_mut(t).reset_modification_counter();
-        let mut catalog = StatsCatalog::new();
-        let mut create = |columns: Vec<usize>| {
-            catalog
-                .create_statistic(&db, stats::StatDescriptor::multi(t, columns))
-                .unwrap()
-        };
-        let corrected = create(vec![0]);
-        let all_miss = create(vec![1]);
-        let multi = create(vec![2, 3]);
-        let string = create(vec![4]);
-        let too_few = create(vec![3]);
-        let mut core = LifecycleCore::new(
-            catalog,
-            AutodConfig {
-                shrink_every: 0,
-                feedback: Some(FeedbackConfig::default()),
-                ..AutodConfig::default()
-            },
-        );
-        insert(&mut db, 1000, 600);
-        let record = |column: u32, lo: f64, hi: f64, rows_out: f64| obsv::FeedbackRecord {
-            fingerprint: obsv::template_fingerprint(t.0 as u64, column, 2),
-            table: t.0 as u64,
-            column,
-            lo,
-            hi,
-            est_rows: 100.0,
-            rows_out,
-            input_rows: 1600.0,
-        };
-        let log = core.feedback_log();
-        for i in 0..6 {
-            log.push(record(0, 0.0, 10.0 + i as f64, 300.0));
-            log.push(record(1, 1e6, 2e6, 0.0));
-            log.push(record(2, 0.0, 3.0, 900.0));
-            log.push(record(4, 0.0, 1.0, 50.0));
-        }
-        for _ in 0..2 {
-            log.push(record(3, 0.0, 5.0, 700.0));
-        }
-
-        let mut monitor = WorkloadMonitor::new(MonitorConfig::default());
-        let report = core.tick(&db, &mut monitor, f64::INFINITY).unwrap();
-
-        let refreshes: Vec<&OnlineEvent> = core
-            .journal()
-            .online
-            .iter()
-            .filter(|e| {
-                matches!(
-                    e,
-                    OnlineEvent::FeedbackRefresh { .. } | OnlineEvent::Refresh { .. }
-                )
-            })
-            .collect();
-        let work = |e: &OnlineEvent| match *e {
-            OnlineEvent::FeedbackRefresh { work, .. } | OnlineEvent::Refresh { work, .. } => work,
-            _ => unreachable!(),
-        };
-        let OnlineEvent::FeedbackRefresh {
-            tick: 1,
-            stat,
-            table,
-            work: feedback_work,
-            observations: 6,
-        } = *refreshes[0]
-        else {
-            panic!("the correction comes first: {refreshes:?}");
-        };
-        assert_eq!((stat, table), (corrected, t));
-        let rebuilt: Vec<StatId> = refreshes[1..]
-            .iter()
-            .map(|e| match **e {
-                OnlineEvent::Refresh {
-                    tick: 1,
-                    stat,
-                    table,
-                    ..
-                } if table == t => stat,
-                _ => panic!("scan rebuilds follow the corrections: {refreshes:?}"),
-            })
-            .collect();
-        assert_eq!(rebuilt, vec![all_miss, multi, string, too_few]);
-        for id in [corrected, all_miss, multi, string, too_few] {
-            assert_eq!(core.catalog().statistic(id).unwrap().update_count, 1);
-        }
-
-        let store = &core.feedback_store;
-        assert_eq!(store.count(t.0 as u64, 0), 0);
-        assert_eq!(
-            store.count(t.0 as u64, 1),
-            0,
-            "taken even though none applied"
-        );
-        assert_eq!(store.count(t.0 as u64, 2), 6);
-        assert_eq!(store.count(t.0 as u64, 3), 2);
-        assert_eq!(store.count(t.0 as u64, 4), 6);
-
-        let total = refreshes.iter().fold(0.0, |sum, e| sum + work(e));
-        assert_eq!(core.catalog().update_work().to_bits(), total.to_bits());
-        assert_eq!((report.feedback_refreshed, report.refreshed), (1, 4));
-        assert_eq!(report.feedback_work, feedback_work);
-        let scan_work = refreshes[1..].iter().fold(0.0, |sum, e| sum + work(e));
-        assert_eq!(report.refresh_work, scan_work);
-        assert!(report.feedback_work > 0.0 && report.feedback_work < scan_work);
-    }
-
-    /// Feedback enabled but never fed ≡ feedback disabled: identical
-    /// catalog trajectory and tick reports.
-    #[test]
-    fn empty_feedback_channel_changes_nothing() {
-        let run = |feedback: Option<FeedbackConfig>| {
-            let mut db = test_db();
-            let queries = workload(&db);
-            let mut monitor = WorkloadMonitor::new(MonitorConfig::default());
-            for q in &queries {
-                monitor.observe(q, 0);
-            }
-            let mut core = LifecycleCore::new(
-                StatsCatalog::new(),
-                AutodConfig {
-                    shrink_every: 0,
-                    feedback,
-                    ..AutodConfig::default()
-                },
-            );
-            let mut reports = vec![core.tick(&db, &mut monitor, f64::INFINITY).unwrap()];
-            insert_employees(&mut db, 900);
-            reports.push(core.tick(&db, &mut monitor, f64::INFINITY).unwrap());
-            (core.catalog().snapshot(), reports)
-        };
-        let (off_catalog, off_reports) = run(None);
-        let (on_catalog, on_reports) = run(Some(FeedbackConfig::default()));
-        assert_eq!(off_catalog, on_catalog);
-        assert_eq!(off_reports, on_reports);
     }
 }

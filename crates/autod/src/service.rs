@@ -92,8 +92,6 @@ pub struct OnlineService {
     current_tick: Arc<AtomicU64>,
     telemetry: Arc<ServiceTelemetry>,
     health: Arc<Mutex<HealthSnapshot>>,
-    /// The core's feedback channel; every handle executes under a clone.
-    feedback: obsv::FeedbackLog,
     budget_per_tick: f64,
 }
 
@@ -132,7 +130,6 @@ impl OnlineService {
             current_tick: Arc::new(AtomicU64::new(0)),
             telemetry,
             health: core.health_cell(),
-            feedback: core.feedback_log(),
             budget_per_tick,
             core: Mutex::new(core),
         }
@@ -149,7 +146,6 @@ impl OnlineService {
             obs: self.obs.fork(tid),
             current_tick: Arc::clone(&self.current_tick),
             telemetry: Arc::clone(&self.telemetry),
-            feedback: self.feedback.clone(),
         }
     }
 
@@ -187,8 +183,8 @@ impl OnlineService {
     }
 
     /// Close the current metrics window as `window`, returning its deltas
-    /// (QPS, refreshes, feedback ingest, budget spend, latency
-    /// quantiles — everything registered in the service metrics registry).
+    /// (QPS, refreshes, budget spend, latency quantiles — everything
+    /// registered in the service metrics registry).
     /// Drivers call this once per tick, with the tick as the window id, so
     /// the window schedule is as deterministic as the tick schedule.
     pub fn roll_window(&self, window: u64) -> WindowDelta {
@@ -266,7 +262,6 @@ pub struct QueryHandle {
     obs: obsv::Obs,
     current_tick: Arc<AtomicU64>,
     telemetry: Arc<ServiceTelemetry>,
-    feedback: obsv::FeedbackLog,
 }
 
 impl QueryHandle {
@@ -313,7 +308,7 @@ impl QueryHandle {
                     &optimized.plan,
                     &self.optimizer.params,
                     private.as_ref().unwrap_or(&self.obs.tracer),
-                    &self.feedback,
+                    &obsv::FeedbackLog::disabled(),
                 )?;
                 let latency_ns = start.elapsed().as_nanos() as u64;
                 self.telemetry.query_latency.observe(latency_ns);
@@ -343,7 +338,7 @@ impl QueryHandle {
             &self.optimizer,
             &bound,
             &self.obs.tracer,
-            &self.feedback,
+            &obsv::FeedbackLog::disabled(),
         )?;
         self.telemetry
             .dml_latency
@@ -603,41 +598,5 @@ mod tests {
         let (db, _) = svc.shutdown();
         let employees = db.table_id("employees").unwrap();
         assert!(db.table(employees).modification_counter() > 0);
-    }
-
-    /// What a handle's scans observe reaches the core: with feedback on, a
-    /// statistic the served queries scanned is corrected from their
-    /// cardinalities when a bulk insert makes it stale.
-    #[test]
-    fn served_scans_feed_the_feedback_refresh() {
-        let svc = start(AutodConfig {
-            budget_per_tick: f64::INFINITY,
-            shrink_every: 0,
-            feedback: Some(stats::FeedbackConfig::default()),
-            ..AutodConfig::default()
-        });
-        let h = svc.handle(1);
-        h.run_sql(
-            "SELECT e.empid FROM employees e, departments d \
-             WHERE e.deptid = d.deptid AND e.salary > 200",
-        )
-        .unwrap();
-        let built = svc.tick_wait().unwrap();
-        assert!(built.published_generation.is_some(), "{built:?}");
-
-        for _ in 0..6 {
-            h.run_sql("SELECT * FROM employees WHERE salary > 200")
-                .unwrap();
-        }
-        for i in 0..900 {
-            h.run_sql(&format!(
-                "INSERT INTO employees VALUES ({}, 0, 21, 300)",
-                10_000 + i
-            ))
-            .unwrap();
-        }
-        let report = svc.tick_wait().unwrap();
-        assert!(report.feedback_refreshed >= 1, "{report:?}");
-        assert!(svc.metrics().counter("stats.feedback.records").get() > 0);
     }
 }

@@ -34,7 +34,8 @@
 //! making the true plan independent of any catalog under test.
 
 use crate::common::ExperimentScale;
-use autostats::{single_column_candidates, MnsaConfig, MnsaEngine};
+use autostats::policy::{apply_policy, CreationPolicy};
+use autostats::{MnsaConfig, MnsaEngine};
 use datagen::{adversarial_queries, build_adversarial, AdversarialConfig, Regime, FACTS};
 use executor::{execute_plan, execute_plan_observed, predicate::row_matches};
 use obsv::json::Object;
@@ -45,12 +46,44 @@ use query::{
     SelectStmt, Statement, TableRef,
 };
 use rustc_hash::FxHashMap;
-use stats::{BuildOptions, FeedbackConfig, FeedbackStore, StatDescriptor, StatId, StatsCatalog};
+use stats::{BuildOptions, FeedbackStore, StatDescriptor, StatId, StatsCatalog};
 use std::collections::HashMap;
 use storage::{Database, TableId, Value};
 
 /// The statistics configurations, in reporting order.
 pub const CATALOGS: [&str; 3] = ["bare", "heuristic", "mnsa"];
+
+/// Per-operator q-errors pooled over a workload's traced executions.
+#[derive(Debug, Clone, PartialEq)]
+pub struct QErrors {
+    /// Number of `(est, actual)` operator pairs pooled into the quantiles.
+    pub operators: usize,
+    pub p50: f64,
+    pub p90: f64,
+    pub p99: f64,
+    pub max: f64,
+}
+
+impl QErrors {
+    fn of(mut q_errors: Vec<f64>) -> QErrors {
+        q_errors.sort_by(f64::total_cmp);
+        QErrors {
+            operators: q_errors.len(),
+            p50: quantile(&q_errors, 0.50),
+            p90: quantile(&q_errors, 0.90),
+            p99: quantile(&q_errors, 0.99),
+            max: q_errors.last().copied().unwrap_or(f64::NAN),
+        }
+    }
+
+    fn to_json(&self) -> Object {
+        Object::new()
+            .field("p50", self.p50)
+            .field("p90", self.p90)
+            .field("p99", self.p99)
+            .field("max", self.max)
+    }
+}
 
 /// One `(regime, catalog)` measurement cell.
 #[derive(Debug, Clone, PartialEq)]
@@ -58,12 +91,7 @@ pub struct CatalogCell {
     pub catalog: &'static str,
     /// Active statistics in the catalog after tuning/building.
     pub stats_built: usize,
-    /// Number of `(est, actual)` operator pairs pooled into the quantiles.
-    pub operators: usize,
-    pub q_p50: f64,
-    pub q_p90: f64,
-    pub q_p99: f64,
-    pub q_max: f64,
+    pub q_error: QErrors,
     /// Geometric mean over queries of `work_chosen / work_true`.
     pub regret_mean: f64,
     pub regret_max: f64,
@@ -89,12 +117,7 @@ pub struct DriftCell {
     /// deterministic units as `build_cost` — the "total build work" axis of
     /// the comparison.
     pub refresh_work: f64,
-    /// `(est, actual)` operator pairs pooled into the quantiles.
-    pub operators: usize,
-    pub q_p50: f64,
-    pub q_p90: f64,
-    pub q_p99: f64,
-    pub q_max: f64,
+    pub q_error: QErrors,
 }
 
 /// The drift regime: build → bulk DML shifting the distribution → re-query,
@@ -187,7 +210,7 @@ pub fn run(scale: &ExperimentScale, obs: &obsv::Obs) -> CardbenchResult {
                 .add(scale.workload_len as u64);
             let result = run_regime(&cfg, r, scale.workload_len);
             for cell in &result.cells {
-                span.arg(cell.catalog, cell.q_p50);
+                span.arg(cell.catalog, cell.q_error.p50);
             }
             result
         })
@@ -200,7 +223,7 @@ pub fn run(scale: &ExperimentScale, obs: &obsv::Obs) -> CardbenchResult {
             .add(scale.workload_len as u64);
         let result = run_drift(&cfg, scale.workload_len);
         for cell in &result.cells {
-            span.arg(cell.strategy, cell.q_p50);
+            span.arg(cell.strategy, cell.q_error.p50);
         }
         result
     };
@@ -294,13 +317,13 @@ fn build_catalog(name: &str, db: &Database, cases: &[QueryCase]) -> StatsCatalog
         "heuristic" => {
             let mut catalog = StatsCatalog::new();
             for case in cases {
-                for d in single_column_candidates(&case.query) {
-                    if catalog.find_active(&d).is_none() {
-                        catalog
-                            .create_statistic(db, d)
-                            .expect("heuristic statistic builds");
-                    }
-                }
+                apply_policy(
+                    db,
+                    &mut catalog,
+                    &CreationPolicy::CreateAllSyntactic,
+                    &case.query,
+                )
+                .expect("heuristic statistics build");
             }
             catalog
         }
@@ -322,6 +345,36 @@ fn build_catalog(name: &str, db: &Database, cases: &[QueryCase]) -> StatsCatalog
     }
 }
 
+/// Optimize every query under `catalog` and execute its plan traced: the
+/// executed work per query, and the per-operator q-errors of them all.
+fn traced_runs<'q>(
+    db: &Database,
+    catalog: &StatsCatalog,
+    queries: impl IntoIterator<Item = &'q BoundSelect>,
+    optimizer: &Optimizer,
+) -> (Vec<f64>, QErrors) {
+    let mut works = Vec::new();
+    let mut q_errors = Vec::new();
+    for query in queries {
+        let chosen = optimizer
+            .optimize(db, query, catalog.full_view(), &OptimizeOptions::default())
+            .expect("optimization succeeds");
+        let tracer = obsv::Tracer::enabled();
+        let out = execute_plan_observed(
+            db,
+            query,
+            &chosen.plan,
+            &optimizer.params,
+            &tracer,
+            &obsv::FeedbackLog::disabled(),
+        )
+        .expect("plan executes");
+        q_errors.extend(operator_q_errors(&tracer.flush()));
+        works.push(out.work);
+    }
+    (works, QErrors::of(q_errors))
+}
+
 /// Optimize and execute every query under `catalog`, pooling per-operator
 /// q-errors and per-query regret into one cell.
 fn measure_catalog(
@@ -331,34 +384,14 @@ fn measure_catalog(
     cases: &[QueryCase],
     optimizer: &Optimizer,
 ) -> CatalogCell {
-    let mut q_errors: Vec<f64> = Vec::new();
-    let mut regrets: Vec<f64> = Vec::new();
-    for case in cases {
-        let chosen = optimizer
-            .optimize(
-                db,
-                &case.query,
-                catalog.full_view(),
-                &OptimizeOptions::default(),
-            )
-            .expect("optimization succeeds");
-        let tracer = obsv::Tracer::enabled();
-        let out = execute_plan_observed(
-            db,
-            &case.query,
-            &chosen.plan,
-            &optimizer.params,
-            &tracer,
-            &obsv::FeedbackLog::disabled(),
-        )
-        .expect("plan executes");
-        let events = tracer.flush();
-        q_errors.extend(operator_q_errors(&events));
-        // Floor the denominator: a true plan with (near-)zero work would
-        // otherwise make the ratio blow up on trivial queries.
-        regrets.push(out.work / case.work_true.max(1.0));
-    }
-    q_errors.sort_by(f64::total_cmp);
+    let (works, q_error) = traced_runs(db, catalog, cases.iter().map(|c| &c.query), optimizer);
+    // Floor the denominator: a true plan with (near-)zero work would
+    // otherwise make the ratio blow up on trivial queries.
+    let regrets: Vec<f64> = works
+        .iter()
+        .zip(cases)
+        .map(|(work, case)| work / case.work_true.max(1.0))
+        .collect();
     let geomean = if regrets.is_empty() {
         1.0
     } else {
@@ -367,11 +400,7 @@ fn measure_catalog(
     CatalogCell {
         catalog: name,
         stats_built: catalog.active_count(),
-        operators: q_errors.len(),
-        q_p50: quantile(&q_errors, 0.50),
-        q_p90: quantile(&q_errors, 0.90),
-        q_p99: quantile(&q_errors, 0.99),
-        q_max: q_errors.last().copied().unwrap_or(f64::NAN),
+        q_error,
         regret_mean: geomean,
         regret_max: regrets.iter().copied().fold(f64::NAN, f64::max),
     }
@@ -432,8 +461,8 @@ fn apply_drift(db: &mut Database, table: TableId, cfg: &AdversarialConfig) -> us
 /// The post-drift correction workload: single-predicate range probes per
 /// drifting column, spanning the full (drifted) key domain. Exactly the
 /// query shape the executor's feedback channel records, with enough
-/// observations per column (6 ≥ `min_observations`) to make every statistic
-/// feedback-refreshable, and finite upper bounds so out-of-domain
+/// observations per column (6; a correction needs 4) to make every
+/// statistic feedback-refreshable, and finite upper bounds so out-of-domain
 /// observations can extend the stale histograms.
 fn drift_probes(cfg: &AdversarialConfig) -> Vec<SelectStmt> {
     let d = cfg.domain.max(1) as i64;
@@ -516,8 +545,7 @@ fn run_drift(cfg: &AdversarialConfig, n_queries: usize) -> DriftResult {
     }
     let mut store = FeedbackStore::new();
     store.ingest(&log.drain());
-    let config = FeedbackConfig::default();
-    let corrected = fb_cat.refresh(&db, table, &fb_ids, Some((&mut store, &config)));
+    let corrected = fb_cat.refresh(&db, table, &fb_ids, Some(&mut store));
     let fb_work: f64 = corrected.iter().map(|r| r.work).sum();
 
     // The evaluation workload samples its constants from the *drifted*
@@ -570,33 +598,11 @@ fn measure_drift(
     eval: &[BoundSelect],
     optimizer: &Optimizer,
 ) -> DriftCell {
-    let mut q_errors: Vec<f64> = Vec::new();
-    for query in eval {
-        let chosen = optimizer
-            .optimize(db, query, catalog.full_view(), &OptimizeOptions::default())
-            .expect("drift optimization succeeds");
-        let tracer = obsv::Tracer::enabled();
-        execute_plan_observed(
-            db,
-            query,
-            &chosen.plan,
-            &optimizer.params,
-            &tracer,
-            &obsv::FeedbackLog::disabled(),
-        )
-        .expect("drift plan executes");
-        q_errors.extend(operator_q_errors(&tracer.flush()));
-    }
-    q_errors.sort_by(f64::total_cmp);
     DriftCell {
         strategy,
         refreshed,
         refresh_work,
-        operators: q_errors.len(),
-        q_p50: quantile(&q_errors, 0.50),
-        q_p90: quantile(&q_errors, 0.90),
-        q_p99: quantile(&q_errors, 0.99),
-        q_max: q_errors.last().copied().unwrap_or(f64::NAN),
+        q_error: traced_runs(db, catalog, eval, optimizer).1,
     }
 }
 
@@ -763,13 +769,6 @@ fn group_by_fraction(db: &Database, query: &BoundSelect, optimizer: &Optimizer) 
 impl CardbenchResult {
     /// The `BENCH_cardbench.json` document.
     pub fn to_json(&self) -> String {
-        let q_error = |p50: f64, p90: f64, p99: f64, max: f64| {
-            Object::new()
-                .field("p50", p50)
-                .field("p90", p90)
-                .field("p99", p99)
-                .field("max", max)
-        };
         let regimes: Vec<Object> = self
             .regimes
             .iter()
@@ -781,8 +780,8 @@ impl CardbenchResult {
                         Object::new()
                             .field("catalog", c.catalog)
                             .field("stats_built", c.stats_built)
-                            .field("operators", c.operators)
-                            .field("q_error", q_error(c.q_p50, c.q_p90, c.q_p99, c.q_max))
+                            .field("operators", c.q_error.operators)
+                            .field("q_error", c.q_error.to_json())
                             .field(
                                 "regret",
                                 Object::new()
@@ -805,8 +804,8 @@ impl CardbenchResult {
                     .field("strategy", c.strategy)
                     .field("refreshed", c.refreshed)
                     .field("refresh_work", c.refresh_work)
-                    .field("operators", c.operators)
-                    .field("q_error", q_error(c.q_p50, c.q_p90, c.q_p99, c.q_max))
+                    .field("operators", c.q_error.operators)
+                    .field("q_error", c.q_error.to_json())
             })
             .collect();
         Object::new()
@@ -851,11 +850,11 @@ impl CardbenchResult {
                     regime.regime,
                     c.catalog,
                     c.stats_built,
-                    c.operators,
-                    c.q_p50,
-                    c.q_p90,
-                    c.q_p99,
-                    c.q_max,
+                    c.q_error.operators,
+                    c.q_error.p50,
+                    c.q_error.p90,
+                    c.q_error.p99,
+                    c.q_error.max,
                     c.regret_mean,
                     c.regret_max
                 );
@@ -875,11 +874,11 @@ impl CardbenchResult {
                 c.strategy,
                 c.refreshed,
                 c.refresh_work,
-                c.operators,
-                c.q_p50,
-                c.q_p90,
-                c.q_p99,
-                c.q_max
+                c.q_error.operators,
+                c.q_error.p50,
+                c.q_error.p90,
+                c.q_error.p99,
+                c.q_error.max
             );
         }
     }
@@ -918,18 +917,18 @@ mod tests {
             assert_eq!(regime.cells.len(), 3);
             for c in &regime.cells {
                 assert!(
-                    c.operators > 0,
+                    c.q_error.operators > 0,
                     "{}/{}: no operator pairs",
                     regime.regime,
                     c.catalog
                 );
                 assert!(
-                    c.q_p50 >= 1.0,
+                    c.q_error.p50 >= 1.0,
                     "{}/{}: q-error below 1",
                     regime.regime,
                     c.catalog
                 );
-                assert!(c.q_max.is_finite());
+                assert!(c.q_error.max.is_finite());
             }
         }
         // The acceptance bar: tuned statistics must strictly cut the median
@@ -938,10 +937,10 @@ mod tests {
             let bare = result.cell(regime, "bare").unwrap();
             let mnsa = result.cell(regime, "mnsa").unwrap();
             assert!(
-                mnsa.q_p50 < bare.q_p50,
+                mnsa.q_error.p50 < bare.q_error.p50,
                 "{regime}: mnsa p50 {} not below bare p50 {}",
-                mnsa.q_p50,
-                bare.q_p50
+                mnsa.q_error.p50,
+                bare.q_error.p50
             );
             assert!(mnsa.stats_built > 0, "{regime}: mnsa built nothing");
         }
@@ -951,8 +950,12 @@ mod tests {
         assert_eq!(drift.cells.len(), 3);
         assert!(drift.drift_rows > 0);
         for c in &drift.cells {
-            assert!(c.operators > 0, "{}: no operator pairs", c.strategy);
-            assert!(c.q_p50 >= 1.0 && c.q_max.is_finite(), "{}", c.strategy);
+            assert!(c.q_error.operators > 0, "{}: no operator pairs", c.strategy);
+            assert!(
+                c.q_error.p50 >= 1.0 && c.q_error.max.is_finite(),
+                "{}",
+                c.strategy
+            );
         }
         let bare = drift.cell("bare").unwrap();
         let scan = drift.cell("scan-refresh").unwrap();
@@ -971,22 +974,22 @@ mod tests {
         // the stale catalog at the median, and feedback must stay in the
         // same band as the full rebuild.
         assert!(
-            scan.q_p50 < bare.q_p50,
+            scan.q_error.p50 < bare.q_error.p50,
             "scan refresh did not improve on stale stats: {} vs {}",
-            scan.q_p50,
-            bare.q_p50
+            scan.q_error.p50,
+            bare.q_error.p50
         );
         assert!(
-            feedback.q_p50 < bare.q_p50,
+            feedback.q_error.p50 < bare.q_error.p50,
             "feedback refresh did not improve on stale stats: {} vs {}",
-            feedback.q_p50,
-            bare.q_p50
+            feedback.q_error.p50,
+            bare.q_error.p50
         );
         assert!(
-            feedback.q_p50 <= scan.q_p50 * 2.0,
+            feedback.q_error.p50 <= scan.q_error.p50 * 2.0,
             "feedback p50 {} not comparable to scan p50 {}",
-            feedback.q_p50,
-            scan.q_p50
+            feedback.q_error.p50,
+            scan.q_error.p50
         );
         // JSON artifact parses.
         let json = result.to_json();

@@ -4,16 +4,15 @@
 //! ("the new generation of index tuning tools builds statistics to determine
 //! the appropriate choice of indexes … such tools will directly benefit from
 //! the techniques proposed in this paper"). This module packages the same
-//! machinery — MNSA followed by Shrinking Set — as a *read-only advisor*: it
-//! analyzes a workload against a snapshot of the current catalog and reports
-//! which statistics are worth creating and which existing ones are
-//! non-essential, with estimated build/update work attached, without
-//! touching the live catalog.
+//! machinery — the [`OfflineTuner`]'s MNSA followed by Shrinking Set — as a
+//! *read-only advisor*: it tunes a snapshot of the current catalog for a
+//! workload and reports which statistics are worth creating and which
+//! existing ones are non-essential, with estimated build/update work
+//! attached, without touching the live catalog.
 
-use crate::equivalence::Equivalence;
 use crate::error::TuneError;
-use crate::mnsa::{MnsaConfig, MnsaEngine};
-use crate::policy::shrinking_pass;
+use crate::mnsa::MnsaConfig;
+use crate::policy::OfflineTuner;
 use query::BoundSelect;
 use stats::{StatDescriptor, StatsCatalog};
 use storage::Database;
@@ -121,43 +120,26 @@ impl AdvisorReport {
 }
 
 /// Analyze `workload` against a snapshot of `catalog` and recommend
-/// creations and drops. The live catalog is never modified.
+/// creations and drops: an [`OfflineTuner`] pass over the snapshot, diffed
+/// against `catalog`, which is never modified.
 pub fn advise(
     db: &Database,
     catalog: &StatsCatalog,
     workload: &[BoundSelect],
     config: MnsaConfig,
-    equivalence: Equivalence,
 ) -> Result<AdvisorReport, TuneError> {
-    // Work on a restored snapshot so the live catalog is untouched.
     let mut scratch = StatsCatalog::restore(catalog.snapshot());
-    let original_active: Vec<StatDescriptor> =
-        catalog.active().map(|s| s.descriptor.clone()).collect();
-
-    let engine = MnsaEngine::new(config);
+    let tuned = OfflineTuner { mnsa: config }.tune(db, &mut scratch, workload)?;
     let mut report = AdvisorReport {
         queries_analyzed: workload.len(),
+        optimizer_calls: tuned.optimizer_calls,
         ..Default::default()
     };
-    let (outcomes, plans) = engine.run_workload_planned(db, &mut scratch, workload)?;
-    report.optimizer_calls += outcomes.iter().map(|o| o.optimizer_calls).sum::<usize>();
-    let (shrink, _) = shrinking_pass(
-        db,
-        &mut scratch,
-        &engine.optimizer,
-        workload,
-        &plans,
-        equivalence,
-        &obsv::Obs::disabled(),
-    )?;
-    report.optimizer_calls += shrink.optimizer_calls;
 
     // Diff the surviving essential set against the original catalog.
-    let essential: Vec<&stats::Statistic> = shrink
-        .essential
-        .iter()
-        .filter_map(|&id| scratch.statistic(id))
-        .collect();
+    let original_active: Vec<StatDescriptor> =
+        catalog.active().map(|s| s.descriptor.clone()).collect();
+    let essential: Vec<&stats::Statistic> = scratch.active().collect();
     for s in &essential {
         if !original_active.contains(&s.descriptor) {
             report.total_build_work += s.build_cost;
@@ -237,14 +219,7 @@ mod tests {
             ),
         ];
         let catalog = StatsCatalog::new();
-        let report = advise(
-            &db,
-            &catalog,
-            &workload,
-            MnsaConfig::default(),
-            Equivalence::paper_default(),
-        )
-        .unwrap();
+        let report = advise(&db, &catalog, &workload, MnsaConfig::default()).unwrap();
         assert_eq!(catalog.total_count(), 0, "live catalog must stay untouched");
         assert!(report.creates().count() > 0, "no creates recommended");
         assert_eq!(report.drops().count(), 0);
@@ -263,14 +238,7 @@ mod tests {
             .create_statistic(&db, StatDescriptor::single(t, 3))
             .unwrap();
         let workload = vec![bind(&db, "SELECT * FROM events WHERE severity = 99")];
-        let report = advise(
-            &db,
-            &catalog,
-            &workload,
-            MnsaConfig::default(),
-            Equivalence::paper_default(),
-        )
-        .unwrap();
+        let report = advise(&db, &catalog, &workload, MnsaConfig::default()).unwrap();
         assert!(
             report
                 .drops()
@@ -292,14 +260,7 @@ mod tests {
             .create_statistic(&db, StatDescriptor::single(t, 2))
             .unwrap(); // severity
         let workload = vec![bind(&db, "SELECT * FROM events WHERE severity = 99")];
-        let report = advise(
-            &db,
-            &catalog,
-            &workload,
-            MnsaConfig::default(),
-            Equivalence::paper_default(),
-        )
-        .unwrap();
+        let report = advise(&db, &catalog, &workload, MnsaConfig::default()).unwrap();
         // severity stat is needed (plan-changing) — must not be dropped.
         assert!(!report
             .drops()

@@ -30,15 +30,6 @@ pub enum OnlineEvent {
         table: TableId,
         work: f64,
     },
-    /// A stale statistic was corrected in place from execution feedback
-    /// instead of a scan rebuild (the cheap refresh path).
-    FeedbackRefresh {
-        tick: u64,
-        stat: StatId,
-        table: TableId,
-        work: f64,
-        observations: usize,
-    },
     /// A statistic refreshed more than `max_updates` times was physically
     /// dropped (§6 auto-drop); `updates` is the count it went at.
     AutoDrop {
@@ -205,17 +196,6 @@ impl SessionReport {
                         out,
                         "  tick {tick:>4} refresh {stat} on {table} (work {work:.2})"
                     ),
-                    OnlineEvent::FeedbackRefresh {
-                        tick,
-                        stat,
-                        table,
-                        work,
-                        observations,
-                    } => writeln!(
-                        out,
-                        "  tick {tick:>4} feedback-refresh {stat} on {table} \
-                         ({observations} observations, work {work:.2})"
-                    ),
                     OnlineEvent::AutoDrop {
                         tick,
                         stat,
@@ -307,17 +287,6 @@ fn online_event_json(e: &OnlineEvent) -> Object {
             .field("stat", stat.0)
             .field("table", table.0)
             .field("work", work),
-        OnlineEvent::FeedbackRefresh {
-            tick,
-            stat,
-            table,
-            work,
-            observations,
-        } => event("feedback_refresh", tick)
-            .field("stat", stat.0)
-            .field("table", table.0)
-            .field("work", work)
-            .field("observations", observations),
         OnlineEvent::AutoDrop {
             tick,
             stat,
@@ -537,13 +506,6 @@ mod tests {
                 table: TableId(1),
                 work: 42.5,
             },
-            OnlineEvent::FeedbackRefresh {
-                tick: 3,
-                stat: StatId(8),
-                table: TableId(1),
-                work: 0.125,
-                observations: 9,
-            },
             OnlineEvent::MonitorEvict {
                 tick: 4,
                 fingerprint: u64::MAX,
@@ -566,7 +528,7 @@ mod tests {
         ] {
             r.record_online(e);
         }
-        let online = "{\n  \"queries\": [\n    {\"index\": 0, \"relations\": 2, \"optimizer_calls\": 5, \"rounds\": 2, \"created\": 2, \"drop_listed\": 1, \"skipped\": 3, \"final_cost\": 100.25, \"terminated_by\": \"converged\"},\n    {\"index\": 1, \"relations\": 3, \"optimizer_calls\": 3, \"rounds\": 0, \"created\": 0, \"drop_listed\": 0, \"skipped\": 0, \"final_cost\": null, \"terminated_by\": \"no_more_candidates\"}\n  ],\n  \"totals\": {\"optimizer_calls\": 8, \"statistics_created\": 2, \"statistics_drop_listed\": 1, \"creation_work\": 1234.5, \"overhead_work\": null},\n  \"shrink_removed\": 1,\n  \"shrink_optimizer_calls\": 4,\n  \"online\": [\n    {\"event\": \"shard_assigned\", \"tick\": 0, \"shard\": 1, \"table\": 3, \"rows\": 1200, \"partitioned\": true},\n    {\"event\": \"refresh\", \"tick\": 3, \"stat\": 7, \"table\": 1, \"work\": 42.5},\n    {\"event\": \"feedback_refresh\", \"tick\": 3, \"stat\": 8, \"table\": 1, \"work\": 0.125, \"observations\": 9},\n    {\"event\": \"monitor_evict\", \"tick\": 4, \"fingerprint\": 18446744073709551615},\n    {\"event\": \"budget_exhausted\", \"tick\": 5, \"pending\": 2, \"balance\": -10},\n    {\"event\": \"epoch_swap\", \"tick\": 5, \"generation\": 2},\n    {\"event\": \"auto_drop\", \"tick\": 6, \"stat\": 7, \"table\": 1, \"updates\": 5}\n  ]\n}\n";
+        let online = "{\n  \"queries\": [\n    {\"index\": 0, \"relations\": 2, \"optimizer_calls\": 5, \"rounds\": 2, \"created\": 2, \"drop_listed\": 1, \"skipped\": 3, \"final_cost\": 100.25, \"terminated_by\": \"converged\"},\n    {\"index\": 1, \"relations\": 3, \"optimizer_calls\": 3, \"rounds\": 0, \"created\": 0, \"drop_listed\": 0, \"skipped\": 0, \"final_cost\": null, \"terminated_by\": \"no_more_candidates\"}\n  ],\n  \"totals\": {\"optimizer_calls\": 8, \"statistics_created\": 2, \"statistics_drop_listed\": 1, \"creation_work\": 1234.5, \"overhead_work\": null},\n  \"shrink_removed\": 1,\n  \"shrink_optimizer_calls\": 4,\n  \"online\": [\n    {\"event\": \"shard_assigned\", \"tick\": 0, \"shard\": 1, \"table\": 3, \"rows\": 1200, \"partitioned\": true},\n    {\"event\": \"refresh\", \"tick\": 3, \"stat\": 7, \"table\": 1, \"work\": 42.5},\n    {\"event\": \"monitor_evict\", \"tick\": 4, \"fingerprint\": 18446744073709551615},\n    {\"event\": \"budget_exhausted\", \"tick\": 5, \"pending\": 2, \"balance\": -10},\n    {\"event\": \"epoch_swap\", \"tick\": 5, \"generation\": 2},\n    {\"event\": \"auto_drop\", \"tick\": 6, \"stat\": 7, \"table\": 1, \"updates\": 5}\n  ]\n}\n";
         assert_eq!(r.to_json(), online);
     }
 

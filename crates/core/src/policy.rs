@@ -39,8 +39,6 @@ use storage::Database;
 /// How statistics are created for incoming queries.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum CreationPolicy {
-    /// Create nothing automatically.
-    Manual,
     /// SQL Server 7.0 auto-statistics: every syntactically relevant
     /// single-column statistic, unconditionally.
     CreateAllSyntactic,
@@ -163,25 +161,24 @@ pub fn apply_policy(
 ) -> Result<(TuningReport, Vec<StatId>, Option<MnsaOutcome>), TuneError> {
     let mut report = TuningReport::default();
     let before_work = catalog.creation_work();
-    let mut created = Vec::new();
     let mut mnsa_outcome = None;
-    match policy {
-        CreationPolicy::Manual => {}
+    let created = match policy {
         CreationPolicy::CreateAllSyntactic => {
             let descs = unbuilt(catalog, crate::candidates::single_column_candidates(query));
-            created = crate::batch::create_statistics_grouped(catalog, db, &descs)?;
+            crate::batch::create_statistics_grouped(catalog, db, &descs)?
         }
         CreationPolicy::CreateAllCandidates => {
             let descs = unbuilt(catalog, crate::candidates::candidate_statistics(query));
-            created = crate::batch::create_statistics_grouped(catalog, db, &descs)?;
+            crate::batch::create_statistics_grouped(catalog, db, &descs)?
         }
         CreationPolicy::Mnsa(cfg) => {
             let outcome = MnsaEngine::new(*cfg).run_query(db, catalog, query)?;
             report.charge_query(query.relations.len(), &outcome);
-            created = outcome.created.clone();
+            let created = outcome.created.clone();
             mnsa_outcome = Some(outcome);
+            created
         }
-    }
+    };
     // Assigned, not added: the MNSA arm's charge has counted its own.
     report.statistics_created = created.len();
     report.creation_work = catalog.creation_work() - before_work;
@@ -189,21 +186,11 @@ pub fn apply_policy(
 }
 
 /// The conservative periodic process of §6: MNSA over every workload query,
-/// then (optionally) Shrinking Set to eliminate non-essential statistics.
-#[derive(Debug, Clone)]
+/// then Shrinking Set, under [`Equivalence::paper_default`], to eliminate
+/// non-essential statistics.
+#[derive(Debug, Clone, Default)]
 pub struct OfflineTuner {
     pub mnsa: MnsaConfig,
-    /// Equivalence used by the Shrinking Set pass; `None` skips shrinking.
-    pub shrink: Option<Equivalence>,
-}
-
-impl Default for OfflineTuner {
-    fn default() -> Self {
-        OfflineTuner {
-            mnsa: MnsaConfig::default(),
-            shrink: Some(Equivalence::paper_default()),
-        }
-    }
 }
 
 impl OfflineTuner {
@@ -242,11 +229,16 @@ impl OfflineTuner {
         // One catalog delta: a sum of per-query deltas rounds differently.
         session.totals.creation_work = catalog.creation_work() - before_work;
 
-        if let Some(equiv) = self.shrink {
-            let (out, overhead) =
-                shrinking_pass(db, catalog, &engine.optimizer, workload, &plans, equiv, obs)?;
-            session.record_shrink(&out, overhead);
-        }
+        let (out, overhead) = shrinking_pass(
+            db,
+            catalog,
+            &engine.optimizer,
+            workload,
+            &plans,
+            Equivalence::paper_default(),
+            obs,
+        )?;
+        session.record_shrink(&out, overhead);
         catalog.advance_epoch();
         let report = session.totals.clone();
         session_span.arg("optimizer_calls", report.optimizer_calls);
@@ -328,17 +320,6 @@ mod tests {
         assert!(report.optimizer_calls >= 3);
         assert!(report.overhead_work > 0.0);
         assert!(report.total_work() >= report.creation_work);
-    }
-
-    #[test]
-    fn manual_policy_is_a_noop() {
-        let db = setup();
-        let q = bind(&db, "SELECT * FROM sales WHERE region = 3");
-        let mut catalog = StatsCatalog::new();
-        let (report, created, _) =
-            apply_policy(&db, &mut catalog, &CreationPolicy::Manual, &q).unwrap();
-        assert!(created.is_empty());
-        assert_eq!(report, TuningReport::default());
     }
 
     #[test]

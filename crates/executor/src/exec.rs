@@ -338,25 +338,25 @@ fn feedback_key(v: &Value) -> Option<f64> {
     }
 }
 
-/// The inclusive numeric-key range a predicate selects, plus a stable
-/// operator-class byte for template fingerprinting. `None` for predicates
-/// feedback cannot describe as one interval (Ne, string literals).
-fn feedback_range(op: &PredOp) -> Option<(f64, f64, u8)> {
+/// The inclusive numeric-key range a predicate selects. `None` for
+/// predicates feedback cannot describe as one interval (Ne, string
+/// literals).
+fn feedback_range(op: &PredOp) -> Option<(f64, f64)> {
     match op {
         PredOp::Cmp(CmpOp::Eq, v) => {
             let k = feedback_key(v)?;
-            Some((k, k, 0))
+            Some((k, k))
         }
         PredOp::Cmp(CmpOp::Lt, v) | PredOp::Cmp(CmpOp::Le, v) => {
-            Some((f64::NEG_INFINITY, feedback_key(v)?, 2))
+            Some((f64::NEG_INFINITY, feedback_key(v)?))
         }
         PredOp::Cmp(CmpOp::Gt, v) | PredOp::Cmp(CmpOp::Ge, v) => {
-            Some((feedback_key(v)?, f64::INFINITY, 2))
+            Some((feedback_key(v)?, f64::INFINITY))
         }
         PredOp::Cmp(CmpOp::Ne, _) => None,
         PredOp::Between(a, b) => {
             let (ka, kb) = (feedback_key(a)?, feedback_key(b)?);
-            (ka <= kb).then_some((ka, kb, 3))
+            (ka <= kb).then_some((ka, kb))
         }
     }
 }
@@ -412,7 +412,6 @@ impl<'a> Interp<'a> {
     /// feedback on a conjunction would mis-attribute the filtering.
     fn record_scan_feedback(
         &self,
-        node: &PlanNode,
         table: TableId,
         preds: &[&SelectionPredicate],
         rows_out: usize,
@@ -422,17 +421,14 @@ impl<'a> Interp<'a> {
             return;
         }
         let Some(&pred) = preds.first() else { return };
-        let Some((lo, hi, op_class)) = feedback_range(&pred.op) else {
+        let Some((lo, hi)) = feedback_range(&pred.op) else {
             return;
         };
-        let (table_raw, column) = (table.0 as u64, pred.column.column as u32);
         self.feedback.push(obsv::FeedbackRecord {
-            fingerprint: obsv::template_fingerprint(table_raw, column, op_class),
-            table: table_raw,
-            column,
+            table: table.0 as u64,
+            column: pred.column.column as u32,
             lo,
             hi,
-            est_rows: node.est_rows,
             rows_out: rows_out as f64,
             input_rows: input_rows as f64,
         });
@@ -477,7 +473,7 @@ impl<'a> Interp<'a> {
                 self.work += self.params.seq_scan(t.row_count() as f64);
                 let pred_refs = self.selections(preds)?;
                 let rows = filter_table_columnar(t, &pred_refs);
-                self.record_scan_feedback(node, *table, &pred_refs, rows.len(), t.row_count());
+                self.record_scan_feedback(*table, &pred_refs, rows.len(), t.row_count());
                 Ok(Intermediate {
                     rels: vec![*rel],
                     data: rows,
@@ -505,7 +501,7 @@ impl<'a> Interp<'a> {
                 }
                 let all_refs: Vec<&SelectionPredicate> =
                     seek_refs.iter().chain(&residual_refs).copied().collect();
-                self.record_scan_feedback(node, *table, &all_refs, rows.len(), t.row_count());
+                self.record_scan_feedback(*table, &all_refs, rows.len(), t.row_count());
                 Ok(Intermediate {
                     rels: vec![*rel],
                     data: rows,
@@ -1533,7 +1529,6 @@ mod tests {
         assert_eq!(r.input_rows, 100.0);
         assert_eq!(r.lo, f64::NEG_INFINITY);
         assert_eq!(r.hi, 10.0);
-        assert!(r.est_rows > 0.0);
 
         // Conjunctions and string literals are not clean templates: skipped.
         run_observed("SELECT * FROM emp WHERE empid < 10 AND deptid = 3", &log);

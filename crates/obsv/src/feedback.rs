@@ -1,11 +1,10 @@
-//! Execution-feedback channel: observed cardinalities per predicate
-//! template.
+//! Execution-feedback channel: observed cardinalities per scanned key range.
 //!
-//! The executor knows, for every scan it runs, both the optimizer's estimate
-//! (`est_rows`) and the truth (`rows_out`). A [`FeedbackLog`] is the typed
-//! side channel that carries those pairs — together with the predicate's
-//! numeric-key range — out of the executor and into the statistics layer,
-//! where `stats::feedback` corrects self-tuning histograms from them.
+//! The executor knows, for every single-predicate scan it runs, the key
+//! range the predicate selects and how many rows it produced. A
+//! [`FeedbackLog`] is the typed side channel that carries those out of the
+//! executor and into the statistics layer, where `stats::feedback` corrects
+//! self-tuning histograms from them.
 //!
 //! Same cost contract as the rest of this crate: a disabled log costs one
 //! branch per call site (no allocation, no lock), and enabling it may never
@@ -16,13 +15,9 @@
 
 use std::sync::{Arc, Mutex};
 
-/// One observed (predicate template, estimate, truth) triple from a scan.
+/// One observed cardinality of a scan's key range.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FeedbackRecord {
-    /// Fingerprint of the predicate template (table, column, operator
-    /// class) — stable across literal values, so repeated parameterized
-    /// queries pool into one template.
-    pub fingerprint: u64,
     /// Raw table id of the scanned table.
     pub table: u64,
     /// Column ordinal the predicate filters on.
@@ -31,8 +26,6 @@ pub struct FeedbackRecord {
     /// (equality probes have `lo == hi`; open ranges use ±infinity).
     pub lo: f64,
     pub hi: f64,
-    /// The optimizer's row estimate for the scan output.
-    pub est_rows: f64,
     /// The observed scan output cardinality.
     pub rows_out: f64,
     /// Rows the scan read (the table's live row count), so consumers can
@@ -41,19 +34,17 @@ pub struct FeedbackRecord {
 }
 
 impl FeedbackRecord {
-    /// Canonical 64-byte encoding: every field little-endian, floats by bit
+    /// Canonical 48-byte encoding: every field little-endian, floats by bit
     /// pattern. Two records are byte-equal iff they are indistinguishable
     /// to every consumer — the comparison key for the executor's contract
-    /// that feedback streams are identical at every thread count.
-    pub fn canonical_bytes(&self) -> [u8; 64] {
-        let mut out = [0u8; 64];
-        let fields: [u64; 8] = [
-            self.fingerprint,
+    /// that feedback streams are identical run to run.
+    pub fn canonical_bytes(&self) -> [u8; 48] {
+        let mut out = [0u8; 48];
+        let fields: [u64; 6] = [
             self.table,
             u64::from(self.column),
             self.lo.to_bits(),
             self.hi.to_bits(),
-            self.est_rows.to_bits(),
             self.rows_out.to_bits(),
             self.input_rows.to_bits(),
         ];
@@ -145,36 +136,16 @@ impl FeedbackLog {
     }
 }
 
-/// FNV-1a over the fields that define a predicate template. Kept here so
-/// every producer fingerprints identically.
-pub fn template_fingerprint(table: u64, column: u32, op_class: u8) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = OFFSET;
-    for byte in table
-        .to_le_bytes()
-        .into_iter()
-        .chain(column.to_le_bytes())
-        .chain([op_class])
-    {
-        h ^= u64::from(byte);
-        h = h.wrapping_mul(PRIME);
-    }
-    h
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn record(rows_out: f64) -> FeedbackRecord {
         FeedbackRecord {
-            fingerprint: template_fingerprint(1, 2, 0),
             table: 1,
             column: 2,
             lo: 10.0,
             hi: 20.0,
-            est_rows: 5.0,
             rows_out,
             input_rows: 100.0,
         }
@@ -213,7 +184,7 @@ mod tests {
         log.push(record(1.0));
         log.push(record(2.0));
         let bytes = log.canonical_bytes();
-        assert_eq!(bytes.len(), 128);
+        assert_eq!(bytes.len(), 96);
         // snapshot leaves the buffer intact, unlike drain.
         assert_eq!(log.len(), 2);
         assert_eq!(log.snapshot().len(), 2);
@@ -223,14 +194,5 @@ mod tests {
         let mut r = record(1.0);
         r.column += 1;
         assert_ne!(r.canonical_bytes(), record(1.0).canonical_bytes());
-    }
-
-    #[test]
-    fn fingerprints_distinguish_templates() {
-        let a = template_fingerprint(1, 2, 0);
-        assert_eq!(a, template_fingerprint(1, 2, 0));
-        assert_ne!(a, template_fingerprint(1, 2, 1));
-        assert_ne!(a, template_fingerprint(1, 3, 0));
-        assert_ne!(a, template_fingerprint(2, 2, 0));
     }
 }

@@ -1,9 +1,8 @@
 //! A one-struct health snapshot of the online statistics service.
 //!
 //! [`HealthSnapshot`] is the "is the self-tuning loop keeping up?" readout:
-//! epoch freshness, refresh backlog, monitor occupancy, feedback queue
-//! depth, budget position, tuner optimizer calls, and query-latency
-//! quantiles — assembled by the `autod` lifecycle daemon at the end of each
+//! epoch freshness, refresh backlog, monitor occupancy, budget position,
+//! tuner optimizer calls, and query-latency quantiles — assembled by the `autod` lifecycle daemon at the end of each
 //! tick and exported as JSONL (one snapshot per line, validated by
 //! [`crate::check::check_health`]). The `obsv_top` binary renders the
 //! latest snapshot as a one-screen dashboard.
@@ -42,8 +41,6 @@ pub struct HealthSnapshot {
     pub monitor_evictions: u64,
     /// Evicted templates whose history was restored on re-arrival.
     pub monitor_ghost_hits: u64,
-    /// Undigested cardinality-feedback records.
-    pub feedback_queue_depth: u64,
     /// Work-token balance (negative = debt to pay down).
     pub budget_balance: f64,
     /// Kept for the wire format; hits and invalidations are 0 since PR 15.
@@ -112,7 +109,6 @@ impl HealthSnapshot {
             .field("monitor_observed", self.monitor_observed)
             .field("monitor_evictions", self.monitor_evictions)
             .field("monitor_ghost_hits", self.monitor_ghost_hits)
-            .field("feedback_queue_depth", self.feedback_queue_depth)
             .field("budget_balance", self.budget_balance)
             .field("cache_hits", self.cache_hits)
             .field("cache_misses", self.cache_misses)
@@ -147,7 +143,6 @@ impl HealthSnapshot {
             monitor_observed: num("monitor_observed"),
             monitor_evictions: num("monitor_evictions"),
             monitor_ghost_hits: num("monitor_ghost_hits"),
-            feedback_queue_depth: num("feedback_queue_depth"),
             budget_balance: v
                 .get("budget_balance")
                 .and_then(Json::as_f64)
@@ -190,7 +185,6 @@ impl HealthSnapshot {
             out.monitor_observed += s.monitor_observed;
             out.monitor_evictions += s.monitor_evictions;
             out.monitor_ghost_hits += s.monitor_ghost_hits;
-            out.feedback_queue_depth += s.feedback_queue_depth;
             out.budget_balance += s.budget_balance;
             out.cache_hits += s.cache_hits;
             out.cache_misses += s.cache_misses;
@@ -252,10 +246,6 @@ impl HealthSnapshot {
             },
         ));
         out.push_str(&format!(
-            "  feedback   queue depth {}\n",
-            self.feedback_queue_depth
-        ));
-        out.push_str(&format!(
             "  tuner      {} optimizer calls\n",
             self.cache_misses
         ));
@@ -293,7 +283,6 @@ mod tests {
             monitor_observed: 5000,
             monitor_evictions: 40,
             monitor_ghost_hits: 10,
-            feedback_queue_depth: 17,
             budget_balance: -1500.5,
             cache_hits: 900,
             cache_misses: 100,
@@ -323,7 +312,7 @@ mod tests {
     fn json_line_bytes_are_pinned() {
         // The exact bytes written for this input: recorded artifacts and
         // their readers depend on them.
-        let pinned = "{\"tick\": 12, \"shard\": 2, \"epoch_generation\": 3, \"epoch_age_ticks\": 2, \"staleness_backlog\": 1, \"pending_templates\": 4, \"monitor_templates\": 96, \"monitor_capacity\": 256, \"monitor_observed\": 5000, \"monitor_evictions\": 40, \"monitor_ghost_hits\": 10, \"feedback_queue_depth\": 17, \"budget_balance\": -1500.5, \"cache_hits\": 900, \"cache_misses\": 100, \"cache_invalidations\": 3, \"queries\": 4800, \"dml\": 200, \"latency_count\": 4800, \"latency_p50_ns\": 45000, \"latency_p90_ns\": 120000, \"latency_p99_ns\": 900000, \"latency_p999_ns\": 2500000, \"latency_max_ns\": 9000000}";
+        let pinned = "{\"tick\": 12, \"shard\": 2, \"epoch_generation\": 3, \"epoch_age_ticks\": 2, \"staleness_backlog\": 1, \"pending_templates\": 4, \"monitor_templates\": 96, \"monitor_capacity\": 256, \"monitor_observed\": 5000, \"monitor_evictions\": 40, \"monitor_ghost_hits\": 10, \"budget_balance\": -1500.5, \"cache_hits\": 900, \"cache_misses\": 100, \"cache_invalidations\": 3, \"queries\": 4800, \"dml\": 200, \"latency_count\": 4800, \"latency_p50_ns\": 45000, \"latency_p90_ns\": 120000, \"latency_p99_ns\": 900000, \"latency_p999_ns\": 2500000, \"latency_max_ns\": 9000000}";
         assert_eq!(sample().to_json_line(), pinned);
         let unlimited = HealthSnapshot {
             budget_balance: f64::INFINITY,
@@ -353,7 +342,6 @@ mod tests {
             "96/256 templates",
             "ghost-hit 25%",
             "IN DEBT",
-            "queue depth 17",
             "100 optimizer calls",
         ] {
             assert!(text.contains(needle), "missing {needle:?} in:\n{text}");

@@ -31,7 +31,7 @@ pub mod window;
 
 use std::sync::Arc;
 
-pub use feedback::{template_fingerprint, FeedbackLog, FeedbackRecord};
+pub use feedback::{FeedbackLog, FeedbackRecord};
 pub use health::HealthSnapshot;
 pub use latency::{LatencyHistogram, LatencySample, RELATIVE_ERROR_BOUND};
 pub use metrics::{Counter, FloatCounter, Gauge, MetricValue, Registry, Snapshot};

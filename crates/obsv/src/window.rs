@@ -11,7 +11,7 @@
 //! Per window and per metric the delta is:
 //!
 //! * counters / float counters → the increase over the window (a rate per
-//!   window: QPS, refreshes/s, feedback ingest, …);
+//!   window: QPS, refreshes/s, …);
 //! * gauges → the value at the window boundary (already instantaneous);
 //! * latency histograms → count increase plus `p50/p90/p99/p999/max`
 //!   computed from the window's own bucket deltas (not the cumulative

@@ -182,7 +182,6 @@ fn context_fingerprint(optimizer: &Optimizer, db: &Database, query: &BoundSelect
     ] {
         h.write(v.to_bits());
     }
-    h.write(optimizer.max_relations as u64);
     h.finish()
 }
 

@@ -31,12 +31,13 @@ use storage::Database;
 /// A set of relation ordinals, one bit each.
 type RelMask = u32;
 
-/// Most relations the enumerator accepts, whatever
-/// [`Optimizer::max_relations`](crate::Optimizer::max_relations) says: 2^16
-/// table rows and 3^16 ≈ 43 million splits is the last size that takes
-/// seconds, and staying below the mask width keeps `1 << n` from
-/// overflowing.
-pub const MAX_DP_RELATIONS: usize = 16;
+/// Most relations a query may join: [`Optimizer::optimize`] refuses a wider
+/// one with [`PlanError::TooManyRelations`]. It bounds one exhaustive call
+/// at 2^12 table rows and 3^12 ≈ 531 000 splits, and staying below the mask
+/// width keeps `1 << n` from overflowing.
+///
+/// [`Optimizer::optimize`]: crate::Optimizer::optimize
+pub const MAX_DP_RELATIONS: usize = 12;
 const _: () = assert!(MAX_DP_RELATIONS < RelMask::BITS as usize);
 
 /// What the enumerator needs of one base relation.

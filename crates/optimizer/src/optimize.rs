@@ -47,23 +47,10 @@ pub struct OptimizedQuery {
 
 /// The query optimizer. Stateless apart from configuration; every call is a
 /// pure function of `(query, statistics view, options)`.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct Optimizer {
     pub magic: MagicNumbers,
     pub params: CostParams,
-    /// Maximum relations optimizable with exhaustive DP. Values above
-    /// [`MAX_DP_RELATIONS`] are capped there.
-    pub max_relations: usize,
-}
-
-impl Default for Optimizer {
-    fn default() -> Self {
-        Optimizer {
-            magic: MagicNumbers::default(),
-            params: CostParams::default(),
-            max_relations: 12,
-        }
-    }
 }
 
 impl Optimizer {
@@ -75,7 +62,7 @@ impl Optimizer {
     ///
     /// # Errors
     /// Returns [`PlanError`] for degenerate input: a query with no relations
-    /// or more than `max_relations`, or one whose table ids are stale.
+    /// or more than [`MAX_DP_RELATIONS`], or one whose table ids are stale.
     pub fn optimize(
         &self,
         db: &Database,
@@ -118,9 +105,11 @@ impl Optimizer {
         if n == 0 {
             return Err(PlanError::NoRelations);
         }
-        let max = self.max_relations.min(MAX_DP_RELATIONS);
-        if n > max {
-            return Err(PlanError::TooManyRelations { n, max });
+        if n > MAX_DP_RELATIONS {
+            return Err(PlanError::TooManyRelations {
+                n,
+                max: MAX_DP_RELATIONS,
+            });
         }
 
         let relations: Vec<BaseRelation> = (0..n)

@@ -112,7 +112,9 @@ impl StatsCatalog {
 
     /// Attach an observability context: statistic builds get `stats.build`
     /// spans and feed the `stats.builds` / `stats.shared_scan_builds` /
-    /// `stats.build_work` metrics. Not persisted by [`StatsCatalog::snapshot`].
+    /// `stats.build_work` metrics, feedback corrections the
+    /// `stats.feedback.refreshes` / `stats.feedback.work` ones. Not persisted
+    /// by [`StatsCatalog::snapshot`].
     pub fn set_obs(&mut self, obs: &obsv::Obs) {
         self.obs = CatalogObs {
             tracer: obs.tracer.clone(),

@@ -13,10 +13,10 @@
 //! Two properties matter to the rest of the workspace:
 //!
 //! - **Determinism.** Corrections depend only on the histogram state, the
-//!   observation sequence, and the config. Observations apply in ingest
-//!   order, restructuring ties break on the lowest bucket index, and the
-//!   store iterates in `BTreeMap` order — a replayed feedback stream yields
-//!   a bit-identical histogram.
+//!   observation sequence, and the bucket ceiling. Observations apply in
+//!   ingest order, restructuring ties break on the lowest bucket index, and
+//!   the store iterates in `BTreeMap` order — a replayed feedback stream
+//!   yields a bit-identical histogram.
 //! - **Near-zero cost.** Correction work is metered per observation × bucket
 //!   touched, orders of magnitude below a scan rebuild's
 //!   [`build_work`](crate::statistic::build_work) charge, which is what makes
@@ -26,32 +26,17 @@ use crate::histogram::{Bucket, Histogram};
 use obsv::FeedbackRecord;
 use std::collections::BTreeMap;
 
-/// Tuning knobs for the feedback corrector.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct FeedbackConfig {
-    /// Fraction of each observed error applied per observation (STGrid's
-    /// learning rate). 1.0 snaps to the latest observation; small values
-    /// smooth over noisy feedback.
-    pub damping: f64,
-    /// Observations required on a (table, column) before feedback refresh
-    /// is considered trustworthy enough to substitute for a scan rebuild.
-    pub min_observations: usize,
-    /// Restructure (split + merge) after this many applied observations.
-    pub restructure_every: usize,
-    /// Bucket-count ceiling maintained by restructuring.
-    pub max_buckets: usize,
-}
+/// Fraction of each observed error applied per observation (STGrid's
+/// learning rate): 1.0 would snap to the latest observation, smaller values
+/// smooth over noisy feedback.
+const DAMPING: f64 = 0.5;
 
-impl Default for FeedbackConfig {
-    fn default() -> Self {
-        FeedbackConfig {
-            damping: 0.5,
-            min_observations: 4,
-            restructure_every: 8,
-            max_buckets: 64,
-        }
-    }
-}
+/// Observations required on a (table, column) before a feedback refresh is
+/// trusted to stand in for a scan rebuild.
+pub(crate) const MIN_OBSERVATIONS: usize = 4;
+
+/// Restructure (split + merge) after this many applied observations.
+const RESTRUCTURE_EVERY: usize = 8;
 
 /// One digested feedback observation: the predicate selected the inclusive
 /// key range `[lo, hi]` and matched `fraction` of the table's rows.
@@ -185,23 +170,22 @@ pub fn correctable(h: &Histogram) -> bool {
 /// Correct `histogram` in place from `observations` (applied in order).
 ///
 /// Per observation: estimate the range's selectivity from the current
-/// buckets, distribute `damping × (observed − estimated)` across the
+/// buckets, distribute `DAMPING × (observed − estimated)` across the
 /// overlapping buckets in proportion to their overlap, clamp fractions at
 /// zero, and rescale if the total mass exceeds one. Observations beyond the
 /// key domain extend the edge bucket toward the observed range (the
-/// post-insert drift case). Every `restructure_every` applications the
+/// post-insert drift case). Every `RESTRUCTURE_EVERY` applications the
 /// most-mispredicted splittable bucket is split at its midpoint and, when
 /// over `max_buckets`, the coldest adjacent pair is merged.
 pub fn correct_histogram(
     histogram: &mut Histogram,
     observations: &[Observation],
-    config: &FeedbackConfig,
+    max_buckets: usize,
 ) -> CorrectionOutcome {
     let mut outcome = CorrectionOutcome::default();
     if !correctable(histogram) || observations.is_empty() {
         return outcome;
     }
-    let damping = config.damping.clamp(0.0, 1.0);
     let mut live_rows = histogram.rows();
     // Per-bucket accumulated |error|, feeding the split heuristic. Kept
     // index-aligned with the bucket vec through splits/merges.
@@ -245,7 +229,7 @@ pub fn correct_histogram(
             .iter()
             .map(|&(i, o)| buckets.get(i).map(|b| b.fraction * o).unwrap_or(0.0))
             .sum();
-        let error = damping * (obs.fraction - estimated);
+        let error = DAMPING * (obs.fraction - estimated);
         // Distribute the damped error in proportion to each bucket's share
         // of the estimate (falling back to overlap share when the estimate
         // is all-zero, so empty regions can still learn mass).
@@ -279,9 +263,9 @@ pub fn correct_histogram(
         outcome.work += (overlaps.len() as f64).max(1.0);
         since_restructure += 1;
 
-        if config.restructure_every > 0 && since_restructure >= config.restructure_every {
+        if since_restructure >= RESTRUCTURE_EVERY {
             since_restructure = 0;
-            let (splits, merges) = restructure(histogram.buckets_mut(), &mut errors, config);
+            let (splits, merges) = restructure(histogram.buckets_mut(), &mut errors, max_buckets);
             outcome.splits += splits;
             outcome.merges += merges;
         }
@@ -298,7 +282,7 @@ pub fn correct_histogram(
 fn restructure(
     buckets: &mut Vec<Bucket>,
     errors: &mut Vec<f64>,
-    config: &FeedbackConfig,
+    max_buckets: usize,
 ) -> (usize, usize) {
     let mut splits = 0usize;
     let mut merges = 0usize;
@@ -349,7 +333,7 @@ fn restructure(
         }
     }
     // Merge back under budget: coldest adjacent pair, lowest index on ties.
-    while buckets.len() > config.max_buckets.max(1) && buckets.len() >= 2 {
+    while buckets.len() > max_buckets.max(1) && buckets.len() >= 2 {
         let mut best = 0usize;
         let mut best_mass = f64::INFINITY;
         for i in 0..buckets.len() - 1 {
@@ -384,7 +368,7 @@ fn restructure(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::histogram::{ordered, HistogramKind};
+    use crate::histogram::ordered;
     use storage::Value;
 
     fn obs(lo: f64, hi: f64, fraction: f64) -> Observation {
@@ -398,7 +382,7 @@ mod tests {
 
     fn uniform_histogram() -> Histogram {
         let values: Vec<Value> = (0..1000).map(|i| Value::Int(i % 100)).collect();
-        Histogram::build(HistogramKind::EquiDepth, &values, 10)
+        Histogram::build(&values, 10)
     }
 
     fn total_fraction(h: &Histogram) -> f64 {
@@ -422,7 +406,7 @@ mod tests {
         // it holds 10%. Repeated corrections must converge downward.
         let before = h.selectivity_lt(&Value::Int(50));
         let stream: Vec<Observation> = (0..20).map(|_| obs(0.0, 49.0, 0.10)).collect();
-        let out = correct_histogram(&mut h, &stream, &FeedbackConfig::default());
+        let out = correct_histogram(&mut h, &stream, 64);
         assert_eq!(out.applied, 20);
         let after = h.selectivity_lt(&Value::Int(50));
         assert!(
@@ -439,8 +423,8 @@ mod tests {
             .collect();
         let mut a = uniform_histogram();
         let mut b = uniform_histogram();
-        let oa = correct_histogram(&mut a, &stream, &FeedbackConfig::default());
-        let ob = correct_histogram(&mut b, &stream, &FeedbackConfig::default());
+        let oa = correct_histogram(&mut a, &stream, 64);
+        let ob = correct_histogram(&mut b, &stream, 64);
         assert_eq!(oa, ob);
         assert_eq!(a, b, "same stream, same order, different histograms");
     }
@@ -449,7 +433,7 @@ mod tests {
     fn out_of_domain_observation_extends_domain() {
         let mut h = uniform_histogram(); // domain [0, 99]
         let stream: Vec<Observation> = (0..8).map(|_| obs(150.0, 150.0, 0.05)).collect();
-        let out = correct_histogram(&mut h, &stream, &FeedbackConfig::default());
+        let out = correct_histogram(&mut h, &stream, 64);
         assert!(out.domain_extended);
         let (_, hi) = h.bounds().unwrap();
         assert_eq!(hi, 150.0);
@@ -460,17 +444,12 @@ mod tests {
     #[test]
     fn restructuring_respects_bucket_budget() {
         let mut h = uniform_histogram();
-        let config = FeedbackConfig {
-            restructure_every: 2,
-            max_buckets: 10,
-            ..Default::default()
-        };
         let stream: Vec<Observation> = (0..40)
             .map(|i| obs((i % 9) as f64 * 11.0, (i % 9) as f64 * 11.0 + 5.0, 0.3))
             .collect();
-        let out = correct_histogram(&mut h, &stream, &config);
+        let out = correct_histogram(&mut h, &stream, 10);
         assert!(out.splits > 0, "no bucket was ever split");
-        assert!(h.buckets().len() <= config.max_buckets);
+        assert!(h.buckets().len() <= 10);
         assert_invariants(&h);
     }
 
@@ -478,12 +457,10 @@ mod tests {
     fn store_digests_and_consumes_in_order() {
         let mut store = FeedbackStore::new();
         let rec = |table: u64, column: u32, rows_out: f64| FeedbackRecord {
-            fingerprint: 0,
             table,
             column,
             lo: 1.0,
             hi: 2.0,
-            est_rows: 1.0,
             rows_out,
             input_rows: 10.0,
         };
@@ -509,10 +486,10 @@ mod tests {
         let vals: Vec<Value> = (0..50)
             .map(|i| Value::Str(format!("Supplier#{i:06}").into()))
             .collect();
-        let mut h = Histogram::build(HistogramKind::EquiDepth, &vals, 8);
+        let mut h = Histogram::build(&vals, 8);
         assert!(!correctable(&h));
         let before = h.clone();
-        let out = correct_histogram(&mut h, &[obs(0.0, 1.0, 0.5)], &FeedbackConfig::default());
+        let out = correct_histogram(&mut h, &[obs(0.0, 1.0, 0.5)], 64);
         assert_eq!(out.applied, 0);
         assert_eq!(h, before);
     }
@@ -534,17 +511,14 @@ mod tests {
         (
             arb_endpoint(),
             arb_endpoint(),
-            0.0f64..1e6,
             prop_oneof![Just(0.0f64), 0.0..1e6f64],
             0.0f64..2e6,
         )
-            .prop_map(|(lo, hi, est_rows, input_rows, rows_out)| FeedbackRecord {
-                fingerprint: 0,
+            .prop_map(|(lo, hi, input_rows, rows_out)| FeedbackRecord {
                 table: 1,
                 column: 0,
                 lo,
                 hi,
-                est_rows,
                 rows_out,
                 input_rows,
             })
@@ -561,24 +535,16 @@ mod tests {
         #[test]
         fn arbitrary_feedback_streams_preserve_invariants(
             records in prop::collection::vec(arb_record(), 0..60),
-            damping in 0.0f64..1.5,
-            restructure_every in 0usize..6,
             max_buckets in 1usize..24,
         ) {
-            let config = FeedbackConfig {
-                damping,
-                min_observations: 1,
-                restructure_every,
-                max_buckets,
-            };
             let mut store = FeedbackStore::new();
             store.ingest(&records);
             let observations = store.take(1, 0);
 
             let mut h = uniform_histogram();
             let mut twin = uniform_histogram();
-            let out = correct_histogram(&mut h, &observations, &config);
-            let out_twin = correct_histogram(&mut twin, &observations, &config);
+            let out = correct_histogram(&mut h, &observations, max_buckets);
+            let out_twin = correct_histogram(&mut twin, &observations, max_buckets);
             prop_assert_eq!(out, out_twin);
             prop_assert_eq!(&h, &twin, "same stream, different histograms");
             prop_assert!(out.work.is_finite() && out.work >= 0.0);
@@ -610,7 +576,7 @@ mod tests {
             // Feedback-off contract, histogram edition: no observations,
             // no change — bit-identical to the untouched build.
             let mut untouched = uniform_histogram();
-            let noop = correct_histogram(&mut untouched, &[], &config);
+            let noop = correct_histogram(&mut untouched, &[], max_buckets);
             prop_assert_eq!(noop, CorrectionOutcome::default());
             prop_assert_eq!(untouched, uniform_histogram());
         }
@@ -635,26 +601,18 @@ mod tests {
         #[test]
         fn corrected_buckets_stay_ordered(
             observations in prop::collection::vec(arb_range_observation(), 1..60),
-            restructure_every in 1usize..4,
             max_buckets in 1usize..16,
         ) {
-            let config = FeedbackConfig {
-                restructure_every,
-                max_buckets,
-                ..Default::default()
-            };
-            // One observation at a time: the order must hold after every
-            // step, not only once the stream has settled.
-            let mut corrected = uniform_histogram();
-            for (i, o) in observations.iter().enumerate() {
-                correct_histogram(&mut corrected, std::slice::from_ref(o), &config);
-                prop_assert!(ordered(corrected.buckets()), "after {}: {:?}", i, corrected);
+            // Each prefix of the stream is one step of correcting the whole
+            // of it: the order must hold after every step, restructures
+            // included, not only once the stream has settled.
+            for k in 1..=observations.len() {
+                let mut corrected = uniform_histogram();
+                correct_histogram(&mut corrected, &observations[..k], max_buckets);
+                prop_assert!(ordered(corrected.buckets()), "after {}: {:?}", k, corrected);
+                let sel = crate::join_selectivity(&corrected, &uniform_histogram());
+                prop_assert!((0.0..=1.0).contains(&sel));
             }
-            let mut whole = uniform_histogram();
-            correct_histogram(&mut whole, &observations, &config);
-            prop_assert!(ordered(whole.buckets()), "{:?}", whole);
-            let sel = crate::join_selectivity(&corrected, &whole);
-            prop_assert!((0.0..=1.0).contains(&sel));
         }
     }
 }

@@ -1,29 +1,17 @@
 //! Histograms over a single column.
 //!
-//! Two classical structures are provided, matching the paper's §3 examples of
-//! "commonly used statistics": **equi-depth** and **MaxDiff** [Poosala et al.,
-//! SIGMOD 1996]. Both operate on the `numeric_key` projection of values, which
-//! preserves order for all supported types (strings are keyed by their first
-//! eight bytes).
+//! One classical structure, the **equi-depth** histogram of the paper's §3
+//! "commonly used statistics", over the `numeric_key` projection of values,
+//! which preserves order for all supported types (strings are keyed by their
+//! first eight bytes after any common prefix).
 //!
 //! The paper treats histogram structure as orthogonal (§2: "we have studied
 //! the orthogonal problem of deciding *which* columns to build statistics
-//! on"), so the choice of kind is a [`BuildOptions`](crate::BuildOptions)
-//! knob; every algorithm in `autostats` works with either.
+//! on"): every algorithm in `autostats` reads a histogram only through its
+//! selectivity estimators.
 
 use crate::ndv::Groups;
 use storage::{ColumnData, PayloadRef, Value, ValueRef};
-
-/// Which construction strategy to use.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum HistogramKind {
-    /// Buckets hold (approximately) equal row counts.
-    #[default]
-    EquiDepth,
-    /// Bucket boundaries are placed at the largest area differences between
-    /// adjacent attribute values.
-    MaxDiff,
-}
 
 /// One histogram bucket over the numeric-key domain `[lo, hi]` (inclusive).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -39,20 +27,20 @@ pub struct Bucket {
 /// A histogram over the non-null values of one column.
 ///
 /// ```
-/// use stats::{Histogram, HistogramKind};
+/// use stats::Histogram;
 /// use storage::Value;
 ///
 /// let values: Vec<Value> = (0..1000).map(|i| Value::Int(i % 100)).collect();
-/// let h = Histogram::build(HistogramKind::EquiDepth, &values, 32);
+/// let h = Histogram::build(&values, 32);
 /// assert_eq!(h.ndv(), 100.0);
 /// let sel = h.selectivity_lt(&Value::Int(50));
 /// assert!((sel - 0.5).abs() < 0.05);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct Histogram {
-    kind: HistogramKind,
-    /// Sorted and disjoint but for shared end points: `lo <= hi` in every
-    /// bucket, and `lo` and `hi` both non-decreasing from one to the next.
+    /// Buckets of (approximately) equal row counts, sorted and disjoint but
+    /// for shared end points: `lo <= hi` in every bucket, and `lo` and `hi`
+    /// both non-decreasing from one to the next.
     buckets: Vec<Bucket>,
     /// Total distinct values observed (or estimated from a sample).
     ndv: f64,
@@ -117,14 +105,14 @@ pub(crate) fn ordered(buckets: &[Bucket]) -> bool {
 }
 
 impl Histogram {
-    /// Build a histogram from a bag of values with at most `max_buckets`
-    /// buckets. NULLs must be filtered out by the caller ([`crate::Statistic`]
-    /// accounts for the null fraction separately).
+    /// Build an equi-depth histogram from a bag of values with at most
+    /// `max_buckets` buckets. NULLs must be filtered out by the caller
+    /// ([`crate::Statistic`] accounts for the null fraction separately).
     ///
     /// Statistic builds key each distinct value of a typed column once
     /// (`Histogram::from_groups`); this is the same construction for callers
     /// that hold `Value`s, which keys every row and counts the runs.
-    pub fn build(kind: HistogramKind, values: &[Value], max_buckets: usize) -> Histogram {
+    pub fn build(values: &[Value], max_buckets: usize) -> Histogram {
         // Mixed or non-string value sets key directly.
         let strs: Option<Vec<&str>> = values
             .iter()
@@ -153,7 +141,7 @@ impl Histogram {
                 _ => runs.push((k, 1)),
             }
         }
-        Self::from_runs(kind, &runs, str_prefix, max_buckets)
+        Self::from_runs(&runs, str_prefix, max_buckets)
     }
 
     /// Build a histogram over the non-null entries of `col` at `rows`
@@ -164,7 +152,6 @@ impl Histogram {
     /// were non-null — NaN floats included, which the histogram itself
     /// leaves out.
     pub(crate) fn from_groups(
-        kind: HistogramKind,
         col: &ColumnData,
         rows: Option<&[usize]>,
         groups: &Groups,
@@ -211,23 +198,14 @@ impl Histogram {
             }
             same
         });
-        (
-            Self::from_runs(kind, &runs, str_prefix, max_buckets),
-            non_null,
-        )
+        (Self::from_runs(&runs, str_prefix, max_buckets), non_null)
     }
 
     /// Bucket `runs`, the ascending distinct keys with the rows at each.
     /// `str_prefix` is what was stripped from every string before keying.
-    fn from_runs(
-        kind: HistogramKind,
-        runs: &[(f64, usize)],
-        str_prefix: Option<&str>,
-        max_buckets: usize,
-    ) -> Histogram {
+    fn from_runs(runs: &[(f64, usize)], str_prefix: Option<&str>, max_buckets: usize) -> Histogram {
         if runs.is_empty() {
             return Histogram {
-                kind,
                 buckets: Vec::new(),
                 ndv: 0.0,
                 rows: 0.0,
@@ -238,13 +216,8 @@ impl Histogram {
         // aborting the process over: build the coarsest useful histogram.
         let max_buckets = max_buckets.max(1);
         let rows = runs.iter().map(|&(_, n)| n).sum::<usize>() as f64;
-        let buckets = match kind {
-            HistogramKind::EquiDepth => Self::equi_depth(runs, rows, max_buckets),
-            HistogramKind::MaxDiff => Self::max_diff(runs, rows, max_buckets),
-        };
         Histogram {
-            kind,
-            buckets,
+            buckets: Self::equi_depth(runs, rows, max_buckets),
             ndv: runs.len() as f64,
             rows,
             str_prefix: str_prefix.map(str::to_string),
@@ -317,65 +290,6 @@ impl Histogram {
             });
         }
         buckets
-    }
-
-    fn max_diff(runs: &[(f64, usize)], rows: f64, max_buckets: usize) -> Vec<Bucket> {
-        if runs.len() <= max_buckets {
-            // One bucket per distinct value: exact histogram.
-            return runs
-                .iter()
-                .map(|&(v, n)| Bucket {
-                    lo: v,
-                    hi: v,
-                    fraction: n as f64 / rows,
-                    distinct: 1.0,
-                })
-                .collect();
-        }
-        // Area of a value = frequency * spread to the next value.
-        // Place boundaries after the (max_buckets - 1) largest differences in
-        // area between adjacent values.
-        let mut diffs: Vec<(f64, usize)> = Vec::with_capacity(runs.len() - 1);
-        for i in 0..runs.len() - 1 {
-            let spread_i = runs[i + 1].0 - runs[i].0;
-            let area_i = runs[i].1 as f64 * spread_i.max(f64::MIN_POSITIVE);
-            let spread_next = if i + 2 < runs.len() {
-                runs[i + 2].0 - runs[i + 1].0
-            } else {
-                spread_i
-            };
-            let area_next = runs[i + 1].1 as f64 * spread_next.max(f64::MIN_POSITIVE);
-            diffs.push(((area_next - area_i).abs(), i));
-        }
-        diffs.sort_by(|a, b| b.0.total_cmp(&a.0));
-        let mut cut_after: Vec<usize> = diffs
-            .iter()
-            .take(max_buckets - 1)
-            .map(|&(_, i)| i)
-            .collect();
-        cut_after.sort_unstable();
-
-        let mut buckets = Vec::with_capacity(max_buckets);
-        let mut start = 0usize;
-        for &cut in cut_after.iter().chain(std::iter::once(&(runs.len() - 1))) {
-            let slice = &runs[start..=cut];
-            let count: usize = slice.iter().map(|&(_, n)| n).sum();
-            buckets.push(Bucket {
-                lo: slice[0].0,
-                hi: slice[slice.len() - 1].0,
-                fraction: count as f64 / rows,
-                distinct: slice.len() as f64,
-            });
-            start = cut + 1;
-            if start >= runs.len() {
-                break;
-            }
-        }
-        buckets
-    }
-
-    pub fn kind(&self) -> HistogramKind {
-        self.kind
     }
 
     pub fn buckets(&self) -> &[Bucket] {
@@ -589,7 +503,7 @@ pub fn join_selectivity(a: &Histogram, b: &Histogram) -> f64 {
             // overlap, modelling values as evenly spaced with inter-value
             // spacing s = w / (d - 1). The `+ s` padding makes a single-point
             // overlap contribute ~one value instead of zero, which matters
-            // when a MaxDiff point-bucket (a hot value) meets a wide bucket.
+            // when a point bucket (a hot value) meets a wide bucket.
             let count_in = |b: &Bucket| -> f64 {
                 let w = b.hi - b.lo;
                 let d = b.distinct.max(1.0);
@@ -625,7 +539,7 @@ mod tests {
 
     #[test]
     fn empty_histogram() {
-        let h = Histogram::build(HistogramKind::EquiDepth, &[], 10);
+        let h = Histogram::build(&[], 10);
         assert_eq!(h.ndv(), 0.0);
         assert_eq!(h.selectivity_eq(&Value::Int(5)), 0.0);
         assert_eq!(h.selectivity_lt(&Value::Int(5)), 0.0);
@@ -634,16 +548,14 @@ mod tests {
 
     #[test]
     fn fractions_sum_to_one() {
-        for kind in [HistogramKind::EquiDepth, HistogramKind::MaxDiff] {
-            let h = Histogram::build(kind, &uniform_0_99(), 10);
-            let total: f64 = h.buckets().iter().map(|b| b.fraction).sum();
-            assert!((total - 1.0).abs() < 1e-9, "{kind:?}: total={total}");
-        }
+        let h = Histogram::build(&uniform_0_99(), 10);
+        let total: f64 = h.buckets().iter().map(|b| b.fraction).sum();
+        assert!((total - 1.0).abs() < 1e-9, "total={total}");
     }
 
     #[test]
     fn eq_selectivity_uniform() {
-        let h = Histogram::build(HistogramKind::EquiDepth, &uniform_0_99(), 20);
+        let h = Histogram::build(&uniform_0_99(), 20);
         // Every value occurs 10/1000 of the time.
         let est = h.selectivity_eq(&Value::Int(42));
         assert!((est - 0.01).abs() < 0.01, "est={est}");
@@ -651,7 +563,7 @@ mod tests {
 
     #[test]
     fn range_selectivity_uniform() {
-        let h = Histogram::build(HistogramKind::EquiDepth, &uniform_0_99(), 20);
+        let h = Histogram::build(&uniform_0_99(), 20);
         let est = h.selectivity_lt(&Value::Int(50));
         assert!((est - 0.5).abs() < 0.08, "est={est}");
         // Below-domain probes are floored at ~one row (1/1000), not zero:
@@ -662,7 +574,7 @@ mod tests {
 
     #[test]
     fn between_consistent_with_lt() {
-        let h = Histogram::build(HistogramKind::EquiDepth, &uniform_0_99(), 20);
+        let h = Histogram::build(&uniform_0_99(), 20);
         let b = h.selectivity_between(&Value::Int(20), &Value::Int(40));
         let diff = h.selectivity_le(&Value::Int(40)) - h.selectivity_lt(&Value::Int(20));
         assert!((b - diff).abs() < 1e-12);
@@ -670,10 +582,10 @@ mod tests {
     }
 
     #[test]
-    fn maxdiff_exact_for_few_distinct() {
-        // 3 distinct values, 10 buckets available: exact representation.
+    fn few_distinct_values_are_exact() {
+        // 3 distinct values, a bucket per row available: one bucket each.
         let vals = ints([1, 1, 1, 1, 5, 5, 9, 9, 9, 9]);
-        let h = Histogram::build(HistogramKind::MaxDiff, &vals, 10);
+        let h = Histogram::build(&vals, 10);
         assert_eq!(h.buckets().len(), 3);
         assert!((h.selectivity_eq(&Value::Int(1)) - 0.4).abs() < 1e-12);
         assert!((h.selectivity_eq(&Value::Int(5)) - 0.2).abs() < 1e-12);
@@ -681,9 +593,9 @@ mod tests {
     }
 
     #[test]
-    fn maxdiff_respects_bucket_budget() {
+    fn respects_bucket_budget() {
         let vals = ints((0..500).map(|i| (i * i) % 251));
-        let h = Histogram::build(HistogramKind::MaxDiff, &vals, 8);
+        let h = Histogram::build(&vals, 8);
         assert!(h.buckets().len() <= 8);
         let total: f64 = h.buckets().iter().map(|b| b.fraction).sum();
         assert!((total - 1.0).abs() < 1e-9);
@@ -694,20 +606,20 @@ mod tests {
         // 900 copies of 1, 100 distinct others.
         let mut vals = ints(std::iter::repeat_n(1, 900));
         vals.extend(ints(1000..1100));
-        let h = Histogram::build(HistogramKind::MaxDiff, &vals, 20);
+        let h = Histogram::build(&vals, 20);
         let hot = h.selectivity_eq(&Value::Int(1));
         assert!(hot > 0.5, "hot value underestimated: {hot}");
     }
 
     #[test]
     fn ndv_counts_distincts() {
-        let h = Histogram::build(HistogramKind::EquiDepth, &uniform_0_99(), 10);
+        let h = Histogram::build(&uniform_0_99(), 10);
         assert_eq!(h.ndv(), 100.0);
     }
 
     #[test]
     fn complement_identities() {
-        let h = Histogram::build(HistogramKind::EquiDepth, &uniform_0_99(), 16);
+        let h = Histogram::build(&uniform_0_99(), 16);
         let v = Value::Int(37);
         assert!((h.selectivity_le(&v) + h.selectivity_gt(&v) - 1.0).abs() < 1e-9);
         assert!((h.selectivity_lt(&v) + h.selectivity_ge(&v) - 1.0).abs() < 1e-9);
@@ -717,8 +629,8 @@ mod tests {
     #[test]
     fn join_selectivity_uniform_matches_textbook() {
         // Two uniform columns over 0..99: textbook sel = 1/100.
-        let a = Histogram::build(HistogramKind::EquiDepth, &uniform_0_99(), 20);
-        let b = Histogram::build(HistogramKind::EquiDepth, &uniform_0_99(), 20);
+        let a = Histogram::build(&uniform_0_99(), 20);
+        let b = Histogram::build(&uniform_0_99(), 20);
         let sel = join_selectivity(&a, &b);
         assert!((sel - 0.01).abs() < 0.004, "sel={sel}");
     }
@@ -729,7 +641,7 @@ mod tests {
         // and 1/max(ndv) would wildly underestimate it.
         let mut vals = ints(std::iter::repeat_n(1, 900));
         vals.extend(ints(1000..1100));
-        let a = Histogram::build(HistogramKind::MaxDiff, &vals, 30);
+        let a = Histogram::build(&vals, 30);
         let sel = join_selectivity(&a, &a);
         let textbook = 1.0 / a.ndv();
         assert!(sel > 0.5, "sel={sel}");
@@ -738,15 +650,15 @@ mod tests {
 
     #[test]
     fn join_selectivity_disjoint_domains_is_zero() {
-        let a = Histogram::build(HistogramKind::EquiDepth, &ints(0..100), 10);
-        let b = Histogram::build(HistogramKind::EquiDepth, &ints(1000..1100), 10);
+        let a = Histogram::build(&ints(0..100), 10);
+        let b = Histogram::build(&ints(1000..1100), 10);
         assert_eq!(join_selectivity(&a, &b), 0.0);
     }
 
     #[test]
     fn join_selectivity_empty_side_is_zero() {
-        let a = Histogram::build(HistogramKind::EquiDepth, &ints(0..10), 4);
-        let e = Histogram::build(HistogramKind::EquiDepth, &[], 4);
+        let a = Histogram::build(&ints(0..10), 4);
+        let e = Histogram::build(&[], 4);
         assert_eq!(join_selectivity(&a, &e), 0.0);
     }
 
@@ -757,7 +669,7 @@ mod tests {
         let vals: Vec<Value> = (0..100)
             .map(|i| Value::Str(format!("Supplier#{i:09}").into()))
             .collect();
-        let h = Histogram::build(HistogramKind::MaxDiff, &vals, 64);
+        let h = Histogram::build(&vals, 64);
         assert_eq!(h.ndv(), 100.0);
         let eq = h.selectivity_eq(&Value::Str("Supplier#000000042".into()));
         assert!((eq - 0.01).abs() < 0.01, "eq={eq}");
@@ -781,18 +693,16 @@ mod tests {
             ("x\u{1D11E}", "x\u{1D11F}", Some("x")),
         ] {
             let (lo, hi) = (Value::Str(a.min(b).into()), Value::Str(a.max(b).into()));
-            for kind in [HistogramKind::EquiDepth, HistogramKind::MaxDiff] {
-                let h = Histogram::build(kind, &[hi.clone(), lo.clone()], 4);
-                assert_eq!(h.str_prefix(), prefix);
-                assert_eq!(h.ndv(), 2.0, "{a} and {b} must key apart");
-                assert_eq!(h.selectivity_eq(&lo), 0.5);
-                assert_eq!(h.selectivity_lt(&lo), 0.0);
-                assert_eq!(h.selectivity_lt(&hi), 0.5);
-                // A probe that leaves the prefix inside a character.
-                let probe = Value::Str("caf\u{e0}".into());
-                assert!(h.selectivity_eq(&probe) <= 0.5);
-                assert!(h.selectivity_lt(&probe) <= 1.0);
-            }
+            let h = Histogram::build(&[hi.clone(), lo.clone()], 4);
+            assert_eq!(h.str_prefix(), prefix);
+            assert_eq!(h.ndv(), 2.0, "{a} and {b} must key apart");
+            assert_eq!(h.selectivity_eq(&lo), 0.5);
+            assert_eq!(h.selectivity_lt(&lo), 0.0);
+            assert_eq!(h.selectivity_lt(&hi), 0.5);
+            // A probe that leaves the prefix inside a character.
+            let probe = Value::Str("caf\u{e0}".into());
+            assert!(h.selectivity_eq(&probe) <= 0.5);
+            assert!(h.selectivity_lt(&probe) <= 1.0);
         }
     }
 
@@ -802,7 +712,7 @@ mod tests {
             .iter()
             .map(|s| Value::Str((*s).into()))
             .collect();
-        let h = Histogram::build(HistogramKind::EquiDepth, &vals, 4);
+        let h = Histogram::build(&vals, 4);
         assert_eq!(h.str_prefix(), Some("Brand#"));
     }
 
@@ -814,8 +724,8 @@ mod tests {
         let b: Vec<Value> = (0..50)
             .map(|i| Value::Str(format!("bb{i:03}").into()))
             .collect();
-        let ha = Histogram::build(HistogramKind::EquiDepth, &a, 16);
-        let hb = Histogram::build(HistogramKind::EquiDepth, &b, 16);
+        let ha = Histogram::build(&a, 16);
+        let hb = Histogram::build(&b, 16);
         let sel = join_selectivity(&ha, &hb);
         assert!((sel - 1.0 / 50.0).abs() < 1e-9, "sel={sel}");
     }
@@ -825,7 +735,7 @@ mod tests {
         // Build over 0..=99, then probe keys the build never saw — the
         // post-insert drift case. Every out-of-domain estimator must return
         // the ~one-row floor (1/1000), never a hard 0.0.
-        let h = Histogram::build(HistogramKind::EquiDepth, &uniform_0_99(), 20);
+        let h = Histogram::build(&uniform_0_99(), 20);
         let floor = 1.0 / 1000.0;
         for probe in [Value::Int(150), Value::Int(-7)] {
             let eq = h.selectivity_eq(&probe);
@@ -838,10 +748,10 @@ mod tests {
         assert!((btw - floor).abs() < 1e-12, "between={btw}");
         // In-domain gaps stay exact zeros: the build scan witnessed absence.
         let sparse = ints([1, 1, 1, 5, 5, 9]);
-        let g = Histogram::build(HistogramKind::MaxDiff, &sparse, 10);
+        let g = Histogram::build(&sparse, 10);
         assert_eq!(g.selectivity_eq(&Value::Int(3)), 0.0);
         // Empty histograms have no domain and keep their exact zeros.
-        let e = Histogram::build(HistogramKind::EquiDepth, &[], 4);
+        let e = Histogram::build(&[], 4);
         assert_eq!(e.selectivity_eq(&Value::Int(1)), 0.0);
         assert_eq!(e.selectivity_lt(&Value::Int(1)), 0.0);
     }
@@ -852,7 +762,7 @@ mod tests {
         // before an append only covers the old domain, but probes on the
         // appended range must still estimate at least one row.
         let old: Vec<Value> = (0..500).map(Value::Int).collect();
-        let h = Histogram::build(HistogramKind::EquiDepth, &old, 16);
+        let h = Histogram::build(&old, 16);
         // "Append" 500..1000 to the table; the stale histogram never sees it.
         for v in [500i64, 750, 999] {
             assert!(
@@ -868,7 +778,7 @@ mod tests {
 
     #[test]
     fn single_bucket_histogram() {
-        let h = Histogram::build(HistogramKind::EquiDepth, &ints(0..100), 1);
+        let h = Histogram::build(&ints(0..100), 1);
         assert_eq!(h.buckets().len(), 1);
         assert!((h.selectivity_lt(&Value::Int(50)) - 0.5).abs() < 0.02);
     }

@@ -34,10 +34,8 @@ pub mod statistic;
 
 pub use catalog::{AgingPolicy, CatalogSnapshot, StatsCatalog, StatsView};
 pub use error::StatsError;
-pub use feedback::{
-    correct_histogram, CorrectionOutcome, FeedbackConfig, FeedbackStore, Observation,
-};
-pub use histogram::{join_selectivity, Histogram, HistogramKind};
+pub use feedback::{correct_histogram, CorrectionOutcome, FeedbackStore, Observation};
+pub use histogram::{join_selectivity, Histogram};
 pub use maintenance::{MaintenancePolicy, Refreshed};
 pub use mhist::{Histogram2d, RangeQuery};
 pub use ndv::estimate_ndv;

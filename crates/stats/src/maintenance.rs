@@ -4,7 +4,7 @@
 //! tick strings them together.
 
 use crate::catalog::StatsCatalog;
-use crate::feedback::{correct_histogram, correctable, FeedbackConfig, FeedbackStore};
+use crate::feedback::{correct_histogram, correctable, FeedbackStore, MIN_OBSERVATIONS};
 use crate::statistic::StatId;
 use std::collections::BTreeMap;
 use storage::{Database, Table, TableId};
@@ -71,12 +71,12 @@ impl StatsCatalog {
     /// skipped.
     ///
     /// With `feedback`, a single-column statistic with a correctable
-    /// histogram and at least `min_observations` observations on its column
-    /// is corrected in place from them (the STGrid-style cheap refresh:
-    /// bucket touches, no scan). It takes its observations even when none
-    /// applies, and is then rebuilt like the rest. The rebuilds share one
-    /// full scan of the table, or each draws its own seeded sample under
-    /// sampled build options.
+    /// histogram and at least four observations on its column is corrected
+    /// in place from them (the STGrid-style cheap refresh: bucket touches, no
+    /// scan) under the catalog's bucket ceiling. It takes its observations
+    /// even when none applies, and is then rebuilt like the rest. The
+    /// rebuilds share one full scan of the table, or each draws its own
+    /// seeded sample under sampled build options.
     ///
     /// Returns the corrections, then the rebuilds, each in the order given.
     pub fn refresh(
@@ -84,7 +84,7 @@ impl StatsCatalog {
         db: &Database,
         table: TableId,
         ids: &[StatId],
-        mut feedback: Option<(&mut FeedbackStore, &FeedbackConfig)>,
+        mut feedback: Option<&mut FeedbackStore>,
     ) -> Vec<Refreshed> {
         let Ok(t) = db.try_table(table) else {
             return Vec::new(); // stale table id (e.g. restored snapshot)
@@ -100,8 +100,8 @@ impl StatsCatalog {
                 continue;
             }
             let corrected = feedback
-                .as_mut()
-                .and_then(|(store, config)| self.correct(t, id, store, config));
+                .as_deref_mut()
+                .and_then(|store| self.correct(t, id, store));
             match corrected {
                 Some(corrected) => refreshed.push(corrected),
                 None => rebuild.push(id),
@@ -141,13 +141,8 @@ impl StatsCatalog {
     /// Correct `id` in place from the observations on its column if it
     /// qualifies for a feedback refresh, taking them. `None` when it does
     /// not qualify or none of them applied.
-    fn correct(
-        &mut self,
-        t: &Table,
-        id: StatId,
-        store: &mut FeedbackStore,
-        config: &FeedbackConfig,
-    ) -> Option<Refreshed> {
+    fn correct(&mut self, t: &Table, id: StatId, store: &mut FeedbackStore) -> Option<Refreshed> {
+        let max_buckets = self.build_options().max_buckets;
         let s = self.stats.get_mut(&id)?;
         let (table, column) = (
             s.descriptor.table.0 as u64,
@@ -155,7 +150,7 @@ impl StatsCatalog {
         );
         if s.descriptor.is_multi_column()
             || !correctable(&s.histogram)
-            || store.count(table, column) < config.min_observations
+            || store.count(table, column) < MIN_OBSERVATIONS
         {
             return None;
         }
@@ -164,7 +159,7 @@ impl StatsCatalog {
         span.arg("table", table);
         span.arg("stat", id.0 as u64);
         span.arg("observations", observations.len());
-        let outcome = correct_histogram(&mut s.histogram, &observations, config);
+        let outcome = correct_histogram(&mut s.histogram, &observations, max_buckets);
         span.arg("applied", outcome.applied);
         span.arg("work", outcome.work);
         drop(span);
@@ -244,7 +239,7 @@ mod tests {
     use super::*;
     use crate::catalog::tests::{db_with, insert_rows, test_db};
     use crate::statistic::StatDescriptor;
-    use storage::Value;
+    use storage::{ColumnDef, DataType, Schema, Value};
 
     /// One §6 pass as the daemon's tick composes it: refresh what is stale,
     /// table by table, then drop what was refreshed too often. Returns the
@@ -440,12 +435,10 @@ mod tests {
     fn feedback_records(t: TableId, column: u32, n: usize) -> Vec<obsv::FeedbackRecord> {
         (0..n)
             .map(|i| obsv::FeedbackRecord {
-                fingerprint: obsv::template_fingerprint(t.0 as u64, column, 2),
                 table: t.0 as u64,
                 column,
                 lo: 0.0,
                 hi: 10.0 + (i % 3) as f64,
-                est_rows: 400.0,
                 rows_out: 440.0,
                 input_rows: 2000.0,
             })
@@ -470,9 +463,8 @@ mod tests {
 
         let mut store = FeedbackStore::new();
         store.ingest(&feedback_records(t, 0, 6));
-        let config = FeedbackConfig::default();
         let scan_cost = cat.update_cost_of(&db, [id]);
-        let refreshed = cat.refresh(&db, t, &[id], Some((&mut store, &config)));
+        let refreshed = cat.refresh(&db, t, &[id], Some(&mut store));
         assert_eq!(refreshed.len(), 1);
         let Refreshed {
             id: rid,
@@ -497,27 +489,150 @@ mod tests {
         assert_eq!(cat.stale_statistics(&db, &policy), vec![id]);
     }
 
+    /// One refresh over a table whose five stale statistics cover every
+    /// branch: corrected; observations taken but none applied; and
+    /// multi-column, string-keyed and too few observations, which keep
+    /// theirs. Corrections come first, then the rebuilds in the order given,
+    /// each statistic refreshed once; the obs-attached catalog counts
+    /// exactly the corrections it returns.
     #[test]
-    fn refresh_rebuilds_what_feedback_cannot_correct() {
-        let (db, t) = test_db();
+    fn one_refresh_corrects_first_and_rebuilds_the_rest_once() {
+        let mut db = Database::new();
+        let t = db
+            .create_table(
+                "mixed",
+                Schema::new(vec![
+                    ColumnDef::new("a", DataType::Int),
+                    ColumnDef::new("b", DataType::Int),
+                    ColumnDef::new("c", DataType::Int),
+                    ColumnDef::new("d", DataType::Int),
+                    ColumnDef::new("s", DataType::Str),
+                ]),
+            )
+            .unwrap();
+        let insert = |db: &mut Database, from: i64, n: i64| {
+            for i in from..from + n {
+                db.table_mut(t)
+                    .insert(vec![
+                        Value::Int(i % 100),
+                        Value::Int(i % 40),
+                        Value::Int(i % 7),
+                        Value::Int(i % 13),
+                        Value::Str(format!("name-{}", i % 30).into()),
+                    ])
+                    .unwrap();
+            }
+        };
+        insert(&mut db, 0, 1000);
+        let obs = obsv::Obs::enabled();
         let mut cat = StatsCatalog::new();
-        // Multi-column statistics need scans (prefix densities).
-        let multi = cat
-            .create_statistic(&db, StatDescriptor::multi(t, vec![0, 1]))
-            .unwrap();
-        // Too few observations.
-        let single = cat
-            .create_statistic(&db, StatDescriptor::single(t, 1))
-            .unwrap();
+        cat.set_obs(&obs);
+        let mut create = |columns: Vec<usize>| {
+            cat.create_statistic(&db, StatDescriptor::multi(t, columns))
+                .unwrap()
+        };
+        let corrected = create(vec![0]);
+        let all_miss = create(vec![1]);
+        let multi = create(vec![2, 3]);
+        let string = create(vec![4]);
+        let too_few = create(vec![3]);
+        insert(&mut db, 1000, 600);
+        let all = [all_miss, multi, corrected, string, too_few];
+        assert_eq!(
+            cat.stale_statistics(&db, &MaintenancePolicy::default())
+                .len(),
+            all.len()
+        );
+
+        let record = |column: u32, lo: f64, hi: f64, rows_out: f64| obsv::FeedbackRecord {
+            table: t.0 as u64,
+            column,
+            lo,
+            hi,
+            rows_out,
+            input_rows: 1600.0,
+        };
         let mut store = FeedbackStore::new();
-        store.ingest(&feedback_records(t, 0, 6));
-        store.ingest(&feedback_records(t, 1, 2));
-        let config = FeedbackConfig::default();
-        let refreshed = cat.refresh(&db, t, &[multi, single], Some((&mut store, &config)));
-        let rebuilt: Vec<(StatId, Option<usize>)> =
+        for i in 0..6 {
+            store.ingest(&[
+                record(0, 0.0, 10.0 + i as f64, 300.0),
+                record(1, 1e6, 2e6, 0.0),
+                record(2, 0.0, 3.0, 900.0),
+                record(4, 0.0, 1.0, 50.0),
+            ]);
+        }
+        store.ingest(&[record(3, 0.0, 5.0, 700.0); 2]);
+
+        let refreshed = cat.refresh(&db, t, &all, Some(&mut store));
+        let order: Vec<(StatId, Option<usize>)> =
             refreshed.iter().map(|r| (r.id, r.observations)).collect();
-        assert_eq!(rebuilt, vec![(multi, None), (single, None)]);
-        // Neither took its column's observations.
-        assert_eq!(store.total(), 8);
+        assert_eq!(
+            order,
+            vec![
+                (corrected, Some(6)),
+                (all_miss, None),
+                (multi, None),
+                (string, None),
+                (too_few, None),
+            ]
+        );
+        for id in all {
+            assert_eq!(cat.statistic(id).unwrap().update_count, 1);
+        }
+        assert!(cat
+            .stale_statistics(&db, &MaintenancePolicy::default())
+            .is_empty());
+
+        let raw = t.0 as u64;
+        assert_eq!(store.count(raw, 0), 0);
+        assert_eq!(store.count(raw, 1), 0, "taken even though none applied");
+        assert_eq!(store.count(raw, 2), 6);
+        assert_eq!(store.count(raw, 3), 2);
+        assert_eq!(store.count(raw, 4), 6);
+
+        let total = refreshed.iter().fold(0.0, |sum, r| sum + r.work);
+        assert_eq!(cat.update_work().to_bits(), total.to_bits());
+        let correction = refreshed[0].work;
+        let scans = refreshed[1..].iter().fold(0.0, |sum, r| sum + r.work);
+        assert!(correction > 0.0 && correction < scans);
+        // The catalog is the only counter of its corrections.
+        assert_eq!(obs.metrics.counter("stats.feedback.refreshes").get(), 1);
+        assert_eq!(
+            obs.metrics
+                .float_counter("stats.feedback.work")
+                .get()
+                .to_bits(),
+            correction.to_bits()
+        );
+    }
+
+    /// An empty feedback store is no feedback: the same rebuilds and the
+    /// same catalog as a refresh without one.
+    #[test]
+    fn empty_feedback_store_changes_nothing() {
+        let (mut db, t) = test_db();
+        let build = || {
+            let mut cat = StatsCatalog::new();
+            for d in [
+                StatDescriptor::single(t, 0),
+                StatDescriptor::multi(t, vec![0, 1]),
+            ] {
+                cat.create_statistic(&db, d).unwrap();
+            }
+            cat
+        };
+        let (mut with, mut without) = (build(), build());
+        insert_rows(&mut db, t, 700);
+        let ids = with.active_ids();
+        let mut store = FeedbackStore::new();
+        assert_eq!(
+            with.refresh(&db, t, &ids, Some(&mut store)),
+            without.refresh(&db, t, &ids, None)
+        );
+        assert_eq!(with.snapshot(), without.snapshot());
+        assert_eq!(
+            with.update_work().to_bits(),
+            without.update_work().to_bits()
+        );
     }
 }

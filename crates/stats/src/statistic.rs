@@ -11,7 +11,7 @@
 //! across the statistics of a batch or a refresh so that they share what
 //! they have in common.
 
-use crate::histogram::{Histogram, HistogramKind};
+use crate::histogram::Histogram;
 use crate::mhist::Histogram2d;
 use crate::ndv::Groups;
 use crate::sampler::{iter_rows, SampleSpec};
@@ -76,7 +76,8 @@ impl StatDescriptor {
 /// How a statistic should be built.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BuildOptions {
-    pub histogram_kind: HistogramKind,
+    /// Histogram buckets per statistic, and the ceiling feedback corrections
+    /// restructure under.
     pub max_buckets: usize,
     pub sample: SampleSpec,
     /// Also build a Phased 2-D histogram over the first two columns of
@@ -88,7 +89,6 @@ pub struct BuildOptions {
 impl Default for BuildOptions {
     fn default() -> Self {
         BuildOptions {
-            histogram_kind: HistogramKind::EquiDepth,
             max_buckets: 64,
             sample: SampleSpec::FullScan,
             joint_histograms: false,
@@ -278,7 +278,6 @@ impl<'a> TableScan<'a> {
         if !self.leading.contains_key(&lead) {
             let groups = &self.prefixes[&[lead][..]];
             let (mut histogram, non_null) = Histogram::from_groups(
-                self.options.histogram_kind,
                 self.table.column(lead),
                 self.rows,
                 groups,

@@ -7,7 +7,7 @@
 //!
 //! Run with: `cargo run --example offline_tuning`
 
-use autostats::{advise, Equivalence, MnsaConfig, OfflineTuner};
+use autostats::{advise, MnsaConfig, OfflineTuner};
 use datagen::{build_tpcd, Complexity, RagsGenerator, TpcdConfig, WorkloadSpec, ZipfSpec};
 use query::{bind_statement, BoundStatement};
 use stats::StatsCatalog;
@@ -32,11 +32,7 @@ fn main() {
     println!("workload {}: {} queries", spec, queries.len());
 
     let mut catalog = StatsCatalog::new();
-    let tuner = OfflineTuner {
-        mnsa: MnsaConfig::default(),
-        shrink: Some(Equivalence::paper_default()),
-    };
-    let report = tuner
+    let report = OfflineTuner::default()
         .tune(&db, &mut catalog, &queries)
         .expect("example runs");
 
@@ -87,14 +83,7 @@ fn main() {
             _ => None,
         })
         .collect();
-    let report = advise(
-        &db,
-        &catalog,
-        &new_queries,
-        MnsaConfig::default(),
-        Equivalence::paper_default(),
-    )
-    .expect("example runs");
+    let report = advise(&db, &catalog, &new_queries, MnsaConfig::default()).expect("example runs");
     println!("\nwhat-if analysis for next month's workload ({new_spec}):");
     print!("{}", report.render(&db));
     println!(

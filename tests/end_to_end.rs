@@ -38,10 +38,11 @@ fn on_the_fly(db: Database, catalog: StatsCatalog, config: AutodConfig) -> Onlin
     )
 }
 
-/// Run `stmts` one by one, each under `policy`'s statistics for it, the way
-/// `benchmark/src/reference.rs` does. Returns the outcomes and the catalog.
+/// Run `stmts` one by one, each under `policy`'s statistics for it (none
+/// without one), the way `benchmark/src/reference.rs` does. Returns the
+/// outcomes and the catalog.
 fn run_under(
-    policy: &CreationPolicy,
+    policy: Option<&CreationPolicy>,
     mut db: Database,
     stmts: &[Statement],
 ) -> (Vec<StatementOutcome>, StatsCatalog) {
@@ -51,7 +52,7 @@ fn run_under(
         .iter()
         .map(|s| {
             let bound = bind_statement(&db, s).unwrap();
-            if let BoundStatement::Select(q) = &bound {
+            if let (Some(policy), BoundStatement::Select(q)) = (policy, &bound) {
                 apply_policy(&db, &mut catalog, policy, q).unwrap();
             }
             run_statement(&mut db, catalog.full_view(), &optimizer, &bound)
@@ -99,18 +100,20 @@ fn tpcd_queries_run_end_to_end_with_auto_tuning() {
 #[test]
 fn rags_mixed_workload_runs_under_all_policies() {
     for policy in [
-        CreationPolicy::Manual,
-        CreationPolicy::CreateAllSyntactic,
-        CreationPolicy::CreateAllCandidates,
-        CreationPolicy::Mnsa(MnsaConfig::default()),
-        CreationPolicy::Mnsa(MnsaConfig::default().with_drop_detection()),
+        None,
+        Some(CreationPolicy::CreateAllSyntactic),
+        Some(CreationPolicy::CreateAllCandidates),
+        Some(CreationPolicy::Mnsa(MnsaConfig::default())),
+        Some(CreationPolicy::Mnsa(
+            MnsaConfig::default().with_drop_detection(),
+        )),
     ] {
         let db = small_db(ZipfSpec::Fixed(1.0));
         let spec = WorkloadSpec::new(25, Complexity::Simple, 30).with_seed(3);
         let stmts = RagsGenerator::generate(&db, &spec);
-        let (outcomes, catalog) = run_under(&policy, db, &stmts);
+        let (outcomes, catalog) = run_under(policy.as_ref(), db, &stmts);
         assert!(outcomes.iter().map(StatementOutcome::work).sum::<f64>() > 0.0);
-        if matches!(policy, CreationPolicy::Manual) {
+        if policy.is_none() {
             assert_eq!(catalog.total_count(), 0);
         }
     }
@@ -127,8 +130,8 @@ fn query_results_are_stats_independent() {
         .map(Statement::Select)
         .collect();
 
-    let (bare, none) = run_under(&CreationPolicy::Manual, db.clone(), &queries);
-    let (tuned, all) = run_under(&CreationPolicy::CreateAllCandidates, db, &queries);
+    let (bare, none) = run_under(None, db.clone(), &queries);
+    let (tuned, all) = run_under(Some(&CreationPolicy::CreateAllCandidates), db, &queries);
     assert_eq!(none.total_count(), 0);
     assert!(all.total_count() > 0);
     for (i, pair) in bare.into_iter().zip(tuned).enumerate() {

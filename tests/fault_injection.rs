@@ -9,9 +9,7 @@
 //! error. Nothing panics.
 
 use autod::{AutodConfig, OnlineService};
-use autostats::{
-    advise, Equivalence, Fault, FaultPlan, MnsaConfig, MnsaEngine, OfflineTuner, SessionReport,
-};
+use autostats::{advise, Fault, FaultPlan, MnsaConfig, MnsaEngine, OfflineTuner, SessionReport};
 use optimizer::{OptimizeOptions, Optimizer, PlanNode};
 use proptest::prelude::*;
 use query::{bind_statement, parse_statement, BoundSelect, BoundStatement};
@@ -159,12 +157,12 @@ proptest! {
         assert_selectivities_sane(&catalog);
 
         // Offline tuning (MNSA + Shrinking Set) on the faulted state.
-        let tuner = OfflineTuner { mnsa: config, ..Default::default() };
+        let tuner = OfflineTuner { mnsa: config };
         let _ = tuner.tune(&db, &mut catalog, &queries);
         assert_selectivities_sane(&catalog);
 
         // The advisor runs read-only on the same state.
-        let _ = advise(&db, &catalog, &queries, config, Equivalence::paper_default());
+        let _ = advise(&db, &catalog, &queries, config);
 
         // Whatever survives must still optimize to finite plans.
         let optimizer = Optimizer::default();

@@ -3,9 +3,7 @@
 mod support;
 
 use proptest::prelude::*;
-use stats::{
-    correct_histogram, join_selectivity, FeedbackConfig, Histogram, HistogramKind, Observation,
-};
+use stats::{correct_histogram, join_selectivity, Histogram, Observation};
 use storage::Value;
 use support::join_selectivity_oracle;
 
@@ -23,17 +21,15 @@ proptest! {
     /// Bucket fractions always sum to 1 (non-empty input).
     #[test]
     fn fractions_sum_to_one(vals in value_vec(), buckets in 1usize..50) {
-        for kind in [HistogramKind::EquiDepth, HistogramKind::MaxDiff] {
-            let h = Histogram::build(kind, &to_values(&vals), buckets);
-            let total: f64 = h.buckets().iter().map(|b| b.fraction).sum();
-            prop_assert!((total - 1.0).abs() < 1e-6, "{kind:?}: {total}");
-        }
+        let h = Histogram::build(&to_values(&vals), buckets);
+        let total: f64 = h.buckets().iter().map(|b| b.fraction).sum();
+        prop_assert!((total - 1.0).abs() < 1e-6, "{total}");
     }
 
     /// Every selectivity estimate lies in [0, 1].
     #[test]
     fn estimates_in_unit_interval(vals in value_vec(), probe in -1500i64..1500) {
-        let h = Histogram::build(HistogramKind::EquiDepth, &to_values(&vals), 16);
+        let h = Histogram::build(&to_values(&vals), 16);
         let p = Value::Int(probe);
         for est in [
             h.selectivity_eq(&p),
@@ -51,20 +47,21 @@ proptest! {
     #[test]
     fn cdf_monotone(vals in value_vec(), a in -1500i64..1500, b in -1500i64..1500) {
         let (a, b) = if a <= b { (a, b) } else { (b, a) };
-        let h = Histogram::build(HistogramKind::MaxDiff, &to_values(&vals), 20);
+        let h = Histogram::build(&to_values(&vals), 20);
         prop_assert!(
             h.selectivity_lt(&Value::Int(a)) <= h.selectivity_lt(&Value::Int(b)) + 1e-12
         );
     }
 
-    /// Equality estimates are exact when buckets cover each distinct value.
-    /// In-domain probes (including in-domain gaps) match the true frequency
-    /// exactly; probes outside the observed [min, max] get the stale-stats
-    /// floor of ~one row instead of a hard zero.
+    /// Equality estimates are exact when buckets cover each distinct value:
+    /// with a bucket per row to spend, every value closes a bucket of its
+    /// own. In-domain probes (including in-domain gaps) match the true
+    /// frequency exactly; probes outside the observed [min, max] get the
+    /// stale-stats floor of ~one row instead of a hard zero.
     #[test]
     fn eq_exact_with_enough_buckets(vals in prop::collection::vec(0i64..20, 1..300)) {
         let values = to_values(&vals);
-        let h = Histogram::build(HistogramKind::MaxDiff, &values, 32);
+        let h = Histogram::build(&values, values.len());
         let n = vals.len() as f64;
         let min = *vals.iter().min().unwrap();
         let max = *vals.iter().max().unwrap();
@@ -91,7 +88,7 @@ proptest! {
     /// allowed error is one bucket's mass (the interpolation granularity).
     #[test]
     fn range_additivity(vals in value_vec(), lo in -900i64..0, hi in 1i64..900) {
-        let h = Histogram::build(HistogramKind::EquiDepth, &to_values(&vals), 24);
+        let h = Histogram::build(&to_values(&vals), 24);
         let granularity = h
             .buckets()
             .iter()
@@ -110,7 +107,7 @@ proptest! {
     #[test]
     fn full_domain_between_is_one(vals in value_vec()) {
         let values = to_values(&vals);
-        let h = Histogram::build(HistogramKind::EquiDepth, &values, 16);
+        let h = Histogram::build(&values, 16);
         let min = *vals.iter().min().unwrap();
         let max = *vals.iter().max().unwrap();
         let est = h.selectivity_between(&Value::Int(min), &Value::Int(max));
@@ -122,7 +119,7 @@ proptest! {
     #[test]
     fn ndv_exact_on_full_data(vals in value_vec()) {
         use std::collections::HashSet;
-        let h = Histogram::build(HistogramKind::EquiDepth, &to_values(&vals), 16);
+        let h = Histogram::build(&to_values(&vals), 16);
         let truth = vals.iter().collect::<HashSet<_>>().len() as f64;
         prop_assert_eq!(h.ndv(), truth);
     }
@@ -161,26 +158,24 @@ proptest! {
         probe in arb_value(),
         probe_hi in arb_value(),
     ) {
-        for kind in [HistogramKind::EquiDepth, HistogramKind::MaxDiff] {
-            let h = Histogram::build(kind, &vals, 16);
-            let lt = h.selectivity_lt(&probe);
-            let le = h.selectivity_le(&probe);
-            let eq = h.selectivity_eq(&probe);
-            let ne = h.selectivity_ne(&probe);
-            let gt = h.selectivity_gt(&probe);
-            let ge = h.selectivity_ge(&probe);
-            let between = h.selectivity_between(&probe, &probe_hi);
-            for est in [lt, le, eq, ne, gt, ge, between] {
-                prop_assert!(!est.is_nan(), "{kind:?}: NaN estimate");
-                prop_assert!((0.0..=1.0).contains(&est), "{kind:?}: estimate {est}");
-            }
-            prop_assert!(lt <= le + 1e-12, "{kind:?}: lt {lt} > le {le}");
-            prop_assert!((eq + ne - 1.0).abs() < 1e-9, "{kind:?}: eq {eq} + ne {ne} != 1");
-            prop_assert!(
-                between <= h.selectivity_le(&probe_hi) + 1e-12,
-                "{kind:?}: between {between} exceeds le(hi)"
-            );
+        let h = Histogram::build(&vals, 16);
+        let lt = h.selectivity_lt(&probe);
+        let le = h.selectivity_le(&probe);
+        let eq = h.selectivity_eq(&probe);
+        let ne = h.selectivity_ne(&probe);
+        let gt = h.selectivity_gt(&probe);
+        let ge = h.selectivity_ge(&probe);
+        let between = h.selectivity_between(&probe, &probe_hi);
+        for est in [lt, le, eq, ne, gt, ge, between] {
+            prop_assert!(!est.is_nan(), "NaN estimate");
+            prop_assert!((0.0..=1.0).contains(&est), "estimate {est}");
         }
+        prop_assert!(lt <= le + 1e-12, "lt {lt} > le {le}");
+        prop_assert!((eq + ne - 1.0).abs() < 1e-9, "eq {eq} + ne {ne} != 1");
+        prop_assert!(
+            between <= h.selectivity_le(&probe_hi) + 1e-12,
+            "between {between} exceeds le(hi)"
+        );
     }
 
     /// Degenerate bucket budgets (including zero) still produce total,
@@ -188,7 +183,7 @@ proptest! {
     #[test]
     fn zero_bucket_budget_still_total(vals in arb_column(), probe in arb_value()) {
         for buckets in [0usize, 1] {
-            let h = Histogram::build(HistogramKind::EquiDepth, &vals, buckets);
+            let h = Histogram::build(&vals, buckets);
             for est in [h.selectivity_eq(&probe), h.selectivity_le(&probe)] {
                 prop_assert!(!est.is_nan());
                 prop_assert!((0.0..=1.0).contains(&est), "buckets={buckets}: {est}");
@@ -197,14 +192,10 @@ proptest! {
     }
 }
 
-fn arb_kind() -> impl Strategy<Value = HistogramKind> {
-    prop_oneof![Just(HistogramKind::EquiDepth), Just(HistogramKind::MaxDiff)]
-}
-
-/// An integer histogram under either kind and any budget in 1..=64. The
-/// modulus decides how many distinct values there are (five or twenty fit a
-/// MaxDiff budget as one point bucket each, 120 need wide buckets; no rows
-/// at all is the empty operand) and `(offset, stride)` where they lie: over
+/// An integer histogram under any budget in 1..=64. The modulus decides how
+/// many distinct values there are (five or twenty can take a point bucket
+/// each, 120 need wide buckets; no rows at all is the empty operand) and
+/// `(offset, stride)` where they lie: over
 /// `0..120`, shifted to overlap it, far above it, stretched around it, or
 /// all on one point inside it.
 fn int_histogram() -> impl Strategy<Value = Histogram> {
@@ -218,15 +209,14 @@ fn int_histogram() -> impl Strategy<Value = Histogram> {
             Just((-100, 7)),
             Just((60, 0)),
         ],
-        arb_kind(),
         1usize..=64,
     )
-        .prop_map(|(vals, modulus, (offset, stride), kind, budget)| {
+        .prop_map(|(vals, modulus, (offset, stride), budget)| {
             let values: Vec<Value> = vals
                 .iter()
                 .map(|v| Value::Int(v % modulus * stride + offset))
                 .collect();
-            Histogram::build(kind, &values, budget)
+            Histogram::build(&values, budget)
         })
 }
 
@@ -263,9 +253,9 @@ proptest! {
 
     /// The sorted sweep visits the overlapping bucket pairs in the nested
     /// loop's order, so the two sums are the same `f64`. The first operand
-    /// may have been through the feedback corrector restructuring after
-    /// every observation: its splits leave neighbours sharing an end point,
-    /// its merges and domain extensions wide buckets beside point buckets.
+    /// may have been through the feedback corrector: its splits leave
+    /// neighbours sharing an end point, its merges and domain extensions
+    /// wide buckets beside point buckets.
     #[test]
     fn join_sweep_equals_the_nested_loop(
         a in int_histogram(),
@@ -274,12 +264,7 @@ proptest! {
     ) {
         let mut a = a;
         if let Some((observations, max_buckets)) = feedback {
-            let config = FeedbackConfig {
-                restructure_every: 1,
-                max_buckets,
-                ..Default::default()
-            };
-            correct_histogram(&mut a, &observations, &config);
+            correct_histogram(&mut a, &observations, max_buckets);
         }
         assert_sweep_is_the_oracle(&a, &b)?;
     }
@@ -293,7 +278,6 @@ proptest! {
         b in prop::collection::vec("[a-d]{1,4}", 1..120),
         prefix_a in prop_oneof![Just(""), Just("pre"), Just("Supplier#0000")],
         prefix_b in prop_oneof![Just(""), Just("pre"), Just("Supplier#0000")],
-        kind in arb_kind(),
         budget in 1usize..=64,
     ) {
         let build = |prefix: &str, suffixes: &[String]| {
@@ -301,7 +285,7 @@ proptest! {
                 .iter()
                 .map(|s| Value::from(format!("{prefix}{s}")))
                 .collect();
-            Histogram::build(kind, &values, budget)
+            Histogram::build(&values, budget)
         };
         assert_sweep_is_the_oracle(&build(prefix_a, &a), &build(prefix_b, &b))?;
     }
@@ -320,20 +304,13 @@ fn join_sweep_equals_the_nested_loop_after_splits_and_merges() {
             input_rows: 1000.0,
         })
         .collect();
-    let config = FeedbackConfig {
-        restructure_every: 1,
-        max_buckets: 12,
-        ..Default::default()
-    };
-    for kind in [HistogramKind::EquiDepth, HistogramKind::MaxDiff] {
-        let plain = Histogram::build(kind, &values, 12);
-        let mut corrected = plain.clone();
-        let outcome = correct_histogram(&mut corrected, &observations, &config);
-        assert!(outcome.splits > 0 && outcome.merges > 0 && outcome.domain_extended);
-        assert!(
-            corrected.buckets().windows(2).any(|w| w[0].hi == w[1].lo),
-            "no split left a shared end point"
-        );
-        assert_sweep_is_the_oracle(&corrected, &plain).unwrap();
-    }
+    let plain = Histogram::build(&values, 12);
+    let mut corrected = plain.clone();
+    let outcome = correct_histogram(&mut corrected, &observations, 12);
+    assert!(outcome.splits > 0 && outcome.merges > 0 && outcome.domain_extended);
+    assert!(
+        corrected.buckets().windows(2).any(|w| w[0].hi == w[1].lo),
+        "no split left a shared end point"
+    );
+    assert_sweep_is_the_oracle(&corrected, &plain).unwrap();
 }

@@ -362,43 +362,25 @@ fn all_tie_keeps_the_first_split_considered() {
     assert_eq!(join_names(&r.plan), vec!["HashJoin"; 3]);
 }
 
-/// `max_relations` is inclusive, and the enumerator's own cap overrides a
-/// larger configured value.
+/// `MAX_DP_RELATIONS` is the one relation cap, and it is inclusive: a chain
+/// of that many tables plans, one more is refused, and so is a query past
+/// the mask width (33 relations used to overflow `1u32 << n`).
 #[test]
 fn relation_limits() {
-    let db = tables(&[9, 8, 7, 6, 5, 4]);
-    let optimizer = Optimizer {
-        max_relations: 5,
-        ..Optimizer::default()
-    };
     let empty = StatsCatalog::new();
-    let at = bind(&db, &chain_sql(5));
-    let r = optimizer
+    let db = tables(&[9; MAX_DP_RELATIONS]);
+    let at = bind(&db, &chain_sql(MAX_DP_RELATIONS));
+    let r = Optimizer::default()
         .optimize(&db, &at, empty.full_view(), &OptimizeOptions::default())
         .unwrap();
-    assert_eq!(
-        pinned(&r),
-        "nl[0][nl[1][nl[2][hj[3][seq(3;[]),seq(4;[])],seq(2;[])],seq(1;[])],seq(0;[])] @ 0x40547cbfb15b573e"
-    );
-    let over = bind(&db, &chain_sql(6));
-    assert_eq!(
-        optimizer
-            .optimize(&db, &over, empty.full_view(), &OptimizeOptions::default())
-            .unwrap_err(),
-        PlanError::TooManyRelations { n: 6, max: 5 }
-    );
+    assert_eq!(join_names(&r.plan).len(), MAX_DP_RELATIONS - 1);
 
-    // A configured limit beyond the mask width is capped, not trusted:
-    // 33 relations used to overflow `1u32 << n`.
-    let wide = Optimizer {
-        max_relations: 64,
-        ..Optimizer::default()
-    };
     for n in [MAX_DP_RELATIONS + 1, 33] {
         let db = tables(&vec![1; n]);
         let q = bind(&db, &chain_sql(n));
         assert_eq!(
-            wide.optimize(&db, &q, empty.full_view(), &OptimizeOptions::default())
+            Optimizer::default()
+                .optimize(&db, &q, empty.full_view(), &OptimizeOptions::default())
                 .unwrap_err(),
             PlanError::TooManyRelations {
                 n,

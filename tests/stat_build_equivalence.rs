@@ -21,8 +21,7 @@ use proptest::test_runner::TestCaseError;
 use query::{bind_statement, BoundStatement};
 use stats::statistic::build_statistic;
 use stats::{
-    BuildOptions, CatalogSnapshot, HistogramKind, SampleSpec, StatDescriptor, StatId, Statistic,
-    StatsCatalog,
+    BuildOptions, CatalogSnapshot, SampleSpec, StatDescriptor, StatId, Statistic, StatsCatalog,
 };
 use storage::{ColumnDef, DataType, Database, Schema, TableId, Value};
 use support::build_statistic_oracle;
@@ -131,15 +130,12 @@ fn option_grid() -> Vec<BuildOptions> {
     ];
     let mut grid = Vec::new();
     for sample in samples {
-        for histogram_kind in [HistogramKind::EquiDepth, HistogramKind::MaxDiff] {
-            for joint_histograms in [false, true] {
-                grid.push(BuildOptions {
-                    histogram_kind,
-                    max_buckets: 6,
-                    sample,
-                    joint_histograms,
-                });
-            }
+        for joint_histograms in [false, true] {
+            grid.push(BuildOptions {
+                max_buckets: 6,
+                sample,
+                joint_histograms,
+            });
         }
     }
     grid

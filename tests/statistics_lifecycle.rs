@@ -1,7 +1,7 @@
 //! Lifecycle integration: creation → use → drop-list → reactivation →
 //! aging → physical drop, across the §6 policy machinery.
 
-use autostats::{candidate_statistics, Equivalence, MnsaConfig, MnsaEngine, OfflineTuner};
+use autostats::{candidate_statistics, MnsaConfig, MnsaEngine, OfflineTuner};
 use datagen::{build_tpcd, Complexity, RagsGenerator, TpcdConfig, WorkloadSpec, ZipfSpec};
 use query::{bind_statement, BoundSelect, BoundStatement};
 use stats::{AgingPolicy, MaintenancePolicy, StatsCatalog};
@@ -54,11 +54,9 @@ fn drop_listed_statistics_reactivate_for_free_on_repeat_workload() {
             catalog.create_statistic(&db, d).unwrap();
         }
     }
-    let tuner = OfflineTuner {
-        mnsa: MnsaConfig::default(),
-        shrink: Some(Equivalence::paper_default()),
-    };
-    tuner.tune(&db, &mut catalog, &workload).unwrap();
+    OfflineTuner::default()
+        .tune(&db, &mut catalog, &workload)
+        .unwrap();
     let work_after_tune = catalog.creation_work();
 
     // The same workload repeats: whatever MNSA wants again that sits on the

@@ -2,9 +2,7 @@
 
 use proptest::prelude::*;
 use stats::statistic::build_statistic;
-use stats::{
-    join_selectivity, BuildOptions, Histogram, HistogramKind, SampleSpec, StatDescriptor, StatId,
-};
+use stats::{join_selectivity, BuildOptions, Histogram, SampleSpec, StatDescriptor, StatId};
 use storage::{ColumnDef, DataType, Schema, Table, TableId, Value};
 
 fn table_from(cols: Vec<Vec<i64>>) -> Table {
@@ -77,8 +75,8 @@ proptest! {
         a in prop::collection::vec(0i64..30, 20..200),
         b in prop::collection::vec(0i64..30, 20..200),
     ) {
-        let ha = Histogram::build(HistogramKind::MaxDiff, &to_values(&a), 16);
-        let hb = Histogram::build(HistogramKind::MaxDiff, &to_values(&b), 16);
+        let ha = Histogram::build(&to_values(&a), 16);
+        let hb = Histogram::build(&to_values(&b), 16);
         let ab = join_selectivity(&ha, &hb);
         let ba = join_selectivity(&hb, &ha);
         prop_assert!((ab - ba).abs() < 1e-9, "not symmetric: {ab} vs {ba}");
@@ -122,8 +120,8 @@ fn join_selectivity_of_fk_join_matches_truth() {
     let fk: Vec<Value> = (0..1000)
         .map(|i| Value::Int(if i % 3 == 0 { i % 100 } else { i % 10 }))
         .collect();
-    let hp = Histogram::build(HistogramKind::MaxDiff, &pk, 32);
-    let hf = Histogram::build(HistogramKind::MaxDiff, &fk, 32);
+    let hp = Histogram::build(&pk, 32);
+    let hf = Histogram::build(&fk, 32);
     let sel = join_selectivity(&hp, &hf);
     // True join output = 1000 rows (each FK matches exactly one PK), so the
     // true selectivity is 1000 / (100 * 1000) = 0.01.

@@ -63,7 +63,7 @@ pub fn build_statistic_oracle(
     } else {
         (rows_read - leading.len()) as f64 / rows_read as f64
     };
-    let mut histogram = Histogram::build(options.histogram_kind, &leading, options.max_buckets);
+    let mut histogram = Histogram::build(&leading, options.max_buckets);
     // Scale the sample NDV up to the table with the jackknife estimator.
     if rows_read < total_rows {
         histogram.set_ndv(estimate_ndv(&leading, total_rows));
