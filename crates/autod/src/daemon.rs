@@ -498,7 +498,6 @@ impl LifecycleCore {
             // Nothing memoizes MNSA's optimizer calls: each is a miss.
             cache_hits: 0,
             cache_misses: self.optimizer_calls,
-            cache_invalidations: 0,
             queries: metrics.counter("autod.queries").get(),
             dml: metrics.counter("autod.dml").get(),
             latency_count: latency.count,

@@ -308,7 +308,6 @@ impl QueryHandle {
                     &optimized.plan,
                     &self.optimizer.params,
                     private.as_ref().unwrap_or(&self.obs.tracer),
-                    &obsv::FeedbackLog::disabled(),
                 )?;
                 let latency_ns = start.elapsed().as_nanos() as u64;
                 self.telemetry.query_latency.observe(latency_ns);
@@ -338,7 +337,6 @@ impl QueryHandle {
             &self.optimizer,
             &bound,
             &self.obs.tracer,
-            &obsv::FeedbackLog::disabled(),
         )?;
         self.telemetry
             .dml_latency

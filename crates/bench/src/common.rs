@@ -3,7 +3,7 @@
 use crate::cli::Cli;
 use autostats::{MnsaEngine, MnsaOutcome, TuningReport};
 use datagen::{build_tpcd, TpcdConfig, ZipfSpec};
-use executor::{execute_plan, WorkloadRunner};
+use executor::{execute_plan, run_statement_observed};
 use obsv::json::Object;
 use optimizer::{OptimizeOptions, Optimizer};
 use query::{bind_statement, BoundSelect, BoundStatement, Statement};
@@ -217,14 +217,13 @@ pub fn execute_workload(
     obs: &obsv::Obs,
 ) -> f64 {
     let mut db = db.clone();
-    let runner = WorkloadRunner {
-        tracer: obs.tracer.clone(),
-        ..Default::default()
-    };
-    let work = runner
-        .run(&mut db, catalog.full_view(), workload)
-        .expect("bench workload executes")
-        .total_work;
+    let optimizer = Optimizer::default();
+    let mut work = 0.0;
+    for stmt in workload {
+        work += run_statement_observed(&mut db, catalog.full_view(), &optimizer, stmt, &obs.tracer)
+            .expect("bench workload executes")
+            .work();
+    }
     obs.metrics.float_counter("exec.work").add(work);
     work
 }

@@ -42,8 +42,8 @@ use obsv::json::Object;
 use obsv::{ArgValue, EventKind};
 use optimizer::{OptimizeOptions, Optimizer};
 use query::{
-    bind_statement, BoundSelect, CmpOp, ColumnRef, Condition, JoinEdge, PredicateId, SelectItem,
-    SelectStmt, Statement, TableRef,
+    bind_statement, BoundSelect, CmpOp, ColumnRef, Condition, JoinEdge, PredOp, PredicateId,
+    SelectItem, SelectStmt, Statement, TableRef,
 };
 use rustc_hash::FxHashMap;
 use stats::{BuildOptions, FeedbackStore, StatDescriptor, StatId, StatsCatalog};
@@ -360,15 +360,8 @@ fn traced_runs<'q>(
             .optimize(db, query, catalog.full_view(), &OptimizeOptions::default())
             .expect("optimization succeeds");
         let tracer = obsv::Tracer::enabled();
-        let out = execute_plan_observed(
-            db,
-            query,
-            &chosen.plan,
-            &optimizer.params,
-            &tracer,
-            &obsv::FeedbackLog::disabled(),
-        )
-        .expect("plan executes");
+        let out = execute_plan_observed(db, query, &chosen.plan, &optimizer.params, &tracer)
+            .expect("plan executes");
         q_errors.extend(operator_q_errors(&tracer.flush()));
         works.push(out.work);
     }
@@ -459,11 +452,11 @@ fn apply_drift(db: &mut Database, table: TableId, cfg: &AdversarialConfig) -> us
 }
 
 /// The post-drift correction workload: single-predicate range probes per
-/// drifting column, spanning the full (drifted) key domain. Exactly the
-/// query shape the executor's feedback channel records, with enough
-/// observations per column (6; a correction needs 4) to make every
-/// statistic feedback-refreshable, and finite upper bounds so out-of-domain
-/// observations can extend the stale histograms.
+/// drifting column, spanning the full (drifted) key domain. Each probe is
+/// one observation ([`observe_probes`]), with enough per column (6; a
+/// correction needs 4) to make every statistic feedback-refreshable, and
+/// finite upper bounds so out-of-domain observations can extend the stale
+/// histograms.
 fn drift_probes(cfg: &AdversarialConfig) -> Vec<SelectStmt> {
     let d = cfg.domain.max(1) as i64;
     let mut probes = Vec::new();
@@ -512,10 +505,10 @@ fn bind_select(db: &Database, stmt: SelectStmt) -> BoundSelect {
 ///   the out-of-domain floor.
 /// * `scan-refresh` — rebuilds every statistic with a full scan, paying the
 ///   full `build_cost` again.
-/// * `feedback-refresh` — re-runs a probe workload under an enabled
-///   [`obsv::FeedbackLog`] (plans still come from its own stale catalog)
-///   and refreshes with the observations: histograms they correct cost
-///   correction work, any they cannot are rebuilt by a scan.
+/// * `feedback-refresh` — runs a probe workload (plans still come from its
+///   own stale catalog), files each probe as an observation and refreshes
+///   with them: histograms they correct cost correction work, any they
+///   cannot are rebuilt by a scan.
 fn run_drift(cfg: &AdversarialConfig, n_queries: usize) -> DriftResult {
     let optimizer = Optimizer::default();
     let mut db = build_adversarial(cfg, Regime::Zipf);
@@ -534,17 +527,8 @@ fn run_drift(cfg: &AdversarialConfig, n_queries: usize) -> DriftResult {
         .into_iter()
         .map(|q| bind_select(&db, q))
         .collect();
-    let log = obsv::FeedbackLog::enabled();
-    let quiet = obsv::Tracer::disabled();
-    for q in &probes {
-        let plan = optimizer
-            .optimize(&db, q, fb_cat.full_view(), &OptimizeOptions::default())
-            .expect("probe optimization succeeds");
-        execute_plan_observed(&db, q, &plan.plan, &optimizer.params, &quiet, &log)
-            .expect("probe executes");
-    }
     let mut store = FeedbackStore::new();
-    store.ingest(&log.drain());
+    observe_probes(&db, &fb_cat, &probes, &optimizer, &mut store);
     let corrected = fb_cat.refresh(&db, table, &fb_ids, Some(&mut store));
     let fb_work: f64 = corrected.iter().map(|r| r.work).sum();
 
@@ -584,6 +568,45 @@ fn run_drift(cfg: &AdversarialConfig, n_queries: usize) -> DriftResult {
         drift_rows,
         stats_built,
         cells,
+    }
+}
+
+/// Execute each drift probe under a plan from `catalog` and file it as one
+/// observation: its predicate's column, the numeric-key range of its
+/// constants (`<=` leaves the low end open, at −∞), the rows it returned
+/// and the rows of the table it scanned. Every probe is a `SELECT *` with
+/// one range predicate on an integer column, so each yields exactly one
+/// observation.
+fn observe_probes(
+    db: &Database,
+    catalog: &StatsCatalog,
+    probes: &[BoundSelect],
+    optimizer: &Optimizer,
+    store: &mut FeedbackStore,
+) {
+    for q in probes {
+        let [pred] = q.selections.as_slice() else {
+            panic!("a drift probe has one predicate");
+        };
+        let (lo, hi) = match &pred.op {
+            PredOp::Cmp(CmpOp::Le, v) => (f64::NEG_INFINITY, v.numeric_key()),
+            PredOp::Between(a, b) => (a.numeric_key(), b.numeric_key()),
+            other => panic!("a drift probe is `<=` or BETWEEN, not {other:?}"),
+        };
+        let plan = optimizer
+            .optimize(db, q, catalog.full_view(), &OptimizeOptions::default())
+            .expect("probe optimization succeeds");
+        let out = execute_plan(db, q, &plan.plan, &optimizer.params).expect("probe executes");
+        let table = q.table_of(pred.column.relation);
+        let input_rows = db.table(table).row_count();
+        store.observe(
+            table,
+            pred.column.column,
+            lo,
+            hi,
+            out.row_count(),
+            input_rows,
+        );
     }
 }
 
@@ -726,15 +749,8 @@ fn group_by_fraction(db: &Database, query: &BoundSelect, optimizer: &Optimizer) 
         )
         .expect("probe optimization succeeds");
     let tracer = obsv::Tracer::enabled();
-    execute_plan_observed(
-        db,
-        query,
-        &plan.plan,
-        &optimizer.params,
-        &tracer,
-        &obsv::FeedbackLog::disabled(),
-    )
-    .expect("probe execution succeeds");
+    execute_plan_observed(db, query, &plan.plan, &optimizer.params, &tracer)
+        .expect("probe execution succeeds");
     let events = tracer.flush();
     // Spans: End events carry counts, Begin events carry parent linkage.
     let mut rows_out: FxHashMap<u64, f64> = FxHashMap::default();
@@ -906,6 +922,47 @@ mod tests {
         assert_eq!(quantile(&v, 1.0), 4.0);
         assert_eq!(quantile(&v, 0.5), 3.0);
         assert!(quantile(&[], 0.5).is_nan());
+    }
+
+    #[test]
+    fn every_drift_probe_files_one_observation_on_its_column() {
+        let cfg = config_for(&ExperimentScale::tiny());
+        let optimizer = Optimizer::default();
+        let mut db = build_adversarial(&cfg, Regime::Zipf);
+        let table = db.table_id(FACTS).unwrap();
+        let (catalog, _) = pre_drift_catalog(&db, table);
+        apply_drift(&mut db, table, &cfg);
+        let probes: Vec<BoundSelect> = drift_probes(&cfg)
+            .into_iter()
+            .map(|q| bind_select(&db, q))
+            .collect();
+        let mut store = FeedbackStore::new();
+        observe_probes(&db, &catalog, &probes, &optimizer, &mut store);
+        assert_eq!(store.total(), probes.len());
+
+        // The k-th probe on a column is that column's k-th observation, and
+        // it records the rows the probe returned out of the whole table.
+        let input_rows = db.table(table).row_count();
+        let mut per_column: HashMap<usize, usize> = HashMap::new();
+        for q in &probes {
+            let column = q.selections[0].column.column;
+            let k = per_column.entry(column).or_default();
+            let observed = store.observations(table, column)[*k];
+            *k += 1;
+            let plan = optimizer
+                .optimize(&db, q, catalog.full_view(), &OptimizeOptions::default())
+                .unwrap();
+            let rows_out = execute_plan(&db, q, &plan.plan, &optimizer.params)
+                .unwrap()
+                .row_count();
+            let fraction = rows_out as f64 / input_rows as f64;
+            assert_eq!(observed.fraction.to_bits(), fraction.to_bits());
+            assert_eq!(observed.input_rows, input_rows as f64);
+        }
+        assert_eq!(per_column.len(), DRIFT_COLUMNS.len());
+        for (column, n) in per_column {
+            assert_eq!(store.count(table, column), n);
+        }
     }
 
     #[test]

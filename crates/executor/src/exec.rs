@@ -43,11 +43,11 @@
 use crate::error::ExecError;
 use crate::predicate::{filter_table_columnar, CompiledPred};
 use optimizer::{CostParams, Operator, PlanNode};
-use query::{AggFunc, BoundColumn, BoundSelect, CmpOp, PredOp, Projection, SelectionPredicate};
+use query::{AggFunc, BoundColumn, BoundSelect, Projection, SelectionPredicate};
 use rustc_hash::{FxHashMap, FxHasher};
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
-use storage::{ColumnData, DataType, Database, PayloadRef, TableId, Value, ValueRef};
+use storage::{ColumnData, DataType, Database, PayloadRef, Value, ValueRef};
 
 /// Hash-join build side: build ordinals chained by fingerprint.
 ///
@@ -319,46 +319,6 @@ struct Interp<'a> {
     query: &'a BoundSelect,
     params: &'a CostParams,
     work: f64,
-    /// Execution-feedback channel: scans with a single supported predicate
-    /// report (template, est, actual) records here. Disabled by default —
-    /// one branch per scan, and never any effect on rows or work.
-    feedback: &'a obsv::FeedbackLog,
-}
-
-/// The numeric key of a literal, for feedback ranges. Strings are excluded:
-/// their histogram keys depend on a stored common prefix the executor cannot
-/// know, so a raw `numeric_key` would not align with the histogram domain.
-fn feedback_key(v: &Value) -> Option<f64> {
-    match v {
-        Value::Int(_) | Value::Float(_) => {
-            let k = v.numeric_key();
-            k.is_finite().then_some(k)
-        }
-        _ => None,
-    }
-}
-
-/// The inclusive numeric-key range a predicate selects. `None` for
-/// predicates feedback cannot describe as one interval (Ne, string
-/// literals).
-fn feedback_range(op: &PredOp) -> Option<(f64, f64)> {
-    match op {
-        PredOp::Cmp(CmpOp::Eq, v) => {
-            let k = feedback_key(v)?;
-            Some((k, k))
-        }
-        PredOp::Cmp(CmpOp::Lt, v) | PredOp::Cmp(CmpOp::Le, v) => {
-            Some((f64::NEG_INFINITY, feedback_key(v)?))
-        }
-        PredOp::Cmp(CmpOp::Gt, v) | PredOp::Cmp(CmpOp::Ge, v) => {
-            Some((feedback_key(v)?, f64::INFINITY))
-        }
-        PredOp::Cmp(CmpOp::Ne, _) => None,
-        PredOp::Between(a, b) => {
-            let (ka, kb) = (feedback_key(a)?, feedback_key(b)?);
-            (ka <= kb).then_some((ka, kb))
-        }
-    }
 }
 
 impl<'a> Interp<'a> {
@@ -406,34 +366,6 @@ impl<'a> Interp<'a> {
             .collect()
     }
 
-    /// Report one scan's observed cardinality to the feedback log, when the
-    /// scan is a clean feedback template: exactly one predicate, describable
-    /// as a single numeric-key interval. Anything else is skipped — partial
-    /// feedback on a conjunction would mis-attribute the filtering.
-    fn record_scan_feedback(
-        &self,
-        table: TableId,
-        preds: &[&SelectionPredicate],
-        rows_out: usize,
-        input_rows: usize,
-    ) {
-        if !self.feedback.is_enabled() || preds.len() != 1 {
-            return;
-        }
-        let Some(&pred) = preds.first() else { return };
-        let Some((lo, hi)) = feedback_range(&pred.op) else {
-            return;
-        };
-        self.feedback.push(obsv::FeedbackRecord {
-            table: table.0 as u64,
-            column: pred.column.column as u32,
-            lo,
-            hi,
-            rows_out: rows_out as f64,
-            input_rows: input_rows as f64,
-        });
-    }
-
     fn edge(&self, e: usize) -> Result<&'a query::JoinEdge, ExecError> {
         self.query
             .join_edges
@@ -472,11 +404,9 @@ impl<'a> Interp<'a> {
                 let t = self.db.try_table(*table)?;
                 self.work += self.params.seq_scan(t.row_count() as f64);
                 let pred_refs = self.selections(preds)?;
-                let rows = filter_table_columnar(t, &pred_refs);
-                self.record_scan_feedback(*table, &pred_refs, rows.len(), t.row_count());
                 Ok(Intermediate {
                     rels: vec![*rel],
-                    data: rows,
+                    data: filter_table_columnar(t, &pred_refs),
                 })
             }
             Operator::IndexScan {
@@ -499,9 +429,6 @@ impl<'a> Interp<'a> {
                         CompiledPred::new(t, pred).refine(&mut rows);
                     }
                 }
-                let all_refs: Vec<&SelectionPredicate> =
-                    seek_refs.iter().chain(&residual_refs).copied().collect();
-                self.record_scan_feedback(*table, &all_refs, rows.len(), t.row_count());
                 Ok(Intermediate {
                     rels: vec![*rel],
                     data: rows,
@@ -808,33 +735,22 @@ pub fn execute_plan(
     plan: &PlanNode,
     params: &CostParams,
 ) -> Result<ExecOutput, ExecError> {
-    execute_plan_observed(
-        db,
-        query,
-        plan,
-        params,
-        &obsv::Tracer::disabled(),
-        &obsv::FeedbackLog::disabled(),
-    )
+    execute_plan_observed(db, query, plan, params, &obsv::Tracer::disabled())
 }
 
-/// [`execute_plan`] under a tracer and an execution-feedback channel. The
-/// query gets an `exec.query` span with one `exec.op.*` child span per plan
-/// node (actual vs estimated rows on each), and scans with a single
-/// supported predicate push (predicate template, est_rows, rows_out) records
-/// into `feedback`. Both are write-only here: rows and work are
-/// bit-identical to the unobserved call, and a disabled tracer or log costs
-/// one branch per operator or scan.
+/// [`execute_plan`] under a tracer. The query gets an `exec.query` span with
+/// one `exec.op.*` child span per plan node (actual vs estimated rows on
+/// each). Tracing is write-only: rows and work are bit-identical to the
+/// untraced call, and a disabled tracer costs one branch per operator.
 pub fn execute_plan_observed(
     db: &Database,
     query: &BoundSelect,
     plan: &PlanNode,
     params: &CostParams,
     tracer: &obsv::Tracer,
-    feedback: &obsv::FeedbackLog,
 ) -> Result<ExecOutput, ExecError> {
     let mut span = tracer.span("exec.query");
-    let out = execute_impl(db, query, plan, params, &span, feedback)?;
+    let out = execute_impl(db, query, plan, params, &span)?;
     span.arg("rows_out", out.rows.len());
     span.arg("work", out.work);
     Ok(out)
@@ -846,14 +762,12 @@ fn execute_impl(
     plan: &PlanNode,
     params: &CostParams,
     span: &obsv::SpanGuard,
-    feedback: &obsv::FeedbackLog,
 ) -> Result<ExecOutput, ExecError> {
     let mut interp = Interp {
         db,
         query,
         params,
         work: 0.0,
-        feedback,
     };
 
     // Aggregation and final ordering execute at this level, not in
@@ -1306,15 +1220,7 @@ mod tests {
             .unwrap();
         let plain = execute_plan(&db, &q, &r.plan, &opt.params).unwrap();
         let tracer = obsv::Tracer::enabled();
-        let traced = execute_plan_observed(
-            &db,
-            &q,
-            &r.plan,
-            &opt.params,
-            &tracer,
-            &obsv::FeedbackLog::disabled(),
-        )
-        .unwrap();
+        let traced = execute_plan_observed(&db, &q, &r.plan, &opt.params, &tracer).unwrap();
         assert_eq!(plain.rows, traced.rows);
         assert_eq!(plain.work.to_bits(), traced.work.to_bits());
         let events = tracer.flush();
@@ -1375,15 +1281,7 @@ mod tests {
             .optimize(&db, &q, cat.full_view(), &OptimizeOptions::default())
             .unwrap();
         let tracer = obsv::Tracer::enabled();
-        let out = execute_plan_observed(
-            &db,
-            &q,
-            &r.plan,
-            &opt.params,
-            &tracer,
-            &obsv::FeedbackLog::disabled(),
-        )
-        .unwrap();
+        let out = execute_plan_observed(&db, &q, &r.plan, &opt.params, &tracer).unwrap();
         assert_eq!(out.row_count(), 5);
         let events = tracer.flush();
         assert!(obsv::trace::validate(&events).is_empty());
@@ -1452,15 +1350,7 @@ mod tests {
                 .unwrap();
             let reference = execute_plan_reference(&db, &q, &r.plan, &opt.params).unwrap();
             let tracer = obsv::Tracer::enabled();
-            let traced = execute_plan_observed(
-                &db,
-                &q,
-                &r.plan,
-                &opt.params,
-                &tracer,
-                &obsv::FeedbackLog::disabled(),
-            )
-            .unwrap();
+            let traced = execute_plan_observed(&db, &q, &r.plan, &opt.params, &tracer).unwrap();
             assert_eq!(traced.rows, reference.rows, "rows diverge on {sql}");
             assert_eq!(
                 traced.work.to_bits(),
@@ -1491,54 +1381,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn feedback_log_captures_single_predicate_scans() {
-        let db = setup();
-        let opt = Optimizer::default();
-        let cat = StatsCatalog::new();
-        let run_observed = |sql: &str, log: &obsv::FeedbackLog| {
-            let q = bind(&db, sql);
-            let r = opt
-                .optimize(&db, &q, cat.full_view(), &OptimizeOptions::default())
-                .unwrap();
-            let plain = execute_plan(&db, &q, &r.plan, &opt.params).unwrap();
-            let observed = execute_plan_observed(
-                &db,
-                &q,
-                &r.plan,
-                &opt.params,
-                &obsv::Tracer::disabled(),
-                log,
-            )
-            .unwrap();
-            // The write-only channel may never perturb execution.
-            assert_eq!(plain.rows, observed.rows);
-            assert_eq!(plain.work.to_bits(), observed.work.to_bits());
-            observed
-        };
-
-        let log = obsv::FeedbackLog::enabled();
-        run_observed("SELECT * FROM emp WHERE empid < 10", &log);
-        let records = log.drain();
-        assert_eq!(records.len(), 1, "one single-predicate scan, one record");
-        let r = records[0];
-        assert_eq!(r.column, 0);
-        assert_eq!(r.rows_out, 10.0);
-        assert_eq!(r.input_rows, 100.0);
-        assert_eq!(r.lo, f64::NEG_INFINITY);
-        assert_eq!(r.hi, 10.0);
-
-        // Conjunctions and string literals are not clean templates: skipped.
-        run_observed("SELECT * FROM emp WHERE empid < 10 AND deptid = 3", &log);
-        run_observed("SELECT * FROM dept WHERE dname = 'd2'", &log);
-        assert!(log.is_empty(), "unsupported scans must record nothing");
-
-        // A disabled log costs one branch and stays empty.
-        let disabled = obsv::FeedbackLog::disabled();
-        run_observed("SELECT * FROM emp WHERE empid = 7", &disabled);
-        assert!(disabled.is_empty());
     }
 
     #[test]

@@ -2,9 +2,8 @@
 //!
 //! `run_statement` executes any bound statement: SELECTs go through the
 //! optimizer and the plan interpreter; DML mutates the store (and thereby
-//! the modification counters). `WorkloadRunner` executes a statement list
-//! and reports per-statement and total execution work — the paper's
-//! "execution cost of the workload" metric.
+//! the modification counters). Summing [`StatementOutcome::work`] over a
+//! statement list gives the paper's "execution cost of the workload".
 
 use crate::error::ExecError;
 use crate::exec::{execute_plan_observed, ExecOutput};
@@ -93,34 +92,23 @@ pub fn run_statement(
     optimizer: &Optimizer,
     stmt: &BoundStatement,
 ) -> Result<StatementOutcome, ExecError> {
-    run_statement_observed(
-        db,
-        stats,
-        optimizer,
-        stmt,
-        &obsv::Tracer::disabled(),
-        &obsv::FeedbackLog::disabled(),
-    )
+    run_statement_observed(db, stats, optimizer, stmt, &obsv::Tracer::disabled())
 }
 
-/// [`run_statement`] under a tracer and a cardinality-feedback channel:
-/// SELECTs get an `exec.query` span tree with per-operator child spans and
-/// record (estimate, observed) pairs per scan into `feedback` when it is
-/// enabled; DML gets an `exec.dml` span with the rows affected. Outcomes are
-/// bit-identical to the unobserved call.
+/// [`run_statement`] under a tracer: SELECTs get an `exec.query` span tree
+/// with per-operator child spans, DML an `exec.dml` span with the rows
+/// affected. Outcomes are bit-identical to the untraced call.
 pub fn run_statement_observed(
     db: &mut Database,
     stats: StatsView<'_>,
     optimizer: &Optimizer,
     stmt: &BoundStatement,
     tracer: &obsv::Tracer,
-    feedback: &obsv::FeedbackLog,
 ) -> Result<StatementOutcome, ExecError> {
     match stmt {
         BoundStatement::Select(q) => {
             let optimized = optimizer.optimize(db, q, stats, &OptimizeOptions::default())?;
-            let output =
-                execute_plan_observed(db, q, &optimized.plan, &optimizer.params, tracer, feedback)?;
+            let output = execute_plan_observed(db, q, &optimized.plan, &optimizer.params, tracer)?;
             Ok(StatementOutcome::Query {
                 output,
                 estimated_cost: optimized.cost,
@@ -147,63 +135,6 @@ fn traced_dml(
         span.arg("work", *work);
     }
     Ok(outcome)
-}
-
-/// Per-workload execution report.
-#[derive(Debug, Clone, Default)]
-pub struct WorkloadReport {
-    /// Execution work per statement, in statement order.
-    pub per_statement: Vec<f64>,
-    /// Total execution work.
-    pub total_work: f64,
-    pub queries: usize,
-    pub dml_statements: usize,
-}
-
-/// Runs a list of bound statements against a database + statistics view.
-#[derive(Default)]
-pub struct WorkloadRunner {
-    pub optimizer: Optimizer,
-    /// Disabled by default; set to a live tracer to get per-statement
-    /// `exec.query` / `exec.dml` span trees. Purely observational.
-    pub tracer: obsv::Tracer,
-    /// Disabled by default; set to an enabled log to capture per-scan
-    /// cardinality feedback records. Purely observational: results and
-    /// metered work are bit-identical either way.
-    pub feedback: obsv::FeedbackLog,
-}
-
-impl WorkloadRunner {
-    /// Execute the whole workload in order, accumulating execution work.
-    /// The statistics view is re-fetched per statement via the closure so
-    /// callers can keep mutating the catalog between statements. Fails on
-    /// the first statement whose optimization or execution errors.
-    pub fn run<'a>(
-        &self,
-        db: &mut Database,
-        stats: StatsView<'_>,
-        workload: impl IntoIterator<Item = &'a BoundStatement>,
-    ) -> Result<WorkloadReport, ExecError> {
-        let mut report = WorkloadReport::default();
-        for stmt in workload {
-            let outcome = run_statement_observed(
-                db,
-                stats,
-                &self.optimizer,
-                stmt,
-                &self.tracer,
-                &self.feedback,
-            )?;
-            let w = outcome.work();
-            report.per_statement.push(w);
-            report.total_work += w;
-            match outcome {
-                StatementOutcome::Query { .. } => report.queries += 1,
-                StatementOutcome::Dml { .. } => report.dml_statements += 1,
-            }
-        }
-        Ok(report)
-    }
 }
 
 #[cfg(test)]
@@ -282,23 +213,6 @@ mod tests {
     }
 
     #[test]
-    fn workload_report_accumulates() {
-        let mut db = setup();
-        let cat = StatsCatalog::new();
-        let stmts = vec![
-            bound(&db, "SELECT * FROM t WHERE a < 10"),
-            bound(&db, "INSERT INTO t VALUES (200, 1)"),
-            bound(&db, "SELECT COUNT(*) FROM t GROUP BY b"),
-        ];
-        let runner = WorkloadRunner::default();
-        let report = runner.run(&mut db, cat.full_view(), &stmts).unwrap();
-        assert_eq!(report.per_statement.len(), 3);
-        assert_eq!(report.queries, 2);
-        assert_eq!(report.dml_statements, 1);
-        assert!((report.total_work - report.per_statement.iter().sum::<f64>()).abs() < 1e-9);
-    }
-
-    #[test]
     fn traced_dml_reports_post_operator_rows_and_matches_untraced() {
         // Audit of the UPDATE/DELETE paths: the `exec.dml` span must carry
         // the rows the statement actually affected (post-operator, after the
@@ -321,15 +235,9 @@ mod tests {
             let mut db_traced = base.clone();
             let plain = run_statement(&mut db_plain, cat.full_view(), &opt, &stmt).unwrap();
             let tracer = obsv::Tracer::enabled();
-            let traced = run_statement_observed(
-                &mut db_traced,
-                cat.full_view(),
-                &opt,
-                &stmt,
-                &tracer,
-                &obsv::FeedbackLog::disabled(),
-            )
-            .unwrap();
+            let traced =
+                run_statement_observed(&mut db_traced, cat.full_view(), &opt, &stmt, &tracer)
+                    .unwrap();
             let (
                 StatementOutcome::Dml {
                     rows_affected: n_plain,

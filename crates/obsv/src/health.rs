@@ -43,12 +43,11 @@ pub struct HealthSnapshot {
     pub monitor_ghost_hits: u64,
     /// Work-token balance (negative = debt to pay down).
     pub budget_balance: f64,
-    /// Kept for the wire format; hits and invalidations are 0 since PR 15.
-    /// Nothing memoizes the tuner's optimizer calls any more, so
-    /// `cache_misses` is the number of MNSA optimizer calls.
+    /// Kept for the wire format; `cache_hits` is always 0. Nothing memoizes
+    /// the tuner's optimizer calls, so `cache_misses` is the number of MNSA
+    /// optimizer calls.
     pub cache_hits: u64,
     pub cache_misses: u64,
-    pub cache_invalidations: u64,
     /// Statements served.
     pub queries: u64,
     pub dml: u64,
@@ -112,7 +111,6 @@ impl HealthSnapshot {
             .field("budget_balance", self.budget_balance)
             .field("cache_hits", self.cache_hits)
             .field("cache_misses", self.cache_misses)
-            .field("cache_invalidations", self.cache_invalidations)
             .field("queries", self.queries)
             .field("dml", self.dml)
             .field("latency_count", self.latency_count)
@@ -149,7 +147,6 @@ impl HealthSnapshot {
                 .unwrap_or(0.0),
             cache_hits: num("cache_hits"),
             cache_misses: num("cache_misses"),
-            cache_invalidations: num("cache_invalidations"),
             queries: num("queries"),
             dml: num("dml"),
             latency_count: num("latency_count"),
@@ -162,13 +159,14 @@ impl HealthSnapshot {
     }
 
     /// Merge per-shard snapshots into one cluster-level view. Counters,
-    /// backlogs, and balances sum across shards; `tick`, the epoch fields,
-    /// and `monitor_capacity`-relative occupancy take the worst (largest)
-    /// shard. Latency quantiles take the per-shard maximum — an upper bound,
-    /// since quantiles have no exact merge at snapshot granularity (the
-    /// serving layer merges the underlying histograms exactly; see
-    /// [`crate::latency::LatencyHistogram::merge_from`]). The merged
-    /// snapshot's `shard` field is the number of shards merged.
+    /// backlogs, and balances sum across shards; `tick` and the epoch fields
+    /// take the worst (largest) shard. Monitor occupancy is pooled: templates
+    /// and capacity both sum, so the merged occupancy is the cluster's, not
+    /// the fullest shard's. Latency quantiles take the per-shard maximum —
+    /// an upper bound, since quantiles have no exact merge at snapshot
+    /// granularity (the serving layer merges the underlying histograms
+    /// exactly; see [`crate::latency::LatencyHistogram::merge_from`]). The
+    /// merged snapshot's `shard` field is the number of shards merged.
     pub fn merge(shards: &[HealthSnapshot]) -> HealthSnapshot {
         let mut out = HealthSnapshot {
             shard: shards.len() as u64,
@@ -188,7 +186,6 @@ impl HealthSnapshot {
             out.budget_balance += s.budget_balance;
             out.cache_hits += s.cache_hits;
             out.cache_misses += s.cache_misses;
-            out.cache_invalidations += s.cache_invalidations;
             out.queries += s.queries;
             out.dml += s.dml;
             out.latency_count += s.latency_count;
@@ -286,7 +283,6 @@ mod tests {
             budget_balance: -1500.5,
             cache_hits: 900,
             cache_misses: 100,
-            cache_invalidations: 3,
             queries: 4800,
             dml: 200,
             latency_count: 4800,
@@ -312,7 +308,7 @@ mod tests {
     fn json_line_bytes_are_pinned() {
         // The exact bytes written for this input: recorded artifacts and
         // their readers depend on them.
-        let pinned = "{\"tick\": 12, \"shard\": 2, \"epoch_generation\": 3, \"epoch_age_ticks\": 2, \"staleness_backlog\": 1, \"pending_templates\": 4, \"monitor_templates\": 96, \"monitor_capacity\": 256, \"monitor_observed\": 5000, \"monitor_evictions\": 40, \"monitor_ghost_hits\": 10, \"budget_balance\": -1500.5, \"cache_hits\": 900, \"cache_misses\": 100, \"cache_invalidations\": 3, \"queries\": 4800, \"dml\": 200, \"latency_count\": 4800, \"latency_p50_ns\": 45000, \"latency_p90_ns\": 120000, \"latency_p99_ns\": 900000, \"latency_p999_ns\": 2500000, \"latency_max_ns\": 9000000}";
+        let pinned = "{\"tick\": 12, \"shard\": 2, \"epoch_generation\": 3, \"epoch_age_ticks\": 2, \"staleness_backlog\": 1, \"pending_templates\": 4, \"monitor_templates\": 96, \"monitor_capacity\": 256, \"monitor_observed\": 5000, \"monitor_evictions\": 40, \"monitor_ghost_hits\": 10, \"budget_balance\": -1500.5, \"cache_hits\": 900, \"cache_misses\": 100, \"queries\": 4800, \"dml\": 200, \"latency_count\": 4800, \"latency_p50_ns\": 45000, \"latency_p90_ns\": 120000, \"latency_p99_ns\": 900000, \"latency_p999_ns\": 2500000, \"latency_max_ns\": 9000000}";
         assert_eq!(sample().to_json_line(), pinned);
         let unlimited = HealthSnapshot {
             budget_balance: f64::INFINITY,

@@ -20,7 +20,6 @@
 
 pub mod check;
 pub mod export;
-pub mod feedback;
 pub mod health;
 pub mod json;
 pub mod latency;
@@ -31,7 +30,6 @@ pub mod window;
 
 use std::sync::Arc;
 
-pub use feedback::{FeedbackLog, FeedbackRecord};
 pub use health::HealthSnapshot;
 pub use latency::{LatencyHistogram, LatencySample, RELATIVE_ERROR_BOUND};
 pub use metrics::{Counter, FloatCounter, Gauge, MetricValue, Registry, Snapshot};

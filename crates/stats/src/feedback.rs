@@ -3,8 +3,9 @@
 //! The paper's framework treats statistics as build-only artifacts that a
 //! staleness policy rebuilds with full scans. This module closes the loop in
 //! the STGrid style (*A Learning Framework for Self-Tuning Histograms*,
-//! PAPERS.md): the executor reports, per scan predicate, the key range it
-//! selected and the cardinality it actually produced; the corrector adjusts
+//! PAPERS.md): a caller that ran a single-predicate scan files the key range
+//! it selected and the cardinality it actually produced
+//! ([`FeedbackStore::observe`]); the corrector adjusts
 //! the histogram's bucket frequencies toward those observations with a
 //! damped error-distribution rule, occasionally restructuring — splitting
 //! the most-mispredicted bucket and merging the coldest adjacent pair — so
@@ -14,7 +15,7 @@
 //!
 //! - **Determinism.** Corrections depend only on the histogram state, the
 //!   observation sequence, and the bucket ceiling. Observations apply in
-//!   ingest order, restructuring ties break on the lowest bucket index, and
+//!   filing order, restructuring ties break on the lowest bucket index, and
 //!   the store iterates in `BTreeMap` order — a replayed feedback stream
 //!   yields a bit-identical histogram.
 //! - **Near-zero cost.** Correction work is metered per observation × bucket
@@ -23,8 +24,8 @@
 //!   it attractive to the staleness tracker ([`crate::StatsCatalog::refresh`]).
 
 use crate::histogram::{Bucket, Histogram};
-use obsv::FeedbackRecord;
 use std::collections::BTreeMap;
+use storage::TableId;
 
 /// Fraction of each observed error applied per observation (STGrid's
 /// learning rate): 1.0 would snap to the latest observation, smaller values
@@ -38,8 +39,8 @@ pub(crate) const MIN_OBSERVATIONS: usize = 4;
 /// Restructure (split + merge) after this many applied observations.
 const RESTRUCTURE_EVERY: usize = 8;
 
-/// One digested feedback observation: the predicate selected the inclusive
-/// key range `[lo, hi]` and matched `fraction` of the table's rows.
+/// One filed feedback observation: the predicate selected the inclusive key
+/// range `[lo, hi]` and matched `fraction` of the table's rows.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Observation {
     pub lo: f64,
@@ -50,35 +51,10 @@ pub struct Observation {
     pub input_rows: f64,
 }
 
-impl Observation {
-    /// Digest a raw executor record; `None` if it cannot inform a
-    /// correction (empty table, NaN range, inverted range).
-    pub fn from_record(r: &FeedbackRecord) -> Option<Observation> {
-        if r.input_rows.is_nan()
-            || r.input_rows <= 0.0
-            || r.lo.is_nan()
-            || r.hi.is_nan()
-            || r.lo > r.hi
-        {
-            return None;
-        }
-        let fraction = (r.rows_out / r.input_rows).clamp(0.0, 1.0);
-        if !fraction.is_finite() {
-            return None;
-        }
-        Some(Observation {
-            lo: r.lo,
-            hi: r.hi,
-            fraction,
-            input_rows: r.input_rows,
-        })
-    }
-}
-
 /// What one correction pass did to a histogram.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct CorrectionOutcome {
-    /// Observations actually applied (after digestion filters).
+    /// Observations actually applied (one overlapping no bucket is not).
     pub applied: usize,
     /// Deterministic work units charged, comparable to
     /// [`build_work`](crate::statistic::build_work) units.
@@ -91,12 +67,12 @@ pub struct CorrectionOutcome {
     pub domain_extended: bool,
 }
 
-/// Accumulates digested observations per (raw table id, column ordinal).
-/// Iteration order is fixed by the `BTreeMap` key order; within a key,
-/// observations keep ingest order — both matter for determinism.
+/// Accumulates observations per (table, column ordinal). Iteration order is
+/// fixed by the `BTreeMap` key order; within a key, observations keep filing
+/// order — both matter for determinism.
 #[derive(Debug, Clone, Default)]
 pub struct FeedbackStore {
-    observations: BTreeMap<(u64, u32), Vec<Observation>>,
+    observations: BTreeMap<(TableId, usize), Vec<Observation>>,
 }
 
 impl FeedbackStore {
@@ -104,33 +80,50 @@ impl FeedbackStore {
         FeedbackStore::default()
     }
 
-    /// Digest and file raw executor records in order.
-    pub fn ingest(&mut self, records: &[FeedbackRecord]) {
-        for r in records {
-            if let Some(obs) = Observation::from_record(r) {
-                self.observations
-                    .entry((r.table, r.column))
-                    .or_default()
-                    .push(obs);
-            }
+    /// File one observed scan: a predicate on `column` of `table` selected
+    /// the inclusive numeric-key range `[lo, hi]` (equality has `lo == hi`,
+    /// an open end is ±∞) and returned `rows_out` of the `input_rows` rows
+    /// it read. Dropped when it cannot inform a correction: an empty table,
+    /// a NaN endpoint or an inverted range.
+    pub fn observe(
+        &mut self,
+        table: TableId,
+        column: usize,
+        lo: f64,
+        hi: f64,
+        rows_out: usize,
+        input_rows: usize,
+    ) {
+        if input_rows == 0 || lo.is_nan() || hi.is_nan() || lo > hi {
+            return;
         }
+        let input_rows = input_rows as f64;
+        self.observations
+            .entry((table, column))
+            .or_default()
+            .push(Observation {
+                lo,
+                hi,
+                fraction: (rows_out as f64 / input_rows).clamp(0.0, 1.0),
+                input_rows,
+            });
     }
 
-    /// Observations filed for one (table, column), in ingest order.
-    pub fn observations(&self, table: u64, column: u32) -> &[Observation] {
+    /// Observations filed for one (table, column), in filing order.
+    pub fn observations(&self, table: TableId, column: usize) -> &[Observation] {
         self.observations
             .get(&(table, column))
             .map(Vec::as_slice)
             .unwrap_or(&[])
     }
 
-    pub fn count(&self, table: u64, column: u32) -> usize {
+    pub fn count(&self, table: TableId, column: usize) -> usize {
         self.observations(table, column).len()
     }
 
     /// Remove and return one key's observations (consumed on apply so the
     /// same feedback never corrects a histogram twice).
-    pub fn take(&mut self, table: u64, column: u32) -> Vec<Observation> {
+    pub fn take(&mut self, table: TableId, column: usize) -> Vec<Observation> {
         self.observations
             .remove(&(table, column))
             .unwrap_or_default()
@@ -456,25 +449,20 @@ mod tests {
     #[test]
     fn store_digests_and_consumes_in_order() {
         let mut store = FeedbackStore::new();
-        let rec = |table: u64, column: u32, rows_out: f64| FeedbackRecord {
-            table,
-            column,
-            lo: 1.0,
-            hi: 2.0,
-            rows_out,
-            input_rows: 10.0,
-        };
-        store.ingest(&[rec(1, 0, 1.0), rec(1, 0, 2.0), rec(2, 1, 3.0)]);
-        // A record on an empty table digests to nothing.
-        store.ingest(&[FeedbackRecord {
-            input_rows: 0.0,
-            ..rec(3, 0, 1.0)
-        }]);
-        assert_eq!(store.count(1, 0), 2);
-        assert_eq!(store.count(2, 1), 1);
-        assert_eq!(store.count(3, 0), 0);
+        let (t1, t2, t3) = (TableId(1), TableId(2), TableId(3));
+        store.observe(t1, 0, 1.0, 2.0, 1, 10);
+        store.observe(t1, 0, 1.0, 2.0, 2, 10);
+        store.observe(t2, 1, 1.0, 2.0, 3, 10);
+        // An observation of an empty table, a NaN endpoint or an inverted
+        // range is dropped.
+        store.observe(t3, 0, 1.0, 2.0, 1, 0);
+        store.observe(t3, 0, f64::NAN, 2.0, 1, 10);
+        store.observe(t3, 0, 2.0, 1.0, 1, 10);
+        assert_eq!(store.count(t1, 0), 2);
+        assert_eq!(store.count(t2, 1), 1);
+        assert_eq!(store.count(t3, 0), 0);
         assert_eq!(store.total(), 3);
-        let taken = store.take(1, 0);
+        let taken = store.take(t1, 0);
         assert_eq!(taken.len(), 2);
         assert!((taken[0].fraction - 0.1).abs() < 1e-12);
         assert!((taken[1].fraction - 0.2).abs() < 1e-12);
@@ -496,8 +484,8 @@ mod tests {
 
     use proptest::prelude::*;
 
-    /// Raw executor records with hostile floats: NaN/±∞ endpoints, inverted
-    /// ranges, zero-row inputs, rows_out far above input_rows.
+    /// Hostile observations: NaN/±∞ endpoints, inverted ranges, zero-row
+    /// inputs, rows_out far above input_rows.
     fn arb_endpoint() -> impl Strategy<Value = f64> {
         prop_oneof![
             Just(f64::NAN),
@@ -507,21 +495,15 @@ mod tests {
         ]
     }
 
-    fn arb_record() -> impl Strategy<Value = FeedbackRecord> {
+    /// `(lo, hi, rows_out, input_rows)` as [`FeedbackStore::observe`] takes
+    /// them.
+    fn arb_scan() -> impl Strategy<Value = (f64, f64, usize, usize)> {
         (
             arb_endpoint(),
             arb_endpoint(),
-            prop_oneof![Just(0.0f64), 0.0..1e6f64],
-            0.0f64..2e6,
+            0usize..2_000_000,
+            prop_oneof![Just(0usize), 0usize..1_000_000],
         )
-            .prop_map(|(lo, hi, input_rows, rows_out)| FeedbackRecord {
-                table: 1,
-                column: 0,
-                lo,
-                hi,
-                rows_out,
-                input_rows,
-            })
     }
 
     proptest! {
@@ -534,12 +516,17 @@ mod tests {
         /// → bit-identical histograms), and an empty stream is a no-op.
         #[test]
         fn arbitrary_feedback_streams_preserve_invariants(
-            records in prop::collection::vec(arb_record(), 0..60),
+            scans in prop::collection::vec(arb_scan(), 0..60),
             max_buckets in 1usize..24,
         ) {
             let mut store = FeedbackStore::new();
-            store.ingest(&records);
-            let observations = store.take(1, 0);
+            for &(lo, hi, rows_out, input_rows) in &scans {
+                store.observe(TableId(1), 0, lo, hi, rows_out, input_rows);
+            }
+            let observations = store.take(TableId(1), 0);
+            for o in &observations {
+                prop_assert!(o.input_rows > 0.0 && (0.0..=1.0).contains(&o.fraction));
+            }
 
             let mut h = uniform_histogram();
             let mut twin = uniform_histogram();

@@ -144,10 +144,7 @@ impl StatsCatalog {
     fn correct(&mut self, t: &Table, id: StatId, store: &mut FeedbackStore) -> Option<Refreshed> {
         let max_buckets = self.build_options().max_buckets;
         let s = self.stats.get_mut(&id)?;
-        let (table, column) = (
-            s.descriptor.table.0 as u64,
-            s.descriptor.leading_column() as u32,
-        );
+        let (table, column) = (s.descriptor.table, s.descriptor.leading_column());
         if s.descriptor.is_multi_column()
             || !correctable(&s.histogram)
             || store.count(table, column) < MIN_OBSERVATIONS
@@ -156,7 +153,7 @@ impl StatsCatalog {
         }
         let observations = store.take(table, column);
         let mut span = self.obs.tracer.span("stats.feedback_refresh");
-        span.arg("table", table);
+        span.arg("table", table.0 as u64);
         span.arg("stat", id.0 as u64);
         span.arg("observations", observations.len());
         let outcome = correct_histogram(&mut s.histogram, &observations, max_buckets);
@@ -432,19 +429,6 @@ mod tests {
         );
     }
 
-    fn feedback_records(t: TableId, column: u32, n: usize) -> Vec<obsv::FeedbackRecord> {
-        (0..n)
-            .map(|i| obsv::FeedbackRecord {
-                table: t.0 as u64,
-                column,
-                lo: 0.0,
-                hi: 10.0 + (i % 3) as f64,
-                rows_out: 440.0,
-                input_rows: 2000.0,
-            })
-            .collect()
-    }
-
     #[test]
     fn feedback_refresh_corrects_in_place_and_resets_staleness() {
         let (mut db, t) = test_db();
@@ -462,7 +446,9 @@ mod tests {
         assert_eq!(cat.stale_statistics(&db, &policy), vec![id]);
 
         let mut store = FeedbackStore::new();
-        store.ingest(&feedback_records(t, 0, 6));
+        for i in 0..6 {
+            store.observe(t, 0, 0.0, 10.0 + (i % 3) as f64, 440, 2000);
+        }
         let scan_cost = cat.update_cost_of(&db, [id]);
         let refreshed = cat.refresh(&db, t, &[id], Some(&mut store));
         assert_eq!(refreshed.len(), 1);
@@ -544,24 +530,16 @@ mod tests {
             all.len()
         );
 
-        let record = |column: u32, lo: f64, hi: f64, rows_out: f64| obsv::FeedbackRecord {
-            table: t.0 as u64,
-            column,
-            lo,
-            hi,
-            rows_out,
-            input_rows: 1600.0,
-        };
         let mut store = FeedbackStore::new();
         for i in 0..6 {
-            store.ingest(&[
-                record(0, 0.0, 10.0 + i as f64, 300.0),
-                record(1, 1e6, 2e6, 0.0),
-                record(2, 0.0, 3.0, 900.0),
-                record(4, 0.0, 1.0, 50.0),
-            ]);
+            store.observe(t, 0, 0.0, 10.0 + i as f64, 300, 1600);
+            store.observe(t, 1, 1e6, 2e6, 0, 1600);
+            store.observe(t, 2, 0.0, 3.0, 900, 1600);
+            store.observe(t, 4, 0.0, 1.0, 50, 1600);
         }
-        store.ingest(&[record(3, 0.0, 5.0, 700.0); 2]);
+        for _ in 0..2 {
+            store.observe(t, 3, 0.0, 5.0, 700, 1600);
+        }
 
         let refreshed = cat.refresh(&db, t, &all, Some(&mut store));
         let order: Vec<(StatId, Option<usize>)> =
@@ -583,12 +561,11 @@ mod tests {
             .stale_statistics(&db, &MaintenancePolicy::default())
             .is_empty());
 
-        let raw = t.0 as u64;
-        assert_eq!(store.count(raw, 0), 0);
-        assert_eq!(store.count(raw, 1), 0, "taken even though none applied");
-        assert_eq!(store.count(raw, 2), 6);
-        assert_eq!(store.count(raw, 3), 2);
-        assert_eq!(store.count(raw, 4), 6);
+        assert_eq!(store.count(t, 0), 0);
+        assert_eq!(store.count(t, 1), 0, "taken even though none applied");
+        assert_eq!(store.count(t, 2), 6);
+        assert_eq!(store.count(t, 3), 2);
+        assert_eq!(store.count(t, 4), 6);
 
         let total = refreshed.iter().fold(0.0, |sum, r| sum + r.work);
         assert_eq!(cat.update_work().to_bits(), total.to_bits());

@@ -78,15 +78,7 @@ fn span_truth_matches_reference_interpreter_on_adversarial_workloads() {
                 .unwrap()
                 .plan;
             let tracer = obsv::Tracer::enabled();
-            let out = execute_plan_observed(
-                &db,
-                &q,
-                &plan,
-                &optimizer.params,
-                &tracer,
-                &obsv::FeedbackLog::disabled(),
-            )
-            .unwrap();
+            let out = execute_plan_observed(&db, &q, &plan, &optimizer.params, &tracer).unwrap();
             let events = tracer.flush();
             assert!(
                 obsv::trace::validate(&events).is_empty(),

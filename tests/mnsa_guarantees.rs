@@ -28,10 +28,14 @@ fn db(z: f64, seed: u64) -> Database {
 
 fn execute_workload(db: &Database, catalog: &StatsCatalog, workload: &[BoundStatement]) -> f64 {
     let mut db = db.clone();
-    executor::WorkloadRunner::default()
-        .run(&mut db, catalog.full_view(), workload)
-        .unwrap()
-        .total_work
+    let optimizer = Optimizer::default();
+    let mut work = 0.0;
+    for stmt in workload {
+        work += executor::run_statement(&mut db, catalog.full_view(), &optimizer, stmt)
+            .unwrap()
+            .work();
+    }
+    work
 }
 
 fn workload_queries(db: &Database, spec: &WorkloadSpec) -> Vec<BoundSelect> {

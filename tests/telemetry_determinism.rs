@@ -203,10 +203,8 @@ fn executor_is_trace_invariant() {
         )
         .unwrap()
         .plan;
-    let feedback = obsv::FeedbackLog::disabled();
     let run = |tracer: &obsv::Tracer| {
-        let out = execute_plan_observed(&db, &query, &plan, &optimizer.params, tracer, &feedback)
-            .unwrap();
+        let out = execute_plan_observed(&db, &query, &plan, &optimizer.params, tracer).unwrap();
         (out.rows, out.work.to_bits())
     };
     assert_eq!(
