@@ -13,9 +13,13 @@
 //! enough frequency to displace anything. A bounded *ghost list* (ARC
 //! style) remembers the frequency of recently evicted fingerprints; a
 //! re-arriving ghost resumes its old count instead of restarting at one.
+//!
+//! Both bounds are kept by ordered indexes beside the maps — the retained
+//! templates by eviction key, the ghosts by eviction order — so an
+//! observation costs `O(log capacity)`, eviction included.
 
 use query::BoundSelect;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Monitor sizing and eviction seed.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -66,7 +70,12 @@ struct Ghost {
 pub struct WorkloadMonitor {
     config: MonitorConfig,
     templates: BTreeMap<u64, Template>,
+    /// Every retained template's `(frequency, last_seen_tick, mix(seed,
+    /// fp), fp)`: the first is the next to evict.
+    by_eviction_key: BTreeSet<(u64, u64, u64, u64)>,
     ghosts: BTreeMap<u64, Ghost>,
+    /// Every ghost's fingerprint by `evicted_seq`: the first is the oldest.
+    ghosts_by_age: BTreeMap<u64, u64>,
     arrivals: u64,
     evict_seq: u64,
     observed_total: u64,
@@ -84,6 +93,11 @@ fn mix(seed: u64, x: u64) -> u64 {
     z ^ (z >> 31)
 }
 
+/// A retained template's place in `WorkloadMonitor::by_eviction_key`.
+fn eviction_key(seed: u64, fp: u64, t: &Template) -> (u64, u64, u64, u64) {
+    (t.frequency, t.last_seen_tick, mix(seed, fp), fp)
+}
+
 impl WorkloadMonitor {
     pub fn new(config: MonitorConfig) -> Self {
         WorkloadMonitor {
@@ -92,7 +106,9 @@ impl WorkloadMonitor {
                 ..config
             },
             templates: BTreeMap::new(),
+            by_eviction_key: BTreeSet::new(),
             ghosts: BTreeMap::new(),
+            ghosts_by_age: BTreeMap::new(),
             arrivals: 0,
             evict_seq: 0,
             observed_total: 0,
@@ -107,27 +123,35 @@ impl WorkloadMonitor {
     pub fn observe(&mut self, query: &BoundSelect, tick: u64) -> u64 {
         let fp = query.fingerprint();
         self.observed_total += 1;
+        let seed = self.config.seed;
         if let Some(t) = self.templates.get_mut(&fp) {
+            self.by_eviction_key.remove(&eviction_key(seed, fp, t));
             t.frequency += 1;
             t.last_seen_tick = tick;
+            self.by_eviction_key.insert(eviction_key(seed, fp, t));
             return fp;
         }
         // Ghost restoration: a recently evicted template resumes its count.
-        let history = self.ghosts.remove(&fp).map_or(0, |g| g.frequency);
+        let history = match self.ghosts.remove(&fp) {
+            Some(g) => {
+                self.ghosts_by_age.remove(&g.evicted_seq);
+                g.frequency
+            }
+            None => 0,
+        };
         if history > 0 {
             self.ghost_hits_total += 1;
         }
         self.arrivals += 1;
-        self.templates.insert(
-            fp,
-            Template {
-                query: query.clone(),
-                frequency: history + 1,
-                arrival: self.arrivals,
-                first_seen_tick: tick,
-                last_seen_tick: tick,
-            },
-        );
+        let t = Template {
+            query: query.clone(),
+            frequency: history + 1,
+            arrival: self.arrivals,
+            first_seen_tick: tick,
+            last_seen_tick: tick,
+        };
+        self.by_eviction_key.insert(eviction_key(seed, fp, &t));
+        self.templates.insert(fp, t);
         if self.templates.len() > self.config.capacity {
             self.evict_one();
         }
@@ -137,38 +161,28 @@ impl WorkloadMonitor {
     /// Evict the template with the least `(frequency, last_seen_tick,
     /// mix(seed, fp))` — deterministic for a fixed seed and stream.
     fn evict_one(&mut self) {
-        let seed = self.config.seed;
-        let victim = self
-            .templates
-            .iter()
-            .map(|(fp, t)| ((t.frequency, t.last_seen_tick, mix(seed, *fp)), *fp))
-            .min_by_key(|(key, _)| *key)
-            .map(|(_, fp)| fp);
-        if let Some(fp) = victim {
-            if let Some(t) = self.templates.remove(&fp) {
-                self.evict_seq += 1;
-                self.ghosts.insert(
-                    fp,
-                    Ghost {
-                        frequency: t.frequency,
-                        evicted_seq: self.evict_seq,
-                    },
-                );
-                // Ghost list is bounded too: forget the oldest eviction.
-                while self.ghosts.len() > self.config.capacity {
-                    let oldest = self
-                        .ghosts
-                        .iter()
-                        .min_by_key(|(_, g)| g.evicted_seq)
-                        .map(|(fp, _)| *fp);
-                    match oldest {
-                        Some(fp) => self.ghosts.remove(&fp),
-                        None => break,
-                    };
-                }
-                self.evictions_total += 1;
-                self.pending_evictions.push(fp);
+        let Some((_, _, _, fp)) = self.by_eviction_key.pop_first() else {
+            return;
+        };
+        if let Some(t) = self.templates.remove(&fp) {
+            self.evict_seq += 1;
+            self.ghosts.insert(
+                fp,
+                Ghost {
+                    frequency: t.frequency,
+                    evicted_seq: self.evict_seq,
+                },
+            );
+            self.ghosts_by_age.insert(self.evict_seq, fp);
+            // Ghost list is bounded too: forget the oldest eviction.
+            while self.ghosts.len() > self.config.capacity {
+                let Some((_, oldest)) = self.ghosts_by_age.pop_first() else {
+                    break;
+                };
+                self.ghosts.remove(&oldest);
             }
+            self.evictions_total += 1;
+            self.pending_evictions.push(fp);
         }
     }
 
@@ -381,5 +395,121 @@ mod tests {
         // which is its fingerprint: the tick need not compute it again.
         let keyed: Vec<(u64, u64)> = m.queries().map(|(fp, q)| (fp, q.fingerprint())).collect();
         assert_eq!(keyed, expect.iter().map(|&fp| (fp, fp)).collect::<Vec<_>>());
+    }
+
+    /// The rule the indexes replaced, kept as the oracle: a linear scan for
+    /// the least `(frequency, last_seen_tick, mix(seed, fp))` to evict and
+    /// for the least `evicted_seq` to forget, over fingerprints alone.
+    struct LinearScan {
+        capacity: usize,
+        seed: u64,
+        /// fp → (frequency, arrival, first_seen_tick, last_seen_tick)
+        templates: BTreeMap<u64, (u64, u64, u64, u64)>,
+        /// fp → (frequency, evicted_seq)
+        ghosts: BTreeMap<u64, (u64, u64)>,
+        arrivals: u64,
+        evict_seq: u64,
+        ghost_hits: u64,
+        evictions: Vec<u64>,
+    }
+
+    impl LinearScan {
+        fn observe(&mut self, fp: u64, tick: u64) {
+            if let Some(t) = self.templates.get_mut(&fp) {
+                t.0 += 1;
+                t.3 = tick;
+                return;
+            }
+            let history = self.ghosts.remove(&fp).map_or(0, |g| g.0);
+            self.ghost_hits += u64::from(history > 0);
+            self.arrivals += 1;
+            self.templates
+                .insert(fp, (history + 1, self.arrivals, tick, tick));
+            if self.templates.len() <= self.capacity {
+                return;
+            }
+            let seed = self.seed;
+            let victim = self
+                .templates
+                .iter()
+                .map(|(fp, t)| ((t.0, t.3, mix(seed, *fp)), *fp))
+                .min_by_key(|(key, _)| *key)
+                .map(|(_, fp)| fp)
+                .unwrap();
+            let t = self.templates.remove(&victim).unwrap();
+            self.evict_seq += 1;
+            self.ghosts.insert(victim, (t.0, self.evict_seq));
+            while self.ghosts.len() > self.capacity {
+                let oldest = self
+                    .ghosts
+                    .iter()
+                    .min_by_key(|(_, g)| g.1)
+                    .map(|(fp, _)| *fp)
+                    .unwrap();
+                self.ghosts.remove(&oldest);
+            }
+            self.evictions.push(victim);
+        }
+
+        fn templates(&self) -> Vec<TemplateStats> {
+            let mut by_arrival: Vec<_> = self.templates.iter().collect();
+            by_arrival.sort_by_key(|(_, t)| t.1);
+            by_arrival
+                .into_iter()
+                .map(|(&fingerprint, t)| TemplateStats {
+                    fingerprint,
+                    frequency: t.0,
+                    first_seen_tick: t.2,
+                    last_seen_tick: t.3,
+                })
+                .collect()
+        }
+    }
+
+    #[test]
+    fn indexed_eviction_matches_the_linear_scan() {
+        let db = db();
+        let qs = queries(&db, 300);
+        for capacity in [1, 4, 256] {
+            let seed = 0xA07D + capacity as u64;
+            let mut m = WorkloadMonitor::new(MonitorConfig { capacity, seed });
+            let mut oracle = LinearScan {
+                capacity,
+                seed,
+                templates: BTreeMap::new(),
+                ghosts: BTreeMap::new(),
+                arrivals: 0,
+                evict_seq: 0,
+                ghost_hits: 0,
+                evictions: Vec::new(),
+            };
+            let mut evicted = Vec::new();
+            // A skewed seeded stream: a few hot templates, a long tail, and
+            // ticks that repeat so recency ties are broken by the hash.
+            let mut state = 0x9E37_79B9_7F4A_7C15u64 ^ capacity as u64;
+            for i in 0..4000u64 {
+                state = state
+                    .wrapping_mul(6_364_136_223_846_793_005)
+                    .wrapping_add(1_442_695_040_888_963_407);
+                let u = (state >> 33) % 1000;
+                let q = &qs[(u * u / 3334) as usize];
+                let tick = i / 7;
+                let fp = m.observe(q, tick);
+                oracle.observe(fp, tick);
+                if i % 97 == 0 {
+                    evicted.extend(m.drain_evictions());
+                    assert_eq!(m.templates(), oracle.templates(), "capacity {capacity}");
+                }
+            }
+            evicted.extend(m.drain_evictions());
+            assert_eq!(evicted, oracle.evictions, "capacity {capacity}");
+            assert_eq!(m.templates(), oracle.templates());
+            assert_eq!(m.ghost_hits_total(), oracle.ghost_hits);
+            assert_eq!(m.evictions_total(), oracle.evictions.len() as u64);
+            assert_eq!(m.ghosts.len(), oracle.ghosts.len());
+            if capacity < 256 {
+                assert!(oracle.ghost_hits > 0 && !oracle.evictions.is_empty());
+            }
+        }
     }
 }

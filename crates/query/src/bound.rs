@@ -143,13 +143,22 @@ impl BoundSelect {
 
     /// Stable structural fingerprint of the bound query (FNV-1a over the
     /// `Debug` rendering, which is deterministic: every field is a `Vec`).
-    /// Used as the query component of optimizer cache keys.
+    /// The rendering is hashed as it is written, never held as a `String`.
     pub fn fingerprint(&self) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for b in format!("{self:?}").bytes() {
-            h = (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
+        /// FNV-1a over every byte written to it.
+        struct Fnv(u64);
+        impl fmt::Write for Fnv {
+            fn write_str(&mut self, s: &str) -> fmt::Result {
+                for b in s.bytes() {
+                    self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+                }
+                Ok(())
+            }
         }
-        h
+        let mut h = Fnv(0xcbf2_9ce4_8422_2325);
+        // The sink never fails, and `Debug` fails only when its sink does.
+        let _ = fmt::Write::write_fmt(&mut h, format_args!("{self:?}"));
+        h.0
     }
 
     /// All selectivity variables of this query, in a stable order.
@@ -291,6 +300,37 @@ mod tests {
         assert!(rel.contains(&(TableId(1), 3)));
         assert!(rel.contains(&(TableId(1), 1)));
         assert_eq!(rel.len(), 6);
+    }
+
+    #[test]
+    fn fingerprint_is_fnv_over_the_rendered_debug_string() {
+        let rendered = |q: &BoundSelect| {
+            format!("{q:?}")
+                .bytes()
+                .fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+                    (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+                })
+        };
+        let q = two_rel_query();
+        let mut other = two_rel_query();
+        other.selections[0].op = PredOp::Cmp(CmpOp::Lt, Value::Str("x\u{e9}\"".into()));
+        let bare = BoundSelect {
+            relations: vec![(TableId(3), "t".into())],
+            projection: Projection::Star,
+            aggregates: vec![],
+            selections: vec![],
+            join_edges: vec![],
+            group_by: vec![],
+            order_by: vec![],
+        };
+        let fps: Vec<u64> = [q, other, bare]
+            .iter()
+            .map(|q| {
+                assert_eq!(q.fingerprint(), rendered(q));
+                q.fingerprint()
+            })
+            .collect();
+        assert!(fps[0] != fps[1] && fps[1] != fps[2] && fps[0] != fps[2]);
     }
 
     #[test]

@@ -161,11 +161,10 @@ impl Histogram {
         // (first row, row count) of every non-null value, in first-row order.
         let distinct: Vec<(usize, usize)> = groups
             .first_rows(rows)
-            .into_iter()
             .zip(groups.sizes())
             .enumerate()
             .filter(|&(id, _)| Some(id) != null)
-            .map(|(_, (row, size))| (row, size as usize))
+            .map(|(_, (row, &size))| (row, size as usize))
             .collect();
         let non_null = distinct.iter().map(|&(_, size)| size).sum();
         let run = |key: f64, size: usize| bucket_key(key).map(|k| (k, size));

@@ -18,11 +18,21 @@
 //! column is coded once into a dense `u32` per row read (`Groups::of_column`)
 //! and each longer prefix is the previous prefix's group ids refined by the
 //! next column's codes (`Groups::refine`), so a `k`-column prefix costs one
-//! `u64`-keyed hash probe per row rather than a `k`-element tuple.
+//! lookup per row rather than a `k`-element tuple. The one pass that assigns
+//! the ids also counts each group's rows and notes its first row, which is
+//! all a histogram needs.
+//!
+//! Where a lookup can be a table index, no row is hashed. A string column
+//! brings its dictionary codes ([`ColumnData::str_codes`]), made once and
+//! kept current by the column's writes; integers and dates index a table by
+//! their offset from the least value read; and a refinement indexes by the
+//! pair of group ids. Each takes the table when its slots number at most
+//! twice the rows read plus 1 024 (`direct`), so that clearing the table
+//! costs no more than the pass. Floats, integers spread wider and pairs of
+//! many groups go through an open-addressing table on their bit patterns
+//! (`KeyTable`).
 
-use crate::sampler::iter_rows;
 use rustc_hash::FxHashMap;
-use std::hash::Hash;
 use storage::{ColumnData, PayloadRef, Value};
 
 /// First-order jackknife estimate of a table's distinct count from a sample
@@ -65,26 +75,148 @@ fn estimate(sizes: &[u32], total_rows: usize) -> f64 {
     jackknife(sizes.len() as f64, f1 as f64, n, total_rows)
 }
 
-/// A bijection on `u64` that spreads a key over all 64 bits. The Fx hasher
-/// only multiplies, so its low bits — the ones a hash table indexes with —
-/// depend on the key's low bits alone; packed `(group, code)` pairs and the
-/// bit patterns of round floats differ mostly in their high bits and would
-/// pile into a few buckets. Multiplying by an odd constant and folding the
-/// high half down is invertible, so distinct keys stay distinct and the
-/// counts stay exact.
-#[inline]
-fn mix(key: u64) -> u64 {
-    let m = key.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    m ^ (m >> 32)
+/// Whether `slots` distinct keys over `rows` rows read are few enough to
+/// give each a slot of a direct-address table: the table then costs about
+/// as much to clear as the ids cost to write.
+fn direct(slots: u128, rows: usize) -> bool {
+    slots <= 2 * rows as u128 + 1024
+}
+
+/// Not a group id: an empty slot of a direct-address table or of a
+/// [`KeyTable`].
+const EMPTY: u32 = u32::MAX;
+
+/// Group ids by `u64` key, for keys too spread for a direct-address table:
+/// open addressing with linear probing, at most half full. A key's first
+/// slot is the high bits of the key times an odd constant, which depend on
+/// every bit of the key: the bit patterns of floats holding small integers
+/// differ only in their high bits, packed `(group, code)` pairs mostly in
+/// theirs.
+struct KeyTable {
+    slots: Vec<(u64, u32)>,
+    /// 64 minus the base-2 log of the slot count.
+    shift: u32,
+    len: usize,
+}
+
+impl KeyTable {
+    fn new() -> KeyTable {
+        KeyTable {
+            slots: vec![(0, EMPTY); 1 << 8],
+            shift: 64 - 8,
+            len: 0,
+        }
+    }
+
+    #[inline]
+    fn home(&self, key: u64) -> usize {
+        (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> self.shift) as usize
+    }
+
+    /// The id held for `key`: `EMPTY` when the key is new, for the caller
+    /// to fill in before the next call.
+    #[inline]
+    fn slot(&mut self, key: u64) -> &mut u32 {
+        if 2 * (self.len + 1) > self.slots.len() {
+            self.grow();
+        }
+        let mask = self.slots.len() - 1;
+        let mut i = self.home(key);
+        loop {
+            let (k, id) = self.slots[i];
+            if id == EMPTY {
+                self.len += 1;
+                self.slots[i].0 = key;
+                return &mut self.slots[i].1;
+            }
+            if k == key {
+                return &mut self.slots[i].1;
+            }
+            i = (i + 1) & mask;
+        }
+    }
+
+    fn grow(&mut self) {
+        let doubled = vec![(0, EMPTY); 2 * self.slots.len()];
+        let old = std::mem::replace(&mut self.slots, doubled);
+        self.shift -= 1;
+        let mask = self.slots.len() - 1;
+        for (key, id) in old.into_iter().filter(|&(_, id)| id != EMPTY) {
+            let mut i = self.home(key);
+            while self.slots[i].1 != EMPTY {
+                i = (i + 1) & mask;
+            }
+            self.slots[i] = (key, id);
+        }
+    }
+}
+
+/// Group ids handed out in order of first appearance, with each group's
+/// size and first position, as the rows read are coded one by one.
+struct Coder {
+    ids: Vec<u32>,
+    sizes: Vec<u32>,
+    firsts: Vec<u32>,
+}
+
+impl Coder {
+    fn new(rows: usize) -> Coder {
+        Coder {
+            ids: Vec::with_capacity(rows),
+            sizes: Vec::new(),
+            firsts: Vec::new(),
+        }
+    }
+
+    /// The next row belongs to group `id`.
+    #[inline]
+    fn old(&mut self, id: u32) {
+        self.ids.push(id);
+        self.sizes[id as usize] += 1;
+    }
+
+    /// The next row opens a group; its id comes back.
+    #[inline]
+    fn new_group(&mut self) -> u32 {
+        let id = self.sizes.len() as u32;
+        self.firsts.push(self.ids.len() as u32);
+        self.sizes.push(1);
+        self.ids.push(id);
+        id
+    }
+
+    /// The next row's group through its slot of a direct-address table or
+    /// a [`KeyTable`].
+    #[inline]
+    fn slot(&mut self, slot: &mut u32) {
+        if *slot == EMPTY {
+            *slot = self.new_group();
+        } else {
+            self.old(*slot);
+        }
+    }
+
+    fn finish(self, null_id: Option<u32>) -> Groups {
+        Groups {
+            ids: self.ids,
+            sizes: self.sizes,
+            firsts: self.firsts,
+            null_id,
+        }
+    }
 }
 
 /// A partition of the rows one build reads into groups of equal value (one
 /// column) or equal tuple (a column prefix): a dense group id per row read,
-/// numbered in order of first appearance. Row counts must fit `u32`.
+/// numbered in order of first appearance, and each group's size and first
+/// row. Row counts must fit `u32`.
 #[derive(Debug)]
 pub(crate) struct Groups {
     ids: Vec<u32>,
-    count: usize,
+    /// Rows per group, indexed by group id.
+    sizes: Vec<u32>,
+    /// Each group's first row, as a position among the rows read.
+    firsts: Vec<u32>,
     /// The group holding the NULL rows, for single-column partitions.
     null_id: Option<u32>,
 }
@@ -94,82 +226,142 @@ impl Groups {
     /// value. Equality is [`Value`]'s on what [`ColumnData::get`] returns:
     /// floats by bit pattern, dates narrowed to `i32`, and NULL a value of
     /// its own.
+    ///
+    /// No row's value is hashed where a table lookup can code it: a string
+    /// goes through its column's dictionary code, an integer or date through
+    /// its offset from the least one read when the values read span few
+    /// enough ([`direct`]). Floats, and integers spread wider, are hashed.
     pub(crate) fn of_column(col: &ColumnData, rows: Option<&[usize]>) -> Groups {
+        let valid = col.validity();
+        let n = rows.map_or(valid.len(), <[usize]>::len);
+        // `(valid, key)` per row read, one loop per kind of row list, so that
+        // no row pays for the choice.
+        macro_rules! per_row {
+            ($xs:expr, $key:expr, $kernel:expr) => {
+                match rows {
+                    None => $kernel(valid.iter().copied().zip($xs.iter().map($key))),
+                    Some(rows) => $kernel(rows.iter().map(|&r| (valid[r], $key(&$xs[r])))),
+                }
+            };
+        }
         match col.payload() {
-            PayloadRef::Int(xs) => Self::by_key(col, rows, |r| mix(xs[r] as u64)),
-            PayloadRef::Date(xs) => Self::by_key(col, rows, |r| mix(xs[r] as i32 as u64)),
-            PayloadRef::Float(xs) => Self::by_key(col, rows, |r| mix(xs[r].to_bits())),
-            PayloadRef::Str(xs) => Self::by_key(col, rows, |r| &*xs[r]),
+            PayloadRef::Int(xs) => per_row!(xs, |&x: &i64| x, |it| Self::of_ints(it, n)),
+            PayloadRef::Date(xs) => {
+                per_row!(xs, |&x: &i64| i64::from(x as i32), |it| Self::of_ints(
+                    it, n
+                ))
+            }
+            PayloadRef::Float(xs) => per_row!(xs, |x: &f64| x.to_bits(), |it| {
+                let mut seen = KeyTable::new();
+                Self::code(it, n, |coder, bits| coder.slot(seen.slot(bits)))
+            }),
+            PayloadRef::Str(_) => {
+                let Some((codes, bound)) = col.str_codes() else {
+                    unreachable!("a string column has codes")
+                };
+                per_row!(codes, |&c: &u32| c, |it| Self::of_codes(it, n, bound))
+            }
         }
     }
 
-    fn by_key<K: Hash + Eq>(
-        col: &ColumnData,
-        rows: Option<&[usize]>,
-        key: impl Fn(usize) -> K,
+    /// Code the `n` rows read, `(valid, key)` each: `value` files a non-null
+    /// row's key with `coder`, and the NULL rows share a group of their own.
+    #[inline]
+    fn code<K>(
+        rows: impl Iterator<Item = (bool, K)>,
+        n: usize,
+        mut value: impl FnMut(&mut Coder, K),
     ) -> Groups {
-        let valid = col.validity();
-        let mut ids = Vec::with_capacity(rows.map_or(valid.len(), <[usize]>::len));
-        let mut seen: FxHashMap<K, u32> = FxHashMap::default();
+        let mut coder = Coder::new(n);
         let mut null_id = None;
-        for r in iter_rows(rows, valid.len()) {
-            let fresh = seen.len() as u32 + u32::from(null_id.is_some());
-            ids.push(if valid[r] {
-                *seen.entry(key(r)).or_insert(fresh)
+        for (valid, key) in rows {
+            if valid {
+                value(&mut coder, key);
+            } else if let Some(id) = null_id {
+                coder.old(id);
             } else {
-                *null_id.get_or_insert(fresh)
-            });
+                null_id = Some(coder.new_group());
+            }
         }
-        Groups {
-            ids,
-            count: seen.len() + usize::from(null_id.is_some()),
-            null_id,
+        coder.finish(null_id)
+    }
+
+    /// Integers by offset from the least one read, if the values read span
+    /// few enough, else by hash.
+    fn of_ints(rows: impl Iterator<Item = (bool, i64)> + Clone, n: usize) -> Groups {
+        let (lo, hi) = rows
+            .clone()
+            .filter(|&(valid, _)| valid)
+            .fold((i64::MAX, i64::MIN), |(lo, hi), (_, x)| {
+                (lo.min(x), hi.max(x))
+            });
+        let span = hi as i128 - lo as i128 + 1;
+        if span > 0 && direct(span as u128, n) {
+            let mut slots = vec![EMPTY; span as usize];
+            // `x - lo` is below the span, which fits `usize`; the
+            // subtraction itself may wrap past `i64`, the difference not.
+            Self::code(rows, n, |coder, x| {
+                coder.slot(&mut slots[x.wrapping_sub(lo) as u64 as usize])
+            })
+        } else {
+            let mut seen = KeyTable::new();
+            Self::code(rows, n, |coder, x| coder.slot(seen.slot(x as u64)))
+        }
+    }
+
+    /// Strings by their column's dictionary codes, all below `bound`.
+    fn of_codes(rows: impl Iterator<Item = (bool, u32)>, n: usize, bound: usize) -> Groups {
+        if direct(bound as u128, n) {
+            let mut slots = vec![EMPTY; bound];
+            Self::code(rows, n, |coder, c| coder.slot(&mut slots[c as usize]))
+        } else {
+            let mut seen = KeyTable::new();
+            Self::code(rows, n, |coder, c| coder.slot(seen.slot(u64::from(c))))
         }
     }
 
     /// The partition by (this partition's group, `column`'s group): the
-    /// tuples of a prefix one column longer.
+    /// tuples of a prefix one column longer. A pair is a slot of a
+    /// direct-address table when the two group counts multiply to few
+    /// enough ([`direct`]), and a [`KeyTable`] key otherwise.
     pub(crate) fn refine(&self, column: &Groups) -> Groups {
         debug_assert_eq!(self.ids.len(), column.ids.len());
-        let mut seen: FxHashMap<u64, u32> = FxHashMap::default();
-        let ids = self
-            .ids
-            .iter()
-            .zip(&column.ids)
-            .map(|(&group, &code)| {
-                let fresh = seen.len() as u32;
-                *seen
-                    .entry(mix(u64::from(group) << 32 | u64::from(code)))
-                    .or_insert(fresh)
-            })
-            .collect();
-        Groups {
-            ids,
-            count: seen.len(),
-            null_id: None,
+        let mut coder = Coder::new(self.ids.len());
+        let pairs = self.ids.iter().zip(&column.ids);
+        let width = column.count();
+        if direct(self.count() as u128 * width as u128, self.ids.len()) {
+            let mut slots = vec![EMPTY; self.count() * width];
+            for (&group, &code) in pairs {
+                coder.slot(&mut slots[group as usize * width + code as usize]);
+            }
+        } else {
+            let mut seen = KeyTable::new();
+            for (&group, &code) in pairs {
+                coder.slot(seen.slot(u64::from(group) << 32 | u64::from(code)));
+            }
         }
+        coder.finish(None)
+    }
+
+    /// Number of groups.
+    fn count(&self) -> usize {
+        self.sizes.len()
     }
 
     /// Rows per group, indexed by group id.
-    pub(crate) fn sizes(&self) -> Vec<u32> {
-        let mut sizes = vec![0u32; self.count];
-        for &id in &self.ids {
-            sizes[id as usize] += 1;
-        }
-        sizes
+    pub(crate) fn sizes(&self) -> &[u32] {
+        &self.sizes
     }
 
     /// The first row of each group, indexed by group id. `rows` must be the
     /// rows the partition was made over.
-    pub(crate) fn first_rows(&self, rows: Option<&[usize]>) -> Vec<usize> {
-        let mut firsts = Vec::with_capacity(self.count);
-        for (r, &id) in iter_rows(rows, self.ids.len()).zip(&self.ids) {
-            // Ids count up in order of first appearance.
-            if id as usize == firsts.len() {
-                firsts.push(r);
-            }
-        }
-        firsts
+    pub(crate) fn first_rows<'r>(
+        &'r self,
+        rows: Option<&'r [usize]>,
+    ) -> impl Iterator<Item = usize> + 'r {
+        self.firsts
+            .iter()
+            .map(move |&p| rows.map_or(p as usize, |rows| rows[p as usize]))
     }
 
     /// The group holding the NULL rows of a single-column partition.
@@ -182,16 +374,16 @@ impl Groups {
     /// NULL counts as a value.
     pub(crate) fn ndv(&self, total_rows: usize) -> f64 {
         if self.ids.len() >= total_rows {
-            return self.count as f64; // a full scan counts exactly
+            return self.count() as f64; // a full scan counts exactly
         }
-        estimate(&self.sizes(), total_rows)
+        estimate(&self.sizes, total_rows)
     }
 
     /// [`Groups::ndv`] over the non-null rows only (sample size included),
     /// for a single-column partition: what [`estimate_ndv`] returns for the
     /// column's non-null values.
     pub(crate) fn non_null_ndv(&self, total_rows: usize) -> f64 {
-        let mut sizes = self.sizes();
+        let mut sizes = self.sizes.clone();
         if let Some(null) = self.null_id {
             sizes.swap_remove(null as usize);
         }
@@ -275,10 +467,24 @@ mod tests {
     }
 
     #[test]
-    fn mix_is_a_bijection_on_packed_pairs() {
-        // Spot check: pairs that differ only in the high half stay apart.
-        let keys: std::collections::HashSet<u64> = (0..1000u64).map(|g| mix(g << 32 | 7)).collect();
-        assert_eq!(keys.len(), 1000);
+    fn key_table_keeps_keys_apart_through_growth() {
+        // Floats holding small integers differ in their high bits only, and
+        // so do packed `(group, code)` pairs with one code.
+        let keys: Vec<u64> = (1..=1000)
+            .map(|i| f64::from(i).to_bits())
+            .chain((0..1000u64).map(|g| g << 32 | 7))
+            .collect();
+        let mut table = KeyTable::new();
+        for (id, &key) in keys.iter().enumerate() {
+            let slot = table.slot(key);
+            assert_eq!(*slot, EMPTY, "{key:#x} is new");
+            *slot = id as u32;
+        }
+        for (id, &key) in keys.iter().enumerate() {
+            assert_eq!(*table.slot(key), id as u32);
+        }
+        assert_eq!(table.len, keys.len());
+        assert!(2 * table.len <= table.slots.len());
     }
 
     #[test]

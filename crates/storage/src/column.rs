@@ -14,9 +14,20 @@
 //! bump a reference count instead of copying bytes. Cells are not interned:
 //! one `Arc` per distinct value would have every client thread bump the same
 //! few counters, which measured slower than a count per row.
+//!
+//! Beside its cells (not instead of them) a string column can hold dictionary
+//! codes: one `u32` per row, equal exactly where the strings are equal,
+//! numbered in order of first appearance ([`ColumnData::str_codes`]). They are
+//! made the first time a reader asks for them, not at load: coding every
+//! string column of a bulk load costs the load a hash per cell, whether or not
+//! a statistic is ever built on the column. From then on every write keeps
+//! them current, so a build after a write finds them ready, and a clone (so a
+//! copy-on-write) carries them. A column that is only appended to and never
+//! built on, such as a gathered copy of a partitioned table, never has them.
 
 use crate::value::{DataType, Value, ValueRef};
-use std::sync::{Arc, LazyLock};
+use std::collections::HashMap;
+use std::sync::{Arc, LazyLock, OnceLock};
 
 /// The padding a NULL leaves in a string column's payload: one empty cell for
 /// the whole process, so a NULL allocates nothing.
@@ -59,17 +70,81 @@ impl<'a> PayloadRef<'a> {
     }
 }
 
+/// A string column's dictionary codes: one per row, the padding cell of a
+/// NULL row coded like any other.
+#[derive(Debug, Clone)]
+struct StrCodes {
+    /// Every string coded so far, deleted rows' included, with its code.
+    dict: HashMap<Arc<str>, u32>,
+    codes: Vec<u32>,
+}
+
+impl StrCodes {
+    fn of(cells: &[Arc<str>]) -> StrCodes {
+        let mut codes = StrCodes {
+            dict: HashMap::new(),
+            codes: Vec::with_capacity(cells.len()),
+        };
+        for s in cells {
+            let c = codes.code(s);
+            codes.codes.push(c);
+        }
+        codes
+    }
+
+    /// The code of `s`, a new one if no string equal to it was coded yet.
+    fn code(&mut self, s: &Arc<str>) -> u32 {
+        if let Some(&c) = self.dict.get(&**s) {
+            return c;
+        }
+        let c = self.dict.len() as u32;
+        self.dict.insert(Arc::clone(s), c);
+        c
+    }
+
+    /// Code the cells `from` appends, through `from`'s own codes when it has
+    /// them: one dictionary probe per distinct string rather than per row.
+    fn extend(&mut self, cells: &[Arc<str>], from: Option<&StrCodes>) {
+        let Some(from) = from else {
+            for s in cells {
+                let c = self.code(s);
+                self.codes.push(c);
+            }
+            return;
+        };
+        let mut mine = vec![u32::MAX; from.dict.len()];
+        for (s, &theirs) in cells.iter().zip(&from.codes) {
+            let slot = &mut mine[theirs as usize];
+            if *slot == u32::MAX {
+                *slot = self.code(s);
+            }
+            self.codes.push(*slot);
+        }
+    }
+}
+
 /// Storage for one column of a table.
 #[derive(Debug, Clone)]
 pub struct ColumnData {
     payload: Payload,
     /// validity[i] == false means row i is NULL.
     validity: Vec<bool>,
+    /// A string column's codes once a reader has asked for them; boxed, so
+    /// that every other column pays one pointer and a once-flag for them.
+    codes: OnceLock<Box<StrCodes>>,
 }
 
-// The payload (a tag and one `Vec`) and the bitmap: a second payload vector
-// would show here, as a wider cell shows in `Value`'s assertion.
-const _: () = assert!(std::mem::size_of::<ColumnData>() == 56);
+// The payload (a tag and one `Vec`), the bitmap and the boxed string codes
+// (16 bytes): a second payload vector would show here, as a wider cell shows
+// in `Value`'s assertion.
+const _: () = assert!(std::mem::size_of::<ColumnData>() == 72);
+
+/// A dictionary this much larger than its column is dropped, to be made
+/// again from the live rows when next asked for: writes that replace or
+/// delete strings leave entries no row holds any more.
+fn stale(dict_len: usize, rows: usize) -> bool {
+    dict_len > 2 * rows + 1024
+}
 
 /// Remove the entries at `sorted_rows` (ascending, unique), keeping the rest
 /// in order.
@@ -94,6 +169,7 @@ impl ColumnData {
                 DataType::Str => Payload::Str(Vec::new()),
             },
             validity: Vec::new(),
+            codes: OnceLock::new(),
         }
     }
 
@@ -134,19 +210,29 @@ impl ColumnData {
             ),
         }
         self.validity.push(valid);
+        if let (Some(codes), Payload::Str(xs)) = (self.codes.get_mut(), &self.payload) {
+            let c = codes.code(&xs[xs.len() - 1]);
+            codes.codes.push(c);
+        }
     }
 
     /// Append every row of `other`, which must hold the same `DataType`
     /// (the caller, `Table::append_table`, checks): one bulk copy of the
     /// payload vector and the validity bitmap instead of a `Value` per cell.
-    /// String cells are shared with `other`, not copied.
+    /// String cells are shared with `other`, not copied; if this column has
+    /// its codes, the appended rows are coded too, and not otherwise.
     pub fn extend_from(&mut self, other: &ColumnData) {
         match (&mut self.payload, &other.payload) {
             (Payload::Int(xs), Payload::Int(from)) | (Payload::Date(xs), Payload::Date(from)) => {
                 xs.extend_from_slice(from)
             }
             (Payload::Float(xs), Payload::Float(from)) => xs.extend_from_slice(from),
-            (Payload::Str(xs), Payload::Str(from)) => xs.extend_from_slice(from),
+            (Payload::Str(xs), Payload::Str(from)) => {
+                xs.extend_from_slice(from);
+                if let Some(codes) = self.codes.get_mut() {
+                    codes.extend(from, other.codes.get().map(|c| &**c));
+                }
+            }
             _ => panic!(
                 "type mismatch extending a {:?} column from a {:?} column",
                 self.data_type(),
@@ -154,6 +240,7 @@ impl ColumnData {
             ),
         }
         self.validity.extend_from_slice(&other.validity);
+        self.drop_stale_codes();
     }
 
     /// Value at row `i`. A string comes back as the stored cell itself
@@ -207,23 +294,70 @@ impl ColumnData {
         }
     }
 
+    /// The dictionary codes of a string column, `None` for any other type:
+    /// one per row, equal exactly where the cells are equal (a NULL row's
+    /// code is its padding cell's), with the bound every code is below.
+    /// Codes count up from 0 in order of first appearance when made; a
+    /// write can leave a code unused, so the bound is not a distinct count.
+    /// The first call on a column makes them, which costs a hash per row.
+    pub fn str_codes(&self) -> Option<(&[u32], usize)> {
+        let Payload::Str(xs) = &self.payload else {
+            return None;
+        };
+        let codes = self.codes.get_or_init(|| Box::new(StrCodes::of(xs)));
+        Some((&codes.codes, codes.dict.len()))
+    }
+
+    /// Forget codes that [`stale`] says have outgrown the column.
+    fn drop_stale_codes(&mut self) {
+        if let Some(codes) = self.codes.get() {
+            if stale(codes.dict.len(), self.len()) {
+                self.codes = OnceLock::new();
+            }
+        }
+    }
+
     /// Overwrite row `i`. A value this column's type cannot hold comes back
     /// as its type, and the row is left as it was.
     pub fn set(&mut self, i: usize, v: Value) -> Result<(), DataType> {
+        assert!(i < self.len(), "row {i} of a {}-row column", self.len());
+        self.set_rows(&[i], &v).map(drop)
+    }
+
+    /// Overwrite every row of `rows` below [`ColumnData::len`] with `v` and
+    /// count them; a string is coded once for all of them. A value this
+    /// column's type cannot hold comes back as its type, and the column is
+    /// left as it was.
+    pub fn set_rows(&mut self, rows: &[usize], v: &Value) -> Result<usize, DataType> {
+        let len = self.len();
+        let rows = || rows.iter().copied().filter(move |&r| r < len);
+        let written = rows().count();
+        if written == 0 {
+            return Ok(0);
+        }
         let Some(found) = v.data_type() else {
-            self.validity[i] = false;
-            return Ok(());
+            rows().for_each(|r| self.validity[r] = false);
+            return Ok(written);
         };
         match (&mut self.payload, v) {
-            (Payload::Int(xs) | Payload::Date(xs), Value::Int(x)) => xs[i] = x,
-            (Payload::Date(xs), Value::Date(d)) => xs[i] = d as i64,
-            (Payload::Float(xs), Value::Float(x)) => xs[i] = x,
-            (Payload::Float(xs), Value::Int(x)) => xs[i] = x as f64,
-            (Payload::Str(xs), Value::Str(s)) => xs[i] = s,
+            (Payload::Int(xs) | Payload::Date(xs), &Value::Int(x)) => {
+                rows().for_each(|r| xs[r] = x)
+            }
+            (Payload::Date(xs), &Value::Date(d)) => rows().for_each(|r| xs[r] = d as i64),
+            (Payload::Float(xs), &Value::Float(x)) => rows().for_each(|r| xs[r] = x),
+            (Payload::Float(xs), &Value::Int(x)) => rows().for_each(|r| xs[r] = x as f64),
+            (Payload::Str(xs), Value::Str(s)) => {
+                rows().for_each(|r| xs[r] = Arc::clone(s));
+                if let Some(codes) = self.codes.get_mut() {
+                    let c = codes.code(s);
+                    rows().for_each(|r| codes.codes[r] = c);
+                }
+            }
             _ => return Err(found),
         }
-        self.validity[i] = true;
-        Ok(())
+        rows().for_each(|r| self.validity[r] = true);
+        self.drop_stale_codes();
+        Ok(written)
     }
 
     /// Remove the rows whose indices are in `sorted_rows` (ascending, unique)
@@ -238,6 +372,10 @@ impl ColumnData {
             Payload::Float(xs) => compact(xs, sorted_rows),
             Payload::Str(xs) => compact(xs, sorted_rows),
         }
+        if let Some(codes) = self.codes.get_mut() {
+            compact(&mut codes.codes, sorted_rows);
+        }
+        self.drop_stale_codes();
     }
 
     /// Iterator over all values including NULLs.

@@ -200,15 +200,9 @@ impl Table {
     /// column's type cannot hold is an error and changes nothing: whether it
     /// fits depends on the column alone, so the first row already refuses.
     pub fn update_rows(&mut self, rows: &[usize], col: usize, value: &Value) -> Result<usize> {
-        let mut n = 0;
-        for &r in rows {
-            if r < self.row_count() {
-                self.columns[col]
-                    .set(r, value.clone())
-                    .map_err(|found| self.type_mismatch(col, found))?;
-                n += 1;
-            }
-        }
+        let n = self.columns[col]
+            .set_rows(rows, value)
+            .map_err(|found| self.type_mismatch(col, found))?;
         self.modification_counter += n as u64;
         self.version += u64::from(n > 0);
         Ok(n)

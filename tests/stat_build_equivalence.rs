@@ -10,7 +10,12 @@
 //! payloads, `-0.0` beside `0.0`, infinities, integers past 2^53, a `Date`
 //! column holding payloads wider than `i32`, strings with an ASCII common
 //! prefix, with none, with one that ends inside a multi-byte character, and
-//! distinct strings alike in all eight key bytes.
+//! distinct strings alike in all eight key bytes. Integer and date pools come
+//! spread wide, where the builder hashes, and narrow, where it codes through
+//! a direct-address table: across zero, next to `i64::MAX` and `i64::MIN`,
+//! and a span just inside and just outside the bound on the rows read. And
+//! every case builds before a run of writes to the string column — whose
+//! dictionary codes the writes then keep — and builds again after it.
 
 mod support;
 
@@ -28,11 +33,23 @@ use support::build_statistic_oracle;
 
 const BIG: i64 = 1 << 53;
 
-/// Column 0: integers, some of which collapse onto one `f64` key.
-fn int_pool() -> Vec<Value> {
-    [0, 1, 2, 3, 4, 5, BIG, BIG + 1, -BIG - 1, i64::MAX, i64::MIN]
-        .map(Value::Int)
-        .to_vec()
+/// Column 0: integers from one of six pools chosen per case, for a table of
+/// `rows` rows. The first collapses onto few `f64` keys and spans all of
+/// `i64`; the others span little.
+fn int_pool(kind: usize, rows: usize) -> Vec<Value> {
+    // The widest span the builder still codes through a table.
+    let bound = 2 * rows as i64 + 1024;
+    let pool: Vec<i64> = match kind {
+        0 => vec![0, 1, 2, 3, 4, 5, BIG, BIG + 1, -BIG - 1, i64::MAX, i64::MIN],
+        1 => vec![-5, -1, 0, 1, 3, 5, -4],
+        // `x - lo` overflows `i64` on neither side, though `x - 0` would.
+        2 => vec![i64::MAX, i64::MAX - 1, i64::MAX - 7, i64::MAX - 3],
+        3 => vec![i64::MIN, i64::MIN + 1, i64::MIN + 9, i64::MIN + 2],
+        // Spans of exactly the bound and one past it.
+        4 => vec![-100, -100 + bound - 1, -50, 7],
+        _ => vec![-100, -100 + bound, -50, 7],
+    };
+    pool.into_iter().map(Value::Int).collect()
 }
 
 /// Column 1: floats equal under `==` but not bit for bit, and the reverse.
@@ -77,15 +94,26 @@ fn str_pool(kind: usize) -> Vec<Value> {
 }
 
 /// Column 3: a `Date` column; `Int` payloads past `i32` read back narrowed.
-fn date_pool() -> Vec<Value> {
+/// The second pool's payloads span all of `i64` and narrow into eleven days.
+fn date_pool(kind: usize) -> Vec<Value> {
+    let far = if kind == 0 { 10_000 } else { 7 };
     vec![
         Value::Date(0),
         Value::Date(5),
         Value::Date(-3),
-        Value::Date(10_000),
+        Value::Date(far),
         Value::Int((1 << 32) + 5),
         Value::Int((1 << 40) - 3),
+        Value::Int(-(1 << 50) + 2),
     ]
+}
+
+/// Which pool columns 0, 2 and 3 draw from.
+#[derive(Debug, Clone, Copy)]
+struct Pools {
+    int: usize,
+    str: usize,
+    date: usize,
 }
 
 fn pick(pool: &[Value], choice: Option<usize>) -> Value {
@@ -93,8 +121,9 @@ fn pick(pool: &[Value], choice: Option<usize>) -> Value {
 }
 
 /// Six columns: int, float, str, date, an all-NULL int, a low-cardinality
-/// int. `picks[r]` chooses row `r`'s entry of each of the first four.
-fn table_db(picks: &[[Option<usize>; 4]], str_kind: usize) -> (Database, TableId) {
+/// int. `picks[r]` chooses row `r`'s entry of each of the first four; the
+/// integer pool is sized for `rows` rows.
+fn table_db(picks: &[[Option<usize>; 4]], pools: Pools, rows: usize) -> (Database, TableId) {
     let schema = Schema::new(vec![
         ColumnDef::new("i", DataType::Int).nullable(),
         ColumnDef::new("f", DataType::Float).nullable(),
@@ -105,7 +134,12 @@ fn table_db(picks: &[[Option<usize>; 4]], str_kind: usize) -> (Database, TableId
     ]);
     let mut db = Database::new();
     let t = db.create_table("t", schema).unwrap();
-    let pools = [int_pool(), float_pool(), str_pool(str_kind), date_pool()];
+    let pools = [
+        int_pool(pools.int, rows),
+        float_pool(),
+        str_pool(pools.str),
+        date_pool(pools.date),
+    ];
     for (r, row) in picks.iter().enumerate() {
         let mut values: Vec<Value> = (0..4).map(|c| pick(&pools[c], row[c])).collect();
         values.push(Value::Null);
@@ -195,11 +229,11 @@ fn oracle_snapshot(
 /// statistic at a time ≡ all at once (≡ the oracle, under full scans).
 fn check_case(
     picks: &[[Option<usize>; 4]],
-    str_kind: usize,
+    pools: Pools,
     columns: Vec<Vec<usize>>,
     seed: u64,
 ) -> Result<(), TestCaseError> {
-    let (db, t) = table_db(picks, str_kind);
+    let (db, t) = table_db(picks, pools, picks.len());
     // 1–3-column descriptors; drawing few columns from six makes shared
     // leading columns and shared prefixes (and repeats) common.
     let descriptors: Vec<StatDescriptor> = columns
@@ -218,7 +252,7 @@ fn check_case(
     // The refreshes read a table that has grown and lost its first row.
     let mut grown = db.clone();
     let extra: Vec<[Option<usize>; 4]> = picks.iter().rev().take(20).copied().collect();
-    let (more, more_t) = table_db(&extra, str_kind);
+    let (more, more_t) = table_db(&extra, pools, picks.len());
     grown.table_mut(t).append_table(more.table(more_t)).unwrap();
     grown.table_mut(t).delete_rows(vec![0]);
 
@@ -283,7 +317,67 @@ fn check_case(
             prop_assert_eq!(fields(&batched.snapshot()), fields(&refreshed));
         }
     }
+
+    // Writes to a string column whose codes were made before them, then
+    // builds on what they left.
+    let written = write_strings(&db, t, &more, more_t, pools);
+    for options in option_grid() {
+        for (i, d) in descriptors.iter().enumerate() {
+            let (id, seed) = (StatId(i as u32), seed + i as u64);
+            let table = written.table(t);
+            prop_assert_eq!(
+                fields(&build_statistic(id, table, d.clone(), &options, seed, 3)),
+                fields(&build_statistic_oracle(
+                    id,
+                    table,
+                    d.clone(),
+                    &options,
+                    seed,
+                    3
+                )),
+                "{:?} under {:?} after writes",
+                d,
+                options
+            );
+        }
+    }
     Ok(())
+}
+
+/// A copy of `db` after writes to table `t`'s string column made once its
+/// dictionary codes exist (a build asks for them first): a value set on
+/// some rows, one no row held set on others, rows NULLed, rows deleted, a
+/// row inserted, and `more`'s rows appended, their codes made beforehand
+/// as well. `db` itself is left as it was.
+fn write_strings(
+    db: &Database,
+    t: TableId,
+    more: &Database,
+    more_t: TableId,
+    pools: Pools,
+) -> Database {
+    let mut written = db.clone();
+    let options = BuildOptions::default();
+    let string = StatDescriptor::single(t, 2);
+    build_statistic(StatId(0), written.table(t), string.clone(), &options, 0, 0);
+    build_statistic(StatId(0), more.table(more_t), string, &options, 0, 0);
+    let table = written.table_mut(t);
+    let rows = table.row_count();
+    let pool = str_pool(pools.str);
+    let every = |step: usize| (0..rows).step_by(step).collect::<Vec<_>>();
+    table.update_rows(&every(2), 2, &pool[0]).unwrap();
+    table
+        .update_rows(&every(5), 2, &"a string no row held".into())
+        .unwrap();
+    table.update_rows(&every(7), 2, &Value::Null).unwrap();
+    table.delete_rows(every(4));
+    let mut row = vec![Value::Null; 5];
+    row.push(Value::Int(1));
+    table.insert(row.clone()).unwrap();
+    row[2] = pool[pool.len() - 1].clone();
+    table.insert(row).unwrap();
+    table.append_table(more.table(more_t)).unwrap();
+    written
 }
 
 proptest! {
@@ -300,13 +394,15 @@ proptest! {
             ),
             0..90,
         ),
-        str_kind in 0usize..4,
+        int in 0usize..6,
+        str in 0usize..4,
+        date in 0usize..2,
         columns in prop::collection::vec(prop::collection::vec(0usize..6, 1..4), 1..6),
         seed in 0u64..1000,
     ) {
         let picks: Vec<[Option<usize>; 4]> =
             picks.into_iter().map(|(a, b, c, d)| [a, b, c, d]).collect();
-        check_case(&picks, str_kind, columns, seed)?;
+        check_case(&picks, Pools { int, str, date }, columns, seed)?;
     }
 }
 
@@ -326,8 +422,38 @@ fn degenerate_tables_equal_the_value_oracle() {
     };
     let every_entry: Vec<[Option<usize>; 4]> = (0..11).map(|i| [Some(i); 4]).collect();
     for picks in [&[][..], &[[None; 4]], &[[Some(2); 4]], &every_entry] {
-        for str_kind in 0..4 {
-            check_case(picks, str_kind, columns(), 1).unwrap();
+        for str in 0..4 {
+            let pools = Pools {
+                int: 0,
+                str,
+                date: 0,
+            };
+            check_case(picks, pools, columns(), 1).unwrap();
+        }
+    }
+}
+
+/// Every narrow integer and date pool, each entry of it read, so that the
+/// span the builder sees is the pool's: across zero, at either end of `i64`
+/// (where `x - lo` could overflow), exactly at the direct-address bound and
+/// one past it, and dates whose wide payloads narrow into a few days.
+#[test]
+fn direct_address_pools_equal_the_value_oracle() {
+    let columns = || vec![vec![0], vec![3], vec![0, 3], vec![3, 0, 2], vec![5, 0]];
+    let cyclic: Vec<[Option<usize>; 4]> = (0..60)
+        .map(|r| {
+            [
+                Some(r % 7),
+                (r % 3 != 0).then_some(r),
+                Some(r % 5),
+                (r % 9 != 4).then_some(r),
+            ]
+        })
+        .collect();
+    for int in 0..6 {
+        for date in 0..2 {
+            let pools = Pools { int, str: 1, date };
+            check_case(&cyclic, pools, columns(), 5).unwrap();
         }
     }
 }
@@ -347,11 +473,16 @@ fn nan_only_null_first_and_colliding_keys_equal_the_value_oracle() {
         let string = (r % 7 != 0).then_some(r % 4);
         [Some(r % 11), float, string, Some(r % 6)]
     }));
-    check_case(&picks, 3, columns(), 1).unwrap();
+    let pools = Pools {
+        int: 0,
+        str: 3,
+        date: 0,
+    };
+    check_case(&picks, pools, columns(), 1).unwrap();
 
     // The premise, not only the agreement: NaN rows are non-null rows the
     // histogram leaves out, and the three colliding strings are one run.
-    let (db, t) = table_db(&picks, 3);
+    let (db, t) = table_db(&picks, pools, picks.len());
     let build = |column| {
         let d = StatDescriptor::single(t, column);
         build_statistic(StatId(0), db.table(t), d, &BuildOptions::default(), 0, 0)
