@@ -61,7 +61,14 @@ impl CostParams {
 
     /// Hash join: build on the right input, probe with the left.
     pub fn hash_join(&self, probe_rows: f64, build_rows: f64, out_rows: f64) -> f64 {
-        self.hash_build * build_rows + self.hash_probe * probe_rows + self.join_output * out_rows
+        self.hash_join_priced(probe_rows, build_rows, self.join_output * out_rows)
+    }
+
+    /// [`hash_join`](Self::hash_join) with its output term, `join_output ×
+    /// out_rows`, already priced: the join enumerator prices every split of
+    /// a subset against one output.
+    pub(crate) fn hash_join_priced(&self, probe_rows: f64, build_rows: f64, output: f64) -> f64 {
+        self.hash_build * build_rows + self.hash_probe * probe_rows + output
     }
 
     /// Sort-merge join including both sorts.
@@ -86,15 +93,37 @@ impl CostParams {
         right_rows: f64,
         out_rows: f64,
     ) -> f64 {
-        left_sort
-            + right_sort
-            + self.merge_row * (left_rows + right_rows)
-            + self.join_output * out_rows
+        self.merge_join_priced(
+            left_sort,
+            right_sort,
+            left_rows,
+            right_rows,
+            self.join_output * out_rows,
+        )
+    }
+
+    /// [`merge_join_sorted`](Self::merge_join_sorted) with its output term
+    /// already priced, as [`hash_join_priced`](Self::hash_join_priced).
+    pub(crate) fn merge_join_priced(
+        &self,
+        left_sort: f64,
+        right_sort: f64,
+        left_rows: f64,
+        right_rows: f64,
+        output: f64,
+    ) -> f64 {
+        left_sort + right_sort + self.merge_row * (left_rows + right_rows) + output
     }
 
     /// Nested-loop join: the inner subtree is re-evaluated per outer row.
     pub fn nested_loop(&self, outer_rows: f64, inner_cost: f64, out_rows: f64) -> f64 {
-        outer_rows.max(1.0) * inner_cost + self.join_output * out_rows
+        self.nested_loop_priced(outer_rows, inner_cost, self.join_output * out_rows)
+    }
+
+    /// [`nested_loop`](Self::nested_loop) with its output term already
+    /// priced, as [`hash_join_priced`](Self::hash_join_priced).
+    pub(crate) fn nested_loop_priced(&self, outer_rows: f64, inner_cost: f64, output: f64) -> f64 {
+        outer_rows.max(1.0) * inner_cost + output
     }
 
     pub fn sort(&self, rows: f64) -> f64 {
@@ -122,6 +151,70 @@ mod tests {
         assert!(p.nested_loop(10.0, 100.0, 5.0) < p.nested_loop(20.0, 100.0, 5.0));
         assert!(p.hash_aggregate(100.0, 5.0) < p.hash_aggregate(100.0, 50.0));
         assert!(p.sort(100.0) < p.sort(1000.0));
+    }
+
+    /// The join enumerator prices Merge once per unordered split pair
+    /// (`enumerate.rs`, module docs): that skip is exact only because a
+    /// merge join costs the same to the bit with its sides swapped. A NaN
+    /// may keep the payload of whichever operand came first, so two NaNs
+    /// count as agreeing — a NaN wins no `<` either way.
+    #[test]
+    fn merge_join_is_symmetric_to_the_bit() {
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let special = [
+            0.0,
+            -0.0,
+            1.0,
+            2.0,
+            0.1,
+            1e-310,
+            f64::from_bits(1),
+            f64::MIN_POSITIVE,
+            1e300,
+            f64::MAX,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+        ];
+        let draw = |next: &mut dyn FnMut() -> u64| -> f64 {
+            let r = next();
+            match r % 4 {
+                0 => special[(r >> 8) as usize % special.len()],
+                1 => f64::from_bits(next()),
+                2 => (next() >> 11) as f64 * 2f64.powi((r >> 8) as i32 % 64 - 16),
+                _ => (next() >> 11) as f64 / (1u64 << 53) as f64,
+            }
+        };
+        let agree = |x: f64, y: f64| x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan());
+        for case in 0..200_000 {
+            let p = if case % 2 == 0 {
+                CostParams::default()
+            } else {
+                CostParams {
+                    merge_row: draw(&mut next),
+                    join_output: draw(&mut next),
+                    ..CostParams::default()
+                }
+            };
+            let [a, b, ra, rb, out] = [0; 5].map(|_| draw(&mut next));
+            let (x, y) = (
+                p.merge_join_sorted(a, b, ra, rb, out),
+                p.merge_join_sorted(b, a, rb, ra, out),
+            );
+            assert!(agree(x, y), "{a} {b} {ra} {rb} {out}: {x} vs {y}");
+            let o = p.join_output * out;
+            let (x, y) = (
+                p.merge_join_priced(a, b, ra, rb, o),
+                p.merge_join_priced(b, a, rb, ra, o),
+            );
+            assert!(agree(x, y), "{a} {b} {ra} {rb} {o}: {x} vs {y}");
+        }
     }
 
     #[test]

@@ -19,7 +19,14 @@
 //!   an edge crosses, so a cartesian product never ties a connected join
 //!   away (cardinality estimates of zero would otherwise make everything
 //!   cost-equivalent); a subset with none considers every split as an
-//!   edge-less nested loop.
+//!   edge-less nested loop;
+//! * a split's Merge is skipped on the second visit of its unordered pair
+//!   (`left < mask \ left`): a merge join costs the same to the bit either
+//!   way round (each sum in it is one commutative addition), and the best
+//!   cost after the first visit is already no higher, so the mirrored
+//!   candidate could not win a strict `<` (a NaN wins none either way);
+//! * IndexNL is looked for only when the right side is one relation, the
+//!   only side an index can be probed into.
 
 use crate::cost::CostParams;
 use crate::error::PlanError;
@@ -265,7 +272,9 @@ impl Enumerator<'_> {
         connected: bool,
     ) -> Option<(f64, RelMask, JoinKind)> {
         let p = self.params;
-        let mut best: Option<(f64, RelMask, JoinKind)> = None;
+        let output = p.join_output * out_rows;
+        let mut best_cost = f64::INFINITY;
+        let mut best: Option<(RelMask, JoinKind)> = None;
         let mut sub = (mask - 1) & mask;
         while sub > 0 {
             let other = mask ^ sub;
@@ -274,39 +283,46 @@ impl Enumerator<'_> {
             let crossed = left.neighbours & other != 0;
             if crossed || !connected {
                 let mut consider = |kind: JoinKind, cost: f64| {
-                    if best.is_none_or(|(c, _, _)| cost < c) {
-                        best = Some((cost, sub, kind));
+                    if best.is_none() || cost < best_cost {
+                        best_cost = cost;
+                        best = Some((sub, kind));
                     }
                 };
                 if crossed {
                     let base = left.cost + right.cost;
                     consider(
                         JoinKind::Hash,
-                        base + p.hash_join(left.rows, right.rows, out_rows),
+                        base + p.hash_join_priced(left.rows, right.rows, output),
                     );
-                    consider(
-                        JoinKind::Merge,
-                        base + p.merge_join_sorted(
-                            left.sort, right.sort, left.rows, right.rows, out_rows,
-                        ),
-                    );
-                    if let Some((index, fetched)) = self.index_probe(sub, other) {
+                    // `other` was the left side of an earlier split, whose
+                    // Merge cost this one's to the bit (module docs).
+                    if sub > other {
                         consider(
-                            JoinKind::IndexNl { index },
-                            left.cost
-                                + left.rows.max(1.0) * (p.index_lookup + p.index_row * fetched)
-                                + p.join_output * out_rows,
+                            JoinKind::Merge,
+                            base + p.merge_join_priced(
+                                left.sort, right.sort, left.rows, right.rows, output,
+                            ),
                         );
+                    }
+                    if other & (other - 1) == 0 {
+                        if let Some((index, fetched)) = self.index_probe(sub, other) {
+                            consider(
+                                JoinKind::IndexNl { index },
+                                left.cost
+                                    + left.rows.max(1.0) * (p.index_lookup + p.index_row * fetched)
+                                    + output,
+                            );
+                        }
                     }
                 }
                 consider(
                     JoinKind::NestedLoop,
-                    left.cost + p.nested_loop(left.rows, right.cost, out_rows),
+                    left.cost + p.nested_loop_priced(left.rows, right.cost, output),
                 );
             }
             sub = (sub - 1) & mask;
         }
-        best
+        best.map(|(left, kind)| (best_cost, left, kind))
     }
 
     /// When `inner` is one relation with an index on a column that an edge

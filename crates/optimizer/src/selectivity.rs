@@ -10,6 +10,13 @@
 //! * `Magic` — no applicable statistics; the class default was used.
 //!
 //! The `Magic` set is exactly the `{s_1 … s_k}` of step (a) in §4.1.
+//!
+//! A profile is two dense arrays indexed by variable ordinal: the selections
+//! first, then the join edges, then GROUP BY — the sorted [`PredicateId`]
+//! order, so a walk over the ordinals is a walk in id order. A join edge
+//! with histograms on both sides asks [`StatsView::join_selectivity`],
+//! which the catalog memoizes per statistic pair; the null fractions and the
+//! floor are applied here, on every call.
 
 use crate::magic::MagicNumbers;
 use query::{BoundSelect, CmpOp, JoinEdge, PredClass, PredOp, PredicateId, SelectionPredicate};
@@ -48,32 +55,61 @@ pub enum SelectivitySource {
 /// The estimated selectivity of every variable of one query.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SelectivityProfile {
-    values: FxHashMap<PredicateId, f64>,
-    sources: FxHashMap<PredicateId, SelectivitySource>,
+    /// Selection predicates: ordinals `0..selections`.
+    selections: usize,
+    /// Join edges: ordinals `selections..selections + joins`. GROUP BY, when
+    /// the query has it, is the one ordinal after them.
+    joins: usize,
+    values: Vec<f64>,
+    sources: Vec<SelectivitySource>,
 }
 
 impl SelectivityProfile {
+    /// Where `id` sits in the arrays; `None` for an id the query lacks.
+    fn ordinal(&self, id: PredicateId) -> Option<usize> {
+        match id {
+            PredicateId::Selection(i) => (i < self.selections).then_some(i),
+            PredicateId::JoinEdge(i) => (i < self.joins).then(|| self.selections + i),
+            PredicateId::GroupBy => {
+                let at = self.selections + self.joins;
+                (at < self.values.len()).then_some(at)
+            }
+        }
+    }
+
+    /// The variable at `ordinal`, which is below `values.len()`.
+    fn id(&self, ordinal: usize) -> PredicateId {
+        if ordinal < self.selections {
+            PredicateId::Selection(ordinal)
+        } else if ordinal < self.selections + self.joins {
+            PredicateId::JoinEdge(ordinal - self.selections)
+        } else {
+            PredicateId::GroupBy
+        }
+    }
+
     /// Selectivity of one variable (1.0 for an id the query does not have —
     /// harmless identity for cardinality products).
     pub fn value(&self, id: PredicateId) -> f64 {
-        self.values.get(&id).copied().unwrap_or(1.0)
+        self.ordinal(id)
+            .and_then(|o| self.values.get(o))
+            .copied()
+            .unwrap_or(1.0)
     }
 
     pub fn source(&self, id: PredicateId) -> Option<&SelectivitySource> {
-        self.sources.get(&id)
+        self.ordinal(id).and_then(|o| self.sources.get(o))
     }
 
     /// The selectivity variables that fell back to magic numbers — the
-    /// `{s_1, …, s_k}` set MNSA perturbs.
+    /// `{s_1, …, s_k}` set MNSA perturbs — in sorted order.
     pub fn magic_variables(&self) -> Vec<PredicateId> {
-        let mut v: Vec<PredicateId> = self
-            .sources
+        self.sources
             .iter()
+            .enumerate()
             .filter(|(_, s)| matches!(s, SelectivitySource::Magic(_)))
-            .map(|(id, _)| *id)
-            .collect();
-        v.sort();
-        v
+            .map(|(o, _)| self.id(o))
+            .collect()
     }
 
     /// Do both profiles hold the same variables with bit-identical values
@@ -83,13 +119,14 @@ impl SelectivityProfile {
     /// plan and cost for the same query, table metadata and optimizer —
     /// though not the same `magic_variables`, which come from the sources.
     pub fn same_values(&self, other: &SelectivityProfile) -> bool {
-        self.values.len() == other.values.len()
-            && self.values.iter().all(|(id, v)| {
-                other
-                    .values
-                    .get(id)
-                    .is_some_and(|w| w.to_bits() == v.to_bits())
-            })
+        self.selections == other.selections
+            && self.joins == other.joins
+            && self.values.len() == other.values.len()
+            && self
+                .values
+                .iter()
+                .zip(&other.values)
+                .all(|(v, w)| v.to_bits() == w.to_bits())
     }
 
     /// Canonical content hash of the profile: every `(variable, value,
@@ -98,17 +135,15 @@ impl SelectivityProfile {
     /// optimizer to the same plan for the same query and table metadata —
     /// this is the *statistics-subset signature* of the optimize cache.
     pub fn fingerprint(&self) -> u64 {
-        let mut ids: Vec<PredicateId> = self.values.keys().copied().collect();
-        ids.sort();
         let mut h = crate::cache::Fnv::new();
-        for id in ids {
-            match id {
+        for (o, (value, source)) in self.values.iter().zip(&self.sources).enumerate() {
+            match self.id(o) {
                 PredicateId::Selection(i) => h.write(0).write(i as u64),
                 PredicateId::JoinEdge(i) => h.write(1).write(i as u64),
                 PredicateId::GroupBy => h.write(2),
             };
-            h.write(self.values[&id].to_bits());
-            match &self.sources[&id] {
+            h.write(value.to_bits());
+            match source {
                 SelectivitySource::Injected => {
                     h.write(3);
                 }
@@ -180,12 +215,13 @@ fn pred_range(op: &PredOp) -> Option<(Option<f64>, Option<f64>)> {
 /// 2-D histogram, the second predicate's marginal selectivity is replaced
 /// with the conditional `joint / marginal`, so the product the optimizer
 /// forms equals the joint estimate. Injected and magic variables are left
-/// untouched — MNSA's probes must pass through exactly.
+/// untouched — MNSA's probes must pass through exactly. `values` and
+/// `sources` hold the selections, at their ordinals.
 fn apply_joint_refinement(
     view: &StatsView<'_>,
     query: &BoundSelect,
-    values: &mut FxHashMap<PredicateId, f64>,
-    sources: &mut FxHashMap<PredicateId, SelectivitySource>,
+    values: &mut [f64],
+    sources: &mut [SelectivitySource],
 ) {
     let n = query.selections.len();
     let mut consumed = vec![false; n];
@@ -198,11 +234,9 @@ fn apply_joint_refinement(
             if pi.column.relation != pj.column.relation || pi.column.column == pj.column.column {
                 continue;
             }
-            let (idi, idj) = (PredicateId::Selection(i), PredicateId::Selection(j));
-            let stats_sourced = |id: &PredicateId| {
-                matches!(sources.get(id), Some(SelectivitySource::Statistics(_)))
-            };
-            if !stats_sourced(&idi) || !stats_sourced(&idj) {
+            let stats_sourced =
+                |o: usize| matches!(sources.get(o), Some(SelectivitySource::Statistics(_)));
+            if !stats_sourced(i) || !stats_sourced(j) {
                 continue;
             }
             let (Some(ri), Some(rj)) = (pred_range(&pi.op), pred_range(&pj.op)) else {
@@ -225,10 +259,12 @@ fn apply_joint_refinement(
                 y_lo: yr.0,
                 y_hi: yr.1,
             });
-            let marginal_i = values.get(&idi).copied().unwrap_or(1.0);
+            let marginal_i = values.get(i).copied().unwrap_or(1.0);
             if marginal_i > 0.0 {
-                values.insert(idj, clamp01(joint / marginal_i));
-                if let Some(SelectivitySource::Statistics(ids)) = sources.get_mut(&idj) {
+                if let Some(v) = values.get_mut(j) {
+                    *v = clamp01(joint / marginal_i);
+                }
+                if let Some(SelectivitySource::Statistics(ids)) = sources.get_mut(j) {
                     if !ids.contains(&stat.id) {
                         ids.push(stat.id);
                     }
@@ -244,7 +280,8 @@ fn apply_joint_refinement(
 /// (join statistics are useful in pairs, §4.2).
 ///
 /// Single-column edges with histograms on both sides use the histogram
-/// dot-product `Σ_v p_l(v)·p_r(v)`, which models skewed-key fan-out;
+/// dot-product `Σ_v p_l(v)·p_r(v)`, which models skewed-key fan-out (read
+/// through the view, which memoizes it per statistic pair);
 /// multi-column edges fall back to the density-based
 /// `1 / max(NDV_left, NDV_right)` over the joined column sets.
 fn join_from_stats(
@@ -257,9 +294,8 @@ fn join_from_stats(
     if let [(lcol, rcol)] = edge.pairs[..] {
         let ls = view.histogram_for(lt, lcol)?;
         let rs = view.histogram_for(rt, rcol)?;
-        let sel = stats::join_selectivity(&ls.histogram, &rs.histogram)
-            * (1.0 - ls.null_fraction)
-            * (1.0 - rs.null_fraction);
+        let sel =
+            view.join_selectivity(ls, rs) * (1.0 - ls.null_fraction) * (1.0 - rs.null_fraction);
         return Some((clamp01(sel), vec![ls.id, rs.id]));
     }
 
@@ -322,9 +358,9 @@ fn group_by_from_stats(
 /// Build the full selectivity profile for a query.
 ///
 /// `injected` overrides statistics and magic numbers for the given variables
-/// (§7.2's modified selectivity-estimation module). `input_rows_for_agg` is
-/// the estimated aggregate input cardinality, needed to convert a distinct
-/// count into a fraction.
+/// (§7.2's modified selectivity-estimation module); ids the query lacks are
+/// ignored. `input_rows_for_agg` is the estimated aggregate input
+/// cardinality, needed to convert a distinct count into a fraction.
 pub fn build_profile(
     db: &Database,
     view: &StatsView<'_>,
@@ -332,43 +368,57 @@ pub fn build_profile(
     magic: &MagicNumbers,
     injected: &FxHashMap<PredicateId, f64>,
 ) -> SelectivityProfile {
-    let mut values = FxHashMap::default();
-    let mut sources = FxHashMap::default();
+    let injected = |id: PredicateId| {
+        if injected.is_empty() {
+            None
+        } else {
+            injected.get(&id).copied()
+        }
+    };
+    let selections = query.selections.len();
+    let joins = query.join_edges.len();
+    let len = selections + joins + usize::from(!query.group_by.is_empty());
+    let mut values = Vec::with_capacity(len);
+    let mut sources = Vec::with_capacity(len);
 
     for (i, pred) in query.selections.iter().enumerate() {
-        let id = PredicateId::Selection(i);
-        if let Some(&v) = injected.get(&id) {
-            values.insert(id, clamp01(v));
-            sources.insert(id, SelectivitySource::Injected);
+        let (value, source) = if let Some(v) = injected(PredicateId::Selection(i)) {
+            (clamp01(v), SelectivitySource::Injected)
         } else if let Some((v, ids)) = selection_from_stats(view, query, pred) {
-            values.insert(id, v.max(MIN_STATS_SELECTIVITY));
-            sources.insert(id, SelectivitySource::Statistics(ids));
+            (
+                v.max(MIN_STATS_SELECTIVITY),
+                SelectivitySource::Statistics(ids),
+            )
         } else {
             let class = pred.op.class();
-            values.insert(id, magic.for_class(class));
-            sources.insert(id, SelectivitySource::Magic(class));
-        }
+            (magic.for_class(class), SelectivitySource::Magic(class))
+        };
+        values.push(value);
+        sources.push(source);
     }
 
     // Joint 2-D histograms refine pairs of selection estimates, when built.
     apply_joint_refinement(view, query, &mut values, &mut sources);
 
     for (i, edge) in query.join_edges.iter().enumerate() {
-        let id = PredicateId::JoinEdge(i);
-        if let Some(&v) = injected.get(&id) {
-            values.insert(id, clamp01(v));
-            sources.insert(id, SelectivitySource::Injected);
+        let (value, source) = if let Some(v) = injected(PredicateId::JoinEdge(i)) {
+            (clamp01(v), SelectivitySource::Injected)
         } else if let Some((v, ids)) = join_from_stats(view, query, edge) {
-            values.insert(id, v.max(MIN_STATS_SELECTIVITY / 10.0));
-            sources.insert(id, SelectivitySource::Statistics(ids));
+            (
+                v.max(MIN_STATS_SELECTIVITY / 10.0),
+                SelectivitySource::Statistics(ids),
+            )
         } else {
-            values.insert(id, magic.for_class(PredClass::Join));
-            sources.insert(id, SelectivitySource::Magic(PredClass::Join));
-        }
+            (
+                magic.for_class(PredClass::Join),
+                SelectivitySource::Magic(PredClass::Join),
+            )
+        };
+        values.push(value);
+        sources.push(source);
     }
 
     if !query.group_by.is_empty() {
-        let id = PredicateId::GroupBy;
         // Aggregate input cardinality under the values chosen so far.
         let mut input_rows = 1.0f64;
         for (rel, (tid, _)) in query.relations.iter().enumerate() {
@@ -377,32 +427,31 @@ pub fn build_profile(
             let base = db.try_table(*tid).map_or(0.0, |t| t.row_count() as f64);
             let filter: f64 = query
                 .selections_on(rel)
-                .map(|(i, _)| {
-                    values
-                        .get(&PredicateId::Selection(i))
-                        .copied()
-                        .unwrap_or(1.0)
-                })
+                .map(|(i, _)| values.get(i).copied().unwrap_or(1.0))
                 .product();
             input_rows *= base * filter;
         }
-        for (i, _) in query.join_edges.iter().enumerate() {
-            input_rows *= values
-                .get(&PredicateId::JoinEdge(i))
-                .copied()
-                .unwrap_or(1.0);
+        for edge in values.get(selections..).unwrap_or_default() {
+            input_rows *= edge;
         }
-        if let Some(&v) = injected.get(&id) {
-            values.insert(id, clamp01(v));
-            sources.insert(id, SelectivitySource::Injected);
+        let (value, source) = if let Some(v) = injected(PredicateId::GroupBy) {
+            (clamp01(v), SelectivitySource::Injected)
         } else if let Some((v, ids)) = group_by_from_stats(view, query, input_rows) {
-            values.insert(id, v);
-            sources.insert(id, SelectivitySource::Statistics(ids));
+            (v, SelectivitySource::Statistics(ids))
         } else {
-            values.insert(id, magic.for_class(PredClass::GroupBy));
-            sources.insert(id, SelectivitySource::Magic(PredClass::GroupBy));
-        }
+            (
+                magic.for_class(PredClass::GroupBy),
+                SelectivitySource::Magic(PredClass::GroupBy),
+            )
+        };
+        values.push(value);
+        sources.push(source);
     }
 
-    SelectivityProfile { values, sources }
+    SelectivityProfile {
+        selections,
+        joins,
+        values,
+        sources,
+    }
 }

@@ -1,12 +1,15 @@
 //! The statistics catalog: creation, lookup, ignore-views, the drop-list,
-//! aging and snapshots. What happens to a statistic after it is built —
-//! refresh, auto-drop — is [`crate::maintenance`].
+//! aging, snapshots and the join-selectivity memo. What happens to a
+//! statistic after it is built — refresh, auto-drop — is
+//! [`crate::maintenance`].
 
 use crate::error::StatsError;
+use crate::histogram::join_selectivity;
 use crate::sampler::SampleSpec;
 use crate::statistic::{
     build_statistic, build_work, BuildOptions, StatDescriptor, StatId, Statistic, TableScan,
 };
+use parking_lot::Mutex;
 use rustc_hash::FxHashMap;
 use std::collections::{BTreeMap, BTreeSet, HashSet};
 use storage::{Database, Table, TableId};
@@ -63,6 +66,28 @@ pub(crate) struct CatalogObs {
     build_work: obsv::FloatCounter,
     pub(crate) feedback_refreshes: obsv::Counter,
     pub(crate) feedback_work: obsv::FloatCounter,
+    join_memo_hits: obsv::Counter,
+    join_memo_misses: obsv::Counter,
+}
+
+/// The join selectivity of every ordered statistic pair a profile has asked
+/// for, keyed by id (see [`StatsView::join_selectivity`]). An id names one
+/// histogram until that histogram changes: the three writes that change one
+/// under an existing id — a rebuild, a feedback correction, a physical drop
+/// — [`forget`](JoinMemo::forget) it, and ids are never reused.
+#[derive(Debug, Default)]
+pub(crate) struct JoinMemo(Mutex<FxHashMap<(StatId, StatId), f64>>);
+
+impl JoinMemo {
+    /// Drop every entry `id` takes part in. `&mut self`: no lock is taken.
+    pub(crate) fn forget(&mut self, id: StatId) {
+        self.0.get_mut().retain(|&(a, b), _| a != id && b != id);
+    }
+
+    #[cfg(test)]
+    pub(crate) fn len(&mut self) -> usize {
+        self.0.get_mut().len()
+    }
 }
 
 /// The statistics catalog.
@@ -85,6 +110,8 @@ pub struct StatsCatalog {
     /// Base seed for per-statistic sampling.
     seed: u64,
     pub(crate) obs: CatalogObs,
+    /// Not part of a snapshot: a restored catalog starts with none.
+    pub(crate) join_memo: JoinMemo,
 }
 
 impl Default for StatsCatalog {
@@ -107,14 +134,16 @@ impl StatsCatalog {
             build_options: BuildOptions::default(),
             seed: 0x000A_0705_2000, // ICDE 2000
             obs: CatalogObs::default(),
+            join_memo: JoinMemo::default(),
         }
     }
 
     /// Attach an observability context: statistic builds get `stats.build`
     /// spans and feed the `stats.builds` / `stats.shared_scan_builds` /
     /// `stats.build_work` metrics, feedback corrections the
-    /// `stats.feedback.refreshes` / `stats.feedback.work` ones. Not persisted
-    /// by [`StatsCatalog::snapshot`].
+    /// `stats.feedback.refreshes` / `stats.feedback.work` ones, and
+    /// [`StatsView::join_selectivity`] the `stats.join_memo.{hits,misses}`
+    /// ones. Not persisted by [`StatsCatalog::snapshot`].
     pub fn set_obs(&mut self, obs: &obsv::Obs) {
         self.obs = CatalogObs {
             tracer: obs.tracer.clone(),
@@ -123,6 +152,8 @@ impl StatsCatalog {
             build_work: obs.metrics.float_counter("stats.build_work"),
             feedback_refreshes: obs.metrics.counter("stats.feedback.refreshes"),
             feedback_work: obs.metrics.float_counter("stats.feedback.work"),
+            join_memo_hits: obs.metrics.counter("stats.join_memo.hits"),
+            join_memo_misses: obs.metrics.counter("stats.join_memo.misses"),
         };
     }
 
@@ -400,6 +431,7 @@ impl StatsCatalog {
         };
         self.drop_list.remove(&id);
         self.by_descriptor.remove(&stat.descriptor);
+        self.join_memo.forget(id);
         self.aging.insert(
             stat.descriptor.clone(),
             AgingEntry {
@@ -472,7 +504,8 @@ impl StatsCatalog {
     }
 
     /// Rebuild a catalog from a snapshot. The aging registry is not
-    /// persisted (it dampens only the recent past).
+    /// persisted (it dampens only the recent past), nor are memoized join
+    /// selectivities.
     pub fn restore(snapshot: CatalogSnapshot) -> StatsCatalog {
         let mut cat = StatsCatalog::new().with_build_options(snapshot.build_options);
         for stat in snapshot.stats {
@@ -509,6 +542,13 @@ impl StatsCatalog {
 /// Read-only view of the catalog with a subset of statistics hidden — the
 /// optimizer-side embodiment of `Ignore_Statistics_Subset(db_id,
 /// stat_id_list)` from §7.2 of the paper.
+///
+/// Every estimate the optimizer draws from statistics goes through a view.
+/// The histogram join selectivity of a statistic pair, the one costly
+/// estimate, is memoized in the catalog behind
+/// [`join_selectivity`](StatsView::join_selectivity): views with different
+/// ignore sets share it, since hiding a statistic changes which pair is
+/// asked for, never a pair's value.
 #[derive(Clone, Copy)]
 pub struct StatsView<'a> {
     catalog: &'a StatsCatalog,
@@ -557,6 +597,34 @@ impl<'a> StatsView<'a> {
 
     pub fn statistic(&self, id: StatId) -> Option<&'a Statistic> {
         self.catalog.statistic(id).filter(|s| self.visible(s))
+    }
+
+    /// [`join_selectivity`]`(&a.histogram, &b.histogram)` to the bit,
+    /// computed once per ordered pair `(a.id, b.id)` for the life of the
+    /// catalog: `(a, b)` and `(b, a)` sum in different orders and are kept
+    /// apart. `a` and `b` must be statistics of this view's catalog, as its
+    /// lookups return them. Thread-safe; a miss computes under the lock, so
+    /// the hit and miss counts do not depend on how threads interleave.
+    pub fn join_selectivity(&self, a: &Statistic, b: &Statistic) -> f64 {
+        let cat = self.catalog;
+        debug_assert!(
+            [a, b].iter().all(|s| cat
+                .stats
+                .get(&s.id)
+                .is_some_and(|own| std::ptr::eq(own, *s))),
+            "join_selectivity of a statistic from another catalog"
+        );
+        let mut memo = cat.join_memo.0.lock();
+        match memo.entry((a.id, b.id)) {
+            std::collections::hash_map::Entry::Occupied(e) => {
+                cat.obs.join_memo_hits.inc();
+                *e.get()
+            }
+            std::collections::hash_map::Entry::Vacant(e) => {
+                cat.obs.join_memo_misses.inc();
+                *e.insert(join_selectivity(&a.histogram, &b.histogram))
+            }
+        }
     }
 
     /// A visible multi-column statistic carrying a Phased 2-D histogram over
@@ -915,6 +983,46 @@ pub(crate) mod tests {
             .create_statistic(&db, StatDescriptor::single(t, 1))
             .unwrap();
         assert!(c.0 >= 2);
+    }
+
+    /// `join_selectivity(a, b)` and `(b, a)` add their bucket pairs in
+    /// different orders; on these two columns they differ in the last bit,
+    /// and the memo answers each order with its own.
+    #[test]
+    fn join_memo_keeps_the_pair_order() {
+        let mut db = Database::new();
+        let mut column = |name: &str, rows: i64, value: &dyn Fn(i64) -> f64| {
+            let t = db
+                .create_table(
+                    name,
+                    Schema::new(vec![ColumnDef::new("x", DataType::Float)]),
+                )
+                .unwrap();
+            for i in 0..rows {
+                db.table_mut(t)
+                    .insert(vec![Value::Float(value(i))])
+                    .unwrap();
+            }
+            t
+        };
+        let s = column("s", 3000, &|i| (i % 13) as f64 + (i / 200) as f64 * 1.1);
+        let t = column("t", 1777, &|i| ((i * 37 + 1) % 101) as f64 * 0.37);
+        let mut cat = StatsCatalog::new();
+        let a = cat
+            .create_statistic(&db, StatDescriptor::single(s, 0))
+            .unwrap();
+        let b = cat
+            .create_statistic(&db, StatDescriptor::single(t, 0))
+            .unwrap();
+        let (sa, sb) = (cat.statistic(a).unwrap(), cat.statistic(b).unwrap());
+        let ab = join_selectivity(&sa.histogram, &sb.histogram);
+        let ba = join_selectivity(&sb.histogram, &sa.histogram);
+        assert_ne!(ab.to_bits(), ba.to_bits());
+        let view = cat.full_view();
+        for _ in 0..2 {
+            assert_eq!(view.join_selectivity(sa, sb).to_bits(), ab.to_bits());
+            assert_eq!(view.join_selectivity(sb, sa).to_bits(), ba.to_bits());
+        }
     }
 
     #[test]

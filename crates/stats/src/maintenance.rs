@@ -130,6 +130,7 @@ impl StatsCatalog {
                 observations: None,
             });
             self.stats.insert(id, rebuilt);
+            self.join_memo.forget(id);
         }
         span.arg(
             "work",
@@ -157,6 +158,7 @@ impl StatsCatalog {
         span.arg("stat", id.0 as u64);
         span.arg("observations", observations.len());
         let outcome = correct_histogram(&mut s.histogram, &observations, max_buckets);
+        self.join_memo.forget(id);
         span.arg("applied", outcome.applied);
         span.arg("work", outcome.work);
         drop(span);
@@ -611,5 +613,111 @@ mod tests {
             with.update_work().to_bits(),
             without.update_work().to_bits()
         );
+    }
+
+    /// Every ordered pair of `ids` that `StatsView::join_selectivity`
+    /// answers equals `join_selectivity` on the two current histograms, bit
+    /// for bit.
+    fn assert_memo_exact(cat: &StatsCatalog, ids: &[StatId]) {
+        let view = cat.full_view();
+        for &a in ids {
+            for &b in ids {
+                let (sa, sb) = (cat.statistic(a).unwrap(), cat.statistic(b).unwrap());
+                assert_eq!(
+                    view.join_selectivity(sa, sb).to_bits(),
+                    crate::join_selectivity(&sa.histogram, &sb.histogram).to_bits(),
+                    "({a:?}, {b:?})"
+                );
+            }
+        }
+    }
+
+    fn join_bits(cat: &StatsCatalog, a: StatId, b: StatId) -> u64 {
+        let (sa, sb) = (cat.statistic(a).unwrap(), cat.statistic(b).unwrap());
+        cat.full_view().join_selectivity(sa, sb).to_bits()
+    }
+
+    /// The memo answers for the histograms a statistic has now: a rebuild, a
+    /// feedback correction and a physical drop forget the id, drop-listing
+    /// and reactivation keep its entries, and a restored catalog starts
+    /// with none.
+    #[test]
+    fn join_memo_stays_exact_through_every_write() {
+        let (mut db, t) = test_db();
+        let obs = obsv::Obs::enabled();
+        let mut cat = StatsCatalog::new();
+        cat.set_obs(&obs);
+        let a = cat
+            .create_statistic(&db, StatDescriptor::single(t, 0))
+            .unwrap();
+        let b = cat
+            .create_statistic(&db, StatDescriptor::single(t, 1))
+            .unwrap();
+        let counts = || {
+            (
+                obs.metrics.counter("stats.join_memo.hits").get(),
+                obs.metrics.counter("stats.join_memo.misses").get(),
+            )
+        };
+        assert_memo_exact(&cat, &[a, b]);
+        assert_eq!(counts(), (0, 4));
+        assert_memo_exact(&cat, &[a, b]);
+        assert_eq!(counts(), (4, 4));
+        assert_eq!(cat.join_memo.len(), 4);
+
+        // A rebuild over rows that widen `a`'s domain.
+        let before = join_bits(&cat, a, b);
+        for i in 0..1000 {
+            db.table_mut(t)
+                .insert(vec![Value::Int(i % 500), Value::Int(i % 8)])
+                .unwrap();
+        }
+        assert_eq!(cat.refresh(&db, t, &[a], None)[0].observations, None);
+        assert_ne!(
+            join_bits(&cat, a, b),
+            before,
+            "a rebuilt pair kept its value"
+        );
+        assert_memo_exact(&cat, &[a, b]);
+
+        // A feedback correction of `b`.
+        let before = join_bits(&cat, a, b);
+        let mut store = FeedbackStore::new();
+        for _ in 0..6 {
+            store.observe(t, 1, 0.0, 3.0, 900, 3000);
+        }
+        assert_eq!(
+            cat.refresh(&db, t, &[b], Some(&mut store))[0].observations,
+            Some(6)
+        );
+        assert_ne!(
+            join_bits(&cat, a, b),
+            before,
+            "a corrected pair kept its value"
+        );
+        assert_memo_exact(&cat, &[a, b]);
+
+        // Hiding a statistic leaves its histogram, and its entries, alone.
+        let held = cat.join_memo.len();
+        let misses = counts().1;
+        cat.move_to_drop_list(a);
+        cat.reactivate(a);
+        assert_eq!(cat.join_memo.len(), held);
+        assert_memo_exact(&cat, &[a, b]);
+        assert_eq!(counts().1, misses, "drop-listing forgot an entry");
+
+        let mut restored = StatsCatalog::restore(cat.snapshot());
+        assert_eq!(restored.join_memo.len(), 0);
+        assert_memo_exact(&restored, &[a, b]);
+
+        // A physical drop forgets every pair `a` was in; its descriptor comes
+        // back under a new id.
+        assert!(cat.physically_drop(a));
+        assert_eq!(cat.join_memo.len(), 1, "only (b, b) is left");
+        let again = cat
+            .create_statistic(&db, StatDescriptor::single(t, 0))
+            .unwrap();
+        assert_ne!(again, a);
+        assert_memo_exact(&cat, &[again, b]);
     }
 }
