@@ -7,10 +7,11 @@
 //!    bucket. Work is charged in the deterministic units of the offline
 //!    layers (`build_work`, `optimizer_call_work`); unspent tokens carry
 //!    over, and overshoot becomes debt that later ticks pay down first;
-//! 2. **monitor** — drain the workload monitor's eviction log into the
-//!    journal and queue each template of its retained sample not queued
-//!    before, by [`query::BoundSelect::fingerprint`], so a template is
-//!    analyzed once however often it runs;
+//! 2. **monitor** — under the tick's one monitor lock, drain the eviction
+//!    log into the journal and queue each template of the retained sample
+//!    not queued before, by [`query::BoundSelect::fingerprint`], so a
+//!    template is analyzed once however often it runs; step 6's sample and
+//!    the health counters are read here too;
 //! 3. **refresh** — scan modification counters and rebuild each table's
 //!    stale statistics from one shared scan ([`StatsCatalog::refresh`]),
 //!    charging each to the bucket; remaining tables wait for the next tick
@@ -29,8 +30,9 @@
 //! 6. **shrink** — every `shrink_every` ticks, an MNSA/D-complementing
 //!    Shrinking Set pass over the monitor sample followed by an epoch
 //!    advance (the offline `tune` tail), also charged to the bucket;
-//! 7. **publish** — if the catalog changed, push a frozen copy through the
-//!    [`EpochHandle`] so query threads pick it up without blocking.
+//! 7. **publish** — if the catalog changed, freeze a copy as the next
+//!    [`CatalogEpoch`]; the service puts it into its published snapshot
+//!    beside whatever data is current.
 //!
 //! Steps 3 and 4 are the whole of §6's auto-update/auto-drop policy; a
 //! template or a Shrinking Set pass that fails is reported in the
@@ -44,7 +46,6 @@
 //! schedule, and a single query thread, the whole catalog trajectory (epochs,
 //! work meters, journal) is bit-identical run to run.
 
-use crate::epoch::EpochHandle;
 use crate::monitor::{MonitorConfig, WorkloadMonitor};
 use autostats::policy::shrinking_pass;
 use autostats::{Equivalence, MnsaConfig, MnsaEngine, OnlineEvent, SessionReport, TuneError};
@@ -54,6 +55,15 @@ use stats::{MaintenancePolicy, Refreshed, StatsCatalog};
 use std::collections::{BTreeSet, VecDeque};
 use std::sync::Arc;
 use storage::Database;
+
+/// One published, immutable catalog generation.
+#[derive(Debug)]
+pub struct CatalogEpoch {
+    /// Monotone publication counter (0 = the initial catalog).
+    pub generation: u64,
+    /// Frozen catalog snapshot for this generation.
+    pub catalog: StatsCatalog,
+}
 
 /// Always-on telemetry knobs for the online service: span sampling and the
 /// slow-query reservoir (see [`obsv::slowlog`]). Latency histograms and the
@@ -164,7 +174,7 @@ pub struct TickReport {
 }
 
 /// The deterministic daemon state machine. Owns the master catalog; query
-/// threads only ever see frozen copies through the [`EpochHandle`].
+/// threads only ever see the frozen copies it publishes as [`CatalogEpoch`]s.
 pub struct LifecycleCore {
     config: AutodConfig,
     catalog: StatsCatalog,
@@ -178,7 +188,9 @@ pub struct LifecycleCore {
     /// Work-token balance: each tick's budget in, tuning, refreshes and
     /// Shrinking Set passes out. Negative is debt.
     balance: f64,
-    epochs: Arc<EpochHandle>,
+    /// The last publication (generation 0 is the catalog the core started
+    /// from).
+    epoch: Arc<CatalogEpoch>,
     session: SessionReport,
     obs: obsv::Obs,
     tick: u64,
@@ -214,7 +226,10 @@ impl LifecycleCore {
         session: SessionReport,
     ) -> Self {
         let engine = MnsaEngine::new(config.mnsa).with_obs(obs.clone());
-        let epochs = Arc::new(EpochHandle::new(StatsCatalog::restore(catalog.snapshot())));
+        let epoch = Arc::new(CatalogEpoch {
+            generation: 0,
+            catalog: StatsCatalog::restore(catalog.snapshot()),
+        });
         LifecycleCore {
             config,
             catalog,
@@ -222,7 +237,7 @@ impl LifecycleCore {
             pending: VecDeque::new(),
             enqueued: BTreeSet::new(),
             balance: 0.0,
-            epochs,
+            epoch,
             session,
             obs,
             tick: 0,
@@ -232,9 +247,9 @@ impl LifecycleCore {
         }
     }
 
-    /// The publication handle query threads read from.
-    pub fn epochs(&self) -> Arc<EpochHandle> {
-        Arc::clone(&self.epochs)
+    /// The core's last publication.
+    pub fn epoch(&self) -> Arc<CatalogEpoch> {
+        Arc::clone(&self.epoch)
     }
 
     /// The master catalog (authoritative; epochs are frozen copies of it).
@@ -293,7 +308,7 @@ impl LifecycleCore {
     pub fn tick(
         &mut self,
         db: &Database,
-        monitor: &mut WorkloadMonitor,
+        monitor: &Mutex<WorkloadMonitor>,
         budget: f64,
     ) -> Result<TickReport, TuneError> {
         self.tick += 1;
@@ -306,22 +321,36 @@ impl LifecycleCore {
         // 1. Fund this tick's allowance.
         self.balance += budget;
 
-        // 2. Drain monitor evictions into the journal, queue the templates
-        //    not queued before (a query is cloned only when it is queued).
-        for fingerprint in monitor.drain_evictions() {
-            metrics.counter("autod.monitor.evictions").inc();
-            self.session
-                .record_online(OnlineEvent::MonitorEvict { tick, fingerprint });
-        }
-        metrics
-            .gauge("autod.monitor.templates")
-            .set(monitor.len() as i64);
-        for (fingerprint, query) in monitor.queries() {
-            debug_assert_eq!(fingerprint, query.fingerprint());
-            if self.enqueued.insert(fingerprint) {
-                self.pending.push_back((fingerprint, query.clone()));
+        // 2. The tick's one monitor lock (a query is cloned only when it is
+        //    queued; a due pass's sample is what was queued here).
+        let due = self.config.shrink_every > 0 && tick.is_multiple_of(self.config.shrink_every);
+        let (sample, monitor_health) = {
+            let mut monitor = monitor.lock();
+            for fingerprint in monitor.drain_evictions() {
+                metrics.counter("autod.monitor.evictions").inc();
+                self.session
+                    .record_online(OnlineEvent::MonitorEvict { tick, fingerprint });
             }
-        }
+            metrics
+                .gauge("autod.monitor.templates")
+                .set(monitor.len() as i64);
+            for (fingerprint, query) in monitor.queries() {
+                debug_assert_eq!(fingerprint, query.fingerprint());
+                if self.enqueued.insert(fingerprint) {
+                    self.pending.push_back((fingerprint, query.clone()));
+                }
+            }
+            let sample = (due && !monitor.is_empty()).then(|| monitor.sample());
+            let health = obsv::HealthSnapshot {
+                monitor_templates: monitor.len() as u64,
+                monitor_capacity: monitor.capacity() as u64,
+                monitor_observed: monitor.observed_total(),
+                monitor_evictions: monitor.evictions_total(),
+                monitor_ghost_hits: monitor.ghost_hits_total(),
+                ..obsv::HealthSnapshot::default()
+            };
+            (sample, health)
+        };
 
         let mut report = TickReport {
             tick,
@@ -434,15 +463,12 @@ impl LifecycleCore {
         //    epoch advance, as an offline tune ends. One that fails has
         //    touched nothing. Its overhead is charged to the bucket and the
         //    journal, not to `tuning_work`.
-        let due = self.config.shrink_every > 0 && tick.is_multiple_of(self.config.shrink_every);
-        if due && !monitor.is_empty() {
-            // The monitor is this tick's alone: the sample is what was
-            // queued above.
+        if let Some(sample) = sample {
             match shrinking_pass(
                 db,
                 &mut self.catalog,
                 &self.engine.optimizer,
-                &monitor.sample(),
+                &sample,
                 &[],
                 Equivalence::paper_default(),
                 &self.obs,
@@ -465,9 +491,11 @@ impl LifecycleCore {
             || tuning_changed
             || report.shrink_removed.is_some();
         if changed {
-            let generation = self
-                .epochs
-                .publish(StatsCatalog::restore(self.catalog.snapshot()));
+            let generation = self.epoch.generation + 1;
+            self.epoch = Arc::new(CatalogEpoch {
+                generation,
+                catalog: StatsCatalog::restore(self.catalog.snapshot()),
+            });
             report.published_generation = Some(generation);
             self.last_publish_tick = tick;
             metrics.counter("autod.epoch_swaps").inc();
@@ -485,15 +513,10 @@ impl LifecycleCore {
         *self.health.lock() = obsv::HealthSnapshot {
             tick,
             shard: self.config.shard as u64,
-            epoch_generation: self.epochs.generation(),
+            epoch_generation: self.epoch.generation,
             epoch_age_ticks: tick.saturating_sub(self.last_publish_tick),
             staleness_backlog: deferred_refreshes as u64,
             pending_templates: self.pending.len() as u64,
-            monitor_templates: monitor.len() as u64,
-            monitor_capacity: monitor.capacity() as u64,
-            monitor_observed: monitor.observed_total(),
-            monitor_evictions: monitor.evictions_total(),
-            monitor_ghost_hits: monitor.ghost_hits_total(),
             budget_balance: self.balance,
             // Nothing memoizes MNSA's optimizer calls: each is a miss.
             cache_hits: 0,
@@ -506,6 +529,7 @@ impl LifecycleCore {
             latency_p99_ns: latency.quantile(0.99),
             latency_p999_ns: latency.quantile(0.999),
             latency_max_ns: latency.max,
+            ..monitor_health
         };
 
         span.arg("refreshed", report.refreshed);
@@ -605,9 +629,9 @@ pub(crate) mod tests {
             .tune_session(&db, &mut offline_catalog, &queries, &obsv::Obs::disabled())
             .unwrap();
 
-        let mut monitor = WorkloadMonitor::new(MonitorConfig::default());
+        let monitor = Mutex::new(WorkloadMonitor::new(MonitorConfig::default()));
         for q in &queries {
-            monitor.observe(q, 0);
+            monitor.lock().observe(q, 0);
         }
         let mut core = LifecycleCore::new(
             StatsCatalog::new(),
@@ -616,15 +640,12 @@ pub(crate) mod tests {
                 ..AutodConfig::default()
             },
         );
-        let report = core.tick(&db, &mut monitor, f64::INFINITY).unwrap();
+        let report = core.tick(&db, &monitor, f64::INFINITY).unwrap();
         assert!(!report.budget_exhausted);
         assert!(report.shrink_removed.is_some());
         assert_eq!(core.catalog().snapshot(), offline_catalog.snapshot());
         // The published epoch is the same catalog.
-        assert_eq!(
-            core.epochs().load().catalog.snapshot(),
-            offline_catalog.snapshot()
-        );
+        assert_eq!(core.epoch().catalog.snapshot(), offline_catalog.snapshot());
 
         let online = core.journal();
         assert_eq!(online.queries, offline.queries);
@@ -657,10 +678,12 @@ pub(crate) mod tests {
             .map(|i| format!("departments d{i}"))
             .collect();
         let too_wide = select(&db, &format!("SELECT * FROM {}", aliases.join(", ")));
-        let mut monitor = WorkloadMonitor::new(MonitorConfig::default());
-        monitor.observe(&select(&db, EXAMPLE2_SQL), 0);
-        monitor.observe(&too_wide, 0);
-        monitor.observe(&select(&db, "SELECT * FROM employees WHERE empid < 100"), 0);
+        let monitor = Mutex::new(WorkloadMonitor::new(MonitorConfig::default()));
+        monitor.lock().observe(&select(&db, EXAMPLE2_SQL), 0);
+        monitor.lock().observe(&too_wide, 0);
+        monitor
+            .lock()
+            .observe(&select(&db, "SELECT * FROM employees WHERE empid < 100"), 0);
         let mut core = LifecycleCore::new(StatsCatalog::new(), AutodConfig::default());
         let too_many = |error: &Option<TuneError>| {
             matches!(
@@ -671,7 +694,7 @@ pub(crate) mod tests {
             )
         };
 
-        let first = core.tick(&db, &mut monitor, f64::INFINITY).unwrap();
+        let first = core.tick(&db, &monitor, f64::INFINITY).unwrap();
         assert!(too_many(&first.tune_error));
         assert_eq!(first.queries_tuned, 1);
         assert_eq!(
@@ -686,7 +709,7 @@ pub(crate) mod tests {
 
         // The rejected template is still in the monitor's sample, so the next
         // tick queues it again, behind the template that was waiting.
-        let second = core.tick(&db, &mut monitor, f64::INFINITY).unwrap();
+        let second = core.tick(&db, &monitor, f64::INFINITY).unwrap();
         assert_eq!(second.queries_tuned, 1);
         assert!(second.tune_error.is_some());
         assert_eq!(second.pending, 0);
@@ -697,12 +720,12 @@ pub(crate) mod tests {
         // and reports its health.
         let shrink_every = AutodConfig::default().shrink_every;
         for _ in 3..shrink_every {
-            let between = core.tick(&db, &mut monitor, f64::INFINITY).unwrap();
+            let between = core.tick(&db, &monitor, f64::INFINITY).unwrap();
             assert_eq!(between.shrink_error, None);
         }
         let mut db = db;
         insert_employees(&mut db, 900);
-        let due = core.tick(&db, &mut monitor, f64::INFINITY).unwrap();
+        let due = core.tick(&db, &monitor, f64::INFINITY).unwrap();
         assert_eq!(due.tick, shrink_every);
         assert!(too_many(&due.shrink_error));
         assert_eq!(due.shrink_removed, None);
@@ -763,12 +786,12 @@ pub(crate) mod tests {
             ..MaintenancePolicy::default()
         };
         let (mut core, active, listed) = core_with_a_drop_listed_statistic(&db, policy);
-        let mut monitor = WorkloadMonitor::new(MonitorConfig::default());
+        let monitor = Mutex::new(WorkloadMonitor::new(MonitorConfig::default()));
 
         // Exactly `max_updates` refreshes: both statistics stay.
         for round in 1..=policy.max_updates {
             insert_employees(&mut db, 900);
-            let report = core.tick(&db, &mut monitor, f64::INFINITY).unwrap();
+            let report = core.tick(&db, &monitor, f64::INFINITY).unwrap();
             assert_eq!((report.refreshed, report.dropped), (2, 0), "round {round}");
             assert_eq!(
                 core.catalog().statistic(listed).unwrap().update_count,
@@ -778,7 +801,7 @@ pub(crate) mod tests {
 
         // One more: the drop-listed one goes, the active one does not.
         insert_employees(&mut db, 900);
-        let report = core.tick(&db, &mut monitor, f64::INFINITY).unwrap();
+        let report = core.tick(&db, &monitor, f64::INFINITY).unwrap();
         assert_eq!((report.refreshed, report.dropped), (2, 1));
         assert!(core.catalog().statistic(listed).is_none());
         assert_eq!(core.catalog().statistic(active).unwrap().update_count, 3);
@@ -792,13 +815,13 @@ pub(crate) mod tests {
             }),
             "journaled before the epoch swap"
         );
-        let epoch = core.epochs().load();
+        let epoch = core.epoch();
         assert_eq!(Some(epoch.generation), report.published_generation);
         assert!(epoch.catalog.statistic(listed).is_none());
         assert!(epoch.catalog.statistic(active).is_some());
 
         // A quiet tick drops nothing and publishes nothing.
-        let quiet = core.tick(&db, &mut monitor, f64::INFINITY).unwrap();
+        let quiet = core.tick(&db, &monitor, f64::INFINITY).unwrap();
         assert_eq!((quiet.refreshed, quiet.dropped), (0, 0));
         assert_eq!(quiet.published_generation, None);
     }
@@ -812,9 +835,9 @@ pub(crate) mod tests {
             ..MaintenancePolicy::default()
         };
         let (mut core, ..) = core_with_a_drop_listed_statistic(&db, policy);
-        let mut monitor = WorkloadMonitor::new(MonitorConfig::default());
+        let monitor = Mutex::new(WorkloadMonitor::new(MonitorConfig::default()));
         insert_employees(&mut db, 900);
-        let report = core.tick(&db, &mut monitor, f64::INFINITY).unwrap();
+        let report = core.tick(&db, &monitor, f64::INFINITY).unwrap();
         assert_eq!((report.refreshed, report.dropped), (2, 2));
         assert_eq!(core.catalog().total_count(), 0);
         assert!(report.published_generation.is_some());
@@ -828,7 +851,7 @@ pub(crate) mod tests {
         let run = |aging: Option<stats::AgingPolicy>| {
             let mut db = test_db();
             let t = db.table_id("employees").unwrap();
-            let mut monitor = WorkloadMonitor::new(MonitorConfig::default());
+            let monitor = Mutex::new(WorkloadMonitor::new(MonitorConfig::default()));
             let mut core = LifecycleCore::new(
                 StatsCatalog::new(),
                 AutodConfig {
@@ -846,8 +869,8 @@ pub(crate) mod tests {
                 },
             );
             let queries = workload(&db);
-            monitor.observe(&queries[0], 0);
-            core.tick(&db, &mut monitor, f64::INFINITY).unwrap();
+            monitor.lock().observe(&queries[0], 0);
+            core.tick(&db, &monitor, f64::INFINITY).unwrap();
             let built: Vec<stats::StatDescriptor> = core
                 .catalog()
                 .built_on_table(t)
@@ -856,12 +879,12 @@ pub(crate) mod tests {
             assert!(!built.is_empty());
 
             insert_employees(&mut db, 900);
-            let dropped = core.tick(&db, &mut monitor, f64::INFINITY).unwrap();
+            let dropped = core.tick(&db, &monitor, f64::INFINITY).unwrap();
             assert_eq!(dropped.dropped, built.len());
 
             // A second template over the same columns.
-            monitor.observe(&queries[1], 2);
-            let tuned = core.tick(&db, &mut monitor, f64::INFINITY).unwrap();
+            monitor.lock().observe(&queries[1], 2);
+            let tuned = core.tick(&db, &monitor, f64::INFINITY).unwrap();
             assert_eq!(tuned.queries_tuned, 1);
             (core, built)
         };
@@ -889,9 +912,9 @@ pub(crate) mod tests {
     fn tiny_budget_defers_work_and_journals_exhaustion() {
         let db = test_db();
         let queries = workload(&db);
-        let mut monitor = WorkloadMonitor::new(MonitorConfig::default());
+        let monitor = Mutex::new(WorkloadMonitor::new(MonitorConfig::default()));
         for q in &queries {
-            monitor.observe(q, 0);
+            monitor.lock().observe(q, 0);
         }
         let mut core = LifecycleCore::new(
             StatsCatalog::new(),
@@ -901,14 +924,14 @@ pub(crate) mod tests {
             },
         );
         // A tick funded with nothing tunes nothing and builds nothing.
-        let unfunded = core.tick(&db, &mut monitor, 0.0).unwrap();
+        let unfunded = core.tick(&db, &monitor, 0.0).unwrap();
         assert!(unfunded.budget_exhausted);
         assert_eq!(unfunded.queries_tuned, 0);
         assert_eq!(unfunded.pending, queries.len());
         assert_eq!(core.catalog().total_count(), 0);
         assert_eq!(core.balance(), 0.0);
 
-        let first = core.tick(&db, &mut monitor, 1.0).unwrap();
+        let first = core.tick(&db, &monitor, 1.0).unwrap();
         assert!(first.budget_exhausted);
         assert!(first.queries_tuned <= 1);
         assert!(core.balance() < 0.0);
@@ -920,7 +943,7 @@ pub(crate) mod tests {
         // Enough later ticks pay down the debt and finish the queue.
         let mut tuned = first.queries_tuned;
         for _ in 0..100_000 {
-            let r = core.tick(&db, &mut monitor, 1.0).unwrap();
+            let r = core.tick(&db, &monitor, 1.0).unwrap();
             tuned += r.queries_tuned;
             if !r.budget_exhausted {
                 break;
@@ -934,9 +957,9 @@ pub(crate) mod tests {
         let mut db = test_db();
         let t = db.table_id("employees").unwrap();
         let queries = workload(&db);
-        let mut monitor = WorkloadMonitor::new(MonitorConfig::default());
+        let monitor = Mutex::new(WorkloadMonitor::new(MonitorConfig::default()));
         for q in &queries {
-            monitor.observe(q, 0);
+            monitor.lock().observe(q, 0);
         }
         let mut core = LifecycleCore::new(
             StatsCatalog::new(),
@@ -945,25 +968,25 @@ pub(crate) mod tests {
                 ..AutodConfig::default()
             },
         );
-        let first = core.tick(&db, &mut monitor, f64::INFINITY).unwrap();
+        let first = core.tick(&db, &monitor, f64::INFINITY).unwrap();
         assert!(first.queries_tuned > 0);
         let built = core.catalog().built_on_table(t).count();
         assert!(built > 0);
-        let gen_after_build = core.epochs().generation();
+        let gen_after_build = core.epoch().generation;
         assert!(first.published_generation.is_some());
 
         // Nothing stale yet: the next tick publishes nothing.
-        let quiet = core.tick(&db, &mut monitor, f64::INFINITY).unwrap();
+        let quiet = core.tick(&db, &monitor, f64::INFINITY).unwrap();
         assert_eq!(quiet.refreshed, 0);
         assert_eq!(quiet.published_generation, None);
 
         // A bulk modification beyond max(500, 20% of rows) makes everything
         // on the table stale; the next tick refreshes and republishes.
         insert_employees(&mut db, 900);
-        let refreshed = core.tick(&db, &mut monitor, f64::INFINITY).unwrap();
+        let refreshed = core.tick(&db, &monitor, f64::INFINITY).unwrap();
         assert_eq!(refreshed.refreshed, built);
         assert!(refreshed.refresh_work > 0.0);
-        assert_eq!(core.epochs().generation(), gen_after_build + 1);
+        assert_eq!(core.epoch().generation, gen_after_build + 1);
         assert!(core
             .journal()
             .online

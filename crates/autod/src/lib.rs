@@ -22,10 +22,10 @@
 //!   periodically a Shrinking Set pass
 //!   ([`autostats::policy::shrinking_pass`]), journaling both into the same
 //!   [`autostats::SessionReport`] ledger the offline tuner keeps.
-//! * [`EpochHandle`] — catalog changes publish through an epoch swap (an
-//!   `ArcSwap`-style generation pointer under a `parking_lot` lock), so
-//!   query threads always read a consistent catalog and never block on
-//!   tuning.
+//! * [`Snapshot`] — the data and the published [`CatalogEpoch`] swap
+//!   together: one `Arc` per service, loaded once by every statement, so a
+//!   query reads a consistent database and catalog and never blocks on
+//!   tuning, and a write waits for no reader and no tick.
 //!
 //! [`OnlineService`] assembles the pieces over a database and a catalog and
 //! exposes cloneable per-thread [`QueryHandle`]s — the one front door for
@@ -50,11 +50,9 @@
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod daemon;
-pub mod epoch;
 pub mod monitor;
 pub mod service;
 
-pub use daemon::{AutodConfig, LifecycleCore, TelemetryConfig, TickReport};
-pub use epoch::{CatalogEpoch, EpochHandle};
+pub use daemon::{AutodConfig, CatalogEpoch, LifecycleCore, TelemetryConfig, TickReport};
 pub use monitor::{MonitorConfig, TemplateStats, WorkloadMonitor};
-pub use service::{OnlineService, QueryHandle, ServiceReport};
+pub use service::{OnlineService, QueryHandle, ServiceReport, Snapshot};

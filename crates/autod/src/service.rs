@@ -1,25 +1,25 @@
 //! The online service: queries in front, the lifecycle core behind.
 //!
 //! [`OnlineService::start`] takes a database, the catalog tuned so far and
-//! the journal that goes with it: the database moves behind a
-//! `parking_lot::RwLock`, the catalog becomes the [`LifecycleCore`]'s private
-//! master (queries read frozen [`CatalogEpoch`]s), and the core waits behind
-//! a mutex for ticks. The service is passive: it starts no thread, and a tick
-//! runs on the thread that calls [`OnlineService::tick_wait`].
+//! the journal that goes with it. The database and the catalog's published
+//! copy become one [`Snapshot`], held in a slot (a `parking_lot::RwLock`
+//! around an `Arc<Snapshot>`); the catalog itself becomes the
+//! [`LifecycleCore`]'s private master, and the core waits behind a mutex for
+//! ticks. The service is passive: it starts no thread, and a tick runs on the
+//! thread that calls [`OnlineService::tick_wait`].
 //!
-//! Query threads hold cloneable [`QueryHandle`]s. A SELECT takes the
-//! database read lock (concurrent with other readers *and* with a tick),
-//! optimizes against the current epoch's catalog, records itself in the
-//! workload monitor — only what the optimizer accepted is worth tuning for —
-//! and executes; it never waits for tuning. DML takes the
-//! write lock, so modification counters advance atomically with the data.
-//! The lock order everywhere is core (ticks only), then database, then
-//! monitor.
-//!
-//! [`CatalogEpoch`]: crate::epoch::CatalogEpoch
+//! Query threads hold cloneable [`QueryHandle`]s. A SELECT loads the
+//! snapshot once, then binds, optimizes and executes with no lock held,
+//! taking the workload monitor's lock only to record itself — only what the
+//! optimizer accepted is worth tuning for. DML takes the slot's write lock
+//! and writes through `Arc::make_mut`, so modification counters advance
+//! atomically with the data; a table is copied only while some reader, tick
+//! or fallback still holds the snapshot it was read from. A tick tunes
+//! against a snapshot it loaded, then puts the catalog it published beside
+//! whatever data is current. No statement holds two locks at once; a tick
+//! holds the core mutex, and the monitor only at its start.
 
-use crate::daemon::{AutodConfig, LifecycleCore, TickReport};
-use crate::epoch::{CatalogEpoch, EpochHandle};
+use crate::daemon::{AutodConfig, CatalogEpoch, LifecycleCore, TickReport};
 use crate::monitor::{TemplateStats, WorkloadMonitor};
 use autostats::{SessionReport, StatementError, TuneError};
 use executor::{execute_plan_observed, run_statement_observed, StatementOutcome};
@@ -30,10 +30,25 @@ use query::{bind_statement, parse_statement, BoundStatement, Statement};
 use stats::StatsCatalog;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::Instant;
 use storage::Database;
 
 /// Seed of the fingerprint sampler.
 const SAMPLE_SEED: u64 = 0x0B5E;
+
+/// One published state of a service: its data and the catalog epoch
+/// queries plan against. Immutable once loaded; a write or a publication
+/// replaces the slot's `Arc` (or mutates it in place when nobody else holds
+/// it), never what a loader holds.
+#[derive(Debug, Clone)]
+pub struct Snapshot {
+    pub db: Database,
+    pub epoch: Arc<CatalogEpoch>,
+}
+
+/// Where a service publishes its [`Snapshot`]: loaded under the read lock
+/// for an `Arc` clone, written through `Arc::make_mut` under the write lock.
+type Slot = RwLock<Arc<Snapshot>>;
 
 /// Shared always-on telemetry for the query path: latency histograms in
 /// the service registry, the deterministic span sampler, the slow-query
@@ -50,6 +65,9 @@ pub(crate) struct ServiceTelemetry {
     /// and does not go through the registry's mutex and name map.
     queries: obsv::Counter,
     dml: obsv::Counter,
+    /// `autod.dml.table_copies`: writes whose target table some held
+    /// snapshot still shared, so the write copied it.
+    table_copies: obsv::Counter,
     windows: obsv::WindowedRegistry,
 }
 
@@ -78,9 +96,8 @@ pub struct ServiceReport {
 
 /// A running online statistics service. See the module docs.
 pub struct OnlineService {
-    db: Arc<RwLock<Database>>,
+    slot: Arc<Slot>,
     monitor: Arc<Mutex<WorkloadMonitor>>,
-    epochs: Arc<EpochHandle>,
     optimizer: Arc<Optimizer>,
     obs: obsv::Obs,
     /// Held for the whole of a tick, and by nothing else: concurrent
@@ -118,12 +135,16 @@ impl OnlineService {
             dml_latency: obs.metrics.latency("autod.dml.latency_ns"),
             queries: obs.metrics.counter("autod.queries"),
             dml: obs.metrics.counter("autod.dml"),
+            table_copies: obs.metrics.counter("autod.dml.table_copies"),
             windows: obsv::WindowedRegistry::new(Arc::clone(&obs.metrics)),
         });
+        let snapshot = Snapshot {
+            db,
+            epoch: core.epoch(),
+        };
         OnlineService {
-            db: Arc::new(RwLock::new(db)),
+            slot: Arc::new(RwLock::new(Arc::new(snapshot))),
             monitor: Arc::new(Mutex::new(monitor)),
-            epochs: core.epochs(),
             optimizer: Arc::new(core.optimizer().clone()),
             obs,
             first_error: Mutex::new(None),
@@ -139,9 +160,8 @@ impl OnlineService {
     /// trace events (use a distinct id per thread).
     pub fn handle(&self, tid: u64) -> QueryHandle {
         QueryHandle {
-            db: Arc::clone(&self.db),
+            slot: Arc::clone(&self.slot),
             monitor: Arc::clone(&self.monitor),
-            epochs: Arc::clone(&self.epochs),
             optimizer: Arc::clone(&self.optimizer),
             obs: self.obs.fork(tid),
             current_tick: Arc::clone(&self.current_tick),
@@ -156,16 +176,17 @@ impl OnlineService {
     }
 
     /// Run one tick funded with `budget` work tokens, on this thread, and
-    /// return its report — the deterministic driver's clock. Also rolls the
-    /// slow-query reservoir's window over at this tick; pair with
+    /// return its report — the deterministic driver's clock. The tick tunes
+    /// against the snapshot current when it starts; what it publishes goes
+    /// beside the data current when it ends. Also rolls the slow-query
+    /// reservoir's window over at this tick; pair with
     /// [`OnlineService::roll_window`] to emit the tick's metric deltas.
     pub fn tick_wait_budgeted(&self, budget: f64) -> Result<TickReport, TuneError> {
         let mut core = self.core.lock();
-        let report = {
-            let db = self.db.read();
-            let mut monitor = self.monitor.lock();
-            core.tick(&db, &mut monitor, budget)?
-        };
+        let report = core.tick(&self.snapshot().db, &self.monitor, budget)?;
+        if report.published_generation.is_some() {
+            Arc::make_mut(&mut self.slot.write()).epoch = core.epoch();
+        }
         self.current_tick.store(report.tick, Ordering::SeqCst);
         self.telemetry.slowlog.roll(report.tick);
         if let Some(e) = &report.shrink_error {
@@ -174,12 +195,19 @@ impl OnlineService {
         Ok(report)
     }
 
-    /// The shared database behind this service. For cross-shard readers in
-    /// the serving layer; callers must respect the service-wide lock order
-    /// (database first, then any monitor) and never hold the write lock
-    /// across a tick.
+    /// The current published snapshot: data and catalog as of one instant,
+    /// immutable for as long as the caller holds it. Holding it blocks no
+    /// writer and no tick.
+    pub fn snapshot(&self) -> Arc<Snapshot> {
+        Arc::clone(&self.slot.read())
+    }
+
+    /// A fresh lock around a copy of the current snapshot's database, which
+    /// shares its tables by `Arc`: writes made after the call do not reach
+    /// it. Kept only because `benchmark/` links this signature (ROADMAP
+    /// item 6 removes it); read through [`OnlineService::snapshot`].
     pub fn database(&self) -> Arc<RwLock<Database>> {
-        Arc::clone(&self.db)
+        Arc::new(RwLock::new(self.snapshot().db.clone()))
     }
 
     /// Close the current metrics window as `window`, returning its deltas
@@ -214,16 +242,18 @@ impl OnlineService {
 
     /// The current published epoch.
     pub fn epoch(&self) -> Arc<CatalogEpoch> {
-        self.epochs.load()
+        Arc::clone(&self.slot.read().epoch)
     }
 
-    /// Current epoch generation.
+    /// Current epoch generation: the catalog's, which a data write does not
+    /// move.
     pub fn generation(&self) -> u64 {
-        self.epochs.generation()
+        self.slot.read().epoch.generation
     }
 
     /// Dismantle the service, recovering the database and a report.
     pub fn shutdown(self) -> (Database, ServiceReport) {
+        let snapshot = self.snapshot();
         let core = self.core.into_inner();
         let ticks = core.ticks();
         let (catalog, session) = core.into_parts();
@@ -231,17 +261,12 @@ impl OnlineService {
             let m = self.monitor.lock();
             (m.templates(), m.observed_total(), m.evictions_total())
         };
-        // Recover the database: sole owner in the common case, else clone.
-        let db = match Arc::try_unwrap(self.db) {
-            Ok(lock) => lock.into_inner(),
-            Err(shared) => shared.read().clone(),
-        };
         (
-            db,
+            snapshot.db.clone(),
             ServiceReport {
                 catalog,
                 session,
-                generation: self.epochs.generation(),
+                generation: snapshot.epoch.generation,
                 ticks,
                 templates,
                 observed,
@@ -255,9 +280,8 @@ impl OnlineService {
 /// A cloneable query entry point over the running service.
 #[derive(Clone)]
 pub struct QueryHandle {
-    db: Arc<RwLock<Database>>,
+    slot: Arc<Slot>,
     monitor: Arc<Mutex<WorkloadMonitor>>,
-    epochs: Arc<EpochHandle>,
     optimizer: Arc<Optimizer>,
     obs: obsv::Obs,
     current_tick: Arc<AtomicU64>,
@@ -274,70 +298,74 @@ impl QueryHandle {
 
     /// Run one parsed statement.
     pub fn run(&self, stmt: &Statement) -> Result<StatementOutcome, StatementError> {
-        match stmt {
-            Statement::Select(_) => {
-                let db = self.db.read();
-                let BoundStatement::Select(query) = bind_statement(&db, stmt)? else {
-                    // A SELECT binds to a select; defensive fallback only.
-                    drop(db);
-                    return self.run_write(stmt);
-                };
-                let epoch = self.epochs.load();
-                let start = std::time::Instant::now();
-                let optimized = self.optimizer.optimize(
-                    &db,
-                    &query,
-                    epoch.catalog.full_view(),
-                    &OptimizeOptions::default(),
-                )?;
-                // Observed once it has a plan: a statement the optimizer
-                // rejects would fail every MNSA and Shrinking Set run over
-                // the monitor's sample.
-                let tick = self.current_tick.load(Ordering::SeqCst);
-                let fp = self.monitor.lock().observe(&query, tick);
-                // Sampled fingerprints execute under a private tracer so the
-                // slow-query reservoir can keep their full span tree. Tracing
-                // is observation-only, so the output is identical either way
-                // (pinned by tests/telemetry_determinism.rs).
-                let sampled =
-                    self.telemetry.slowlog.is_enabled() && self.telemetry.sampler.sample(fp);
-                let private = sampled.then(obsv::Tracer::enabled);
-                let output = execute_plan_observed(
-                    &db,
-                    &query,
-                    &optimized.plan,
-                    &self.optimizer.params,
-                    private.as_ref().unwrap_or(&self.obs.tracer),
-                )?;
-                let latency_ns = start.elapsed().as_nanos() as u64;
-                self.telemetry.query_latency.observe(latency_ns);
-                if let Some(tracer) = private {
-                    self.telemetry
-                        .slowlog
-                        .record(fp, latency_ns, tracer.flush());
-                }
-                self.telemetry.queries.inc();
-                Ok(StatementOutcome::Query {
-                    output,
-                    estimated_cost: optimized.cost,
-                })
-            }
-            _ => self.run_write(stmt),
+        let Statement::Select(_) = stmt else {
+            return self.run_write(stmt);
+        };
+        let start = Instant::now();
+        let snapshot = self.snapshot();
+        let db = &snapshot.db;
+        let BoundStatement::Select(query) = bind_statement(db, stmt)? else {
+            // A SELECT binds to a select; defensive fallback only.
+            return self.run_write(stmt);
+        };
+        let optimized = self.optimizer.optimize(
+            db,
+            &query,
+            snapshot.epoch.catalog.full_view(),
+            &OptimizeOptions::default(),
+        )?;
+        // Observed once it has a plan: a statement the optimizer rejects
+        // would fail every MNSA and Shrinking Set run over the monitor's
+        // sample.
+        let tick = self.current_tick.load(Ordering::SeqCst);
+        let fp = self.monitor.lock().observe(&query, tick);
+        // Sampled fingerprints execute under a private tracer so the
+        // slow-query reservoir can keep their full span tree. Tracing is
+        // observation-only, so the output is identical either way (pinned
+        // by tests/telemetry_determinism.rs).
+        let sampled = self.telemetry.slowlog.is_enabled() && self.telemetry.sampler.sample(fp);
+        let private = sampled.then(obsv::Tracer::enabled);
+        let output = execute_plan_observed(
+            db,
+            &query,
+            &optimized.plan,
+            &self.optimizer.params,
+            private.as_ref().unwrap_or(&self.obs.tracer),
+        )?;
+        let latency_ns = start.elapsed().as_nanos() as u64;
+        self.telemetry.query_latency.observe(latency_ns);
+        if let Some(tracer) = private {
+            self.telemetry
+                .slowlog
+                .record(fp, latency_ns, tracer.flush());
         }
+        self.telemetry.queries.inc();
+        Ok(StatementOutcome::Query {
+            output,
+            estimated_cost: optimized.cost,
+        })
     }
 
+    /// DML: bind and run under the slot's write lock, on the slot's own
+    /// snapshot (`Arc::make_mut` copies the snapshot only if someone holds
+    /// it, and the target table only if that holder shares it).
     fn run_write(&self, stmt: &Statement) -> Result<StatementOutcome, StatementError> {
-        let mut db = self.db.write();
-        let bound = bind_statement(&db, stmt)?;
-        let epoch = self.epochs.load();
-        let start = std::time::Instant::now();
-        let out = run_statement_observed(
-            &mut db,
-            epoch.catalog.full_view(),
-            &self.optimizer,
-            &bound,
-            &self.obs.tracer,
-        )?;
+        let start = Instant::now();
+        let out = {
+            let mut slot = self.slot.write();
+            let snapshot = Arc::make_mut(&mut slot);
+            let bound = bind_statement(&snapshot.db, stmt)?;
+            if bound.target().is_some_and(|t| snapshot.db.is_shared(t)) {
+                self.telemetry.table_copies.inc();
+            }
+            run_statement_observed(
+                &mut snapshot.db,
+                snapshot.epoch.catalog.full_view(),
+                &self.optimizer,
+                &bound,
+                &self.obs.tracer,
+            )?
+        };
         self.telemetry
             .dml_latency
             .observe(start.elapsed().as_nanos() as u64);
@@ -348,14 +376,15 @@ impl QueryHandle {
     /// EXPLAIN: the plan the optimizer picks for `sql` against the current
     /// epoch, without executing it or showing it to the monitor.
     pub fn explain_sql(&self, sql: &str) -> Result<String, StatementError> {
-        let db = self.db.read();
-        let BoundStatement::Select(query) = bind_statement(&db, &parse_statement(sql)?)? else {
+        let snapshot = self.snapshot();
+        let db = &snapshot.db;
+        let BoundStatement::Select(query) = bind_statement(db, &parse_statement(sql)?)? else {
             return Ok("DML statement (no plan)\n".to_string());
         };
         let optimized = self.optimizer.optimize(
-            &db,
+            db,
             &query,
-            self.epochs.load().catalog.full_view(),
+            snapshot.epoch.catalog.full_view(),
             &OptimizeOptions::default(),
         )?;
         Ok(format!(
@@ -364,9 +393,15 @@ impl QueryHandle {
         ))
     }
 
+    /// The service's current published snapshot
+    /// ([`OnlineService::snapshot`]).
+    pub fn snapshot(&self) -> Arc<Snapshot> {
+        Arc::clone(&self.slot.read())
+    }
+
     /// The epoch generation this handle currently sees.
     pub fn generation(&self) -> u64 {
-        self.epochs.generation()
+        self.slot.read().epoch.generation
     }
 }
 
@@ -570,12 +605,62 @@ mod tests {
         assert!(svc.drain_slow_queries().is_empty());
     }
 
+    const EXAMPLE2_SQL: &str = "SELECT e.empid, d.dname FROM employees e, departments d \
+                                WHERE e.deptid = d.deptid AND e.age < 30 AND e.salary > 200";
+
+    fn employees(snapshot: &Snapshot) -> usize {
+        let db = &snapshot.db;
+        db.table(db.table_id("employees").unwrap()).row_count()
+    }
+
+    /// A held snapshot blocks neither a write nor a tick, on the thread that
+    /// holds it, and keeps showing what it showed: the rows and the
+    /// generation of the instant it was loaded.
+    #[test]
+    fn a_held_snapshot_blocks_no_write_and_no_tick() {
+        let svc = service(f64::INFINITY);
+        let h = svc.handle(1);
+        h.run_sql(EXAMPLE2_SQL).unwrap();
+        let held = svc.snapshot();
+        h.run_sql("DELETE FROM employees WHERE empid < 100")
+            .unwrap();
+        let report = svc.tick_wait().unwrap();
+        assert_eq!(report.published_generation, Some(1));
+
+        assert_eq!(employees(&held), 3000);
+        assert_eq!(held.epoch.generation, 0);
+        assert_eq!(held.epoch.catalog.total_count(), 0);
+        let fresh = svc.snapshot();
+        assert_eq!(employees(&fresh), 2900);
+        assert_eq!(fresh.epoch.generation, 1);
+        assert!(fresh.epoch.catalog.total_count() > 0);
+        assert_eq!(h.generation(), 1);
+    }
+
+    /// `autod.dml.table_copies` counts the writes that found their table
+    /// shared with a held snapshot, and only those.
+    #[test]
+    fn a_write_copies_its_table_only_while_a_snapshot_holds_it() {
+        let svc = service(f64::INFINITY);
+        let h = svc.handle(1);
+        let copies = svc.metrics().counter("autod.dml.table_copies");
+        h.run_sql("DELETE FROM employees WHERE empid < 10").unwrap();
+        assert_eq!(copies.get(), 0, "no snapshot held");
+        let held = svc.snapshot();
+        h.run_sql("DELETE FROM employees WHERE empid < 20").unwrap();
+        assert_eq!(copies.get(), 1, "the held snapshot shared the table");
+        assert_eq!(employees(&held), 2990);
+        drop(held);
+        h.run_sql("DELETE FROM employees WHERE empid < 30").unwrap();
+        assert_eq!(copies.get(), 1);
+    }
+
     #[test]
     fn dml_advances_counters_through_the_service() {
         let svc = service(f64::INFINITY);
         let h = svc.handle(1);
-        // A mistyped SET value is refused when it binds, under the write
-        // lock, and the handle goes on serving.
+        // A mistyped SET value is refused when it binds, under the slot's
+        // write lock, and the handle goes on serving.
         for sql in [
             "UPDATE employees SET empid = 'x' WHERE empid < 3",
             "UPDATE employees SET age = 1.5",

@@ -247,6 +247,16 @@ impl BoundStatement {
         }
     }
 
+    /// The table a DML statement writes; `None` for a SELECT.
+    pub fn target(&self) -> Option<TableId> {
+        match self {
+            BoundStatement::Select(_) => None,
+            BoundStatement::Insert(i) => Some(i.table),
+            BoundStatement::Update(u) => Some(u.table),
+            BoundStatement::Delete(d) => Some(d.table),
+        }
+    }
+
     pub fn is_query(&self) -> bool {
         matches!(self, BoundStatement::Select(_))
     }

@@ -1,13 +1,12 @@
 //! The sharded cluster: one [`autod::OnlineService`] per shard behind a
 //! deterministic router, with a shared budget arbiter funding every tick.
 //!
-//! Each shard is a complete, independent serving stack — its own database
-//! RwLock, workload monitor, lifecycle core, epoch handle, and private
-//! telemetry registry — so shards never contend on locks or counters.
-//! Cross-shard state exists in exactly four places: the immutable
-//! [`ShardPlan`], the arbiter's demand vector (updated once per tick from
-//! collected [`TickReport`]s), the fallback path's ordered read locks, and
-//! the gathered copies of the partitioned tables.
+//! Each shard is a complete, independent serving stack — its own published
+//! snapshot, workload monitor, lifecycle core and private telemetry
+//! registry — so shards never contend on locks or counters. Cross-shard
+//! state exists in exactly three places: the immutable [`ShardPlan`], the
+//! arbiter's demand vector (updated once per tick from collected
+//! [`TickReport`]s), and the gathered copies of the partitioned tables.
 //!
 //! ## Tick protocol
 //!
@@ -18,32 +17,32 @@
 //!
 //! ## Fallback execution
 //!
-//! A cross-shard SELECT runs on a snapshot that shares storage with the
+//! A cross-shard SELECT runs on a database that shares storage with the
 //! shards instead of copying it. `storage::Database` holds its tables by
-//! `Arc`, so the snapshot is the schema skeleton with, for each referenced
+//! `Arc`, so that database is the schema skeleton with, for each referenced
 //! table, either the owner's `Arc` (an owned table) or the cluster's
 //! *gathered* copy (a partitioned table: the slices appended in shard order,
-//! column by column). Read locks are taken in ascending shard order — the
-//! cluster-wide lock order; writers only ever hold one shard lock, so no
-//! cycle is possible — and are held only while the `Arc`s are taken and the
-//! gathered copies are checked. What the lock order protects is therefore
-//! that instant: every table of the snapshot is read under all the locks at
-//! once, so the snapshot is a state the cluster was in. The statement then
-//! binds, optimizes against an *empty* statistics catalog (magic-number
-//! selectivities), and executes with no shard lock held. A writer that
-//! arrives while a snapshot still holds one of its tables does not wait for
-//! the reader: its first `table_mut` copies that table (`Arc::make_mut`) and
-//! the reader keeps the rows it started with.
+//! column by column). Its tables come from the routed shards' published
+//! [`Snapshot`]s, loaded in shard order and then loaded again: if any shard
+//! published in between, the fallback loads them all anew. A shard's slot
+//! never returns to a snapshot someone holds, so when every second load is
+//! the first, each snapshot was current at the instant the last first load
+//! was taken, and no write falls between the tables of one query. The
+//! statement then binds, optimizes against an *empty* statistics catalog
+//! (magic-number selectivities), and executes, holding no lock. A writer
+//! that arrives while the fallback still holds one of its tables does not
+//! wait for it: its `table_mut` copies that table (`Arc::make_mut`) and the
+//! fallback keeps the rows it started with.
 //!
 //! The gathered copy of a partitioned table is kept on the cluster, one per
 //! table, shared by every client, and is keyed by the slices'
-//! [`storage::Table::version`]s: under the read locks a fallback compares
-//! them with the versions the copy was built from, and rebuilds the copy
-//! only when one differs. The key is the version and not the modification
-//! counter because that counter can be reset, so two different states of a
-//! slice can read the same count. A write to a slice never copies anything
-//! on account of the gathered table (which is a table of its own); it only
-//! makes the next fallback rebuild it.
+//! [`storage::Table::version`]s: a fallback compares the versions in the
+//! snapshots it loaded with the versions the copy was built from, and
+//! rebuilds the copy only when one differs. The key is the version and not
+//! the modification counter because that counter can be reset, so two
+//! different states of a slice can read the same count. A write to a slice
+//! never copies anything on account of the gathered table (which is a table
+//! of its own); it only makes the next fallback rebuild it.
 //!
 //! Fallback queries are deliberately invisible to every shard's workload
 //! monitor: they are not single-shard statements, so no shard's tuner
@@ -52,12 +51,12 @@
 use crate::arbiter::BudgetArbiter;
 use crate::plan::{Placement, ShardPlan, ShardPlanConfig};
 use crate::router::{Route, Router, SelectRoute};
-use autod::{AutodConfig, OnlineService, QueryHandle, ServiceReport, TickReport};
+use autod::{AutodConfig, OnlineService, QueryHandle, ServiceReport, Snapshot, TickReport};
 use autostats::{OnlineEvent, SessionReport, StatementError, TuneError};
 use executor::{execute_plan, ExecOutput, StatementOutcome};
 use obsv::{HealthSnapshot, LatencyHistogram, LatencySample};
 use optimizer::{OptimizeOptions, Optimizer};
-use parking_lot::{Mutex, RwLock, RwLockReadGuard};
+use parking_lot::Mutex;
 use query::{bind_statement, parse_statement, BoundStatement, Statement};
 use stats::StatsCatalog;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -93,8 +92,6 @@ pub struct ServeCluster {
     plan: Arc<ShardPlan>,
     router: Router,
     services: Vec<OnlineService>,
-    /// Cached database handles, indexed by shard (fallback readers).
-    dbs: Vec<Arc<RwLock<Database>>>,
     /// Empty structural clone of the original database: what a fallback
     /// snapshot starts from.
     skeleton: Arc<Database>,
@@ -152,13 +149,11 @@ impl ServeCluster {
             ));
         }
 
-        let dbs = services.iter().map(OnlineService::database).collect();
         let demands = Mutex::new(vec![BudgetArbiter::demand(0); plan.shards()]);
         Ok(ServeCluster {
             router: Router::new(Arc::clone(&plan)),
             plan,
             services,
-            dbs,
             gather: Arc::new(Gather::new(skeleton.table_count())),
             skeleton,
             optimizer: Arc::new(Optimizer::default()),
@@ -194,7 +189,6 @@ impl ServeCluster {
         ClusterClient {
             router: self.router.clone(),
             handles: self.services.iter().map(|s| s.handle(tid)).collect(),
-            dbs: self.dbs.clone(),
             skeleton: Arc::clone(&self.skeleton),
             gather: Arc::clone(&self.gather),
             optimizer: Arc::clone(&self.optimizer),
@@ -300,7 +294,6 @@ impl ServeCluster {
 pub struct ClusterClient {
     router: Router,
     handles: Vec<QueryHandle>,
-    dbs: Vec<Arc<RwLock<Database>>>,
     skeleton: Arc<Database>,
     gather: Arc<Gather>,
     optimizer: Arc<Optimizer>,
@@ -397,38 +390,44 @@ impl ClusterClient {
         })
     }
 
-    /// Cross-shard SELECT: execute on a snapshot that shares the referenced
-    /// tables with the shards (see the module docs for the locking and
+    /// Cross-shard SELECT: execute on a database that shares the referenced
+    /// tables with the shards (see the module docs for the snapshot and
     /// statistics story).
     fn run_fallback(
         &self,
         stmt: &Statement,
         routed: &SelectRoute<'_>,
     ) -> Result<StatementOutcome, StatementError> {
-        let mut snapshot = (*self.skeleton).clone();
-        {
-            // Ascending shard order — the cluster-wide lock order. Writers
-            // hold at most one shard lock at a time, so ordered readers
-            // cannot deadlock against them.
-            let guards: Vec<_> = routed.shards.iter().map(|&s| self.dbs[s].read()).collect();
-            for p in &routed.tables {
-                let table = match p.placement {
-                    Placement::Owned(owner) => {
-                        let Some(gi) = routed.shards.iter().position(|&s| s == owner) else {
-                            continue;
-                        };
-                        guards[gi].shared_table(p.table)
-                    }
-                    // A partitioned table involves every shard, so `guards`
-                    // is one per shard, in shard order.
-                    Placement::Partitioned => self
-                        .gather
-                        .table(p.table, &self.skeleton, &guards)
-                        .map_err(|e| StatementError::Exec(e.into()))?,
-                };
-                snapshot.set_shared_table(p.table, table);
-            }
+        let load = || -> Vec<Arc<Snapshot>> {
+            routed
+                .shards
+                .iter()
+                .map(|&s| self.handles[s].snapshot())
+                .collect()
+        };
+        let mut loaded = load();
+        while !loaded.iter().zip(load()).all(|(a, b)| Arc::ptr_eq(a, &b)) {
+            loaded = load();
         }
+        let mut snapshot = (*self.skeleton).clone();
+        for p in &routed.tables {
+            let table = match p.placement {
+                Placement::Owned(owner) => {
+                    let Some(i) = routed.shards.iter().position(|&s| s == owner) else {
+                        continue;
+                    };
+                    loaded[i].db.shared_table(p.table)
+                }
+                // A partitioned table involves every shard, so `loaded` is
+                // one snapshot per shard, in shard order.
+                Placement::Partitioned => self
+                    .gather
+                    .table(p.table, &self.skeleton, &loaded)
+                    .map_err(|e| StatementError::Exec(e.into()))?,
+            };
+            snapshot.set_shared_table(p.table, table);
+        }
+        drop(loaded);
 
         let BoundStatement::Select(query) = bind_statement(&snapshot, stmt)? else {
             return self.handles[0].run(stmt);
@@ -484,17 +483,16 @@ impl Gather {
     }
 
     /// The gathered copy of `id`, rebuilt first if any slice changed since
-    /// it was built. `shards` holds every shard's database in shard order,
-    /// read-locked by the caller; the slot's lock is taken after them and
-    /// no lock is taken under it, and it makes concurrent fallbacks share
-    /// one rebuild.
+    /// it was built. `shards` holds every shard's snapshot in shard order;
+    /// the slot's lock is the only one taken, and it makes concurrent
+    /// fallbacks share one rebuild.
     fn table(
         &self,
         id: TableId,
         skeleton: &Database,
-        shards: &[RwLockReadGuard<'_, Database>],
+        shards: &[Arc<Snapshot>],
     ) -> StorageResult<Arc<Table>> {
-        let versions = || shards.iter().map(|db| db.table(id).version());
+        let versions = || shards.iter().map(|s| s.db.table(id).version());
         let mut slot = self.slots[id.0 as usize].lock();
         if let Some(current) = slot
             .as_ref()
@@ -504,8 +502,8 @@ impl Gather {
             return Ok(Arc::clone(&current.table));
         }
         let mut table = skeleton.table(id).empty_like();
-        for db in shards {
-            table.append_table(db.table(id))?;
+        for s in shards {
+            table.append_table(s.db.table(id))?;
         }
         let table = Arc::new(table);
         *slot = Some(Gathered {
@@ -611,9 +609,9 @@ mod tests {
         // Slices in shard order, as the row-at-a-time gather laid them out.
         let big = table_id(&cluster, "big");
         let mut at = 0;
-        for db in &cluster.dbs {
-            let db = db.read();
-            let slice = db.table(big);
+        for service in cluster.services() {
+            let snapshot = service.snapshot();
+            let slice = snapshot.db.table(big);
             for r in 0..slice.row_count() {
                 assert_eq!(first.row_values(at), slice.row_values(r));
                 at += 1;
@@ -683,7 +681,7 @@ mod tests {
         let Placement::Owned(owner) = cluster.plan().placement(mid).unwrap().placement else {
             panic!("`mid` is owned");
         };
-        let held = cluster.dbs[owner].read().shared_table(mid);
+        let held = cluster.service(owner).snapshot().db.shared_table(mid);
         let rows: Vec<_> = (0..held.row_count()).map(|r| held.row_values(r)).collect();
         client.run_sql("UPDATE mid SET v = 9").unwrap();
         client.run_sql("INSERT INTO mid VALUES (500, 500)").unwrap();
@@ -691,7 +689,8 @@ mod tests {
         for (r, row) in rows.iter().enumerate() {
             assert_eq!(&held.row_values(r), row);
         }
-        let db = cluster.dbs[owner].read();
+        let snapshot = cluster.service(owner).snapshot();
+        let db = &snapshot.db;
         assert!(!std::ptr::eq(db.table(mid), &*held), "the writer copied");
         assert_eq!(db.table(mid).row_count(), rows.len() + 1);
         assert_eq!(db.table(mid).value(0, 1), Value::Int(9));

@@ -1,8 +1,9 @@
 //! # serve — the sharded multi-tenant serving layer
 //!
-//! `autod`'s epoch-snapshot catalogs let readers run lock-free, but one
-//! `Database` RwLock and one workload monitor remain a whole-system
-//! bottleneck under heavy traffic. This crate removes it by sharding:
+//! `autod`'s published snapshots let readers run without waiting on
+//! writers or ticks, but one service's writers still take turns on its
+//! snapshot, and one workload monitor sees every query. This crate spreads
+//! both by sharding:
 //!
 //! * [`ShardPlan`] — a deterministic table → shard placement. Tables are
 //!   assigned greedily by size to the least-loaded shard; tables at or above
@@ -21,8 +22,8 @@
 //!   shards proportionally to demand (pending work reported by each shard's
 //!   last [`TickReport`]). Unspent tokens and debt carry over inside each
 //!   shard's own token bucket, exactly as in the unsharded service.
-//! * [`ServeCluster`] — one [`autod::OnlineService`] (database, monitor,
-//!   lifecycle core, epoch handle, telemetry registry) per shard, plus
+//! * [`ServeCluster`] — one [`autod::OnlineService`] (published snapshot,
+//!   monitor, lifecycle core, telemetry registry) per shard, plus
 //!   cloneable [`ClusterClient`]s for query threads and merge-based
 //!   cluster telemetry (exact latency-histogram merges, summed health).
 //!   [`ServeCluster::tick_wait`] ticks the shards in shard order on the

@@ -134,8 +134,8 @@ impl Router {
         self.plan.placement_by_name(name).map(|p| p.placement)
     }
 
-    /// The shards a statement touches, in ascending order — the lock-
-    /// acquisition order of the fallback path.
+    /// The shards a statement touches, in ascending order — the order the
+    /// fallback path loads their snapshots in.
     pub fn involved_shards(&self, stmt: &Statement) -> Vec<usize> {
         match stmt {
             Statement::Select(s) => self.route_select(s).shards,
@@ -148,7 +148,7 @@ impl Router {
 }
 
 /// A routed SELECT, with what routing it looked up: the fallback path takes
-/// its tables and its lock order from here instead of routing again.
+/// its tables and its shards from here instead of routing again.
 pub(crate) struct SelectRoute<'a> {
     pub route: Route,
     /// The distinct tables of the FROM list that the plan knows, in FROM

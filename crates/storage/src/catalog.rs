@@ -69,6 +69,13 @@ impl Database {
         Arc::clone(&self.tables[id.0 as usize])
     }
 
+    /// Whether some other holder (a clone of this database, or a
+    /// [`Database::shared_table`] caller) shares `id`'s table, so the next
+    /// [`Database::table_mut`] copies it.
+    pub fn is_shared(&self, id: TableId) -> bool {
+        Arc::strong_count(&self.tables[id.0 as usize]) > 1
+    }
+
     /// Put `table` in `id`'s place, sharing it with whoever else holds it.
     pub fn set_shared_table(&mut self, id: TableId, table: Arc<Table>) {
         self.tables[id.0 as usize] = table;

@@ -55,7 +55,7 @@ fn main() {
     let mut execution_work = 0.0;
     for day in 1..=3 {
         let spec = WorkloadSpec::new(25, Complexity::Simple, 60).with_seed(100 + day);
-        let stmts = RagsGenerator::generate(&server.database().read(), &spec);
+        let stmts = RagsGenerator::generate(&server.snapshot().db, &spec);
         let mut queries = 0usize;
         let mut dml = 0usize;
         let mut work = 0.0;

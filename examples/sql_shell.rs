@@ -77,14 +77,13 @@ fn main() {
                 continue;
             }
             ".stats" => {
-                let db = service.database();
-                let db = db.read();
-                let catalog = &service.epoch().catalog;
+                let snapshot = service.snapshot();
+                let (db, catalog) = (&snapshot.db, &snapshot.epoch.catalog);
                 for stat in catalog.active() {
-                    print_stat(&db, stat, false);
+                    print_stat(db, stat, false);
                 }
                 for stat in catalog.drop_list().filter_map(|id| catalog.statistic(id)) {
-                    print_stat(&db, stat, true);
+                    print_stat(db, stat, true);
                 }
                 if catalog.total_count() == 0 {
                     println!("  (no statistics built yet)");

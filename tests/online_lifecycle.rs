@@ -23,6 +23,7 @@
 use autod::{AutodConfig, LifecycleCore, MonitorConfig, OnlineService, WorkloadMonitor};
 use autostats::{OfflineTuner, SessionReport};
 use executor::StatementOutcome;
+use parking_lot::Mutex;
 use proptest::prelude::*;
 use query::{bind_statement, parse_statement, BoundSelect, BoundStatement};
 use stats::{MaintenancePolicy, StatDescriptor, StatsCatalog};
@@ -98,9 +99,9 @@ fn paused_daemon_one_tick_equals_offline_tune() {
 
     // Online: the monitor observes the workload, then one unconstrained
     // tick (shrink on every tick) drains it.
-    let mut monitor = WorkloadMonitor::new(MonitorConfig::default());
+    let monitor = Mutex::new(WorkloadMonitor::new(MonitorConfig::default()));
     for (i, sql) in queries.iter().enumerate() {
-        monitor.observe(&bind_select(&db, sql), i as u64);
+        monitor.lock().observe(&bind_select(&db, sql), i as u64);
     }
     let mut core = LifecycleCore::new(
         StatsCatalog::new(),
@@ -109,7 +110,7 @@ fn paused_daemon_one_tick_equals_offline_tune() {
             ..AutodConfig::default()
         },
     );
-    let report = core.tick(&db, &mut monitor, f64::INFINITY).unwrap();
+    let report = core.tick(&db, &monitor, f64::INFINITY).unwrap();
     assert_eq!(report.queries_tuned, queries.len());
     assert!(!report.budget_exhausted);
 
@@ -123,7 +124,7 @@ fn paused_daemon_one_tick_equals_offline_tune() {
     assert!(offline.total_count() > 0, "workload must build statistics");
     assert_eq!(core.catalog().snapshot(), offline.snapshot());
     // The published epoch carries the same catalog.
-    assert_eq!(core.epochs().load().catalog.snapshot(), offline.snapshot());
+    assert_eq!(core.epoch().catalog.snapshot(), offline.snapshot());
 }
 
 // ---------------------------------------------------------------------------
@@ -164,14 +165,14 @@ fn core_with_employee_stat(rows: i64) -> (Database, TableId, LifecycleCore) {
 fn tick_at_exactly_min_modified_rows_refreshes_nothing() {
     // 1000 rows → threshold = max(500, 200) = 500.
     let (mut db, t, mut core) = core_with_employee_stat(1000);
-    let mut monitor = WorkloadMonitor::new(MonitorConfig::default());
+    let monitor = Mutex::new(WorkloadMonitor::new(MonitorConfig::default()));
     insert_rows(&mut db, t, 500);
-    let report = core.tick(&db, &mut monitor, budget()).unwrap();
+    let report = core.tick(&db, &monitor, budget()).unwrap();
     assert_eq!(report.refreshed, 0, "exactly the threshold is still fresh");
     assert!(report.published_generation.is_none());
 
     insert_rows(&mut db, t, 1);
-    let report = core.tick(&db, &mut monitor, budget()).unwrap();
+    let report = core.tick(&db, &monitor, budget()).unwrap();
     assert_eq!(report.refreshed, 1, "one past the threshold is stale");
     assert!(report.refresh_work > 0.0);
     assert_eq!(report.published_generation, Some(1));
@@ -181,30 +182,30 @@ fn tick_at_exactly_min_modified_rows_refreshes_nothing() {
 fn twenty_percent_threshold_moves_with_the_table() {
     // 10_000 rows → the fraction term dominates and grows as rows arrive.
     let (mut db, t, mut core) = core_with_employee_stat(10_000);
-    let mut monitor = WorkloadMonitor::new(MonitorConfig::default());
+    let monitor = Mutex::new(WorkloadMonitor::new(MonitorConfig::default()));
     // 2481 inserts: rows = 12_481 → threshold 2496 ≥ mods, still fresh.
     insert_rows(&mut db, t, 2481);
     assert_eq!(
         MaintenancePolicy::default().threshold(db.table(t).row_count()),
         2496
     );
-    let report = core.tick(&db, &mut monitor, budget()).unwrap();
+    let report = core.tick(&db, &monitor, budget()).unwrap();
     assert_eq!(report.refreshed, 0);
     // 120 more outruns the moving threshold.
     insert_rows(&mut db, t, 120);
-    let report = core.tick(&db, &mut monitor, budget()).unwrap();
+    let report = core.tick(&db, &monitor, budget()).unwrap();
     assert_eq!(report.refreshed, 1);
 }
 
 #[test]
 fn empty_table_falls_back_to_min_modified_rows() {
     let (mut db, t, mut core) = core_with_employee_stat(0);
-    let mut monitor = WorkloadMonitor::new(MonitorConfig::default());
+    let monitor = Mutex::new(WorkloadMonitor::new(MonitorConfig::default()));
     insert_rows(&mut db, t, 500);
-    let report = core.tick(&db, &mut monitor, budget()).unwrap();
+    let report = core.tick(&db, &monitor, budget()).unwrap();
     assert_eq!(report.refreshed, 0);
     insert_rows(&mut db, t, 1);
-    let report = core.tick(&db, &mut monitor, budget()).unwrap();
+    let report = core.tick(&db, &monitor, budget()).unwrap();
     assert_eq!(report.refreshed, 1);
 }
 

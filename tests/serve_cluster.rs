@@ -5,7 +5,7 @@
 //! * **router determinism** (proptest) — routing is a pure function of the
 //!   statement and the plan: independently built plans route a generated
 //!   workload identically, single-shard routes stay in range, and the
-//!   fallback's lock-acquisition order is strictly ascending;
+//!   shards a fallback loads are strictly ascending;
 //! * **1-shard identity** — a 1-shard cluster fed a statement/tick schedule
 //!   produces bit-identical tick reports, epoch generations, and journal
 //!   JSON to a plain `autod::OnlineService` over the same database (with
@@ -14,7 +14,9 @@
 //!   returns the same rows (as a multiset; exact order under ORDER BY) and
 //!   the same DML counts as an unsharded service over the same database;
 //! * **fallback snapshots** — a fallback between every pair of writes to a
-//!   partitioned or an owned table sees exactly the writes made so far;
+//!   partitioned or an owned table sees exactly the writes made so far, and
+//!   a fallback racing a writer that writes one shard and then another
+//!   never sees the second write without the first;
 //! * **admission stress** — several client threads hammer cloned
 //!   `ClusterClient`s with fallback SELECTs and writes to an owned and the
 //!   partitioned table while the driver ticks the cluster; nothing errors,
@@ -31,6 +33,7 @@ use proptest::prelude::*;
 use query::{parse_statement, Statement};
 use serve::{Route, Router, ServeCluster, ServeConfig, ShardPlan, ShardPlanConfig};
 use stats::StatsCatalog;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Barrier};
 use storage::{ColumnDef, DataType, Database, Schema, Value};
 
@@ -150,7 +153,7 @@ proptest! {
             let involved = router_a.involved_shards(stmt);
             prop_assert_eq!(involved.clone(), router_b.involved_shards(stmt));
             prop_assert!(involved.windows(2).all(|w| w[0] < w[1]),
-                "lock order must be strictly ascending: {involved:?}");
+                "shards must be strictly ascending: {involved:?}");
             prop_assert!(involved.iter().all(|&s| s < shards));
         }
     }
@@ -358,6 +361,81 @@ fn fallbacks_see_every_write_made_between_them() {
         );
         compare(write);
     }
+}
+
+/// One client writes step `i` to `a` (owned by shard 0) and then to `b`
+/// (owned by shard 1) while others loop a fallback joining the two: the
+/// shards' snapshots a fallback reads were all current at one instant, so
+/// none sees `b` at step `i` with `a` still before it.
+#[test]
+fn concurrent_fallbacks_never_see_a_later_write_without_an_earlier_one() {
+    const FALLBACKS: usize = 2000;
+    const READERS: usize = 3;
+    let mut db = Database::new();
+    for name in ["a", "b"] {
+        let id = db
+            .create_table(
+                name,
+                Schema::new(vec![
+                    ColumnDef::new("k", DataType::Int),
+                    ColumnDef::new("v", DataType::Int),
+                ]),
+            )
+            .unwrap();
+        db.table_mut(id)
+            .insert(vec![Value::Int(0), Value::Int(0)])
+            .unwrap();
+    }
+    let cluster = ServeCluster::start(db, cluster_config(2, usize::MAX, f64::INFINITY)).unwrap();
+    for (name, shard) in [("a", 0), ("b", 1)] {
+        let placement = cluster.plan().placement_by_name(name).unwrap().placement;
+        assert_eq!(placement, serve::Placement::Owned(shard), "{name}");
+    }
+    let join = parse_statement("SELECT a.v, b.v FROM a, b WHERE a.k = b.k").unwrap();
+    assert_eq!(cluster.router().route(&join), Route::Fallback);
+
+    let (start, done) = (Barrier::new(READERS + 1), AtomicBool::new(false));
+    std::thread::scope(|scope| {
+        let (writer, begin, done) = (cluster.client(1), &start, &done);
+        let steps = scope.spawn(move || {
+            begin.wait();
+            let mut step = 0;
+            while !done.load(Ordering::Acquire) {
+                step += 1;
+                writer.run_sql(&format!("UPDATE a SET v = {step}")).unwrap();
+                writer.run_sql(&format!("UPDATE b SET v = {step}")).unwrap();
+            }
+            step
+        });
+        let readers: Vec<_> = (0..READERS)
+            .map(|r| {
+                let (client, join, start) = (cluster.client(r as u64 + 2), &join, &start);
+                scope.spawn(move || {
+                    start.wait();
+                    for _ in 0..FALLBACKS {
+                        let StatementOutcome::Query { output, .. } = client.run(join).unwrap()
+                        else {
+                            panic!("the join is a query");
+                        };
+                        let [Value::Int(a), Value::Int(b)] = output.rows[0][..] else {
+                            panic!("unexpected row {:?}", output.rows[0]);
+                        };
+                        assert!(b <= a, "saw b at step {b} with a at step {a}");
+                    }
+                })
+            })
+            .collect();
+        // Stop the writer before a reader's failure is raised.
+        let read: Vec<_> = readers.into_iter().map(|r| r.join()).collect();
+        done.store(true, Ordering::Release);
+        assert!(
+            steps.join().unwrap() > 0,
+            "the writer ran beside the readers"
+        );
+        for result in read {
+            result.unwrap();
+        }
+    });
 }
 
 // ---------------------------------------------------------------------------

@@ -136,10 +136,9 @@ fn a_two_shard_fallback_result_shares_the_shards_cells() {
     // other shard holds it empty).
     let (mut big, mut small) = (HashMap::new(), HashMap::new());
     for service in cluster.services() {
-        let db = service.database();
-        let db = db.read();
-        stored_names(&db, "big", &mut big);
-        stored_names(&db, "small", &mut small);
+        let snapshot = service.snapshot();
+        stored_names(&snapshot.db, "big", &mut big);
+        stored_names(&snapshot.db, "small", &mut small);
     }
     assert_eq!((big.len(), small.len()), (600, 10));
 
