@@ -6,9 +6,7 @@
 use crate::error::StatsError;
 use crate::histogram::join_selectivity;
 use crate::sampler::SampleSpec;
-use crate::statistic::{
-    build_statistic, build_work, BuildOptions, StatDescriptor, StatId, Statistic, TableScan,
-};
+use crate::statistic::{build_work, BuildOptions, StatDescriptor, StatId, Statistic, TableScan};
 use parking_lot::Mutex;
 use rustc_hash::FxHashMap;
 use std::collections::{BTreeMap, BTreeSet, HashSet};
@@ -63,6 +61,8 @@ pub(crate) struct CatalogObs {
     pub(crate) tracer: obsv::Tracer,
     builds: obsv::Counter,
     shared_builds: obsv::Counter,
+    counted_columns: obsv::Counter,
+    prefix_rows: obsv::Counter,
     build_work: obsv::FloatCounter,
     pub(crate) feedback_refreshes: obsv::Counter,
     pub(crate) feedback_work: obsv::FloatCounter,
@@ -140,7 +140,10 @@ impl StatsCatalog {
 
     /// Attach an observability context: statistic builds get `stats.build`
     /// spans and feed the `stats.builds` / `stats.shared_scan_builds` /
-    /// `stats.build_work` metrics, feedback corrections the
+    /// `stats.build_work` metrics, and the build passes two more:
+    /// `stats.build.counted_columns`, the leading columns counted by value
+    /// with no id per row, and `stats.build.prefix_rows`, the rows given an
+    /// id per row for a multi-column prefix. Feedback corrections feed the
     /// `stats.feedback.refreshes` / `stats.feedback.work` ones, and
     /// [`StatsView::join_selectivity`] the `stats.join_memo.{hits,misses}`
     /// ones. Not persisted by [`StatsCatalog::snapshot`].
@@ -149,6 +152,8 @@ impl StatsCatalog {
             tracer: obs.tracer.clone(),
             builds: obs.metrics.counter("stats.builds"),
             shared_builds: obs.metrics.counter("stats.shared_scan_builds"),
+            counted_columns: obs.metrics.counter("stats.build.counted_columns"),
+            prefix_rows: obs.metrics.counter("stats.build.prefix_rows"),
             build_work: obs.metrics.float_counter("stats.build_work"),
             feedback_refreshes: obs.metrics.counter("stats.feedback.refreshes"),
             feedback_work: obs.metrics.float_counter("stats.feedback.work"),
@@ -343,12 +348,29 @@ impl StatsCatalog {
         builds: u64,
     ) -> Statistic {
         if self.build_options.sample == SampleSpec::FullScan {
-            scan.get_or_insert_with(|| TableScan::new(table, &self.build_options, None))
-                .build(id, descriptor, epoch)
+            let scan = scan.get_or_insert_with(|| TableScan::new(table, &self.build_options, None));
+            self.build_from(scan, id, descriptor, epoch)
         } else {
             let seed = self.seed ^ ((id.0 as u64) << 17) ^ descriptor.table.0 as u64 ^ builds;
-            build_statistic(id, table, descriptor, &self.build_options, seed, epoch)
+            let sample = self.build_options.sample.pick_rows(table.row_count(), seed);
+            let mut scan = TableScan::new(table, &self.build_options, Some(&sample));
+            self.build_from(&mut scan, id, descriptor, epoch)
         }
+    }
+
+    /// Build from `scan` and file what its passes did with the metrics.
+    fn build_from(
+        &self,
+        scan: &mut TableScan<'_>,
+        id: StatId,
+        descriptor: StatDescriptor,
+        epoch: u64,
+    ) -> Statistic {
+        let stat = scan.build(id, descriptor, epoch);
+        let tally = scan.take_tally();
+        self.obs.counted_columns.add(tally.counted_columns);
+        self.obs.prefix_rows.add(tally.prefix_rows);
+        stat
     }
 
     /// Charge a new statistic's build to the creation meter and file it.
@@ -823,6 +845,11 @@ pub(crate) mod tests {
         assert_eq!(obs.metrics.counter("stats.builds").get(), 2,);
         // The second build found the scan the first one opened.
         assert_eq!(obs.metrics.counter("stats.shared_scan_builds").get(), 1);
+        // Column 0 was counted once for both; only the pair's prefix gave
+        // its rows ids.
+        let counter = |name| obs.metrics.counter(name).get();
+        assert_eq!(counter("stats.build.counted_columns"), 1);
+        assert_eq!(counter("stats.build.prefix_rows"), 2000);
         assert_eq!(
             obs.metrics
                 .float_counter("stats.build_work")

@@ -10,8 +10,8 @@
 //! on"): every algorithm in `autostats` reads a histogram only through its
 //! selectivity estimators.
 
-use crate::ndv::Groups;
-use storage::{ColumnData, PayloadRef, Value, ValueRef};
+use crate::ndv::ValueCounts;
+use storage::{Value, ValueRef};
 
 /// One histogram bucket over the numeric-key domain `[lo, hi]` (inclusive).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -110,7 +110,7 @@ impl Histogram {
     /// ([`crate::Statistic`] accounts for the null fraction separately).
     ///
     /// Statistic builds key each distinct value of a typed column once
-    /// (`Histogram::from_groups`); this is the same construction for callers
+    /// (`Histogram::from_counts`); this is the same construction for callers
     /// that hold `Value`s, which keys every row and counts the runs.
     pub fn build(values: &[Value], max_buckets: usize) -> Histogram {
         // Mixed or non-string value sets key directly.
@@ -144,48 +144,33 @@ impl Histogram {
         Self::from_runs(&runs, str_prefix, max_buckets)
     }
 
-    /// Build a histogram over the non-null entries of `col` at `rows`
-    /// (`None` = every row) from `groups`, the partition of those rows by
-    /// value ([`Groups::of_column`] of the same column and rows): each
-    /// distinct value is keyed once, from the first row holding it, and
-    /// weighs its group's row count. Also returns how many of the rows read
-    /// were non-null — NaN floats included, which the histogram itself
-    /// leaves out.
-    pub(crate) fn from_groups(
-        col: &ColumnData,
-        rows: Option<&[usize]>,
-        groups: &Groups,
-        max_buckets: usize,
-    ) -> (Histogram, usize) {
-        let null = groups.null_id().map(|id| id as usize);
-        // (first row, row count) of every non-null value, in first-row order.
-        let distinct: Vec<(usize, usize)> = groups
-            .first_rows(rows)
-            .zip(groups.sizes())
-            .enumerate()
-            .filter(|&(id, _)| Some(id) != null)
-            .map(|(_, (row, &size))| (row, size as usize))
-            .collect();
-        let non_null = distinct.iter().map(|&(_, size)| size).sum();
-        let run = |key: f64, size: usize| bucket_key(key).map(|k| (k, size));
-        let mut str_prefix = None;
-        let mut runs: Vec<(f64, usize)> = match col.payload() {
-            PayloadRef::Str(xs) => {
-                str_prefix = common_prefix(distinct.iter().map(|&(r, _)| &*xs[r]));
-                let skip = str_prefix.map_or(0, str::len);
-                let key = |r: usize| ValueRef::Str(&xs[r][skip..]).numeric_key();
-                distinct
-                    .iter()
-                    .filter_map(|&(r, size)| run(key(r), size))
-                    .collect()
+    /// Build a histogram from one column's counted values
+    /// ([`ValueCounts::of_column`]): each distinct value is keyed once and
+    /// weighs its row count.
+    pub(crate) fn from_counts(counts: &ValueCounts, max_buckets: usize) -> Histogram {
+        let values = counts.values();
+        // A column's values are all strings or none.
+        let str_prefix = common_prefix(values.iter().map_while(|&(v, _)| match v {
+            ValueRef::Str(s) => Some(s),
+            _ => None,
+        }));
+        let skip = str_prefix.map_or(0, str::len);
+        let mut runs: Vec<(f64, usize)> = Vec::with_capacity(values.len());
+        for &(v, n) in values {
+            let key = match v {
+                ValueRef::Str(s) => ValueRef::Str(&s[skip..]).numeric_key(),
+                v => v.numeric_key(),
+            };
+            if let Some(k) = bucket_key(key) {
+                runs.push((k, n as usize));
             }
-            xs => distinct
-                .iter()
-                .filter_map(|&(r, size)| run(xs.value(r).numeric_key(), size))
-                .collect(),
-        };
-        // Equal keys are merged next, whichever order the sort leaves them in.
-        runs.sort_unstable_by(|a, b| a.0.total_cmp(&b.0));
+        }
+        // Integers and dates come counted in ascending order, and their keys
+        // with them. Anything else is sorted; equal keys are merged next,
+        // whichever order the sort leaves them in.
+        if !counts.ascending() {
+            runs.sort_unstable_by(|a, b| a.0.total_cmp(&b.0));
+        }
         // Values apart as values but equal as keys under `==` are one run
         // under its first key, as run-length encoding the rows makes them:
         // `-0.0` and `0.0`, two integers past 2^53, two strings alike in
@@ -197,7 +182,7 @@ impl Histogram {
             }
             same
         });
-        (Self::from_runs(&runs, str_prefix, max_buckets), non_null)
+        Self::from_runs(&runs, str_prefix, max_buckets)
     }
 
     /// Bucket `runs`, the ascending distinct keys with the rows at each.

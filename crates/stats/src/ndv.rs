@@ -1,4 +1,5 @@
-//! Estimating the number of distinct values from a sample.
+//! Estimating the number of distinct values from a sample, and the two
+//! passes a statistic build reads its columns with.
 //!
 //! When statistics are built from a row sample rather than a full scan, the
 //! distinct count observed in the sample underestimates the table's true NDV.
@@ -14,26 +15,39 @@
 //! of values appearing exactly once, `n` the sample size, and `q = n / N` the
 //! sampling fraction.
 //!
-//! Statistic builds count distinct *tuples* without materializing them: each
-//! column is coded once into a dense `u32` per row read (`Groups::of_column`)
-//! and each longer prefix is the previous prefix's group ids refined by the
-//! next column's codes (`Groups::refine`), so a `k`-column prefix costs one
-//! lookup per row rather than a `k`-element tuple. The one pass that assigns
-//! the ids also counts each group's rows and notes its first row, which is
-//! all a histogram needs.
+//! A statistic's leading column is read by one counting pass
+//! (`ValueCounts::of_column`): its distinct non-null values with their row
+//! counts, and its NULL rows. The histogram, the null fraction, the
+//! one-column density and a sample's jackknife all come from those counts;
+//! no row is given an id. How a value finds its count depends on its kind:
 //!
-//! Where a lookup can be a table index, no row is hashed. A string column
-//! brings its dictionary codes ([`ColumnData::str_codes`]), made once and
-//! kept current by the column's writes; integers and dates index a table by
-//! their offset from the least value read; and a refinement indexes by the
-//! pair of group ids. Each takes the table when its slots number at most
-//! twice the rows read plus 1 024 (`direct`), so that clearing the table
-//! costs no more than the pass. Floats, integers spread wider and pairs of
-//! many groups go through an open-addressing table on their bit patterns
-//! (`KeyTable`).
+//! * integers and dates (narrowed to `i32`) index a table of counts by their
+//!   offset from a least value, which grows to take in each value outside
+//!   it, and the table is walked in ascending order, so their values come
+//!   out sorted;
+//! * strings index it by their column's dictionary code
+//!   ([`ColumnData::str_codes`]), made once and kept current by the column's
+//!   writes, with each code's first row to read its string from; codes no
+//!   row read holds are skipped;
+//! * floats, integers spread wider, and strings whose dictionary is wide
+//!   for the rows read, go through an open-addressing table from their bit
+//!   patterns to a run (`KeyTable`).
+//!
+//! A table takes the place of the hash when its slots number at most twice
+//! the rows read plus 1 024 (`direct`), so that clearing it costs no more
+//! than the pass.
+//!
+//! Only the columns of a multi-column prefix get a key per row
+//! (`RowKeys`). On a full scan a direct column's offset or code is read in
+//! place; a sample's keys, and those of a column no table can index, are
+//! coded into a `u32` per row read. A prefix one column longer is refined
+//! group-major (`Groups::refine`): a stable counting sort of the rows by
+//! the shorter prefix's key, then each of its groups' rows through one stamp
+//! table as wide as the next column's keys. A `k`-column prefix so costs a
+//! few passes over `u32`s rather than a `k`-element tuple per row.
 
 use rustc_hash::FxHashMap;
-use storage::{ColumnData, PayloadRef, Value};
+use storage::{ColumnData, PayloadRef, Value, ValueRef};
 
 /// First-order jackknife estimate of a table's distinct count from a sample
 /// of `n >= 1` rows holding `d` distinct values, `f1` of them exactly once.
@@ -61,37 +75,38 @@ pub fn estimate_ndv(sample: &[Value], total_rows: usize) -> f64 {
     for v in sample {
         *freq.entry(v).or_insert(0) += 1;
     }
-    let sizes: Vec<u32> = freq.into_values().collect();
-    estimate(&sizes, total_rows)
+    estimate(freq.into_values(), total_rows)
 }
 
 /// The jackknife over the sizes of a sample's groups of equal values.
-fn estimate(sizes: &[u32], total_rows: usize) -> f64 {
-    let n: usize = sizes.iter().map(|&s| s as usize).sum();
+fn estimate(sizes: impl IntoIterator<Item = u32>, total_rows: usize) -> f64 {
+    let (mut n, mut f1, mut d) = (0usize, 0usize, 0usize);
+    for size in sizes {
+        n += size as usize;
+        f1 += usize::from(size == 1);
+        d += 1;
+    }
     if n == 0 {
         return 0.0;
     }
-    let f1 = sizes.iter().filter(|&&s| s == 1).count();
-    jackknife(sizes.len() as f64, f1 as f64, n, total_rows)
+    jackknife(d as f64, f1 as f64, n, total_rows)
 }
 
 /// Whether `slots` distinct keys over `rows` rows read are few enough to
-/// give each a slot of a direct-address table: the table then costs about
-/// as much to clear as the ids cost to write.
+/// give each a slot of a table: the table then costs about as much to clear
+/// as the rows cost to read.
 fn direct(slots: u128, rows: usize) -> bool {
     slots <= 2 * rows as u128 + 1024
 }
 
-/// Not a group id: an empty slot of a direct-address table or of a
-/// [`KeyTable`].
+/// Not an index: an empty slot of a [`KeyTable`], or a stamp no group has.
 const EMPTY: u32 = u32::MAX;
 
-/// Group ids by `u64` key, for keys too spread for a direct-address table:
-/// open addressing with linear probing, at most half full. A key's first
-/// slot is the high bits of the key times an odd constant, which depend on
-/// every bit of the key: the bit patterns of floats holding small integers
-/// differ only in their high bits, packed `(group, code)` pairs mostly in
-/// theirs.
+/// A `u32` by `u64` key, for keys too spread for a table: open addressing
+/// with linear probing, at most half full. A key's first slot is the high
+/// bits of the key times an odd constant, which depend on every bit of the
+/// key: the bit patterns of floats holding small integers differ only in
+/// their high bits.
 struct KeyTable {
     slots: Vec<(u64, u32)>,
     /// 64 minus the base-2 log of the slot count.
@@ -113,29 +128,33 @@ impl KeyTable {
         (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> self.shift) as usize
     }
 
-    /// The id held for `key`: `EMPTY` when the key is new, for the caller
-    /// to fill in before the next call.
+    /// The `u32` held for `key`: `EMPTY` when the key is new, for the caller
+    /// to fill in before the next call. A key found costs no check of the
+    /// load.
     #[inline]
     fn slot(&mut self, key: u64) -> &mut u32 {
-        if 2 * (self.len + 1) > self.slots.len() {
-            self.grow();
-        }
         let mask = self.slots.len() - 1;
         let mut i = self.home(key);
         loop {
             let (k, id) = self.slots[i];
             if id == EMPTY {
-                self.len += 1;
-                self.slots[i].0 = key;
-                return &mut self.slots[i].1;
+                break;
             }
             if k == key {
                 return &mut self.slots[i].1;
             }
             i = (i + 1) & mask;
         }
+        if 2 * (self.len + 1) > self.slots.len() {
+            self.grow();
+            return self.slot(key);
+        }
+        self.len += 1;
+        self.slots[i].0 = key;
+        &mut self.slots[i].1
     }
 
+    #[cold]
     fn grow(&mut self) {
         let doubled = vec![(0, EMPTY); 2 * self.slots.len()];
         let old = std::mem::replace(&mut self.slots, doubled);
@@ -151,249 +170,557 @@ impl KeyTable {
     }
 }
 
-/// Group ids handed out in order of first appearance, with each group's
-/// size and first position, as the rows read are coded one by one.
-struct Coder {
-    ids: Vec<u32>,
-    sizes: Vec<u32>,
-    firsts: Vec<u32>,
+/// `$kernel` over `(row, valid, $key(entry))` for each row read of the
+/// entries `$xs` (`$rows`, `None` = every row), one loop per kind of row
+/// list, so that no row pays for the choice.
+macro_rules! per_row {
+    ($valid:expr, $xs:expr, $rows:expr, $key:expr, $kernel:expr) => {{
+        let (valid, xs): (&[bool], _) = ($valid, $xs);
+        match $rows {
+            None => $kernel(
+                valid
+                    .iter()
+                    .zip(xs)
+                    .enumerate()
+                    .map(|(r, (&v, x))| (r, v, $key(x))),
+            ),
+            Some(rows) => $kernel(rows.iter().map(|&r| (r, valid[r], $key(&xs[r])))),
+        }
+    }};
 }
 
-impl Coder {
-    fn new(rows: usize) -> Coder {
-        Coder {
-            ids: Vec::with_capacity(rows),
-            sizes: Vec::new(),
-            firsts: Vec::new(),
+/// `$kernel` over `(row, valid, bits)` for each row read of `$col`, where
+/// the bits of two non-null entries are equal exactly where the entries are
+/// equal as values.
+macro_rules! per_row_bits {
+    ($col:expr, $rows:expr, $kernel:expr) => {{
+        let col: &ColumnData = $col;
+        let valid = col.validity();
+        match col.payload() {
+            PayloadRef::Int(xs) => per_row!(valid, xs, $rows, |&x: &i64| x as u64, $kernel),
+            PayloadRef::Date(xs) => {
+                per_row!(valid, xs, $rows, |&x: &i64| narrow(x) as u64, $kernel)
+            }
+            PayloadRef::Float(xs) => per_row!(valid, xs, $rows, |x: &f64| x.to_bits(), $kernel),
+            PayloadRef::Str(_) => {
+                per_row!(
+                    valid,
+                    str_codes(col).0,
+                    $rows,
+                    |&c: &u32| u64::from(c),
+                    $kernel
+                )
+            }
         }
-    }
+    }};
+}
 
-    /// The next row belongs to group `id`.
-    #[inline]
-    fn old(&mut self, id: u32) {
-        self.ids.push(id);
-        self.sizes[id as usize] += 1;
-    }
+/// A date's payload as it reads back: narrowed to `i32`.
+#[inline]
+fn narrow(x: i64) -> i64 {
+    i64::from(x as i32)
+}
 
-    /// The next row opens a group; its id comes back.
-    #[inline]
-    fn new_group(&mut self) -> u32 {
-        let id = self.sizes.len() as u32;
-        self.firsts.push(self.ids.len() as u32);
-        self.sizes.push(1);
-        self.ids.push(id);
-        id
-    }
+/// `x`'s slot in a table of the integers from `lo` up. The subtraction
+/// may wrap past `i64`; the slot is then past the end of any table that
+/// stays within `i64`, as it is for any `x` the table does not hold.
+#[inline]
+fn offset(x: i64, lo: i64) -> usize {
+    x.wrapping_sub(lo) as u64 as usize
+}
 
-    /// The next row's group through its slot of a direct-address table or
-    /// a [`KeyTable`].
-    #[inline]
-    fn slot(&mut self, slot: &mut u32) {
-        if *slot == EMPTY {
-            *slot = self.new_group();
+/// A string column's dictionary codes and their bound.
+fn str_codes(col: &ColumnData) -> (&[u32], usize) {
+    let Some(codes) = col.str_codes() else {
+        unreachable!("a string column has codes")
+    };
+    codes
+}
+
+/// Count the integers read by offset from a least one, in one pass, and the
+/// NULL rows. The table of counts grows to take in each value outside it,
+/// at least doubling, and the count gives up (`None`) once the values read
+/// span more slots than [`direct`] allows. Slots at the table's ends may
+/// count no value.
+fn count_offsets(
+    rows: impl Iterator<Item = (usize, bool, i64)>,
+    n: usize,
+) -> Option<(i64, Vec<u32>, usize)> {
+    let (mut lo, mut counts, mut nulls) = (0i64, Vec::new(), 0);
+    for (_, valid, x) in rows {
+        if !valid {
+            nulls += 1;
+            continue;
+        }
+        let mut slot = offset(x, lo);
+        if slot >= counts.len() {
+            lo = widen(&mut counts, lo, x, n)?;
+            slot = offset(x, lo);
+        }
+        counts[slot] += 1;
+    }
+    Some((lo, counts, nulls))
+}
+
+/// Grow `counts`, a table of the integers from `lo` up, to take in `x`,
+/// and return its new least integer. The new slots go on `x`'s side, at
+/// least as many as the table had, within [`direct`]'s bound on `n` rows
+/// read; `None` when `x` and the table's span pass it. The table never
+/// reaches past `i64`'s ends, so that an offset cannot wrap into it.
+#[cold]
+fn widen(counts: &mut Vec<u32>, lo: i64, x: i64, n: usize) -> Option<i64> {
+    let (x, lo) = (i128::from(x), i128::from(lo));
+    let len = counts.len() as i128;
+    let (least, most) = if len == 0 {
+        (x, x)
+    } else {
+        (lo.min(x), (lo + len - 1).max(x))
+    };
+    let need = most - least + 1;
+    if !direct(need as u128, n) {
+        return None;
+    }
+    let span = need.max(2 * len).min(2 * n as i128 + 1024);
+    let start = if x < lo { most - span + 1 } else { least };
+    let start = start.clamp(i128::from(i64::MIN), i128::from(i64::MAX) - span + 1);
+    let mut grown = vec![0u32; span as usize];
+    if len > 0 {
+        let at = (lo - start) as usize;
+        grown[at..at + counts.len()].copy_from_slice(counts);
+    }
+    *counts = grown;
+    Some(start as i64)
+}
+
+/// Count the rows read by dictionary code into `counts`, noting each
+/// code's first row in `firsts`; returns the NULL rows.
+fn count_codes(
+    rows: impl Iterator<Item = (usize, bool, usize)>,
+    counts: &mut [u32],
+    firsts: &mut [u32],
+) -> usize {
+    let mut nulls = 0;
+    for (r, valid, code) in rows {
+        if valid {
+            let count = &mut counts[code];
+            if *count == 0 {
+                firsts[code] = r as u32;
+            }
+            *count += 1;
         } else {
-            self.old(*slot);
+            nulls += 1;
+        }
+    }
+    nulls
+}
+
+/// `(first row, row count)` per distinct bit pattern read, in order of
+/// first appearance, and the NULL rows.
+fn count_bits(rows: impl Iterator<Item = (usize, bool, u64)>) -> (Vec<(u32, u32)>, usize) {
+    let mut seen = KeyTable::new();
+    let mut runs: Vec<(u32, u32)> = Vec::new();
+    let mut nulls = 0;
+    for (r, valid, bits) in rows {
+        if !valid {
+            nulls += 1;
+            continue;
+        }
+        let run = seen.slot(bits);
+        if *run == EMPTY {
+            *run = runs.len() as u32;
+            runs.push((r as u32, 1));
+        } else {
+            runs[*run as usize].1 += 1;
+        }
+    }
+    (runs, nulls)
+}
+
+/// The values of the rows one build reads of a column: each distinct
+/// non-null value once, with its row count, and the NULL rows. Equality is
+/// [`Value`]'s on what [`ColumnData::get`] returns: floats by bit pattern,
+/// dates narrowed to `i32`. Row counts must fit `u32`.
+#[derive(Debug)]
+pub(crate) struct ValueCounts<'c> {
+    values: Vec<(ValueRef<'c>, u32)>,
+    /// Whether `values` is in ascending order.
+    ascending: bool,
+    nulls: usize,
+}
+
+impl<'c> ValueCounts<'c> {
+    /// Count the entries of `col` at `rows` (`None` = every row) in one
+    /// pass: by table where [`direct`] allows one, by [`KeyTable`]
+    /// otherwise.
+    pub(crate) fn of_column(col: &'c ColumnData, rows: Option<&[usize]>) -> ValueCounts<'c> {
+        let valid = col.validity();
+        let payload = col.payload();
+        let n = rows.map_or(valid.len(), <[usize]>::len);
+        let counted = match payload {
+            PayloadRef::Int(xs) => {
+                per_row!(valid, xs, rows, |&x: &i64| x, |it| count_offsets(it, n))
+                    .map(|counted| Self::by_offset(counted, ValueRef::Int))
+            }
+            PayloadRef::Date(xs) => {
+                per_row!(valid, xs, rows, |&x: &i64| narrow(x), |it| count_offsets(
+                    it, n
+                ))
+                .map(|counted| Self::by_offset(counted, |x| ValueRef::Date(x as i32)))
+            }
+            PayloadRef::Float(_) => None,
+            PayloadRef::Str(_) => {
+                let (codes, bound) = str_codes(col);
+                direct(bound as u128, n).then(|| {
+                    let (mut counts, mut firsts) = (vec![0u32; bound], vec![0u32; bound]);
+                    let key = |&c: &u32| c as usize;
+                    let nulls = per_row!(valid, codes, rows, key, |it| count_codes(
+                        it,
+                        &mut counts,
+                        &mut firsts
+                    ));
+                    let values = counts
+                        .iter()
+                        .zip(&firsts)
+                        .filter(|&(&count, _)| count > 0)
+                        .map(|(&count, &r)| (payload.value(r as usize), count))
+                        .collect();
+                    ValueCounts {
+                        values,
+                        ascending: false,
+                        nulls,
+                    }
+                })
+            }
+        };
+        counted.unwrap_or_else(|| {
+            let (runs, nulls) = per_row_bits!(col, rows, count_bits);
+            ValueCounts {
+                values: runs
+                    .into_iter()
+                    .map(|(r, count)| (payload.value(r as usize), count))
+                    .collect(),
+                ascending: false,
+                nulls,
+            }
+        })
+    }
+
+    /// The counts [`count_offsets`] made, walked in ascending order.
+    fn by_offset(
+        (lo, counts, nulls): (i64, Vec<u32>, usize),
+        value: impl Fn(i64) -> ValueRef<'c>,
+    ) -> ValueCounts<'c> {
+        let values = counts
+            .iter()
+            .enumerate()
+            .filter(|&(_, &count)| count > 0)
+            .map(|(i, &count)| (value(lo.wrapping_add(i as i64)), count))
+            .collect();
+        ValueCounts {
+            values,
+            ascending: true,
+            nulls,
         }
     }
 
-    fn finish(self, null_id: Option<u32>) -> Groups {
-        Groups {
-            ids: self.ids,
-            sizes: self.sizes,
-            firsts: self.firsts,
-            null_id,
+    /// Each distinct non-null value read, with its row count.
+    pub(crate) fn values(&self) -> &[(ValueRef<'c>, u32)] {
+        &self.values
+    }
+
+    /// Whether [`ValueCounts::values`] is in ascending order, as a table
+    /// walked by offset leaves integers and dates.
+    pub(crate) fn ascending(&self) -> bool {
+        self.ascending
+    }
+
+    /// NULL rows read.
+    pub(crate) fn nulls(&self) -> usize {
+        self.nulls
+    }
+
+    /// Row count per distinct non-null value.
+    fn sizes(&self) -> impl Iterator<Item = u32> + '_ {
+        self.values.iter().map(|&(_, n)| n)
+    }
+
+    /// Distinct values in a table of `total_rows` rows, NULL one of them,
+    /// from the rows read: exact on a full scan, the jackknife over a
+    /// sample.
+    pub(crate) fn ndv(&self, total_rows: usize) -> f64 {
+        let null = (self.nulls > 0).then_some(self.nulls as u32);
+        let read = self.nulls + self.sizes().map(|n| n as usize).sum::<usize>();
+        if read >= total_rows {
+            return (self.values.len() + usize::from(null.is_some())) as f64;
+        }
+        estimate(self.sizes().chain(null), total_rows)
+    }
+
+    /// Distinct non-null values in a table of `total_rows` rows: the
+    /// jackknife over the non-null rows read alone, which is what
+    /// [`estimate_ndv`] returns for their values.
+    pub(crate) fn value_ndv(&self, total_rows: usize) -> f64 {
+        estimate(self.sizes(), total_rows)
+    }
+}
+
+/// A key per row read, below a width: equal exactly where the rows' values
+/// are, NULL a value of its own. How a column, or a prefix, takes part in
+/// a longer prefix.
+#[derive(Debug)]
+pub(crate) enum RowKeys<'c> {
+    /// Every row of an integer column, or of a date column read narrowed
+    /// to `i32` (`date`), within the direct bound: its offset from `lo`,
+    /// read in place; NULL is `width - 1`.
+    Offsets {
+        valid: &'c [bool],
+        xs: &'c [i64],
+        date: bool,
+        lo: i64,
+        width: usize,
+    },
+    /// Every row of a string column within the direct bound: its dictionary
+    /// code, read in place; NULL is `width - 1`.
+    Codes {
+        valid: &'c [bool],
+        codes: &'c [u32],
+        width: usize,
+    },
+    /// A key per row read, made beforehand: a sample's, a column's that no
+    /// table can index (numbered in order of first appearance), or a
+    /// refined prefix's group ids.
+    Ids { ids: Vec<u32>, width: usize },
+}
+
+/// `$body` with `$key` bound to `$keys`' key of a position among the rows
+/// read and `$width` to their width, one instance per kind of keys.
+macro_rules! with_keys {
+    ($keys:expr, |$key:ident, $width:ident| $body:expr) => {
+        match $keys {
+            &RowKeys::Offsets {
+                valid,
+                xs,
+                date: false,
+                lo,
+                width: $width,
+            } => {
+                let null = ($width - 1) as u32;
+                let $key = |p: usize| {
+                    if valid[p] {
+                        offset(xs[p], lo) as u32
+                    } else {
+                        null
+                    }
+                };
+                $body
+            }
+            &RowKeys::Offsets {
+                valid,
+                xs,
+                date: true,
+                lo,
+                width: $width,
+            } => {
+                let null = ($width - 1) as u32;
+                let $key = |p: usize| {
+                    if valid[p] {
+                        offset(narrow(xs[p]), lo) as u32
+                    } else {
+                        null
+                    }
+                };
+                $body
+            }
+            &RowKeys::Codes {
+                valid,
+                codes,
+                width: $width,
+            } => {
+                let null = ($width - 1) as u32;
+                let $key = |p: usize| if valid[p] { codes[p] } else { null };
+                $body
+            }
+            RowKeys::Ids { ids, width } => {
+                let $width = *width;
+                let $key = |p: usize| ids[p];
+                $body
+            }
+        }
+    };
+}
+
+impl<'c> RowKeys<'c> {
+    /// The keys of `col` at `rows` (`None` = every row): read in place on a
+    /// full scan of a column a table can index ([`direct`]), coded
+    /// otherwise.
+    pub(crate) fn of_column(col: &'c ColumnData, rows: Option<&[usize]>) -> RowKeys<'c> {
+        let valid = col.validity();
+        let n = rows.map_or(valid.len(), <[usize]>::len);
+        let direct_keys = match col.payload() {
+            PayloadRef::Int(xs) | PayloadRef::Date(xs) => {
+                // The span comes from counting the values.
+                let date = matches!(col.payload(), PayloadRef::Date(_));
+                let counted = if date {
+                    per_row!(valid, xs, rows, |&x: &i64| narrow(x), |it| {
+                        count_offsets(it, n)
+                    })
+                } else {
+                    per_row!(valid, xs, rows, |&x: &i64| x, |it| count_offsets(it, n))
+                };
+                counted.map(|(lo, counts, _)| RowKeys::Offsets {
+                    valid,
+                    xs,
+                    date,
+                    lo,
+                    width: counts.len() + 1,
+                })
+            }
+            PayloadRef::Float(_) => None,
+            PayloadRef::Str(_) => {
+                let (codes, bound) = str_codes(col);
+                direct(bound as u128, n).then_some(RowKeys::Codes {
+                    valid,
+                    codes,
+                    width: bound + 1,
+                })
+            }
+        };
+        match (direct_keys, rows) {
+            (None, _) => per_row_bits!(col, rows, code_bits),
+            (Some(keys), None) => keys,
+            (Some(keys), Some(rows)) => with_keys!(&keys, |key, width| RowKeys::Ids {
+                ids: rows.iter().map(|&r| key(r)).collect(),
+                width,
+            }),
+        }
+    }
+
+    /// Rows read.
+    fn len(&self) -> usize {
+        match self {
+            RowKeys::Offsets { valid, .. } | RowKeys::Codes { valid, .. } => valid.len(),
+            RowKeys::Ids { ids, .. } => ids.len(),
         }
     }
 }
 
-/// A partition of the rows one build reads into groups of equal value (one
-/// column) or equal tuple (a column prefix): a dense group id per row read,
-/// numbered in order of first appearance, and each group's size and first
-/// row. Row counts must fit `u32`.
+/// Each row read's id by bit pattern, numbered in order of first
+/// appearance, NULL an id of its own.
+fn code_bits(rows: impl Iterator<Item = (usize, bool, u64)>) -> RowKeys<'static> {
+    let mut seen = KeyTable::new();
+    let (mut ids, mut width, mut null) = (Vec::new(), 0u32, EMPTY);
+    for (_, valid, bits) in rows {
+        let id = if valid { seen.slot(bits) } else { &mut null };
+        if *id == EMPTY {
+            *id = width;
+            width += 1;
+        }
+        ids.push(*id);
+    }
+    RowKeys::Ids {
+        ids,
+        width: width as usize,
+    }
+}
+
+/// The partition of the rows one build reads by the tuples of a prefix of
+/// two or more columns: a group id per row read ([`RowKeys::Ids`], as wide
+/// as the group count). Row counts must fit `u32`.
 #[derive(Debug)]
 pub(crate) struct Groups {
-    ids: Vec<u32>,
-    /// Rows per group, indexed by group id.
-    sizes: Vec<u32>,
-    /// Each group's first row, as a position among the rows read.
-    firsts: Vec<u32>,
-    /// The group holding the NULL rows, for single-column partitions.
-    null_id: Option<u32>,
+    keys: RowKeys<'static>,
 }
 
 impl Groups {
-    /// Partition the entries of `col` at `rows` (`None` = every row) by
-    /// value. Equality is [`Value`]'s on what [`ColumnData::get`] returns:
-    /// floats by bit pattern, dates narrowed to `i32`, and NULL a value of
-    /// its own.
+    /// The partition by (`head`'s key, `next`'s key), both over the same
+    /// rows read: the tuples of a prefix one column longer than `head`'s.
     ///
-    /// No row's value is hashed where a table lookup can code it: a string
-    /// goes through its column's dictionary code, an integer or date through
-    /// its offset from the least one read when the values read span few
-    /// enough ([`direct`]). Floats, and integers spread wider, are hashed.
-    pub(crate) fn of_column(col: &ColumnData, rows: Option<&[usize]>) -> Groups {
-        let valid = col.validity();
-        let n = rows.map_or(valid.len(), <[usize]>::len);
-        // `(valid, key)` per row read, one loop per kind of row list, so that
-        // no row pays for the choice.
-        macro_rules! per_row {
-            ($xs:expr, $key:expr, $kernel:expr) => {
-                match rows {
-                    None => $kernel(valid.iter().copied().zip($xs.iter().map($key))),
-                    Some(rows) => $kernel(rows.iter().map(|&r| (valid[r], $key(&$xs[r])))),
-                }
-            };
-        }
-        match col.payload() {
-            PayloadRef::Int(xs) => per_row!(xs, |&x: &i64| x, |it| Self::of_ints(it, n)),
-            PayloadRef::Date(xs) => {
-                per_row!(xs, |&x: &i64| i64::from(x as i32), |it| Self::of_ints(
-                    it, n
-                ))
-            }
-            PayloadRef::Float(xs) => per_row!(xs, |x: &f64| x.to_bits(), |it| {
-                let mut seen = KeyTable::new();
-                Self::code(it, n, |coder, bits| coder.slot(seen.slot(bits)))
-            }),
-            PayloadRef::Str(_) => {
-                let Some((codes, bound)) = col.str_codes() else {
-                    unreachable!("a string column has codes")
-                };
-                per_row!(codes, |&c: &u32| c, |it| Self::of_codes(it, n, bound))
-            }
-        }
+    /// Group-major: a stable counting sort puts the rows in order of their
+    /// head key, each carrying its next key, and then each head group's
+    /// rows go through one stamp table as wide as `next`'s keys, stamped
+    /// with the group so that the table is never cleared. Groups are
+    /// numbered in that order.
+    pub(crate) fn refine(head: &RowKeys, next: &RowKeys) -> Groups {
+        let n = head.len();
+        debug_assert_eq!(n, next.len());
+        with_keys!(head, |head, heads| with_keys!(next, |next, width| {
+            Self::group_major(n, head, heads, next, width)
+        }))
     }
 
-    /// Code the `n` rows read, `(valid, key)` each: `value` files a non-null
-    /// row's key with `coder`, and the NULL rows share a group of their own.
-    #[inline]
-    fn code<K>(
-        rows: impl Iterator<Item = (bool, K)>,
+    fn group_major(
         n: usize,
-        mut value: impl FnMut(&mut Coder, K),
+        head: impl Fn(usize) -> u32,
+        heads: usize,
+        next: impl Fn(usize) -> u32,
+        width: usize,
     ) -> Groups {
-        let mut coder = Coder::new(n);
-        let mut null_id = None;
-        for (valid, key) in rows {
-            if valid {
-                value(&mut coder, key);
-            } else if let Some(id) = null_id {
-                coder.old(id);
-            } else {
-                null_id = Some(coder.new_group());
+        // `starts[g]..starts[g + 1]` will hold head group `g`'s rows.
+        let mut starts = vec![0u32; heads + 1];
+        for p in 0..n {
+            starts[head(p) as usize + 1] += 1;
+        }
+        for g in 0..heads {
+            starts[g + 1] += starts[g];
+        }
+        let mut ends = starts.clone();
+        let mut sorted = vec![(0u32, 0u32); n];
+        for p in 0..n {
+            let end = &mut ends[head(p) as usize];
+            sorted[*end as usize] = (p as u32, next(p));
+            *end += 1;
+        }
+        // (head group, id) of the last row holding each next key.
+        let mut stamps = vec![(EMPTY, 0u32); width];
+        let mut ids = vec![0u32; n];
+        let mut count = 0u32;
+        for g in 0..heads {
+            let rows = &sorted[starts[g] as usize..starts[g + 1] as usize];
+            for &(p, key) in rows {
+                let stamp = &mut stamps[key as usize];
+                if stamp.0 != g as u32 {
+                    *stamp = (g as u32, count);
+                    count += 1;
+                }
+                ids[p as usize] = stamp.1;
             }
         }
-        coder.finish(null_id)
-    }
-
-    /// Integers by offset from the least one read, if the values read span
-    /// few enough, else by hash.
-    fn of_ints(rows: impl Iterator<Item = (bool, i64)> + Clone, n: usize) -> Groups {
-        let (lo, hi) = rows
-            .clone()
-            .filter(|&(valid, _)| valid)
-            .fold((i64::MAX, i64::MIN), |(lo, hi), (_, x)| {
-                (lo.min(x), hi.max(x))
-            });
-        let span = hi as i128 - lo as i128 + 1;
-        if span > 0 && direct(span as u128, n) {
-            let mut slots = vec![EMPTY; span as usize];
-            // `x - lo` is below the span, which fits `usize`; the
-            // subtraction itself may wrap past `i64`, the difference not.
-            Self::code(rows, n, |coder, x| {
-                coder.slot(&mut slots[x.wrapping_sub(lo) as u64 as usize])
-            })
-        } else {
-            let mut seen = KeyTable::new();
-            Self::code(rows, n, |coder, x| coder.slot(seen.slot(x as u64)))
+        Groups {
+            keys: RowKeys::Ids {
+                ids,
+                width: count as usize,
+            },
         }
     }
 
-    /// Strings by their column's dictionary codes, all below `bound`.
-    fn of_codes(rows: impl Iterator<Item = (bool, u32)>, n: usize, bound: usize) -> Groups {
-        if direct(bound as u128, n) {
-            let mut slots = vec![EMPTY; bound];
-            Self::code(rows, n, |coder, c| coder.slot(&mut slots[c as usize]))
-        } else {
-            let mut seen = KeyTable::new();
-            Self::code(rows, n, |coder, c| coder.slot(seen.slot(u64::from(c))))
-        }
-    }
-
-    /// The partition by (this partition's group, `column`'s group): the
-    /// tuples of a prefix one column longer. A pair is a slot of a
-    /// direct-address table when the two group counts multiply to few
-    /// enough ([`direct`]), and a [`KeyTable`] key otherwise.
-    pub(crate) fn refine(&self, column: &Groups) -> Groups {
-        debug_assert_eq!(self.ids.len(), column.ids.len());
-        let mut coder = Coder::new(self.ids.len());
-        let pairs = self.ids.iter().zip(&column.ids);
-        let width = column.count();
-        if direct(self.count() as u128 * width as u128, self.ids.len()) {
-            let mut slots = vec![EMPTY; self.count() * width];
-            for (&group, &code) in pairs {
-                coder.slot(&mut slots[group as usize * width + code as usize]);
-            }
-        } else {
-            let mut seen = KeyTable::new();
-            for (&group, &code) in pairs {
-                coder.slot(seen.slot(u64::from(group) << 32 | u64::from(code)));
-            }
-        }
-        coder.finish(None)
-    }
-
-    /// Number of groups.
-    fn count(&self) -> usize {
-        self.sizes.len()
-    }
-
-    /// Rows per group, indexed by group id.
-    pub(crate) fn sizes(&self) -> &[u32] {
-        &self.sizes
-    }
-
-    /// The first row of each group, indexed by group id. `rows` must be the
-    /// rows the partition was made over.
-    pub(crate) fn first_rows<'r>(
-        &'r self,
-        rows: Option<&'r [usize]>,
-    ) -> impl Iterator<Item = usize> + 'r {
-        self.firsts
-            .iter()
-            .map(move |&p| rows.map_or(p as usize, |rows| rows[p as usize]))
-    }
-
-    /// The group holding the NULL rows of a single-column partition.
-    pub(crate) fn null_id(&self) -> Option<u32> {
-        self.null_id
+    /// Each row read's group id, to refine further.
+    pub(crate) fn keys(&self) -> &RowKeys<'static> {
+        &self.keys
     }
 
     /// Distinct tuples in a table of `total_rows` rows, from the rows read:
-    /// the group count, scaled by the jackknife when the rows are a sample.
-    /// NULL counts as a value.
+    /// the group count, scaled by the jackknife over the groups' sizes when
+    /// the rows are a sample.
     pub(crate) fn ndv(&self, total_rows: usize) -> f64 {
-        if self.ids.len() >= total_rows {
-            return self.count() as f64; // a full scan counts exactly
+        let RowKeys::Ids { ids, width } = &self.keys else {
+            unreachable!("a partition is coded")
+        };
+        if ids.len() >= total_rows {
+            return *width as f64; // a full scan counts exactly
         }
-        estimate(&self.sizes, total_rows)
-    }
-
-    /// [`Groups::ndv`] over the non-null rows only (sample size included),
-    /// for a single-column partition: what [`estimate_ndv`] returns for the
-    /// column's non-null values.
-    pub(crate) fn non_null_ndv(&self, total_rows: usize) -> f64 {
-        let mut sizes = self.sizes.clone();
-        if let Some(null) = self.null_id {
-            sizes.swap_remove(null as usize);
+        let mut sizes = vec![0u32; *width];
+        for &id in ids {
+            sizes[id as usize] += 1;
         }
-        estimate(&sizes, total_rows)
+        estimate(sizes, total_rows)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::collections::BTreeSet;
     use storage::DataType;
 
     #[test]
@@ -438,38 +765,82 @@ mod tests {
     fn refined_groups_count_combinations() {
         let a = column(DataType::Int, (0..100).map(|i| Value::Int(i % 4)));
         let b = column(DataType::Int, (0..100).map(|i| Value::Int(i % 5)));
-        let (a, b) = (Groups::of_column(&a, None), Groups::of_column(&b, None));
-        assert_eq!(a.ndv(100), 4.0);
-        assert_eq!(a.refine(&b).ndv(100), 20.0); // 4 * 5 combinations, all present
-        assert_eq!(a.refine(&b).refine(&a).ndv(100), 20.0);
+        assert_eq!(ValueCounts::of_column(&a, None).ndv(100), 4.0);
+        let (a, b) = (RowKeys::of_column(&a, None), RowKeys::of_column(&b, None));
+        let ab = Groups::refine(&a, &b);
+        assert_eq!(ab.ndv(100), 20.0); // 4 * 5 combinations, all present
+        assert_eq!(Groups::refine(ab.keys(), &a).ndv(100), 20.0);
     }
 
     #[test]
     fn null_is_a_value_for_tuples_and_not_for_the_column() {
         let vals = [Value::Int(1), Value::Null, Value::Int(1), Value::Null];
-        let g = Groups::of_column(&column(DataType::Int, vals), None);
-        assert_eq!(g.ndv(4), 2.0);
-        assert_eq!(g.non_null_ndv(4), 1.0);
-        let nulls = Groups::of_column(&column(DataType::Int, [Value::Null, Value::Null]), None);
-        assert_eq!(nulls.ndv(2), 1.0);
-        assert_eq!(nulls.non_null_ndv(2), 0.0);
+        let ones = column(DataType::Int, vals);
+        let counts = ValueCounts::of_column(&ones, None);
+        assert_eq!(counts.ndv(4), 2.0);
+        assert_eq!(counts.value_ndv(4), 1.0);
+        assert_eq!(counts.nulls(), 2);
+        let nulls = column(DataType::Int, [Value::Null, Value::Null]);
+        let counts = ValueCounts::of_column(&nulls, None);
+        assert_eq!(counts.ndv(2), 1.0);
+        assert_eq!(counts.value_ndv(2), 0.0);
+        let keys = RowKeys::of_column(&nulls, None);
+        assert_eq!(Groups::refine(&keys, &keys).ndv(2), 1.0);
     }
 
     #[test]
-    fn groups_of_a_sample_agree_with_estimate_ndv() {
+    fn counts_of_a_sample_agree_with_estimate_ndv() {
         // Rows 0, 3, 6, ... of a column with singletons and repeats.
         let values: Vec<Value> = (0..300).map(|i| Value::Int(i % 7 + i / 100 * i)).collect();
         let rows: Vec<usize> = (0..300).step_by(3).collect();
         let sample: Vec<Value> = rows.iter().map(|&r| values[r].clone()).collect();
-        let g = Groups::of_column(&column(DataType::Int, values), Some(&rows));
-        assert_eq!(g.ndv(300), estimate_ndv(&sample, 300));
-        assert_eq!(g.non_null_ndv(300), estimate_ndv(&sample, 300));
+        let col = column(DataType::Int, values);
+        let counts = ValueCounts::of_column(&col, Some(&rows));
+        assert_eq!(counts.ndv(300), estimate_ndv(&sample, 300));
+        assert_eq!(counts.value_ndv(300), estimate_ndv(&sample, 300));
+    }
+
+    #[test]
+    fn integers_and_dates_come_out_ascending() {
+        let ints = column(DataType::Int, [5, -2, 9, -2, 0].map(Value::Int));
+        let counts = ValueCounts::of_column(&ints, None);
+        assert!(counts.ascending());
+        let values: Vec<(ValueRef, u32)> = counts.values().to_vec();
+        let int = |x, n| (ValueRef::Int(x), n);
+        assert_eq!(values, [int(-2, 2), int(0, 1), int(5, 1), int(9, 1)]);
+        // A payload past `i32` counts as the date it reads back as.
+        let dates = column(DataType::Date, [Value::Int((1 << 32) + 3), Value::Date(3)]);
+        let counts = ValueCounts::of_column(&dates, None);
+        assert_eq!(counts.values(), [(ValueRef::Date(3), 2)]);
+    }
+
+    #[test]
+    fn offset_counts_grow_either_way_and_give_up_past_the_bound() {
+        // Falling, then rising, at either end of `i64` and across zero.
+        for base in [i64::MIN, -1_000, i64::MAX - 2_000] {
+            let xs: Vec<i64> = (0..1_000).rev().chain(1_000..2_001).collect();
+            let ints = column(DataType::Int, xs.iter().map(|&i| Value::Int(base + i)));
+            let counts = ValueCounts::of_column(&ints, None);
+            assert!(counts.ascending());
+            let expected: Vec<(ValueRef, u32)> =
+                (0..2_001).map(|i| (ValueRef::Int(base + i), 1)).collect();
+            assert_eq!(counts.values(), expected);
+        }
+        // Ten rows: a span of 2 * 10 + 1 024 slots is counted by offset, one
+        // more is hashed.
+        for (hi, ascending) in [(1_043, true), (1_044, false)] {
+            let ints = column(DataType::Int, [0, hi, 5, 0].map(Value::Int));
+            let rows = [0, 1, 2, 3, 0, 1, 2, 3, 0, 1];
+            let counts = ValueCounts::of_column(&ints, Some(&rows));
+            assert_eq!(counts.ascending(), ascending);
+            assert_eq!(counts.values().len(), 3);
+        }
     }
 
     #[test]
     fn key_table_keeps_keys_apart_through_growth() {
         // Floats holding small integers differ in their high bits only, and
-        // so do packed `(group, code)` pairs with one code.
+        // so do the keys `g << 32 | 7`.
         let keys: Vec<u64> = (1..=1000)
             .map(|i| f64::from(i).to_bits())
             .chain((0..1000u64).map(|g| g << 32 | 7))
@@ -493,5 +864,74 @@ mod tests {
         let est = estimate_ndv(&vals, 12);
         assert!(est <= 12.0);
         assert!(est >= 10.0);
+    }
+
+    /// A column of `kind` from small picks: integers narrow enough to be
+    /// read in place, integers spread past the direct bound, strings, and
+    /// floats (always coded).
+    fn pick_column(kind: usize, picks: &[Option<i64>]) -> ColumnData {
+        let (data_type, value): (DataType, fn(i64) -> Value) = match kind {
+            0 => (DataType::Int, Value::Int),
+            1 => (DataType::Int, |x| Value::Int(x << 40)),
+            2 => (DataType::Str, |x| Value::Str(format!("v{x}").into())),
+            _ => (DataType::Float, |x| Value::Float(x as f64 / 2.0)),
+        };
+        column(
+            data_type,
+            picks.iter().map(|p| p.map_or(Value::Null, value)),
+        )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// A refinement has one group per distinct pair of the rows read,
+        /// NULL a value of its own, whichever way each column is keyed; and
+        /// refining once more counts the distinct triples.
+        #[test]
+        fn refinement_counts_distinct_pairs(
+            cells in prop::collection::vec(
+                (
+                    prop::option::of(0i64..40),
+                    prop::option::of(0i64..30),
+                    prop::option::of(0i64..3),
+                ),
+                0..300,
+            ),
+            kinds in (0usize..4, 0usize..4, 0usize..4),
+            step in 1usize..4,
+        ) {
+            let a: Vec<Option<i64>> = cells.iter().map(|c| c.0).collect();
+            let b: Vec<Option<i64>> = cells.iter().map(|c| c.1).collect();
+            let c: Vec<Option<i64>> = cells.iter().map(|c| c.2).collect();
+            let cols = [
+                pick_column(kinds.0, &a),
+                pick_column(kinds.1, &b),
+                pick_column(kinds.2, &c),
+            ];
+            // Every row, and every `step`-th row as a sample.
+            let sample: Vec<usize> = (0..cells.len()).step_by(step).collect();
+            for rows in [None, Some(&sample[..])] {
+                let read: Vec<usize> = rows.map_or((0..cells.len()).collect(), <[usize]>::to_vec);
+                let keys: Vec<RowKeys> = cols.iter().map(|col| RowKeys::of_column(col, rows)).collect();
+                let ab = Groups::refine(&keys[0], &keys[1]);
+                let abc = Groups::refine(ab.keys(), &keys[2]);
+                let pairs: BTreeSet<_> = read.iter().map(|&r| (a[r], b[r])).collect();
+                let triples: BTreeSet<_> = read.iter().map(|&r| (a[r], b[r], c[r])).collect();
+                prop_assert_eq!(ab.ndv(read.len()), pairs.len() as f64);
+                prop_assert_eq!(abc.ndv(read.len()), triples.len() as f64);
+                // Two rows share a group exactly where they share a pair.
+                let ids = |g: &Groups| match g.keys() {
+                    RowKeys::Ids { ids, .. } => ids.clone(),
+                    _ => unreachable!(),
+                };
+                let ab_ids = ids(&ab);
+                for (i, &r) in read.iter().enumerate() {
+                    for (j, &s) in read.iter().enumerate().take(i) {
+                        prop_assert_eq!(ab_ids[i] == ab_ids[j], (a[r], b[r]) == (a[s], b[s]));
+                    }
+                }
+            }
+        }
     }
 }

@@ -3,17 +3,18 @@
 //! There is one builder, `TableScan`: a pass over a fixed set of rows of
 //! one table — all of them, or one statistic's seeded sample — that reads
 //! the typed column slices directly and never boxes a cell into a
-//! [`Value`]. Each column is partitioned by value once (`ndv::Groups`): the
-//! leading column's histogram keys, sorts and buckets the distinct values
-//! with their group sizes, and every prefix density is the group count of a
-//! partition refining the one before it. [`build_statistic`] is one
-//! statistic from a scan of its own; the catalog keeps a full scan open
-//! across the statistics of a batch or a refresh so that they share what
-//! they have in common.
+//! [`Value`]. The leading column is counted by value once
+//! (`ndv::ValueCounts`): its histogram keys, sorts and buckets the distinct
+//! values with their row counts, and its density and null fraction come from
+//! the same counts. Every longer prefix density is the group count of a
+//! partition refining the one before it (`ndv::Groups`). [`build_statistic`]
+//! is one statistic from a scan of its own; the catalog keeps a full scan
+//! open across the statistics of a batch or a refresh so that they share
+//! what they have in common.
 
 use crate::histogram::Histogram;
 use crate::mhist::Histogram2d;
-use crate::ndv::Groups;
+use crate::ndv::{Groups, RowKeys, ValueCounts};
 use crate::sampler::{iter_rows, SampleSpec};
 use rustc_hash::FxHashMap;
 use std::fmt;
@@ -169,6 +170,15 @@ pub fn build_work(rows_read: usize, col_bytes: usize, n_cols: usize) -> f64 {
     scan + sort
 }
 
+/// The density of `ndv` distinct values: the fraction of rows per value.
+fn density(ndv: f64) -> f64 {
+    if ndv <= 0.0 {
+        0.0
+    } else {
+        1.0 / ndv
+    }
+}
+
 /// Build a [`Statistic`] over `descriptor.columns` of `table`.
 ///
 /// `seed` keys the row sample so rebuilds are reproducible but different
@@ -190,14 +200,17 @@ pub fn build_statistic(
 /// statistics can be built from — the only statistic builder.
 ///
 /// Everything is computed from the typed column slices
-/// ([`storage::ColumnData::payload`] and `validity`) through a dense group
-/// id per row ([`Groups`]): a column's partition by value gives the leading
-/// column's histogram its distinct values and their row counts, a prefix's
-/// partition its density. The intermediates are memoized —
+/// ([`storage::ColumnData::payload`] and `validity`). The leading column is
+/// counted by value ([`ValueCounts`]), with no id per row; only the columns
+/// of a multi-column prefix are given a key per row ([`RowKeys`]), and a
+/// prefix's partition ([`Groups`]) gives its density. The intermediates are
+/// memoized —
 ///
-/// * the histogram and null fraction per leading column,
-/// * the row partition per column prefix (a one-column prefix is the
-///   column's value codes; a longer one refines the prefix before it),
+/// * the histogram, null fraction and density per leading column, all from
+///   one counting pass,
+/// * the row keys per column of a multi-column prefix,
+/// * the row partition per prefix of two or more columns, refining the
+///   prefix one column shorter,
 /// * the Phased 2-D histogram per leading column pair,
 ///
 /// — so statistics on one table that share leading columns or prefixes (the
@@ -212,11 +225,25 @@ pub(crate) struct TableScan<'a> {
     table: &'a Table,
     options: BuildOptions,
     rows: Option<&'a [usize]>,
-    /// leading column → (histogram over non-null values, null fraction)
-    leading: FxHashMap<usize, (Histogram, f64)>,
+    /// leading column → (histogram over non-null values, null fraction,
+    /// density)
+    leading: FxHashMap<usize, (Histogram, f64, f64)>,
+    columns: FxHashMap<usize, RowKeys<'a>>,
+    /// Prefixes of two or more columns.
     prefixes: FxHashMap<Vec<usize>, Groups>,
     joints: FxHashMap<(usize, usize), Histogram2d>,
     served: usize,
+    tally: BuildTally,
+}
+
+/// What a scan's passes did since last asked
+/// ([`TableScan::take_tally`]).
+#[derive(Debug, Default)]
+pub(crate) struct BuildTally {
+    /// Columns counted by value, with no id per row.
+    pub(crate) counted_columns: u64,
+    /// Rows given an id per row for a multi-column prefix.
+    pub(crate) prefix_rows: u64,
 }
 
 impl<'a> TableScan<'a> {
@@ -226,9 +253,11 @@ impl<'a> TableScan<'a> {
             options: options.clone(),
             rows,
             leading: FxHashMap::default(),
+            columns: FxHashMap::default(),
             prefixes: FxHashMap::default(),
             joints: FxHashMap::default(),
             served: 0,
+            tally: BuildTally::default(),
         }
     }
 
@@ -237,8 +266,25 @@ impl<'a> TableScan<'a> {
         self.served
     }
 
-    /// The row partition by the tuples of `prefix`, built on the partition
-    /// of the prefix one column shorter.
+    /// What the scan did since the last call.
+    pub(crate) fn take_tally(&mut self) -> BuildTally {
+        std::mem::take(&mut self.tally)
+    }
+
+    fn rows_read(&self) -> usize {
+        self.rows.map_or(self.table.row_count(), <[usize]>::len)
+    }
+
+    /// The row keys of `column`.
+    fn ensure_column(&mut self, column: usize) {
+        if !self.columns.contains_key(&column) {
+            let keys = RowKeys::of_column(self.table.column(column), self.rows);
+            self.columns.insert(column, keys);
+        }
+    }
+
+    /// The row partition by the tuples of `prefix`, two or more columns,
+    /// refining the prefix one column shorter.
     fn ensure_prefix(&mut self, prefix: &[usize]) {
         if self.prefixes.contains_key(prefix) {
             return;
@@ -246,13 +292,15 @@ impl<'a> TableScan<'a> {
         let Some((&last, head)) = prefix.split_last() else {
             return;
         };
-        let groups = if head.is_empty() {
-            Groups::of_column(self.table.column(last), self.rows)
+        self.ensure_column(last);
+        let groups = if let &[lead] = head {
+            self.ensure_column(lead);
+            Groups::refine(&self.columns[&lead], &self.columns[&last])
         } else {
             self.ensure_prefix(head);
-            self.ensure_prefix(&[last]);
-            self.prefixes[head].refine(&self.prefixes[&[last][..]])
+            Groups::refine(self.prefixes[head].keys(), &self.columns[&last])
         };
+        self.tally.prefix_rows += self.rows_read() as u64;
         self.prefixes.insert(prefix.to_vec(), groups);
     }
 
@@ -267,45 +315,40 @@ impl<'a> TableScan<'a> {
         epoch: u64,
     ) -> Statistic {
         let total_rows = self.table.row_count();
-        let rows_read = self.rows.map_or(total_rows, <[usize]>::len);
+        let rows_read = self.rows_read();
         let sampled = rows_read < total_rows;
-        for k in 1..=descriptor.columns.len() {
+        for k in 2..=descriptor.columns.len() {
             self.ensure_prefix(&descriptor.columns[..k]);
         }
 
-        // Leading column: histogram over non-null values + null fraction.
+        // Leading column: histogram over non-null values, null fraction and
+        // density, from one count of its values.
         let lead = descriptor.leading_column();
         if !self.leading.contains_key(&lead) {
-            let groups = &self.prefixes[&[lead][..]];
-            let (mut histogram, non_null) = Histogram::from_groups(
-                self.table.column(lead),
-                self.rows,
-                groups,
-                self.options.max_buckets,
-            );
+            let counts = ValueCounts::of_column(self.table.column(lead), self.rows);
+            self.tally.counted_columns += 1;
+            let mut histogram = Histogram::from_counts(&counts, self.options.max_buckets);
             let null_fraction = if rows_read == 0 {
                 0.0
             } else {
-                (rows_read - non_null) as f64 / rows_read as f64
+                counts.nulls() as f64 / rows_read as f64
             };
             // Scale the sample NDV up to the table with the jackknife
             // estimator; a full scan's own distinct count is exact.
             if sampled {
-                histogram.set_ndv(groups.non_null_ndv(total_rows));
+                histogram.set_ndv(counts.value_ndv(total_rows));
             }
-            self.leading.insert(lead, (histogram, null_fraction));
+            let density = density(counts.ndv(total_rows));
+            self.leading
+                .insert(lead, (histogram, null_fraction, density));
         }
-        let (histogram, null_fraction) = self.leading[&lead].clone();
+        let (histogram, null_fraction, lead_density) = self.leading[&lead].clone();
 
-        let prefix_densities = (1..=descriptor.columns.len())
-            .map(|k| {
-                let ndv = self.prefixes[&descriptor.columns[..k]].ndv(total_rows);
-                if ndv <= 0.0 {
-                    0.0
-                } else {
-                    1.0 / ndv
-                }
-            })
+        let prefix_densities = std::iter::once(lead_density)
+            .chain(
+                (2..=descriptor.columns.len())
+                    .map(|k| density(self.prefixes[&descriptor.columns[..k]].ndv(total_rows))),
+            )
             .collect();
 
         // Optional joint (2-D) histogram over the first two columns, the one

@@ -16,6 +16,9 @@
 //! and a span just inside and just outside the bound on the rows read. And
 //! every case builds before a run of writes to the string column — whose
 //! dictionary codes the writes then keep — and builds again after it.
+//! Fixed cases go where small pools do not: a column pair whose value
+//! counts multiply past the direct-address bound, unique integer keys,
+//! all-distinct floats, and a dictionary holding a code no row does.
 
 mod support;
 
@@ -28,6 +31,7 @@ use stats::statistic::build_statistic;
 use stats::{
     BuildOptions, CatalogSnapshot, SampleSpec, StatDescriptor, StatId, Statistic, StatsCatalog,
 };
+use std::collections::BTreeSet;
 use storage::{ColumnDef, DataType, Database, Schema, TableId, Value};
 use support::build_statistic_oracle;
 
@@ -47,9 +51,31 @@ fn int_pool(kind: usize, rows: usize) -> Vec<Value> {
         3 => vec![i64::MIN, i64::MIN + 1, i64::MIN + 9, i64::MIN + 2],
         // Spans of exactly the bound and one past it.
         4 => vec![-100, -100 + bound - 1, -50, 7],
+        // A key per row, spread five apart.
+        UNIQUE => (0..rows.max(1) as i64).map(|i| 5 * i - 17).collect(),
+        // Many narrow values, to pair with many dates.
+        MANY => (0..200).map(|i| 3 * i - 300).collect(),
         _ => vec![-100, -100 + bound, -50, 7],
     };
     pool.into_iter().map(Value::Int).collect()
+}
+
+/// Integer pool kinds past the six a generated case draws from: a key per
+/// row (and, beside it, a float column of all-distinct values), and 200
+/// narrow values.
+const UNIQUE: usize = 6;
+const MANY: usize = 7;
+
+/// Column 1 beside integer pool `int`: floats equal under `==` but not bit
+/// for bit, and the reverse; or, beside unique keys, a distinct float per
+/// row.
+fn float_pool_beside(int: usize, rows: usize) -> Vec<Value> {
+    if int != UNIQUE {
+        return float_pool();
+    }
+    (0..rows.max(1))
+        .map(|i| Value::Float(i as f64 * 0.37 - 11.0))
+        .collect()
 }
 
 /// Column 1: floats equal under `==` but not bit for bit, and the reverse.
@@ -86,6 +112,9 @@ fn str_pool(kind: usize) -> Vec<Value> {
         1 => &["", "apple", "banana", "cherry", "ápple", "zebra"],
         // Common bytes that stop inside a two- and a four-byte character.
         2 => &["naïve-é", "naïve-è", "naïve-𝄞", "naïve-𝄟", "naïve-éé"],
+        // Labels whose first one [`table_db`] writes away once the column
+        // is coded, leaving its dictionary code unused.
+        UNUSED_CODE => &["gone", "kept-1", "kept-2", "kept-3", "kept-4"],
         // Nothing in common, and values that differ past their eight key
         // bytes only: several groups of equal strings, one run of equal keys.
         _ => &["x-abcdefgh1", "x-abcdefgh2", "x-abcdefgh", "y"],
@@ -93,9 +122,18 @@ fn str_pool(kind: usize) -> Vec<Value> {
     pool.iter().map(|s| Value::Str((*s).into())).collect()
 }
 
+/// The string pool kind past the four a generated case draws from.
+const UNUSED_CODE: usize = 4;
+
+/// The date pool kind past the two a generated case draws from: fifty days.
+const FIFTY_DAYS: usize = 2;
+
 /// Column 3: a `Date` column; `Int` payloads past `i32` read back narrowed.
 /// The second pool's payloads span all of `i64` and narrow into eleven days.
 fn date_pool(kind: usize) -> Vec<Value> {
+    if kind == FIFTY_DAYS {
+        return (0..50).map(|d| Value::Date(9_000 + 2 * d)).collect();
+    }
     let far = if kind == 0 { 10_000 } else { 7 };
     vec![
         Value::Date(0),
@@ -134,9 +172,10 @@ fn table_db(picks: &[[Option<usize>; 4]], pools: Pools, rows: usize) -> (Databas
     ]);
     let mut db = Database::new();
     let t = db.create_table("t", schema).unwrap();
+    let unused_code = pools.str == UNUSED_CODE;
     let pools = [
         int_pool(pools.int, rows),
-        float_pool(),
+        float_pool_beside(pools.int, rows),
         str_pool(pools.str),
         date_pool(pools.date),
     ];
@@ -145,6 +184,17 @@ fn table_db(picks: &[[Option<usize>; 4]], pools: Pools, rows: usize) -> (Databas
         values.push(Value::Null);
         values.push(Value::Int(r as i64 % 3));
         db.table_mut(t).insert(values).unwrap();
+    }
+    if unused_code {
+        // Code the strings, then write the first one away: its code stays
+        // in the dictionary with no row holding it.
+        let table = db.table_mut(t);
+        table.column(2).str_codes();
+        let gone = &pools[2][0];
+        let rows: Vec<usize> = (0..table.row_count())
+            .filter(|&r| table.column(2).get(r) == *gone)
+            .collect();
+        table.update_rows(&rows, 2, &pools[2][1]).unwrap();
     }
     (db, t)
 }
@@ -495,6 +545,97 @@ fn nan_only_null_first_and_colliding_keys_equal_the_value_oracle() {
     let strings = build(2);
     assert_eq!(strings.histogram.ndv(), 2.0);
     assert_eq!(strings.prefix_ndv(1), 5.0); // four strings and NULL
+}
+
+/// Prefixes no small pool reaches. Two columns, both with NULLs, whose
+/// value counts multiply past twice the rows plus 1 024 (201 × 51 over
+/// 2 000 rows), alone and under a third column; a unique-key integer column
+/// spread past the direct bound; and a float column holding a distinct
+/// value per row.
+#[test]
+fn wide_pairs_unique_keys_and_distinct_floats_equal_the_value_oracle() {
+    let rows = 2_000;
+    let pair: Vec<[Option<usize>; 4]> = (0..rows)
+        .map(|r| {
+            [
+                (r % 13 != 5).then_some(r % 200),
+                Some(r % 11),
+                Some(r % 5),
+                (r % 17 != 3).then_some(r / 3 % 50),
+            ]
+        })
+        .collect();
+    let pools = Pools {
+        int: MANY,
+        str: 1,
+        date: FIFTY_DAYS,
+    };
+    let columns = vec![vec![0, 3], vec![3, 0, 2], vec![0, 3, 1], vec![0], vec![3]];
+    check_case(&pair, pools, columns, 3).unwrap();
+
+    let unique: Vec<[Option<usize>; 4]> = (0..rows)
+        .map(|r| [Some(r), Some(r), Some(r % 5), Some(r % 7)])
+        .collect();
+    let pools = Pools {
+        int: UNIQUE,
+        str: 0,
+        date: 0,
+    };
+    let columns = vec![vec![0], vec![1], vec![0, 1], vec![1, 3, 0], vec![3, 1]];
+    check_case(&unique, pools, columns, 9).unwrap();
+
+    // The premise: the values are there to be read.
+    let ndv = |picks: &[[Option<usize>; 4]], pools, columns: Vec<usize>| {
+        let (db, t) = table_db(picks, pools, rows);
+        let d = StatDescriptor::multi(t, columns);
+        let s = build_statistic(StatId(0), db.table(t), d, &BuildOptions::default(), 0, 0);
+        s.prefix_ndv(s.descriptor.columns.len())
+    };
+    assert_eq!(ndv(&unique, pools, vec![0]), rows as f64);
+    assert_eq!(ndv(&unique, pools, vec![1]), rows as f64);
+    let pools = Pools {
+        int: MANY,
+        str: 1,
+        date: FIFTY_DAYS,
+    };
+    let (a, b) = (ndv(&pair, pools, vec![0]), ndv(&pair, pools, vec![3]));
+    assert_eq!((a, b), (201.0, 51.0));
+    assert!(a * b > (2 * rows + 1_024) as f64);
+    let pairs: BTreeSet<_> = pair.iter().map(|p| (p[0], p[3])).collect();
+    assert_eq!(ndv(&pair, pools, vec![0, 3]), pairs.len() as f64);
+}
+
+/// A string column whose dictionary holds a code no row does, through
+/// every path: the counts skip the unused code, and a prefix keyed by
+/// codes leaves its slot empty.
+#[test]
+fn unused_dictionary_codes_equal_the_value_oracle() {
+    let picks: Vec<[Option<usize>; 4]> = (0..300)
+        .map(|r| {
+            [
+                Some(r % 7),
+                Some(r % 11),
+                (r % 9 != 2).then_some(r % 5),
+                Some(r % 6),
+            ]
+        })
+        .collect();
+    let pools = Pools {
+        int: 1,
+        str: UNUSED_CODE,
+        date: 0,
+    };
+    let columns = vec![vec![2], vec![2, 0], vec![0, 2], vec![2, 3, 5], vec![3, 2]];
+    check_case(&picks, pools, columns, 4).unwrap();
+
+    // The premise: six codes made (the NULL rows' padding has one), four
+    // strings left.
+    let (db, t) = table_db(&picks, pools, picks.len());
+    let (_, bound) = db.table(t).column(2).str_codes().unwrap();
+    assert_eq!(bound, 6);
+    let d = StatDescriptor::single(t, 2);
+    let s = build_statistic(StatId(0), db.table(t), d, &BuildOptions::default(), 0, 0);
+    assert_eq!(s.histogram.ndv(), 4.0);
 }
 
 /// Every candidate statistic of the `offline-tune` benchmark's inputs.
