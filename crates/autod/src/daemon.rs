@@ -110,7 +110,7 @@ pub struct AutodConfig {
     /// refreshed more than `max_updates` times is physically dropped — only
     /// if drop-listed, under `drop_only_droplisted`.
     pub staleness: MaintenancePolicy,
-    /// Workload-monitor sizing and eviction seed.
+    /// Workload-monitor sizing.
     pub monitor: MonitorConfig,
     /// Span sampling and slow-query capture. Observation-only: telemetry on
     /// vs off never changes catalogs, plans, or journals (pinned by

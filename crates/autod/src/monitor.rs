@@ -21,23 +21,21 @@
 use query::BoundSelect;
 use std::collections::{BTreeMap, BTreeSet};
 
-/// Monitor sizing and eviction seed.
+/// Monitor sizing.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MonitorConfig {
     /// Maximum distinct templates retained (and ghost entries remembered).
     pub capacity: usize,
-    /// Seed for the deterministic eviction tiebreak.
-    pub seed: u64,
 }
 
 impl Default for MonitorConfig {
     fn default() -> Self {
-        MonitorConfig {
-            capacity: 256,
-            seed: 0xA07D,
-        }
+        MonitorConfig { capacity: 256 }
     }
 }
+
+/// Seed of the deterministic eviction tiebreak.
+const EVICTION_SEED: u64 = 0xA07D;
 
 /// Public per-template view (for diagnostics and benchmarks).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -70,8 +68,8 @@ struct Ghost {
 pub struct WorkloadMonitor {
     config: MonitorConfig,
     templates: BTreeMap<u64, Template>,
-    /// Every retained template's `(frequency, last_seen_tick, mix(seed,
-    /// fp), fp)`: the first is the next to evict.
+    /// Every retained template's `(frequency, last_seen_tick, mix(fp),
+    /// fp)`: the first is the next to evict.
     by_eviction_key: BTreeSet<(u64, u64, u64, u64)>,
     ghosts: BTreeMap<u64, Ghost>,
     /// Every ghost's fingerprint by `evicted_seq`: the first is the oldest.
@@ -85,17 +83,18 @@ pub struct WorkloadMonitor {
     pending_evictions: Vec<u64>,
 }
 
-/// SplitMix64 finalizer: the deterministic eviction tiebreak.
-fn mix(seed: u64, x: u64) -> u64 {
-    let mut z = x ^ seed ^ 0x9E37_79B9_7F4A_7C15;
+/// SplitMix64 finalizer, keyed by [`EVICTION_SEED`]: the deterministic
+/// eviction tiebreak.
+fn mix(x: u64) -> u64 {
+    let mut z = x ^ EVICTION_SEED ^ 0x9E37_79B9_7F4A_7C15;
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
 }
 
 /// A retained template's place in `WorkloadMonitor::by_eviction_key`.
-fn eviction_key(seed: u64, fp: u64, t: &Template) -> (u64, u64, u64, u64) {
-    (t.frequency, t.last_seen_tick, mix(seed, fp), fp)
+fn eviction_key(fp: u64, t: &Template) -> (u64, u64, u64, u64) {
+    (t.frequency, t.last_seen_tick, mix(fp), fp)
 }
 
 impl WorkloadMonitor {
@@ -103,7 +102,6 @@ impl WorkloadMonitor {
         WorkloadMonitor {
             config: MonitorConfig {
                 capacity: config.capacity.max(1),
-                ..config
             },
             templates: BTreeMap::new(),
             by_eviction_key: BTreeSet::new(),
@@ -123,12 +121,11 @@ impl WorkloadMonitor {
     pub fn observe(&mut self, query: &BoundSelect, tick: u64) -> u64 {
         let fp = query.fingerprint();
         self.observed_total += 1;
-        let seed = self.config.seed;
         if let Some(t) = self.templates.get_mut(&fp) {
-            self.by_eviction_key.remove(&eviction_key(seed, fp, t));
+            self.by_eviction_key.remove(&eviction_key(fp, t));
             t.frequency += 1;
             t.last_seen_tick = tick;
-            self.by_eviction_key.insert(eviction_key(seed, fp, t));
+            self.by_eviction_key.insert(eviction_key(fp, t));
             return fp;
         }
         // Ghost restoration: a recently evicted template resumes its count.
@@ -150,7 +147,7 @@ impl WorkloadMonitor {
             first_seen_tick: tick,
             last_seen_tick: tick,
         };
-        self.by_eviction_key.insert(eviction_key(seed, fp, &t));
+        self.by_eviction_key.insert(eviction_key(fp, &t));
         self.templates.insert(fp, t);
         if self.templates.len() > self.config.capacity {
             self.evict_one();
@@ -159,7 +156,7 @@ impl WorkloadMonitor {
     }
 
     /// Evict the template with the least `(frequency, last_seen_tick,
-    /// mix(seed, fp))` — deterministic for a fixed seed and stream.
+    /// mix(fp))` — deterministic for a fixed stream.
     fn evict_one(&mut self) {
         let Some((_, _, _, fp)) = self.by_eviction_key.pop_first() else {
             return;
@@ -315,10 +312,7 @@ mod tests {
     fn capacity_bound_evicts_least_frequent_first() {
         let db = db();
         let qs = queries(&db, 4);
-        let mut m = WorkloadMonitor::new(MonitorConfig {
-            capacity: 3,
-            seed: 42,
-        });
+        let mut m = WorkloadMonitor::new(MonitorConfig { capacity: 3 });
         // q0 is hot; q1..q3 arrive once each.
         for _ in 0..5 {
             m.observe(&qs[0], 1);
@@ -340,10 +334,7 @@ mod tests {
     fn ghost_restores_frequency_of_reobserved_evictee() {
         let db = db();
         let qs = queries(&db, 3);
-        let mut m = WorkloadMonitor::new(MonitorConfig {
-            capacity: 2,
-            seed: 7,
-        });
+        let mut m = WorkloadMonitor::new(MonitorConfig { capacity: 2 });
         m.observe(&qs[0], 1);
         m.observe(&qs[0], 1);
         m.observe(&qs[1], 1);
@@ -364,8 +355,8 @@ mod tests {
     fn eviction_is_deterministic_for_fixed_seed() {
         let db = db();
         let qs = queries(&db, 8);
-        let run = |seed: u64| {
-            let mut m = WorkloadMonitor::new(MonitorConfig { capacity: 4, seed });
+        let run = || {
+            let mut m = WorkloadMonitor::new(MonitorConfig { capacity: 4 });
             for (i, q) in qs.iter().enumerate() {
                 m.observe(q, i as u64);
             }
@@ -377,7 +368,7 @@ mod tests {
                 m.drain_evictions(),
             )
         };
-        assert_eq!(run(11), run(11));
+        assert_eq!(run(), run());
     }
 
     #[test]
@@ -398,11 +389,10 @@ mod tests {
     }
 
     /// The rule the indexes replaced, kept as the oracle: a linear scan for
-    /// the least `(frequency, last_seen_tick, mix(seed, fp))` to evict and
+    /// the least `(frequency, last_seen_tick, mix(fp))` to evict and
     /// for the least `evicted_seq` to forget, over fingerprints alone.
     struct LinearScan {
         capacity: usize,
-        seed: u64,
         /// fp → (frequency, arrival, first_seen_tick, last_seen_tick)
         templates: BTreeMap<u64, (u64, u64, u64, u64)>,
         /// fp → (frequency, evicted_seq)
@@ -428,11 +418,10 @@ mod tests {
             if self.templates.len() <= self.capacity {
                 return;
             }
-            let seed = self.seed;
             let victim = self
                 .templates
                 .iter()
-                .map(|(fp, t)| ((t.0, t.3, mix(seed, *fp)), *fp))
+                .map(|(fp, t)| ((t.0, t.3, mix(*fp)), *fp))
                 .min_by_key(|(key, _)| *key)
                 .map(|(_, fp)| fp)
                 .unwrap();
@@ -471,11 +460,9 @@ mod tests {
         let db = db();
         let qs = queries(&db, 300);
         for capacity in [1, 4, 256] {
-            let seed = 0xA07D + capacity as u64;
-            let mut m = WorkloadMonitor::new(MonitorConfig { capacity, seed });
+            let mut m = WorkloadMonitor::new(MonitorConfig { capacity });
             let mut oracle = LinearScan {
                 capacity,
-                seed,
                 templates: BTreeMap::new(),
                 ghosts: BTreeMap::new(),
                 arrivals: 0,

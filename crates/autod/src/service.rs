@@ -329,7 +329,6 @@ impl QueryHandle {
             db,
             &query,
             &optimized.plan,
-            &self.optimizer.params,
             private.as_ref().unwrap_or(&self.obs.tracer),
         )?;
         let latency_ns = start.elapsed().as_nanos() as u64;
@@ -389,7 +388,8 @@ impl QueryHandle {
         )?;
         Ok(format!(
             "{}magic variables: {:?}\n",
-            optimized.plan, optimized.magic_variables
+            optimized.plan,
+            optimized.profile.magic_variables()
         ))
     }
 

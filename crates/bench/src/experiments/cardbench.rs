@@ -360,8 +360,7 @@ fn traced_runs<'q>(
             .optimize(db, query, catalog.full_view(), &OptimizeOptions::default())
             .expect("optimization succeeds");
         let tracer = obsv::Tracer::enabled();
-        let out = execute_plan_observed(db, query, &chosen.plan, &optimizer.params, &tracer)
-            .expect("plan executes");
+        let out = execute_plan_observed(db, query, &chosen.plan, &tracer).expect("plan executes");
         q_errors.extend(operator_q_errors(&tracer.flush()));
         works.push(out.work);
     }
@@ -749,8 +748,7 @@ fn group_by_fraction(db: &Database, query: &BoundSelect, optimizer: &Optimizer) 
         )
         .expect("probe optimization succeeds");
     let tracer = obsv::Tracer::enabled();
-    execute_plan_observed(db, query, &plan.plan, &optimizer.params, &tracer)
-        .expect("probe execution succeeds");
+    execute_plan_observed(db, query, &plan.plan, &tracer).expect("probe execution succeeds");
     let events = tracer.flush();
     // Spans: End events carry counts, Begin events carry parent linkage.
     let mut rows_out: FxHashMap<u64, f64> = FxHashMap::default();

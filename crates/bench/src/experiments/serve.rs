@@ -28,7 +28,7 @@ use autod::{AutodConfig, ServiceReport, TickReport};
 use autostats::{OnlineEvent, SessionReport};
 use obsv::json::Object;
 use query::{bind_statement, BoundSelect, Statement};
-use serve::{GatherStats, Route, Router, ServeCluster, ServeConfig, ShardPlan, ShardPlanConfig};
+use serve::{GatherStats, Route, Router, ServeCluster, ServeConfig, ShardPlan};
 use std::sync::Arc;
 use storage::Database;
 
@@ -252,7 +252,7 @@ fn drive_cluster(
 /// same `ShardAssigned` prelude journaled that a cluster records.
 fn drive_unsharded(scale: &ExperimentScale, ticks: u64, budget: f64) -> ServiceDrive {
     let (db, statements) = stream(scale);
-    let plan = ShardPlan::build(&db, &ShardPlanConfig::default());
+    let plan = ShardPlan::build(&db, 1, usize::MAX);
     let mut shard_dbs = plan.shard_databases(&db).expect("1-shard split succeeds");
     let shard_db = shard_dbs.remove(0);
     let mut session = SessionReport::default();

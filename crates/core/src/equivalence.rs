@@ -45,7 +45,6 @@ mod tests {
     fn result(plan: PlanNode) -> OptimizedQuery {
         OptimizedQuery {
             cost: plan.est_cost,
-            magic_variables: vec![],
             profile: empty_profile(),
             plan,
         }
@@ -53,7 +52,6 @@ mod tests {
 
     fn empty_profile() -> SelectivityProfile {
         // Build via the public path: a profile of a query with no predicates.
-        use optimizer::MagicNumbers;
         use query::{BoundSelect, Projection};
         use stats::StatsCatalog;
         use storage::{ColumnDef, DataType, Database, Schema};
@@ -71,13 +69,7 @@ mod tests {
             order_by: vec![],
         };
         let cat = StatsCatalog::new();
-        optimizer::selectivity::build_profile(
-            &db,
-            &cat.full_view(),
-            &q,
-            &MagicNumbers::default(),
-            &Default::default(),
-        )
+        optimizer::selectivity::build_profile(&db, &cat.full_view(), &q, &Default::default())
     }
 
     fn scan(preds: Vec<usize>, cost: f64) -> PlanNode {

@@ -279,7 +279,7 @@ impl MnsaEngine {
 
         loop {
             // Step 4: the selectivity variables still on magic numbers.
-            let magic: Vec<PredicateId> = current.magic_variables.clone();
+            let magic: Vec<PredicateId> = current.profile.magic_variables();
 
             // Steps 5–7: P_low / P_high sensitivity probe.
             if magic.is_empty() {

@@ -317,7 +317,6 @@ fn op_span_name(op: &Operator) -> &'static str {
 struct Interp<'a> {
     db: &'a Database,
     query: &'a BoundSelect,
-    params: &'a CostParams,
     work: f64,
 }
 
@@ -402,7 +401,7 @@ impl<'a> Interp<'a> {
         match &node.op {
             Operator::SeqScan { rel, table, preds } => {
                 let t = self.db.try_table(*table)?;
-                self.work += self.params.seq_scan(t.row_count() as f64);
+                self.work += CostParams::seq_scan(t.row_count() as f64);
                 let pred_refs = self.selections(preds)?;
                 Ok(Intermediate {
                     rels: vec![*rel],
@@ -420,9 +419,7 @@ impl<'a> Interp<'a> {
                 // Rows reachable through the index seek.
                 let seek_refs = self.selections(seek_preds)?;
                 let mut rows = filter_table_columnar(t, &seek_refs);
-                self.work += self
-                    .params
-                    .index_scan(t.row_count() as f64, rows.len() as f64);
+                self.work += CostParams::index_scan(t.row_count() as f64, rows.len() as f64);
                 let residual_refs = self.selections(residual)?;
                 if !rows.is_empty() && !residual_refs.is_empty() {
                     for pred in &residual_refs {
@@ -438,7 +435,7 @@ impl<'a> Interp<'a> {
                 let left = self.run(&node.children[0], span)?;
                 let right = self.run(&node.children[1], span)?;
                 let out = self.equi_join(&left, &right, edges)?;
-                self.work += self.params.hash_join(
+                self.work += CostParams::hash_join(
                     left.count() as f64,
                     right.count() as f64,
                     out.count() as f64,
@@ -449,7 +446,7 @@ impl<'a> Interp<'a> {
                 let left = self.run(&node.children[0], span)?;
                 let right = self.run(&node.children[1], span)?;
                 let out = self.equi_join(&left, &right, edges)?;
-                self.work += self.params.merge_join(
+                self.work += CostParams::merge_join(
                     left.count() as f64,
                     right.count() as f64,
                     out.count() as f64,
@@ -466,9 +463,9 @@ impl<'a> Interp<'a> {
                 };
                 // A nested-loop join re-walks the inner input once per outer
                 // row; meter it that way even though we materialize.
-                self.work += self.params.nested_loop(
+                self.work += CostParams::nested_loop(
                     left.count() as f64,
-                    self.params.seq_row * right.count() as f64,
+                    CostParams::SEQ_ROW * right.count() as f64,
                     out.count() as f64,
                 );
                 Ok(out)
@@ -549,9 +546,9 @@ impl<'a> Interp<'a> {
                 // Metering mirrors the optimizer's model: one index descent
                 // per outer tuple plus a random access per fetched row.
                 let out_count = data.len() / rels.len();
-                self.work += outer.count() as f64 * self.params.index_lookup
-                    + fetched_total as f64 * self.params.index_row
-                    + self.params.join_output * out_count as f64;
+                self.work += outer.count() as f64 * CostParams::INDEX_LOOKUP
+                    + fetched_total as f64 * CostParams::INDEX_ROW
+                    + CostParams::JOIN_OUTPUT * out_count as f64;
                 Ok(Intermediate { rels, data })
             }
             Operator::HashAggregate { .. } | Operator::Sort { .. } => {
@@ -727,15 +724,19 @@ fn agg_output(
 }
 
 /// Execute a physical plan for `query` against `db`, returning materialized
-/// output rows and the deterministic work metric. Errors if the plan tree is
-/// inconsistent with the query or references a stale table.
+/// output rows and the deterministic work metric, metered by [`CostParams`]'
+/// constants. Errors if the plan tree is inconsistent with the query or
+/// references a stale table.
+///
+/// `_params` holds nothing: it stays in the signature because `benchmark/`
+/// passes `&optimizer.params`.
 pub fn execute_plan(
     db: &Database,
     query: &BoundSelect,
     plan: &PlanNode,
-    params: &CostParams,
+    _params: &CostParams,
 ) -> Result<ExecOutput, ExecError> {
-    execute_plan_observed(db, query, plan, params, &obsv::Tracer::disabled())
+    execute_plan_observed(db, query, plan, &obsv::Tracer::disabled())
 }
 
 /// [`execute_plan`] under a tracer. The query gets an `exec.query` span with
@@ -746,11 +747,10 @@ pub fn execute_plan_observed(
     db: &Database,
     query: &BoundSelect,
     plan: &PlanNode,
-    params: &CostParams,
     tracer: &obsv::Tracer,
 ) -> Result<ExecOutput, ExecError> {
     let mut span = tracer.span("exec.query");
-    let out = execute_impl(db, query, plan, params, &span)?;
+    let out = execute_impl(db, query, plan, &span)?;
     span.arg("rows_out", out.rows.len());
     span.arg("work", out.work);
     Ok(out)
@@ -760,13 +760,11 @@ fn execute_impl(
     db: &Database,
     query: &BoundSelect,
     plan: &PlanNode,
-    params: &CostParams,
     span: &obsv::SpanGuard,
 ) -> Result<ExecOutput, ExecError> {
     let mut interp = Interp {
         db,
         query,
-        params,
         work: 0.0,
     };
 
@@ -857,9 +855,7 @@ fn execute_impl(
                 }
             }
         }
-        interp.work += interp
-            .params
-            .hash_aggregate(input.count() as f64, groups.len() as f64);
+        interp.work += CostParams::hash_aggregate(input.count() as f64, groups.len() as f64);
         // Deterministic output: groups ordered by key, exactly as the
         // reference sorts its map keys.
         let mut order: Vec<usize> = (0..groups.len()).collect();
@@ -885,7 +881,7 @@ fn execute_impl(
         // ORDER BY over aggregate output: keys must be grouping columns;
         // their output position is their position in the GROUP BY list.
         if !query.order_by.is_empty() {
-            interp.work += interp.params.sort(rows.len() as f64);
+            interp.work += CostParams::sort(rows.len() as f64);
             let positions: Vec<(usize, bool)> = query
                 .order_by
                 .iter()
@@ -919,7 +915,7 @@ fn execute_impl(
     // over resolved columns skips the reference's per-tuple key
     // materialization; the stable sort keeps tie order identical.
     if !query.order_by.is_empty() {
-        interp.work += interp.params.sort(input.count() as f64);
+        interp.work += CostParams::sort(input.count() as f64);
         if !input.data.is_empty() {
             let order_cols: Vec<BoundColumn> = query.order_by.iter().map(|&(c, _)| c).collect();
             let o_cols = interp.resolve_cols(&input, &order_cols)?;
@@ -1094,7 +1090,7 @@ mod tests {
         let out = execute_plan(db, &q, &r.plan, &opt.params).unwrap();
         // Every test doubles as a differential check against the retained
         // row-at-a-time reference.
-        let ref_out = execute_plan_reference(db, &q, &r.plan, &opt.params).unwrap();
+        let ref_out = execute_plan_reference(db, &q, &r.plan).unwrap();
         assert_eq!(out.rows, ref_out.rows, "columnar rows diverge on {sql}");
         assert_eq!(
             out.work.to_bits(),
@@ -1220,7 +1216,7 @@ mod tests {
             .unwrap();
         let plain = execute_plan(&db, &q, &r.plan, &opt.params).unwrap();
         let tracer = obsv::Tracer::enabled();
-        let traced = execute_plan_observed(&db, &q, &r.plan, &opt.params, &tracer).unwrap();
+        let traced = execute_plan_observed(&db, &q, &r.plan, &tracer).unwrap();
         assert_eq!(plain.rows, traced.rows);
         assert_eq!(plain.work.to_bits(), traced.work.to_bits());
         let events = tracer.flush();
@@ -1281,7 +1277,7 @@ mod tests {
             .optimize(&db, &q, cat.full_view(), &OptimizeOptions::default())
             .unwrap();
         let tracer = obsv::Tracer::enabled();
-        let out = execute_plan_observed(&db, &q, &r.plan, &opt.params, &tracer).unwrap();
+        let out = execute_plan_observed(&db, &q, &r.plan, &tracer).unwrap();
         assert_eq!(out.row_count(), 5);
         let events = tracer.flush();
         assert!(obsv::trace::validate(&events).is_empty());
@@ -1348,9 +1344,9 @@ mod tests {
             let r = opt
                 .optimize(&db, &q, cat.full_view(), &OptimizeOptions::default())
                 .unwrap();
-            let reference = execute_plan_reference(&db, &q, &r.plan, &opt.params).unwrap();
+            let reference = execute_plan_reference(&db, &q, &r.plan).unwrap();
             let tracer = obsv::Tracer::enabled();
-            let traced = execute_plan_observed(&db, &q, &r.plan, &opt.params, &tracer).unwrap();
+            let traced = execute_plan_observed(&db, &q, &r.plan, &tracer).unwrap();
             assert_eq!(traced.rows, reference.rows, "rows diverge on {sql}");
             assert_eq!(
                 traced.work.to_bits(),

@@ -36,7 +36,6 @@ impl Intermediate {
 struct Interp<'a> {
     db: &'a Database,
     query: &'a BoundSelect,
-    params: &'a CostParams,
     work: f64,
 }
 
@@ -91,7 +90,7 @@ impl<'a> Interp<'a> {
         match &node.op {
             Operator::SeqScan { rel, table, preds } => {
                 let t = self.db.try_table(*table)?;
-                self.work += self.params.seq_scan(t.row_count() as f64);
+                self.work += CostParams::seq_scan(t.row_count() as f64);
                 let pred_refs = self.selections(preds)?;
                 let rows = filter_table(t, &pred_refs);
                 Ok(Intermediate {
@@ -110,9 +109,7 @@ impl<'a> Interp<'a> {
                 // Rows reachable through the index seek.
                 let seek_refs = self.selections(seek_preds)?;
                 let seek_rows = filter_table(t, &seek_refs);
-                self.work += self
-                    .params
-                    .index_scan(t.row_count() as f64, seek_rows.len() as f64);
+                self.work += CostParams::index_scan(t.row_count() as f64, seek_rows.len() as f64);
                 let residual_refs = self.selections(residual)?;
                 let rows: Vec<usize> = seek_rows
                     .into_iter()
@@ -127,7 +124,7 @@ impl<'a> Interp<'a> {
                 let left = self.run(&node.children[0])?;
                 let right = self.run(&node.children[1])?;
                 let out = self.equi_join(&left, &right, edges)?;
-                self.work += self.params.hash_join(
+                self.work += CostParams::hash_join(
                     left.tuples.len() as f64,
                     right.tuples.len() as f64,
                     out.tuples.len() as f64,
@@ -138,7 +135,7 @@ impl<'a> Interp<'a> {
                 let left = self.run(&node.children[0])?;
                 let right = self.run(&node.children[1])?;
                 let out = self.equi_join(&left, &right, edges)?;
-                self.work += self.params.merge_join(
+                self.work += CostParams::merge_join(
                     left.tuples.len() as f64,
                     right.tuples.len() as f64,
                     out.tuples.len() as f64,
@@ -155,9 +152,9 @@ impl<'a> Interp<'a> {
                 };
                 // A nested-loop join re-walks the inner input once per outer
                 // row; meter it that way even though we materialize.
-                self.work += self.params.nested_loop(
+                self.work += CostParams::nested_loop(
                     left.tuples.len() as f64,
-                    self.params.seq_row * right.tuples.len() as f64,
+                    CostParams::SEQ_ROW * right.tuples.len() as f64,
                     out.tuples.len() as f64,
                 );
                 Ok(out)
@@ -221,9 +218,9 @@ impl<'a> Interp<'a> {
                 }
                 // Metering mirrors the optimizer's model: one index descent
                 // per outer tuple plus a random access per fetched row.
-                self.work += outer.tuples.len() as f64 * self.params.index_lookup
-                    + fetched_total as f64 * self.params.index_row
-                    + self.params.join_output * tuples.len() as f64;
+                self.work += outer.tuples.len() as f64 * CostParams::INDEX_LOOKUP
+                    + fetched_total as f64 * CostParams::INDEX_ROW
+                    + CostParams::JOIN_OUTPUT * tuples.len() as f64;
                 Ok(Intermediate { rels, tuples })
             }
             Operator::HashAggregate { .. } | Operator::Sort { .. } => {
@@ -376,12 +373,10 @@ pub fn execute_plan_reference(
     db: &Database,
     query: &BoundSelect,
     plan: &PlanNode,
-    params: &CostParams,
 ) -> Result<ExecOutput, ExecError> {
     let mut interp = Interp {
         db,
         query,
-        params,
         work: 0.0,
     };
 
@@ -398,9 +393,7 @@ pub fn execute_plan_reference(
             }
             groups.entry(key).or_default().push(tuple);
         }
-        interp.work += interp
-            .params
-            .hash_aggregate(input.tuples.len() as f64, groups.len() as f64);
+        interp.work += CostParams::hash_aggregate(input.tuples.len() as f64, groups.len() as f64);
         let mut keys: Vec<&Vec<Value>> = groups.keys().collect();
         keys.sort();
         let mut rows = Vec::with_capacity(keys.len());
@@ -410,7 +403,7 @@ pub fn execute_plan_reference(
         // ORDER BY over aggregate output: keys must be grouping columns;
         // their output position is their position in the GROUP BY list.
         if !query.order_by.is_empty() {
-            interp.work += interp.params.sort(rows.len() as f64);
+            interp.work += CostParams::sort(rows.len() as f64);
             let positions: Vec<(usize, bool)> = query
                 .order_by
                 .iter()
@@ -441,7 +434,7 @@ pub fn execute_plan_reference(
     // ORDER BY on plain queries sorts the tuples before projection (the sort
     // key need not be projected).
     if !query.order_by.is_empty() {
-        interp.work += interp.params.sort(input.tuples.len() as f64);
+        interp.work += CostParams::sort(input.tuples.len() as f64);
         let mut keyed: Vec<(Vec<Value>, Vec<usize>)> = Vec::with_capacity(input.tuples.len());
         for t in &input.tuples {
             let mut k = Vec::with_capacity(query.order_by.len());

@@ -8,7 +8,7 @@
 use crate::error::ExecError;
 use crate::exec::{execute_plan_observed, ExecOutput};
 use crate::predicate::filter_table_columnar;
-use optimizer::{OptimizeOptions, Optimizer};
+use optimizer::{CostParams, OptimizeOptions, Optimizer};
 use query::{BoundDelete, BoundInsert, BoundStatement, BoundUpdate};
 use stats::StatsView;
 use storage::Database;
@@ -35,13 +35,9 @@ impl StatementOutcome {
     }
 }
 
-fn run_insert(
-    db: &mut Database,
-    ins: &BoundInsert,
-    opt: &Optimizer,
-) -> Result<StatementOutcome, ExecError> {
+fn run_insert(db: &mut Database, ins: &BoundInsert) -> Result<StatementOutcome, ExecError> {
     let table = db.try_table_mut(ins.table)?;
-    let work = opt.params.seq_row; // append cost
+    let work = CostParams::SEQ_ROW; // append cost
     let affected = match table.insert(ins.values.clone()) {
         Ok(()) => 1,
         Err(_) => 0,
@@ -52,13 +48,9 @@ fn run_insert(
     })
 }
 
-fn run_update(
-    db: &mut Database,
-    upd: &BoundUpdate,
-    opt: &Optimizer,
-) -> Result<StatementOutcome, ExecError> {
+fn run_update(db: &mut Database, upd: &BoundUpdate) -> Result<StatementOutcome, ExecError> {
     let table = db.try_table_mut(upd.table)?;
-    let scan_work = opt.params.seq_scan(table.row_count() as f64);
+    let scan_work = CostParams::seq_scan(table.row_count() as f64);
     let preds: Vec<_> = upd.selections.iter().collect();
     let rows = filter_table_columnar(table, &preds);
     let n = table.update_rows(&rows, upd.set_column, &upd.set_value)?;
@@ -68,13 +60,9 @@ fn run_update(
     })
 }
 
-fn run_delete(
-    db: &mut Database,
-    del: &BoundDelete,
-    opt: &Optimizer,
-) -> Result<StatementOutcome, ExecError> {
+fn run_delete(db: &mut Database, del: &BoundDelete) -> Result<StatementOutcome, ExecError> {
     let table = db.try_table_mut(del.table)?;
-    let scan_work = opt.params.seq_scan(table.row_count() as f64);
+    let scan_work = CostParams::seq_scan(table.row_count() as f64);
     let preds: Vec<_> = del.selections.iter().collect();
     let rows = filter_table_columnar(table, &preds);
     let n = table.delete_rows(rows);
@@ -108,15 +96,15 @@ pub fn run_statement_observed(
     match stmt {
         BoundStatement::Select(q) => {
             let optimized = optimizer.optimize(db, q, stats, &OptimizeOptions::default())?;
-            let output = execute_plan_observed(db, q, &optimized.plan, &optimizer.params, tracer)?;
+            let output = execute_plan_observed(db, q, &optimized.plan, tracer)?;
             Ok(StatementOutcome::Query {
                 output,
                 estimated_cost: optimized.cost,
             })
         }
-        BoundStatement::Insert(i) => traced_dml(tracer, || run_insert(db, i, optimizer)),
-        BoundStatement::Update(u) => traced_dml(tracer, || run_update(db, u, optimizer)),
-        BoundStatement::Delete(d) => traced_dml(tracer, || run_delete(db, d, optimizer)),
+        BoundStatement::Insert(i) => traced_dml(tracer, || run_insert(db, i)),
+        BoundStatement::Update(u) => traced_dml(tracer, || run_update(db, u)),
+        BoundStatement::Delete(d) => traced_dml(tracer, || run_delete(db, d)),
     }
 }
 

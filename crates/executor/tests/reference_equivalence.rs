@@ -43,11 +43,11 @@ fn assert_equivalent(db: &Database, sql: &str) {
         .optimize(db, &q, cat.full_view(), &OptimizeOptions::default())
         .expect("optimizes")
         .plan;
-    let reference = execute_plan_reference(db, &q, &plan, &opt.params).expect("reference");
+    let reference = execute_plan_reference(db, &q, &plan).expect("reference");
 
     let observed = || {
         let tracer = obsv::Tracer::enabled();
-        let out = execute_plan_observed(db, &q, &plan, &opt.params, &tracer).expect("columnar");
+        let out = execute_plan_observed(db, &q, &plan, &tracer).expect("columnar");
         (out, tracer.flush())
     };
 
@@ -209,8 +209,7 @@ fn adversarial_regimes_match_reference() {
             else {
                 continue;
             };
-            let reference =
-                execute_plan_reference(&db, &q, &optimized.plan, &opt.params).expect("reference");
+            let reference = execute_plan_reference(&db, &q, &optimized.plan).expect("reference");
             let out = execute_plan(&db, &q, &optimized.plan, &opt.params).expect("columnar");
             assert_eq!(out.rows, reference.rows, "{regime}");
             assert_eq!(out.work.to_bits(), reference.work.to_bits(), "{regime}");
@@ -278,7 +277,7 @@ fn dml_filtering_matches_row_at_a_time_oracle() {
                 )
                 .expect("optimizes")
                 .plan;
-            execute_plan_reference(db, &q, &plan, &opt.params)
+            execute_plan_reference(db, &q, &plan)
                 .expect("readback")
                 .rows
         };

@@ -4,8 +4,7 @@
 //! module: since PR 15 MNSA, the daemon and the experiments all call
 //! [`Optimizer::optimize`] directly (DESIGN.md §7 has the numbers that
 //! decided it). What is left is what `benchmark/` links to probe the floor of
-//! a memoized call (`optimizer.cache_hit.p50_us`), and the [`Fnv`] hasher the
-//! plan and profile fingerprints use.
+//! a memoized call (`optimizer.cache_hit.p50_us`).
 //!
 //! ## Keying
 //!
@@ -15,11 +14,11 @@
 //! 2. the selectivity profile — the **only** channel through which
 //!    statistics and injected selectivities reach plan selection,
 //! 3. per-table metadata read directly from the database (row counts and
-//!    index definitions),
-//! 4. the optimizer configuration (magic numbers, cost parameters).
+//!    index definitions).
 //!
-//! The cache key is a fingerprint of exactly these four inputs. Because the
-//! *content* of the statistics reads is hashed (via
+//! The magic numbers and the cost model are constants of the crate, not
+//! inputs. The cache key is a fingerprint of exactly these three inputs.
+//! Because the *content* of the statistics reads is hashed (via
 //! [`SelectivityProfile::fingerprint`](crate::SelectivityProfile::fingerprint)),
 //! a cached entry can never be stale: any catalog mutation that would change
 //! the optimizer's answer necessarily changes the profile, and therefore the
@@ -33,49 +32,10 @@ use query::BoundSelect;
 use rustc_hash::FxHashMap;
 use stats::StatsView;
 use std::sync::atomic::{AtomicU64, Ordering};
-use storage::Database;
+use storage::{Database, Fnv};
 
-/// Minimal FNV-1a 64-bit hasher over explicit words/bytes. Used instead of
-/// `std::hash::DefaultHasher` so fingerprints are stable across Rust
-/// versions and processes.
-pub struct Fnv(u64);
-
-impl Default for Fnv {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Fnv {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-
-    pub fn new() -> Self {
-        Fnv(Self::OFFSET)
-    }
-
-    pub fn write(&mut self, word: u64) -> &mut Self {
-        for b in word.to_le_bytes() {
-            self.0 = (self.0 ^ b as u64).wrapping_mul(Self::PRIME);
-        }
-        self
-    }
-
-    pub fn write_bytes(&mut self, bytes: &[u8]) -> &mut Self {
-        for &b in bytes {
-            self.0 = (self.0 ^ b as u64).wrapping_mul(Self::PRIME);
-        }
-        self
-    }
-
-    pub fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
-/// Cache key: fingerprints of the four inputs `optimize` is a pure function
-/// of (query, statistics-subset signature, table metadata + optimizer
-/// config).
+/// Cache key: fingerprints of the three inputs `optimize` is a pure function
+/// of (query, statistics-subset signature, table metadata).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 struct CacheKey {
     query: u64,
@@ -83,7 +43,7 @@ struct CacheKey {
     /// variable, which covers both the visible statistics subset and any
     /// injected selectivities.
     signature: u64,
-    /// Table metadata (row counts, indexes) and optimizer configuration.
+    /// Table metadata (row counts, indexes).
     context: u64,
 }
 
@@ -136,8 +96,8 @@ impl OptimizeCache {
 }
 
 /// Fingerprint of the non-statistics optimizer inputs: per-relation table
-/// metadata (row count, indexes) plus the optimizer configuration.
-fn context_fingerprint(optimizer: &Optimizer, db: &Database, query: &BoundSelect) -> u64 {
+/// metadata (row count, indexes).
+fn context_fingerprint(db: &Database, query: &BoundSelect) -> u64 {
     let mut h = Fnv::new();
     for &(table_id, _) in &query.relations {
         h.write(table_id.0 as u64);
@@ -155,32 +115,6 @@ fn context_fingerprint(optimizer: &Optimizer, db: &Database, query: &BoundSelect
                 h.write(c as u64);
             }
         }
-    }
-    let m = &optimizer.magic;
-    for v in [
-        m.equality,
-        m.inequality,
-        m.range,
-        m.between,
-        m.join,
-        m.group_by,
-    ] {
-        h.write(v.to_bits());
-    }
-    let p = &optimizer.params;
-    for v in [
-        p.seq_row,
-        p.index_lookup,
-        p.index_row,
-        p.hash_build,
-        p.hash_probe,
-        p.sort_cmp,
-        p.merge_row,
-        p.join_output,
-        p.agg_row,
-        p.agg_group,
-    ] {
-        h.write(v.to_bits());
     }
     h.finish()
 }
@@ -203,7 +137,7 @@ impl Optimizer {
         let key = CacheKey {
             query: query.fingerprint(),
             signature: profile.fingerprint(),
-            context: context_fingerprint(self, db, query),
+            context: context_fingerprint(db, query),
         };
         if let Some(hit) = cache.lookup(&key) {
             return Ok(hit);
@@ -280,7 +214,6 @@ mod tests {
         for r in [&first, &second] {
             assert!(r.plan.same_tree(&fresh.plan));
             assert_eq!(r.cost, fresh.cost);
-            assert_eq!(r.magic_variables, fresh.magic_variables);
             assert_eq!(r.profile, fresh.profile);
         }
     }

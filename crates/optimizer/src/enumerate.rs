@@ -117,7 +117,6 @@ struct Subset {
 
 /// Everything fixed for the length of one call.
 struct Enumerator<'a> {
-    params: &'a CostParams,
     db: &'a Database,
     query: &'a BoundSelect,
     relations: &'a [BaseRelation],
@@ -128,7 +127,6 @@ struct Enumerator<'a> {
 /// The cheapest join tree over all of `relations`, which the caller has
 /// checked to number between 1 and [`MAX_DP_RELATIONS`].
 pub(crate) fn best_join_tree(
-    params: &CostParams,
     db: &Database,
     query: &BoundSelect,
     profile: &SelectivityProfile,
@@ -185,7 +183,6 @@ pub(crate) fn best_join_tree(
     }
 
     let enumerator = Enumerator {
-        params,
         db,
         query,
         relations,
@@ -252,7 +249,7 @@ impl Enumerator<'_> {
             };
             subsets[mask as usize] = Subset {
                 rows,
-                sort: self.params.sort(rows),
+                sort: CostParams::sort(rows),
                 neighbours,
                 cost,
                 split,
@@ -271,8 +268,8 @@ impl Enumerator<'_> {
         out_rows: f64,
         connected: bool,
     ) -> Option<(f64, RelMask, JoinKind)> {
-        let p = self.params;
-        let output = p.join_output * out_rows;
+        type C = CostParams;
+        let output = C::JOIN_OUTPUT * out_rows;
         let mut best_cost = f64::INFINITY;
         let mut best: Option<(RelMask, JoinKind)> = None;
         let mut sub = (mask - 1) & mask;
@@ -292,14 +289,14 @@ impl Enumerator<'_> {
                     let base = left.cost + right.cost;
                     consider(
                         JoinKind::Hash,
-                        base + p.hash_join_priced(left.rows, right.rows, output),
+                        base + C::hash_join_priced(left.rows, right.rows, output),
                     );
                     // `other` was the left side of an earlier split, whose
                     // Merge cost this one's to the bit (module docs).
                     if sub > other {
                         consider(
                             JoinKind::Merge,
-                            base + p.merge_join_priced(
+                            base + C::merge_join_priced(
                                 left.sort, right.sort, left.rows, right.rows, output,
                             ),
                         );
@@ -309,7 +306,8 @@ impl Enumerator<'_> {
                             consider(
                                 JoinKind::IndexNl { index },
                                 left.cost
-                                    + left.rows.max(1.0) * (p.index_lookup + p.index_row * fetched)
+                                    + left.rows.max(1.0)
+                                        * (C::INDEX_LOOKUP + C::INDEX_ROW * fetched)
                                     + output,
                             );
                         }
@@ -317,7 +315,7 @@ impl Enumerator<'_> {
                 }
                 consider(
                     JoinKind::NestedLoop,
-                    left.cost + p.nested_loop_priced(left.rows, right.cost, output),
+                    left.cost + C::nested_loop_priced(left.rows, right.cost, output),
                 );
             }
             sub = (sub - 1) & mask;

@@ -5,13 +5,13 @@
 //!
 //! ```text
 //! optimize(query, visible statistics, injected selectivities)
-//!     -> (physical plan tree, estimated cost, magic-number variables)
+//!     -> (physical plan tree, estimated cost, selectivity profile)
 //! ```
 //!
 //! Three properties matter for faithfulness to the paper:
 //!
 //! 1. **Magic numbers** (§4.1): every predicate without applicable statistics
-//!    gets a system-wide default selectivity; the optimizer reports *which*
+//!    gets a system-wide default selectivity; the profile reports *which*
 //!    selectivity variables fell back to magic numbers.
 //! 2. **Selectivity injection** (§7.2): any selectivity variable can be
 //!    overridden with a caller-supplied value in `[0, 1]` — MNSA uses this to
@@ -46,7 +46,7 @@ pub use cache::OptimizeCache;
 pub use cost::CostParams;
 pub use enumerate::MAX_DP_RELATIONS;
 pub use error::PlanError;
-pub use magic::MagicNumbers;
+pub use magic::magic_number;
 pub use optimize::{OptimizeOptions, OptimizedQuery, Optimizer};
 pub use plan::{Operator, PlanNode};
 pub use selectivity::{SelectivityProfile, SelectivitySource};

@@ -1,55 +1,31 @@
-//! Default "magic number" selectivities (§4.1 of the paper).
+//! The "magic number" selectivities (§4.1 of the paper).
 //!
 //! "Magic numbers are system wide constants between 0 and 1 that are
-//! predetermined for various kinds of predicates." The paper's own example
-//! uses 0.30 for a range predicate without statistics; the remaining values
-//! follow the classical System R / SQL Server conventions.
+//! predetermined for various kinds of predicates": one constant per
+//! [`PredClass`], used for a selectivity variable that no visible statistic
+//! and no injected value covers. The paper's own example uses 0.30 for a
+//! range predicate; the remaining values follow the classical System R /
+//! SQL Server conventions.
 
 use query::PredClass;
 
-/// The per-predicate-class default selectivities used when no statistics
+/// The default selectivity of a predicate class, used when no statistics
 /// apply.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct MagicNumbers {
-    /// `col = literal`.
-    pub equality: f64,
-    /// `col <> literal`.
-    pub inequality: f64,
-    /// `col < / <= / > / >= literal` — the paper's example value is 0.30.
-    pub range: f64,
-    /// `col BETWEEN a AND b`.
-    pub between: f64,
-    /// Equi-join edge between two relations.
-    pub join: f64,
-    /// GROUP BY distinct-fraction: estimated fraction of input rows that are
-    /// distinct in the grouping columns.
-    pub group_by: f64,
-}
-
-impl Default for MagicNumbers {
-    fn default() -> Self {
-        MagicNumbers {
-            equality: 0.10,
-            inequality: 0.90,
-            range: 0.30,
-            between: 0.25,
-            join: 0.10,
-            group_by: 0.10,
-        }
-    }
-}
-
-impl MagicNumbers {
-    /// The default selectivity for a predicate class.
-    pub fn for_class(&self, class: PredClass) -> f64 {
-        match class {
-            PredClass::Equality => self.equality,
-            PredClass::Inequality => self.inequality,
-            PredClass::Range => self.range,
-            PredClass::Between => self.between,
-            PredClass::Join => self.join,
-            PredClass::GroupBy => self.group_by,
-        }
+pub const fn magic_number(class: PredClass) -> f64 {
+    match class {
+        // `col = literal`.
+        PredClass::Equality => 0.10,
+        // `col <> literal`.
+        PredClass::Inequality => 0.90,
+        // `col < / <= / > / >= literal`: the paper's example value.
+        PredClass::Range => 0.30,
+        // `col BETWEEN a AND b`.
+        PredClass::Between => 0.25,
+        // An equi-join edge between two relations.
+        PredClass::Join => 0.10,
+        // GROUP BY: the fraction of input rows distinct in the grouping
+        // columns.
+        PredClass::GroupBy => 0.10,
     }
 }
 
@@ -57,26 +33,26 @@ impl MagicNumbers {
 mod tests {
     use super::*;
 
+    /// Every magic number, pinned: a changed value is a deliberate diff here.
+    /// The range value is the paper's (§4.1: "most relational optimizers
+    /// use a default magic number, say 0.30, for the selectivity of the
+    /// range predicate").
     #[test]
-    fn defaults_are_valid_selectivities() {
-        let m = MagicNumbers::default();
-        for class in [
-            PredClass::Equality,
-            PredClass::Inequality,
-            PredClass::Range,
-            PredClass::Between,
-            PredClass::Join,
-            PredClass::GroupBy,
+    fn magic_numbers_by_class() {
+        for (class, value) in [
+            (PredClass::Equality, 0.10),
+            (PredClass::Inequality, 0.90),
+            (PredClass::Range, 0.30),
+            (PredClass::Between, 0.25),
+            (PredClass::Join, 0.10),
+            (PredClass::GroupBy, 0.10),
         ] {
-            let v = m.for_class(class);
-            assert!((0.0..=1.0).contains(&v), "{class:?} -> {v}");
+            assert_eq!(
+                magic_number(class).to_bits(),
+                f64::to_bits(value),
+                "{class:?}"
+            );
+            assert!((0.0..=1.0).contains(&value), "{class:?} -> {value}");
         }
-    }
-
-    #[test]
-    fn range_matches_paper_example() {
-        // §4.1: "most relational optimizers use a default magic number, say
-        // 0.30, for the selectivity of the range predicate".
-        assert_eq!(MagicNumbers::default().range, 0.30);
     }
 }

@@ -5,7 +5,6 @@
 use crate::cost::CostParams;
 use crate::enumerate::{best_join_tree, BaseRelation, MAX_DP_RELATIONS};
 use crate::error::PlanError;
-use crate::magic::MagicNumbers;
 use crate::plan::{Operator, PlanNode};
 use crate::selectivity::{build_profile, SelectivityProfile};
 use query::{BoundSelect, CmpOp, PredOp, PredicateId};
@@ -39,17 +38,19 @@ pub struct OptimizedQuery {
     /// Optimizer-estimated cost of the chosen plan (`Estimated-Cost(Q, S)`
     /// in the paper's notation).
     pub cost: f64,
-    /// Selectivity variables that fell back to magic numbers.
-    pub magic_variables: Vec<PredicateId>,
-    /// The full selectivity profile used.
+    /// The full selectivity profile used; its
+    /// [`magic_variables`](SelectivityProfile::magic_variables) are the
+    /// variables that fell back to magic numbers.
     pub profile: SelectivityProfile,
 }
 
-/// The query optimizer. Stateless apart from configuration; every call is a
-/// pure function of `(query, statistics view, options)`.
+/// The query optimizer. Stateless: every call is a pure function of
+/// `(query, statistics view, options)` and the table metadata.
 #[derive(Debug, Clone, Default)]
 pub struct Optimizer {
-    pub magic: MagicNumbers,
+    /// The cost model, which holds no state ([`CostParams`]' constants).
+    /// A field because `benchmark/` passes `&optimizer.params` to
+    /// `executor::execute_plan`.
     pub params: CostParams,
 }
 
@@ -75,7 +76,7 @@ impl Optimizer {
 
     /// The first half of [`optimize`](Optimizer::optimize): the selectivity
     /// of every variable of `query` under the visible statistics, the
-    /// injected values and this optimizer's magic numbers.
+    /// injected values and the magic numbers.
     pub fn profile(
         &self,
         db: &Database,
@@ -83,14 +84,14 @@ impl Optimizer {
         query: &BoundSelect,
         options: &OptimizeOptions,
     ) -> SelectivityProfile {
-        build_profile(db, &view, query, &self.magic, &options.injected)
+        build_profile(db, &view, query, &options.injected)
     }
 
     /// The second half of [`optimize`](Optimizer::optimize): plan `query`
     /// under a selectivity profile. The profile is the only channel through
     /// which statistics reach plan selection, and only its values are read,
     /// so the plan and its cost are a pure function of `(query, profile
-    /// values, table metadata, optimizer config)`: two profiles for which
+    /// values, table metadata)`: two profiles for which
     /// [`SelectivityProfile::same_values`] holds yield the same plan.
     ///
     /// # Errors
@@ -115,7 +116,7 @@ impl Optimizer {
         let relations: Vec<BaseRelation> = (0..n)
             .map(|rel| self.best_access_path(db, query, &profile, rel))
             .collect::<Result<_, _>>()?;
-        let mut plan = best_join_tree(&self.params, db, query, &profile, &relations)?;
+        let mut plan = best_join_tree(db, query, &profile, &relations)?;
 
         // Aggregation on top.
         if !query.group_by.is_empty() || !query.aggregates.is_empty() {
@@ -125,7 +126,7 @@ impl Optimizer {
             } else {
                 (input_rows * profile.value(PredicateId::GroupBy)).max(1.0)
             };
-            let cost = plan.est_cost + self.params.hash_aggregate(input_rows, groups);
+            let cost = plan.est_cost + CostParams::hash_aggregate(input_rows, groups);
             plan = PlanNode {
                 op: Operator::HashAggregate {
                     group: query.group_by.clone(),
@@ -141,7 +142,7 @@ impl Optimizer {
         // (the paper's footnote 1).
         if !query.order_by.is_empty() {
             let rows = plan.est_rows;
-            let cost = plan.est_cost + self.params.sort(rows);
+            let cost = plan.est_cost + CostParams::sort(rows);
             plan = PlanNode {
                 op: Operator::Sort {
                     keys: query.order_by.clone(),
@@ -165,7 +166,6 @@ impl Optimizer {
 
         Ok(OptimizedQuery {
             cost: plan.est_cost,
-            magic_variables: profile.magic_variables(),
             plan,
             profile,
         })
@@ -193,7 +193,7 @@ impl Optimizer {
                 preds: all_preds.clone(),
             },
             out_rows,
-            self.params.seq_scan(n),
+            CostParams::seq_scan(n),
         );
 
         for index in db.indexes_on(table_id) {
@@ -217,7 +217,7 @@ impl Optimizer {
                 .copied()
                 .filter(|i| !seek_preds.contains(i))
                 .collect();
-            let cost = self.params.index_scan(n, n * seek_sel);
+            let cost = CostParams::index_scan(n, n * seek_sel);
             if cost < best.est_cost {
                 best = PlanNode::leaf(
                     Operator::IndexScan {
@@ -311,7 +311,7 @@ mod tests {
         let r = optimize(&db, &cat, "SELECT * FROM dept");
         assert!(matches!(r.plan.op, Operator::SeqScan { .. }));
         assert_eq!(r.plan.est_rows, 10.0);
-        assert!(r.magic_variables.is_empty());
+        assert!(r.profile.magic_variables().is_empty());
     }
 
     #[test]
@@ -323,7 +323,7 @@ mod tests {
             "SELECT * FROM emp e, dept d WHERE e.deptid = d.deptid AND e.age < 30",
         );
         assert_eq!(
-            r.magic_variables,
+            r.profile.magic_variables(),
             vec![PredicateId::Selection(0), PredicateId::JoinEdge(0)]
         );
     }
@@ -363,7 +363,7 @@ mod tests {
             );
             assert!(r.cost > 0.0, "{sql}: free plan");
             // The stale statistic still answers — no magic-number fallback.
-            assert!(r.magic_variables.is_empty(), "{sql}");
+            assert!(r.profile.magic_variables().is_empty(), "{sql}");
         }
     }
 
@@ -383,7 +383,7 @@ mod tests {
             &cat,
             "SELECT * FROM emp e, dept d WHERE e.deptid = d.deptid AND e.age < 30",
         );
-        assert!(r.magic_variables.is_empty());
+        assert!(r.profile.magic_variables().is_empty());
         // join sel should be 1/max(10,10) = 0.1 and age<30 ≈ 0.95
         let jsel = r.profile.value(PredicateId::JoinEdge(0));
         assert!((jsel - 0.1).abs() < 1e-6, "jsel={jsel}");
@@ -428,7 +428,7 @@ mod tests {
                 )
                 .unwrap();
             assert!(
-                r.magic_variables.is_empty(),
+                r.profile.magic_variables().is_empty(),
                 "injected variables are not magic"
             );
             if i > 0 {
@@ -472,7 +472,7 @@ mod tests {
             "SELECT deptid, COUNT(*) FROM emp GROUP BY deptid",
         );
         assert!(matches!(r.plan.op, Operator::HashAggregate { .. }));
-        assert!(r.magic_variables.contains(&PredicateId::GroupBy));
+        assert!(r.profile.magic_variables().contains(&PredicateId::GroupBy));
         // With stats, group count is estimated from NDV.
         let (db2, mut cat2) = setup();
         let emp = db2.table_id("emp").unwrap();
@@ -483,7 +483,7 @@ mod tests {
             &cat2,
             "SELECT deptid, COUNT(*) FROM emp GROUP BY deptid",
         );
-        assert!(r2.magic_variables.is_empty());
+        assert!(r2.profile.magic_variables().is_empty());
         assert!(
             (r2.plan.est_rows - 10.0).abs() < 1.0,
             "groups={}",
@@ -508,8 +508,11 @@ mod tests {
         let without = opt
             .optimize(&db, &q, cat.view(&ignore), &OptimizeOptions::default())
             .unwrap();
-        assert!(with.magic_variables.is_empty());
-        assert_eq!(without.magic_variables, vec![PredicateId::Selection(0)]);
+        assert!(with.profile.magic_variables().is_empty());
+        assert_eq!(
+            without.profile.magic_variables(),
+            vec![PredicateId::Selection(0)]
+        );
         assert_ne!(with.plan.est_rows, without.plan.est_rows);
     }
 
@@ -583,7 +586,7 @@ mod tests {
             "joint estimate should be near zero: {}",
             r2.plan.est_rows
         );
-        assert!(r1.magic_variables.is_empty() && r2.magic_variables.is_empty());
+        assert!(r1.profile.magic_variables().is_empty() && r2.profile.magic_variables().is_empty());
     }
 
     /// Injected selectivities bypass the joint refinement (MNSA's probes

@@ -9,7 +9,7 @@
 
 use query::BoundColumn;
 use std::fmt;
-use storage::TableId;
+use storage::{Fnv, TableId};
 
 /// Physical operators.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -133,7 +133,7 @@ impl PlanNode {
     /// plan-determined quantities (e.g. deterministic execution work) across
     /// optimizations whose estimates differ but whose chosen trees agree.
     pub fn structural_fingerprint(&self) -> u64 {
-        let mut h = crate::cache::Fnv::new();
+        let mut h = Fnv::new();
         self.walk(&mut |node| {
             // `Operator`'s Debug output is structural only (no floats), so
             // it is a stable encoding of everything execution depends on.

@@ -18,11 +18,11 @@
 //! which the catalog memoizes per statistic pair; the null fractions and the
 //! floor are applied here, on every call.
 
-use crate::magic::MagicNumbers;
+use crate::magic::magic_number;
 use query::{BoundSelect, CmpOp, JoinEdge, PredClass, PredOp, PredicateId, SelectionPredicate};
 use rustc_hash::FxHashMap;
 use stats::{StatId, StatsView};
-use storage::Database;
+use storage::{Database, Fnv};
 
 /// Floor applied to statistics-derived selectivities. A histogram can
 /// legitimately estimate zero (no bucket contains the constant), but letting
@@ -135,7 +135,7 @@ impl SelectivityProfile {
     /// optimizer to the same plan for the same query and table metadata —
     /// this is the *statistics-subset signature* of the optimize cache.
     pub fn fingerprint(&self) -> u64 {
-        let mut h = crate::cache::Fnv::new();
+        let mut h = Fnv::new();
         for (o, (value, source)) in self.values.iter().zip(&self.sources).enumerate() {
             match self.id(o) {
                 PredicateId::Selection(i) => h.write(0).write(i as u64),
@@ -365,7 +365,6 @@ pub fn build_profile(
     db: &Database,
     view: &StatsView<'_>,
     query: &BoundSelect,
-    magic: &MagicNumbers,
     injected: &FxHashMap<PredicateId, f64>,
 ) -> SelectivityProfile {
     let injected = |id: PredicateId| {
@@ -391,7 +390,7 @@ pub fn build_profile(
             )
         } else {
             let class = pred.op.class();
-            (magic.for_class(class), SelectivitySource::Magic(class))
+            (magic_number(class), SelectivitySource::Magic(class))
         };
         values.push(value);
         sources.push(source);
@@ -410,7 +409,7 @@ pub fn build_profile(
             )
         } else {
             (
-                magic.for_class(PredClass::Join),
+                magic_number(PredClass::Join),
                 SelectivitySource::Magic(PredClass::Join),
             )
         };
@@ -440,7 +439,7 @@ pub fn build_profile(
             (v, SelectivitySource::Statistics(ids))
         } else {
             (
-                magic.for_class(PredClass::GroupBy),
+                magic_number(PredClass::GroupBy),
                 SelectivitySource::Magic(PredClass::GroupBy),
             )
         };

@@ -9,7 +9,7 @@
 
 use crate::ast::{AggFunc, CmpOp};
 use std::fmt;
-use storage::{TableId, Value};
+use storage::{Fnv, TableId, Value};
 
 /// A column of one of the query's relations: `(relation ordinal within the
 /// query, column ordinal within the table)`.
@@ -145,20 +145,10 @@ impl BoundSelect {
     /// `Debug` rendering, which is deterministic: every field is a `Vec`).
     /// The rendering is hashed as it is written, never held as a `String`.
     pub fn fingerprint(&self) -> u64 {
-        /// FNV-1a over every byte written to it.
-        struct Fnv(u64);
-        impl fmt::Write for Fnv {
-            fn write_str(&mut self, s: &str) -> fmt::Result {
-                for b in s.bytes() {
-                    self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
-                }
-                Ok(())
-            }
-        }
-        let mut h = Fnv(0xcbf2_9ce4_8422_2325);
+        let mut h = Fnv::new();
         // The sink never fails, and `Debug` fails only when its sink does.
         let _ = fmt::Write::write_fmt(&mut h, format_args!("{self:?}"));
-        h.0
+        h.finish()
     }
 
     /// All selectivity variables of this query, in a stable order.
@@ -314,13 +304,8 @@ mod tests {
 
     #[test]
     fn fingerprint_is_fnv_over_the_rendered_debug_string() {
-        let rendered = |q: &BoundSelect| {
-            format!("{q:?}")
-                .bytes()
-                .fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
-                    (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
-                })
-        };
+        let rendered =
+            |q: &BoundSelect| Fnv::new().write_bytes(format!("{q:?}").as_bytes()).finish();
         let q = two_rel_query();
         let mut other = two_rel_query();
         other.selections[0].op = PredOp::Cmp(CmpOp::Lt, Value::Str("x\u{e9}\"".into()));

@@ -49,7 +49,7 @@
 //! should chase them.
 
 use crate::arbiter::BudgetArbiter;
-use crate::plan::{Placement, ShardPlan, ShardPlanConfig};
+use crate::plan::{Placement, ShardPlan};
 use crate::router::{Route, Router, SelectRoute};
 use autod::{AutodConfig, OnlineService, QueryHandle, ServiceReport, Snapshot, TickReport};
 use autostats::{OnlineEvent, SessionReport, StatementError, TuneError};
@@ -114,10 +114,8 @@ impl ServeCluster {
     pub fn start(db: Database, config: ServeConfig) -> StorageResult<ServeCluster> {
         let plan = Arc::new(ShardPlan::build(
             &db,
-            &ShardPlanConfig {
-                shards: config.shards,
-                partition_threshold: config.partition_threshold,
-            },
+            config.shards,
+            config.partition_threshold,
         ));
         let skeleton = Arc::new(db.schema_skeleton());
         let shard_dbs = plan.shard_databases(&db)?;

@@ -57,5 +57,5 @@ pub mod router;
 
 pub use arbiter::BudgetArbiter;
 pub use cluster::{ClusterClient, GatherStats, ServeCluster, ServeConfig};
-pub use plan::{Placement, ShardPlan, ShardPlanConfig, TablePlacement};
+pub use plan::{Placement, ShardPlan, TablePlacement};
 pub use router::{Route, Router};

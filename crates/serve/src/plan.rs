@@ -1,15 +1,16 @@
 //! Deterministic table → shard placement and shard-database construction.
 //!
-//! The plan is a pure function of the database's table names, row counts,
-//! and the configuration: tables are visited largest-first (ties broken by
-//! name) and assigned to the least-loaded shard, except tables at or above
-//! `partition_threshold` rows, which are hash-partitioned across all shards
-//! by a seeded FNV-1a hash of the whole row. Each shard's database is a
+//! The plan is a pure function of the database's table names and row
+//! counts, the shard count and the partition threshold: tables are visited
+//! largest-first (ties broken by name) and assigned to the least-loaded
+//! shard, except tables at or above `partition_threshold` rows, which are
+//! hash-partitioned across all shards by a seeded FNV-1a hash of the whole
+//! row. Each shard's database is a
 //! [`Database::schema_skeleton`] of the original — same [`TableId`]s, same
 //! column ordinals, same index metadata — holding rows only for the tables
 //! (or partition slices) it owns.
 
-use storage::{Database, Result as StorageResult, TableId, Value};
+use storage::{Database, Fnv, Result as StorageResult, TableId, Value};
 
 /// Where one table's rows live.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -31,29 +32,9 @@ pub struct TablePlacement {
     pub placement: Placement,
 }
 
-/// Placement knobs. `partition_threshold` is in rows; partitioning only
-/// applies when the cluster has more than one shard (a 1-shard cluster owns
-/// every table wholly, which keeps it bit-identical to the unsharded
-/// service).
-#[derive(Debug, Clone)]
-pub struct ShardPlanConfig {
-    pub shards: usize,
-    /// Tables with at least this many rows are hash-partitioned.
-    pub partition_threshold: usize,
-}
-
 /// Seed of the row hash that assigns partitioned rows (and routed INSERTs)
 /// to shards.
 const PARTITION_SEED: u64 = 0x5EED_5A2D;
-
-impl Default for ShardPlanConfig {
-    fn default() -> Self {
-        ShardPlanConfig {
-            shards: 1,
-            partition_threshold: usize::MAX,
-        }
-    }
-}
 
 /// The deterministic table → shard mapping (see the module docs).
 #[derive(Debug, Clone)]
@@ -64,13 +45,15 @@ pub struct ShardPlan {
 }
 
 impl ShardPlan {
-    /// Plan placement for `db`. Greedy largest-first bin packing by row
-    /// count: sort tables by (rows desc, name asc), then place each on the
-    /// shard with the fewest assigned rows (ties favour the lowest shard
-    /// index). Tables at or above the partition threshold are partitioned
-    /// across all shards when `shards > 1`.
-    pub fn build(db: &Database, config: &ShardPlanConfig) -> ShardPlan {
-        let shards = config.shards.max(1);
+    /// Plan placement for `db` over `shards` shards. Greedy largest-first
+    /// bin packing by row count: sort tables by (rows desc, name asc), then
+    /// place each on the shard with the fewest assigned rows (ties favour the
+    /// lowest shard index). Tables with at least `partition_threshold` rows
+    /// are partitioned across all shards when `shards > 1`; a 1-shard plan
+    /// owns every table wholly, which keeps it bit-identical to the
+    /// unsharded service.
+    pub fn build(db: &Database, shards: usize, partition_threshold: usize) -> ShardPlan {
+        let shards = shards.max(1);
         let mut placements: Vec<TablePlacement> = db
             .table_ids()
             .map(|id| {
@@ -95,7 +78,7 @@ impl ShardPlan {
         let mut load = vec![0u64; shards];
         for idx in order {
             let rows = placements[idx].rows;
-            if shards > 1 && rows as usize >= config.partition_threshold {
+            if shards > 1 && rows as usize >= partition_threshold {
                 placements[idx].placement = Placement::Partitioned;
                 // A partition slice loads every shard roughly evenly.
                 for l in &mut load {
@@ -138,33 +121,17 @@ impl ShardPlan {
     /// encoding of every value in the row. Pure — the same row always lands
     /// on the same shard, so INSERT routing agrees with the initial split.
     pub fn row_shard(&self, values: &[Value]) -> usize {
-        let mut hash = 0xcbf2_9ce4_8422_2325u64 ^ PARTITION_SEED;
-        let mut eat = |b: u8| {
-            hash ^= b as u64;
-            hash = hash.wrapping_mul(0x1_0000_01b3);
-        };
+        let mut h = Fnv::seeded(PARTITION_SEED);
         for v in values {
             match v {
-                Value::Null => eat(0),
-                Value::Int(i) => {
-                    eat(1);
-                    i.to_le_bytes().into_iter().for_each(&mut eat);
-                }
-                Value::Float(f) => {
-                    eat(2);
-                    f.to_bits().to_le_bytes().into_iter().for_each(&mut eat);
-                }
-                Value::Str(s) => {
-                    eat(3);
-                    s.bytes().for_each(&mut eat);
-                }
-                Value::Date(d) => {
-                    eat(4);
-                    d.to_le_bytes().into_iter().for_each(&mut eat);
-                }
-            }
+                Value::Null => h.write_bytes(&[0]),
+                Value::Int(i) => h.write_bytes(&[1]).write_bytes(&i.to_le_bytes()),
+                Value::Float(f) => h.write_bytes(&[2]).write(f.to_bits()),
+                Value::Str(s) => h.write_bytes(&[3]).write_bytes(s.as_bytes()),
+                Value::Date(d) => h.write_bytes(&[4]).write_bytes(&d.to_le_bytes()),
+            };
         }
-        (hash % self.shards as u64) as usize
+        (h.finish() % self.shards as u64) as usize
     }
 
     /// Build the per-shard databases: one schema skeleton each, owned
@@ -240,12 +207,8 @@ mod tests {
     #[test]
     fn placement_is_deterministic_and_balanced() {
         let db = db_with(&[("a", 100), ("b", 90), ("c", 10), ("d", 5)]);
-        let config = ShardPlanConfig {
-            shards: 2,
-            ..ShardPlanConfig::default()
-        };
-        let p1 = ShardPlan::build(&db, &config);
-        let p2 = ShardPlan::build(&db, &config);
+        let p1 = ShardPlan::build(&db, 2, usize::MAX);
+        let p2 = ShardPlan::build(&db, 2, usize::MAX);
         for (x, y) in p1.placements().iter().zip(p2.placements()) {
             assert_eq!(x.placement, y.placement, "plan must be deterministic");
         }
@@ -273,13 +236,7 @@ mod tests {
     #[test]
     fn partitioning_splits_all_rows_exactly_once() {
         let db = db_with(&[("big", 500), ("small", 20)]);
-        let plan = ShardPlan::build(
-            &db,
-            &ShardPlanConfig {
-                shards: 3,
-                partition_threshold: 100,
-            },
-        );
+        let plan = ShardPlan::build(&db, 3, 100);
         let big = db.table_id("big").unwrap();
         assert_eq!(
             plan.placement(big).unwrap().placement,
@@ -306,7 +263,7 @@ mod tests {
     #[test]
     fn one_shard_database_is_a_verbatim_clone() {
         let db = db_with(&[("a", 50), ("b", 8)]);
-        let plan = ShardPlan::build(&db, &ShardPlanConfig::default());
+        let plan = ShardPlan::build(&db, 1, usize::MAX);
         let shards = plan.shard_databases(&db).unwrap();
         assert_eq!(shards.len(), 1);
         let clone = &shards[0];
@@ -328,13 +285,7 @@ mod tests {
     #[test]
     fn manifest_lists_owned_and_partitioned_tables() {
         let db = db_with(&[("big", 300), ("small", 10)]);
-        let plan = ShardPlan::build(
-            &db,
-            &ShardPlanConfig {
-                shards: 2,
-                partition_threshold: 100,
-            },
-        );
+        let plan = ShardPlan::build(&db, 2, 100);
         let shards = plan.shard_databases(&db).unwrap();
         let small = db.table_id("small").unwrap();
         let owner = match plan.placement(small).unwrap().placement {

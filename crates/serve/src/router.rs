@@ -161,7 +161,6 @@ pub(crate) struct SelectRoute<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::plan::ShardPlanConfig;
     use query::parse_statement;
     use storage::{ColumnDef, DataType, Database, Schema, Value};
 
@@ -183,13 +182,7 @@ mod tests {
                     .unwrap();
             }
         }
-        Arc::new(ShardPlan::build(
-            &db,
-            &ShardPlanConfig {
-                shards: 2,
-                partition_threshold: 100,
-            },
-        ))
+        Arc::new(ShardPlan::build(&db, 2, 100))
     }
 
     fn route(router: &Router, sql: &str) -> Route {

@@ -21,6 +21,7 @@
 pub mod catalog;
 pub mod column;
 pub mod error;
+pub mod fnv;
 pub mod index;
 pub mod schema;
 pub mod table;
@@ -29,6 +30,7 @@ pub mod value;
 pub use catalog::{Database, TableId};
 pub use column::{ColumnData, PayloadRef};
 pub use error::StorageError;
+pub use fnv::Fnv;
 pub use index::Index;
 pub use schema::{ColumnDef, Schema};
 pub use table::Table;

@@ -78,14 +78,14 @@ fn span_truth_matches_reference_interpreter_on_adversarial_workloads() {
                 .unwrap()
                 .plan;
             let tracer = obsv::Tracer::enabled();
-            let out = execute_plan_observed(&db, &q, &plan, &optimizer.params, &tracer).unwrap();
+            let out = execute_plan_observed(&db, &q, &plan, &tracer).unwrap();
             let events = tracer.flush();
             assert!(
                 obsv::trace::validate(&events).is_empty(),
                 "{regime}: trace defects"
             );
 
-            let reference = execute_plan_reference(&db, &q, &plan, &optimizer.params).unwrap();
+            let reference = execute_plan_reference(&db, &q, &plan).unwrap();
             assert_eq!(
                 out.rows, reference.rows,
                 "{regime}: columnar and reference outputs diverge"

@@ -52,7 +52,7 @@ fn assert_equivalent(db: &Database, catalog: &StatsCatalog, q: &BoundSelect) -> 
         return false;
     };
     let batch = execute_plan(db, q, &optimized.plan, &optimizer.params);
-    let reference = execute_plan_reference(db, q, &optimized.plan, &optimizer.params);
+    let reference = execute_plan_reference(db, q, &optimized.plan);
     match (batch, reference) {
         (Ok(b), Ok(r)) => {
             assert_eq!(b.rows, r.rows, "row divergence");

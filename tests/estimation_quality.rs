@@ -131,7 +131,7 @@ fn per_operator_q_errors(
             .optimize(db, q, catalog.full_view(), &OptimizeOptions::default())
             .unwrap();
         let tracer = obsv::Tracer::enabled();
-        execute_plan_observed(db, q, &r.plan, &optimizer.params, &tracer).unwrap();
+        execute_plan_observed(db, q, &r.plan, &tracer).unwrap();
         all.extend(operator_q_errors(&tracer.flush()));
     }
     all

@@ -7,13 +7,12 @@
 
 use autostats::policy::{apply_policy, CreationPolicy};
 use datagen::{build_tpcd, create_tuned_indexes, Complexity, RagsGenerator, TpcdConfig, ZipfSpec};
-use optimizer::cache::Fnv;
 use optimizer::{
     Operator, OptimizeOptions, OptimizedQuery, Optimizer, PlanError, PlanNode, MAX_DP_RELATIONS,
 };
 use query::{bind_statement, parse_statement, BoundSelect, BoundStatement, Statement};
 use stats::StatsCatalog;
-use storage::{ColumnDef, DataType, Database, Schema, Value};
+use storage::{ColumnDef, DataType, Database, Fnv, Schema, Value};
 
 /// Everything a caller can observe of one optimizer call: the rendered
 /// tree, every node's operator and estimate bits, the magic variables and
@@ -26,7 +25,7 @@ fn digest_into(h: &mut Fnv, q: &BoundSelect, r: &OptimizedQuery) {
             .write(n.est_rows.to_bits());
     });
     h.write(r.cost.to_bits())
-        .write_bytes(format!("{:?}", r.magic_variables).as_bytes());
+        .write_bytes(format!("{:?}", r.profile.magic_variables()).as_bytes());
     for id in q.predicate_ids() {
         h.write(r.profile.value(id).to_bits());
     }

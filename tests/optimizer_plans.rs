@@ -79,7 +79,7 @@ fn statistics_flip_hash_join_to_index_nl() {
         .optimize(&db, &q, empty.full_view(), &OptimizeOptions::default())
         .unwrap();
     assert_eq!(
-        without.magic_variables,
+        without.profile.magic_variables(),
         vec![PredicateId::Selection(0), PredicateId::JoinEdge(0)]
     );
 
@@ -96,7 +96,7 @@ fn statistics_flip_hash_join_to_index_nl() {
         .optimize(&db, &q, cat.full_view(), &OptimizeOptions::default())
         .unwrap();
 
-    assert!(with.magic_variables.is_empty());
+    assert!(with.profile.magic_variables().is_empty());
     assert!(
         ops(&with.plan).contains(&"IndexNLJoin"),
         "selective outer should use the index: {}",

@@ -11,7 +11,7 @@ mod support;
 
 use autostats::{candidate_statistics, MnsaConfig, OfflineTuner};
 use datagen::{build_tpcd, Complexity, RagsGenerator, TpcdConfig, WorkloadSpec, ZipfSpec};
-use optimizer::{MagicNumbers, OptimizeOptions, Optimizer, SelectivityProfile};
+use optimizer::{OptimizeOptions, Optimizer, SelectivityProfile};
 use proptest::prelude::*;
 use query::{bind_statement, BoundSelect, BoundStatement, PredicateId};
 use rustc_hash::FxHashMap;
@@ -62,7 +62,7 @@ fn checked(
     what: &dyn Fn() -> String,
 ) -> (SelectivityProfile, ProfileOracle) {
     let profile = Optimizer::default().profile(db, view, q, options);
-    let oracle = build_profile_oracle(db, &view, q, &MagicNumbers::default(), &options.injected);
+    let oracle = build_profile_oracle(db, &view, q, &options.injected);
     for id in probed_ids(q) {
         assert_eq!(
             profile.value(id).to_bits(),

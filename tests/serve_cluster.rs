@@ -31,7 +31,7 @@ use autostats::{OnlineEvent, SessionReport};
 use executor::StatementOutcome;
 use proptest::prelude::*;
 use query::{parse_statement, Statement};
-use serve::{Route, Router, ServeCluster, ServeConfig, ShardPlan, ShardPlanConfig};
+use serve::{Route, Router, ServeCluster, ServeConfig, ShardPlan};
 use stats::StatsCatalog;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Barrier};
@@ -129,13 +129,9 @@ proptest! {
         } else {
             usize::MAX
         };
-        let config = ShardPlanConfig {
-            shards,
-            partition_threshold: threshold,
-        };
         // Two independently built plans must agree on everything.
-        let router_a = Router::new(Arc::new(ShardPlan::build(db, &config)));
-        let router_b = Router::new(Arc::new(ShardPlan::build(db, &config)));
+        let router_a = Router::new(Arc::new(ShardPlan::build(db, shards, threshold)));
+        let router_b = Router::new(Arc::new(ShardPlan::build(db, shards, threshold)));
 
         let spec = datagen::WorkloadSpec::new(8, datagen::Complexity::Simple, 30)
             .with_seed(seed);
@@ -203,7 +199,7 @@ fn one_shard_cluster_is_bit_identical_to_the_unsharded_service() {
 
     // The unsharded baseline, with the same `ShardAssigned` prelude.
     let db = test_db();
-    let plan = ShardPlan::build(&db, &ShardPlanConfig::default());
+    let plan = ShardPlan::build(&db, 1, usize::MAX);
     let mut shard_dbs = plan.shard_databases(&db).unwrap();
     let shard_db = shard_dbs.remove(0);
     let mut session = SessionReport::default();

@@ -327,12 +327,12 @@ proptest! {
         let profile = optimizer.profile(db, view, q, &options);
         let split = optimizer.plan(db, q, profile.clone()).unwrap();
         prop_assert_eq!(plan_bits(&split), plan_bits(&direct));
-        prop_assert_eq!(&split.magic_variables, &direct.magic_variables);
+        prop_assert_eq!(&split.profile.magic_variables(), &direct.profile.magic_variables());
         prop_assert_eq!(&split.profile, &direct.profile);
 
         let forced = optimizer.optimize(db, q, view, &inject_values(q, &profile)).unwrap();
         prop_assert!(forced.profile.same_values(&profile));
-        prop_assert!(forced.magic_variables.is_empty());
+        prop_assert!(forced.profile.magic_variables().is_empty());
         prop_assert!(forced.plan.same_tree(&direct.plan));
         prop_assert_eq!(plan_bits(&forced), plan_bits(&direct));
     }

@@ -25,7 +25,7 @@
 
 use autostats::{Equivalence, ShrinkingOutcome};
 use optimizer::{
-    MagicNumbers, OptimizeOptions, OptimizedQuery, Optimizer, PlanError, SelectivitySource,
+    magic_number, OptimizeOptions, OptimizedQuery, Optimizer, PlanError, SelectivitySource,
 };
 use query::{BoundSelect, CmpOp, JoinEdge, PredClass, PredOp, PredicateId, SelectionPredicate};
 use rustc_hash::FxHashMap;
@@ -36,7 +36,7 @@ use stats::{
     StatsCatalog, StatsView,
 };
 use std::collections::HashSet;
-use storage::{Database, Table, TableId, Value};
+use storage::{Database, Fnv, Table, TableId, Value};
 
 /// Build a [`Statistic`] over `descriptor.columns` of `table`, reading the
 /// rows `options.sample` picks under `seed`.
@@ -325,7 +325,7 @@ impl ProfileOracle {
     pub fn fingerprint(&self) -> u64 {
         let mut ids: Vec<PredicateId> = self.values.keys().copied().collect();
         ids.sort();
-        let mut h = optimizer::cache::Fnv::new();
+        let mut h = Fnv::new();
         for id in ids {
             match id {
                 PredicateId::Selection(i) => h.write(0).write(i as u64),
@@ -564,7 +564,6 @@ pub fn build_profile_oracle(
     db: &Database,
     view: &StatsView<'_>,
     query: &BoundSelect,
-    magic: &MagicNumbers,
     injected: &FxHashMap<PredicateId, f64>,
 ) -> ProfileOracle {
     let mut values = FxHashMap::default();
@@ -580,7 +579,7 @@ pub fn build_profile_oracle(
             sources.insert(id, SelectivitySource::Statistics(ids));
         } else {
             let class = pred.op.class();
-            values.insert(id, magic.for_class(class));
+            values.insert(id, magic_number(class));
             sources.insert(id, SelectivitySource::Magic(class));
         }
     }
@@ -597,7 +596,7 @@ pub fn build_profile_oracle(
             values.insert(id, v.max(MIN_STATS_SELECTIVITY / 10.0));
             sources.insert(id, SelectivitySource::Statistics(ids));
         } else {
-            values.insert(id, magic.for_class(PredClass::Join));
+            values.insert(id, magic_number(PredClass::Join));
             sources.insert(id, SelectivitySource::Magic(PredClass::Join));
         }
     }
@@ -634,7 +633,7 @@ pub fn build_profile_oracle(
             values.insert(id, v);
             sources.insert(id, SelectivitySource::Statistics(ids));
         } else {
-            values.insert(id, magic.for_class(PredClass::GroupBy));
+            values.insert(id, magic_number(PredClass::GroupBy));
             sources.insert(id, SelectivitySource::Magic(PredClass::GroupBy));
         }
     }

@@ -204,7 +204,7 @@ fn executor_is_trace_invariant() {
         .unwrap()
         .plan;
     let run = |tracer: &obsv::Tracer| {
-        let out = execute_plan_observed(&db, &query, &plan, &optimizer.params, tracer).unwrap();
+        let out = execute_plan_observed(&db, &query, &plan, tracer).unwrap();
         (out.rows, out.work.to_bits())
     };
     assert_eq!(

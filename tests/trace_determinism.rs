@@ -15,12 +15,11 @@ use autostats::{Fault, FaultPlan, MnsaConfig, MnsaEngine, OfflineTuner};
 use datagen::{build_tpcd, Complexity, RagsGenerator, TpcdConfig, WorkloadSpec, ZipfSpec};
 use obsv::trace::validate;
 use obsv::Obs;
-use optimizer::cache::Fnv;
 use optimizer::{OptimizeOptions, Optimizer};
 use proptest::prelude::*;
 use query::{bind_statement, parse_statement, BoundSelect, BoundStatement};
 use stats::{StatDescriptor, StatsCatalog};
-use storage::{ColumnDef, DataType, Database, Schema, TableId, Value};
+use storage::{ColumnDef, DataType, Database, Fnv, Schema, TableId, Value};
 
 fn test_db(scale: f64, seed: u64) -> Database {
     build_tpcd(&TpcdConfig {
