@@ -1,11 +1,12 @@
 //! The retained row-at-a-time reference interpreter.
 //!
-//! This is the original plan interpreter, kept verbatim after the columnar
-//! batch engine in [`crate::exec`] replaced it on the hot path. It exists as
-//! the differential oracle: the columnar engine must be *bit-identical* to
-//! this implementation — same `ExecOutput.rows`, same `work` — and
-//! `tests/columnar_equivalence.rs` proves it by running both on random plans
-//! and databases.
+//! This is the original plan interpreter, kept after the columnar batch
+//! engine in [`crate::exec`] replaced it on the hot path; its one change
+//! since is that a join key's components compare their types (`JoinKey`).
+//! It exists as the differential oracle: the columnar engine must be
+//! *bit-identical* to this implementation — same `ExecOutput.rows`, same
+//! `work` — and `tests/columnar_equivalence.rs` proves it by running both on
+//! random plans and databases.
 //!
 //! Its per-row costs are exactly the ones the columnar engine removes: every
 //! value access re-resolves relation → table, and every join/group key is a
@@ -32,6 +33,33 @@ impl Intermediate {
         self.rels.iter().position(|&r| r == rel)
     }
 }
+
+/// A join key as the hash maps below hold it: equal when every component
+/// has the same type and value. `Value`'s equality calls `Int(5)` equal to
+/// `Date(5)` while its hash keeps them apart, so over bare `Vec<Value>` keys
+/// a mixed-type key matched only when two hashes happened to meet in one
+/// probe group — by chance, and differently in each process. Here a
+/// mixed-type key never matches, as in the columnar engine.
+struct JoinKey(Vec<Value>);
+
+impl std::hash::Hash for JoinKey {
+    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+        self.0.hash(state)
+    }
+}
+
+impl PartialEq for JoinKey {
+    fn eq(&self, other: &JoinKey) -> bool {
+        self.0.len() == other.0.len()
+            && self
+                .0
+                .iter()
+                .zip(&other.0)
+                .all(|(a, b)| std::mem::discriminant(a) == std::mem::discriminant(b) && a == b)
+    }
+}
+
+impl Eq for JoinKey {}
 
 struct Interp<'a> {
     db: &'a Database,
@@ -185,13 +213,13 @@ impl<'a> Interp<'a> {
                 }
                 let inner_pred_refs = self.selections(inner_preds)?;
                 // The "index": inner rows keyed by the joined columns.
-                let mut by_key: HashMap<Vec<Value>, Vec<usize>> = HashMap::new();
+                let mut by_key: HashMap<JoinKey, Vec<usize>> = HashMap::new();
                 for r in 0..table.row_count() {
                     let key: Vec<Value> = inner_cols.iter().map(|&c| table.value(r, c)).collect();
                     if key.iter().any(Value::is_null) {
                         continue;
                     }
-                    by_key.entry(key).or_default().push(r);
+                    by_key.entry(JoinKey(key)).or_default().push(r);
                 }
                 let mut rels = outer.rels.clone();
                 rels.push(*inner_rel);
@@ -205,7 +233,7 @@ impl<'a> Interp<'a> {
                     if key.iter().any(Value::is_null) {
                         continue;
                     }
-                    if let Some(matches) = by_key.get(&key) {
+                    if let Some(matches) = by_key.get(&JoinKey(key)) {
                         fetched_total += matches.len();
                         for &r in matches {
                             if inner_pred_refs.iter().all(|p| row_matches(table, r, p)) {
@@ -270,7 +298,7 @@ impl<'a> Interp<'a> {
     ) -> Result<Intermediate, ExecError> {
         let (lk, rk) = self.oriented_keys(left, edges)?;
         // Build on the right.
-        let mut table: HashMap<Vec<Value>, Vec<usize>> = HashMap::new();
+        let mut table: HashMap<JoinKey, Vec<usize>> = HashMap::new();
         for (i, tuple) in right.tuples.iter().enumerate() {
             let mut key = Vec::with_capacity(rk.len());
             for &c in &rk {
@@ -279,7 +307,7 @@ impl<'a> Interp<'a> {
             if key.iter().any(Value::is_null) {
                 continue; // NULL keys never join
             }
-            table.entry(key).or_default().push(i);
+            table.entry(JoinKey(key)).or_default().push(i);
         }
         let mut rels = left.rels.clone();
         rels.extend(&right.rels);
@@ -292,7 +320,7 @@ impl<'a> Interp<'a> {
             if key.iter().any(Value::is_null) {
                 continue;
             }
-            if let Some(matches) = table.get(&key) {
+            if let Some(matches) = table.get(&JoinKey(key)) {
                 for &ri in matches {
                     let mut t = ltuple.clone();
                     t.extend(&right.tuples[ri]);
