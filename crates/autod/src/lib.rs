@@ -46,6 +46,7 @@
 //!
 //! [`StatsCatalog::stale_statistics`]: stats::StatsCatalog::stale_statistics
 
+#![forbid(unsafe_code)]
 // Library code must stay panic-free on arbitrary input; tests may unwrap.
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 

@@ -25,6 +25,8 @@
 //! | `cardbench` | q-error and plan-cost regret on adversarial workloads    |
 //! | `serve`     | sharded serving — 1-shard identity, replay, convergence  |
 
+#![forbid(unsafe_code)]
+
 pub mod cli;
 pub mod common;
 pub mod experiments;

@@ -55,6 +55,7 @@
 //! serves statements and runs the whole lifecycle — create, refresh, drop,
 //! age — on its tick (see `examples/quickstart.rs`).
 
+#![forbid(unsafe_code)]
 // Library code must stay panic-free on arbitrary input; tests may unwrap.
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 

@@ -15,6 +15,8 @@
 //!   the supported SPJ+GROUP BY subset (subqueries flattened) for the intro
 //!   experiment and the `TPCD-ORIG` workload.
 
+#![forbid(unsafe_code)]
+
 pub mod adversarial;
 // Grandfathered under the CI panic-free gate: the TPC-D/Rags generators
 // predate it and treat malformed schemas as programmer error. New datagen

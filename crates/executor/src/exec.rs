@@ -10,10 +10,22 @@
 //! its per-row costs:
 //!
 //! * **Selections** are evaluated as selection vectors over typed column
-//!   slices ([`filter_table_columnar`]): each predicate is compiled once
-//!   against its column, so the per-row check is a primitive compare instead
-//!   of a `Value` materialization.
-//! * **Hash joins and group-bys** key on fixed-seed 64-bit fingerprints
+//!   slices (`predicate::select_rows`): each predicate is compiled once
+//!   against its column, so the per-row check is a primitive compare
+//!   instead of a `Value` materialization.
+//! * **String `=` and `<>`** on a column whose dictionary codes a statistic
+//!   build already made run the numeric kernels over the `u32` codes,
+//!   against the constant's code (a constant the dictionary lacks matches
+//!   no row under `=` and every non-NULL row under `<>`). Row by row, a
+//!   string compare cost about 17 ns a row against the kernels' 2–3 ns.
+//!   Every string predicate the benchmark sends is an `=`/`<>`, and codes
+//!   already exist for 97 % of those calls on `steady-simple`, 98 % on
+//!   `steady-complex`, 100 % on `offline-tune` and 92 % on `online-mixed`
+//!   (64 % of its rows). The executor never makes codes: making them on
+//!   demand held 6 % more peak RSS on `online-mixed` and ran no faster on
+//!   `steady-simple`. A scan's span counts the predicates that ran on
+//!   codes (`code_preds`), so a trace shows one that fell back to bytes.
+//! * **Hash joins** key on fixed-seed 64-bit fingerprints
 //!   computed a column at a time (`KeySet::fingerprints`): one typed pass
 //!   per key column folds each component's 64-bit code (the integer, the
 //!   date narrowed as it reads, the float's bits, an Fx hash of the string)
@@ -41,6 +53,33 @@
 //!   `steady-simple` workload and +24 % on `steady-complex` (medians of 10
 //!   and 3 alternating 20 s parent/change pairs on a 2-core box), with
 //!   every row and `work` bit unchanged.
+//! * **GROUP BY** fingerprints its input the same way and gives each tuple
+//!   a group id through one open-addressed table from (fingerprint, NULL
+//!   flag) to group id (`GroupTable`). A candidate group is verified
+//!   against its first tuple unless the key is exact (70 % of the
+//!   benchmark's GROUP BY calls on `steady-simple`, 79 % on
+//!   `steady-complex`, 86 % on `online-mixed`, 74 % on `offline-tune`); the
+//!   NULL flag is compared even then. One counting sort then lays out the
+//!   members of every group in one array. This replaced a hash map from
+//!   fingerprint to a `Vec` of groups, each holding its own `Vec` of
+//!   members, which cost about 44 ns a tuple.
+//! * **ORDER BY** reads each key column once per tuple into a typed vector
+//!   (`SortKeys`: the `i64`, the date narrowed to `i32`, the float's
+//!   `f64_total_key`, the `&str`; `None` for NULL, which sorts first) and
+//!   stable-sorts on those keys, which is exactly the order of
+//!   `ValueRef::total_cmp`. It replaced a comparator that read both tuples'
+//!   keys through `get_ref` on every comparison, about 90 ns per sorted
+//!   tuple. Every sort the benchmark sends has one key column (on
+//!   `steady-simple`, 86 % of sorted tuples are dates, 8 % strings and 5 %
+//!   integers), which sorts (key, position) pairs held in one vector;
+//!   several columns compare column by column. A GROUP BY orders its groups
+//!   with the same sort over each group's first tuple. These three loops
+//!   together measured +20 % statements per second on `steady-simple`
+//!   (10 of 10 alternating 20 s parent/change pairs on a 2-core box),
+//!   +9.5 % on `steady-complex` and +12 % on `online-mixed`, with every row
+//!   and `work` bit unchanged. Variants without one of them put the typed
+//!   sort at +8 %, the group table at +6 % and the codes at +4 % of
+//!   `steady-simple`'s rate (4 rounds each).
 //! * **Column resolution is hoisted**: relation → slot → table → column is
 //!   resolved once per operator, not once per value.
 //! * **Projections materialize column-wise**: one pass per output column
@@ -64,13 +103,15 @@
 //! inconsistency instead of panicking.
 
 use crate::error::ExecError;
-use crate::predicate::{filter_table_columnar, CompiledPred};
+use crate::kernels::f64_total_key;
+use crate::predicate::{select_rows, CompiledPred};
 use optimizer::{CostParams, Operator, PlanNode};
 use query::{AggFunc, BoundColumn, BoundSelect, Projection, SelectionPredicate};
-use rustc_hash::{FxHashMap, FxHasher};
+use rustc_hash::FxHasher;
+use std::cmp::Ordering;
 use std::hash::Hasher;
 use std::sync::Arc;
-use storage::{ColumnData, DataType, Database, PayloadRef, Value};
+use storage::{ColumnData, DataType, Database, PayloadRef, Table, Value};
 
 /// Hash-join build side: build ordinals chained by fingerprint.
 ///
@@ -158,6 +199,75 @@ impl Iterator for FpIter<'_> {
     }
 }
 
+/// GROUP BY's hash table: open addressing with linear probing from a
+/// (fingerprint, has-NULL flag) pair to a group id, doubled whenever it is
+/// half full. A slot holds the fingerprint, and the group id shifted left
+/// past the flag; the caller verifies a candidate group against its
+/// representative tuple, unless the key is [exact](KeySet::exact). The flag
+/// is compared even then: an `Int` key equal to `NULL_CODE` fingerprints
+/// like a NULL.
+struct GroupTable {
+    slots: Vec<(u64, usize)>,
+    /// `64 - log2(slot count)`: a fingerprint's home slot is its top bits.
+    shift: u32,
+    groups: usize,
+}
+
+/// A free [`GroupTable`] slot.
+const EMPTY: usize = usize::MAX;
+
+impl GroupTable {
+    fn with_slots(slots: usize) -> GroupTable {
+        GroupTable {
+            slots: vec![(0, EMPTY); slots],
+            shift: 64 - slots.trailing_zeros(),
+            groups: 0,
+        }
+    }
+
+    /// The group of a key with fingerprint `fp` and NULL flag `null`: the
+    /// first group with both for which `same(group)` holds, or a new group,
+    /// numbered in order of first appearance.
+    #[inline]
+    fn group_of(&mut self, fp: u64, null: bool, same: impl Fn(usize) -> bool) -> usize {
+        let tag = null as usize;
+        let mask = self.slots.len() - 1;
+        let mut i = (fp >> self.shift) as usize;
+        loop {
+            let (at, id) = self.slots[i];
+            if id == EMPTY {
+                let g = self.groups;
+                self.slots[i] = (fp, g << 1 | tag);
+                self.groups += 1;
+                if 2 * self.groups > self.slots.len() {
+                    self.grow();
+                }
+                return g;
+            }
+            if at == fp && id & 1 == tag && same(id >> 1) {
+                return id >> 1;
+            }
+            i = (i + 1) & mask;
+        }
+    }
+
+    fn grow(&mut self) {
+        let old = std::mem::replace(self, GroupTable::with_slots(2 * self.slots.len()));
+        self.groups = old.groups;
+        let mask = self.slots.len() - 1;
+        for (fp, id) in old.slots.into_iter().filter(|&(_, id)| id != EMPTY) {
+            let mut i = (fp >> self.shift) as usize;
+            while self.slots[i].1 != EMPTY {
+                i = (i + 1) & mask;
+            }
+            self.slots[i] = (fp, id);
+        }
+    }
+}
+
+/// Slots a [`GroupTable`] starts with.
+const GROUP_SLOTS: usize = 16;
+
 /// Tuples fingerprinted per pass of a probe or grouping loop: the block's
 /// fingerprints (8 KiB) and NULL flags stay in L1 between the per-column
 /// passes that write them and the per-tuple loop that reads them, and no
@@ -171,7 +281,9 @@ const FP_BLOCK: usize = 1024;
 const FP_MUL: u64 = 0x9E37_79B9_7F4A_7C15;
 
 /// The code a NULL component folds into a grouping key's fingerprint. Any
-/// value does: a non-NULL key that shares it is told apart by verification.
+/// value does: a non-NULL key that shares it is told apart by the group
+/// table's NULL flag and by verification (`tests/reference_equivalence.rs`
+/// groups an `Int` key of this value beside a NULL).
 const NULL_CODE: u64 = 0x2545_F491_4F6C_DD1D;
 
 /// Fold one key component's 64-bit code into a running fingerprint.
@@ -433,6 +545,110 @@ impl<'a> KeySet<'a> {
             .zip(&other.cols)
             .all(|(a, b)| a.xs.value(tuple[a.slot]) == b.xs.value(otuple[b.slot]))
     }
+
+    /// Whether two tuples' grouping keys are one group: NULL in the same
+    /// components, and equal payloads in the others.
+    #[inline]
+    fn same_group(&self, tuple: &[usize], other: &[usize]) -> bool {
+        self.cols.iter().all(|kc| {
+            let (a, b) = (tuple[kc.slot], other[kc.slot]);
+            kc.valid[a] == kc.valid[b] && (!kc.valid[a] || kc.xs.value(a) == kc.xs.value(b))
+        })
+    }
+}
+
+/// One ORDER BY key column read once per tuple into a typed vector, `None`
+/// where the key is NULL. The types' own orders with `None` first are
+/// exactly `ValueRef::total_cmp` between two values of one column.
+enum SortKeys<'a> {
+    Int(Vec<Option<i64>>),
+    /// Narrowed to `i32`, as `ValueRef` reads a date.
+    Date(Vec<Option<i32>>),
+    /// [`f64_total_key`], whose integer order is `f64::total_cmp`.
+    Float(Vec<Option<i64>>),
+    Str(Vec<Option<&'a str>>),
+}
+
+impl<'a> SortKeys<'a> {
+    /// The key of column `rc` in each of `tuples`.
+    fn new<'t>(rc: ResolvedCol<'a>, tuples: impl Iterator<Item = &'t [usize]>) -> SortKeys<'a> {
+        /// The per-tuple loop, compiled once per payload type.
+        fn read<'t, K>(
+            rc: ResolvedCol<'_>,
+            tuples: impl Iterator<Item = &'t [usize]>,
+            key: impl Fn(usize) -> K,
+        ) -> Vec<Option<K>> {
+            let valid = rc.col.validity();
+            tuples
+                .map(|t| {
+                    let r = t[rc.slot];
+                    valid[r].then(|| key(r))
+                })
+                .collect()
+        }
+        match rc.col.payload() {
+            PayloadRef::Int(xs) => SortKeys::Int(read(rc, tuples, |r| xs[r])),
+            PayloadRef::Date(xs) => SortKeys::Date(read(rc, tuples, |r| xs[r] as i32)),
+            PayloadRef::Float(xs) => SortKeys::Float(read(rc, tuples, |r| f64_total_key(xs[r]))),
+            PayloadRef::Str(xs) => SortKeys::Str(read(rc, tuples, |r| &*xs[r])),
+        }
+    }
+
+    /// The order of the keys at `a` and `b`.
+    #[inline]
+    fn cmp(&self, a: usize, b: usize) -> Ordering {
+        match self {
+            SortKeys::Int(k) | SortKeys::Float(k) => k[a].cmp(&k[b]),
+            SortKeys::Date(k) => k[a].cmp(&k[b]),
+            SortKeys::Str(k) => k[a].cmp(&k[b]),
+        }
+    }
+
+    /// The stable order of the keys, descending if `desc`.
+    fn order(&self, desc: bool) -> Vec<usize> {
+        match self {
+            SortKeys::Int(k) | SortKeys::Float(k) => stable_order(k, desc),
+            SortKeys::Date(k) => stable_order(k, desc),
+            SortKeys::Str(k) => stable_order(k, desc),
+        }
+    }
+}
+
+/// The positions of `keys` in stable-sorted order, descending if `desc`:
+/// each key sorts beside its position, so the sort reads one contiguous
+/// vector and never goes back to the keys.
+fn stable_order<K: Ord + Copy>(keys: &[K], desc: bool) -> Vec<usize> {
+    let mut keyed: Vec<(K, usize)> = keys.iter().copied().zip(0..).collect();
+    if desc {
+        keyed.sort_by_key(|&(k, _)| std::cmp::Reverse(k));
+    } else {
+        keyed.sort_by_key(|&(k, _)| k);
+    }
+    keyed.into_iter().map(|(_, i)| i).collect()
+}
+
+/// The stable order of `n` tuples by `keys` (each column with its DESC
+/// flag), compared column by column: a DESC column reverses its whole
+/// comparison, NULL included.
+fn sort_order(keys: &[(SortKeys<'_>, bool)], n: usize) -> Vec<usize> {
+    if let [(key, desc)] = keys {
+        return key.order(*desc);
+    }
+    let mut order: Vec<usize> = (0..n).collect();
+    order.sort_by(|&a, &b| {
+        keys.iter()
+            .map(|(key, desc)| {
+                let ord = key.cmp(a, b);
+                if *desc {
+                    ord.reverse()
+                } else {
+                    ord
+                }
+            })
+            .find(|ord| ord.is_ne())
+            .unwrap_or(Ordering::Equal)
+    });
+    order
 }
 
 /// Static span name per operator (`exec.op.<Operator>`): span names are
@@ -502,6 +718,19 @@ impl<'a> Interp<'a> {
             .collect()
     }
 
+    /// The selection predicates at `idxs`, compiled against `table`.
+    fn compile(
+        &self,
+        table: &'a Table,
+        idxs: &[usize],
+    ) -> Result<Vec<CompiledPred<'a>>, ExecError> {
+        Ok(self
+            .selections(idxs)?
+            .into_iter()
+            .map(|p| CompiledPred::new(table, p))
+            .collect())
+    }
+
     fn edge(&self, e: usize) -> Result<&'a query::JoinEdge, ExecError> {
         self.query
             .join_edges
@@ -524,25 +753,30 @@ impl<'a> Interp<'a> {
         parent: &obsv::SpanGuard,
     ) -> Result<Intermediate, ExecError> {
         let mut span = parent.child(op_span_name(&node.op));
-        let out = self.run_node(node, &span)?;
+        let out = self.run_node(node, &mut span)?;
         span.arg("rows_out", out.count());
         span.arg("est_rows", node.est_rows);
         Ok(out)
     }
 
+    /// Run one plan node. A scan records on its span how many of its
+    /// predicates ran on dictionary codes (`code_preds`), so a trace shows
+    /// a string predicate that fell back to comparing bytes.
     fn run_node(
         &mut self,
         node: &PlanNode,
-        span: &obsv::SpanGuard,
+        span: &mut obsv::SpanGuard,
     ) -> Result<Intermediate, ExecError> {
+        let code_preds = |preds: &[CompiledPred<'_>]| preds.iter().filter(|p| p.on_codes()).count();
         match &node.op {
             Operator::SeqScan { rel, table, preds } => {
                 let t = self.db.try_table(*table)?;
                 self.work += CostParams::seq_scan(t.row_count() as f64);
-                let pred_refs = self.selections(preds)?;
+                let preds = self.compile(t, preds)?;
+                span.arg("code_preds", code_preds(&preds));
                 Ok(Intermediate {
                     rels: vec![*rel],
-                    data: filter_table_columnar(t, &pred_refs),
+                    data: select_rows(&preds, t.row_count()),
                 })
             }
             Operator::IndexScan {
@@ -554,15 +788,14 @@ impl<'a> Interp<'a> {
             } => {
                 let t = self.db.try_table(*table)?;
                 // Rows reachable through the index seek.
-                let seek_refs = self.selections(seek_preds)?;
-                let mut rows = filter_table_columnar(t, &seek_refs);
+                let seek = self.compile(t, seek_preds)?;
+                let mut rows = select_rows(&seek, t.row_count());
                 self.work += CostParams::index_scan(t.row_count() as f64, rows.len() as f64);
-                let residual_refs = self.selections(residual)?;
-                if !rows.is_empty() && !residual_refs.is_empty() {
-                    for pred in &residual_refs {
-                        CompiledPred::new(t, pred).refine(&mut rows);
-                    }
+                let residual = self.compile(t, residual)?;
+                for pred in &residual {
+                    pred.refine(&mut rows);
                 }
+                span.arg("code_preds", code_preds(&seek) + code_preds(&residual));
                 Ok(Intermediate {
                     rels: vec![*rel],
                     data: rows,
@@ -631,13 +864,12 @@ impl<'a> Interp<'a> {
                         }
                     }
                 }
-                let inner_pred_refs = self.selections(inner_preds)?;
+                let compiled_inner = self.compile(table, inner_preds)?;
                 // The "index": inner rows keyed by fingerprints of the joined
                 // columns. Inner-side key columns resolve directly against
                 // the base table (every tuple is its own row index).
                 let inner_rows = table.row_count();
                 let mut inner_cols: Vec<ResolvedCol<'a>> = Vec::new();
-                let mut compiled_inner: Vec<CompiledPred<'a>> = Vec::new();
                 if inner_rows > 0 {
                     inner_cols = inner_ords
                         .iter()
@@ -645,10 +877,6 @@ impl<'a> Interp<'a> {
                             slot: 0,
                             col: table.column(c),
                         })
-                        .collect();
-                    compiled_inner = inner_pred_refs
-                        .iter()
-                        .map(|p| CompiledPred::new(table, p))
                         .collect();
                 }
                 let inner_key = KeySet::new(inner_cols);
@@ -782,26 +1010,24 @@ impl<'a> Interp<'a> {
     }
 }
 
-/// One aggregation group: its materialized key and member tuple ordinals
-/// (into the input intermediate), in input order.
-struct Group {
-    key: Vec<Value>,
-    members: Vec<usize>,
-}
-
+/// The output row of one aggregation group, whose `members` are tuple
+/// ordinals into `input` in input order (never empty): the grouping key,
+/// read off the first member, then each aggregate.
 fn agg_output(
     query: &BoundSelect,
+    g_cols: &[ResolvedCol<'_>],
     agg_cols: &[Option<ResolvedCol<'_>>],
     input: &Intermediate,
-    group: &Group,
+    members: &[usize],
 ) -> Vec<Value> {
-    let mut row: Vec<Value> = group.key.clone();
+    let rep = input.tuple(members[0]);
+    let mut row: Vec<Value> = g_cols.iter().map(|rc| rc.col.get(rc.row(rep))).collect();
     for (agg, rc) in query.aggregates.iter().zip(agg_cols) {
         let Some(rc) = rc else {
             // No input column: COUNT(*) counts the members, and any other
             // function folds nothing.
             row.push(match agg.func {
-                AggFunc::Count => Value::Int(group.members.len() as i64),
+                AggFunc::Count => Value::Int(members.len() as i64),
                 _ => Value::Null,
             });
             continue;
@@ -810,8 +1036,7 @@ fn agg_output(
         // order. Every fold below walks them as borrowed values; only a
         // MIN/MAX winner is materialized, as the stored cell itself.
         let live = || {
-            group
-                .members
+            members
                 .iter()
                 .map(|&ti| rc.row(input.tuple(ti)))
                 .filter(|&r| rc.col.is_valid(r))
@@ -945,46 +1170,59 @@ fn execute_impl(
     };
 
     if has_agg {
-        // Group by fingerprints of the grouping key values, with exact-key
-        // verification inside each fingerprint bucket.
+        // Each tuple's group id from the fingerprint table, verified against
+        // the group's first tuple unless the key is exact.
         let g_cols = if input.data.is_empty() {
             Vec::new()
         } else {
             interp.resolve_cols(&input, &query.group_by)?
         };
         let g_key = KeySet::new(g_cols.clone());
-        let mut groups: Vec<Group> = Vec::new();
-        let mut buckets: FxHashMap<u64, Vec<usize>> = FxHashMap::default();
-        let mut ti = 0;
-        g_key.for_each_fp(&input.data, input.arity(), |tuple, fp, _| {
-            let bucket = buckets.entry(fp).or_default();
-            let found = bucket.iter().copied().find(|&g| {
-                groups[g]
-                    .key
-                    .iter()
-                    .zip(&g_cols)
-                    .all(|(k, rc)| k.as_ref() == rc.col.get_ref(rc.row(tuple)))
+        let exact = g_key.exact();
+        let mut table = GroupTable::with_slots(GROUP_SLOTS);
+        let mut reps: Vec<usize> = Vec::new();
+        let mut gids: Vec<usize> = Vec::with_capacity(input.count());
+        g_key.for_each_fp(&input.data, input.arity(), |tuple, fp, null| {
+            let g = table.group_of(fp, null, |g| {
+                exact || g_key.same_group(tuple, input.tuple(reps[g]))
             });
-            match found {
-                Some(g) => groups[g].members.push(ti),
-                None => {
-                    let key: Vec<Value> =
-                        g_cols.iter().map(|rc| rc.col.get(rc.row(tuple))).collect();
-                    bucket.push(groups.len());
-                    groups.push(Group {
-                        key,
-                        members: vec![ti],
-                    });
-                }
+            if g == reps.len() {
+                reps.push(gids.len());
             }
-            ti += 1;
+            gids.push(g);
         });
-        interp.work += CostParams::hash_aggregate(input.count() as f64, groups.len() as f64);
+        interp.work += CostParams::hash_aggregate(input.count() as f64, reps.len() as f64);
+        // The members of every group in one array, counting-sorted by group
+        // id: group `g` holds `members[bounds[g]..bounds[g + 1]]`, in input
+        // order.
+        let mut bounds = vec![0usize; reps.len() + 1];
+        for &g in &gids {
+            bounds[g] += 1;
+        }
+        let mut end = 0;
+        for b in &mut bounds {
+            end += *b;
+            *b = end;
+        }
+        let mut members = vec![0usize; gids.len()];
+        for (ti, &g) in gids.iter().enumerate().rev() {
+            bounds[g] -= 1;
+            members[bounds[g]] = ti;
+        }
         // Deterministic output: groups ordered by key, exactly as the
-        // reference sorts its map keys.
-        let mut order: Vec<usize> = (0..groups.len()).collect();
-        order.sort_by(|&a, &b| groups[a].key.cmp(&groups[b].key));
-        let agg_cols: Vec<Option<ResolvedCol<'_>>> = if groups.is_empty() {
+        // reference sorts its map keys, through the ORDER BY sort over each
+        // group's first tuple.
+        let keys: Vec<(SortKeys<'_>, bool)> = g_cols
+            .iter()
+            .map(|&rc| {
+                (
+                    SortKeys::new(rc, reps.iter().map(|&t| input.tuple(t))),
+                    false,
+                )
+            })
+            .collect();
+        let order = sort_order(&keys, reps.len());
+        let agg_cols: Vec<Option<ResolvedCol<'_>>> = if reps.is_empty() {
             Vec::new()
         } else {
             query
@@ -1000,7 +1238,8 @@ fn execute_impl(
         };
         let mut rows = Vec::with_capacity(order.len());
         for g in order {
-            rows.push(agg_output(query, &agg_cols, &input, &groups[g]));
+            let members = &members[bounds[g]..bounds[g + 1]];
+            rows.push(agg_output(query, &g_cols, &agg_cols, &input, members));
         }
         // ORDER BY over aggregate output: keys must be grouping columns;
         // their output position is their position in the GROUP BY list.
@@ -1035,29 +1274,19 @@ fn execute_impl(
     }
 
     // ORDER BY on plain queries sorts the tuples before projection (the sort
-    // key need not be projected). Sorting tuple ordinals with a comparator
-    // over resolved columns skips the reference's per-tuple key
-    // materialization; the stable sort keeps tie order identical.
+    // key need not be projected): each key column is read once per tuple
+    // into a typed vector, and the stable sort keeps tie order identical.
     if !query.order_by.is_empty() {
         interp.work += CostParams::sort(input.count() as f64);
         if !input.data.is_empty() {
             let order_cols: Vec<BoundColumn> = query.order_by.iter().map(|&(c, _)| c).collect();
-            let o_cols = interp.resolve_cols(&input, &order_cols)?;
-            let descs: Vec<bool> = query.order_by.iter().map(|&(_, d)| d).collect();
-            let mut order: Vec<usize> = (0..input.count()).collect();
-            order.sort_by(|&a, &b| {
-                let (ta, tb) = (input.tuple(a), input.tuple(b));
-                for (rc, &desc) in o_cols.iter().zip(&descs) {
-                    let ord = rc
-                        .col
-                        .get_ref(rc.row(ta))
-                        .total_cmp(&rc.col.get_ref(rc.row(tb)));
-                    if ord != std::cmp::Ordering::Equal {
-                        return if desc { ord.reverse() } else { ord };
-                    }
-                }
-                std::cmp::Ordering::Equal
-            });
+            let keys: Vec<(SortKeys<'_>, bool)> = interp
+                .resolve_cols(&input, &order_cols)?
+                .into_iter()
+                .zip(&query.order_by)
+                .map(|(rc, &(_, desc))| (SortKeys::new(rc, input.tuples()), desc))
+                .collect();
+            let order = sort_order(&keys, input.count());
             let mut sorted = Vec::with_capacity(input.data.len());
             for i in order {
                 sorted.extend_from_slice(input.tuple(i));
@@ -1365,8 +1594,13 @@ mod tests {
 
     #[test]
     fn traced_execution_is_bit_identical_and_well_formed() {
+        // `dept.dname` has dictionary codes, as a statistic build leaves
+        // them, so its `<>` (against a constant no row holds) runs on them.
         let db = setup();
-        let q = bind(&db, "SELECT * FROM emp e, dept d WHERE e.deptid = d.deptid");
+        let dept = db.table_id("dept").unwrap();
+        db.table(dept).column(1).str_codes();
+        let sql = "SELECT * FROM emp e, dept d WHERE e.deptid = d.deptid AND d.dname <> 'd9'";
+        let q = bind(&db, sql);
         let cat = StatsCatalog::new();
         let opt = Optimizer::default();
         let r = opt
@@ -1413,6 +1647,28 @@ mod tests {
                 project_end.args
             );
         }
+        // Each scan counts its string predicates answered on codes: one on
+        // `dept`, none on `emp`. Without codes the same plan compares bytes,
+        // says so, and returns the same rows.
+        let code_preds = |events: &[obsv::Event]| {
+            let mut counts: Vec<i64> = events
+                .iter()
+                .filter(|e| e.kind == obsv::EventKind::End && e.name == "exec.op.SeqScan")
+                .flat_map(|e| e.args.iter())
+                .filter_map(|(k, v)| match (k, v) {
+                    (&"code_preds", obsv::ArgValue::Int(n)) => Some(*n),
+                    _ => None,
+                })
+                .collect();
+            counts.sort_unstable();
+            counts
+        };
+        assert_eq!(code_preds(&events), [0, 1]);
+        let bytes = setup();
+        let tracer = obsv::Tracer::enabled();
+        let compared = execute_plan_observed(&bytes, &q, &r.plan, &tracer).unwrap();
+        assert_eq!(compared.rows, plain.rows);
+        assert_eq!(code_preds(&tracer.flush()), [0, 0]);
         // The join span reports the actual output cardinality.
         let join_end = events
             .iter()

@@ -21,6 +21,7 @@
 //! wants observations reads them off the [`ExecOutput`] it gets back (as the
 //! cardinality benchmark's drift regime does).
 
+#![forbid(unsafe_code)]
 // Library code must stay panic-free on arbitrary input; tests may unwrap.
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 

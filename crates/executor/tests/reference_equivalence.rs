@@ -25,6 +25,14 @@
 //! three-column keys, NULL keys on either side, and long runs of duplicates,
 //! which pin the output order. Mixed-type keys (`Int = Date`, `Int = Float`)
 //! hold values `ValueRef` equality calls equal, and must return no rows.
+//!
+//! ORDER BY sorts on typed keys read once per tuple, and GROUP BY assigns
+//! groups through an open-addressed fingerprint table. A sort and group
+//! matrix holds both to the reference: every key type in both directions
+//! with NULLs, long runs of ties, the float classes, dates stored past
+//! `i32`, strings sharing an 8-byte prefix, several sort and group columns,
+//! a NULL group beside an `Int` key equal to the NULL fingerprint code, and
+//! a hundred thousand groups.
 
 use datagen::{adversarial_queries, build_adversarial, AdversarialConfig, Regime};
 use executor::predicate::filter_table;
@@ -456,6 +464,221 @@ fn join_key_type_matrix_matches_reference() {
                 assert!(rows > 0, "{op}: no key matched: {sql}");
             }
         }
+    }
+}
+
+/// The sort/group matrix's key pools, one per payload type, each holding
+/// the values a typed key can get wrong: the integer extremes and the
+/// executor's NULL fingerprint code; dates stored as integers past `i32`
+/// (which read back narrowed: `(1 << 40) + 5` is the date 5); every float
+/// class `total_cmp` orders; strings that share their first eight bytes.
+const SORT_INTS: [i64; 6] = [i64::MIN, -1, 0, 7, i64::MAX, NULL_CODE];
+const SORT_FLOATS: [f64; 7] = [
+    -0.0,
+    0.0,
+    f64::NAN,
+    -f64::NAN,
+    f64::INFINITY,
+    f64::NEG_INFINITY,
+    1.5,
+];
+const SORT_STRS: [&str; 6] = ["", "prefix00", "prefix00a", "prefix00b", "prefix01", "β"];
+
+/// The code a NULL grouping component folds into its fingerprint
+/// (`NULL_CODE` in `exec.rs`), as an `Int` key.
+const NULL_CODE: i64 = 0x2545_F491_4F6C_DD1D;
+
+/// The date pool, as inserted: some as integers past `i32`.
+fn sort_dates() -> [Value; 6] {
+    [
+        Value::Int((1 << 40) + 5),
+        Value::Date(5),
+        Value::Date(-3),
+        Value::Date(i32::MAX),
+        Value::Date(i32::MIN),
+        Value::Int(-(1 << 35) - 7),
+    ]
+}
+
+/// A table `o` of `n` rows: `id`, then one nullable key column per type
+/// (`i`, `d`, `f`, `s`) and a two-valued `j`. Keys come from the pools
+/// above in runs of `run` equal values, so ties are long and the `id`
+/// column shows whether the sort kept them in input order; about one key in
+/// six is NULL.
+fn sort_table(n: usize, run: usize, seed: u64) -> Database {
+    let mut db = Database::new();
+    let schema = Schema::new(vec![
+        ColumnDef::new("id", DataType::Int),
+        ColumnDef::new("i", DataType::Int).nullable(),
+        ColumnDef::new("d", DataType::Date).nullable(),
+        ColumnDef::new("f", DataType::Float).nullable(),
+        ColumnDef::new("s", DataType::Str).nullable(),
+        ColumnDef::new("j", DataType::Int).nullable(),
+    ]);
+    let t = db.create_table("o", schema).expect("o");
+    let mut state = seed;
+    for row in 0..n {
+        let mut pick = |len: usize| {
+            let v = splitmix(&mut state);
+            (!v.is_multiple_of(6)).then_some((row / run + (v >> 8) as usize % 2) % len)
+        };
+        let values = vec![
+            Value::Int(row as i64),
+            pick(SORT_INTS.len()).map_or(Value::Null, |k| Value::Int(SORT_INTS[k])),
+            pick(6).map_or(Value::Null, |k| sort_dates()[k].clone()),
+            pick(SORT_FLOATS.len()).map_or(Value::Null, |k| Value::Float(SORT_FLOATS[k])),
+            pick(SORT_STRS.len()).map_or(Value::Null, |k| Value::Str(SORT_STRS[k].into())),
+            pick(2).map_or(Value::Null, |k| Value::Int(k as i64)),
+        ];
+        db.table_mut(t).insert(values).expect("insert");
+    }
+    db
+}
+
+/// ORDER BY on one column of every type, both directions, and on two and
+/// three columns with mixed directions; every projection carries `id`, so
+/// the order of ties shows.
+fn order_by_queries() -> Vec<String> {
+    let mut queries = Vec::new();
+    for c in ["i", "d", "f", "s", "j"] {
+        for dir in ["", " ASC", " DESC"] {
+            queries.push(format!("SELECT id, {c} FROM o ORDER BY {c}{dir}"));
+        }
+    }
+    queries.extend(
+        [
+            "SELECT * FROM o ORDER BY j, s DESC",
+            "SELECT * FROM o ORDER BY s DESC, f",
+            "SELECT * FROM o WHERE j = 1 ORDER BY d DESC, i",
+            "SELECT * FROM o ORDER BY s DESC, f, i DESC",
+            "SELECT id, j FROM o ORDER BY j DESC, d DESC, f",
+        ]
+        .map(String::from),
+    );
+    queries
+}
+
+/// GROUP BY on one column of every type, on two columns (NULLs on either
+/// side), on none, and with an ORDER BY over the groups.
+fn group_by_queries() -> Vec<String> {
+    let mut queries = Vec::new();
+    for c in ["i", "d", "f", "s", "j"] {
+        queries.push(format!(
+            "SELECT {c}, COUNT(*), MIN(id), MAX(id), SUM(f) FROM o GROUP BY {c}"
+        ));
+    }
+    queries.extend(
+        [
+            "SELECT i, s, COUNT(*), MAX(id) FROM o GROUP BY i, s",
+            "SELECT s, f, COUNT(*) FROM o GROUP BY s, f",
+            "SELECT d, j, MIN(s) FROM o GROUP BY d, j ORDER BY d DESC",
+            "SELECT j, s, COUNT(*) FROM o GROUP BY j, s ORDER BY s DESC, j",
+            "SELECT COUNT(*), SUM(f), MIN(s) FROM o",
+            "SELECT COUNT(*) FROM o WHERE id < 0",
+        ]
+        .map(String::from),
+    );
+    queries
+}
+
+#[test]
+fn sort_and_group_type_matrix_matches_reference() {
+    // Keys of every type with NULLs, runs of equal keys, the float classes,
+    // dates past `i32` and strings sharing an 8-byte prefix: a small table,
+    // one with long runs, and sizes straddling the fingerprint block
+    // (`FP_BLOCK`, 1 024 tuples) in which GROUP BY inputs are fingerprinted.
+    for (n, run) in [
+        (1, 1),
+        (40, 1),
+        (300, 23),
+        (1023, 5),
+        (1024, 64),
+        (1025, 3),
+        (2049, 200),
+    ] {
+        let db = sort_table(n, run, n as u64 + 3);
+        for sql in order_by_queries().iter().chain(&group_by_queries()) {
+            assert_equivalent(&db, sql);
+        }
+    }
+}
+
+#[test]
+fn group_keys_tell_null_from_the_null_code() {
+    // An `Int` key equal to the code a NULL folds into its fingerprint
+    // fingerprints like a NULL; exact keys skip verification, but the NULL
+    // flag still keeps the two groups apart.
+    let mut db = Database::new();
+    let schema = Schema::new(vec![
+        ColumnDef::new("g", DataType::Int).nullable(),
+        ColumnDef::new("h", DataType::Int).nullable(),
+    ]);
+    let t = db.create_table("t", schema).expect("t");
+    let keys = [
+        None,
+        Some(NULL_CODE),
+        None,
+        Some(NULL_CODE),
+        Some(1),
+        None,
+        Some(NULL_CODE),
+    ];
+    for (r, g) in keys.iter().enumerate() {
+        let h = (r % 2 == 0 && r < 6).then_some(NULL_CODE);
+        let row = [*g, h].map(|k| k.map_or(Value::Null, Value::Int));
+        db.table_mut(t).insert(row.to_vec()).expect("insert");
+    }
+    // A NULL written over a value keeps the value as its padding: row 6
+    // becomes (NULL, NULL) with the code in its payload, beside the
+    // (code, NULL) rows 1 and 3 of the same fingerprint and NULL flag.
+    db.table_mut(t)
+        .update_rows(&[6], 0, &Value::Null)
+        .expect("update");
+    for (sql, groups) in [
+        ("SELECT g, COUNT(*) FROM t GROUP BY g", 3),
+        ("SELECT g, h, COUNT(*) FROM t GROUP BY g, h", 4),
+        (
+            "SELECT h, g, COUNT(*) FROM t GROUP BY h, g ORDER BY h DESC",
+            4,
+        ),
+    ] {
+        assert_equivalent(&db, sql);
+        let q = bind(&db, sql);
+        let plan = Optimizer::default()
+            .optimize(
+                &db,
+                &q,
+                StatsCatalog::new().full_view(),
+                &OptimizeOptions::default(),
+            )
+            .expect("optimizes")
+            .plan;
+        let out = execute_plan(&db, &q, &plan, &Optimizer::default().params).expect("columnar");
+        assert_eq!(out.row_count(), groups, "{sql}: {:?}", out.rows);
+    }
+}
+
+#[test]
+fn group_table_grows_past_a_hundred_thousand_groups() {
+    // Every key distinct, so the group table doubles many times over: an
+    // exact `Int` key, a verified string key, and both together.
+    let n = 100_003;
+    let mut db = Database::new();
+    let schema = Schema::new(vec![
+        ColumnDef::new("k", DataType::Int),
+        ColumnDef::new("s", DataType::Str),
+    ]);
+    let t = db.create_table("big", schema).expect("big");
+    for k in 0..n {
+        let row = vec![Value::Int(k * 7919 % n), Value::Str(format!("k{k}").into())];
+        db.table_mut(t).insert(row).expect("insert");
+    }
+    for sql in [
+        "SELECT k, COUNT(*) FROM big GROUP BY k",
+        "SELECT s, COUNT(*) FROM big GROUP BY s",
+        "SELECT k, s, COUNT(*) FROM big GROUP BY k, s ORDER BY k DESC",
+    ] {
+        assert_equivalent(&db, sql);
     }
 }
 

@@ -15,6 +15,7 @@
 //! plans, and drop-lists must be bit-identical with tracing on vs off
 //! (enforced by `tests/trace_determinism.rs` in the workspace root).
 
+#![forbid(unsafe_code)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
 #![cfg_attr(not(test), deny(clippy::expect_used))]
 

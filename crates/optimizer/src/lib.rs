@@ -30,6 +30,7 @@
 //! selectivity (the paper's *cost-monotonicity* assumption, §4.1), which a
 //! property test in this crate verifies.
 
+#![forbid(unsafe_code)]
 // Library code must stay panic-free on arbitrary input; tests may unwrap.
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 

@@ -11,6 +11,7 @@
 //! * a [`mod@render`] module that prints statements back to SQL (the parser and
 //!   renderer round-trip, which the property tests exercise).
 
+#![forbid(unsafe_code)]
 // Library code must stay panic-free on arbitrary input; tests may unwrap.
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 

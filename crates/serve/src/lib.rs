@@ -47,6 +47,7 @@
 //! [`Database::schema_skeleton`]: storage::Database::schema_skeleton
 //! [`TableId`]: storage::TableId
 
+#![forbid(unsafe_code)]
 // Library code must stay panic-free on arbitrary input; tests may unwrap.
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 

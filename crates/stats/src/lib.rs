@@ -19,6 +19,7 @@
 //! and "update cost" results can be reproduced as ratios without hardware
 //! timing noise.
 
+#![forbid(unsafe_code)]
 // Library code must stay panic-free on arbitrary input; tests may unwrap.
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 

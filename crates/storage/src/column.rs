@@ -18,12 +18,18 @@
 //! Beside its cells (not instead of them) a string column can hold dictionary
 //! codes: one `u32` per row, equal exactly where the strings are equal,
 //! numbered in order of first appearance ([`ColumnData::str_codes`]). They are
-//! made the first time a reader asks for them, not at load: coding every
-//! string column of a bulk load costs the load a hash per cell, whether or not
-//! a statistic is ever built on the column. From then on every write keeps
-//! them current, so a build after a write finds them ready, and a clone (so a
-//! copy-on-write) carries them. A column that is only appended to and never
-//! built on, such as a gathered copy of a partitioned table, never has them.
+//! made the first time a statistic build asks for them, not at load: coding
+//! every string column of a bulk load costs the load a hash per cell, whether
+//! or not a statistic is ever built on the column. From then on every write
+//! keeps them current, so a build after a write finds them ready, and a clone
+//! (so a copy-on-write) carries them. A column that is only appended to and
+//! never built on, such as a gathered copy of a partitioned table, never has
+//! them.
+//!
+//! The executor reads codes that exist ([`ColumnData::made_str_codes`]) and
+//! answers a string `=`/`<>` on them, but never makes them: making them on
+//! demand held 6 % more peak RSS on the benchmark's `online-mixed` workload
+//! and ran no faster on `steady-simple`.
 
 use crate::value::{DataType, Value, ValueRef};
 use std::collections::HashMap;
@@ -306,6 +312,17 @@ impl ColumnData {
         };
         let codes = self.codes.get_or_init(|| Box::new(StrCodes::of(xs)));
         Some((&codes.codes, codes.dict.len()))
+    }
+
+    /// The codes [`ColumnData::str_codes`] made earlier, with the code of the
+    /// string `s` among them (`None` when no cell equal to `s` was ever
+    /// coded); `None` if this is not a string column or its codes were never
+    /// made. It never makes them: a reader that only compares against a
+    /// constant uses codes when a statistic build left them, and the cells
+    /// otherwise.
+    pub fn made_str_codes(&self, s: &str) -> Option<(&[u32], Option<u32>)> {
+        let codes = self.codes.get()?;
+        Some((&codes.codes, codes.dict.get(s).copied()))
     }
 
     /// Forget codes that [`stale`] says have outgrown the column.

@@ -15,6 +15,7 @@
 //! Layout is columnar (`Vec` per column) because statistics construction and
 //! scan-heavy execution both read one column at a time.
 
+#![forbid(unsafe_code)]
 // Library code must stay panic-free on arbitrary input; tests may unwrap.
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 

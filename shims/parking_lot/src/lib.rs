@@ -5,6 +5,8 @@
 //! directly instead of `Result`s. Poisoned std locks are recovered via
 //! `into_inner`, matching parking_lot's "no poisoning" semantics.
 
+#![forbid(unsafe_code)]
+
 use std::sync::{
     MutexGuard as StdMutexGuard, RwLockReadGuard as StdReadGuard, RwLockWriteGuard as StdWriteGuard,
 };

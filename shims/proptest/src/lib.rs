@@ -10,6 +10,8 @@
 //! assertion message only), and the RNG is seeded deterministically from the
 //! test's module path + name, so runs are reproducible.
 
+#![forbid(unsafe_code)]
+
 pub mod test_runner {
     /// Deterministic xoshiro256++ generator for test-case sampling.
     #[derive(Debug, Clone)]

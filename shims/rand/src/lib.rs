@@ -7,6 +7,8 @@
 //! seeded through SplitMix64 — statistically strong enough for the sampling
 //! and Zipf quality tests, and fully deterministic for reproducibility.
 
+#![forbid(unsafe_code)]
+
 use std::ops::{Range, RangeInclusive};
 
 /// Seedable generators (subset of `rand::SeedableRng`).

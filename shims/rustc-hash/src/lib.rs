@@ -6,6 +6,8 @@
 //! processes and runs. The workspace uses it for hot-path lookup tables whose
 //! iteration order is never observable (or is sorted before use).
 
+#![forbid(unsafe_code)]
+
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
 

@@ -3,6 +3,8 @@
 //! Re-exports every sub-crate so integration tests and examples can use a
 //! single dependency. The real public API lives in [`autostats`].
 
+#![forbid(unsafe_code)]
+
 pub use autostats;
 pub use datagen;
 pub use executor;
