@@ -56,4 +56,4 @@ pub mod service;
 
 pub use daemon::{AutodConfig, CatalogEpoch, LifecycleCore, TelemetryConfig, TickReport};
 pub use monitor::{MonitorConfig, TemplateStats, WorkloadMonitor};
-pub use service::{OnlineService, QueryHandle, ServiceReport, Snapshot};
+pub use service::{OnlineService, Prepared, QueryHandle, ServiceReport, Snapshot};

@@ -117,16 +117,28 @@ impl WorkloadMonitor {
     }
 
     /// Observe one executed query at virtual time `tick`. Returns the
-    /// template fingerprint.
+    /// template fingerprint. [`WorkloadMonitor::observe_as`] with the
+    /// fingerprint computed here, under whatever lock guards the monitor.
     pub fn observe(&mut self, query: &BoundSelect, tick: u64) -> u64 {
         let fp = query.fingerprint();
+        self.observe_as(fp, query, tick);
+        fp
+    }
+
+    /// Observe one executed query at virtual time `tick` under `fp`, which
+    /// must be `query.fingerprint()`. The service passes the fingerprint
+    /// its plan memo holds, or one computed before it took the monitor's
+    /// lock: the `Debug` rendering behind it is the costly part of an
+    /// observation, and every client of a shard shares that lock.
+    pub fn observe_as(&mut self, fp: u64, query: &BoundSelect, tick: u64) {
+        debug_assert_eq!(fp, query.fingerprint());
         self.observed_total += 1;
         if let Some(t) = self.templates.get_mut(&fp) {
             self.by_eviction_key.remove(&eviction_key(fp, t));
             t.frequency += 1;
             t.last_seen_tick = tick;
             self.by_eviction_key.insert(eviction_key(fp, t));
-            return fp;
+            return;
         }
         // Ghost restoration: a recently evicted template resumes its count.
         let history = match self.ghosts.remove(&fp) {
@@ -152,7 +164,6 @@ impl WorkloadMonitor {
         if self.templates.len() > self.config.capacity {
             self.evict_one();
         }
-        fp
     }
 
     /// Evict the template with the least `(frequency, last_seen_tick,

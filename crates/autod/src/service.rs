@@ -18,15 +18,37 @@
 //! against a snapshot it loaded, then puts the catalog it published beside
 //! whatever data is current. No statement holds two locks at once; a tick
 //! holds the core mutex, and the monitor only at its start.
+//!
+//! ## Plan memo
+//!
+//! Binding, optimizing and fingerprinting a SELECT are pure functions of
+//! its text, the snapshot's catalog epoch and the snapshot's table
+//! metadata, so each [`Snapshot`] remembers what they gave for each SELECT
+//! text it served: the bound query, the plan, its estimated cost and the
+//! template fingerprint, behind one `Arc`. A repeated SELECT then only
+//! records itself with the monitor and executes.
+//!
+//! - The key is the byte-exact SQL text. Never the parsed statement:
+//!   `storage::Value`'s equality is `total_cmp`, under which `2 = 2.0`, so
+//!   two statements equal as syntax trees can bind to different queries.
+//! - The memo lives and dies with its snapshot. A copy of a snapshot (the
+//!   copy-on-write a writer or a tick makes while someone holds it) starts
+//!   empty, and the slot's two in-place writers, DML and the tick's epoch
+//!   publish, empty it: both go through one function, `write_slot`. So no
+//!   plan outlives the data or the catalog it was made against, and a
+//!   reader holding an old snapshot keeps that snapshot's plans.
+//! - It holds at most [`PLAN_MEMO_CAPACITY`] texts; when full it stops
+//!   taking new ones until the next write or publish empties it.
 
 use crate::daemon::{AutodConfig, CatalogEpoch, LifecycleCore, TickReport};
 use crate::monitor::{TemplateStats, WorkloadMonitor};
 use autostats::{SessionReport, StatementError, TuneError};
 use executor::{execute_plan_observed, run_statement_observed, StatementOutcome};
 use obsv::{HealthSnapshot, LatencyHistogram, SlowQuery, SlowQueryLog, SpanSampler, WindowDelta};
-use optimizer::{OptimizeOptions, Optimizer};
+use optimizer::{OptimizeOptions, Optimizer, PlanNode};
 use parking_lot::{Mutex, RwLock};
-use query::{bind_statement, parse_statement, BoundStatement, Statement};
+use query::{bind_statement, parse_statement, BoundSelect, BoundStatement, Statement};
+use rustc_hash::FxHashMap;
 use stats::StatsCatalog;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -36,19 +58,68 @@ use storage::Database;
 /// Seed of the fingerprint sampler.
 const SAMPLE_SEED: u64 = 0x0B5E;
 
-/// One published state of a service: its data and the catalog epoch
-/// queries plan against. Immutable once loaded; a write or a publication
-/// replaces the slot's `Arc` (or mutates it in place when nobody else holds
-/// it), never what a loader holds.
-#[derive(Debug, Clone)]
+/// The most SELECT texts one snapshot's plan memo holds.
+pub const PLAN_MEMO_CAPACITY: usize = 1024;
+
+/// One published state of a service: its data, the catalog epoch queries
+/// plan against, and the plans made against both (the module docs' plan
+/// memo). Immutable once loaded, but for the memo filling in; a write or a
+/// publication replaces the slot's `Arc` (or mutates it in place when
+/// nobody else holds it), never what a loader holds.
+#[derive(Debug)]
 pub struct Snapshot {
     pub db: Database,
     pub epoch: Arc<CatalogEpoch>,
+    plans: PlanMemo,
 }
 
+impl Clone for Snapshot {
+    /// The same data and epoch with an empty plan memo: a snapshot is copied
+    /// to be written, and the source's plans were made against the source.
+    fn clone(&self) -> Snapshot {
+        Snapshot {
+            db: self.db.clone(),
+            epoch: Arc::clone(&self.epoch),
+            plans: PlanMemo::default(),
+        }
+    }
+}
+
+impl Snapshot {
+    /// What this snapshot's plan memo holds for the SELECT text `sql`: set
+    /// once a handle served `sql` against this snapshot.
+    pub fn prepared(&self, sql: &str) -> Option<Arc<Prepared>> {
+        self.plans.read().get(sql).cloned()
+    }
+}
+
+/// What a SELECT's text prepared against one snapshot.
+#[derive(Debug)]
+pub struct Prepared {
+    pub query: BoundSelect,
+    pub plan: PlanNode,
+    /// The plan's estimated cost.
+    pub cost: f64,
+    /// `query.fingerprint()`, the monitor's template key.
+    pub fingerprint: u64,
+}
+
+/// A snapshot's SELECT text → what it prepared.
+type PlanMemo = RwLock<FxHashMap<Box<str>, Arc<Prepared>>>;
+
 /// Where a service publishes its [`Snapshot`]: loaded under the read lock
-/// for an `Arc` clone, written through `Arc::make_mut` under the write lock.
+/// for an `Arc` clone, written through [`write_slot`] under the write lock.
 type Slot = RwLock<Arc<Snapshot>>;
+
+/// The slot's snapshot, opened for writing: `Arc::make_mut` copies it if
+/// anyone else holds it, and a copy starts with an empty plan memo; if not,
+/// its memo is emptied here. The only way the service writes a snapshot,
+/// so no plan survives a change to the data or the catalog under it.
+fn write_slot(slot: &mut Arc<Snapshot>) -> &mut Snapshot {
+    let snapshot = Arc::make_mut(slot);
+    snapshot.plans.get_mut().clear();
+    snapshot
+}
 
 /// Shared always-on telemetry for the query path: latency histograms in
 /// the service registry, the deterministic span sampler, the slow-query
@@ -68,6 +139,10 @@ pub(crate) struct ServiceTelemetry {
     /// `autod.dml.table_copies`: writes whose target table some held
     /// snapshot still shared, so the write copied it.
     table_copies: obsv::Counter,
+    /// `autod.plan_memo.hits` / `autod.plan_memo.misses`: SELECTs whose
+    /// text the loaded snapshot had prepared, and SELECTs it had not.
+    memo_hits: obsv::Counter,
+    memo_misses: obsv::Counter,
     windows: obsv::WindowedRegistry,
 }
 
@@ -136,11 +211,14 @@ impl OnlineService {
             queries: obs.metrics.counter("autod.queries"),
             dml: obs.metrics.counter("autod.dml"),
             table_copies: obs.metrics.counter("autod.dml.table_copies"),
+            memo_hits: obs.metrics.counter("autod.plan_memo.hits"),
+            memo_misses: obs.metrics.counter("autod.plan_memo.misses"),
             windows: obsv::WindowedRegistry::new(Arc::clone(&obs.metrics)),
         });
         let snapshot = Snapshot {
             db,
             epoch: core.epoch(),
+            plans: PlanMemo::default(),
         };
         OnlineService {
             slot: Arc::new(RwLock::new(Arc::new(snapshot))),
@@ -185,7 +263,7 @@ impl OnlineService {
         let mut core = self.core.lock();
         let report = core.tick(&self.snapshot().db, &self.monitor, budget)?;
         if report.published_generation.is_some() {
-            Arc::make_mut(&mut self.slot.write()).epoch = core.epoch();
+            write_slot(&mut self.slot.write()).epoch = core.epoch();
         }
         self.current_tick.store(report.tick, Ordering::SeqCst);
         self.telemetry.slowlog.roll(report.tick);
@@ -290,35 +368,61 @@ pub struct QueryHandle {
 
 impl QueryHandle {
     /// Parse and run one SQL statement. SELECTs go through the concurrent
-    /// read path (monitor + epoch catalog), DML through the write path.
+    /// read path (plan memo, monitor, epoch catalog), DML through the write
+    /// path.
     pub fn run_sql(&self, sql: &str) -> Result<StatementOutcome, StatementError> {
         let stmt = parse_statement(sql)?;
-        self.run(&stmt)
+        self.run(sql, &stmt)
     }
 
-    /// Run one parsed statement.
-    pub fn run(&self, stmt: &Statement) -> Result<StatementOutcome, StatementError> {
+    /// Run `stmt`, which is `sql` parsed. A SELECT looks its text up in the
+    /// loaded snapshot's plan memo, and binds, optimizes and fingerprints
+    /// only when the text is not there; either way it is recorded with the
+    /// monitor and executed.
+    pub fn run(&self, sql: &str, stmt: &Statement) -> Result<StatementOutcome, StatementError> {
         let Statement::Select(_) = stmt else {
             return self.run_write(stmt);
         };
         let start = Instant::now();
         let snapshot = self.snapshot();
         let db = &snapshot.db;
-        let BoundStatement::Select(query) = bind_statement(db, stmt)? else {
-            // A SELECT binds to a select; defensive fallback only.
-            return self.run_write(stmt);
+        let prepared = match snapshot.prepared(sql) {
+            Some(prepared) => {
+                self.telemetry.memo_hits.inc();
+                prepared
+            }
+            None => {
+                self.telemetry.memo_misses.inc();
+                let BoundStatement::Select(query) = bind_statement(db, stmt)? else {
+                    // A SELECT binds to a select; defensive fallback only.
+                    return self.run_write(stmt);
+                };
+                let optimized = self.optimizer.optimize(
+                    db,
+                    &query,
+                    snapshot.epoch.catalog.full_view(),
+                    &OptimizeOptions::default(),
+                )?;
+                let prepared = Arc::new(Prepared {
+                    fingerprint: query.fingerprint(),
+                    query,
+                    plan: optimized.plan,
+                    cost: optimized.cost,
+                });
+                let mut plans = snapshot.plans.write();
+                // Full: serve unmemoized until a write or publish empties it.
+                if plans.len() < PLAN_MEMO_CAPACITY {
+                    plans.insert(sql.into(), Arc::clone(&prepared));
+                }
+                prepared
+            }
         };
-        let optimized = self.optimizer.optimize(
-            db,
-            &query,
-            snapshot.epoch.catalog.full_view(),
-            &OptimizeOptions::default(),
-        )?;
         // Observed once it has a plan: a statement the optimizer rejects
         // would fail every MNSA and Shrinking Set run over the monitor's
         // sample.
         let tick = self.current_tick.load(Ordering::SeqCst);
-        let fp = self.monitor.lock().observe(&query, tick);
+        let fp = prepared.fingerprint;
+        self.monitor.lock().observe_as(fp, &prepared.query, tick);
         // Sampled fingerprints execute under a private tracer so the
         // slow-query reservoir can keep their full span tree. Tracing is
         // observation-only, so the output is identical either way (pinned
@@ -327,8 +431,8 @@ impl QueryHandle {
         let private = sampled.then(obsv::Tracer::enabled);
         let output = execute_plan_observed(
             db,
-            &query,
-            &optimized.plan,
+            &prepared.query,
+            &prepared.plan,
             private.as_ref().unwrap_or(&self.obs.tracer),
         )?;
         let latency_ns = start.elapsed().as_nanos() as u64;
@@ -341,18 +445,18 @@ impl QueryHandle {
         self.telemetry.queries.inc();
         Ok(StatementOutcome::Query {
             output,
-            estimated_cost: optimized.cost,
+            estimated_cost: prepared.cost,
         })
     }
 
     /// DML: bind and run under the slot's write lock, on the slot's own
-    /// snapshot (`Arc::make_mut` copies the snapshot only if someone holds
+    /// snapshot ([`write_slot`] copies the snapshot only if someone holds
     /// it, and the target table only if that holder shares it).
     fn run_write(&self, stmt: &Statement) -> Result<StatementOutcome, StatementError> {
         let start = Instant::now();
         let out = {
             let mut slot = self.slot.write();
-            let snapshot = Arc::make_mut(&mut slot);
+            let snapshot = write_slot(&mut slot);
             let bound = bind_statement(&snapshot.db, stmt)?;
             if bound.target().is_some_and(|t| snapshot.db.is_shared(t)) {
                 self.telemetry.table_copies.inc();

@@ -286,7 +286,9 @@ pub(crate) fn drive_service(
         statements,
         ticks,
         |stmt| {
-            handle.run(stmt).expect("workload statement runs");
+            handle
+                .run_sql(&query::render(stmt))
+                .expect("workload statement runs");
         },
         || {
             let r = svc.tick_wait_budgeted(budget).expect("tick succeeds");

@@ -214,7 +214,9 @@ fn drive_cluster(
         &statements,
         ticks,
         |stmt| {
-            client.run(stmt).expect("workload statement runs");
+            client
+                .run_sql(&query::render(stmt))
+                .expect("workload statement runs");
         },
         || {
             let reports = cluster.tick_wait().expect("cluster tick succeeds");

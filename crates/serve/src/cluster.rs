@@ -309,42 +309,45 @@ impl ClusterClient {
     /// unsharded [`QueryHandle::run_sql`].
     pub fn run_sql(&self, sql: &str) -> Result<StatementOutcome, StatementError> {
         let stmt = parse_statement(sql)?;
-        self.run(&stmt)
+        self.run(sql, &stmt)
     }
 
-    /// Run one parsed statement on whatever shard(s) the router picks.
-    ///
-    /// # Errors
-    /// Same surface as [`QueryHandle::run`]; multi-shard routes fail on the
-    /// first shard error in shard order.
-    pub fn run(&self, stmt: &Statement) -> Result<StatementOutcome, StatementError> {
+    /// Run `stmt`, which is `sql` parsed, on whatever shard(s) the router
+    /// picks; multi-shard routes fail on the first shard error in shard
+    /// order. A shard's handle gets the text as well, the key of its plan
+    /// memo ([`QueryHandle::run`]).
+    fn run(&self, sql: &str, stmt: &Statement) -> Result<StatementOutcome, StatementError> {
         let route = match stmt {
             Statement::Select(select) => {
                 let routed = self.router.route_select(select);
                 if routed.route == Route::Fallback {
-                    return self.run_fallback(stmt, &routed);
+                    return self.run_fallback(sql, stmt, &routed);
                 }
                 routed.route
             }
             _ => self.router.route(stmt),
         };
         match route {
-            Route::Broadcast => self.run_broadcast(stmt),
-            Route::Scatter => self.run_scatter(stmt),
-            Route::Single(s) | Route::PartitionedInsert(s) => self.handles[s].run(stmt),
+            Route::Broadcast => self.run_broadcast(sql, stmt),
+            Route::Scatter => self.run_scatter(sql, stmt),
+            Route::Single(s) | Route::PartitionedInsert(s) => self.handles[s].run(sql, stmt),
             // Only SELECTs fall back, and they returned above.
-            Route::Fallback => self.handles[0].run(stmt),
+            Route::Fallback => self.handles[0].run(sql, stmt),
         }
     }
 
     /// UPDATE/DELETE on a partitioned table: the slices are disjoint, so
     /// applying the statement on every shard touches each row exactly once
     /// and per-shard counts sum to the single-database answer.
-    fn run_broadcast(&self, stmt: &Statement) -> Result<StatementOutcome, StatementError> {
+    fn run_broadcast(
+        &self,
+        sql: &str,
+        stmt: &Statement,
+    ) -> Result<StatementOutcome, StatementError> {
         let mut rows_affected = 0usize;
         let mut work = 0.0f64;
         for handle in &self.handles {
-            match handle.run(stmt)? {
+            match handle.run(sql, stmt)? {
                 StatementOutcome::Dml {
                     rows_affected: r,
                     work: w,
@@ -365,12 +368,12 @@ impl ClusterClient {
     /// Projection-only single-table SELECT over a partitioned table: run on
     /// every shard through its own handle (so each shard's monitor observes
     /// its slice of the workload) and concatenate rows in shard order.
-    fn run_scatter(&self, stmt: &Statement) -> Result<StatementOutcome, StatementError> {
+    fn run_scatter(&self, sql: &str, stmt: &Statement) -> Result<StatementOutcome, StatementError> {
         let mut rows = Vec::new();
         let mut work = 0.0f64;
         let mut estimated_cost = 0.0f64;
         for handle in &self.handles {
-            match handle.run(stmt)? {
+            match handle.run(sql, stmt)? {
                 StatementOutcome::Query {
                     output,
                     estimated_cost: cost,
@@ -393,6 +396,7 @@ impl ClusterClient {
     /// statistics story).
     fn run_fallback(
         &self,
+        sql: &str,
         stmt: &Statement,
         routed: &SelectRoute<'_>,
     ) -> Result<StatementOutcome, StatementError> {
@@ -428,7 +432,7 @@ impl ClusterClient {
         drop(loaded);
 
         let BoundStatement::Select(query) = bind_statement(&snapshot, stmt)? else {
-            return self.handles[0].run(stmt);
+            return self.handles[0].run(sql, stmt);
         };
         // No shard's statistics describe the tables as a whole, so the
         // fallback optimizes against an empty catalog (magic numbers) — the
@@ -483,32 +487,38 @@ impl Gather {
     /// The gathered copy of `id`, rebuilt first if any slice changed since
     /// it was built. `shards` holds every shard's snapshot in shard order;
     /// the slot's lock is the only one taken, and it makes concurrent
-    /// fallbacks share one rebuild.
+    /// fallbacks share one rebuild. The copy it replaces is dropped after
+    /// that lock is released, so no other fallback waits on the free.
     fn table(
         &self,
         id: TableId,
         skeleton: &Database,
         shards: &[Arc<Snapshot>],
     ) -> StorageResult<Arc<Table>> {
-        let versions = || shards.iter().map(|s| s.db.table(id).version());
-        let mut slot = self.slots[id.0 as usize].lock();
-        if let Some(current) = slot
-            .as_ref()
-            .filter(|g| versions().eq(g.versions.iter().copied()))
-        {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return Ok(Arc::clone(&current.table));
-        }
-        let mut table = skeleton.table(id).empty_like();
-        for s in shards {
-            table.append_table(s.db.table(id))?;
-        }
-        let table = Arc::new(table);
-        *slot = Some(Gathered {
-            versions: versions().collect(),
-            table: Arc::clone(&table),
-        });
+        let slices = || shards.iter().map(|s| s.db.table(id));
+        let (table, replaced) = {
+            let mut slot = self.slots[id.0 as usize].lock();
+            if let Some(current) = slot
+                .as_ref()
+                .filter(|g| slices().map(Table::version).eq(g.versions.iter().copied()))
+            {
+                self.hits.fetch_add(1, Ordering::Relaxed);
+                return Ok(Arc::clone(&current.table));
+            }
+            let mut table = skeleton.table(id).empty_like();
+            table.reserve(slices().map(Table::row_count).sum());
+            for slice in slices() {
+                table.append_table(slice)?;
+            }
+            let table = Arc::new(table);
+            let replaced = slot.replace(Gathered {
+                versions: slices().map(Table::version).collect(),
+                table: Arc::clone(&table),
+            });
+            (table, replaced)
+        };
         self.rebuilds.fetch_add(1, Ordering::Relaxed);
+        drop(replaced);
         Ok(table)
     }
 }

@@ -249,6 +249,16 @@ impl ColumnData {
         self.drop_stale_codes();
     }
 
+    /// Make room for `rows` more values.
+    pub fn reserve(&mut self, rows: usize) {
+        match &mut self.payload {
+            Payload::Int(xs) | Payload::Date(xs) => xs.reserve(rows),
+            Payload::Float(xs) => xs.reserve(rows),
+            Payload::Str(xs) => xs.reserve(rows),
+        }
+        self.validity.reserve(rows);
+    }
+
     /// Value at row `i`. A string comes back as the stored cell itself
     /// (`Arc::ptr_eq` to it), not as a copy.
     pub fn get(&self, i: usize) -> Value {

@@ -81,6 +81,14 @@ impl Table {
         Table::new(self.name.clone(), self.schema.clone())
     }
 
+    /// Make room for `rows` more rows in every column, so that appending
+    /// that many moves no column.
+    pub fn reserve(&mut self, rows: usize) {
+        for column in &mut self.columns {
+            column.reserve(rows);
+        }
+    }
+
     /// Materialize one row (one value per column, in schema order).
     pub fn row_values(&self, row: usize) -> Vec<Value> {
         (0..self.schema.len()).map(|c| self.value(row, c)).collect()

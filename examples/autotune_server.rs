@@ -61,7 +61,7 @@ fn main() {
         let mut work = 0.0;
         let (mut refreshed, mut dropped, mut shrunk) = (0usize, 0usize, 0usize);
         for stmt in &stmts {
-            match client.run(stmt) {
+            match client.run_sql(&query::render(stmt)) {
                 Ok(StatementOutcome::Query { output, .. }) => {
                     queries += 1;
                     work += output.work;

@@ -72,7 +72,7 @@ fn tpcd_queries_run_end_to_end_with_auto_tuning() {
     let client = svc.handle(0);
     for (i, q) in tpcd_benchmark_queries().into_iter().enumerate() {
         let out = client
-            .run(&Statement::Select(q))
+            .run_sql(&render(&Statement::Select(q)))
             .unwrap_or_else(|e| panic!("Q{} failed: {e}", i + 1));
         match out {
             StatementOutcome::Query { estimated_cost, .. } => {
@@ -256,7 +256,7 @@ fn workload_execution_work_is_reproducible() {
         let client = svc.handle(0);
         let mut work = 0.0;
         for s in &stmts {
-            work += client.run(s).unwrap().work();
+            work += client.run_sql(&render(s)).unwrap().work();
             svc.tick_wait().unwrap();
         }
         (work, svc.shutdown().1.catalog.snapshot())

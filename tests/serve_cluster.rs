@@ -30,7 +30,7 @@ use autod::{AutodConfig, OnlineService};
 use autostats::{OnlineEvent, SessionReport};
 use executor::StatementOutcome;
 use proptest::prelude::*;
-use query::{parse_statement, Statement};
+use query::parse_statement;
 use serve::{Route, Router, ServeCluster, ServeConfig, ShardPlan};
 use stats::StatsCatalog;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -174,17 +174,13 @@ const IDENTITY_STATEMENTS: &[&str] = &[
 #[test]
 fn one_shard_cluster_is_bit_identical_to_the_unsharded_service() {
     let budget = 500.0; // finite: the arbiter must hand it over exactly
-    let statements: Vec<Statement> = IDENTITY_STATEMENTS
-        .iter()
-        .map(|s| parse_statement(s).unwrap())
-        .collect();
 
     // The cluster side.
     let cluster = ServeCluster::start(test_db(), cluster_config(1, usize::MAX, budget)).unwrap();
     let client = cluster.client(1);
     let mut cluster_reports = Vec::new();
-    for (i, stmt) in statements.iter().enumerate() {
-        client.run(stmt).unwrap();
+    for (i, sql) in IDENTITY_STATEMENTS.iter().enumerate() {
+        client.run_sql(sql).unwrap();
         if (i + 1) % 3 == 0 {
             cluster_reports.extend(cluster.tick_wait().unwrap());
         }
@@ -215,8 +211,8 @@ fn one_shard_cluster_is_bit_identical_to_the_unsharded_service() {
     let svc = plain_service(shard_db, session);
     let handle = svc.handle(1);
     let mut plain_reports = Vec::new();
-    for (i, stmt) in statements.iter().enumerate() {
-        handle.run(stmt).unwrap();
+    for (i, sql) in IDENTITY_STATEMENTS.iter().enumerate() {
+        handle.run_sql(sql).unwrap();
         if (i + 1) % 3 == 0 {
             plain_reports.push(svc.tick_wait_budgeted(budget).unwrap());
         }
@@ -387,8 +383,11 @@ fn concurrent_fallbacks_never_see_a_later_write_without_an_earlier_one() {
         let placement = cluster.plan().placement_by_name(name).unwrap().placement;
         assert_eq!(placement, serve::Placement::Owned(shard), "{name}");
     }
-    let join = parse_statement("SELECT a.v, b.v FROM a, b WHERE a.k = b.k").unwrap();
-    assert_eq!(cluster.router().route(&join), Route::Fallback);
+    let join = "SELECT a.v, b.v FROM a, b WHERE a.k = b.k";
+    assert_eq!(
+        cluster.router().route(&parse_statement(join).unwrap()),
+        Route::Fallback
+    );
 
     let (start, done) = (Barrier::new(READERS + 1), AtomicBool::new(false));
     std::thread::scope(|scope| {
@@ -409,7 +408,7 @@ fn concurrent_fallbacks_never_see_a_later_write_without_an_earlier_one() {
                 scope.spawn(move || {
                     start.wait();
                     for _ in 0..FALLBACKS {
-                        let StatementOutcome::Query { output, .. } = client.run(join).unwrap()
+                        let StatementOutcome::Query { output, .. } = client.run_sql(join).unwrap()
                         else {
                             panic!("the join is a query");
                         };
@@ -442,40 +441,42 @@ fn concurrent_fallbacks_never_see_a_later_write_without_an_earlier_one() {
 /// owned table. Each write leaves the same rows wherever it falls among the
 /// others, so the tables' final contents do not depend on how client threads
 /// interleave.
-fn mixed_stream() -> Vec<Statement> {
-    [
-        "SELECT k FROM big WHERE k < 200",
-        "SELECT * FROM big WHERE v = 3",
-        "SELECT COUNT(*) FROM big",
-        "SELECT b.k FROM big b, mid m WHERE b.k = m.k",
-        "SELECT k FROM mid WHERE v = 2",
-        "SELECT s.k FROM small s, mid m WHERE s.k = m.k",
-        "UPDATE big SET v = 5 WHERE k < 10",
-        "INSERT INTO big VALUES (7777, 3)",
-        "UPDATE mid SET v = 2 WHERE k < 20",
-        "DELETE FROM big WHERE k >= 590 AND k < 600",
-        "INSERT INTO mid VALUES (8888, 4)",
-    ]
-    .iter()
-    .map(|s| parse_statement(s).unwrap())
-    .collect()
-}
+const MIXED_STREAM: [&str; 11] = [
+    "SELECT k FROM big WHERE k < 200",
+    "SELECT * FROM big WHERE v = 3",
+    "SELECT COUNT(*) FROM big",
+    "SELECT b.k FROM big b, mid m WHERE b.k = m.k",
+    "SELECT k FROM mid WHERE v = 2",
+    "SELECT s.k FROM small s, mid m WHERE s.k = m.k",
+    "UPDATE big SET v = 5 WHERE k < 10",
+    "INSERT INTO big VALUES (7777, 3)",
+    "UPDATE mid SET v = 2 WHERE k < 20",
+    "DELETE FROM big WHERE k >= 590 AND k < 600",
+    "INSERT INTO mid VALUES (8888, 4)",
+];
 
 #[test]
 fn concurrent_clients_and_ticks_stress_the_cluster() {
     let cluster = ServeCluster::start(test_db(), cluster_config(3, 100, f64::INFINITY)).unwrap();
-    let statements = mixed_stream();
+    let statements = MIXED_STREAM;
     let rounds = 8;
 
     let threads = 4;
     std::thread::scope(|scope| {
         for tid in 0..threads {
             let client = cluster.client(tid as u64 + 1);
-            let mine: Vec<&Statement> = statements.iter().skip(tid).step_by(threads).collect();
+            let mine: Vec<&str> = statements
+                .iter()
+                .copied()
+                .skip(tid)
+                .step_by(threads)
+                .collect();
             scope.spawn(move || {
                 for _ in 0..rounds {
-                    for stmt in &mine {
-                        client.run(stmt).expect("statement runs under contention");
+                    for sql in &mine {
+                        client
+                            .run_sql(sql)
+                            .expect("statement runs under contention");
                     }
                 }
             });
@@ -507,8 +508,8 @@ fn concurrent_clients_and_ticks_stress_the_cluster() {
     let oracle_svc = plain_service(test_db(), SessionReport::default());
     let oracle = oracle_svc.handle(1);
     for _ in 0..rounds {
-        for stmt in &statements {
-            oracle.run(stmt).expect("oracle statement runs");
+        for sql in statements {
+            oracle.run_sql(sql).expect("oracle statement runs");
         }
     }
     let client = cluster.client(99);
@@ -551,7 +552,7 @@ fn concurrent_tickers_number_each_shards_ticks_without_gap_or_repeat() {
     // A Shrinking Set pass publishes a generation: one on every tick.
     config.autod.shrink_every = 1;
     let cluster = ServeCluster::start(test_db(), config).unwrap();
-    let statements = mixed_stream();
+    let statements = MIXED_STREAM;
     let start = Barrier::new(TICKERS + CLIENTS);
 
     let mut ticks = vec![Vec::new(); cluster.shards()];
@@ -562,8 +563,10 @@ fn concurrent_tickers_number_each_shards_ticks_without_gap_or_repeat() {
             scope.spawn(move || {
                 start.wait();
                 for _ in 0..20 {
-                    for stmt in statements.iter().skip(tid).step_by(CLIENTS) {
-                        client.run(stmt).expect("statement runs beside two tickers");
+                    for sql in statements.iter().skip(tid).step_by(CLIENTS) {
+                        client
+                            .run_sql(sql)
+                            .expect("statement runs beside two tickers");
                     }
                 }
             });
