@@ -13,13 +13,15 @@
 //!    template is analyzed once however often it runs; step 6's sample and
 //!    the health counters are read here too;
 //! 3. **refresh** — scan modification counters and rebuild each table's
-//!    stale statistics from one shared scan ([`StatsCatalog::refresh`]),
-//!    charging each to the bucket; remaining tables wait for the next tick
-//!    once the balance runs out;
-//! 4. **drop** — physically drop what has now been refreshed more than
-//!    `max_updates` times ([`StatsCatalog::drop_over_updated`]: only
-//!    drop-listed statistics unless `drop_only_droplisted` is off). Free,
-//!    and each drop enters the aging registry;
+//!    stale statistics — more modifications since their build than
+//!    `max(500, 20 % of rows)` ([`stats::staleness_threshold`]) — from one
+//!    shared scan ([`StatsCatalog::refresh`]), charging each to the bucket;
+//!    remaining tables wait for the next tick once the balance runs out;
+//! 4. **drop** — physically drop the drop-listed statistics now refreshed
+//!    more than [`stats::MAX_UPDATES`] times
+//!    ([`StatsCatalog::drop_over_updated`] under the paper's improved
+//!    policy: an active statistic is never dropped for its refreshes).
+//!    Free, and each drop enters the aging registry;
 //! 5. **tune** — while the balance is positive, run MNSA
 //!    ([`autostats::MnsaEngine::run_query`]) for the oldest queued
 //!    template — the per-query loop of
@@ -46,12 +48,12 @@
 //! schedule, and a single query thread, the whole catalog trajectory (epochs,
 //! work meters, journal) is bit-identical run to run.
 
-use crate::monitor::{MonitorConfig, WorkloadMonitor};
+use crate::monitor::{WorkloadMonitor, MONITOR_CAPACITY};
 use autostats::policy::shrinking_pass;
 use autostats::{Equivalence, MnsaConfig, MnsaEngine, OnlineEvent, SessionReport, TuneError};
 use parking_lot::Mutex;
 use query::BoundSelect;
-use stats::{MaintenancePolicy, Refreshed, StatsCatalog};
+use stats::{Refreshed, StatsCatalog};
 use std::collections::{BTreeSet, VecDeque};
 use std::sync::Arc;
 use storage::Database;
@@ -105,13 +107,6 @@ pub struct AutodConfig {
     /// Run the Shrinking Set pass, under [`Equivalence::paper_default`],
     /// every this many ticks. 0 never runs it: the one off-switch.
     pub shrink_every: u64,
-    /// The §6 maintenance policy. Stale iff mods since build strictly
-    /// exceed `max(min_modified_rows, update_fraction × rows)`; a statistic
-    /// refreshed more than `max_updates` times is physically dropped — only
-    /// if drop-listed, under `drop_only_droplisted`.
-    pub staleness: MaintenancePolicy,
-    /// Workload-monitor sizing.
-    pub monitor: MonitorConfig,
     /// Span sampling and slow-query capture. Observation-only: telemetry on
     /// vs off never changes catalogs, plans, or journals (pinned by
     /// `tests/telemetry_determinism.rs`).
@@ -128,8 +123,6 @@ impl Default for AutodConfig {
             budget_per_tick: 500_000.0,
             mnsa: MnsaConfig::default(),
             shrink_every: 8,
-            staleness: MaintenancePolicy::default(),
-            monitor: MonitorConfig::default(),
             telemetry: TelemetryConfig::default(),
             shard: 0,
         }
@@ -343,7 +336,7 @@ impl LifecycleCore {
             let sample = (due && !monitor.is_empty()).then(|| monitor.sample());
             let health = obsv::HealthSnapshot {
                 monitor_templates: monitor.len() as u64,
-                monitor_capacity: monitor.capacity() as u64,
+                monitor_capacity: MONITOR_CAPACITY as u64,
                 monitor_observed: monitor.observed_total(),
                 monitor_evictions: monitor.evictions_total(),
                 monitor_ghost_hits: monitor.ghost_hits_total(),
@@ -359,7 +352,7 @@ impl LifecycleCore {
 
         // 3. Staleness-driven refresh, one catalog call (one shared scan)
         //    per table, while the token balance lasts.
-        let by_table = self.catalog.stale_by_table(db, &self.config.staleness);
+        let by_table = self.catalog.stale_by_table(db);
         let mut deferred_refreshes = 0usize;
         for (&table, ids) in &by_table {
             if self.balance <= 0.0 {
@@ -381,9 +374,9 @@ impl LifecycleCore {
             }
         }
 
-        // 4. §6 auto-drop: what the refreshes above (or earlier ones) took
-        //    past `max_updates` goes, free of charge.
-        for (stat, table, updates) in self.catalog.drop_over_updated(&self.config.staleness) {
+        // 4. §6 auto-drop: the drop-listed statistics the refreshes above (or
+        //    earlier ones) took past `MAX_UPDATES` go, free of charge.
+        for (stat, table, updates) in self.catalog.drop_over_updated(true) {
             report.dropped += 1;
             metrics.counter("autod.auto_drops").inc();
             self.session.record_online(OnlineEvent::AutoDrop {
@@ -543,9 +536,10 @@ impl LifecycleCore {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use crate::monitor::MonitorConfig;
     use autostats::OfflineTuner;
     use query::{bind_statement, parse_statement, BoundStatement};
-    use stats::StatId;
+    use stats::{StatId, MAX_UPDATES};
     use storage::{ColumnDef, DataType, Schema, Value};
 
     /// The paper's Example-2 shape: employees (skewed `salary`, rare > 200)
@@ -629,7 +623,7 @@ pub(crate) mod tests {
             .tune_session(&db, &mut offline_catalog, &queries, &obsv::Obs::disabled())
             .unwrap();
 
-        let monitor = Mutex::new(WorkloadMonitor::new(MonitorConfig::default()));
+        let monitor = Mutex::new(WorkloadMonitor::new(MonitorConfig));
         for q in &queries {
             monitor.lock().observe(q, 0);
         }
@@ -678,7 +672,7 @@ pub(crate) mod tests {
             .map(|i| format!("departments d{i}"))
             .collect();
         let too_wide = select(&db, &format!("SELECT * FROM {}", aliases.join(", ")));
-        let monitor = Mutex::new(WorkloadMonitor::new(MonitorConfig::default()));
+        let monitor = Mutex::new(WorkloadMonitor::new(MonitorConfig));
         monitor.lock().observe(&select(&db, EXAMPLE2_SQL), 0);
         monitor.lock().observe(&too_wide, 0);
         monitor
@@ -751,12 +745,21 @@ pub(crate) mod tests {
         }
     }
 
+    /// Rewrite one more `employees.empid` cell than the table's staleness
+    /// threshold, each with the value it holds: every statistic on the
+    /// table goes stale, and the rows stay as they were.
+    fn touch_employees(db: &mut Database) {
+        let t = db.table_id("employees").unwrap();
+        let rows = db.table(t).row_count();
+        for i in 0..=stats::staleness_threshold(rows) as usize {
+            let v = db.table(t).value(i % rows, 0);
+            db.table_mut(t).update_rows(&[i % rows], 0, &v).unwrap();
+        }
+    }
+
     /// A catalog with one active statistic (`employees.salary`) and one
-    /// drop-listed (`employees.age`), and a core over it that never tunes.
-    fn core_with_a_drop_listed_statistic(
-        db: &Database,
-        staleness: MaintenancePolicy,
-    ) -> (LifecycleCore, StatId, StatId) {
+    /// drop-listed (`employees.age`), and a core over it.
+    fn core_with_a_drop_listed_statistic(db: &Database) -> (LifecycleCore, StatId, StatId) {
         let t = db.table_id("employees").unwrap();
         let mut catalog = StatsCatalog::new();
         let active = catalog
@@ -766,31 +769,23 @@ pub(crate) mod tests {
             .create_statistic(db, stats::StatDescriptor::single(t, 2))
             .unwrap();
         catalog.move_to_drop_list(listed);
-        let core = LifecycleCore::new(
-            catalog,
-            AutodConfig {
-                staleness,
-                ..AutodConfig::default()
-            },
-        );
-        (core, active, listed)
+        (
+            LifecycleCore::new(catalog, AutodConfig::default()),
+            active,
+            listed,
+        )
     }
 
     #[test]
     fn tick_drops_a_drop_listed_statistic_refreshed_past_max_updates() {
         let mut db = test_db();
         let t = db.table_id("employees").unwrap();
-        let policy = MaintenancePolicy {
-            update_fraction: 0.1,
-            max_updates: 2,
-            ..MaintenancePolicy::default()
-        };
-        let (mut core, active, listed) = core_with_a_drop_listed_statistic(&db, policy);
-        let monitor = Mutex::new(WorkloadMonitor::new(MonitorConfig::default()));
+        let (mut core, active, listed) = core_with_a_drop_listed_statistic(&db);
+        let monitor = Mutex::new(WorkloadMonitor::new(MonitorConfig));
 
-        // Exactly `max_updates` refreshes: both statistics stay.
-        for round in 1..=policy.max_updates {
-            insert_employees(&mut db, 900);
+        // Exactly `MAX_UPDATES` refreshes: both statistics stay.
+        for round in 1..=MAX_UPDATES {
+            touch_employees(&mut db);
             let report = core.tick(&db, &monitor, f64::INFINITY).unwrap();
             assert_eq!((report.refreshed, report.dropped), (2, 0), "round {round}");
             assert_eq!(
@@ -800,18 +795,21 @@ pub(crate) mod tests {
         }
 
         // One more: the drop-listed one goes, the active one does not.
-        insert_employees(&mut db, 900);
+        touch_employees(&mut db);
         let report = core.tick(&db, &monitor, f64::INFINITY).unwrap();
         assert_eq!((report.refreshed, report.dropped), (2, 1));
         assert!(core.catalog().statistic(listed).is_none());
-        assert_eq!(core.catalog().statistic(active).unwrap().update_count, 3);
+        assert_eq!(
+            core.catalog().statistic(active).unwrap().update_count,
+            MAX_UPDATES + 1
+        );
         assert_eq!(
             core.journal().online.iter().rev().nth(1),
             Some(&OnlineEvent::AutoDrop {
-                tick: 3,
+                tick: u64::from(MAX_UPDATES) + 1,
                 stat: listed,
                 table: t,
-                updates: 3,
+                updates: MAX_UPDATES + 1,
             }),
             "journaled before the epoch swap"
         );
@@ -826,23 +824,6 @@ pub(crate) mod tests {
         assert_eq!(quiet.published_generation, None);
     }
 
-    #[test]
-    fn vanilla_policy_drops_active_statistics_too() {
-        let mut db = test_db();
-        let policy = MaintenancePolicy {
-            max_updates: 0,
-            drop_only_droplisted: false,
-            ..MaintenancePolicy::default()
-        };
-        let (mut core, ..) = core_with_a_drop_listed_statistic(&db, policy);
-        let monitor = Mutex::new(WorkloadMonitor::new(MonitorConfig::default()));
-        insert_employees(&mut db, 900);
-        let report = core.tick(&db, &monitor, f64::INFINITY).unwrap();
-        assert_eq!((report.refreshed, report.dropped), (2, 2));
-        assert_eq!(core.catalog().total_count(), 0);
-        assert!(report.published_generation.is_some());
-    }
-
     /// What the tick drops enters the aging registry, so online aging has
     /// something to act on: inside the window a template that wants the
     /// dropped statistics does not get them back.
@@ -851,39 +832,41 @@ pub(crate) mod tests {
         let run = |aging: Option<stats::AgingPolicy>| {
             let mut db = test_db();
             let t = db.table_id("employees").unwrap();
-            let monitor = Mutex::new(WorkloadMonitor::new(MonitorConfig::default()));
+            let queries = workload(&db);
+            // What MNSA builds for the first template, all drop-listed.
+            let mut catalog = StatsCatalog::new();
+            MnsaEngine::new(MnsaConfig::default())
+                .run_query(&db, &mut catalog, &queries[0])
+                .unwrap();
+            let built: Vec<stats::StatDescriptor> = catalog
+                .built_on_table(t)
+                .map(|s| s.descriptor.clone())
+                .collect();
+            assert!(!built.is_empty());
+            for id in catalog.active_ids() {
+                catalog.move_to_drop_list(id);
+            }
+            let monitor = Mutex::new(WorkloadMonitor::new(MonitorConfig));
             let mut core = LifecycleCore::new(
-                StatsCatalog::new(),
+                catalog,
                 AutodConfig {
                     mnsa: MnsaConfig {
                         aging,
                         ..MnsaConfig::default()
                     },
-                    staleness: MaintenancePolicy {
-                        max_updates: 0,
-                        drop_only_droplisted: false,
-                        ..MaintenancePolicy::default()
-                    },
                     shrink_every: 0,
                     ..AutodConfig::default()
                 },
             );
-            let queries = workload(&db);
-            monitor.lock().observe(&queries[0], 0);
-            core.tick(&db, &monitor, f64::INFINITY).unwrap();
-            let built: Vec<stats::StatDescriptor> = core
-                .catalog()
-                .built_on_table(t)
-                .map(|s| s.descriptor.clone())
-                .collect();
-            assert!(!built.is_empty());
-
-            insert_employees(&mut db, 900);
-            let dropped = core.tick(&db, &monitor, f64::INFINITY).unwrap();
-            assert_eq!(dropped.dropped, built.len());
+            let mut dropped = 0;
+            for _ in 0..=MAX_UPDATES {
+                touch_employees(&mut db);
+                dropped += core.tick(&db, &monitor, f64::INFINITY).unwrap().dropped;
+            }
+            assert_eq!(dropped, built.len());
 
             // A second template over the same columns.
-            monitor.lock().observe(&queries[1], 2);
+            monitor.lock().observe(&queries[1], core.ticks());
             let tuned = core.tick(&db, &monitor, f64::INFINITY).unwrap();
             assert_eq!(tuned.queries_tuned, 1);
             (core, built)
@@ -912,7 +895,7 @@ pub(crate) mod tests {
     fn tiny_budget_defers_work_and_journals_exhaustion() {
         let db = test_db();
         let queries = workload(&db);
-        let monitor = Mutex::new(WorkloadMonitor::new(MonitorConfig::default()));
+        let monitor = Mutex::new(WorkloadMonitor::new(MonitorConfig));
         for q in &queries {
             monitor.lock().observe(q, 0);
         }
@@ -957,7 +940,7 @@ pub(crate) mod tests {
         let mut db = test_db();
         let t = db.table_id("employees").unwrap();
         let queries = workload(&db);
-        let monitor = Mutex::new(WorkloadMonitor::new(MonitorConfig::default()));
+        let monitor = Mutex::new(WorkloadMonitor::new(MonitorConfig));
         for q in &queries {
             monitor.lock().observe(q, 0);
         }

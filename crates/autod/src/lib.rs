@@ -14,10 +14,10 @@
 //!   virtual-time ticks. Each tick funds a work-token budget (carry-over,
 //!   debt allowed), refreshes the statistics
 //!   [`StatsCatalog::stale_statistics`] flags under the SQL Server-style
-//!   `max(500, 20% of rows)` rule (configurable) through the catalog's
-//!   shared-scan batch rebuilds, physically drops what has been refreshed
-//!   more than `max_updates` times (drop-listed statistics only, by
-//!   default — §6's auto-drop), runs MNSA ([`autostats::MnsaEngine`]) over
+//!   `max(500, 20% of rows)` rule through the catalog's shared-scan batch
+//!   rebuilds, physically drops the drop-listed statistics refreshed more
+//!   than [`stats::MAX_UPDATES`] times (§6's auto-drop, as the paper
+//!   improves it), runs MNSA ([`autostats::MnsaEngine`]) over
 //!   the monitored sample's new templates while the budget lasts, and
 //!   periodically a Shrinking Set pass
 //!   ([`autostats::policy::shrinking_pass`]), journaling both into the same
@@ -55,5 +55,5 @@ pub mod monitor;
 pub mod service;
 
 pub use daemon::{AutodConfig, CatalogEpoch, LifecycleCore, TelemetryConfig, TickReport};
-pub use monitor::{MonitorConfig, TemplateStats, WorkloadMonitor};
+pub use monitor::{MonitorConfig, TemplateStats, WorkloadMonitor, MONITOR_CAPACITY};
 pub use service::{OnlineService, Prepared, QueryHandle, ServiceReport, Snapshot};

@@ -2,11 +2,11 @@
 //!
 //! Every SELECT that runs through the online service is observed here,
 //! deduplicated by [`BoundSelect::fingerprint`]. The monitor keeps at most
-//! `capacity` distinct templates with per-template frequency and recency;
-//! when full, the template with the least `(frequency, last_seen_tick,
-//! seeded-hash)` is evicted — frequency-biased retention with a
-//! deterministic, seed-keyed tiebreak so two runs with the same stream
-//! evict identically.
+//! [`MONITOR_CAPACITY`] distinct templates with per-template frequency and
+//! recency; when full, the template with the least `(frequency,
+//! last_seen_tick, seeded-hash)` is evicted — frequency-biased retention
+//! with a deterministic, seed-keyed tiebreak so two runs with the same
+//! stream evict identically.
 //!
 //! Evicting a hot-but-new template must not erase its history, or a
 //! template arriving steadily into a full reservoir would never accumulate
@@ -21,18 +21,14 @@
 use query::BoundSelect;
 use std::collections::{BTreeMap, BTreeSet};
 
-/// Monitor sizing.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct MonitorConfig {
-    /// Maximum distinct templates retained (and ghost entries remembered).
-    pub capacity: usize,
-}
+/// The most distinct templates a monitor retains, and the most ghost
+/// entries it remembers.
+pub const MONITOR_CAPACITY: usize = 256;
 
-impl Default for MonitorConfig {
-    fn default() -> Self {
-        MonitorConfig { capacity: 256 }
-    }
-}
+/// What [`WorkloadMonitor::new`] takes. It has no field: every monitor holds
+/// [`MONITOR_CAPACITY`] templates.
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
+pub struct MonitorConfig;
 
 /// Seed of the deterministic eviction tiebreak.
 const EVICTION_SEED: u64 = 0xA07D;
@@ -66,7 +62,6 @@ struct Ghost {
 /// Bounded, deduplicated reservoir of executed query templates.
 #[derive(Debug)]
 pub struct WorkloadMonitor {
-    config: MonitorConfig,
     templates: BTreeMap<u64, Template>,
     /// Every retained template's `(frequency, last_seen_tick, mix(fp),
     /// fp)`: the first is the next to evict.
@@ -98,11 +93,9 @@ fn eviction_key(fp: u64, t: &Template) -> (u64, u64, u64, u64) {
 }
 
 impl WorkloadMonitor {
-    pub fn new(config: MonitorConfig) -> Self {
+    /// An empty monitor of [`MONITOR_CAPACITY`] templates.
+    pub fn new(_: MonitorConfig) -> Self {
         WorkloadMonitor {
-            config: MonitorConfig {
-                capacity: config.capacity.max(1),
-            },
             templates: BTreeMap::new(),
             by_eviction_key: BTreeSet::new(),
             ghosts: BTreeMap::new(),
@@ -161,7 +154,7 @@ impl WorkloadMonitor {
         };
         self.by_eviction_key.insert(eviction_key(fp, &t));
         self.templates.insert(fp, t);
-        if self.templates.len() > self.config.capacity {
+        if self.templates.len() > MONITOR_CAPACITY {
             self.evict_one();
         }
     }
@@ -183,7 +176,7 @@ impl WorkloadMonitor {
             );
             self.ghosts_by_age.insert(self.evict_seq, fp);
             // Ghost list is bounded too: forget the oldest eviction.
-            while self.ghosts.len() > self.config.capacity {
+            while self.ghosts.len() > MONITOR_CAPACITY {
                 let Some((_, oldest)) = self.ghosts_by_age.pop_first() else {
                     break;
                 };
@@ -259,11 +252,6 @@ impl WorkloadMonitor {
     pub fn ghost_hits_total(&self) -> u64 {
         self.ghost_hits_total
     }
-
-    /// Configured capacity (distinct templates retained).
-    pub fn capacity(&self) -> usize {
-        self.config.capacity
-    }
 }
 
 #[cfg(test)]
@@ -308,7 +296,7 @@ mod tests {
     fn deduplicates_and_counts_frequency() {
         let db = db();
         let q = select(&db, "SELECT * FROM t WHERE a = 1");
-        let mut m = WorkloadMonitor::new(MonitorConfig::default());
+        let mut m = WorkloadMonitor::new(MonitorConfig);
         m.observe(&q, 1);
         m.observe(&q, 3);
         assert_eq!(m.len(), 1);
@@ -322,16 +310,17 @@ mod tests {
     #[test]
     fn capacity_bound_evicts_least_frequent_first() {
         let db = db();
-        let qs = queries(&db, 4);
-        let mut m = WorkloadMonitor::new(MonitorConfig { capacity: 3 });
-        // q0 is hot; q1..q3 arrive once each.
+        let qs = queries(&db, MONITOR_CAPACITY + 1);
+        let mut m = WorkloadMonitor::new(MonitorConfig);
+        // q0 is hot; every other template arrives once, each a tick later.
         for _ in 0..5 {
             m.observe(&qs[0], 1);
         }
-        m.observe(&qs[1], 2);
-        m.observe(&qs[2], 3);
-        m.observe(&qs[3], 4); // over capacity: one frequency-1 template goes
-        assert_eq!(m.len(), 3);
+        for (i, q) in qs.iter().enumerate().skip(1) {
+            m.observe(q, i as u64 + 1);
+        }
+        // The last arrival was over capacity: one frequency-1 template went.
+        assert_eq!(m.len(), MONITOR_CAPACITY);
         assert_eq!(m.evictions_total(), 1);
         let evicted = m.drain_evictions();
         assert_eq!(evicted.len(), 1);
@@ -344,12 +333,15 @@ mod tests {
     #[test]
     fn ghost_restores_frequency_of_reobserved_evictee() {
         let db = db();
-        let qs = queries(&db, 3);
-        let mut m = WorkloadMonitor::new(MonitorConfig { capacity: 2 });
+        let qs = queries(&db, MONITOR_CAPACITY + 1);
+        let mut m = WorkloadMonitor::new(MonitorConfig);
         m.observe(&qs[0], 1);
         m.observe(&qs[0], 1);
         m.observe(&qs[1], 1);
-        m.observe(&qs[2], 2); // evicts q1 (freq 1, oldest tick)
+        for q in &qs[2..] {
+            m.observe(q, 2);
+        }
+        // The last arrival evicted q1 (freq 1, oldest tick).
         assert_eq!(m.drain_evictions(), vec![qs[1].fingerprint()]);
         // q1 returns: its count resumes at 2, not 1.
         m.observe(&qs[1], 3);
@@ -359,15 +351,15 @@ mod tests {
             .find(|t| t.fingerprint == qs[1].fingerprint());
         assert_eq!(t.map(|t| t.frequency), Some(2));
         assert_eq!(m.ghost_hits_total(), 1);
-        assert_eq!(m.capacity(), 2);
+        assert_eq!(m.len(), MONITOR_CAPACITY);
     }
 
     #[test]
     fn eviction_is_deterministic_for_fixed_seed() {
         let db = db();
-        let qs = queries(&db, 8);
+        let qs = queries(&db, 2 * MONITOR_CAPACITY);
         let run = || {
-            let mut m = WorkloadMonitor::new(MonitorConfig { capacity: 4 });
+            let mut m = WorkloadMonitor::new(MonitorConfig);
             for (i, q) in qs.iter().enumerate() {
                 m.observe(q, i as u64);
             }
@@ -379,14 +371,16 @@ mod tests {
                 m.drain_evictions(),
             )
         };
-        assert_eq!(run(), run());
+        let first = run();
+        assert_eq!(first.1.len(), MONITOR_CAPACITY);
+        assert_eq!(first, run());
     }
 
     #[test]
     fn sample_preserves_arrival_order() {
         let db = db();
         let qs = queries(&db, 3);
-        let mut m = WorkloadMonitor::new(MonitorConfig::default());
+        let mut m = WorkloadMonitor::new(MonitorConfig);
         for (i, q) in qs.iter().enumerate() {
             m.observe(q, i as u64);
         }
@@ -403,7 +397,6 @@ mod tests {
     /// the least `(frequency, last_seen_tick, mix(fp))` to evict and
     /// for the least `evicted_seq` to forget, over fingerprints alone.
     struct LinearScan {
-        capacity: usize,
         /// fp → (frequency, arrival, first_seen_tick, last_seen_tick)
         templates: BTreeMap<u64, (u64, u64, u64, u64)>,
         /// fp → (frequency, evicted_seq)
@@ -426,7 +419,7 @@ mod tests {
             self.arrivals += 1;
             self.templates
                 .insert(fp, (history + 1, self.arrivals, tick, tick));
-            if self.templates.len() <= self.capacity {
+            if self.templates.len() <= MONITOR_CAPACITY {
                 return;
             }
             let victim = self
@@ -439,7 +432,7 @@ mod tests {
             let t = self.templates.remove(&victim).unwrap();
             self.evict_seq += 1;
             self.ghosts.insert(victim, (t.0, self.evict_seq));
-            while self.ghosts.len() > self.capacity {
+            while self.ghosts.len() > MONITOR_CAPACITY {
                 let oldest = self
                     .ghosts
                     .iter()
@@ -469,45 +462,47 @@ mod tests {
     #[test]
     fn indexed_eviction_matches_the_linear_scan() {
         let db = db();
-        let qs = queries(&db, 300);
-        for capacity in [1, 4, 256] {
-            let mut m = WorkloadMonitor::new(MonitorConfig { capacity });
-            let mut oracle = LinearScan {
-                capacity,
-                templates: BTreeMap::new(),
-                ghosts: BTreeMap::new(),
-                arrivals: 0,
-                evict_seq: 0,
-                ghost_hits: 0,
-                evictions: Vec::new(),
-            };
-            let mut evicted = Vec::new();
-            // A skewed seeded stream: a few hot templates, a long tail, and
-            // ticks that repeat so recency ties are broken by the hash.
-            let mut state = 0x9E37_79B9_7F4A_7C15u64 ^ capacity as u64;
-            for i in 0..4000u64 {
-                state = state
-                    .wrapping_mul(6_364_136_223_846_793_005)
-                    .wrapping_add(1_442_695_040_888_963_407);
-                let u = (state >> 33) % 1000;
-                let q = &qs[(u * u / 3334) as usize];
-                let tick = i / 7;
-                let fp = m.observe(q, tick);
-                oracle.observe(fp, tick);
-                if i % 97 == 0 {
-                    evicted.extend(m.drain_evictions());
-                    assert_eq!(m.templates(), oracle.templates(), "capacity {capacity}");
-                }
-            }
-            evicted.extend(m.drain_evictions());
-            assert_eq!(evicted, oracle.evictions, "capacity {capacity}");
-            assert_eq!(m.templates(), oracle.templates());
-            assert_eq!(m.ghost_hits_total(), oracle.ghost_hits);
-            assert_eq!(m.evictions_total(), oracle.evictions.len() as u64);
-            assert_eq!(m.ghosts.len(), oracle.ghosts.len());
-            if capacity < 256 {
-                assert!(oracle.ghost_hits > 0 && !oracle.evictions.is_empty());
+        // Four times as many templates as the monitor holds, so the stream
+        // evicts and brings ghosts back.
+        let qs = queries(&db, 4 * MONITOR_CAPACITY);
+        let mut m = WorkloadMonitor::new(MonitorConfig);
+        let mut oracle = LinearScan {
+            templates: BTreeMap::new(),
+            ghosts: BTreeMap::new(),
+            arrivals: 0,
+            evict_seq: 0,
+            ghost_hits: 0,
+            evictions: Vec::new(),
+        };
+        let mut evicted = Vec::new();
+        // A skewed seeded stream: a few hot templates, a long tail, and
+        // ticks that repeat so recency ties are broken by the hash.
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        for i in 0..12_000u64 {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            let u = (state >> 33) % 1000;
+            let q = &qs[(u * u * qs.len() as u64 / 1_000_000) as usize];
+            let tick = i / 7;
+            let fp = m.observe(q, tick);
+            oracle.observe(fp, tick);
+            if i % 97 == 0 {
+                evicted.extend(m.drain_evictions());
+                assert_eq!(m.templates(), oracle.templates(), "observation {i}");
             }
         }
+        evicted.extend(m.drain_evictions());
+        assert_eq!(evicted, oracle.evictions);
+        assert_eq!(m.templates(), oracle.templates());
+        assert_eq!(m.ghost_hits_total(), oracle.ghost_hits);
+        assert_eq!(m.evictions_total(), oracle.evictions.len() as u64);
+        assert_eq!(m.ghosts.len(), oracle.ghosts.len());
+        assert!(oracle.ghost_hits > 0 && !oracle.evictions.is_empty());
+        assert_eq!(
+            m.ghosts.len(),
+            MONITOR_CAPACITY,
+            "the ghost bound was reached"
+        );
     }
 }

@@ -41,7 +41,7 @@
 //!   taking new ones until the next write or publish empties it.
 
 use crate::daemon::{AutodConfig, CatalogEpoch, LifecycleCore, TickReport};
-use crate::monitor::{TemplateStats, WorkloadMonitor};
+use crate::monitor::{MonitorConfig, TemplateStats, WorkloadMonitor};
 use autostats::{SessionReport, StatementError, TuneError};
 use executor::{execute_plan_observed, run_statement_observed, StatementOutcome};
 use obsv::{HealthSnapshot, LatencyHistogram, SlowQuery, SlowQueryLog, SpanSampler, WindowDelta};
@@ -199,7 +199,7 @@ impl OnlineService {
         config: AutodConfig,
     ) -> OnlineService {
         catalog.set_obs(&obs);
-        let monitor = WorkloadMonitor::new(config.monitor);
+        let monitor = WorkloadMonitor::new(MonitorConfig);
         let telemetry_config = config.telemetry;
         let budget_per_tick = config.budget_per_tick;
         let core = LifecycleCore::with_parts(catalog, config, obs.clone(), session);

@@ -1,8 +1,8 @@
 //! Consecutive same-table grouping for statistic creations.
 //!
-//! The tuning algorithms (MNSA's small-table pre-creation and round groups,
-//! the `CreateAll*` policies, parallel replay) all create runs of statistics
-//! whose descriptors repeatedly target the same table. Routing each
+//! The tuning algorithms (MNSA's round groups, the `CreateAll*` policies,
+//! parallel replay) all create runs of statistics whose descriptors
+//! repeatedly target the same table. Routing each
 //! consecutive run through [`StatsCatalog::create_statistics_batch`] lets the
 //! catalog build the run from one shared table scan while preserving the
 //! exact id-allocation order (and therefore the exact catalog state) of a

@@ -30,8 +30,8 @@ pub enum OnlineEvent {
         table: TableId,
         work: f64,
     },
-    /// A statistic refreshed more than `max_updates` times was physically
-    /// dropped (§6 auto-drop); `updates` is the count it went at.
+    /// A statistic refreshed more than [`stats::MAX_UPDATES`] times was
+    /// physically dropped (§6 auto-drop); `updates` is the count it went at.
     AutoDrop {
         tick: u64,
         stat: StatId,

@@ -64,10 +64,6 @@ pub struct MnsaConfig {
     /// [ε, 1−ε].
     pub epsilon: f64,
     pub candidate_mode: CandidateMode,
-    /// Candidates on tables with at most this many rows are created outright
-    /// without analysis — "creating candidate statistics on small tables is
-    /// inexpensive" (§4.3).
-    pub small_table_rows: usize,
     /// Enable MNSA/D drop detection (§5.1).
     pub drop_detection: bool,
     /// Skip candidates dampened by the aging registry (§6); `None` disables
@@ -83,7 +79,6 @@ impl Default for MnsaConfig {
             t_percent: 20.0,
             epsilon: 0.0005,
             candidate_mode: CandidateMode::Heuristic,
-            small_table_rows: 0,
             drop_detection: false,
             aging: None,
             next_stat_order: NextStatOrder::MostExpensiveNode,
@@ -112,8 +107,8 @@ pub enum Termination {
 /// What one MNSA run did for one query.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MnsaOutcome {
-    /// Statistics created (in creation order), including small-table
-    /// pre-creations and both members of join pairs.
+    /// Statistics created (in creation order), including both members of
+    /// join pairs.
     pub created: Vec<StatId>,
     /// Statistics moved to the drop-list by MNSA/D.
     pub drop_listed: Vec<StatId>,
@@ -244,26 +239,6 @@ impl MnsaEngine {
             .filter(|d| catalog.find_active(d).is_none())
             .filter(|d| db.try_table(d.table).is_ok())
             .collect();
-
-        // Small-table pre-creation (§4.3). Same-table runs share one scan.
-        if self.config.small_table_rows > 0 {
-            let mut small = Vec::new();
-            let mut rest = Vec::with_capacity(remaining.len());
-            for d in remaining {
-                let rows = db.try_table(d.table).map(|t| t.row_count())?;
-                if rows <= self.config.small_table_rows {
-                    small.push(d);
-                } else {
-                    rest.push(d);
-                }
-            }
-            outcome
-                .created
-                .extend(crate::batch::create_statistics_grouped(
-                    catalog, db, &small,
-                )?);
-            remaining = rest;
-        }
 
         // Step 2: P = plan of Q with default magic numbers.
         let mut current = self.optimize(
@@ -732,22 +707,6 @@ mod tests {
         assert_eq!(outcome.terminated_by, Termination::CostConverged);
         assert!(outcome.created.is_empty());
         assert_eq!(outcome.skipped.len(), 1);
-    }
-
-    #[test]
-    fn small_table_pre_creation() {
-        let db = setup();
-        let q = bind(&db, EXAMPLE2_SQL);
-        let engine = MnsaEngine::new(MnsaConfig {
-            small_table_rows: 100, // departments (20 rows) qualifies
-            ..Default::default()
-        });
-        let mut catalog = StatsCatalog::new();
-        let outcome = engine.run_query(&db, &mut catalog, &q).unwrap();
-        let dept = db.table_id("departments").unwrap();
-        let dept_stats: Vec<_> = catalog.active_on_table(dept).collect();
-        assert!(!dept_stats.is_empty(), "small-table stats created outright");
-        assert!(!outcome.created.is_empty());
     }
 
     #[test]

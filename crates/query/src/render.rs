@@ -1,19 +1,39 @@
 //! Rendering statements back to SQL text.
 //!
 //! `parse_statement(render(s)) == s` for every statement the workload
-//! generator produces; the property tests in this crate and in `datagen`
-//! rely on that round-trip.
+//! generator produces, literal types included; the property tests in this
+//! crate and in `datagen` rely on that round-trip.
 
 use crate::ast::*;
-use std::fmt::Write;
+use std::fmt::{self, Write};
+use storage::Value;
+
+/// A literal as SQL text that parses back to the same [`Value`]: an integral
+/// finite float keeps a `.0`, which `Value`'s `Display` drops (`25.0` would
+/// print `25` and parse back as an `Int`).
+struct Literal<'a>(&'a Value);
+
+impl fmt::Display for Literal<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self.0 {
+            Value::Float(x) if x.is_finite() && x.fract() == 0.0 => write!(f, "{x:.1}"),
+            v => write!(f, "{v}"),
+        }
+    }
+}
 
 fn render_condition(c: &Condition, out: &mut String) {
     match c {
         Condition::Compare { column, op, value } => {
-            let _ = write!(out, "{column} {op} {value}");
+            let _ = write!(out, "{column} {op} {}", Literal(value));
         }
         Condition::Between { column, low, high } => {
-            let _ = write!(out, "{column} BETWEEN {low} AND {high}");
+            let _ = write!(
+                out,
+                "{column} BETWEEN {} AND {}",
+                Literal(low),
+                Literal(high)
+            );
         }
         Condition::Join { left, right } => {
             let _ = write!(out, "{left} = {right}");
@@ -98,7 +118,7 @@ pub fn render(stmt: &Statement) -> String {
                 if i > 0 {
                     out.push_str(", ");
                 }
-                let _ = write!(out, "{v}");
+                let _ = write!(out, "{}", Literal(v));
             }
             out.push(')');
         }
@@ -106,7 +126,9 @@ pub fn render(stmt: &Statement) -> String {
             let _ = write!(
                 out,
                 "UPDATE {} SET {} = {}",
-                u.table, u.set_column, u.set_value
+                u.table,
+                u.set_column,
+                Literal(&u.set_value)
             );
             render_conditions(&u.conditions, &mut out);
         }
@@ -155,7 +177,7 @@ mod tests {
         );
         assert_eq!(
             render(&Statement::Select(q)),
-            "SELECT * FROM orders o WHERE o.total > 100"
+            "SELECT * FROM orders o WHERE o.total > 100.0"
         );
     }
 }

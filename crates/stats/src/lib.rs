@@ -37,7 +37,9 @@ pub use catalog::{AgingPolicy, CatalogSnapshot, StatsCatalog, StatsView};
 pub use error::StatsError;
 pub use feedback::{correct_histogram, CorrectionOutcome, FeedbackStore, Observation};
 pub use histogram::{join_selectivity, Histogram};
-pub use maintenance::{MaintenancePolicy, Refreshed};
+pub use maintenance::{
+    staleness_threshold, Refreshed, MAX_UPDATES, STALE_FRACTION, STALE_MIN_ROWS,
+};
 pub use mhist::{Histogram2d, RangeQuery};
 pub use ndv::estimate_ndv;
 pub use sampler::SampleSpec;

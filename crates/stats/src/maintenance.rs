@@ -9,45 +9,24 @@ use crate::statistic::StatId;
 use std::collections::BTreeMap;
 use storage::{Database, Table, TableId};
 
-/// The SQL Server 7.0 maintenance policy (§6): statistics on a table are
-/// updated when the table's modification counter exceeds a fraction of its
-/// size; a statistic updated more than `max_updates` times is physically
-/// dropped. Our modification restricts the physical drop to statistics on
-/// the drop-list (`drop_only_droplisted = true`), which is exactly the
-/// improvement the paper proposes.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct MaintenancePolicy {
-    /// Update statistics when `modification_counter > update_fraction * rows`.
-    pub update_fraction: f64,
-    /// Minimum modified-row count before an update can trigger.
-    pub min_modified_rows: u64,
-    /// Physically drop a statistic after this many updates.
-    pub max_updates: u32,
-    /// If true (the paper's improved policy) only drop-listed statistics are
-    /// physically dropped; if false (vanilla SQL Server 7.0) any statistic
-    /// hitting `max_updates` is dropped.
-    pub drop_only_droplisted: bool,
-}
+/// The floor of §6's refresh rule, SQL Server 7.0's: a statistic is stale
+/// only after more than this many modifications since its build.
+pub const STALE_MIN_ROWS: u64 = 500;
 
-impl Default for MaintenancePolicy {
-    fn default() -> Self {
-        MaintenancePolicy {
-            update_fraction: 0.2,
-            min_modified_rows: 500,
-            max_updates: 4,
-            drop_only_droplisted: true,
-        }
-    }
-}
+/// The fraction of §6's refresh rule: on a table of more than 2 500 rows a
+/// statistic is stale after modifications of more than this share of them.
+pub const STALE_FRACTION: f64 = 0.2;
 
-impl MaintenancePolicy {
-    /// Modified-row threshold for a table with `rows` rows — the SQL
-    /// Server-style `max(500, 20% of rows)` rule. A statistic is stale when
-    /// the modifications since its build are **strictly greater** than this
-    /// (exactly the threshold is still fresh).
-    pub fn threshold(&self, rows: usize) -> u64 {
-        ((rows as f64 * self.update_fraction) as u64).max(self.min_modified_rows)
-    }
+/// §6's auto-drop limit: a statistic refreshed more than this many times is
+/// physically dropped ([`StatsCatalog::drop_over_updated`]).
+pub const MAX_UPDATES: u32 = 4;
+
+/// The modified-row threshold for a table with `rows` rows — the SQL
+/// Server-style `max(500, 20% of rows)` rule. A statistic is stale when the
+/// modifications since its build are **strictly greater** than this (exactly
+/// the threshold is still fresh).
+pub fn staleness_threshold(rows: usize) -> u64 {
+    ((rows as f64 * STALE_FRACTION) as u64).max(STALE_MIN_ROWS)
 }
 
 /// One statistic [`StatsCatalog::refresh`] brought up to date.
@@ -178,11 +157,11 @@ impl StatsCatalog {
         })
     }
 
-    /// Built statistics (active and drop-listed) that are stale under
-    /// `policy`: more table modifications since their build than
-    /// `max(min_modified_rows, update_fraction × rows)`, strictly greater.
-    /// Returned in id order so scans are deterministic.
-    pub fn stale_statistics(&self, db: &Database, policy: &MaintenancePolicy) -> Vec<StatId> {
+    /// Built statistics (active and drop-listed) that are stale: more table
+    /// modifications since their build than [`staleness_threshold`] of the
+    /// table's rows, strictly greater. Returned in id order so scans are
+    /// deterministic.
+    pub fn stale_statistics(&self, db: &Database) -> Vec<StatId> {
         self.stats
             .values()
             .filter(|s| {
@@ -190,7 +169,7 @@ impl StatsCatalog {
                     return false;
                 };
                 t.modification_counter().saturating_sub(s.mods_at_build)
-                    > policy.threshold(t.row_count())
+                    > staleness_threshold(t.row_count())
             })
             .map(|s| s.id)
             .collect()
@@ -198,13 +177,9 @@ impl StatsCatalog {
 
     /// [`StatsCatalog::stale_statistics`] grouped by table, so each table's
     /// refreshes can share one scan.
-    pub fn stale_by_table(
-        &self,
-        db: &Database,
-        policy: &MaintenancePolicy,
-    ) -> BTreeMap<TableId, Vec<StatId>> {
+    pub fn stale_by_table(&self, db: &Database) -> BTreeMap<TableId, Vec<StatId>> {
         let mut by_table: BTreeMap<TableId, Vec<StatId>> = BTreeMap::new();
-        for id in self.stale_statistics(db, policy) {
+        for id in self.stale_statistics(db) {
             if let Some(s) = self.stats.get(&id) {
                 by_table.entry(s.descriptor.table).or_default().push(id);
             }
@@ -213,17 +188,18 @@ impl StatsCatalog {
     }
 
     /// §6 auto-drop: physically drop every statistic refreshed more than
-    /// `policy.max_updates` times — under the paper's improved policy
-    /// (`drop_only_droplisted`) only those on the drop-list, which no plan
-    /// can see. Each goes through [`StatsCatalog::physically_drop`] and so
-    /// into the aging registry. Returns `(id, table, update_count)` per
-    /// dropped statistic, in id order.
-    pub fn drop_over_updated(&mut self, policy: &MaintenancePolicy) -> Vec<(StatId, TableId, u32)> {
+    /// [`MAX_UPDATES`] times. With `only_droplisted` — the paper's improved
+    /// policy, and the daemon's — only those on the drop-list go, which no
+    /// plan can see; without it, SQL Server 7.0's, any statistic does. Each
+    /// goes through [`StatsCatalog::physically_drop`] and so into the aging
+    /// registry. Returns `(id, table, update_count)` per dropped statistic,
+    /// in id order.
+    pub fn drop_over_updated(&mut self, only_droplisted: bool) -> Vec<(StatId, TableId, u32)> {
         let dropped: Vec<(StatId, TableId, u32)> = self
             .stats
             .values()
-            .filter(|s| s.update_count > policy.max_updates)
-            .filter(|s| !policy.drop_only_droplisted || self.drop_list.contains(&s.id))
+            .filter(|s| s.update_count > MAX_UPDATES)
+            .filter(|s| !only_droplisted || self.drop_list.contains(&s.id))
             .map(|s| (s.id, s.descriptor.table, s.update_count))
             .collect();
         for &(id, ..) in &dropped {
@@ -246,15 +222,25 @@ mod tests {
     fn one_pass(
         cat: &mut StatsCatalog,
         db: &Database,
-        policy: &MaintenancePolicy,
+        only_droplisted: bool,
     ) -> (usize, usize, f64) {
         let before = cat.update_work();
         let mut refreshed = 0;
-        for (table, ids) in cat.stale_by_table(db, policy) {
+        for (table, ids) in cat.stale_by_table(db) {
             refreshed += cat.refresh(db, table, &ids, None).len();
         }
-        let dropped = cat.drop_over_updated(policy).len();
+        let dropped = cat.drop_over_updated(only_droplisted).len();
         (refreshed, dropped, cat.update_work() - before)
+    }
+
+    /// Rewrite one cell more than `t`'s staleness threshold, each with the
+    /// value it holds: modifications that leave the rows as they were.
+    fn age(db: &mut Database, t: TableId) {
+        let rows = db.table(t).row_count();
+        for i in 0..=staleness_threshold(rows) as usize {
+            let v = db.table(t).value(i % rows, 0);
+            db.table_mut(t).update_rows(&[i % rows], 0, &v).unwrap();
+        }
     }
 
     #[test]
@@ -264,41 +250,24 @@ mod tests {
         let id = cat
             .create_statistic(&db, StatDescriptor::single(t, 0))
             .unwrap();
-        // Simulate heavy modification.
-        let policy = MaintenancePolicy {
-            update_fraction: 0.1,
-            min_modified_rows: 10,
-            max_updates: 1,
-            drop_only_droplisted: true,
-        };
-        for i in 0..500 {
-            db.table_mut(t)
-                .insert(vec![Value::Int(i), Value::Int(i)])
-                .unwrap();
+        // Heavy modification, one refresh per round. The shared table
+        // counter is never reset; the refreshed statistic instead records it
+        // as its new staleness baseline. Past `MAX_UPDATES` refreshes the
+        // statistic is not drop-listed, so the improved policy keeps it.
+        for round in 1..=MAX_UPDATES + 1 {
+            age(&mut db, t);
+            let (updated, dropped, work) = one_pass(&mut cat, &db, true);
+            assert_eq!((updated, dropped), (1, 0), "round {round}");
+            assert!(work > 0.0);
+            let counter = db.table(t).modification_counter();
+            assert_eq!(cat.statistic(id).unwrap().mods_at_build, counter);
+            assert_eq!(cat.statistic(id).unwrap().update_count, round);
+            assert!(cat.stale_statistics(&db).is_empty());
         }
-        let (updated, dropped, work) = one_pass(&mut cat, &db, &policy);
-        assert_eq!(updated, 1);
-        assert!(work > 0.0);
-        assert_eq!(dropped, 0);
-        // The shared table counter is no longer reset; the refreshed
-        // statistic instead records it as its new staleness baseline.
-        let counter = db.table(t).modification_counter();
-        assert!(counter > 0);
-        assert_eq!(cat.statistic(id).unwrap().mods_at_build, counter);
-        assert!(cat.stale_statistics(&db, &policy).is_empty());
 
-        // Second heavy modification round: update_count exceeds max_updates,
-        // but the stat is not drop-listed, so the improved policy keeps it.
-        for i in 0..500 {
-            db.table_mut(t)
-                .insert(vec![Value::Int(i), Value::Int(i)])
-                .unwrap();
-        }
-        assert_eq!(one_pass(&mut cat, &db, &policy).1, 0);
-
-        // Drop-list it; the next maintenance pass may drop it physically.
+        // Drop-list it; the next maintenance pass drops it physically.
         cat.move_to_drop_list(id);
-        assert_eq!(one_pass(&mut cat, &db, &policy).1, 1);
+        assert_eq!(one_pass(&mut cat, &db, true).1, 1);
         assert_eq!(cat.total_count(), 0);
     }
 
@@ -306,26 +275,16 @@ mod tests {
     fn statistics_on_one_table_age_independently() {
         let (mut db, t) = test_db();
         let mut cat = StatsCatalog::new();
-        let policy = MaintenancePolicy {
-            update_fraction: 0.1,
-            min_modified_rows: 10,
-            max_updates: 10,
-            drop_only_droplisted: true,
-        };
         let s1 = cat
             .create_statistic(&db, StatDescriptor::single(t, 0))
             .unwrap();
         // DML between the two builds: only s1 sees it as aging.
-        for i in 0..500 {
-            db.table_mut(t)
-                .insert(vec![Value::Int(i), Value::Int(i)])
-                .unwrap();
-        }
+        age(&mut db, t);
         let s2 = cat
             .create_statistic(&db, StatDescriptor::single(t, 1))
             .unwrap();
-        assert_eq!(cat.stale_statistics(&db, &policy), vec![s1]);
-        assert_eq!(one_pass(&mut cat, &db, &policy).0, 1);
+        assert_eq!(cat.stale_statistics(&db), vec![s1]);
+        assert_eq!(one_pass(&mut cat, &db, true).0, 1);
         assert_eq!(cat.statistic(s1).unwrap().update_count, 1);
         assert_eq!(cat.statistic(s2).unwrap().update_count, 0);
     }
@@ -336,8 +295,7 @@ mod tests {
     }
 
     #[test]
-    fn exactly_at_min_modified_rows_is_fresh_one_more_is_stale() {
-        let policy = MaintenancePolicy::default();
+    fn exactly_at_stale_min_rows_is_fresh_one_more_is_stale() {
         // Empty, single-row and small tables: the fraction term (never NaN,
         // never a division by the row count) stays below the 500-row floor.
         for rows in [0, 1, 100] {
@@ -346,22 +304,21 @@ mod tests {
             let id = cat
                 .create_statistic(&db, StatDescriptor::single(t, 0))
                 .unwrap();
-            assert!(cat.stale_statistics(&db, &policy).is_empty());
+            assert!(cat.stale_statistics(&db).is_empty());
             insert_rows(&mut db, t, 500);
-            assert_eq!(policy.threshold(db.table(t).row_count()), 500);
+            assert_eq!(staleness_threshold(db.table(t).row_count()), 500);
             assert!(
-                cat.stale_statistics(&db, &policy).is_empty(),
+                cat.stale_statistics(&db).is_empty(),
                 "{rows} rows: exactly the threshold is still fresh"
             );
             insert_rows(&mut db, t, 1);
-            assert_eq!(cat.stale_statistics(&db, &policy), vec![id], "{rows} rows");
+            assert_eq!(cat.stale_statistics(&db), vec![id], "{rows} rows");
             assert_eq!(mods_since_build(&db, &cat, t, id), 501);
         }
     }
 
     #[test]
     fn twenty_percent_edge_moves_with_a_large_table() {
-        let policy = MaintenancePolicy::default();
         let (mut db, t) = db_with(10_000);
         let mut cat = StatsCatalog::new();
         let id = cat
@@ -370,20 +327,19 @@ mod tests {
         // Rows grow as we insert, so the threshold is the one at scan time:
         // after 2000 inserts rows = 12_000 → threshold 2400.
         insert_rows(&mut db, t, 2000);
-        assert!(cat.stale_statistics(&db, &policy).is_empty());
+        assert!(cat.stale_statistics(&db).is_empty());
         // 2481 in all: rows = 12_481 → threshold 2496, still not exceeded.
         insert_rows(&mut db, t, 481);
-        assert_eq!(policy.threshold(db.table(t).row_count()), 2496);
-        assert!(cat.stale_statistics(&db, &policy).is_empty());
+        assert_eq!(staleness_threshold(db.table(t).row_count()), 2496);
+        assert!(cat.stale_statistics(&db).is_empty());
         // 120 more outrun the moving threshold.
         insert_rows(&mut db, t, 120);
-        assert_eq!(cat.stale_statistics(&db, &policy), vec![id]);
-        assert!(mods_since_build(&db, &cat, t, id) > policy.threshold(db.table(t).row_count()));
+        assert_eq!(cat.stale_statistics(&db), vec![id]);
+        assert!(mods_since_build(&db, &cat, t, id) > staleness_threshold(db.table(t).row_count()));
     }
 
     #[test]
     fn table_emptied_after_the_build_is_stale_and_refreshes_cleanly() {
-        let policy = MaintenancePolicy::default();
         let (mut db, t) = db_with(1000);
         let mut cat = StatsCatalog::new();
         let id = cat
@@ -394,40 +350,45 @@ mod tests {
         // math must not divide by the zero row count anywhere.
         db.table_mut(t).delete_rows((0..1000).collect());
         assert_eq!(db.table(t).row_count(), 0);
-        assert_eq!(cat.stale_statistics(&db, &policy), vec![id]);
+        assert_eq!(cat.stale_statistics(&db), vec![id]);
         assert_eq!(mods_since_build(&db, &cat, t, id), 1000);
-        assert_eq!(policy.threshold(0), 500);
+        assert_eq!(staleness_threshold(0), 500);
         // A refresh over the empty table succeeds and restores freshness —
         // no starvation loop where the statistic stays stale forever.
         assert_eq!(cat.refresh(&db, t, &[id], None).len(), 1);
-        assert!(cat.stale_statistics(&db, &policy).is_empty());
+        assert!(cat.stale_statistics(&db).is_empty());
         let s = cat.statistic(id).unwrap();
         assert_eq!(s.row_count_at_build, 0);
         // Estimates on the empty statistic stay finite.
         assert!(s.histogram.selectivity_lt(&Value::Int(10)).is_finite());
     }
 
+    /// SQL Server 7.0's auto-drop takes a statistic no plan has given up on
+    /// after its `MAX_UPDATES + 1`-th refresh; the improved policy keeps it
+    /// through the same refreshes.
     #[test]
     fn vanilla_policy_drops_useful_statistics() {
         let (mut db, t) = test_db();
-        let mut cat = StatsCatalog::new();
-        cat.create_statistic(&db, StatDescriptor::single(t, 0))
+        let mut vanilla = StatsCatalog::new();
+        let id = vanilla
+            .create_statistic(&db, StatDescriptor::single(t, 0))
             .unwrap();
-        let policy = MaintenancePolicy {
-            update_fraction: 0.01,
-            min_modified_rows: 1,
-            max_updates: 0,
-            drop_only_droplisted: false,
-        };
-        for i in 0..500 {
-            db.table_mut(t)
-                .insert(vec![Value::Int(i), Value::Int(i)])
-                .unwrap();
+        let mut improved = StatsCatalog::restore(vanilla.snapshot());
+        for round in 1..=MAX_UPDATES + 1 {
+            age(&mut db, t);
+            let (refreshed, dropped, _) = one_pass(&mut vanilla, &db, false);
+            let last = usize::from(round > MAX_UPDATES);
+            assert_eq!((refreshed, dropped), (1, last), "round {round}");
+            assert_eq!(one_pass(&mut improved, &db, true).1, 0, "round {round}");
         }
         assert_eq!(
-            one_pass(&mut cat, &db, &policy).1,
-            1,
+            vanilla.total_count(),
+            0,
             "vanilla policy drops regardless of usefulness"
+        );
+        assert_eq!(
+            improved.statistic(id).unwrap().update_count,
+            MAX_UPDATES + 1
         );
     }
 
@@ -444,8 +405,7 @@ mod tests {
                 .insert(vec![Value::Int(i % 50), Value::Int(i)])
                 .unwrap();
         }
-        let policy = MaintenancePolicy::default();
-        assert_eq!(cat.stale_statistics(&db, &policy), vec![id]);
+        assert_eq!(cat.stale_statistics(&db), vec![id]);
 
         let mut store = FeedbackStore::new();
         for i in 0..6 {
@@ -469,12 +429,12 @@ mod tests {
         let s = cat.statistic(id).unwrap();
         assert_eq!(s.update_count, 1);
         assert_eq!(s.mods_at_build, db.table(t).modification_counter());
-        assert!(cat.stale_statistics(&db, &policy).is_empty());
+        assert!(cat.stale_statistics(&db).is_empty());
         assert_eq!(cat.update_work(), work);
         // The baseline moved forward, not to infinity: once drift resumes
         // the statistic is eligible for a refresh again (no starvation).
         insert_rows(&mut db, t, 700);
-        assert_eq!(cat.stale_statistics(&db, &policy), vec![id]);
+        assert_eq!(cat.stale_statistics(&db), vec![id]);
     }
 
     /// One refresh over a table whose five stale statistics cover every
@@ -526,11 +486,7 @@ mod tests {
         let too_few = create(vec![3]);
         insert(&mut db, 1000, 600);
         let all = [all_miss, multi, corrected, string, too_few];
-        assert_eq!(
-            cat.stale_statistics(&db, &MaintenancePolicy::default())
-                .len(),
-            all.len()
-        );
+        assert_eq!(cat.stale_statistics(&db).len(), all.len());
 
         let mut store = FeedbackStore::new();
         for i in 0..6 {
@@ -559,9 +515,7 @@ mod tests {
         for id in all {
             assert_eq!(cat.statistic(id).unwrap().update_count, 1);
         }
-        assert!(cat
-            .stale_statistics(&db, &MaintenancePolicy::default())
-            .is_empty());
+        assert!(cat.stale_statistics(&db).is_empty());
 
         assert_eq!(store.count(t, 0), 0);
         assert_eq!(store.count(t, 1), 0, "taken even though none applied");

@@ -4,8 +4,9 @@
 //! after every statement on an unlimited budget, so each incoming query gets
 //! MNSA/D on the fly (creating only statistics that survive the sensitivity
 //! test, drop-listing ones that turn out not to change the plan), while
-//! INSERT/DELETE/UPDATE traffic drives the SQL Server-style modification
-//! counters and the same tick's auto-update/auto-drop steps.
+//! INSERT/DELETE/UPDATE traffic, and a nightly batch that rewrites much of
+//! `lineitem` and `orders`, drive the SQL Server-style modification counters
+//! and the same tick's auto-update/auto-drop steps.
 //!
 //! Run with: `cargo run --example autotune_server`
 
@@ -13,7 +14,7 @@ use autod::{AutodConfig, OnlineService};
 use autostats::{MnsaConfig, SessionReport};
 use datagen::{build_tpcd, Complexity, RagsGenerator, TpcdConfig, WorkloadSpec, ZipfSpec};
 use executor::StatementOutcome;
-use stats::{AgingPolicy, MaintenancePolicy, StatsCatalog};
+use stats::{AgingPolicy, StatsCatalog};
 
 fn main() {
     let db = build_tpcd(&TpcdConfig {
@@ -34,12 +35,6 @@ fn main() {
             ..MnsaConfig::default()
         }
         .with_drop_detection(),
-        staleness: MaintenancePolicy {
-            update_fraction: 0.15,
-            min_modified_rows: 50,
-            max_updates: 1,
-            drop_only_droplisted: true,
-        },
         ..AutodConfig::default()
     };
     let server = OnlineService::start(
@@ -51,7 +46,10 @@ fn main() {
     );
     let client = server.handle(0);
 
-    // Three "days" of traffic: 25% updates, simple queries.
+    // Three "days" of traffic: 25% updates, simple queries. Each night a
+    // batch rewrites over a fifth of `lineitem` and all of `orders`, past the
+    // `max(500, 20 % of rows)` rule, so the next tick refreshes their
+    // statistics.
     let mut execution_work = 0.0;
     for day in 1..=3 {
         let spec = WorkloadSpec::new(25, Complexity::Simple, 60).with_seed(100 + day);
@@ -60,8 +58,12 @@ fn main() {
         let mut dml = 0usize;
         let mut work = 0.0;
         let (mut refreshed, mut dropped, mut shrunk) = (0usize, 0usize, 0usize);
-        for stmt in &stmts {
-            match client.run_sql(&query::render(stmt)) {
+        let nightly = [
+            format!("UPDATE lineitem SET l_tax = 0.0{day} WHERE l_linenumber < 3"),
+            format!("UPDATE orders SET o_shippriority = {day} WHERE o_totalprice > 0.0"),
+        ];
+        for sql in stmts.iter().map(query::render).chain(nightly) {
+            match client.run_sql(&sql) {
                 Ok(StatementOutcome::Query { output, .. }) => {
                     queries += 1;
                     work += output.work;

@@ -174,12 +174,6 @@ fn tuned_database_with_indexes_prefers_index_plans() {
 #[test]
 fn heavy_update_traffic_triggers_maintenance_cycle() {
     let db = small_db(ZipfSpec::Fixed(0.0));
-    let policy = stats::MaintenancePolicy {
-        update_fraction: 0.05,
-        min_modified_rows: 5,
-        max_updates: 1,
-        drop_only_droplisted: true,
-    };
     // The service continues from a catalog built unconditionally: the
     // 20-row supplier table is too small for MNSA's sensitivity probe to
     // build anything, and this test is about the maintenance cycle, not
@@ -205,7 +199,6 @@ fn heavy_update_traffic_triggers_maintenance_cycle() {
         db,
         catalog,
         AutodConfig {
-            staleness: policy,
             // The Shrinking Set would find the other statistic non-essential
             // too (the plan over 20 rows does not depend on it) and send it
             // the same way.
@@ -215,35 +208,40 @@ fn heavy_update_traffic_triggers_maintenance_cycle() {
     );
     let client = svc.handle(0);
     client.run_sql(sql).unwrap();
-    // Hammer the supplier table with inserts.
+    // Hammer the supplier table with inserts, a tick after every 25: past
+    // the 500-row floor again and again, then past a fifth of a table that
+    // keeps growing.
     let (mut refreshed, mut dropped) = (0, 0);
-    for i in 0..200 {
+    for i in 0..4000 {
         client
             .run_sql(&format!(
                 "INSERT INTO supplier VALUES ({}, 'Supplier#x', 1, 10.0)",
                 100_000 + i
             ))
             .unwrap();
-        let tick = svc.tick_wait().unwrap();
-        refreshed += tick.refreshed;
-        dropped += tick.dropped;
+        if i % 25 == 24 {
+            let tick = svc.tick_wait().unwrap();
+            refreshed += tick.refreshed;
+            dropped += tick.dropped;
+        }
     }
     // The maintenance cycle ran: the insert traffic forced repeated
     // staleness refreshes. The shared counter itself keeps growing and is
     // never reset; each refreshed statistic instead carries the counter
     // value at its rebuild as its staleness baseline, and nothing remains
-    // stale at the end. The drop-listed statistic went after its second
-    // refresh; the active one is refreshed for as long as it is wanted.
+    // stale at the end. The drop-listed statistic went after its
+    // `MAX_UPDATES + 1`-th refresh; the active one is refreshed for as long
+    // as it is wanted.
     let (db, report) = svc.shutdown();
     let t = db.table_id("supplier").unwrap();
-    assert!(report.catalog.stale_statistics(&db, &policy).is_empty());
+    assert!(report.catalog.stale_statistics(&db).is_empty());
     let counter = db.table(t).modification_counter();
-    assert!(counter >= 200, "shared counter only grows, got {counter}");
-    assert!(refreshed > 2);
+    assert!(counter >= 4000, "shared counter only grows, got {counter}");
+    assert!(refreshed > 2 * (stats::MAX_UPDATES as usize + 1));
     assert_eq!(dropped, 1);
     assert!(report.catalog.statistic(created[1]).is_none());
     let kept = report.catalog.statistic(created[0]).unwrap();
-    assert!(kept.update_count > policy.max_updates && kept.mods_at_build > 0);
+    assert!(kept.update_count > stats::MAX_UPDATES + 1 && kept.mods_at_build > 0);
 }
 
 #[test]

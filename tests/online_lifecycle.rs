@@ -5,12 +5,12 @@
 //! * **Paused daemon ≡ offline tuning** — a `LifecycleCore` ticked once with
 //!   an unconstrained budget over a monitored workload produces exactly the
 //!   catalog `OfflineTuner::tune` produces on the same sample;
-//! * **staleness boundaries** — the `max(min_modified_rows, update_fraction
-//!   × rows)` rule is *strictly greater*: a tick at exactly the threshold
-//!   refreshes nothing, one more modification refreshes everything on the
-//!   table; an empty table falls back to `min_modified_rows`;
+//! * **staleness boundaries** — the `max(500, 20 % of rows)` rule is
+//!   *strictly greater*: a tick at exactly the threshold refreshes nothing,
+//!   one more modification refreshes everything on the table; an empty
+//!   table falls back to the 500-row floor;
 //! * **auto-drop** — a drop-listed statistic refreshed more than
-//!   `max_updates` times is physically dropped by the tick that refreshed
+//!   `MAX_UPDATES` times is physically dropped by the tick that refreshed
 //!   it, and the next epoch no longer carries it;
 //! * **random interleavings** (proptest) — any mix of queries, DML, and
 //!   ticks through a live [`autod::OnlineService`] panics nowhere, keeps
@@ -26,7 +26,7 @@ use executor::StatementOutcome;
 use parking_lot::Mutex;
 use proptest::prelude::*;
 use query::{bind_statement, parse_statement, BoundSelect, BoundStatement};
-use stats::{MaintenancePolicy, StatDescriptor, StatsCatalog};
+use stats::{staleness_threshold, StatDescriptor, StatsCatalog, MAX_UPDATES};
 use storage::{ColumnDef, DataType, Database, Schema, TableId, Value};
 
 /// The paper's Example-2 join shape — the workload for which MNSA provably
@@ -99,7 +99,7 @@ fn paused_daemon_one_tick_equals_offline_tune() {
 
     // Online: the monitor observes the workload, then one unconstrained
     // tick (shrink on every tick) drains it.
-    let monitor = Mutex::new(WorkloadMonitor::new(MonitorConfig::default()));
+    let monitor = Mutex::new(WorkloadMonitor::new(MonitorConfig));
     for (i, sql) in queries.iter().enumerate() {
         monitor.lock().observe(&bind_select(&db, sql), i as u64);
     }
@@ -165,7 +165,7 @@ fn core_with_employee_stat(rows: i64) -> (Database, TableId, LifecycleCore) {
 fn tick_at_exactly_min_modified_rows_refreshes_nothing() {
     // 1000 rows → threshold = max(500, 200) = 500.
     let (mut db, t, mut core) = core_with_employee_stat(1000);
-    let monitor = Mutex::new(WorkloadMonitor::new(MonitorConfig::default()));
+    let monitor = Mutex::new(WorkloadMonitor::new(MonitorConfig));
     insert_rows(&mut db, t, 500);
     let report = core.tick(&db, &monitor, budget()).unwrap();
     assert_eq!(report.refreshed, 0, "exactly the threshold is still fresh");
@@ -182,13 +182,10 @@ fn tick_at_exactly_min_modified_rows_refreshes_nothing() {
 fn twenty_percent_threshold_moves_with_the_table() {
     // 10_000 rows → the fraction term dominates and grows as rows arrive.
     let (mut db, t, mut core) = core_with_employee_stat(10_000);
-    let monitor = Mutex::new(WorkloadMonitor::new(MonitorConfig::default()));
+    let monitor = Mutex::new(WorkloadMonitor::new(MonitorConfig));
     // 2481 inserts: rows = 12_481 → threshold 2496 ≥ mods, still fresh.
     insert_rows(&mut db, t, 2481);
-    assert_eq!(
-        MaintenancePolicy::default().threshold(db.table(t).row_count()),
-        2496
-    );
+    assert_eq!(staleness_threshold(db.table(t).row_count()), 2496);
     let report = core.tick(&db, &monitor, budget()).unwrap();
     assert_eq!(report.refreshed, 0);
     // 120 more outruns the moving threshold.
@@ -200,7 +197,7 @@ fn twenty_percent_threshold_moves_with_the_table() {
 #[test]
 fn empty_table_falls_back_to_min_modified_rows() {
     let (mut db, t, mut core) = core_with_employee_stat(0);
-    let monitor = Mutex::new(WorkloadMonitor::new(MonitorConfig::default()));
+    let monitor = Mutex::new(WorkloadMonitor::new(MonitorConfig));
     insert_rows(&mut db, t, 500);
     let report = core.tick(&db, &monitor, budget()).unwrap();
     assert_eq!(report.refreshed, 0);
@@ -213,7 +210,7 @@ fn empty_table_falls_back_to_min_modified_rows() {
 // Auto-drop (§6), through a live service
 // ---------------------------------------------------------------------------
 
-/// A drop-listed statistic the DML keeps stale is refreshed `max_updates`
+/// A drop-listed statistic the DML keeps stale is refreshed `MAX_UPDATES`
 /// times and then goes: counted, journaled (text and JSON), gone from the
 /// epoch the tick publishes — and from the master catalog at shutdown,
 /// where its descriptor sits in the aging registry.
@@ -225,31 +222,30 @@ fn served_dml_ages_a_drop_listed_statistic_out_of_the_catalog() {
     let descriptor = StatDescriptor::single(t, 2);
     let listed = catalog.create_statistic(&db, descriptor.clone()).unwrap();
     catalog.move_to_drop_list(listed);
-    let policy = MaintenancePolicy {
-        max_updates: 1,
-        ..MaintenancePolicy::default()
-    };
     let svc = OnlineService::start(
         db,
         catalog,
         SessionReport::default(),
         obsv::Obs::enabled(),
-        AutodConfig {
-            staleness: policy,
-            ..AutodConfig::default()
-        },
+        AutodConfig::default(),
     );
     let handle = svc.handle(1);
     let mut dropped = Vec::new();
-    for round in 0..=policy.max_updates {
-        for i in 0..501 {
-            handle
-                .run_sql(&format!(
-                    "INSERT INTO employees VALUES ({}, 0, 30, 0)",
-                    5000 + i
-                ))
-                .unwrap();
-        }
+    for round in 0..=MAX_UPDATES {
+        // 501 of the 1000 rows: one past the threshold, every round.
+        let outcome = handle
+            .run_sql(&format!(
+                "UPDATE employees SET age = {} WHERE empid < 501",
+                31 + round
+            ))
+            .unwrap();
+        assert!(matches!(
+            outcome,
+            StatementOutcome::Dml {
+                rows_affected: 501,
+                ..
+            }
+        ));
         let report = svc.tick_wait().unwrap();
         assert_eq!(report.refreshed, 1, "round {round}");
         assert_eq!(
@@ -258,9 +254,11 @@ fn served_dml_ages_a_drop_listed_statistic_out_of_the_catalog() {
         );
         dropped.push(report.dropped);
     }
-    assert_eq!(dropped, [0, 1], "exactly max_updates refreshes are kept");
+    let mut kept = vec![0; MAX_UPDATES as usize];
+    kept.push(1);
+    assert_eq!(dropped, kept, "exactly MAX_UPDATES refreshes are kept");
     assert_eq!(svc.metrics().counter("autod.auto_drops").get(), 1);
-    assert_eq!(handle.generation(), 2);
+    assert_eq!(handle.generation(), u64::from(MAX_UPDATES) + 1);
 
     // Nothing left to refresh or drop: a quiet tick publishes nothing.
     let quiet = svc.tick_wait().unwrap();
@@ -271,10 +269,10 @@ fn served_dml_ages_a_drop_listed_statistic_out_of_the_catalog() {
     assert_eq!(report.catalog.total_count(), 0);
     assert!(report.catalog.aged_build_cost(&descriptor).is_some());
     assert!(report.session.render_text().contains(&format!(
-        "tick    2 auto-drop {listed} on {t} (after 2 updates)"
+        "tick    5 auto-drop {listed} on {t} (after 5 updates)"
     )));
     assert!(report.session.to_json().contains(
-        "{\"event\": \"auto_drop\", \"tick\": 2, \"stat\": 0, \"table\": 0, \"updates\": 2}"
+        "{\"event\": \"auto_drop\", \"tick\": 5, \"stat\": 0, \"table\": 0, \"updates\": 5}"
     ));
 }
 

@@ -1,6 +1,10 @@
-//! Property-based round-trip tests of the SQL parser/renderer over randomly
-//! constructed ASTs: `parse(render(stmt)) == stmt`.
+//! Round-trip tests of the SQL parser/renderer: `parse(render(stmt))` is
+//! `stmt`, compared by `Debug` so a literal's type counts (`Value`'s own
+//! equality holds `Int(25)` equal to `Float(25.0)`). Over randomly
+//! constructed ASTs, and over every statement the system benchmark's four
+//! workloads send.
 
+use datagen::{build_tpcd, Complexity, RagsGenerator, TpcdConfig, WorkloadSpec, ZipfSpec};
 use proptest::prelude::*;
 use query::ast::OrderKey;
 use query::{
@@ -23,6 +27,7 @@ fn literal() -> impl Strategy<Value = Value> {
     prop_oneof![
         any::<i32>().prop_map(|i| Value::Int(i as i64)),
         (-1000i64..1000, 1u32..100).prop_map(|(m, d)| Value::Float(m as f64 / d as f64)),
+        (-1000i64..1000).prop_map(|m| Value::Float(m as f64)),
         "[a-zA-Z' ]{0,12}".prop_map(Value::from),
         (-10000i32..10000).prop_map(Value::Date),
         Just(Value::Null),
@@ -140,8 +145,53 @@ proptest! {
     fn render_parse_roundtrip(stmt in statement()) {
         let sql = render(&stmt);
         match parse_statement(&sql) {
-            Ok(reparsed) => prop_assert_eq!(stmt, reparsed, "round-trip mismatch for: {}", sql),
+            Ok(reparsed) => prop_assert_eq!(
+                format!("{stmt:?}"),
+                format!("{reparsed:?}"),
+                "round-trip mismatch for: {}",
+                sql
+            ),
             Err(e) => prop_assert!(false, "rendered SQL failed to parse: {e}\n{}", sql),
         }
+    }
+}
+
+/// Every statement of the system benchmark's four workloads — `steady-simple`,
+/// `steady-complex`, `online-mixed` and `offline-tune`: scale, update share,
+/// complexity and count, over TPC-D `Mixed` in universe 7 — reparses from its
+/// rendered text to the same statement, literal types included.
+#[test]
+fn benchmark_statements_roundtrip_with_their_literal_types() {
+    let workloads = [
+        (0.005, 0, Complexity::Simple, 200),
+        (0.001, 0, Complexity::Complex, 200),
+        (0.005, 25, Complexity::Simple, 600),
+        (0.02, 0, Complexity::Complex, 1000),
+    ];
+    for (scale, update_pct, complexity, count) in workloads {
+        let db = build_tpcd(&TpcdConfig {
+            scale,
+            zipf: ZipfSpec::Mixed,
+            seed: 7,
+        });
+        let spec = WorkloadSpec::new(update_pct, complexity, count).with_seed(7);
+        let statements = RagsGenerator::generate(&db, &spec);
+        assert_eq!(statements.len(), count);
+        let mismatches: Vec<String> = statements
+            .iter()
+            .map(render)
+            .zip(&statements)
+            .filter(|(sql, stmt)| {
+                parse_statement(sql).map(|s| format!("{s:?}")) != Ok(format!("{stmt:?}"))
+            })
+            .map(|(sql, _)| sql)
+            .collect();
+        assert!(
+            mismatches.is_empty(),
+            "{} of {count} statements ({scale}, U{update_pct}, {complexity:?}) do not \
+             round-trip, first: {}",
+            mismatches.len(),
+            mismatches[0]
+        );
     }
 }
