@@ -111,10 +111,6 @@ pub struct AutodConfig {
     /// vs off never changes catalogs, plans, or journals (pinned by
     /// `tests/telemetry_determinism.rs`).
     pub telemetry: TelemetryConfig,
-    /// Serving-shard label stamped on health snapshots (0 for an unsharded
-    /// service). Pure observability plumbing for the `serve` layer — it
-    /// never influences tuning.
-    pub shard: u32,
 }
 
 impl Default for AutodConfig {
@@ -124,7 +120,6 @@ impl Default for AutodConfig {
             mnsa: MnsaConfig::default(),
             shrink_every: 8,
             telemetry: TelemetryConfig::default(),
-            shard: 0,
         }
     }
 }
@@ -258,12 +253,6 @@ impl LifecycleCore {
     /// The session journal (offline history plus online events).
     pub fn journal(&self) -> &SessionReport {
         &self.session
-    }
-
-    /// The optimizer MNSA and Shrinking Set analyze with (shared cost
-    /// model).
-    pub fn optimizer(&self) -> &optimizer::Optimizer {
-        &self.engine.optimizer
     }
 
     /// Ticks executed so far.
@@ -505,7 +494,6 @@ impl LifecycleCore {
         let latency = metrics.latency("autod.query.latency_ns").snapshot();
         *self.health.lock() = obsv::HealthSnapshot {
             tick,
-            shard: self.config.shard as u64,
             epoch_generation: self.epoch.generation,
             epoch_age_ticks: tick.saturating_sub(self.last_publish_tick),
             staleness_backlog: deferred_refreshes as u64,

@@ -56,4 +56,4 @@ pub mod service;
 
 pub use daemon::{AutodConfig, CatalogEpoch, LifecycleCore, TelemetryConfig, TickReport};
 pub use monitor::{MonitorConfig, TemplateStats, WorkloadMonitor, MONITOR_CAPACITY};
-pub use service::{OnlineService, Prepared, QueryHandle, ServiceReport, Snapshot};
+pub use service::{plan_select, OnlineService, Prepared, QueryHandle, ServiceReport, Snapshot};

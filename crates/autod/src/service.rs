@@ -45,9 +45,9 @@ use crate::monitor::{MonitorConfig, TemplateStats, WorkloadMonitor};
 use autostats::{SessionReport, StatementError, TuneError};
 use executor::{execute_plan_observed, run_statement_observed, StatementOutcome};
 use obsv::{HealthSnapshot, LatencyHistogram, SlowQuery, SlowQueryLog, SpanSampler, WindowDelta};
-use optimizer::{OptimizeOptions, Optimizer, PlanNode};
+use optimizer::{OptimizeOptions, OptimizedQuery, Optimizer, PlanNode};
 use parking_lot::{Mutex, RwLock};
-use query::{bind_statement, parse_statement, BoundSelect, BoundStatement, Statement};
+use query::{bind_select, bind_statement, parse_statement, BoundSelect, SelectStmt, Statement};
 use rustc_hash::FxHashMap;
 use stats::StatsCatalog;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -121,6 +121,25 @@ fn write_slot(slot: &mut Arc<Snapshot>) -> &mut Snapshot {
     snapshot
 }
 
+/// Bind `select` against `db` and optimize it against every statistic of
+/// `catalog`, with nothing injected: how a served SELECT is planned, on a
+/// handle's plan-memo miss, in EXPLAIN, and against an empty catalog on a
+/// cluster's cross-shard fallback.
+pub fn plan_select(
+    db: &Database,
+    catalog: &StatsCatalog,
+    select: &SelectStmt,
+) -> Result<(BoundSelect, OptimizedQuery), StatementError> {
+    let query = bind_select(db, select)?;
+    let optimized = Optimizer::default().optimize(
+        db,
+        &query,
+        catalog.full_view(),
+        &OptimizeOptions::default(),
+    )?;
+    Ok((query, optimized))
+}
+
 /// Shared always-on telemetry for the query path: latency histograms in
 /// the service registry, the deterministic span sampler, the slow-query
 /// reservoir, and per-tick windowed rollups. Everything here is
@@ -173,7 +192,6 @@ pub struct ServiceReport {
 pub struct OnlineService {
     slot: Arc<Slot>,
     monitor: Arc<Mutex<WorkloadMonitor>>,
-    optimizer: Arc<Optimizer>,
     obs: obsv::Obs,
     /// Held for the whole of a tick, and by nothing else: concurrent
     /// callers of [`OnlineService::tick_wait`] tick one after another.
@@ -223,7 +241,6 @@ impl OnlineService {
         OnlineService {
             slot: Arc::new(RwLock::new(Arc::new(snapshot))),
             monitor: Arc::new(Mutex::new(monitor)),
-            optimizer: Arc::new(core.optimizer().clone()),
             obs,
             first_error: Mutex::new(None),
             current_tick: Arc::new(AtomicU64::new(0)),
@@ -240,7 +257,6 @@ impl OnlineService {
         QueryHandle {
             slot: Arc::clone(&self.slot),
             monitor: Arc::clone(&self.monitor),
-            optimizer: Arc::clone(&self.optimizer),
             obs: self.obs.fork(tid),
             current_tick: Arc::clone(&self.current_tick),
             telemetry: Arc::clone(&self.telemetry),
@@ -360,7 +376,6 @@ impl OnlineService {
 pub struct QueryHandle {
     slot: Arc<Slot>,
     monitor: Arc<Mutex<WorkloadMonitor>>,
-    optimizer: Arc<Optimizer>,
     obs: obsv::Obs,
     current_tick: Arc<AtomicU64>,
     telemetry: Arc<ServiceTelemetry>,
@@ -380,7 +395,7 @@ impl QueryHandle {
     /// only when the text is not there; either way it is recorded with the
     /// monitor and executed.
     pub fn run(&self, sql: &str, stmt: &Statement) -> Result<StatementOutcome, StatementError> {
-        let Statement::Select(_) = stmt else {
+        let Statement::Select(select) = stmt else {
             return self.run_write(stmt);
         };
         let start = Instant::now();
@@ -393,16 +408,7 @@ impl QueryHandle {
             }
             None => {
                 self.telemetry.memo_misses.inc();
-                let BoundStatement::Select(query) = bind_statement(db, stmt)? else {
-                    // A SELECT binds to a select; defensive fallback only.
-                    return self.run_write(stmt);
-                };
-                let optimized = self.optimizer.optimize(
-                    db,
-                    &query,
-                    snapshot.epoch.catalog.full_view(),
-                    &OptimizeOptions::default(),
-                )?;
+                let (query, optimized) = plan_select(db, &snapshot.epoch.catalog, select)?;
                 let prepared = Arc::new(Prepared {
                     fingerprint: query.fingerprint(),
                     query,
@@ -464,7 +470,7 @@ impl QueryHandle {
             run_statement_observed(
                 &mut snapshot.db,
                 snapshot.epoch.catalog.full_view(),
-                &self.optimizer,
+                &Optimizer::default(),
                 &bound,
                 &self.obs.tracer,
             )?
@@ -476,20 +482,15 @@ impl QueryHandle {
         Ok(out)
     }
 
-    /// EXPLAIN: the plan the optimizer picks for `sql` against the current
-    /// epoch, without executing it or showing it to the monitor.
+    /// EXPLAIN: the plan [`plan_select`] gives `sql` against the current
+    /// snapshot, without executing it or showing it to the monitor. DML is
+    /// not bound and shows no plan.
     pub fn explain_sql(&self, sql: &str) -> Result<String, StatementError> {
-        let snapshot = self.snapshot();
-        let db = &snapshot.db;
-        let BoundStatement::Select(query) = bind_statement(db, &parse_statement(sql)?)? else {
+        let Statement::Select(select) = parse_statement(sql)? else {
             return Ok("DML statement (no plan)\n".to_string());
         };
-        let optimized = self.optimizer.optimize(
-            db,
-            &query,
-            snapshot.epoch.catalog.full_view(),
-            &OptimizeOptions::default(),
-        )?;
+        let snapshot = self.snapshot();
+        let (_, optimized) = plan_select(&snapshot.db, &snapshot.epoch.catalog, &select)?;
         Ok(format!(
             "{}magic variables: {:?}\n",
             optimized.plan,
@@ -629,6 +630,26 @@ mod tests {
         svc.tick_wait().unwrap();
         let (_, report) = svc.shutdown();
         assert_eq!(report.observed, 0, "EXPLAIN shows the monitor nothing");
+    }
+
+    /// EXPLAIN plans as a memo miss does: against a tuned epoch, it shows
+    /// the plan the handle memoized for the same text, and records nothing.
+    #[test]
+    fn explain_shows_the_plan_the_handle_memoizes() {
+        let svc = service(f64::INFINITY);
+        let h = svc.handle(1);
+        h.run_sql(EXAMPLE2_SQL).unwrap();
+        svc.tick_wait().unwrap();
+        assert!(svc.epoch().catalog.total_count() > 0, "the epoch is tuned");
+        h.run_sql(EXAMPLE2_SQL).unwrap();
+        let prepared = h.snapshot().prepared(EXAMPLE2_SQL).expect("memoized");
+        let text = h.explain_sql(EXAMPLE2_SQL).unwrap();
+        assert!(
+            text.starts_with(&prepared.plan.to_string()),
+            "{text}\nvs\n{}",
+            prepared.plan
+        );
+        assert_eq!(svc.monitor.lock().observed_total(), 2);
     }
 
     /// Service with every query sampled into the slow-query reservoir.

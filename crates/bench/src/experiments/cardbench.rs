@@ -42,8 +42,8 @@ use obsv::json::Object;
 use obsv::{ArgValue, EventKind};
 use optimizer::{OptimizeOptions, Optimizer};
 use query::{
-    bind_statement, BoundSelect, CmpOp, ColumnRef, Condition, JoinEdge, PredOp, PredicateId,
-    SelectItem, SelectStmt, Statement, TableRef,
+    bind_select, BoundSelect, CmpOp, ColumnRef, Condition, JoinEdge, PredOp, PredicateId,
+    SelectItem, SelectStmt, TableRef,
 };
 use rustc_hash::FxHashMap;
 use stats::{BuildOptions, FeedbackStore, StatDescriptor, StatId, StatsCatalog};
@@ -271,12 +271,7 @@ fn run_regime(cfg: &AdversarialConfig, regime: Regime, n_queries: usize) -> Regi
     let optimizer = Optimizer::default();
     let queries: Vec<BoundSelect> = adversarial_queries(&db, cfg, regime, n_queries)
         .into_iter()
-        .map(|q| {
-            match bind_statement(&db, &Statement::Select(q)).expect("adversarial query binds") {
-                query::BoundStatement::Select(b) => b,
-                other => panic!("adversarial workload is SELECT-only, got {other:?}"),
-            }
-        })
+        .map(|q| bind_select(&db, &q).expect("adversarial query binds"))
         .collect();
 
     let cases: Vec<QueryCase> = queries
@@ -489,13 +484,6 @@ fn drift_probes(cfg: &AdversarialConfig) -> Vec<SelectStmt> {
     probes
 }
 
-fn bind_select(db: &Database, stmt: SelectStmt) -> BoundSelect {
-    match bind_statement(db, &Statement::Select(stmt)).expect("drift query binds") {
-        query::BoundStatement::Select(b) => b,
-        other => panic!("drift workload is SELECT-only, got {other:?}"),
-    }
-}
-
 /// The drift regime: a zipf `facts` table with scan-built statistics, a bulk
 /// DML burst shifting half the data into an unseen key range, then a
 /// post-drift evaluation workload under three refresh strategies:
@@ -524,7 +512,7 @@ fn run_drift(cfg: &AdversarialConfig, n_queries: usize) -> DriftResult {
 
     let probes: Vec<BoundSelect> = drift_probes(cfg)
         .into_iter()
-        .map(|q| bind_select(&db, q))
+        .map(|q| bind_select(&db, &q).expect("drift query binds"))
         .collect();
     let mut store = FeedbackStore::new();
     observe_probes(&db, &fb_cat, &probes, &optimizer, &mut store);
@@ -539,7 +527,7 @@ fn run_drift(cfg: &AdversarialConfig, n_queries: usize) -> DriftResult {
     };
     let eval: Vec<BoundSelect> = adversarial_queries(&db, &eval_cfg, Regime::Zipf, n_queries)
         .into_iter()
-        .map(|q| bind_select(&db, q))
+        .map(|q| bind_select(&db, &q).expect("drift query binds"))
         .collect();
 
     let cells = vec![
@@ -932,7 +920,7 @@ mod tests {
         apply_drift(&mut db, table, &cfg);
         let probes: Vec<BoundSelect> = drift_probes(&cfg)
             .into_iter()
-            .map(|q| bind_select(&db, q))
+            .map(|q| bind_select(&db, &q).expect("drift query binds"))
             .collect();
         let mut store = FeedbackStore::new();
         observe_probes(&db, &catalog, &probes, &optimizer, &mut store);

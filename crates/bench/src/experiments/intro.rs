@@ -13,7 +13,7 @@ use autostats::candidate_statistics;
 use datagen::{create_tuned_indexes, tpcd_benchmark_queries};
 use optimizer::costs_within_t;
 use optimizer::{OptimizeOptions, Optimizer};
-use query::{bind_statement, BoundStatement, Statement};
+use query::bind_select;
 use stats::{StatDescriptor, StatsCatalog};
 
 /// Per-query outcome of the intro experiment.
@@ -51,12 +51,7 @@ pub fn run(scale: &ExperimentScale) -> Vec<IntroResult> {
     let optimizer = Optimizer::default();
     let queries: Vec<_> = tpcd_benchmark_queries()
         .into_iter()
-        .map(
-            |q| match bind_statement(&db, &Statement::Select(q)).expect("tpcd query binds") {
-                BoundStatement::Select(b) => b,
-                _ => unreachable!(),
-            },
-        )
+        .map(|q| bind_select(&db, &q).expect("tpcd query binds"))
         .collect();
 
     // First record every "before" plan against the untouched baseline (the

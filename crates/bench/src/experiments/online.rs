@@ -31,7 +31,7 @@ use autostats::{OfflineTuner, SessionReport};
 use datagen::{tpcd_benchmark_queries, Complexity, RagsGenerator, WorkloadSpec};
 use obsv::json::Object;
 use optimizer::{OptimizeOptions, Optimizer};
-use query::{bind_statement, parse_statement, BoundSelect, BoundStatement, Statement};
+use query::{bind_select, bind_statement, parse_statement, BoundSelect, BoundStatement, Statement};
 use stats::StatsCatalog;
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -385,11 +385,7 @@ pub fn run(
 
     let probes: Vec<BoundSelect> = tpcd_benchmark_queries()
         .iter()
-        .filter_map(|s| {
-            bind_statement(&first.db, &Statement::Select(s.clone()))
-                .ok()
-                .and_then(|b| b.as_select().cloned())
-        })
+        .filter_map(|s| bind_select(&first.db, s).ok())
         .collect();
 
     let baseline_probe_cost = probe_cost(&first.db, &probes, &StatsCatalog::new());

@@ -224,8 +224,8 @@ fn drive_cluster(
                 let window = cluster.service(0).roll_window(first.tick);
                 telemetry.windows_jsonl += &(window.to_json_line() + "\n");
             }
-            for svc in cluster.services() {
-                telemetry.health_jsonl += &(svc.health().to_json_line() + "\n");
+            for health in cluster.health() {
+                telemetry.health_jsonl += &(health.to_json_line() + "\n");
             }
             // Quiet only when every shard is.
             let quiet = reports.iter().all(is_quiet);

@@ -30,24 +30,29 @@
 //! ```
 //! use autostats::policy::{apply_policy, CreationPolicy};
 //! use datagen::{build_tpcd, TpcdConfig, ZipfSpec};
-//! use query::{bind_statement, parse_statement, BoundStatement};
+//! use query::{bind_select, parse_statement};
 //!
-//! let mut db = build_tpcd(&TpcdConfig { scale: 0.002, zipf: ZipfSpec::Mixed, seed: 42 });
-//! let stmt = bind_statement(&db, &parse_statement(
+//! let db = build_tpcd(&TpcdConfig { scale: 0.002, zipf: ZipfSpec::Mixed, seed: 42 });
+//! let stmt = parse_statement(
 //!     "SELECT o_orderpriority, COUNT(*) FROM orders \
 //!      WHERE o_orderdate < 9000 GROUP BY o_orderpriority",
-//! )?)?;
-//! let BoundStatement::Select(query) = &stmt else { unreachable!() };
+//! )?;
+//! let query = bind_select(&db, stmt.as_select().ok_or("a SELECT")?)?;
 //!
 //! // §6's on-the-fly policy: before the query is optimized, MNSA decides
 //! // which of its candidate statistics are worth building.
 //! let mut catalog = stats::StatsCatalog::new();
-//! let (report, _, _) = apply_policy(&db, &mut catalog, &CreationPolicy::default(), query)?;
+//! let (report, _, _) = apply_policy(&db, &mut catalog, &CreationPolicy::default(), &query)?;
 //! assert!(report.optimizer_calls >= 3);
 //!
 //! let optimizer = optimizer::Optimizer::default();
-//! let out = executor::run_statement(&mut db, catalog.full_view(), &optimizer, &stmt)?;
-//! assert!(out.work() > 0.0);
+//! let plan = optimizer.optimize(&db, &query, catalog.full_view(), &Default::default())?;
+//! let out = executor::execute_plan(&db, &query, &plan.plan, &optimizer.params)?;
+//! assert!(out.work > 0.0);
+//!
+//! // A grouped SELECT projects and orders by GROUP BY columns only.
+//! let ungrouped = parse_statement("SELECT o_orderdate, COUNT(*) FROM orders GROUP BY o_orderpriority")?;
+//! assert!(bind_select(&db, ungrouped.as_select().ok_or("a SELECT")?).is_err());
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 //!

@@ -1209,19 +1209,26 @@ fn execute_impl(
             bounds[g] -= 1;
             members[bounds[g]] = ti;
         }
-        // Deterministic output: groups ordered by key, exactly as the
-        // reference sorts its map keys, through the ORDER BY sort over each
-        // group's first tuple.
-        let keys: Vec<(SortKeys<'_>, bool)> = g_cols
+        // Deterministic output over each group's first tuple: the ORDER BY
+        // keys, which the binder holds to grouping columns, then every
+        // grouping key ascending, as the reference sorts its map keys.
+        let position = |col| query.group_by.iter().position(|&g| g == col);
+        let keys: Vec<(SortKeys<'_>, bool)> = query
+            .order_by
             .iter()
-            .map(|&rc| {
+            .filter_map(|&(col, desc)| Some((g_cols.get(position(col)?)?, desc)))
+            .chain(g_cols.iter().map(|rc| (rc, false)))
+            .map(|(&rc, desc)| {
                 (
                     SortKeys::new(rc, reps.iter().map(|&t| input.tuple(t))),
-                    false,
+                    desc,
                 )
             })
             .collect();
         let order = sort_order(&keys, reps.len());
+        if !query.order_by.is_empty() {
+            interp.work += CostParams::sort(reps.len() as f64);
+        }
         let agg_cols: Vec<Option<ResolvedCol<'_>>> = if reps.is_empty() {
             Vec::new()
         } else {
@@ -1240,31 +1247,6 @@ fn execute_impl(
         for g in order {
             let members = &members[bounds[g]..bounds[g + 1]];
             rows.push(agg_output(query, &g_cols, &agg_cols, &input, members));
-        }
-        // ORDER BY over aggregate output: keys must be grouping columns;
-        // their output position is their position in the GROUP BY list.
-        if !query.order_by.is_empty() {
-            interp.work += CostParams::sort(rows.len() as f64);
-            let positions: Vec<(usize, bool)> = query
-                .order_by
-                .iter()
-                .filter_map(|&(col, desc)| {
-                    query
-                        .group_by
-                        .iter()
-                        .position(|&g| g == col)
-                        .map(|p| (p, desc))
-                })
-                .collect();
-            rows.sort_by(|a, b| {
-                for &(p, desc) in &positions {
-                    let ord = a[p].total_cmp(&b[p]);
-                    if ord != std::cmp::Ordering::Equal {
-                        return if desc { ord.reverse() } else { ord };
-                    }
-                }
-                std::cmp::Ordering::Equal
-            });
         }
         close_wrappers(rows.len());
         return Ok(ExecOutput {

@@ -100,14 +100,16 @@ fn assert_equivalent(db: &Database, sql: &str) {
 
 /// The fixed query set over the generated `emp`/`g` pair: single-predicate
 /// scans, conjunctions, a hash join, grouping with NULL groups, and ORDER
-/// BY.
-const QUERIES: [&str; 6] = [
+/// BY; the last orders groups by two keys, one DESC, with NULL groups and
+/// ties on its first key, which the grouping keys then break.
+const QUERIES: [&str; 7] = [
     "SELECT * FROM emp WHERE grp = 2",
     "SELECT * FROM emp WHERE val < 0.5",
     "SELECT id, grp FROM emp WHERE grp <> 1 AND val >= -0.25",
     "SELECT * FROM emp WHERE id BETWEEN 5 AND 20",
     "SELECT * FROM emp e, g WHERE e.grp = g.gid",
     "SELECT grp, COUNT(*), SUM(val) FROM emp GROUP BY grp ORDER BY grp",
+    "SELECT name, d, COUNT(*), SUM(val) FROM emp GROUP BY grp, name, d ORDER BY name DESC, grp",
 ];
 
 const NAMES: [&str; 4] = ["", "alpha", "β-unicode", "zzz"];

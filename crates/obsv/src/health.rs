@@ -20,8 +20,9 @@ use crate::json::{self, Json, Object};
 pub struct HealthSnapshot {
     /// Virtual-time tick this snapshot was assembled at.
     pub tick: u64,
-    /// Serving shard that assembled this snapshot (0 for an unsharded
-    /// service; pre-shard streams parse back as shard 0).
+    /// Serving shard of this snapshot, stamped by the cluster that reads it
+    /// (0 for an unsharded service; pre-shard streams parse back as shard
+    /// 0).
     pub shard: u64,
     /// Last published catalog epoch.
     pub epoch_generation: u64,

@@ -29,7 +29,7 @@ pub mod slowlog;
 pub mod trace;
 pub mod window;
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
 
 pub use health::HealthSnapshot;
 pub use latency::{LatencyHistogram, LatencySample, RELATIVE_ERROR_BOUND};
@@ -37,6 +37,12 @@ pub use metrics::{Counter, FloatCounter, Gauge, MetricValue, Registry, Snapshot}
 pub use slowlog::{SlowQuery, SlowQueryLog, SpanSampler};
 pub use trace::{ArgValue, Event, EventKind, SpanGuard, TraceDefect, Tracer};
 pub use window::{WindowDelta, WindowValue, WindowedRegistry};
+
+/// Lock a mutex, recovering from poisoning: no holder leaves the data in an
+/// invalid state mid-lock, so the value is always usable.
+pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+}
 
 /// The observability context threaded through the pipeline: one tracer plus
 /// one metrics registry. Cheap to clone; [`Obs::default`] is fully disabled

@@ -12,18 +12,10 @@
 
 use crate::json::{Object, Value};
 use crate::latency::{LatencyHistogram, LatencySample};
+use crate::lock;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
-
-/// Lock a mutex, recovering from poisoning (we never leave data in an
-/// invalid state mid-lock, so the value is always usable).
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    match m.lock() {
-        Ok(g) => g,
-        Err(poisoned) => poisoned.into_inner(),
-    }
-}
+use std::sync::{Arc, Mutex};
 
 /// Monotone integer counter.
 #[derive(Debug, Clone, Default)]

@@ -26,15 +26,9 @@
 //! the concatenation of many per-query traces still passes
 //! [`crate::check::check_jsonl`].
 
+use crate::lock;
 use crate::trace::{ArgValue, Event, EventKind};
-use std::sync::{Mutex, MutexGuard};
-
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    match m.lock() {
-        Ok(g) => g,
-        Err(poisoned) => poisoned.into_inner(),
-    }
-}
+use std::sync::Mutex;
 
 /// SplitMix64 finalizer: a cheap, well-mixed hash of a 64-bit key.
 #[inline]

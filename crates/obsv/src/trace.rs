@@ -20,16 +20,10 @@
 //! `exec.project`), which keeps recording allocation-light and makes traces
 //! greppable.
 
+use crate::lock;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
-
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    match m.lock() {
-        Ok(g) => g,
-        Err(poisoned) => poisoned.into_inner(),
-    }
-}
 
 /// An attribute value attached to a span or instant event.
 #[derive(Debug, Clone, PartialEq)]

@@ -23,6 +23,7 @@
 
 use crate::json::Object;
 use crate::latency::LatencySample;
+use crate::lock;
 use crate::metrics::{MetricValue, Registry, Snapshot};
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
@@ -113,10 +114,7 @@ impl WindowedRegistry {
     /// deltas between the previous roll (or construction) and now.
     pub fn roll(&self, window: u64) -> WindowDelta {
         let now = self.registry.snapshot();
-        let mut prev = match self.prev.lock() {
-            Ok(g) => g,
-            Err(poisoned) => poisoned.into_inner(),
-        };
+        let mut prev = lock(&self.prev);
         let mut entries = BTreeMap::new();
         for (name, value) in &now.entries {
             let before = prev.entries.get(name);

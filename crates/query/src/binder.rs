@@ -24,6 +24,9 @@ pub enum BindError {
         expected: usize,
         found: usize,
     },
+    /// A grouped or aggregating SELECT projects `*`, or projects or orders
+    /// by a column that is not a GROUP BY column.
+    Ungrouped(String),
 }
 
 impl fmt::Display for BindError {
@@ -57,6 +60,9 @@ impl fmt::Display for BindError {
                 f,
                 "INSERT into {table} expects {expected} values, found {found}"
             ),
+            BindError::Ungrouped(c) => {
+                write!(f, "'{c}' in a grouped SELECT is not a GROUP BY column")
+            }
         }
     }
 }
@@ -186,7 +192,10 @@ fn build_join_edges(raw: Vec<(BoundColumn, BoundColumn)>) -> Vec<JoinEdge> {
     edges
 }
 
-fn bind_select(db: &Database, q: &SelectStmt) -> Result<BoundSelect, BindError> {
+/// Bind one SELECT. A grouped or aggregating SELECT follows SQL's grouping
+/// rules: every projected or ORDER BY column is a GROUP BY column, `*` is
+/// not written, and SUM and AVG read no string column.
+pub fn bind_select(db: &Database, q: &SelectStmt) -> Result<BoundSelect, BindError> {
     let scope = Scope::build(db, &q.from)?;
 
     let mut selections = Vec::new();
@@ -226,9 +235,21 @@ fn bind_select(db: &Database, q: &SelectStmt) -> Result<BoundSelect, BindError> 
         group_by.push(scope.resolve(g)?);
     }
 
+    let grouped = !group_by.is_empty()
+        || q.items
+            .iter()
+            .any(|i| matches!(i, SelectItem::Aggregate(..)));
+    let grouping_key = |name: &dyn fmt::Display, col: BoundColumn| {
+        if grouped && !group_by.contains(&col) {
+            return Err(BindError::Ungrouped(name.to_string()));
+        }
+        Ok(col)
+    };
+
     let mut order_by = Vec::with_capacity(q.order_by.len());
     for k in &q.order_by {
-        order_by.push((scope.resolve(&k.column)?, k.descending));
+        let col = scope.resolve(&k.column)?;
+        order_by.push((grouping_key(&k.column, col)?, k.descending));
     }
 
     let mut aggregates = Vec::new();
@@ -236,11 +257,23 @@ fn bind_select(db: &Database, q: &SelectStmt) -> Result<BoundSelect, BindError> 
     let mut star = false;
     for item in &q.items {
         match item {
+            SelectItem::Star if grouped => return Err(BindError::Ungrouped("*".to_string())),
             SelectItem::Star => star = true,
-            SelectItem::Column(c) => proj_cols.push(scope.resolve(c)?),
+            SelectItem::Column(c) => proj_cols.push(grouping_key(c, scope.resolve(c)?)?),
             SelectItem::Aggregate(f, arg) => {
                 let input = match arg {
-                    Some(c) => Some(scope.resolve(c)?),
+                    Some(c) => {
+                        let col = scope.resolve(c)?;
+                        let ty = scope.column_type(col);
+                        if ty == DataType::Str && matches!(f, AggFunc::Sum | AggFunc::Avg) {
+                            return Err(BindError::TypeMismatch {
+                                column: format!("{}({c})", f.name()),
+                                expected: "a number".to_string(),
+                                found: ty.to_string(),
+                            });
+                        }
+                        Some(col)
+                    }
                     None => None,
                 };
                 aggregates.push(BoundAggregate { func: *f, input });
@@ -524,5 +557,88 @@ mod tests {
         assert_eq!(q.group_by.len(), 1);
         assert_eq!(q.aggregates.len(), 2);
         assert_eq!(q.predicate_ids(), vec![PredicateId::GroupBy]);
+    }
+
+    #[test]
+    fn grouped_select_rejects_a_projected_column_outside_group_by() {
+        let db = test_db();
+        for sql in [
+            "SELECT age, COUNT(*) FROM emp GROUP BY deptid",
+            "SELECT deptid, age FROM emp GROUP BY deptid",
+            "SELECT age, MIN(salary) FROM emp",
+        ] {
+            assert_eq!(
+                bind(&db, sql).unwrap_err(),
+                BindError::Ungrouped("age".to_string()),
+                "{sql}"
+            );
+        }
+        // An aggregates-only list still binds, to `Projection::Star`.
+        let b = bind(&db, "SELECT COUNT(*), MAX(age) FROM emp").unwrap();
+        assert_eq!(b.as_select().unwrap().projection, Projection::Star);
+    }
+
+    #[test]
+    fn grouped_select_rejects_a_written_star() {
+        let db = test_db();
+        for sql in [
+            "SELECT * FROM emp GROUP BY deptid",
+            "SELECT *, COUNT(*) FROM emp",
+        ] {
+            assert_eq!(
+                bind(&db, sql).unwrap_err(),
+                BindError::Ungrouped("*".to_string()),
+                "{sql}"
+            );
+        }
+    }
+
+    #[test]
+    fn grouped_select_rejects_an_order_by_key_outside_group_by() {
+        let db = test_db();
+        for sql in [
+            "SELECT deptid, COUNT(*) FROM emp GROUP BY deptid ORDER BY age DESC",
+            "SELECT COUNT(*) FROM emp ORDER BY age",
+        ] {
+            assert_eq!(
+                bind(&db, sql).unwrap_err(),
+                BindError::Ungrouped("age".to_string()),
+                "{sql}"
+            );
+        }
+        let q = bind(
+            &db,
+            "SELECT deptid, age, COUNT(*) FROM emp GROUP BY deptid, age ORDER BY age DESC",
+        )
+        .unwrap();
+        assert_eq!(
+            q.as_select().unwrap().order_by,
+            vec![(BoundColumn::new(0, 2), true)]
+        );
+        // An ungrouped SELECT orders by any column.
+        bind(&db, "SELECT empid FROM emp ORDER BY age").unwrap();
+    }
+
+    #[test]
+    fn sum_and_avg_reject_a_string_column() {
+        let db = test_db();
+        for func in ["SUM", "AVG"] {
+            let sql = format!("SELECT deptid, {func}(dname) FROM dept GROUP BY deptid");
+            assert_eq!(
+                bind(&db, &sql).unwrap_err(),
+                BindError::TypeMismatch {
+                    column: format!("{func}(dname)"),
+                    expected: "a number".to_string(),
+                    found: "VARCHAR".to_string(),
+                },
+                "{sql}"
+            );
+        }
+        // MIN, MAX and COUNT read strings.
+        bind(
+            &db,
+            "SELECT deptid, MIN(dname), MAX(dname), COUNT(dname) FROM dept GROUP BY deptid",
+        )
+        .unwrap();
     }
 }

@@ -25,7 +25,7 @@ pub use ast::{
     AggFunc, CmpOp, ColumnRef, Condition, DeleteStmt, InsertStmt, SelectItem, SelectStmt,
     Statement, TableRef, UpdateStmt,
 };
-pub use binder::{bind_statement, BindError};
+pub use binder::{bind_select, bind_statement, BindError};
 pub use bound::{
     BoundAggregate, BoundColumn, BoundDelete, BoundInsert, BoundSelect, BoundStatement,
     BoundUpdate, JoinEdge, PredClass, PredOp, PredicateId, Projection, SelectionPredicate,

@@ -28,8 +28,9 @@
 //! never returns to a snapshot someone holds, so when every second load is
 //! the first, each snapshot was current at the instant the last first load
 //! was taken, and no write falls between the tables of one query. The
-//! statement then binds, optimizes against an *empty* statistics catalog
-//! (magic-number selectivities), and executes, holding no lock. A writer
+//! statement is then planned by [`autod::plan_select`], as a shard plans
+//! it, but against an *empty* statistics catalog (magic-number
+//! selectivities), and executes, holding no lock. A writer
 //! that arrives while the fallback still holds one of its tables does not
 //! wait for it: its `table_mut` copies that table (`Arc::make_mut`) and the
 //! fallback keeps the rows it started with.
@@ -51,13 +52,14 @@
 use crate::arbiter::BudgetArbiter;
 use crate::plan::{Placement, ShardPlan};
 use crate::router::{Route, Router, SelectRoute};
-use autod::{AutodConfig, OnlineService, QueryHandle, ServiceReport, Snapshot, TickReport};
+use autod::{
+    plan_select, AutodConfig, OnlineService, QueryHandle, ServiceReport, Snapshot, TickReport,
+};
 use autostats::{OnlineEvent, SessionReport, StatementError, TuneError};
 use executor::{execute_plan, ExecOutput, StatementOutcome};
 use obsv::{HealthSnapshot, LatencyHistogram, LatencySample};
-use optimizer::{OptimizeOptions, Optimizer};
 use parking_lot::Mutex;
-use query::{bind_statement, parse_statement, BoundStatement, Statement};
+use query::{parse_statement, SelectStmt, Statement};
 use stats::StatsCatalog;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -71,9 +73,9 @@ pub struct ServeConfig {
     /// Tables with at least this many rows are hash-partitioned across all
     /// shards (no effect on a 1-shard cluster).
     pub partition_threshold: usize,
-    /// Template for each shard's service configuration (`shard` is stamped
-    /// per shard by the cluster). `budget_per_tick` is the budget of the
-    /// whole cluster: the arbiter splits it across the shards by demand.
+    /// Every shard's service configuration. `budget_per_tick` is the budget
+    /// of the whole cluster: the arbiter splits it across the shards by
+    /// demand.
     pub autod: AutodConfig,
 }
 
@@ -97,8 +99,6 @@ pub struct ServeCluster {
     skeleton: Arc<Database>,
     /// Gathered copies of the partitioned tables (fallback readers).
     gather: Arc<Gather>,
-    /// Stateless optimizer for fallback queries.
-    optimizer: Arc<Optimizer>,
     arbiter: BudgetArbiter,
     /// Demand vector for the next tick split, updated from collected
     /// reports; starts at the arbiter's floor (1.0 per shard).
@@ -132,10 +132,6 @@ impl ServeCluster {
                     partitioned,
                 });
             }
-            let shard_config = AutodConfig {
-                shard: s as u32,
-                ..config.autod.clone()
-            };
             services.push(OnlineService::start(
                 shard_db,
                 StatsCatalog::new(),
@@ -143,7 +139,7 @@ impl ServeCluster {
                 // A fresh (private) registry per shard: telemetry merges
                 // happen at the cluster level, never through a shared one.
                 obsv::Obs::disabled(),
-                shard_config,
+                config.autod.clone(),
             ));
         }
 
@@ -154,7 +150,6 @@ impl ServeCluster {
             services,
             gather: Arc::new(Gather::new(skeleton.table_count())),
             skeleton,
-            optimizer: Arc::new(Optimizer::default()),
             arbiter: BudgetArbiter::new(config.autod.budget_per_tick),
             demands,
         })
@@ -189,7 +184,6 @@ impl ServeCluster {
             handles: self.services.iter().map(|s| s.handle(tid)).collect(),
             skeleton: Arc::clone(&self.skeleton),
             gather: Arc::clone(&self.gather),
-            optimizer: Arc::clone(&self.optimizer),
         }
     }
 
@@ -241,9 +235,14 @@ impl ServeCluster {
         &self.arbiter
     }
 
-    /// Per-shard health snapshots, in shard order.
+    /// Per-shard health snapshots, in shard order, each stamped with its
+    /// shard.
     pub fn health(&self) -> Vec<HealthSnapshot> {
-        self.services.iter().map(OnlineService::health).collect()
+        let stamp = |(s, svc): (usize, &OnlineService)| HealthSnapshot {
+            shard: s as u64,
+            ..svc.health()
+        };
+        self.services.iter().enumerate().map(stamp).collect()
     }
 
     /// Cluster-level health: counters summed, quantiles bounded (see
@@ -294,7 +293,6 @@ pub struct ClusterClient {
     handles: Vec<QueryHandle>,
     skeleton: Arc<Database>,
     gather: Arc<Gather>,
-    optimizer: Arc<Optimizer>,
 }
 
 impl ClusterClient {
@@ -321,7 +319,7 @@ impl ClusterClient {
             Statement::Select(select) => {
                 let routed = self.router.route_select(select);
                 if routed.route == Route::Fallback {
-                    return self.run_fallback(sql, stmt, &routed);
+                    return self.run_fallback(select, &routed);
                 }
                 routed.route
             }
@@ -396,8 +394,7 @@ impl ClusterClient {
     /// statistics story).
     fn run_fallback(
         &self,
-        sql: &str,
-        stmt: &Statement,
+        select: &SelectStmt,
         routed: &SelectRoute<'_>,
     ) -> Result<StatementOutcome, StatementError> {
         let load = || -> Vec<Arc<Snapshot>> {
@@ -431,21 +428,11 @@ impl ClusterClient {
         }
         drop(loaded);
 
-        let BoundStatement::Select(query) = bind_statement(&snapshot, stmt)? else {
-            return self.handles[0].run(sql, stmt);
-        };
         // No shard's statistics describe the tables as a whole, so the
-        // fallback optimizes against an empty catalog (magic numbers) — the
+        // fallback plans against an empty catalog (magic numbers) — the
         // honest cost model for a path the tuner never sees.
-        let catalog = StatsCatalog::new();
-        let optimized = self.optimizer.optimize(
-            &snapshot,
-            &query,
-            catalog.full_view(),
-            &OptimizeOptions::default(),
-        )?;
-        let output = execute_plan(&snapshot, &query, &optimized.plan, &self.optimizer.params)
-            .map_err(StatementError::Exec)?;
+        let (query, optimized) = plan_select(&snapshot, &StatsCatalog::new(), select)?;
+        let output = execute_plan(&snapshot, &query, &optimized.plan, &optimizer::CostParams)?;
         Ok(StatementOutcome::Query {
             output,
             estimated_cost: optimized.cost,
@@ -626,6 +613,16 @@ mod tests {
             }
         }
         assert_eq!(at, first.row_count());
+    }
+
+    #[test]
+    fn health_is_stamped_with_each_shard() {
+        let cluster = cluster();
+        cluster.tick_wait().unwrap();
+        let shards: Vec<u64> = cluster.health().iter().map(|h| h.shard).collect();
+        assert_eq!(shards, [0, 1, 2]);
+        assert!(cluster.health().iter().all(|h| h.tick == 1));
+        assert_eq!(cluster.merged_health().shard, 3, "merged counts its shards");
     }
 
     #[test]

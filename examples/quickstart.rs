@@ -13,7 +13,7 @@ use autostats::policy::{apply_policy, CreationPolicy};
 use autostats::SessionReport;
 use datagen::{build_tpcd, TpcdConfig, ZipfSpec};
 use executor::StatementOutcome;
-use query::{bind_statement, parse_statement, BoundStatement};
+use query::{bind_select, parse_statement};
 use stats::StatsCatalog;
 
 fn main() {
@@ -101,11 +101,8 @@ fn main() {
 
     // Contrast with creating every candidate statistic unconditionally (the
     // Figure 4 baseline).
-    let BoundStatement::Select(bound) =
-        bind_statement(&db, &parse_statement(query).unwrap()).unwrap()
-    else {
-        unreachable!("a SELECT binds to a select");
-    };
+    let stmt = parse_statement(query).unwrap();
+    let bound = bind_select(&db, stmt.as_select().unwrap()).unwrap();
     let mut baseline = StatsCatalog::new();
     let (create_all, _, _) = apply_policy(
         &db,

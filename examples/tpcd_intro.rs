@@ -11,7 +11,7 @@
 use autostats::candidate_statistics;
 use datagen::{build_tpcd, create_tuned_indexes, tpcd_benchmark_queries, TpcdConfig, ZipfSpec};
 use optimizer::{OptimizeOptions, Optimizer};
-use query::{bind_statement, BoundStatement, Statement};
+use query::bind_select;
 use stats::{StatDescriptor, StatsCatalog};
 
 fn main() {
@@ -40,12 +40,7 @@ fn main() {
     // relevant statistics for the whole workload, then re-optimize.
     let queries: Vec<_> = tpcd_benchmark_queries()
         .into_iter()
-        .map(
-            |q| match bind_statement(&db, &Statement::Select(q)).expect("tpcd query binds") {
-                BoundStatement::Select(b) => b,
-                _ => unreachable!(),
-            },
-        )
+        .map(|q| bind_select(&db, &q).expect("tpcd query binds"))
         .collect();
     let before: Vec<_> = queries
         .iter()

@@ -13,6 +13,8 @@
 //! * **scatter/broadcast/fallback vs oracle** — every routed execution path
 //!   returns the same rows (as a multiset; exact order under ORDER BY) and
 //!   the same DML counts as an unsharded service over the same database;
+//! * **fallback planning** — a fallback's cost, rows and work are the
+//!   magic-number plan's over the tables it assembled;
 //! * **fallback snapshots** — a fallback between every pair of writes to a
 //!   partitioned or an owned table sees exactly the writes made so far, and
 //!   a fallback racing a writer that writes one shard and then another
@@ -431,6 +433,65 @@ fn concurrent_fallbacks_never_see_a_later_write_without_an_earlier_one() {
             result.unwrap();
         }
     });
+}
+
+/// A fallback plans on magic numbers: its cost, rows and work are those of
+/// `Optimizer::optimize` against an empty catalog over the tables it
+/// assembles (`big`'s slices appended in shard order, `mid` from its owner),
+/// though the shard owning `mid` holds statistics on it. Pinned until a
+/// fallback reads merged statistics.
+#[test]
+fn a_fallback_plans_against_an_empty_catalog() {
+    let cluster = ServeCluster::start(test_db(), cluster_config(3, 100, f64::INFINITY)).unwrap();
+    let client = cluster.client(1);
+    client
+        .run_sql("SELECT v, COUNT(*) FROM mid WHERE k < 70 GROUP BY v")
+        .unwrap();
+    cluster.tick_wait().unwrap();
+    let placement = |name| cluster.plan().placement_by_name(name).unwrap();
+    let (big, mid) = (placement("big").table, placement("mid").table);
+    let serve::Placement::Owned(owner) = placement("mid").placement else {
+        panic!("`mid` is owned");
+    };
+    assert!(cluster.service(owner).epoch().catalog.total_count() > 0);
+
+    let sql = "SELECT m.v, COUNT(*) FROM big b, mid m WHERE b.k = m.k AND m.k < 70 GROUP BY m.v";
+    assert_eq!(
+        cluster.router().route(&parse_statement(sql).unwrap()),
+        Route::Fallback
+    );
+    let StatementOutcome::Query {
+        output,
+        estimated_cost,
+    } = client.run_sql(sql).unwrap()
+    else {
+        panic!("a SELECT returns rows");
+    };
+
+    let mut db = test_db().schema_skeleton();
+    let mut gathered = db.table(big).empty_like();
+    for service in cluster.services() {
+        gathered
+            .append_table(service.snapshot().db.table(big))
+            .unwrap();
+    }
+    db.set_shared_table(big, Arc::new(gathered));
+    db.set_shared_table(mid, cluster.service(owner).snapshot().db.shared_table(mid));
+    let stmt = parse_statement(sql).unwrap();
+    let query = query::bind_select(&db, stmt.as_select().unwrap()).unwrap();
+    let optimizer = optimizer::Optimizer::default();
+    let optimized = optimizer
+        .optimize(
+            &db,
+            &query,
+            StatsCatalog::new().full_view(),
+            &optimizer::OptimizeOptions::default(),
+        )
+        .unwrap();
+    let expected = executor::execute_plan(&db, &query, &optimized.plan, &optimizer.params).unwrap();
+    assert_eq!(estimated_cost.to_bits(), optimized.cost.to_bits());
+    assert_eq!(output.rows, expected.rows);
+    assert_eq!(output.work.to_bits(), expected.work.to_bits());
 }
 
 // ---------------------------------------------------------------------------

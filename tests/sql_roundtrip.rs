@@ -2,14 +2,18 @@
 //! `stmt`, compared by `Debug` so a literal's type counts (`Value`'s own
 //! equality holds `Int(25)` equal to `Float(25.0)`). Over randomly
 //! constructed ASTs, and over every statement the system benchmark's four
-//! workloads send.
+//! workloads send. Those statements, the TPC-D queries and the examples'
+//! SQL text also bind under the binder's grouping rules.
 
-use datagen::{build_tpcd, Complexity, RagsGenerator, TpcdConfig, WorkloadSpec, ZipfSpec};
+use datagen::{
+    build_tpcd, tpcd_benchmark_queries, Complexity, RagsGenerator, TpcdConfig, WorkloadSpec,
+    ZipfSpec,
+};
 use proptest::prelude::*;
 use query::ast::OrderKey;
 use query::{
-    parse_statement, render, AggFunc, CmpOp, ColumnRef, Condition, DeleteStmt, InsertStmt,
-    SelectItem, SelectStmt, Statement, TableRef, UpdateStmt,
+    bind_select, bind_statement, parse_statement, render, AggFunc, CmpOp, ColumnRef, Condition,
+    DeleteStmt, InsertStmt, SelectItem, SelectStmt, Statement, TableRef, UpdateStmt,
 };
 use storage::Value;
 
@@ -193,5 +197,62 @@ fn benchmark_statements_roundtrip_with_their_literal_types() {
             mismatches.len(),
             mismatches[0]
         );
+    }
+}
+
+/// Every statement the benchmark's four workloads send at `--seconds 20`
+/// (`online-mixed` sends 600 a second), the 17 TPC-D queries and the SQL
+/// text of the examples and of CI's `sql_shell` run binds: none breaks the
+/// grouping rules `bind_select` enforces.
+#[test]
+fn workload_tpcd_and_example_statements_bind() {
+    let workloads = [
+        (0.005, 0, Complexity::Simple, 200),
+        (0.001, 0, Complexity::Complex, 200),
+        (0.005, 25, Complexity::Simple, 12_000),
+        (0.02, 0, Complexity::Complex, 1000),
+    ];
+    for (scale, update_pct, complexity, count) in workloads {
+        let db = build_tpcd(&TpcdConfig {
+            scale,
+            zipf: ZipfSpec::Mixed,
+            seed: 7,
+        });
+        let spec = WorkloadSpec::new(update_pct, complexity, count).with_seed(7);
+        for stmt in RagsGenerator::generate(&db, &spec) {
+            if let Err(e) = bind_statement(&db, &stmt) {
+                panic!("{} ({scale}, U{update_pct}): {e}", render(&stmt));
+            }
+        }
+    }
+    let db = build_tpcd(&TpcdConfig {
+        scale: 0.004,
+        zipf: ZipfSpec::Mixed,
+        seed: 42,
+    });
+    let tpcd = tpcd_benchmark_queries();
+    assert_eq!(tpcd.len(), 17);
+    for q in &tpcd {
+        if let Err(e) = bind_select(&db, q) {
+            panic!("{}: {e}", render(&Statement::Select(q.clone())));
+        }
+    }
+    for sql in [
+        // examples/quickstart.rs
+        "SELECT o_orderpriority, COUNT(*) FROM orders, lineitem \
+         WHERE l_orderkey = o_orderkey AND o_orderdate < 9000 AND l_quantity < 5.0 \
+           AND l_tax >= 0.0 AND o_shippriority <= 1 \
+         GROUP BY o_orderpriority",
+        // examples/sql_shell.rs's docs and CI's run of it
+        "SELECT o_orderpriority, COUNT(*) FROM orders GROUP BY o_orderpriority",
+        "SELECT * FROM lineitem WHERE l_quantity < 5.0",
+        "SELECT COUNT(*) FROM orders",
+        "SELECT o_orderpriority, COUNT(*) FROM orders WHERE o_orderdate < 9000 \
+         GROUP BY o_orderpriority",
+        "DELETE FROM orders WHERE o_orderkey < 10",
+    ] {
+        if let Err(e) = bind_statement(&db, &parse_statement(sql).unwrap()) {
+            panic!("{sql}: {e}");
+        }
     }
 }
