@@ -20,6 +20,7 @@
 
 use query::BoundSelect;
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
 /// The most distinct templates a monitor retains, and the most ghost
 /// entries it remembers.
@@ -45,7 +46,8 @@ pub struct TemplateStats {
 
 #[derive(Debug, Clone)]
 struct Template {
-    query: BoundSelect,
+    /// Shared with the plan memo entry the query was served from.
+    query: Arc<BoundSelect>,
     frequency: u64,
     /// Arrival index (monotone): stable "first seen" ordering for samples.
     arrival: u64,
@@ -114,25 +116,42 @@ impl WorkloadMonitor {
     /// fingerprint computed here, under whatever lock guards the monitor.
     pub fn observe(&mut self, query: &BoundSelect, tick: u64) -> u64 {
         let fp = query.fingerprint();
-        self.observe_as(fp, query, tick);
+        if !self.observe_seen(fp, tick) {
+            self.admit(fp, &Arc::new(query.clone()), tick);
+        }
         fp
     }
 
     /// Observe one executed query at virtual time `tick` under `fp`, which
     /// must be `query.fingerprint()`. The service passes the fingerprint
-    /// its plan memo holds, or one computed before it took the monitor's
-    /// lock: the `Debug` rendering behind it is the costly part of an
-    /// observation, and every client of a shard shares that lock.
-    pub fn observe_as(&mut self, fp: u64, query: &BoundSelect, tick: u64) {
+    /// and the bound query its plan memo holds, both made before it took
+    /// the monitor's lock, which every client of a shard shares; a new
+    /// template shares `query` and copies nothing.
+    pub fn observe_as(&mut self, fp: u64, query: &Arc<BoundSelect>, tick: u64) {
         debug_assert_eq!(fp, query.fingerprint());
-        self.observed_total += 1;
-        if let Some(t) = self.templates.get_mut(&fp) {
-            self.by_eviction_key.remove(&eviction_key(fp, t));
-            t.frequency += 1;
-            t.last_seen_tick = tick;
-            self.by_eviction_key.insert(eviction_key(fp, t));
-            return;
+        if !self.observe_seen(fp, tick) {
+            self.admit(fp, query, tick);
         }
+    }
+
+    /// Count one more observation of the retained template `fp`; false,
+    /// counting nothing, when no template is retained under `fp`.
+    fn observe_seen(&mut self, fp: u64, tick: u64) -> bool {
+        let Some(t) = self.templates.get_mut(&fp) else {
+            return false;
+        };
+        self.observed_total += 1;
+        self.by_eviction_key.remove(&eviction_key(fp, t));
+        t.frequency += 1;
+        t.last_seen_tick = tick;
+        self.by_eviction_key.insert(eviction_key(fp, t));
+        true
+    }
+
+    /// Retain the new template `fp`, resuming its ghost's count if it has
+    /// one, and evict if the monitor is over capacity.
+    fn admit(&mut self, fp: u64, query: &Arc<BoundSelect>, tick: u64) {
+        self.observed_total += 1;
         // Ghost restoration: a recently evicted template resumes its count.
         let history = match self.ghosts.remove(&fp) {
             Some(g) => {
@@ -146,7 +165,7 @@ impl WorkloadMonitor {
         }
         self.arrivals += 1;
         let t = Template {
-            query: query.clone(),
+            query: Arc::clone(query),
             frequency: history + 1,
             arrival: self.arrivals,
             first_seen_tick: tick,
@@ -201,7 +220,9 @@ impl WorkloadMonitor {
     /// Arrival order makes "paused daemon ≡ offline tune on the sample" well
     /// defined.
     pub fn queries(&self) -> impl Iterator<Item = (u64, &BoundSelect)> {
-        self.by_arrival().into_iter().map(|(fp, t)| (fp, &t.query))
+        self.by_arrival()
+            .into_iter()
+            .map(|(fp, t)| (fp, t.query.as_ref()))
     }
 
     /// An owned copy of [`WorkloadMonitor::queries`]: the workload of a

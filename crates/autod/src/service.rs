@@ -96,7 +96,8 @@ impl Snapshot {
 /// What a SELECT's text prepared against one snapshot.
 #[derive(Debug)]
 pub struct Prepared {
-    pub query: BoundSelect,
+    /// Shared with the monitor's template for it.
+    pub query: Arc<BoundSelect>,
     pub plan: PlanNode,
     /// The plan's estimated cost.
     pub cost: f64,
@@ -411,7 +412,7 @@ impl QueryHandle {
                 let (query, optimized) = plan_select(db, &snapshot.epoch.catalog, select)?;
                 let prepared = Arc::new(Prepared {
                     fingerprint: query.fingerprint(),
-                    query,
+                    query: Arc::new(query),
                     plan: optimized.plan,
                     cost: optimized.cost,
                 });

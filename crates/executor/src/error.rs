@@ -29,6 +29,17 @@ pub enum ExecError {
     ResultTooLarge { tuples: usize },
 }
 
+impl ExecError {
+    /// A query whose projection is `Projection::Grouped` when it has no
+    /// GROUP BY and no aggregate, or is not when it has one: built by hand,
+    /// since the binder gives every grouped query a grouped projection.
+    pub(crate) fn projection_mismatch() -> ExecError {
+        ExecError::MalformedPlan {
+            detail: "the projection does not match the query's grouping".to_string(),
+        }
+    }
+}
+
 impl fmt::Display for ExecError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {

@@ -106,7 +106,7 @@ use crate::error::ExecError;
 use crate::kernels::f64_total_key;
 use crate::predicate::{select_rows, CompiledPred};
 use optimizer::{CostParams, Operator, PlanNode};
-use query::{AggFunc, BoundColumn, BoundSelect, Projection, SelectionPredicate};
+use query::{AggFunc, BoundColumn, BoundSelect, OutputItem, Projection, SelectionPredicate};
 use rustc_hash::FxHasher;
 use std::cmp::Ordering;
 use std::hash::Hasher;
@@ -1011,64 +1011,81 @@ impl<'a> Interp<'a> {
 }
 
 /// The output row of one aggregation group, whose `members` are tuple
-/// ordinals into `input` in input order (never empty): the grouping key,
-/// read off the first member, then each aggregate.
+/// ordinals into `input` in input order, in the SELECT list's order
+/// (`items`): a grouping key is read off the first member. `members` is
+/// empty only for the one row of an aggregate without GROUP BY over no
+/// input, where every `agg_cols` entry is `None`.
 fn agg_output(
     query: &BoundSelect,
+    items: &[OutputItem],
     g_cols: &[ResolvedCol<'_>],
     agg_cols: &[Option<ResolvedCol<'_>>],
     input: &Intermediate,
     members: &[usize],
 ) -> Vec<Value> {
-    let rep = input.tuple(members[0]);
-    let mut row: Vec<Value> = g_cols.iter().map(|rc| rc.col.get(rc.row(rep))).collect();
-    for (agg, rc) in query.aggregates.iter().zip(agg_cols) {
-        let Some(rc) = rc else {
-            // No input column: COUNT(*) counts the members, and any other
-            // function folds nothing.
-            row.push(match agg.func {
-                AggFunc::Count => Value::Int(members.len() as i64),
-                _ => Value::Null,
-            });
-            continue;
+    items
+        .iter()
+        .map(|&item| match item {
+            OutputItem::Key(k) => {
+                let rc = &g_cols[k];
+                rc.col.get(rc.row(input.tuple(members[0])))
+            }
+            OutputItem::Aggregate(a) => {
+                aggregate(query.aggregates[a].func, agg_cols[a], input, members)
+            }
+        })
+        .collect()
+}
+
+/// `func` over `members`' values of `rc`.
+fn aggregate(
+    func: AggFunc,
+    rc: Option<ResolvedCol<'_>>,
+    input: &Intermediate,
+    members: &[usize],
+) -> Value {
+    let Some(rc) = rc else {
+        // No input column: COUNT(*) counts the members, and any other
+        // function folds nothing.
+        return match func {
+            AggFunc::Count => Value::Int(members.len() as i64),
+            _ => Value::Null,
         };
-        // The aggregate's non-NULL inputs as base-table rows, in member
-        // order. Every fold below walks them as borrowed values; only a
-        // MIN/MAX winner is materialized, as the stored cell itself.
-        let live = || {
-            members
-                .iter()
-                .map(|&ti| rc.row(input.tuple(ti)))
-                .filter(|&r| rc.col.is_valid(r))
-        };
-        let by_value = |a: &usize, b: &usize| rc.col.get_ref(*a).total_cmp(&rc.col.get_ref(*b));
-        let out = match agg.func {
-            AggFunc::Count => Value::Int(live().count() as i64),
-            // Of equal values `min_by` keeps the first and `max_by` the
-            // last, as `Iterator::min` / `max` over owned values did.
-            AggFunc::Min => live()
-                .min_by(by_value)
-                .map_or(Value::Null, |r| rc.col.get(r)),
-            AggFunc::Max => live()
-                .max_by(by_value)
-                .map_or(Value::Null, |r| rc.col.get(r)),
-            AggFunc::Sum | AggFunc::Avg => match live().count() {
-                0 => Value::Null,
-                n => {
-                    // `Iterator::sum` and no hand-written fold: std's
-                    // identity element is part of the float's bits.
-                    let sum: f64 = live().map(|r| rc.col.get_ref(r).numeric_key()).sum();
-                    Value::Float(if agg.func == AggFunc::Sum {
-                        sum
-                    } else {
-                        sum / n as f64
-                    })
-                }
-            },
-        };
-        row.push(out);
+    };
+    // The aggregate's non-NULL inputs as base-table rows, in member order.
+    // Every fold below walks them as borrowed values; only a MIN/MAX winner
+    // is materialized, as the stored cell itself.
+    let live = || {
+        members
+            .iter()
+            .map(|&ti| rc.row(input.tuple(ti)))
+            .filter(|&r| rc.col.is_valid(r))
+    };
+    let by_value = |a: &usize, b: &usize| rc.col.get_ref(*a).total_cmp(&rc.col.get_ref(*b));
+    match func {
+        AggFunc::Count => Value::Int(live().count() as i64),
+        // Of equal values `min_by` keeps the first and `max_by` the last, as
+        // `Iterator::min` / `max` over owned values did.
+        AggFunc::Min => live()
+            .min_by(by_value)
+            .map_or(Value::Null, |r| rc.col.get(r)),
+        AggFunc::Max => live()
+            .max_by(by_value)
+            .map_or(Value::Null, |r| rc.col.get(r)),
+        AggFunc::Sum | AggFunc::Avg => match live().count() {
+            0 => Value::Null,
+            n => {
+                // `Iterator::sum` and no hand-written fold: std's identity
+                // element is part of the float's bits.
+                let sum: f64 = live().map(|r| rc.col.get_ref(r).numeric_key()).sum();
+                Value::Float(if func == AggFunc::Sum {
+                    sum
+                } else {
+                    sum / n as f64
+                })
+            }
+        },
     }
-    row
 }
 
 /// Execute a physical plan for `query` against `db`, returning materialized
@@ -1229,24 +1246,29 @@ fn execute_impl(
         if !query.order_by.is_empty() {
             interp.work += CostParams::sort(reps.len() as f64);
         }
-        let agg_cols: Vec<Option<ResolvedCol<'_>>> = if reps.is_empty() {
-            Vec::new()
-        } else {
-            query
-                .aggregates
-                .iter()
-                .map(|agg| match agg.input {
-                    None => Ok(None),
-                    Some(col) => Ok(Some(
-                        interp.resolve_cols(&input, std::slice::from_ref(&col))?[0],
-                    )),
-                })
-                .collect::<Result<_, ExecError>>()?
+        let agg_cols: Vec<Option<ResolvedCol<'_>>> = query
+            .aggregates
+            .iter()
+            .map(|agg| match agg.input {
+                Some(col) if !input.data.is_empty() => Ok(Some(
+                    interp.resolve_cols(&input, std::slice::from_ref(&col))?[0],
+                )),
+                _ => Ok(None),
+            })
+            .collect::<Result<_, ExecError>>()?;
+        let Projection::Grouped(items) = &query.projection else {
+            return Err(ExecError::projection_mismatch());
         };
         let mut rows = Vec::with_capacity(order.len());
         for g in order {
             let members = &members[bounds[g]..bounds[g + 1]];
-            rows.push(agg_output(query, &g_cols, &agg_cols, &input, members));
+            rows.push(agg_output(
+                query, items, &g_cols, &agg_cols, &input, members,
+            ));
+        }
+        // Without GROUP BY, SQL aggregates even no input into one row.
+        if rows.is_empty() && query.group_by.is_empty() {
+            rows.push(agg_output(query, items, &g_cols, &agg_cols, &input, &[]));
         }
         close_wrappers(rows.len());
         return Ok(ExecOutput {
@@ -1283,6 +1305,7 @@ fn execute_impl(
     // column over the surviving tuples.
     let cols: Vec<BoundColumn> = match &query.projection {
         Projection::Columns(cols) => cols.clone(),
+        Projection::Grouped(_) => return Err(ExecError::projection_mismatch()),
         Projection::Star => {
             let mut all = Vec::new();
             for (rel, (tid, _)) in query.relations.iter().enumerate() {

@@ -17,7 +17,7 @@ use crate::error::ExecError;
 use crate::exec::ExecOutput;
 use crate::predicate::{filter_table, row_matches};
 use optimizer::{CostParams, Operator, PlanNode};
-use query::{AggFunc, BoundColumn, BoundSelect, Projection, SelectionPredicate};
+use query::{AggFunc, BoundColumn, BoundSelect, OutputItem, Projection, SelectionPredicate};
 use std::collections::HashMap;
 use storage::{Database, Value};
 
@@ -346,14 +346,16 @@ impl<'a> Interp<'a> {
     }
 }
 
+/// One group's output row, in the SELECT list's order (`items`).
 fn agg_output(
     interp: &Interp<'_>,
     inter: &Intermediate,
     query: &BoundSelect,
+    items: &[OutputItem],
     group_tuples: &[&Vec<usize>],
     key: &[Value],
 ) -> Result<Vec<Value>, ExecError> {
-    let mut row: Vec<Value> = key.to_vec();
+    let mut aggs = Vec::with_capacity(query.aggregates.len());
     for agg in &query.aggregates {
         let vals: Vec<Value> = match agg.input {
             None => Vec::new(),
@@ -388,9 +390,15 @@ fn agg_output(
                 }
             }
         };
-        row.push(out);
+        aggs.push(out);
     }
-    Ok(row)
+    Ok(items
+        .iter()
+        .map(|&item| match item {
+            OutputItem::Key(k) => key[k].clone(),
+            OutputItem::Aggregate(a) => aggs[a].clone(),
+        })
+        .collect())
 }
 
 /// Execute a physical plan with the row-at-a-time reference interpreter.
@@ -424,14 +432,10 @@ pub fn execute_plan_reference(
         interp.work += CostParams::hash_aggregate(input.tuples.len() as f64, groups.len() as f64);
         let mut keys: Vec<&Vec<Value>> = groups.keys().collect();
         keys.sort();
-        let mut rows = Vec::with_capacity(keys.len());
-        for k in keys {
-            rows.push(agg_output(&interp, &input, query, &groups[k], k)?);
-        }
-        // ORDER BY over aggregate output: keys must be grouping columns;
-        // their output position is their position in the GROUP BY list.
+        // ORDER BY over aggregate output: keys must be grouping columns, so
+        // the groups are (stably) sorted by their key values.
         if !query.order_by.is_empty() {
-            interp.work += CostParams::sort(rows.len() as f64);
+            interp.work += CostParams::sort(keys.len() as f64);
             let positions: Vec<(usize, bool)> = query
                 .order_by
                 .iter()
@@ -443,7 +447,7 @@ pub fn execute_plan_reference(
                         .map(|p| (p, desc))
                 })
                 .collect();
-            rows.sort_by(|a, b| {
+            keys.sort_by(|a, b| {
                 for &(p, desc) in &positions {
                     let ord = a[p].total_cmp(&b[p]);
                     if ord != std::cmp::Ordering::Equal {
@@ -452,6 +456,17 @@ pub fn execute_plan_reference(
                 }
                 std::cmp::Ordering::Equal
             });
+        }
+        let Projection::Grouped(items) = &query.projection else {
+            return Err(ExecError::projection_mismatch());
+        };
+        let mut rows = Vec::with_capacity(keys.len());
+        for k in keys {
+            rows.push(agg_output(&interp, &input, query, items, &groups[k], k)?);
+        }
+        // Without GROUP BY, SQL aggregates even no input into one row.
+        if rows.is_empty() && query.group_by.is_empty() {
+            rows.push(agg_output(&interp, &input, query, items, &[], &[])?);
         }
         return Ok(ExecOutput {
             rows,
@@ -487,6 +502,7 @@ pub fn execute_plan_reference(
     // Plain projection.
     let cols: Vec<BoundColumn> = match &query.projection {
         Projection::Columns(cols) => cols.clone(),
+        Projection::Grouped(_) => return Err(ExecError::projection_mismatch()),
         Projection::Star => {
             let mut all = Vec::new();
             for (rel, (tid, _)) in query.relations.iter().enumerate() {

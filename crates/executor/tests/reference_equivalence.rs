@@ -34,7 +34,10 @@
 //! a NULL group beside an `Int` key equal to the NULL fingerprint code, and
 //! a hundred thousand groups.
 
-use datagen::{adversarial_queries, build_adversarial, AdversarialConfig, Regime};
+use datagen::{
+    adversarial_queries, build_adversarial, build_tpcd, AdversarialConfig, Regime, TpcdConfig,
+    ZipfSpec,
+};
 use executor::predicate::filter_table;
 use executor::{
     execute_plan, execute_plan_observed, execute_plan_reference, run_statement, StatementOutcome,
@@ -100,9 +103,11 @@ fn assert_equivalent(db: &Database, sql: &str) {
 
 /// The fixed query set over the generated `emp`/`g` pair: single-predicate
 /// scans, conjunctions, a hash join, grouping with NULL groups, and ORDER
-/// BY; the last orders groups by two keys, one DESC, with NULL groups and
-/// ties on its first key, which the grouping keys then break.
-const QUERIES: [&str; 7] = [
+/// BY. The seventh orders groups by two keys, one DESC, with NULL groups and
+/// ties on its first key, which the grouping keys then break. The eighth
+/// outputs a count before its key and leaves a GROUP BY key unprojected; the
+/// last aggregates without GROUP BY over no input.
+const QUERIES: [&str; 9] = [
     "SELECT * FROM emp WHERE grp = 2",
     "SELECT * FROM emp WHERE val < 0.5",
     "SELECT id, grp FROM emp WHERE grp <> 1 AND val >= -0.25",
@@ -110,6 +115,8 @@ const QUERIES: [&str; 7] = [
     "SELECT * FROM emp e, g WHERE e.grp = g.gid",
     "SELECT grp, COUNT(*), SUM(val) FROM emp GROUP BY grp ORDER BY grp",
     "SELECT name, d, COUNT(*), SUM(val) FROM emp GROUP BY grp, name, d ORDER BY name DESC, grp",
+    "SELECT COUNT(*), grp, MAX(name) FROM emp GROUP BY grp, d ORDER BY d DESC",
+    "SELECT COUNT(*), COUNT(val), MIN(name), MAX(d), SUM(val), AVG(val) FROM emp WHERE id < 0",
 ];
 
 const NAMES: [&str; 4] = ["", "alpha", "β-unicode", "zzz"];
@@ -309,6 +316,76 @@ fn empty_single_row_and_block_boundary_sizes() {
         assert_equivalent(&db, wide);
         assert_equivalent(&db, joined);
     }
+}
+
+/// `sql`'s rows from the columnar engine, once [`assert_equivalent`] has
+/// held them to the reference's.
+fn rows(db: &Database, sql: &str) -> Vec<Vec<Value>> {
+    assert_equivalent(db, sql);
+    let q = bind(db, sql);
+    let opt = Optimizer::default();
+    let plan = opt
+        .optimize(
+            db,
+            &q,
+            StatsCatalog::new().full_view(),
+            &OptimizeOptions::default(),
+        )
+        .expect("optimizes")
+        .plan;
+    execute_plan(db, &q, &plan, &opt.params)
+        .expect("columnar")
+        .rows
+}
+
+#[test]
+fn aggregates_without_group_by_over_no_input_make_one_row() {
+    // COUNT is 0, and every other aggregate is NULL.
+    let tpcd = build_tpcd(&TpcdConfig {
+        scale: 0.001,
+        zipf: ZipfSpec::Mixed,
+        seed: 7,
+    });
+    assert_eq!(
+        rows(
+            &tpcd,
+            "SELECT COUNT(*), MAX(o_totalprice) FROM orders WHERE o_orderkey < 0"
+        ),
+        vec![vec![Value::Int(0), Value::Null]]
+    );
+    let db = fixture(&seeded_rows(40, 7));
+    let mut expected = vec![Value::Int(0), Value::Int(0)];
+    expected.resize(6, Value::Null);
+    assert_eq!(rows(&db, QUERIES[8]), vec![expected]);
+    // A grouped SELECT over no input has no group, so no row.
+    assert!(rows(
+        &db,
+        "SELECT grp, COUNT(*) FROM emp WHERE id < 0 GROUP BY grp"
+    )
+    .is_empty());
+    // Over some input, the one row counts it.
+    assert_eq!(
+        rows(&db, "SELECT COUNT(*) FROM emp WHERE id < 3"),
+        vec![vec![Value::Int(3)]]
+    );
+}
+
+#[test]
+fn grouped_output_follows_the_select_list() {
+    let db = fixture(&seeded_rows(200, 11));
+    let key_first = rows(&db, "SELECT grp, COUNT(*) FROM emp GROUP BY grp");
+    assert!(key_first.len() > 1);
+    let swapped: Vec<Vec<Value>> = key_first
+        .iter()
+        .map(|r| vec![r[1].clone(), r[0].clone()])
+        .collect();
+    assert_eq!(
+        rows(&db, "SELECT COUNT(*), grp FROM emp GROUP BY grp"),
+        swapped
+    );
+    // A GROUP BY key the list does not project is not output.
+    let counts: Vec<Vec<Value>> = key_first.iter().map(|r| vec![r[1].clone()]).collect();
+    assert_eq!(rows(&db, "SELECT COUNT(*) FROM emp GROUP BY grp"), counts);
 }
 
 /// The join-key matrix's key domains. They overlap across types on

@@ -2,7 +2,6 @@
 
 use crate::ast::*;
 use crate::bound::*;
-use std::collections::HashMap;
 use std::fmt;
 use storage::{DataType, Database, TableId, Value};
 
@@ -71,37 +70,42 @@ impl std::error::Error for BindError {}
 
 struct Scope<'a> {
     db: &'a Database,
-    /// binding name (lowercased) → relation ordinal
-    by_name: HashMap<String, usize>,
+    /// `(table id, binding name)` per relation, in FROM order. A FROM list
+    /// is a handful of relations, so a name is found by a case-insensitive
+    /// scan, with nothing lowercased into a new `String`.
     relations: Vec<(TableId, String)>,
 }
 
 impl<'a> Scope<'a> {
     fn build(db: &'a Database, from: &[TableRef]) -> Result<Self, BindError> {
-        let mut by_name = HashMap::new();
-        let mut relations = Vec::with_capacity(from.len());
-        for (ord, t) in from.iter().enumerate() {
+        let mut scope = Scope {
+            db,
+            relations: Vec::with_capacity(from.len()),
+        };
+        for t in from {
             let id = db
                 .table_id(&t.table)
                 .ok_or_else(|| BindError::UnknownTable(t.table.clone()))?;
-            let name = t.binding_name().to_string();
-            if by_name.insert(name.to_ascii_lowercase(), ord).is_some() {
-                return Err(BindError::DuplicateBindingName(name));
+            let name = t.binding_name();
+            if scope.relation_named(name).is_some() {
+                return Err(BindError::DuplicateBindingName(name.to_string()));
             }
-            relations.push((id, name));
+            scope.relations.push((id, name.to_string()));
         }
-        Ok(Scope {
-            db,
-            by_name,
-            relations,
-        })
+        Ok(scope)
+    }
+
+    /// The ordinal of the relation bound as `name`, in any letter case.
+    fn relation_named(&self, name: &str) -> Option<usize> {
+        self.relations
+            .iter()
+            .position(|(_, n)| n.eq_ignore_ascii_case(name))
     }
 
     fn resolve(&self, c: &ColumnRef) -> Result<BoundColumn, BindError> {
         if let Some(q) = &c.qualifier {
-            let rel = *self
-                .by_name
-                .get(&q.to_ascii_lowercase())
+            let rel = self
+                .relation_named(q)
                 .ok_or_else(|| BindError::UnknownTable(q.clone()))?;
             let table = self.db.table(self.relations[rel].0);
             let col = table
@@ -254,12 +258,20 @@ pub fn bind_select(db: &Database, q: &SelectStmt) -> Result<BoundSelect, BindErr
 
     let mut aggregates = Vec::new();
     let mut proj_cols = Vec::new();
+    // A grouped SELECT's output, in SELECT-list order.
+    let mut output = Vec::new();
     let mut star = false;
     for item in &q.items {
         match item {
             SelectItem::Star if grouped => return Err(BindError::Ungrouped("*".to_string())),
             SelectItem::Star => star = true,
-            SelectItem::Column(c) => proj_cols.push(grouping_key(c, scope.resolve(c)?)?),
+            SelectItem::Column(c) => {
+                let col = grouping_key(c, scope.resolve(c)?)?;
+                match group_by.iter().position(|&g| g == col) {
+                    Some(key) if grouped => output.push(OutputItem::Key(key)),
+                    _ => proj_cols.push(col),
+                }
+            }
             SelectItem::Aggregate(f, arg) => {
                 let input = match arg {
                     Some(c) => {
@@ -276,11 +288,14 @@ pub fn bind_select(db: &Database, q: &SelectStmt) -> Result<BoundSelect, BindErr
                     }
                     None => None,
                 };
+                output.push(OutputItem::Aggregate(aggregates.len()));
                 aggregates.push(BoundAggregate { func: *f, input });
             }
         }
     }
-    let projection = if star || proj_cols.is_empty() {
+    let projection = if grouped {
+        Projection::Grouped(output)
+    } else if star || proj_cols.is_empty() {
         Projection::Star
     } else {
         Projection::Columns(proj_cols)
@@ -573,9 +588,12 @@ mod tests {
                 "{sql}"
             );
         }
-        // An aggregates-only list still binds, to `Projection::Star`.
+        // An aggregates-only list still binds.
         let b = bind(&db, "SELECT COUNT(*), MAX(age) FROM emp").unwrap();
-        assert_eq!(b.as_select().unwrap().projection, Projection::Star);
+        assert_eq!(
+            b.as_select().unwrap().projection,
+            Projection::Grouped(vec![OutputItem::Aggregate(0), OutputItem::Aggregate(1)])
+        );
     }
 
     #[test]

@@ -116,6 +116,17 @@ pub struct BoundAggregate {
 pub enum Projection {
     Star,
     Columns(Vec<BoundColumn>),
+    /// A grouped or aggregating SELECT's output row, in SELECT-list order.
+    Grouped(Vec<OutputItem>),
+}
+
+/// One column of a grouped or aggregating SELECT's output.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum OutputItem {
+    /// The value of [`BoundSelect::group_by`]`[i]`.
+    Key(usize),
+    /// The value of [`BoundSelect::aggregates`]`[i]`.
+    Aggregate(usize),
 }
 
 /// A bound SELECT query.
@@ -141,13 +152,20 @@ impl BoundSelect {
         self.relations[rel].0
     }
 
-    /// Stable structural fingerprint of the bound query (FNV-1a over the
-    /// `Debug` rendering, which is deterministic: every field is a `Vec`).
-    /// The rendering is hashed as it is written, never held as a `String`.
+    /// Stable structural fingerprint of the bound query: FNV-1a over a
+    /// fixed encoding of every field, each sequence length-prefixed, each
+    /// enum variant and literal type tagged. Two queries share it exactly
+    /// when their `Debug` renderings are equal (up to a 64-bit collision),
+    /// but nothing is rendered.
     pub fn fingerprint(&self) -> u64 {
         let mut h = Fnv::new();
-        // The sink never fails, and `Debug` fails only when its sink does.
-        let _ = fmt::Write::write_fmt(&mut h, format_args!("{self:?}"));
+        self.relations.encode(&mut h);
+        self.projection.encode(&mut h);
+        self.aggregates.encode(&mut h);
+        self.selections.encode(&mut h);
+        self.join_edges.encode(&mut h);
+        self.group_by.encode(&mut h);
+        self.order_by.encode(&mut h);
         h.finish()
     }
 
@@ -194,6 +212,188 @@ impl BoundSelect {
             push(self.table_of(g.relation), g.column, &mut out);
         }
         out
+    }
+}
+
+/// A fixed, self-delimiting encoding into an FNV-1a hasher: what
+/// [`BoundSelect::fingerprint`] hashes. A sequence is its length and then
+/// its items, an enum its variant's tag and then its fields, and a literal
+/// its type's tag and then its payload, so `Int(2)`, `Float(2.0)` and
+/// `Date(2)` differ, and so do `0.0` and `-0.0`. Every NaN encodes alike,
+/// as `Debug` prints every NaN alike.
+trait Encode {
+    fn encode(&self, h: &mut Fnv);
+}
+
+fn tag(h: &mut Fnv, tag: u8) {
+    h.write_bytes(&[tag]);
+}
+
+impl Encode for usize {
+    fn encode(&self, h: &mut Fnv) {
+        h.write(*self as u64);
+    }
+}
+
+impl Encode for bool {
+    fn encode(&self, h: &mut Fnv) {
+        tag(h, u8::from(*self));
+    }
+}
+
+impl Encode for str {
+    fn encode(&self, h: &mut Fnv) {
+        self.len().encode(h);
+        h.write_bytes(self.as_bytes());
+    }
+}
+
+impl Encode for String {
+    fn encode(&self, h: &mut Fnv) {
+        self.as_str().encode(h);
+    }
+}
+
+impl<T: Encode> Encode for Vec<T> {
+    fn encode(&self, h: &mut Fnv) {
+        self.len().encode(h);
+        for item in self {
+            item.encode(h);
+        }
+    }
+}
+
+impl<A: Encode, B: Encode> Encode for (A, B) {
+    fn encode(&self, h: &mut Fnv) {
+        self.0.encode(h);
+        self.1.encode(h);
+    }
+}
+
+impl<T: Encode> Encode for Option<T> {
+    fn encode(&self, h: &mut Fnv) {
+        match self {
+            None => tag(h, 0),
+            Some(x) => {
+                tag(h, 1);
+                x.encode(h);
+            }
+        }
+    }
+}
+
+impl Encode for TableId {
+    fn encode(&self, h: &mut Fnv) {
+        h.write(u64::from(self.0));
+    }
+}
+
+impl Encode for BoundColumn {
+    fn encode(&self, h: &mut Fnv) {
+        self.relation.encode(h);
+        self.column.encode(h);
+    }
+}
+
+impl Encode for CmpOp {
+    fn encode(&self, h: &mut Fnv) {
+        tag(h, *self as u8);
+    }
+}
+
+impl Encode for AggFunc {
+    fn encode(&self, h: &mut Fnv) {
+        tag(h, *self as u8);
+    }
+}
+
+impl Encode for Value {
+    fn encode(&self, h: &mut Fnv) {
+        match self {
+            Value::Null => tag(h, 0),
+            Value::Int(i) => {
+                tag(h, 1);
+                h.write(*i as u64);
+            }
+            Value::Float(x) => {
+                tag(h, 2);
+                h.write(if x.is_nan() { f64::NAN } else { *x }.to_bits());
+            }
+            Value::Str(s) => {
+                tag(h, 3);
+                s.encode(h);
+            }
+            Value::Date(d) => {
+                tag(h, 4);
+                h.write(i64::from(*d) as u64);
+            }
+        }
+    }
+}
+
+impl Encode for PredOp {
+    fn encode(&self, h: &mut Fnv) {
+        match self {
+            PredOp::Cmp(op, v) => {
+                tag(h, 0);
+                op.encode(h);
+                v.encode(h);
+            }
+            PredOp::Between(low, high) => {
+                tag(h, 1);
+                low.encode(h);
+                high.encode(h);
+            }
+        }
+    }
+}
+
+impl Encode for SelectionPredicate {
+    fn encode(&self, h: &mut Fnv) {
+        self.column.encode(h);
+        self.op.encode(h);
+    }
+}
+
+impl Encode for JoinEdge {
+    fn encode(&self, h: &mut Fnv) {
+        self.left_rel.encode(h);
+        self.right_rel.encode(h);
+        self.pairs.encode(h);
+    }
+}
+
+impl Encode for BoundAggregate {
+    fn encode(&self, h: &mut Fnv) {
+        self.func.encode(h);
+        self.input.encode(h);
+    }
+}
+
+impl Encode for OutputItem {
+    fn encode(&self, h: &mut Fnv) {
+        let (t, i) = match self {
+            OutputItem::Key(i) => (0, i),
+            OutputItem::Aggregate(i) => (1, i),
+        };
+        tag(h, t);
+        i.encode(h);
+    }
+}
+
+impl Encode for Projection {
+    fn encode(&self, h: &mut Fnv) {
+        match self {
+            Projection::Star => tag(h, 0),
+            Projection::Columns(cols) => {
+                tag(h, 1);
+                cols.encode(h);
+            }
+            Projection::Grouped(items) => {
+                tag(h, 2);
+                items.encode(h);
+            }
+        }
     }
 }
 
@@ -302,30 +502,95 @@ mod tests {
         assert_eq!(rel.len(), 6);
     }
 
+    /// Two queries share a fingerprint exactly when their `Debug`
+    /// renderings are equal: the contract the monitor's key and the
+    /// optimizer cache's key were written against.
+    fn assert_fingerprint_contract(qs: &[BoundSelect]) {
+        for a in qs {
+            for b in qs {
+                assert_eq!(
+                    a.fingerprint() == b.fingerprint(),
+                    format!("{a:?}") == format!("{b:?}"),
+                    "{a:?}\n{b:?}"
+                );
+            }
+        }
+    }
+
     #[test]
-    fn fingerprint_is_fnv_over_the_rendered_debug_string() {
-        let rendered =
-            |q: &BoundSelect| Fnv::new().write_bytes(format!("{q:?}").as_bytes()).finish();
-        let q = two_rel_query();
-        let mut other = two_rel_query();
-        other.selections[0].op = PredOp::Cmp(CmpOp::Lt, Value::Str("x\u{e9}\"".into()));
-        let bare = BoundSelect {
-            relations: vec![(TableId(3), "t".into())],
-            projection: Projection::Star,
-            aggregates: vec![],
-            selections: vec![],
-            join_edges: vec![],
-            group_by: vec![],
-            order_by: vec![],
-        };
-        let fps: Vec<u64> = [q, other, bare]
+    fn fingerprint_tells_apart_exactly_what_debug_tells_apart() {
+        let nan = f64::NAN;
+        let literals = [
+            Value::Int(2),
+            Value::Float(2.0),
+            Value::Date(2),
+            Value::Float(0.0),
+            Value::Float(-0.0),
+            Value::Float(nan),
+            Value::Float(-nan),
+            Value::Float(f64::from_bits(nan.to_bits() | 1)),
+            Value::Str("abc".into()),
+            Value::Str("abd".into()),
+            Value::Str("ab".into()),
+            Value::Str("x\u{e9}\"".into()),
+            Value::Null,
+            Value::Int(-1),
+        ];
+        let mut qs: Vec<BoundSelect> = literals
             .iter()
-            .map(|q| {
-                assert_eq!(q.fingerprint(), rendered(q));
-                q.fingerprint()
+            .map(|v| {
+                let mut q = two_rel_query();
+                q.selections[0].op = PredOp::Cmp(CmpOp::Lt, v.clone());
+                q
             })
             .collect();
-        assert!(fps[0] != fps[1] && fps[1] != fps[2] && fps[0] != fps[2]);
+        // Every NaN prints as `NaN`, so all three NaNs are one template.
+        assert_eq!(qs[5].fingerprint(), qs[7].fingerprint());
+        // BETWEEN's two literals, each delimited: without a length prefix
+        // the two string pairs, each holding a string literal's tag byte,
+        // would encode alike.
+        for (low, high) in [
+            (Value::Int(2), Value::Int(3)),
+            (Value::Int(23), Value::Int(0)),
+            (Value::Str("a\u{3}b".into()), Value::Str("c".into())),
+            (Value::Str("a".into()), Value::Str("b\u{3}c".into())),
+        ] {
+            let mut q = two_rel_query();
+            q.selections[0].op = PredOp::Between(low, high);
+            qs.push(q);
+        }
+        // Where one field's text ends and the next begins.
+        for names in [("ab", "c"), ("a", "bc")] {
+            let mut q = two_rel_query();
+            q.relations[0].1 = names.0.into();
+            q.relations[1].1 = names.1.into();
+            qs.push(q);
+        }
+        for projection in [
+            Projection::Columns(vec![]),
+            Projection::Grouped(vec![]),
+            Projection::Columns(vec![BoundColumn::new(0, 1)]),
+            Projection::Grouped(vec![OutputItem::Key(0), OutputItem::Aggregate(0)]),
+            Projection::Grouped(vec![OutputItem::Aggregate(0), OutputItem::Key(0)]),
+        ] {
+            qs.push(BoundSelect {
+                projection,
+                ..two_rel_query()
+            });
+        }
+        let mut ascending = two_rel_query();
+        ascending.order_by[0].1 = false;
+        qs.push(ascending);
+        let mut counted = two_rel_query();
+        counted.aggregates.push(BoundAggregate {
+            func: AggFunc::Count,
+            input: None,
+        });
+        qs.push(counted.clone());
+        counted.aggregates[0].input = Some(BoundColumn::new(0, 0));
+        qs.push(counted);
+        qs.push(two_rel_query());
+        assert_fingerprint_contract(&qs);
     }
 
     #[test]

@@ -28,7 +28,8 @@ pub use ast::{
 pub use binder::{bind_select, bind_statement, BindError};
 pub use bound::{
     BoundAggregate, BoundColumn, BoundDelete, BoundInsert, BoundSelect, BoundStatement,
-    BoundUpdate, JoinEdge, PredClass, PredOp, PredicateId, Projection, SelectionPredicate,
+    BoundUpdate, JoinEdge, OutputItem, PredClass, PredOp, PredicateId, Projection,
+    SelectionPredicate,
 };
 pub use parser::{parse_statement, ParseError};
 pub use render::render;

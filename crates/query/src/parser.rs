@@ -21,6 +21,7 @@
 //! ```
 
 use crate::ast::*;
+use std::borrow::Cow;
 use std::fmt;
 use storage::Value;
 
@@ -39,13 +40,40 @@ impl fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
-#[derive(Debug, Clone, PartialEq)]
-enum Token {
-    Ident(String),
+/// A token, borrowing its text from the statement: lexing and parsing copy
+/// no identifier, and a string literal is unescaped only when it becomes a
+/// [`Value`].
+#[derive(Clone, Copy, PartialEq)]
+enum Token<'a> {
+    Ident(&'a str),
     Int(i64),
     Float(f64),
-    Str(String),
+    /// A string literal's text between its quotes, `''` escapes and all.
+    Str(&'a str),
     Symbol(&'static str), // one of , ( ) * . = <> < <= > >=
+}
+
+/// A string literal's contents: its text with each `''` read as `'`.
+fn unescape(raw: &str) -> Cow<'_, str> {
+    if raw.contains('\'') {
+        Cow::Owned(raw.replace("''", "'"))
+    } else {
+        Cow::Borrowed(raw)
+    }
+}
+
+/// As `#[derive(Debug)]` would print the token with owned, unescaped text:
+/// what error messages show.
+impl fmt::Debug for Token<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Token::Ident(s) => f.debug_tuple("Ident").field(s).finish(),
+            Token::Int(i) => f.debug_tuple("Int").field(i).finish(),
+            Token::Float(x) => f.debug_tuple("Float").field(x).finish(),
+            Token::Str(raw) => f.debug_tuple("Str").field(&unescape(raw)).finish(),
+            Token::Symbol(s) => f.debug_tuple("Symbol").field(s).finish(),
+        }
+    }
 }
 
 struct Lexer<'a> {
@@ -65,9 +93,11 @@ impl<'a> Lexer<'a> {
         }
     }
 
-    fn tokenize(mut self) -> Result<Vec<(Token, usize)>, ParseError> {
-        let bytes = self.src.as_bytes();
-        let mut out = Vec::new();
+    fn tokenize(mut self) -> Result<Vec<(Token<'a>, usize)>, ParseError> {
+        let src = self.src;
+        let bytes = src.as_bytes();
+        // Sized for about one token per four bytes of SQL.
+        let mut out = Vec::with_capacity(src.len() / 4 + 1);
         while self.pos < bytes.len() {
             let start = self.pos;
             let c = bytes[self.pos] as char;
@@ -82,7 +112,7 @@ impl<'a> Lexer<'a> {
                 {
                     end += 1;
                 }
-                out.push((Token::Ident(self.src[self.pos..end].to_string()), start));
+                out.push((Token::Ident(&src[self.pos..end]), start));
                 self.pos = end;
                 continue;
             }
@@ -120,7 +150,6 @@ impl<'a> Lexer<'a> {
             }
             if c == '\'' {
                 let mut end = self.pos + 1;
-                let mut s = String::new();
                 loop {
                     if end >= bytes.len() {
                         return Err(self.error("unterminated string literal"));
@@ -128,18 +157,15 @@ impl<'a> Lexer<'a> {
                     if bytes[end] == b'\'' {
                         // '' is an escaped quote
                         if end + 1 < bytes.len() && bytes[end + 1] == b'\'' {
-                            s.push('\'');
                             end += 2;
                             continue;
                         }
-                        end += 1;
                         break;
                     }
-                    s.push(bytes[end] as char);
                     end += 1;
                 }
-                out.push((Token::Str(s), start));
-                self.pos = end;
+                out.push((Token::Str(&src[self.pos + 1..end]), start));
+                self.pos = end + 1;
                 continue;
             }
             let sym: &'static str = match c {
@@ -181,16 +207,16 @@ impl<'a> Lexer<'a> {
     }
 }
 
-struct Parser {
-    tokens: Vec<(Token, usize)>,
+struct Parser<'a> {
+    tokens: Vec<(Token<'a>, usize)>,
     pos: usize,
     /// Length of the input in bytes: where an error at end of input points.
     end: usize,
 }
 
-impl Parser {
-    fn peek(&self) -> Option<&Token> {
-        self.tokens.get(self.pos).map(|(t, _)| t)
+impl<'a> Parser<'a> {
+    fn peek(&self) -> Option<Token<'a>> {
+        self.tokens.get(self.pos).map(|&(t, _)| t)
     }
 
     fn offset(&self) -> usize {
@@ -207,8 +233,8 @@ impl Parser {
         }
     }
 
-    fn next(&mut self) -> Option<Token> {
-        let t = self.tokens.get(self.pos).map(|(t, _)| t.clone());
+    fn next(&mut self) -> Option<Token<'a>> {
+        let t = self.peek();
         if t.is_some() {
             self.pos += 1;
         }
@@ -236,7 +262,7 @@ impl Parser {
 
     fn eat_symbol(&mut self, sym: &str) -> bool {
         if let Some(Token::Symbol(s)) = self.peek() {
-            if *s == sym {
+            if s == sym {
                 self.pos += 1;
                 return true;
             }
@@ -252,7 +278,7 @@ impl Parser {
         }
     }
 
-    fn ident(&mut self) -> Result<String, ParseError> {
+    fn ident(&mut self) -> Result<&'a str, ParseError> {
         match self.next() {
             Some(Token::Ident(s)) => Ok(s),
             other => Err(self.error(format!("expected identifier, found {other:?}"))),
@@ -271,7 +297,7 @@ impl Parser {
         match self.next() {
             Some(Token::Int(i)) => Ok(Value::Int(i)),
             Some(Token::Float(f)) => Ok(Value::Float(f)),
-            Some(Token::Str(s)) => Ok(Value::Str(s.into())),
+            Some(Token::Str(raw)) => Ok(Value::Str(unescape(raw).as_ref().into())),
             Some(Token::Ident(s)) if s.eq_ignore_ascii_case("null") => Ok(Value::Null),
             Some(Token::Ident(s)) if s.eq_ignore_ascii_case("date") => match self.next() {
                 Some(Token::Int(d)) => Ok(Value::Date(d as i32)),
@@ -360,15 +386,18 @@ impl Parser {
         if self.eat_symbol("*") {
             return Ok(SelectItem::Star);
         }
+        const AGGREGATES: [(&str, AggFunc); 5] = [
+            ("count", AggFunc::Count),
+            ("sum", AggFunc::Sum),
+            ("avg", AggFunc::Avg),
+            ("min", AggFunc::Min),
+            ("max", AggFunc::Max),
+        ];
         if let Some(Token::Ident(s)) = self.peek() {
-            let agg = match s.to_ascii_lowercase().as_str() {
-                "count" => Some(AggFunc::Count),
-                "sum" => Some(AggFunc::Sum),
-                "avg" => Some(AggFunc::Avg),
-                "min" => Some(AggFunc::Min),
-                "max" => Some(AggFunc::Max),
-                _ => None,
-            };
+            let agg = AGGREGATES
+                .iter()
+                .find(|(name, _)| s.eq_ignore_ascii_case(name))
+                .map(|&(_, func)| func);
             if let Some(func) = agg {
                 // Only treat as an aggregate when followed by '('.
                 if matches!(
@@ -391,7 +420,7 @@ impl Parser {
     }
 
     fn table_ref(&mut self) -> Result<TableRef, ParseError> {
-        let table = self.ident()?;
+        let table = self.ident()?.to_string();
         let _ = self.eat_kw("as");
         if let Some(Token::Ident(s)) = self.peek() {
             if !Self::is_keyword(s) {
@@ -461,7 +490,7 @@ impl Parser {
     fn insert(&mut self) -> Result<InsertStmt, ParseError> {
         self.expect_kw("insert")?;
         self.expect_kw("into")?;
-        let table = self.ident()?;
+        let table = self.ident()?.to_string();
         self.expect_kw("values")?;
         self.expect_symbol("(")?;
         let mut values = vec![self.literal()?];
@@ -474,9 +503,9 @@ impl Parser {
 
     fn update(&mut self) -> Result<UpdateStmt, ParseError> {
         self.expect_kw("update")?;
-        let table = self.ident()?;
+        let table = self.ident()?.to_string();
         self.expect_kw("set")?;
-        let set_column = self.ident()?;
+        let set_column = self.ident()?.to_string();
         self.expect_symbol("=")?;
         let set_value = self.literal()?;
         let conditions = if self.eat_kw("where") {
@@ -495,7 +524,7 @@ impl Parser {
     fn delete(&mut self) -> Result<DeleteStmt, ParseError> {
         self.expect_kw("delete")?;
         self.expect_kw("from")?;
-        let table = self.ident()?;
+        let table = self.ident()?.to_string();
         let conditions = if self.eat_kw("where") {
             self.conditions()?
         } else {
@@ -658,6 +687,93 @@ mod tests {
         ] {
             let err = parse_statement(sql).unwrap_err();
             assert_eq!(err.offset, sql.len(), "{sql}: {err}");
+        }
+    }
+
+    #[test]
+    fn parse_errors_pin_their_message_and_offset() {
+        let cases: [(&str, &str, usize); 12] = [
+            (
+                "SELECT * FROM t WHERE s = 'abc",
+                "unterminated string literal",
+                26,
+            ),
+            (
+                "SELECT * FROM t WHERE s = '",
+                "unterminated string literal",
+                26,
+            ),
+            (
+                "SELECT * FROM t WHERE a ! 3",
+                "unexpected character '!'",
+                24,
+            ),
+            (
+                "SELECT * t",
+                "expected keyword from, found Some(Ident(\"t\"))",
+                10,
+            ),
+            (
+                "SELECT * FROM t WHERE a BETWEEN 1 'x''y' 3",
+                "expected keyword and, found Some(Str(\"x'y\"))",
+                41,
+            ),
+            ("SELECT * FROM t x y", "trailing tokens after statement", 18),
+            (
+                "INSERT INTO t VALUES (DATE 'x')",
+                "expected integer after DATE",
+                30,
+            ),
+            (
+                "SELECT * FROM t WHERE a BETWEEN DATE 1.5 AND DATE 2",
+                "expected integer after DATE",
+                41,
+            ),
+            ("", "expected a statement, found None", 0),
+            (
+                "EXPLAIN SELECT",
+                "expected a statement, found Some(Ident(\"EXPLAIN\"))",
+                0,
+            ),
+            (
+                "SELECT * FROM t WHERE a = 99999999999999999999",
+                "bad int literal",
+                26,
+            ),
+            (
+                "SELECT * FROM t WHERE a < b",
+                "column-to-column predicates must be equi-joins",
+                27,
+            ),
+        ];
+        for (sql, message, offset) in cases {
+            assert_eq!(
+                parse_statement(sql),
+                Err(ParseError {
+                    message: message.to_string(),
+                    offset
+                }),
+                "{sql}"
+            );
+        }
+    }
+
+    #[test]
+    fn string_literals_keep_their_text() {
+        for (sql, text) in [
+            (
+                "SELECT * FROM t WHERE s = 'caf\u{e9} \u{3b2}'",
+                "caf\u{e9} \u{3b2}",
+            ),
+            ("SELECT * FROM t WHERE s = ''''", "'"),
+            ("SELECT * FROM t WHERE s = 'o''brien'''", "o'brien'"),
+            ("SELECT * FROM t WHERE s = ''", ""),
+        ] {
+            let q = parse_statement(sql).unwrap();
+            match &q.as_select().unwrap().conditions[0] {
+                Condition::Compare { value, .. } => assert_eq!(*value, Value::Str(text.into())),
+                other => panic!("{other:?}"),
+            }
         }
     }
 

@@ -5,7 +5,6 @@ use crate::index::Index;
 use crate::schema::Schema;
 use crate::table::Table;
 use crate::Result;
-use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 
@@ -29,7 +28,6 @@ impl fmt::Display for TableId {
 #[derive(Debug, Default, Clone)]
 pub struct Database {
     tables: Vec<Arc<Table>>,
-    by_name: HashMap<String, TableId>,
     indexes: Vec<Index>,
 }
 
@@ -41,18 +39,21 @@ impl Database {
     /// Create a table; returns its id.
     pub fn create_table(&mut self, name: impl Into<String>, schema: Schema) -> Result<TableId> {
         let name = name.into();
-        let key = name.to_ascii_lowercase();
-        if self.by_name.contains_key(&key) {
+        if self.table_id(&name).is_some() {
             return Err(StorageError::DuplicateTable(name));
         }
         let id = TableId(self.tables.len() as u32);
         self.tables.push(Arc::new(Table::new(name, schema)));
-        self.by_name.insert(key, id);
         Ok(id)
     }
 
+    /// The table named `name`, in any letter case. A database holds a
+    /// handful of tables, so this is a scan that allocates nothing.
     pub fn table_id(&self, name: &str) -> Option<TableId> {
-        self.by_name.get(&name.to_ascii_lowercase()).copied()
+        self.tables
+            .iter()
+            .position(|t| t.name().eq_ignore_ascii_case(name))
+            .map(|i| TableId(i as u32))
     }
 
     pub fn table(&self, id: TableId) -> &Table {
@@ -122,7 +123,6 @@ impl Database {
                 .iter()
                 .map(|t| Arc::new(t.empty_like()))
                 .collect(),
-            by_name: self.by_name.clone(),
             indexes: self.indexes.clone(),
         }
     }

@@ -4,9 +4,7 @@
 //! `std::hash::DefaultHasher`, whose output may change between Rust
 //! versions.
 
-use std::fmt;
-
-/// FNV-1a 64-bit hasher over explicit words, bytes and formatted text.
+/// FNV-1a 64-bit hasher over explicit words and bytes.
 #[derive(Debug, Clone)]
 pub struct Fnv(u64);
 
@@ -47,20 +45,9 @@ impl Fnv {
     }
 }
 
-/// Hashes the UTF-8 bytes of everything formatted into it, as it is
-/// written: `write!(h, "{x:?}")` fingerprints a rendering without holding it
-/// as a `String`. Never fails.
-impl fmt::Write for Fnv {
-    fn write_str(&mut self, s: &str) -> fmt::Result {
-        self.write_bytes(s.as_bytes());
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::fmt::Write as _;
 
     #[test]
     fn matches_the_published_fnv1a_vectors() {
@@ -73,15 +60,12 @@ mod tests {
     }
 
     #[test]
-    fn words_text_and_seed_agree_with_bytes() {
+    fn words_and_seed_agree_with_bytes() {
         let word = 0x0123_4567_89ab_cdefu64;
         assert_eq!(
             Fnv::new().write(word).finish(),
             Fnv::new().write_bytes(&word.to_le_bytes()).finish()
         );
-        let mut h = Fnv::new();
-        write!(h, "{}-{:?}", 42, "x").unwrap();
-        assert_eq!(h.finish(), Fnv::new().write_bytes(b"42-\"x\"").finish());
         assert_eq!(Fnv::seeded(0).finish(), Fnv::new().finish());
         assert_eq!(Fnv::seeded(7).finish(), 0xcbf2_9ce4_8422_2325 ^ 7);
     }

@@ -8,8 +8,8 @@ use datagen::{build_tpcd, Complexity, RagsGenerator, TpcdConfig, ZipfSpec};
 use executor::execute_plan;
 use optimizer::{OptimizeOptions, Optimizer};
 use query::{
-    bind_statement, AggFunc, BoundColumn, BoundSelect, BoundStatement, PredOp, Projection,
-    Statement,
+    bind_statement, AggFunc, BoundColumn, BoundSelect, BoundStatement, OutputItem, PredOp,
+    Projection, Statement,
 };
 use stats::{StatDescriptor, StatsCatalog};
 use std::collections::HashMap;
@@ -95,13 +95,17 @@ fn reference_eval(db: &Database, q: &BoundSelect) -> Vec<Vec<Value>> {
             let key: Vec<Value> = q.group_by.iter().map(|&g| value_of(t, g)).collect();
             groups.entry(key).or_default().push(t);
         }
+        // Without GROUP BY, no input still makes one (empty) group.
+        if q.group_by.is_empty() {
+            groups.entry(Vec::new()).or_default();
+        }
         let mut keys: Vec<&Vec<Value>> = groups.keys().collect();
         keys.sort();
         return keys
             .into_iter()
             .map(|k| {
                 let members = &groups[k];
-                let mut row = k.clone();
+                let mut aggs = Vec::new();
                 for agg in &q.aggregates {
                     let vals: Vec<Value> = match agg.input {
                         None => vec![],
@@ -111,7 +115,7 @@ fn reference_eval(db: &Database, q: &BoundSelect) -> Vec<Vec<Value>> {
                             .filter(|v| !v.is_null())
                             .collect(),
                     };
-                    row.push(match agg.func {
+                    aggs.push(match agg.func {
                         AggFunc::Count => Value::Int(match agg.input {
                             None => members.len() as i64,
                             Some(_) => vals.len() as i64,
@@ -132,13 +136,23 @@ fn reference_eval(db: &Database, q: &BoundSelect) -> Vec<Vec<Value>> {
                         }
                     });
                 }
-                row
+                let Projection::Grouped(items) = &q.projection else {
+                    panic!("a grouped query binds to a grouped projection")
+                };
+                items
+                    .iter()
+                    .map(|&item| match item {
+                        OutputItem::Key(g) => k[g].clone(),
+                        OutputItem::Aggregate(a) => aggs[a].clone(),
+                    })
+                    .collect()
             })
             .collect();
     }
 
     let cols: Vec<BoundColumn> = match &q.projection {
         Projection::Columns(c) => c.clone(),
+        Projection::Grouped(_) => unreachable!("a grouped query returned above"),
         Projection::Star => {
             let mut all = Vec::new();
             for (rel, (tid, _)) in q.relations.iter().enumerate() {
