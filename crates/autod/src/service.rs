@@ -456,15 +456,17 @@ impl QueryHandle {
         })
     }
 
-    /// DML: bind and run under the slot's write lock, on the slot's own
-    /// snapshot ([`write_slot`] copies the snapshot only if someone holds
-    /// it, and the target table only if that holder shares it).
+    /// DML: bind against the slot's snapshot, then run under the slot's
+    /// write lock on the slot's own snapshot ([`write_slot`] copies the
+    /// snapshot only if someone holds it, and the target table only if that
+    /// holder shares it). A statement that fails to bind leaves the
+    /// snapshot, and its plan memo, as they were.
     fn run_write(&self, stmt: &Statement) -> Result<StatementOutcome, StatementError> {
         let start = Instant::now();
         let out = {
             let mut slot = self.slot.write();
+            let bound = bind_statement(&slot.db, stmt)?;
             let snapshot = write_slot(&mut slot);
-            let bound = bind_statement(&snapshot.db, stmt)?;
             if bound.target().is_some_and(|t| snapshot.db.is_shared(t)) {
                 self.telemetry.table_copies.inc();
             }
@@ -532,6 +534,45 @@ mod tests {
             shrink_every: 2,
             ..AutodConfig::default()
         })
+    }
+
+    /// An INSERT the table rejects — a NULL into a non-nullable column, a
+    /// string into an integer one — is an error at its client, as a
+    /// rejected UPDATE is, and leaves the table as it was.
+    #[test]
+    fn a_rejected_insert_errs_and_changes_nothing() {
+        let svc = service(f64::INFINITY);
+        let h = svc.handle(1);
+        let rows = |svc: &OnlineService| {
+            let snapshot = svc.snapshot();
+            let t = snapshot.db.table_id("departments").unwrap();
+            let table = snapshot.db.table(t);
+            (table.row_count(), table.modification_counter())
+        };
+        let before = rows(&svc);
+        for sql in [
+            "INSERT INTO departments VALUES (NULL, 'x')",
+            "INSERT INTO departments VALUES ('x', 'y')",
+        ] {
+            let out = h.run_sql(sql);
+            assert!(
+                matches!(
+                    out,
+                    Err(StatementError::Exec(executor::ExecError::Storage(_)))
+                ),
+                "{sql}: {out:?}"
+            );
+            assert_eq!(rows(&svc), before, "{sql}");
+        }
+        let out = h.run_sql("INSERT INTO departments VALUES (99, 'x')");
+        assert!(matches!(
+            out,
+            Ok(StatementOutcome::Dml {
+                rows_affected: 1,
+                ..
+            })
+        ));
+        assert_eq!(rows(&svc).0, before.0 + 1);
     }
 
     #[test]

@@ -290,14 +290,12 @@ pub fn execute_workload_memo(
 pub fn create_all(
     db: &Database,
     catalog: &mut StatsCatalog,
-    descriptors: impl IntoIterator<Item = StatDescriptor>,
+    descriptors: &[StatDescriptor],
 ) -> f64 {
     let before = catalog.creation_work();
-    for d in descriptors {
-        catalog
-            .create_statistic(db, d)
-            .expect("bench statistic builds");
-    }
+    catalog
+        .create_statistics(db, descriptors)
+        .expect("bench statistic builds");
     catalog.creation_work() - before
 }
 

@@ -64,13 +64,13 @@ fn measure(
     cat_ex.set_obs(obs);
     let mut work_ex = 0.0;
     for q in &queries {
-        work_ex += create_all(db, &mut cat_ex, exhaustive_candidates(q, 8));
+        work_ex += create_all(db, &mut cat_ex, &exhaustive_candidates(q, 8));
     }
     let mut cat_h = StatsCatalog::new();
     cat_h.set_obs(obs);
     let mut work_h = 0.0;
     for q in &queries {
-        work_h += create_all(db, &mut cat_h, candidate_statistics(q));
+        work_h += create_all(db, &mut cat_h, &candidate_statistics(q));
     }
 
     let exec_ex = execute_workload(db, &cat_ex, &bound, obs);

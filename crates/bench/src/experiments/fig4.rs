@@ -64,7 +64,7 @@ pub fn measure(
             CandidateMode::SingleColumnOnly => single_column_candidates(q),
             _ => candidate_statistics(q),
         };
-        work_all += create_all(db, &mut cat_all, cands);
+        work_all += create_all(db, &mut cat_all, &cands);
     }
 
     // (b) MNSA, overhead included.

@@ -89,7 +89,7 @@ pub fn run(scale: &ExperimentScale, obs: &obsv::Obs) -> (Vec<SweepResult>, Sessi
     cat_all.set_obs(obs);
     let mut work_all = 0.0;
     for q in &queries {
-        work_all += create_all(&db, &mut cat_all, candidate_statistics(q));
+        work_all += create_all(&db, &mut cat_all, &candidate_statistics(q));
     }
     let exec_all = execute_workload_memo(&db, &cat_all, &bound, &mut memo, obs);
 

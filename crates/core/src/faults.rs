@@ -11,9 +11,10 @@
 //! * [`Fault::DropAllStatistics`] — every built statistic physically dropped
 //!   mid-tune, as a concurrent DBA or maintenance pass would;
 //! * [`Fault::DegenerateSampler`] — statistics builds sample (effectively)
-//!   zero rows, the §2 sampling failure mode;
-//! * [`Fault::ZeroBucketHistograms`] — a zero bucket budget, the most
-//!   degenerate histogram shape.
+//!   zero rows, the §2 sampling failure mode.
+//!
+//! The bucket budget is the constant [`stats::MAX_BUCKETS`], not an option
+//! a fault could set to zero.
 //!
 //! `tests/fault_injection.rs` drives every tuning entry point through
 //! random schedules of these faults and asserts the panic-free contract:
@@ -37,8 +38,6 @@ pub enum Fault {
     /// literal degenerate [`SampleSpec`] that the sampler clamps to its
     /// one-row floor.
     DegenerateSampler,
-    /// Future statistics builds get a zero bucket budget.
-    ZeroBucketHistograms,
 }
 
 /// A schedule of faults applied to a live database + catalog.
@@ -52,7 +51,7 @@ pub enum Fault {
 /// let mut catalog = StatsCatalog::new();
 /// FaultPlan::new()
 ///     .with(Fault::TruncateAllTables)
-///     .with(Fault::ZeroBucketHistograms)
+///     .with(Fault::DegenerateSampler)
 ///     .inject(&mut db, &mut catalog);
 /// ```
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -119,14 +118,6 @@ fn inject_one(fault: &Fault, db: &mut Database, catalog: &mut StatsCatalog) -> b
                     fraction: 1e-12,
                     min_rows: 0,
                 },
-                ..catalog.build_options().clone()
-            };
-            catalog.set_build_options(options);
-            true
-        }
-        Fault::ZeroBucketHistograms => {
-            let options = BuildOptions {
-                max_buckets: 0,
                 ..catalog.build_options().clone()
             };
             catalog.set_build_options(options);
@@ -214,12 +205,11 @@ mod tests {
     }
 
     #[test]
-    fn sampler_and_bucket_faults_still_build_valid_statistics() {
+    fn degenerate_sampler_still_builds_valid_statistics() {
         let (mut db, t) = setup();
         let mut catalog = StatsCatalog::new();
         FaultPlan::new()
             .with(Fault::DegenerateSampler)
-            .with(Fault::ZeroBucketHistograms)
             .inject(&mut db, &mut catalog);
         // Builds under degenerate options must still yield a statistic whose
         // estimates are sane, not a panic.

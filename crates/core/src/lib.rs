@@ -65,7 +65,6 @@
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod advisor;
-mod batch;
 pub mod candidates;
 pub mod equivalence;
 pub mod error;

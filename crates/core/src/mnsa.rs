@@ -308,10 +308,9 @@ impl MnsaEngine {
             };
 
             // Step 10: build the statistic(s). A round group may pair
-            // statistics across two joined tables; same-table runs inside it
-            // share one scan.
+            // statistics across two joined tables; each table is read once.
             let before_plan = current.plan.clone();
-            let round_ids = crate::batch::create_statistics_grouped(catalog, db, &group)?;
+            let round_ids = catalog.create_statistics(db, &group)?;
             outcome.created.extend(&round_ids);
             outcome.rounds += 1;
             round_span.arg("built", round_ids.len());

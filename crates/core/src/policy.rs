@@ -165,11 +165,11 @@ pub fn apply_policy(
     let created = match policy {
         CreationPolicy::CreateAllSyntactic => {
             let descs = unbuilt(catalog, crate::candidates::single_column_candidates(query));
-            crate::batch::create_statistics_grouped(catalog, db, &descs)?
+            catalog.create_statistics(db, &descs)?
         }
         CreationPolicy::CreateAllCandidates => {
             let descs = unbuilt(catalog, crate::candidates::candidate_statistics(query));
-            crate::batch::create_statistics_grouped(catalog, db, &descs)?
+            catalog.create_statistics(db, &descs)?
         }
         CreationPolicy::Mnsa(cfg) => {
             let outcome = MnsaEngine::new(*cfg).run_query(db, catalog, query)?;

@@ -37,14 +37,10 @@ impl StatementOutcome {
 
 fn run_insert(db: &mut Database, ins: &BoundInsert) -> Result<StatementOutcome, ExecError> {
     let table = db.try_table_mut(ins.table)?;
-    let work = CostParams::SEQ_ROW; // append cost
-    let affected = match table.insert(ins.values.clone()) {
-        Ok(()) => 1,
-        Err(_) => 0,
-    };
+    table.insert(ins.values.clone())?;
     Ok(StatementOutcome::Dml {
-        rows_affected: affected,
-        work,
+        rows_affected: 1,
+        work: CostParams::SEQ_ROW, // append cost
     })
 }
 

@@ -318,12 +318,15 @@ impl<'a> Parser<'a> {
         }
     }
 
+    /// A non-keyword identifier, or `DATE` not followed by a literal: a
+    /// `DATE` before a literal starts a date literal, which errs unless the
+    /// literal is an integer.
     fn looks_like_column(&self) -> bool {
         matches!(self.peek(), Some(Token::Ident(s)) if !Self::is_keyword(s))
             || matches!(self.peek(), Some(Token::Ident(s)) if s.eq_ignore_ascii_case("date"))
                 && !matches!(
                     self.tokens.get(self.pos + 1).map(|(t, _)| t),
-                    Some(Token::Int(_))
+                    Some(Token::Int(_) | Token::Float(_) | Token::Str(_))
                 )
     }
 
@@ -692,7 +695,7 @@ mod tests {
 
     #[test]
     fn parse_errors_pin_their_message_and_offset() {
-        let cases: [(&str, &str, usize); 12] = [
+        let cases: [(&str, &str, usize); 14] = [
             (
                 "SELECT * FROM t WHERE s = 'abc",
                 "unterminated string literal",
@@ -728,6 +731,16 @@ mod tests {
                 "SELECT * FROM t WHERE a BETWEEN DATE 1.5 AND DATE 2",
                 "expected integer after DATE",
                 41,
+            ),
+            (
+                "SELECT * FROM t WHERE d = DATE 'x'",
+                "expected integer after DATE",
+                34,
+            ),
+            (
+                "SELECT * FROM t WHERE d = DATE 1.5",
+                "expected integer after DATE",
+                34,
             ),
             ("", "expected a statement, found None", 0),
             (

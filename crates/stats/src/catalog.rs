@@ -6,7 +6,7 @@
 use crate::error::StatsError;
 use crate::histogram::join_selectivity;
 use crate::sampler::SampleSpec;
-use crate::statistic::{build_work, BuildOptions, StatDescriptor, StatId, Statistic, TableScan};
+use crate::statistic::{build_price, BuildOptions, StatDescriptor, StatId, Statistic, TableScan};
 use parking_lot::Mutex;
 use rustc_hash::FxHashMap;
 use std::collections::{BTreeMap, BTreeSet, HashSet};
@@ -45,11 +45,8 @@ pub struct CatalogSnapshot {
     pub build_options: BuildOptions,
 }
 
-#[derive(Debug, Clone, Copy)]
-struct AgingEntry {
-    dropped_epoch: u64,
-    build_cost: f64,
-}
+/// Base seed for per-statistic sampling.
+const SAMPLE_SEED: u64 = 0x000A_0705_2000; // ICDE 2000
 
 /// Cached observability handles. Disabled by default: the tracer no-ops
 /// and the counters are detached (never snapshotted). All of it is
@@ -101,14 +98,13 @@ pub struct StatsCatalog {
     pub(crate) stats: BTreeMap<StatId, Statistic>,
     by_descriptor: FxHashMap<StatDescriptor, StatId>,
     pub(crate) drop_list: BTreeSet<StatId>,
-    aging: FxHashMap<StatDescriptor, AgingEntry>,
+    /// Physically dropped descriptors → the epoch they were dropped in.
+    aging: FxHashMap<StatDescriptor, u64>,
     next_id: u32,
     epoch: u64,
     creation_work: f64,
     pub(crate) update_work: f64,
     build_options: BuildOptions,
-    /// Base seed for per-statistic sampling.
-    seed: u64,
     pub(crate) obs: CatalogObs,
     /// Not part of a snapshot: a restored catalog starts with none.
     pub(crate) join_memo: JoinMemo,
@@ -132,7 +128,6 @@ impl StatsCatalog {
             creation_work: 0.0,
             update_work: 0.0,
             build_options: BuildOptions::default(),
-            seed: 0x000A_0705_2000, // ICDE 2000
             obs: CatalogObs::default(),
             join_memo: JoinMemo::default(),
         }
@@ -171,7 +166,7 @@ impl StatsCatalog {
     /// *after* the change use the new options; existing ones keep the
     /// content they were built with (a refresh rebuilds under the new
     /// options). Fault-injection harnesses use this to degrade the sampler
-    /// or bucket budget mid-run.
+    /// mid-run.
     pub fn set_build_options(&mut self, options: BuildOptions) {
         self.build_options = options;
     }
@@ -210,7 +205,9 @@ impl StatsCatalog {
         self.stats.len()
     }
 
-    /// Create (and build) a statistic, or reactivate/reuse an existing one.
+    /// Create (and build) the statistics `descriptors` name, in order, and
+    /// return their ids. Each descriptor is handled as
+    /// [`StatsCatalog::create_statistic`] handles it:
     ///
     /// * If an active statistic with this descriptor exists, its id is
     ///   returned and no work is charged.
@@ -220,9 +217,41 @@ impl StatsCatalog {
     /// * Otherwise the statistic is built from the table data and charged to
     ///   the creation-work meter.
     ///
-    /// Errors (rather than panics) when the descriptor is degenerate: a
-    /// stale table id, an empty column list, or a column ordinal the table
-    /// does not have.
+    /// Errors (rather than panics) when a descriptor is degenerate: a stale
+    /// table id, an empty column list, or a column ordinal the table does
+    /// not have. The call stops at the first such descriptor; statistics
+    /// created before it remain.
+    ///
+    /// The ids, the catalog left behind and every `build_cost` are those of
+    /// a `create_statistic` loop over the list, to the bit. Only wall clock
+    /// differs: under full-scan options each table is read by one
+    /// `TableScan`, whatever the order of the list, so each histogram,
+    /// column key, prefix partition and joint is computed once per table
+    /// per call. A table's scan is dropped after its last descriptor. Under
+    /// sampled options each build draws its own rows (per-statistic sample
+    /// seeds make sharing unsound).
+    pub fn create_statistics(
+        &mut self,
+        db: &Database,
+        descriptors: &[StatDescriptor],
+    ) -> Result<Vec<StatId>, StatsError> {
+        let mut last = FxHashMap::default();
+        for (i, d) in descriptors.iter().enumerate() {
+            last.insert(d.table, i);
+        }
+        let mut scans: FxHashMap<TableId, Option<TableScan<'_>>> = FxHashMap::default();
+        let mut ids = Vec::with_capacity(descriptors.len());
+        for (i, descriptor) in descriptors.iter().enumerate() {
+            let scan = scans.entry(descriptor.table).or_default();
+            ids.push(self.create_with_scan(db, descriptor, scan)?);
+            if last.get(&descriptor.table) == Some(&i) {
+                scans.remove(&descriptor.table);
+            }
+        }
+        Ok(ids)
+    }
+
+    /// [`StatsCatalog::create_statistics`] of one descriptor.
     pub fn create_statistic(
         &mut self,
         db: &Database,
@@ -231,45 +260,18 @@ impl StatsCatalog {
         self.create_with_scan(db, &descriptor, &mut None)
     }
 
-    /// Create a batch of statistics on one table with a shared scan.
-    ///
-    /// This is `descriptors.iter().map(|d| self.create_statistic(db, d))`
-    /// run in order — the same validation, dedup/reactivation, id allocation
-    /// order, per-statistic `build_cost` and statistic contents, because it
-    /// is the same code. The difference is wall clock: under full-scan
-    /// sampling all statistics that actually need building on `table` are
-    /// served from one `TableScan`, so each histogram, column coding,
-    /// prefix partition and joint is computed once per table pass instead of
-    /// once per statistic.
-    ///
-    /// Descriptors on other tables get a scan each, as does every descriptor
-    /// when the catalog samples rows (per-statistic sample seeds make
-    /// sharing unsound) — so the batch call is always safe to use.
-    ///
-    /// On error the batch stops at the failing descriptor; statistics created
-    /// before it remain, exactly as a serial `?`-propagating loop would
-    /// leave them.
+    /// [`StatsCatalog::create_statistics`]; `table` is not read.
     pub fn create_statistics_batch(
         &mut self,
         db: &Database,
-        table: TableId,
+        _table: TableId,
         descriptors: &[StatDescriptor],
     ) -> Result<Vec<StatId>, StatsError> {
-        let mut shared = None;
-        descriptors
-            .iter()
-            .map(|descriptor| {
-                if descriptor.table == table {
-                    self.create_with_scan(db, descriptor, &mut shared)
-                } else {
-                    self.create_with_scan(db, descriptor, &mut None)
-                }
-            })
-            .collect()
+        self.create_statistics(db, descriptors)
     }
 
-    /// The body of every scan-built creation, reading through the caller's
-    /// per-table `scan` as [`StatsCatalog::build`] does.
+    /// The body of every creation, reading through the caller's per-table
+    /// `scan` as [`StatsCatalog::build`] does.
     fn create_with_scan<'a>(
         &mut self,
         db: &'a Database,
@@ -351,7 +353,7 @@ impl StatsCatalog {
             let scan = scan.get_or_insert_with(|| TableScan::new(table, &self.build_options, None));
             self.build_from(scan, id, descriptor, epoch)
         } else {
-            let seed = self.seed ^ ((id.0 as u64) << 17) ^ descriptor.table.0 as u64 ^ builds;
+            let seed = SAMPLE_SEED ^ ((id.0 as u64) << 17) ^ descriptor.table.0 as u64 ^ builds;
             let sample = self.build_options.sample.pick_rows(table.row_count(), seed);
             let mut scan = TableScan::new(table, &self.build_options, Some(&sample));
             self.build_from(&mut scan, id, descriptor, epoch)
@@ -454,13 +456,7 @@ impl StatsCatalog {
         self.drop_list.remove(&id);
         self.by_descriptor.remove(&stat.descriptor);
         self.join_memo.forget(id);
-        self.aging.insert(
-            stat.descriptor.clone(),
-            AgingEntry {
-                dropped_epoch: self.epoch,
-                build_cost: stat.build_cost,
-            },
-        );
+        self.aging.insert(stat.descriptor, self.epoch);
         true
     }
 
@@ -473,21 +469,17 @@ impl StatsCatalog {
         policy: &AgingPolicy,
         query_cost: f64,
     ) -> bool {
-        let Some(entry) = self.aging.get(descriptor) else {
+        let Some(&dropped_epoch) = self.aging.get(descriptor) else {
             return false;
         };
         if query_cost >= policy.expensive_query_cost {
             return false;
         }
-        self.epoch.saturating_sub(entry.dropped_epoch) < policy.window_epochs
+        self.epoch.saturating_sub(dropped_epoch) < policy.window_epochs
     }
 
-    /// Recorded build cost of an aged (dropped) statistic, if any.
-    pub fn aged_build_cost(&self, descriptor: &StatDescriptor) -> Option<f64> {
-        self.aging.get(descriptor).map(|e| e.build_cost)
-    }
-
-    /// Sum of the *current* rebuild cost of the given statistics — the
+    /// Sum of what rebuilding the given statistics would be charged now, at
+    /// the table's current size and under the current build options — the
     /// "cost of updating the set of statistics left behind" metric of §8.2
     /// (Table 1).
     pub fn update_cost_of(&self, db: &Database, ids: impl IntoIterator<Item = StatId>) -> f64 {
@@ -498,13 +490,8 @@ impl StatsCatalog {
                     continue; // stale table id: no rebuild cost to charge
                 };
                 let rows_read = self.build_options.sample.rows_read(table.row_count());
-                let col_bytes: usize = s
-                    .descriptor
-                    .columns
-                    .iter()
-                    .map(|&c| table.schema().column(c).data_type.byte_width())
-                    .sum();
-                total += build_work(rows_read, col_bytes, s.descriptor.columns.len());
+                let joint = self.build_options.joint_histograms && s.descriptor.is_multi_column();
+                total += build_price(table, &s.descriptor, rows_read, joint);
             }
         }
         total
@@ -735,7 +722,7 @@ pub(crate) mod tests {
             .collect();
 
         let mut batched = StatsCatalog::new();
-        let batch_ids = batched.create_statistics_batch(&db, t, &descs).unwrap();
+        let batch_ids = batched.create_statistics(&db, &descs).unwrap();
 
         assert_eq!(batch_ids, serial_ids);
         assert_eq!(batched.snapshot(), serial.snapshot());
@@ -759,7 +746,7 @@ pub(crate) mod tests {
         }
         let mut batched = StatsCatalog::new();
         batched.set_build_options(BuildOptions::default().with_joint_histograms());
-        batched.create_statistics_batch(&db, t, &descs).unwrap();
+        batched.create_statistics(&db, &descs).unwrap();
         assert_eq!(batched.snapshot(), serial.snapshot());
     }
 
@@ -773,7 +760,7 @@ pub(crate) mod tests {
         cat.move_to_drop_list(id);
         let work = cat.creation_work();
         let ids = cat
-            .create_statistics_batch(&db, t, &[StatDescriptor::single(t, 0)])
+            .create_statistics(&db, &[StatDescriptor::single(t, 0)])
             .unwrap();
         assert_eq!(ids, vec![id]);
         assert_eq!(cat.creation_work(), work, "reactivation must be free");
@@ -798,7 +785,7 @@ pub(crate) mod tests {
         let mut batched = StatsCatalog::new();
         batched.set_build_options(sampled);
         batched
-            .create_statistics_batch(&db, t, &[StatDescriptor::single(t, 0)])
+            .create_statistics(&db, &[StatDescriptor::single(t, 0)])
             .unwrap();
         assert_eq!(
             batched.snapshot(),
@@ -812,9 +799,8 @@ pub(crate) mod tests {
         let (db, t) = test_db();
         let mut cat = StatsCatalog::new();
         let err = cat
-            .create_statistics_batch(
+            .create_statistics(
                 &db,
-                t,
                 &[StatDescriptor::single(t, 0), StatDescriptor::single(t, 99)],
             )
             .unwrap_err();
@@ -822,6 +808,68 @@ pub(crate) mod tests {
         // The statistic created before the failing descriptor remains, as in
         // a serial ?-propagating loop.
         assert_eq!(cat.active_count(), 1);
+    }
+
+    /// An interleaved two-table list reads each table once: every build
+    /// after a table's first shares its scan, and each leading column is
+    /// counted once however many statistics lead with it.
+    #[test]
+    fn interleaved_tables_are_each_read_once() {
+        let (mut db, a) = test_db();
+        let b = db
+            .create_table(
+                "u",
+                storage::Schema::new(vec![
+                    ColumnDef::new("a", DataType::Int),
+                    ColumnDef::new("b", DataType::Int),
+                ]),
+            )
+            .unwrap();
+        insert_rows(&mut db, b, 700);
+        let descs = vec![
+            StatDescriptor::single(a, 0),
+            StatDescriptor::single(b, 0),
+            StatDescriptor::multi(a, vec![0, 1]),
+            StatDescriptor::multi(b, vec![0, 1]),
+            StatDescriptor::single(a, 1),
+            StatDescriptor::multi(b, vec![1, 0]),
+        ];
+        let obs = obsv::Obs::enabled();
+        let mut cat = StatsCatalog::new();
+        cat.set_obs(&obs);
+        let ids = cat.create_statistics(&db, &descs).unwrap();
+        let mut serial = StatsCatalog::new();
+        for d in &descs {
+            serial.create_statistic(&db, d.clone()).unwrap();
+        }
+        assert_eq!(ids, serial.active_ids());
+        assert_eq!(cat.snapshot(), serial.snapshot());
+        let counter = |name| obs.metrics.counter(name).get();
+        assert_eq!(counter("stats.builds"), 6);
+        assert_eq!(counter("stats.shared_scan_builds"), 4);
+        // Columns 0 and 1 of each table, each counted by one pass.
+        assert_eq!(counter("stats.build.counted_columns"), 4);
+    }
+
+    /// A rebuild estimate is priced as the build it estimates: with joint
+    /// histograms, one more sort than the plain multi-column formula.
+    #[test]
+    fn update_cost_of_a_fresh_statistic_is_its_build_cost() {
+        let (db, t) = test_db();
+        for options in [
+            BuildOptions::default(),
+            BuildOptions::default().with_joint_histograms(),
+        ] {
+            let mut cat = StatsCatalog::new().with_build_options(options);
+            for d in [
+                StatDescriptor::single(t, 1),
+                StatDescriptor::multi(t, vec![0, 1]),
+            ] {
+                let id = cat.create_statistic(&db, d).unwrap();
+                let built = cat.statistic(id).unwrap().build_cost;
+                assert_eq!(cat.update_cost_of(&db, [id]).to_bits(), built.to_bits());
+            }
+        }
     }
 
     #[test]
@@ -838,7 +886,7 @@ pub(crate) mod tests {
         let obs = obsv::Obs::enabled();
         let mut observed = StatsCatalog::new();
         observed.set_obs(&obs);
-        observed.create_statistics_batch(&db, t, &descs).unwrap();
+        observed.create_statistics(&db, &descs).unwrap();
         // Observation never changes the catalog.
         assert_eq!(observed.snapshot(), plain.snapshot());
         // Metrics mirror the work meter bit-for-bit.
@@ -934,7 +982,6 @@ pub(crate) mod tests {
         cat.advance_epoch();
         cat.advance_epoch();
         assert!(!cat.is_aged_out(&desc, &policy, 10.0), "window expired");
-        assert!(cat.aged_build_cost(&desc).is_some());
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //! SQL Server policy (§6).
 //!
 //! All creation and update work is metered through a deterministic cost model
-//! ([`statistic::build_work`]) so that the paper's "statistics creation time"
+//! ([`statistic::build_price`]) so that the paper's "statistics creation time"
 //! and "update cost" results can be reproduced as ratios without hardware
 //! timing noise.
 
@@ -43,4 +43,4 @@ pub use maintenance::{
 pub use mhist::{Histogram2d, RangeQuery};
 pub use ndv::estimate_ndv;
 pub use sampler::SampleSpec;
-pub use statistic::{BuildOptions, StatDescriptor, StatId, Statistic};
+pub use statistic::{BuildOptions, StatDescriptor, StatId, Statistic, MAX_BUCKETS};

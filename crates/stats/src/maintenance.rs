@@ -5,7 +5,7 @@
 
 use crate::catalog::StatsCatalog;
 use crate::feedback::{correct_histogram, correctable, FeedbackStore, MIN_OBSERVATIONS};
-use crate::statistic::StatId;
+use crate::statistic::{StatId, MAX_BUCKETS};
 use std::collections::BTreeMap;
 use storage::{Database, Table, TableId};
 
@@ -52,7 +52,7 @@ impl StatsCatalog {
     /// With `feedback`, a single-column statistic with a correctable
     /// histogram and at least four observations on its column is corrected
     /// in place from them (the STGrid-style cheap refresh: bucket touches, no
-    /// scan) under the catalog's bucket ceiling. It takes its observations
+    /// scan) under [`MAX_BUCKETS`]. It takes its observations
     /// even when none applies, and is then rebuilt like the rest. The
     /// rebuilds share one full scan of the table, or each draws its own
     /// seeded sample under sampled build options.
@@ -122,7 +122,6 @@ impl StatsCatalog {
     /// qualifies for a feedback refresh, taking them. `None` when it does
     /// not qualify or none of them applied.
     fn correct(&mut self, t: &Table, id: StatId, store: &mut FeedbackStore) -> Option<Refreshed> {
-        let max_buckets = self.build_options().max_buckets;
         let s = self.stats.get_mut(&id)?;
         let (table, column) = (s.descriptor.table, s.descriptor.leading_column());
         if s.descriptor.is_multi_column()
@@ -136,7 +135,7 @@ impl StatsCatalog {
         span.arg("table", table.0 as u64);
         span.arg("stat", id.0 as u64);
         span.arg("observations", observations.len());
-        let outcome = correct_histogram(&mut s.histogram, &observations, max_buckets);
+        let outcome = correct_histogram(&mut s.histogram, &observations, MAX_BUCKETS);
         self.join_memo.forget(id);
         span.arg("applied", outcome.applied);
         span.arg("work", outcome.work);

@@ -8,9 +8,11 @@
 //! values with their row counts, and its density and null fraction come from
 //! the same counts. Every longer prefix density is the group count of a
 //! partition refining the one before it (`ndv::Groups`). [`build_statistic`]
-//! is one statistic from a scan of its own; the catalog keeps a full scan
-//! open across the statistics of a batch or a refresh so that they share
-//! what they have in common.
+//! is one statistic from a scan of its own; the catalog keeps one full scan
+//! per table open across the statistics of a
+//! [`create_statistics`](crate::StatsCatalog::create_statistics) call or a
+//! refresh so that they share what they have in common. What a build costs
+//! is [`build_price`], whichever of them charges it.
 
 use crate::histogram::Histogram;
 use crate::mhist::Histogram2d;
@@ -74,12 +76,13 @@ impl StatDescriptor {
     }
 }
 
+/// Histogram buckets per statistic, and the ceiling feedback corrections
+/// restructure under.
+pub const MAX_BUCKETS: usize = 64;
+
 /// How a statistic should be built.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BuildOptions {
-    /// Histogram buckets per statistic, and the ceiling feedback corrections
-    /// restructure under.
-    pub max_buckets: usize,
     pub sample: SampleSpec,
     /// Also build a Phased 2-D histogram over the first two columns of
     /// multi-column statistics (§3's MHIST reference; off by default since
@@ -90,7 +93,6 @@ pub struct BuildOptions {
 impl Default for BuildOptions {
     fn default() -> Self {
         BuildOptions {
-            max_buckets: 64,
             sample: SampleSpec::FullScan,
             joint_histograms: false,
         }
@@ -170,6 +172,31 @@ pub fn build_work(rows_read: usize, col_bytes: usize, n_cols: usize) -> f64 {
     scan + sort
 }
 
+/// What building `descriptor` on `table` from `rows_read` of its rows is
+/// charged: [`build_work`] over the descriptor's column bytes, plus one
+/// more sort when it carries a `joint` histogram (the second phase of the
+/// Phased construction). Every build and every rebuild estimate is priced
+/// here, so a statistic's `build_cost` and
+/// [`update_cost_of`](crate::StatsCatalog::update_cost_of) agree.
+pub fn build_price(
+    table: &Table,
+    descriptor: &StatDescriptor,
+    rows_read: usize,
+    joint: bool,
+) -> f64 {
+    let col_bytes: usize = descriptor
+        .columns
+        .iter()
+        .map(|&c| table.schema().column(c).data_type.byte_width())
+        .sum();
+    let work = build_work(rows_read, col_bytes, descriptor.columns.len());
+    if joint {
+        work + build_work(rows_read, 0, 1)
+    } else {
+        work
+    }
+}
+
 /// The density of `ndv` distinct values: the fraction of rows per value.
 fn density(ndv: f64) -> f64 {
     if ndv <= 0.0 {
@@ -223,7 +250,7 @@ pub fn build_statistic(
 /// its own rows from its own seed, so it gets a scan of its own.
 pub(crate) struct TableScan<'a> {
     table: &'a Table,
-    options: BuildOptions,
+    joint_histograms: bool,
     rows: Option<&'a [usize]>,
     /// leading column → (histogram over non-null values, null fraction,
     /// density)
@@ -250,7 +277,7 @@ impl<'a> TableScan<'a> {
     pub(crate) fn new(table: &'a Table, options: &BuildOptions, rows: Option<&'a [usize]>) -> Self {
         TableScan {
             table,
-            options: options.clone(),
+            joint_histograms: options.joint_histograms,
             rows,
             leading: FxHashMap::default(),
             columns: FxHashMap::default(),
@@ -327,7 +354,7 @@ impl<'a> TableScan<'a> {
         if !self.leading.contains_key(&lead) {
             let counts = ValueCounts::of_column(self.table.column(lead), self.rows);
             self.tally.counted_columns += 1;
-            let mut histogram = Histogram::from_counts(&counts, self.options.max_buckets);
+            let mut histogram = Histogram::from_counts(&counts, MAX_BUCKETS);
             let null_fraction = if rows_read == 0 {
                 0.0
             } else {
@@ -353,7 +380,7 @@ impl<'a> TableScan<'a> {
 
         // Optional joint (2-D) histogram over the first two columns, the one
         // structure still built from `Value`s.
-        let joint = if self.options.joint_histograms && descriptor.columns.len() >= 2 {
+        let joint = if self.joint_histograms && descriptor.columns.len() >= 2 {
             let pair = (descriptor.columns[0], descriptor.columns[1]);
             if !self.joints.contains_key(&pair) {
                 let values = |c: usize| -> Vec<Value> {
@@ -373,16 +400,7 @@ impl<'a> TableScan<'a> {
         // Work is charged per statistic exactly as a standalone build would:
         // the shared pass is a wall-clock optimization, not a discount in
         // the deterministic cost model.
-        let col_bytes: usize = descriptor
-            .columns
-            .iter()
-            .map(|&c| self.table.schema().column(c).data_type.byte_width())
-            .sum();
-        let mut build_cost = build_work(rows_read, col_bytes, descriptor.columns.len());
-        if joint.is_some() {
-            // The second phase of the Phased construction is one more sort.
-            build_cost += build_work(rows_read, 0, 1);
-        }
+        let build_cost = build_price(self.table, &descriptor, rows_read, joint.is_some());
 
         self.served += 1;
         Statistic {

@@ -111,7 +111,6 @@ fn arb_fault() -> impl Strategy<Value = Fault> {
         Just(Fault::TruncateAllTables),
         Just(Fault::DropAllStatistics),
         Just(Fault::DegenerateSampler),
-        Just(Fault::ZeroBucketHistograms),
     ]
 }
 

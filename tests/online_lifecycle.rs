@@ -26,7 +26,7 @@ use executor::StatementOutcome;
 use parking_lot::Mutex;
 use proptest::prelude::*;
 use query::{bind_statement, parse_statement, BoundSelect, BoundStatement};
-use stats::{staleness_threshold, StatDescriptor, StatsCatalog, MAX_UPDATES};
+use stats::{staleness_threshold, AgingPolicy, StatDescriptor, StatsCatalog, MAX_UPDATES};
 use storage::{ColumnDef, DataType, Database, Schema, TableId, Value};
 
 /// The paper's Example-2 join shape — the workload for which MNSA provably
@@ -267,7 +267,12 @@ fn served_dml_ages_a_drop_listed_statistic_out_of_the_catalog() {
 
     let (_, report) = svc.shutdown();
     assert_eq!(report.catalog.total_count(), 0);
-    assert!(report.catalog.aged_build_cost(&descriptor).is_some());
+    // In the aging registry: aged out under a window that never closes.
+    let forever = AgingPolicy {
+        window_epochs: u64::MAX,
+        expensive_query_cost: f64::INFINITY,
+    };
+    assert!(report.catalog.is_aged_out(&descriptor, &forever, 0.0));
     assert!(report.session.render_text().contains(&format!(
         "tick    5 auto-drop {listed} on {t} (after 5 updates)"
     )));

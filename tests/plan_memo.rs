@@ -13,6 +13,8 @@
 //!   and an epoch publish, empty the current snapshot's memo, whether they
 //!   write it in place or copy it; the next SELECT plans again, equal to a
 //!   fresh optimize; a snapshot held across the write keeps its own entry;
+//!   a write that fails to bind writes nothing: the snapshot stays the
+//!   published one, memo and all;
 //! * **keying** — `= 2` and `= 2.0`, equal as syntax trees, and texts that
 //!   differ only in whitespace are separate entries.
 
@@ -177,6 +179,31 @@ fn small_service() -> OnlineService {
 }
 
 const JOIN: &str = "SELECT i.k, n.name FROM items i, kinds n WHERE i.k = n.k AND i.price < 7.5";
+
+/// DML binds before it opens the slot for writing: a write that fails to
+/// bind neither empties the memo nor copies a snapshot someone holds.
+#[test]
+fn a_write_that_fails_to_bind_leaves_the_snapshot_and_its_memo() {
+    let svc = small_service();
+    let h = svc.handle(1);
+    h.run_sql(JOIN).unwrap();
+    for write in [
+        "UPDATE missing SET price = 1.0 WHERE k = 5",
+        "DELETE FROM items WHERE missing = 1",
+        "INSERT INTO kinds VALUES (1)",
+    ] {
+        let held = svc.snapshot();
+        let entry = held.prepared(JOIN).expect("prepared before the write");
+        assert!(h.run_sql(write).is_err(), "{write} fails to bind");
+        let now = svc.snapshot();
+        assert!(
+            Arc::ptr_eq(&held, &now),
+            "{write}: the slot's snapshot was replaced"
+        );
+        let kept = now.prepared(JOIN).expect("the memo keeps its entry");
+        assert!(Arc::ptr_eq(&kept, &entry), "{write}");
+    }
+}
 
 #[test]
 fn a_write_or_a_publish_empties_the_memo_and_a_held_snapshot_keeps_its_plans() {

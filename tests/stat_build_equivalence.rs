@@ -3,7 +3,7 @@
 //! equal field for field — histogram buckets, distinct counts, string
 //! prefix, prefix densities, null fraction, `build_cost` — whichever way it
 //! is asked for (`build_statistic`, a serial `create_statistic` loop, one
-//! `create_statistics_batch`, a refresh of one or of many).
+//! `create_statistics` call, a refresh of one or of many).
 //!
 //! The generated tables hold what the two builders could plausibly disagree
 //! on: NULLs, an all-NULL column, no rows at all, NaNs with different
@@ -216,7 +216,6 @@ fn option_grid() -> Vec<BuildOptions> {
     for sample in samples {
         for joint_histograms in [false, true] {
             grid.push(BuildOptions {
-                max_buckets: 6,
                 sample,
                 joint_histograms,
             });
@@ -338,9 +337,7 @@ fn check_case(
             serial.create_statistic(&db, d.clone()).unwrap();
         }
         let mut batched = StatsCatalog::new().with_build_options(options.clone());
-        let ids = batched
-            .create_statistics_batch(&db, t, &descriptors)
-            .unwrap();
+        let ids = batched.create_statistics(&db, &descriptors).unwrap();
         prop_assert_eq!(fields(&serial.snapshot()), fields(&batched.snapshot()));
         if full_scan {
             let built = oracle_snapshot(&db, &descriptors, &options, 0);
