@@ -11,7 +11,9 @@
 //!    log into the journal and queue each template of the retained sample
 //!    not queued before, by [`query::BoundSelect::fingerprint`], so a
 //!    template is analyzed once however often it runs; step 6's sample and
-//!    the health counters are read here too;
+//!    the health counters are read here too. The monitor holds every
+//!    SELECT served so far: [`crate::OnlineService`] folds its observation
+//!    inbox into it before it calls the tick;
 //! 3. **refresh** — scan modification counters and rebuild each table's
 //!    stale statistics — more modifications since their build than
 //!    `max(500, 20 % of rows)` ([`stats::staleness_threshold`]) — from one

@@ -9,7 +9,9 @@
 //! * [`WorkloadMonitor`] — a bounded, fingerprint-deduplicated reservoir of
 //!   executed query templates (frequency + recency per template,
 //!   deterministic seeded eviction). The tuning workload is this compressed
-//!   live sample, not an offline workload file.
+//!   live sample, not an offline workload file. A SELECT pushes its record
+//!   onto an inbox that the tick folds into the monitor, so the monitor's
+//!   bookkeeping stays off the statement path.
 //! * [`LifecycleCore`] — a state machine advanced by deterministic
 //!   virtual-time ticks. Each tick funds a work-token budget (carry-over,
 //!   debt allowed), refreshes the statistics

@@ -1,7 +1,8 @@
 //! The workload monitor: a bounded reservoir of executed query templates.
 //!
 //! Every SELECT that runs through the online service is observed here,
-//! deduplicated by [`BoundSelect::fingerprint`]. The monitor keeps at most
+//! when the service folds its observation inbox, deduplicated by
+//! [`BoundSelect::fingerprint`]. The monitor keeps at most
 //! [`MONITOR_CAPACITY`] distinct templates with per-template frequency and
 //! recency; when full, the template with the least `(frequency,
 //! last_seen_tick, seeded-hash)` is evicted — frequency-biased retention
@@ -123,10 +124,10 @@ impl WorkloadMonitor {
     }
 
     /// Observe one executed query at virtual time `tick` under `fp`, which
-    /// must be `query.fingerprint()`. The service passes the fingerprint
-    /// and the bound query its plan memo holds, both made before it took
-    /// the monitor's lock, which every client of a shard shares; a new
-    /// template shares `query` and copies nothing.
+    /// must be `query.fingerprint()`. The service's inbox fold passes the
+    /// fingerprint and the bound query its plan memo holds, both made by
+    /// the SELECT that pushed them; a new template shares `query` and
+    /// copies nothing.
     pub fn observe_as(&mut self, fp: u64, query: &Arc<BoundSelect>, tick: u64) {
         debug_assert_eq!(fp, query.fingerprint());
         if !self.observe_seen(fp, tick) {

@@ -10,14 +10,32 @@
 //!
 //! Query threads hold cloneable [`QueryHandle`]s. A SELECT loads the
 //! snapshot once, then binds, optimizes and executes with no lock held,
-//! taking the workload monitor's lock only to record itself — only what the
-//! optimizer accepted is worth tuning for. DML takes the slot's write lock
-//! and writes through `Arc::make_mut`, so modification counters advance
-//! atomically with the data; a table is copied only while some reader, tick
-//! or fallback still holds the snapshot it was read from. A tick tunes
-//! against a snapshot it loaded, then puts the catalog it published beside
-//! whatever data is current. No statement holds two locks at once; a tick
+//! and records itself by one push onto the service's observation inbox —
+//! only what the optimizer accepted is worth tuning for. DML takes the
+//! slot's write lock and writes through `Arc::make_mut`, so modification
+//! counters advance atomically with the data; a table is copied only while
+//! some reader, tick or fallback still holds the snapshot it was read from.
+//! A tick tunes against a snapshot it loaded, then puts the catalog it
+//! published beside whatever data is current. A statement holds one lock
+//! at a time, but for the push that fills the inbox, which folds it; a tick
 //! holds the core mutex, and the monitor only at its start.
+//!
+//! ## Workload monitor
+//!
+//! The service's [`WorkloadMonitor`] is fed through an inbox: a SELECT
+//! pushes `(fingerprint, query, tick)` onto a `Vec` under a lock held for
+//! the push alone, and the monitor's bookkeeping (re-keying, eviction, the
+//! ghost list) runs when the inbox is folded into it, one `observe_as` per
+//! entry in push order. Three callers fold: every reader of the monitor
+//! (the tick, before [`LifecycleCore::tick`] reads it, and shutdown), and
+//! the handle whose push fills the inbox to [`MONITOR_CAPACITY`] entries,
+//! so the inbox holds at most that many when nobody ticks. A fold takes
+//! the batch out with `mem::take` while it holds the monitor's lock, so
+//! batches fold in the order they were taken and the inbox's lock is never
+//! held during a fold. Push order is the order the monitor's lock would
+//! have put the same observations in, so whoever reads the monitor sees
+//! the templates, frequencies, evictions and ghosts it would have seen had
+//! every SELECT updated it itself.
 //!
 //! ## Plan memo
 //!
@@ -26,7 +44,7 @@
 //! metadata, so each [`Snapshot`] remembers what they gave for each SELECT
 //! text it served: the bound query, the plan, its estimated cost and the
 //! template fingerprint, behind one `Arc`. A repeated SELECT then only
-//! records itself with the monitor and executes.
+//! records itself in the inbox and executes.
 //!
 //! - The key is the byte-exact SQL text. Never the parsed statement:
 //!   `storage::Value`'s equality is `total_cmp`, under which `2 = 2.0`, so
@@ -41,12 +59,12 @@
 //!   taking new ones until the next write or publish empties it.
 
 use crate::daemon::{AutodConfig, CatalogEpoch, LifecycleCore, TickReport};
-use crate::monitor::{MonitorConfig, TemplateStats, WorkloadMonitor};
+use crate::monitor::{MonitorConfig, TemplateStats, WorkloadMonitor, MONITOR_CAPACITY};
 use autostats::{SessionReport, StatementError, TuneError};
 use executor::{execute_plan_observed, run_statement_observed, StatementOutcome};
 use obsv::{HealthSnapshot, LatencyHistogram, SlowQuery, SlowQueryLog, SpanSampler, WindowDelta};
 use optimizer::{OptimizeOptions, OptimizedQuery, Optimizer, PlanNode};
-use parking_lot::{Mutex, RwLock};
+use parking_lot::{Mutex, MutexGuard, RwLock};
 use query::{bind_select, bind_statement, parse_statement, BoundSelect, SelectStmt, Statement};
 use rustc_hash::FxHashMap;
 use stats::StatsCatalog;
@@ -141,6 +159,49 @@ pub fn plan_select(
     Ok((query, optimized))
 }
 
+/// One served SELECT waiting in the inbox: its template fingerprint, its
+/// bound query and the tick it ran at.
+type Observation = (u64, Arc<BoundSelect>, u64);
+
+/// A service's workload monitor behind its observation inbox (the module
+/// docs' workload monitor).
+#[derive(Debug)]
+struct Observer {
+    monitor: Mutex<WorkloadMonitor>,
+    inbox: Mutex<Vec<Observation>>,
+}
+
+impl Observer {
+    /// Push one observation. The push that fills the inbox to
+    /// [`MONITOR_CAPACITY`] folds it; a push that finds it full (its filler
+    /// has not folded yet) folds first, so it never holds more.
+    fn record(&self, observation: Observation) {
+        let mut inbox = self.inbox.lock();
+        while inbox.len() >= MONITOR_CAPACITY {
+            drop(inbox);
+            drop(self.fold());
+            inbox = self.inbox.lock();
+        }
+        inbox.push(observation);
+        let full = inbox.len() == MONITOR_CAPACITY;
+        drop(inbox);
+        if full {
+            drop(self.fold());
+        }
+    }
+
+    /// The monitor, locked, with every observation pushed so far folded in,
+    /// in push order.
+    fn fold(&self) -> MutexGuard<'_, WorkloadMonitor> {
+        let mut monitor = self.monitor.lock();
+        let batch = std::mem::take(&mut *self.inbox.lock());
+        for (fingerprint, query, tick) in &batch {
+            monitor.observe_as(*fingerprint, query, *tick);
+        }
+        monitor
+    }
+}
+
 /// Shared always-on telemetry for the query path: latency histograms in
 /// the service registry, the deterministic span sampler, the slow-query
 /// reservoir, and per-tick windowed rollups. Everything here is
@@ -192,7 +253,7 @@ pub struct ServiceReport {
 /// A running online statistics service. See the module docs.
 pub struct OnlineService {
     slot: Arc<Slot>,
-    monitor: Arc<Mutex<WorkloadMonitor>>,
+    observer: Arc<Observer>,
     obs: obsv::Obs,
     /// Held for the whole of a tick, and by nothing else: concurrent
     /// callers of [`OnlineService::tick_wait`] tick one after another.
@@ -218,7 +279,6 @@ impl OnlineService {
         config: AutodConfig,
     ) -> OnlineService {
         catalog.set_obs(&obs);
-        let monitor = WorkloadMonitor::new(MonitorConfig);
         let telemetry_config = config.telemetry;
         let budget_per_tick = config.budget_per_tick;
         let core = LifecycleCore::with_parts(catalog, config, obs.clone(), session);
@@ -241,7 +301,10 @@ impl OnlineService {
         };
         OnlineService {
             slot: Arc::new(RwLock::new(Arc::new(snapshot))),
-            monitor: Arc::new(Mutex::new(monitor)),
+            observer: Arc::new(Observer {
+                monitor: Mutex::new(WorkloadMonitor::new(MonitorConfig)),
+                inbox: Mutex::default(),
+            }),
             obs,
             first_error: Mutex::new(None),
             current_tick: Arc::new(AtomicU64::new(0)),
@@ -257,7 +320,7 @@ impl OnlineService {
     pub fn handle(&self, tid: u64) -> QueryHandle {
         QueryHandle {
             slot: Arc::clone(&self.slot),
-            monitor: Arc::clone(&self.monitor),
+            observer: Arc::clone(&self.observer),
             obs: self.obs.fork(tid),
             current_tick: Arc::clone(&self.current_tick),
             telemetry: Arc::clone(&self.telemetry),
@@ -271,14 +334,16 @@ impl OnlineService {
     }
 
     /// Run one tick funded with `budget` work tokens, on this thread, and
-    /// return its report — the deterministic driver's clock. The tick tunes
-    /// against the snapshot current when it starts; what it publishes goes
-    /// beside the data current when it ends. Also rolls the slow-query
-    /// reservoir's window over at this tick; pair with
-    /// [`OnlineService::roll_window`] to emit the tick's metric deltas.
+    /// return its report — the deterministic driver's clock. The tick folds
+    /// the observation inbox, then tunes against the snapshot current when
+    /// it starts; what it publishes goes beside the data current when it
+    /// ends. Also rolls the slow-query reservoir's window over at this
+    /// tick; pair with [`OnlineService::roll_window`] to emit the tick's
+    /// metric deltas.
     pub fn tick_wait_budgeted(&self, budget: f64) -> Result<TickReport, TuneError> {
         let mut core = self.core.lock();
-        let report = core.tick(&self.snapshot().db, &self.monitor, budget)?;
+        drop(self.observer.fold());
+        let report = core.tick(&self.snapshot().db, &self.observer.monitor, budget)?;
         if report.published_generation.is_some() {
             write_slot(&mut self.slot.write()).epoch = core.epoch();
         }
@@ -353,7 +418,7 @@ impl OnlineService {
         let ticks = core.ticks();
         let (catalog, session) = core.into_parts();
         let (templates, observed, evictions) = {
-            let m = self.monitor.lock();
+            let m = self.observer.fold();
             (m.templates(), m.observed_total(), m.evictions_total())
         };
         (
@@ -376,7 +441,7 @@ impl OnlineService {
 #[derive(Clone)]
 pub struct QueryHandle {
     slot: Arc<Slot>,
-    monitor: Arc<Mutex<WorkloadMonitor>>,
+    observer: Arc<Observer>,
     obs: obsv::Obs,
     current_tick: Arc<AtomicU64>,
     telemetry: Arc<ServiceTelemetry>,
@@ -384,8 +449,8 @@ pub struct QueryHandle {
 
 impl QueryHandle {
     /// Parse and run one SQL statement. SELECTs go through the concurrent
-    /// read path (plan memo, monitor, epoch catalog), DML through the write
-    /// path.
+    /// read path (plan memo, observation inbox, epoch catalog), DML through
+    /// the write path.
     pub fn run_sql(&self, sql: &str) -> Result<StatementOutcome, StatementError> {
         let stmt = parse_statement(sql)?;
         self.run(sql, &stmt)
@@ -393,8 +458,8 @@ impl QueryHandle {
 
     /// Run `stmt`, which is `sql` parsed. A SELECT looks its text up in the
     /// loaded snapshot's plan memo, and binds, optimizes and fingerprints
-    /// only when the text is not there; either way it is recorded with the
-    /// monitor and executed.
+    /// only when the text is not there; either way it is pushed onto the
+    /// observation inbox and executed.
     pub fn run(&self, sql: &str, stmt: &Statement) -> Result<StatementOutcome, StatementError> {
         let Statement::Select(select) = stmt else {
             return self.run_write(stmt);
@@ -429,7 +494,8 @@ impl QueryHandle {
         // sample.
         let tick = self.current_tick.load(Ordering::SeqCst);
         let fp = prepared.fingerprint;
-        self.monitor.lock().observe_as(fp, &prepared.query, tick);
+        self.observer
+            .record((fp, Arc::clone(&prepared.query), tick));
         // Sampled fingerprints execute under a private tracer so the
         // slow-query reservoir can keep their full span tree. Tracing is
         // observation-only, so the output is identical either way (pinned
@@ -517,6 +583,7 @@ impl QueryHandle {
 mod tests {
     use super::*;
     use crate::daemon::tests::test_db;
+    use proptest::prelude::*;
 
     fn start(config: AutodConfig) -> OnlineService {
         OnlineService::start(
@@ -536,9 +603,9 @@ mod tests {
         })
     }
 
-    /// An INSERT the table rejects — a NULL into a non-nullable column, a
-    /// string into an integer one — is an error at its client, as a
-    /// rejected UPDATE is, and leaves the table as it was.
+    /// An INSERT the table would reject — a NULL into a non-nullable
+    /// column, a string into an integer one — is refused when it binds, as
+    /// a mistyped UPDATE is, and leaves the table as it was.
     #[test]
     fn a_rejected_insert_errs_and_changes_nothing() {
         let svc = service(f64::INFINITY);
@@ -550,17 +617,23 @@ mod tests {
             (table.row_count(), table.modification_counter())
         };
         let before = rows(&svc);
-        for sql in [
-            "INSERT INTO departments VALUES (NULL, 'x')",
-            "INSERT INTO departments VALUES ('x', 'y')",
+        for (sql, null) in [
+            ("INSERT INTO departments VALUES (NULL, 'x')", true),
+            ("INSERT INTO departments VALUES ('x', 'y')", false),
         ] {
             let out = h.run_sql(sql);
-            assert!(
-                matches!(
-                    out,
-                    Err(StatementError::Exec(executor::ExecError::Storage(_)))
-                ),
-                "{sql}: {out:?}"
+            let Err(StatementError::Bind(e)) = &out else {
+                panic!("{sql}: {out:?}");
+            };
+            assert_eq!(
+                matches!(e, query::BindError::NullViolation { .. }),
+                null,
+                "{sql}: {e}"
+            );
+            assert_eq!(
+                matches!(e, query::BindError::TypeMismatch { .. }),
+                !null,
+                "{sql}: {e}"
             );
             assert_eq!(rows(&svc), before, "{sql}");
         }
@@ -691,7 +764,7 @@ mod tests {
             "{text}\nvs\n{}",
             prepared.plan
         );
-        assert_eq!(svc.monitor.lock().observed_total(), 2);
+        assert_eq!(svc.observer.fold().observed_total(), 2);
     }
 
     /// Service with every query sampled into the slow-query reservoir.
@@ -848,5 +921,89 @@ mod tests {
         let (db, _) = svc.shutdown();
         let employees = db.table_id("employees").unwrap();
         assert!(db.table(employees).modification_counter() > 0);
+    }
+
+    /// The SELECT text of template `t`: a few hot templates, 0–63, and
+    /// thousands of cold ones, so a run overflows the monitor, evicts, and
+    /// brings evicted hot templates back from the ghost list.
+    fn template_sql(t: u32) -> String {
+        match t % 3 {
+            0 => format!("SELECT empid FROM employees WHERE age < {t}"),
+            1 => format!("SELECT age FROM employees WHERE salary > {t}"),
+            _ => format!(
+                "SELECT e.empid, d.dname FROM employees e, departments d \
+                 WHERE e.deptid = d.deptid AND e.salary < {t}"
+            ),
+        }
+    }
+
+    fn template() -> impl Strategy<Value = u32> {
+        prop_oneof![0u32..64, 64u32..100_000, 64u32..100_000, 64u32..100_000]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(8))]
+
+        /// The inbox folds into the monitor what a monitor updated by every
+        /// SELECT itself holds: runs of SELECTs from one handle or from two
+        /// on one thread, with ticks between them and a last run longer than
+        /// the inbox, match a [`LifecycleCore`] ticking beside a monitor fed
+        /// the same observations in the same order — every tick's report,
+        /// the journal and the monitor at shutdown. The inbox never holds
+        /// [`MONITOR_CAPACITY`] entries after a push returns.
+        #[test]
+        fn the_inbox_folds_what_an_eager_monitor_observes(
+            runs in prop::collection::vec(
+                prop::collection::vec((template(), 0u8..2), 0..300),
+                1..4,
+            ),
+            last in prop::collection::vec((template(), 0u8..2), 400..500),
+            two_handles in any::<bool>(),
+        ) {
+            let config = AutodConfig {
+                budget_per_tick: 20_000.0,
+                shrink_every: 2,
+                ..AutodConfig::default()
+            };
+            let svc = start(config.clone());
+            let handles = [svc.handle(1), svc.handle(2)];
+            let db = test_db();
+            let mut core = LifecycleCore::with_parts(
+                StatsCatalog::new(),
+                config,
+                obsv::Obs::disabled(),
+                SessionReport::default(),
+            );
+            let eager = Mutex::new(WorkloadMonitor::new(MonitorConfig));
+            let mut templates = std::collections::BTreeSet::new();
+            let runs_then_last = runs.iter().map(|r| (r, true)).chain([(&last, false)]);
+            for (run, then_tick) in runs_then_last {
+                for &(t, h) in run {
+                    let sql = template_sql(t);
+                    let handle = &handles[usize::from(two_handles && h == 1)];
+                    handle.run_sql(&sql).unwrap();
+                    let Statement::Select(select) = parse_statement(&sql).unwrap() else {
+                        unreachable!("a template is a SELECT")
+                    };
+                    let query = bind_select(&db, &select).unwrap();
+                    eager.lock().observe(&query, core.ticks());
+                    templates.insert(t);
+                    prop_assert!(svc.observer.inbox.lock().len() < MONITOR_CAPACITY);
+                }
+                if then_tick {
+                    let report = svc.tick_wait().unwrap();
+                    let expected = core.tick(&db, &eager, 20_000.0).unwrap();
+                    prop_assert_eq!(report, expected);
+                }
+            }
+            prop_assert!(templates.len() > MONITOR_CAPACITY, "{} templates", templates.len());
+            let (_, report) = svc.shutdown();
+            let eager = eager.into_inner();
+            prop_assert!(eager.evictions_total() > 0);
+            prop_assert_eq!(report.templates, eager.templates());
+            prop_assert_eq!(report.observed, eager.observed_total());
+            prop_assert_eq!(report.evictions, eager.evictions_total());
+            prop_assert_eq!(report.session, core.into_parts().1);
+        }
     }
 }

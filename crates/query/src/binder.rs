@@ -26,6 +26,11 @@ pub enum BindError {
     /// A grouped or aggregating SELECT projects `*`, or projects or orders
     /// by a column that is not a GROUP BY column.
     Ungrouped(String),
+    /// An INSERT puts NULL into a column that is not nullable.
+    NullViolation {
+        table: String,
+        column: String,
+    },
 }
 
 impl fmt::Display for BindError {
@@ -61,6 +66,9 @@ impl fmt::Display for BindError {
             ),
             BindError::Ungrouped(c) => {
                 write!(f, "'{c}' in a grouped SELECT is not a GROUP BY column")
+            }
+            BindError::NullViolation { table, column } => {
+                write!(f, "NULL inserted into NOT NULL column {table}.{column}")
             }
         }
     }
@@ -363,6 +371,17 @@ pub fn bind_statement(db: &Database, stmt: &Statement) -> Result<BoundStatement,
                     found: i.values.len(),
                 });
             }
+            // What `storage::Table` would refuse, refused before the write
+            // opens the slot.
+            for (def, v) in schema.columns().iter().zip(&i.values) {
+                if v.is_null() && !def.nullable {
+                    return Err(BindError::NullViolation {
+                        table: i.table.clone(),
+                        column: def.name.clone(),
+                    });
+                }
+                check_literal(def.data_type, &def.name, v)?;
+            }
             Ok(BoundStatement::Insert(BoundInsert {
                 table,
                 values: i.values.clone(),
@@ -558,6 +577,34 @@ mod tests {
         }
         let err = bind(&db, "INSERT INTO dept VALUES (1)").unwrap_err();
         assert!(matches!(err, BindError::ArityMismatch { .. }));
+    }
+
+    /// An INSERT binds only a row the table takes: each value of its
+    /// column's type (an INT meets a FLOAT column) and no NULL in a column
+    /// that is not nullable.
+    #[test]
+    fn insert_values_are_checked_like_the_table_checks_a_row() {
+        let db = test_db();
+        assert_eq!(
+            bind(&db, "INSERT INTO dept VALUES ('x', 'eng')").unwrap_err(),
+            BindError::TypeMismatch {
+                column: "deptid".to_string(),
+                expected: "INT".to_string(),
+                found: "VARCHAR".to_string(),
+            }
+        );
+        assert_eq!(
+            bind(&db, "INSERT INTO dept VALUES (1, NULL)").unwrap_err(),
+            BindError::NullViolation {
+                table: "dept".to_string(),
+                column: "dname".to_string(),
+            }
+        );
+        assert!(matches!(
+            bind(&db, "INSERT INTO emp VALUES (1, 2, 1.5, 3)").unwrap_err(),
+            BindError::TypeMismatch { .. }
+        ));
+        bind(&db, "INSERT INTO emp VALUES (1, 2, 30, 100)").unwrap();
     }
 
     #[test]

@@ -18,7 +18,10 @@
 //!   generations monotonically;
 //! * **concurrency smoke** — four query threads race the daemon; every
 //!   query is observed, every thread sees non-decreasing generations, and
-//!   the daemon records no error.
+//!   the daemon records no error. Four threads serving more SELECTs than
+//!   the observation inbox holds, beside a thread that ticks until they
+//!   are done, leave the monitor at shutdown having observed each SELECT
+//!   exactly once.
 
 use autod::{AutodConfig, LifecycleCore, MonitorConfig, OnlineService, WorkloadMonitor};
 use autostats::{OfflineTuner, SessionReport};
@@ -382,4 +385,47 @@ fn four_query_threads_race_the_daemon() {
         "join workload builds stats"
     );
     assert!(report.generation >= 1);
+}
+
+/// Four query threads push more observations than the inbox holds, so
+/// handles fold it while a ticker folds it too: at shutdown the monitor has
+/// observed every SELECT served, none lost and none twice.
+#[test]
+fn every_select_is_observed_once_beside_a_ticking_daemon() {
+    const THREADS: u64 = 4;
+    const REPS: u64 = 150;
+    let svc = service(3000, 40_000.0);
+
+    std::thread::scope(|s| {
+        let clients: Vec<_> = (0..THREADS)
+            .map(|tid| {
+                let handle = svc.handle(tid + 1);
+                s.spawn(move || {
+                    for rep in 0..REPS {
+                        // Hot joins between distinct single-table templates,
+                        // enough of them to overflow the monitor.
+                        let sql = match rep % 3 {
+                            0 => JOIN_SQL.to_string(),
+                            _ => format!(
+                                "SELECT empid FROM employees WHERE age < {}",
+                                tid * REPS + rep
+                            ),
+                        };
+                        let out = handle.run_sql(&sql).unwrap();
+                        assert!(matches!(out, StatementOutcome::Query { .. }));
+                    }
+                })
+            })
+            .collect();
+        // A client that panics is finished too, so this loop ends.
+        while !clients.iter().all(|c| c.is_finished()) {
+            svc.tick_wait().unwrap();
+        }
+    });
+
+    let (_, report) = svc.shutdown();
+    assert!(report.error.is_none(), "daemon error: {:?}", report.error);
+    // Every client served all its SELECTs, or the scope would have panicked.
+    assert_eq!(report.observed, THREADS * REPS);
+    assert!(report.evictions > 0, "the templates overflowed the monitor");
 }

@@ -205,6 +205,34 @@ fn a_write_that_fails_to_bind_leaves_the_snapshot_and_its_memo() {
     }
 }
 
+/// An INSERT the table would refuse — a value of the wrong type, a NULL
+/// into a column that is not nullable — is refused when it binds, before
+/// the write opens the slot: a held snapshot keeps sharing the slot's, with
+/// its memo entry, and no table is copied for it.
+#[test]
+fn an_insert_the_table_would_refuse_neither_empties_the_memo_nor_copies() {
+    let svc = small_service();
+    let h = svc.handle(1);
+    let copies = svc.metrics().counter("autod.dml.table_copies");
+    h.run_sql(JOIN).unwrap();
+    let held = svc.snapshot();
+    let entry = held.prepared(JOIN).expect("prepared before the write");
+    for write in [
+        "INSERT INTO kinds VALUES ('x', 'eleven')",
+        "INSERT INTO kinds VALUES (11, NULL)",
+    ] {
+        assert!(h.run_sql(write).is_err(), "{write} is refused");
+        let now = svc.snapshot();
+        assert!(
+            Arc::ptr_eq(&held, &now),
+            "{write}: the slot's snapshot was replaced"
+        );
+        let kept = now.prepared(JOIN).expect("the memo keeps its entry");
+        assert!(Arc::ptr_eq(&kept, &entry), "{write}");
+    }
+    assert_eq!(copies.get(), 0, "no table copied for a refused INSERT");
+}
+
 #[test]
 fn a_write_or_a_publish_empties_the_memo_and_a_held_snapshot_keeps_its_plans() {
     let svc = small_service();
