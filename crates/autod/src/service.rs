@@ -464,8 +464,21 @@ impl QueryHandle {
         let Statement::Select(select) = stmt else {
             return self.run_write(stmt);
         };
+        self.run_select(&self.snapshot(), sql, select)
+    }
+
+    /// Run `select`, which is `sql` parsed, against `snapshot`, one that
+    /// this handle's service published and the caller loaded: as
+    /// [`QueryHandle::run`] runs a SELECT on the snapshot it loads itself.
+    /// A sharded cluster's scatter loads every shard's snapshot at one
+    /// instant and then runs each shard's part here.
+    pub fn run_select(
+        &self,
+        snapshot: &Snapshot,
+        sql: &str,
+        select: &SelectStmt,
+    ) -> Result<StatementOutcome, StatementError> {
         let start = Instant::now();
-        let snapshot = self.snapshot();
         let db = &snapshot.db;
         let prepared = match snapshot.prepared(sql) {
             Some(prepared) => {

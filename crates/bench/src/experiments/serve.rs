@@ -11,7 +11,7 @@
 //!   epoch generations, work meters, probe cost) to a plain
 //!   [`autod::OnlineService`] fed the same prelude and budget;
 //! * **replay** — the whole drive at the requested shard count runs twice
-//!   and must agree bit-for-bit, fallback gather counters included.
+//!   and must agree bit-for-bit.
 //!
 //! The drive hash-partitions the largest TPC-D table across all shards
 //! (when `shards > 1`), so the router's scatter, broadcast, and fallback
@@ -28,7 +28,7 @@ use autod::{AutodConfig, ServiceReport, TickReport};
 use autostats::{OnlineEvent, SessionReport};
 use obsv::json::Object;
 use query::{bind_statement, BoundSelect, Statement};
-use serve::{GatherStats, Route, Router, ServeCluster, ServeConfig, ShardPlan};
+use serve::{Route, Router, ServeCluster, ServeConfig, ShardPlan};
 use std::sync::Arc;
 use storage::Database;
 
@@ -64,9 +64,6 @@ pub struct ServeResult {
     pub statements: usize,
     pub ticks: u64,
     pub global_budget_per_tick: f64,
-    /// How often a fallback of the drive found the gathered copy of the
-    /// partitioned table current, and how often it rebuilt it.
-    pub gather: GatherStats,
     /// True when the 1-shard cluster matched the unsharded service
     /// bit-for-bit.
     pub one_shard_identical: bool,
@@ -110,8 +107,6 @@ impl ServeResult {
             .field("statements", self.statements)
             .field("ticks", self.ticks)
             .field("global_budget_per_tick", self.global_budget_per_tick)
-            .field("gather_hits", self.gather.hits)
-            .field("gather_rebuilds", self.gather.rebuilds)
             .field("one_shard_identical", self.one_shard_identical)
             .field("replay_identical", self.replay_identical)
             .field("max_convergence_gap_pct", self.max_convergence_gap_pct())
@@ -123,10 +118,6 @@ impl ServeResult {
         println!(
             "cluster: {} shards, {} statements, {} ticks (global budget {}/tick)",
             self.shards, self.statements, self.ticks, self.global_budget_per_tick
-        );
-        println!(
-            "fallback gather: {} hits, {} rebuilds",
-            self.gather.hits, self.gather.rebuilds
         );
         for s in &self.per_shard {
             println!(
@@ -183,16 +174,14 @@ struct ClusterDrive {
     /// Outer: shard order; inner: tick order.
     tick_reports: Vec<Vec<TickReport>>,
     plan: ShardPlan,
-    gather: GatherStats,
     telemetry: TelemetryExport,
 }
 
 impl ClusterDrive {
-    /// The bit-comparable fingerprint: every shard's [`Digest`], and how
-    /// often the one client's fallbacks hit or rebuilt the gathered copy.
-    fn digest(&self) -> (Vec<Digest>, GatherStats) {
+    /// The bit-comparable fingerprint: every shard's [`Digest`].
+    fn digest(&self) -> Vec<Digest> {
         let shards = self.tick_reports.iter().zip(&self.reports);
-        (shards.map(|(t, r)| digest(t, r)).collect(), self.gather)
+        shards.map(|(t, r)| digest(t, r)).collect()
     }
 }
 
@@ -235,7 +224,6 @@ fn drive_cluster(
             quiet
         },
     );
-    let gather = cluster.gather_stats();
     let pairs = cluster.shutdown().expect("shutdown is always Some");
     let (dbs, reports): (Vec<_>, Vec<_>) = pairs.into_iter().unzip();
     ClusterDrive {
@@ -244,7 +232,6 @@ fn drive_cluster(
         statements,
         tick_reports,
         plan,
-        gather,
         telemetry,
     }
 }
@@ -334,7 +321,7 @@ pub fn run(
                 .and_then(|b| b.as_select().cloned())
         })
         .collect();
-    let one_shard_identical = one_shard.digest().0
+    let one_shard_identical = one_shard.digest()
         == [digest(&unsharded.tick_reports, &unsharded.report)]
         && probe_cost(shard_db, &probes, &one_shard.reports[0].catalog).to_bits()
             == probe_cost(shard_db, &probes, &unsharded.report.catalog).to_bits();
@@ -345,7 +332,6 @@ pub fn run(
         statements: first.statements.len(),
         ticks: first.tick_reports[0].len() as u64,
         global_budget_per_tick: global_budget,
-        gather: first.gather,
         one_shard_identical,
         replay_identical,
         per_shard: shard_summaries(&first),
@@ -372,16 +358,11 @@ mod tests {
         );
         assert_eq!(result.shards, 2);
         assert_eq!(result.per_shard.len(), 2);
-        assert!(
-            result.gather.rebuilds > 0,
-            "no fallback rebuilt the gathered copy of the partitioned table"
-        );
         // The interleaved multi-shard health stream validates per shard.
         obsv::check::check_health(&telemetry.health_jsonl).expect("health JSONL valid");
         assert!(telemetry.health_jsonl.contains("\"shard\": 1"));
         obsv::check::check_windows(&telemetry.windows_jsonl).expect("windows JSONL valid");
         let json = result.to_json();
-        assert!(json.contains("\"gather_rebuilds\""));
         assert!(json.contains("\"one_shard_identical\": true"));
         assert!(json.contains("\"replay_identical\": true"));
         // The artifact is deterministic work only: a second run renders the

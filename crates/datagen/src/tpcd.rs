@@ -167,10 +167,10 @@ impl ColGen {
 
 fn fill_table(db: &mut Database, id: TableId, rows: usize, cols: Vec<ColGen>, rng: &mut StdRng) {
     // One text buffer and one row buffer for the whole table, and the
-    // table's copy-on-write check once, not per row.
+    // copy-on-write checks (the table's, each column's) once, not per row.
     let mut buf = String::new();
     let mut values = Vec::with_capacity(cols.len());
-    let table = db.table_mut(id);
+    let mut table = db.table_mut(id).appender();
     for row in 0..rows {
         values.extend(cols.iter().map(|c| c.value(row, rng, &mut buf)));
         table

@@ -40,7 +40,7 @@
 //!   `offline-tune`. The rest probe on keys of several columns (the
 //!   two-column `lineitem`–`partsupp` edge, or several edges meeting one
 //!   side), which may share a fingerprint, so each such hit is verified by
-//!   [`ValueRef`](storage::ValueRef) equality, and results stay exact under
+//!   [`ValueRef`] equality, and results stay exact under
 //!   64-bit collisions. The codes carry no type tag, so a key whose column
 //!   types differ between the join's sides (`Int = Date`, `Int = Float`)
 //!   never matches: such a join is empty before it is built. Equi-joins and
@@ -111,7 +111,7 @@ use rustc_hash::FxHasher;
 use std::cmp::Ordering;
 use std::hash::Hasher;
 use std::sync::Arc;
-use storage::{ColumnData, DataType, Database, PayloadRef, Table, Value};
+use storage::{ColumnData, DataType, Database, PayloadRef, Slices, Table, Value, ValueRef};
 
 /// Hash-join build side: build ordinals chained by fingerprint.
 ///
@@ -398,13 +398,13 @@ impl Intermediate {
 }
 
 /// A bound column resolved against an intermediate: the tuple slot holding
-/// the row index, and the column storage itself. Resolving once per operator
-/// replaces the reference interpreter's per-value relation → table → column
-/// chain.
-#[derive(Clone, Copy)]
+/// the row ordinal, and where the column's cells are. Resolving once per
+/// operator replaces the reference interpreter's per-value relation → table
+/// → column chain.
+#[derive(Clone)]
 struct ResolvedCol<'a> {
     slot: usize,
-    col: &'a ColumnData,
+    cells: Cells<'a>,
 }
 
 impl<'a> ResolvedCol<'a> {
@@ -412,47 +412,272 @@ impl<'a> ResolvedCol<'a> {
     fn row(&self, tuple: &[usize]) -> usize {
         tuple[self.slot]
     }
+
+    fn data_type(&self) -> DataType {
+        match &self.cells {
+            Cells::One(col) => col.data_type(),
+            Cells::Chain(chain) => chain.cols[0].data_type(),
+        }
+    }
+
+    /// The cell of `tuple`, for a caller that reads one cell at a time.
+    fn get(&self, tuple: &[usize]) -> Value {
+        let row = self.row(tuple);
+        match &self.cells {
+            Cells::One(col) => col.get(row),
+            Cells::Chain(chain) => chain.get(row),
+        }
+    }
+}
+
+/// Where a column's cells are, chosen once per operator: one table's column,
+/// which the typed loops index by row as they always did, or a chained
+/// table's ([`ChainCol`]).
+#[derive(Clone)]
+enum Cells<'a> {
+    One(&'a ColumnData),
+    Chain(ChainCol<'a>),
+}
+
+impl<'a> Cells<'a> {
+    /// Column `col` of `rows`: the column itself unless `rows` is a chain.
+    fn of(rows: Slices<'a>, col: usize) -> Cells<'a> {
+        match rows.tables() {
+            [table] => Cells::One(table.column(col)),
+            tables => Cells::Chain(ChainCol {
+                cols: tables.iter().map(|t| t.column(col)).collect(),
+            }),
+        }
+    }
+}
+
+/// One column of a chained table (a cross-shard read of a partitioned
+/// table): the column of each slice. A tuple holds the chain's row ordinal,
+/// which names its slice and its row there ([`Slices::locate`]), so nothing
+/// is copied into one column first.
+#[derive(Clone)]
+struct ChainCol<'a> {
+    cols: Vec<&'a ColumnData>,
+}
+
+impl<'a> ChainCol<'a> {
+    /// The cells of every slice, typed by `typed` (which every slice's
+    /// payload passes, the slices sharing one schema).
+    fn typed<T>(&self, typed: impl Fn(PayloadRef<'a>) -> Option<&'a [T]>) -> Chained<'a, T> {
+        let parts = self.cols.iter().map(|c| Flat {
+            valid: c.validity(),
+            xs: typed(c.payload()).unwrap_or_default(),
+        });
+        Chained {
+            parts: parts.collect(),
+        }
+    }
+
+    /// The slice's column holding the chain's row `row`, and the row in it.
+    #[inline]
+    fn at(&self, row: usize) -> (&'a ColumnData, usize) {
+        let (s, r) = Slices::locate(row);
+        (self.cols[s], r)
+    }
+}
+
+/// One column's cells of payload type `T`, read by row ordinal: what the
+/// typed loops (fingerprints, sort keys, projection) index, compiled once
+/// for a plain column and once for a chained one.
+trait At<'a, T> {
+    /// The cell at `row`; `None` if it is NULL.
+    fn at(&self, row: usize) -> Option<&'a T>;
+}
+
+/// A plain column's cells: its validity bitmap and typed payload.
+#[derive(Clone, Copy)]
+struct Flat<'a, T> {
+    valid: &'a [bool],
+    xs: &'a [T],
+}
+
+impl<'a, T> At<'a, T> for Flat<'a, T> {
+    #[inline]
+    fn at(&self, row: usize) -> Option<&'a T> {
+        if self.valid[row] {
+            Some(&self.xs[row])
+        } else {
+            None
+        }
+    }
+}
+
+/// A chained column's cells: each slice's, a row located in its slice
+/// before it is read.
+struct Chained<'a, T> {
+    parts: Vec<Flat<'a, T>>,
+}
+
+impl<'a, T> At<'a, T> for Chained<'a, T> {
+    #[inline]
+    fn at(&self, row: usize) -> Option<&'a T> {
+        let (s, r) = Slices::locate(row);
+        self.parts[s].at(r)
+    }
+}
+
+/// Cell reads by row ordinal for the loops that are not typed per payload
+/// (aggregates, key equality), compiled once for a plain column and once
+/// for a chained one.
+trait Read<'a> {
+    fn is_valid(&self, row: usize) -> bool;
+    fn get_ref(&self, row: usize) -> ValueRef<'a>;
+    fn get(&self, row: usize) -> Value;
+}
+
+impl<'a> Read<'a> for &'a ColumnData {
+    #[inline]
+    fn is_valid(&self, row: usize) -> bool {
+        ColumnData::is_valid(self, row)
+    }
+
+    #[inline]
+    fn get_ref(&self, row: usize) -> ValueRef<'a> {
+        ColumnData::get_ref(self, row)
+    }
+
+    #[inline]
+    fn get(&self, row: usize) -> Value {
+        ColumnData::get(self, row)
+    }
+}
+
+impl<'a> Read<'a> for &ChainCol<'a> {
+    #[inline]
+    fn is_valid(&self, row: usize) -> bool {
+        let (col, r) = self.at(row);
+        col.is_valid(r)
+    }
+
+    #[inline]
+    fn get_ref(&self, row: usize) -> ValueRef<'a> {
+        let (col, r) = self.at(row);
+        col.get_ref(r)
+    }
+
+    #[inline]
+    fn get(&self, row: usize) -> Value {
+        let (col, r) = self.at(row);
+        col.get(r)
+    }
 }
 
 /// One join/group key column, borrowed once per operator: the tuple slot,
-/// the validity bitmap and the typed payload, so fingerprinting and equality
-/// in the per-tuple loops index slices and never walk back through the table.
+/// the type and the cells — of a plain column, the validity bitmap and the
+/// typed payload, so fingerprinting and equality in the per-tuple loops
+/// index slices and never walk back through the table.
 struct KeyCol<'a> {
     slot: usize,
-    valid: &'a [bool],
-    xs: PayloadRef<'a>,
+    data_type: DataType,
+    cells: KeyCells<'a>,
+}
+
+enum KeyCells<'a> {
+    One {
+        valid: &'a [bool],
+        xs: PayloadRef<'a>,
+    },
+    Chain(ChainCol<'a>),
 }
 
 impl<'a> KeyCol<'a> {
     fn new(rc: ResolvedCol<'a>) -> KeyCol<'a> {
         KeyCol {
             slot: rc.slot,
-            valid: rc.col.validity(),
-            xs: rc.col.payload(),
+            data_type: rc.data_type(),
+            cells: match rc.cells {
+                Cells::One(col) => KeyCells::One {
+                    valid: col.validity(),
+                    xs: col.payload(),
+                },
+                Cells::Chain(chain) => KeyCells::Chain(chain),
+            },
         }
     }
 
     /// Fold this column's code for each tuple into `fps`, flagging NULLs in
     /// `nulls`: the per-tuple loop compiled once per payload type, with the
     /// code inlined.
-    fn fold(
-        &self,
-        tuples: &[usize],
-        arity: usize,
-        fps: &mut [u64],
-        nulls: &mut [bool],
-        code: impl Fn(usize) -> u64,
-    ) {
-        for ((t, h), null) in tuples.chunks_exact(arity).zip(fps).zip(nulls) {
-            let r = t[self.slot];
-            let c = if self.valid[r] {
-                code(r)
-            } else {
+    fn fold(&self, tuples: &[usize], arity: usize, fps: &mut [u64], nulls: &mut [bool]) {
+        let rows = (tuples, arity, self.slot);
+        match &self.cells {
+            KeyCells::One { valid, xs } => match *xs {
+                PayloadRef::Int(xs) => {
+                    fold_rows(rows, Flat { valid, xs }, fps, nulls, |&x| x as u64)
+                }
+                PayloadRef::Date(xs) => {
+                    fold_rows(rows, Flat { valid, xs }, fps, nulls, |&x| x as i32 as u64)
+                }
+                PayloadRef::Float(xs) => {
+                    fold_rows(rows, Flat { valid, xs }, fps, nulls, |x| x.to_bits())
+                }
+                PayloadRef::Str(xs) => {
+                    fold_rows(rows, Flat { valid, xs }, fps, nulls, |x| str_code(x))
+                }
+            },
+            KeyCells::Chain(chain) => match self.data_type {
+                DataType::Int => fold_rows(rows, chain.typed(PayloadRef::ints), fps, nulls, |&x| {
+                    x as u64
+                }),
+                DataType::Date => {
+                    fold_rows(rows, chain.typed(PayloadRef::ints), fps, nulls, |&x| {
+                        x as i32 as u64
+                    })
+                }
+                DataType::Float => {
+                    fold_rows(rows, chain.typed(PayloadRef::floats), fps, nulls, |x| {
+                        x.to_bits()
+                    })
+                }
+                DataType::Str => fold_rows(rows, chain.typed(PayloadRef::strs), fps, nulls, |x| {
+                    str_code(x)
+                }),
+            },
+        }
+    }
+
+    /// The key at `row`, which the caller knows is not NULL.
+    #[inline]
+    fn value(&self, row: usize) -> ValueRef<'a> {
+        match &self.cells {
+            KeyCells::One { xs, .. } => xs.value(row),
+            KeyCells::Chain(chain) => chain.get_ref(row),
+        }
+    }
+
+    #[inline]
+    fn is_valid(&self, row: usize) -> bool {
+        match &self.cells {
+            KeyCells::One { valid, .. } => valid[row],
+            KeyCells::Chain(chain) => chain.is_valid(row),
+        }
+    }
+}
+
+/// [`KeyCol::fold`]'s loop: `(tuples, arity, slot)` says where each
+/// tuple's row is.
+#[inline]
+fn fold_rows<'a, T: 'a>(
+    (tuples, arity, slot): (&[usize], usize, usize),
+    cells: impl At<'a, T>,
+    fps: &mut [u64],
+    nulls: &mut [bool],
+    code: impl Fn(&T) -> u64,
+) {
+    for ((t, h), null) in tuples.chunks_exact(arity).zip(fps).zip(nulls) {
+        let c = match cells.at(t[slot]) {
+            Some(x) => code(x),
+            None => {
                 *null = true;
                 NULL_CODE
-            };
-            *h = fp_mix(*h, c);
-        }
+            }
+        };
+        *h = fp_mix(*h, c);
     }
 }
 
@@ -476,21 +701,21 @@ impl<'a> KeySet<'a> {
     fn exact(&self) -> bool {
         match &self.cols[..] {
             [] => true,
-            [kc] => !matches!(kc.xs, PayloadRef::Str(_)),
+            [kc] => kc.data_type != DataType::Str,
             _ => false,
         }
     }
 
-    /// Whether this side's keys can equal `other`'s: the same payload type
-    /// in every position. The typed codes carry no type tag, so a mixed
-    /// pair must never reach [`KeySet::keys_equal`].
+    /// Whether this side's keys can equal `other`'s: the same type in every
+    /// position. The typed codes carry no type tag, so a mixed pair must
+    /// never reach [`KeySet::keys_equal`].
     fn comparable(&self, other: &KeySet<'_>) -> bool {
         self.cols.len() == other.cols.len()
             && self
                 .cols
                 .iter()
                 .zip(&other.cols)
-                .all(|(a, b)| std::mem::discriminant(&a.xs) == std::mem::discriminant(&b.xs))
+                .all(|(a, b)| a.data_type == b.data_type)
     }
 
     /// Fingerprints of the key tuples in `tuples` (flat, `arity` ordinals
@@ -511,12 +736,7 @@ impl<'a> KeySet<'a> {
         nulls.clear();
         nulls.resize(n, false);
         for kc in &self.cols {
-            match kc.xs {
-                PayloadRef::Int(xs) => kc.fold(tuples, arity, fps, nulls, |r| xs[r] as u64),
-                PayloadRef::Date(xs) => kc.fold(tuples, arity, fps, nulls, |r| xs[r] as i32 as u64),
-                PayloadRef::Float(xs) => kc.fold(tuples, arity, fps, nulls, |r| xs[r].to_bits()),
-                PayloadRef::Str(xs) => kc.fold(tuples, arity, fps, nulls, |r| str_code(&xs[r])),
-            }
+            kc.fold(tuples, arity, fps, nulls);
         }
     }
 
@@ -543,7 +763,7 @@ impl<'a> KeySet<'a> {
         self.cols
             .iter()
             .zip(&other.cols)
-            .all(|(a, b)| a.xs.value(tuple[a.slot]) == b.xs.value(otuple[b.slot]))
+            .all(|(a, b)| a.value(tuple[a.slot]) == b.value(otuple[b.slot]))
     }
 
     /// Whether two tuples' grouping keys are one group: NULL in the same
@@ -552,7 +772,8 @@ impl<'a> KeySet<'a> {
     fn same_group(&self, tuple: &[usize], other: &[usize]) -> bool {
         self.cols.iter().all(|kc| {
             let (a, b) = (tuple[kc.slot], other[kc.slot]);
-            kc.valid[a] == kc.valid[b] && (!kc.valid[a] || kc.xs.value(a) == kc.xs.value(b))
+            let valid = kc.is_valid(a);
+            valid == kc.is_valid(b) && (!valid || kc.value(a) == kc.value(b))
         })
     }
 }
@@ -571,26 +792,55 @@ enum SortKeys<'a> {
 
 impl<'a> SortKeys<'a> {
     /// The key of column `rc` in each of `tuples`.
-    fn new<'t>(rc: ResolvedCol<'a>, tuples: impl Iterator<Item = &'t [usize]>) -> SortKeys<'a> {
+    fn new<'t>(rc: &ResolvedCol<'a>, tuples: impl Iterator<Item = &'t [usize]>) -> SortKeys<'a> {
         /// The per-tuple loop, compiled once per payload type.
-        fn read<'t, K>(
-            rc: ResolvedCol<'_>,
+        fn read<'a, 't, T: 'a, K>(
+            slot: usize,
+            cells: impl At<'a, T>,
             tuples: impl Iterator<Item = &'t [usize]>,
-            key: impl Fn(usize) -> K,
+            key: impl Fn(&'a T) -> K,
         ) -> Vec<Option<K>> {
-            let valid = rc.col.validity();
-            tuples
-                .map(|t| {
-                    let r = t[rc.slot];
-                    valid[r].then(|| key(r))
-                })
-                .collect()
+            tuples.map(|t| cells.at(t[slot]).map(&key)).collect()
         }
-        match rc.col.payload() {
-            PayloadRef::Int(xs) => SortKeys::Int(read(rc, tuples, |r| xs[r])),
-            PayloadRef::Date(xs) => SortKeys::Date(read(rc, tuples, |r| xs[r] as i32)),
-            PayloadRef::Float(xs) => SortKeys::Float(read(rc, tuples, |r| f64_total_key(xs[r]))),
-            PayloadRef::Str(xs) => SortKeys::Str(read(rc, tuples, |r| &*xs[r])),
+        let slot = rc.slot;
+        match &rc.cells {
+            Cells::One(col) => {
+                let valid = col.validity();
+                match col.payload() {
+                    PayloadRef::Int(xs) => {
+                        SortKeys::Int(read(slot, Flat { valid, xs }, tuples, |&x| x))
+                    }
+                    PayloadRef::Date(xs) => {
+                        SortKeys::Date(read(slot, Flat { valid, xs }, tuples, |&x| x as i32))
+                    }
+                    PayloadRef::Float(xs) => {
+                        SortKeys::Float(read(slot, Flat { valid, xs }, tuples, |&x| {
+                            f64_total_key(x)
+                        }))
+                    }
+                    PayloadRef::Str(xs) => {
+                        SortKeys::Str(read(slot, Flat { valid, xs }, tuples, |x| &**x))
+                    }
+                }
+            }
+            Cells::Chain(chain) => match rc.data_type() {
+                DataType::Int => {
+                    SortKeys::Int(read(slot, chain.typed(PayloadRef::ints), tuples, |&x| x))
+                }
+                DataType::Date => {
+                    SortKeys::Date(read(slot, chain.typed(PayloadRef::ints), tuples, |&x| {
+                        x as i32
+                    }))
+                }
+                DataType::Float => {
+                    SortKeys::Float(read(slot, chain.typed(PayloadRef::floats), tuples, |&x| {
+                        f64_total_key(x)
+                    }))
+                }
+                DataType::Str => {
+                    SortKeys::Str(read(slot, chain.typed(PayloadRef::strs), tuples, |x| &**x))
+                }
+            },
         }
     }
 
@@ -690,10 +940,9 @@ impl<'a> Interp<'a> {
                 };
                 let slot = inter.slot_of(c.relation).ok_or_else(|| missing.clone())?;
                 let &(tid, _) = self.query.relations.get(c.relation).ok_or(missing)?;
-                let table = self.db.try_table(tid)?;
                 Ok(ResolvedCol {
                     slot,
-                    col: table.column(c.column),
+                    cells: Cells::of(self.db.try_slices(tid)?, c.column),
                 })
             })
             .collect()
@@ -729,6 +978,29 @@ impl<'a> Interp<'a> {
             .into_iter()
             .map(|p| CompiledPred::new(table, p))
             .collect())
+    }
+
+    /// The rows `scan` selects from each slice of `rows`, in slice order,
+    /// as row ordinals of the whole ([`Slices::ordinal`]), with the sum of
+    /// the counts `scan` returns beside them. Slice 0's rows are their own
+    /// ordinals, so its selection (a plain table's whole answer) is kept as
+    /// `scan` made it, not copied.
+    fn scan_slices(
+        rows: Slices<'a>,
+        mut scan: impl FnMut(&'a Table) -> Result<(Vec<usize>, usize), ExecError>,
+    ) -> Result<(Vec<usize>, usize), ExecError> {
+        let mut out = Vec::new();
+        let mut count = 0;
+        for (s, table) in rows.tables().iter().enumerate() {
+            let (selected, n) = scan(table)?;
+            count += n;
+            if s == 0 {
+                out = selected;
+            } else {
+                out.extend(selected.into_iter().map(|r| Slices::ordinal(s, r)));
+            }
+        }
+        Ok((out, count))
     }
 
     fn edge(&self, e: usize) -> Result<&'a query::JoinEdge, ExecError> {
@@ -769,14 +1041,20 @@ impl<'a> Interp<'a> {
     ) -> Result<Intermediate, ExecError> {
         let code_preds = |preds: &[CompiledPred<'_>]| preds.iter().filter(|p| p.on_codes()).count();
         match &node.op {
+            // A scan compiles its predicates against each slice in turn, so a
+            // string constant is coded in that slice's own dictionary;
+            // `code_preds` then counts slice by slice.
             Operator::SeqScan { rel, table, preds } => {
-                let t = self.db.try_table(*table)?;
-                self.work += CostParams::seq_scan(t.row_count() as f64);
-                let preds = self.compile(t, preds)?;
-                span.arg("code_preds", code_preds(&preds));
+                let rows = self.db.try_slices(*table)?;
+                self.work += CostParams::seq_scan(rows.row_count() as f64);
+                let (data, on_codes) = Self::scan_slices(rows, |t| {
+                    let preds = self.compile(t, preds)?;
+                    Ok((select_rows(&preds, t.row_count()), code_preds(&preds)))
+                })?;
+                span.arg("code_preds", on_codes);
                 Ok(Intermediate {
                     rels: vec![*rel],
-                    data: select_rows(&preds, t.row_count()),
+                    data,
                 })
             }
             Operator::IndexScan {
@@ -786,16 +1064,21 @@ impl<'a> Interp<'a> {
                 residual,
                 ..
             } => {
-                let t = self.db.try_table(*table)?;
-                // Rows reachable through the index seek.
-                let seek = self.compile(t, seek_preds)?;
-                let mut rows = select_rows(&seek, t.row_count());
-                self.work += CostParams::index_scan(t.row_count() as f64, rows.len() as f64);
-                let residual = self.compile(t, residual)?;
-                for pred in &residual {
-                    pred.refine(&mut rows);
-                }
-                span.arg("code_preds", code_preds(&seek) + code_preds(&residual));
+                let slices = self.db.try_slices(*table)?;
+                let mut sought = 0;
+                let (rows, on_codes) = Self::scan_slices(slices, |t| {
+                    // Rows reachable through the index seek.
+                    let seek = self.compile(t, seek_preds)?;
+                    let mut rows = select_rows(&seek, t.row_count());
+                    sought += rows.len();
+                    let residual = self.compile(t, residual)?;
+                    for pred in &residual {
+                        pred.refine(&mut rows);
+                    }
+                    Ok((rows, code_preds(&seek) + code_preds(&residual)))
+                })?;
+                self.work += CostParams::index_scan(slices.row_count() as f64, sought as f64);
+                span.arg("code_preds", on_codes);
                 Ok(Intermediate {
                     rels: vec![*rel],
                     data: rows,
@@ -848,7 +1131,7 @@ impl<'a> Interp<'a> {
                 ..
             } => {
                 let outer = self.run(&node.children[0], span)?;
-                let table = self.db.try_table(*inner_table)?;
+                let slices = self.db.try_slices(*inner_table)?;
                 // Outer-side and inner-side key columns per crossing edge.
                 let mut outer_keys: Vec<BoundColumn> = Vec::new();
                 let mut inner_ords: Vec<usize> = Vec::new();
@@ -864,18 +1147,23 @@ impl<'a> Interp<'a> {
                         }
                     }
                 }
-                let compiled_inner = self.compile(table, inner_preds)?;
+                // The inner predicates, compiled against each slice.
+                let compiled_inner = slices
+                    .tables()
+                    .iter()
+                    .map(|t| self.compile(t, inner_preds))
+                    .collect::<Result<Vec<_>, _>>()?;
                 // The "index": inner rows keyed by fingerprints of the joined
                 // columns. Inner-side key columns resolve directly against
                 // the base table (every tuple is its own row index).
-                let inner_rows = table.row_count();
+                let inner_rows = slices.row_count();
                 let mut inner_cols: Vec<ResolvedCol<'a>> = Vec::new();
                 if inner_rows > 0 {
                     inner_cols = inner_ords
                         .iter()
                         .map(|&c| ResolvedCol {
                             slot: 0,
-                            col: table.column(c),
+                            cells: Cells::of(slices, c),
                         })
                         .collect();
                 }
@@ -883,7 +1171,7 @@ impl<'a> Interp<'a> {
                 // Every inner row is its own one-ordinal tuple.
                 let inner = Intermediate {
                     rels: vec![*inner_rel],
-                    data: (0..inner_rows).collect(),
+                    data: slices.ordinals(),
                 };
                 let mut rels = outer.rels.clone();
                 rels.push(*inner_rel);
@@ -895,15 +1183,29 @@ impl<'a> Interp<'a> {
                 let outer_key = KeySet::new(outer_cols);
                 let mut data = Vec::new();
                 let mut fetched_total = 0usize;
-                hash_join(&inner_key, &inner, &outer_key, &outer, |tup, r| {
-                    // Only exact key matches count as fetched (mirrors
-                    // the reference's exact-key map).
+                // Only exact key matches count as fetched (mirrors the
+                // reference's exact-key map).
+                let mut fetch = |tup: &[usize], r: usize, matches: bool| {
                     fetched_total += 1;
-                    if compiled_inner.iter().all(|p| p.matches(r)) {
+                    if matches {
                         data.extend_from_slice(tup);
                         data.push(r);
                     }
-                });
+                };
+                // A plain table's rows are their own ordinals, so its fetch
+                // skips the lookup a chain's per-slice predicates need (the
+                // cost measured against the chain accessor on plain tables:
+                // DESIGN.md §17).
+                match &compiled_inner[..] {
+                    [preds] => hash_join(&inner_key, &inner, &outer_key, &outer, |tup, r| {
+                        fetch(tup, r, preds.iter().all(|p| p.matches(r)))
+                    }),
+                    per_slice => hash_join(&inner_key, &inner, &outer_key, &outer, |tup, b| {
+                        let r = inner.data[b];
+                        let (s, row) = Slices::locate(r);
+                        fetch(tup, r, per_slice[s].iter().all(|p| p.matches(row)))
+                    }),
+                }
                 // Metering mirrors the optimizer's model: one index descent
                 // per outer tuple plus a random access per fetched row.
                 let out_count = data.len() / rels.len();
@@ -1026,13 +1328,13 @@ fn agg_output(
     items
         .iter()
         .map(|&item| match item {
-            OutputItem::Key(k) => {
-                let rc = &g_cols[k];
-                rc.col.get(rc.row(input.tuple(members[0])))
-            }
-            OutputItem::Aggregate(a) => {
-                aggregate(query.aggregates[a].func, agg_cols[a], input, members)
-            }
+            OutputItem::Key(k) => g_cols[k].get(input.tuple(members[0])),
+            OutputItem::Aggregate(a) => aggregate(
+                query.aggregates[a].func,
+                agg_cols[a].as_ref(),
+                input,
+                members,
+            ),
         })
         .collect()
 }
@@ -1040,7 +1342,7 @@ fn agg_output(
 /// `func` over `members`' values of `rc`.
 fn aggregate(
     func: AggFunc,
-    rc: Option<ResolvedCol<'_>>,
+    rc: Option<&ResolvedCol<'_>>,
     input: &Intermediate,
     members: &[usize],
 ) -> Value {
@@ -1052,32 +1354,36 @@ fn aggregate(
             _ => Value::Null,
         };
     };
+    let rows = members.iter().map(|&ti| rc.row(input.tuple(ti)));
+    match &rc.cells {
+        Cells::One(col) => fold_aggregate(func, *col, rows),
+        Cells::Chain(chain) => fold_aggregate(func, chain, rows),
+    }
+}
+
+/// `func` over the cells of `col` at `rows`.
+fn fold_aggregate<'a>(
+    func: AggFunc,
+    col: impl Read<'a>,
+    rows: impl Iterator<Item = usize> + Clone,
+) -> Value {
     // The aggregate's non-NULL inputs as base-table rows, in member order.
     // Every fold below walks them as borrowed values; only a MIN/MAX winner
     // is materialized, as the stored cell itself.
-    let live = || {
-        members
-            .iter()
-            .map(|&ti| rc.row(input.tuple(ti)))
-            .filter(|&r| rc.col.is_valid(r))
-    };
-    let by_value = |a: &usize, b: &usize| rc.col.get_ref(*a).total_cmp(&rc.col.get_ref(*b));
+    let live = || rows.clone().filter(|&r| col.is_valid(r));
+    let by_value = |a: &usize, b: &usize| col.get_ref(*a).total_cmp(&col.get_ref(*b));
     match func {
         AggFunc::Count => Value::Int(live().count() as i64),
         // Of equal values `min_by` keeps the first and `max_by` the last, as
         // `Iterator::min` / `max` over owned values did.
-        AggFunc::Min => live()
-            .min_by(by_value)
-            .map_or(Value::Null, |r| rc.col.get(r)),
-        AggFunc::Max => live()
-            .max_by(by_value)
-            .map_or(Value::Null, |r| rc.col.get(r)),
+        AggFunc::Min => live().min_by(by_value).map_or(Value::Null, |r| col.get(r)),
+        AggFunc::Max => live().max_by(by_value).map_or(Value::Null, |r| col.get(r)),
         AggFunc::Sum | AggFunc::Avg => match live().count() {
             0 => Value::Null,
             n => {
                 // `Iterator::sum` and no hand-written fold: std's identity
                 // element is part of the float's bits.
-                let sum: f64 = live().map(|r| rc.col.get_ref(r).numeric_key()).sum();
+                let sum: f64 = live().map(|r| col.get_ref(r).numeric_key()).sum();
                 Value::Float(if func == AggFunc::Sum {
                     sum
                 } else {
@@ -1235,7 +1541,7 @@ fn execute_impl(
             .iter()
             .filter_map(|&(col, desc)| Some((g_cols.get(position(col)?)?, desc)))
             .chain(g_cols.iter().map(|rc| (rc, false)))
-            .map(|(&rc, desc)| {
+            .map(|(rc, desc)| {
                 (
                     SortKeys::new(rc, reps.iter().map(|&t| input.tuple(t))),
                     desc,
@@ -1251,7 +1557,9 @@ fn execute_impl(
             .iter()
             .map(|agg| match agg.input {
                 Some(col) if !input.data.is_empty() => Ok(Some(
-                    interp.resolve_cols(&input, std::slice::from_ref(&col))?[0],
+                    interp
+                        .resolve_cols(&input, std::slice::from_ref(&col))?
+                        .swap_remove(0),
                 )),
                 _ => Ok(None),
             })
@@ -1288,7 +1596,7 @@ fn execute_impl(
                 .resolve_cols(&input, &order_cols)?
                 .into_iter()
                 .zip(&query.order_by)
-                .map(|(rc, &(_, desc))| (SortKeys::new(rc, input.tuples()), desc))
+                .map(|(rc, &(_, desc))| (SortKeys::new(&rc, input.tuples()), desc))
                 .collect();
             let order = sort_order(&keys, input.count());
             let mut sorted = Vec::with_capacity(input.data.len());
@@ -1309,7 +1617,7 @@ fn execute_impl(
         Projection::Star => {
             let mut all = Vec::new();
             for (rel, (tid, _)) in query.relations.iter().enumerate() {
-                for c in 0..db.try_table(*tid)?.schema().len() {
+                for c in 0..db.try_slices(*tid)?.schema().len() {
                     all.push(BoundColumn::new(rel, c));
                 }
             }
@@ -1322,9 +1630,7 @@ fn execute_impl(
     } else {
         interp.resolve_cols(&input, &cols)?
     };
-    let str_cols = p_cols
-        .iter()
-        .filter(|rc| rc.col.data_type() == DataType::Str);
+    let str_cols = p_cols.iter().filter(|rc| rc.data_type() == DataType::Str);
     let block_rows = (PROJECT_CELLS / cols.len().max(1)).max(1);
     project_span.arg("rows", input.count());
     project_span.arg("cols", cols.len());
@@ -1370,23 +1676,50 @@ fn project_column(
     rows: &mut [Vec<Value>],
 ) {
     /// The row loop, compiled once per payload type with `cell` inlined.
-    fn fill(
-        rc: &ResolvedCol<'_>,
+    fn fill<'a, T: 'a>(
+        slot: usize,
+        cells: impl At<'a, T>,
         tuples: std::slice::ChunksExact<'_, usize>,
         rows: &mut [Vec<Value>],
-        cell: impl Fn(usize) -> Value,
+        cell: impl Fn(&T) -> Value,
     ) {
-        let valid = rc.col.validity();
         for (row, t) in rows.iter_mut().zip(tuples) {
-            let r = t[rc.slot];
-            row.push(if valid[r] { cell(r) } else { Value::Null });
+            row.push(cells.at(t[slot]).map_or(Value::Null, &cell));
         }
     }
-    match rc.col.payload() {
-        PayloadRef::Int(xs) => fill(rc, tuples, rows, |r| Value::Int(xs[r])),
-        PayloadRef::Date(xs) => fill(rc, tuples, rows, |r| Value::Date(xs[r] as i32)),
-        PayloadRef::Float(xs) => fill(rc, tuples, rows, |r| Value::Float(xs[r])),
-        PayloadRef::Str(xs) => fill(rc, tuples, rows, |r| Value::Str(Arc::clone(&xs[r]))),
+    let slot = rc.slot;
+    match &rc.cells {
+        Cells::One(col) => {
+            let valid = col.validity();
+            match col.payload() {
+                PayloadRef::Int(xs) => {
+                    fill(slot, Flat { valid, xs }, tuples, rows, |&x| Value::Int(x))
+                }
+                PayloadRef::Date(xs) => fill(slot, Flat { valid, xs }, tuples, rows, |&x| {
+                    Value::Date(x as i32)
+                }),
+                PayloadRef::Float(xs) => {
+                    fill(slot, Flat { valid, xs }, tuples, rows, |&x| Value::Float(x))
+                }
+                PayloadRef::Str(xs) => fill(slot, Flat { valid, xs }, tuples, rows, |x| {
+                    Value::Str(Arc::clone(x))
+                }),
+            }
+        }
+        Cells::Chain(chain) => match rc.data_type() {
+            DataType::Int => fill(slot, chain.typed(PayloadRef::ints), tuples, rows, |&x| {
+                Value::Int(x)
+            }),
+            DataType::Date => fill(slot, chain.typed(PayloadRef::ints), tuples, rows, |&x| {
+                Value::Date(x as i32)
+            }),
+            DataType::Float => fill(slot, chain.typed(PayloadRef::floats), tuples, rows, |&x| {
+                Value::Float(x)
+            }),
+            DataType::Str => fill(slot, chain.typed(PayloadRef::strs), tuples, rows, |x| {
+                Value::Str(Arc::clone(x))
+            }),
+        },
     }
 }
 
@@ -1511,7 +1844,7 @@ mod tests {
                 of.iter()
                     .map(|&c| ResolvedCol {
                         slot: 0,
-                        col: &cols[c],
+                        cells: Cells::One(&cols[c]),
                     })
                     .collect(),
             )
@@ -1519,8 +1852,10 @@ mod tests {
         let identity: Vec<usize> = (0..n).collect();
         let fps_of = |keys: &KeySet<'_>| {
             let (mut fps, mut nulls) = (Vec::new(), Vec::new());
-            let rows = keys.cols[0].valid.len();
-            keys.fingerprints(&identity[..rows], 1, &mut fps, &mut nulls);
+            let KeyCells::One { valid, .. } = keys.cols[0].cells else {
+                panic!("a plain column")
+            };
+            keys.fingerprints(&identity[..valid.len()], 1, &mut fps, &mut nulls);
             (fps, nulls)
         };
         // A single numeric column's fingerprint is its code times the odd
@@ -1572,7 +1907,7 @@ mod tests {
             key_over(&[1]),
             KeySet::new(vec![ResolvedCol {
                 slot: 0,
-                col: &narrow,
+                cells: Cells::One(&narrow),
             }]),
         );
         assert!(wide.comparable(&narrow));
@@ -1583,7 +1918,10 @@ mod tests {
         // `Float(2.0)`; as join keys they never match.
         let mut int = ColumnData::new(DataType::Int);
         int.push(Value::Int(5));
-        let int = KeySet::new(vec![ResolvedCol { slot: 0, col: &int }]);
+        let int = KeySet::new(vec![ResolvedCol {
+            slot: 0,
+            cells: Cells::One(&int),
+        }]);
         assert_eq!(ValueRef::Int(5), ValueRef::Date(5));
         assert!(!int.comparable(&narrow) && !int.comparable(&key_over(&[2])));
         assert!(!all.comparable(&key_over(&[0])), "key widths differ");

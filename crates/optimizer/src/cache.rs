@@ -104,7 +104,7 @@ fn context_fingerprint(db: &Database, query: &BoundSelect) -> u64 {
         // A stale table id contributes only its id to the fingerprint; the
         // subsequent optimization reports the error itself (and errors are
         // never cached), so no stale entry can form.
-        let Ok(table) = db.try_table(table_id) else {
+        let Ok(table) = db.try_slices(table_id) else {
             continue;
         };
         h.write(table.row_count() as u64);

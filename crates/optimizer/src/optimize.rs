@@ -180,8 +180,8 @@ impl Optimizer {
         rel: usize,
     ) -> Result<BaseRelation, PlanError> {
         let table_id = query.table_of(rel);
-        let table = db.try_table(table_id)?;
-        let n = table.row_count() as f64;
+        // A chained table (a cluster's cross-shard read) counts every slice.
+        let n = db.try_slices(table_id)?.row_count() as f64;
         let filter = profile.relation_filter(query, rel);
         let out_rows = n * filter;
         let all_preds: Vec<usize> = query.selections_on(rel).map(|(i, _)| i).collect();

@@ -423,7 +423,7 @@ pub fn build_profile(
         for (rel, (tid, _)) in query.relations.iter().enumerate() {
             // A stale table id contributes no rows here; the planner proper
             // reports it as a typed error.
-            let base = db.try_table(*tid).map_or(0.0, |t| t.row_count() as f64);
+            let base = db.try_slices(*tid).map_or(0.0, |t| t.row_count() as f64);
             let filter: f64 = query
                 .selections_on(rel)
                 .map(|(i, _)| values.get(i).copied().unwrap_or(1.0))

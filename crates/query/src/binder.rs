@@ -115,16 +115,16 @@ impl<'a> Scope<'a> {
             let rel = self
                 .relation_named(q)
                 .ok_or_else(|| BindError::UnknownTable(q.clone()))?;
-            let table = self.db.table(self.relations[rel].0);
-            let col = table
-                .schema()
+            let col = self
+                .db
+                .schema(self.relations[rel].0)
                 .index_of(&c.column)
                 .ok_or_else(|| BindError::UnknownColumn(c.to_string()))?;
             return Ok(BoundColumn::new(rel, col));
         }
         let mut found: Option<BoundColumn> = None;
         for (rel, (tid, _)) in self.relations.iter().enumerate() {
-            if let Some(col) = self.db.table(*tid).schema().index_of(&c.column) {
+            if let Some(col) = self.db.schema(*tid).index_of(&c.column) {
                 if found.is_some() {
                     return Err(BindError::AmbiguousColumn(c.column.clone()));
                 }
@@ -136,8 +136,7 @@ impl<'a> Scope<'a> {
 
     fn column_type(&self, c: BoundColumn) -> DataType {
         self.db
-            .table(self.relations[c.relation].0)
-            .schema()
+            .schema(self.relations[c.relation].0)
             .column(c.column)
             .data_type
     }
@@ -363,7 +362,7 @@ pub fn bind_statement(db: &Database, stmt: &Statement) -> Result<BoundStatement,
             let table = db
                 .table_id(&i.table)
                 .ok_or_else(|| BindError::UnknownTable(i.table.clone()))?;
-            let schema = db.table(table).schema();
+            let schema = db.schema(table);
             if schema.len() != i.values.len() {
                 return Err(BindError::ArityMismatch {
                     table: i.table.clone(),
@@ -391,15 +390,20 @@ pub fn bind_statement(db: &Database, stmt: &Statement) -> Result<BoundStatement,
             let table = db
                 .table_id(&u.table)
                 .ok_or_else(|| BindError::UnknownTable(u.table.clone()))?;
-            let schema = db.table(table).schema();
+            let schema = db.schema(table);
             let set_column = schema
                 .index_of(&u.set_column)
                 .ok_or_else(|| BindError::UnknownColumn(u.set_column.clone()))?;
-            check_literal(
-                schema.column(set_column).data_type,
-                &u.set_column,
-                &u.set_value,
-            )?;
+            let def = schema.column(set_column);
+            // The NULL `storage::Table::update_rows` would refuse, refused
+            // as INSERT's is.
+            if u.set_value.is_null() && !def.nullable {
+                return Err(BindError::NullViolation {
+                    table: u.table.clone(),
+                    column: def.name.clone(),
+                });
+            }
+            check_literal(def.data_type, &u.set_column, &u.set_value)?;
             let selections = bind_filter_for_table(db, table, &u.table, &u.conditions)?;
             Ok(BoundStatement::Update(BoundUpdate {
                 table,
@@ -535,13 +539,18 @@ mod tests {
                 "{sql}: {err}"
             );
         }
+        // NULL into a column that is not nullable, as INSERT refuses it.
+        let err = bind(&db, "UPDATE emp SET age = NULL").unwrap_err();
+        assert!(
+            matches!(err, BindError::NullViolation { ref column, .. } if column == "age"),
+            "{err}"
+        );
         // What the column store accepts still binds: the column's own type,
-        // an INT into a FLOAT column, NULL into any column.
+        // an INT into a FLOAT column.
         for sql in [
             "UPDATE emp SET age = 31 WHERE empid < 3",
             "UPDATE emp SET salary = 100",
             "UPDATE emp SET salary = 99.5",
-            "UPDATE emp SET age = NULL",
             "UPDATE dept SET dname = 'ops'",
         ] {
             assert!(bind(&db, sql).is_ok(), "{sql}");

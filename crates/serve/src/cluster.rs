@@ -6,7 +6,7 @@
 //! registry — so shards never contend on locks or counters. Cross-shard
 //! state exists in exactly three places: the immutable [`ShardPlan`], the
 //! arbiter's demand vector (updated once per tick from collected
-//! [`TickReport`]s), and the gathered copies of the partitioned tables.
+//! [`TickReport`]s), and the broadcast order (below).
 //!
 //! ## Tick protocol
 //!
@@ -20,30 +20,37 @@
 //! A cross-shard SELECT runs on a database that shares storage with the
 //! shards instead of copying it. `storage::Database` holds its tables by
 //! `Arc`, so that database is the schema skeleton with, for each referenced
-//! table, either the owner's `Arc` (an owned table) or the cluster's
-//! *gathered* copy (a partitioned table: the slices appended in shard order,
-//! column by column). Its tables come from the routed shards' published
-//! [`Snapshot`]s, loaded in shard order and then loaded again: if any shard
-//! published in between, the fallback loads them all anew. A shard's slot
-//! never returns to a snapshot someone holds, so when every second load is
-//! the first, each snapshot was current at the instant the last first load
-//! was taken, and no write falls between the tables of one query. The
-//! statement is then planned by [`autod::plan_select`], as a shard plans
-//! it, but against an *empty* statistics catalog (magic-number
-//! selectivities), and executes, holding no lock. A writer
-//! that arrives while the fallback still holds one of its tables does not
-//! wait for it: its `table_mut` copies that table (`Arc::make_mut`) and the
-//! fallback keeps the rows it started with.
+//! table, the owner's `Arc` (an owned table) or the chain of every shard's
+//! slice in shard order (a partitioned table, [`Database::set_slices`]).
+//! The executor reads a chain in place: a scan runs slice by slice and
+//! numbers each row by its slice's start plus its row in the slice, so the
+//! rows, their order and the `work` are those of one table holding the
+//! slices' rows in shard order. Nothing is concatenated, cached or locked.
 //!
-//! The gathered copy of a partitioned table is kept on the cluster, one per
-//! table, shared by every client, and is keyed by the slices'
-//! [`storage::Table::version`]s: a fallback compares the versions in the
-//! snapshots it loaded with the versions the copy was built from, and
-//! rebuilds the copy only when one differs. The key is the version and not
-//! the modification counter because that counter can be reset, so two
-//! different states of a slice can read the same count. A write to a slice
-//! never copies anything on account of the gathered table (which is a table
-//! of its own); it only makes the next fallback rebuild it.
+//! The tables come from the routed shards' published [`Snapshot`]s, loaded
+//! in shard order and then loaded again: if any shard published in between,
+//! the fallback loads them all anew. A shard's slot never returns to a
+//! snapshot someone holds, so when every second load is the first, each
+//! snapshot was current at the instant the last first load was taken, and
+//! no write falls between the tables of one query. The statement is then
+//! planned by [`autod::plan_select`], as a shard plans it, but against an
+//! *empty* statistics catalog (magic-number selectivities), and executes,
+//! holding no lock. A writer that arrives while the fallback still holds
+//! one of its slices does not wait for it: its `table_mut` copies that
+//! slice (`Arc::make_mut`) and the fallback keeps the rows it started with.
+//!
+//! ## Broadcast order
+//!
+//! An UPDATE or DELETE on a partitioned table is applied on every shard in
+//! turn. Broadcasts hold one cluster mutex while they do, so every shard
+//! applies them in one order, and bump a sequence counter before and after
+//! (odd while one is in flight). A reader of several shards — a fallback's
+//! load above, or a scatter's — loads with no lock taken and keeps what it
+//! loaded if the counter read even before the load and is unchanged after
+//! it; otherwise it loads again under the mutex. So it sees all of a
+//! broadcast or none of it, and it waits for broadcasts only, never for
+//! another reader. A scatter then runs each shard's part on the snapshot it
+//! loaded.
 //!
 //! Fallback queries are deliberately invisible to every shard's workload
 //! monitor: they are not single-shard statements, so no shard's tuner
@@ -63,7 +70,7 @@ use query::{parse_statement, SelectStmt, Statement};
 use stats::StatsCatalog;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use storage::{Database, Result as StorageResult, Table, TableId};
+use storage::{Database, Result as StorageResult};
 
 /// Cluster configuration: the placement knobs plus the per-shard service
 /// configuration.
@@ -97,8 +104,7 @@ pub struct ServeCluster {
     /// Empty structural clone of the original database: what a fallback
     /// snapshot starts from.
     skeleton: Arc<Database>,
-    /// Gathered copies of the partitioned tables (fallback readers).
-    gather: Arc<Gather>,
+    broadcasts: Arc<BroadcastOrder>,
     arbiter: BudgetArbiter,
     /// Demand vector for the next tick split, updated from collected
     /// reports; starts at the arbiter's floor (1.0 per shard).
@@ -148,8 +154,8 @@ impl ServeCluster {
             router: Router::new(Arc::clone(&plan)),
             plan,
             services,
-            gather: Arc::new(Gather::new(skeleton.table_count())),
             skeleton,
+            broadcasts: Arc::default(),
             arbiter: BudgetArbiter::new(config.autod.budget_per_tick),
             demands,
         })
@@ -183,16 +189,7 @@ impl ServeCluster {
             router: self.router.clone(),
             handles: self.services.iter().map(|s| s.handle(tid)).collect(),
             skeleton: Arc::clone(&self.skeleton),
-            gather: Arc::clone(&self.gather),
-        }
-    }
-
-    /// How often a fallback found the gathered copy of a partitioned table
-    /// current, and how often it had to rebuild it.
-    pub fn gather_stats(&self) -> GatherStats {
-        GatherStats {
-            hits: self.gather.hits.load(Ordering::Relaxed),
-            rebuilds: self.gather.rebuilds.load(Ordering::Relaxed),
+            broadcasts: Arc::clone(&self.broadcasts),
         }
     }
 
@@ -292,7 +289,7 @@ pub struct ClusterClient {
     router: Router,
     handles: Vec<QueryHandle>,
     skeleton: Arc<Database>,
-    gather: Arc<Gather>,
+    broadcasts: Arc<BroadcastOrder>,
 }
 
 impl ClusterClient {
@@ -318,60 +315,71 @@ impl ClusterClient {
         let route = match stmt {
             Statement::Select(select) => {
                 let routed = self.router.route_select(select);
-                if routed.route == Route::Fallback {
-                    return self.run_fallback(select, &routed);
+                match routed.route {
+                    Route::Fallback => return self.run_fallback(select, &routed),
+                    Route::Scatter => return self.run_scatter(sql, select, &routed.shards),
+                    route => route,
                 }
-                routed.route
             }
             _ => self.router.route(stmt),
         };
         match route {
             Route::Broadcast => self.run_broadcast(sql, stmt),
-            Route::Scatter => self.run_scatter(sql, stmt),
             Route::Single(s) | Route::PartitionedInsert(s) => self.handles[s].run(sql, stmt),
-            // Only SELECTs fall back, and they returned above.
-            Route::Fallback => self.handles[0].run(sql, stmt),
+            // Only SELECTs scatter or fall back, and they returned above.
+            Route::Scatter | Route::Fallback => self.handles[0].run(sql, stmt),
         }
     }
 
     /// UPDATE/DELETE on a partitioned table: the slices are disjoint, so
     /// applying the statement on every shard touches each row exactly once
-    /// and per-shard counts sum to the single-database answer.
+    /// and per-shard counts sum to the single-database answer. Applied in
+    /// the cluster's broadcast order (module docs).
     fn run_broadcast(
         &self,
         sql: &str,
         stmt: &Statement,
     ) -> Result<StatementOutcome, StatementError> {
-        let mut rows_affected = 0usize;
-        let mut work = 0.0f64;
-        for handle in &self.handles {
-            match handle.run(sql, stmt)? {
-                StatementOutcome::Dml {
-                    rows_affected: r,
-                    work: w,
-                } => {
-                    rows_affected += r;
-                    work += w;
+        self.broadcasts.apply(|| {
+            let mut rows_affected = 0usize;
+            let mut work = 0.0f64;
+            for handle in &self.handles {
+                match handle.run(sql, stmt)? {
+                    StatementOutcome::Dml {
+                        rows_affected: r,
+                        work: w,
+                    } => {
+                        rows_affected += r;
+                        work += w;
+                    }
+                    // Broadcast only routes DML; a Query outcome cannot happen.
+                    other => return Ok(other),
                 }
-                // Broadcast only routes DML; a Query outcome cannot happen.
-                other => return Ok(other),
             }
-        }
-        Ok(StatementOutcome::Dml {
-            rows_affected,
-            work,
+            Ok(StatementOutcome::Dml {
+                rows_affected,
+                work,
+            })
         })
     }
 
     /// Projection-only single-table SELECT over a partitioned table: run on
     /// every shard through its own handle (so each shard's monitor observes
-    /// its slice of the workload) and concatenate rows in shard order.
-    fn run_scatter(&self, sql: &str, stmt: &Statement) -> Result<StatementOutcome, StatementError> {
+    /// its slice of the workload), each on the snapshot [`Self::load`] gave
+    /// it, and concatenate rows in shard order.
+    fn run_scatter(
+        &self,
+        sql: &str,
+        select: &SelectStmt,
+        shards: &[usize],
+    ) -> Result<StatementOutcome, StatementError> {
+        let loaded = self.load(shards);
         let mut rows = Vec::new();
         let mut work = 0.0f64;
         let mut estimated_cost = 0.0f64;
-        for handle in &self.handles {
-            match handle.run(sql, stmt)? {
+        // Each shard's snapshot is let go once its part has run.
+        for (&s, snapshot) in shards.iter().zip(loaded) {
+            match self.handles[s].run_select(&snapshot, sql, select)? {
                 StatementOutcome::Query {
                     output,
                     estimated_cost: cost,
@@ -389,50 +397,61 @@ impl ClusterClient {
         })
     }
 
-    /// Cross-shard SELECT: execute on a database that shares the referenced
-    /// tables with the shards (see the module docs for the snapshot and
-    /// statistics story).
+    /// The published snapshots of `shards`, in that order, all current at
+    /// one instant and none with a broadcast half applied (module docs).
+    fn load(&self, shards: &[usize]) -> Vec<Arc<Snapshot>> {
+        let load = || -> Vec<Arc<Snapshot>> {
+            shards.iter().map(|&s| self.handles[s].snapshot()).collect()
+        };
+        self.broadcasts.read(|| {
+            let mut loaded = load();
+            while !loaded.iter().zip(load()).all(|(a, b)| Arc::ptr_eq(a, &b)) {
+                loaded = load();
+            }
+            loaded
+        })
+    }
+
+    /// The database a cross-shard SELECT runs on: the skeleton with each
+    /// table the statement reads shared from the shards' snapshots, an
+    /// owned table as its owner holds it and a partitioned one as the chain
+    /// of every shard's slice in shard order.
+    fn fallback_database(&self, routed: &SelectRoute<'_>) -> StorageResult<Database> {
+        let loaded = self.load(&routed.shards);
+        let mut db = (*self.skeleton).clone();
+        for p in &routed.tables {
+            match p.placement {
+                Placement::Owned(owner) => {
+                    if let Some(i) = routed.shards.iter().position(|&s| s == owner) {
+                        db.set_shared_table(p.table, loaded[i].db.shared_table(p.table));
+                    }
+                }
+                // A partitioned table involves every shard, so `loaded` is
+                // one snapshot per shard, in shard order.
+                Placement::Partitioned => {
+                    let slices = loaded.iter().map(|s| s.db.shared_table(p.table));
+                    db.set_slices(p.table, slices.collect())?;
+                }
+            }
+        }
+        Ok(db)
+    }
+
+    /// Cross-shard SELECT: execute on [`Self::fallback_database`] (see the
+    /// module docs for the snapshot and statistics story).
     fn run_fallback(
         &self,
         select: &SelectStmt,
         routed: &SelectRoute<'_>,
     ) -> Result<StatementOutcome, StatementError> {
-        let load = || -> Vec<Arc<Snapshot>> {
-            routed
-                .shards
-                .iter()
-                .map(|&s| self.handles[s].snapshot())
-                .collect()
-        };
-        let mut loaded = load();
-        while !loaded.iter().zip(load()).all(|(a, b)| Arc::ptr_eq(a, &b)) {
-            loaded = load();
-        }
-        let mut snapshot = (*self.skeleton).clone();
-        for p in &routed.tables {
-            let table = match p.placement {
-                Placement::Owned(owner) => {
-                    let Some(i) = routed.shards.iter().position(|&s| s == owner) else {
-                        continue;
-                    };
-                    loaded[i].db.shared_table(p.table)
-                }
-                // A partitioned table involves every shard, so `loaded` is
-                // one snapshot per shard, in shard order.
-                Placement::Partitioned => self
-                    .gather
-                    .table(p.table, &self.skeleton, &loaded)
-                    .map_err(|e| StatementError::Exec(e.into()))?,
-            };
-            snapshot.set_shared_table(p.table, table);
-        }
-        drop(loaded);
-
+        let db = self
+            .fallback_database(routed)
+            .map_err(|e| StatementError::Exec(e.into()))?;
         // No shard's statistics describe the tables as a whole, so the
         // fallback plans against an empty catalog (magic numbers) — the
         // honest cost model for a path the tuner never sees.
-        let (query, optimized) = plan_select(&snapshot, &StatsCatalog::new(), select)?;
-        let output = execute_plan(&snapshot, &query, &optimized.plan, &optimizer::CostParams)?;
+        let (query, optimized) = plan_select(&db, &StatsCatalog::new(), select)?;
+        let output = execute_plan(&db, &query, &optimized.plan, &optimizer::CostParams)?;
         Ok(StatementOutcome::Query {
             output,
             estimated_cost: optimized.cost,
@@ -440,80 +459,49 @@ impl ClusterClient {
     }
 }
 
-/// [`ServeCluster::gather_stats`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct GatherStats {
-    pub hits: u64,
-    pub rebuilds: u64,
+/// The cluster's broadcast order (module docs): a mutex that a broadcast
+/// holds while it applies on every shard, and that a reader which met a
+/// broadcast while it loaded holds to load again, and the count of
+/// broadcast starts and ends, odd while one is in flight.
+#[derive(Default)]
+struct BroadcastOrder {
+    lock: Mutex<()>,
+    seq: AtomicU64,
 }
 
-/// The gathered copies of the partitioned tables: per table, the slices of
-/// every shard appended in shard order, and the slice versions that copy was
-/// built from.
-struct Gather {
-    /// Indexed by `TableId` ordinal; only partitioned tables are ever filled.
-    slots: Vec<Mutex<Option<Gathered>>>,
-    hits: AtomicU64,
-    rebuilds: AtomicU64,
-}
-
-struct Gathered {
-    versions: Vec<u64>,
-    table: Arc<Table>,
-}
-
-impl Gather {
-    fn new(tables: usize) -> Gather {
-        Gather {
-            slots: (0..tables).map(|_| Mutex::new(None)).collect(),
-            hits: AtomicU64::new(0),
-            rebuilds: AtomicU64::new(0),
-        }
+impl BroadcastOrder {
+    /// Run `broadcast` after every broadcast before it and before any after
+    /// it.
+    fn apply<T>(&self, broadcast: impl FnOnce() -> T) -> T {
+        let _held = self.lock.lock();
+        self.seq.fetch_add(1, Ordering::SeqCst);
+        let out = broadcast();
+        self.seq.fetch_add(1, Ordering::SeqCst);
+        out
     }
 
-    /// The gathered copy of `id`, rebuilt first if any slice changed since
-    /// it was built. `shards` holds every shard's snapshot in shard order;
-    /// the slot's lock is the only one taken, and it makes concurrent
-    /// fallbacks share one rebuild. The copy it replaces is dropped after
-    /// that lock is released, so no other fallback waits on the free.
-    fn table(
-        &self,
-        id: TableId,
-        skeleton: &Database,
-        shards: &[Arc<Snapshot>],
-    ) -> StorageResult<Arc<Table>> {
-        let slices = || shards.iter().map(|s| s.db.table(id));
-        let (table, replaced) = {
-            let mut slot = self.slots[id.0 as usize].lock();
-            if let Some(current) = slot
-                .as_ref()
-                .filter(|g| slices().map(Table::version).eq(g.versions.iter().copied()))
-            {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                return Ok(Arc::clone(&current.table));
+    /// What `load` reads of the shards, seen with no broadcast half applied:
+    /// loaded with no lock taken if no broadcast started or was in flight
+    /// meanwhile, and loaded again under the lock if one was. A load
+    /// that saw a write of a broadcast saw it after that broadcast's first
+    /// bump, so the second read of the counter sees the bump too.
+    fn read<T>(&self, load: impl Fn() -> T) -> T {
+        let seq = self.seq.load(Ordering::SeqCst);
+        if seq.is_multiple_of(2) {
+            let out = load();
+            if self.seq.load(Ordering::SeqCst) == seq {
+                return out;
             }
-            let mut table = skeleton.table(id).empty_like();
-            table.reserve(slices().map(Table::row_count).sum());
-            for slice in slices() {
-                table.append_table(slice)?;
-            }
-            let table = Arc::new(table);
-            let replaced = slot.replace(Gathered {
-                versions: slices().map(Table::version).collect(),
-                table: Arc::clone(&table),
-            });
-            (table, replaced)
-        };
-        self.rebuilds.fetch_add(1, Ordering::Relaxed);
-        drop(replaced);
-        Ok(table)
+        }
+        let _held = self.lock.lock();
+        load()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use storage::{ColumnDef, DataType, Schema, Value};
+    use storage::{ColumnDef, DataType, Schema, TableId, Value};
 
     /// `big` is hash-partitioned over three shards, `mid` and `small` are
     /// owned.
@@ -553,10 +541,12 @@ mod tests {
         cluster.plan().placement_by_name(name).unwrap().table
     }
 
-    /// The gathered copy of `big` as the cluster holds it now.
-    fn gathered_big(cluster: &ServeCluster) -> Arc<Table> {
-        let slot = cluster.gather.slots[table_id(cluster, "big").0 as usize].lock();
-        Arc::clone(&slot.as_ref().expect("a fallback gathered `big`").table)
+    /// The database a fallback of `sql` would run on now.
+    fn fallback_db(cluster: &ServeCluster, client: &ClusterClient, sql: &str) -> Database {
+        let stmt = parse_statement(sql).unwrap();
+        let routed = cluster.router().route_select(stmt.as_select().unwrap());
+        assert_eq!(routed.route, Route::Fallback, "{sql}");
+        client.fallback_database(&routed).unwrap()
     }
 
     fn count(client: &ClusterClient, sql: &str) -> i64 {
@@ -570,49 +560,35 @@ mod tests {
     }
 
     #[test]
-    fn fallbacks_with_no_write_between_them_share_one_gathered_table() {
+    fn a_fallback_reads_every_shards_slice_in_place_in_shard_order() {
         let cluster = cluster();
+        let client = cluster.client(1);
+        assert_eq!(count(&client, "SELECT COUNT(*) FROM big"), 600);
         assert_eq!(
-            cluster
-                .router()
-                .route(&parse_statement("SELECT COUNT(*) FROM big").unwrap()),
-            Route::Fallback
-        );
-        assert_eq!(count(&cluster.client(1), "SELECT COUNT(*) FROM big"), 600);
-        let first = gathered_big(&cluster);
-        assert_eq!(
-            cluster.gather_stats(),
-            GatherStats {
-                hits: 0,
-                rebuilds: 1
-            }
-        );
-        // Another client, another statement shape, the same rows.
-        let other = cluster.client(2);
-        assert_eq!(
-            count(&other, "SELECT COUNT(*) FROM big b, mid m WHERE b.k = m.k"),
+            count(&client, "SELECT COUNT(*) FROM big b, mid m WHERE b.k = m.k"),
             80
         );
-        assert!(Arc::ptr_eq(&first, &gathered_big(&cluster)));
-        assert_eq!(
-            cluster.gather_stats(),
-            GatherStats {
-                hits: 1,
-                rebuilds: 1
-            }
+        let (big, mid) = (table_id(&cluster, "big"), table_id(&cluster, "mid"));
+        let db = fallback_db(
+            &cluster,
+            &client,
+            "SELECT COUNT(*) FROM big b, mid m WHERE b.k = m.k",
         );
-        // Slices in shard order, as the row-at-a-time gather laid them out.
-        let big = table_id(&cluster, "big");
-        let mut at = 0;
-        for service in cluster.services() {
+        // The shards' own slices, in shard order: nothing was copied.
+        let chain = db.slices(big);
+        assert_eq!(chain.tables().len(), 3);
+        for (s, service) in cluster.services().iter().enumerate() {
             let snapshot = service.snapshot();
-            let slice = snapshot.db.table(big);
-            for r in 0..slice.row_count() {
-                assert_eq!(first.row_values(at), slice.row_values(r));
-                at += 1;
-            }
+            assert!(std::ptr::eq(&*chain.tables()[s], snapshot.db.table(big)));
         }
-        assert_eq!(at, first.row_count());
+        assert_eq!(chain.row_count(), 600);
+        let Placement::Owned(owner) = cluster.plan().placement(mid).unwrap().placement else {
+            panic!("`mid` is owned");
+        };
+        assert!(std::ptr::eq(
+            db.table(mid),
+            cluster.service(owner).snapshot().db.table(mid)
+        ));
     }
 
     #[test]
@@ -626,7 +602,7 @@ mod tests {
     }
 
     #[test]
-    fn a_write_to_any_slice_makes_the_next_fallback_rebuild() {
+    fn a_fallback_sees_every_write_to_any_slice_before_it() {
         let cluster = cluster();
         let client = cluster.client(1);
         let mut expected = 600;
@@ -636,8 +612,6 @@ mod tests {
             ("UPDATE big SET v = 8 WHERE k < 300", 0), // broadcast
             ("DELETE FROM big WHERE k >= 590", -11),   // broadcast
         ] {
-            let before = gathered_big(&cluster);
-            let rebuilds = cluster.gather_stats().rebuilds;
             client.run_sql(write).unwrap();
             expected += delta;
             assert_eq!(
@@ -645,26 +619,8 @@ mod tests {
                 expected,
                 "{write}"
             );
-            assert_eq!(cluster.gather_stats().rebuilds, rebuilds + 1, "{write}");
-            assert!(!Arc::ptr_eq(&before, &gathered_big(&cluster)), "{write}");
         }
         assert_eq!(count(&client, "SELECT COUNT(*) FROM big WHERE v = 8"), 300);
-
-        // A broadcast that changes no row leaves the copy current, and so
-        // does a write to a table that is not partitioned.
-        let before = gathered_big(&cluster);
-        let stats = cluster.gather_stats();
-        client.run_sql("UPDATE big SET v = 1 WHERE k < 0").unwrap();
-        client.run_sql("UPDATE mid SET v = 1").unwrap();
-        assert_eq!(count(&client, "SELECT COUNT(*) FROM big"), expected);
-        assert!(Arc::ptr_eq(&before, &gathered_big(&cluster)));
-        assert_eq!(
-            cluster.gather_stats(),
-            GatherStats {
-                hits: stats.hits + 1,
-                ..stats
-            }
-        );
     }
 
     #[test]
@@ -672,13 +628,20 @@ mod tests {
         let cluster = cluster();
         let client = cluster.client(1);
 
-        // The gathered copy a running fallback would be reading.
-        assert_eq!(count(&client, "SELECT COUNT(*) FROM big"), 600);
-        let held = gathered_big(&cluster);
+        // The chain a running fallback would be reading: the writer copies
+        // the slices it writes and never waits for the holder.
+        let sql = "SELECT COUNT(*) FROM big";
+        let held = fallback_db(&cluster, &client, sql);
+        let big = table_id(&cluster, "big");
         client.run_sql("DELETE FROM big WHERE k < 100").unwrap();
-        assert_eq!(count(&client, "SELECT COUNT(*) FROM big"), 500);
-        assert_eq!(held.row_count(), 600);
-        assert_eq!(gathered_big(&cluster).row_count(), 500);
+        assert_eq!(count(&client, sql), 500);
+        assert_eq!(held.slices(big).row_count(), 600);
+        let now = fallback_db(&cluster, &client, sql);
+        assert_eq!(now.slices(big).row_count(), 500);
+        let copied = std::iter::zip(held.slices(big).tables(), now.slices(big).tables())
+            .filter(|(a, b)| !Arc::ptr_eq(a, b))
+            .count();
+        assert_eq!(copied, 3, "every shard held rows with k < 100");
 
         // An owned table held the way a fallback snapshot holds it: the
         // writer copies the table and never waits for the holder.

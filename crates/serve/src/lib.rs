@@ -57,6 +57,6 @@ pub mod plan;
 pub mod router;
 
 pub use arbiter::BudgetArbiter;
-pub use cluster::{ClusterClient, GatherStats, ServeCluster, ServeConfig};
+pub use cluster::{ClusterClient, ServeCluster, ServeConfig};
 pub use plan::{Placement, ShardPlan, TablePlacement};
 pub use router::{Route, Router};

@@ -148,10 +148,14 @@ impl ShardPlan {
                 }
                 Placement::Partitioned => {
                     let source = db.table(p.table);
+                    let mut slices: Vec<_> = out
+                        .iter_mut()
+                        .map(|shard| shard.table_mut(p.table).appender())
+                        .collect();
                     for row in 0..source.row_count() {
-                        let values = source.row_values(row);
+                        let mut values = source.row_values(row);
                         let shard = self.row_shard(&values);
-                        out[shard].table_mut(p.table).insert(values)?;
+                        slices[shard].insert_from(&mut values)?;
                     }
                 }
             }

@@ -25,10 +25,115 @@ impl fmt::Display for TableId {
 /// one side next mutates that table, and the mutating side pays one
 /// `Table::clone` then. Every holder therefore sees the value semantics a
 /// deep copy would give.
+///
+/// An entry is usually one table. It can also be a *chain*: same-schema
+/// slices read in order as one table ([`Database::set_slices`]), which is
+/// how a sharded cluster's cross-shard read holds a partitioned table — the
+/// shards' own slices, shared, not copied. A chain's row count is its
+/// slices' sum; its rows are read through [`Database::slices`] only, and it
+/// takes no writes: every accessor of one whole [`Table`] refuses a chain
+/// ([`StorageError::ChainedTable`]), so no reader gets part of it.
 #[derive(Debug, Default, Clone)]
 pub struct Database {
-    tables: Vec<Arc<Table>>,
+    tables: Vec<Entry>,
     indexes: Vec<Index>,
+}
+
+/// One table's rows: the table itself, or a chain of two or more slices,
+/// all of one schema.
+#[derive(Debug, Clone)]
+enum Entry {
+    One(Arc<Table>),
+    Chain(Arc<[Arc<Table>]>),
+}
+
+/// The bits of a row ordinal that number the row within its slice
+/// ([`Slices::locate`]); the bits above number the slice.
+const ROW_BITS: u32 = usize::BITS / 2;
+
+/// A database entry's rows, borrowed: its slices in order, read as one
+/// table. Row `r` of slice `s` is the entry's row ordinal `s << ROW_BITS |
+/// r` — the slice's offset plus the row — so ordinals ascend in slice
+/// order, and a plain table (one slice) numbers its rows as it always did.
+/// A slice holds fewer than `2^(usize::BITS / 2)` rows, far past what
+/// memory holds.
+#[derive(Debug, Clone, Copy)]
+pub struct Slices<'a> {
+    tables: &'a [Arc<Table>],
+}
+
+impl<'a> Slices<'a> {
+    /// The slices, in order; never empty.
+    pub fn tables(&self) -> &'a [Arc<Table>] {
+        self.tables
+    }
+
+    /// The schema every slice has.
+    pub fn schema(&self) -> &'a Schema {
+        self.tables[0].schema()
+    }
+
+    /// Rows of every slice together.
+    pub fn row_count(&self) -> usize {
+        self.tables.iter().map(|t| t.row_count()).sum()
+    }
+
+    /// The row ordinal of row `row` of slice `slice`.
+    #[inline]
+    pub fn ordinal(slice: usize, row: usize) -> usize {
+        slice << ROW_BITS | row
+    }
+
+    /// The slice holding row ordinal `ordinal`, and the row within it.
+    #[inline]
+    pub fn locate(ordinal: usize) -> (usize, usize) {
+        (ordinal >> ROW_BITS, ordinal & ((1 << ROW_BITS) - 1))
+    }
+
+    /// Every row ordinal, in order: a plain table's `0..row_count()`.
+    pub fn ordinals(&self) -> Vec<usize> {
+        let mut all = Vec::with_capacity(self.row_count());
+        for (s, t) in self.tables.iter().enumerate() {
+            all.extend((0..t.row_count()).map(|r| Slices::ordinal(s, r)));
+        }
+        all
+    }
+}
+
+impl Entry {
+    /// The first slice: the name and schema of the whole.
+    fn first(&self) -> &Arc<Table> {
+        match self {
+            Entry::One(t) => t,
+            Entry::Chain(c) => &c[0],
+        }
+    }
+
+    /// The table itself; a chain is not one table.
+    fn one(&self) -> Result<&Arc<Table>> {
+        match self {
+            Entry::One(t) => Ok(t),
+            Entry::Chain(c) => Err(StorageError::ChainedTable(c[0].name().to_string())),
+        }
+    }
+
+    fn slices(&self) -> Slices<'_> {
+        match self {
+            Entry::One(t) => Slices {
+                tables: std::slice::from_ref(t),
+            },
+            Entry::Chain(c) => Slices { tables: c },
+        }
+    }
+
+    /// The table to write, copied first if someone else holds it; a chain
+    /// takes no writes.
+    fn make_mut(&mut self) -> Result<&mut Table> {
+        match self {
+            Entry::One(t) => Ok(Arc::make_mut(t)),
+            Entry::Chain(c) => Err(StorageError::ChainedTable(c[0].name().to_string())),
+        }
+    }
 }
 
 impl Database {
@@ -43,7 +148,8 @@ impl Database {
             return Err(StorageError::DuplicateTable(name));
         }
         let id = TableId(self.tables.len() as u32);
-        self.tables.push(Arc::new(Table::new(name, schema)));
+        self.tables
+            .push(Entry::One(Arc::new(Table::new(name, schema))));
         Ok(id)
     }
 
@@ -52,58 +158,125 @@ impl Database {
     pub fn table_id(&self, name: &str) -> Option<TableId> {
         self.tables
             .iter()
-            .position(|t| t.name().eq_ignore_ascii_case(name))
+            .position(|t| t.first().name().eq_ignore_ascii_case(name))
             .map(|i| TableId(i as u32))
     }
 
+    /// The table `id`. Panics on a chain, as on a stale id; see
+    /// [`Database::try_table`].
     pub fn table(&self, id: TableId) -> &Table {
-        &self.tables[id.0 as usize]
+        match self.try_table(id) {
+            Ok(table) => table,
+            Err(e) => panic!("{e}"),
+        }
     }
 
+    /// The schema of table `id`, whether it is one table or a chain.
+    pub fn schema(&self, id: TableId) -> &Schema {
+        self.tables[id.0 as usize].first().schema()
+    }
+
+    /// The table to write. Panics on a chain, as on a stale id; see
+    /// [`Database::try_table_mut`].
     pub fn table_mut(&mut self, id: TableId) -> &mut Table {
-        Arc::make_mut(&mut self.tables[id.0 as usize])
+        match self.try_table_mut(id) {
+            Ok(table) => table,
+            Err(e) => panic!("{e}"),
+        }
+    }
+
+    /// Every slice of `id`'s rows, in order: the table alone unless it is a
+    /// chain.
+    pub fn slices(&self, id: TableId) -> Slices<'_> {
+        self.tables[id.0 as usize].slices()
+    }
+
+    /// Like [`Database::slices`], but returns a typed error instead of
+    /// panicking when `id` is stale or from another database.
+    pub fn try_slices(&self, id: TableId) -> Result<Slices<'_>> {
+        self.tables
+            .get(id.0 as usize)
+            .map(Entry::slices)
+            .ok_or(StorageError::UnknownTableId(id.0))
     }
 
     /// The table's `Arc`: a snapshot of its rows as they are now, at the
-    /// cost of a reference count.
+    /// cost of a reference count. Panics on a chain, as [`Database::table`]
+    /// does.
     pub fn shared_table(&self, id: TableId) -> Arc<Table> {
-        Arc::clone(&self.tables[id.0 as usize])
+        match self.tables[id.0 as usize].one() {
+            Ok(table) => Arc::clone(table),
+            Err(e) => panic!("{e}"),
+        }
     }
 
     /// Whether some other holder (a clone of this database, or a
     /// [`Database::shared_table`] caller) shares `id`'s table, so the next
-    /// [`Database::table_mut`] copies it.
+    /// [`Database::table_mut`] copies it. A chain's slices always are.
     pub fn is_shared(&self, id: TableId) -> bool {
-        Arc::strong_count(&self.tables[id.0 as usize]) > 1
+        match &self.tables[id.0 as usize] {
+            Entry::One(t) => Arc::strong_count(t) > 1,
+            Entry::Chain(_) => true,
+        }
     }
 
     /// Put `table` in `id`'s place, sharing it with whoever else holds it.
     pub fn set_shared_table(&mut self, id: TableId, table: Arc<Table>) {
-        self.tables[id.0 as usize] = table;
+        self.tables[id.0 as usize] = Entry::One(table);
+    }
+
+    /// Put the chain of `slices` in `id`'s place, each shared with whoever
+    /// else holds it: from then on `id`'s rows are the slices' rows in
+    /// order, and nothing is copied. One slice is [`set_shared_table`]; none
+    /// leaves `id` an empty table.
+    ///
+    /// # Errors
+    /// [`StorageError::SchemaMismatch`] if a slice's schema is not `id`'s;
+    /// the entry is left as it was.
+    ///
+    /// [`set_shared_table`]: Database::set_shared_table
+    pub fn set_slices(&mut self, id: TableId, mut slices: Vec<Arc<Table>>) -> Result<()> {
+        let entry = self.tables[id.0 as usize].first();
+        if let Some(other) = slices.iter().find(|s| s.schema() != entry.schema()) {
+            return Err(StorageError::SchemaMismatch {
+                table: entry.name().to_string(),
+                other: other.name().to_string(),
+            });
+        }
+        self.tables[id.0 as usize] = match slices.len() {
+            0 => Entry::One(Arc::new(entry.empty_like())),
+            1 => Entry::One(slices.swap_remove(0)),
+            _ => Entry::Chain(slices.into()),
+        };
+        Ok(())
     }
 
     /// Like [`Database::table`], but returns a typed error instead of
-    /// panicking when `id` is stale or from another database.
+    /// panicking when `id` is stale or from another database, or is a chain
+    /// ([`StorageError::ChainedTable`]).
     pub fn try_table(&self, id: TableId) -> Result<&Table> {
-        self.tables
+        let entry = self
+            .tables
             .get(id.0 as usize)
-            .map(Arc::as_ref)
-            .ok_or(StorageError::UnknownTableId(id.0))
+            .ok_or(StorageError::UnknownTableId(id.0))?;
+        entry.one().map(|t| &**t)
     }
 
     /// Like [`Database::table_mut`], but returns a typed error instead of
-    /// panicking when `id` is stale or from another database.
+    /// panicking when `id` is stale or from another database, or is a chain
+    /// ([`StorageError::ChainedTable`]).
     pub fn try_table_mut(&mut self, id: TableId) -> Result<&mut Table> {
         self.tables
             .get_mut(id.0 as usize)
-            .map(Arc::make_mut)
-            .ok_or(StorageError::UnknownTableId(id.0))
+            .ok_or(StorageError::UnknownTableId(id.0))?
+            .make_mut()
     }
 
     pub fn table_by_name(&self, name: &str) -> Result<&Table> {
-        self.table_id(name)
-            .map(|id| self.table(id))
-            .ok_or_else(|| StorageError::UnknownTable(name.to_string()))
+        let id = self
+            .table_id(name)
+            .ok_or_else(|| StorageError::UnknownTable(name.to_string()))?;
+        self.try_table(id)
     }
 
     /// All table ids, in creation order.
@@ -121,7 +294,7 @@ impl Database {
             tables: self
                 .tables
                 .iter()
-                .map(|t| Arc::new(t.empty_like()))
+                .map(|t| Entry::One(Arc::new(t.first().empty_like())))
                 .collect(),
             indexes: self.indexes.clone(),
         }
@@ -158,7 +331,7 @@ impl Database {
 
     /// Total rows across all tables (used for scale diagnostics).
     pub fn total_rows(&self) -> usize {
-        self.tables.iter().map(|t| t.row_count()).sum()
+        self.tables.iter().map(|t| t.slices().row_count()).sum()
     }
 
     /// A point-in-time snapshot of every table's row-modification counter,
@@ -168,7 +341,10 @@ impl Database {
         self.tables
             .iter()
             .enumerate()
-            .map(|(i, t)| (TableId(i as u32), t.modification_counter()))
+            .map(|(i, t)| {
+                let counter = t.slices().tables().iter().map(|s| s.modification_counter());
+                (TableId(i as u32), counter.sum())
+            })
             .collect()
     }
 }
@@ -287,6 +463,83 @@ mod tests {
             other.table(id).modification_counter(),
             db.table(id).modification_counter()
         );
+    }
+
+    #[test]
+    fn a_chain_reads_its_slices_in_order_and_takes_no_writes() {
+        let (mut db, id) = db_with_table();
+        let slice = |rows: std::ops::Range<i64>| {
+            let mut t = db.table(id).empty_like();
+            for a in rows {
+                t.insert(vec![Value::Int(a), Value::Int(-a)]).unwrap();
+            }
+            Arc::new(t)
+        };
+        let slices = vec![slice(0..3), slice(3..3), slice(3..8)];
+        let mut chained = db.schema_skeleton();
+        chained.set_slices(id, slices.clone()).unwrap();
+
+        let view = chained.slices(id);
+        assert_eq!(view.tables().len(), 3);
+        assert!(std::iter::zip(view.tables(), &slices).all(|(a, b)| Arc::ptr_eq(a, b)));
+        assert_eq!((view.row_count(), chained.total_rows()), (8, 8));
+        assert_eq!(chained.modification_snapshot()[&id], 8);
+        // Ordinals ascend in slice order and name every row once.
+        let ordinals = view.ordinals();
+        assert!(ordinals.windows(2).all(|w| w[0] < w[1]));
+        for (a, &ordinal) in ordinals.iter().enumerate() {
+            let (s, r) = Slices::locate(ordinal);
+            assert_eq!(Slices::ordinal(s, r), ordinal);
+            assert_eq!(view.tables()[s].value(r, 0), Value::Int(a as i64));
+        }
+        assert_eq!(chained.schema(id), db.schema(id));
+        assert_eq!(chained.table_id("T"), Some(id), "the first slice names it");
+
+        // No accessor of one whole table hands out part of a chain.
+        let refused = StorageError::ChainedTable("t".into());
+        assert_eq!(chained.try_table(id).unwrap_err(), refused);
+        assert_eq!(chained.table_by_name("t").unwrap_err(), refused);
+        assert_eq!(chained.try_table_mut(id).unwrap_err(), refused);
+        let panic_of = |whole: &dyn Fn()| {
+            let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(whole));
+            payload.unwrap_err().downcast_ref::<String>().cloned()
+        };
+        let message = Some(refused.to_string());
+        assert_eq!(panic_of(&|| _ = chained.table(id)), message);
+        assert_eq!(panic_of(&|| _ = chained.shared_table(id)), message);
+        assert!(chained.is_shared(id));
+        assert_eq!(slices[2].row_count(), 5, "no slice was written");
+
+        // One slice is a plain table again; none is an empty one.
+        chained
+            .set_slices(id, vec![Arc::clone(&slices[0])])
+            .unwrap();
+        assert!(std::ptr::eq(chained.table(id), &*slices[0]));
+        assert!(chained.slices(id).ordinals().into_iter().eq(0..3));
+        chained.set_slices(id, Vec::new()).unwrap();
+        assert_eq!(chained.slices(id).row_count(), 0);
+        chained
+            .try_table_mut(id)
+            .unwrap()
+            .insert(vec![Value::Int(1), Value::Int(1)])
+            .unwrap();
+        db.table_mut(id)
+            .insert(vec![Value::Int(1), Value::Int(1)])
+            .unwrap();
+    }
+
+    #[test]
+    fn a_slice_of_another_schema_is_refused() {
+        let (mut db, id) = db_with_table();
+        let other = Arc::new(Table::new(
+            "u",
+            Schema::new(vec![ColumnDef::new("x", DataType::Int)]),
+        ));
+        let err = db
+            .set_slices(id, vec![db.shared_table(id), other])
+            .unwrap_err();
+        assert!(matches!(err, StorageError::SchemaMismatch { .. }), "{err}");
+        assert!(db.try_table_mut(id).is_ok(), "the entry is as it was");
     }
 
     #[test]

@@ -9,9 +9,8 @@
 //! than tombstone bookkeeping, and statistics builders want dense columns).
 //!
 //! A string column holds one shared, immutable cell (`Arc<str>`) per row.
-//! Reading a cell out ([`ColumnData::get`]), appending a column to another
-//! ([`ColumnData::extend_from`]) and cloning a table for copy-on-write all
-//! bump a reference count instead of copying bytes. Cells are not interned:
+//! Reading a cell out ([`ColumnData::get`]) and cloning a table for
+//! copy-on-write both bump a reference count instead of copying bytes. Cells are not interned:
 //! one `Arc` per distinct value would have every client thread bump the same
 //! few counters, which measured slower than a count per row.
 //!
@@ -22,9 +21,10 @@
 //! every string column of a bulk load costs the load a hash per cell, whether
 //! or not a statistic is ever built on the column. From then on every write
 //! keeps them current, so a build after a write finds them ready, and a clone
-//! (so a copy-on-write) carries them. A column that is only appended to and
-//! never built on, such as a gathered copy of a partitioned table, never has
-//! them.
+//! (so a copy-on-write) carries them. A column never built on never has
+//! them, so a cross-shard read of a partitioned table finds codes on some of
+//! its shard slices and not on others: it compiles each string predicate
+//! against each slice's own dictionary.
 //!
 //! The executor reads codes that exist ([`ColumnData::made_str_codes`]) and
 //! answers a string `=`/`<>` on them, but never makes them: making them on
@@ -63,6 +63,30 @@ pub enum PayloadRef<'a> {
 }
 
 impl<'a> PayloadRef<'a> {
+    /// An `Int` or `Date` payload's entries.
+    pub fn ints(self) -> Option<&'a [i64]> {
+        match self {
+            PayloadRef::Int(xs) | PayloadRef::Date(xs) => Some(xs),
+            _ => None,
+        }
+    }
+
+    /// A `Float` payload's entries.
+    pub fn floats(self) -> Option<&'a [f64]> {
+        match self {
+            PayloadRef::Float(xs) => Some(xs),
+            _ => None,
+        }
+    }
+
+    /// A `Str` payload's cells.
+    pub fn strs(self) -> Option<&'a [Arc<str>]> {
+        match self {
+            PayloadRef::Str(xs) => Some(xs),
+            _ => None,
+        }
+    }
+
     /// The entry at row `i` as a value, whatever the validity bitmap says
     /// about the row.
     #[inline]
@@ -106,26 +130,6 @@ impl StrCodes {
         let c = self.dict.len() as u32;
         self.dict.insert(Arc::clone(s), c);
         c
-    }
-
-    /// Code the cells `from` appends, through `from`'s own codes when it has
-    /// them: one dictionary probe per distinct string rather than per row.
-    fn extend(&mut self, cells: &[Arc<str>], from: Option<&StrCodes>) {
-        let Some(from) = from else {
-            for s in cells {
-                let c = self.code(s);
-                self.codes.push(c);
-            }
-            return;
-        };
-        let mut mine = vec![u32::MAX; from.dict.len()];
-        for (s, &theirs) in cells.iter().zip(&from.codes) {
-            let slot = &mut mine[theirs as usize];
-            if *slot == u32::MAX {
-                *slot = self.code(s);
-            }
-            self.codes.push(*slot);
-        }
     }
 }
 
@@ -220,43 +224,6 @@ impl ColumnData {
             let c = codes.code(&xs[xs.len() - 1]);
             codes.codes.push(c);
         }
-    }
-
-    /// Append every row of `other`, which must hold the same `DataType`
-    /// (the caller, `Table::append_table`, checks): one bulk copy of the
-    /// payload vector and the validity bitmap instead of a `Value` per cell.
-    /// String cells are shared with `other`, not copied; if this column has
-    /// its codes, the appended rows are coded too, and not otherwise.
-    pub fn extend_from(&mut self, other: &ColumnData) {
-        match (&mut self.payload, &other.payload) {
-            (Payload::Int(xs), Payload::Int(from)) | (Payload::Date(xs), Payload::Date(from)) => {
-                xs.extend_from_slice(from)
-            }
-            (Payload::Float(xs), Payload::Float(from)) => xs.extend_from_slice(from),
-            (Payload::Str(xs), Payload::Str(from)) => {
-                xs.extend_from_slice(from);
-                if let Some(codes) = self.codes.get_mut() {
-                    codes.extend(from, other.codes.get().map(|c| &**c));
-                }
-            }
-            _ => panic!(
-                "type mismatch extending a {:?} column from a {:?} column",
-                self.data_type(),
-                other.data_type()
-            ),
-        }
-        self.validity.extend_from_slice(&other.validity);
-        self.drop_stale_codes();
-    }
-
-    /// Make room for `rows` more values.
-    pub fn reserve(&mut self, rows: usize) {
-        match &mut self.payload {
-            Payload::Int(xs) | Payload::Date(xs) => xs.reserve(rows),
-            Payload::Float(xs) => xs.reserve(rows),
-            Payload::Str(xs) => xs.reserve(rows),
-        }
-        self.validity.reserve(rows);
     }
 
     /// Value at row `i`. A string comes back as the stored cell itself
@@ -494,9 +461,10 @@ mod tests {
         // empty string is a cell of its own.
         assert!(Arc::ptr_eq(&before[1], &before[3]));
         assert!(!Arc::ptr_eq(&before[1], &before[2]));
-        // Appending a column and compacting after a delete move cells.
+        // Pushing a cell read out of a column and compacting after a delete
+        // move cells.
         let mut other = ColumnData::new(DataType::Str);
-        other.extend_from(&c);
+        c.iter().for_each(|v| other.push(v));
         assert!(Arc::ptr_eq(&cells(&other)[4], &before[4]));
         c.delete_rows(&[0, 1]);
         let left = cells(&c);
@@ -611,9 +579,9 @@ mod tests {
             want[2] = Value::Null;
             assert_reads(&col, &want);
 
-            // Appended to itself, NULLs included.
+            // Its own rows pushed again, NULLs included.
             let copy = col.clone();
-            col.extend_from(&copy);
+            copy.iter().for_each(|v| col.push(v));
             want.extend(want.clone());
             assert_reads(&col, &want);
 
@@ -628,11 +596,5 @@ mod tests {
         let mut date = ColumnData::new(DataType::Date);
         date.push(Value::Int((1 << 40) + 5));
         assert_reads(&date, &[Value::Date(5)]);
-    }
-
-    #[test]
-    #[should_panic(expected = "type mismatch extending")]
-    fn extend_from_another_type_panics() {
-        ColumnData::new(DataType::Int).extend_from(&ColumnData::new(DataType::Date));
     }
 }

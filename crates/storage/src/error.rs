@@ -27,8 +27,12 @@ pub enum StorageError {
     /// A [`crate::TableId`] that does not refer to any table in the database
     /// (stale id, or an id minted against a different `Database`).
     UnknownTableId(u32),
-    /// `Table::append_table` was handed a table whose schema differs.
+    /// `Database::set_slices` was handed a slice whose schema differs.
     SchemaMismatch { table: String, other: String },
+    /// A write to, or a read as one whole `Table` of, a table the database
+    /// holds as a chain of slices (`Database::set_slices`): a chain is
+    /// read-only, and read slice by slice (`Database::slices`).
+    ChainedTable(String),
 }
 
 impl fmt::Display for StorageError {
@@ -62,7 +66,13 @@ impl fmt::Display for StorageError {
                 write!(f, "table id T{id} does not exist in this database")
             }
             StorageError::SchemaMismatch { table, other } => {
-                write!(f, "cannot append '{other}' to '{table}': schemas differ")
+                write!(f, "cannot chain '{other}' as '{table}': schemas differ")
+            }
+            StorageError::ChainedTable(t) => {
+                write!(
+                    f,
+                    "table '{t}' is held as a chain of slices: it is read slice by slice and takes no writes"
+                )
             }
         }
     }

@@ -28,13 +28,13 @@ pub mod schema;
 pub mod table;
 pub mod value;
 
-pub use catalog::{Database, TableId};
+pub use catalog::{Database, Slices, TableId};
 pub use column::{ColumnData, PayloadRef};
 pub use error::StorageError;
 pub use fnv::Fnv;
 pub use index::Index;
 pub use schema::{ColumnDef, Schema};
-pub use table::Table;
+pub use table::{Appender, Table};
 pub use value::{DataType, Value, ValueRef};
 
 /// Crate-wide result alias.

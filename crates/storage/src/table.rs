@@ -3,25 +3,28 @@
 //! paper: "the server maintains a counter for each table that records the
 //! number of rows modified since the last time statistics on the table were
 //! updated").
+//!
+//! Columns are held by `Arc` and copied on write, as `Database` holds
+//! tables: a clone of a table shares every column, and a write copies only
+//! the columns it changes. So the copy a writer makes of a table a reader
+//! still holds costs one column for an UPDATE, not the whole table.
 
 use crate::column::ColumnData;
 use crate::error::StorageError;
 use crate::schema::Schema;
 use crate::value::Value;
 use crate::Result;
+use std::sync::Arc;
 
 /// A stored table.
 #[derive(Debug, Clone)]
 pub struct Table {
     name: String,
     schema: Schema,
-    columns: Vec<ColumnData>,
+    columns: Vec<Arc<ColumnData>>,
     /// Rows modified (inserted + deleted + updated) since the counter was
     /// last reset by a statistics update.
     modification_counter: u64,
-    /// Bumped by every mutation, the counter reset included, and never
-    /// rewound: along one table's history, equal versions mean equal rows.
-    version: u64,
 }
 
 impl Table {
@@ -29,14 +32,13 @@ impl Table {
         let columns = schema
             .columns()
             .iter()
-            .map(|c| ColumnData::new(c.data_type))
+            .map(|c| Arc::new(ColumnData::new(c.data_type)))
             .collect();
         Table {
             name: name.into(),
             schema,
             columns,
             modification_counter: 0,
-            version: 0,
         }
     }
 
@@ -66,27 +68,11 @@ impl Table {
         self.modification_counter
     }
 
-    /// A number that changes whenever the rows do. Unlike the modification
-    /// counter it cannot be reset, so a copy of the rows taken at version `v`
-    /// is current exactly while the table still reads `v`. A clone starts at
-    /// its source's version.
-    pub fn version(&self) -> u64 {
-        self.version
-    }
-
     /// A same-shape empty table: identical name and schema, zero rows, and a
     /// fresh modification counter. Shard-scoped databases start from these so
     /// every shard shares the original's table ids and column ordinals.
     pub fn empty_like(&self) -> Table {
         Table::new(self.name.clone(), self.schema.clone())
-    }
-
-    /// Make room for `rows` more rows in every column, so that appending
-    /// that many moves no column.
-    pub fn reserve(&mut self, rows: usize) {
-        for column in &mut self.columns {
-            column.reserve(rows);
-        }
     }
 
     /// Materialize one row (one value per column, in schema order).
@@ -98,50 +84,6 @@ impl Table {
     /// data as the baseline.
     pub fn reset_modification_counter(&mut self) {
         self.modification_counter = 0;
-        self.version += 1;
-    }
-
-    fn check_row(&self, row: &[Value]) -> Result<()> {
-        if row.len() != self.schema.len() {
-            return Err(StorageError::ArityMismatch {
-                expected: self.schema.len(),
-                found: row.len(),
-            });
-        }
-        for (i, v) in row.iter().enumerate() {
-            let def = self.schema.column(i);
-            let Some(vt) = v.data_type() else {
-                if !def.nullable {
-                    return Err(StorageError::NullViolation {
-                        table: self.name.clone(),
-                        column: def.name.clone(),
-                    });
-                }
-                continue;
-            };
-            let compatible = vt == def.data_type
-                || matches!(
-                    (vt, def.data_type),
-                    (
-                        crate::value::DataType::Int,
-                        crate::value::DataType::Float | crate::value::DataType::Date
-                    )
-                );
-            if !compatible {
-                return Err(self.type_mismatch(i, vt));
-            }
-        }
-        Ok(())
-    }
-
-    fn type_mismatch(&self, col: usize, found: crate::value::DataType) -> StorageError {
-        let def = self.schema.column(col);
-        StorageError::TypeMismatch {
-            table: self.name.clone(),
-            column: def.name.clone(),
-            expected: def.data_type.to_string(),
-            found: found.to_string(),
-        }
     }
 
     /// Insert one row.
@@ -154,40 +96,30 @@ impl Table {
     /// again instead of allocating a `Vec` per row. A rejected row is left
     /// as it was.
     pub fn insert_from(&mut self, row: &mut Vec<Value>) -> Result<()> {
-        self.check_row(row)?;
-        for (col, v) in self.columns.iter_mut().zip(row.drain(..)) {
-            col.push(v);
-        }
-        self.modification_counter += 1;
-        self.version += 1;
-        Ok(())
-    }
-
-    /// Append every row of `other`, in order, column by column. The schemas
-    /// must be equal, which is also why no row needs checking. Counts as
-    /// `other.row_count()` modifications, as inserting the rows one by one
-    /// would.
-    pub fn append_table(&mut self, other: &Table) -> Result<()> {
-        if self.schema != other.schema {
-            return Err(StorageError::SchemaMismatch {
-                table: self.name.clone(),
-                other: other.name.clone(),
-            });
-        }
-        for (col, from) in self.columns.iter_mut().zip(&other.columns) {
-            col.extend_from(from);
-        }
-        self.modification_counter += other.row_count() as u64;
-        self.version += 1;
-        Ok(())
+        let columns = self.columns.iter_mut().map(Arc::make_mut);
+        let counter = &mut self.modification_counter;
+        push_row(&self.name, &self.schema, columns, counter, row)
     }
 
     /// Insert many rows; validates each row before mutating anything for it.
     pub fn insert_many(&mut self, rows: Vec<Vec<Value>>) -> Result<()> {
-        for row in rows {
-            self.insert(row)?;
+        let mut appender = self.appender();
+        for mut row in rows {
+            appender.insert_from(&mut row)?;
         }
         Ok(())
+    }
+
+    /// The table opened for a bulk load: each column made writable (copied
+    /// if shared) once for all the rows the [`Appender`] takes, where
+    /// [`Table::insert_from`] does it for every cell.
+    pub fn appender(&mut self) -> Appender<'_> {
+        Appender {
+            name: &self.name,
+            schema: &self.schema,
+            columns: self.columns.iter_mut().map(Arc::make_mut).collect(),
+            modification_counter: &mut self.modification_counter,
+        }
     }
 
     /// Delete the given row indices (need not be sorted). Returns the number
@@ -196,29 +128,128 @@ impl Table {
         rows.sort_unstable();
         rows.dedup();
         rows.retain(|&r| r < self.row_count());
+        if rows.is_empty() {
+            return 0;
+        }
         for col in &mut self.columns {
-            col.delete_rows(&rows);
+            Arc::make_mut(col).delete_rows(&rows);
         }
         self.modification_counter += rows.len() as u64;
-        self.version += u64::from(!rows.is_empty());
         rows.len()
     }
 
     /// Update column `col` of each row in `rows` to `value`. A value the
     /// column's type cannot hold is an error and changes nothing: whether it
     /// fits depends on the column alone, so the first row already refuses.
+    /// So is a NULL for a column that is not nullable, whatever the rows.
     pub fn update_rows(&mut self, rows: &[usize], col: usize, value: &Value) -> Result<usize> {
-        let n = self.columns[col]
+        let def = self.schema.column(col);
+        if value.is_null() && !def.nullable {
+            return Err(StorageError::NullViolation {
+                table: self.name.clone(),
+                column: def.name.clone(),
+            });
+        }
+        let len = self.row_count();
+        if rows.iter().all(|&r| r >= len) {
+            return Ok(0);
+        }
+        let n = Arc::make_mut(&mut self.columns[col])
             .set_rows(rows, value)
-            .map_err(|found| self.type_mismatch(col, found))?;
+            .map_err(|found| type_mismatch(&self.name, &self.schema, col, found))?;
         self.modification_counter += n as u64;
-        self.version += u64::from(n > 0);
         Ok(n)
     }
 
     /// Byte width of a full row under the cost model.
     pub fn row_width(&self) -> usize {
         self.schema.row_width()
+    }
+}
+
+/// Insert `row` into the columns of table `name`, made writable as the
+/// iterator reaches them, so a rejected row copies none: the one insert
+/// that [`Table::insert_from`] and [`Appender::insert_from`] share. The row
+/// must fit `schema`: its arity, no NULL for a column that is not nullable,
+/// and each value of its column's type (an integer also fits a float or a
+/// date column).
+fn push_row<'c>(
+    name: &str,
+    schema: &Schema,
+    columns: impl Iterator<Item = &'c mut ColumnData>,
+    counter: &mut u64,
+    row: &mut Vec<Value>,
+) -> Result<()> {
+    if row.len() != schema.len() {
+        return Err(StorageError::ArityMismatch {
+            expected: schema.len(),
+            found: row.len(),
+        });
+    }
+    for (i, v) in row.iter().enumerate() {
+        let def = schema.column(i);
+        let Some(vt) = v.data_type() else {
+            if !def.nullable {
+                return Err(StorageError::NullViolation {
+                    table: name.to_string(),
+                    column: def.name.clone(),
+                });
+            }
+            continue;
+        };
+        let compatible = vt == def.data_type
+            || matches!(
+                (vt, def.data_type),
+                (
+                    crate::value::DataType::Int,
+                    crate::value::DataType::Float | crate::value::DataType::Date
+                )
+            );
+        if !compatible {
+            return Err(type_mismatch(name, schema, i, vt));
+        }
+    }
+    for (col, v) in columns.zip(row.drain(..)) {
+        col.push(v);
+    }
+    *counter += 1;
+    Ok(())
+}
+
+fn type_mismatch(
+    name: &str,
+    schema: &Schema,
+    col: usize,
+    found: crate::value::DataType,
+) -> StorageError {
+    let def = schema.column(col);
+    StorageError::TypeMismatch {
+        table: name.to_string(),
+        column: def.name.clone(),
+        expected: def.data_type.to_string(),
+        found: found.to_string(),
+    }
+}
+
+/// A table opened for a bulk load ([`Table::appender`]).
+pub struct Appender<'a> {
+    name: &'a str,
+    schema: &'a Schema,
+    columns: Vec<&'a mut ColumnData>,
+    modification_counter: &'a mut u64,
+}
+
+impl Appender<'_> {
+    /// [`Table::insert_from`], through the columns opened once.
+    pub fn insert_from(&mut self, row: &mut Vec<Value>) -> Result<()> {
+        let columns = self.columns.iter_mut().map(|c| &mut **c);
+        push_row(
+            self.name,
+            self.schema,
+            columns,
+            self.modification_counter,
+            row,
+        )
     }
 }
 
@@ -284,106 +315,92 @@ mod tests {
     }
 
     #[test]
-    fn version_moves_with_the_rows_and_is_never_rewound() {
+    fn a_refused_update_changes_no_row_and_no_counter() {
         let mut t = people();
-        assert_eq!(t.version(), 0);
         t.insert(vec![Value::Int(1), "a".into(), Value::Null])
             .unwrap();
-        let after_insert = t.version();
-        assert!(after_insert > 0);
-        // Nothing removed, nothing changed: the rows are what they were.
+        // Nothing removed, nothing changed.
         assert_eq!(t.delete_rows(vec![7]), 0);
         assert_eq!(t.update_rows(&[7], 2, &Value::Int(1)), Ok(0));
         assert!(t.insert(vec![Value::Int(1)]).is_err());
-        // A value the column cannot hold: an error, not a panic, and no row,
-        // counter or version moves.
+        // A value the column cannot hold: an error, not a panic.
         let mistyped = t.update_rows(&[0], 2, &"x".into());
         assert!(
             matches!(mistyped, Err(StorageError::TypeMismatch { .. })),
             "{mistyped:?}"
         );
-        assert_eq!(t.value(0, 2), Value::Null);
-        assert_eq!((t.version(), t.modification_counter()), (after_insert, 1));
-        t.update_rows(&[0], 2, &Value::Int(41)).unwrap();
-        let after_update = t.version();
-        assert!(after_update > after_insert);
-        t.reset_modification_counter();
-        let after_reset = t.version();
-        assert!(
-            after_reset > after_update,
-            "the reset rewinds the counter only"
-        );
-        assert_eq!(t.clone().version(), after_reset);
-        t.delete_rows(vec![0]);
-        assert!(t.version() > after_reset);
-    }
-
-    /// One column of every `DataType`, all nullable.
-    fn all_types(name: &str) -> Table {
-        Table::new(
-            name,
-            Schema::new(vec![
-                ColumnDef::new("i", DataType::Int).nullable(),
-                ColumnDef::new("f", DataType::Float).nullable(),
-                ColumnDef::new("s", DataType::Str).nullable(),
-                ColumnDef::new("d", DataType::Date).nullable(),
-            ]),
-        )
-    }
-
-    #[test]
-    fn append_table_appends_every_row_of_every_type() {
-        let mut source = all_types("slice");
-        source
-            .insert(vec![
-                Value::Int(-4),
-                Value::Float(2.5),
-                "text".into(),
-                Value::Date(9000),
-            ])
-            .unwrap();
-        source
-            .insert(vec![Value::Null, Value::Null, Value::Null, Value::Null])
-            .unwrap();
-        source
-            .insert(vec![Value::Int(7), Value::Null, "".into(), Value::Date(-1)])
-            .unwrap();
-
-        let mut target = all_types("gathered");
-        target
-            .insert(vec![
-                Value::Null,
-                Value::Float(0.0),
-                "first".into(),
-                Value::Null,
-            ])
-            .unwrap();
-        let first_row = target.row_values(0);
-        let (counter, version) = (target.modification_counter(), target.version());
-
-        target.append_table(&source).unwrap();
-        target.append_table(&all_types("empty")).unwrap();
-
-        assert_eq!(target.row_count(), 1 + source.row_count());
-        assert_eq!(target.row_values(0), first_row);
-        for r in 0..source.row_count() {
-            assert_eq!(target.row_values(1 + r), source.row_values(r), "row {r}");
+        // A NULL for a column that is not nullable, on a row or on none.
+        for rows in [&[0][..], &[]] {
+            let null = t.update_rows(rows, 1, &Value::Null);
+            assert!(
+                matches!(null, Err(StorageError::NullViolation { ref column, .. }) if column == "name"),
+                "{null:?}"
+            );
         }
         assert_eq!(
-            target.modification_counter(),
-            counter + source.row_count() as u64,
-            "as many modifications as rows appended"
+            t.row_values(0),
+            vec![Value::Int(1), "a".into(), Value::Null]
         );
-        assert!(target.version() > version);
-        assert_eq!(source.row_count(), 3, "the source is only read");
+        assert_eq!(t.modification_counter(), 1);
+        // A nullable column takes it.
+        t.update_rows(&[0], 2, &Value::Int(41)).unwrap();
+        assert_eq!(t.update_rows(&[0], 2, &Value::Null), Ok(1));
+        assert_eq!((t.value(0, 2), t.modification_counter()), (Value::Null, 3));
     }
 
     #[test]
-    fn append_table_rejects_another_schema() {
+    fn a_clone_shares_its_columns_until_a_write_copies_the_ones_it_changes() {
         let mut t = people();
-        let err = t.append_table(&all_types("other")).unwrap_err();
-        assert!(matches!(err, StorageError::SchemaMismatch { .. }));
-        assert_eq!((t.row_count(), t.version()), (0, 0));
+        for i in 0..4 {
+            t.insert(vec![Value::Int(i), "x".into(), Value::Int(i)])
+                .unwrap();
+        }
+        let held = t.clone();
+        let shared = |a: &Table, b: &Table| -> Vec<bool> {
+            (0..3)
+                .map(|c| std::ptr::eq(a.column(c), b.column(c)))
+                .collect()
+        };
+        assert_eq!(shared(&t, &held), [true, true, true]);
+        // Nothing written, nothing copied: a rejected row included.
+        assert_eq!(t.update_rows(&[9], 2, &Value::Int(1)), Ok(0));
+        assert_eq!(t.delete_rows(vec![9]), 0);
+        assert!(t
+            .insert(vec![Value::Int(1), Value::Null, Value::Null])
+            .is_err());
+        assert_eq!(shared(&t, &held), [true, true, true]);
+        t.update_rows(&[0, 2], 2, &Value::Int(7)).unwrap();
+        assert_eq!(shared(&t, &held), [true, true, false]);
+        t.delete_rows(vec![1]);
+        assert_eq!(shared(&t, &held), [false, false, false]);
+        assert_eq!((held.row_count(), held.value(0, 2)), (4, Value::Int(0)));
+        assert_eq!((t.row_count(), t.value(0, 2)), (3, Value::Int(7)));
+    }
+
+    #[test]
+    fn an_appender_inserts_as_insert_from_does() {
+        let mut t = people();
+        t.insert(vec![Value::Int(0), "a".into(), Value::Null])
+            .unwrap();
+        let held = t.clone();
+        let mut appender = t.appender();
+        let mut row = vec![Value::Int(1), "b".into(), Value::Int(2)];
+        appender.insert_from(&mut row).unwrap();
+        assert!(row.is_empty());
+        let mut bad = vec![Value::Null, "c".into(), Value::Null];
+        let err = appender.insert_from(&mut bad).unwrap_err();
+        assert!(matches!(err, StorageError::NullViolation { .. }), "{err}");
+        assert_eq!(bad.len(), 3, "a rejected row is left as it was");
+        assert_eq!((t.row_count(), t.modification_counter()), (2, 2));
+        assert_eq!(
+            t.row_values(1),
+            vec![Value::Int(1), "b".into(), Value::Int(2)]
+        );
+        assert_eq!(
+            held.row_count(),
+            1,
+            "the columns a clone shared were copied"
+        );
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! A string column's dictionary codes (`ColumnData::str_codes`) against the
 //! cells they code, through random runs of every write: `push` (NULLs
-//! included), `set`, `delete_rows`, `extend_from` between columns with and
-//! without codes in either direction, and a `clone` followed by a write to
-//! either copy. After every step each live column's codes must be equal
+//! included), `set`, `delete_rows`, another column's rows pushed after them
+//! (cells read out of a column with or without codes into one with or
+//! without), and a `clone` followed by a write to either copy. After every step each live column's codes must be equal
 //! exactly where its cells are equal and below their bound, and the column
 //! must read back what was written, cell for cell the same allocations.
 
@@ -72,7 +72,7 @@ impl Tracked {
     }
 
     /// Apply write `op` (a kind and two operands) to this column; `other`
-    /// supplies the rows of an `extend_from`.
+    /// supplies the rows of an append.
     fn write(&mut self, (kind, a, b): (u8, usize, usize), other: &Tracked) {
         let len = self.model.len();
         match kind % 4 {
@@ -97,7 +97,7 @@ impl Tracked {
                 });
             }
             _ => {
-                self.col.extend_from(&other.col);
+                other.col.iter().for_each(|v| self.col.push(v));
                 self.model.extend(other.model.iter().cloned());
             }
         }

@@ -302,7 +302,10 @@ fn check_case(
     let mut grown = db.clone();
     let extra: Vec<[Option<usize>; 4]> = picks.iter().rev().take(20).copied().collect();
     let (more, more_t) = table_db(&extra, pools, picks.len());
-    grown.table_mut(t).append_table(more.table(more_t)).unwrap();
+    let extra_rows = more.table(more_t);
+    for r in 0..extra_rows.row_count() {
+        grown.table_mut(t).insert(extra_rows.row_values(r)).unwrap();
+    }
     grown.table_mut(t).delete_rows(vec![0]);
 
     for options in option_grid() {
@@ -423,7 +426,10 @@ fn write_strings(
     table.insert(row.clone()).unwrap();
     row[2] = pool[pool.len() - 1].clone();
     table.insert(row).unwrap();
-    table.append_table(more.table(more_t)).unwrap();
+    let more = more.table(more_t);
+    for r in 0..more.row_count() {
+        table.insert(more.row_values(r)).unwrap();
+    }
     written
 }
 

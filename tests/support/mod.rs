@@ -20,8 +20,14 @@
 //!   called `stats::join_selectivity` for every join edge, before the
 //!   profile became two arrays and the catalog memoized join selectivities.
 
+//!
+//! [`history`] is not an oracle of a kernel but of the sharded cluster: the
+//! unsharded database it must agree with (`tests/serve_history.rs`).
+
 // Each test file that mounts this module uses one of them.
 #![allow(dead_code)]
+
+pub mod history;
 
 use autostats::{Equivalence, ShrinkingOutcome};
 use optimizer::{
