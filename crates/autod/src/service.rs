@@ -218,8 +218,13 @@ pub(crate) struct ServiceTelemetry {
     queries: obsv::Counter,
     dml: obsv::Counter,
     /// `autod.dml.table_copies`: writes whose target table some held
-    /// snapshot still shared, so the write copied it.
+    /// snapshot still shared, so the write copied the table's column
+    /// handles.
     table_copies: obsv::Counter,
+    /// `autod.dml.column_copies`: the columns writes copied because a held
+    /// snapshot still shared them — an UPDATE's SET column, every column
+    /// of a DELETE or an INSERT — which is where a copy's bytes are.
+    column_copies: obsv::Counter,
     /// `autod.plan_memo.hits` / `autod.plan_memo.misses`: SELECTs whose
     /// text the loaded snapshot had prepared, and SELECTs it had not.
     memo_hits: obsv::Counter,
@@ -290,6 +295,7 @@ impl OnlineService {
             queries: obs.metrics.counter("autod.queries"),
             dml: obs.metrics.counter("autod.dml"),
             table_copies: obs.metrics.counter("autod.dml.table_copies"),
+            column_copies: obs.metrics.counter("autod.dml.column_copies"),
             memo_hits: obs.metrics.counter("autod.plan_memo.hits"),
             memo_misses: obs.metrics.counter("autod.plan_memo.misses"),
             windows: obsv::WindowedRegistry::new(Arc::clone(&obs.metrics)),
@@ -546,16 +552,26 @@ impl QueryHandle {
             let mut slot = self.slot.write();
             let bound = bind_statement(&slot.db, stmt)?;
             let snapshot = write_slot(&mut slot);
+            let columns = |db: &storage::Database| {
+                let table = db.try_table(bound.target()?).ok()?;
+                Some(table.column_addresses())
+            };
+            let before = columns(&snapshot.db);
             if bound.target().is_some_and(|t| snapshot.db.is_shared(t)) {
                 self.telemetry.table_copies.inc();
             }
-            run_statement_observed(
+            let out = run_statement_observed(
                 &mut snapshot.db,
                 snapshot.epoch.catalog.full_view(),
                 &Optimizer::default(),
                 &bound,
                 &self.obs.tracer,
-            )?
+            )?;
+            if let (Some(before), Some(after)) = (before, columns(&snapshot.db)) {
+                let copied = before.iter().zip(&after).filter(|(b, a)| b != a).count();
+                self.telemetry.column_copies.add(copied as u64);
+            }
+            out
         };
         self.telemetry
             .dml_latency

@@ -1,25 +1,33 @@
-//! Join enumeration: exhaustive dynamic programming over relation subsets.
+//! Join enumeration: exhaustive dynamic programming over the relation
+//! subsets a plan can be built from.
 //!
 //! A subset is a bitmask of relation ordinals. Everything the split loop
-//! needs about a subset — cardinality, sort cost, neighbourhood, best plan
-//! so far — sits in one `Copy` table row computed once per call, so
-//! visiting a split reads two rows and allocates nothing. Crossing edge
-//! lists and index names exist only on the winning splits, when the tree is
-//! rebuilt at the end.
+//! needs about a subset — cardinality, sort cost, neighbourhood, whether it
+//! is planned, best plan so far — sits in one `Copy` table row computed
+//! once per call, so visiting a split reads two rows and allocates nothing.
+//! Crossing edge lists and index names exist only on the winning splits,
+//! when the tree is rebuilt at the end.
 //!
-//! The visiting order is a contract, because ties are broken by "first
-//! considered wins" (strict `<`) and every plan the system has ever
-//! recorded depends on it (DESIGN.md, "Join enumeration"; pinned by
-//! `tests/join_enumeration.rs`):
+//! **The search space.** A subset is planned when its join graph is
+//! connected, or when it is a union of whole components of the query's
+//! join graph (no edge leaves it). A planned subset of two relations or
+//! more is split into two planned halves. In a connected subset an edge
+//! crosses every such split, and the halves are joined by Hash, Merge,
+//! IndexNL or NestedLoop. In a union of components no edge crosses any
+//! such split, and the halves are joined by an edge-less nested loop: a
+//! query with a disconnected join graph takes its cartesian products at
+//! the top, between whole components, and never inside one.
+//!
+//! **Ties.** The visiting order is a contract, because ties are broken by
+//! "first considered wins" (strict `<`) and every recorded plan depends on
+//! it (DESIGN.md, "Join enumeration"; `tests/join_enumeration.rs` pins
+//! hand-built queries and a digest of 480 plans, and
+//! `tests/join_optimality.rs` holds every cost to a brute-force search):
 //!
 //! * subsets in ascending mask order;
-//! * splits `(left, mask \ left)` with `left` descending from `mask - 1`;
+//! * splits `(left, mask \ left)` with `left` descending from `mask - 1`,
+//!   skipping every split with an unplanned half;
 //! * per split Hash, Merge, IndexNL, NestedLoop;
-//! * a subset with at least one internal edge considers only splits that
-//!   an edge crosses, so a cartesian product never ties a connected join
-//!   away (cardinality estimates of zero would otherwise make everything
-//!   cost-equivalent); a subset with none considers every split as an
-//!   edge-less nested loop;
 //! * a split's Merge is skipped on the second visit of its unordered pair
 //!   (`left < mask \ left`): a merge join costs the same to the bit either
 //!   way round (each sum in it is one commutative addition), and the best
@@ -27,6 +35,14 @@
 //!   candidate could not win a strict `<` (a NaN wins none either way);
 //! * IndexNL is looked for only when the right side is one relation, the
 //!   only side an index can be probed into.
+//!
+//! **Which plans differ from the enumerator that also planned subsets
+//! without an internal edge.** Its candidates were a superset of these, in
+//! the same order, and every cost is monotone in the costs of its two
+//! halves. So a plan of that enumerator whose every join has an edge
+//! crossing it is still found, to the bit, with the same ties; only a plan
+//! that joined two sides no edge connects, below a union of whole
+//! components, is replaced by the cheapest plan without such a join.
 
 use crate::cost::CostParams;
 use crate::error::PlanError;
@@ -39,9 +55,11 @@ use storage::Database;
 type RelMask = u32;
 
 /// Most relations a query may join: [`Optimizer::optimize`] refuses a wider
-/// one with [`PlanError::TooManyRelations`]. It bounds one exhaustive call
-/// at 2^12 table rows and 3^12 ≈ 531 000 splits, and staying below the mask
-/// width keeps `1 << n` from overflowing.
+/// one with [`PlanError::TooManyRelations`]. It bounds one call at 2^12
+/// table rows and 3^12 ≈ 531 000 visited splits, the count for a clique or
+/// a query without edges, where every subset is planned (a chain of twelve
+/// plans 78 subsets and visits 16 200 splits, 572 of them with both halves
+/// planned); staying below the mask width keeps `1 << n` from overflowing.
 ///
 /// [`Optimizer::optimize`]: crate::Optimizer::optimize
 pub const MAX_DP_RELATIONS: usize = 12;
@@ -108,6 +126,9 @@ struct Subset {
     sort: f64,
     /// Every relation an edge joins to some member (members included).
     neighbours: RelMask,
+    /// The subset is connected or a union of whole components (module
+    /// docs); `rows`, `sort`, `cost` and `split` are set only when it is.
+    planned: bool,
     /// Cost of the best plan found.
     cost: f64,
     /// Left side and join method of the best plan's top split; `None` for
@@ -210,6 +231,7 @@ impl Enumerator<'_> {
             rows: 0.0,
             sort: 0.0,
             neighbours: 0,
+            planned: false,
             cost: 0.0,
             split: None,
         };
@@ -217,6 +239,23 @@ impl Enumerator<'_> {
         for mask in 1..=full {
             let lowest = mask.trailing_zeros() as usize;
             let rest = mask & (mask - 1);
+            let neighbours = subsets[rest as usize].neighbours | adjacent[lowest];
+            subsets[mask as usize].neighbours = neighbours;
+
+            // Connected: grown from its lowest member through the
+            // neighbourhoods of strictly smaller subsets, it reaches every
+            // member. A union of whole components: no edge leaves it.
+            let mut reached = mask & mask.wrapping_neg();
+            while reached != mask {
+                let grown = (reached | subsets[reached as usize].neighbours) & mask;
+                if grown == reached {
+                    break;
+                }
+                reached = grown;
+            }
+            if reached != mask && neighbours & !mask != 0 {
+                continue;
+            }
 
             // Base cardinalities in relation order, then the selectivity of
             // every edge inside the subset in edge order: one fixed order
@@ -234,23 +273,22 @@ impl Enumerator<'_> {
                     rows *= e.selectivity;
                 }
             }
-            let neighbours = subsets[rest as usize].neighbours | adjacent[lowest];
 
             let (cost, split) = if rest == 0 {
                 (self.relations[lowest].access.est_cost, None)
             } else {
-                let connected = neighbours & mask != 0;
-                let (cost, left, kind) = self.best_split(&subsets, mask, rows, connected).ok_or(
-                    PlanError::NoPlanFound {
-                        relations: mask.count_ones() as usize,
-                    },
-                )?;
+                let (cost, left, kind) =
+                    self.best_split(&subsets, mask, rows)
+                        .ok_or(PlanError::NoPlanFound {
+                            relations: mask.count_ones() as usize,
+                        })?;
                 (cost, Some((left, kind)))
             };
             subsets[mask as usize] = Subset {
                 rows,
                 sort: CostParams::sort(rows),
                 neighbours,
+                planned: true,
                 cost,
                 split,
             };
@@ -258,15 +296,15 @@ impl Enumerator<'_> {
         Ok(subsets)
     }
 
-    /// The cheapest way to join `mask` (two relations or more, `out_rows`
-    /// rows) out of two smaller subsets. `connected`: some edge lies inside
-    /// `mask`, so only splits that an edge crosses are considered.
+    /// The cheapest way to join the planned subset `mask` (two relations
+    /// or more, `out_rows` rows) out of two planned halves: by every method
+    /// when an edge crosses them, by an edge-less nested loop when none
+    /// does (then `mask` is a union of whole components).
     fn best_split(
         &self,
         subsets: &[Subset],
         mask: RelMask,
         out_rows: f64,
-        connected: bool,
     ) -> Option<(f64, RelMask, JoinKind)> {
         type C = CostParams;
         let output = C::JOIN_OUTPUT * out_rows;
@@ -277,15 +315,14 @@ impl Enumerator<'_> {
             let other = mask ^ sub;
             let left = &subsets[sub as usize];
             let right = &subsets[other as usize];
-            let crossed = left.neighbours & other != 0;
-            if crossed || !connected {
+            if left.planned && right.planned {
                 let mut consider = |kind: JoinKind, cost: f64| {
                     if best.is_none() || cost < best_cost {
                         best_cost = cost;
                         best = Some((sub, kind));
                     }
                 };
-                if crossed {
+                if left.neighbours & other != 0 {
                     let base = left.cost + right.cost;
                     consider(
                         JoinKind::Hash,

@@ -58,6 +58,17 @@ impl Table {
         &self.columns[idx]
     }
 
+    /// Where each column's cells live, by ordinal: two tables that agree
+    /// at an ordinal share that column. A write copies a column only if
+    /// another holder shares it, so a writer that compares these before
+    /// and after the write counts the columns it copied.
+    pub fn column_addresses(&self) -> Vec<usize> {
+        self.columns
+            .iter()
+            .map(|c| Arc::as_ptr(c) as usize)
+            .collect()
+    }
+
     /// Value of column `col` at row `row`.
     pub fn value(&self, row: usize, col: usize) -> Value {
         self.columns[col].get(row)

@@ -16,7 +16,9 @@
 //!   a write that fails to bind writes nothing: the snapshot stays the
 //!   published one, memo and all;
 //! * **keying** — `= 2` and `= 2.0`, equal as syntax trees, and texts that
-//!   differ only in whitespace are separate entries.
+//!   differ only in whitespace are separate entries;
+//! * **copies** — `autod.dml.column_copies` counts the columns a write
+//!   copies because a held snapshot shares them, and no others.
 
 use autod::{AutodConfig, OnlineService, Snapshot};
 use autostats::SessionReport;
@@ -231,6 +233,47 @@ fn an_insert_the_table_would_refuse_neither_empties_the_memo_nor_copies() {
         assert!(Arc::ptr_eq(&kept, &entry), "{write}");
     }
     assert_eq!(copies.get(), 0, "no table copied for a refused INSERT");
+}
+
+/// `autod.dml.column_copies` counts the columns a write copies because a
+/// held snapshot shares them: none with no snapshot held; with one held,
+/// the SET column of an UPDATE and every column of a DELETE or an INSERT
+/// (both tables here have two). A column the writer already copied is its
+/// own, so writing it again beside the same snapshot copies nothing.
+#[test]
+fn a_write_beside_a_held_snapshot_copies_the_columns_it_writes() {
+    let svc = small_service();
+    let h = svc.handle(1);
+    let copies = svc.metrics().counter("autod.dml.column_copies");
+    for write in [
+        "UPDATE items SET price = 2.0 WHERE k = 1",
+        "DELETE FROM items WHERE k = 9",
+        "INSERT INTO kinds VALUES (10, 'kind 10')",
+    ] {
+        h.run_sql(write).unwrap();
+        assert_eq!(copies.get(), 0, "{write}: no snapshot held");
+    }
+    // One snapshot held across the writes: each column is copied once.
+    let held = svc.snapshot();
+    for (write, copied) in [
+        ("UPDATE items SET price = 1.0 WHERE k = 5", 1),
+        ("UPDATE items SET price = 3.0 WHERE k = 6", 0),
+        ("UPDATE items SET k = 7 WHERE k = 99", 0),
+        ("UPDATE items SET k = 8 WHERE k = 8", 1),
+        ("DELETE FROM kinds WHERE k = 0", 2),
+        ("INSERT INTO kinds VALUES (0, 'kind 0')", 0),
+    ] {
+        let before = copies.get();
+        h.run_sql(write).unwrap();
+        assert_eq!(copies.get() - before, copied, "{write}");
+    }
+    drop(held);
+    let held = svc.snapshot();
+    h.run_sql("INSERT INTO kinds VALUES (11, 'kind 11')")
+        .unwrap();
+    h.run_sql("DELETE FROM items WHERE k = 3").unwrap();
+    assert_eq!(copies.get(), 1 + 1 + 2 + 2 + 2);
+    drop(held);
 }
 
 #[test]

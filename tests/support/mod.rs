@@ -23,11 +23,15 @@
 //!
 //! [`history`] is not an oracle of a kernel but of the sharded cluster: the
 //! unsharded database it must agree with (`tests/serve_history.rs`).
+//! [`join_oracle`] is not code the library shipped either: it is the search
+//! the join enumerator's dynamic programming shortcuts, every join tree
+//! priced one by one (`tests/join_optimality.rs`).
 
 // Each test file that mounts this module uses one of them.
 #![allow(dead_code)]
 
 pub mod history;
+pub mod join_oracle;
 
 use autostats::{Equivalence, ShrinkingOutcome};
 use optimizer::{

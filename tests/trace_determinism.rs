@@ -4,8 +4,7 @@
 //! Catalogs (descriptors, `StatId`s, drop-lists, work meters), tuning
 //! reports, session journals, and the plans the optimizer picks afterwards
 //! must be bit-identical with tracing on vs off, and the untraced tuner must
-//! reproduce a session recorded before PR 15 removed the parallel and
-//! memoized tuning paths. On top of that, every flushed trace must be
+//! reproduce a recorded session. On top of that, every flushed trace must be
 //! structurally well-formed — all spans closed, children enclosed by their
 //! parents, monotone sequence numbers — including under the fault-injection
 //! schedules of `tests/fault_injection.rs`, where tuning takes its error
@@ -115,27 +114,30 @@ fn tracing_on_off_and_thread_counts_bit_identical() {
     assert!(defects.is_empty(), "malformed trace: {defects:?}");
 }
 
-/// The `offline-tune` benchmark inputs (TPC-D 0.02, `U0-C-1000`, seed 7),
-/// recorded at the commit before PR 15 with `OfflineTuner { threads: 1 }`:
-/// the one tuning path left must be that path.
+/// The `offline-tune` benchmark inputs (TPC-D 0.02, `U0-C-1000`, seed 7):
+/// a change detector for the one tuning path. First recorded before the
+/// parallel and memoized tuning paths were removed, and re-recorded when
+/// the join enumerator stopped planning subsets whose join graph is
+/// disconnected (132 more optimizer calls, the same 47 statistics created
+/// and 3 drop-listed).
 #[test]
-fn offline_tune_reproduces_the_session_recorded_before_pr15() {
+fn offline_tune_reproduces_its_recorded_session() {
     let db = test_db(0.02, 7);
     let queries = workload(&db, 1000, 7);
     assert_eq!(queries.len(), 1000);
     let digest = |text: String| Fnv::new().write_bytes(text.as_bytes()).finish();
 
     let (catalog, report, session, _) = tune_under(&db, &queries, &Obs::disabled());
-    assert_eq!(report.optimizer_calls, 3794);
+    assert_eq!(report.optimizer_calls, 3926);
     assert_eq!(report.statistics_created, 47);
     assert_eq!(report.statistics_drop_listed, 3);
     assert_eq!(catalog.0.len(), 44, "active statistics");
-    assert_eq!(digest(session.to_json()), 0xc49a_bb65_6844_c897);
+    assert_eq!(digest(session.to_json()), 0x03b0_7e47_27d0_e9a4);
 
     let outcomes = MnsaEngine::new(MnsaConfig::default())
         .run_workload(&db, &mut StatsCatalog::new(), &queries)
         .expect("tuning succeeds");
-    assert_eq!(digest(format!("{outcomes:?}")), 0x11f6_f02c_d2c4_1ebe);
+    assert_eq!(digest(format!("{outcomes:?}")), 0xc897_0c68_2920_4577);
 }
 
 #[test]
