@@ -59,6 +59,7 @@ pub(crate) struct CatalogObs {
     builds: obsv::Counter,
     shared_builds: obsv::Counter,
     counted_columns: obsv::Counter,
+    counts_reused: obsv::Counter,
     prefix_rows: obsv::Counter,
     build_work: obsv::FloatCounter,
     pub(crate) feedback_refreshes: obsv::Counter,
@@ -135,10 +136,12 @@ impl StatsCatalog {
 
     /// Attach an observability context: statistic builds get `stats.build`
     /// spans and feed the `stats.builds` / `stats.shared_scan_builds` /
-    /// `stats.build_work` metrics, and the build passes two more:
+    /// `stats.build_work` metrics, and the build passes three more:
     /// `stats.build.counted_columns`, the leading columns counted by value
-    /// with no id per row, and `stats.build.prefix_rows`, the rows given an
-    /// id per row for a multi-column prefix. Feedback corrections feed the
+    /// with no id per row, `stats.build.counts_reused`, the leading columns
+    /// whose counts a full scan found on the column and so counted no row
+    /// of, and `stats.build.prefix_rows`, the rows given an id per row for a
+    /// multi-column prefix. Feedback corrections feed the
     /// `stats.feedback.refreshes` / `stats.feedback.work` ones, and
     /// [`StatsView::join_selectivity`] the `stats.join_memo.{hits,misses}`
     /// ones. Not persisted by [`StatsCatalog::snapshot`].
@@ -148,6 +151,7 @@ impl StatsCatalog {
             builds: obs.metrics.counter("stats.builds"),
             shared_builds: obs.metrics.counter("stats.shared_scan_builds"),
             counted_columns: obs.metrics.counter("stats.build.counted_columns"),
+            counts_reused: obs.metrics.counter("stats.build.counts_reused"),
             prefix_rows: obs.metrics.counter("stats.build.prefix_rows"),
             build_work: obs.metrics.float_counter("stats.build_work"),
             feedback_refreshes: obs.metrics.counter("stats.feedback.refreshes"),
@@ -371,6 +375,7 @@ impl StatsCatalog {
         let stat = scan.build(id, descriptor, epoch);
         let tally = scan.take_tally();
         self.obs.counted_columns.add(tally.counted_columns);
+        self.obs.counts_reused.add(tally.counts_reused);
         self.obs.prefix_rows.add(tally.prefix_rows);
         stat
     }
@@ -893,10 +898,11 @@ pub(crate) mod tests {
         assert_eq!(obs.metrics.counter("stats.builds").get(), 2,);
         // The second build found the scan the first one opened.
         assert_eq!(obs.metrics.counter("stats.shared_scan_builds").get(), 1);
-        // Column 0 was counted once for both; only the pair's prefix gave
-        // its rows ids.
+        // Column 0 was read once for both, from the counts `plain`'s build
+        // left on it; only the pair's prefix gave its rows ids.
         let counter = |name| obs.metrics.counter(name).get();
-        assert_eq!(counter("stats.build.counted_columns"), 1);
+        assert_eq!(counter("stats.build.counted_columns"), 0);
+        assert_eq!(counter("stats.build.counts_reused"), 1);
         assert_eq!(counter("stats.build.prefix_rows"), 2000);
         assert_eq!(
             obs.metrics
@@ -937,6 +943,56 @@ pub(crate) mod tests {
         assert!(refresh
             .args
             .contains(&("work", obsv::ArgValue::Float(observed.update_work()))));
+    }
+
+    /// A full scan counts a leading column only when no build since its
+    /// last write has: a second catalog reads the counts the first left, a
+    /// write to the column makes the next build count again, and a write
+    /// to another column does not. A sampled build always counts.
+    #[test]
+    fn a_column_keeps_its_counts_until_it_is_written() {
+        let (mut db, t) = test_db();
+        let lead = StatDescriptor::single(t, 0);
+        // (counted, reused) by one build on a new catalog, and its histogram.
+        let build = |db: &Database, options: BuildOptions| {
+            let obs = obsv::Obs::enabled();
+            let mut cat = StatsCatalog::new().with_build_options(options);
+            cat.set_obs(&obs);
+            let id = cat.create_statistic(db, lead.clone()).unwrap();
+            let counter = |name| obs.metrics.counter(name).get();
+            let counts = (
+                counter("stats.build.counted_columns"),
+                counter("stats.build.counts_reused"),
+            );
+            (counts, cat.statistic(id).unwrap().histogram.clone())
+        };
+        let full = BuildOptions::default;
+        let (counts, first) = build(&db, full());
+        assert_eq!(counts, (1, 0));
+        let (counts, second) = build(&db, full());
+        assert_eq!(counts, (0, 1));
+        assert_eq!(second, first);
+        // A row rewritten with its own value is still a write.
+        db.table_mut(t)
+            .update_rows(&[0], 0, &Value::Int(0))
+            .unwrap();
+        let (counts, written) = build(&db, full());
+        assert_eq!(counts, (1, 0));
+        assert_eq!(written, first);
+        db.table_mut(t)
+            .update_rows(&[0], 1, &Value::Int(0))
+            .unwrap();
+        assert_eq!(build(&db, full()).0, (0, 1));
+        let sampled = BuildOptions {
+            sample: SampleSpec::Fraction {
+                fraction: 0.5,
+                min_rows: 10,
+            },
+            ..full()
+        };
+        for _ in 0..2 {
+            assert_eq!(build(&db, sampled.clone()).0, (1, 0));
+        }
     }
 
     #[test]

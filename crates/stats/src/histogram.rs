@@ -150,13 +150,13 @@ impl Histogram {
     pub(crate) fn from_counts(counts: &ValueCounts, max_buckets: usize) -> Histogram {
         let values = counts.values();
         // A column's values are all strings or none.
-        let str_prefix = common_prefix(values.iter().map_while(|&(v, _)| match v {
+        let str_prefix = common_prefix(values.clone().map_while(|(v, _)| match v {
             ValueRef::Str(s) => Some(s),
             _ => None,
         }));
         let skip = str_prefix.map_or(0, str::len);
-        let mut runs: Vec<(f64, usize)> = Vec::with_capacity(values.len());
-        for &(v, n) in values {
+        let mut runs: Vec<(f64, usize)> = Vec::with_capacity(counts.len());
+        for (v, n) in values {
             let key = match v {
                 ValueRef::Str(s) => ValueRef::Str(&s[skip..]).numeric_key(),
                 v => v.numeric_key(),

@@ -37,6 +37,15 @@
 //! the rows read plus 1 024 (`direct`), so that clearing it costs no more
 //! than the pass.
 //!
+//! A full scan's counts outlive the build: the column keeps them
+//! ([`ColumnData::value_counts`], a [`storage::ColumnCounts`] holding plain
+//! integers, dates and floats and the column's own string cells), and the
+//! next full scan of that column reads them and no row, until a write makes
+//! the column forget them. This module fills them; storage only keeps them.
+//! So a periodic tune of data nobody wrote since the last one counts no
+//! leading column. A sample is counted for its one build, by the same pass,
+//! and kept nowhere.
+//!
 //! Only the columns of a multi-column prefix get a key per row
 //! (`RowKeys`). On a full scan a direct column's offset or code is read in
 //! place; a sample's keys, and those of a column no table can index, are
@@ -47,7 +56,9 @@
 //! few passes over `u32`s rather than a `k`-element tuple per row.
 
 use rustc_hash::FxHashMap;
-use storage::{ColumnData, PayloadRef, Value, ValueRef};
+use std::borrow::Cow;
+use std::sync::Arc;
+use storage::{ColumnCounts, ColumnData, CountedValues, PayloadRef, Value, ValueRef};
 
 /// First-order jackknife estimate of a table's distinct count from a sample
 /// of `n >= 1` rows holding `d` distinct values, `f1` of them exactly once.
@@ -342,116 +353,75 @@ fn count_bits(rows: impl Iterator<Item = (usize, bool, u64)>) -> (Vec<(u32, u32)
 /// dates narrowed to `i32`. Row counts must fit `u32`.
 #[derive(Debug)]
 pub(crate) struct ValueCounts<'c> {
-    values: Vec<(ValueRef<'c>, u32)>,
-    /// Whether `values` is in ascending order.
-    ascending: bool,
-    nulls: usize,
+    /// A sample's counts, or the ones a full scan's column holds.
+    counts: Cow<'c, ColumnCounts>,
+    /// Whether the column held them before this pass asked.
+    reused: bool,
 }
 
 impl<'c> ValueCounts<'c> {
-    /// Count the entries of `col` at `rows` (`None` = every row) in one
-    /// pass: by table where [`direct`] allows one, by [`KeyTable`]
-    /// otherwise.
+    /// The counts of the entries of `col` at `rows` (`None` = every row).
+    /// A full scan's are the column's to keep ([`ColumnData::value_counts`]):
+    /// they are counted only when the column holds none, and it then holds
+    /// these. A sample's are counted for the one build.
     pub(crate) fn of_column(col: &'c ColumnData, rows: Option<&[usize]>) -> ValueCounts<'c> {
-        let valid = col.validity();
-        let payload = col.payload();
-        let n = rows.map_or(valid.len(), <[usize]>::len);
-        let counted = match payload {
-            PayloadRef::Int(xs) => {
-                per_row!(valid, xs, rows, |&x: &i64| x, |it| count_offsets(it, n))
-                    .map(|counted| Self::by_offset(counted, ValueRef::Int))
-            }
-            PayloadRef::Date(xs) => {
-                per_row!(valid, xs, rows, |&x: &i64| narrow(x), |it| count_offsets(
-                    it, n
-                ))
-                .map(|counted| Self::by_offset(counted, |x| ValueRef::Date(x as i32)))
-            }
-            PayloadRef::Float(_) => None,
-            PayloadRef::Str(_) => {
-                let (codes, bound) = str_codes(col);
-                direct(bound as u128, n).then(|| {
-                    let (mut counts, mut firsts) = (vec![0u32; bound], vec![0u32; bound]);
-                    let key = |&c: &u32| c as usize;
-                    let nulls = per_row!(valid, codes, rows, key, |it| count_codes(
-                        it,
-                        &mut counts,
-                        &mut firsts
-                    ));
-                    let values = counts
-                        .iter()
-                        .zip(&firsts)
-                        .filter(|&(&count, _)| count > 0)
-                        .map(|(&count, &r)| (payload.value(r as usize), count))
-                        .collect();
-                    ValueCounts {
-                        values,
-                        ascending: false,
-                        nulls,
-                    }
-                })
-            }
-        };
-        counted.unwrap_or_else(|| {
-            let (runs, nulls) = per_row_bits!(col, rows, count_bits);
-            ValueCounts {
-                values: runs
-                    .into_iter()
-                    .map(|(r, count)| (payload.value(r as usize), count))
-                    .collect(),
-                ascending: false,
-                nulls,
-            }
-        })
-    }
-
-    /// The counts [`count_offsets`] made, walked in ascending order.
-    fn by_offset(
-        (lo, counts, nulls): (i64, Vec<u32>, usize),
-        value: impl Fn(i64) -> ValueRef<'c>,
-    ) -> ValueCounts<'c> {
-        let values = counts
-            .iter()
-            .enumerate()
-            .filter(|&(_, &count)| count > 0)
-            .map(|(i, &count)| (value(lo.wrapping_add(i as i64)), count))
-            .collect();
+        if rows.is_some() {
+            return ValueCounts {
+                counts: Cow::Owned(count(col, rows)),
+                reused: false,
+            };
+        }
+        let mut reused = true;
+        let counts = col.value_counts_or_insert_with(|| {
+            reused = false;
+            count(col, None)
+        });
         ValueCounts {
-            values,
-            ascending: true,
-            nulls,
+            counts: Cow::Borrowed(counts),
+            reused,
         }
     }
 
+    /// Whether a full scan found the counts on its column, and read no row.
+    pub(crate) fn reused(&self) -> bool {
+        self.reused
+    }
+
     /// Each distinct non-null value read, with its row count.
-    pub(crate) fn values(&self) -> &[(ValueRef<'c>, u32)] {
-        &self.values
+    pub(crate) fn values(&self) -> impl Iterator<Item = (ValueRef<'_>, u32)> + Clone + '_ {
+        self.counts.iter()
+    }
+
+    /// Distinct non-null values read.
+    pub(crate) fn len(&self) -> usize {
+        self.counts.len()
     }
 
     /// Whether [`ValueCounts::values`] is in ascending order, as a table
     /// walked by offset leaves integers and dates.
     pub(crate) fn ascending(&self) -> bool {
-        self.ascending
+        self.counts.ascending
     }
 
     /// NULL rows read.
     pub(crate) fn nulls(&self) -> usize {
-        self.nulls
+        self.counts.nulls
     }
 
     /// Row count per distinct non-null value.
     fn sizes(&self) -> impl Iterator<Item = u32> + '_ {
-        self.values.iter().map(|&(_, n)| n)
+        self.values().map(|(_, n)| n)
     }
 
     /// Distinct values in a table of `total_rows` rows, NULL one of them,
     /// from the rows read: exact on a full scan, the jackknife over a
     /// sample.
     pub(crate) fn ndv(&self, total_rows: usize) -> f64 {
-        let null = (self.nulls > 0).then_some(self.nulls as u32);
-        let read = self.nulls + self.sizes().map(|n| n as usize).sum::<usize>();
+        let nulls = self.nulls();
+        let null = (nulls > 0).then_some(nulls as u32);
+        let read = nulls + self.sizes().map(|n| n as usize).sum::<usize>();
         if read >= total_rows {
-            return (self.values.len() + usize::from(null.is_some())) as f64;
+            return (self.len() + usize::from(null.is_some())) as f64;
         }
         estimate(self.sizes().chain(null), total_rows)
     }
@@ -461,6 +431,92 @@ impl<'c> ValueCounts<'c> {
     /// [`estimate_ndv`] returns for their values.
     pub(crate) fn value_ndv(&self, total_rows: usize) -> f64 {
         estimate(self.sizes(), total_rows)
+    }
+}
+
+/// Count the entries of `col` at `rows` (`None` = every row) in one pass:
+/// by table where [`direct`] allows one, by [`KeyTable`] otherwise. A
+/// string is kept as the cell of the first row read holding it.
+fn count(col: &ColumnData, rows: Option<&[usize]>) -> ColumnCounts {
+    let valid = col.validity();
+    let n = rows.map_or(valid.len(), <[usize]>::len);
+    let counted = match col.payload() {
+        PayloadRef::Int(xs) => per_row!(valid, xs, rows, |&x: &i64| x, |it| count_offsets(it, n))
+            .map(|counted| by_offset(counted, CountedValues::Int, |x| x)),
+        PayloadRef::Date(xs) => {
+            per_row!(valid, xs, rows, |&x: &i64| narrow(x), |it| count_offsets(
+                it, n
+            ))
+            .map(|counted| by_offset(counted, CountedValues::Date, |x| x as i32))
+        }
+        PayloadRef::Float(_) => None,
+        PayloadRef::Str(cells) => {
+            let (codes, bound) = str_codes(col);
+            direct(bound as u128, n).then(|| {
+                let (mut counts, mut firsts) = (vec![0u32; bound], vec![0u32; bound]);
+                let key = |&c: &u32| c as usize;
+                let nulls = per_row!(valid, codes, rows, key, |it| count_codes(
+                    it,
+                    &mut counts,
+                    &mut firsts
+                ));
+                let values = counts
+                    .iter()
+                    .zip(&firsts)
+                    .filter(|&(&count, _)| count > 0)
+                    .map(|(&count, &r)| (Arc::clone(&cells[r as usize]), count));
+                ColumnCounts {
+                    values: CountedValues::Str(exact(values)),
+                    ascending: false,
+                    nulls,
+                }
+            })
+        }
+    };
+    counted.unwrap_or_else(|| {
+        let (runs, nulls) = per_row_bits!(col, rows, count_bits);
+        let runs = runs.into_iter().map(|(r, count)| (r as usize, count));
+        let values = match col.payload() {
+            PayloadRef::Int(xs) => CountedValues::Int(runs.map(|(r, n)| (xs[r], n)).collect()),
+            PayloadRef::Date(xs) => {
+                CountedValues::Date(runs.map(|(r, n)| (xs[r] as i32, n)).collect())
+            }
+            PayloadRef::Float(xs) => CountedValues::Float(runs.map(|(r, n)| (xs[r], n)).collect()),
+            PayloadRef::Str(cells) => {
+                CountedValues::Str(runs.map(|(r, n)| (Arc::clone(&cells[r]), n)).collect())
+            }
+        };
+        ColumnCounts {
+            values,
+            ascending: false,
+            nulls,
+        }
+    })
+}
+
+/// `values` collected into a `Vec` of their length, as a column may keep it.
+fn exact<T>(values: impl Iterator<Item = T>) -> Vec<T> {
+    let mut values: Vec<T> = values.collect();
+    values.shrink_to_fit();
+    values
+}
+
+/// The counts [`count_offsets`] made, walked in ascending order, each
+/// value made by `value` from the integer counted and the list by `kind`.
+fn by_offset<T>(
+    (lo, counts, nulls): (i64, Vec<u32>, usize),
+    kind: fn(Vec<(T, u32)>) -> CountedValues,
+    value: impl Fn(i64) -> T,
+) -> ColumnCounts {
+    let values = counts
+        .iter()
+        .enumerate()
+        .filter(|&(_, &count)| count > 0)
+        .map(|(i, &count)| (value(lo.wrapping_add(i as i64)), count));
+    ColumnCounts {
+        values: kind(exact(values)),
+        ascending: true,
+        nulls,
     }
 }
 
@@ -805,13 +861,32 @@ mod tests {
         let ints = column(DataType::Int, [5, -2, 9, -2, 0].map(Value::Int));
         let counts = ValueCounts::of_column(&ints, None);
         assert!(counts.ascending());
-        let values: Vec<(ValueRef, u32)> = counts.values().to_vec();
+        let values: Vec<(ValueRef, u32)> = counts.values().collect();
         let int = |x, n| (ValueRef::Int(x), n);
         assert_eq!(values, [int(-2, 2), int(0, 1), int(5, 1), int(9, 1)]);
         // A payload past `i32` counts as the date it reads back as.
         let dates = column(DataType::Date, [Value::Int((1 << 32) + 3), Value::Date(3)]);
         let counts = ValueCounts::of_column(&dates, None);
-        assert_eq!(counts.values(), [(ValueRef::Date(3), 2)]);
+        assert!(counts.values().eq([(ValueRef::Date(3), 2)]));
+    }
+
+    /// A full scan's counts stay on the column, holding its own string
+    /// cells; the next full scan reads them, and a sample counts its rows.
+    #[test]
+    fn a_full_scan_keeps_its_counts_on_the_column() {
+        let strs = column(DataType::Str, ["b", "a", "b"].map(Value::from));
+        assert!(!ValueCounts::of_column(&strs, None).reused());
+        let kept = Arc::clone(strs.value_counts().expect("kept"));
+        let cell = |r: usize| match strs.get(r) {
+            Value::Str(s) => s,
+            _ => unreachable!(),
+        };
+        assert!(matches!(&kept.values, CountedValues::Str(xs)
+            if matches!(&xs[..], [(b, 2), (a, 1)]
+                if Arc::ptr_eq(b, &cell(0)) && Arc::ptr_eq(a, &cell(1)))));
+        assert!(ValueCounts::of_column(&strs, None).reused());
+        assert!(Arc::ptr_eq(strs.value_counts().expect("kept"), &kept));
+        assert!(!ValueCounts::of_column(&strs, Some(&[0, 1])).reused());
     }
 
     #[test]
@@ -824,7 +899,7 @@ mod tests {
             assert!(counts.ascending());
             let expected: Vec<(ValueRef, u32)> =
                 (0..2_001).map(|i| (ValueRef::Int(base + i), 1)).collect();
-            assert_eq!(counts.values(), expected);
+            assert_eq!(counts.values().collect::<Vec<_>>(), expected);
         }
         // Ten rows: a span of 2 * 10 + 1 024 slots is counted by offset, one
         // more is hashed.
@@ -833,7 +908,7 @@ mod tests {
             let rows = [0, 1, 2, 3, 0, 1, 2, 3, 0, 1];
             let counts = ValueCounts::of_column(&ints, Some(&rows));
             assert_eq!(counts.ascending(), ascending);
-            assert_eq!(counts.values().len(), 3);
+            assert_eq!(counts.len(), 3);
         }
     }
 

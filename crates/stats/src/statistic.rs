@@ -269,6 +269,9 @@ pub(crate) struct TableScan<'a> {
 pub(crate) struct BuildTally {
     /// Columns counted by value, with no id per row.
     pub(crate) counted_columns: u64,
+    /// Leading columns whose counts a full scan found on the column, so
+    /// that it counted none of their rows.
+    pub(crate) counts_reused: u64,
     /// Rows given an id per row for a multi-column prefix.
     pub(crate) prefix_rows: u64,
 }
@@ -353,7 +356,11 @@ impl<'a> TableScan<'a> {
         let lead = descriptor.leading_column();
         if !self.leading.contains_key(&lead) {
             let counts = ValueCounts::of_column(self.table.column(lead), self.rows);
-            self.tally.counted_columns += 1;
+            if counts.reused() {
+                self.tally.counts_reused += 1;
+            } else {
+                self.tally.counted_columns += 1;
+            }
             let mut histogram = Histogram::from_counts(&counts, MAX_BUCKETS);
             let null_fraction = if rows_read == 0 {
                 0.0

@@ -30,6 +30,18 @@
 //! answers a string `=`/`<>` on them, but never makes them: making them on
 //! demand held 6 % more peak RSS on the benchmark's `online-mixed` workload
 //! and ran no faster on `steady-simple`.
+//!
+//! A column can also hold its value counts ([`ColumnCounts`]): each distinct
+//! non-null value with its row count, and the NULL rows. A full-scan
+//! statistic build makes them ([`ColumnData::value_counts_or_insert_with`];
+//! the `stats` crate counts, this module only keeps), and a later build of
+//! any statistic led by the column reads them instead of its rows. They hold
+//! the column's own string cells, not copies, so they cost a `Vec` entry per
+//! distinct value. Unlike the codes they are not kept current: every write
+//! goes through one private path that forgets them, since keeping them would
+//! cost every write a count update that only a later build could use. A clone
+//! (so a copy-on-write) shares them through an `Arc` until either side is
+//! written.
 
 use crate::value::{DataType, Value, ValueRef};
 use std::collections::HashMap;
@@ -133,9 +145,91 @@ impl StrCodes {
     }
 }
 
+/// A column's distinct non-null values, each with its row count, and its
+/// NULL rows, as a full-scan statistic build counted them. This crate keeps
+/// them beside the rows they were counted from ([`ColumnData::value_counts`])
+/// and knows nothing of how they are counted or read: the statistics crate
+/// fills them.
+#[derive(Debug, Clone)]
+pub struct ColumnCounts {
+    /// Each distinct non-null value once, with its row count.
+    pub values: CountedValues,
+    /// Whether `values` is in ascending order.
+    pub ascending: bool,
+    /// NULL rows.
+    pub nulls: usize,
+}
+
+/// Distinct values with their row counts, typed as the column's payload:
+/// an integer, a date or a float as a plain value, a string as one of the
+/// column's own cells (a reference count, not a copy of its bytes).
+#[derive(Debug, Clone)]
+pub enum CountedValues {
+    Int(Vec<(i64, u32)>),
+    /// Days since the Unix epoch, narrowed to `i32` as a date reads back.
+    Date(Vec<(i32, u32)>),
+    Float(Vec<(f64, u32)>),
+    Str(Vec<(Arc<str>, u32)>),
+}
+
+impl ColumnCounts {
+    /// Distinct non-null values.
+    pub fn len(&self) -> usize {
+        match &self.values {
+            CountedValues::Int(xs) => xs.len(),
+            CountedValues::Date(xs) => xs.len(),
+            CountedValues::Float(xs) => xs.len(),
+            CountedValues::Str(xs) => xs.len(),
+        }
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Each distinct non-null value, borrowed, with its row count.
+    pub fn iter(&self) -> impl Iterator<Item = (ValueRef<'_>, u32)> + Clone + '_ {
+        // One chain over four slices, three of them empty: an iterator of
+        // one type whatever the payload's.
+        let (mut ints, mut dates, mut floats, mut strs) = (&[][..], &[][..], &[][..], &[][..]);
+        match &self.values {
+            CountedValues::Int(xs) => ints = xs,
+            CountedValues::Date(xs) => dates = xs,
+            CountedValues::Float(xs) => floats = xs,
+            CountedValues::Str(xs) => strs = xs,
+        }
+        let ints = ints.iter().map(|&(x, n)| (ValueRef::Int(x), n));
+        let dates = dates.iter().map(|&(d, n)| (ValueRef::Date(d), n));
+        let floats = floats.iter().map(|&(x, n)| (ValueRef::Float(x), n));
+        let strs = strs.iter().map(|(s, n)| (ValueRef::Str(s), *n));
+        ints.chain(dates).chain(floats).chain(strs)
+    }
+}
+
+/// Equal values as [`ValueRef`]'s `==` has them (floats by bit pattern),
+/// in the same order, and the same NULL rows and order flag.
+impl PartialEq for ColumnCounts {
+    fn eq(&self, other: &Self) -> bool {
+        self.ascending == other.ascending
+            && self.nulls == other.nulls
+            && self.iter().eq(other.iter())
+    }
+}
+
 /// Storage for one column of a table.
 #[derive(Debug, Clone)]
 pub struct ColumnData {
+    /// Written only through [`ColumnData::rows_mut`].
+    rows: Rows,
+    /// The value counts a statistic build left, until the next write. A
+    /// clone shares them until either side is written.
+    counts: OnceLock<Arc<ColumnCounts>>,
+}
+
+/// A column's rows: its payload and validity, and the string codes every
+/// write keeps current.
+#[derive(Debug, Clone)]
+struct Rows {
     payload: Payload,
     /// validity[i] == false means row i is NULL.
     validity: Vec<bool>,
@@ -144,10 +238,10 @@ pub struct ColumnData {
     codes: OnceLock<Box<StrCodes>>,
 }
 
-// The payload (a tag and one `Vec`), the bitmap and the boxed string codes
-// (16 bytes): a second payload vector would show here, as a wider cell shows
-// in `Value`'s assertion.
-const _: () = assert!(std::mem::size_of::<ColumnData>() == 72);
+// The payload (a tag and one `Vec`), the bitmap, the boxed string codes (16
+// bytes) and the shared value counts (16 bytes): a second payload vector
+// would show here, as a wider cell shows in `Value`'s assertion.
+const _: () = assert!(std::mem::size_of::<ColumnData>() == 88);
 
 /// A dictionary this much larger than its column is dropped, to be made
 /// again from the live rows when next asked for: writes that replace or
@@ -169,40 +263,12 @@ fn compact<T>(xs: &mut Vec<T>, sorted_rows: &[usize]) {
     });
 }
 
-impl ColumnData {
-    pub fn new(data_type: DataType) -> Self {
-        ColumnData {
-            payload: match data_type {
-                DataType::Int => Payload::Int(Vec::new()),
-                DataType::Date => Payload::Date(Vec::new()),
-                DataType::Float => Payload::Float(Vec::new()),
-                DataType::Str => Payload::Str(Vec::new()),
-            },
-            validity: Vec::new(),
-            codes: OnceLock::new(),
-        }
-    }
-
-    pub fn data_type(&self) -> DataType {
-        match self.payload {
-            Payload::Int(_) => DataType::Int,
-            Payload::Date(_) => DataType::Date,
-            Payload::Float(_) => DataType::Float,
-            Payload::Str(_) => DataType::Str,
-        }
-    }
-
-    pub fn len(&self) -> usize {
+impl Rows {
+    fn len(&self) -> usize {
         self.validity.len()
     }
 
-    pub fn is_empty(&self) -> bool {
-        self.validity.is_empty()
-    }
-
-    /// Append a value. The caller (Table) is responsible for type checking;
-    /// this method panics on a type mismatch since it indicates a bug above.
-    pub fn push(&mut self, v: Value) {
+    fn push(&mut self, v: Value) {
         let valid = !v.is_null();
         match (&mut self.payload, v) {
             (Payload::Int(xs) | Payload::Date(xs), Value::Null) => xs.push(0),
@@ -213,10 +279,10 @@ impl ColumnData {
             (Payload::Float(xs), Value::Float(f)) => xs.push(f),
             (Payload::Float(xs), Value::Int(i)) => xs.push(i as f64),
             (Payload::Str(xs), Value::Str(s)) => xs.push(s),
-            (_, v) => panic!(
+            (payload, v) => panic!(
                 "type mismatch pushing {:?} into {:?} column",
                 v.data_type(),
-                self.data_type()
+                payload.data_type()
             ),
         }
         self.validity.push(valid);
@@ -224,82 +290,6 @@ impl ColumnData {
             let c = codes.code(&xs[xs.len() - 1]);
             codes.codes.push(c);
         }
-    }
-
-    /// Value at row `i`. A string comes back as the stored cell itself
-    /// (`Arc::ptr_eq` to it), not as a copy.
-    pub fn get(&self, i: usize) -> Value {
-        if !self.validity[i] {
-            return Value::Null;
-        }
-        match &self.payload {
-            Payload::Int(xs) => Value::Int(xs[i]),
-            Payload::Date(xs) => Value::Date(xs[i] as i32),
-            Payload::Float(xs) => Value::Float(xs[i]),
-            Payload::Str(xs) => Value::Str(Arc::clone(&xs[i])),
-        }
-    }
-
-    /// Borrowed view of row `i` — no reference count touched for `Str`
-    /// columns. The workhorse of the columnar executor's inner loops.
-    pub fn get_ref(&self, i: usize) -> ValueRef<'_> {
-        if self.validity[i] {
-            self.payload().value(i)
-        } else {
-            ValueRef::Null
-        }
-    }
-
-    /// True when row `i` is non-NULL.
-    pub fn is_valid(&self, i: usize) -> bool {
-        self.validity[i]
-    }
-
-    /// The validity bitmap: `validity()[i] == false` means row `i` is NULL.
-    pub fn validity(&self) -> &[bool] {
-        &self.validity
-    }
-
-    /// True when no entry is NULL. One vectorizable pass; predicate kernels
-    /// use it to pick the null-free inner loop for a whole column.
-    pub fn all_valid(&self) -> bool {
-        self.validity.iter().all(|&v| v)
-    }
-
-    /// The typed payload, for a reader that hoists the type dispatch out of
-    /// its row loop.
-    pub fn payload(&self) -> PayloadRef<'_> {
-        match &self.payload {
-            Payload::Int(xs) => PayloadRef::Int(xs),
-            Payload::Date(xs) => PayloadRef::Date(xs),
-            Payload::Float(xs) => PayloadRef::Float(xs),
-            Payload::Str(xs) => PayloadRef::Str(xs),
-        }
-    }
-
-    /// The dictionary codes of a string column, `None` for any other type:
-    /// one per row, equal exactly where the cells are equal (a NULL row's
-    /// code is its padding cell's), with the bound every code is below.
-    /// Codes count up from 0 in order of first appearance when made; a
-    /// write can leave a code unused, so the bound is not a distinct count.
-    /// The first call on a column makes them, which costs a hash per row.
-    pub fn str_codes(&self) -> Option<(&[u32], usize)> {
-        let Payload::Str(xs) = &self.payload else {
-            return None;
-        };
-        let codes = self.codes.get_or_init(|| Box::new(StrCodes::of(xs)));
-        Some((&codes.codes, codes.dict.len()))
-    }
-
-    /// The codes [`ColumnData::str_codes`] made earlier, with the code of the
-    /// string `s` among them (`None` when no cell equal to `s` was ever
-    /// coded); `None` if this is not a string column or its codes were never
-    /// made. It never makes them: a reader that only compares against a
-    /// constant uses codes when a statistic build left them, and the cells
-    /// otherwise.
-    pub fn made_str_codes(&self, s: &str) -> Option<(&[u32], Option<u32>)> {
-        let codes = self.codes.get()?;
-        Some((&codes.codes, codes.dict.get(s).copied()))
     }
 
     /// Forget codes that [`stale`] says have outgrown the column.
@@ -311,18 +301,7 @@ impl ColumnData {
         }
     }
 
-    /// Overwrite row `i`. A value this column's type cannot hold comes back
-    /// as its type, and the row is left as it was.
-    pub fn set(&mut self, i: usize, v: Value) -> Result<(), DataType> {
-        assert!(i < self.len(), "row {i} of a {}-row column", self.len());
-        self.set_rows(&[i], &v).map(drop)
-    }
-
-    /// Overwrite every row of `rows` below [`ColumnData::len`] with `v` and
-    /// count them; a string is coded once for all of them. A value this
-    /// column's type cannot hold comes back as its type, and the column is
-    /// left as it was.
-    pub fn set_rows(&mut self, rows: &[usize], v: &Value) -> Result<usize, DataType> {
+    fn set_rows(&mut self, rows: &[usize], v: &Value) -> Result<usize, DataType> {
         let len = self.len();
         let rows = || rows.iter().copied().filter(move |&r| r < len);
         let written = rows().count();
@@ -354,12 +333,7 @@ impl ColumnData {
         Ok(written)
     }
 
-    /// Remove the rows whose indices are in `sorted_rows` (ascending, unique)
-    /// by compaction.
-    pub fn delete_rows(&mut self, sorted_rows: &[usize]) {
-        if sorted_rows.is_empty() {
-            return;
-        }
+    fn delete_rows(&mut self, sorted_rows: &[usize]) {
         compact(&mut self.validity, sorted_rows);
         match &mut self.payload {
             Payload::Int(xs) | Payload::Date(xs) => compact(xs, sorted_rows),
@@ -371,6 +345,179 @@ impl ColumnData {
         }
         self.drop_stale_codes();
     }
+}
+
+impl Payload {
+    fn data_type(&self) -> DataType {
+        match self {
+            Payload::Int(_) => DataType::Int,
+            Payload::Date(_) => DataType::Date,
+            Payload::Float(_) => DataType::Float,
+            Payload::Str(_) => DataType::Str,
+        }
+    }
+}
+
+impl ColumnData {
+    pub fn new(data_type: DataType) -> Self {
+        ColumnData {
+            rows: Rows {
+                payload: match data_type {
+                    DataType::Int => Payload::Int(Vec::new()),
+                    DataType::Date => Payload::Date(Vec::new()),
+                    DataType::Float => Payload::Float(Vec::new()),
+                    DataType::Str => Payload::Str(Vec::new()),
+                },
+                validity: Vec::new(),
+                codes: OnceLock::new(),
+            },
+            counts: OnceLock::new(),
+        }
+    }
+
+    /// The rows, to write. Every `&mut` method of a column writes through
+    /// here, and so forgets the value counts: they describe the rows as a
+    /// build counted them, and a write would have to pay to keep them so.
+    fn rows_mut(&mut self) -> &mut Rows {
+        self.counts.take();
+        &mut self.rows
+    }
+
+    pub fn data_type(&self) -> DataType {
+        self.rows.payload.data_type()
+    }
+
+    pub fn len(&self) -> usize {
+        self.rows.len()
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.rows.validity.is_empty()
+    }
+
+    /// Append a value. The caller (Table) is responsible for type checking;
+    /// this method panics on a type mismatch since it indicates a bug above.
+    pub fn push(&mut self, v: Value) {
+        self.rows_mut().push(v)
+    }
+
+    /// Value at row `i`. A string comes back as the stored cell itself
+    /// (`Arc::ptr_eq` to it), not as a copy.
+    pub fn get(&self, i: usize) -> Value {
+        if !self.rows.validity[i] {
+            return Value::Null;
+        }
+        match &self.rows.payload {
+            Payload::Int(xs) => Value::Int(xs[i]),
+            Payload::Date(xs) => Value::Date(xs[i] as i32),
+            Payload::Float(xs) => Value::Float(xs[i]),
+            Payload::Str(xs) => Value::Str(Arc::clone(&xs[i])),
+        }
+    }
+
+    /// Borrowed view of row `i` — no reference count touched for `Str`
+    /// columns. The workhorse of the columnar executor's inner loops.
+    pub fn get_ref(&self, i: usize) -> ValueRef<'_> {
+        if self.rows.validity[i] {
+            self.payload().value(i)
+        } else {
+            ValueRef::Null
+        }
+    }
+
+    /// True when row `i` is non-NULL.
+    pub fn is_valid(&self, i: usize) -> bool {
+        self.rows.validity[i]
+    }
+
+    /// The validity bitmap: `validity()[i] == false` means row `i` is NULL.
+    pub fn validity(&self) -> &[bool] {
+        &self.rows.validity
+    }
+
+    /// True when no entry is NULL. One vectorizable pass; predicate kernels
+    /// use it to pick the null-free inner loop for a whole column.
+    pub fn all_valid(&self) -> bool {
+        self.rows.validity.iter().all(|&v| v)
+    }
+
+    /// The typed payload, for a reader that hoists the type dispatch out of
+    /// its row loop.
+    pub fn payload(&self) -> PayloadRef<'_> {
+        match &self.rows.payload {
+            Payload::Int(xs) => PayloadRef::Int(xs),
+            Payload::Date(xs) => PayloadRef::Date(xs),
+            Payload::Float(xs) => PayloadRef::Float(xs),
+            Payload::Str(xs) => PayloadRef::Str(xs),
+        }
+    }
+
+    /// The dictionary codes of a string column, `None` for any other type:
+    /// one per row, equal exactly where the cells are equal (a NULL row's
+    /// code is its padding cell's), with the bound every code is below.
+    /// Codes count up from 0 in order of first appearance when made; a
+    /// write can leave a code unused, so the bound is not a distinct count.
+    /// The first call on a column makes them, which costs a hash per row.
+    pub fn str_codes(&self) -> Option<(&[u32], usize)> {
+        let Payload::Str(xs) = &self.rows.payload else {
+            return None;
+        };
+        let codes = self.rows.codes.get_or_init(|| Box::new(StrCodes::of(xs)));
+        Some((&codes.codes, codes.dict.len()))
+    }
+
+    /// The codes [`ColumnData::str_codes`] made earlier, with the code of the
+    /// string `s` among them (`None` when no cell equal to `s` was ever
+    /// coded); `None` if this is not a string column or its codes were never
+    /// made. It never makes them: a reader that only compares against a
+    /// constant uses codes when a statistic build left them, and the cells
+    /// otherwise.
+    pub fn made_str_codes(&self, s: &str) -> Option<(&[u32], Option<u32>)> {
+        let codes = self.rows.codes.get()?;
+        Some((&codes.codes, codes.dict.get(s).copied()))
+    }
+
+    /// The value counts a build left on this column
+    /// ([`ColumnData::value_counts_or_insert_with`]), `None` if none was
+    /// made or a write has come since. A clone holds the same `Arc` until
+    /// either side is written.
+    pub fn value_counts(&self) -> Option<&Arc<ColumnCounts>> {
+        self.counts.get()
+    }
+
+    /// The column's value counts: those it holds, or else `count`'s, which
+    /// it then holds until its next write. `count` must count every row of
+    /// this column as [`ColumnCounts`] says; it runs at most once however
+    /// many threads ask at the same time.
+    pub fn value_counts_or_insert_with(
+        &self,
+        count: impl FnOnce() -> ColumnCounts,
+    ) -> &ColumnCounts {
+        self.counts.get_or_init(|| Arc::new(count()))
+    }
+
+    /// Overwrite row `i`. A value this column's type cannot hold comes back
+    /// as its type, and the row is left as it was.
+    pub fn set(&mut self, i: usize, v: Value) -> Result<(), DataType> {
+        assert!(i < self.len(), "row {i} of a {}-row column", self.len());
+        self.set_rows(&[i], &v).map(drop)
+    }
+
+    /// Overwrite every row of `rows` below [`ColumnData::len`] with `v` and
+    /// count them; a string is coded once for all of them. A value this
+    /// column's type cannot hold comes back as its type, and the column is
+    /// left as it was.
+    pub fn set_rows(&mut self, rows: &[usize], v: &Value) -> Result<usize, DataType> {
+        self.rows_mut().set_rows(rows, v)
+    }
+
+    /// Remove the rows whose indices are in `sorted_rows` (ascending, unique)
+    /// by compaction.
+    pub fn delete_rows(&mut self, sorted_rows: &[usize]) {
+        if !sorted_rows.is_empty() {
+            self.rows_mut().delete_rows(sorted_rows)
+        }
+    }
 
     /// Iterator over all values including NULLs.
     pub fn iter(&self) -> impl Iterator<Item = Value> + '_ {
@@ -379,7 +526,7 @@ impl ColumnData {
 
     /// Count of NULL entries.
     pub fn null_count(&self) -> usize {
-        self.validity.iter().filter(|v| !**v).count()
+        self.rows.validity.iter().filter(|v| !**v).count()
     }
 }
 

@@ -29,7 +29,7 @@ pub mod table;
 pub mod value;
 
 pub use catalog::{Database, Slices, TableId};
-pub use column::{ColumnData, PayloadRef};
+pub use column::{ColumnCounts, ColumnData, CountedValues, PayloadRef};
 pub use error::StorageError;
 pub use fnv::Fnv;
 pub use index::Index;

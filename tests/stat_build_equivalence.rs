@@ -670,3 +670,135 @@ fn all_candidates_of_the_offline_tune_workload_equal_the_oracle() {
     let expected = oracle_snapshot(&db, &descriptors, &BuildOptions::default(), 0);
     assert_eq!(fields(&catalog.snapshot()), fields(&expected));
 }
+
+/// `db`'s table `t` made again from its rows: a copy whose columns never
+/// counted their values.
+fn fresh_copy(db: &Database, t: TableId) -> Database {
+    let table = db.table(t);
+    let mut copy = Database::new();
+    let c = copy.create_table("t", table.schema().clone()).unwrap();
+    assert_eq!(c, t);
+    for r in 0..table.row_count() {
+        copy.table_mut(c).insert(table.row_values(r)).unwrap();
+    }
+    copy
+}
+
+/// One full-scan statistic on each of `t`'s integer, float, string and date
+/// columns through a new catalog: the statistics, with `mods_at_build`
+/// (which a copy's own inserts move) left out, and how many leading
+/// columns the builds counted and how many found their counts kept.
+fn single_column_builds(db: &Database, t: TableId) -> (Vec<String>, (u64, u64)) {
+    let obs = obsv::Obs::enabled();
+    let mut catalog = StatsCatalog::new();
+    catalog.set_obs(&obs);
+    let descriptors: Vec<StatDescriptor> = (0..4).map(|c| StatDescriptor::single(t, c)).collect();
+    catalog.create_statistics(db, &descriptors).unwrap();
+    let stats = catalog
+        .snapshot()
+        .stats
+        .into_iter()
+        .map(|s| {
+            fields(&Statistic {
+                mods_at_build: 0,
+                ..s
+            })
+        })
+        .collect();
+    let counter = |name| obs.metrics.counter(name).get();
+    let tally = (
+        counter("stats.build.counted_columns"),
+        counter("stats.build.counts_reused"),
+    );
+    (stats, tally)
+}
+
+/// A statistic built from the counts a column kept equals, to the bit, one
+/// built on a fresh copy of the column that never counted, on `Int`,
+/// `Date`, `Float` (`-0.0` beside `0.0`, NaNs) and `Str` columns, from
+/// pools either side of the direct-address bound. Each table is built on
+/// once, so that its columns keep their counts; then a clone is written —
+/// every column set, NULLed, rows deleted and inserted — and another clone
+/// has its string column alone written. The unwritten original reads its
+/// counts, a written column counts again and its next build reads those.
+#[test]
+fn builds_from_kept_counts_equal_builds_on_a_fresh_copy() {
+    let cases = [
+        Pools {
+            int: 1,
+            str: 1,
+            date: 0,
+        },
+        Pools {
+            int: 0,
+            str: 3,
+            date: 1,
+        },
+        Pools {
+            int: UNIQUE,
+            str: 2,
+            date: FIFTY_DAYS,
+        },
+        Pools {
+            int: 4,
+            str: 0,
+            date: 0,
+        },
+    ];
+    for (case, pools) in cases.into_iter().enumerate() {
+        let rows = 300;
+        let picks: Vec<[Option<usize>; 4]> = (0..rows)
+            .map(|r| {
+                let pick =
+                    |k: usize| Some((r * (7 + case) + 3 * k + r / 11) % 53).filter(|p| p % 13 != 0);
+                [pick(0), pick(1), pick(2), pick(3)]
+            })
+            .collect();
+        let (db, t) = table_db(&picks, pools, rows);
+        let (first, tally) = single_column_builds(&db, t);
+        assert_eq!(tally, (4, 0), "case {case}");
+        assert_eq!(first, single_column_builds(&fresh_copy(&db, t), t).0);
+
+        let mut written = db.clone();
+        let mut string_only = db.clone();
+        let table = written.table_mut(t);
+        let every = |step: usize| (0..rows).step_by(step).collect::<Vec<_>>();
+        table
+            .update_rows(&every(3), 0, &int_pool(pools.int, rows)[1])
+            .unwrap();
+        table
+            .update_rows(&every(4), 1, &Value::Float(-0.0))
+            .unwrap();
+        table.update_rows(&every(5), 1, &Value::Float(0.0)).unwrap();
+        table.update_rows(&every(6), 2, &"written".into()).unwrap();
+        table.update_rows(&every(7), 3, &Value::Null).unwrap();
+        table.delete_rows(every(9));
+        let row = vec![
+            Value::Int(-7),
+            Value::Float(f64::NAN),
+            "inserted".into(),
+            Value::Date(12),
+            Value::Null,
+            Value::Int(0),
+        ];
+        table.insert(row).unwrap();
+        string_only
+            .table_mut(t)
+            .update_rows(&every(2), 2, &str_pool(pools.str)[0])
+            .unwrap();
+
+        // The original was not written: every column reads its counts.
+        assert_eq!(single_column_builds(&db, t), (first, (0, 4)), "case {case}");
+        for (copy, counted) in [(&written, 4), (&string_only, 1)] {
+            let expected = single_column_builds(&fresh_copy(copy, t), t).0;
+            let (built, tally) = single_column_builds(copy, t);
+            assert_eq!(tally, (counted, 4 - counted), "case {case}");
+            assert_eq!(built, expected, "case {case}, counted");
+            assert_eq!(
+                single_column_builds(copy, t),
+                (expected, (0, 4)),
+                "case {case}, reused"
+            );
+        }
+    }
+}
