@@ -142,8 +142,8 @@ fn aging_rows(scale: &ExperimentScale) -> Vec<Row> {
     let results = aging::run(scale);
     for r in &results {
         println!(
-            "{:<16} recreations per epoch {:?}",
-            r.policy, r.recreations_per_epoch
+            "{:<16} created per epoch {:?}, of them re-created {:?}",
+            r.policy, r.created_per_epoch, r.recreated_per_epoch
         );
     }
     aging::rows(&results)

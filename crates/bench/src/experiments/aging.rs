@@ -10,14 +10,18 @@
 use crate::common::{bind_all, execute_workload, queries_of, ExperimentScale, Row};
 use autostats::{MnsaConfig, MnsaEngine};
 use datagen::{Complexity, RagsGenerator, WorkloadSpec};
-use stats::{AgingPolicy, StatsCatalog};
+use stats::{AgingPolicy, StatDescriptor, StatsCatalog};
+use std::collections::BTreeSet;
 
 /// One policy's trajectory over repeating epochs.
 #[derive(Debug, Clone)]
 pub struct AgingResult {
     pub policy: String,
-    /// Statistics re-created per epoch (after the initial tuning epoch).
-    pub recreations_per_epoch: Vec<usize>,
+    /// Statistics created per epoch.
+    pub created_per_epoch: Vec<usize>,
+    /// Of those, the ones re-created: their descriptor was built in an
+    /// earlier epoch (and dropped since). The rest are first builds.
+    pub recreated_per_epoch: Vec<usize>,
     /// Creation work per epoch.
     pub creation_work_per_epoch: Vec<f64>,
     /// Execution work of the final epoch's workload.
@@ -54,19 +58,22 @@ pub fn run(scale: &ExperimentScale) -> Vec<AgingResult> {
                 ..Default::default()
             });
             let mut catalog = StatsCatalog::new();
-            let mut recreations = Vec::new();
-            let mut work = Vec::new();
+            // Every descriptor built in an epoch before the current one.
+            let mut built_before: BTreeSet<StatDescriptor> = BTreeSet::new();
+            let (mut created, mut recreated, mut work) = (Vec::new(), Vec::new(), Vec::new());
             for _ in 0..epochs {
                 let before_work = catalog.creation_work();
-                let mut created = 0usize;
+                let mut built = Vec::new();
                 for q in &queries {
-                    created += engine
-                        .run_query(&db, &mut catalog, q)
-                        .expect("mnsa tunes")
-                        .created
-                        .len();
+                    let outcome = engine.run_query(&db, &mut catalog, q).expect("mnsa tunes");
+                    built.extend(outcome.created.iter().map(|&id| {
+                        let stat = catalog.statistic(id).expect("created statistic");
+                        stat.descriptor.clone()
+                    }));
                 }
-                recreations.push(created);
+                created.push(built.len());
+                recreated.push(built.iter().filter(|d| built_before.contains(d)).count());
+                built_before.extend(built);
                 work.push(catalog.creation_work() - before_work);
                 // Aggressive drop cycle: everything goes.
                 for id in catalog.active_ids() {
@@ -78,7 +85,8 @@ pub fn run(scale: &ExperimentScale) -> Vec<AgingResult> {
             let final_exec_work = execute_workload(&db, &catalog, &bound, &obsv::Obs::disabled());
             AgingResult {
                 policy: name,
-                recreations_per_epoch: recreations,
+                created_per_epoch: created,
+                recreated_per_epoch: recreated,
                 creation_work_per_epoch: work,
                 final_exec_work,
             }
@@ -102,8 +110,9 @@ pub fn rows(results: &[AgingResult]) -> Vec<Row> {
                 database: "TPCD_MIX".into(),
                 workload: r.policy.clone(),
                 metric: format!(
-                    "re-creation work after epoch 1 (recreations {:?}, exec +{:.1}%)",
-                    r.recreations_per_epoch,
+                    "creation work after epoch 1 (created {:?}, re-created {:?}, exec +{:.1}%)",
+                    r.created_per_epoch,
+                    r.recreated_per_epoch,
                     (r.final_exec_work - base_exec) / base_exec * 100.0
                 ),
                 measured: after_first,
@@ -126,16 +135,37 @@ mod tests {
         let aging = results.iter().find(|r| r.policy != "no-aging").unwrap();
         // Without aging, every epoch re-creates from scratch; with aging,
         // epochs inside the window create strictly less.
-        let na: usize = no_aging.recreations_per_epoch[1..].iter().sum();
-        let ag: usize = aging.recreations_per_epoch[1..].iter().sum();
+        let na: usize = no_aging.created_per_epoch[1..].iter().sum();
+        let ag: usize = aging.created_per_epoch[1..].iter().sum();
         assert!(
             ag < na || na == 0,
             "aging did not dampen re-creation: {ag} vs {na}"
         );
-        // First epoch is identical under both policies.
+        // First epoch is identical under both policies, and all of it is
+        // first builds.
+        assert_eq!(no_aging.created_per_epoch[0], aging.created_per_epoch[0]);
+        assert_eq!(aging.recreated_per_epoch[0], 0);
+    }
+
+    /// Inside the window (epochs 1 and 2 of a window of 3) nothing dropped
+    /// is re-created: what those epochs build is built for the first time.
+    /// At the default scale they do build some, which the re-creation count
+    /// must tell apart. Without aging, every later epoch re-creates all it
+    /// creates.
+    #[test]
+    fn nothing_dropped_is_recreated_inside_the_window() {
+        let results = run(&ExperimentScale::default_run());
+        let no_aging = results.iter().find(|r| r.policy == "no-aging").unwrap();
+        let aging = results.iter().find(|r| r.policy != "no-aging").unwrap();
+        assert!(
+            aging.created_per_epoch[1..3].iter().sum::<usize>() > 0,
+            "{aging:?}"
+        );
+        assert_eq!(aging.recreated_per_epoch[1..3], [0, 0], "{aging:?}");
         assert_eq!(
-            no_aging.recreations_per_epoch[0],
-            aging.recreations_per_epoch[0]
+            no_aging.recreated_per_epoch[1..],
+            no_aging.created_per_epoch[1..],
+            "{no_aging:?}"
         );
     }
 }

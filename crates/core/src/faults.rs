@@ -9,9 +9,7 @@
 //! * [`Fault::TruncateTable`] / [`Fault::TruncateAllTables`] — empty tables
 //!   (histograms over zero rows, zero-selectivity scans);
 //! * [`Fault::DropAllStatistics`] — every built statistic physically dropped
-//!   mid-tune, as a concurrent DBA or maintenance pass would;
-//! * [`Fault::DegenerateSampler`] — statistics builds sample (effectively)
-//!   zero rows, the §2 sampling failure mode.
+//!   mid-tune, as a concurrent DBA or maintenance pass would.
 //!
 //! The bucket budget is the constant [`stats::MAX_BUCKETS`], not an option
 //! a fault could set to zero.
@@ -21,7 +19,7 @@
 //! selectivities stay in `[0, 1]`, costs stay finite, and every failure is
 //! a [`TuneError`](crate::TuneError) (or a valid report), never an unwind.
 
-use stats::{BuildOptions, SampleSpec, StatId, StatsCatalog};
+use stats::{StatId, StatsCatalog};
 use storage::{Database, TableId};
 
 /// One injectable failure point.
@@ -34,10 +32,6 @@ pub enum Fault {
     /// Physically drop every built statistic — active and drop-listed — as
     /// if a concurrent maintenance pass removed them mid-tune.
     DropAllStatistics,
-    /// Future statistics builds draw (effectively) zero sample rows: a
-    /// literal degenerate [`SampleSpec`] that the sampler clamps to its
-    /// one-row floor.
-    DegenerateSampler,
 }
 
 /// A schedule of faults applied to a live database + catalog.
@@ -51,7 +45,7 @@ pub enum Fault {
 /// let mut catalog = StatsCatalog::new();
 /// FaultPlan::new()
 ///     .with(Fault::TruncateAllTables)
-///     .with(Fault::DegenerateSampler)
+///     .with(Fault::DropAllStatistics)
 ///     .inject(&mut db, &mut catalog);
 /// ```
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -111,17 +105,6 @@ fn inject_one(fault: &Fault, db: &mut Database, catalog: &mut StatsCatalog) -> b
                 any |= catalog.physically_drop(id);
             }
             any
-        }
-        Fault::DegenerateSampler => {
-            let options = BuildOptions {
-                sample: SampleSpec::Fraction {
-                    fraction: 1e-12,
-                    min_rows: 0,
-                },
-                ..catalog.build_options().clone()
-            };
-            catalog.set_build_options(options);
-            true
         }
     }
 }
@@ -202,22 +185,5 @@ mod tests {
             1
         );
         assert_eq!(catalog.total_count(), 0);
-    }
-
-    #[test]
-    fn degenerate_sampler_still_builds_valid_statistics() {
-        let (mut db, t) = setup();
-        let mut catalog = StatsCatalog::new();
-        FaultPlan::new()
-            .with(Fault::DegenerateSampler)
-            .inject(&mut db, &mut catalog);
-        // Builds under degenerate options must still yield a statistic whose
-        // estimates are sane, not a panic.
-        let id = catalog
-            .create_statistic(&db, StatDescriptor::single(t, 0))
-            .unwrap();
-        let s = catalog.statistic(id).unwrap();
-        let sel = s.histogram.selectivity_le(&Value::Int(50));
-        assert!((0.0..=1.0).contains(&sel), "sel={sel}");
     }
 }

@@ -5,7 +5,6 @@
 
 use crate::error::StatsError;
 use crate::histogram::join_selectivity;
-use crate::sampler::SampleSpec;
 use crate::statistic::{build_price, BuildOptions, StatDescriptor, StatId, Statistic, TableScan};
 use parking_lot::Mutex;
 use rustc_hash::FxHashMap;
@@ -44,9 +43,6 @@ pub struct CatalogSnapshot {
     pub update_work: f64,
     pub build_options: BuildOptions,
 }
-
-/// Base seed for per-statistic sampling.
-const SAMPLE_SEED: u64 = 0x000A_0705_2000; // ICDE 2000
 
 /// Cached observability handles. Disabled by default: the tracer no-ops
 /// and the counters are detached (never snapshotted). All of it is
@@ -166,15 +162,6 @@ impl StatsCatalog {
         self
     }
 
-    /// Replace the build options on a live catalog. Only statistics built
-    /// *after* the change use the new options; existing ones keep the
-    /// content they were built with (a refresh rebuilds under the new
-    /// options). Fault-injection harnesses use this to degrade the sampler
-    /// mid-run.
-    pub fn set_build_options(&mut self, options: BuildOptions) {
-        self.build_options = options;
-    }
-
     pub fn build_options(&self) -> &BuildOptions {
         &self.build_options
     }
@@ -228,12 +215,10 @@ impl StatsCatalog {
     ///
     /// The ids, the catalog left behind and every `build_cost` are those of
     /// a `create_statistic` loop over the list, to the bit. Only wall clock
-    /// differs: under full-scan options each table is read by one
-    /// `TableScan`, whatever the order of the list, so each histogram,
-    /// column key, prefix partition and joint is computed once per table
-    /// per call. A table's scan is dropped after its last descriptor. Under
-    /// sampled options each build draws its own rows (per-statistic sample
-    /// seeds make sharing unsound).
+    /// differs: each table is read by one `TableScan`, whatever the order
+    /// of the list, so each histogram, column key, prefix partition and
+    /// joint is computed once per table per call. A table's scan is dropped
+    /// after its last descriptor.
     pub fn create_statistics(
         &mut self,
         db: &Database,
@@ -297,11 +282,8 @@ impl StatsCatalog {
         if shared {
             self.obs.shared_builds.inc();
         }
-        let stat = self.build(table, scan, id, descriptor.clone(), self.epoch, 0);
-        span.arg(
-            "rows",
-            self.build_options.sample.rows_read(table.row_count()),
-        );
+        let stat = self.build(table, scan, id, descriptor.clone(), self.epoch);
+        span.arg("rows", table.row_count());
         span.arg("build_work", stat.build_cost);
         drop(span);
         self.obs.builds.inc();
@@ -339,11 +321,9 @@ impl StatsCatalog {
         StatId(self.next_id - 1)
     }
 
-    /// Build `descriptor` from `table` as statistic `id`. Under full-scan
-    /// options it reads through `scan`, opening it when the caller has none
-    /// yet (the caller keeps one scan per table); otherwise it draws its own
-    /// rows, seeded by id, table and `builds` — how many times it was built
-    /// before (a create is build 0, a refresh `update_count + 1`).
+    /// Build `descriptor` from `table` as statistic `id`, reading through
+    /// `scan`, opening it when the caller has none yet (the caller keeps one
+    /// scan per table), and file what its passes did with the metrics.
     pub(crate) fn build<'a>(
         &self,
         table: &'a Table,
@@ -351,27 +331,8 @@ impl StatsCatalog {
         id: StatId,
         descriptor: StatDescriptor,
         epoch: u64,
-        builds: u64,
     ) -> Statistic {
-        if self.build_options.sample == SampleSpec::FullScan {
-            let scan = scan.get_or_insert_with(|| TableScan::new(table, &self.build_options, None));
-            self.build_from(scan, id, descriptor, epoch)
-        } else {
-            let seed = SAMPLE_SEED ^ ((id.0 as u64) << 17) ^ descriptor.table.0 as u64 ^ builds;
-            let sample = self.build_options.sample.pick_rows(table.row_count(), seed);
-            let mut scan = TableScan::new(table, &self.build_options, Some(&sample));
-            self.build_from(&mut scan, id, descriptor, epoch)
-        }
-    }
-
-    /// Build from `scan` and file what its passes did with the metrics.
-    fn build_from(
-        &self,
-        scan: &mut TableScan<'_>,
-        id: StatId,
-        descriptor: StatDescriptor,
-        epoch: u64,
-    ) -> Statistic {
+        let scan = scan.get_or_insert_with(|| TableScan::new(table, &self.build_options));
         let stat = scan.build(id, descriptor, epoch);
         let tally = scan.take_tally();
         self.obs.counted_columns.add(tally.counted_columns);
@@ -494,9 +455,8 @@ impl StatsCatalog {
                 let Ok(table) = db.try_table(s.descriptor.table) else {
                     continue; // stale table id: no rebuild cost to charge
                 };
-                let rows_read = self.build_options.sample.rows_read(table.row_count());
                 let joint = self.build_options.joint_histograms && s.descriptor.is_multi_column();
-                total += build_price(table, &s.descriptor, rows_read, joint);
+                total += build_price(table, &s.descriptor, joint);
             }
         }
         total
@@ -744,13 +704,12 @@ pub(crate) mod tests {
             StatDescriptor::multi(t, vec![0, 1]),
             StatDescriptor::multi(t, vec![1, 0]),
         ];
-        let mut serial = StatsCatalog::new();
-        serial.set_build_options(BuildOptions::default().with_joint_histograms());
+        let options = BuildOptions::default().with_joint_histograms();
+        let mut serial = StatsCatalog::new().with_build_options(options.clone());
         for d in &descs {
             serial.create_statistic(&db, d.clone()).unwrap();
         }
-        let mut batched = StatsCatalog::new();
-        batched.set_build_options(BuildOptions::default().with_joint_histograms());
+        let mut batched = StatsCatalog::new().with_build_options(options);
         batched.create_statistics(&db, &descs).unwrap();
         assert_eq!(batched.snapshot(), serial.snapshot());
     }
@@ -770,33 +729,6 @@ pub(crate) mod tests {
         assert_eq!(ids, vec![id]);
         assert_eq!(cat.creation_work(), work, "reactivation must be free");
         assert_eq!(cat.active_count(), 1);
-    }
-
-    #[test]
-    fn batch_create_falls_back_under_sampling() {
-        let (db, t) = test_db();
-        let sampled = BuildOptions {
-            sample: crate::sampler::SampleSpec::Fraction {
-                fraction: 0.2,
-                min_rows: 10,
-            },
-            ..Default::default()
-        };
-        let mut serial = StatsCatalog::new();
-        serial.set_build_options(sampled.clone());
-        serial
-            .create_statistic(&db, StatDescriptor::single(t, 0))
-            .unwrap();
-        let mut batched = StatsCatalog::new();
-        batched.set_build_options(sampled);
-        batched
-            .create_statistics(&db, &[StatDescriptor::single(t, 0)])
-            .unwrap();
-        assert_eq!(
-            batched.snapshot(),
-            serial.snapshot(),
-            "sampled builds must take the per-statistic seeded path"
-        );
     }
 
     #[test]
@@ -948,7 +880,7 @@ pub(crate) mod tests {
     /// A full scan counts a leading column only when no build since its
     /// last write has: a second catalog reads the counts the first left, a
     /// write to the column makes the next build count again, and a write
-    /// to another column does not. A sampled build always counts.
+    /// to another column does not.
     #[test]
     fn a_column_keeps_its_counts_until_it_is_written() {
         let (mut db, t) = test_db();
@@ -983,16 +915,6 @@ pub(crate) mod tests {
             .update_rows(&[0], 1, &Value::Int(0))
             .unwrap();
         assert_eq!(build(&db, full()).0, (0, 1));
-        let sampled = BuildOptions {
-            sample: SampleSpec::Fraction {
-                fraction: 0.5,
-                min_rows: 10,
-            },
-            ..full()
-        };
-        for _ in 0..2 {
-            assert_eq!(build(&db, sampled.clone()).0, (1, 0));
-        }
     }
 
     #[test]

@@ -16,9 +16,6 @@ pub enum StatsError {
     UnknownColumn { table: String, column: usize },
     /// A statistic descriptor with an empty column list.
     EmptyColumnSet,
-    /// A sample specification outside its valid domain (fraction not in
-    /// (0, 1], zero row floor, zero block size, or a non-finite fraction).
-    InvalidSampleSpec { detail: String },
 }
 
 impl fmt::Display for StatsError {
@@ -33,9 +30,6 @@ impl fmt::Display for StatsError {
             }
             StatsError::EmptyColumnSet => {
                 write!(f, "statistic descriptor has an empty column list")
-            }
-            StatsError::InvalidSampleSpec { detail } => {
-                write!(f, "invalid sample specification: {detail}")
             }
         }
     }

@@ -42,7 +42,7 @@ pub struct Histogram {
     /// for shared end points: `lo <= hi` in every bucket, and `lo` and `hi`
     /// both non-decreasing from one to the next.
     buckets: Vec<Bucket>,
-    /// Total distinct values observed (or estimated from a sample).
+    /// Total distinct values observed.
     ndv: f64,
     /// Number of (non-null) rows summarized.
     rows: f64,
@@ -288,12 +288,6 @@ impl Histogram {
     /// Number of rows summarized.
     pub fn rows(&self) -> f64 {
         self.rows
-    }
-
-    /// Override the distinct count (used when scaling a sample-built
-    /// histogram up to the full table with an NDV estimator).
-    pub fn set_ndv(&mut self, ndv: f64) {
-        self.ndv = ndv.max(1.0);
     }
 
     /// Mutable bucket access for the feedback corrector (crate-internal:

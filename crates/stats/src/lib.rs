@@ -30,7 +30,6 @@ pub mod histogram;
 pub mod maintenance;
 pub mod mhist;
 pub mod ndv;
-pub mod sampler;
 pub mod statistic;
 
 pub use catalog::{AgingPolicy, CatalogSnapshot, StatsCatalog, StatsView};
@@ -41,6 +40,4 @@ pub use maintenance::{
     staleness_threshold, Refreshed, MAX_UPDATES, STALE_FRACTION, STALE_MIN_ROWS,
 };
 pub use mhist::{Histogram2d, RangeQuery};
-pub use ndv::estimate_ndv;
-pub use sampler::SampleSpec;
 pub use statistic::{BuildOptions, StatDescriptor, StatId, Statistic, MAX_BUCKETS};

@@ -54,8 +54,7 @@ impl StatsCatalog {
     /// in place from them (the STGrid-style cheap refresh: bucket touches, no
     /// scan) under [`MAX_BUCKETS`]. It takes its observations
     /// even when none applies, and is then rebuilt like the rest. The
-    /// rebuilds share one full scan of the table, or each draws its own
-    /// seeded sample under sampled build options.
+    /// rebuilds share one scan of the table.
     ///
     /// Returns the corrections, then the rebuilds, each in the order given.
     pub fn refresh(
@@ -100,7 +99,7 @@ impl StatsCatalog {
             };
             let update_count = stale.update_count + 1;
             let (descriptor, epoch) = (stale.descriptor.clone(), stale.created_epoch);
-            let mut rebuilt = self.build(t, &mut scan, id, descriptor, epoch, update_count.into());
+            let mut rebuilt = self.build(t, &mut scan, id, descriptor, epoch);
             rebuilt.update_count = update_count;
             self.update_work += rebuilt.build_cost;
             refreshed.push(Refreshed {

@@ -1,25 +1,13 @@
-//! Estimating the number of distinct values from a sample, and the two
-//! passes a statistic build reads its columns with.
+//! The two passes a statistic build reads its columns with.
 //!
-//! When statistics are built from a row sample rather than a full scan, the
-//! distinct count observed in the sample underestimates the table's true NDV.
-//! We use the first-order jackknife estimator of Haas, Naughton, Seshadri and
-//! Stokes (VLDB 1995) — reference \[9\] of the paper — which corrects the
-//! sample distinct count by the fraction of values observed exactly once:
-//!
-//! ```text
-//! D̂ = d / (1 - f1 * (1 - q) / n)
-//! ```
-//!
-//! where `d` is the number of distinct values in the sample, `f1` the number
-//! of values appearing exactly once, `n` the sample size, and `q = n / N` the
-//! sampling fraction.
+//! Every build reads every row of its table: the distinct counts below are
+//! exact, and no estimator scales them up.
 //!
 //! A statistic's leading column is read by one counting pass
 //! (`ValueCounts::of_column`): its distinct non-null values with their row
-//! counts, and its NULL rows. The histogram, the null fraction, the
-//! one-column density and a sample's jackknife all come from those counts;
-//! no row is given an id. How a value finds its count depends on its kind:
+//! counts, and its NULL rows. The histogram, the null fraction and the
+//! one-column density all come from those counts; no row is given an id.
+//! How a value finds its count depends on its kind:
 //!
 //! * integers and dates (narrowed to `i32`) index a table of counts by their
 //!   offset from a least value, which grows to take in each value outside
@@ -28,82 +16,36 @@
 //! * strings index it by their column's dictionary code
 //!   ([`ColumnData::str_codes`]), made once and kept current by the column's
 //!   writes, with each code's first row to read its string from; codes no
-//!   row read holds are skipped;
+//!   row holds are skipped;
 //! * floats, integers spread wider, and strings whose dictionary is wide
-//!   for the rows read, go through an open-addressing table from their bit
-//!   patterns to a run (`KeyTable`).
+//!   for the column's rows, go through an open-addressing table from their
+//!   bit patterns to a run (`KeyTable`).
 //!
 //! A table takes the place of the hash when its slots number at most twice
-//! the rows read plus 1 024 (`direct`), so that clearing it costs no more
-//! than the pass.
+//! the rows plus 1 024 (`direct`), so that clearing it costs no more than
+//! the pass.
 //!
-//! A full scan's counts outlive the build: the column keeps them
+//! The counts outlive the build: the column keeps them
 //! ([`ColumnData::value_counts`], a [`storage::ColumnCounts`] holding plain
 //! integers, dates and floats and the column's own string cells), and the
-//! next full scan of that column reads them and no row, until a write makes
-//! the column forget them. This module fills them; storage only keeps them.
-//! So a periodic tune of data nobody wrote since the last one counts no
-//! leading column. A sample is counted for its one build, by the same pass,
-//! and kept nowhere.
+//! next build on that column reads them and no row, until a write makes the
+//! column forget them. This module fills them; storage only keeps them. So
+//! a periodic tune of data nobody wrote since the last one counts no
+//! leading column.
 //!
 //! Only the columns of a multi-column prefix get a key per row
-//! (`RowKeys`). On a full scan a direct column's offset or code is read in
-//! place; a sample's keys, and those of a column no table can index, are
-//! coded into a `u32` per row read. A prefix one column longer is refined
-//! group-major (`Groups::refine`): a stable counting sort of the rows by
-//! the shorter prefix's key, then each of its groups' rows through one stamp
-//! table as wide as the next column's keys. A `k`-column prefix so costs a
-//! few passes over `u32`s rather than a `k`-element tuple per row.
+//! (`RowKeys`). A direct column's offset or code is read in place; the keys
+//! of a column no table can index are coded into a `u32` per row. A prefix
+//! one column longer is refined group-major (`Groups::refine`): a stable
+//! counting sort of the rows by the shorter prefix's key, then each of its
+//! groups' rows through one stamp table as wide as the next column's keys.
+//! A `k`-column prefix so costs a few passes over `u32`s rather than a
+//! `k`-element tuple per row.
 
-use rustc_hash::FxHashMap;
-use std::borrow::Cow;
 use std::sync::Arc;
-use storage::{ColumnCounts, ColumnData, CountedValues, PayloadRef, Value, ValueRef};
+use storage::{ColumnCounts, ColumnData, CountedValues, PayloadRef, ValueRef};
 
-/// First-order jackknife estimate of a table's distinct count from a sample
-/// of `n >= 1` rows holding `d` distinct values, `f1` of them exactly once.
-/// Exact (`d`) when the sample covers all `total_rows` rows.
-fn jackknife(d: f64, f1: f64, n: usize, total_rows: usize) -> f64 {
-    if n >= total_rows {
-        return d;
-    }
-    let q = n as f64 / total_rows as f64;
-    let denom = 1.0 - f1 * (1.0 - q) / n as f64;
-    let est = if denom <= 0.0 {
-        total_rows as f64
-    } else {
-        d / denom
-    };
-    est.clamp(d, total_rows as f64)
-}
-
-/// Estimate the table-level NDV from a sample of `sample` values drawn from a
-/// table with `total_rows` rows. Returns the exact distinct count when the
-/// sample covers the whole table.
-pub fn estimate_ndv(sample: &[Value], total_rows: usize) -> f64 {
-    let mut freq: FxHashMap<&Value, u32> =
-        FxHashMap::with_capacity_and_hasher(sample.len(), Default::default());
-    for v in sample {
-        *freq.entry(v).or_insert(0) += 1;
-    }
-    estimate(freq.into_values(), total_rows)
-}
-
-/// The jackknife over the sizes of a sample's groups of equal values.
-fn estimate(sizes: impl IntoIterator<Item = u32>, total_rows: usize) -> f64 {
-    let (mut n, mut f1, mut d) = (0usize, 0usize, 0usize);
-    for size in sizes {
-        n += size as usize;
-        f1 += usize::from(size == 1);
-        d += 1;
-    }
-    if n == 0 {
-        return 0.0;
-    }
-    jackknife(d as f64, f1 as f64, n, total_rows)
-}
-
-/// Whether `slots` distinct keys over `rows` rows read are few enough to
+/// Whether `slots` distinct keys over `rows` rows are few enough to
 /// give each a slot of a table: the table then costs about as much to clear
 /// as the rows cost to read.
 fn direct(slots: u128, rows: usize) -> bool {
@@ -181,47 +123,31 @@ impl KeyTable {
     }
 }
 
-/// `$kernel` over `(row, valid, $key(entry))` for each row read of the
-/// entries `$xs` (`$rows`, `None` = every row), one loop per kind of row
-/// list, so that no row pays for the choice.
-macro_rules! per_row {
-    ($valid:expr, $xs:expr, $rows:expr, $key:expr, $kernel:expr) => {{
-        let (valid, xs): (&[bool], _) = ($valid, $xs);
-        match $rows {
-            None => $kernel(
-                valid
-                    .iter()
-                    .zip(xs)
-                    .enumerate()
-                    .map(|(r, (&v, x))| (r, v, $key(x))),
-            ),
-            Some(rows) => $kernel(rows.iter().map(|&r| (r, valid[r], $key(&xs[r])))),
-        }
-    }};
+/// `(row, valid, key(entry))` for each row of the entries `xs`.
+fn per_row<'a, X, K>(
+    valid: &'a [bool],
+    xs: &'a [X],
+    key: impl Fn(&X) -> K + 'a,
+) -> impl Iterator<Item = (usize, bool, K)> + 'a {
+    valid
+        .iter()
+        .zip(xs)
+        .enumerate()
+        .map(move |(r, (&v, x))| (r, v, key(x)))
 }
 
-/// `$kernel` over `(row, valid, bits)` for each row read of `$col`, where
-/// the bits of two non-null entries are equal exactly where the entries are
-/// equal as values.
+/// `$kernel` over `(row, valid, bits)` for each row of `$col`, where the
+/// bits of two non-null entries are equal exactly where the entries are
+/// equal as values; one instance per payload type.
 macro_rules! per_row_bits {
-    ($col:expr, $rows:expr, $kernel:expr) => {{
+    ($col:expr, $kernel:expr) => {{
         let col: &ColumnData = $col;
         let valid = col.validity();
         match col.payload() {
-            PayloadRef::Int(xs) => per_row!(valid, xs, $rows, |&x: &i64| x as u64, $kernel),
-            PayloadRef::Date(xs) => {
-                per_row!(valid, xs, $rows, |&x: &i64| narrow(x) as u64, $kernel)
-            }
-            PayloadRef::Float(xs) => per_row!(valid, xs, $rows, |x: &f64| x.to_bits(), $kernel),
-            PayloadRef::Str(_) => {
-                per_row!(
-                    valid,
-                    str_codes(col).0,
-                    $rows,
-                    |&c: &u32| u64::from(c),
-                    $kernel
-                )
-            }
+            PayloadRef::Int(xs) => $kernel(per_row(valid, xs, |&x| x as u64)),
+            PayloadRef::Date(xs) => $kernel(per_row(valid, xs, |&x| narrow(x) as u64)),
+            PayloadRef::Float(xs) => $kernel(per_row(valid, xs, |x: &f64| x.to_bits())),
+            PayloadRef::Str(_) => $kernel(per_row(valid, str_codes(col).0, |&c| u64::from(c))),
         }
     }};
 }
@@ -347,42 +273,32 @@ fn count_bits(rows: impl Iterator<Item = (usize, bool, u64)>) -> (Vec<(u32, u32)
     (runs, nulls)
 }
 
-/// The values of the rows one build reads of a column: each distinct
-/// non-null value once, with its row count, and the NULL rows. Equality is
-/// [`Value`]'s on what [`ColumnData::get`] returns: floats by bit pattern,
-/// dates narrowed to `i32`. Row counts must fit `u32`.
+/// The values of a column's rows: each distinct non-null value once, with
+/// its row count, and the NULL rows. Equality is [`storage::Value`]'s on
+/// what [`ColumnData::get`] returns: floats by bit pattern, dates narrowed
+/// to `i32`. Row counts must fit `u32`.
 #[derive(Debug)]
 pub(crate) struct ValueCounts<'c> {
-    /// A sample's counts, or the ones a full scan's column holds.
-    counts: Cow<'c, ColumnCounts>,
+    /// The counts the column holds.
+    counts: &'c ColumnCounts,
     /// Whether the column held them before this pass asked.
     reused: bool,
 }
 
 impl<'c> ValueCounts<'c> {
-    /// The counts of the entries of `col` at `rows` (`None` = every row).
-    /// A full scan's are the column's to keep ([`ColumnData::value_counts`]):
-    /// they are counted only when the column holds none, and it then holds
-    /// these. A sample's are counted for the one build.
-    pub(crate) fn of_column(col: &'c ColumnData, rows: Option<&[usize]>) -> ValueCounts<'c> {
-        if rows.is_some() {
-            return ValueCounts {
-                counts: Cow::Owned(count(col, rows)),
-                reused: false,
-            };
-        }
+    /// The counts of the entries of `col`, which are the column's to keep
+    /// ([`ColumnData::value_counts`]): they are counted only when the
+    /// column holds none, and it then holds these.
+    pub(crate) fn of_column(col: &'c ColumnData) -> ValueCounts<'c> {
         let mut reused = true;
         let counts = col.value_counts_or_insert_with(|| {
             reused = false;
-            count(col, None)
+            count(col)
         });
-        ValueCounts {
-            counts: Cow::Borrowed(counts),
-            reused,
-        }
+        ValueCounts { counts, reused }
     }
 
-    /// Whether a full scan found the counts on its column, and read no row.
+    /// Whether the counts were found on the column, so that no row was read.
     pub(crate) fn reused(&self) -> bool {
         self.reused
     }
@@ -392,7 +308,7 @@ impl<'c> ValueCounts<'c> {
         self.counts.iter()
     }
 
-    /// Distinct non-null values read.
+    /// Distinct non-null values.
     pub(crate) fn len(&self) -> usize {
         self.counts.len()
     }
@@ -403,63 +319,35 @@ impl<'c> ValueCounts<'c> {
         self.counts.ascending
     }
 
-    /// NULL rows read.
+    /// NULL rows.
     pub(crate) fn nulls(&self) -> usize {
         self.counts.nulls
     }
 
-    /// Row count per distinct non-null value.
-    fn sizes(&self) -> impl Iterator<Item = u32> + '_ {
-        self.values().map(|(_, n)| n)
-    }
-
-    /// Distinct values in a table of `total_rows` rows, NULL one of them,
-    /// from the rows read: exact on a full scan, the jackknife over a
-    /// sample.
-    pub(crate) fn ndv(&self, total_rows: usize) -> f64 {
-        let nulls = self.nulls();
-        let null = (nulls > 0).then_some(nulls as u32);
-        let read = nulls + self.sizes().map(|n| n as usize).sum::<usize>();
-        if read >= total_rows {
-            return (self.len() + usize::from(null.is_some())) as f64;
-        }
-        estimate(self.sizes().chain(null), total_rows)
-    }
-
-    /// Distinct non-null values in a table of `total_rows` rows: the
-    /// jackknife over the non-null rows read alone, which is what
-    /// [`estimate_ndv`] returns for their values.
-    pub(crate) fn value_ndv(&self, total_rows: usize) -> f64 {
-        estimate(self.sizes(), total_rows)
+    /// Distinct values, NULL one of them.
+    pub(crate) fn ndv(&self) -> f64 {
+        (self.len() + usize::from(self.nulls() > 0)) as f64
     }
 }
 
-/// Count the entries of `col` at `rows` (`None` = every row) in one pass:
-/// by table where [`direct`] allows one, by [`KeyTable`] otherwise. A
-/// string is kept as the cell of the first row read holding it.
-fn count(col: &ColumnData, rows: Option<&[usize]>) -> ColumnCounts {
+/// Count the entries of `col` in one pass: by table where [`direct`]
+/// allows one, by [`KeyTable`] otherwise. A string is kept as the cell of
+/// the first row holding it.
+fn count(col: &ColumnData) -> ColumnCounts {
     let valid = col.validity();
-    let n = rows.map_or(valid.len(), <[usize]>::len);
+    let n = valid.len();
     let counted = match col.payload() {
-        PayloadRef::Int(xs) => per_row!(valid, xs, rows, |&x: &i64| x, |it| count_offsets(it, n))
+        PayloadRef::Int(xs) => count_offsets(per_row(valid, xs, |&x| x), n)
             .map(|counted| by_offset(counted, CountedValues::Int, |x| x)),
-        PayloadRef::Date(xs) => {
-            per_row!(valid, xs, rows, |&x: &i64| narrow(x), |it| count_offsets(
-                it, n
-            ))
-            .map(|counted| by_offset(counted, CountedValues::Date, |x| x as i32))
-        }
+        PayloadRef::Date(xs) => count_offsets(per_row(valid, xs, |&x| narrow(x)), n)
+            .map(|counted| by_offset(counted, CountedValues::Date, |x| x as i32)),
         PayloadRef::Float(_) => None,
         PayloadRef::Str(cells) => {
             let (codes, bound) = str_codes(col);
             direct(bound as u128, n).then(|| {
                 let (mut counts, mut firsts) = (vec![0u32; bound], vec![0u32; bound]);
-                let key = |&c: &u32| c as usize;
-                let nulls = per_row!(valid, codes, rows, key, |it| count_codes(
-                    it,
-                    &mut counts,
-                    &mut firsts
-                ));
+                let rows = per_row(valid, codes, |&c| c as usize);
+                let nulls = count_codes(rows, &mut counts, &mut firsts);
                 let values = counts
                     .iter()
                     .zip(&firsts)
@@ -474,7 +362,7 @@ fn count(col: &ColumnData, rows: Option<&[usize]>) -> ColumnCounts {
         }
     };
     counted.unwrap_or_else(|| {
-        let (runs, nulls) = per_row_bits!(col, rows, count_bits);
+        let (runs, nulls) = per_row_bits!(col, count_bits);
         let runs = runs.into_iter().map(|(r, count)| (r as usize, count));
         let values = match col.payload() {
             PayloadRef::Int(xs) => CountedValues::Int(runs.map(|(r, n)| (xs[r], n)).collect()),
@@ -520,9 +408,9 @@ fn by_offset<T>(
     }
 }
 
-/// A key per row read, below a width: equal exactly where the rows' values
-/// are, NULL a value of its own. How a column, or a prefix, takes part in
-/// a longer prefix.
+/// A key per row, below a width: equal exactly where the rows' values are,
+/// NULL a value of its own. How a column, or a prefix, takes part in a
+/// longer prefix.
 #[derive(Debug)]
 pub(crate) enum RowKeys<'c> {
     /// Every row of an integer column, or of a date column read narrowed
@@ -542,14 +430,14 @@ pub(crate) enum RowKeys<'c> {
         codes: &'c [u32],
         width: usize,
     },
-    /// A key per row read, made beforehand: a sample's, a column's that no
-    /// table can index (numbered in order of first appearance), or a
-    /// refined prefix's group ids.
+    /// A key per row, made beforehand: a column's that no table can index
+    /// (numbered in order of first appearance), or a refined prefix's group
+    /// ids.
     Ids { ids: Vec<u32>, width: usize },
 }
 
-/// `$body` with `$key` bound to `$keys`' key of a position among the rows
-/// read and `$width` to their width, one instance per kind of keys.
+/// `$body` with `$key` bound to `$keys`' key of a row and `$width` to their
+/// width, one instance per kind of keys.
 macro_rules! with_keys {
     ($keys:expr, |$key:ident, $width:ident| $body:expr) => {
         match $keys {
@@ -606,22 +494,19 @@ macro_rules! with_keys {
 }
 
 impl<'c> RowKeys<'c> {
-    /// The keys of `col` at `rows` (`None` = every row): read in place on a
-    /// full scan of a column a table can index ([`direct`]), coded
-    /// otherwise.
-    pub(crate) fn of_column(col: &'c ColumnData, rows: Option<&[usize]>) -> RowKeys<'c> {
+    /// The keys of `col`: read in place on a column a table can index
+    /// ([`direct`]), coded otherwise.
+    pub(crate) fn of_column(col: &'c ColumnData) -> RowKeys<'c> {
         let valid = col.validity();
-        let n = rows.map_or(valid.len(), <[usize]>::len);
+        let n = valid.len();
         let direct_keys = match col.payload() {
             PayloadRef::Int(xs) | PayloadRef::Date(xs) => {
                 // The span comes from counting the values.
                 let date = matches!(col.payload(), PayloadRef::Date(_));
                 let counted = if date {
-                    per_row!(valid, xs, rows, |&x: &i64| narrow(x), |it| {
-                        count_offsets(it, n)
-                    })
+                    count_offsets(per_row(valid, xs, |&x| narrow(x)), n)
                 } else {
-                    per_row!(valid, xs, rows, |&x: &i64| x, |it| count_offsets(it, n))
+                    count_offsets(per_row(valid, xs, |&x| x), n)
                 };
                 counted.map(|(lo, counts, _)| RowKeys::Offsets {
                     valid,
@@ -641,17 +526,10 @@ impl<'c> RowKeys<'c> {
                 })
             }
         };
-        match (direct_keys, rows) {
-            (None, _) => per_row_bits!(col, rows, code_bits),
-            (Some(keys), None) => keys,
-            (Some(keys), Some(rows)) => with_keys!(&keys, |key, width| RowKeys::Ids {
-                ids: rows.iter().map(|&r| key(r)).collect(),
-                width,
-            }),
-        }
+        direct_keys.unwrap_or_else(|| per_row_bits!(col, code_bits))
     }
 
-    /// Rows read.
+    /// Rows.
     fn len(&self) -> usize {
         match self {
             RowKeys::Offsets { valid, .. } | RowKeys::Codes { valid, .. } => valid.len(),
@@ -660,7 +538,7 @@ impl<'c> RowKeys<'c> {
     }
 }
 
-/// Each row read's id by bit pattern, numbered in order of first
+/// Each row's id by bit pattern, numbered in order of first
 /// appearance, NULL an id of its own.
 fn code_bits(rows: impl Iterator<Item = (usize, bool, u64)>) -> RowKeys<'static> {
     let mut seen = KeyTable::new();
@@ -679,8 +557,8 @@ fn code_bits(rows: impl Iterator<Item = (usize, bool, u64)>) -> RowKeys<'static>
     }
 }
 
-/// The partition of the rows one build reads by the tuples of a prefix of
-/// two or more columns: a group id per row read ([`RowKeys::Ids`], as wide
+/// The partition of a table's rows by the tuples of a prefix of two or
+/// more columns: a group id per row ([`RowKeys::Ids`], as wide
 /// as the group count). Row counts must fit `u32`.
 #[derive(Debug)]
 pub(crate) struct Groups {
@@ -689,7 +567,7 @@ pub(crate) struct Groups {
 
 impl Groups {
     /// The partition by (`head`'s key, `next`'s key), both over the same
-    /// rows read: the tuples of a prefix one column longer than `head`'s.
+    /// rows: the tuples of a prefix one column longer than `head`'s.
     ///
     /// Group-major: a stable counting sort puts the rows in order of their
     /// head key, each carrying its next key, and then each head group's
@@ -749,26 +627,17 @@ impl Groups {
         }
     }
 
-    /// Each row read's group id, to refine further.
+    /// Each row's group id, to refine further.
     pub(crate) fn keys(&self) -> &RowKeys<'static> {
         &self.keys
     }
 
-    /// Distinct tuples in a table of `total_rows` rows, from the rows read:
-    /// the group count, scaled by the jackknife over the groups' sizes when
-    /// the rows are a sample.
-    pub(crate) fn ndv(&self, total_rows: usize) -> f64 {
-        let RowKeys::Ids { ids, width } = &self.keys else {
+    /// Distinct tuples: the group count.
+    pub(crate) fn ndv(&self) -> f64 {
+        let RowKeys::Ids { width, .. } = &self.keys else {
             unreachable!("a partition is coded")
         };
-        if ids.len() >= total_rows {
-            return *width as f64; // a full scan counts exactly
-        }
-        let mut sizes = vec![0u32; *width];
-        for &id in ids {
-            sizes[id as usize] += 1;
-        }
-        estimate(sizes, total_rows)
+        *width as f64
     }
 }
 
@@ -777,37 +646,7 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
     use std::collections::BTreeSet;
-    use storage::DataType;
-
-    #[test]
-    fn full_scan_is_exact() {
-        let vals: Vec<Value> = (0..100).map(|i| Value::Int(i % 10)).collect();
-        assert_eq!(estimate_ndv(&vals, 100), 10.0);
-    }
-
-    #[test]
-    fn empty_sample() {
-        assert_eq!(estimate_ndv(&[], 100), 0.0);
-    }
-
-    #[test]
-    fn jackknife_scales_up_unique_heavy_samples() {
-        // Sample of 100 all-distinct values from 10_000 rows: true NDV is
-        // likely much larger than 100; the estimator must say > 100.
-        let vals: Vec<Value> = (0..100).map(Value::Int).collect();
-        let est = estimate_ndv(&vals, 10_000);
-        assert!(est > 100.0, "est={est}");
-        assert!(est <= 10_000.0);
-    }
-
-    #[test]
-    fn low_cardinality_sample_stays_low() {
-        // 1000-row sample with only 3 distinct values, each frequent: the
-        // estimate should stay close to 3 (no singletons).
-        let vals: Vec<Value> = (0..1000).map(|i| Value::Int(i % 3)).collect();
-        let est = estimate_ndv(&vals, 1_000_000);
-        assert_eq!(est, 3.0);
-    }
+    use storage::{DataType, Value};
 
     fn column(data_type: DataType, values: impl IntoIterator<Item = Value>) -> ColumnData {
         let mut col = ColumnData::new(data_type);
@@ -821,61 +660,49 @@ mod tests {
     fn refined_groups_count_combinations() {
         let a = column(DataType::Int, (0..100).map(|i| Value::Int(i % 4)));
         let b = column(DataType::Int, (0..100).map(|i| Value::Int(i % 5)));
-        assert_eq!(ValueCounts::of_column(&a, None).ndv(100), 4.0);
-        let (a, b) = (RowKeys::of_column(&a, None), RowKeys::of_column(&b, None));
+        assert_eq!(ValueCounts::of_column(&a).ndv(), 4.0);
+        let (a, b) = (RowKeys::of_column(&a), RowKeys::of_column(&b));
         let ab = Groups::refine(&a, &b);
-        assert_eq!(ab.ndv(100), 20.0); // 4 * 5 combinations, all present
-        assert_eq!(Groups::refine(ab.keys(), &a).ndv(100), 20.0);
+        assert_eq!(ab.ndv(), 20.0); // 4 * 5 combinations, all present
+        assert_eq!(Groups::refine(ab.keys(), &a).ndv(), 20.0);
     }
 
     #[test]
     fn null_is_a_value_for_tuples_and_not_for_the_column() {
         let vals = [Value::Int(1), Value::Null, Value::Int(1), Value::Null];
         let ones = column(DataType::Int, vals);
-        let counts = ValueCounts::of_column(&ones, None);
-        assert_eq!(counts.ndv(4), 2.0);
-        assert_eq!(counts.value_ndv(4), 1.0);
+        let counts = ValueCounts::of_column(&ones);
+        assert_eq!(counts.ndv(), 2.0);
+        assert_eq!(counts.len(), 1);
         assert_eq!(counts.nulls(), 2);
         let nulls = column(DataType::Int, [Value::Null, Value::Null]);
-        let counts = ValueCounts::of_column(&nulls, None);
-        assert_eq!(counts.ndv(2), 1.0);
-        assert_eq!(counts.value_ndv(2), 0.0);
-        let keys = RowKeys::of_column(&nulls, None);
-        assert_eq!(Groups::refine(&keys, &keys).ndv(2), 1.0);
-    }
-
-    #[test]
-    fn counts_of_a_sample_agree_with_estimate_ndv() {
-        // Rows 0, 3, 6, ... of a column with singletons and repeats.
-        let values: Vec<Value> = (0..300).map(|i| Value::Int(i % 7 + i / 100 * i)).collect();
-        let rows: Vec<usize> = (0..300).step_by(3).collect();
-        let sample: Vec<Value> = rows.iter().map(|&r| values[r].clone()).collect();
-        let col = column(DataType::Int, values);
-        let counts = ValueCounts::of_column(&col, Some(&rows));
-        assert_eq!(counts.ndv(300), estimate_ndv(&sample, 300));
-        assert_eq!(counts.value_ndv(300), estimate_ndv(&sample, 300));
+        let counts = ValueCounts::of_column(&nulls);
+        assert_eq!(counts.ndv(), 1.0);
+        assert_eq!(counts.len(), 0);
+        let keys = RowKeys::of_column(&nulls);
+        assert_eq!(Groups::refine(&keys, &keys).ndv(), 1.0);
     }
 
     #[test]
     fn integers_and_dates_come_out_ascending() {
         let ints = column(DataType::Int, [5, -2, 9, -2, 0].map(Value::Int));
-        let counts = ValueCounts::of_column(&ints, None);
+        let counts = ValueCounts::of_column(&ints);
         assert!(counts.ascending());
         let values: Vec<(ValueRef, u32)> = counts.values().collect();
         let int = |x, n| (ValueRef::Int(x), n);
         assert_eq!(values, [int(-2, 2), int(0, 1), int(5, 1), int(9, 1)]);
         // A payload past `i32` counts as the date it reads back as.
         let dates = column(DataType::Date, [Value::Int((1 << 32) + 3), Value::Date(3)]);
-        let counts = ValueCounts::of_column(&dates, None);
+        let counts = ValueCounts::of_column(&dates);
         assert!(counts.values().eq([(ValueRef::Date(3), 2)]));
     }
 
-    /// A full scan's counts stay on the column, holding its own string
-    /// cells; the next full scan reads them, and a sample counts its rows.
+    /// A build's counts stay on the column, holding its own string cells;
+    /// the next build reads them.
     #[test]
     fn a_full_scan_keeps_its_counts_on_the_column() {
         let strs = column(DataType::Str, ["b", "a", "b"].map(Value::from));
-        assert!(!ValueCounts::of_column(&strs, None).reused());
+        assert!(!ValueCounts::of_column(&strs).reused());
         let kept = Arc::clone(strs.value_counts().expect("kept"));
         let cell = |r: usize| match strs.get(r) {
             Value::Str(s) => s,
@@ -884,9 +711,8 @@ mod tests {
         assert!(matches!(&kept.values, CountedValues::Str(xs)
             if matches!(&xs[..], [(b, 2), (a, 1)]
                 if Arc::ptr_eq(b, &cell(0)) && Arc::ptr_eq(a, &cell(1)))));
-        assert!(ValueCounts::of_column(&strs, None).reused());
+        assert!(ValueCounts::of_column(&strs).reused());
         assert!(Arc::ptr_eq(strs.value_counts().expect("kept"), &kept));
-        assert!(!ValueCounts::of_column(&strs, Some(&[0, 1])).reused());
     }
 
     #[test]
@@ -895,7 +721,7 @@ mod tests {
         for base in [i64::MIN, -1_000, i64::MAX - 2_000] {
             let xs: Vec<i64> = (0..1_000).rev().chain(1_000..2_001).collect();
             let ints = column(DataType::Int, xs.iter().map(|&i| Value::Int(base + i)));
-            let counts = ValueCounts::of_column(&ints, None);
+            let counts = ValueCounts::of_column(&ints);
             assert!(counts.ascending());
             let expected: Vec<(ValueRef, u32)> =
                 (0..2_001).map(|i| (ValueRef::Int(base + i), 1)).collect();
@@ -904,9 +730,11 @@ mod tests {
         // Ten rows: a span of 2 * 10 + 1 024 slots is counted by offset, one
         // more is hashed.
         for (hi, ascending) in [(1_043, true), (1_044, false)] {
-            let ints = column(DataType::Int, [0, hi, 5, 0].map(Value::Int));
-            let rows = [0, 1, 2, 3, 0, 1, 2, 3, 0, 1];
-            let counts = ValueCounts::of_column(&ints, Some(&rows));
+            let ints = column(
+                DataType::Int,
+                [0, hi, 5, 0, 0, hi, 5, 0, 0, hi].map(Value::Int),
+            );
+            let counts = ValueCounts::of_column(&ints);
             assert_eq!(counts.ascending(), ascending);
             assert_eq!(counts.len(), 3);
         }
@@ -933,14 +761,6 @@ mod tests {
         assert!(2 * table.len <= table.slots.len());
     }
 
-    #[test]
-    fn estimate_clamped_to_total_rows() {
-        let vals: Vec<Value> = (0..10).map(Value::Int).collect();
-        let est = estimate_ndv(&vals, 12);
-        assert!(est <= 12.0);
-        assert!(est >= 10.0);
-    }
-
     /// A column of `kind` from small picks: integers narrow enough to be
     /// read in place, integers spread past the direct bound, strings, and
     /// floats (always coded).
@@ -960,8 +780,8 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(96))]
 
-        /// A refinement has one group per distinct pair of the rows read,
-        /// NULL a value of its own, whichever way each column is keyed; and
+        /// A refinement has one group per distinct pair of the rows, NULL a
+        /// value of its own, whichever way each column is keyed; and
         /// refining once more counts the distinct triples.
         #[test]
         fn refinement_counts_distinct_pairs(
@@ -974,7 +794,6 @@ mod tests {
                 0..300,
             ),
             kinds in (0usize..4, 0usize..4, 0usize..4),
-            step in 1usize..4,
         ) {
             let a: Vec<Option<i64>> = cells.iter().map(|c| c.0).collect();
             let b: Vec<Option<i64>> = cells.iter().map(|c| c.1).collect();
@@ -984,27 +803,20 @@ mod tests {
                 pick_column(kinds.1, &b),
                 pick_column(kinds.2, &c),
             ];
-            // Every row, and every `step`-th row as a sample.
-            let sample: Vec<usize> = (0..cells.len()).step_by(step).collect();
-            for rows in [None, Some(&sample[..])] {
-                let read: Vec<usize> = rows.map_or((0..cells.len()).collect(), <[usize]>::to_vec);
-                let keys: Vec<RowKeys> = cols.iter().map(|col| RowKeys::of_column(col, rows)).collect();
-                let ab = Groups::refine(&keys[0], &keys[1]);
-                let abc = Groups::refine(ab.keys(), &keys[2]);
-                let pairs: BTreeSet<_> = read.iter().map(|&r| (a[r], b[r])).collect();
-                let triples: BTreeSet<_> = read.iter().map(|&r| (a[r], b[r], c[r])).collect();
-                prop_assert_eq!(ab.ndv(read.len()), pairs.len() as f64);
-                prop_assert_eq!(abc.ndv(read.len()), triples.len() as f64);
-                // Two rows share a group exactly where they share a pair.
-                let ids = |g: &Groups| match g.keys() {
-                    RowKeys::Ids { ids, .. } => ids.clone(),
-                    _ => unreachable!(),
-                };
-                let ab_ids = ids(&ab);
-                for (i, &r) in read.iter().enumerate() {
-                    for (j, &s) in read.iter().enumerate().take(i) {
-                        prop_assert_eq!(ab_ids[i] == ab_ids[j], (a[r], b[r]) == (a[s], b[s]));
-                    }
+            let keys: Vec<RowKeys> = cols.iter().map(RowKeys::of_column).collect();
+            let ab = Groups::refine(&keys[0], &keys[1]);
+            let abc = Groups::refine(ab.keys(), &keys[2]);
+            let pairs: BTreeSet<_> = a.iter().zip(&b).collect();
+            let triples: BTreeSet<_> = cells.iter().collect();
+            prop_assert_eq!(ab.ndv(), pairs.len() as f64);
+            prop_assert_eq!(abc.ndv(), triples.len() as f64);
+            // Two rows share a group exactly where they share a pair.
+            let RowKeys::Ids { ids, .. } = ab.keys() else {
+                unreachable!()
+            };
+            for r in 0..cells.len() {
+                for s in 0..r {
+                    prop_assert_eq!(ids[r] == ids[s], (a[r], b[r]) == (a[s], b[s]));
                 }
             }
         }

@@ -1,15 +1,14 @@
 //! The statistic object and its construction from table data.
 //!
-//! There is one builder, `TableScan`: a pass over a fixed set of rows of
-//! one table — all of them, or one statistic's seeded sample — that reads
-//! the typed column slices directly and never boxes a cell into a
+//! There is one builder, `TableScan`: a pass over every row of one table
+//! that reads the typed column slices directly and never boxes a cell into a
 //! [`Value`]. The leading column is counted by value once
 //! (`ndv::ValueCounts`): its histogram keys, sorts and buckets the distinct
 //! values with their row counts, and its density and null fraction come from
 //! the same counts. Every longer prefix density is the group count of a
 //! partition refining the one before it (`ndv::Groups`). [`build_statistic`]
-//! is one statistic from a scan of its own; the catalog keeps one full scan
-//! per table open across the statistics of a
+//! is one statistic from a scan of its own; the catalog keeps one scan per
+//! table open across the statistics of a
 //! [`create_statistics`](crate::StatsCatalog::create_statistics) call or a
 //! refresh so that they share what they have in common. What a build costs
 //! is [`build_price`], whichever of them charges it.
@@ -17,7 +16,6 @@
 use crate::histogram::Histogram;
 use crate::mhist::Histogram2d;
 use crate::ndv::{Groups, RowKeys, ValueCounts};
-use crate::sampler::{iter_rows, SampleSpec};
 use rustc_hash::FxHashMap;
 use std::fmt;
 use storage::{Table, TableId, Value};
@@ -80,23 +78,14 @@ impl StatDescriptor {
 /// restructure under.
 pub const MAX_BUCKETS: usize = 64;
 
-/// How a statistic should be built.
-#[derive(Debug, Clone, PartialEq)]
+/// How a statistic should be built. Every build reads every row of its
+/// table.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct BuildOptions {
-    pub sample: SampleSpec,
     /// Also build a Phased 2-D histogram over the first two columns of
     /// multi-column statistics (§3's MHIST reference; off by default since
     /// SQL Server 7.0 carried only the asymmetric histogram+density form).
     pub joint_histograms: bool,
-}
-
-impl Default for BuildOptions {
-    fn default() -> Self {
-        BuildOptions {
-            sample: SampleSpec::FullScan,
-            joint_histograms: false,
-        }
-    }
 }
 
 impl BuildOptions {
@@ -157,41 +146,37 @@ impl Statistic {
     }
 }
 
-/// Deterministic work-unit cost of building a statistic on `columns` of a
-/// table with `rows` rows, reading `rows_read` of them.
+/// Deterministic work-unit cost of building a statistic on `n_cols`
+/// columns, `col_bytes` wide together, of a table with `rows` rows.
 ///
-/// Model: the builder scans `rows_read` rows paying for the referenced column
+/// Model: the builder scans the `rows` rows paying for the referenced column
 /// bytes, then sorts the extracted rows once per column of the statistic
 /// (`n log n` comparisons each). This makes multi-column statistics and
 /// statistics on wide/large tables proportionally more expensive, which is
 /// all the paper's relative "statistics creation time" results require.
-pub fn build_work(rows_read: usize, col_bytes: usize, n_cols: usize) -> f64 {
-    let n = rows_read as f64;
+pub fn build_work(rows: usize, col_bytes: usize, n_cols: usize) -> f64 {
+    let n = rows as f64;
     let scan = n * (col_bytes as f64 / 8.0);
     let sort = n_cols as f64 * n * (n.max(2.0)).log2();
     scan + sort
 }
 
-/// What building `descriptor` on `table` from `rows_read` of its rows is
-/// charged: [`build_work`] over the descriptor's column bytes, plus one
+/// What building `descriptor` on `table` at its current size is charged:
+/// [`build_work`] over the descriptor's column bytes, plus one
 /// more sort when it carries a `joint` histogram (the second phase of the
 /// Phased construction). Every build and every rebuild estimate is priced
 /// here, so a statistic's `build_cost` and
 /// [`update_cost_of`](crate::StatsCatalog::update_cost_of) agree.
-pub fn build_price(
-    table: &Table,
-    descriptor: &StatDescriptor,
-    rows_read: usize,
-    joint: bool,
-) -> f64 {
+pub fn build_price(table: &Table, descriptor: &StatDescriptor, joint: bool) -> f64 {
+    let rows = table.row_count();
     let col_bytes: usize = descriptor
         .columns
         .iter()
         .map(|&c| table.schema().column(c).data_type.byte_width())
         .sum();
-    let work = build_work(rows_read, col_bytes, descriptor.columns.len());
+    let work = build_work(rows, col_bytes, descriptor.columns.len());
     if joint {
-        work + build_work(rows_read, 0, 1)
+        work + build_work(rows, 0, 1)
     } else {
         work
     }
@@ -207,24 +192,18 @@ fn density(ndv: f64) -> f64 {
 }
 
 /// Build a [`Statistic`] over `descriptor.columns` of `table`.
-///
-/// `seed` keys the row sample so rebuilds are reproducible but different
-/// statistics draw different samples (see module docs of [`crate::sampler`]).
 pub fn build_statistic(
     id: StatId,
     table: &Table,
     descriptor: StatDescriptor,
     options: &BuildOptions,
-    seed: u64,
     epoch: u64,
 ) -> Statistic {
-    let sample = (options.sample != SampleSpec::FullScan)
-        .then(|| options.sample.pick_rows(table.row_count(), seed));
-    TableScan::new(table, options, sample.as_deref()).build(id, descriptor, epoch)
+    TableScan::new(table, options).build(id, descriptor, epoch)
 }
 
-/// One pass over a fixed set of rows of one table that any number of
-/// statistics can be built from — the only statistic builder.
+/// One pass over every row of one table that any number of statistics can
+/// be built from — the only statistic builder.
 ///
 /// Everything is computed from the typed column slices
 /// ([`storage::ColumnData::payload`] and `validity`). The leading column is
@@ -244,14 +223,9 @@ pub fn build_statistic(
 /// common case in an MNSA round) pay for each once. What a statistic comes
 /// out as does not depend on what the scan served before it, and
 /// `build_cost` is charged per statistic as if it had been built alone.
-///
-/// `rows` is the ascending sample to read, `None` for every row. A scan is
-/// shared only under [`SampleSpec::FullScan`]: each sampled statistic draws
-/// its own rows from its own seed, so it gets a scan of its own.
 pub(crate) struct TableScan<'a> {
     table: &'a Table,
     joint_histograms: bool,
-    rows: Option<&'a [usize]>,
     /// leading column → (histogram over non-null values, null fraction,
     /// density)
     leading: FxHashMap<usize, (Histogram, f64, f64)>,
@@ -269,19 +243,18 @@ pub(crate) struct TableScan<'a> {
 pub(crate) struct BuildTally {
     /// Columns counted by value, with no id per row.
     pub(crate) counted_columns: u64,
-    /// Leading columns whose counts a full scan found on the column, so
-    /// that it counted none of their rows.
+    /// Leading columns whose counts the scan found on the column, so that
+    /// it counted none of their rows.
     pub(crate) counts_reused: u64,
     /// Rows given an id per row for a multi-column prefix.
     pub(crate) prefix_rows: u64,
 }
 
 impl<'a> TableScan<'a> {
-    pub(crate) fn new(table: &'a Table, options: &BuildOptions, rows: Option<&'a [usize]>) -> Self {
+    pub(crate) fn new(table: &'a Table, options: &BuildOptions) -> Self {
         TableScan {
             table,
             joint_histograms: options.joint_histograms,
-            rows,
             leading: FxHashMap::default(),
             columns: FxHashMap::default(),
             prefixes: FxHashMap::default(),
@@ -301,14 +274,10 @@ impl<'a> TableScan<'a> {
         std::mem::take(&mut self.tally)
     }
 
-    fn rows_read(&self) -> usize {
-        self.rows.map_or(self.table.row_count(), <[usize]>::len)
-    }
-
     /// The row keys of `column`.
     fn ensure_column(&mut self, column: usize) {
         if !self.columns.contains_key(&column) {
-            let keys = RowKeys::of_column(self.table.column(column), self.rows);
+            let keys = RowKeys::of_column(self.table.column(column));
             self.columns.insert(column, keys);
         }
     }
@@ -330,7 +299,7 @@ impl<'a> TableScan<'a> {
             self.ensure_prefix(head);
             Groups::refine(self.prefixes[head].keys(), &self.columns[&last])
         };
-        self.tally.prefix_rows += self.rows_read() as u64;
+        self.tally.prefix_rows += self.table.row_count() as u64;
         self.prefixes.insert(prefix.to_vec(), groups);
     }
 
@@ -345,8 +314,6 @@ impl<'a> TableScan<'a> {
         epoch: u64,
     ) -> Statistic {
         let total_rows = self.table.row_count();
-        let rows_read = self.rows_read();
-        let sampled = rows_read < total_rows;
         for k in 2..=descriptor.columns.len() {
             self.ensure_prefix(&descriptor.columns[..k]);
         }
@@ -355,24 +322,19 @@ impl<'a> TableScan<'a> {
         // density, from one count of its values.
         let lead = descriptor.leading_column();
         if !self.leading.contains_key(&lead) {
-            let counts = ValueCounts::of_column(self.table.column(lead), self.rows);
+            let counts = ValueCounts::of_column(self.table.column(lead));
             if counts.reused() {
                 self.tally.counts_reused += 1;
             } else {
                 self.tally.counted_columns += 1;
             }
-            let mut histogram = Histogram::from_counts(&counts, MAX_BUCKETS);
-            let null_fraction = if rows_read == 0 {
+            let histogram = Histogram::from_counts(&counts, MAX_BUCKETS);
+            let null_fraction = if total_rows == 0 {
                 0.0
             } else {
-                counts.nulls() as f64 / rows_read as f64
+                counts.nulls() as f64 / total_rows as f64
             };
-            // Scale the sample NDV up to the table with the jackknife
-            // estimator; a full scan's own distinct count is exact.
-            if sampled {
-                histogram.set_ndv(counts.value_ndv(total_rows));
-            }
-            let density = density(counts.ndv(total_rows));
+            let density = density(counts.ndv());
             self.leading
                 .insert(lead, (histogram, null_fraction, density));
         }
@@ -381,7 +343,7 @@ impl<'a> TableScan<'a> {
         let prefix_densities = std::iter::once(lead_density)
             .chain(
                 (2..=descriptor.columns.len())
-                    .map(|k| density(self.prefixes[&descriptor.columns[..k]].ndv(total_rows))),
+                    .map(|k| density(self.prefixes[&descriptor.columns[..k]].ndv())),
             )
             .collect();
 
@@ -392,9 +354,7 @@ impl<'a> TableScan<'a> {
             if !self.joints.contains_key(&pair) {
                 let values = |c: usize| -> Vec<Value> {
                     let col = self.table.column(c);
-                    iter_rows(self.rows, total_rows)
-                        .map(|r| col.get(r))
-                        .collect()
+                    (0..total_rows).map(|r| col.get(r)).collect()
                 };
                 let h = Histogram2d::build(&values(pair.0), &values(pair.1), 16, 8);
                 self.joints.insert(pair, h);
@@ -407,7 +367,7 @@ impl<'a> TableScan<'a> {
         // Work is charged per statistic exactly as a standalone build would:
         // the shared pass is a wall-clock optimization, not a discount in
         // the deterministic cost model.
-        let build_cost = build_price(self.table, &descriptor, rows_read, joint.is_some());
+        let build_cost = build_price(self.table, &descriptor, joint.is_some());
 
         self.served += 1;
         Statistic {
@@ -453,7 +413,7 @@ mod tests {
     }
 
     fn build(desc: StatDescriptor) -> Statistic {
-        build_statistic(StatId(0), &table(), desc, &BuildOptions::default(), 7, 0)
+        build_statistic(StatId(0), &table(), desc, &BuildOptions::default(), 0)
     }
 
     #[test]
@@ -483,34 +443,37 @@ mod tests {
         assert_eq!(s.leading_ndv(), 7.0);
     }
 
+    /// A table of no rows and one of a single row, NULL or not, still give
+    /// statistics whose densities, null fraction, selectivities and cost are
+    /// finite and in range.
     #[test]
-    fn sampled_build_costs_less() {
-        let t = table();
-        let full = build_statistic(
-            StatId(0),
-            &t,
-            StatDescriptor::single(TableId(0), 0),
-            &BuildOptions::default(),
-            1,
-            0,
-        );
-        let sampled = build_statistic(
-            StatId(1),
-            &t,
-            StatDescriptor::single(TableId(0), 0),
-            &BuildOptions {
-                sample: SampleSpec::Fraction {
-                    fraction: 0.1,
-                    min_rows: 10,
-                },
-                ..Default::default()
-            },
-            1,
-            0,
-        );
-        assert!(sampled.build_cost < full.build_cost / 5.0);
-        // Sampled NDV estimate should be in a sane band around 100.
-        assert!(sampled.leading_ndv() >= 50.0 && sampled.leading_ndv() <= 400.0);
+    fn empty_and_one_row_tables_give_valid_statistics() {
+        let schema = Schema::new(vec![
+            ColumnDef::new("a", DataType::Int).nullable(),
+            ColumnDef::new("b", DataType::Str),
+            ColumnDef::new("c", DataType::Float),
+        ]);
+        let one = |a: Value| vec![a, Value::from("x"), Value::Float(0.5)];
+        for rows in [vec![], vec![one(Value::Int(7))], vec![one(Value::Null)]] {
+            let mut t = Table::new("t", schema.clone());
+            for row in rows {
+                t.insert(row).unwrap();
+            }
+            for columns in [vec![0], vec![1], vec![2], vec![0, 1, 2], vec![2, 0]] {
+                let descriptor = StatDescriptor::multi(TableId(0), columns);
+                let options = BuildOptions::default().with_joint_histograms();
+                let s = build_statistic(StatId(0), &t, descriptor, &options, 0);
+                assert!((0.0..=1.0).contains(&s.null_fraction), "{s:?}");
+                for &d in &s.prefix_densities {
+                    assert!(d.is_finite() && (0.0..=1.0).contains(&d), "{s:?}");
+                }
+                for v in [Value::Int(7), Value::from("x"), Value::Float(0.5)] {
+                    let sel = s.histogram.selectivity_le(&v);
+                    assert!((0.0..=1.0).contains(&sel), "{s:?}");
+                }
+                assert!(s.build_cost.is_finite() && s.build_cost >= 0.0);
+            }
+        }
     }
 
     #[test]

@@ -11,15 +11,15 @@
 //! `build_cost`, same creation-work total to the bit. This harness checks
 //! the contract over random column data (with NULLs), shuffled lists on two
 //! tables with duplicates, already-built and drop-listed descriptors and a
-//! column the table lacks, joint-histogram builds, the sampled path, and the
-//! candidate sets of RAGS workloads on seeded TPC-D — and that under full
-//! scans each table is read once per call.
+//! column the table lacks, joint-histogram builds, and the candidate sets
+//! of RAGS workloads on seeded TPC-D — and that each table is read once per
+//! call.
 
 use autostats::candidate_statistics;
 use datagen::{build_tpcd, Complexity, RagsGenerator, TpcdConfig, WorkloadSpec, ZipfSpec};
 use proptest::prelude::*;
 use query::{bind_statement, BoundStatement};
-use stats::{BuildOptions, SampleSpec, StatDescriptor, StatId, StatsCatalog, StatsError};
+use stats::{BuildOptions, StatDescriptor, StatId, StatsCatalog, StatsError};
 use std::collections::BTreeSet;
 use storage::{ColumnDef, DataType, Database, Schema, TableId, Value};
 
@@ -97,17 +97,10 @@ fn three_columns(a: Vec<Option<i64>>) -> Vec<Vec<Option<i64>>> {
     vec![a, b, c]
 }
 
-fn option_regimes() -> [BuildOptions; 3] {
+fn option_regimes() -> [BuildOptions; 2] {
     [
         BuildOptions::default(),
         BuildOptions::default().with_joint_histograms(),
-        BuildOptions {
-            sample: SampleSpec::Fraction {
-                fraction: 0.3,
-                min_rows: 8,
-            },
-            ..Default::default()
-        },
     ]
 }
 
@@ -129,8 +122,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
 
     /// Random NULL-bearing columns, random descriptor lists (duplicates
-    /// included), all three option regimes: default full scan, joint
-    /// histograms, and seeded sampling.
+    /// included), both option regimes: without joint histograms and with
+    /// them.
     #[test]
     fn batch_matches_serial_on_random_tables(
         a in prop::collection::vec(prop::option::of(0i64..15), 20..300),
@@ -159,8 +152,8 @@ proptest! {
 
     /// Shuffled lists over two tables: duplicates, descriptors already
     /// built (some of them drop-listed) and, at a random place, one column
-    /// the table lacks. Under full scans every build after a table's first
-    /// in the call shares that table's scan.
+    /// the table lacks. Every build after a table's first in the call
+    /// shares that table's scan.
     #[test]
     fn shuffled_two_table_lists_match_serial_and_read_each_table_once(
         a in prop::collection::vec(prop::option::of(0i64..12), 10..200),
@@ -178,7 +171,6 @@ proptest! {
         }
 
         for options in option_regimes() {
-            let full_scan = options.sample == SampleSpec::FullScan;
             let mut start = StatsCatalog::new().with_build_options(options);
             for (i, d) in all.iter().enumerate() {
                 if prebuilt & (1 << i) != 0 {
@@ -213,8 +205,10 @@ proptest! {
             let tables = built.iter().collect::<BTreeSet<_>>().len() as u64;
             let builds = obs.metrics.counter("stats.builds").get();
             prop_assert_eq!(builds, built.len() as u64);
-            let shared = if full_scan { builds - tables } else { 0 };
-            prop_assert_eq!(obs.metrics.counter("stats.shared_scan_builds").get(), shared);
+            prop_assert_eq!(
+                obs.metrics.counter("stats.shared_scan_builds").get(),
+                builds - tables
+            );
         }
     }
 }

@@ -2,9 +2,8 @@
 //!
 //! The panic-free contract of the tuning pipeline, exercised under random
 //! schedules of the [`autostats::Fault`] failure points: whatever
-//! combination of empty tables, dropped statistics, degenerate samplers and
-//! zero-bucket histograms is injected — before tuning, between tuning and
-//! execution, or both — every entry point either succeeds with valid
+//! combination of empty tables and dropped statistics is injected — before
+//! tuning, between tuning and execution, or both — every entry point either succeeds with valid
 //! numbers (selectivities in [0, 1], finite plan costs) or returns a typed
 //! error. Nothing panics.
 
@@ -110,7 +109,6 @@ fn arb_fault() -> impl Strategy<Value = Fault> {
         Just(Fault::TruncateTable(TableId(99))), // unknown table
         Just(Fault::TruncateAllTables),
         Just(Fault::DropAllStatistics),
-        Just(Fault::DegenerateSampler),
     ]
 }
 

@@ -28,9 +28,7 @@ use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 use query::{bind_statement, BoundStatement};
 use stats::statistic::build_statistic;
-use stats::{
-    BuildOptions, CatalogSnapshot, SampleSpec, StatDescriptor, StatId, Statistic, StatsCatalog,
-};
+use stats::{BuildOptions, CatalogSnapshot, StatDescriptor, StatId, Statistic, StatsCatalog};
 use std::collections::BTreeSet;
 use storage::{ColumnDef, DataType, Database, Schema, TableId, Value};
 use support::build_statistic_oracle;
@@ -199,29 +197,8 @@ fn table_db(picks: &[[Option<usize>; 4]], pools: Pools, rows: usize) -> (Databas
     (db, t)
 }
 
-fn option_grid() -> Vec<BuildOptions> {
-    let samples = [
-        SampleSpec::FullScan,
-        SampleSpec::Fraction {
-            fraction: 0.3,
-            min_rows: 4,
-        },
-        SampleSpec::Blocks {
-            fraction: 0.4,
-            block_rows: 7,
-            min_rows: 4,
-        },
-    ];
-    let mut grid = Vec::new();
-    for sample in samples {
-        for joint_histograms in [false, true] {
-            grid.push(BuildOptions {
-                sample,
-                joint_histograms,
-            });
-        }
-    }
-    grid
+fn option_grid() -> [BuildOptions; 2] {
+    [false, true].map(|joint_histograms| BuildOptions { joint_histograms })
 }
 
 /// Field-for-field rendering to compare by. Stricter than `==` where it
@@ -232,7 +209,7 @@ fn fields<T: std::fmt::Debug>(value: &T) -> String {
 }
 
 /// What a catalog should hold after building `descriptors` in order from
-/// empty under full-scan `options` and then refreshing each `updates`
+/// empty under `options` and then refreshing each `updates`
 /// times, all on `db`: the oracle's statistics under the catalog's ids and
 /// meters.
 fn oracle_snapshot(
@@ -241,15 +218,13 @@ fn oracle_snapshot(
     options: &BuildOptions,
     updates: u32,
 ) -> CatalogSnapshot {
-    // Under sampling the catalog's per-statistic seeds are private; full-scan
-    // builds ignore the seed.
     let mut stats: Vec<Statistic> = Vec::new();
     for d in descriptors {
         if stats.iter().any(|s| s.descriptor == *d) {
             continue;
         }
         let id = StatId(stats.len() as u32);
-        let mut stat = build_statistic_oracle(id, db.table(d.table), d.clone(), options, 0, 0);
+        let mut stat = build_statistic_oracle(id, db.table(d.table), d.clone(), options, 0);
         stat.update_count = updates;
         stats.push(stat);
     }
@@ -275,12 +250,11 @@ fn oracle_snapshot(
 
 /// One table and descriptor list through every option combination: the
 /// builder against the oracle, serial ≡ batch creation, and refreshing one
-/// statistic at a time ≡ all at once (≡ the oracle, under full scans).
+/// statistic at a time ≡ all at once ≡ the oracle.
 fn check_case(
     picks: &[[Option<usize>; 4]],
     pools: Pools,
     columns: Vec<Vec<usize>>,
-    seed: u64,
 ) -> Result<(), TestCaseError> {
     let (db, t) = table_db(picks, pools, picks.len());
     // 1–3-column descriptors; drawing few columns from six makes shared
@@ -310,22 +284,14 @@ fn check_case(
 
     for options in option_grid() {
         for (i, d) in descriptors.iter().enumerate() {
-            let (id, seed) = (StatId(i as u32), seed + i as u64);
+            let id = StatId(i as u32);
             prop_assert_eq!(
-                fields(&build_statistic(
-                    id,
-                    db.table(t),
-                    d.clone(),
-                    &options,
-                    seed,
-                    3
-                )),
+                fields(&build_statistic(id, db.table(t), d.clone(), &options, 3)),
                 fields(&build_statistic_oracle(
                     id,
                     db.table(t),
                     d.clone(),
                     &options,
-                    seed,
                     3
                 )),
                 "{:?} under {:?}",
@@ -334,7 +300,6 @@ fn check_case(
             );
         }
 
-        let full_scan = options.sample == SampleSpec::FullScan;
         let mut serial = StatsCatalog::new().with_build_options(options.clone());
         for d in &descriptors {
             serial.create_statistic(&db, d.clone()).unwrap();
@@ -342,10 +307,8 @@ fn check_case(
         let mut batched = StatsCatalog::new().with_build_options(options.clone());
         let ids = batched.create_statistics(&db, &descriptors).unwrap();
         prop_assert_eq!(fields(&serial.snapshot()), fields(&batched.snapshot()));
-        if full_scan {
-            let built = oracle_snapshot(&db, &descriptors, &options, 0);
-            prop_assert_eq!(fields(&batched.snapshot()), fields(&built));
-        }
+        let built = oracle_snapshot(&db, &descriptors, &options, 0);
+        prop_assert_eq!(fields(&batched.snapshot()), fields(&built));
 
         let creation_work = batched.creation_work();
         let mut unique = ids.clone();
@@ -359,13 +322,11 @@ fn check_case(
             unique.len()
         );
         prop_assert_eq!(fields(&serial.snapshot()), fields(&batched.snapshot()));
-        if full_scan {
-            let refreshed = CatalogSnapshot {
-                creation_work,
-                ..oracle_snapshot(&grown, &descriptors, &options, 1)
-            };
-            prop_assert_eq!(fields(&batched.snapshot()), fields(&refreshed));
-        }
+        let refreshed = CatalogSnapshot {
+            creation_work,
+            ..oracle_snapshot(&grown, &descriptors, &options, 1)
+        };
+        prop_assert_eq!(fields(&batched.snapshot()), fields(&refreshed));
     }
 
     // Writes to a string column whose codes were made before them, then
@@ -373,18 +334,11 @@ fn check_case(
     let written = write_strings(&db, t, &more, more_t, pools);
     for options in option_grid() {
         for (i, d) in descriptors.iter().enumerate() {
-            let (id, seed) = (StatId(i as u32), seed + i as u64);
+            let id = StatId(i as u32);
             let table = written.table(t);
             prop_assert_eq!(
-                fields(&build_statistic(id, table, d.clone(), &options, seed, 3)),
-                fields(&build_statistic_oracle(
-                    id,
-                    table,
-                    d.clone(),
-                    &options,
-                    seed,
-                    3
-                )),
+                fields(&build_statistic(id, table, d.clone(), &options, 3)),
+                fields(&build_statistic_oracle(id, table, d.clone(), &options, 3)),
                 "{:?} under {:?} after writes",
                 d,
                 options
@@ -409,8 +363,8 @@ fn write_strings(
     let mut written = db.clone();
     let options = BuildOptions::default();
     let string = StatDescriptor::single(t, 2);
-    build_statistic(StatId(0), written.table(t), string.clone(), &options, 0, 0);
-    build_statistic(StatId(0), more.table(more_t), string, &options, 0, 0);
+    build_statistic(StatId(0), written.table(t), string.clone(), &options, 0);
+    build_statistic(StatId(0), more.table(more_t), string, &options, 0);
     let table = written.table_mut(t);
     let rows = table.row_count();
     let pool = str_pool(pools.str);
@@ -451,11 +405,10 @@ proptest! {
         str in 0usize..4,
         date in 0usize..2,
         columns in prop::collection::vec(prop::collection::vec(0usize..6, 1..4), 1..6),
-        seed in 0u64..1000,
     ) {
         let picks: Vec<[Option<usize>; 4]> =
             picks.into_iter().map(|(a, b, c, d)| [a, b, c, d]).collect();
-        check_case(&picks, Pools { int, str, date }, columns, seed)?;
+        check_case(&picks, Pools { int, str, date }, columns)?;
     }
 }
 
@@ -481,7 +434,7 @@ fn degenerate_tables_equal_the_value_oracle() {
                 str,
                 date: 0,
             };
-            check_case(picks, pools, columns(), 1).unwrap();
+            check_case(picks, pools, columns()).unwrap();
         }
     }
 }
@@ -506,7 +459,7 @@ fn direct_address_pools_equal_the_value_oracle() {
     for int in 0..6 {
         for date in 0..2 {
             let pools = Pools { int, str: 1, date };
-            check_case(&cyclic, pools, columns(), 5).unwrap();
+            check_case(&cyclic, pools, columns()).unwrap();
         }
     }
 }
@@ -531,14 +484,14 @@ fn nan_only_null_first_and_colliding_keys_equal_the_value_oracle() {
         str: 3,
         date: 0,
     };
-    check_case(&picks, pools, columns(), 1).unwrap();
+    check_case(&picks, pools, columns()).unwrap();
 
     // The premise, not only the agreement: NaN rows are non-null rows the
     // histogram leaves out, and the three colliding strings are one run.
     let (db, t) = table_db(&picks, pools, picks.len());
     let build = |column| {
         let d = StatDescriptor::single(t, column);
-        build_statistic(StatId(0), db.table(t), d, &BuildOptions::default(), 0, 0)
+        build_statistic(StatId(0), db.table(t), d, &BuildOptions::default(), 0)
     };
     let floats = build(1);
     assert!(floats.histogram.buckets().is_empty());
@@ -574,7 +527,7 @@ fn wide_pairs_unique_keys_and_distinct_floats_equal_the_value_oracle() {
         date: FIFTY_DAYS,
     };
     let columns = vec![vec![0, 3], vec![3, 0, 2], vec![0, 3, 1], vec![0], vec![3]];
-    check_case(&pair, pools, columns, 3).unwrap();
+    check_case(&pair, pools, columns).unwrap();
 
     let unique: Vec<[Option<usize>; 4]> = (0..rows)
         .map(|r| [Some(r), Some(r), Some(r % 5), Some(r % 7)])
@@ -585,13 +538,13 @@ fn wide_pairs_unique_keys_and_distinct_floats_equal_the_value_oracle() {
         date: 0,
     };
     let columns = vec![vec![0], vec![1], vec![0, 1], vec![1, 3, 0], vec![3, 1]];
-    check_case(&unique, pools, columns, 9).unwrap();
+    check_case(&unique, pools, columns).unwrap();
 
     // The premise: the values are there to be read.
     let ndv = |picks: &[[Option<usize>; 4]], pools, columns: Vec<usize>| {
         let (db, t) = table_db(picks, pools, rows);
         let d = StatDescriptor::multi(t, columns);
-        let s = build_statistic(StatId(0), db.table(t), d, &BuildOptions::default(), 0, 0);
+        let s = build_statistic(StatId(0), db.table(t), d, &BuildOptions::default(), 0);
         s.prefix_ndv(s.descriptor.columns.len())
     };
     assert_eq!(ndv(&unique, pools, vec![0]), rows as f64);
@@ -629,7 +582,7 @@ fn unused_dictionary_codes_equal_the_value_oracle() {
         date: 0,
     };
     let columns = vec![vec![2], vec![2, 0], vec![0, 2], vec![2, 3, 5], vec![3, 2]];
-    check_case(&picks, pools, columns, 4).unwrap();
+    check_case(&picks, pools, columns).unwrap();
 
     // The premise: six codes made (the NULL rows' padding has one), four
     // strings left.
@@ -637,7 +590,7 @@ fn unused_dictionary_codes_equal_the_value_oracle() {
     let (_, bound) = db.table(t).column(2).str_codes().unwrap();
     assert_eq!(bound, 6);
     let d = StatDescriptor::single(t, 2);
-    let s = build_statistic(StatId(0), db.table(t), d, &BuildOptions::default(), 0, 0);
+    let s = build_statistic(StatId(0), db.table(t), d, &BuildOptions::default(), 0);
     assert_eq!(s.histogram.ndv(), 4.0);
 }
 

@@ -2,7 +2,7 @@
 
 use proptest::prelude::*;
 use stats::statistic::build_statistic;
-use stats::{join_selectivity, BuildOptions, Histogram, SampleSpec, StatDescriptor, StatId};
+use stats::{join_selectivity, BuildOptions, Histogram, StatDescriptor, StatId};
 use storage::{ColumnDef, DataType, Schema, Table, TableId, Value};
 
 fn table_from(cols: Vec<Vec<i64>>) -> Table {
@@ -26,7 +26,6 @@ proptest! {
     #[test]
     fn prefix_densities_non_increasing(
         a in prop::collection::vec(0i64..20, 30..200),
-        seed in 0u64..100,
     ) {
         let n = a.len();
         let b: Vec<i64> = (0..n as i64).map(|i| i % 7).collect();
@@ -37,7 +36,6 @@ proptest! {
             &t,
             StatDescriptor::multi(TableId(0), vec![0, 1, 2]),
             &BuildOptions::default(),
-            seed,
             0,
         );
         prop_assert_eq!(stat.prefix_densities.len(), 3);
@@ -63,7 +61,6 @@ proptest! {
             StatDescriptor::single(TableId(0), 0),
             &BuildOptions::default(),
             0,
-            0,
         );
         prop_assert!((stat.leading_ndv() - stat.prefix_ndv(1)).abs() < 1e-9);
     }
@@ -81,31 +78,6 @@ proptest! {
         let ba = join_selectivity(&hb, &ha);
         prop_assert!((ab - ba).abs() < 1e-9, "not symmetric: {ab} vs {ba}");
         prop_assert!((0.0..=1.0).contains(&ab));
-    }
-
-    /// A sampled statistic never reports NDV above the table size, and its
-    /// null fraction stays in [0, 1].
-    #[test]
-    fn sampled_statistics_sane(
-        vals in prop::collection::vec(0i64..1000, 50..400),
-        frac in 0.05f64..0.9,
-        seed in 0u64..50,
-    ) {
-        let t = table_from(vec![vals]);
-        let stat = build_statistic(
-            StatId(0),
-            &t,
-            StatDescriptor::single(TableId(0), 0),
-            &BuildOptions {
-                sample: SampleSpec::Fraction { fraction: frac, min_rows: 10 },
-                ..Default::default()
-            },
-            seed,
-            0,
-        );
-        prop_assert!(stat.leading_ndv() <= t.row_count() as f64 + 1e-9);
-        prop_assert!((0.0..=1.0).contains(&stat.null_fraction));
-        prop_assert!(stat.build_cost > 0.0);
     }
 }
 

@@ -5,9 +5,8 @@
 //! * [`build_statistic_oracle`] (`tests/stat_build_equivalence.rs`) is the
 //!   `Value`-boxed statistic builder the typed column scan
 //!   (`stats::statistic::TableScan`) replaced: every cell is read into a
-//!   `Value`, the leading column goes through `Histogram::build` and
-//!   `estimate_ndv`, and each prefix density counts `Vec<&Value>` tuples in
-//!   a hash map.
+//!   `Value`, the leading column goes through `Histogram::build`, and each
+//!   prefix density counts `Vec<&Value>` tuples in a hash map.
 //! * [`join_selectivity_oracle`] (`tests/histogram_properties.rs`) is the
 //!   loop over all `B_a × B_b` bucket pairs that `stats::join_selectivity`'s
 //!   sorted sweep replaced.
@@ -42,31 +41,28 @@ use rustc_hash::FxHashMap;
 use stats::histogram::Bucket;
 use stats::statistic::build_work;
 use stats::{
-    estimate_ndv, BuildOptions, Histogram, Histogram2d, StatDescriptor, StatId, Statistic,
-    StatsCatalog, StatsView,
+    BuildOptions, Histogram, Histogram2d, StatDescriptor, StatId, Statistic, StatsCatalog,
+    StatsView,
 };
 use std::collections::HashSet;
 use storage::{Database, Fnv, Table, TableId, Value};
 
-/// Build a [`Statistic`] over `descriptor.columns` of `table`, reading the
-/// rows `options.sample` picks under `seed`.
+/// Build a [`Statistic`] over `descriptor.columns` of `table`, reading
+/// every row.
 pub fn build_statistic_oracle(
     id: StatId,
     table: &Table,
     descriptor: StatDescriptor,
     options: &BuildOptions,
-    seed: u64,
     epoch: u64,
 ) -> Statistic {
     let total_rows = table.row_count();
-    let rows = options.sample.pick_rows(total_rows, seed);
-    let rows_read = rows.len();
 
-    // Extract sampled column values.
+    // Extract column values.
     let mut cols: Vec<Vec<Value>> = Vec::with_capacity(descriptor.columns.len());
     for &c in &descriptor.columns {
-        let mut vals = Vec::with_capacity(rows_read);
-        for &r in &rows {
+        let mut vals = Vec::with_capacity(total_rows);
+        for r in 0..total_rows {
             vals.push(table.value(r, c));
         }
         cols.push(vals);
@@ -74,22 +70,18 @@ pub fn build_statistic_oracle(
 
     // Leading column: histogram over non-null values + null fraction.
     let leading: Vec<Value> = cols[0].iter().filter(|v| !v.is_null()).cloned().collect();
-    let null_fraction = if rows_read == 0 {
+    let null_fraction = if total_rows == 0 {
         0.0
     } else {
-        (rows_read - leading.len()) as f64 / rows_read as f64
+        (total_rows - leading.len()) as f64 / total_rows as f64
     };
-    let mut histogram = Histogram::build(&leading, stats::MAX_BUCKETS);
-    // Scale the sample NDV up to the table with the jackknife estimator.
-    if rows_read < total_rows {
-        histogram.set_ndv(estimate_ndv(&leading, total_rows));
-    }
+    let histogram = Histogram::build(&leading, stats::MAX_BUCKETS);
 
     // Prefix densities.
     let mut prefix_densities = Vec::with_capacity(descriptor.columns.len());
     for k in 1..=descriptor.columns.len() {
         let slices: Vec<&[Value]> = cols[..k].iter().map(|c| c.as_slice()).collect();
-        let ndv = estimate_tuple_ndv(&slices, total_rows);
+        let ndv = tuple_ndv(&slices);
         prefix_densities.push(if ndv <= 0.0 { 0.0 } else { 1.0 / ndv });
     }
 
@@ -105,10 +97,10 @@ pub fn build_statistic_oracle(
         .iter()
         .map(|&c| table.schema().column(c).data_type.byte_width())
         .sum();
-    let mut build_cost = build_work(rows_read, col_bytes, descriptor.columns.len());
+    let mut build_cost = build_work(total_rows, col_bytes, descriptor.columns.len());
     if joint.is_some() {
         // The second phase of the Phased construction is one more sort.
-        build_cost += build_work(rows_read, 0, 1);
+        build_cost += build_work(total_rows, 0, 1);
     }
 
     Statistic {
@@ -126,9 +118,9 @@ pub fn build_statistic_oracle(
     }
 }
 
-/// Estimate the NDV of value *tuples* (multi-column combinations) from
-/// parallel sample columns: `columns[c][i]` is column `c` of sample row `i`.
-fn estimate_tuple_ndv(columns: &[&[Value]], total_rows: usize) -> f64 {
+/// The NDV of value *tuples* (multi-column combinations) of parallel
+/// columns: `columns[c][i]` is column `c` of row `i`.
+fn tuple_ndv(columns: &[&[Value]]) -> f64 {
     if columns.is_empty() || columns[0].is_empty() {
         return 0.0;
     }
@@ -140,19 +132,7 @@ fn estimate_tuple_ndv(columns: &[&[Value]], total_rows: usize) -> f64 {
         let tuple: Vec<&Value> = columns.iter().map(|c| &c[i]).collect();
         *freq.entry(tuple).or_insert(0) += 1;
     }
-    let d = freq.len() as f64;
-    if n >= total_rows {
-        return d;
-    }
-    let f1 = freq.values().filter(|&&c| c == 1).count() as f64;
-    let q = n as f64 / total_rows as f64;
-    let denom = 1.0 - f1 * (1.0 - q) / n as f64;
-    let est = if denom <= 0.0 {
-        total_rows as f64
-    } else {
-        d / denom
-    };
-    est.clamp(d, total_rows as f64)
+    freq.len() as f64
 }
 
 /// The string prefix a histogram stripped before keying, as its `Debug`

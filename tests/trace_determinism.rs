@@ -229,7 +229,6 @@ fn arb_fault() -> impl Strategy<Value = Fault> {
         Just(Fault::TruncateTable(TableId(99))), // unknown table
         Just(Fault::TruncateAllTables),
         Just(Fault::DropAllStatistics),
-        Just(Fault::DegenerateSampler),
     ]
 }
 
