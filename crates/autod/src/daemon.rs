@@ -52,7 +52,7 @@
 
 use crate::monitor::{WorkloadMonitor, MONITOR_CAPACITY};
 use autostats::policy::shrinking_pass;
-use autostats::{Equivalence, MnsaConfig, MnsaEngine, OnlineEvent, SessionReport, TuneError};
+use autostats::{MnsaConfig, MnsaEngine, OnlineEvent, SessionReport, TuneError};
 use parking_lot::Mutex;
 use query::BoundSelect;
 use stats::{Refreshed, StatsCatalog};
@@ -106,8 +106,9 @@ pub struct AutodConfig {
     pub budget_per_tick: f64,
     /// MNSA configuration for the tick's tuning step.
     pub mnsa: MnsaConfig,
-    /// Run the Shrinking Set pass, under [`Equivalence::paper_default`],
-    /// every this many ticks. 0 never runs it: the one off-switch.
+    /// Run the Shrinking Set pass, under
+    /// [`autostats::Equivalence::paper_default`], every this many ticks. 0
+    /// never runs it: the one off-switch.
     pub shrink_every: u64,
     /// Span sampling and slow-query capture. Observation-only: telemetry on
     /// vs off never changes catalogs, plans, or journals (pinned by
@@ -454,7 +455,6 @@ impl LifecycleCore {
                 &self.engine.optimizer,
                 &sample,
                 &[],
-                Equivalence::paper_default(),
                 &self.obs,
             ) {
                 Ok((out, overhead)) => {

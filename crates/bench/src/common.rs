@@ -3,11 +3,10 @@
 use crate::cli::Cli;
 use autostats::{MnsaEngine, MnsaOutcome, TuningReport};
 use datagen::{build_tpcd, TpcdConfig, ZipfSpec};
-use executor::{execute_plan, run_statement_observed};
+use executor::run_statement_observed;
 use obsv::json::Object;
-use optimizer::{OptimizeOptions, Optimizer};
+use optimizer::Optimizer;
 use query::{bind_statement, BoundSelect, BoundStatement, Statement};
-use rustc_hash::FxHashMap;
 use stats::{StatDescriptor, StatsCatalog};
 use std::path::Path;
 use storage::Database;
@@ -226,63 +225,6 @@ pub fn execute_workload(
     }
     obs.metrics.float_counter("exec.work").add(work);
     work
-}
-
-/// Memo of per-statement execution work, shared across the repeated
-/// workload executions of a parameter sweep.
-///
-/// For a read-only statement, deterministic execution work is a pure
-/// function of (database contents, statement, chosen operator tree) — the
-/// interpreter never reads the plan's cardinality/cost *estimates* — so the
-/// key is `(statement index, plan structural fingerprint)`. Two sweep points
-/// whose catalogs lead the optimizer to the same tree for a statement share
-/// one execution, no matter how their estimates differ. One memo is scoped
-/// to exactly one (database, workload) pair: the statement index only
-/// identifies a statement within that workload.
-pub type ExecWorkMemo = FxHashMap<(usize, u64), f64>;
-
-/// [`execute_workload`] with plan-level memoization of execution work.
-///
-/// Returns exactly what `execute_workload` returns (same optimizer, same
-/// options, statements executed in order against unmutated data), but serves
-/// repeated (statement, plan-tree) pairs from `memo`. Workloads containing DML
-/// fall back to the plain path: a mutating statement changes the data later
-/// statements see, so their work is no longer a function of the plan alone.
-pub fn execute_workload_memo(
-    db: &Database,
-    catalog: &StatsCatalog,
-    workload: &[BoundStatement],
-    memo: &mut ExecWorkMemo,
-    obs: &obsv::Obs,
-) -> f64 {
-    if workload
-        .iter()
-        .any(|s| !matches!(s, BoundStatement::Select(_)))
-    {
-        return execute_workload(db, catalog, workload, obs);
-    }
-    let optimizer = Optimizer::default();
-    let options = OptimizeOptions::default();
-    let mut total = 0.0;
-    for (i, stmt) in workload.iter().enumerate() {
-        let BoundStatement::Select(q) = stmt else {
-            unreachable!("checked above")
-        };
-        let optimized = optimizer
-            .optimize(db, q, catalog.full_view(), &options)
-            .expect("bench workload optimizes");
-        let key = (i, optimized.plan.structural_fingerprint());
-        total += *memo.entry(key).or_insert_with(|| {
-            // Only cold entries execute, so `exec.work` meters *physical*
-            // work: the whole point of the memo is that warm entries add none.
-            let work = execute_plan(db, q, &optimized.plan, &optimizer.params)
-                .expect("bench workload executes")
-                .work;
-            obs.metrics.float_counter("exec.work").add(work);
-            work
-        });
-    }
-    total
 }
 
 /// Create every descriptor in `descriptors` (deduplicating against the

@@ -10,7 +10,7 @@ use crate::common::{
     bind_all, execute_workload, pct_change, queries_of, tune_workload, ExperimentScale, Row,
 };
 use autostats::policy::shrinking_pass;
-use autostats::{Equivalence, MnsaConfig, MnsaEngine, SessionReport};
+use autostats::{MnsaConfig, MnsaEngine, SessionReport};
 use datagen::{Complexity, RagsGenerator, WorkloadSpec};
 use optimizer::Optimizer;
 use stats::StatsCatalog;
@@ -58,16 +58,8 @@ pub fn run(scale: &ExperimentScale, obs: &obsv::Obs) -> (ShrinkResult, SessionRe
     let (cat_d, ..) = tune_workload(&db, &queries, &mnsad);
 
     // Shrinking Set on top of the MNSA catalog.
-    let (out, overhead) = shrinking_pass(
-        &db,
-        &mut cat,
-        &optimizer,
-        &queries,
-        &[],
-        Equivalence::paper_default(),
-        obs,
-    )
-    .expect("shrinking set runs");
+    let (out, overhead) =
+        shrinking_pass(&db, &mut cat, &optimizer, &queries, &[], obs).expect("shrinking set runs");
     let shrunk_update_cost = cat.update_cost_of(&db, out.essential.iter().copied());
     let exec_after = execute_workload(&db, &cat, &bound, obs);
     journal.record_shrink(&out, overhead);

@@ -8,14 +8,11 @@
 //!
 //! The sweep points are independent measurements over the same database and
 //! workload: each tunes once from an empty catalog and executes the workload
-//! under the result. The executions share an [`ExecWorkMemo`]: deterministic
-//! execution work is a pure function of (data, statement, operator tree), so
-//! points whose catalogs lead to the same plan for a statement share one
-//! execution.
+//! under the result.
 
 use crate::common::{
-    bind_all, create_all, execute_workload_memo, pct_change, pct_reduction, queries_of,
-    tune_workload, ExecWorkMemo, ExperimentScale, Row,
+    bind_all, create_all, execute_workload, pct_change, pct_reduction, queries_of, tune_workload,
+    ExperimentScale, Row,
 };
 use autostats::{candidate_statistics, MnsaConfig, MnsaEngine, MnsaOutcome, SessionReport};
 use datagen::{Complexity, RagsGenerator, WorkloadSpec};
@@ -33,18 +30,15 @@ pub struct SweepResult {
     pub exec_increase_pct: f64,
 }
 
-/// Measure one sweep point: tune from an empty catalog, then execute the
-/// workload under the tuned catalog.
-#[allow(clippy::too_many_arguments)]
+/// Measure one sweep point `(t, ε)`: tune from an empty catalog, then
+/// execute the workload under the tuned catalog.
 fn measure_point(
     db: &Database,
     bound: &[BoundStatement],
     queries: &[BoundSelect],
     work_all: f64,
     exec_all: f64,
-    t: f64,
-    eps: f64,
-    memo: &mut ExecWorkMemo,
+    (t, eps): (f64, f64),
     obs: &obsv::Obs,
 ) -> (SweepResult, Vec<MnsaOutcome>, f64) {
     let engine = MnsaEngine::new(MnsaConfig {
@@ -54,7 +48,7 @@ fn measure_point(
     })
     .with_obs(obs.clone());
     let (cat, work, outcomes) = tune_workload(db, queries, &engine);
-    let exec = execute_workload_memo(db, &cat, bound, memo, obs);
+    let exec = execute_workload(db, &cat, bound, obs);
     let result = SweepResult {
         t_percent: t,
         epsilon: eps,
@@ -81,9 +75,6 @@ pub fn run(scale: &ExperimentScale, obs: &obsv::Obs) -> (Vec<SweepResult>, Sessi
     let (db, bound) = inputs(scale);
     let queries = queries_of(&bound);
 
-    // Created before the baseline so the baseline execution warms the memo.
-    let mut memo = ExecWorkMemo::default();
-
     // Baseline: all candidates.
     let mut cat_all = StatsCatalog::new();
     cat_all.set_obs(obs);
@@ -91,7 +82,7 @@ pub fn run(scale: &ExperimentScale, obs: &obsv::Obs) -> (Vec<SweepResult>, Sessi
     for q in &queries {
         work_all += create_all(&db, &mut cat_all, &candidate_statistics(q));
     }
-    let exec_all = execute_workload_memo(&db, &cat_all, &bound, &mut memo, obs);
+    let exec_all = execute_workload(&db, &cat_all, &bound, obs);
 
     let mut points: Vec<(f64, f64)> = [0.0, 5.0, 10.0, 20.0, 40.0, 80.0]
         .into_iter()
@@ -101,11 +92,7 @@ pub fn run(scale: &ExperimentScale, obs: &obsv::Obs) -> (Vec<SweepResult>, Sessi
 
     let measured: Vec<(SweepResult, Vec<MnsaOutcome>, f64)> = points
         .iter()
-        .map(|&(t, eps)| {
-            measure_point(
-                &db, &bound, &queries, work_all, exec_all, t, eps, &mut memo, obs,
-            )
-        })
+        .map(|&point| measure_point(&db, &bound, &queries, work_all, exec_all, point, obs))
         .collect();
 
     // Journal the paper-default point from its MNSA outcomes. The split of
@@ -146,7 +133,6 @@ pub fn rows(results: &[SweepResult]) -> Vec<Row> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::common::execute_workload;
 
     #[test]
     fn larger_t_prunes_at_least_as_much() {
@@ -175,26 +161,5 @@ mod tests {
         assert_eq!(first_outcomes, again_outcomes);
         assert_eq!(first_work, again_work);
         assert_eq!(first.snapshot(), again.snapshot());
-    }
-
-    #[test]
-    fn memoized_execution_work_equals_plain() {
-        let (db, bound) = inputs(&ExperimentScale::tiny());
-        let empty = StatsCatalog::new();
-        let (tuned, ..) = tune_workload(
-            &db,
-            &queries_of(&bound),
-            &MnsaEngine::new(MnsaConfig::default()),
-        );
-        // One memo across both catalogs and a repeat: cold cells, cells
-        // shared between catalogs and warm cells all give the plain figure.
-        let mut memo = ExecWorkMemo::default();
-        let obs = obsv::Obs::disabled();
-        for catalog in [&empty, &tuned, &empty] {
-            assert_eq!(
-                execute_workload_memo(&db, catalog, &bound, &mut memo, &obs),
-                execute_workload(&db, catalog, &bound, &obs)
-            );
-        }
     }
 }

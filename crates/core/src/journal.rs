@@ -392,6 +392,12 @@ mod tests {
         assert_eq!(report.totals.statistics_drop_listed, 1);
         let second = 3.0 * crate::policy::optimizer_call_work(3);
         assert_eq!(report.totals.overhead_work, overhead + second + 100.0);
+        // Creation work is the caller's; the total adds the overhead to it.
+        report.totals.creation_work = 50.0;
+        assert_eq!(
+            report.totals.total_work(),
+            50.0 + report.totals.overhead_work
+        );
         assert!(report
             .render_text()
             .contains("shrinking set: removed 1 in 4 optimizer calls"));

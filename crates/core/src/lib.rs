@@ -19,16 +19,18 @@
 //!   (§5.1);
 //! * [`shrinking`] — the **Shrinking Set** algorithm (§5.2, Figure 2) that
 //!   guarantees an essential set;
-//! * [`policy`] — the §6 policy layer: on-the-fly tuning per incoming query,
-//!   periodic offline tuning and aging. The `autod` tick runs the same
-//!   [`MnsaEngine`] and [`policy::shrinking_pass`] in budgeted increments
-//!   beside the auto-update/auto-drop loop, and `autod::OnlineService` is
-//!   the front door that serves statements over all of it.
+//! * [`policy`] — the §6 policy layer: on-the-fly tuning per incoming query
+//!   ([`MnsaEngine::run_query`]), periodic offline tuning
+//!   ([`OfflineTuner`]), aging, and the create-all baselines they are
+//!   measured against. The `autod` tick runs the same [`MnsaEngine`] and
+//!   [`policy::shrinking_pass`] in budgeted increments beside the
+//!   auto-update/auto-drop loop, and `autod::OnlineService` is the front
+//!   door that serves statements over all of it.
 //!
 //! ## Quickstart
 //!
 //! ```
-//! use autostats::policy::{apply_policy, CreationPolicy};
+//! use autostats::{MnsaConfig, MnsaEngine};
 //! use datagen::{build_tpcd, TpcdConfig, ZipfSpec};
 //! use query::{bind_select, parse_statement};
 //!
@@ -42,8 +44,9 @@
 //! // §6's on-the-fly policy: before the query is optimized, MNSA decides
 //! // which of its candidate statistics are worth building.
 //! let mut catalog = stats::StatsCatalog::new();
-//! let (report, _, _) = apply_policy(&db, &mut catalog, &CreationPolicy::default(), &query)?;
-//! assert!(report.optimizer_calls >= 3);
+//! let engine = MnsaEngine::new(MnsaConfig::default());
+//! let outcome = engine.run_query(&db, &mut catalog, &query)?;
+//! assert!(outcome.optimizer_calls >= 3);
 //!
 //! let optimizer = optimizer::Optimizer::default();
 //! let plan = optimizer.optimize(&db, &query, catalog.full_view(), &Default::default())?;
@@ -64,7 +67,6 @@
 // Library code must stay panic-free on arbitrary input; tests may unwrap.
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
-pub mod advisor;
 pub mod candidates;
 pub mod equivalence;
 pub mod error;
@@ -74,7 +76,6 @@ pub mod mnsa;
 pub mod policy;
 pub mod shrinking;
 
-pub use advisor::{advise, AdvisorReport, Recommendation};
 pub use candidates::{candidate_statistics, exhaustive_candidates, single_column_candidates};
 pub use equivalence::Equivalence;
 pub use error::{StatementError, TuneError};

@@ -129,9 +129,8 @@ impl PlanNode {
     /// Stable fingerprint of the operator tree *ignoring the estimates* —
     /// the hash companion of [`same_tree`](Self::same_tree): two plans are
     /// execution-tree equivalent iff their structural fingerprints collide
-    /// (modulo the usual 64-bit hash caveat). Lets callers memoize
-    /// plan-determined quantities (e.g. deterministic execution work) across
-    /// optimizations whose estimates differ but whose chosen trees agree.
+    /// (modulo the usual 64-bit hash caveat). Lets a caller compare the
+    /// trees of optimizations whose estimates differ.
     pub fn structural_fingerprint(&self) -> u64 {
         let mut h = Fnv::new();
         self.walk(&mut |node| {

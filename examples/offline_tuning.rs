@@ -7,10 +7,22 @@
 //!
 //! Run with: `cargo run --example offline_tuning`
 
-use autostats::{advise, MnsaConfig, OfflineTuner};
+use autostats::OfflineTuner;
 use datagen::{build_tpcd, Complexity, RagsGenerator, TpcdConfig, WorkloadSpec, ZipfSpec};
 use query::{bind_statement, BoundStatement};
-use stats::StatsCatalog;
+use stats::{StatDescriptor, StatsCatalog};
+use storage::Database;
+
+/// Bind the SELECTs of a generated workload.
+fn workload(db: &Database, spec: &WorkloadSpec) -> Vec<query::BoundSelect> {
+    RagsGenerator::generate(db, spec)
+        .iter()
+        .filter_map(|s| match bind_statement(db, s).unwrap() {
+            BoundStatement::Select(q) => Some(q),
+            _ => None,
+        })
+        .collect()
+}
 
 fn main() {
     let db = build_tpcd(&TpcdConfig {
@@ -21,14 +33,7 @@ fn main() {
 
     // The workload log: 40 complex analytical queries.
     let spec = WorkloadSpec::new(0, Complexity::Complex, 40).with_seed(5);
-    let stmts = RagsGenerator::generate(&db, &spec);
-    let queries: Vec<_> = stmts
-        .iter()
-        .filter_map(|s| match bind_statement(&db, s).unwrap() {
-            BoundStatement::Select(q) => Some(q),
-            _ => None,
-        })
-        .collect();
+    let queries = workload(&db, &spec);
     println!("workload {}: {} queries", spec, queries.len());
 
     let mut catalog = StatsCatalog::new();
@@ -55,15 +60,17 @@ fn main() {
     );
 
     println!("\nessential set retained for the workload:");
-    for stat in catalog.active() {
-        let table = db.table(stat.descriptor.table);
-        let cols: Vec<&str> = stat
-            .descriptor
+    let name = |d: &StatDescriptor| {
+        let table = db.table(d.table);
+        let cols: Vec<&str> = d
             .columns
             .iter()
             .map(|&c| table.schema().column(c).name.as_str())
             .collect();
-        println!("  {}({})", table.name(), cols.join(", "));
+        format!("{}({})", table.name(), cols.join(", "))
+    };
+    for stat in catalog.active() {
+        println!("  {}", name(&stat.descriptor));
     }
 
     let update_cost = catalog.update_cost_of(&db, catalog.active_ids());
@@ -72,20 +79,28 @@ fn main() {
         update_cost
     );
 
-    // The same machinery as a read-only what-if advisor: a new month of
-    // workload arrives; ask what should change before touching anything.
+    // What if next month's workload arrives? Tune a restored copy of the
+    // catalog for it and diff the active sets; the live catalog stays as is.
     let new_spec = WorkloadSpec::new(0, Complexity::Simple, 20).with_seed(99);
-    let new_stmts = RagsGenerator::generate(&db, &new_spec);
-    let new_queries: Vec<_> = new_stmts
-        .iter()
-        .filter_map(|s| match bind_statement(&db, s).unwrap() {
-            BoundStatement::Select(q) => Some(q),
-            _ => None,
-        })
-        .collect();
-    let report = advise(&db, &catalog, &new_queries, MnsaConfig::default()).expect("example runs");
+    let live = catalog.snapshot();
+    let mut what_if = StatsCatalog::restore(catalog.snapshot());
+    OfflineTuner::default()
+        .tune(&db, &mut what_if, &workload(&db, &new_spec))
+        .expect("example runs");
     println!("\nwhat-if analysis for next month's workload ({new_spec}):");
-    print!("{}", report.render(&db));
+    for s in what_if.active() {
+        if catalog.find_active(&s.descriptor).is_none() {
+            let d = name(&s.descriptor);
+            println!("  create {d:<40} (build work {:.0})", s.build_cost);
+        }
+    }
+    for s in catalog.active() {
+        if what_if.find_active(&s.descriptor).is_none() {
+            let (d, saved) = (name(&s.descriptor), catalog.update_cost_of(&db, [s.id]));
+            println!("  drop   {d:<40} (saves {saved:.0}/refresh)");
+        }
+    }
+    assert_eq!(catalog.snapshot(), live, "the live catalog changed");
     println!(
         "(live catalog untouched: {} statistics active)",
         catalog.active_count()

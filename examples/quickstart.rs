@@ -104,7 +104,7 @@ fn main() {
     let stmt = parse_statement(query).unwrap();
     let bound = bind_select(&db, stmt.as_select().unwrap()).unwrap();
     let mut baseline = StatsCatalog::new();
-    let (create_all, _, _) = apply_policy(
+    let (create_all, _) = apply_policy(
         &db,
         &mut baseline,
         &CreationPolicy::CreateAllCandidates,

@@ -4,14 +4,14 @@
 
 use autod::{AutodConfig, OnlineService};
 use autostats::policy::{apply_policy, CreationPolicy};
-use autostats::{MnsaConfig, SessionReport};
+use autostats::{MnsaConfig, MnsaEngine, SessionReport};
 use datagen::{
     build_tpcd, create_tuned_indexes, tpcd_benchmark_queries, Complexity, RagsGenerator,
     TpcdConfig, WorkloadSpec, ZipfSpec,
 };
 use executor::{run_statement, StatementOutcome};
 use optimizer::Optimizer;
-use query::{bind_statement, render, BoundStatement, Statement};
+use query::{bind_statement, render, BoundSelect, BoundStatement, Statement};
 use stats::StatsCatalog;
 use storage::Database;
 
@@ -38,11 +38,35 @@ fn on_the_fly(db: Database, catalog: StatsCatalog, config: AutodConfig) -> Onlin
     )
 }
 
-/// Run `stmts` one by one, each under `policy`'s statistics for it (none
-/// without one), the way `benchmark/src/reference.rs` does. Returns the
-/// outcomes and the catalog.
+/// How statistics are made for each SELECT before it runs.
+#[derive(Debug)]
+enum Creation {
+    None,
+    /// One of the create-all baselines.
+    Policy(CreationPolicy),
+    /// §6's on-the-fly MNSA (MNSA/D with `drop_detection`).
+    Mnsa(MnsaConfig),
+}
+
+impl Creation {
+    fn apply(&self, db: &Database, catalog: &mut StatsCatalog, q: &BoundSelect) {
+        match self {
+            Creation::None => {}
+            Creation::Policy(policy) => {
+                apply_policy(db, catalog, policy, q).unwrap();
+            }
+            Creation::Mnsa(config) => {
+                MnsaEngine::new(*config).run_query(db, catalog, q).unwrap();
+            }
+        }
+    }
+}
+
+/// Run `stmts` one by one, each under `creation`'s statistics for it, the
+/// way `benchmark/src/reference.rs` does. Returns the outcomes and the
+/// catalog.
 fn run_under(
-    policy: Option<&CreationPolicy>,
+    creation: &Creation,
     mut db: Database,
     stmts: &[Statement],
 ) -> (Vec<StatementOutcome>, StatsCatalog) {
@@ -52,11 +76,11 @@ fn run_under(
         .iter()
         .map(|s| {
             let bound = bind_statement(&db, s).unwrap();
-            if let (Some(policy), BoundStatement::Select(q)) = (policy, &bound) {
-                apply_policy(&db, &mut catalog, policy, q).unwrap();
+            if let BoundStatement::Select(q) = &bound {
+                creation.apply(&db, &mut catalog, q);
             }
             run_statement(&mut db, catalog.full_view(), &optimizer, &bound)
-                .unwrap_or_else(|e| panic!("{policy:?}: {e}\n{}", render(s)))
+                .unwrap_or_else(|e| panic!("{creation:?}: {e}\n{}", render(s)))
         })
         .collect();
     (outcomes, catalog)
@@ -99,21 +123,19 @@ fn tpcd_queries_run_end_to_end_with_auto_tuning() {
 
 #[test]
 fn rags_mixed_workload_runs_under_all_policies() {
-    for policy in [
-        None,
-        Some(CreationPolicy::CreateAllSyntactic),
-        Some(CreationPolicy::CreateAllCandidates),
-        Some(CreationPolicy::Mnsa(MnsaConfig::default())),
-        Some(CreationPolicy::Mnsa(
-            MnsaConfig::default().with_drop_detection(),
-        )),
+    for creation in [
+        Creation::None,
+        Creation::Policy(CreationPolicy::CreateAllSyntactic),
+        Creation::Policy(CreationPolicy::CreateAllCandidates),
+        Creation::Mnsa(MnsaConfig::default()),
+        Creation::Mnsa(MnsaConfig::default().with_drop_detection()),
     ] {
         let db = small_db(ZipfSpec::Fixed(1.0));
         let spec = WorkloadSpec::new(25, Complexity::Simple, 30).with_seed(3);
         let stmts = RagsGenerator::generate(&db, &spec);
-        let (outcomes, catalog) = run_under(policy.as_ref(), db, &stmts);
+        let (outcomes, catalog) = run_under(&creation, db, &stmts);
         assert!(outcomes.iter().map(StatementOutcome::work).sum::<f64>() > 0.0);
-        if policy.is_none() {
+        if matches!(creation, Creation::None) {
             assert_eq!(catalog.total_count(), 0);
         }
     }
@@ -130,8 +152,12 @@ fn query_results_are_stats_independent() {
         .map(Statement::Select)
         .collect();
 
-    let (bare, none) = run_under(None, db.clone(), &queries);
-    let (tuned, all) = run_under(Some(&CreationPolicy::CreateAllCandidates), db, &queries);
+    let (bare, none) = run_under(&Creation::None, db.clone(), &queries);
+    let (tuned, all) = run_under(
+        &Creation::Policy(CreationPolicy::CreateAllCandidates),
+        db,
+        &queries,
+    );
     assert_eq!(none.total_count(), 0);
     assert!(all.total_count() > 0);
     for (i, pair) in bare.into_iter().zip(tuned).enumerate() {
@@ -185,7 +211,7 @@ fn heavy_update_traffic_triggers_maintenance_cycle() {
         unreachable!()
     };
     let mut catalog = StatsCatalog::new();
-    let (_, created, _) = apply_policy(
+    let (_, created) = apply_policy(
         &db,
         &mut catalog,
         &CreationPolicy::CreateAllSyntactic,

@@ -8,7 +8,7 @@
 //! error. Nothing panics.
 
 use autod::{AutodConfig, OnlineService};
-use autostats::{advise, Fault, FaultPlan, MnsaConfig, MnsaEngine, OfflineTuner, SessionReport};
+use autostats::{Fault, FaultPlan, MnsaConfig, MnsaEngine, OfflineTuner, SessionReport};
 use optimizer::{OptimizeOptions, Optimizer, PlanNode};
 use proptest::prelude::*;
 use query::{bind_statement, parse_statement, BoundSelect, BoundStatement};
@@ -119,9 +119,10 @@ fn arb_plan() -> impl Strategy<Value = Vec<Fault>> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// MNSA, MNSA/D, offline tuning (with Shrinking Set) and the advisor
-    /// never panic under injected faults; every produced plan has finite
-    /// estimates and every built statistic estimates within [0, 1].
+    /// MNSA, MNSA/D, offline tuning (with Shrinking Set) and a what-if tune
+    /// of a restored copy never panic under injected faults; every produced
+    /// plan has finite estimates and every built statistic estimates within
+    /// [0, 1].
     #[test]
     fn tuning_pipeline_survives_faults(
         pre in arb_plan(),
@@ -158,8 +159,11 @@ proptest! {
         let _ = tuner.tune(&db, &mut catalog, &queries);
         assert_selectivities_sane(&catalog);
 
-        // The advisor runs read-only on the same state.
-        let _ = advise(&db, &catalog, &queries, config);
+        // A what-if tune runs on a restored copy and leaves the live
+        // catalog as it was.
+        let live = catalog.snapshot();
+        let _ = tuner.tune(&db, &mut StatsCatalog::restore(catalog.snapshot()), &queries);
+        assert_eq!(catalog.snapshot(), live);
 
         // Whatever survives must still optimize to finite plans.
         let optimizer = Optimizer::default();
