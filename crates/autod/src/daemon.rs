@@ -1,7 +1,9 @@
 //! The lifecycle daemon: budgeted tuning on virtual-time ticks.
 //!
-//! [`LifecycleCore`] is a deterministic state machine advanced by
-//! [`LifecycleCore::tick`], on the thread that calls it. Each tick, in order:
+//! Behind [`OnlineService::tick_wait`] sits `LifecycleCore`, a deterministic
+//! state machine private to this crate, advanced one tick at a time on the
+//! thread that calls it, under the service's tick mutex. Each tick, in
+//! order:
 //!
 //! 1. **fund** — deposit the tick's budget of work tokens into the token
 //!    bucket. Work is charged in the deterministic units of the offline
@@ -36,11 +38,13 @@
 //!    advance (the offline `tune` tail), also charged to the bucket;
 //! 7. **publish** — if the catalog changed, freeze a copy as the next
 //!    [`CatalogEpoch`]; the service puts it into its published snapshot
-//!    beside whatever data is current.
+//!    beside whatever data is current, and the end-of-tick
+//!    [`obsv::HealthSnapshot`] into the cell [`OnlineService::health`]
+//!    reads.
 //!
-//! Steps 3 and 4 are the whole of §6's auto-update/auto-drop policy; a
-//! template or a Shrinking Set pass that fails is reported in the
-//! [`TickReport`] and the rest of the tick stands. Steps 5 and 6 journal
+//! Steps 3 and 4 are the whole of §6's auto-update/auto-drop policy. A tick
+//! cannot fail: a template or a Shrinking Set pass that fails is reported in
+//! the [`TickReport`] and the rest of the tick stands. Steps 5 and 6 journal
 //! into the same ledger as the offline tuner, so a paused daemon that drains
 //! its queue and runs one shrink pass leaves the catalog, and the journal's
 //! counts, as an offline `tune` over the same sample does.
@@ -49,6 +53,9 @@
 //! wall clock — so schedules are reproducible. With a fixed seed, tick
 //! schedule, and a single query thread, the whole catalog trajectory (epochs,
 //! work meters, journal) is bit-identical run to run.
+//!
+//! [`OnlineService::tick_wait`]: crate::OnlineService::tick_wait
+//! [`OnlineService::health`]: crate::OnlineService::health
 
 use crate::monitor::{WorkloadMonitor, MONITOR_CAPACITY};
 use autostats::policy::shrinking_pass;
@@ -137,7 +144,7 @@ pub struct TickReport {
     pub refresh_work: f64,
     /// Always 0: the tick refreshes by rebuild only. Feedback correction
     /// is measured offline (`exp cardbench`'s drift block); the field stays
-    /// for the readers of this report.
+    /// because the system benchmark (`benchmark/src/serving.rs`) reads it.
     pub feedback_refreshed: usize,
     /// Over-updated statistics physically dropped this tick.
     pub dropped: usize,
@@ -166,7 +173,7 @@ pub struct TickReport {
 
 /// The deterministic daemon state machine. Owns the master catalog; query
 /// threads only ever see the frozen copies it publishes as [`CatalogEpoch`]s.
-pub struct LifecycleCore {
+pub(crate) struct LifecycleCore {
     config: AutodConfig,
     catalog: StatsCatalog,
     /// MNSA, and the optimizer Shrinking Set passes analyze with.
@@ -189,27 +196,13 @@ pub struct LifecycleCore {
     optimizer_calls: u64,
     /// Tick of the last epoch publication (0 = generation 0 at start).
     last_publish_tick: u64,
-    /// Written at the end of every tick, read by [`OnlineService::health`]
-    /// without waiting for a tick in progress. Observation only.
-    ///
-    /// [`OnlineService::health`]: crate::service::OnlineService::health
-    health: Arc<Mutex<obsv::HealthSnapshot>>,
 }
 
 impl LifecycleCore {
-    /// Build a core around an existing catalog (generation 0 is published
-    /// immediately, so query threads have statistics from the start).
-    pub fn new(catalog: StatsCatalog, config: AutodConfig) -> Self {
-        Self::with_parts(
-            catalog,
-            config,
-            obsv::Obs::disabled(),
-            SessionReport::default(),
-        )
-    }
-
-    /// [`LifecycleCore::new`] recording into `obs` and continuing `session`
-    /// (whatever was journaled before serving began).
+    /// A core around `catalog`, recording into `obs` and continuing
+    /// `session` (whatever was journaled before serving began). Generation 0
+    /// is published immediately, so query threads have statistics from the
+    /// start.
     pub(crate) fn with_parts(
         catalog: StatsCatalog,
         config: AutodConfig,
@@ -234,68 +227,37 @@ impl LifecycleCore {
             tick: 0,
             optimizer_calls: 0,
             last_publish_tick: 0,
-            health: Arc::new(Mutex::new(obsv::HealthSnapshot::default())),
         }
     }
 
     /// The core's last publication.
-    pub fn epoch(&self) -> Arc<CatalogEpoch> {
+    pub(crate) fn epoch(&self) -> Arc<CatalogEpoch> {
         Arc::clone(&self.epoch)
     }
 
-    /// The master catalog (authoritative; epochs are frozen copies of it).
-    pub fn catalog(&self) -> &StatsCatalog {
-        &self.catalog
-    }
-
     /// Consume the core, yielding the master catalog and journal.
-    pub fn into_parts(self) -> (StatsCatalog, SessionReport) {
+    pub(crate) fn into_parts(self) -> (StatsCatalog, SessionReport) {
         (self.catalog, self.session)
     }
 
-    /// The session journal (offline history plus online events).
-    pub fn journal(&self) -> &SessionReport {
-        &self.session
-    }
-
     /// Ticks executed so far.
-    pub fn ticks(&self) -> u64 {
+    pub(crate) fn ticks(&self) -> u64 {
         self.tick
     }
 
-    /// Current work-token balance (negative = debt).
-    pub fn balance(&self) -> f64 {
-        self.balance
-    }
-
-    /// The shared cell the core writes an [`obsv::HealthSnapshot`] into at
-    /// the end of every tick. Observation only — nothing reads it back into
-    /// tuning decisions.
-    pub fn health_cell(&self) -> Arc<Mutex<obsv::HealthSnapshot>> {
-        Arc::clone(&self.health)
-    }
-
-    /// The latest end-of-tick health snapshot (default before tick 1).
-    pub fn health(&self) -> obsv::HealthSnapshot {
-        self.health.lock().clone()
-    }
-
-    /// Advance virtual time by one tick funded with `budget` work tokens.
-    /// See the module docs for the exact sequence. Deterministic: same
-    /// inputs, same catalog trajectory. Unspent tokens and debt carry over
-    /// in this core's own bucket.
-    ///
-    /// # Errors
-    /// None today: a template MNSA rejects and a Shrinking Set pass that
+    /// Advance virtual time by one tick funded with `budget` work tokens,
+    /// returning its report and the end-of-tick health snapshot. See the
+    /// module docs for the exact sequence. Deterministic: same inputs, same
+    /// catalog trajectory. Unspent tokens and debt carry over in this core's
+    /// own bucket. A template MNSA rejects and a Shrinking Set pass that
     /// fails are in the report's `tune_error` and `shrink_error`, and the
-    /// rest of the tick stands. The `Result` is the signature every driver
-    /// (and `benchmark/`) links.
-    pub fn tick(
+    /// rest of the tick stands.
+    pub(crate) fn tick(
         &mut self,
         db: &Database,
         monitor: &Mutex<WorkloadMonitor>,
         budget: f64,
-    ) -> Result<TickReport, TuneError> {
+    ) -> (TickReport, obsv::HealthSnapshot) {
         self.tick += 1;
         let tick = self.tick;
         let mut span = self.obs.tracer.span("autod.tick");
@@ -490,11 +452,11 @@ impl LifecycleCore {
                 .record_online(OnlineEvent::EpochSwap { tick, generation });
         }
 
-        // Assemble and publish the end-of-tick health snapshot. Pure
-        // observation: every input is a counter or gauge read; nothing here
-        // feeds back into tuning, so the catalog trajectory is untouched.
+        // Assemble the end-of-tick health snapshot. Pure observation: every
+        // input is a counter or gauge read; nothing here feeds back into
+        // tuning, so the catalog trajectory is untouched.
         let latency = metrics.latency("autod.query.latency_ns").snapshot();
-        *self.health.lock() = obsv::HealthSnapshot {
+        let health = obsv::HealthSnapshot {
             tick,
             epoch_generation: self.epoch.generation,
             epoch_age_ticks: tick.saturating_sub(self.last_publish_tick),
@@ -519,7 +481,7 @@ impl LifecycleCore {
         span.arg("dropped", report.dropped);
         span.arg("tuned", report.queries_tuned);
         span.arg("exhausted", report.budget_exhausted);
-        Ok(report)
+        (report, health)
     }
 }
 
@@ -584,6 +546,16 @@ pub(crate) mod tests {
         }
     }
 
+    /// A core over `catalog` with nothing journaled and telemetry off.
+    fn new_core(catalog: StatsCatalog, config: AutodConfig) -> LifecycleCore {
+        LifecycleCore::with_parts(
+            catalog,
+            config,
+            obsv::Obs::disabled(),
+            SessionReport::default(),
+        )
+    }
+
     const EXAMPLE2_SQL: &str = "SELECT e.empid, d.dname FROM employees e, departments d \
         WHERE e.deptid = d.deptid AND e.age < 30 AND e.salary > 200";
 
@@ -617,21 +589,21 @@ pub(crate) mod tests {
         for q in &queries {
             monitor.lock().observe(q, 0);
         }
-        let mut core = LifecycleCore::new(
+        let mut core = new_core(
             StatsCatalog::new(),
             AutodConfig {
                 shrink_every: 1,
                 ..AutodConfig::default()
             },
         );
-        let report = core.tick(&db, &monitor, f64::INFINITY).unwrap();
+        let report = core.tick(&db, &monitor, f64::INFINITY).0;
         assert!(!report.budget_exhausted);
         assert!(report.shrink_removed.is_some());
-        assert_eq!(core.catalog().snapshot(), offline_catalog.snapshot());
+        assert_eq!(core.catalog.snapshot(), offline_catalog.snapshot());
         // The published epoch is the same catalog.
         assert_eq!(core.epoch().catalog.snapshot(), offline_catalog.snapshot());
 
-        let online = core.journal();
+        let online = &core.session;
         assert_eq!(online.queries, offline.queries);
         let counts = |s: &SessionReport| {
             let t = &s.totals;
@@ -668,7 +640,7 @@ pub(crate) mod tests {
         monitor
             .lock()
             .observe(&select(&db, "SELECT * FROM employees WHERE empid < 100"), 0);
-        let mut core = LifecycleCore::new(StatsCatalog::new(), AutodConfig::default());
+        let mut core = new_core(StatsCatalog::new(), AutodConfig::default());
         let too_many = |error: &Option<TuneError>| {
             matches!(
                 error,
@@ -678,44 +650,40 @@ pub(crate) mod tests {
             )
         };
 
-        let first = core.tick(&db, &monitor, f64::INFINITY).unwrap();
+        let first = core.tick(&db, &monitor, f64::INFINITY).0;
         assert!(too_many(&first.tune_error));
         assert_eq!(first.queries_tuned, 1);
-        assert_eq!(
-            core.journal().queries.len(),
-            1,
-            "journalled before the error"
-        );
+        assert_eq!(core.session.queries.len(), 1, "journalled before the error");
         assert_eq!(first.pending, 1);
         assert!(!first.budget_exhausted);
-        assert!(core.catalog().total_count() > 0);
+        assert!(core.catalog.total_count() > 0);
         assert_eq!(first.published_generation, Some(1));
 
         // The rejected template is still in the monitor's sample, so the next
         // tick queues it again, behind the template that was waiting.
-        let second = core.tick(&db, &monitor, f64::INFINITY).unwrap();
+        let second = core.tick(&db, &monitor, f64::INFINITY).0;
         assert_eq!(second.queries_tuned, 1);
         assert!(second.tune_error.is_some());
         assert_eq!(second.pending, 0);
-        assert_eq!(core.journal().queries.len(), 2);
+        assert_eq!(core.session.queries.len(), 2);
 
         // Nor can the Shrinking Set optimize it: the pass that comes due
         // fails, touching nothing, and the tick still refreshes, publishes
         // and reports its health.
         let shrink_every = AutodConfig::default().shrink_every;
         for _ in 3..shrink_every {
-            let between = core.tick(&db, &monitor, f64::INFINITY).unwrap();
+            let between = core.tick(&db, &monitor, f64::INFINITY).0;
             assert_eq!(between.shrink_error, None);
         }
         let mut db = db;
         insert_employees(&mut db, 900);
-        let due = core.tick(&db, &monitor, f64::INFINITY).unwrap();
+        let (due, health) = core.tick(&db, &monitor, f64::INFINITY);
         assert_eq!(due.tick, shrink_every);
         assert!(too_many(&due.shrink_error));
         assert_eq!(due.shrink_removed, None);
         assert!(due.refreshed > 0);
         assert_eq!(due.published_generation, Some(2));
-        assert_eq!(core.health().tick, shrink_every);
+        assert_eq!(health.tick, shrink_every);
     }
 
     /// `n` more employees: a bulk insert that takes every statistic on the
@@ -759,11 +727,7 @@ pub(crate) mod tests {
             .create_statistic(db, stats::StatDescriptor::single(t, 2))
             .unwrap();
         catalog.move_to_drop_list(listed);
-        (
-            LifecycleCore::new(catalog, AutodConfig::default()),
-            active,
-            listed,
-        )
+        (new_core(catalog, AutodConfig::default()), active, listed)
     }
 
     #[test]
@@ -776,25 +740,22 @@ pub(crate) mod tests {
         // Exactly `MAX_UPDATES` refreshes: both statistics stay.
         for round in 1..=MAX_UPDATES {
             touch_employees(&mut db);
-            let report = core.tick(&db, &monitor, f64::INFINITY).unwrap();
+            let report = core.tick(&db, &monitor, f64::INFINITY).0;
             assert_eq!((report.refreshed, report.dropped), (2, 0), "round {round}");
-            assert_eq!(
-                core.catalog().statistic(listed).unwrap().update_count,
-                round
-            );
+            assert_eq!(core.catalog.statistic(listed).unwrap().update_count, round);
         }
 
         // One more: the drop-listed one goes, the active one does not.
         touch_employees(&mut db);
-        let report = core.tick(&db, &monitor, f64::INFINITY).unwrap();
+        let report = core.tick(&db, &monitor, f64::INFINITY).0;
         assert_eq!((report.refreshed, report.dropped), (2, 1));
-        assert!(core.catalog().statistic(listed).is_none());
+        assert!(core.catalog.statistic(listed).is_none());
         assert_eq!(
-            core.catalog().statistic(active).unwrap().update_count,
+            core.catalog.statistic(active).unwrap().update_count,
             MAX_UPDATES + 1
         );
         assert_eq!(
-            core.journal().online.iter().rev().nth(1),
+            core.session.online.iter().rev().nth(1),
             Some(&OnlineEvent::AutoDrop {
                 tick: u64::from(MAX_UPDATES) + 1,
                 stat: listed,
@@ -809,7 +770,7 @@ pub(crate) mod tests {
         assert!(epoch.catalog.statistic(active).is_some());
 
         // A quiet tick drops nothing and publishes nothing.
-        let quiet = core.tick(&db, &monitor, f64::INFINITY).unwrap();
+        let quiet = core.tick(&db, &monitor, f64::INFINITY).0;
         assert_eq!((quiet.refreshed, quiet.dropped), (0, 0));
         assert_eq!(quiet.published_generation, None);
     }
@@ -837,7 +798,7 @@ pub(crate) mod tests {
                 catalog.move_to_drop_list(id);
             }
             let monitor = Mutex::new(WorkloadMonitor::new(MonitorConfig));
-            let mut core = LifecycleCore::new(
+            let mut core = new_core(
                 catalog,
                 AutodConfig {
                     mnsa: MnsaConfig {
@@ -851,13 +812,13 @@ pub(crate) mod tests {
             let mut dropped = 0;
             for _ in 0..=MAX_UPDATES {
                 touch_employees(&mut db);
-                dropped += core.tick(&db, &monitor, f64::INFINITY).unwrap().dropped;
+                dropped += core.tick(&db, &monitor, f64::INFINITY).0.dropped;
             }
             assert_eq!(dropped, built.len());
 
             // A second template over the same columns.
             monitor.lock().observe(&queries[1], core.ticks());
-            let tuned = core.tick(&db, &monitor, f64::INFINITY).unwrap();
+            let tuned = core.tick(&db, &monitor, f64::INFINITY).0;
             assert_eq!(tuned.queries_tuned, 1);
             (core, built)
         };
@@ -869,14 +830,14 @@ pub(crate) mod tests {
         let rebuilt = |core: &LifecycleCore, built: &[stats::StatDescriptor]| {
             built
                 .iter()
-                .filter(|d| core.catalog().find_active(d).is_some())
+                .filter(|d| core.catalog.find_active(d).is_some())
                 .count()
         };
         let (aged, built) = run(Some(window));
         assert_eq!(rebuilt(&aged, &built), 0);
         assert!(built
             .iter()
-            .all(|d| aged.catalog().is_aged_out(d, &window, 0.0)));
+            .all(|d| aged.catalog.is_aged_out(d, &window, 0.0)));
         let (unaged, built) = run(None);
         assert!(rebuilt(&unaged, &built) > 0);
     }
@@ -889,7 +850,7 @@ pub(crate) mod tests {
         for q in &queries {
             monitor.lock().observe(q, 0);
         }
-        let mut core = LifecycleCore::new(
+        let mut core = new_core(
             StatsCatalog::new(),
             AutodConfig {
                 shrink_every: 0,
@@ -897,26 +858,26 @@ pub(crate) mod tests {
             },
         );
         // A tick funded with nothing tunes nothing and builds nothing.
-        let unfunded = core.tick(&db, &monitor, 0.0).unwrap();
+        let unfunded = core.tick(&db, &monitor, 0.0).0;
         assert!(unfunded.budget_exhausted);
         assert_eq!(unfunded.queries_tuned, 0);
         assert_eq!(unfunded.pending, queries.len());
-        assert_eq!(core.catalog().total_count(), 0);
-        assert_eq!(core.balance(), 0.0);
+        assert_eq!(core.catalog.total_count(), 0);
+        assert_eq!(core.balance, 0.0);
 
-        let first = core.tick(&db, &monitor, 1.0).unwrap();
+        let first = core.tick(&db, &monitor, 1.0).0;
         assert!(first.budget_exhausted);
         assert!(first.queries_tuned <= 1);
-        assert!(core.balance() < 0.0);
+        assert!(core.balance < 0.0);
         assert!(core
-            .journal()
+            .session
             .online
             .iter()
             .any(|e| matches!(e, OnlineEvent::BudgetExhausted { .. })));
         // Enough later ticks pay down the debt and finish the queue.
         let mut tuned = first.queries_tuned;
         for _ in 0..100_000 {
-            let r = core.tick(&db, &monitor, 1.0).unwrap();
+            let r = core.tick(&db, &monitor, 1.0).0;
             tuned += r.queries_tuned;
             if !r.budget_exhausted {
                 break;
@@ -934,34 +895,34 @@ pub(crate) mod tests {
         for q in &queries {
             monitor.lock().observe(q, 0);
         }
-        let mut core = LifecycleCore::new(
+        let mut core = new_core(
             StatsCatalog::new(),
             AutodConfig {
                 shrink_every: 0,
                 ..AutodConfig::default()
             },
         );
-        let first = core.tick(&db, &monitor, f64::INFINITY).unwrap();
+        let first = core.tick(&db, &monitor, f64::INFINITY).0;
         assert!(first.queries_tuned > 0);
-        let built = core.catalog().built_on_table(t).count();
+        let built = core.catalog.built_on_table(t).count();
         assert!(built > 0);
         let gen_after_build = core.epoch().generation;
         assert!(first.published_generation.is_some());
 
         // Nothing stale yet: the next tick publishes nothing.
-        let quiet = core.tick(&db, &monitor, f64::INFINITY).unwrap();
+        let quiet = core.tick(&db, &monitor, f64::INFINITY).0;
         assert_eq!(quiet.refreshed, 0);
         assert_eq!(quiet.published_generation, None);
 
         // A bulk modification beyond max(500, 20% of rows) makes everything
         // on the table stale; the next tick refreshes and republishes.
         insert_employees(&mut db, 900);
-        let refreshed = core.tick(&db, &monitor, f64::INFINITY).unwrap();
+        let refreshed = core.tick(&db, &monitor, f64::INFINITY).0;
         assert_eq!(refreshed.refreshed, built);
         assert!(refreshed.refresh_work > 0.0);
         assert_eq!(core.epoch().generation, gen_after_build + 1);
         assert!(core
-            .journal()
+            .session
             .online
             .iter()
             .any(|e| matches!(e, OnlineEvent::Refresh { .. })));

@@ -12,9 +12,10 @@
 //!   live sample, not an offline workload file. A SELECT pushes its record
 //!   onto an inbox that the tick folds into the monitor, so the monitor's
 //!   bookkeeping stays off the statement path.
-//! * [`LifecycleCore`] — a state machine advanced by deterministic
-//!   virtual-time ticks. Each tick funds a work-token budget (carry-over,
-//!   debt allowed), refreshes the statistics
+//! * the lifecycle core ([`daemon`]) — a state machine private to the
+//!   service, advanced by deterministic virtual-time ticks that
+//!   [`OnlineService::tick_wait`] runs. Each tick funds a work-token budget
+//!   (carry-over, debt allowed), refreshes the statistics
 //!   [`StatsCatalog::stale_statistics`] flags under the SQL Server-style
 //!   `max(500, 20% of rows)` rule through the catalog's shared-scan batch
 //!   rebuilds, physically drops the drop-listed statistics refreshed more
@@ -23,7 +24,8 @@
 //!   the monitored sample's new templates while the budget lasts, and
 //!   periodically a Shrinking Set pass
 //!   ([`autostats::policy::shrinking_pass`]), journaling both into the same
-//!   [`autostats::SessionReport`] ledger the offline tuner keeps.
+//!   [`autostats::SessionReport`] ledger the offline tuner keeps. A tick
+//!   cannot fail: what failed in it is in its [`TickReport`].
 //! * [`Snapshot`] — the data and the published [`CatalogEpoch`] swap
 //!   together: one `Arc` per service, loaded once by every statement, so a
 //!   query reads a consistent database and catalog and never blocks on
@@ -36,7 +38,8 @@
 //! ticked on a schedule and a finite budget a background service. It is
 //! passive: it starts no
 //! thread, and a tick runs on the thread that calls
-//! [`OnlineService::tick_wait`], with the core behind a mutex.
+//! [`OnlineService::tick_wait`], with the core behind a mutex that nothing
+//! else takes.
 //!
 //! ## Determinism contract
 //!
@@ -56,6 +59,6 @@ pub mod daemon;
 pub mod monitor;
 pub mod service;
 
-pub use daemon::{AutodConfig, CatalogEpoch, LifecycleCore, TelemetryConfig, TickReport};
+pub use daemon::{AutodConfig, CatalogEpoch, TelemetryConfig, TickReport};
 pub use monitor::{MonitorConfig, TemplateStats, WorkloadMonitor, MONITOR_CAPACITY};
 pub use service::{plan_select, OnlineService, Prepared, QueryHandle, ServiceReport, Snapshot};

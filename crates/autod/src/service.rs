@@ -3,10 +3,10 @@
 //! [`OnlineService::start`] takes a database, the catalog tuned so far and
 //! the journal that goes with it. The database and the catalog's published
 //! copy become one [`Snapshot`], held in a slot (a `parking_lot::RwLock`
-//! around an `Arc<Snapshot>`); the catalog itself becomes the
-//! [`LifecycleCore`]'s private master, and the core waits behind a mutex for
-//! ticks. The service is passive: it starts no thread, and a tick runs on the
-//! thread that calls [`OnlineService::tick_wait`].
+//! around an `Arc<Snapshot>`); the catalog itself becomes the private master
+//! of the lifecycle core ([`crate::daemon`]), which exists only behind the
+//! service's tick mutex. The service is passive: it starts no thread, and a
+//! tick runs on the thread that calls [`OnlineService::tick_wait`].
 //!
 //! Query threads hold cloneable [`QueryHandle`]s. A SELECT loads the
 //! snapshot once, then binds, optimizes and executes with no lock held,
@@ -27,7 +27,7 @@
 //! the push alone, and the monitor's bookkeeping (re-keying, eviction, the
 //! ghost list) runs when the inbox is folded into it, one `observe_as` per
 //! entry in push order. Three callers fold: every reader of the monitor
-//! (the tick, before [`LifecycleCore::tick`] reads it, and shutdown), and
+//! (the tick, before the core reads it, and shutdown), and
 //! the handle whose push fills the inbox to [`MONITOR_CAPACITY`] entries,
 //! so the inbox holds at most that many when nobody ticks. A fold takes
 //! the batch out with `mem::take` while it holds the monitor's lock, so
@@ -263,12 +263,14 @@ pub struct OnlineService {
     /// Held for the whole of a tick, and by nothing else: concurrent
     /// callers of [`OnlineService::tick_wait`] tick one after another.
     core: Mutex<LifecycleCore>,
+    /// The last tick's health snapshot, written once the tick is done: a
+    /// reader never waits on a tick in progress.
+    health: Mutex<HealthSnapshot>,
     first_error: Mutex<Option<TuneError>>,
     /// The last completed tick: virtual "now" for monitor observations on
     /// query threads.
     current_tick: Arc<AtomicU64>,
     telemetry: Arc<ServiceTelemetry>,
-    health: Arc<Mutex<HealthSnapshot>>,
     budget_per_tick: f64,
 }
 
@@ -315,9 +317,9 @@ impl OnlineService {
             first_error: Mutex::new(None),
             current_tick: Arc::new(AtomicU64::new(0)),
             telemetry,
-            health: core.health_cell(),
             budget_per_tick,
             core: Mutex::new(core),
+            health: Mutex::default(),
         }
     }
 
@@ -335,7 +337,7 @@ impl OnlineService {
 
     /// [`OnlineService::tick_wait_budgeted`] funded with the configured
     /// [`AutodConfig::budget_per_tick`].
-    pub fn tick_wait(&self) -> Result<TickReport, TuneError> {
+    pub fn tick_wait(&self) -> TickReport {
         self.tick_wait_budgeted(self.budget_per_tick)
     }
 
@@ -345,11 +347,13 @@ impl OnlineService {
     /// it starts; what it publishes goes beside the data current when it
     /// ends. Also rolls the slow-query reservoir's window over at this
     /// tick; pair with [`OnlineService::roll_window`] to emit the tick's
-    /// metric deltas.
-    pub fn tick_wait_budgeted(&self, budget: f64) -> Result<TickReport, TuneError> {
+    /// metric deltas. A tick cannot fail: what failed in it is in the
+    /// report's `tune_error` and `shrink_error`.
+    pub fn tick_wait_budgeted(&self, budget: f64) -> TickReport {
         let mut core = self.core.lock();
         drop(self.observer.fold());
-        let report = core.tick(&self.snapshot().db, &self.observer.monitor, budget)?;
+        let (report, health) = core.tick(&self.snapshot().db, &self.observer.monitor, budget);
+        *self.health.lock() = health;
         if report.published_generation.is_some() {
             write_slot(&mut self.slot.write()).epoch = core.epoch();
         }
@@ -358,7 +362,7 @@ impl OnlineService {
         if let Some(e) = &report.shrink_error {
             self.first_error.lock().get_or_insert_with(|| e.clone());
         }
-        Ok(report)
+        report
     }
 
     /// The current published snapshot: data and catalog as of one instant,
@@ -687,14 +691,14 @@ mod tests {
         assert!(matches!(out, StatementOutcome::Query { .. }));
         assert_eq!(svc.generation(), 0);
 
-        let report = svc.tick_wait().unwrap();
+        let report = svc.tick_wait();
         assert_eq!(report.tick, 1);
         assert!(report.queries_tuned >= 1);
         assert!(svc.generation() >= 1, "tuning published a new epoch");
 
         // The same query re-observed does not re-tune (fingerprint dedup).
         h.run_sql(sql).unwrap();
-        let again = svc.tick_wait().unwrap();
+        let again = svc.tick_wait();
         assert_eq!(again.queries_tuned, 0);
 
         let (db, report) = svc.shutdown();
@@ -739,7 +743,7 @@ mod tests {
                 ),
                 "{refused:?}"
             );
-            let report = svc.tick_wait().unwrap();
+            let report = svc.tick_wait();
             assert_eq!(report.tune_error, None, "tick {tick}");
             assert_eq!(report.shrink_error, None, "tick {tick}");
             assert_eq!(
@@ -752,6 +756,58 @@ mod tests {
         let (_, report) = svc.shutdown();
         assert_eq!(report.templates.len(), 1);
         assert!(report.error.is_none());
+    }
+
+    /// The one error path a tick keeps: a template wider than the DP cap
+    /// that reaches the monitor anyway (pushed onto the inbox here; a handle
+    /// refuses it) fails the Shrinking Set pass that comes due. The tick
+    /// reports the error, the pass removes nothing, and shutdown reports the
+    /// same error.
+    #[test]
+    fn a_failed_shrinking_set_pass_is_reported_and_removes_nothing() {
+        let svc = start(AutodConfig {
+            budget_per_tick: f64::INFINITY,
+            shrink_every: 1,
+            ..AutodConfig::default()
+        });
+        svc.handle(1).run_sql(EXAMPLE2_SQL).unwrap();
+        let first = svc.tick_wait();
+        assert_eq!(first.shrink_error, None);
+        assert!(first.shrink_removed.is_some());
+        let before = svc.epoch().catalog.snapshot();
+        assert!(svc.epoch().catalog.total_count() > 0);
+
+        let aliases: Vec<String> = (0..=optimizer::MAX_DP_RELATIONS)
+            .map(|i| format!("departments d{i}"))
+            .collect();
+        let sql = format!("SELECT * FROM {}", aliases.join(", "));
+        let Statement::Select(select) = parse_statement(&sql).unwrap() else {
+            unreachable!("a SELECT")
+        };
+        let too_wide = bind_select(&svc.snapshot().db, &select).unwrap();
+        svc.observer
+            .record((too_wide.fingerprint(), Arc::new(too_wide), first.tick));
+        let due = svc.tick_wait();
+        let too_many = |error: &Option<TuneError>| {
+            matches!(
+                error,
+                Some(TuneError::Plan(
+                    optimizer::PlanError::TooManyRelations { .. }
+                ))
+            )
+        };
+        assert!(too_many(&due.shrink_error), "{:?}", due.shrink_error);
+        assert!(too_many(&due.tune_error), "MNSA rejects it too");
+        assert_eq!(due.shrink_removed, None);
+        assert_eq!(due.published_generation, None);
+        let (_, report) = svc.shutdown();
+        assert_eq!(
+            report.catalog.snapshot(),
+            before,
+            "the pass removed nothing"
+        );
+        assert_eq!(Some(report.session.shrink_removed), first.shrink_removed);
+        assert_eq!(report.error, due.shrink_error);
     }
 
     #[test]
@@ -771,7 +827,7 @@ mod tests {
                 .unwrap(),
             "DML statement (no plan)\n"
         );
-        svc.tick_wait().unwrap();
+        svc.tick_wait();
         let (_, report) = svc.shutdown();
         assert_eq!(report.observed, 0, "EXPLAIN shows the monitor nothing");
     }
@@ -783,7 +839,7 @@ mod tests {
         let svc = service(f64::INFINITY);
         let h = svc.handle(1);
         h.run_sql(EXAMPLE2_SQL).unwrap();
-        svc.tick_wait().unwrap();
+        svc.tick_wait();
         assert!(svc.epoch().catalog.total_count() > 0, "the epoch is tuned");
         h.run_sql(EXAMPLE2_SQL).unwrap();
         let prepared = h.snapshot().prepared(EXAMPLE2_SQL).expect("memoized");
@@ -818,7 +874,7 @@ mod tests {
         h.run_sql("SELECT * FROM employees WHERE salary > 200")
             .unwrap();
         h.run_sql("DELETE FROM employees WHERE empid = 0").unwrap();
-        svc.tick_wait().unwrap();
+        svc.tick_wait();
         let health = svc.health();
         assert_eq!(health.tick, 1);
         assert_eq!(health.queries, 1);
@@ -838,7 +894,7 @@ mod tests {
         for _ in 0..3 {
             h.run_sql("SELECT * FROM employees WHERE age < 30").unwrap();
         }
-        svc.tick_wait().unwrap();
+        svc.tick_wait();
         let w1 = svc.roll_window(1);
         assert_eq!(w1.count("autod.queries"), 3);
         let lat = w1.latency("autod.query.latency_ns").unwrap();
@@ -846,7 +902,7 @@ mod tests {
         assert!(lat.quantile(0.99) >= lat.quantile(0.5));
 
         // Nothing ran since: the next window reports zero activity.
-        svc.tick_wait().unwrap();
+        svc.tick_wait();
         let w2 = svc.roll_window(2);
         assert_eq!(w2.count("autod.queries"), 0);
         assert_eq!(w2.latency("autod.query.latency_ns").unwrap().count, 0);
@@ -863,7 +919,7 @@ mod tests {
              WHERE e.deptid = d.deptid",
         )
         .unwrap();
-        svc.tick_wait().unwrap();
+        svc.tick_wait();
         let slow = svc.drain_slow_queries();
         assert_eq!(slow.len(), 2, "every query sampled at one_in=1");
         assert!(slow.iter().all(|q| !q.events.is_empty()));
@@ -893,7 +949,7 @@ mod tests {
         let held = svc.snapshot();
         h.run_sql("DELETE FROM employees WHERE empid < 100")
             .unwrap();
-        let report = svc.tick_wait().unwrap();
+        let report = svc.tick_wait();
         assert_eq!(report.published_generation, Some(1));
 
         assert_eq!(employees(&held), 3000);
@@ -976,7 +1032,7 @@ mod tests {
         /// The inbox folds into the monitor what a monitor updated by every
         /// SELECT itself holds: runs of SELECTs from one handle or from two
         /// on one thread, with ticks between them and a last run longer than
-        /// the inbox, match a [`LifecycleCore`] ticking beside a monitor fed
+        /// the inbox, match a lifecycle core ticking beside a monitor fed
         /// the same observations in the same order — every tick's report,
         /// the journal and the monitor at shutdown. The inbox never holds
         /// [`MONITOR_CAPACITY`] entries after a push returns.
@@ -1020,8 +1076,8 @@ mod tests {
                     prop_assert!(svc.observer.inbox.lock().len() < MONITOR_CAPACITY);
                 }
                 if then_tick {
-                    let report = svc.tick_wait().unwrap();
-                    let expected = core.tick(&db, &eager, 20_000.0).unwrap();
+                    let report = svc.tick_wait();
+                    let expected = core.tick(&db, &eager, 20_000.0).0;
                     prop_assert_eq!(report, expected);
                 }
             }

@@ -291,7 +291,7 @@ pub(crate) fn drive_service(
                 .expect("workload statement runs");
         },
         || {
-            let r = svc.tick_wait_budgeted(budget).expect("tick succeeds");
+            let r = svc.tick_wait_budgeted(budget);
             epochs.push(svc.epoch());
             telemetry.windows_jsonl += &(svc.roll_window(r.tick).to_json_line() + "\n");
             telemetry.health_jsonl += &(svc.health().to_json_line() + "\n");

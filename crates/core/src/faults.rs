@@ -64,11 +64,6 @@ impl FaultPlan {
         self
     }
 
-    /// The scheduled faults, in injection order.
-    pub fn faults(&self) -> &[Fault] {
-        &self.faults
-    }
-
     /// Apply every scheduled fault, in order, to `db` and `catalog`.
     /// Returns the number of faults that actually changed something (a
     /// truncate of an already-empty or unknown table counts as a no-op).

@@ -241,15 +241,6 @@ impl LatencySample {
             .unwrap_or(0)
     }
 
-    /// Mean of recorded values (0 when empty; meaningless if `sum` wrapped).
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum as f64 / self.count as f64
-        }
-    }
-
     /// The per-window distribution between an `earlier` cumulative reading
     /// and `self`: bucket counts and totals subtract (saturating, so a
     /// racy read never underflows); `min`/`max` are not recoverable from

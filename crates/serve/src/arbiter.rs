@@ -5,9 +5,9 @@
 //! refreshes) each shard reported at the end of its previous tick, plus a
 //! constant floor so an idle shard still receives tokens to pay down debt.
 //! The split is pure f64 arithmetic in shard order, so it is bit-stable
-//! run to run. Carry-over happens downstream: each shard's own
-//! [`autod::LifecycleCore`] token balance keeps unspent tokens and debt,
-//! exactly as in the unsharded daemon.
+//! run to run. Carry-over happens downstream: each shard's service keeps
+//! its own token balance, with unspent tokens and debt, exactly as the
+//! unsharded daemon does (see [`autod::OnlineService::tick_wait_budgeted`]).
 
 /// Splits a global per-tick budget across shards by demand.
 #[derive(Debug, Clone)]
@@ -18,10 +18,6 @@ pub struct BudgetArbiter {
 impl BudgetArbiter {
     pub fn new(global_per_tick: f64) -> BudgetArbiter {
         BudgetArbiter { global_per_tick }
-    }
-
-    pub fn global_per_tick(&self) -> f64 {
-        self.global_per_tick
     }
 
     /// The demand signal derived from a shard's last tick: `1 + pending`,

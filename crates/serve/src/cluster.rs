@@ -195,41 +195,20 @@ impl ServeCluster {
 
     /// Run one cluster tick: split the global budget over the current
     /// demand vector, then tick every shard in shard order on this thread.
-    /// Returns the per-shard reports.
-    ///
-    /// # Errors
-    /// Returns the first shard error in shard order; later shards still
-    /// complete their tick (their reports are dropped for this round but
-    /// their demand floor resets).
+    /// Returns the per-shard reports; always `Ok` (a shard's tick cannot
+    /// fail, and the `Result` is what `benchmark/` links).
     pub fn tick_wait(&self) -> Result<Vec<TickReport>, TuneError> {
         let shares = self.arbiter.split(&self.demands.lock());
-        let mut reports = Vec::with_capacity(shares.len());
-        let mut first_err = None;
-        for (svc, &share) in self.services.iter().zip(&shares) {
-            match svc.tick_wait_budgeted(share) {
-                Ok(report) => reports.push(report),
-                Err(e) => {
-                    first_err.get_or_insert(e);
-                    reports.push(TickReport::default());
-                }
-            }
-        }
+        let reports: Vec<TickReport> = self
+            .services
+            .iter()
+            .zip(shares)
+            .map(|(svc, share)| svc.tick_wait_budgeted(share))
+            .collect();
         for (d, r) in self.demands.lock().iter_mut().zip(&reports) {
             *d = BudgetArbiter::demand(r.pending);
         }
-        match first_err {
-            Some(e) => Err(e),
-            None => Ok(reports),
-        }
-    }
-
-    /// The demand vector the next tick will split over (snapshot).
-    pub fn demands(&self) -> Vec<f64> {
-        self.demands.lock().clone()
-    }
-
-    pub fn arbiter(&self) -> &BudgetArbiter {
-        &self.arbiter
+        Ok(reports)
     }
 
     /// Per-shard health snapshots, in shard order, each stamped with its

@@ -162,10 +162,6 @@ impl StatsCatalog {
         self
     }
 
-    pub fn build_options(&self) -> &BuildOptions {
-        &self.build_options
-    }
-
     /// Current catalog epoch (advanced by the policy layer once per workload
     /// pass or tuning round).
     pub fn epoch(&self) -> u64 {

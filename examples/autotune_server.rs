@@ -74,7 +74,7 @@ fn main() {
                 }
                 Err(e) => println!("  statement rejected: {e}"),
             }
-            let tick = server.tick_wait().unwrap();
+            let tick = server.tick_wait();
             refreshed += tick.refreshed;
             dropped += tick.dropped;
             shrunk += tick.shrink_removed.unwrap_or(0);

@@ -65,7 +65,7 @@ fn main() {
             output.work
         );
     }
-    let tick = service.tick_wait().unwrap();
+    let tick = service.tick_wait();
     println!(
         "tick {}: {} template tuned, tuning work {:.0}, published generation {:?}",
         tick.tick, tick.queries_tuned, tick.tuning_work, tick.published_generation

@@ -91,7 +91,7 @@ fn main() {
                 continue;
             }
             ".tick" => {
-                print_tick(&service.tick_wait().expect("tick"));
+                print_tick(&service.tick_wait());
                 continue;
             }
             ".report" => {
@@ -149,7 +149,7 @@ fn main() {
             Err(e) => println!("error: {e}"),
         }
         // On-the-fly policy: the lifecycle runs after every statement.
-        let tick = service.tick_wait().expect("tick");
+        let tick = service.tick_wait();
         if tick.published_generation.is_some() {
             print_tick(&tick);
         }

@@ -3,8 +3,11 @@
 //! the selectivity variables*. MNSA's correctness rests on this, so we
 //! verify it holds for our optimizer by construction: for random queries and
 //! random pairs of injected selectivity vectors ordered pointwise, the
-//! estimated costs are ordered the same way.
+//! estimated costs are ordered the same way. MNSA's probe leans on it under
+//! whatever catalog it has built so far, so the sandwich is also checked
+//! with random subsets of a query's candidate statistics built.
 
+use autostats::{candidate_statistics, MnsaConfig};
 use datagen::{build_tpcd, Complexity, RagsGenerator, TpcdConfig, ZipfSpec};
 use optimizer::{OptimizeOptions, Optimizer};
 use proptest::prelude::*;
@@ -106,5 +109,45 @@ proptest! {
         let mid_cost = cost_at(mid.clamp(eps, 1.0 - eps));
         prop_assert!(lo <= mid_cost * (1.0 + 1e-9), "lo={lo} mid={mid_cost}");
         prop_assert!(mid_cost <= hi * (1.0 + 1e-9), "mid={mid_cost} hi={hi}");
+    }
+
+    /// MNSA's probe premise under the catalogs it meets: with a random
+    /// subset of the query's candidate statistics built, the variables the
+    /// plan still leaves on magic numbers, injected independently anywhere
+    /// in [ε, 1−ε], cost between the all-ε and all-(1−ε) probes — taken as
+    /// MNSA takes its `lo` and `hi`, the smaller and the larger of the two.
+    #[test]
+    fn probes_bound_independent_injections_under_built_statistics(
+        qidx in 0usize..12,
+        keep in prop::collection::vec(any::<bool>(), 64),
+        values in prop::collection::vec(0.0005f64..0.9995, 12),
+    ) {
+        let db = test_db();
+        let qs = queries(&db);
+        let q = &qs[qidx];
+        let built: Vec<_> = candidate_statistics(q)
+            .into_iter()
+            .zip(keep.iter().cycle())
+            .filter_map(|(d, &k)| k.then_some(d))
+            .collect();
+        let mut catalog = StatsCatalog::new();
+        catalog.create_statistics(&db, &built).unwrap();
+        let optimizer = Optimizer::default();
+        let cost_with = |options: &OptimizeOptions| {
+            optimizer.optimize(&db, q, catalog.full_view(), options).unwrap()
+        };
+        let magic = cost_with(&OptimizeOptions::default()).profile.magic_variables();
+        prop_assume!(!magic.is_empty());
+        let eps = MnsaConfig::default().epsilon;
+        let p_low = cost_with(&OptimizeOptions::inject_all(&magic, eps)).cost;
+        let p_high = cost_with(&OptimizeOptions::inject_all(&magic, 1.0 - eps)).cost;
+        let (lo, hi) = (p_low.min(p_high), p_low.max(p_high));
+        let injected = magic.iter().copied().zip(values.iter().copied().cycle()).collect();
+        let mid = cost_with(&OptimizeOptions { injected }).cost;
+        prop_assert!(
+            lo <= mid * (1.0 + 1e-9) && mid <= hi * (1.0 + 1e-9),
+            "query {qidx}, {} of its candidates built: lo={lo} mid={mid} hi={hi}",
+            built.len()
+        );
     }
 }

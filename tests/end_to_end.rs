@@ -104,7 +104,7 @@ fn tpcd_queries_run_end_to_end_with_auto_tuning() {
             }
             _ => panic!("Q{} not a query", i + 1),
         }
-        let tick = svc.tick_wait().unwrap();
+        let tick = svc.tick_wait();
         assert_eq!(
             tick.queries_tuned,
             1,
@@ -189,7 +189,7 @@ fn tuned_database_with_indexes_prefers_index_plans() {
     let sql = "SELECT * FROM orders WHERE o_orderkey = 5";
     let plan = client.explain_sql(sql).unwrap();
     client.run_sql(sql).unwrap();
-    svc.tick_wait().unwrap();
+    svc.tick_wait();
     let plan_after = client.explain_sql(sql).unwrap();
     assert!(
         plan.contains("IndexScan") || plan_after.contains("IndexScan"),
@@ -246,7 +246,7 @@ fn heavy_update_traffic_triggers_maintenance_cycle() {
             ))
             .unwrap();
         if i % 25 == 24 {
-            let tick = svc.tick_wait().unwrap();
+            let tick = svc.tick_wait();
             refreshed += tick.refreshed;
             dropped += tick.dropped;
         }
@@ -281,7 +281,7 @@ fn workload_execution_work_is_reproducible() {
         let mut work = 0.0;
         for s in &stmts {
             work += client.run_sql(&render(s)).unwrap().work();
-            svc.tick_wait().unwrap();
+            svc.tick_wait();
         }
         (work, svc.shutdown().1.catalog.snapshot())
     };

@@ -227,7 +227,7 @@ proptest! {
                     assert!(!e.to_string().is_empty());
                 }
             }
-            let tick = svc.tick_wait().expect("a tick reports its failures");
+            let tick = svc.tick_wait();
             assert!(tick.tuning_work.is_finite() && tick.refresh_work.is_finite());
             if i == 2 {
                 // Corrupt the live state mid-workload and restart over it.

@@ -2,13 +2,14 @@
 //!
 //! The contracts under test, end to end through the public crate APIs:
 //!
-//! * **Paused daemon ≡ offline tuning** — a `LifecycleCore` ticked once with
-//!   an unconstrained budget over a monitored workload produces exactly the
-//!   catalog `OfflineTuner::tune` produces on the same sample;
+//! * **Paused daemon ≡ offline tuning** — an [`autod::OnlineService`]
+//!   that served a workload and then ticks once with an unconstrained
+//!   budget publishes, and shuts down with, exactly the catalog
+//!   `OfflineTuner::tune` produces on the same queries;
 //! * **staleness boundaries** — the `max(500, 20 % of rows)` rule is
-//!   *strictly greater*: a tick at exactly the threshold refreshes nothing,
-//!   one more modification refreshes everything on the table; an empty
-//!   table falls back to the 500-row floor;
+//!   *strictly greater*: a tick at exactly the threshold of served INSERTs
+//!   refreshes nothing, one more modification refreshes everything on the
+//!   table; an empty table falls back to the 500-row floor;
 //! * **auto-drop** — a drop-listed statistic refreshed more than
 //!   `MAX_UPDATES` times is physically dropped by the tick that refreshed
 //!   it, and the next epoch no longer carries it;
@@ -23,14 +24,13 @@
 //!   are done, leave the monitor at shutdown having observed each SELECT
 //!   exactly once.
 
-use autod::{AutodConfig, LifecycleCore, MonitorConfig, OnlineService, WorkloadMonitor};
+use autod::{AutodConfig, OnlineService, QueryHandle};
 use autostats::{OfflineTuner, SessionReport};
 use executor::StatementOutcome;
-use parking_lot::Mutex;
 use proptest::prelude::*;
 use query::{bind_statement, parse_statement, BoundSelect, BoundStatement};
 use stats::{staleness_threshold, AgingPolicy, StatDescriptor, StatsCatalog, MAX_UPDATES};
-use storage::{ColumnDef, DataType, Database, Schema, TableId, Value};
+use storage::{ColumnDef, DataType, Database, Schema, Value};
 
 /// The paper's Example-2 join shape — the workload for which MNSA provably
 /// builds statistics (single-table selections converge without any).
@@ -99,113 +99,128 @@ fn bind_select(db: &Database, sql: &str) -> BoundSelect {
 fn paused_daemon_one_tick_equals_offline_tune() {
     let db = example2_db(3000);
     let queries = [JOIN_SQL, JOIN2_SQL, SINGLE_SQL];
-
-    // Online: the monitor observes the workload, then one unconstrained
-    // tick (shrink on every tick) drains it.
-    let monitor = Mutex::new(WorkloadMonitor::new(MonitorConfig));
-    for (i, sql) in queries.iter().enumerate() {
-        monitor.lock().observe(&bind_select(&db, sql), i as u64);
-    }
-    let mut core = LifecycleCore::new(
-        StatsCatalog::new(),
-        AutodConfig {
-            shrink_every: 1,
-            ..AutodConfig::default()
-        },
-    );
-    let report = core.tick(&db, &monitor, f64::INFINITY).unwrap();
-    assert_eq!(report.queries_tuned, queries.len());
-    assert!(!report.budget_exhausted);
-
-    // Offline: tune from scratch on the identical sample.
+    // Offline: tune from scratch on the workload.
     let sample: Vec<BoundSelect> = queries.iter().map(|sql| bind_select(&db, sql)).collect();
     let mut offline = StatsCatalog::new();
     OfflineTuner::default()
         .tune(&db, &mut offline, &sample)
         .unwrap();
-
     assert!(offline.total_count() > 0, "workload must build statistics");
-    assert_eq!(core.catalog().snapshot(), offline.snapshot());
-    // The published epoch carries the same catalog.
-    assert_eq!(core.epoch().catalog.snapshot(), offline.snapshot());
-}
 
-// ---------------------------------------------------------------------------
-// Staleness boundaries, through a real refresh tick
-// ---------------------------------------------------------------------------
-
-fn insert_rows(db: &mut Database, t: TableId, n: u64) {
-    for i in 0..n {
-        db.table_mut(t)
-            .insert(vec![
-                Value::Int(i as i64),
-                Value::Int(0),
-                Value::Int(30),
-                Value::Int(0),
-            ])
-            .unwrap();
+    // Online: a handle serves the workload, then one unconstrained tick
+    // (shrink on every tick) drains it.
+    let svc = OnlineService::start(
+        db,
+        StatsCatalog::new(),
+        SessionReport::default(),
+        obsv::Obs::disabled(),
+        AutodConfig {
+            shrink_every: 1,
+            ..AutodConfig::default()
+        },
+    );
+    let handle = svc.handle(1);
+    for sql in queries {
+        handle.run_sql(sql).unwrap();
     }
+    let report = svc.tick_wait_budgeted(f64::INFINITY);
+    assert_eq!(report.queries_tuned, queries.len());
+    assert!(!report.budget_exhausted);
+    assert!(report.shrink_removed.is_some());
+
+    // The published epoch and the master catalog are the offline catalog.
+    assert_eq!(svc.epoch().catalog.snapshot(), offline.snapshot());
+    let (_, shutdown) = svc.shutdown();
+    assert_eq!(shutdown.catalog.snapshot(), offline.snapshot());
+    assert!(shutdown.error.is_none());
 }
 
-/// What a default service funds a tick with.
-fn budget() -> f64 {
-    AutodConfig::default().budget_per_tick
-}
+// ---------------------------------------------------------------------------
+// Staleness boundaries, through a live service's refresh tick
+// ---------------------------------------------------------------------------
 
-/// A core with one statistic built on `employees`, plus the table id.
-fn core_with_employee_stat(rows: i64) -> (Database, TableId, LifecycleCore) {
+/// A default service over `example2_db(rows)` with one statistic built on
+/// `employees.age`.
+fn service_with_employee_stat(rows: i64) -> OnlineService {
     let db = example2_db(rows);
     let t = db.table_id("employees").unwrap();
     let mut catalog = StatsCatalog::new();
     catalog
         .create_statistic(&db, StatDescriptor::single(t, 2))
         .unwrap();
-    let core = LifecycleCore::new(catalog, AutodConfig::default());
-    (db, t, core)
+    OnlineService::start(
+        db,
+        catalog,
+        SessionReport::default(),
+        obsv::Obs::disabled(),
+        AutodConfig::default(),
+    )
+}
+
+/// `n` single-row INSERTs into `employees` through `handle`: `n`
+/// modifications.
+fn insert_rows(handle: &QueryHandle, n: u64) {
+    for i in 0..n {
+        let outcome = handle
+            .run_sql(&format!("INSERT INTO employees VALUES ({i}, 0, 30, 0)"))
+            .unwrap();
+        assert!(matches!(
+            outcome,
+            StatementOutcome::Dml {
+                rows_affected: 1,
+                ..
+            }
+        ));
+    }
 }
 
 #[test]
 fn tick_at_exactly_min_modified_rows_refreshes_nothing() {
     // 1000 rows → threshold = max(500, 200) = 500.
-    let (mut db, t, mut core) = core_with_employee_stat(1000);
-    let monitor = Mutex::new(WorkloadMonitor::new(MonitorConfig));
-    insert_rows(&mut db, t, 500);
-    let report = core.tick(&db, &monitor, budget()).unwrap();
+    let svc = service_with_employee_stat(1000);
+    let handle = svc.handle(1);
+    insert_rows(&handle, 500);
+    let report = svc.tick_wait();
     assert_eq!(report.refreshed, 0, "exactly the threshold is still fresh");
     assert!(report.published_generation.is_none());
 
-    insert_rows(&mut db, t, 1);
-    let report = core.tick(&db, &monitor, budget()).unwrap();
+    insert_rows(&handle, 1);
+    let report = svc.tick_wait();
     assert_eq!(report.refreshed, 1, "one past the threshold is stale");
     assert!(report.refresh_work > 0.0);
     assert_eq!(report.published_generation, Some(1));
+    assert_eq!(svc.generation(), 1);
 }
 
 #[test]
 fn twenty_percent_threshold_moves_with_the_table() {
     // 10_000 rows → the fraction term dominates and grows as rows arrive.
-    let (mut db, t, mut core) = core_with_employee_stat(10_000);
-    let monitor = Mutex::new(WorkloadMonitor::new(MonitorConfig));
+    let svc = service_with_employee_stat(10_000);
+    let handle = svc.handle(1);
     // 2481 inserts: rows = 12_481 → threshold 2496 ≥ mods, still fresh.
-    insert_rows(&mut db, t, 2481);
-    assert_eq!(staleness_threshold(db.table(t).row_count()), 2496);
-    let report = core.tick(&db, &monitor, budget()).unwrap();
+    insert_rows(&handle, 2481);
+    let rows = {
+        let db = &svc.snapshot().db;
+        db.table(db.table_id("employees").unwrap()).row_count()
+    };
+    assert_eq!(staleness_threshold(rows), 2496);
+    let report = svc.tick_wait();
     assert_eq!(report.refreshed, 0);
     // 120 more outruns the moving threshold.
-    insert_rows(&mut db, t, 120);
-    let report = core.tick(&db, &monitor, budget()).unwrap();
+    insert_rows(&handle, 120);
+    let report = svc.tick_wait();
     assert_eq!(report.refreshed, 1);
 }
 
 #[test]
 fn empty_table_falls_back_to_min_modified_rows() {
-    let (mut db, t, mut core) = core_with_employee_stat(0);
-    let monitor = Mutex::new(WorkloadMonitor::new(MonitorConfig));
-    insert_rows(&mut db, t, 500);
-    let report = core.tick(&db, &monitor, budget()).unwrap();
+    let svc = service_with_employee_stat(0);
+    let handle = svc.handle(1);
+    insert_rows(&handle, 500);
+    let report = svc.tick_wait();
     assert_eq!(report.refreshed, 0);
-    insert_rows(&mut db, t, 1);
-    let report = core.tick(&db, &monitor, budget()).unwrap();
+    insert_rows(&handle, 1);
+    let report = svc.tick_wait();
     assert_eq!(report.refreshed, 1);
 }
 
@@ -249,7 +264,7 @@ fn served_dml_ages_a_drop_listed_statistic_out_of_the_catalog() {
                 ..
             }
         ));
-        let report = svc.tick_wait().unwrap();
+        let report = svc.tick_wait();
         assert_eq!(report.refreshed, 1, "round {round}");
         assert_eq!(
             svc.epoch().catalog.statistic(listed).is_some(),
@@ -264,7 +279,7 @@ fn served_dml_ages_a_drop_listed_statistic_out_of_the_catalog() {
     assert_eq!(handle.generation(), u64::from(MAX_UPDATES) + 1);
 
     // Nothing left to refresh or drop: a quiet tick publishes nothing.
-    let quiet = svc.tick_wait().unwrap();
+    let quiet = svc.tick_wait();
     assert_eq!((quiet.refreshed, quiet.dropped), (0, 0));
     assert_eq!(quiet.published_generation, None);
 
@@ -326,7 +341,7 @@ proptest! {
                 3 => { handle.run_sql("DELETE FROM employees WHERE empid < 40").unwrap(); }
                 4 => { handle.run_sql("UPDATE employees SET age = 41 WHERE deptid = 3").unwrap(); }
                 _ => {
-                    svc.tick_wait().unwrap();
+                    svc.tick_wait();
                     let g = svc.generation();
                     prop_assert!(g >= last_generation, "generation regressed: {g} < {last_generation}");
                     last_generation = g;
@@ -370,11 +385,11 @@ fn four_query_threads_race_the_daemon() {
         }
         // The daemon ticks while the workload is in flight.
         for _ in 0..4 {
-            svc.tick_wait().unwrap();
+            svc.tick_wait();
         }
     });
     // Drain whatever arrived after the last in-flight tick.
-    svc.tick_wait().unwrap();
+    svc.tick_wait();
 
     let (db, report) = svc.shutdown();
     assert!(db.table_id("employees").is_some());
@@ -419,7 +434,7 @@ fn every_select_is_observed_once_beside_a_ticking_daemon() {
             .collect();
         // A client that panics is finished too, so this loop ends.
         while !clients.iter().all(|c| c.is_finished()) {
-            svc.tick_wait().unwrap();
+            svc.tick_wait();
         }
     });
 

@@ -321,7 +321,7 @@ fn a_write_or_a_publish_empties_the_memo_and_a_held_snapshot_keeps_its_plans() {
         let entry = before.prepared(JOIN).expect("prepared before the tick");
         let held = hold.then(|| Arc::clone(&before));
         drop(before);
-        let report = svc.tick_wait().unwrap();
+        let report = svc.tick_wait();
         assert!(report.published_generation.is_some());
         let now = svc.snapshot();
         assert!(now.prepared(JOIN).is_none(), "the publish emptied the memo");

@@ -216,11 +216,11 @@ fn one_shard_cluster_is_bit_identical_to_the_unsharded_service() {
     for (i, sql) in IDENTITY_STATEMENTS.iter().enumerate() {
         handle.run_sql(sql).unwrap();
         if (i + 1) % 3 == 0 {
-            plain_reports.push(svc.tick_wait_budgeted(budget).unwrap());
+            plain_reports.push(svc.tick_wait_budgeted(budget));
         }
     }
     for _ in 0..16 {
-        plain_reports.push(svc.tick_wait_budgeted(budget).unwrap());
+        plain_reports.push(svc.tick_wait_budgeted(budget));
     }
     let plain_generation = svc.generation();
     let (_, plain_report) = svc.shutdown();

@@ -128,7 +128,7 @@ fn drive(telemetry_on: bool) -> (Vec<String>, String, String, u64, Vec<String>) 
             other => outcomes.push(format!("{other:?}")),
         }
         if i % 2 == 1 {
-            svc.tick_wait().unwrap();
+            svc.tick_wait();
             // Exercise the telemetry read paths mid-drive: none of these
             // may perturb the tuning trajectory.
             let _ = svc.roll_window((i + 1) as u64);
@@ -136,7 +136,7 @@ fn drive(telemetry_on: bool) -> (Vec<String>, String, String, u64, Vec<String>) 
         }
     }
     for _ in 0..4 {
-        svc.tick_wait().unwrap();
+        svc.tick_wait();
     }
     let _ = svc.drain_slow_queries();
     let (db, report) = svc.shutdown();
@@ -223,7 +223,7 @@ fn slowlog_export_passes_trace_checks() {
     for sql in WORKLOAD {
         handle.run_sql(sql).unwrap();
     }
-    svc.tick_wait().unwrap();
+    svc.tick_wait();
     let slow = svc.drain_slow_queries();
     assert!(!slow.is_empty(), "one_in=1 sampling must capture queries");
     assert!(slow.iter().all(|q| !q.events.is_empty()));
@@ -246,7 +246,7 @@ fn wall_clock_values_stay_out_of_bit_identity_surfaces() {
     for sql in WORKLOAD {
         handle.run_sql(sql).unwrap();
     }
-    svc.tick_wait().unwrap();
+    svc.tick_wait();
     let metrics_text = svc.metrics().snapshot().render_text();
     assert!(
         metrics_text.contains("autod.query.latency_ns"),
