@@ -44,7 +44,9 @@
 //! metadata, so each [`Snapshot`] remembers what they gave for each SELECT
 //! text it served: the bound query, the plan, its estimated cost and the
 //! template fingerprint, behind one `Arc`. A repeated SELECT then only
-//! records itself in the inbox and executes.
+//! records itself in the inbox and executes; [`QueryHandle::run_sql`]
+//! looks its text up before parsing it, so such a SELECT is not parsed
+//! either.
 //!
 //! - The key is the byte-exact SQL text. Never the parsed statement:
 //!   `storage::Value`'s equality is `total_cmp`, under which `2 = 2.0`, so
@@ -458,10 +460,21 @@ pub struct QueryHandle {
 }
 
 impl QueryHandle {
-    /// Parse and run one SQL statement. SELECTs go through the concurrent
-    /// read path (plan memo, observation inbox, epoch catalog), DML through
-    /// the write path.
+    /// Run one SQL statement. The text is first looked up in the current
+    /// snapshot's plan memo: a hit is a SELECT that snapshot has prepared,
+    /// and runs on it with nothing parsed. Otherwise the snapshot is let go
+    /// (a write copies a snapshot someone holds) and the text is parsed and
+    /// run by [`QueryHandle::run`]: a SELECT through the concurrent read
+    /// path (plan memo, observation inbox, epoch catalog), DML through the
+    /// write path.
     pub fn run_sql(&self, sql: &str) -> Result<StatementOutcome, StatementError> {
+        let start = Instant::now();
+        let snapshot = self.snapshot();
+        if let Some(prepared) = snapshot.prepared(sql) {
+            self.telemetry.memo_hits.inc();
+            return self.execute(start, &snapshot, &prepared);
+        }
+        drop(snapshot);
         let stmt = parse_statement(sql)?;
         self.run(sql, &stmt)
     }
@@ -489,7 +502,6 @@ impl QueryHandle {
         select: &SelectStmt,
     ) -> Result<StatementOutcome, StatementError> {
         let start = Instant::now();
-        let db = &snapshot.db;
         let prepared = match snapshot.prepared(sql) {
             Some(prepared) => {
                 self.telemetry.memo_hits.inc();
@@ -497,7 +509,8 @@ impl QueryHandle {
             }
             None => {
                 self.telemetry.memo_misses.inc();
-                let (query, optimized) = plan_select(db, &snapshot.epoch.catalog, select)?;
+                let (query, optimized) =
+                    plan_select(&snapshot.db, &snapshot.epoch.catalog, select)?;
                 let prepared = Arc::new(Prepared {
                     fingerprint: query.fingerprint(),
                     query: Arc::new(query),
@@ -512,6 +525,18 @@ impl QueryHandle {
                 prepared
             }
         };
+        self.execute(start, snapshot, &prepared)
+    }
+
+    /// Record a SELECT `snapshot` has prepared in the observation inbox and
+    /// execute its plan there; `start` is when the statement reached this
+    /// handle.
+    fn execute(
+        &self,
+        start: Instant,
+        snapshot: &Snapshot,
+        prepared: &Prepared,
+    ) -> Result<StatementOutcome, StatementError> {
         // Observed once it has a plan: a statement the optimizer rejects
         // would fail every MNSA and Shrinking Set run over the monitor's
         // sample.
@@ -526,7 +551,7 @@ impl QueryHandle {
         let sampled = self.telemetry.slowlog.is_enabled() && self.telemetry.sampler.sample(fp);
         let private = sampled.then(obsv::Tracer::enabled);
         let output = execute_plan_observed(
-            db,
+            &snapshot.db,
             &prepared.query,
             &prepared.plan,
             private.as_ref().unwrap_or(&self.obs.tracer),

@@ -67,7 +67,9 @@ use executor::{execute_plan, ExecOutput, StatementOutcome};
 use obsv::{HealthSnapshot, LatencyHistogram, LatencySample};
 use parking_lot::Mutex;
 use query::{parse_statement, SelectStmt, Statement};
+use rustc_hash::{FxHashMap, FxHashSet};
 use stats::StatsCatalog;
+use std::cell::{Cell, RefCell};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use storage::{Database, Result as StorageResult};
@@ -190,6 +192,7 @@ impl ServeCluster {
             handles: self.services.iter().map(|s| s.handle(tid)).collect(),
             skeleton: Arc::clone(&self.skeleton),
             broadcasts: Arc::clone(&self.broadcasts),
+            routes: RouteMemo::default(),
         }
     }
 
@@ -262,13 +265,73 @@ impl ServeCluster {
 }
 
 /// A per-thread cluster client: routes each statement and executes it on
-/// the owning shard(s). Cheap to clone.
+/// the owning shard(s). Cheap to clone; a clone is a new client, which
+/// remembers no route.
 #[derive(Clone)]
 pub struct ClusterClient {
     router: Router,
     handles: Vec<QueryHandle>,
     skeleton: Arc<Database>,
     broadcasts: Arc<BroadcastOrder>,
+    routes: RouteMemo,
+}
+
+/// The most SQL texts one client remembers the shard of.
+pub const ROUTE_MEMO_CAPACITY: usize = 1024;
+
+/// One client's SQL text → shard map: where a text the router sent to one
+/// shard ([`Route::Single`]) runs, so that the text goes there again with
+/// nothing parsed or routed. Routing is a pure function of the text and
+/// the immutable [`ShardPlan`], so an entry never goes stale.
+///
+/// A text is remembered on its second sight, so the map fills with texts
+/// that repeat, not with a stream's first sights. The map and the set of
+/// texts seen once each stop taking entries at [`ROUTE_MEMO_CAPACITY`].
+/// The memo belongs to its client alone, so it is read and written through
+/// `RefCell`s with no lock and no atomic.
+#[derive(Default)]
+struct RouteMemo {
+    shards: RefCell<FxHashMap<Box<str>, usize>>,
+    /// Texts routed to one shard once.
+    seen: RefCell<FxHashSet<Box<str>>>,
+    hits: Cell<u64>,
+    misses: Cell<u64>,
+}
+
+impl Clone for RouteMemo {
+    /// An empty memo: a clone serves another thread, which has seen nothing.
+    fn clone(&self) -> RouteMemo {
+        RouteMemo::default()
+    }
+}
+
+impl RouteMemo {
+    /// The shard `sql` was remembered on, counted as a hit, or `None`,
+    /// counted as a miss.
+    fn shard(&self, sql: &str) -> Option<usize> {
+        let shard = self.shards.borrow().get(sql).copied();
+        let counter = if shard.is_some() {
+            &self.hits
+        } else {
+            &self.misses
+        };
+        counter.set(counter.get() + 1);
+        shard
+    }
+
+    /// `sql` was routed to `shard`: remember it if this is its second
+    /// sight, or note that it was seen once.
+    fn routed(&self, sql: &str, shard: usize) {
+        let mut seen = self.seen.borrow_mut();
+        if let Some(text) = seen.take(sql) {
+            let mut shards = self.shards.borrow_mut();
+            if shards.len() < ROUTE_MEMO_CAPACITY {
+                shards.insert(text, shard);
+            }
+        } else if seen.len() < ROUTE_MEMO_CAPACITY {
+            seen.insert(sql.into());
+        }
+    }
 }
 
 impl ClusterClient {
@@ -276,22 +339,31 @@ impl ClusterClient {
         &self.router
     }
 
-    /// Parse and run one SQL statement.
+    /// How many texts this client found in its route memo, and how many it
+    /// did not (each of those it parsed and routed).
+    pub fn route_memo_counts(&self) -> (u64, u64) {
+        (self.routes.hits.get(), self.routes.misses.get())
+    }
+
+    /// Run one SQL statement on whatever shard(s) the router picks;
+    /// multi-shard routes fail on the first shard error in shard order.
+    ///
+    /// A text this client has sent to one shard twice before goes to that
+    /// shard's [`QueryHandle::run_sql`] as it is, and that handle looks it
+    /// up in its snapshot's plan memo before it parses anything. Any other
+    /// text is parsed and routed here, and a shard's handle gets the text
+    /// with the statement, the text being the key of its plan memo
+    /// ([`QueryHandle::run`]).
     ///
     /// # Errors
     /// Parse, bind, optimize, and execution errors, exactly as the
     /// unsharded [`QueryHandle::run_sql`].
     pub fn run_sql(&self, sql: &str) -> Result<StatementOutcome, StatementError> {
+        if let Some(shard) = self.routes.shard(sql) {
+            return self.handles[shard].run_sql(sql);
+        }
         let stmt = parse_statement(sql)?;
-        self.run(sql, &stmt)
-    }
-
-    /// Run `stmt`, which is `sql` parsed, on whatever shard(s) the router
-    /// picks; multi-shard routes fail on the first shard error in shard
-    /// order. A shard's handle gets the text as well, the key of its plan
-    /// memo ([`QueryHandle::run`]).
-    fn run(&self, sql: &str, stmt: &Statement) -> Result<StatementOutcome, StatementError> {
-        let route = match stmt {
+        let route = match &stmt {
             Statement::Select(select) => {
                 let routed = self.router.route_select(select);
                 match routed.route {
@@ -300,13 +372,17 @@ impl ClusterClient {
                     route => route,
                 }
             }
-            _ => self.router.route(stmt),
+            _ => self.router.route(&stmt),
         };
         match route {
-            Route::Broadcast => self.run_broadcast(sql, stmt),
-            Route::Single(s) | Route::PartitionedInsert(s) => self.handles[s].run(sql, stmt),
+            Route::Broadcast => self.run_broadcast(sql, &stmt),
+            Route::Single(s) => {
+                self.routes.routed(sql, s);
+                self.handles[s].run(sql, &stmt)
+            }
+            Route::PartitionedInsert(s) => self.handles[s].run(sql, &stmt),
             // Only SELECTs scatter or fall back, and they returned above.
-            Route::Scatter | Route::Fallback => self.handles[0].run(sql, stmt),
+            Route::Scatter | Route::Fallback => self.handles[0].run(sql, &stmt),
         }
     }
 
@@ -641,5 +717,81 @@ mod tests {
         assert!(!std::ptr::eq(db.table(mid), &*held), "the writer copied");
         assert_eq!(db.table(mid).row_count(), rows.len() + 1);
         assert_eq!(db.table(mid).value(0, 1), Value::Int(9));
+    }
+
+    fn remembered(client: &ClusterClient) -> usize {
+        client.routes.shards.borrow().len()
+    }
+
+    #[test]
+    fn a_text_is_remembered_on_its_second_sight_and_then_hits() {
+        let cluster = cluster();
+        let client = cluster.client(1);
+        let sql = "SELECT k FROM mid WHERE v = 3";
+        assert!(matches!(
+            cluster.router().route(&parse_statement(sql).unwrap()),
+            Route::Single(_)
+        ));
+        client.run_sql(sql).unwrap();
+        assert_eq!(remembered(&client), 0, "seen once: not remembered");
+        assert_eq!(client.route_memo_counts(), (0, 1));
+        client.run_sql(sql).unwrap();
+        assert_eq!(remembered(&client), 1, "seen twice: remembered");
+        assert_eq!(client.route_memo_counts(), (0, 2));
+        client.run_sql(sql).unwrap();
+        assert_eq!(client.route_memo_counts(), (1, 2));
+        // A clone is another client: it remembers nothing.
+        let other = client.clone();
+        assert_eq!(remembered(&other), 0);
+        assert_eq!(other.route_memo_counts(), (0, 0));
+    }
+
+    #[test]
+    fn only_texts_routed_to_one_shard_are_remembered() {
+        let cluster = cluster();
+        let client = cluster.client(1);
+        for sql in [
+            "SELECT k FROM big",                                 // scatter
+            "SELECT COUNT(*) FROM big",                          // fallback
+            "SELECT COUNT(*) FROM big b, mid m WHERE b.k = m.k", // fallback
+            "INSERT INTO big VALUES (1000, 1)",                  // partitioned insert
+            "UPDATE big SET v = 2 WHERE k = 1",                  // broadcast
+            "SELEC k FROM mid",                                  // no parse
+            "SELECT k FROM mid WHERE",                           // no parse
+        ] {
+            for _ in 0..3 {
+                let _ = client.run_sql(sql);
+            }
+            assert_eq!(remembered(&client), 0, "{sql}");
+        }
+        assert!(client.run_sql("SELEC k FROM mid").is_err());
+        assert_eq!(client.route_memo_counts().0, 0);
+    }
+
+    #[test]
+    fn nothing_is_admitted_past_capacity() {
+        let cluster = cluster();
+        let client = cluster.client(1);
+        let sql = |i: usize| format!("SELECT k FROM small WHERE v = {i}");
+        for round in 0..2 {
+            for i in 0..ROUTE_MEMO_CAPACITY + 5 {
+                client.run_sql(&sql(i)).unwrap();
+            }
+            let expect = if round == 0 { 0 } else { ROUTE_MEMO_CAPACITY };
+            assert_eq!(remembered(&client), expect, "round {round}");
+        }
+        assert!(client.routes.shards.borrow().contains_key(sql(0).as_str()));
+        assert!(!client
+            .routes
+            .shards
+            .borrow()
+            .contains_key(sql(ROUTE_MEMO_CAPACITY).as_str()));
+        let seen = client.routes.seen.borrow().len();
+        assert!(seen <= ROUTE_MEMO_CAPACITY, "{seen} texts seen once kept");
+        // Past capacity a text still runs, parsed and routed.
+        let (hits, misses) = client.route_memo_counts();
+        client.run_sql(&sql(ROUTE_MEMO_CAPACITY + 1)).unwrap();
+        assert_eq!(client.route_memo_counts(), (hits, misses + 1));
+        assert_eq!(remembered(&client), ROUTE_MEMO_CAPACITY);
     }
 }

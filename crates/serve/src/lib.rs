@@ -24,7 +24,9 @@
 //!   shard's own token bucket, exactly as in the unsharded service.
 //! * [`ServeCluster`] — one [`autod::OnlineService`] (published snapshot,
 //!   monitor, lifecycle core, telemetry registry) per shard, plus
-//!   cloneable [`ClusterClient`]s for query threads and merge-based
+//!   cloneable [`ClusterClient`]s for query threads (each remembers the
+//!   shard of the texts it sent to one shard, up to
+//!   [`ROUTE_MEMO_CAPACITY`], and sends them there unparsed) and merge-based
 //!   cluster telemetry (exact latency-histogram merges, summed health).
 //!   [`ServeCluster::tick_wait`] ticks the shards in shard order on the
 //!   calling thread; the cluster starts no thread of its own.
@@ -57,6 +59,6 @@ pub mod plan;
 pub mod router;
 
 pub use arbiter::BudgetArbiter;
-pub use cluster::{ClusterClient, ServeCluster, ServeConfig};
+pub use cluster::{ClusterClient, ServeCluster, ServeConfig, ROUTE_MEMO_CAPACITY};
 pub use plan::{Placement, ShardPlan, TablePlacement};
 pub use router::{Route, Router};

@@ -10,7 +10,8 @@
 //! column ordinals, same index metadata — holding rows only for the tables
 //! (or partition slices) it owns.
 
-use storage::{Database, Fnv, Result as StorageResult, TableId, Value};
+use std::sync::Arc;
+use storage::{Database, Fnv, Result as StorageResult, Table, TableId, Value, ValueRef};
 
 /// Where one table's rows live.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -123,22 +124,35 @@ impl ShardPlan {
     pub fn row_shard(&self, values: &[Value]) -> usize {
         let mut h = Fnv::seeded(PARTITION_SEED);
         for v in values {
-            match v {
-                Value::Null => h.write_bytes(&[0]),
-                Value::Int(i) => h.write_bytes(&[1]).write_bytes(&i.to_le_bytes()),
-                Value::Float(f) => h.write_bytes(&[2]).write(f.to_bits()),
-                Value::Str(s) => h.write_bytes(&[3]).write_bytes(s.as_bytes()),
-                Value::Date(d) => h.write_bytes(&[4]).write_bytes(&d.to_le_bytes()),
-            };
+            hash_value(&mut h, v.as_ref());
         }
-        (h.finish() % self.shards as u64) as usize
+        self.shard_of(&h)
+    }
+
+    /// [`ShardPlan::row_shard`] of every row of `table`, in row order, with
+    /// each row's hash fed a column at a time.
+    fn row_shards(&self, table: &Table) -> Vec<usize> {
+        let mut hashes = vec![Fnv::seeded(PARTITION_SEED); table.row_count()];
+        for c in 0..table.schema().len() {
+            let column = table.column(c);
+            for (r, h) in hashes.iter_mut().enumerate() {
+                hash_value(h, column.get_ref(r));
+            }
+        }
+        hashes.iter().map(|h| self.shard_of(h)).collect()
+    }
+
+    fn shard_of(&self, row_hash: &Fnv) -> usize {
+        (row_hash.finish() % self.shards as u64) as usize
     }
 
     /// Build the per-shard databases: one schema skeleton each, owned
     /// tables shared with `db` (the same `Arc`: rows *and* modification
     /// counters, so a 1-shard cluster starts from a bit-identical database,
     /// and whichever side writes a table first copies it), partitioned
-    /// tables split row by row via [`ShardPlan::row_shard`].
+    /// tables split by [`ShardPlan::row_shard`] of each row
+    /// ([`Table::split`]): each slice holds its rows in the source's order,
+    /// as if inserted one by one.
     pub fn shard_databases(&self, db: &Database) -> StorageResult<Vec<Database>> {
         let mut out: Vec<Database> = (0..self.shards).map(|_| db.schema_skeleton()).collect();
         for p in &self.placements {
@@ -147,15 +161,10 @@ impl ShardPlan {
                     out[s].set_shared_table(p.table, db.shared_table(p.table));
                 }
                 Placement::Partitioned => {
-                    let source = db.table(p.table);
-                    let mut slices: Vec<_> = out
-                        .iter_mut()
-                        .map(|shard| shard.table_mut(p.table).appender())
-                        .collect();
-                    for row in 0..source.row_count() {
-                        let mut values = source.row_values(row);
-                        let shard = self.row_shard(&values);
-                        slices[shard].insert_from(&mut values)?;
+                    let source = db.try_table(p.table)?;
+                    let slices = source.split(&self.row_shards(source), self.shards);
+                    for (shard, slice) in out.iter_mut().zip(slices) {
+                        shard.set_shared_table(p.table, Arc::new(slice));
                     }
                 }
             }
@@ -179,10 +188,22 @@ impl ShardPlan {
     }
 }
 
+/// Feed one cell of a partitioned row to its row hash: a type tag, then the
+/// value's bytes.
+fn hash_value(h: &mut Fnv, v: ValueRef<'_>) {
+    match v {
+        ValueRef::Null => h.write_bytes(&[0]),
+        ValueRef::Int(i) => h.write_bytes(&[1]).write_bytes(&i.to_le_bytes()),
+        ValueRef::Float(f) => h.write_bytes(&[2]).write(f.to_bits()),
+        ValueRef::Str(s) => h.write_bytes(&[3]).write_bytes(s.as_bytes()),
+        ValueRef::Date(d) => h.write_bytes(&[4]).write_bytes(&d.to_le_bytes()),
+    };
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use storage::{ColumnDef, DataType, Schema};
+    use storage::{ColumnDef, DataType, PayloadRef, Schema};
 
     fn db_with(tables: &[(&str, usize)]) -> Database {
         let mut db = Database::new();
@@ -304,6 +325,110 @@ mod tests {
                 .any(|(t, _, part)| *part && sdb.table(*t).name() == "big"));
             let has_small = manifest.iter().any(|(t, _, _)| *t == small);
             assert_eq!(has_small, si == owner);
+        }
+    }
+
+    /// A table of every column type, nullable, whose cells come from
+    /// `seed`: NULLs (some left over a written value, so the padding under
+    /// them is not a pushed NULL's), `-0.0` beside `0.0`, and strings that
+    /// share a long prefix.
+    fn generated_table(seed: u64, rows: usize) -> Table {
+        let schema = Schema::new(
+            [
+                ("i", DataType::Int),
+                ("f", DataType::Float),
+                ("s", DataType::Str),
+                ("d", DataType::Date),
+            ]
+            .into_iter()
+            .map(|(name, ty)| ColumnDef::new(name, ty).nullable())
+            .collect(),
+        );
+        let mut table = Table::new("gen", schema);
+        let mut x = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+        let mut next = move |n: u64| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x % n
+        };
+        for _ in 0..rows {
+            let values = [
+                Value::Int(next(50) as i64 - 25),
+                Value::Float([0.0, -0.0, 1.5, -2.25][next(4) as usize]),
+                Value::Str(format!("shared prefix {}", next(20)).into()),
+                Value::Date(next(3000) as i32 - 1000),
+            ];
+            let row = values
+                .into_iter()
+                .map(|v| if next(8) == 0 { Value::Null } else { v })
+                .collect();
+            table.insert(row).unwrap();
+        }
+        let nulled: Vec<usize> = (0..rows).filter(|_| next(10) == 0).collect();
+        for col in 0..4 {
+            table.update_rows(&nulled, col, &Value::Null).unwrap();
+        }
+        table
+    }
+
+    /// The split as it was made row by row: each row's values hashed by
+    /// `row_shard` and inserted into its shard's empty copy of the table.
+    fn split_row_by_row(plan: &ShardPlan, source: &Table) -> Vec<Table> {
+        let mut slices: Vec<Table> = (0..plan.shards()).map(|_| source.empty_like()).collect();
+        for row in 0..source.row_count() {
+            let values = source.row_values(row);
+            slices[plan.row_shard(&values)].insert(values).unwrap();
+        }
+        slices
+    }
+
+    #[test]
+    fn a_column_at_a_time_split_equals_the_row_by_row_one() {
+        for shards in [1, 2, 4] {
+            let plan = ShardPlan {
+                shards,
+                placements: Vec::new(),
+            };
+            for seed in 0..12u64 {
+                let source = generated_table(seed, [0, 1, 7, 300][seed as usize % 4]);
+                let split = source.split(&plan.row_shards(&source), shards);
+                let expected = split_row_by_row(&plan, &source);
+                assert_eq!(split.len(), shards);
+                for (s, (got, want)) in split.iter().zip(&expected).enumerate() {
+                    let at = format!("{shards} shards, seed {seed}, slice {s}");
+                    assert_eq!(got.name(), want.name(), "{at}");
+                    assert_eq!(got.schema(), want.schema(), "{at}");
+                    assert_eq!(got.row_count(), want.row_count(), "{at}");
+                    assert_eq!(got.modification_counter(), want.row_count() as u64, "{at}");
+                    for c in 0..4 {
+                        let (g, w) = (got.column(c), want.column(c));
+                        assert_eq!(g.validity(), w.validity(), "{at}, column {c}");
+                        // Padding included; `-0.0` and `0.0` told apart.
+                        assert_eq!(
+                            format!("{:?}", g.payload()),
+                            format!("{:?}", w.payload()),
+                            "{at}, column {c}"
+                        );
+                        if let (PayloadRef::Float(g), PayloadRef::Float(w)) =
+                            (g.payload(), w.payload())
+                        {
+                            let bits =
+                                |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                            assert_eq!(bits(g), bits(w), "{at}");
+                        }
+                        if let (PayloadRef::Str(g), PayloadRef::Str(w)) = (g.payload(), w.payload())
+                        {
+                            assert!(
+                                g.iter().zip(w).all(|(a, b)| Arc::ptr_eq(a, b)),
+                                "{at}: the source's string cells, shared"
+                            );
+                        }
+                        assert!(g.made_str_codes("x").is_none(), "{at}: no codes");
+                        assert!(g.value_counts().is_none(), "{at}: no counts");
+                    }
+                }
+            }
         }
     }
 }

@@ -528,6 +528,70 @@ impl ColumnData {
     pub fn null_count(&self) -> usize {
         self.rows.validity.iter().filter(|v| !**v).count()
     }
+
+    /// This column's rows dealt into `sizes.len()` columns: row `r` goes to
+    /// column `part_of[r]`, in row order, and `sizes[p]` is how many rows
+    /// part `p` gets. Each part holds what [`ColumnData::push`] of each of
+    /// its rows' [`ColumnData::get`] would hold: a NULL row is padded as a
+    /// pushed NULL is, whatever padding this column had there, a string
+    /// cell is shared, not copied, and no part has codes or counts.
+    pub(crate) fn split(&self, part_of: &[usize], sizes: &[usize]) -> Vec<ColumnData> {
+        let validity = &self.rows.validity;
+        let payloads: Vec<Payload> = match &self.rows.payload {
+            Payload::Int(xs) => deal(xs, validity, part_of, sizes, 0, |&x| x)
+                .into_iter()
+                .map(Payload::Int)
+                .collect(),
+            // A date reads back narrowed to `i32` ([`PayloadRef::Date`]).
+            Payload::Date(xs) => deal(xs, validity, part_of, sizes, 0, |&x| i64::from(x as i32))
+                .into_iter()
+                .map(Payload::Date)
+                .collect(),
+            Payload::Float(xs) => deal(xs, validity, part_of, sizes, 0.0, |&x| x)
+                .into_iter()
+                .map(Payload::Float)
+                .collect(),
+            Payload::Str(xs) => deal(
+                xs,
+                validity,
+                part_of,
+                sizes,
+                Arc::clone(&NULL_STR),
+                Arc::clone,
+            )
+            .into_iter()
+            .map(Payload::Str)
+            .collect(),
+        };
+        let validities = deal(validity, validity, part_of, sizes, false, |&v| v);
+        std::iter::zip(payloads, validities)
+            .map(|(payload, validity)| ColumnData {
+                rows: Rows {
+                    payload,
+                    validity,
+                    codes: OnceLock::new(),
+                },
+                counts: OnceLock::new(),
+            })
+            .collect()
+    }
+}
+
+/// `xs` dealt into `sizes.len()` vectors by `part_of`, in order: `cell` of
+/// each valid entry, `pad` for each NULL one.
+fn deal<T, U: Clone>(
+    xs: &[T],
+    validity: &[bool],
+    part_of: &[usize],
+    sizes: &[usize],
+    pad: U,
+    cell: impl Fn(&T) -> U,
+) -> Vec<Vec<U>> {
+    let mut parts: Vec<Vec<U>> = sizes.iter().map(|&n| Vec::with_capacity(n)).collect();
+    for ((x, &valid), &p) in xs.iter().zip(validity).zip(part_of) {
+        parts[p].push(if valid { cell(x) } else { pad.clone() });
+    }
+    parts
 }
 
 #[cfg(test)]

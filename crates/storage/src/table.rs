@@ -133,6 +133,36 @@ impl Table {
         }
     }
 
+    /// This table's rows dealt into `parts` tables: row `r` goes to table
+    /// `part_of[r]` (each below `parts`), in row order. Each part is what
+    /// inserting its rows' values one by one into an [`Table::empty_like`]
+    /// copy makes — its modification counter is its row count, its string
+    /// cells are this table's own — but is built a column at a time.
+    pub fn split(&self, part_of: &[usize], parts: usize) -> Vec<Table> {
+        let mut sizes = vec![0usize; parts];
+        for &p in part_of {
+            sizes[p] += 1;
+        }
+        let mut columns: Vec<_> = self
+            .columns
+            .iter()
+            .map(|c| c.split(part_of, &sizes).into_iter())
+            .collect();
+        sizes
+            .iter()
+            .map(|&rows| Table {
+                name: self.name.clone(),
+                schema: self.schema.clone(),
+                columns: columns
+                    .iter_mut()
+                    .filter_map(Iterator::next)
+                    .map(Arc::new)
+                    .collect(),
+                modification_counter: rows as u64,
+            })
+            .collect()
+    }
+
     /// Delete the given row indices (need not be sorted). Returns the number
     /// of rows deleted.
     pub fn delete_rows(&mut self, mut rows: Vec<usize>) -> usize {

@@ -501,8 +501,11 @@ fn concurrent_readers_see_all_of_a_broadcast_or_none_of_it() {
 /// A fallback plans on magic numbers: its cost, rows and work are those of
 /// `Optimizer::optimize` against an empty catalog over the tables it
 /// assembles (`big`'s slices in shard order, `mid` from its owner),
-/// though the shard owning `mid` holds statistics on it. Pinned until a
-/// fallback reads merged statistics.
+/// though the shard owning `mid` holds statistics on it. Planning against
+/// the owners' published statistics instead was measured and rejected
+/// (DESIGN.md §17, "Fallback statistics"): their drifted histograms
+/// estimate ≤ 1 row and the fallback's work rose on every seed tried.
+/// Pinned until a fallback reads statistics that describe its tables.
 #[test]
 fn a_fallback_plans_against_an_empty_catalog() {
     let cluster = ServeCluster::start(test_db(), cluster_config(3, 100, f64::INFINITY)).unwrap();
