@@ -69,7 +69,7 @@ impl From<StorageError> for TuneError {
 }
 
 /// Why one client statement failed — what `autod::QueryHandle::run` and
-/// `serve::ClusterClient::run` return: a typed variant per stage of the
+/// `serve::ClusterClient::run_sql` return: a typed variant per stage of the
 /// parse → bind → optimize → execute funnel.
 #[derive(Debug, Clone, PartialEq)]
 pub enum StatementError {

@@ -24,10 +24,11 @@
 //!   shard's own token bucket, exactly as in the unsharded service.
 //! * [`ServeCluster`] — one [`autod::OnlineService`] (published snapshot,
 //!   monitor, lifecycle core, telemetry registry) per shard, plus
-//!   cloneable [`ClusterClient`]s for query threads (each remembers the
-//!   shard of the texts it sent to one shard, up to
-//!   [`ROUTE_MEMO_CAPACITY`], and sends them there unparsed) and merge-based
-//!   cluster telemetry (exact latency-histogram merges, summed health).
+//!   cloneable, stateless [`ClusterClient`]s for query threads (on one
+//!   shard a client hands each text to the shard unparsed, where the
+//!   shard's plan memo answers first; on more it parses and routes) and
+//!   merge-based cluster telemetry (exact latency-histogram merges, summed
+//!   health).
 //!   [`ServeCluster::tick_wait`] ticks the shards in shard order on the
 //!   calling thread; the cluster starts no thread of its own.
 //!
@@ -59,6 +60,6 @@ pub mod plan;
 pub mod router;
 
 pub use arbiter::BudgetArbiter;
-pub use cluster::{ClusterClient, ServeCluster, ServeConfig, ROUTE_MEMO_CAPACITY};
+pub use cluster::{ClusterClient, ServeCluster, ServeConfig};
 pub use plan::{Placement, ShardPlan, TablePlacement};
 pub use router::{Route, Router};

@@ -143,6 +143,10 @@ proptest! {
         for stmt in &statements {
             let route = router_a.route(stmt);
             prop_assert_eq!(&route, &router_b.route(stmt));
+            // A one-shard cluster hands every text to shard 0 unparsed.
+            if shards == 1 {
+                prop_assert_eq!(&route, &Route::Single(0));
+            }
             match route {
                 Route::Single(s) | Route::PartitionedInsert(s) => prop_assert!(s < shards),
                 Route::Broadcast | Route::Scatter => prop_assert!(shards > 1),

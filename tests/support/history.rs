@@ -2,8 +2,10 @@
 //! answer every read as one unsharded database would have at some instant
 //! between the read's call and its return.
 //!
-//! [`run`] starts a two-shard [`ServeCluster`] over [`database`] (`big`
-//! hash-partitioned, `mid` and `small` owned). One writer thread applies a
+//! [`run`] starts a [`ServeCluster`] over [`database`] (on two shards,
+//! `big` hash-partitioned and `mid` and `small` owned; on one, shard 0
+//! holds every table and the clients hand their texts to it unparsed,
+//! past its plan memo). One writer thread applies a
 //! seeded sequence of writes ([`writes`]: broadcast UPDATE and DELETE on
 //! `big`, INSERT into `big`, UPDATE of the owned `mid`), one after another,
 //! while reader threads send seeded SELECTs of every route class
@@ -60,10 +62,11 @@ pub fn database() -> Database {
     db
 }
 
-/// The cluster [`run`] drives: `big` partitioned over two shards.
-pub fn config() -> ServeConfig {
+/// The cluster [`run`] drives: `big` partitioned when there are two shards
+/// or more.
+pub fn config(shards: usize) -> ServeConfig {
     ServeConfig {
-        shards: 2,
+        shards,
         partition_threshold: 100,
         autod: AutodConfig::default(),
     }
@@ -132,9 +135,10 @@ pub struct Observed {
     pub rows: Vec<Vec<Value>>,
 }
 
-/// Drive a fresh cluster through `seed`'s history; returns every read.
-pub fn run(seed: u64) -> Vec<Observed> {
-    let cluster = ServeCluster::start(database(), config()).unwrap();
+/// Drive a fresh cluster of `shards` through `seed`'s history; returns
+/// every read.
+pub fn run(seed: u64, shards: usize) -> Vec<Observed> {
+    let cluster = ServeCluster::start(database(), config(shards)).unwrap();
     let writes = writes(seed);
     let (started, completed) = (AtomicUsize::new(0), AtomicUsize::new(0));
     let writing = AtomicBool::new(true);
