@@ -6,21 +6,18 @@
 //! `results/<experiment>.jsonl`. The system experiments write one JSON
 //! artifact each, by default at the repository root (`--out` overrides,
 //! which CI's smoke runs use to leave the recorded numbers alone): `online`
-//! → `BENCH_online.json`, `serve` → `BENCH_serve.json`, `cardbench` →
-//! `BENCH_cardbench.json`. Each audits itself — seed-fixed rerun, sharded
-//! replay and 1-shard == unsharded, regime re-run — and exits non-zero when
-//! the audit fails.
+//! → `BENCH_online.json`, `cardbench` → `BENCH_cardbench.json`. Each audits
+//! itself — drained drive, sharded replay and 1-shard == unsharded, regime
+//! re-run — and exits non-zero when the audit fails.
 //!
 //! Everything written here is a pure function of `(experiment, scale,
 //! seed)`: deterministic work only, so a fresh run is byte-identical to the
-//! committed file (CI `cmp`s the three artifacts). Nothing in this crate
+//! committed file (CI `cmp`s both artifacts). Nothing in this crate
 //! reads a clock; wall time is measured by `benchmark/` and nowhere else.
 
 use bench::cli::{self, Cli, Experiment};
 use bench::common::{report, write_artifact, BenchObs, ExperimentScale, Row};
-use bench::experiments::{
-    aging, cardbench, fig3, fig4, intro, online, serve, shrink, table1, tsweep,
-};
+use bench::experiments::{aging, cardbench, fig3, fig4, intro, online, shrink, table1, tsweep};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -58,7 +55,6 @@ fn main() {
         }
         Experiment::Online => return run_online(&cli, &bench_obs),
         Experiment::Cardbench => return run_cardbench(&cli, &bench_obs),
-        Experiment::Serve => return run_serve(&cli),
     };
     // Only `fig4` takes `--ablation`.
     let file = if cli.ablation {
@@ -149,17 +145,12 @@ fn aging_rows(scale: &ExperimentScale) -> Vec<Row> {
     aging::rows(&results)
 }
 
-/// Write each telemetry stream whose flag was given (`serve` takes no
-/// `--slowlog-out`: a cluster drive leaves that stream empty).
-fn write_telemetry(cli: &Cli, telemetry: &online::TelemetryExport) {
+/// Write each telemetry stream whose flag was given.
+fn write_telemetry(cli: &Cli, t: &online::TelemetryExport) {
     for (flag, what, contents) in [
-        ("--windows-out", "window deltas", &telemetry.windows_jsonl),
-        ("--health-out", "health snapshots", &telemetry.health_jsonl),
-        (
-            "--slowlog-out",
-            "slow-query trace",
-            &telemetry.slowlog_jsonl,
-        ),
+        ("--windows-out", "window deltas", &t.windows_jsonl),
+        ("--health-out", "health snapshots", &t.health_jsonl),
+        ("--slowlog-out", "slow-query trace", &t.slowlog_jsonl),
     ] {
         if let Some(path) = cli.path(flag) {
             write_artifact(path, what, contents);
@@ -168,12 +159,23 @@ fn write_telemetry(cli: &Cli, telemetry: &online::TelemetryExport) {
 }
 
 fn run_online(cli: &Cli, bench_obs: &BenchObs) {
-    println!("== Online lifecycle: monitor -> staleness -> incremental MNSA ==");
-    let (result, journal, telemetry) =
-        online::run(&cli.scale, cli.ticks, cli.budget, bench_obs.obs.clone());
+    println!("== Online lifecycle: router -> budget arbiter -> per-shard daemons ==");
+    let (result, journal, telemetry) = online::run(
+        &cli.scale,
+        cli.shards,
+        cli.ticks,
+        cli.budget,
+        bench_obs.obs.clone(),
+    );
     result.print();
-    if !result.rerun_identical {
-        eprintln!("error: seed-fixed single-threaded rerun was not bit-identical");
+    let r = &result;
+    let audits = [
+        (r.drained, "no quiet tick before the drain backstop"),
+        (r.replay_identical, "seed-fixed replay diverged"),
+        (r.one_shard_identical, "1-shard cluster != plain service"),
+    ];
+    if let Some((_, failed)) = audits.iter().find(|(passed, _)| !passed) {
+        eprintln!("error: {failed}");
         std::process::exit(1);
     }
     write_artifact(cli.out("BENCH_online.json"), "results", &result.to_json());
@@ -195,20 +197,4 @@ fn run_cardbench(cli: &Cli, bench_obs: &BenchObs) {
         eprintln!("error: determinism audit failed: regime re-run changed the numbers");
         std::process::exit(1);
     }
-}
-
-fn run_serve(cli: &Cli) {
-    println!("== Sharded serving: router -> budget arbiter -> per-shard daemons ==");
-    let (result, telemetry) = serve::run(&cli.scale, cli.shards, cli.ticks, cli.budget);
-    result.print();
-    if !result.replay_identical {
-        eprintln!("error: seed-fixed sharded replay was not bit-identical");
-        std::process::exit(1);
-    }
-    if !result.one_shard_identical {
-        eprintln!("error: 1-shard cluster diverged from the unsharded service");
-        std::process::exit(1);
-    }
-    write_artifact(cli.out("BENCH_serve.json"), "results", &result.to_json());
-    write_telemetry(cli, &telemetry);
 }

@@ -22,14 +22,13 @@ pub enum Experiment {
     All,
     Online,
     Cardbench,
-    Serve,
 }
 
 const OBS: &str = "--trace-out --metrics-out --journal-out";
 
 /// Every experiment with its name and the flags it takes beyond
 /// `--tiny | --full`, separated by spaces.
-const EXPERIMENTS: [(Experiment, &str, &str); 11] = [
+const EXPERIMENTS: [(Experiment, &str, &str); 10] = [
     (Experiment::Intro, "intro", ""),
     (Experiment::Fig3, "fig3", "--trace-out --metrics-out"),
     (Experiment::Fig4, "fig4", "--ablation"),
@@ -41,18 +40,13 @@ const EXPERIMENTS: [(Experiment, &str, &str); 11] = [
     (
         Experiment::Online,
         "online",
-        "--ticks --budget --out --trace-out --metrics-out --journal-out \
+        "--shards --ticks --budget --out --trace-out --metrics-out --journal-out \
          --windows-out --health-out --slowlog-out",
     ),
     (
         Experiment::Cardbench,
         "cardbench",
         "--out --trace-out --metrics-out",
-    ),
-    (
-        Experiment::Serve,
-        "serve",
-        "--shards --ticks --budget --out --windows-out --health-out",
     ),
 ];
 
@@ -200,15 +194,16 @@ mod tests {
             "",
             "fig9",
             "perfbase",
-            "serve --shard 4",
-            "serve --ticks abc",
-            "serve --shards 0",
-            "serve --budget -1",
-            "serve --budget nan",
-            "serve --out",
-            "serve --out --tiny",
-            "serve --tiny --full",
-            "serve --ticks 2 --ticks 3",
+            "serve",
+            "online --shard 4",
+            "online --ticks abc",
+            "online --shards 0",
+            "online --budget -1",
+            "online --budget nan",
+            "online --out",
+            "online --out --tiny",
+            "online --tiny --full",
+            "online --ticks 2 --ticks 3",
             "fig4 --slowlog-out x",
             "intro --trace-out t.json",
         ] {
@@ -224,7 +219,7 @@ mod tests {
                 assert!(parse_line(&line).is_err(), "`exp {line}` was accepted");
             }
         }
-        assert_eq!(usage().lines().count(), 1 + 11, "{}", usage());
+        assert_eq!(usage().lines().count(), 1 + 10, "{}", usage());
     }
 
     #[test]
@@ -243,16 +238,17 @@ mod tests {
     #[test]
     fn values_land_in_their_fields() {
         let cli = parse_line(
-            "serve --tiny --shards 4 --ticks 3 --budget inf --out /tmp/s.json --health-out h.jsonl",
+            "online --tiny --shards 4 --ticks 3 --budget inf --out /tmp/s.json --health-out h.jsonl",
         )
-        .expect("a valid serve line");
+        .expect("a valid online line");
         assert_eq!((cli.shards, cli.ticks, cli.budget), (4, 3, f64::INFINITY));
-        assert_eq!(cli.out("BENCH_serve.json"), PathBuf::from("/tmp/s.json"));
+        assert_eq!(cli.out("BENCH_online.json"), PathBuf::from("/tmp/s.json"));
         assert_eq!(cli.path("--health-out"), Some("h.jsonl"));
         assert_eq!(cli.path("--windows-out"), None);
 
         assert!(!cli.ablation);
         let cli = parse_line("online").expect("flags are optional");
+        assert_eq!(cli.shards, 2);
         assert!(cli.out("BENCH_online.json").ends_with("BENCH_online.json"));
         assert!(parse_line("fig4 --ablation").expect("fig4 flag").ablation);
     }

@@ -21,9 +21,8 @@
 //! | `shrink`    | §5.2 — Shrinking Set essential sets                      |
 //! | `aging`     | §6 — dampened re-creation of dropped statistics          |
 //! | `all`       | everything above, into `results/all.jsonl`               |
-//! | `online`    | online lifecycle daemon — convergence vs offline tuning  |
+//! | `online`    | online lifecycle on N shards — convergence, identity     |
 //! | `cardbench` | q-error and plan-cost regret on adversarial workloads    |
-//! | `serve`     | sharded serving — 1-shard identity, replay, convergence  |
 
 #![forbid(unsafe_code)]
 

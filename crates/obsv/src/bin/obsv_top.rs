@@ -6,10 +6,11 @@
 //!
 //! The input is the health JSONL stream the `autod` lifecycle daemon
 //! exports (one [`obsv::HealthSnapshot`] per line; `exp online
-//! --health-out` writes one). Sharded clusters (`exp serve`) interleave
-//! per-shard snapshots in one stream — or write one file per shard; either
-//! way, pass every file and the dashboard groups lines by their `shard`
-//! field, showing one row per shard plus a merged cluster summary.
+//! --health-out` writes one). Sharded clusters interleave per-shard
+//! snapshots in one stream, as `exp online` does — or write one file per
+//! shard; either way, pass every file and the dashboard groups lines by
+//! their `shard` field, showing one row per shard plus a merged cluster
+//! summary.
 
 use obsv::HealthSnapshot;
 use std::process::ExitCode;

@@ -375,7 +375,9 @@ mod tests {
     /// The split as it was made row by row: each row's values hashed by
     /// `row_shard` and inserted into its shard's empty copy of the table.
     fn split_row_by_row(plan: &ShardPlan, source: &Table) -> Vec<Table> {
-        let mut slices: Vec<Table> = (0..plan.shards()).map(|_| source.empty_like()).collect();
+        let mut slices: Vec<Table> = (0..plan.shards())
+            .map(|_| Table::new(source.name(), source.schema().clone()))
+            .collect();
         for row in 0..source.row_count() {
             let values = source.row_values(row);
             slices[plan.row_shard(&values)].insert(values).unwrap();
